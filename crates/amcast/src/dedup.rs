@@ -26,28 +26,33 @@ pub struct DedupWindow {
 }
 
 impl DedupWindow {
-    /// Creates a window remembering up to `capacity` ids.
+    /// Creates a window remembering up to `capacity` ids. The capacity is
+    /// an eviction bound, not a reservation: the window allocates nothing
+    /// until the first id arrives.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "dedup window needs capacity");
-        DedupWindow { seen: HashSet::with_capacity(capacity), order: VecDeque::new(), capacity }
+        DedupWindow { seen: HashSet::new(), order: VecDeque::new(), capacity }
     }
 
     /// Records `id`; returns `true` when it was not already in the window
     /// (i.e. the caller should process the message).
     pub fn insert(&mut self, id: u64) -> bool {
-        if !self.seen.insert(id) {
+        if self.seen.contains(&id) {
             return false;
         }
-        self.order.push_back(id);
-        if self.order.len() > self.capacity {
+        // Evict before inserting, so a full window never grows its tables
+        // past `capacity` entries.
+        if self.order.len() == self.capacity {
             if let Some(old) = self.order.pop_front() {
                 self.seen.remove(&old);
             }
         }
+        self.seen.insert(id);
+        self.order.push_back(id);
         true
     }
 
@@ -83,18 +88,15 @@ pub struct CoverageWindow {
 }
 
 impl CoverageWindow {
-    /// Creates a window remembering up to `capacity` ids.
+    /// Creates a window remembering up to `capacity` ids (an eviction
+    /// bound; nothing is allocated until the first duty arrives).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "coverage window needs capacity");
-        CoverageWindow {
-            seen: std::collections::HashMap::with_capacity(capacity),
-            order: VecDeque::new(),
-            capacity,
-        }
+        CoverageWindow { seen: std::collections::HashMap::new(), order: VecDeque::new(), capacity }
     }
 
     /// Records forwarding duty for `id` at `zone_depth`; returns `true`
@@ -108,13 +110,13 @@ impl CoverageWindow {
                 true
             }
             None => {
-                self.seen.insert(id, zone_depth);
-                self.order.push_back(id);
-                if self.order.len() > self.capacity {
+                if self.order.len() == self.capacity {
                     if let Some(old) = self.order.pop_front() {
                         self.seen.remove(&old);
                     }
                 }
+                self.seen.insert(id, zone_depth);
+                self.order.push_back(id);
                 true
             }
         }
@@ -183,6 +185,28 @@ mod tests {
         w.insert(1); // duplicate, must not move 1 to the back
         w.insert(3); // evicts 1
         assert!(!w.contains(1));
+    }
+
+    #[test]
+    fn windows_allocate_nothing_until_first_use() {
+        let d = DedupWindow::new(8192);
+        assert_eq!((d.seen.capacity(), d.order.capacity()), (0, 0));
+        let c = CoverageWindow::new(8192);
+        assert_eq!((c.seen.capacity(), c.order.capacity()), (0, 0));
+    }
+
+    #[test]
+    fn full_window_keeps_its_ring_at_capacity() {
+        let mut c = CoverageWindow::new(64);
+        for id in 0..64 {
+            c.admit(id, 0);
+        }
+        let ring = c.order.capacity();
+        for id in 64..1024 {
+            c.admit(id, 0);
+        }
+        assert_eq!(c.len(), 64);
+        assert_eq!(c.order.capacity(), ring, "evict-then-insert never holds capacity + 1");
     }
 
     #[test]

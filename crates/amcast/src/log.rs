@@ -57,23 +57,26 @@ pub struct ForwardLog {
 }
 
 impl ForwardLog {
-    /// Creates a log retaining up to `capacity` records.
+    /// Creates a log retaining up to `capacity` records. It starts empty
+    /// and grows to that cap.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "log needs capacity");
-        ForwardLog { records: VecDeque::with_capacity(capacity.min(1024)), capacity, total: 0 }
+        ForwardLog { records: VecDeque::new(), capacity, total: 0 }
     }
 
     /// Appends a record, evicting the oldest beyond capacity.
     pub fn record(&mut self, rec: LogRecord) {
         self.total += 1;
-        self.records.push_back(rec);
-        if self.records.len() > self.capacity {
+        // Evict first: a full ring stays at `capacity` slots instead of
+        // doubling to hold one transient extra record.
+        if self.records.len() == self.capacity {
             self.records.pop_front();
         }
+        self.records.push_back(rec);
     }
 
     /// Records currently retained.
@@ -146,6 +149,11 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert_eq!(log.iter().next().unwrap().at_us, 7);
         assert_eq!(log.total_written(), 10);
+    }
+
+    #[test]
+    fn allocates_nothing_until_first_record() {
+        assert_eq!(ForwardLog::default().records.capacity(), 0);
     }
 
     #[test]

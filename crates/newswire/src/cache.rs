@@ -11,7 +11,9 @@
 //! to participants that are joining the system."
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
+use newsml::cdc::slug_key;
 use newsml::{ItemId, NewsItem, PublisherId};
 use simnet::{SimDuration, SimTime};
 
@@ -44,11 +46,18 @@ impl Default for CachePolicy {
 }
 
 /// The per-node news-item cache.
+///
+/// Articles are immutable and shared: the cache holds a handle to the one
+/// allocation the publisher (or a disk restore) made, and every reply it
+/// serves clones the handle, never the strings.
 #[derive(Debug)]
 pub struct MessageCache {
     policy: CachePolicy,
-    items: BTreeMap<ItemId, (NewsItem, SimTime)>,
-    latest_by_slug: HashMap<(PublisherId, String), ItemId>,
+    items: BTreeMap<ItemId, (Arc<NewsItem>, SimTime)>,
+    /// Latest cached revision per story, keyed by [`slug_key`] — a 64-bit
+    /// hash of `(publisher, slug)`, so neither an entry nor a lookup owns a
+    /// `String`. Every hit is confirmed against the cached item's slug.
+    latest_by_slug: HashMap<u64, ItemId>,
     highwater: BTreeMap<PublisherId, u64>,
 }
 
@@ -79,7 +88,7 @@ impl MessageCache {
     }
 
     /// A cached item by id.
-    pub fn get(&self, id: ItemId) -> Option<&NewsItem> {
+    pub fn get(&self, id: ItemId) -> Option<&Arc<NewsItem>> {
         self.items.get(&id).map(|(item, _)| item)
     }
 
@@ -96,8 +105,14 @@ impl MessageCache {
     /// The latest cached revision of `publisher`'s story `slug`, if any
     /// (the delta-encoding baseline lookup).
     pub fn latest_for_slug(&self, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
-        let id = self.latest_by_slug.get(&(publisher, slug.to_owned()))?;
-        self.get(*id)
+        self.latest_at(slug_key(publisher, slug), publisher, slug)
+    }
+
+    /// [`Self::latest_for_slug`] with the story's `slug_key` already in hand.
+    fn latest_at(&self, key: u64, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
+        let item = self.get(*self.latest_by_slug.get(&key)?)?;
+        // A colliding key is a different story, not an earlier telling.
+        (item.id.publisher == publisher && item.slug == slug).then_some(&**item)
     }
 
     /// Baseline hints for the revisions this cache holds — what a repair or
@@ -113,13 +128,12 @@ impl MessageCache {
         let mut hints: Vec<amcast::BaselineHint> = self
             .latest_by_slug
             .iter()
-            .filter(|((p, _), _)| publisher.is_none_or(|want| *p == want))
-            .filter_map(|((p, slug), id)| {
-                self.get(*id).map(|item| amcast::BaselineHint {
-                    key: newsml::cdc::slug_key(*p, slug),
-                    revision: item.revision,
-                    body_len: item.body_len,
-                })
+            .filter_map(|(&key, id)| self.get(*id).map(|item| (key, item)))
+            .filter(|(_, item)| publisher.is_none_or(|want| item.id.publisher == want))
+            .map(|(key, item)| amcast::BaselineHint {
+                key,
+                revision: item.revision,
+                body_len: item.body_len,
             })
             .collect();
         hints.sort_by_key(|h| h.key);
@@ -127,37 +141,45 @@ impl MessageCache {
         hints
     }
 
-    /// Offers an item to the cache, applying revision fusion.
-    pub fn insert(&mut self, item: NewsItem, now: SimTime) -> CacheOutcome {
+    /// Offers an item to the cache, applying revision fusion. Accepts an
+    /// owned item (allocating its one shared copy) or an existing handle.
+    ///
+    /// Alongside the outcome, reports the id this insert pushed out of the
+    /// cache — the older revision it fused away, or the victim of capacity
+    /// eviction (never both: a fusion does not grow the cache) — so the
+    /// owner can drop whatever it keeps per cached id.
+    pub fn insert(
+        &mut self,
+        item: impl Into<Arc<NewsItem>>,
+        now: SimTime,
+    ) -> (CacheOutcome, Option<ItemId>) {
+        let item: Arc<NewsItem> = item.into();
         if self.items.contains_key(&item.id) {
-            return CacheOutcome::Duplicate;
+            return (CacheOutcome::Duplicate, None);
         }
         let hw = self.highwater.entry(item.id.publisher).or_insert(0);
         *hw = (*hw).max(item.id.seq);
 
-        let slug_key = (item.id.publisher, item.slug.clone());
         let mut outcome = CacheOutcome::Stored;
-        if let Some(&prev_id) = self.latest_by_slug.get(&slug_key) {
-            if let Some((prev, _)) = self.items.get(&prev_id) {
-                if prev.revision >= item.revision {
-                    // We already hold a newer (or equal) telling of this
-                    // story; keep it and drop the stale revision.
-                    return CacheOutcome::Obsolete;
-                }
+        let mut displaced = None;
+        let key = slug_key(item.id.publisher, &item.slug);
+        let prev = self.latest_at(key, item.id.publisher, &item.slug);
+        if let Some((prev_id, prev_revision)) = prev.map(|p| (p.id, p.revision)) {
+            if prev_revision >= item.revision {
+                // We already hold a newer (or equal) telling of this
+                // story; keep it and drop the stale revision.
+                return (CacheOutcome::Obsolete, None);
             }
             // Fuse: the new revision replaces the old one.
             self.items.remove(&prev_id);
+            displaced = Some(prev_id);
             outcome = CacheOutcome::Fused;
         }
-        self.latest_by_slug.insert(slug_key, item.id);
+        self.latest_by_slug.insert(key, item.id);
         self.items.insert(item.id, (item, now));
-        self.enforce_capacity();
-        outcome
-    }
-
-    fn enforce_capacity(&mut self) {
-        while self.items.len() > self.policy.max_items {
-            // Evict the oldest-received item.
+        if self.items.len() > self.policy.max_items {
+            // Evict the oldest-received item (one insert grows the cache
+            // by at most one).
             let victim = self
                 .items
                 .iter()
@@ -165,12 +187,14 @@ impl MessageCache {
                 .map(|(&id, _)| id)
                 .expect("non-empty");
             self.remove(victim);
+            displaced = Some(victim);
         }
+        (outcome, displaced)
     }
 
     fn remove(&mut self, id: ItemId) {
         if let Some((item, _)) = self.items.remove(&id) {
-            let key = (item.id.publisher, item.slug.clone());
+            let key = slug_key(item.id.publisher, &item.slug);
             if self.latest_by_slug.get(&key) == Some(&id) {
                 self.latest_by_slug.remove(&key);
             }
@@ -207,24 +231,29 @@ impl MessageCache {
 
     /// Cached items from `publisher` with sequence numbers at or above
     /// `min_seq` (the repair / state-transfer reply, bounded by `limit`).
-    pub fn items_from(&self, publisher: PublisherId, min_seq: u64, limit: usize) -> Vec<NewsItem> {
+    pub fn items_from(
+        &self,
+        publisher: PublisherId,
+        min_seq: u64,
+        limit: usize,
+    ) -> Vec<Arc<NewsItem>> {
         self.items
             .range(ItemId::new(publisher, min_seq)..=ItemId::new(publisher, u64::MAX))
             .take(limit)
-            .map(|(_, (item, _))| item.clone())
+            .map(|(_, (item, _))| Arc::clone(item))
             .collect()
     }
 
     /// The most recent `limit` items across publishers (joiner bootstrap).
-    pub fn snapshot(&self, limit: usize) -> Vec<NewsItem> {
-        let mut all: Vec<(&SimTime, &NewsItem)> =
+    pub fn snapshot(&self, limit: usize) -> Vec<Arc<NewsItem>> {
+        let mut all: Vec<(&SimTime, &Arc<NewsItem>)> =
             self.items.values().map(|(item, at)| (at, item)).collect();
         all.sort_by_key(|(at, _)| std::cmp::Reverse(**at));
-        all.into_iter().take(limit).map(|(_, item)| item.clone()).collect()
+        all.into_iter().take(limit).map(|(_, item)| Arc::clone(item)).collect()
     }
 
     /// Iterates over cached items.
-    pub fn iter(&self) -> impl Iterator<Item = &NewsItem> {
+    pub fn iter(&self) -> impl Iterator<Item = &Arc<NewsItem>> {
         self.items.values().map(|(item, _)| item)
     }
 }
@@ -255,8 +284,8 @@ mod tests {
     #[test]
     fn insert_and_duplicate() {
         let mut c = MessageCache::default();
-        assert_eq!(c.insert(item(1, 1, "a", 0), t(0)), CacheOutcome::Stored);
-        assert_eq!(c.insert(item(1, 1, "a", 0), t(1)), CacheOutcome::Duplicate);
+        assert_eq!(c.insert(item(1, 1, "a", 0), t(0)), (CacheOutcome::Stored, None));
+        assert_eq!(c.insert(item(1, 1, "a", 0), t(1)), (CacheOutcome::Duplicate, None));
         assert_eq!(c.len(), 1);
         assert_eq!(c.highwater(PublisherId(1)), 1);
     }
@@ -265,11 +294,12 @@ mod tests {
     fn revision_fusion_keeps_latest() {
         let mut c = MessageCache::default();
         c.insert(item(1, 1, "story", 0), t(0));
-        assert_eq!(c.insert(item(1, 5, "story", 2), t(1)), CacheOutcome::Fused);
+        let fused_away = Some(ItemId::new(PublisherId(1), 1));
+        assert_eq!(c.insert(item(1, 5, "story", 2), t(1)), (CacheOutcome::Fused, fused_away));
         assert_eq!(c.len(), 1, "old revision fused away");
         assert!(c.contains(ItemId::new(PublisherId(1), 5)));
         // A late-arriving older revision is rejected.
-        assert_eq!(c.insert(item(1, 3, "story", 1), t(2)), CacheOutcome::Obsolete);
+        assert_eq!(c.insert(item(1, 3, "story", 1), t(2)), (CacheOutcome::Obsolete, None));
         assert_eq!(c.len(), 1);
     }
 
@@ -277,7 +307,8 @@ mod tests {
     fn capacity_evicts_oldest_received() {
         let mut c = MessageCache::new(CachePolicy { max_items: 3, ..Default::default() });
         for i in 0..5u64 {
-            c.insert(item(1, i, &format!("s{i}"), 0), t(i));
+            let (_, evicted) = c.insert(item(1, i, &format!("s{i}"), 0), t(i));
+            assert_eq!(evicted, i.checked_sub(3).map(|old| ItemId::new(PublisherId(1), old)));
         }
         assert_eq!(c.len(), 3);
         assert!(!c.contains(ItemId::new(PublisherId(1), 0)));
@@ -311,6 +342,19 @@ mod tests {
         assert_eq!(c.items_from(PublisherId(1), 0, 100).len(), 11);
         let limited = c.items_from(PublisherId(1), 0, 2);
         assert_eq!(limited.len(), 2);
+    }
+
+    #[test]
+    fn replies_share_the_cached_allocation() {
+        let mut c = MessageCache::default();
+        let published = Arc::new(item(1, 1, "a", 0));
+        c.insert(Arc::clone(&published), t(0));
+        let id = published.id;
+        assert!(Arc::ptr_eq(c.get(id).unwrap(), &published));
+        assert!(Arc::ptr_eq(&c.items_from(PublisherId(1), 0, 10)[0], &published));
+        assert!(Arc::ptr_eq(&c.snapshot(10)[0], &published));
+        assert_eq!(c.latest_for_slug(PublisherId(1), "a"), Some(&*published));
+        assert_eq!(c.latest_for_slug(PublisherId(2), "a"), None);
     }
 
     #[test]

@@ -253,7 +253,7 @@ struct PendingReconcile {
 /// One unacknowledged tree hand-off awaiting its `ForwardAck`.
 #[derive(Debug)]
 struct PendingHandoff {
-    env: Envelope,
+    env: Arc<Envelope>,
     zone: ZoneId,
     rep: u32,
     /// Representatives already attempted (including `rep`).
@@ -942,7 +942,24 @@ impl NewsWireNode {
         }
     }
 
-    fn handle_delivery(&mut self, now: SimTime, item: NewsItem, via_repair: bool) {
+    /// Offers `item` to the cache and keeps `item_sigs` in step with it:
+    /// the signature of whatever the insert fused away or evicted is
+    /// dropped, and so is `item`'s own when a newer revision made it
+    /// obsolete on arrival. Without this the map outgrows a bounded cache
+    /// on a revision-heavy feed.
+    fn cache_insert(&mut self, item: Arc<NewsItem>, now: SimTime) -> CacheOutcome {
+        let id = item.id;
+        let (outcome, displaced) = self.cache.insert(item, now);
+        if let Some(dead) = displaced {
+            self.item_sigs.remove(&dead);
+        }
+        if outcome == CacheOutcome::Obsolete {
+            self.item_sigs.remove(&id);
+        }
+        outcome
+    }
+
+    fn handle_delivery(&mut self, now: SimTime, item: Arc<NewsItem>, via_repair: bool) {
         // Every arrival is *seen* — duplicates, obsolete revisions and
         // predicate-filtered items included. The log tracks knowledge, not
         // acceptance: a seen seq is never a hole to reconcile.
@@ -959,7 +976,7 @@ impl NewsWireNode {
         let published = SimTime::from_micros(item.issued_us);
         let interested = self.subscription.interested_in(&item);
         let matches = self.subscription.matches(&item);
-        match self.cache.insert(item, now) {
+        match self.cache_insert(item, now) {
             CacheOutcome::Duplicate => {
                 self.stats.duplicates += 1;
                 obs::metric_add!(self.agent.id(), ctr::NW_DUPLICATES, 1);
@@ -1019,7 +1036,12 @@ impl NewsWireNode {
         }
     }
 
-    fn process_duty(&mut self, ctx: &mut Context<'_, NewsWireMsg>, env: Envelope, zone: ZoneId) {
+    fn process_duty(
+        &mut self,
+        ctx: &mut Context<'_, NewsWireMsg>,
+        env: Arc<Envelope>,
+        zone: ZoneId,
+    ) {
         let actions = route(&self.agent, &env.filter, &zone, self.cfg.redundancy, ctx.rng());
         let now = ctx.now();
         if actions.is_empty() && self.agent.level_of(&zone).is_none() {
@@ -1046,7 +1068,7 @@ impl NewsWireNode {
             match action {
                 Action::DeliverLocal => {
                     self.delta_makeup(&env.item, env.basis.as_ref());
-                    self.handle_delivery(now, env.item.clone(), false)
+                    self.handle_delivery(now, Arc::clone(&env.item), false)
                 }
                 Action::Deliver { member } => {
                     self.log.record(LogRecord {
@@ -1056,7 +1078,11 @@ impl NewsWireNode {
                         peer: Some(member),
                         event: ForwardEvent::Delivered,
                     });
-                    self.enqueue(ctx, NodeId(member), NewsWireMsg::Deliver { env: env.clone() });
+                    self.enqueue(
+                        ctx,
+                        NodeId(member),
+                        NewsWireMsg::Deliver { env: Arc::clone(&env) },
+                    );
                 }
                 Action::Forward { rep, zone } => {
                     self.log.record(LogRecord {
@@ -1066,7 +1092,8 @@ impl NewsWireNode {
                         peer: Some(rep),
                         event: ForwardEvent::Forwarded,
                     });
-                    self.enqueue(ctx, NodeId(rep), NewsWireMsg::Forward { env: env.clone(), zone });
+                    let fwd = NewsWireMsg::Forward { env: Arc::clone(&env), zone };
+                    self.enqueue(ctx, NodeId(rep), fwd);
                 }
             }
         }
@@ -1122,6 +1149,9 @@ impl NewsWireNode {
             // (which ship bare items, not envelopes) stay zone-confined.
             item.meta.push((DISSEMINATION_SCOPE.to_owned(), scope.to_string()));
         }
+        // The article is final: this is its one allocation. Everything
+        // downstream — envelope, queues, caches, replies — holds a handle.
+        let item = Arc::new(item);
         let signature = publisher.credential.sign(&item);
         let key = publisher.credential.key_id();
         let certificate = publisher.credential.certificate.clone();
@@ -1142,7 +1172,7 @@ impl NewsWireNode {
         } else {
             None
         };
-        let env = Envelope {
+        let env = Arc::new(Envelope {
             msg_id: msg_id_of(item.id),
             filter,
             item,
@@ -1152,7 +1182,7 @@ impl NewsWireNode {
             signature,
             attest,
             basis,
-        };
+        });
         obs::metric_add!(self.agent.id(), ctr::NW_PUBLISHED, 1);
         obs::trace_event!(self.agent.id(), Layer::News, kind::NW_PUBLISH, env.msg_id);
         self.coverage.admit(env.msg_id, scope.depth());
@@ -1163,7 +1193,7 @@ impl NewsWireNode {
         self.log_seen(env.item.id);
         self.item_sigs.insert(env.item.id, (key, signature));
         self.absorb_attest(&attest);
-        self.cache.insert(env.item.clone(), now);
+        self.cache_insert(Arc::clone(&env.item), now);
         self.process_duty(ctx, env, scope);
     }
 
@@ -1222,7 +1252,7 @@ impl NewsWireNode {
     fn admit_bare_item(
         &mut self,
         now: SimTime,
-        item: NewsItem,
+        item: Arc<NewsItem>,
         key: KeyId,
         sig: Signature,
         from: NodeId,
@@ -1258,7 +1288,7 @@ impl NewsWireNode {
     /// cache. Returns the number of items restored.
     fn restore_cached_items(
         &mut self,
-        items: Vec<(NewsItem, KeyId, Signature)>,
+        items: Vec<(Arc<NewsItem>, KeyId, Signature)>,
         now: SimTime,
     ) -> u64 {
         let mut restored = 0u64;
@@ -1288,7 +1318,7 @@ impl NewsWireNode {
             }
             self.log_seen(item.id);
             self.item_sigs.insert(item.id, (key, sig));
-            self.cache.insert(item, now);
+            self.cache_insert(item, now);
             restored += 1;
         }
         restored
@@ -1300,7 +1330,7 @@ impl NewsWireNode {
     /// with no recorded signature (possible only on nodes that themselves
     /// admitted unverified content) ships a null signature, which defended
     /// receivers refuse.
-    fn sign_items(&self, items: Vec<NewsItem>, baselines: &[BaselineHint]) -> Vec<SignedItem> {
+    fn sign_items(&self, items: Vec<Arc<NewsItem>>, baselines: &[BaselineHint]) -> Vec<SignedItem> {
         let held: HashMap<u64, &BaselineHint> = baselines.iter().map(|b| (b.key, b)).collect();
         items
             .into_iter()
@@ -1448,7 +1478,7 @@ impl NewsWireNode {
         ctx: &mut Context<'_, NewsWireMsg>,
         timeout: SimDuration,
         rep: u32,
-        env: Envelope,
+        env: Arc<Envelope>,
         zone: ZoneId,
         tried: Vec<u32>,
         attempt: u32,
@@ -1530,7 +1560,7 @@ impl NewsWireNode {
             });
             ctx.send(
                 NodeId(handoff.rep),
-                NewsWireMsg::Forward { env: handoff.env.clone(), zone: handoff.zone.clone() },
+                NewsWireMsg::Forward { env: Arc::clone(&handoff.env), zone: handoff.zone.clone() },
             );
             self.rearm_handoff(ctx, timeout, tag, handoff);
             return;
@@ -1571,7 +1601,10 @@ impl NewsWireNode {
                 });
                 ctx.send(
                     NodeId(rep),
-                    NewsWireMsg::Forward { env: handoff.env.clone(), zone: handoff.zone.clone() },
+                    NewsWireMsg::Forward {
+                        env: Arc::clone(&handoff.env),
+                        zone: handoff.zone.clone(),
+                    },
                 );
                 self.rearm_handoff(ctx, timeout, tag, handoff);
             }
@@ -1780,7 +1813,7 @@ impl NewsWireNode {
     ) {
         let summary =
             self.article_logs.get(&publisher).map(|log| log.summary()).unwrap_or_default();
-        let mut items: Vec<NewsItem> = Vec::new();
+        let mut items: Vec<Arc<NewsItem>> = Vec::new();
         // A requester on a newer epoch has restarted history; our items
         // would be misfiled under its sequencing, so ship nothing (the
         // summary still tells it where we stand).
@@ -2069,7 +2102,7 @@ impl NewsWireNode {
                 .map(|item| {
                     let (key, sig) =
                         self.item_sigs.get(&item.id).copied().unwrap_or((KeyId(0), Signature(0)));
-                    (item.clone(), key, sig)
+                    (Arc::clone(item), key, sig)
                 })
                 .collect(),
             deliveries: self.deliveries.clone(),
@@ -2325,10 +2358,10 @@ impl Node for NewsWireNode {
                 self.learn_from_envelope(&env);
                 let now = ctx.now();
                 self.delta_makeup(&env.item, env.basis.as_ref());
-                self.handle_delivery(now, env.item, false);
+                self.handle_delivery(now, Arc::clone(&env.item), false);
             }
             NewsWireMsg::RepairRequest { highwater, want_snapshot, baselines } => {
-                let mut items: Vec<NewsItem> = Vec::new();
+                let mut items: Vec<Arc<NewsItem>> = Vec::new();
                 // Everything at or past the requester's (margin-backed)
                 // marks…
                 for (publisher, hw) in &highwater {
@@ -2441,7 +2474,7 @@ impl Node for NewsWireNode {
                             ctx,
                             timeout,
                             dst.0,
-                            env.clone(),
+                            Arc::clone(env),
                             zone.clone(),
                             vec![dst.0],
                             0,
@@ -2723,7 +2756,7 @@ impl Node for NewsWireNode {
                         .build();
                     self.log_seen(item.id);
                     self.item_sigs.insert(item.id, (KeyId(rng.gen()), Signature(rng.gen())));
-                    self.cache.insert(item, now);
+                    self.cache_insert(Arc::new(item), now);
                     injected += 1;
                 }
                 injected
@@ -2793,7 +2826,7 @@ impl Node for NewsWireNode {
                     let sig = cred.sign(&item);
                     self.log_seen(item.id);
                     self.item_sigs.insert(item.id, (cred.key_id(), sig));
-                    self.cache.insert(item, now);
+                    self.cache_insert(Arc::new(item), now);
                     hit += 1;
                 }
                 if attest_bump > 0 {
@@ -3077,12 +3110,12 @@ mod tests {
         // handle_delivery with via_repair=true models the reconcile/repair
         // paths, which ship bare items: the scope must still confine them.
         let now = SimTime::from_secs(1);
-        n.handle_delivery(now, out_of_zone.clone(), true);
+        n.handle_delivery(now, out_of_zone.clone().into(), true);
         assert!(!n.has_item(out_of_zone.id), "repair must not leak scoped items");
         assert_eq!(n.stats.predicate_filtered, 1);
         // …but the seq was still *seen*, so reconcile won't re-request it.
         assert!(n.article_log(PublisherId(0)).is_some_and(|l| l.contains(1)));
-        n.handle_delivery(now, in_zone.clone(), true);
+        n.handle_delivery(now, in_zone.clone().into(), true);
         assert!(n.has_item(in_zone.id), "in-zone repair still delivers");
     }
 
@@ -3092,11 +3125,13 @@ mod tests {
         cfg.deltas = true;
         let mut n = node_with(cfg);
         let now = SimTime::from_secs(1);
-        let rev3 = NewsItem::builder(PublisherId(0), 5)
-            .slug("merger")
-            .revision(3, None)
-            .body_len(6000)
-            .build();
+        let rev3 = Arc::new(
+            NewsItem::builder(PublisherId(0), 5)
+                .slug("merger")
+                .revision(3, None)
+                .body_len(6000)
+                .build(),
+        );
         n.cache.insert(rev3.clone(), now);
 
         // A requester declaring revision 2 gets a delta-annotated reply…
@@ -3135,21 +3170,21 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         // Matching item: delivered + cached.
-        n.handle_delivery(now, tech_item(0), false);
+        n.handle_delivery(now, tech_item(0).into(), false);
         assert_eq!(n.stats.delivered, 1);
         assert_eq!(n.deliveries.len(), 1);
         // Same item again: duplicate.
-        n.handle_delivery(now, tech_item(0), false);
+        n.handle_delivery(now, tech_item(0).into(), false);
         assert_eq!(n.stats.duplicates, 1);
         // Structurally uninteresting item: Bloom false positive.
         let sports =
             NewsItem::builder(PublisherId(0), 5).headline("s").category(Category::Sports).build();
-        n.handle_delivery(now, sports, false);
+        n.handle_delivery(now, sports.into(), false);
         assert_eq!(n.stats.bloom_fp_deliveries, 1);
         assert_eq!(n.stats.delivered, 1, "not delivered to the app");
         // Matching but predicate-rejected: filtered, still cached.
         n.subscription.set_predicate("urgency = 1").unwrap();
-        n.handle_delivery(now, tech_item(7), false);
+        n.handle_delivery(now, tech_item(7).into(), false);
         assert_eq!(n.stats.predicate_filtered, 1);
         assert!(n.cache.contains(newsml::ItemId::new(PublisherId(0), 7)));
     }
@@ -3158,7 +3193,7 @@ mod tests {
     fn repair_delivery_is_flagged() {
         let mut n = node_with(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
-        n.handle_delivery(SimTime::from_secs(2), tech_item(3), true);
+        n.handle_delivery(SimTime::from_secs(2), tech_item(3).into(), true);
         assert!(n.deliveries[0].via_repair);
     }
 
@@ -3175,14 +3210,14 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 4] {
-            n.handle_delivery(now, tech_item(seq), false);
+            n.handle_delivery(now, tech_item(seq).into(), false);
         }
         // A duplicate is still a single log entry…
-        n.handle_delivery(now, tech_item(1), false);
+        n.handle_delivery(now, tech_item(1).into(), false);
         // …and an uninteresting (Bloom FP) arrival is seen too.
         let sports =
             NewsItem::builder(PublisherId(0), 5).headline("s").category(Category::Sports).build();
-        n.handle_delivery(now, sports, false);
+        n.handle_delivery(now, sports.into(), false);
         let log = n.article_log(PublisherId(0)).expect("log exists");
         assert_eq!(log.len(), 4, "seqs 0, 1, 4, 5 — the duplicate logs once");
         assert_eq!(log.gaps(), vec![(2, 3)], "the unseen seqs are the holes");
@@ -3196,7 +3231,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 2, 6] {
-            n.handle_delivery(now, tech_item(seq), false);
+            n.handle_delivery(now, tech_item(seq).into(), false);
         }
         n.publish_ae_digests();
         let attr = format!("{AE_ATTR_PREFIX}0");
@@ -3207,7 +3242,7 @@ mod tests {
         // With anti-entropy off, no digest is published.
         let mut off =
             node_with(NewsWireConfig { anti_entropy: false, ..NewsWireConfig::tech_news() });
-        off.handle_delivery(now, tech_item(0), false);
+        off.handle_delivery(now, tech_item(0).into(), false);
         off.publish_ae_digests();
         assert!(off.agent.local_attr(&attr).is_none());
     }
@@ -3287,7 +3322,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 4] {
-            n.handle_delivery(now, tech_item(seq), false);
+            n.handle_delivery(now, tech_item(seq).into(), false);
         }
         let fp = n.state_fingerprint();
         let state = n.durable_state();
@@ -3300,7 +3335,7 @@ mod tests {
         // The fingerprint is stable while nothing changes and moves when
         // the durable state does.
         assert_eq!(n.state_fingerprint(), fp);
-        n.handle_delivery(now, tech_item(5), false);
+        n.handle_delivery(now, tech_item(5).into(), false);
         assert_ne!(n.state_fingerprint(), fp);
     }
 
@@ -3355,7 +3390,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(5);
         for seq in 0..3u64 {
-            n.handle_delivery(now, tech_item(seq), false);
+            n.handle_delivery(now, tech_item(seq).into(), false);
         }
         // Two leaf neighbours advertise epoch-0 digests: the consensus.
         let digest = RangeSummary::default().encode();
@@ -3434,7 +3469,7 @@ mod tests {
 
         let real = tech_item(0);
         let sig = cred.sign(&real);
-        n.admit_bare_item(now, real.clone(), cred.key_id(), sig, NodeId(5), 2);
+        n.admit_bare_item(now, real.clone().into(), cred.key_id(), sig, NodeId(5), 2);
         assert!(n.has_item(real.id), "a genuinely signed bare item admits");
         assert_eq!(n.stats.forged_rejects, 0);
 
@@ -3442,7 +3477,7 @@ mod tests {
         // leaves no trace in the article log (a forged seq must not poison
         // reconciliation into thinking it was seen).
         let forged = tech_item(1);
-        n.admit_bare_item(now, forged.clone(), KeyId(99), Signature(77), NodeId(5), 2);
+        n.admit_bare_item(now, forged.clone().into(), KeyId(99), Signature(77), NodeId(5), 2);
         assert!(!n.has_item(forged.id));
         assert!(!n.cache.contains(forged.id));
         assert!(!n.article_logs[&PublisherId(0)].contains(1), "forged seq not logged as seen");
@@ -3455,7 +3490,7 @@ mod tests {
         let sig2 = cred.sign(&original);
         let mut tampered = original.clone();
         tampered.headline = "FAKE: markets collapse".into();
-        n.admit_bare_item(now, tampered.clone(), cred.key_id(), sig2, NodeId(6), 3);
+        n.admit_bare_item(now, tampered.clone().into(), cred.key_id(), sig2, NodeId(6), 3);
         assert!(!n.has_item(tampered.id));
         assert_eq!(n.stats.forged_rejects, 2);
 
@@ -3466,7 +3501,7 @@ mod tests {
             .category(Category::Technology)
             .build();
         let rev0_sig = cred.sign(&rev0);
-        n.admit_bare_item(now, rev0.clone(), cred.key_id(), rev0_sig, NodeId(5), 2);
+        n.admit_bare_item(now, rev0.clone().into(), cred.key_id(), rev0_sig, NodeId(5), 2);
         assert!(n.cache.contains(rev0.id));
         let fake_rev = NewsItem::builder(PublisherId(0), 4)
             .headline("story, rewritten")
@@ -3474,7 +3509,7 @@ mod tests {
             .revision(1, Some(rev0.id))
             .category(Category::Technology)
             .build();
-        n.admit_bare_item(now, fake_rev.clone(), KeyId(1), Signature(2), NodeId(5), 2);
+        n.admit_bare_item(now, fake_rev.clone().into(), KeyId(1), Signature(2), NodeId(5), 2);
         assert!(n.cache.contains(rev0.id), "the real revision 0 survives");
         assert!(!n.cache.contains(fake_rev.id), "the forged revision is refused");
 
@@ -3484,7 +3519,7 @@ mod tests {
         cfg.defenses = false;
         let (mut open, _) = node_with_authority(cfg);
         open.set_subscription(tech_sub());
-        open.admit_bare_item(now, forged.clone(), KeyId(99), Signature(77), NodeId(5), 2);
+        open.admit_bare_item(now, forged.clone().into(), KeyId(99), Signature(77), NodeId(5), 2);
         assert!(open.has_item(forged.id), "defenses off admits the forgery");
         assert_eq!(open.stats.forged_rejects, 0);
     }
@@ -3500,13 +3535,125 @@ mod tests {
         let sig = cred.sign(&good);
         let bad = tech_item(1);
         let restored = n.restore_cached_items(
-            vec![(good.clone(), cred.key_id(), sig), (bad.clone(), KeyId(9), Signature(9))],
+            vec![
+                (good.clone().into(), cred.key_id(), sig),
+                (bad.clone().into(), KeyId(9), Signature(9)),
+            ],
             now,
         );
         assert_eq!(restored, 1, "only the verifiable item restores");
         assert!(n.cache.contains(good.id));
         assert!(!n.cache.contains(bad.id));
         assert_eq!(n.stats.forged_rejects, 1);
+    }
+
+    /// `item_sigs` tracks the cache, not the feed: what fusion, capacity
+    /// eviction or an obsolete arrival keeps out of the cache keeps no
+    /// signature either, so the map stays bounded beside a bounded cache.
+    #[test]
+    fn item_sigs_stay_in_step_with_a_bounded_cache() {
+        let mut cfg = NewsWireConfig::tech_news();
+        cfg.cache.max_items = 8;
+        let (mut n, cred) = node_with_authority(cfg);
+        n.set_subscription(tech_sub());
+        let now = SimTime::from_secs(1);
+        let admit = |n: &mut NewsWireNode, item: NewsItem| {
+            let sig = cred.sign(&item);
+            n.admit_bare_item(now, item.into(), cred.key_id(), sig, NodeId(5), 2);
+        };
+        // Forty revisions of one story, newest first then a stale one …
+        for rev in 0..40u32 {
+            let item = NewsItem::builder(PublisherId(0), u64::from(rev))
+                .slug("running")
+                .revision(rev, None)
+                .category(Category::Technology)
+                .build();
+            admit(&mut n, item);
+        }
+        let stale = NewsItem::builder(PublisherId(0), 100)
+            .slug("running")
+            .revision(3, None)
+            .category(Category::Technology)
+            .build();
+        admit(&mut n, stale);
+        assert_eq!(n.cache.len(), 1, "fusion keeps the newest telling only");
+        assert_eq!(n.item_sigs.len(), 1);
+        // … then forty distinct stories through an eight-slot cache.
+        for seq in 200..240 {
+            admit(&mut n, tech_item(seq));
+        }
+        assert_eq!(n.cache.len(), 8);
+        assert_eq!(n.item_sigs.len(), 8);
+        assert_eq!(n.served_articles().len(), 8, "every cached item still has its proof");
+    }
+
+    /// Aliasing safety: caches share one allocation per article, so a
+    /// strike on one node — state corruption, forgery under the very same
+    /// `ItemId`, a tampered disk restore — must build its own articles and
+    /// never show through another node's handle.
+    #[test]
+    fn striking_one_cache_leaves_every_other_handle_intact() {
+        use rand::SeedableRng;
+        let mut registry = TrustRegistry::new(1);
+        let root = astrolabe::ZoneId::root();
+        let cred =
+            crate::auth::issue_publisher(&mut registry, PublisherId(0), "slashdot", &root, 6000);
+        let registry = Arc::new(registry);
+        let layout = ZoneLayout::new(4, 4);
+        let node = |id: u32| {
+            let agent = Agent::new(id, &layout, Config::standard(), vec![]);
+            let mut n = NewsWireNode::new(agent, NewsWireConfig::tech_news(), registry.clone());
+            n.install_publisher_authority(cred.certificate.clone(), cred.attest_epoch(0));
+            n
+        };
+        let (mut a, mut b) = (node(0), node(1));
+        let now = SimTime::from_secs(1);
+        let published: Vec<Arc<NewsItem>> = (0..2).map(|seq| Arc::new(tech_item(seq))).collect();
+        let sigs: Vec<Signature> = published.iter().map(|i| cred.sign(i)).collect();
+        let pristine: Vec<NewsItem> = published.iter().map(|i| (**i).clone()).collect();
+        // B holds both articles; A only the first, so its log head is seq 1.
+        for (item, &sig) in published.iter().zip(&sigs) {
+            b.admit_bare_item(now, Arc::clone(item), cred.key_id(), sig, NodeId(9), 2);
+        }
+        a.admit_bare_item(now, Arc::clone(&published[0]), cred.key_id(), sigs[0], NodeId(9), 2);
+        assert!(Arc::ptr_eq(a.cache.get(published[0].id).unwrap(), &published[0]));
+
+        // Every state-corruption strike, the forgery landing on the very
+        // `ItemId` (publisher 0, seq 1) B holds the genuine article for.
+        let mut rng = SmallRng::seed_from_u64(3);
+        for op in [
+            CorruptionOp::ZoneRows { rows: 4 },
+            CorruptionOp::ForgeItems { items: 1, publisher: 0 },
+            CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 1 },
+            CorruptionOp::VoteEpoch { publisher: 0, epoch: 7 },
+            CorruptionOp::LogEpoch { entries: 4 },
+            CorruptionOp::SybilFlood { identities: 2, publisher: 0, epoch: 9 },
+        ] {
+            a.apply_corruption(&op, &mut rng);
+        }
+        let forged = a.cache.get(published[1].id).expect("forged under the shared id");
+        assert!(!Arc::ptr_eq(forged, &published[1]), "a fabrication is a new article");
+        assert_ne!(**forged, pristine[1]);
+
+        // A's disk snapshot with a bit flipped inside the first article's
+        // headline ("t0" → "u0"), restored after a cold wipe: the decode
+        // allocates anew, and the tampered copy is refused.
+        let mut blob = persist::encode_state(&a.durable_state());
+        let at = blob.windows(4).position(|w| w == b"2:t0").expect("headline token");
+        blob[at + 2] ^= 1;
+        let state = persist::decode_state(&blob).expect("length-preserving tamper still decodes");
+        assert!(state.items.iter().all(|(i, ..)| !published.iter().any(|p| Arc::ptr_eq(i, p))));
+        a.cache = MessageCache::new(a.cfg.cache);
+        let before = a.stats.forged_rejects;
+        a.restore_cached_items(state.items, now);
+        assert!(a.stats.forged_rejects > before, "the tampered article does not restore");
+
+        for ((item, &sig), pristine) in published.iter().zip(&sigs).zip(&pristine) {
+            let held = b.cache.get(item.id).expect("B still caches it");
+            assert!(Arc::ptr_eq(held, item), "B's handle is still the published allocation");
+            assert_eq!(**held, *pristine, "…with the published content");
+            assert!(b.bare_item_ok(held, cred.key_id(), sig), "…that still verifies");
+        }
     }
 
     /// A node plus a pre-issued rotation for publisher 0: the original
@@ -3566,7 +3713,7 @@ mod tests {
         // envelopes pass the fence.
         let old = tech_item(0);
         let old_sig = cred.sign(&old);
-        n.admit_bare_item(now, old.clone(), cred.key_id(), old_sig, NodeId(5), 2);
+        n.admit_bare_item(now, old.clone().into(), cred.key_id(), old_sig, NodeId(5), 2);
         assert!(n.cache.contains(old.id));
         let probe = tech_item(9);
         let env = Envelope {
@@ -3578,7 +3725,7 @@ mod tests {
             signature: cred.sign(&probe),
             attest: cred.attest_epoch(0),
             basis: None,
-            item: probe,
+            item: probe.into(),
         };
         assert!(!n.envelope_fenced(&env), "pre-revocation envelopes pass");
 
@@ -3596,13 +3743,13 @@ mod tests {
         // through repair or reconcile replies.
         let replay = tech_item(1);
         let replay_sig = cred.sign(&replay);
-        n.admit_bare_item(now, replay.clone(), cred.key_id(), replay_sig, NodeId(5), 2);
+        n.admit_bare_item(now, replay.clone().into(), cred.key_id(), replay_sig, NodeId(5), 2);
         assert!(!n.cache.contains(replay.id));
-        n.admit_bare_item(now, replay.clone(), cred.key_id(), replay_sig, NodeId(6), 3);
+        n.admit_bare_item(now, replay.clone().into(), cred.key_id(), replay_sig, NodeId(6), 3);
         assert!(!n.cache.contains(replay.id));
         // Path 4: the revoked-key blob is dropped on disk restore.
         let restored =
-            n.restore_cached_items(vec![(replay.clone(), cred.key_id(), replay_sig)], now);
+            n.restore_cached_items(vec![(replay.clone().into(), cred.key_id(), replay_sig)], now);
         assert_eq!(restored, 0, "disk restore re-checks the fence");
         // Path 5: a bogus epoch bump signed by the stolen key carries no
         // authority.
@@ -3614,7 +3761,7 @@ mod tests {
         // The successor credential is live on every path.
         let fresh = tech_item(2);
         let fresh_sig = successor.sign(&fresh);
-        n.admit_bare_item(now, fresh.clone(), successor.key_id(), fresh_sig, NodeId(5), 2);
+        n.admit_bare_item(now, fresh.clone().into(), successor.key_id(), fresh_sig, NodeId(5), 2);
         assert!(n.cache.contains(fresh.id));
         n.absorb_attest(&successor.attest_epoch(1));
         assert_eq!(n.authority_epoch(PublisherId(0)), Some(1));
@@ -3847,7 +3994,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(5);
         for seq in 0..3u64 {
-            n.handle_delivery(now, tech_item(seq), false);
+            n.handle_delivery(now, tech_item(seq).into(), false);
         }
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
         let hit = simnet::Node::apply_corruption(
@@ -3882,7 +4029,7 @@ mod tests {
             &mut rng,
         );
         assert_eq!(injected, 3);
-        let forged: Vec<NewsItem> = forger.cache.iter().cloned().collect();
+        let forged: Vec<Arc<NewsItem>> = forger.cache.iter().cloned().collect();
         assert_eq!(forged.len(), 3, "the forger's cache holds the fabrications");
 
         let (mut honest, _) = node_with_authority(NewsWireConfig::tech_news());

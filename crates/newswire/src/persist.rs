@@ -10,6 +10,8 @@
 //! detectable: any decode failure makes the node fall back to an amnesiac
 //! rejoin, which anti-entropy then repairs.
 
+use std::sync::Arc;
+
 use astrolabe::{KeyId, Signature};
 use newsml::{Category, ItemId, NewsItem, PublisherId, Subject, Urgency};
 use simnet::SimTime;
@@ -235,7 +237,10 @@ pub(crate) struct NodeState {
     /// Cached items with their publisher signatures, so a cold restart can
     /// re-verify every restored item instead of trusting the disk blob
     /// (DESIGN §12 — stable storage is just another admission path).
-    pub(crate) items: Vec<(NewsItem, KeyId, Signature)>,
+    /// Snapshots hold handles to the cached articles; a decode allocates
+    /// each article anew (a disk restore is the other place, besides a
+    /// publish, where an article is born).
+    pub(crate) items: Vec<(Arc<NewsItem>, KeyId, Signature)>,
     pub(crate) deliveries: Vec<DeliveryRecord>,
     /// Adopted trust-root rotation records (encoded), persisted so a
     /// durable cold restart re-arms the revocation fence *before* it
@@ -307,7 +312,7 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Option<NodeState> {
     }
     let nitems = r.next_u64()?;
     for _ in 0..nitems {
-        let item = decode_item(&mut r)?;
+        let item = Arc::new(decode_item(&mut r)?);
         let key = KeyId(r.next_u64()?);
         let sig = Signature(r.next_u64()?);
         state.items.push((item, key, sig));
@@ -441,7 +446,7 @@ mod tests {
                 coverage: "1:2:20:15".to_owned(),
                 present: vec![(2, 9), (12, 19)],
             }],
-            items: vec![(item.clone(), KeyId(11), Signature(22))],
+            items: vec![(Arc::new(item.clone()), KeyId(11), Signature(22))],
             deliveries: vec![DeliveryRecord {
                 item: item.id,
                 msg_id: 777,
@@ -453,7 +458,7 @@ mod tests {
         };
         let decoded = decode_state(&encode_state(&state)).unwrap();
         assert_eq!(decoded, state);
-        assert_eq!(decoded.items[0].0, item, "full NewsItem fidelity incl. meta/supersedes");
+        assert_eq!(*decoded.items[0].0, item, "full NewsItem fidelity incl. meta/supersedes");
         assert_eq!((decoded.items[0].1, decoded.items[0].2), (KeyId(11), Signature(22)));
     }
 

@@ -49,11 +49,13 @@ fn body_cost(item: &NewsItem, basis: Option<&DeltaBasis>) -> usize {
     }
 }
 
-/// A signed, routable news item.
+/// A signed, routable news item. Built once by the publisher and immutable
+/// from there: every forward, queue slot and pending hand-off holds the same
+/// `Arc<Envelope>`, and every cache holds the same `Arc<NewsItem>`.
 #[derive(Debug, Clone)]
 pub struct Envelope {
     /// The item itself (metadata + body size).
-    pub item: NewsItem,
+    pub item: Arc<NewsItem>,
     /// Dissemination id (derived from the item id; drives dedup).
     pub msg_id: u64,
     /// Per-hop interest filter, precomputed by the publisher.
@@ -102,8 +104,8 @@ impl Envelope {
 /// §12). Before this, bare-item paths were an unsigned side door.
 #[derive(Debug, Clone)]
 pub struct SignedItem {
-    /// The item.
-    pub item: NewsItem,
+    /// The item (a handle to the responder's cached copy).
+    pub item: Arc<NewsItem>,
     /// Signing key id.
     pub key: KeyId,
     /// The publisher's signature over the item bytes.
@@ -178,14 +180,14 @@ pub enum NewsWireMsg {
     /// Cover `zone` with the enveloped item.
     Forward {
         /// The signed item.
-        env: Envelope,
+        env: Arc<Envelope>,
         /// The zone the receiver must cover.
         zone: ZoneId,
     },
     /// Final hop to a leaf-zone member.
     Deliver {
         /// The signed item.
-        env: Envelope,
+        env: Arc<Envelope>,
     },
     /// A representative's receipt for a `Forward`: it has taken coverage
     /// duty for `zone` (or already held it). Any representative's ack
@@ -319,6 +321,26 @@ mod tests {
         assert_eq!(a, msg_id_of(ItemId::new(PublisherId(1), 7)), "deterministic");
     }
 
+    /// The event slab and the forwarding queues move `NewsWireMsg` by
+    /// value, so no article-bearing variant may set its size: envelopes and
+    /// reply items travel as handles and fit in what `Gossip` needs. The
+    /// enum itself is only as large as `PublishRequest` — external input,
+    /// whose owned `NewsItem` is part of the public construction API.
+    #[test]
+    fn article_bearing_variants_are_handle_sized() {
+        use std::mem::size_of;
+        let gossip = size_of::<(GossipMsg, Option<Arc<RotationRecord>>)>();
+        assert!(size_of::<(Arc<Envelope>, ZoneId)>() <= gossip, "Forward / Deliver");
+        assert!(size_of::<Vec<SignedItem>>() <= gossip, "RepairReply");
+        assert!(
+            size_of::<(PublisherId, RangeSummary, Option<EpochAttest>, Vec<SignedItem>)>()
+                <= gossip,
+            "ReconcileReply"
+        );
+        let publish_request = size_of::<(NewsItem, Option<ZoneId>, Option<String>)>();
+        assert!(size_of::<NewsWireMsg>() <= publish_request.max(gossip));
+    }
+
     #[test]
     fn wire_sizes_scale_with_item() {
         let small = NewsWireMsg::RepairRequest {
@@ -328,7 +350,7 @@ mod tests {
         };
         let big = NewsWireMsg::RepairReply {
             items: vec![SignedItem {
-                item: NewsItem::builder(PublisherId(0), 0).body_len(5000).build(),
+                item: Arc::new(NewsItem::builder(PublisherId(0), 0).body_len(5000).build()),
                 key: KeyId(1),
                 signature: Signature(2),
                 basis: None,
@@ -342,13 +364,19 @@ mod tests {
 
     #[test]
     fn delta_basis_shrinks_compressed_size_only() {
-        let item = NewsItem::builder(PublisherId(2), 9)
-            .slug("merger")
-            .revision(3, None)
-            .body_len(6000)
-            .build();
-        let full =
-            SignedItem { item: item.clone(), key: KeyId(1), signature: Signature(2), basis: None };
+        let item = Arc::new(
+            NewsItem::builder(PublisherId(2), 9)
+                .slug("merger")
+                .revision(3, None)
+                .body_len(6000)
+                .build(),
+        );
+        let full = SignedItem {
+            item: Arc::clone(&item),
+            key: KeyId(1),
+            signature: Signature(2),
+            basis: None,
+        };
         let delta = SignedItem {
             item,
             key: KeyId(1),

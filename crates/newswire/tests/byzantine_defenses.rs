@@ -104,13 +104,13 @@ fn repair_reply_funnel_refuses_forged_items_but_admits_signed_ones() {
     let reply = NewsWireMsg::RepairReply {
         items: vec![
             SignedItem {
-                item: forged.clone(),
+                item: forged.clone().into(),
                 key: KeyId(123),
                 signature: Signature(456),
                 basis: None,
             },
             SignedItem {
-                item: genuine.clone(),
+                item: genuine.clone().into(),
                 key: cred.key_id(),
                 signature: genuine_sig,
                 basis: None,

@@ -281,7 +281,7 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
             NodeId(7),
             NewsWireMsg::RepairReply {
                 items: vec![SignedItem {
-                    item: forged,
+                    item: forged.into(),
                     key: KeyId(123),
                     signature: Signature(456),
                     basis: None,
