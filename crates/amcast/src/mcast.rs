@@ -237,7 +237,7 @@ pub fn route(
 /// zones on this node's own chain (no external hand-off applies) or when no
 /// table row is known yet. Order is the table's deterministic set order.
 pub fn zone_reps(agent: &Agent, zone: &ZoneId) -> Vec<u32> {
-    let leaf = &agent.chain()[0];
+    let leaf = agent.zone(0);
     let shared = leaf.path().iter().zip(zone.path()).take_while(|(a, b)| a == b).count();
     let Some(&child_label) = zone.path().get(shared) else { return Vec::new() };
     if shared >= leaf.depth() {
@@ -260,7 +260,7 @@ fn relay_toward(
     rng: &mut SmallRng,
     actions: &mut Vec<Action>,
 ) {
-    let leaf = &agent.chain()[0];
+    let leaf = agent.zone(0);
     let shared = leaf.path().iter().zip(target.path()).take_while(|(a, b)| a == b).count();
     // The shared ancestor is at depth `shared` on our chain; its table is
     // level `leaf.depth() - shared`. `target` is deeper than the ancestor

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use obs::{ctr, gauge, hist, kind, Layer};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use simnet::{PhiAccrualDetector, PhiConfig, SimTime};
+use simnet::{PhiBank, PhiConfig, SimTime};
 
 use crate::agg::{parse_program, run_program, AggProgram};
 use crate::config::Config;
@@ -159,14 +159,42 @@ struct RoundState {
 }
 
 /// One cached aggregate summary (see [`Agent::recompute_level`]): the row
-/// last computed over `tables[level]`, valid while the source table's
-/// content generation and the mobile-code scope both stand still. Re-issuing
-/// it is [`Mib::restamped`] — the attribute payload is shared, not copied.
+/// last computed over a level's table, valid while that table's content
+/// generation and the mobile-code scope both stand still. Re-issuing it is
+/// [`Mib::restamped`] — the attribute payload is shared, not copied.
 #[derive(Debug)]
 struct AggCache {
     content_gen: u64,
     epoch: u64,
     proto: Arc<Mib>,
+}
+
+/// Everything an agent keeps for one zone on its root path: the replica and
+/// the state derived from it or indexed by its labels, side by side so the
+/// merge path touches one record per level and the constructor makes one
+/// allocation for all of them.
+#[derive(Debug)]
+struct Level {
+    /// The replica of the zone's table; `table.zone` names the zone.
+    table: ZoneTable,
+    /// The table's digest keyed by its generation, so the several gossip
+    /// fan-outs of one round share a single stamp-list allocation.
+    digest: Option<(u64, Arc<[RowDigest]>)>,
+    /// Aggregate summary of `table`, keyed on its content generation and
+    /// `scope_epoch`. In steady state rows are merely re-stamped each round,
+    /// both keys stand still, and the summary is re-issued from the cache
+    /// instead of re-running every aggregation program.
+    agg: Option<AggCache>,
+    /// Gossip peer candidates, keyed on the content generations of `table`
+    /// and the parent level's (the two inputs of [`Agent::peers_at`]).
+    peers: Option<(u64, u64, Vec<u32>)>,
+    /// Phi-accrual detectors indexed by row label, fed whenever a merged
+    /// row's stamp advances. Failure detection: a row is evicted when its
+    /// detector grows suspicious, not on a fixed TTL cliff. Empty until the
+    /// first foreign row arrives, then sized once to the zone's child count
+    /// — the gc sweep and the merge loop consult a detector per row, so
+    /// this sits on the hot path where a hashed lookup showed up.
+    detectors: PhiBank,
 }
 
 /// One node's Astrolabe state machine. See the module docs for the protocol.
@@ -175,14 +203,16 @@ pub struct Agent {
     id: u32,
     config: Config,
     layout: ZoneLayout,
-    /// Zones whose tables this agent replicates: leaf zone first, root last.
-    chain: Vec<ZoneId>,
-    /// `tables[i]` is the replica for `chain[i]`.
-    tables: Vec<ZoneTable>,
+    /// The zones whose tables this agent replicates: leaf zone first, root
+    /// last.
+    levels: Vec<Level>,
     own_slot: u16,
     contacts: Vec<u32>,
     version: u64,
     local: MibBuilder,
+    /// Mobile-code (`sys$agg:`) sources seen so far, compiled (`None`: does
+    /// not parse). Configured programs arrive compiled in their
+    /// [`crate::AggSpec`] and never enter this map.
     compiled: HashMap<String, Option<Arc<AggProgram>>>,
     dynamic: BTreeMap<String, String>,
     /// Bumped whenever the inputs of [`Agent::dynamic_in_scope`] may have
@@ -192,34 +222,14 @@ pub struct Agent {
     /// used to run every round.
     scope_epoch: u64,
     scope_cache: Option<(u64, RoundState)>,
-    /// Per-level digest keyed by table generation, so the several gossip
-    /// fan-outs of one round share a single stamp-list allocation.
-    digest_cache: Vec<Option<(u64, Arc<[RowDigest]>)>>,
     /// Scratch buffers for [`ZoneTable::diff_into`] in the digest handler.
     scratch_newer: Vec<u16>,
     scratch_missing: Vec<u16>,
-    /// Per-source-level aggregate summary attributes, keyed on the source
-    /// table's content generation and `scope_epoch`. In steady state rows
-    /// are merely re-stamped each round, both keys stand still, and the
-    /// summary is re-issued from the cache instead of re-running every
-    /// aggregation program.
-    agg_cache: Vec<Option<AggCache>>,
     /// Bumped whenever `local` changes; keys `own_row_cache`.
     local_gen: u64,
     /// The fully decorated own row (locals + `id`/`reps`/`nmembers`),
     /// rebuilt only when `local` changed; heartbeats re-stamp it in place.
     own_row_cache: Option<(u64, Arc<Mib>)>,
-    /// Per-level gossip peer candidates, keyed on the content generations of
-    /// the level's table and its parent (the two inputs of
-    /// [`Agent::peers_at`]).
-    peers_cache: Vec<Option<(u64, u64, Vec<u32>)>>,
-    /// Per-(level, label) phi-accrual detectors, fed whenever a merged row's
-    /// stamp advances. Failure detection: a row is evicted when its detector
-    /// grows suspicious, not on a fixed TTL cliff. Indexed `[level][label]`
-    /// (labels are bounded by the branching factor; the inner vectors grow
-    /// on demand) — the gc sweep and the merge loop consult a detector per
-    /// row, so this sits on the hot path where a hashed lookup showed up.
-    detectors: Vec<Vec<Option<PhiAccrualDetector>>>,
     /// Stamp watermark of rows evicted on suspicion: gossip re-offering the
     /// same (or an older) stamp is refused, so an evicted member cannot be
     /// resurrected by a replica that has not evicted it yet. A genuinely
@@ -280,21 +290,44 @@ impl Agent {
     /// (paper §8 leaves bootstrap configuration out of scope; the simulation
     /// hands every agent a few random contacts, standing in for the seed
     /// list a downloaded client would ship with).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.phi_window` or `config.phi_threshold` is not a
+    /// usable failure-detector tuning (see [`PhiBank::new`]).
     pub fn new(id: u32, layout: &ZoneLayout, config: Config, extra_contacts: Vec<u32>) -> Self {
         let chain = layout.ancestor_chain(id);
-        let tables: Vec<ZoneTable> = chain.iter().map(|z| ZoneTable::new(z.clone())).collect();
-        let mut contacts: Vec<u32> =
-            layout.members_of(&layout.leaf_zone(id)).filter(|&m| m != id).collect();
+        let mut contacts =
+            Vec::with_capacity(usize::from(layout.branching()) + extra_contacts.len());
+        contacts.extend(layout.members_of(&chain[0]).filter(|&m| m != id));
         contacts.extend(extra_contacts.into_iter().filter(|&c| c != id));
         contacts.sort_unstable();
         contacts.dedup();
-        let levels = tables.len();
+        // Tuning for the per-row failure detectors, derived from the gossip
+        // cadence: generous floors so multi-hop propagation jitter does not
+        // read as failure, while a genuinely silent row is suspected within
+        // a few rounds instead of a fixed multi-round TTL.
+        let phi = PhiConfig {
+            window: config.phi_window,
+            threshold: config.phi_threshold,
+            first_interval: config.gossip_interval * 2,
+            min_stddev: config.gossip_interval,
+        };
+        let levels = chain
+            .into_iter()
+            .map(|zone| Level {
+                table: ZoneTable::new(zone),
+                digest: None,
+                agg: None,
+                peers: None,
+                detectors: PhiBank::new(phi),
+            })
+            .collect();
         Agent {
             id,
             config,
             layout: layout.clone(),
-            chain,
-            tables,
+            levels,
             own_slot: layout.member_slot(id),
             contacts,
             version: 0,
@@ -303,14 +336,10 @@ impl Agent {
             dynamic: BTreeMap::new(),
             scope_epoch: 0,
             scope_cache: None,
-            digest_cache: vec![None; levels],
             scratch_newer: Vec::new(),
             scratch_missing: Vec::new(),
-            agg_cache: (0..levels).map(|_| None).collect(),
             local_gen: 0,
             own_row_cache: None,
-            peers_cache: vec![None; levels],
-            detectors: vec![Vec::new(); levels],
             tombstones: HashMap::new(),
             incarnation: 0,
             incar_seen: HashMap::new(),
@@ -332,36 +361,41 @@ impl Agent {
         &self.config
     }
 
-    /// The zones this agent replicates, leaf zone first, root last.
-    pub fn chain(&self) -> &[ZoneId] {
-        &self.chain
+    /// The zone this agent replicates at `level`: its leaf zone at 0, the
+    /// root at `levels() - 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level >= levels()`.
+    pub fn zone(&self, level: usize) -> &ZoneId {
+        &self.levels[level].table.zone
     }
 
     /// Number of replicated tables (leaf-zone table through root table).
     pub fn levels(&self) -> usize {
-        self.tables.len()
+        self.levels.len()
     }
 
-    /// The replica of `chain()[level]`'s table.
+    /// The replica of `zone(level)`'s table.
     ///
     /// # Panics
     ///
     /// Panics if `level >= levels()`.
     pub fn table(&self, level: usize) -> &ZoneTable {
-        &self.tables[level]
+        &self.levels[level].table
     }
 
     /// The root table (rows summarize the top-level zones).
     pub fn root_table(&self) -> &ZoneTable {
-        self.tables.last().expect("chain is never empty")
+        &self.levels.last().expect("an agent replicates at least the root").table
     }
 
-    /// This agent's row label within `chain()[level]`'s table.
+    /// This agent's row label within `zone(level)`'s table.
     pub fn own_label(&self, level: usize) -> u16 {
         if level == 0 {
             self.own_slot
         } else {
-            self.chain[level - 1].label().expect("non-root chain entry has a label")
+            self.zone(level - 1).label().expect("non-root chain entry has a label")
         }
     }
 
@@ -433,15 +467,15 @@ impl Agent {
     }
 
     /// True when this agent is currently a representative of
-    /// `chain()[level]` (always true for the implicit level of its own row;
+    /// `zone(level)` (always true for the implicit level of its own row;
     /// vacuously false for the root, which has no parent to represent it
     /// in).
     pub fn is_rep(&self, level: usize) -> bool {
         let parent = level + 1;
-        if parent >= self.tables.len() {
+        if parent >= self.levels.len() {
             return false;
         }
-        match self.tables[parent].get(self.own_label(parent)) {
+        match self.table(parent).get(self.own_label(parent)) {
             Some(row) => match row.get("reps") {
                 Some(AttrValue::Set(s)) => s.contains(&u64::from(self.id)),
                 _ => true, // no reps computed yet: bootstrap duty
@@ -452,10 +486,10 @@ impl Agent {
 
     fn bootstrap_duty(&self, level: usize) -> bool {
         let parent = level + 1;
-        if parent >= self.tables.len() {
+        if parent >= self.levels.len() {
             return false;
         }
-        match self.tables[parent].get(self.own_label(parent)) {
+        match self.table(parent).get(self.own_label(parent)) {
             Some(row) => row.get("reps").is_none(),
             None => true,
         }
@@ -473,7 +507,7 @@ impl Agent {
                 // Heartbeat of an unchanged row: re-stamp the cached row,
                 // sharing its attribute allocation.
                 let row = Arc::new(proto.restamped(stamp));
-                self.tables[0].merge_row(self.own_slot, row);
+                self.levels[0].table.merge_row(self.own_slot, row);
                 return;
             }
         }
@@ -494,20 +528,7 @@ impl Agent {
         b.set("nmembers", 1i64);
         let row = Arc::new(Mib::new(stamp, b.into_attrs()));
         self.own_row_cache = Some((self.local_gen, Arc::clone(&row)));
-        self.tables[0].merge_row(self.own_slot, row);
-    }
-
-    /// Tuning for the per-row failure detectors, derived from the gossip
-    /// cadence: generous floors so multi-hop propagation jitter does not
-    /// read as failure, while a genuinely silent row is suspected within a
-    /// few rounds instead of a fixed multi-round TTL.
-    fn phi_config(&self) -> PhiConfig {
-        PhiConfig {
-            window: self.config.phi_window,
-            threshold: self.config.phi_threshold,
-            first_interval: self.config.gossip_interval * 2,
-            min_stddev: self.config.gossip_interval,
-        }
+        self.levels[0].table.merge_row(self.own_slot, row);
     }
 
     /// Failure detection sweep: evict rows whose phi detector has crossed
@@ -516,39 +537,56 @@ impl Agent {
     /// replicas cannot resurrect them.
     fn gc(&mut self, now: SimTime) {
         let hard_cutoff = now.as_micros().saturating_sub(self.config.row_ttl.as_micros());
-        for level in 0..self.tables.len() {
+        for level in 0..self.levels.len() {
             let keep = self.own_label(level);
-            let lane = &self.detectors[level];
-            let suspects: Vec<(u16, u64, bool)> = self.tables[level]
+            let lv = &self.levels[level];
+            let suspects: Vec<(u16, u64, bool)> = lv
+                .table
                 .iter()
                 .filter(|&(label, row)| {
                     label != keep
-                        && match lane.get(usize::from(label)).and_then(Option::as_ref) {
-                            Some(d) => d.is_suspect(now) || row.stamp.issued_us < hard_cutoff,
-                            None => row.stamp.issued_us < hard_cutoff,
-                        }
+                        && (lv.detectors.is_suspect(usize::from(label), now)
+                            || row.stamp.issued_us < hard_cutoff)
                 })
                 .map(|(label, row)| (label, row.stamp.issued_us, row.carries_mobile_code()))
                 .collect();
             for (label, issued_us, carried_agg) in suspects {
-                self.tables[level].remove(label);
-                if let Some(d) = self.detectors[level].get_mut(usize::from(label)) {
-                    *d = None;
-                }
+                self.evict(level, label, carried_agg);
                 self.tombstones.insert((level, label), issued_us);
-                if carried_agg {
-                    self.scope_epoch += 1;
-                }
             }
         }
+    }
+
+    /// Drops a held row together with its failure detector.
+    fn evict(&mut self, level: usize, label: u16, carried_agg: bool) {
+        let lv = &mut self.levels[level];
+        lv.table.remove(label);
+        lv.detectors.clear(usize::from(label));
+        if carried_agg {
+            self.scope_epoch += 1;
+        }
+    }
+
+    /// The stamp of the foreign row at `(level, label)` just advanced: its
+    /// member is alive again as far as any tombstone goes, and gossip *is*
+    /// the heartbeat its failure detector feeds on.
+    fn heartbeat(&mut self, level: usize, label: u16, now: SimTime) {
+        if !self.tombstones.is_empty() {
+            self.tombstones.remove(&(level, label));
+        }
+        let lv = &mut self.levels[level];
+        if lv.detectors.is_empty() {
+            lv.detectors.grow_to(usize::from(self.layout.child_count(&lv.table.zone)));
+        }
+        lv.detectors.heartbeat(usize::from(label), now);
     }
 
     /// All dynamic programs visible in any replicated table (union of
     /// `sys$agg:` attributes), plus locally installed ones.
     fn dynamic_in_scope(&self) -> BTreeMap<String, String> {
         let mut progs = self.dynamic.clone();
-        for table in &self.tables {
-            for (_, row) in table.iter() {
+        for lv in &self.levels {
+            for (_, row) in lv.table.iter() {
                 for (name, value) in row.attrs() {
                     if let Some(short) = name.strip_prefix(AGG_ATTR_PREFIX) {
                         if let AttrValue::Str(src) = value {
@@ -570,12 +608,8 @@ impl Agent {
             }
         }
         let dynamic = self.dynamic_in_scope();
-        let mut programs: Vec<Arc<AggProgram>> = Vec::new();
-        for a in &self.config.aggregations {
-            if let Some(p) = compile_cached(&mut self.compiled, &a.program) {
-                programs.push(p);
-            }
-        }
+        let mut programs: Vec<Arc<AggProgram>> =
+            self.config.aggregations.iter().filter_map(|a| a.compiled().cloned()).collect();
         for src in dynamic.values() {
             if let Some(p) = compile_cached(&mut self.compiled, src) {
                 programs.push(p);
@@ -594,7 +628,7 @@ impl Agent {
 
     fn recompute_level(&mut self, level: usize, now: SimTime, rs: &RoundState) {
         let parent = level + 1;
-        if parent >= self.tables.len() {
+        if parent >= self.levels.len() {
             return;
         }
         if !(self.is_rep(level) || self.bootstrap_duty(level)) {
@@ -602,8 +636,8 @@ impl Agent {
         }
 
         let label = self.own_label(parent);
-        let content = self.tables[level].content_generation();
-        let cached = match &self.agg_cache[level] {
+        let content = self.table(level).content_generation();
+        let cached = match &self.levels[level].agg {
             Some(c) if c.content_gen == content && c.epoch == self.scope_epoch => {
                 Some(Arc::clone(&c.proto))
             }
@@ -616,13 +650,13 @@ impl Agent {
             // copying or re-measuring its attributes).
             obs::metric_add!(self.id, ctr::AGG_CACHE_HITS, 1);
             let stamp = self.next_stamp(now);
-            self.tables[parent].merge_row(label, Arc::new(proto.restamped(stamp)));
+            self.levels[parent].table.merge_row(label, Arc::new(proto.restamped(stamp)));
             return;
         }
 
         obs::metric_add!(self.id, ctr::AGG_RECOMPUTES, 1);
         let mut out = MibBuilder::new();
-        let rows = self.tables[level].rows();
+        let rows = self.table(level).rows();
         for prog in rs.programs.iter() {
             match run_program(prog, rows) {
                 Ok(attrs) => {
@@ -643,12 +677,12 @@ impl Agent {
 
         let stamp = self.next_stamp(now);
         let row = Arc::new(Mib::new(stamp, out.into_attrs()));
-        self.agg_cache[level] = Some(AggCache {
+        self.levels[level].agg = Some(AggCache {
             content_gen: content,
             epoch: self.scope_epoch,
             proto: Arc::clone(&row),
         });
-        self.tables[parent].merge_row(label, row);
+        self.levels[parent].table.merge_row(label, row);
     }
 
     /// Candidate gossip targets at `level`: node ids advertised in `reps`
@@ -662,19 +696,20 @@ impl Agent {
     /// list is a pure function of the `reps` attributes at `level` and its
     /// parent, so it is rebuilt only when either table's *values* changed.
     fn peers_cached(&mut self, level: usize) -> &[u32] {
-        let gen = self.tables[level].content_generation();
-        let parent_gen = self.tables.get(level + 1).map_or(u64::MAX, ZoneTable::content_generation);
+        let gen = self.table(level).content_generation();
+        let parent_gen =
+            self.levels.get(level + 1).map_or(u64::MAX, |lv| lv.table.content_generation());
         let stale = !matches!(
-            &self.peers_cache[level],
+            &self.levels[level].peers,
             Some((g, p, _)) if *g == gen && *p == parent_gen
         );
         if stale {
             let peers = self.peers_at(level);
-            self.peers_cache[level] = Some((gen, parent_gen, peers));
+            self.levels[level].peers = Some((gen, parent_gen, peers));
         } else {
             obs::metric_add!(self.id, ctr::PEERS_CACHE_HITS, 1);
         }
-        match &self.peers_cache[level] {
+        match &self.levels[level].peers {
             Some((_, _, peers)) => peers,
             None => unreachable!("cache entry was just populated"),
         }
@@ -683,7 +718,7 @@ impl Agent {
     fn peers_at(&self, level: usize) -> Vec<u32> {
         let own = self.own_label(level);
         let mut out = Vec::new();
-        for (label, row) in self.tables[level].iter() {
+        for (label, row) in self.table(level).iter() {
             if label == own {
                 continue;
             }
@@ -692,8 +727,8 @@ impl Agent {
             }
         }
         let parent = level + 1;
-        if parent < self.tables.len() {
-            if let Some(row) = self.tables[parent].get(self.own_label(parent)) {
+        if parent < self.levels.len() {
+            if let Some(row) = self.table(parent).get(self.own_label(parent)) {
                 if let Some(AttrValue::Set(s)) = row.get("reps") {
                     out.extend(s.iter().filter_map(|&v| u32::try_from(v).ok()));
                 }
@@ -707,18 +742,18 @@ impl Agent {
 
     fn digests_from(&mut self, level: usize, peer: u32) -> Vec<TableDigest> {
         if !self.config.delta_gossip {
-            return (level..self.tables.len())
+            return (level..self.levels.len())
                 .map(|i| TableDigest {
-                    zone: self.tables[i].zone.clone(),
+                    zone: self.zone(i).clone(),
                     rows: self.digest_at(i),
                     since: 0,
                     gen: 0,
                 })
                 .collect();
         }
-        let mut out = Vec::with_capacity(self.tables.len() - level);
-        for i in level..self.tables.len() {
-            let gen = self.tables[i].generation();
+        let mut out = Vec::with_capacity(self.levels.len() - level);
+        for i in level..self.levels.len() {
+            let gen = self.table(i).generation();
             // Full digest when: first contact with this peer on this lane,
             // the periodic safety-net exchange is due, the peer asked for
             // one (missed delta), or our table generation regressed past
@@ -741,14 +776,14 @@ impl Agent {
                     },
                 );
                 out.push(TableDigest {
-                    zone: self.tables[i].zone.clone(),
+                    zone: self.zone(i).clone(),
                     rows: self.digest_at(i),
                     since: 0,
                     gen,
                 });
             } else {
                 let s = state.expect("partial digest requires prior state");
-                let rows: Arc<[RowDigest]> = self.tables[i].digest_since(s.sent_gen).into();
+                let rows: Arc<[RowDigest]> = self.table(i).digest_since(s.sent_gen).into();
                 self.delta_sent.insert(
                     (peer, i),
                     DeltaPeerState { sent_gen: gen, rounds_to_full: s.rounds_to_full - 1 },
@@ -759,7 +794,7 @@ impl Agent {
                 if !rows.is_empty() {
                     obs::metric_add!(self.id, ctr::GOSSIP_DELTA_DIGESTS, 1);
                     out.push(TableDigest {
-                        zone: self.tables[i].zone.clone(),
+                        zone: self.zone(i).clone(),
                         rows,
                         since: s.sent_gen,
                         gen,
@@ -774,15 +809,15 @@ impl Agent {
     /// generation stands still (typically across the 2-4 fan-outs of one
     /// gossip round).
     fn digest_at(&mut self, i: usize) -> Arc<[RowDigest]> {
-        let generation = self.tables[i].generation();
-        if let Some((g, d)) = &self.digest_cache[i] {
+        let generation = self.table(i).generation();
+        if let Some((g, d)) = &self.levels[i].digest {
             if *g == generation {
                 obs::metric_add!(self.id, ctr::DIGEST_CACHE_HITS, 1);
                 return Arc::clone(d);
             }
         }
-        let d: Arc<[RowDigest]> = self.tables[i].digest().into();
-        self.digest_cache[i] = Some((generation, Arc::clone(&d)));
+        let d: Arc<[RowDigest]> = self.table(i).digest().into();
+        self.levels[i].digest = Some((generation, Arc::clone(&d)));
         d
     }
 
@@ -792,12 +827,12 @@ impl Agent {
         self.refresh_own_row(now);
         self.gc(now);
         let rs = self.round_state();
-        for level in 0..self.tables.len() {
+        for level in 0..self.levels.len() {
             self.recompute_level(level, now, &rs);
         }
 
         let mut out = Vec::new();
-        for level in 0..self.tables.len() {
+        for level in 0..self.levels.len() {
             // Members always gossip their leaf-zone table; higher tables are
             // gossiped by the zone's representatives (plus bootstrap duty).
             let eligible = level == 0 || self.is_rep(level - 1) || self.bootstrap_duty(level - 1);
@@ -807,7 +842,7 @@ impl Agent {
             let choice = self.peers_cached(level).choose(rng).copied();
             let target = match choice {
                 Some(p) => Some(p),
-                None if level == 0 || self.tables[level].len() <= 1 => {
+                None if level == 0 || self.table(level).len() <= 1 => {
                     // Discovery fallback: ping a bootstrap contact. Any agent
                     // shares at least the root table with us.
                     self.contacts.as_slice().choose(rng).copied()
@@ -829,8 +864,8 @@ impl Agent {
         // derived from the static layout. (Real Astrolabe gets this from
         // its join/configuration machinery, which the paper scopes out;
         // see DESIGN.md bootstrap substitution.)
-        let bridge_level = rand::Rng::gen_range(rng, 0..self.tables.len());
-        if let Some(range) = self.layout.agent_range(&self.chain[bridge_level]) {
+        let bridge_level = rand::Rng::gen_range(rng, 0..self.levels.len());
+        if let Some(range) = self.layout.agent_range(self.zone(bridge_level)) {
             let peer = rand::Rng::gen_range(rng, range.clone());
             if peer != self.id {
                 out.push((
@@ -846,7 +881,7 @@ impl Agent {
             }
         }
         if obs::ENABLED {
-            let rows_held: usize = self.tables.iter().map(ZoneTable::len).sum();
+            let rows_held: usize = self.levels.iter().map(|lv| lv.table.len()).sum();
             obs::metric_add!(self.id, ctr::GOSSIP_ROUNDS, 1);
             obs::metric_add!(self.id, ctr::GOSSIP_DIGESTS_SENT, out.len());
             obs::gauge_set!(self.id, gauge::ASTRO_ROWS_HELD, rows_held);
@@ -870,7 +905,6 @@ impl Agent {
     fn merge_rows(&mut self, now: SimTime, batches: &[TableRows]) -> usize {
         let ttl = self.config.row_ttl.as_micros();
         let cutoff = now.as_micros().saturating_sub(ttl);
-        let phi_config = self.phi_config();
         let mut changed = 0;
         for batch in batches {
             let Some(level) = self.level_of(&batch.zone) else { continue };
@@ -925,9 +959,7 @@ impl Agent {
                     if incar > seen {
                         self.incar_seen.insert(*label, incar);
                         self.tombstones.remove(&(level, *label));
-                        if let Some(d) = self.detectors[0].get_mut(usize::from(*label)) {
-                            *d = None;
-                        }
+                        self.levels[0].detectors.clear(usize::from(*label));
                         let peer =
                             row.get("id").and_then(AttrValue::as_i64).unwrap_or(-1).max(0) as u32;
                         self.incarnation_bumps.push(peer);
@@ -942,7 +974,7 @@ impl Agent {
                     }
                 }
                 let (advanced, old_carried_agg) =
-                    match self.tables[level].merge_row_outcome(*label, Arc::clone(row)) {
+                    match self.levels[level].table.merge_row_outcome(*label, Arc::clone(row)) {
                         MergeOutcome::Rejected => continue,
                         MergeOutcome::Inserted => (true, false),
                         MergeOutcome::Replaced { advanced_time, old_carried_agg } => {
@@ -956,17 +988,7 @@ impl Agent {
                     self.scope_epoch += 1;
                 }
                 if advanced && *label != own {
-                    if !self.tombstones.is_empty() {
-                        self.tombstones.remove(&(level, *label));
-                    }
-                    let lane = &mut self.detectors[level];
-                    let slot = usize::from(*label);
-                    if lane.len() <= slot {
-                        lane.resize_with(slot + 1, || None);
-                    }
-                    lane[slot]
-                        .get_or_insert_with(|| PhiAccrualDetector::new(phi_config))
-                        .heartbeat(now);
+                    self.heartbeat(level, *label, now);
                 }
             }
         }
@@ -1022,21 +1044,16 @@ impl Agent {
     /// many rows were evicted.
     pub fn scrub(&mut self, now: SimTime) -> u64 {
         let mut evicted = 0u64;
-        for level in 0..self.tables.len() {
+        for level in 0..self.levels.len() {
             let own = self.own_label(level);
-            let bad: Vec<(u16, bool)> = self.tables[level]
+            let bad: Vec<(u16, bool)> = self.levels[level]
+                .table
                 .iter()
                 .filter(|&(label, row)| label != own && !self.row_is_valid(now, level, label, row))
                 .map(|(label, row)| (label, row.carries_mobile_code()))
                 .collect();
             for (label, carried_agg) in bad {
-                self.tables[level].remove(label);
-                if let Some(d) = self.detectors[level].get_mut(usize::from(label)) {
-                    *d = None;
-                }
-                if carried_agg {
-                    self.scope_epoch += 1;
-                }
+                self.evict(level, label, carried_agg);
                 evicted += 1;
             }
         }
@@ -1057,21 +1074,21 @@ impl Agent {
     /// Returns how many rows were actually changed.
     pub fn corrupt_rows(&mut self, rng: &mut SmallRng, n: u32) -> u64 {
         let mut candidates: Vec<(usize, u16)> = Vec::new();
-        for level in 0..self.tables.len() {
+        for level in 0..self.levels.len() {
             let own = self.own_label(level);
             candidates.extend(
-                self.tables[level].iter().filter(|&(l, _)| l != own).map(|(l, _)| (level, l)),
+                self.table(level).iter().filter(|&(l, _)| l != own).map(|(l, _)| (level, l)),
             );
         }
         candidates.shuffle(rng);
         candidates.truncate(n as usize);
         let mut scrambled = 0u64;
         for (level, label) in candidates {
-            let old = Arc::clone(self.tables[level].get(label).expect("candidate row is held"));
+            let old = Arc::clone(self.table(level).get(label).expect("candidate row is held"));
             let mut attrs: Vec<(AttrName, AttrValue)> =
                 old.attrs().iter().filter(|(name, _)| name.as_ref() != "id").cloned().collect();
             attrs.push((AttrName::from("nmembers"), AttrValue::Int(-1)));
-            if self.tables[level].force_replace(label, Arc::new(Mib::new(old.stamp, attrs))) {
+            if self.levels[level].table.force_replace(label, Arc::new(Mib::new(old.stamp, attrs))) {
                 scrambled += 1;
             }
         }
@@ -1081,12 +1098,12 @@ impl Agent {
     /// Index of `zone` within this agent's chain, if replicated here.
     pub fn level_of(&self, zone: &ZoneId) -> Option<usize> {
         let depth = zone.depth();
-        let leaf_depth = self.chain[0].depth();
+        let leaf_depth = self.zone(0).depth();
         if depth > leaf_depth {
             return None;
         }
         let level = leaf_depth - depth;
-        (self.chain[level] == *zone).then_some(level)
+        (self.zone(level) == zone).then_some(level)
     }
 
     /// Handles an incoming gossip message; returns the outbox.
@@ -1112,11 +1129,11 @@ impl Agent {
                 let mut missing = std::mem::take(&mut self.scratch_missing);
                 for d in &digests {
                     let Some(level) = self.level_of(&d.zone) else { continue };
-                    self.tables[level].diff_into(&d.rows, &mut newer, &mut missing);
+                    self.table(level).diff_into(&d.rows, &mut newer, &mut missing);
                     if !newer.is_empty() {
                         let rows = newer
                             .iter()
-                            .filter_map(|&l| self.tables[level].get(l).map(|r| (l, Arc::clone(r))))
+                            .filter_map(|&l| self.table(level).get(l).map(|r| (l, Arc::clone(r))))
                             .collect();
                         reply_rows.push(TableRows { zone: d.zone.clone(), rows });
                     }
@@ -1164,7 +1181,7 @@ impl Agent {
                     let Some(level) = self.level_of(zone) else { continue };
                     let rows = labels
                         .iter()
-                        .filter_map(|&l| self.tables[level].get(l).map(|r| (l, Arc::clone(r))))
+                        .filter_map(|&l| self.table(level).get(l).map(|r| (l, Arc::clone(r))))
                         .collect::<Vec<_>>();
                     if !rows.is_empty() {
                         send.push(TableRows { zone: zone.clone(), rows });
@@ -1224,7 +1241,7 @@ impl Agent {
             let mut adopted = 0u64;
             let mut adopted_saved = 0u64;
             for e in d.rows.iter() {
-                match self.tables[level].get(e.label) {
+                match self.table(level).get(e.label) {
                     None => missing.push(e.label),
                     Some(row) => {
                         let held_stamp = row.stamp;
@@ -1256,7 +1273,7 @@ impl Agent {
             if d.since == 0 {
                 // Full digest: rows we hold that the peer did not list are
                 // unknown to it — ship them whole.
-                for (label, _) in self.tables[level].iter() {
+                for (label, _) in self.table(level).iter() {
                     if d.rows.iter().all(|e| e.label != label) {
                         newer_full.push(label);
                     }
@@ -1271,7 +1288,7 @@ impl Agent {
             if !newer_full.is_empty() {
                 let rows = newer_full
                     .iter()
-                    .filter_map(|&l| self.tables[level].get(l).map(|r| (l, Arc::clone(r))))
+                    .filter_map(|&l| self.table(level).get(l).map(|r| (l, Arc::clone(r))))
                     .collect();
                 reply_rows.push(TableRows { zone: d.zone.clone(), rows });
             }
@@ -1279,7 +1296,7 @@ impl Agent {
                 if obs::ENABLED {
                     let saved: usize = newer_refresh
                         .iter()
-                        .filter_map(|&(l, _)| self.tables[level].get(l))
+                        .filter_map(|&(l, _)| self.table(level).get(l))
                         .map(|r| (r.wire_size() + 2).saturating_sub(22))
                         .sum();
                     obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_ROWS, newer_refresh.len());
@@ -1321,7 +1338,7 @@ impl Agent {
                 if self.apply_refresh(now, level, label, stamp) {
                     applied += 1;
                     if obs::ENABLED {
-                        if let Some(r) = self.tables[level].get(label) {
+                        if let Some(r) = self.table(level).get(label) {
                             saved += (r.wire_size() + 2).saturating_sub(22) as u64;
                         }
                     }
@@ -1357,19 +1374,10 @@ impl Agent {
                 }
             }
         }
-        if !self.tables[level].restamp(label, stamp) {
+        if !self.levels[level].table.restamp(label, stamp) {
             return false;
         }
-        if !self.tombstones.is_empty() {
-            self.tombstones.remove(&(level, label));
-        }
-        let phi_config = self.phi_config();
-        let lane = &mut self.detectors[level];
-        let slot = usize::from(label);
-        if lane.len() <= slot {
-            lane.resize_with(slot + 1, || None);
-        }
-        lane[slot].get_or_insert_with(|| PhiAccrualDetector::new(phi_config)).heartbeat(now);
+        self.heartbeat(level, label, now);
         true
     }
 
@@ -1394,28 +1402,26 @@ impl Agent {
             Ok(p) => p,
             Err(e) => return Some(Err(e.to_string())),
         };
-        Some(run_program(&prog, self.tables[level].rows()).map_err(|e| e.to_string()))
+        Some(run_program(&prog, self.table(level).rows()).map_err(|e| e.to_string()))
     }
 
     /// Clears all replicated state except identity (cold restart).
     pub fn reset(&mut self) {
-        for t in &mut self.tables {
-            *t = ZoneTable::new(t.zone.clone());
+        // Table generations restart at zero, so the digests, summaries and
+        // peer lists keyed on the old counters go with the rows.
+        for lv in &mut self.levels {
+            lv.table = ZoneTable::new(lv.table.zone.clone());
+            lv.detectors.clear_all();
+            (lv.digest, lv.agg, lv.peers) = (None, None, None);
         }
         self.version = 0;
-        self.detectors.iter_mut().for_each(Vec::clear);
         self.tombstones.clear();
         self.incar_seen.clear();
         self.incar_cache.clear();
         self.incarnation_bumps.clear();
-        // Table generations restart at zero, so cached digests, summaries
-        // and peer lists keyed on the old counters must go; the mobile-code
-        // scope shrank to the locally installed programs, so the round state
-        // must be rebuilt too. (The own-row cache survives: `local` did not
-        // change.)
-        self.digest_cache.fill(None);
-        self.agg_cache.iter_mut().for_each(|c| *c = None);
-        self.peers_cache.fill(None);
+        // The mobile-code scope shrank to the locally installed programs, so
+        // the round state must be rebuilt too. (The own-row cache survives:
+        // `local` did not change.)
         self.scope_epoch += 1;
         self.scope_cache = None;
         // Delta-gossip lanes reference the old generation counters on both
@@ -1428,16 +1434,23 @@ impl Agent {
     /// Current phi suspicion level for the row at `(level, label)`, if a
     /// detector has observed it (diagnostics and host-layer reuse).
     pub fn suspicion(&self, level: usize, label: u16, now: SimTime) -> Option<f64> {
-        self.detectors
-            .get(level)
-            .and_then(|lane| lane.get(usize::from(label)))
-            .and_then(Option::as_ref)
-            .map(|d| d.phi(now))
+        self.levels.get(level)?.detectors.phi(usize::from(label), now)
+    }
+
+    /// Heap bytes the failure detectors of `level` own (memory accounting):
+    /// zero until the level's first foreign row, then two exact allocations
+    /// sized to the zone's child count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level >= levels()`.
+    pub fn detector_heap_bytes(&self, level: usize) -> usize {
+        self.levels[level].detectors.heap_bytes()
     }
 }
 
-/// Compiles `src`, caching the result (including failures, so a bad mobile
-/// program is not re-parsed every round). A free function rather than a
+/// Compiles mobile-code `src`, caching the result (including failures, so a
+/// bad program is not re-parsed every round). A free function rather than a
 /// method so callers can hold other `Agent` fields borrowed.
 fn compile_cached(
     cache: &mut HashMap<String, Option<Arc<AggProgram>>>,
@@ -1750,6 +1763,14 @@ mod tests {
     }
 
     #[test]
+    fn level_record_stays_compact() {
+        // Three or four of these sit in one allocation per agent; the bank
+        // header (tuning + three empty vectors) is the largest member.
+        let size = std::mem::size_of::<Level>();
+        assert!(size <= 256, "Level is {size} B");
+    }
+
+    #[test]
     fn reserved_attrs_cannot_be_spoofed() {
         let layout = ZoneLayout::new(4, 4);
         let mut a = Agent::new(2, &layout, small_config(), vec![]);
@@ -1810,7 +1831,7 @@ mod tests {
             Stamp { issued_us: t2 + 10_000_000, version: 9_999, origin: 1 },
             b.into_attrs(),
         ));
-        let zone = agents[0].chain()[0].clone();
+        let zone = agents[0].zone(0).clone();
         let changed = agents[0].merge_rows(
             SimTime::from_micros(t2 + 1),
             &[TableRows { zone, rows: vec![(1, forged)] }],
@@ -1847,7 +1868,7 @@ mod tests {
         let now = SimTime::from_secs(1);
         b.on_tick(now, &mut rng);
         let held = b.table(0).len();
-        b.on_message(now, 2, malformed_batch(b.chain()[0].clone()), &mut rng);
+        b.on_message(now, 2, malformed_batch(b.zone(0).clone()), &mut rng);
         assert_eq!(b.table(0).len(), held, "malformed rows must not merge");
         // A well-formed row from the same sender still merges.
         let good =
@@ -1857,7 +1878,7 @@ mod tests {
                 origin: 2,
             }));
         let msg = GossipMsg::Rows {
-            rows: vec![TableRows { zone: b.chain()[0].clone(), rows: vec![(2, good)] }],
+            rows: vec![TableRows { zone: b.zone(0).clone(), rows: vec![(2, good)] }],
         };
         b.on_message(now, 2, msg, &mut rng);
         assert_eq!(b.table(0).len(), held + 1, "validation must not block honest rows");
@@ -1874,7 +1895,7 @@ mod tests {
         let now = SimTime::from_secs(1);
         b.on_tick(now, &mut rng);
         let held = b.table(0).len();
-        b.on_message(now, 2, malformed_batch(b.chain()[0].clone()), &mut rng);
+        b.on_message(now, 2, malformed_batch(b.zone(0).clone()), &mut rng);
         assert!(b.table(0).len() > held, "without validation the malformed rows merge");
     }
 
@@ -1913,7 +1934,7 @@ mod tests {
         let a = &agents[0];
         // Query the leaf-zone table (members 0..4).
         let out = a
-            .query(&a.chain()[0].clone(), "SELECT MAX(temp) AS t, COUNT() AS n")
+            .query(a.zone(0), "SELECT MAX(temp) AS t, COUNT() AS n")
             .expect("replicated")
             .expect("evaluates");
         let get = |k: &str| out.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());

@@ -1,20 +1,52 @@
 //! Agent configuration and the standard aggregation programs.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use simnet::SimDuration;
 
+use crate::agg::{parse_program, AggProgram};
+
 /// A named aggregation program, carried as source text (mobile code).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggSpec {
+///
+/// A handle on one immutable [`AggSource`]: the source is parsed once, in
+/// [`AggSpec::new`], and every clone — in particular the [`Config`] clone a
+/// deployment hands each agent — shares the name, the text and the compiled
+/// program instead of copying two strings and re-parsing per agent.
+#[derive(Debug, Clone)]
+pub struct AggSpec(Arc<AggSource>);
+
+/// What an [`AggSpec`] points at; read through the spec (`spec.program`).
+#[derive(Debug)]
+pub struct AggSource {
     /// Installation name (unique per deployment).
     pub name: String,
     /// Program source, e.g. `SELECT MIN(load) AS load`.
     pub program: String,
+    /// `None` when `program` does not parse: agents skip such a spec, as
+    /// they skip malformed mobile code.
+    compiled: Option<Arc<AggProgram>>,
 }
 
 impl AggSpec {
-    /// Creates a named program.
+    /// Creates a named program, compiling it.
     pub fn new(name: impl Into<String>, program: impl Into<String>) -> Self {
-        AggSpec { name: name.into(), program: program.into() }
+        let program = program.into();
+        let compiled = parse_program(&program).ok().map(Arc::new);
+        AggSpec(Arc::new(AggSource { name: name.into(), program, compiled }))
+    }
+
+    /// The compiled program, shared by every clone of this spec.
+    pub fn compiled(&self) -> Option<&Arc<AggProgram>> {
+        self.0.compiled.as_ref()
+    }
+}
+
+impl Deref for AggSpec {
+    type Target = AggSource;
+
+    fn deref(&self) -> &AggSource {
+        &self.0
     }
 }
 
@@ -104,13 +136,13 @@ impl Default for Config {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::parse_program;
 
     #[test]
     fn standard_config_programs_compile() {
         let c = Config::standard();
         for spec in &c.aggregations {
             parse_program(&spec.program).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            assert!(spec.compiled().is_some());
         }
         assert_eq!(c.branching, 64);
         assert_eq!(c.reps_per_zone, 2);
@@ -120,6 +152,16 @@ mod tests {
     fn with_reps_parameterizes_core_program() {
         let c = Config::with_reps(3);
         assert!(c.aggregations[0].program.contains("REPSEL(3"));
+    }
+
+    #[test]
+    fn cloned_config_shares_compiled_programs() {
+        let c = Config::standard();
+        let d = c.clone();
+        let (a, b) = (&c.aggregations[0], &d.aggregations[0]);
+        assert!(Arc::ptr_eq(a.compiled().unwrap(), b.compiled().unwrap()));
+        assert!(std::ptr::eq(a.program.as_ptr(), b.program.as_ptr()), "source text is shared too");
+        assert!(AggSpec::new("bad", "SELEKT").compiled().is_none(), "unparsable: kept, skipped");
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use agg::{
     EvalError, Expr, ParseAggError, RowSource,
 };
 pub use cert::{Certificate, KeyId, RotationRecord, SecretKey, Signature, TrustRegistry};
-pub use config::{AggSpec, Config, DELTA_FULL_EXCHANGE_PERIOD};
+pub use config::{AggSource, AggSpec, Config, DELTA_FULL_EXCHANGE_PERIOD};
 pub use mib::{AttrName, Mib, MibBuilder, Stamp};
 pub use simnode::AstroNode;
 pub use table::{MergeOutcome, Row, RowDigest, ZoneTable};

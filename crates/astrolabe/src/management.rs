@@ -122,7 +122,7 @@ mod tests {
             a.set_local_attr(ATTR_UP, 1i64);
             a.set_local_attr(ATTR_PATHS, 2i64);
             // Bandwidth varies by zone: zone z gets 100*(z+1) KB/s.
-            let zone = a.chain()[0].label().unwrap_or(0);
+            let zone = a.zone(0).label().unwrap_or(0);
             a.set_local_attr(ATTR_BANDWIDTH, f64::from(zone + 1) * 100.0);
         }
         converge(&mut agents, 14);

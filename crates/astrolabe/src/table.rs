@@ -202,26 +202,6 @@ impl ZoneTable {
         }
     }
 
-    /// Removes rows issued before `cutoff_us`, except the row `keep` (an
-    /// agent never evicts its own row). Returns the evicted labels.
-    pub fn evict_stale(&mut self, cutoff_us: u64, keep: Option<u16>) -> Vec<u16> {
-        // Both passes read only the inline (label, stamp) fields: one
-        // contiguous scan, no payload dereference.
-        let evicted: Vec<u16> = self
-            .rows
-            .iter()
-            .filter(|r| Some(r.label) != keep && r.stamp.issued_us < cutoff_us)
-            .map(|r| r.label)
-            .collect();
-        self.rows.retain(|r| Some(r.label) == keep || r.stamp.issued_us >= cutoff_us);
-        if !evicted.is_empty() {
-            self.generation += 1;
-            self.content_gen += 1;
-        }
-        debug_assert!(evicted.iter().all(|l| self.get(*l).is_none()));
-        evicted
-    }
-
     /// Advances the stamp of a held row in place, leaving its attributes
     /// untouched — the delta-gossip refresh path, equivalent to merging a
     /// full row whose content is known (by hash) to match what is held.
@@ -374,18 +354,6 @@ mod tests {
         let (nb, mb) = b.diff(&a.digest());
         assert_eq!(na, mb);
         assert_eq!(ma, nb);
-    }
-
-    #[test]
-    fn evict_stale_spares_keep() {
-        let mut t = ZoneTable::new(ZoneId::root());
-        t.merge_row(1, row(10, 0));
-        t.merge_row(2, row(100, 0));
-        t.merge_row(3, row(5, 0));
-        let evicted = t.evict_stale(50, Some(3));
-        assert_eq!(evicted, vec![1]);
-        assert!(t.get(3).is_some(), "own row survives");
-        assert!(t.get(2).is_some());
     }
 
     #[test]

@@ -269,20 +269,23 @@ impl ZoneLayout {
     /// first, then each ancestor up to the root.
     pub fn ancestor_chain(&self, agent: u32) -> Vec<ZoneId> {
         let leaf = self.leaf_zone(agent);
-        let mut chain = Vec::with_capacity(self.levels + 1);
-        for d in (0..=leaf.depth()).rev() {
-            chain.push(leaf.ancestor_at(d));
-        }
-        chain
+        let ancestors = (0..leaf.depth()).rev().map(|d| leaf.ancestor_at(d));
+        std::iter::once(leaf.clone()).chain(ancestors).collect()
+    }
+
+    /// How many children of `zone` actually contain agents (member slots
+    /// for a leaf zone). The balanced layout packs left to right, so these
+    /// are exactly the labels `0..child_count`.
+    pub fn child_count(&self, zone: &ZoneId) -> u16 {
+        let Some(agents) = self.agent_range(zone) else { return 0 };
+        // Agents per child: one under a leaf zone, a whole subtree above.
+        let per_child = u64::from(self.branching).pow((self.levels - zone.depth()) as u32);
+        (agents.len() as u64).div_ceil(per_child) as u16
     }
 
     /// Child labels of `zone` that actually contain agents.
     pub fn occupied_children(&self, zone: &ZoneId) -> Vec<u16> {
-        if zone.depth() >= self.levels {
-            // Children of a leaf zone are member slots.
-            return (0..self.branching).filter(|&s| self.agent_at(zone, s).is_some()).collect();
-        }
-        (0..self.branching).filter(|&c| !self.agents_under(&zone.child(c)).is_empty()).collect()
+        (0..self.child_count(zone)).collect()
     }
 }
 
@@ -390,6 +393,13 @@ mod tests {
         assert_eq!(l.occupied_children(&ZoneId::root()), vec![0, 1, 2]);
         let leaf = ZoneId::root().child(2);
         assert_eq!(l.occupied_children(&leaf), vec![0, 1, 2, 3]);
+        assert_eq!(l.occupied_children(&ZoneId::root().child(3)), vec![], "empty subtree");
+        assert_eq!(l.occupied_children(&leaf.child(0)), vec![], "below the leaf zones");
+        let deep = ZoneLayout::new(2_560, 16); // levels 2: 10 x 16 x 16
+        assert_eq!(deep.child_count(&ZoneId::root()), 10);
+        assert_eq!(deep.child_count(&ZoneId::root().child(9)), 16);
+        assert_eq!(deep.child_count(&ZoneId::root().child(9).child(15)), 16);
+        assert_eq!(ZoneLayout::new(2_561, 16).child_count(&ZoneId::root()), 11);
     }
 
     #[test]

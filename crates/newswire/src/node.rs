@@ -28,8 +28,8 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simnet::{
-    Context, CorruptionOp, LiarAction, LiarMode, Node, NodeId, PhiAccrualDetector, PhiConfig,
-    RestartMode, SimDuration, SimTime, TimerId,
+    Context, CorruptionOp, LiarAction, LiarMode, Node, NodeId, PhiBank, PhiConfig, RestartMode,
+    SimDuration, SimTime, TimerId,
 };
 
 use crate::auth::{
@@ -265,6 +265,54 @@ struct PendingHandoff {
     timer: TimerId,
 }
 
+/// Phi-accrual detectors over the peers a node has heard from. A peer takes
+/// the next free slot of the one [`PhiBank`] on its first message and keeps
+/// it; forgetting a peer clears the slot, so an unobserved and a forgotten
+/// peer read alike: unknown, not suspect.
+#[derive(Debug)]
+struct PeerHealth {
+    slot_of: HashMap<u32, u32>,
+    bank: PhiBank,
+}
+
+impl PeerHealth {
+    /// Phi tuning shared with the embedded Astrolabe agent: window and
+    /// threshold from configuration, cadence floors from the gossip period
+    /// (every live peer talks at least that often).
+    fn new(astro: &astrolabe::Config) -> Self {
+        let gossip = astro.gossip_interval;
+        let bank = PhiBank::new(PhiConfig {
+            window: astro.phi_window,
+            threshold: astro.phi_threshold,
+            first_interval: gossip.checked_mul(2).unwrap_or(gossip),
+            min_stddev: gossip,
+        });
+        PeerHealth { slot_of: HashMap::new(), bank }
+    }
+
+    fn heartbeat(&mut self, peer: u32, now: SimTime) {
+        // Keys are distinct `u32`s, so the count of them fits one.
+        let next = self.slot_of.len() as u32;
+        let slot = *self.slot_of.entry(peer).or_insert(next);
+        self.bank.heartbeat(slot as usize, now);
+    }
+
+    fn is_suspect(&self, peer: u32, now: SimTime) -> bool {
+        self.slot_of.get(&peer).is_some_and(|&slot| self.bank.is_suspect(slot as usize, now))
+    }
+
+    fn remove(&mut self, peer: u32) {
+        if let Some(&slot) = self.slot_of.get(&peer) {
+            self.bank.clear(slot as usize);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slot_of.clear();
+        self.bank.clear_all();
+    }
+}
+
 /// A full NewsWire node.
 #[derive(Debug)]
 pub struct NewsWireNode {
@@ -303,10 +351,10 @@ pub struct NewsWireNode {
     /// *seen* (delivered, cached, or deliberately filtered). Gaps are the
     /// holes anti-entropy reconciliation pulls.
     article_logs: BTreeMap<PublisherId, SeqLog<()>>,
-    /// Phi-accrual detectors over peers this node has heard from; any
-    /// message counts as a heartbeat. Replaces the fixed retry cliff in the
-    /// ack layer: a suspect representative is failed over immediately.
-    peer_health: HashMap<u32, PhiAccrualDetector>,
+    /// Failure detection over peers this node has heard from; any message
+    /// counts as a heartbeat. Replaces the fixed retry cliff in the ack
+    /// layer: a suspect representative is failed over immediately.
+    peer_health: PeerHealth,
     /// Outstanding reconcile request, at most one in flight.
     awaiting_reconcile: Option<PendingReconcile>,
     /// Round-robin cursor over publishers for reconcile target selection.
@@ -378,6 +426,7 @@ impl NewsWireNode {
         let strategy = cfg.strategy;
         let cache = MessageCache::new(cfg.cache);
         agent.set_ingest_validation(cfg.defenses);
+        let peer_health = PeerHealth::new(agent.config());
         let mut node = NewsWireNode {
             agent,
             cfg,
@@ -397,7 +446,7 @@ impl NewsWireNode {
             next_handoff: 0,
             awaiting_repair: None,
             article_logs: BTreeMap::new(),
-            peer_health: HashMap::new(),
+            peer_health,
             awaiting_reconcile: None,
             reconcile_cursor: 0,
             recovering_since: None,
@@ -682,7 +731,7 @@ impl NewsWireNode {
             GossipMsg::DigestReply { rows, .. } | GossipMsg::Rows { rows } => rows,
             GossipMsg::Digest { .. } => return,
         };
-        let leaf = self.agent.chain()[0].clone();
+        let leaf = self.agent.zone(0).clone();
         let own_id = self.agent.id();
         let known: HashSet<u32> = self
             .agent
@@ -828,29 +877,11 @@ impl NewsWireNode {
             .insert(id.seq, ());
     }
 
-    /// Phi tuning shared with the embedded Astrolabe agent: window and
-    /// threshold from configuration, cadence floors from the gossip period
-    /// (every live peer talks at least that often).
-    fn phi_config(&self) -> PhiConfig {
-        let gossip = self.agent.config().gossip_interval;
-        PhiConfig {
-            window: self.agent.config().phi_window,
-            threshold: self.agent.config().phi_threshold,
-            first_interval: gossip.checked_mul(2).unwrap_or(gossip),
-            min_stddev: gossip,
-        }
-    }
-
     /// Any message from `from` is a heartbeat for its phi detector.
     fn note_alive(&mut self, from: NodeId, now: SimTime) {
-        if from == NodeId::EXTERNAL {
-            return;
+        if from != NodeId::EXTERNAL {
+            self.peer_health.heartbeat(from.0, now);
         }
-        let config = self.phi_config();
-        self.peer_health
-            .entry(from.0)
-            .or_insert_with(|| PhiAccrualDetector::new(config))
-            .heartbeat(now);
     }
 
     /// True when the phi detector suspects `peer` — or the misbehavior
@@ -859,7 +890,7 @@ impl NewsWireNode {
     /// failovers, reconcile sources). Unobserved peers are unknown, not
     /// suspect.
     fn peer_suspect(&self, peer: u32, now: SimTime) -> bool {
-        self.quarantined(peer) || self.peer_health.get(&peer).is_some_and(|d| d.is_suspect(now))
+        self.quarantined(peer) || self.peer_health.is_suspect(peer, now)
     }
 
     /// True when `peer`'s misbehavior score has crossed the quarantine
@@ -923,8 +954,8 @@ impl NewsWireNode {
     /// attributes. Fail-closed.
     fn dissemination_admits(&self, item: &NewsItem) -> bool {
         if let Some(src) = item.field(DISSEMINATION_SCOPE) {
-            let in_scope = ZoneId::parse(&src)
-                .is_some_and(|scope| scope.is_ancestor_of(&self.agent.chain()[0]));
+            let in_scope =
+                ZoneId::parse(&src).is_some_and(|scope| scope.is_ancestor_of(self.agent.zone(0)));
             if !in_scope {
                 return false;
             }
@@ -1966,7 +1997,7 @@ impl NewsWireNode {
     /// target (its next message seeds a fresh detector).
     fn absorb_incarnation_bumps(&mut self) {
         for peer in self.agent.take_incarnation_bumps() {
-            self.peer_health.remove(&peer);
+            self.peer_health.remove(peer);
             // Misbehavior belonged to the previous life too: a reinstalled
             // node is not the liar its predecessor was. But only an
             // identity the registry still endorses earns the clean slate —
@@ -2881,7 +2912,7 @@ impl Node for NewsWireNode {
                     return 0;
                 }
                 let injected = rows.len() as u64;
-                let zone = self.agent.chain()[0].clone();
+                let zone = self.agent.zone(0).clone();
                 let msg = GossipMsg::Rows { rows: vec![TableRows { zone, rows }] };
                 let _ = self.agent.on_message(now, self.agent.id(), msg, rng);
                 injected
@@ -3266,7 +3297,7 @@ mod tests {
         assert!(!n.peer_suspect(9, now), "never-seen peers are unknown, not suspect");
         // External inputs never feed a detector.
         n.note_alive(NodeId::EXTERNAL, now);
-        assert!(!n.peer_health.contains_key(&NodeId::EXTERNAL.0));
+        assert!(!n.peer_health.slot_of.contains_key(&NodeId::EXTERNAL.0));
         // Candidate filtering drops the suspect while alternatives exist…
         let mut candidates = vec![7, 8];
         n.prefer_unsuspected(&mut candidates, now);
@@ -3302,10 +3333,7 @@ mod tests {
             origin: 2,
         });
         let msg = GossipMsg::Rows {
-            rows: vec![TableRows {
-                zone: n.agent.chain()[0].clone(),
-                rows: vec![(2, Arc::new(row))],
-            }],
+            rows: vec![TableRows { zone: n.agent.zone(0).clone(), rows: vec![(2, Arc::new(row))] }],
         };
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         n.agent.on_message(now, 2, msg, &mut rng);
@@ -3367,13 +3395,13 @@ mod tests {
         let mut n = node_with(NewsWireConfig::tech_news());
         assert!(n.cfg.defenses, "defenses are the default");
         let held = n.agent.table(0).len();
-        n.agent.on_message(now, 2, malformed(n.agent.chain()[0].clone()), &mut rng);
+        n.agent.on_message(now, 2, malformed(n.agent.zone(0).clone()), &mut rng);
         assert_eq!(n.agent.table(0).len(), held, "malformed rows must not merge");
 
         let mut cfg = NewsWireConfig::tech_news();
         cfg.defenses = false;
         let mut open = node_with(cfg);
-        open.agent.on_message(now, 2, malformed(open.agent.chain()[0].clone()), &mut rng);
+        open.agent.on_message(now, 2, malformed(open.agent.zone(0).clone()), &mut rng);
         assert!(open.agent.table(0).len() > held, "defenses off admits the poison");
     }
 
@@ -3405,8 +3433,7 @@ mod tests {
             })
             .collect();
         let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
-        let msg =
-            GossipMsg::Rows { rows: vec![TableRows { zone: n.agent.chain()[0].clone(), rows }] };
+        let msg = GossipMsg::Rows { rows: vec![TableRows { zone: n.agent.zone(0).clone(), rows }] };
         n.agent.on_message(now, 2, msg, &mut rng);
 
         // A healthy audit is a no-op: same epoch, same coverage.
@@ -3835,7 +3862,7 @@ mod tests {
             version: 1,
             origin: 2,
         });
-        let leaf = n.agent.chain()[0].clone();
+        let leaf = n.agent.zone(0).clone();
         let msg = GossipMsg::Rows {
             rows: vec![TableRows { zone: leaf.clone(), rows: vec![(2, Arc::new(bare))] }],
         };
@@ -3869,7 +3896,7 @@ mod tests {
         cfg.admission = true;
         let (mut n, _cred, _rec, _succ) = node_with_rotation(cfg);
         let now = SimTime::from_secs(1);
-        let leaf = n.agent.chain()[0].clone();
+        let leaf = n.agent.zone(0).clone();
         let row = |id: u32, label: u16, ticket: Option<String>| {
             let mut b = MibBuilder::new().attr("id", i64::from(id));
             if let Some(t) = ticket {
@@ -3909,7 +3936,7 @@ mod tests {
         let endorsed = tight.registry.endorse_join(40);
         let mut g = GossipMsg::Rows {
             rows: vec![TableRows {
-                zone: tight.agent.chain()[0].clone(),
+                zone: tight.agent.zone(0).clone(),
                 rows: vec![row(40, 1, Some(format!("{:016x}", endorsed.0)))],
             }],
         };
@@ -4055,7 +4082,7 @@ mod tests {
         use simnet::{LiarAction, LiarMode};
         let mut n = node_with(NewsWireConfig::tech_news());
         let digest = RangeSummary { epoch: 0, floor: 0, next: 3, present: 3 }.encode();
-        let leaf_zone = n.agent.chain()[0].clone();
+        let leaf_zone = n.agent.zone(0).clone();
         let make = || {
             let row = MibBuilder::new()
                 .attr("id", 2i64)

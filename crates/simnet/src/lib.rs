@@ -23,7 +23,7 @@
 //! * [`FaultPlan`] — the chaos engine: declarative, seeded schedules of
 //!   Poisson churn, gray brownouts, link cuts, and message-chaos windows,
 //!   expanded deterministically by [`Simulation::apply_fault_plan`].
-//! * [`PhiAccrualDetector`] — adaptive phi-accrual failure detection
+//! * [`PhiBank`] — adaptive phi-accrual failure detection
 //!   (Hayashibara et al.), shared by protocols that must distinguish
 //!   "slow" from "gone" without a fixed timeout cliff.
 //! * [`Summary`] / [`Histogram`] / [`TrafficCounters`] /
@@ -78,7 +78,7 @@ pub use node::{
     Context, CorruptionOp, LiarAction, LiarBehavior, LiarMode, Node, NodeId, Payload, TimerId,
 };
 pub use obs::{Telemetry, TelemetryHub};
-pub use phi::{PhiAccrualDetector, PhiConfig};
+pub use phi::{PhiBank, PhiConfig};
 pub use rng::{exp_sample, fork, splitmix64};
 pub use sched::EventQueue;
 pub use sim::Simulation;
