@@ -153,6 +153,33 @@ mod proptests {
             prop_assert_eq!(log.missing_given(&summary), gaps);
         }
 
+        /// The allocation-free predicate is the pull list's emptiness test,
+        /// for peers on older, equal and newer epochs, windows that miss,
+        /// straddle and cover ours, and logs with and without holes.
+        #[test]
+        fn seqlog_lacks_agrees_with_missing_given(
+            seqs in proptest::collection::vec(0u64..60, 0..50),
+            cap in 1usize..32,
+            own_epoch in 0u32..3,
+            peers in proptest::collection::vec((0u32..3, 0u64..70, 0u64..70), 1..40),
+        ) {
+            let mut log = SeqLog::new(cap);
+            log.adopt_epoch(own_epoch);
+            for s in seqs {
+                log.insert(s, ());
+            }
+            let gaps = log.gaps();
+            prop_assert_eq!(log.lacks(&gaps, &log.summary()), !gaps.is_empty());
+            for (epoch, floor, len) in peers {
+                let peer = super::RangeSummary { epoch, floor, next: floor + len, present: len };
+                prop_assert_eq!(
+                    log.lacks(&gaps, &peer),
+                    !log.missing_given(&peer).is_empty(),
+                    "{:?} vs {:?}", log.summary(), peer
+                );
+            }
+        }
+
         /// Coverage admission is monotone: once admitted at depth d, all
         /// depths >= d are refused until a strictly wider duty arrives.
         #[test]

@@ -238,6 +238,9 @@ impl<T> SeqLog<T> {
     /// The holes inside our own window, as inclusive `(lo, hi)` ranges.
     pub fn gaps(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
+        if self.summary().contiguous() {
+            return out; // hole-free: nothing to walk
+        }
         let mut cursor = self.floor;
         for &seq in self.entries.keys() {
             if seq > cursor {
@@ -294,28 +297,39 @@ impl<T> SeqLog<T> {
     /// window is requested (the caller should [`SeqLog::adopt_epoch`] when
     /// the items arrive).
     pub fn missing_given(&self, peer: &RangeSummary) -> Vec<(u64, u64)> {
-        if peer.epoch < self.epoch || peer.is_empty() {
-            return Vec::new();
-        }
-        if peer.epoch > self.epoch {
-            return vec![(peer.floor, peer.next - 1)];
-        }
+        self.missing_in(&self.gaps(), peer).collect()
+    }
+
+    /// True exactly when [`SeqLog::missing_given`] would return something,
+    /// without building it. `gaps` must be this log's own [`SeqLog::gaps`]:
+    /// a caller weighing many peers walks the log once and tests each peer
+    /// against the result, allocation-free.
+    pub fn lacks(&self, gaps: &[(u64, u64)], peer: &RangeSummary) -> bool {
+        self.missing_in(gaps, peer).next().is_some()
+    }
+
+    /// The ranges of [`SeqLog::missing_given`], lazily, over precomputed
+    /// `gaps`.
+    fn missing_in<'a>(
+        &self,
+        gaps: &'a [(u64, u64)],
+        peer: &RangeSummary,
+    ) -> impl Iterator<Item = (u64, u64)> + 'a {
+        let usable = peer.epoch >= self.epoch && !peer.is_empty();
+        let same_epoch = usable && peer.epoch == self.epoch;
         let lo_bound = peer.floor.max(self.floor);
-        let hi_bound = peer.next; // exclusive
-        let mut out = Vec::new();
-        for (lo, hi) in self.gaps() {
-            let lo = lo.max(lo_bound);
-            if hi_bound > 0 && lo <= hi.min(hi_bound - 1) {
-                out.push((lo, hi.min(hi_bound - 1)));
-            }
-        }
-        if hi_bound > self.next {
-            let lo = self.next.max(lo_bound);
-            if lo < hi_bound {
-                out.push((lo, hi_bound - 1));
-            }
-        }
-        out
+        // Inclusive top of the peer's window; only read when `usable`, and a
+        // non-empty window has `next > floor >= 0`.
+        let top = peer.next.saturating_sub(1);
+        let whole = (usable && !same_epoch).then_some((peer.floor, top));
+        let holes = if same_epoch { gaps } else { &[] }
+            .iter()
+            .map(move |&(lo, hi)| (lo.max(lo_bound), hi.min(top)))
+            .filter(|(lo, hi)| lo <= hi);
+        let tail = (same_epoch && peer.next > self.next)
+            .then_some((self.next.max(lo_bound), top))
+            .filter(|(lo, hi)| lo <= hi);
+        whole.into_iter().chain(holes).chain(tail)
     }
 }
 

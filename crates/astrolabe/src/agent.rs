@@ -401,9 +401,14 @@ impl Agent {
 
     /// Sets an attribute of this agent's own MIB row (takes effect at the
     /// next tick). `id`, `reps` and `nmembers` are reserved and overwritten
-    /// by the agent.
+    /// by the agent. Setting the value already held changes nothing: the next
+    /// tick re-stamps the cached own row instead of rebuilding it.
     pub fn set_local_attr(&mut self, name: &str, value: impl Into<AttrValue>) {
-        self.local.set(name, value.into());
+        let value = value.into();
+        if self.local.get(name) == Some(&value) {
+            return;
+        }
+        self.local.set(name, value);
         self.local_gen += 1;
     }
 
@@ -1577,6 +1582,28 @@ mod tests {
         a.on_message(now, b.id(), reply, &mut rng);
         let healed = a.digests_from(0, b.id());
         assert!(healed.iter().all(|d| d.since == 0), "want_full forces a full digest");
+    }
+
+    #[test]
+    fn setting_an_attribute_to_its_value_keeps_the_own_row_shared() {
+        let layout = ZoneLayout::new(4, 4);
+        let mut a = Agent::new(0, &layout, Config::standard(), vec![]);
+        let label = a.own_label(0);
+        a.set_local_attr("load", 2.0);
+        a.refresh_own_row(SimTime::from_secs(1));
+        let first = Arc::clone(a.table(0).get(label).unwrap());
+        // The per-tick re-publication of an unchanged load: a re-stamp.
+        a.set_local_attr("load", 2.0);
+        a.refresh_own_row(SimTime::from_secs(2));
+        let second = Arc::clone(a.table(0).get(label).unwrap());
+        assert!(second.stamp > first.stamp);
+        assert!(second.shares_attrs(&first), "an equal value must not rebuild the row");
+        // A changed value still rebuilds it.
+        a.set_local_attr("load", 3.0);
+        a.refresh_own_row(SimTime::from_secs(3));
+        let third = a.table(0).get(label).unwrap();
+        assert!(!third.shares_attrs(&second));
+        assert_eq!(third.get("load"), Some(&AttrValue::Float(3.0)));
     }
 
     #[test]

@@ -244,17 +244,21 @@ impl MibBuilder {
 
     /// Adds an attribute (replaces an earlier one with the same name).
     #[must_use]
-    pub fn attr(mut self, name: impl Into<AttrName>, value: impl Into<AttrValue>) -> Self {
+    pub fn attr(
+        mut self,
+        name: impl AsRef<str> + Into<AttrName>,
+        value: impl Into<AttrValue>,
+    ) -> Self {
         self.set(name, value);
         self
     }
 
-    /// Non-consuming variant of [`MibBuilder::attr`].
-    pub fn set(&mut self, name: impl Into<AttrName>, value: impl Into<AttrValue>) {
-        let name = name.into();
+    /// Non-consuming variant of [`MibBuilder::attr`]. A name the builder
+    /// already holds keeps its interned `Arc<str>`; only a new one allocates.
+    pub fn set(&mut self, name: impl AsRef<str> + Into<AttrName>, value: impl Into<AttrValue>) {
         match self.attrs.binary_search_by(|(n, _)| n.as_ref().cmp(name.as_ref())) {
             Ok(i) => self.attrs[i].1 = value.into(),
-            Err(i) => self.attrs.insert(i, (name, value.into())),
+            Err(i) => self.attrs.insert(i, (name.into(), value.into())),
         }
     }
 

@@ -3,8 +3,8 @@
 //!
 //! Paper basis (§5, §9): the infrastructure leans on continuous background
 //! traffic — gossip exchanges every round, revision fusion re-shipping
-//! whole article bodies, repair and reconciliation re-offering items — and
-//! the paper simply prices all of it at full size. This experiment asks
+//! whole article bodies, repair and reconciliation replies — and the paper
+//! simply prices all of it at full size. This experiment asks
 //! what the same protocol costs when everything on the wire is
 //! delta-encoded: gossip digests shrink to row diffs against what the peer
 //! already acknowledged, and a revised article ships only the CDC chunks
@@ -17,7 +17,7 @@
 //! after the settle phase so both arms meter the same steady-state window.
 //! Reported: full-priced bytes, accounted wire bytes, the reduction ratio
 //! (full arm's wire bytes over the delta arm's — the nightly gate asserts
-//! ≥5×), delivery latency p50/p99 (the gate asserts the delta arm's p50
+//! ≥2.5×), delivery latency p50/p99 (the gate asserts the delta arm's p50
 //! stays within 10% — savings must not cost latency), final-revision
 //! completeness, and the delta machinery's own counters.
 

@@ -59,6 +59,9 @@ pub struct MessageCache {
     /// `String`. Every hit is confirmed against the cached item's slug.
     latest_by_slug: HashMap<u64, ItemId>,
     highwater: BTreeMap<PublisherId, u64>,
+    /// Lower bound on the arrival time of every cached item: while it is
+    /// younger than `max_age` there is nothing for [`Self::gc`] to scan for.
+    oldest: SimTime,
 }
 
 impl MessageCache {
@@ -69,6 +72,7 @@ impl MessageCache {
             items: BTreeMap::new(),
             latest_by_slug: HashMap::new(),
             highwater: BTreeMap::new(),
+            oldest: SimTime::MAX,
         }
     }
 
@@ -100,6 +104,35 @@ impl MessageCache {
     /// All per-publisher high-water marks (for repair requests).
     pub fn highwaters(&self) -> Vec<(PublisherId, u64)> {
         self.highwater.iter().map(|(&p, &s)| (p, s)).collect()
+    }
+
+    /// The inclusive `(publisher, lo, hi)` runs of cached sequence numbers
+    /// at or past each `(publisher, mark)` — what a repair request declares
+    /// as held, so the responder leaves those items out of its reply. This
+    /// is cache *possession*: a seq the node has merely seen (filtered,
+    /// fused away, purged after a key revocation) is not in a run and stays
+    /// servable. At most `cap` runs; what the cap cuts off is re-offered.
+    pub fn held_runs(
+        &self,
+        marks: &[(PublisherId, u64)],
+        cap: usize,
+    ) -> Vec<(PublisherId, u64, u64)> {
+        let mut runs: Vec<(PublisherId, u64, u64)> = Vec::new();
+        for &(publisher, mark) in marks {
+            let ids = ItemId::new(publisher, mark)..=ItemId::new(publisher, u64::MAX);
+            for (id, _) in self.items.range(ids) {
+                if let Some((_, _, hi)) =
+                    runs.last_mut().filter(|(p, _, hi)| *p == publisher && *hi + 1 == id.seq)
+                {
+                    *hi = id.seq;
+                } else if runs.len() == cap {
+                    return runs;
+                } else {
+                    runs.push((publisher, id.seq, id.seq));
+                }
+            }
+        }
+        runs
     }
 
     /// The latest cached revision of `publisher`'s story `slug`, if any
@@ -177,6 +210,7 @@ impl MessageCache {
         }
         self.latest_by_slug.insert(key, item.id);
         self.items.insert(item.id, (item, now));
+        self.oldest = self.oldest.min(now);
         if self.items.len() > self.policy.max_items {
             // Evict the oldest-received item (one insert grows the cache
             // by at most one).
@@ -216,6 +250,9 @@ impl MessageCache {
     /// Returns how many were collected.
     pub fn gc(&mut self, now: SimTime) -> usize {
         let cutoff = now.as_micros().saturating_sub(self.policy.max_age.as_micros());
+        if self.oldest.as_micros() >= cutoff {
+            return 0;
+        }
         let victims: Vec<ItemId> = self
             .items
             .iter()
@@ -226,6 +263,7 @@ impl MessageCache {
         for v in victims {
             self.remove(v);
         }
+        self.oldest = self.items.values().map(|(_, at)| *at).min().unwrap_or(SimTime::MAX);
         n
     }
 
@@ -326,6 +364,50 @@ mod tests {
         assert_eq!(c.gc(t(120)), 1);
         assert!(!c.contains(ItemId::new(PublisherId(1), 1)));
         assert!(c.contains(ItemId::new(PublisherId(1), 2)));
+    }
+
+    #[test]
+    fn gc_early_out_still_evicts_once_an_item_ages() {
+        let mut c = MessageCache::new(CachePolicy {
+            max_age: SimDuration::from_secs(100),
+            ..Default::default()
+        });
+        c.insert(item(1, 1, "old", 0), t(10));
+        c.insert(item(1, 2, "new", 0), t(90));
+        // Nothing is old enough yet: these ticks return without a scan.
+        assert_eq!(c.gc(t(50)), 0);
+        assert_eq!(c.gc(t(110)), 0, "exactly max_age old is not older than it");
+        assert_eq!(c.gc(t(111)), 1);
+        assert!(!c.contains(ItemId::new(PublisherId(1), 1)));
+        // The bound moved up to the survivor, and an insert cannot raise it.
+        c.insert(item(1, 3, "newest", 0), t(150));
+        assert_eq!(c.gc(t(190)), 0);
+        assert_eq!(c.gc(t(191)), 1);
+        assert_eq!(c.gc(t(251)), 1);
+        assert!(c.is_empty());
+        // An emptied cache starts over.
+        c.insert(item(1, 4, "again", 0), t(300));
+        assert_eq!(c.gc(t(400)), 0);
+        assert_eq!(c.gc(t(401)), 1);
+    }
+
+    #[test]
+    fn held_runs_are_cache_possession_past_each_mark() {
+        let mut c = MessageCache::default();
+        for seq in [3, 4, 5, 7, 9, 10] {
+            c.insert(item(1, seq, &format!("a{seq}"), 0), t(seq));
+        }
+        c.insert(item(2, 0, "b", 0), t(0));
+        // Seq 8 was seen and fused away by seq 11: known, not held.
+        c.insert(item(1, 8, "story", 0), t(8));
+        c.insert(item(1, 11, "story", 1), t(11));
+        let (p1, p2) = (PublisherId(1), PublisherId(2));
+        let marks = [(p1, 4), (p2, 0), (PublisherId(3), 0)];
+        assert_eq!(c.held_runs(&marks, 16), vec![(p1, 4, 5), (p1, 7, 7), (p1, 9, 11), (p2, 0, 0)]);
+        assert_eq!(c.held_runs(&marks, 2), vec![(p1, 4, 5), (p1, 7, 7)], "capped, lowest first");
+        assert!(c.held_runs(&[(p1, 12)], 16).is_empty());
+        c.purge(ItemId::new(p1, 10));
+        assert_eq!(c.held_runs(&[(p1, 9)], 16), vec![(p1, 9, 9), (p1, 11, 11)]);
     }
 
     #[test]

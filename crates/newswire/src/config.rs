@@ -79,7 +79,7 @@ pub struct NewsWireConfig {
     /// Log anti-entropy: piggyback per-publisher article-log digests
     /// (`sys$ae:<publisher>` attributes) on gossip rows and pull missing
     /// sequence ranges from the freshest known peer. Separate from
-    /// `repair_interval` — the margin-backed repair path only re-offers
+    /// `repair_interval` — the margin-backed repair path only reaches
     /// items near the high-water mark, while reconciliation closes
     /// arbitrarily deep holes (e.g. everything missed during a partition).
     pub anti_entropy: bool,

@@ -235,6 +235,11 @@ const MISBEHAVIOR_CONTRADICTION: u32 = 1;
 /// without letting the request itself outgrow the reply it is optimizing.
 const MAX_BASELINES: usize = 256;
 
+/// Most held runs a repair request declares and a responder reads (18 bytes
+/// each). A steady-state window is one run per publisher; revision fusion
+/// punches holes in it, so at most nine runs in the default 17-seq window.
+const MAX_HELD_RUNS: usize = 256;
+
 /// One outstanding reconcile request awaiting its `ReconcileReply`.
 #[derive(Debug)]
 struct PendingReconcile {
@@ -1309,6 +1314,15 @@ impl NewsWireNode {
             self.note_misbehavior(from, MISBEHAVIOR_FORGED);
             return;
         }
+        // Where a recovery item goes: a copy the cache already holds, an
+        // article this node never subscribed to, or (neither) a useful one.
+        if obs::ENABLED {
+            if self.cache.contains(item.id) {
+                obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_HELD, 1);
+            } else if !self.subscription.matches(&item) {
+                obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_UNWANTED, 1);
+            }
+        }
         self.item_sigs.insert(item.id, (key, sig));
         self.handle_delivery(now, item, true);
     }
@@ -1383,9 +1397,7 @@ impl NewsWireNode {
     /// Prices `item` against a candidate baseline and returns the basis
     /// annotation when a delta actually wins — the sender falls back to the
     /// full body (and counts the deferral) when the revisions share too
-    /// little. An equal-or-newer baseline deltas hardest of all: the
-    /// receiver already holds the content, so a re-offer (margin repair,
-    /// reconcile) collapses to chunk references it can satisfy locally.
+    /// little.
     fn price_basis(&self, item: &NewsItem, base_rev: u32, base_len: u32) -> Option<DeltaBasis> {
         let cost = newsml::cdc::delta_cost_memo(
             item.id.publisher,
@@ -1661,6 +1673,33 @@ impl NewsWireNode {
         }
     }
 
+    /// The repair request this node's cache calls for right now.
+    fn repair_request(&self) -> NewsWireMsg {
+        // Back the marks off by a margin so a gap *below* the high-water
+        // mark (a missed item followed by a received one) is inside the
+        // window, and say which seqs of the window the cache holds so the
+        // peer ships only the rest. Two things this must stay: *cache
+        // possession*, not `article_logs` knowledge — `adopt_rotation`
+        // purges cached items but leaves their seqs seen, and the genuine
+        // ones have to come back through this path — and the *margin
+        // window*, not the log's exact gaps: closing deep holes is
+        // reconcile's job, and E14's anti-entropy-off arm (`healing.rs`)
+        // measures what is lost without it.
+        let margin = (self.cfg.repair_batch / 4) as u64;
+        let highwater: Vec<(PublisherId, u64)> = self
+            .cache
+            .highwaters()
+            .into_iter()
+            .map(|(p, hw)| (p, hw.saturating_sub(margin)))
+            .collect();
+        NewsWireMsg::RepairRequest {
+            held: self.cache.held_runs(&highwater, MAX_HELD_RUNS),
+            highwater,
+            want_snapshot: self.cache.is_empty(),
+            baselines: self.request_baselines(None),
+        }
+    }
+
     /// Sends one repair request to `peer` and, when configured, arms the
     /// reply timeout that re-targets a different peer.
     fn send_repair_request(
@@ -1669,25 +1708,8 @@ impl NewsWireNode {
         peer: NodeId,
         retargets: u32,
     ) {
-        // Back the marks off by a margin so gaps *below* the high-water
-        // mark (a missed item followed by a received one) are re-offered;
-        // the cache dedups the overlap.
-        let margin = (self.cfg.repair_batch / 4) as u64;
-        let highwater = self
-            .cache
-            .highwaters()
-            .into_iter()
-            .map(|(p, hw)| (p, hw.saturating_sub(margin)))
-            .collect();
         obs::trace_event!(self.agent.id(), Layer::News, kind::REPAIR_REQUEST, peer.0);
-        ctx.send(
-            peer,
-            NewsWireMsg::RepairRequest {
-                highwater,
-                want_snapshot: self.cache.is_empty(),
-                baselines: self.request_baselines(None),
-            },
-        );
+        ctx.send(peer, self.repair_request());
         if let Some(wait) = self.cfg.repair_reply_timeout {
             if let Some((_, old_timer, _)) = self.awaiting_repair.take() {
                 ctx.cancel_timer(old_timer);
@@ -1695,6 +1717,45 @@ impl NewsWireNode {
             let timer = ctx.set_timer(wait, REPAIR_WAIT_TIMER);
             self.awaiting_repair = Some((peer, timer, retargets));
         }
+    }
+
+    /// What a `RepairRequest` is answered with: one batch of everything
+    /// cached at or past the requester's marks, less what it says it holds.
+    fn repair_reply_items(
+        &self,
+        highwater: &[(PublisherId, u64)],
+        held: &[(PublisherId, u64, u64)],
+        want_snapshot: bool,
+    ) -> Vec<Arc<NewsItem>> {
+        let mut items: Vec<Arc<NewsItem>> = Vec::new();
+        // Everything at or past the requester's (margin-backed) marks…
+        for (publisher, hw) in highwater {
+            items.extend(self.cache.items_from(*publisher, *hw, self.cfg.repair_batch));
+        }
+        // …plus publishers the requester has never heard from.
+        for (publisher, _) in self.cache.highwaters() {
+            if !highwater.iter().any(|(p, _)| *p == publisher) {
+                items.extend(self.cache.items_from(publisher, 0, self.cfg.repair_batch));
+            }
+        }
+        if want_snapshot {
+            items.extend(self.cache.snapshot(self.cfg.repair_batch));
+        }
+        items.sort_by_key(|i| i.id);
+        items.dedup_by_key(|i| i.id);
+        items.truncate(self.cfg.repair_batch);
+        // Held items leave only now: the batch boundary is where it was, so
+        // which *missing* items a request can reach does not depend on what
+        // it declared. The runs are a peer's claim — bounded work, and a
+        // malformed run (`lo > hi`, a stray publisher) withholds nothing
+        // outside itself.
+        items.retain(|i| {
+            let declared = |&(p, lo, hi): &(PublisherId, u64, u64)| {
+                p == i.id.publisher && (lo..=hi).contains(&i.id.seq)
+            };
+            !held.iter().take(MAX_HELD_RUNS).any(declared)
+        });
+        items
     }
 
     /// Publishes the per-publisher log digests into this node's MIB row so
@@ -1734,6 +1795,9 @@ impl NewsWireNode {
         for step in 0..publishers.len() {
             let publisher = publishers[(self.reconcile_cursor + step) % publishers.len()];
             let log = &self.article_logs[&publisher];
+            // One walk of the own log per publisher; each neighbour is then
+            // tested against the result without allocating.
+            let gaps = log.gaps();
             let attr = format!("{AE_ATTR_PREFIX}{}", publisher.0);
             // Leaf neighbours advertising digests that cover holes we have.
             let mut best: Option<(RangeSummary, u32)> = None;
@@ -1751,7 +1815,7 @@ impl NewsWireNode {
                 else {
                     continue;
                 };
-                if !summary.contiguous() || log.missing_given(&summary).is_empty() {
+                if !summary.contiguous() || !log.lacks(&gaps, &summary) {
                     continue;
                 }
                 if self.peer_suspect(peer, now) {
@@ -1766,13 +1830,10 @@ impl NewsWireNode {
                 }
             }
             let (peer, ranges, via_digest) = match best {
-                Some((summary, peer)) => {
-                    (NodeId(peer), self.article_logs[&publisher].missing_given(&summary), true)
-                }
+                Some((summary, peer)) => (NodeId(peer), log.missing_given(&summary), true),
                 None => {
                     // No leaf neighbour is ahead of us. If our own log has
                     // internal gaps, ask across the zone boundary blind.
-                    let gaps = self.article_logs[&publisher].gaps();
                     if gaps.is_empty() {
                         continue;
                     }
@@ -2391,25 +2452,8 @@ impl Node for NewsWireNode {
                 self.delta_makeup(&env.item, env.basis.as_ref());
                 self.handle_delivery(now, Arc::clone(&env.item), false);
             }
-            NewsWireMsg::RepairRequest { highwater, want_snapshot, baselines } => {
-                let mut items: Vec<Arc<NewsItem>> = Vec::new();
-                // Everything at or past the requester's (margin-backed)
-                // marks…
-                for (publisher, hw) in &highwater {
-                    items.extend(self.cache.items_from(*publisher, *hw, self.cfg.repair_batch));
-                }
-                // …plus publishers the requester has never heard from.
-                for (publisher, _) in self.cache.highwaters() {
-                    if !highwater.iter().any(|(p, _)| *p == publisher) {
-                        items.extend(self.cache.items_from(publisher, 0, self.cfg.repair_batch));
-                    }
-                }
-                if want_snapshot {
-                    items.extend(self.cache.snapshot(self.cfg.repair_batch));
-                }
-                items.sort_by_key(|i| i.id);
-                items.dedup_by_key(|i| i.id);
-                items.truncate(self.cfg.repair_batch);
+            NewsWireMsg::RepairRequest { highwater, held, want_snapshot, baselines } => {
+                let items = self.repair_reply_items(&highwater, &held, want_snapshot);
                 if !items.is_empty() {
                     self.stats.repairs_served += 1;
                     self.stats.repair_items_sent += items.len() as u64;
@@ -3175,9 +3219,8 @@ mod tests {
         assert_eq!(signed[0].basis, Some(DeltaBasis { revision: 2, body_len: 6000 }));
         assert!(signed[0].compressed_wire_size() < signed[0].wire_size() / 2);
 
-        // …a requester already on revision 3 deltas hardest of all: the
-        // re-offer collapses to chunk references the receiver satisfies
-        // from its own cache.
+        // …a copy that races a requester already on revision 3 (repair no
+        // longer sends one knowingly) prices as pure chunk references.
         let even = BaselineHint { revision: 3, ..hint };
         let dup = n.sign_items(vec![rev3.clone()], &[even]);
         assert_eq!(dup[0].basis, Some(DeltaBasis { revision: 3, body_len: 6000 }));
@@ -3193,6 +3236,258 @@ mod tests {
         n.cfg.deltas = false;
         assert!(n.request_baselines(None).is_empty());
         assert_eq!(n.sign_items(vec![rev3], &[hint])[0].basis, None, "deltas off: never annotate");
+    }
+
+    /// Two trusted publishers and nodes that know both — the fixture of
+    /// the repair-serving tests. Node ids share one 4-agent layout.
+    struct RepairFleet {
+        registry: Arc<TrustRegistry>,
+        creds: Vec<crate::auth::PublisherCredential>,
+        cfg: NewsWireConfig,
+    }
+
+    impl RepairFleet {
+        fn new(cfg: NewsWireConfig) -> Self {
+            let mut registry = TrustRegistry::new(1);
+            let creds = (0..2u16)
+                .map(|p| {
+                    let name = format!("wire{p}");
+                    let root = astrolabe::ZoneId::root();
+                    crate::auth::issue_publisher(&mut registry, PublisherId(p), &name, &root, 6000)
+                })
+                .collect();
+            RepairFleet { registry: Arc::new(registry), creds, cfg }
+        }
+
+        /// A node subscribed to publisher 0's technology feed only, so
+        /// publisher 1's articles are cached but never delivered.
+        fn node(&self, id: u32) -> NewsWireNode {
+            let layout = ZoneLayout::new(4, 4);
+            let agent = Agent::new(id, &layout, Config::standard(), vec![0]);
+            let mut n = NewsWireNode::new(agent, self.cfg.clone(), Arc::clone(&self.registry));
+            for cred in &self.creds {
+                n.install_publisher_authority(cred.certificate.clone(), cred.attest_epoch(0));
+            }
+            n.set_subscription(tech_sub());
+            n
+        }
+
+        /// Admits `item` the way a verified reply would (signature recorded,
+        /// so the node can serve it onward).
+        fn admit(&self, n: &mut NewsWireNode, item: &NewsItem) {
+            let cred = &self.creds[usize::from(item.id.publisher.0)];
+            let sig = cred.sign(item);
+            let at = SimTime::from_secs(1);
+            n.admit_bare_item(at, item.clone().into(), cred.key_id(), sig, NodeId(9), 2);
+        }
+    }
+
+    /// Revision `rev` of `publisher`'s story `slug`, published as `seq`.
+    fn story(publisher: u16, seq: u64, slug: &str, rev: u32) -> NewsItem {
+        NewsItem::builder(PublisherId(publisher), seq)
+            .slug(slug)
+            .revision(rev, None)
+            .category(Category::Technology)
+            .build()
+    }
+
+    /// The `RepairRequest` serving logic as it stood before requests
+    /// declared what they hold: one sorted, deduplicated, truncated batch of
+    /// everything at or past the marks. Kept as the executable statement of
+    /// what the batch boundary and the re-offer window are.
+    fn reference_repair_reply(
+        n: &NewsWireNode,
+        highwater: &[(PublisherId, u64)],
+        want_snapshot: bool,
+    ) -> Vec<Arc<NewsItem>> {
+        let mut items: Vec<Arc<NewsItem>> = Vec::new();
+        for (publisher, hw) in highwater {
+            items.extend(n.cache.items_from(*publisher, *hw, n.cfg.repair_batch));
+        }
+        for (publisher, _) in n.cache.highwaters() {
+            if !highwater.iter().any(|(p, _)| *p == publisher) {
+                items.extend(n.cache.items_from(publisher, 0, n.cfg.repair_batch));
+            }
+        }
+        if want_snapshot {
+            items.extend(n.cache.snapshot(n.cfg.repair_batch));
+        }
+        items.sort_by_key(|i| i.id);
+        items.dedup_by_key(|i| i.id);
+        items.truncate(n.cfg.repair_batch);
+        items
+    }
+
+    fn seqs_of(items: &[Arc<NewsItem>]) -> Vec<(u16, u64)> {
+        items.iter().map(|i| (i.id.publisher.0, i.id.seq)).collect()
+    }
+
+    #[test]
+    fn repair_reply_leaves_out_exactly_what_the_request_declares_held() {
+        let fleet = RepairFleet::new(NewsWireConfig::tech_news());
+        let mut responder = fleet.node(1);
+        let mut requester = fleet.node(0);
+        for seq in 0..=40 {
+            fleet.admit(&mut responder, &tech_item(seq));
+            if (24..=40).contains(&seq) && seq != 32 {
+                fleet.admit(&mut requester, &tech_item(seq));
+            }
+        }
+        let NewsWireMsg::RepairRequest { highwater, held, want_snapshot, .. } =
+            requester.repair_request()
+        else {
+            panic!("repair_request builds a RepairRequest");
+        };
+        // The margin window is today's (`repair_batch / 4` = 16 below the
+        // mark); what is new is the statement of what sits inside it.
+        assert_eq!(highwater, vec![(PublisherId(0), 24)]);
+        assert_eq!(held, vec![(PublisherId(0), 24, 31), (PublisherId(0), 33, 40)]);
+        assert!(!want_snapshot);
+        let reply = responder.repair_reply_items(&highwater, &held, want_snapshot);
+        assert_eq!(seqs_of(&reply), vec![(0, 32)]);
+        assert_eq!(
+            reference_repair_reply(&responder, &highwater, want_snapshot).len(),
+            17,
+            "the re-offer this replaces"
+        );
+    }
+
+    /// Declared runs are a peer's claim. Inverted, overlapping, unsorted and
+    /// stray runs, a publisher the marks never mention and a list past the
+    /// cap neither panic nor withhold anything outside the runs read.
+    #[test]
+    fn malformed_held_runs_withhold_nothing_outside_themselves() {
+        let fleet = RepairFleet::new(NewsWireConfig::tech_news());
+        let mut responder = fleet.node(1);
+        for seq in 0..=40 {
+            fleet.admit(&mut responder, &tech_item(seq));
+        }
+        for seq in 0..=5 {
+            fleet.admit(&mut responder, &story(1, seq, &format!("p1-{seq}"), 0));
+        }
+        let (p0, p1) = (PublisherId(0), PublisherId(1));
+        let highwater = vec![(p0, 24)];
+        let mut held = vec![
+            (p0, 30, 26), // inverted: empty
+            (p0, 36, 38), // unsorted …
+            (p0, 35, 37), // … and overlapping
+            (p0, 26, 27),
+            (p1, 2, 3),                    // a publisher absent from the marks
+            (PublisherId(9), 0, u64::MAX), // a publisher nobody has
+        ];
+        held.resize(MAX_HELD_RUNS, (PublisherId(7), 0, 0));
+        held.push((p0, 24, 40)); // past the cap: never read
+        let want: Vec<(u16, u64)> = (24..=40)
+            .filter(|s| !matches!(s, 26 | 27 | 35..=38))
+            .map(|s| (0, s))
+            .chain([0, 1, 4, 5].map(|s| (1, s)))
+            .collect();
+        assert_eq!(seqs_of(&responder.repair_reply_items(&highwater, &held, false)), want);
+        // Garbage marks still serve, from wherever they point.
+        let far = vec![(p0, u64::MAX), (p0, 0), (p0, 0)];
+        let served = responder.repair_reply_items(&far, &[(p0, u64::MAX, 0)], true);
+        assert_eq!(served.len(), 47, "41 + 6 distinct items, under the batch of 64");
+    }
+
+    /// A requester that holds everything still gets its (empty) reply — the
+    /// liveness signal `awaiting_repair` waits for — and one that lacks a
+    /// single item gets exactly that item, once.
+    #[test]
+    fn an_up_to_date_requester_still_gets_its_empty_reply() {
+        use simnet::{NetworkModel, Simulation};
+        let cfg = NewsWireConfig { anti_entropy: false, ..NewsWireConfig::tech_news() };
+        let fleet = RepairFleet::new(cfg);
+        let (mut a, mut b) = (fleet.node(0), fleet.node(1));
+        for seq in 0..=40 {
+            fleet.admit(&mut b, &tech_item(seq));
+            if seq != 32 {
+                fleet.admit(&mut a, &tech_item(seq));
+            }
+        }
+        let mut sim = Simulation::new(NetworkModel::ideal(SimDuration::from_millis(10)), 5);
+        let (a, b) = (sim.add_node(a), sim.add_node(b));
+        // Six repair intervals: every request after the first healing one is
+        // answered by an empty reply, and none of them times out.
+        sim.run_until(SimTime::from_secs(60));
+        assert!(sim.node(a).cache.contains(tech_item(32).id), "the hole was repaired");
+        let served =
+            [a, b].map(|n| (sim.node(n).stats.repairs_served, sim.node(n).stats.repair_items_sent));
+        assert_eq!(served, [(0, 0), (1, 1)], "one non-empty reply, one item, nothing re-sent");
+        for n in [a, b] {
+            assert_eq!(sim.node(n).stats.repair_retargets, 0, "no request went unanswered");
+            assert!(sim.node(n).awaiting_repair.is_none());
+        }
+    }
+
+    proptest::proptest! {
+        /// Against the kept reference, for random caches over two publishers
+        /// — holes, fused revisions, a requester ahead of and behind the
+        /// responder, more candidates than a batch — the reply is the
+        /// reference reply minus what the requester's cache contains, and
+        /// absorbing either leaves the requester in the same state.
+        #[test]
+        fn repair_reply_is_the_reference_reply_minus_what_the_requester_holds(
+            feed in proptest::collection::vec(
+                (0u16..2, 0usize..24, proptest::arbitrary::any::<bool>(),
+                 proptest::arbitrary::any::<bool>()),
+                0..120,
+            ),
+            cuts in (0usize..120, 0usize..120),
+        ) {
+            let cfg = NewsWireConfig { repair_batch: 8, ..NewsWireConfig::tech_news() };
+            let fleet = RepairFleet::new(cfg);
+            let mut responder = fleet.node(1);
+            let mut via_reference = fleet.node(0);
+            let mut via_held = fleet.node(0);
+            // One feed in publication order: per-publisher seqs, two dozen
+            // running stories each so later tellings fuse earlier ones away.
+            let mut next_seq = [0u64; 2];
+            let mut revisions = std::collections::HashMap::new();
+            for (at, &(p, slug, to_responder, to_requester)) in feed.iter().enumerate() {
+                let seq = next_seq[usize::from(p)];
+                next_seq[usize::from(p)] += 1;
+                let rev = revisions.entry((p, slug)).or_insert(0u32);
+                let item = story(p, seq, &format!("story-{slug}"), *rev);
+                *rev += 1;
+                if to_responder && at < cuts.0 {
+                    fleet.admit(&mut responder, &item);
+                }
+                if to_requester && at < cuts.1 {
+                    fleet.admit(&mut via_reference, &item);
+                    fleet.admit(&mut via_held, &item);
+                }
+            }
+            let NewsWireMsg::RepairRequest { highwater, held, want_snapshot, baselines } =
+                via_held.repair_request()
+            else {
+                panic!("repair_request builds a RepairRequest");
+            };
+            let reference = reference_repair_reply(&responder, &highwater, want_snapshot);
+            let reply = responder.repair_reply_items(&highwater, &held, want_snapshot);
+            let not_held: Vec<Arc<NewsItem>> = reference
+                .iter()
+                .filter(|i| !via_held.cache.contains(i.id))
+                .cloned()
+                .collect();
+            proptest::prop_assert_eq!(seqs_of(&reply), seqs_of(&not_held));
+
+            let now = SimTime::from_secs(2);
+            for (node, items) in [(&mut via_reference, reference), (&mut via_held, reply)] {
+                for SignedItem { item, key, signature, .. } in responder.sign_items(items, &baselines) {
+                    node.admit_bare_item(now, item, key, signature, NodeId(1), 2);
+                }
+            }
+            let state = |n: &NewsWireNode| {
+                let cached: Vec<ItemId> = n.cache.iter().map(|i| i.id).collect();
+                let logs: Vec<_> = n
+                    .article_logs
+                    .iter()
+                    .map(|(p, log)| (*p, log.summary(), log.gaps()))
+                    .collect();
+                (cached, logs, n.deliveries.clone())
+            };
+            proptest::prop_assert_eq!(state(&via_held), state(&via_reference));
+        }
     }
 
     #[test]

@@ -129,6 +129,10 @@ impl SignedItem {
     }
 }
 
+/// Serialized size of one `held` run of a [`NewsWireMsg::RepairRequest`]:
+/// publisher id + inclusive `lo` + `hi`.
+const HELD_RUN_WIRE_SIZE: usize = 2 + 8 + 8;
+
 /// The globally unique dissemination id of an item.
 pub fn msg_id_of(id: ItemId) -> u64 {
     let mut bytes = [0u8; 10];
@@ -199,10 +203,16 @@ pub enum NewsWireMsg {
         /// The zone whose coverage is acknowledged.
         zone: ZoneId,
     },
-    /// Cache anti-entropy: "what do you have past these marks?"
+    /// Cache anti-entropy: "what do you have past these marks that I do
+    /// not hold?"
     RepairRequest {
         /// Requester's per-publisher high-water marks.
         highwater: Vec<(PublisherId, u64)>,
+        /// Inclusive `(publisher, lo, hi)` runs of sequence numbers at or
+        /// past those marks that sit in the requester's cache; the responder
+        /// leaves them out of its reply. Untrusted: a malformed run only
+        /// fails to withhold.
+        held: Vec<(PublisherId, u64, u64)>,
         /// Set by (re)joining nodes to receive a recent-window snapshot
         /// (the §9 "limited state transfer").
         want_snapshot: bool,
@@ -268,8 +278,10 @@ impl Payload for NewsWireMsg {
             NewsWireMsg::Forward { env, zone } => env.wire_size() + 2 * zone.depth(),
             NewsWireMsg::Deliver { env } => env.wire_size(),
             NewsWireMsg::ForwardAck { zone, .. } => 8 + 2 * zone.depth(),
-            NewsWireMsg::RepairRequest { highwater, baselines, .. } => {
-                1 + highwater.len() * 10 + baselines.len() * BaselineHint::WIRE_SIZE
+            NewsWireMsg::RepairRequest { highwater, held, baselines, .. } => {
+                1 + highwater.len() * 10
+                    + held.len() * HELD_RUN_WIRE_SIZE
+                    + baselines.len() * BaselineHint::WIRE_SIZE
             }
             NewsWireMsg::RepairReply { items } => {
                 items.iter().map(|i| i.wire_size()).sum::<usize>()
@@ -345,9 +357,17 @@ mod tests {
     fn wire_sizes_scale_with_item() {
         let small = NewsWireMsg::RepairRequest {
             highwater: vec![],
+            held: vec![],
             want_snapshot: false,
             baselines: vec![],
         };
+        let declaring = NewsWireMsg::RepairRequest {
+            highwater: vec![(PublisherId(0), 24)],
+            held: vec![(PublisherId(0), 24, 31), (PublisherId(0), 33, 40)],
+            want_snapshot: false,
+            baselines: vec![],
+        };
+        assert_eq!(declaring.wire_size(), small.wire_size() + 10 + 2 * HELD_RUN_WIRE_SIZE);
         let big = NewsWireMsg::RepairReply {
             items: vec![SignedItem {
                 item: Arc::new(NewsItem::builder(PublisherId(0), 0).body_len(5000).build()),

@@ -300,3 +300,32 @@ fn subscription_change_takes_effect_within_tens_of_seconds() {
         "new subscription must route items within tens of seconds"
     );
 }
+
+/// On a lossless network the repair path has almost nothing to say: a
+/// request declares what its cache holds and the reply leaves that out, so
+/// the fleet re-sends a small fraction of what it delivered (it was 3.7×
+/// the delivered volume when every request was answered with the whole
+/// margin window) — and what remains is articles a node never subscribed
+/// to, which anti-entropy still spreads (ROADMAP item 2(b)).
+#[test]
+fn lossless_run_repairs_a_fraction_of_what_it_delivers() {
+    let mut d = tech_news_deployment(80, 9);
+    d.settle(60);
+    let items: Vec<NewsItem> = (0..40).map(tech_item).collect();
+    for (i, item) in items.iter().enumerate() {
+        d.publish(SimTime::from_secs(60 + i as u64), item.clone());
+    }
+    d.settle(70);
+    for item in &items {
+        assert_eq!(d.interested_nodes(item), d.delivered_nodes(item), "item {}", item.id);
+    }
+    let stats = d.total_stats();
+    assert!(stats.delivered > 0, "workload should create interest");
+    assert_eq!(stats.repair_retargets, 0, "every request was answered, the empty ones too");
+    assert!(
+        (stats.repair_items_sent as f64) < 0.2 * stats.delivered as f64,
+        "{} repair items for {} deliveries",
+        stats.repair_items_sent,
+        stats.delivered
+    );
+}

@@ -9,7 +9,7 @@
 use std::collections::{BTreeSet, HashSet};
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
-use newswire::{check_invariants, DeploymentBuilder, NewsWireConfig, PublisherSpec};
+use newswire::{check_invariants, DeploymentBuilder, NewsWireConfig, NewsWireMsg, PublisherSpec};
 use rand::Rng;
 use simnet::{
     fork, ChurnSpec, CollusionScript, CollusionSpec, FaultCounters, FaultPlan, ForgeSpec,
@@ -302,6 +302,31 @@ fn trust_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     (fingerprint, counters)
 }
 
+/// Garbage from outside the membership, through the fault era: repair
+/// requests whose declared `held` runs are inverted, overlapping, unsorted,
+/// about publishers nobody has, and up to twice the cap a responder reads.
+/// The responder must shrug them off — no panic, no invariant moved (its
+/// reply goes nowhere).
+fn garbage_repair_requests(d: &mut newswire::Deployment, seed: u64) {
+    let mut rng = fork(seed, 0x6A);
+    for k in 0..16u64 {
+        let runs = rng.gen_range(0..512);
+        let held = (0..runs)
+            .map(|_| (PublisherId(rng.gen_range(0..3)), rng.gen_range(0..16), rng.gen_range(0..16)))
+            .collect();
+        d.sim.schedule_external(
+            SimTime::from_secs(95 + 3 * k),
+            NodeId(rng.gen_range(1..N)),
+            NewsWireMsg::RepairRequest {
+                highwater: vec![(PublisherId(rng.gen_range(0..3)), rng.gen_range(0..16))],
+                held,
+                want_snapshot: rng.gen(),
+                baselines: vec![],
+            },
+        );
+    }
+}
+
 /// One full chaos run. Returns a fingerprint of every application delivery
 /// `(node, msg_id, delivered_us)` plus the engine's fault counters, so
 /// replays can be compared bit-for-bit.
@@ -318,6 +343,7 @@ fn fuzz_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
 
     let plan = plan_for(seed);
     d.sim.apply_fault_plan(&plan);
+    garbage_repair_requests(&mut d, seed);
 
     let items: Vec<NewsItem> = (0..12u64)
         .map(|s| {

@@ -238,6 +238,11 @@ pub mod ctr {
         NW_RETRO_PURGED_ITEMS = 90, "retro_purged_items";
         /// Identities first held in the bounded probation set.
         NW_PROBATION_HOLDS = 91, "probation_holds";
+        // -- newswire: where recovery (repair / reconcile reply) items go --
+        /// Recovery items that arrived already cached at the receiver.
+        NW_RECOVERY_HELD = 92, "nw_recovery_held";
+        /// Recovery items not cached but outside the receiver's subscription.
+        NW_RECOVERY_UNWANTED = 93, "nw_recovery_unwanted";
     }
 }
 
@@ -422,6 +427,9 @@ impl MetricSet {
     #[inline]
     fn slot(v: &mut Vec<u64>, i: usize) -> &mut u64 {
         if i >= v.len() {
+            // Exact growth: a set is as long as its highest touched slot,
+            // not the next power of two (there is one set per node).
+            v.reserve_exact(i + 1 - v.len());
             v.resize(i + 1, 0);
         }
         &mut v[i]
@@ -619,6 +627,8 @@ mod tests {
         assert_eq!(s.counter_name(ctr::NW_REVOKED_KEY_REJECTS), "revoked_key_rejects");
         assert_eq!(s.counter_name(ctr::NW_RETRO_PURGED_ITEMS), "retro_purged_items");
         assert_eq!(s.counter_name(ctr::NW_PROBATION_HOLDS), "probation_holds");
+        assert_eq!(s.counter_name(ctr::NW_RECOVERY_HELD), "nw_recovery_held");
+        assert_eq!(s.counter_name(ctr::NW_RECOVERY_UNWANTED), "nw_recovery_unwanted");
         assert_eq!(s.gauge_name(gauge::ASTRO_ROWS_HELD), "astro_rows_held");
         assert_eq!(s.hist_def(hist::GOSSIP_DIGEST_BYTES).name, "gossip_digest_bytes");
         assert_eq!(s.series_name(series::DELIVERY_LATENCY_US), "delivery_latency_us");

@@ -10,6 +10,7 @@
 
 use newsml::{Category, NewsItem, PublisherId};
 use newswire::tech_news_deployment;
+use obs::ctr;
 use simnet::SimTime;
 
 fn main() {
@@ -26,8 +27,24 @@ fn main() {
     }
     deployment.settle(25);
 
+    // Where the run's recovery items went, read before the drain resets it.
+    let (repaired, held, unwanted) = {
+        let hub = deployment.sim.telemetry();
+        let hub = hub.borrow();
+        let sent = hub.counter_total(ctr::NW_REPAIR_ITEMS_SENT)
+            + hub.counter_total(ctr::NW_RECONCILE_ITEMS_SENT);
+        (
+            sent,
+            hub.counter_total(ctr::NW_RECOVERY_HELD),
+            hub.counter_total(ctr::NW_RECOVERY_UNWANTED),
+        )
+    };
     let telemetry = deployment.sim.drain_telemetry();
     println!("{}", telemetry.to_json());
+    eprintln!(
+        "--- summary: {repaired} recovery items sent, {held} already held, \
+         {unwanted} outside the receiver's subscription ---"
+    );
     eprintln!("--- trace events (CSV, stderr) ---");
     eprint!("{}", telemetry.events_csv());
 }

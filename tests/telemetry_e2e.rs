@@ -65,6 +65,32 @@ fn registry_counters_match_node_stats() {
     }
 }
 
+/// The two recovery-item counters are appended after every slot a contract
+/// metric reads (none of those moved), and they classify what the recovery
+/// paths actually carried: nothing is counted that was not sent.
+#[test]
+#[cfg(feature = "obs")]
+fn recovery_item_counters_append_after_the_existing_slots() {
+    use obs::ctr;
+    assert_eq!(
+        (ctr::NW_PROBATION_HOLDS.0, ctr::NW_RECOVERY_HELD.0, ctr::NW_RECOVERY_UNWANTED.0),
+        (91, 92, 93)
+    );
+    assert_eq!(ctr::NAMES.len(), 94);
+    let d = sample_run(0x0B7);
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    let sent = hub.counter_total(ctr::NW_REPAIR_ITEMS_SENT)
+        + hub.counter_total(ctr::NW_RECONCILE_ITEMS_SENT);
+    let (held, unwanted) =
+        (hub.counter_total(ctr::NW_RECOVERY_HELD), hub.counter_total(ctr::NW_RECOVERY_UNWANTED));
+    // Anti-entropy spreads every article to nodes that never subscribed to
+    // it (ROADMAP item 2(b)); a lossless run re-sends next to nothing held.
+    assert!(unwanted > 0, "workload sanity: someone was sent an article it never wanted");
+    assert!(held + unwanted <= sent, "{held} + {unwanted} classified of {sent} sent");
+    assert!(held * 10 <= sent, "{held} of {sent} recovery items were already held");
+}
+
 /// Two runs with the same seed drain byte-identical telemetry JSON and
 /// trace CSV. This is the exact property the CI telemetry-determinism gate
 /// checks; it must hold whether or not `obs` is enabled (obs-off drains an
