@@ -240,6 +240,22 @@ const MAX_BASELINES: usize = 256;
 /// punches holes in it, so at most nine runs in the default 17-seq window.
 const MAX_HELD_RUNS: usize = 256;
 
+/// Ids a representative remembers per leaf member and sends as a
+/// `Deliver`'s `prev` — how many consecutive final-hop losses on one link
+/// the next `Deliver` still reveals.
+const CHAIN_LEN: usize = 3;
+
+/// Most gap suspects a node tracks at once; further ones are left to
+/// reconcile.
+const MAX_GAP_SUSPECTS: usize = 64;
+
+/// Most ids one named pull asks for, and most a responder serves.
+const MAX_PULL_IDS: usize = 8;
+
+/// How long a gap stays a suspect. Past this the sender's cache has likely
+/// fused or evicted it, and gossip-paced reconcile owns the hole.
+const GAP_SUSPECT_TTL: SimDuration = SimDuration::from_secs(10);
+
 /// One outstanding reconcile request awaiting its `ReconcileReply`.
 #[derive(Debug)]
 struct PendingReconcile {
@@ -268,16 +284,96 @@ struct PendingHandoff {
     /// Alternative representatives already consumed.
     failovers: u32,
     timer: TimerId,
+    /// When the first transmission hit the wire.
+    armed_at: SimTime,
+}
+
+impl PendingHandoff {
+    /// Karn's rule: only the ack of a hand-off sent once, to the peer now
+    /// answering, times a round trip — after a retry or a failover the ack
+    /// could belong to either transmission.
+    fn times_round_trip(&self, acked_by: u32) -> bool {
+        self.rep == acked_by && self.attempt == 0 && self.failovers == 0
+    }
+}
+
+/// The last [`CHAIN_LEN`] items a leaf representative handed one member,
+/// oldest first.
+#[derive(Debug)]
+struct LinkChain {
+    member: u32,
+    ids: Vec<ItemId>,
+}
+
+/// An item a `Deliver`'s `prev` named that this node has never seen:
+/// reordered until the link's reorder window says lost.
+#[derive(Debug)]
+struct GapSuspect {
+    id: ItemId,
+    /// The representative whose chain revealed it — and who is asked.
+    from: u32,
+    since: SimTime,
+    /// When the reorder window — or, after a pull, the wait for its answer
+    /// — is over.
+    next_pull: SimTime,
+    /// True once pulled.
+    asked: bool,
+}
+
+/// Round-trip evidence about one peer: the slowest exchange timed, how many
+/// were, and how many hand-offs have timed out since the last one.
+#[derive(Debug, Clone, Copy, Default)]
+struct RttPeak {
+    peak_us: u32,
+    samples: u16,
+    timeouts: u8,
+}
+
+impl RttPeak {
+    fn note(&mut self, rtt: SimDuration) {
+        let us = u32::try_from(rtt.as_micros()).unwrap_or(u32::MAX);
+        self.peak_us = self.peak_us.max(us);
+        self.samples = self.samples.saturating_add(1);
+        self.timeouts = 0;
+    }
+
+    /// A hand-off to the peer went unacknowledged. Until an exchange with
+    /// it is timed again the bound stays backed off (the other half of
+    /// Karn's algorithm): a peer that has stopped answering — crashed, cut
+    /// off — is not hammered at the pace of its healthy round trip.
+    fn note_timeout(&mut self) {
+        self.timeouts = self.timeouts.saturating_add(1);
+    }
+
+    /// A bound the next round trip should not exceed: the peak times a
+    /// safety factor that starts at 5 — a lone sample may be the path's
+    /// *fastest* round trip, and a WAN leg's slowest delay is several times
+    /// its fastest — and tightens by one per four samples to 2, doubled per
+    /// timeout since the last sample. The peak never decays: a path that
+    /// was once slow keeps its long leash. `None` before any sample.
+    fn bound(self) -> Option<SimDuration> {
+        if self.samples == 0 {
+            return None;
+        }
+        let factor = 5u64.saturating_sub(u64::from(self.samples / 4)).max(2);
+        let backed_off = 1u64.checked_shl(u32::from(self.timeouts)).unwrap_or(u64::MAX);
+        Some(SimDuration::from_micros(
+            (u64::from(self.peak_us) * factor).saturating_mul(backed_off),
+        ))
+    }
 }
 
 /// Phi-accrual detectors over the peers a node has heard from. A peer takes
 /// the next free slot of the one [`PhiBank`] on its first message and keeps
 /// it; forgetting a peer clears the slot, so an unobserved and a forgotten
-/// peer read alike: unknown, not suspect.
+/// peer read alike: unknown, not suspect. The slot also keeps what round
+/// trips to the peer have measured.
 #[derive(Debug)]
 struct PeerHealth {
     slot_of: HashMap<u32, u32>,
     bank: PhiBank,
+    /// Indexed by slot, one entry per `slot_of` key.
+    rtt: Vec<RttPeak>,
 }
 
 impl PeerHealth {
@@ -292,14 +388,33 @@ impl PeerHealth {
             first_interval: gossip.checked_mul(2).unwrap_or(gossip),
             min_stddev: gossip,
         });
-        PeerHealth { slot_of: HashMap::new(), bank }
+        PeerHealth { slot_of: HashMap::new(), bank, rtt: Vec::new() }
     }
 
-    fn heartbeat(&mut self, peer: u32, now: SimTime) {
+    /// Records a heartbeat and returns the peer's slot.
+    fn heartbeat(&mut self, peer: u32, now: SimTime) -> usize {
         // Keys are distinct `u32`s, so the count of them fits one.
         let next = self.slot_of.len() as u32;
-        let slot = *self.slot_of.entry(peer).or_insert(next);
-        self.bank.heartbeat(slot as usize, now);
+        let slot = *self.slot_of.entry(peer).or_insert(next) as usize;
+        if slot == self.rtt.len() {
+            self.rtt.push(RttPeak::default());
+        }
+        self.bank.heartbeat(slot, now);
+        slot
+    }
+
+    fn note_rtt(&mut self, slot: usize, rtt: SimDuration) {
+        self.rtt[slot].note(rtt);
+    }
+
+    fn note_timeout(&mut self, peer: u32) {
+        if let Some(&slot) = self.slot_of.get(&peer) {
+            self.rtt[slot as usize].note_timeout();
+        }
+    }
+
+    fn rtt_bound(&self, peer: u32) -> Option<SimDuration> {
+        self.slot_of.get(&peer).and_then(|&slot| self.rtt[slot as usize].bound())
     }
 
     fn is_suspect(&self, peer: u32, now: SimTime) -> bool {
@@ -309,12 +424,14 @@ impl PeerHealth {
     fn remove(&mut self, peer: u32) {
         if let Some(&slot) = self.slot_of.get(&peer) {
             self.bank.clear(slot as usize);
+            self.rtt[slot as usize] = RttPeak::default();
         }
     }
 
     fn clear(&mut self) {
         self.slot_of.clear();
         self.bank.clear_all();
+        self.rtt.clear();
     }
 }
 
@@ -350,6 +467,16 @@ pub struct NewsWireNode {
     /// Hand-off ids pending per `(msg_id, zone)`: one ack settles them all.
     ack_index: HashMap<(u64, ZoneId), Vec<u64>>,
     next_handoff: u64,
+    /// The `Digest`s of the latest gossip tick still awaiting their
+    /// `DigestReply`: `(peer, sent)`. Each reply times one round trip; at
+    /// most one entry per table level plus two.
+    digest_probes: Vec<(u32, SimTime)>,
+    /// Per-link delivery chains, one per leaf member this node has
+    /// delivered to; at most `branching` entries of [`CHAIN_LEN`] ids.
+    delivery_chains: Vec<LinkChain>,
+    /// Missed-`Deliver` suspects awaiting their reorder window or their
+    /// pull's answer; at most [`MAX_GAP_SUSPECTS`].
+    gap_suspects: Vec<GapSuspect>,
     /// Outstanding repair request: `(peer, reply timer, retargets so far)`.
     awaiting_repair: Option<(NodeId, TimerId, u32)>,
     /// Per-publisher article logs: which sequence numbers this node has
@@ -449,6 +576,9 @@ impl NewsWireNode {
             pending: HashMap::new(),
             ack_index: HashMap::new(),
             next_handoff: 0,
+            digest_probes: Vec::new(),
+            delivery_chains: Vec::new(),
+            gap_suspects: Vec::new(),
             awaiting_repair: None,
             article_logs: BTreeMap::new(),
             peer_health,
@@ -882,11 +1012,19 @@ impl NewsWireNode {
             .insert(id.seq, ());
     }
 
-    /// Any message from `from` is a heartbeat for its phi detector.
-    fn note_alive(&mut self, from: NodeId, now: SimTime) {
-        if from != NodeId::EXTERNAL {
-            self.peer_health.heartbeat(from.0, now);
-        }
+    /// Any message from `from` is a heartbeat for its phi detector. Returns
+    /// the peer's health slot, so a handler that times a round trip need
+    /// not look it up again.
+    fn note_alive(&mut self, from: NodeId, now: SimTime) -> Option<usize> {
+        (from != NodeId::EXTERNAL).then(|| self.peer_health.heartbeat(from.0, now))
+    }
+
+    /// What a round trip to `peer` is bounded by: measured (see
+    /// [`RttPeak::bound`]) and never above the configured ceiling, which is
+    /// also the answer before any exchange with `peer` has been timed.
+    fn round_trip_bound(&self, peer: u32) -> SimDuration {
+        let ceiling = self.cfg.ack_timeout.unwrap_or(self.agent.config().gossip_interval);
+        self.peer_health.rtt_bound(peer).map_or(ceiling, |bound| bound.min(ceiling))
     }
 
     /// True when the phi detector suspects `peer` — or the misbehavior
@@ -1055,12 +1193,134 @@ impl NewsWireNode {
         }
     }
 
+    /// Appends `id` to `member`'s delivery chain and returns what the chain
+    /// held before it — the `prev` of the `Deliver` about to carry `id`.
+    fn chain_advance(&mut self, member: u32, id: ItemId) -> Vec<ItemId> {
+        let at = match self.delivery_chains.iter().position(|c| c.member == member) {
+            Some(at) => at,
+            None => {
+                // A leaf zone has `branching` slots; a member beyond that
+                // replaced one that left.
+                if self.delivery_chains.len() >= usize::from(self.agent.config().branching) {
+                    self.delivery_chains.remove(0);
+                }
+                self.delivery_chains.push(LinkChain { member, ids: Vec::with_capacity(CHAIN_LEN) });
+                self.delivery_chains.len() - 1
+            }
+        };
+        let ids = &mut self.delivery_chains[at].ids;
+        let prev = ids.clone();
+        if ids.len() == CHAIN_LEN {
+            ids.remove(0);
+        }
+        ids.push(id);
+        prev
+    }
+
+    /// True when `id` is in the article log — delivered, cached, filtered
+    /// or settled, but not a hole.
+    fn seen(&self, id: ItemId) -> bool {
+        self.article_logs.get(&id.publisher).is_some_and(|log| log.contains(id.seq))
+    }
+
+    /// Reads the `prev` chain of a `Deliver` from `from`: every id this
+    /// node has never seen becomes a suspect. Reordering is not loss — WAN
+    /// jitter and the sender's priority queues let `Deliver` n+1 overtake n
+    /// — so nothing is pulled here; [`Self::sweep_gap_suspects`] does that
+    /// once the reorder window has passed. `prev` is the sender's claim:
+    /// only [`CHAIN_LEN`] ids are read and the list is capped.
+    fn note_gap_suspects(&mut self, from: NodeId, prev: &[ItemId], now: SimTime) {
+        for &id in prev.iter().take(CHAIN_LEN) {
+            if self.gap_suspects.len() >= MAX_GAP_SUSPECTS {
+                return;
+            }
+            if !self.seen(id) && !self.gap_suspects.iter().any(|s| s.id == id) {
+                let next_pull = now + self.round_trip_bound(from.0);
+                self.gap_suspects.push(GapSuspect {
+                    id,
+                    from: from.0,
+                    since: now,
+                    next_pull,
+                    asked: false,
+                });
+            }
+        }
+    }
+
+    /// Settles the suspect list: forgets what has since arrived, what is
+    /// older than [`GAP_SUSPECT_TTL`] and what a quarantined peer named,
+    /// then pulls by name — from the representative that revealed it —
+    /// every suspect still unseen one round-trip bound after it was noticed
+    /// (the reorder window), and again no sooner than two windows after the
+    /// last pull (the request or its reply may itself be lost).
+    fn sweep_gap_suspects(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
+        if self.gap_suspects.is_empty() {
+            return;
+        }
+        let now = ctx.now();
+        let mut suspects = std::mem::take(&mut self.gap_suspects);
+        suspects.retain(|s| {
+            !self.seen(s.id)
+                && now.saturating_since(s.since) < GAP_SUSPECT_TTL
+                && !self.quarantined(s.from)
+        });
+        while let Some(rep) = suspects.iter().find(|s| now >= s.next_pull).map(|s| s.from) {
+            let window = self.round_trip_bound(rep);
+            let mut ids = Vec::new();
+            for s in suspects.iter_mut() {
+                if ids.len() < MAX_PULL_IDS && s.from == rep && now >= s.next_pull {
+                    s.asked = true;
+                    s.next_pull = now + window + window;
+                    ids.push(s.id);
+                    obs::trace_event!(
+                        self.agent.id(),
+                        Layer::News,
+                        kind::GAP_PULL,
+                        msg_id_of(s.id),
+                        rep
+                    );
+                }
+            }
+            obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULLS, 1);
+            ctx.send(
+                NodeId(rep),
+                NewsWireMsg::RepairRequest {
+                    highwater: Vec::new(),
+                    held: Vec::new(),
+                    want_snapshot: false,
+                    baselines: Vec::new(),
+                    ids,
+                },
+            );
+        }
+        self.gap_suspects = suspects;
+    }
+
+    /// True when a `RepairReply` from `from` answers a named pull rather
+    /// than the periodic probe: it is non-empty (a named pull that finds
+    /// nothing is not answered) and every item in it was asked of `from` by
+    /// name.
+    fn answers_gap_pull(&self, from: NodeId, items: &[SignedItem]) -> bool {
+        !items.is_empty()
+            && items.iter().all(|i| {
+                self.gap_suspects.iter().any(|s| s.id == i.item.id && s.from == from.0 && s.asked)
+            })
+    }
+
+    /// What a named pull is answered with: the first [`MAX_PULL_IDS`] of
+    /// `ids` this cache still holds. The ids are a peer's claim — bounded
+    /// work, and an id not held (fused away, evicted, never existed) is
+    /// ignored.
+    fn named_pull_items(&self, ids: &[ItemId]) -> Vec<Arc<NewsItem>> {
+        ids.iter().take(MAX_PULL_IDS).filter_map(|&id| self.cache.get(id).cloned()).collect()
+    }
+
     fn enqueue(&mut self, ctx: &mut Context<'_, NewsWireMsg>, dst: NodeId, msg: NewsWireMsg) {
         let (child, priority) = match &msg {
             NewsWireMsg::Forward { zone, env } => {
                 (zone.label().unwrap_or(0), env.item.urgency.level())
             }
-            NewsWireMsg::Deliver { env } => ((dst.0 % 64) as u16, env.item.urgency.level()),
+            NewsWireMsg::Deliver { env, .. } => ((dst.0 % 64) as u16, env.item.urgency.level()),
             _ => (0, 5),
         };
         self.queues.push(child, ctx.now().as_micros(), priority, (dst, msg));
@@ -1114,10 +1374,11 @@ impl NewsWireNode {
                         peer: Some(member),
                         event: ForwardEvent::Delivered,
                     });
+                    let prev = self.chain_advance(member, env.item.id);
                     self.enqueue(
                         ctx,
                         NodeId(member),
-                        NewsWireMsg::Deliver { env: Arc::clone(&env) },
+                        NewsWireMsg::Deliver { env: Arc::clone(&env), prev },
                     );
                 }
                 Action::Forward { rep, zone } => {
@@ -1512,42 +1773,50 @@ impl NewsWireNode {
         candidates.as_slice().choose(rng).map(|&p| NodeId(p))
     }
 
-    /// Registers an acknowledged hand-off of `env`/`zone` to `rep` and arms
-    /// its timeout (exponential in `attempt`). The hand-off id doubles as
-    /// the timer tag (offset by [`ACK_TAG_BASE`]).
-    #[allow(clippy::too_many_arguments)]
+    /// How long a hand-off to `rep` waits for its ack: what a round trip to
+    /// `rep` is bounded by — measured, `cfg.ack_timeout` at most — backed
+    /// off exponentially in the timeouts already burned against `rep`.
+    fn handoff_delay(&self, rep: u32, attempt: u32) -> SimDuration {
+        let timeout = self.round_trip_bound(rep);
+        let factor = u64::from(self.cfg.ack_backoff.max(1)).pow(attempt);
+        timeout.checked_mul(factor).unwrap_or(timeout)
+    }
+
+    /// Registers an acknowledged hand-off of `env`/`zone` to `rep`, sent
+    /// now, and arms its timeout. The hand-off id doubles as the timer tag
+    /// (offset by [`ACK_TAG_BASE`]).
     fn arm_handoff(
         &mut self,
         ctx: &mut Context<'_, NewsWireMsg>,
-        timeout: SimDuration,
         rep: u32,
         env: Arc<Envelope>,
         zone: ZoneId,
-        tried: Vec<u32>,
-        attempt: u32,
-        failovers: u32,
     ) {
         self.next_handoff += 1;
         let tag = ACK_TAG_BASE + self.next_handoff;
-        let factor = u64::from(self.cfg.ack_backoff.max(1)).pow(attempt);
-        let delay = timeout.checked_mul(factor).unwrap_or(timeout);
-        let timer = ctx.set_timer(delay, tag);
+        let timer = ctx.set_timer(self.handoff_delay(rep, 0), tag);
         self.ack_index.entry((env.msg_id, zone.clone())).or_default().push(tag);
-        self.pending
-            .insert(tag, PendingHandoff { env, zone, rep, tried, attempt, failovers, timer });
+        let handoff = PendingHandoff {
+            env,
+            zone,
+            rep,
+            tried: vec![rep],
+            attempt: 0,
+            failovers: 0,
+            timer,
+            armed_at: ctx.now(),
+        };
+        self.pending.insert(tag, handoff);
     }
 
     /// Re-arms an existing hand-off under the same tag after a timeout.
     fn rearm_handoff(
         &mut self,
         ctx: &mut Context<'_, NewsWireMsg>,
-        timeout: SimDuration,
         tag: u64,
         mut handoff: PendingHandoff,
     ) {
-        let factor = u64::from(self.cfg.ack_backoff.max(1)).pow(handoff.attempt);
-        let delay = timeout.checked_mul(factor).unwrap_or(timeout);
-        handoff.timer = ctx.set_timer(delay, tag);
+        handoff.timer = ctx.set_timer(self.handoff_delay(handoff.rep, handoff.attempt), tag);
         self.pending.insert(tag, handoff);
     }
 
@@ -1565,12 +1834,12 @@ impl NewsWireNode {
     /// representative with backoff, then fail over to an untried one from
     /// the zone tables, then abandon the hand-off to anti-entropy repair.
     fn handle_ack_timeout(&mut self, ctx: &mut Context<'_, NewsWireMsg>, tag: u64) {
-        let Some(timeout) = self.cfg.ack_timeout else { return };
         let Some(mut handoff) = self.pending.remove(&tag) else {
             return; // acknowledged (or abandoned) before the timer fired
         };
         let now = ctx.now();
         let now_us = now.as_micros();
+        self.peer_health.note_timeout(handoff.rep);
         // Phi-accrual shortcut: when the detector already suspects the
         // current representative, burning the remaining same-rep retries is
         // wasted time — fail over immediately.
@@ -1605,7 +1874,7 @@ impl NewsWireNode {
                 NodeId(handoff.rep),
                 NewsWireMsg::Forward { env: Arc::clone(&handoff.env), zone: handoff.zone.clone() },
             );
-            self.rearm_handoff(ctx, timeout, tag, handoff);
+            self.rearm_handoff(ctx, tag, handoff);
             return;
         }
         // Retries exhausted: fail over to a representative not yet tried.
@@ -1649,7 +1918,7 @@ impl NewsWireNode {
                         zone: handoff.zone.clone(),
                     },
                 );
-                self.rearm_handoff(ctx, timeout, tag, handoff);
+                self.rearm_handoff(ctx, tag, handoff);
             }
             None => {
                 self.stats.handoffs_abandoned += 1;
@@ -1697,6 +1966,7 @@ impl NewsWireNode {
             highwater,
             want_snapshot: self.cache.is_empty(),
             baselines: self.request_baselines(None),
+            ids: Vec::new(),
         }
     }
 
@@ -2330,10 +2600,21 @@ impl Node for NewsWireNode {
 
     fn on_message(&mut self, ctx: &mut Context<'_, NewsWireMsg>, from: NodeId, msg: NewsWireMsg) {
         self.clock = ctx.now();
-        self.note_alive(from, ctx.now());
+        // No timer wakes a suspect whose reorder window has passed; the
+        // next arrival of any kind does (and the gossip tick).
+        self.sweep_gap_suspects(ctx);
+        let slot = self.note_alive(from, ctx.now());
         match msg {
             NewsWireMsg::Gossip { g, rot } => {
                 let now = ctx.now();
+                // A `DigestReply` closes the exchange this node's `Digest`
+                // opened: one timed round trip to `from`.
+                if let (Some(slot), GossipMsg::DigestReply { .. }) = (slot, &g) {
+                    if let Some(at) = self.digest_probes.iter().position(|&(p, _)| p == from.0) {
+                        let (_, sent) = self.digest_probes.swap_remove(at);
+                        self.peer_health.note_rtt(slot, now.saturating_since(sent));
+                    }
+                }
                 // Rider first, then row attributes: a revocation arriving
                 // with this very exchange fences its rows' attestations in
                 // the same round.
@@ -2433,11 +2714,15 @@ impl Node for NewsWireNode {
                     for tag in tags {
                         if let Some(h) = self.pending.remove(&tag) {
                             ctx.cancel_timer(h.timer);
+                            if let Some(slot) = slot.filter(|_| h.times_round_trip(from.0)) {
+                                let rtt = ctx.now().saturating_since(h.armed_at);
+                                self.peer_health.note_rtt(slot, rtt);
+                            }
                         }
                     }
                 }
             }
-            NewsWireMsg::Deliver { env } => {
+            NewsWireMsg::Deliver { env, prev } => {
                 if self.envelope_fenced(&env) {
                     return;
                 }
@@ -2451,9 +2736,20 @@ impl Node for NewsWireNode {
                 let now = ctx.now();
                 self.delta_makeup(&env.item, env.basis.as_ref());
                 self.handle_delivery(now, Arc::clone(&env.item), false);
+                self.note_gap_suspects(from, &prev, now);
             }
-            NewsWireMsg::RepairRequest { highwater, held, want_snapshot, baselines } => {
-                let items = self.repair_reply_items(&highwater, &held, want_snapshot);
+            NewsWireMsg::RepairRequest { highwater, held, want_snapshot, baselines, ids } => {
+                let items = if ids.is_empty() {
+                    self.repair_reply_items(&highwater, &held, want_snapshot)
+                } else {
+                    // A named pull; one that finds nothing is not answered.
+                    let items = self.named_pull_items(&ids);
+                    if items.is_empty() {
+                        return;
+                    }
+                    obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULL_ITEMS, items.len());
+                    items
+                };
                 if !items.is_empty() {
                     self.stats.repairs_served += 1;
                     self.stats.repair_items_sent += items.len() as u64;
@@ -2475,7 +2771,9 @@ impl Node for NewsWireNode {
             }
             NewsWireMsg::RepairReply { items } => {
                 if let Some((peer, timer, _)) = self.awaiting_repair {
-                    if peer == from {
+                    // Only the margin request's reply ends the wait; a
+                    // named pull's answer from the same peer does not.
+                    if peer == from && !self.answers_gap_pull(from, &items) {
                         ctx.cancel_timer(timer);
                         self.awaiting_repair = None;
                     }
@@ -2512,10 +2810,15 @@ impl Node for NewsWireNode {
                 }
                 self.publish_ae_digests();
                 let out = self.agent.on_tick(now, ctx.rng());
+                self.digest_probes.clear();
                 for (to, g) in out {
+                    if matches!(g, GossipMsg::Digest { .. }) {
+                        self.digest_probes.push((to, now));
+                    }
                     let msg = self.gossip_msg(g);
                     ctx.send(NodeId(to), msg);
                 }
+                self.sweep_gap_suspects(ctx);
                 if self.cache.gc(now) > 0 {
                     // Signatures of evicted items are dead weight.
                     let cache = &self.cache;
@@ -2535,26 +2838,18 @@ impl Node for NewsWireNode {
                     // Tree hand-offs become *acknowledged* at the moment
                     // they hit the wire: arm the per-hand-off timeout that
                     // drives retry/backoff/failover.
-                    if let (Some(timeout), NewsWireMsg::Forward { env, zone }) =
-                        (self.cfg.ack_timeout, &msg)
-                    {
-                        obs::trace_event!(
-                            self.agent.id(),
-                            Layer::News,
-                            kind::HANDOFF_ARM,
-                            env.msg_id,
-                            dst.0
-                        );
-                        self.arm_handoff(
-                            ctx,
-                            timeout,
-                            dst.0,
-                            Arc::clone(env),
-                            zone.clone(),
-                            vec![dst.0],
-                            0,
-                            0,
-                        );
+                    match &msg {
+                        NewsWireMsg::Forward { env, zone } if self.cfg.ack_timeout.is_some() => {
+                            obs::trace_event!(
+                                self.agent.id(),
+                                Layer::News,
+                                kind::HANDOFF_ARM,
+                                env.msg_id,
+                                dst.0
+                            );
+                            self.arm_handoff(ctx, dst.0, Arc::clone(env), zone.clone());
+                        }
+                        _ => {}
                     }
                     ctx.send(dst, msg);
                     self.stats.forwards_sent += 1;
@@ -2647,6 +2942,9 @@ impl Node for NewsWireNode {
         self.draining = false;
         self.pending.clear();
         self.ack_index.clear();
+        self.digest_probes.clear();
+        self.delivery_chains.clear();
+        self.gap_suspects.clear();
         self.awaiting_repair = None;
         self.article_logs.clear();
         self.peer_health.clear();
@@ -2677,6 +2975,9 @@ impl Node for NewsWireNode {
         self.draining = false;
         self.pending.clear();
         self.ack_index.clear();
+        self.digest_probes.clear();
+        self.delivery_chains.clear();
+        self.gap_suspects.clear();
         self.awaiting_repair = None;
         self.article_logs.clear();
         self.peer_health.clear();
@@ -3102,13 +3403,13 @@ mod tests {
         NewsWireNode::new(agent, cfg, Arc::new(TrustRegistry::new(1)))
     }
 
-    fn tech_sub() -> Subscription {
+    pub(super) fn tech_sub() -> Subscription {
         let mut s = Subscription::new();
         s.subscribe_category(PublisherId(0), Category::Technology);
         s
     }
 
-    fn tech_item(seq: u64) -> NewsItem {
+    pub(super) fn tech_item(seq: u64) -> NewsItem {
         NewsItem::builder(PublisherId(0), seq)
             .headline(format!("t{seq}")) // distinct slugs: avoid revision fusion
             .category(Category::Technology)
@@ -3457,7 +3758,7 @@ mod tests {
                     fleet.admit(&mut via_held, &item);
                 }
             }
-            let NewsWireMsg::RepairRequest { highwater, held, want_snapshot, baselines } =
+            let NewsWireMsg::RepairRequest { highwater, held, want_snapshot, baselines, .. } =
                 via_held.repair_request()
             else {
                 panic!("repair_request builds a RepairRequest");
@@ -4414,3 +4715,6 @@ mod tests {
         assert!(matches!(act, LiarAction::Pass), "even destinations get the truth");
     }
 }
+
+#[cfg(test)]
+mod loss_recovery_tests;

@@ -133,6 +133,10 @@ impl SignedItem {
 /// publisher id + inclusive `lo` + `hi`.
 const HELD_RUN_WIRE_SIZE: usize = 2 + 8 + 8;
 
+/// Serialized size of one [`ItemId`] named on the wire (a `Deliver`'s `prev`
+/// chain, a named pull's `ids`): publisher id + sequence number.
+const ITEM_ID_WIRE_SIZE: usize = 2 + 8;
+
 /// The globally unique dissemination id of an item.
 pub fn msg_id_of(id: ItemId) -> u64 {
     let mut bytes = [0u8; 10];
@@ -192,6 +196,12 @@ pub enum NewsWireMsg {
     Deliver {
         /// The signed item.
         env: Arc<Envelope>,
+        /// The per-link delivery chain: the items this representative handed
+        /// this member immediately before `env` (at most three, oldest
+        /// first). An id the member has never seen is a `Deliver` it
+        /// missed, which it pulls by name (DESIGN §7). Untrusted: a
+        /// receiver reads at most three ids and only ever asks for them.
+        prev: Vec<ItemId>,
     },
     /// A representative's receipt for a `Forward`: it has taken coverage
     /// duty for `zone` (or already held it). Any representative's ack
@@ -204,7 +214,8 @@ pub enum NewsWireMsg {
         zone: ZoneId,
     },
     /// Cache anti-entropy: "what do you have past these marks that I do
-    /// not hold?"
+    /// not hold?" — or, when `ids` names items, "send me exactly these"
+    /// (the named pull; the marks are then empty and ignored).
     RepairRequest {
         /// Requester's per-publisher high-water marks.
         highwater: Vec<(PublisherId, u64)>,
@@ -219,6 +230,10 @@ pub enum NewsWireMsg {
         /// Revisions the requester already holds, so the responder can
         /// delta-encode its reply. Empty with deltas off.
         baselines: Vec<BaselineHint>,
+        /// Named pull: items a `Deliver`'s `prev` chain revealed as missed.
+        /// The responder serves the first few it still caches and ignores
+        /// the rest; empty on the periodic margin probe.
+        ids: Vec<ItemId>,
     },
     /// Items the responder holds beyond the requester's marks, each with
     /// its publisher signature so the requester can verify before caching.
@@ -265,6 +280,11 @@ pub enum NewsWireMsg {
     },
 }
 
+/// Serialized size of a `Deliver`'s `prev` chain: a count byte + the ids.
+fn prev_wire_size(prev: &[ItemId]) -> usize {
+    1 + prev.len() * ITEM_ID_WIRE_SIZE
+}
+
 impl Payload for NewsWireMsg {
     fn wire_size(&self) -> usize {
         4 + match self {
@@ -276,12 +296,13 @@ impl Payload for NewsWireMsg {
             }
             NewsWireMsg::PublishRequest { item, .. } => item.wire_size(),
             NewsWireMsg::Forward { env, zone } => env.wire_size() + 2 * zone.depth(),
-            NewsWireMsg::Deliver { env } => env.wire_size(),
+            NewsWireMsg::Deliver { env, prev } => env.wire_size() + prev_wire_size(prev),
             NewsWireMsg::ForwardAck { zone, .. } => 8 + 2 * zone.depth(),
-            NewsWireMsg::RepairRequest { highwater, held, baselines, .. } => {
+            NewsWireMsg::RepairRequest { highwater, held, baselines, ids, .. } => {
                 1 + highwater.len() * 10
                     + held.len() * HELD_RUN_WIRE_SIZE
                     + baselines.len() * BaselineHint::WIRE_SIZE
+                    + ids.len() * ITEM_ID_WIRE_SIZE
             }
             NewsWireMsg::RepairReply { items } => {
                 items.iter().map(|i| i.wire_size()).sum::<usize>()
@@ -304,7 +325,9 @@ impl Payload for NewsWireMsg {
         // applies.
         match self {
             NewsWireMsg::Forward { env, zone } => 4 + env.compressed_wire_size() + 2 * zone.depth(),
-            NewsWireMsg::Deliver { env } => 4 + env.compressed_wire_size(),
+            NewsWireMsg::Deliver { env, prev } => {
+                4 + env.compressed_wire_size() + prev_wire_size(prev)
+            }
             NewsWireMsg::RepairReply { items } => {
                 4 + items.iter().map(|i| i.compressed_wire_size()).sum::<usize>()
             }
@@ -342,7 +365,8 @@ mod tests {
     fn article_bearing_variants_are_handle_sized() {
         use std::mem::size_of;
         let gossip = size_of::<(GossipMsg, Option<Arc<RotationRecord>>)>();
-        assert!(size_of::<(Arc<Envelope>, ZoneId)>() <= gossip, "Forward / Deliver");
+        assert!(size_of::<(Arc<Envelope>, ZoneId)>() <= gossip, "Forward");
+        assert!(size_of::<(Arc<Envelope>, Vec<ItemId>)>() <= gossip, "Deliver");
         assert!(size_of::<Vec<SignedItem>>() <= gossip, "RepairReply");
         assert!(
             size_of::<(PublisherId, RangeSummary, Option<EpochAttest>, Vec<SignedItem>)>()
@@ -360,14 +384,24 @@ mod tests {
             held: vec![],
             want_snapshot: false,
             baselines: vec![],
+            ids: vec![],
         };
         let declaring = NewsWireMsg::RepairRequest {
             highwater: vec![(PublisherId(0), 24)],
             held: vec![(PublisherId(0), 24, 31), (PublisherId(0), 33, 40)],
             want_snapshot: false,
             baselines: vec![],
+            ids: vec![],
         };
         assert_eq!(declaring.wire_size(), small.wire_size() + 10 + 2 * HELD_RUN_WIRE_SIZE);
+        let naming = NewsWireMsg::RepairRequest {
+            highwater: vec![],
+            held: vec![],
+            want_snapshot: false,
+            baselines: vec![],
+            ids: vec![ItemId::new(PublisherId(0), 7), ItemId::new(PublisherId(1), 9)],
+        };
+        assert_eq!(naming.wire_size(), small.wire_size() + 2 * ITEM_ID_WIRE_SIZE);
         let big = NewsWireMsg::RepairReply {
             items: vec![SignedItem {
                 item: Arc::new(NewsItem::builder(PublisherId(0), 0).body_len(5000).build()),

@@ -306,7 +306,9 @@ fn subscription_change_takes_effect_within_tens_of_seconds() {
 /// the fleet re-sends a small fraction of what it delivered (it was 3.7×
 /// the delivered volume when every request was answered with the whole
 /// margin window) — and what remains is articles a node never subscribed
-/// to, which anti-entropy still spreads (ROADMAP item 2(b)).
+/// to, which anti-entropy still spreads (ROADMAP item 2(b)). Nor does loss
+/// recovery stir: the measured hand-off timeout never fires with nothing
+/// lost, and no gap a reordered `Deliver` opens outlives its window.
 #[test]
 fn lossless_run_repairs_a_fraction_of_what_it_delivers() {
     let mut d = tech_news_deployment(80, 9);
@@ -328,4 +330,13 @@ fn lossless_run_repairs_a_fraction_of_what_it_delivers() {
         stats.repair_items_sent,
         stats.delivered
     );
+    // What the periodic probe alone sent before the named pull existed:
+    // 240, or 242 under `NEWSWIRE_DELTAS=1`.
+    assert!(stats.repair_items_sent <= 242, "{} repair items", stats.repair_items_sent);
+    assert_eq!(stats.ack_retries, 0, "nothing was lost, so nothing is retransmitted");
+    assert!(d.sim.iter().all(|(_, node)| node.deliveries.iter().all(|r| !r.via_repair)));
+    if obs::ENABLED {
+        let hub = d.sim.telemetry();
+        assert_eq!(hub.borrow().counter_total(obs::ctr::NW_GAP_PULLS), 0);
+    }
 }

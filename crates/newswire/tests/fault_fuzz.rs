@@ -7,9 +7,15 @@
 //! from its seed.
 
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
-use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
-use newswire::{check_invariants, DeploymentBuilder, NewsWireConfig, NewsWireMsg, PublisherSpec};
+use amcast::FilterSpec;
+use astrolabe::ZoneId;
+use newsml::{Category, ItemId, NewsItem, PublisherId, PublisherProfile};
+use newswire::{
+    check_invariants, msg_id_of, DeploymentBuilder, Envelope, NewsWireConfig, NewsWireMsg,
+    PublisherSpec,
+};
 use rand::Rng;
 use simnet::{
     fork, ChurnSpec, CollusionScript, CollusionSpec, FaultCounters, FaultPlan, ForgeSpec,
@@ -304,9 +310,11 @@ fn trust_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
 
 /// Garbage from outside the membership, through the fault era: repair
 /// requests whose declared `held` runs are inverted, overlapping, unsorted,
-/// about publishers nobody has, and up to twice the cap a responder reads.
-/// The responder must shrug them off — no panic, no invariant moved (its
-/// reply goes nowhere).
+/// about publishers nobody has, and up to twice the cap a responder reads —
+/// and, every other one, a named pull of up to a thousand ids, held ones
+/// among publishers nobody has and sequence numbers from the future. The
+/// responder must shrug them off — no panic, no invariant moved (its reply
+/// goes nowhere).
 fn garbage_repair_requests(d: &mut newswire::Deployment, seed: u64) {
     let mut rng = fork(seed, 0x6A);
     for k in 0..16u64 {
@@ -314,6 +322,7 @@ fn garbage_repair_requests(d: &mut newswire::Deployment, seed: u64) {
         let held = (0..runs)
             .map(|_| (PublisherId(rng.gen_range(0..3)), rng.gen_range(0..16), rng.gen_range(0..16)))
             .collect();
+        let ids = if k % 2 == 0 { garbage_ids(&mut rng) } else { Vec::new() };
         d.sim.schedule_external(
             SimTime::from_secs(95 + 3 * k),
             NodeId(rng.gen_range(1..N)),
@@ -322,7 +331,53 @@ fn garbage_repair_requests(d: &mut newswire::Deployment, seed: u64) {
                 held,
                 want_snapshot: rng.gen(),
                 baselines: vec![],
+                ids,
             },
+        );
+    }
+}
+
+/// Up to a thousand item ids: real ones, publishers nobody has, sequence
+/// numbers nobody has published yet.
+fn garbage_ids(rng: &mut impl Rng) -> Vec<ItemId> {
+    let n = rng.gen_range(1..=1000);
+    (0..n)
+        .map(|_| ItemId::new(PublisherId(rng.gen_range(0..3)), rng.gen_range(0..1 << 40)))
+        .collect()
+}
+
+/// Genuine envelopes with a garbage delivery chain: each published item is
+/// `Deliver`ed once more, from outside the membership, to a random node,
+/// its `prev` naming up to a thousand ids that node has never seen. The
+/// receiver reads a chain's worth, suspects them, and asks the sender — who
+/// does not exist — for a while; no panic, no invariant moved.
+fn garbage_delivery_chains(
+    d: &mut newswire::Deployment,
+    published: &[(SimTime, NewsItem)],
+    seed: u64,
+) {
+    let mut rng = fork(seed, 0x6B);
+    let cred = d.sim.node(NodeId(0)).publisher().expect("node 0 publishes").credential.clone();
+    for (at, item) in published {
+        // The bytes the publisher signed: it stamps the issue time.
+        let mut item = item.clone();
+        item.issued_us = at.as_micros();
+        let item = Arc::new(item);
+        let env = Envelope {
+            msg_id: msg_id_of(item.id),
+            filter: FilterSpec::All,
+            scope: ZoneId::root(),
+            certificate: cred.certificate.clone(),
+            key: cred.key_id(),
+            signature: cred.sign(&item),
+            attest: cred.attest_epoch(0),
+            basis: None,
+            item,
+        };
+        d.sim.schedule_external(
+            *at + SimDuration::from_secs(2),
+            NodeId(rng.gen_range(1..N)),
+            NewsWireMsg::Deliver { env: Arc::new(env), prev: garbage_ids(&mut rng) },
         );
     }
 }
@@ -353,9 +408,15 @@ fn fuzz_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
                 .build()
         })
         .collect();
-    for (i, item) in items.iter().enumerate() {
-        d.publish(SimTime::from_secs(92 + 3 * i as u64), item.clone());
+    let published: Vec<(SimTime, NewsItem)> = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| (SimTime::from_secs(92 + 3 * i as u64), item.clone()))
+        .collect();
+    for (at, item) in &published {
+        d.publish(*at, item.clone());
     }
+    garbage_delivery_chains(&mut d, &published, seed);
     // Churn recovers everyone by t=140, brownouts and message chaos heal at
     // t=145; the long tail gives anti-entropy repair time to backfill.
     d.settle(150);

@@ -243,6 +243,13 @@ pub mod ctr {
         NW_RECOVERY_HELD = 92, "nw_recovery_held";
         /// Recovery items not cached but outside the receiver's subscription.
         NW_RECOVERY_UNWANTED = 93, "nw_recovery_unwanted";
+        // -- newswire: the per-link delivery chain's named pulls --
+        /// Named-id `RepairRequest`s sent for gaps a `Deliver`'s `prev`
+        /// revealed and the reorder window did not close.
+        NW_GAP_PULLS = 94, "nw_gap_pulls";
+        /// Items shipped in answer to named pulls (also counted in
+        /// `repair_items_sent`).
+        NW_GAP_PULL_ITEMS = 95, "nw_gap_pull_items";
     }
 }
 
@@ -629,6 +636,8 @@ mod tests {
         assert_eq!(s.counter_name(ctr::NW_PROBATION_HOLDS), "probation_holds");
         assert_eq!(s.counter_name(ctr::NW_RECOVERY_HELD), "nw_recovery_held");
         assert_eq!(s.counter_name(ctr::NW_RECOVERY_UNWANTED), "nw_recovery_unwanted");
+        assert_eq!(s.counter_name(ctr::NW_GAP_PULLS), "nw_gap_pulls");
+        assert_eq!(s.counter_name(ctr::NW_GAP_PULL_ITEMS), "nw_gap_pull_items");
         assert_eq!(s.gauge_name(gauge::ASTRO_ROWS_HELD), "astro_rows_held");
         assert_eq!(s.hist_def(hist::GOSSIP_DIGEST_BYTES).name, "gossip_digest_bytes");
         assert_eq!(s.series_name(series::DELIVERY_LATENCY_US), "delivery_latency_us");

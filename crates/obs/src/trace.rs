@@ -162,6 +162,10 @@ pub mod kind {
     /// An unendorsed identity was first held in the bounded probation set
     /// (`a` = identity, `b` = probation set size after the hold).
     pub const PROBATION_HOLD: u8 = 69;
+    /// A gap a `Deliver`'s `prev` chain revealed outlived the reorder
+    /// window and was pulled by name (`a` = item key, `b` = the
+    /// representative asked).
+    pub const GAP_PULL: u8 = 70;
 
     /// Stable lowercase name of a kind (used in exports).
     pub fn name(k: u8) -> &'static str {
@@ -210,6 +214,7 @@ pub mod kind {
             REVOKED_KEY_REJECT => "revoked_key_reject",
             RETRO_PURGE => "retro_purge",
             PROBATION_HOLD => "probation_hold",
+            GAP_PULL => "gap_pull",
             _ => "unknown",
         }
     }

@@ -198,6 +198,9 @@ struct Shard<N: Node> {
     /// Cross-shard sends parked until the window barrier, one box per
     /// destination shard.
     outboxes: Vec<Outbox<N::Msg>>,
+    /// The effects buffer `dispatch_callback` lends each callback; empty
+    /// between callbacks, its capacity kept.
+    effects: Vec<Effect<N::Msg>>,
 }
 
 /// A parked cross-shard event: `(arrival µs, a, b, event)`.
@@ -248,7 +251,9 @@ impl<N: Node> Shard<N> {
         cb: Callback<N::Msg>,
     ) {
         let li = (id.0 - self.base) as usize;
-        let mut effects: Vec<Effect<N::Msg>> = Vec::new();
+        // One buffer per shard, drained below and handed back: a callback
+        // that requests nothing costs the engine no allocation.
+        let mut effects = std::mem::take(&mut self.effects);
         {
             // With tracing on, expose the hub to protocol code for the span
             // of the callback (callbacks are instantaneous in sim time, so
@@ -279,7 +284,7 @@ impl<N: Node> Shard<N> {
                 Callback::Recover(mode) => node.on_restart(&mut ctx, mode),
             }
         }
-        for eff in effects {
+        for eff in effects.drain(..) {
             match eff {
                 Effect::Send { to, mut msg } => {
                     // Liar interception sits at the node boundary: the
@@ -361,21 +366,21 @@ impl<N: Node> Shard<N> {
                         self.net.route(id, to, r)
                     };
                     match route {
-                        RouteOutcome::Deliver { copies, jittered } => {
-                            if jittered || copies.len() > 1 {
+                        RouteOutcome::Deliver { delay, duplicate, jittered } => {
+                            if jittered || duplicate.is_some() {
                                 let mut hub = hub.borrow_mut();
                                 let g = hub.global_mut();
                                 if jittered {
                                     g.ctr_add(ctr::MSGS_JITTERED, 1);
                                 }
-                                g.ctr_add(ctr::MSGS_DUPLICATED, copies.len() as u64 - 1);
+                                g.ctr_add(ctr::MSGS_DUPLICATED, u64::from(duplicate.is_some()));
                             }
-                            for &lat in copies.iter().skip(1) {
+                            if let Some(lat) = duplicate {
                                 let at = self.now + lat;
                                 let copy = msg.clone();
                                 self.emit_deliver(id, to, copy, size, at);
                             }
-                            let at = self.now + copies[0];
+                            let at = self.now + delay;
                             self.emit_deliver(id, to, msg, size, at);
                         }
                         RouteOutcome::Drop(cause) => {
@@ -413,6 +418,7 @@ impl<N: Node> Shard<N> {
                 }
             }
         }
+        self.effects = effects;
     }
 
     /// Applies one popped event to this shard's state.
@@ -1393,6 +1399,7 @@ impl<N: Node> Simulation<N> {
                     None
                 },
                 outboxes: (0..k).map(|_| Vec::new()).collect(),
+                effects: Vec::new(),
             };
             self.shards.push(shard);
         }

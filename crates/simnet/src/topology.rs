@@ -170,13 +170,15 @@ pub enum DropCause {
 /// The fate of one message as decided by [`NetworkModel::route`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum RouteOutcome {
-    /// Deliver one copy per entry after the given one-way delay. More than
-    /// one entry means the message was duplicated in flight; `jittered`
-    /// flags that reordering jitter inflated the (first) delay.
+    /// Deliver the message after `delay` — and, when it was duplicated in
+    /// flight, a second copy after `duplicate`. `jittered` flags that
+    /// reordering jitter inflated `delay`.
     Deliver {
-        /// One-way delay of each delivered copy (never empty).
-        copies: Vec<SimDuration>,
-        /// True when reordering jitter was added to the primary copy.
+        /// One-way delay of the message.
+        delay: SimDuration,
+        /// One-way delay of the in-flight duplicate, if there is one.
+        duplicate: Option<SimDuration>,
+        /// True when reordering jitter was added to `delay`.
         jittered: bool,
     },
     /// The message is lost; the cause feeds the fault counters.
@@ -187,7 +189,7 @@ impl RouteOutcome {
     /// Convenience for tests: the primary copy's delay, if delivered.
     pub fn delay(&self) -> Option<SimDuration> {
         match self {
-            RouteOutcome::Deliver { copies, .. } => copies.first().copied(),
+            RouteOutcome::Deliver { delay, .. } => Some(*delay),
             RouteOutcome::Drop(_) => None,
         }
     }
@@ -300,11 +302,9 @@ impl NetworkModel {
             delay = delay + sample_range(SimDuration::ZERO, self.reorder_jitter, rng);
             jittered = true;
         }
-        let mut copies = vec![delay];
-        if self.dup_prob > 0.0 && rng.gen::<f64>() < self.dup_prob {
-            copies.push(self.latency.sample(from, to, rng) + gray_extra);
-        }
-        RouteOutcome::Deliver { copies, jittered }
+        let duplicate = (self.dup_prob > 0.0 && rng.gen::<f64>() < self.dup_prob)
+            .then(|| self.latency.sample(from, to, rng) + gray_extra);
+        RouteOutcome::Deliver { delay, duplicate, jittered }
     }
 }
 
@@ -398,19 +398,18 @@ mod tests {
         let (mut dups, mut jitters) = (0u32, 0u32);
         for _ in 0..2000 {
             match m.route(NodeId(0), NodeId(1), &mut rng) {
-                RouteOutcome::Deliver { copies, jittered } => {
-                    assert!(!copies.is_empty() && copies.len() <= 2);
-                    if copies.len() == 2 {
+                RouteOutcome::Deliver { delay, duplicate, jittered } => {
+                    if let Some(copy) = duplicate {
                         dups += 1;
                         // The duplicate copy is un-jittered base latency.
-                        assert_eq!(copies[1], SimDuration::from_millis(10));
+                        assert_eq!(copy, SimDuration::from_millis(10));
                     }
                     if jittered {
                         jitters += 1;
-                        assert!(copies[0] >= SimDuration::from_millis(10));
-                        assert!(copies[0] <= SimDuration::from_millis(40));
+                        assert!(delay >= SimDuration::from_millis(10));
+                        assert!(delay <= SimDuration::from_millis(40));
                     } else {
-                        assert_eq!(copies[0], SimDuration::from_millis(10));
+                        assert_eq!(delay, SimDuration::from_millis(10));
                     }
                 }
                 RouteOutcome::Drop(c) => panic!("lossless model dropped: {c:?}"),
@@ -436,9 +435,9 @@ mod tests {
         for _ in 0..1000 {
             match m.route(NodeId(0), NodeId(1), &mut rng) {
                 RouteOutcome::Drop(DropCause::GraySend) => throttled += 1,
-                RouteOutcome::Deliver { copies, .. } => {
+                RouteOutcome::Deliver { delay, .. } => {
                     delivered += 1;
-                    assert_eq!(copies[0], SimDuration::from_millis(510));
+                    assert_eq!(delay, SimDuration::from_millis(510));
                 }
                 other => panic!("unexpected {other:?}"),
             }
@@ -446,8 +445,8 @@ mod tests {
         assert!((350..650).contains(&throttled), "throttled {throttled}");
         // The gray node still receives slowly (receiver-side latency).
         match m.route(NodeId(1), NodeId(0), &mut rng) {
-            RouteOutcome::Deliver { copies, .. } => {
-                assert_eq!(copies[0], SimDuration::from_millis(510));
+            RouteOutcome::Deliver { delay, .. } => {
+                assert_eq!(delay, SimDuration::from_millis(510));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -27,8 +27,9 @@ fn main() {
     }
     deployment.settle(25);
 
-    // Where the run's recovery items went, read before the drain resets it.
-    let (repaired, held, unwanted) = {
+    // Where the run's recovery items went and how often loss recovery
+    // stirred, read before the drain resets it.
+    let (repaired, held, unwanted, ack_retries, gap_pulls, gap_pull_items) = {
         let hub = deployment.sim.telemetry();
         let hub = hub.borrow();
         let sent = hub.counter_total(ctr::NW_REPAIR_ITEMS_SENT)
@@ -37,13 +38,17 @@ fn main() {
             sent,
             hub.counter_total(ctr::NW_RECOVERY_HELD),
             hub.counter_total(ctr::NW_RECOVERY_UNWANTED),
+            hub.counter_total(ctr::NW_ACK_RETRIES),
+            hub.counter_total(ctr::NW_GAP_PULLS),
+            hub.counter_total(ctr::NW_GAP_PULL_ITEMS),
         )
     };
     let telemetry = deployment.sim.drain_telemetry();
     println!("{}", telemetry.to_json());
     eprintln!(
         "--- summary: {repaired} recovery items sent, {held} already held, \
-         {unwanted} outside the receiver's subscription ---"
+         {unwanted} outside the receiver's subscription; {ack_retries} ack retries, \
+         {gap_pulls} gap pulls answered with {gap_pull_items} items ---"
     );
     eprintln!("--- trace events (CSV, stderr) ---");
     eprint!("{}", telemetry.events_csv());

@@ -7,11 +7,13 @@
 # `--child --trace 0` repetition per side per pair, seeds 101, 102, …, the
 # side that goes first alternating. Prints every pair, then per metric the
 # medians, quartiles (Python's exclusive method, as the acceptance rule is
-# stated) and how many pairs B won. Lower is better except `delivered_pct`.
+# stated) and how many pairs B won, for all nine end-to-end metrics. Lower is
+# better except `delivered_pct`.
 set -euo pipefail
 [ $# -eq 4 ] || { echo "usage: $0 <workload> <pairs> <dirA> <dirB>" >&2; exit 2; }
 workload=$1 pairs=$2 dir_a=$3 dir_b=$4
-metrics="setup_s wall_s peak_rss_mb wire_bytes_per_delivery deliver_p999_ms delivered_pct"
+# The nine end-to-end metrics of BENCHMARK.json (every workload reports all).
+metrics="setup_s wall_s peak_rss_mb converged_sim_s deliver_p50_ms deliver_p99_ms deliver_p999_ms delivered_pct wire_bytes_per_delivery"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 

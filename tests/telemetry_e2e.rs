@@ -76,7 +76,6 @@ fn recovery_item_counters_append_after_the_existing_slots() {
         (ctr::NW_PROBATION_HOLDS.0, ctr::NW_RECOVERY_HELD.0, ctr::NW_RECOVERY_UNWANTED.0),
         (91, 92, 93)
     );
-    assert_eq!(ctr::NAMES.len(), 94);
     let d = sample_run(0x0B7);
     let hub = d.sim.telemetry();
     let hub = hub.borrow();
@@ -89,6 +88,28 @@ fn recovery_item_counters_append_after_the_existing_slots() {
     assert!(unwanted > 0, "workload sanity: someone was sent an article it never wanted");
     assert!(held + unwanted <= sent, "{held} + {unwanted} classified of {sent} sent");
     assert!(held * 10 <= sent, "{held} of {sent} recovery items were already held");
+}
+
+/// The delivery chain's two counters are appended after those, with no
+/// `NodeStats` mirror; on a lossless run they read what the mechanism did
+/// there — nothing.
+#[test]
+#[cfg(feature = "obs")]
+fn gap_pull_counters_append_after_the_existing_slots() {
+    use obs::ctr;
+    assert_eq!(
+        (ctr::NW_RECOVERY_UNWANTED.0, ctr::NW_GAP_PULLS.0, ctr::NW_GAP_PULL_ITEMS.0),
+        (93, 94, 95)
+    );
+    assert_eq!(ctr::NAMES.len(), 96);
+    let d = sample_run(0x0B7);
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    assert_eq!(hub.counter_total(ctr::NW_ACK_RETRIES), 0, "nothing lost, nothing retransmitted");
+    assert_eq!(
+        (hub.counter_total(ctr::NW_GAP_PULLS), hub.counter_total(ctr::NW_GAP_PULL_ITEMS)),
+        (0, 0)
+    );
 }
 
 /// Two runs with the same seed drain byte-identical telemetry JSON and
