@@ -37,7 +37,7 @@ struct Point {
 fn run_point(n: u32, churn: bool, gray_pct: u32, ack: bool, seed: u64) -> Point {
     let mut config = NewsWireConfig::tech_news();
     config.redundancy = 1; // isolate the first-pass tree: one rep per hand-off
-    config.repair_interval = None; // no anti-entropy to mask tree losses
+    config.anti_entropy = false; // nothing periodic to mask tree losses
     if !ack {
         config.ack_timeout = None;
         config.repair_reply_timeout = None;
@@ -139,7 +139,7 @@ pub(crate) fn run(quick: bool) {
     let grays: &[u32] = if quick { &[0, 20] } else { &[0, 10, 20, 30] };
     let churns: &[bool] = if quick { &[true] } else { &[false, true] };
     let mut table = Table::new(
-        "E13 — chaos sweep: survivor delivery, acked vs unacked hand-offs (k=1 tree, repair off)",
+        "E13 — chaos sweep: survivor delivery, acked vs unacked hand-offs (k=1 tree, anti-entropy off)",
         &["churn", "gray %", "no-ack %", "ack %", "ack p99 s", "retries", "failovers", "abandoned"],
     );
     for &churn in churns {

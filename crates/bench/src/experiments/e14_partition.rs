@@ -1,14 +1,13 @@
 //! E14 — partition healing: time-to-reconvergence and repair cost across
 //! partition duration × shape, with the log anti-entropy ablation.
 //!
-//! Paper basis (§9): the robustness section promises the cache and repair
-//! make delivery eventual, but its repair protocol compares high-water
-//! marks — a *margin* heuristic that only re-offers items near the top of
-//! each publisher's sequence. A network partition creates a different kind
-//! of damage: a deep, bounded hole in the middle of the sequence space,
-//! invisible to high-water comparison the moment post-heal publishing
-//! pushes the marks past it. The epoch/sequence article logs close exactly
-//! that gap: fixed-size digests piggyback on rows Astrolabe already
+//! Paper basis (§9): the robustness section promises the cache makes
+//! delivery eventual. The tree's own recovery — ack retries, and the named
+//! pull of the last few items a `Deliver` chain reveals — reaches what one
+//! link lost a moment ago. A network partition creates a different kind
+//! of damage: a deep, bounded hole in the middle of the sequence space
+//! that no post-heal `Deliver` names. The epoch/sequence article logs close
+//! exactly that gap: fixed-size digests piggyback on rows Astrolabe already
 //! gossips, holes are detected by range subtraction, and missing spans are
 //! pulled from the freshest reachable peer (cross-zone when the whole leaf
 //! zone shares the hole).
@@ -97,8 +96,8 @@ fn run_point(n: u32, shape: Shape, dur_secs: u64, anti_entropy: bool, seed: u64)
     });
 
     // 5 items before the cut, one every 2 s during it, 20 after the heal —
-    // the post-heal tail pushes every high-water mark well past the hole,
-    // so the margin-backed repair path cannot see it.
+    // the post-heal `Deliver`s name only their three predecessors, so the
+    // named pull never sees the hole.
     let window = dur_secs / 2;
     let items: Vec<_> = (0..5 + window + 20).map(tech_item).collect();
     for (i, item) in items.iter().enumerate().take(5) {
@@ -190,8 +189,9 @@ pub(crate) fn run(quick: bool) {
     }
     table.caption(format!(
         "{n} subscribers + 1 publisher, branching 8; partition at t=100 for the stated \
-         window while one item publishes every 2 s, then 20 more items after the heal so \
-         every high-water mark jumps past the hole (margin repair is blind to it). \
+         window while one item publishes every 2 s, then 20 more items after the heal \
+         (their Delivers name only the three before each: the named pull is blind to \
+         the hole). \
          Recovery counts interested survivors on the cut side over partition-window items; \
          reconv p99 is delivery lag after the heal. Identical fault schedule both arms; \
          'off:detected' = the oracle flagged the ablation arm's unconverged logs."

@@ -95,9 +95,9 @@ fn run_point(n: u32, mode: RestartMode, heavy: bool, ae: bool, seed: u64) -> Poi
     };
     d.sim.apply_fault_plan(&plan);
 
-    // 24 stories, one every 7 s, spanning the whole churn window — enough
-    // of a backlog that margin-based repair alone cannot reconstruct an
-    // amnesiac node's history (that is the ablation's point).
+    // 24 stories, one every 7 s, spanning the whole churn window — a
+    // backlog nothing but reconcile reconstructs for a node that comes back
+    // with an empty log (that is the ablation's point).
     let items: Vec<_> = (0..24u64).map(tech_item).collect();
     for (i, item) in items.iter().enumerate() {
         d.publish(SimTime::from_secs(95 + 7 * i as u64), item.clone());
@@ -204,8 +204,9 @@ pub(crate) fn run(quick: bool) {
          90 s–270 s (light 60 s up / 15 s down, heavy 25 s up / 20 s down), 24 stories \
          published every 7 s across the window, 120 s recovery tail. Completeness is over \
          churned interested nodes only. The paper's §9 crash-stop model implies 100% for \
-         every mode; the AE-off ablation shows margin-based repair alone cannot refill a \
-         cold log — reconciliation (sys$ae digests) is what makes cold recovery whole."
+         every mode; in the AE-off ablation nothing refills a cold log (its oracle column \
+         reads FAIL: the named pull reaches only the last items of a live link) — \
+         reconciliation (sys$ae digests) is what makes recovery whole, freeze included."
     ));
     table.print();
 }

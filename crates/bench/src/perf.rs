@@ -154,7 +154,7 @@ pub fn newswire_chaos(n: u32, seed: u64) -> PerfResult {
     let start = Instant::now();
     let mut config = NewsWireConfig::tech_news();
     config.redundancy = 1;
-    config.repair_interval = None;
+    config.anti_entropy = false;
     let mut d = DeploymentBuilder::new(n, seed)
         .branching(8)
         .config(config)

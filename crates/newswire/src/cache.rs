@@ -58,7 +58,6 @@ pub struct MessageCache {
     /// hash of `(publisher, slug)`, so neither an entry nor a lookup owns a
     /// `String`. Every hit is confirmed against the cached item's slug.
     latest_by_slug: HashMap<u64, ItemId>,
-    highwater: BTreeMap<PublisherId, u64>,
     /// Lower bound on the arrival time of every cached item: while it is
     /// younger than `max_age` there is nothing for [`Self::gc`] to scan for.
     oldest: SimTime,
@@ -71,7 +70,6 @@ impl MessageCache {
             policy,
             items: BTreeMap::new(),
             latest_by_slug: HashMap::new(),
-            highwater: BTreeMap::new(),
             oldest: SimTime::MAX,
         }
     }
@@ -96,45 +94,6 @@ impl MessageCache {
         self.items.get(&id).map(|(item, _)| item)
     }
 
-    /// Highest sequence number seen from `publisher` (0 when none).
-    pub fn highwater(&self, publisher: PublisherId) -> u64 {
-        self.highwater.get(&publisher).copied().unwrap_or(0)
-    }
-
-    /// All per-publisher high-water marks (for repair requests).
-    pub fn highwaters(&self) -> Vec<(PublisherId, u64)> {
-        self.highwater.iter().map(|(&p, &s)| (p, s)).collect()
-    }
-
-    /// The inclusive `(publisher, lo, hi)` runs of cached sequence numbers
-    /// at or past each `(publisher, mark)` — what a repair request declares
-    /// as held, so the responder leaves those items out of its reply. This
-    /// is cache *possession*: a seq the node has merely seen (filtered,
-    /// fused away, purged after a key revocation) is not in a run and stays
-    /// servable. At most `cap` runs; what the cap cuts off is re-offered.
-    pub fn held_runs(
-        &self,
-        marks: &[(PublisherId, u64)],
-        cap: usize,
-    ) -> Vec<(PublisherId, u64, u64)> {
-        let mut runs: Vec<(PublisherId, u64, u64)> = Vec::new();
-        for &(publisher, mark) in marks {
-            let ids = ItemId::new(publisher, mark)..=ItemId::new(publisher, u64::MAX);
-            for (id, _) in self.items.range(ids) {
-                if let Some((_, _, hi)) =
-                    runs.last_mut().filter(|(p, _, hi)| *p == publisher && *hi + 1 == id.seq)
-                {
-                    *hi = id.seq;
-                } else if runs.len() == cap {
-                    return runs;
-                } else {
-                    runs.push((publisher, id.seq, id.seq));
-                }
-            }
-        }
-        runs
-    }
-
     /// The latest cached revision of `publisher`'s story `slug`, if any
     /// (the delta-encoding baseline lookup).
     pub fn latest_for_slug(&self, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
@@ -148,21 +107,16 @@ impl MessageCache {
         (item.id.publisher == publisher && item.slug == slug).then_some(&**item)
     }
 
-    /// Baseline hints for the revisions this cache holds — what a repair or
-    /// reconcile requester declares so the responder can delta-encode its
-    /// reply. Restricted to `publisher` when given; sorted by key (the
-    /// backing map iterates in arbitrary order) and capped at `cap` so the
-    /// request stays small.
-    pub fn baselines(
-        &self,
-        publisher: Option<PublisherId>,
-        cap: usize,
-    ) -> Vec<amcast::BaselineHint> {
+    /// Baseline hints for the revisions of `publisher`'s stories this cache
+    /// holds — what a reconcile requester declares so the responder can
+    /// delta-encode its reply. Sorted by key (the backing map iterates in
+    /// arbitrary order) and capped at `cap` so the request stays small.
+    pub fn baselines(&self, publisher: PublisherId, cap: usize) -> Vec<amcast::BaselineHint> {
         let mut hints: Vec<amcast::BaselineHint> = self
             .latest_by_slug
             .iter()
             .filter_map(|(&key, id)| self.get(*id).map(|item| (key, item)))
-            .filter(|(_, item)| publisher.is_none_or(|want| item.id.publisher == want))
+            .filter(|(_, item)| item.id.publisher == publisher)
             .map(|(key, item)| amcast::BaselineHint {
                 key,
                 revision: item.revision,
@@ -190,9 +144,6 @@ impl MessageCache {
         if self.items.contains_key(&item.id) {
             return (CacheOutcome::Duplicate, None);
         }
-        let hw = self.highwater.entry(item.id.publisher).or_insert(0);
-        *hw = (*hw).max(item.id.seq);
-
         let mut outcome = CacheOutcome::Stored;
         let mut displaced = None;
         let key = slug_key(item.id.publisher, &item.slug);
@@ -268,7 +219,7 @@ impl MessageCache {
     }
 
     /// Cached items from `publisher` with sequence numbers at or above
-    /// `min_seq` (the repair / state-transfer reply, bounded by `limit`).
+    /// `min_seq` (what a reconcile reply is built from, bounded by `limit`).
     pub fn items_from(
         &self,
         publisher: PublisherId,
@@ -282,7 +233,8 @@ impl MessageCache {
             .collect()
     }
 
-    /// The most recent `limit` items across publishers (joiner bootstrap).
+    /// The most recent `limit` items across publishers (the XML-RPC
+    /// `newswire.latest` feed).
     pub fn snapshot(&self, limit: usize) -> Vec<Arc<NewsItem>> {
         let mut all: Vec<(&SimTime, &Arc<NewsItem>)> =
             self.items.values().map(|(item, at)| (at, item)).collect();
@@ -325,7 +277,6 @@ mod tests {
         assert_eq!(c.insert(item(1, 1, "a", 0), t(0)), (CacheOutcome::Stored, None));
         assert_eq!(c.insert(item(1, 1, "a", 0), t(1)), (CacheOutcome::Duplicate, None));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.highwater(PublisherId(1)), 1);
     }
 
     #[test]
@@ -392,25 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn held_runs_are_cache_possession_past_each_mark() {
-        let mut c = MessageCache::default();
-        for seq in [3, 4, 5, 7, 9, 10] {
-            c.insert(item(1, seq, &format!("a{seq}"), 0), t(seq));
-        }
-        c.insert(item(2, 0, "b", 0), t(0));
-        // Seq 8 was seen and fused away by seq 11: known, not held.
-        c.insert(item(1, 8, "story", 0), t(8));
-        c.insert(item(1, 11, "story", 1), t(11));
-        let (p1, p2) = (PublisherId(1), PublisherId(2));
-        let marks = [(p1, 4), (p2, 0), (PublisherId(3), 0)];
-        assert_eq!(c.held_runs(&marks, 16), vec![(p1, 4, 5), (p1, 7, 7), (p1, 9, 11), (p2, 0, 0)]);
-        assert_eq!(c.held_runs(&marks, 2), vec![(p1, 4, 5), (p1, 7, 7)], "capped, lowest first");
-        assert!(c.held_runs(&[(p1, 12)], 16).is_empty());
-        c.purge(ItemId::new(p1, 10));
-        assert_eq!(c.held_runs(&[(p1, 9)], 16), vec![(p1, 9, 9), (p1, 11, 11)]);
-    }
-
-    #[test]
     fn items_from_serves_repair_inclusively() {
         let mut c = MessageCache::default();
         for i in 0..=10u64 {
@@ -452,14 +384,5 @@ mod tests {
             "{:?}",
             snap.iter().map(|i| i.id.seq).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn highwater_tracks_gaps() {
-        let mut c = MessageCache::default();
-        c.insert(item(3, 7, "x", 0), t(0));
-        assert_eq!(c.highwater(PublisherId(3)), 7);
-        assert_eq!(c.highwater(PublisherId(4)), 0);
-        assert_eq!(c.highwaters(), vec![(PublisherId(3), 7)]);
     }
 }

@@ -51,10 +51,7 @@ pub struct NewsWireConfig {
     pub service_interval: SimDuration,
     /// End-system cache policy.
     pub cache: CachePolicy,
-    /// Period of cache anti-entropy repair (end-to-end reliability, §9);
-    /// `None` disables repair.
-    pub repair_interval: Option<SimDuration>,
-    /// Maximum items shipped per repair reply.
+    /// Maximum items shipped per recovery reply.
     pub repair_batch: usize,
     /// Whether forwarders verify publisher signatures (§8).
     pub verify_signatures: bool,
@@ -72,16 +69,16 @@ pub struct NewsWireConfig {
     /// Alternative representatives tried after retries are exhausted;
     /// beyond this the hand-off is abandoned to anti-entropy repair.
     pub ack_max_failovers: u32,
-    /// Timeout on repair replies: absent a `RepairReply`, re-target a
-    /// different peer instead of idling a full `repair_interval`.
-    /// `None` disables re-targeting. Also bounds reconciliation replies.
+    /// Timeout on reconcile replies: absent a `ReconcileReply`, re-target
+    /// a cross-zone peer instead of waiting for the next gossip round.
+    /// `None` disables re-targeting.
     pub repair_reply_timeout: Option<SimDuration>,
     /// Log anti-entropy: piggyback per-publisher article-log digests
     /// (`sys$ae:<publisher>` attributes) on gossip rows and pull missing
-    /// sequence ranges from the freshest known peer. Separate from
-    /// `repair_interval` — the margin-backed repair path only reaches
-    /// items near the high-water mark, while reconciliation closes
-    /// arbitrarily deep holes (e.g. everything missed during a partition).
+    /// sequence ranges from the freshest known peer. The periodic recovery:
+    /// it closes arbitrarily deep holes (everything missed during a
+    /// partition, a joiner's whole backlog), where the named pull only
+    /// reaches the last few items of one link.
     pub anti_entropy: bool,
     /// Persist protocol state to simulated stable storage (subscription,
     /// incarnation, article-log coverage, cached items, delivery log) so a
@@ -137,7 +134,6 @@ impl NewsWireConfig {
             strategy: Strategy::WeightedRoundRobin,
             service_interval: SimDuration::from_micros(500),
             cache: CachePolicy::default(),
-            repair_interval: Some(SimDuration::from_secs(10)),
             repair_batch: 64,
             verify_signatures: true,
             ack_timeout: Some(SimDuration::from_secs(2)),

@@ -464,7 +464,6 @@ impl Deployment {
             t.ack_retries += s.ack_retries;
             t.ack_failovers += s.ack_failovers;
             t.handoffs_abandoned += s.handoffs_abandoned;
-            t.repair_retargets += s.repair_retargets;
             t.suspect_failovers += s.suspect_failovers;
             t.reconcile_requests += s.reconcile_requests;
             t.reconcile_items_recv += s.reconcile_items_recv;

@@ -66,8 +66,8 @@ pub struct DeliveryRecord {
     pub published: SimTime,
     /// Local delivery time.
     pub delivered: SimTime,
-    /// True when the item arrived through cache repair rather than the
-    /// multicast tree.
+    /// True when the item arrived out of a peer's cache — a named pull or
+    /// a reconcile reply — rather than down the multicast tree.
     pub via_repair: bool,
 }
 
@@ -90,9 +90,9 @@ pub struct NodeStats {
     pub publish_denied: u64,
     /// Items unroutable at this node.
     pub route_failures: u64,
-    /// Repair requests answered.
+    /// Named pulls answered.
     pub repairs_served: u64,
-    /// Items shipped in repair replies.
+    /// Items shipped in named-pull replies.
     pub repair_items_sent: u64,
     /// Forward/Deliver messages transmitted.
     pub forwards_sent: u64,
@@ -106,8 +106,6 @@ pub struct NodeStats {
     pub ack_failovers: u64,
     /// Hand-offs abandoned to anti-entropy after exhausting failovers.
     pub handoffs_abandoned: u64,
-    /// Repair requests re-targeted at a new peer after a reply timeout.
-    pub repair_retargets: u64,
     /// Hand-offs failed over early because the phi detector already
     /// suspected the representative (retries against it would be wasted).
     pub suspect_failovers: u64,
@@ -167,8 +165,8 @@ pub const DISSEMINATION_SCOPE: &str = "ds$scope";
 
 const GOSSIP_TIMER: u64 = 1;
 const DRAIN_TIMER: u64 = 2;
-const REPAIR_TIMER: u64 = 3;
-const REPAIR_WAIT_TIMER: u64 = 4;
+// Tags 3 and 4 were the margin probe's; they stay unused so 5 keeps its
+// meaning for consumers that classify timers by tag.
 const RECONCILE_WAIT_TIMER: u64 = 5;
 /// Timer tags at or above this carry a pending hand-off id in the low bits.
 const ACK_TAG_BASE: u64 = 1 << 32;
@@ -230,15 +228,10 @@ const MISBEHAVIOR_FENCE: u32 = 1;
 /// digest advertised coverage for our holes replies with an empty log.
 const MISBEHAVIOR_CONTRADICTION: u32 = 1;
 
-/// Most baseline hints a repair/reconcile request carries (16 bytes each):
+/// Most baseline hints a reconcile request carries (16 bytes each):
 /// enough to cover every live story line in the target configurations
 /// without letting the request itself outgrow the reply it is optimizing.
 const MAX_BASELINES: usize = 256;
-
-/// Most held runs a repair request declares and a responder reads (18 bytes
-/// each). A steady-state window is one run per publisher; revision fusion
-/// punches holes in it, so at most nine runs in the default 17-seq window.
-const MAX_HELD_RUNS: usize = 256;
 
 /// Ids a representative remembers per leaf member and sends as a
 /// `Deliver`'s `prev` — how many consecutive final-hop losses on one link
@@ -316,8 +309,6 @@ struct GapSuspect {
     /// When the reorder window — or, after a pull, the wait for its answer
     /// — is over.
     next_pull: SimTime,
-    /// True once pulled.
-    asked: bool,
 }
 
 /// Round-trip evidence about one peer: the slowest exchange timed, how many
@@ -477,8 +468,6 @@ pub struct NewsWireNode {
     /// Missed-`Deliver` suspects awaiting their reorder window or their
     /// pull's answer; at most [`MAX_GAP_SUSPECTS`].
     gap_suspects: Vec<GapSuspect>,
-    /// Outstanding repair request: `(peer, reply timer, retargets so far)`.
-    awaiting_repair: Option<(NodeId, TimerId, u32)>,
     /// Per-publisher article logs: which sequence numbers this node has
     /// *seen* (delivered, cached, or deliberately filtered). Gaps are the
     /// holes anti-entropy reconciliation pulls.
@@ -579,7 +568,6 @@ impl NewsWireNode {
             digest_probes: Vec::new(),
             delivery_chains: Vec::new(),
             gap_suspects: Vec::new(),
-            awaiting_repair: None,
             article_logs: BTreeMap::new(),
             peer_health,
             awaiting_reconcile: None,
@@ -1029,9 +1017,8 @@ impl NewsWireNode {
 
     /// True when the phi detector suspects `peer` — or the misbehavior
     /// score has quarantined it. Folding quarantine in here covers every
-    /// selection path at once (repair peers, cross-zone peers, ack
-    /// failovers, reconcile sources). Unobserved peers are unknown, not
-    /// suspect.
+    /// selection path at once (cross-zone peers, ack failovers, reconcile
+    /// sources). Unobserved peers are unknown, not suspect.
     fn peer_suspect(&self, peer: u32, now: SimTime) -> bool {
         self.quarantined(peer) || self.peer_health.is_suspect(peer, now)
     }
@@ -1236,13 +1223,7 @@ impl NewsWireNode {
             }
             if !self.seen(id) && !self.gap_suspects.iter().any(|s| s.id == id) {
                 let next_pull = now + self.round_trip_bound(from.0);
-                self.gap_suspects.push(GapSuspect {
-                    id,
-                    from: from.0,
-                    since: now,
-                    next_pull,
-                    asked: false,
-                });
+                self.gap_suspects.push(GapSuspect { id, from: from.0, since: now, next_pull });
             }
         }
     }
@@ -1269,7 +1250,6 @@ impl NewsWireNode {
             let mut ids = Vec::new();
             for s in suspects.iter_mut() {
                 if ids.len() < MAX_PULL_IDS && s.from == rep && now >= s.next_pull {
-                    s.asked = true;
                     s.next_pull = now + window + window;
                     ids.push(s.id);
                     obs::trace_event!(
@@ -1282,29 +1262,9 @@ impl NewsWireNode {
                 }
             }
             obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULLS, 1);
-            ctx.send(
-                NodeId(rep),
-                NewsWireMsg::RepairRequest {
-                    highwater: Vec::new(),
-                    held: Vec::new(),
-                    want_snapshot: false,
-                    baselines: Vec::new(),
-                    ids,
-                },
-            );
+            ctx.send(NodeId(rep), NewsWireMsg::RepairRequest { ids });
         }
         self.gap_suspects = suspects;
-    }
-
-    /// True when a `RepairReply` from `from` answers a named pull rather
-    /// than the periodic probe: it is non-empty (a named pull that finds
-    /// nothing is not answered) and every item in it was asked of `from` by
-    /// name.
-    fn answers_gap_pull(&self, from: NodeId, items: &[SignedItem]) -> bool {
-        !items.is_empty()
-            && items.iter().all(|i| {
-                self.gap_suspects.iter().any(|s| s.id == i.item.id && s.from == from.0 && s.asked)
-            })
     }
 
     /// What a named pull is answered with: the first [`MAX_PULL_IDS`] of
@@ -1677,10 +1637,10 @@ impl NewsWireNode {
         Some(DeltaBasis { revision: base_rev, body_len: base_len })
     }
 
-    /// The baseline hints a repair or reconcile request declares: what this
-    /// cache holds, so the responder can delta-encode. Empty with deltas
-    /// off — the request is then byte-identical to the pre-delta wire.
-    fn request_baselines(&self, publisher: Option<PublisherId>) -> Vec<BaselineHint> {
+    /// The baseline hints a reconcile request declares: what this cache
+    /// holds of `publisher`, so the responder can delta-encode. Empty with
+    /// deltas off — the request is then byte-identical to the pre-delta wire.
+    fn request_baselines(&self, publisher: PublisherId) -> Vec<BaselineHint> {
         if !self.cfg.deltas {
             return Vec::new();
         }
@@ -1715,41 +1675,6 @@ impl NewsWireNode {
         );
         obs::metric_add!(self.agent.id(), ctr::DELTA_FALLBACK_FULL, 1);
         obs::metric_add!(self.agent.id(), ctr::BYTES_WIRE, cost.saved() as u64);
-    }
-
-    /// Random peer for cache repair: usually a leaf-zone neighbour (cheap,
-    /// nearby), but a fraction of rounds reach representatives from higher
-    /// tables — when a forwarder crash loses a whole subtree, everyone in
-    /// the local leaf zone is missing the same items, and only a
-    /// cross-zone peer can supply them.
-    fn repair_peer(&self, rng: &mut rand::rngs::SmallRng, now: SimTime) -> Option<NodeId> {
-        use astrolabe::AttrValue;
-        let mut candidates: Vec<u32> = Vec::new();
-        if rng.gen_bool(0.5) {
-            let own = self.agent.own_label(0);
-            candidates.extend(
-                self.agent
-                    .table(0)
-                    .iter()
-                    .filter(|(l, _)| *l != own)
-                    .filter_map(|(_, row)| row.get("id").and_then(|v| v.as_i64()))
-                    .filter_map(|v| u32::try_from(v).ok()),
-            );
-        }
-        if candidates.is_empty() {
-            for level in 1..self.agent.levels() {
-                for (_, row) in self.agent.table(level).iter() {
-                    if let Some(AttrValue::Set(reps)) = row.get("reps") {
-                        candidates.extend(reps.iter().filter_map(|&r| u32::try_from(r).ok()));
-                    }
-                }
-            }
-        }
-        candidates.retain(|&p| p != self.agent.id());
-        // Asking a phi-suspect peer wastes a repair round on a reply
-        // timeout; avoid them while any trusted alternative exists.
-        self.prefer_unsuspected(&mut candidates, now);
-        candidates.as_slice().choose(rng).map(|&p| NodeId(p))
     }
 
     /// A random *cross-zone* representative from the higher tables — the
@@ -1942,92 +1867,6 @@ impl NewsWireNode {
         }
     }
 
-    /// The repair request this node's cache calls for right now.
-    fn repair_request(&self) -> NewsWireMsg {
-        // Back the marks off by a margin so a gap *below* the high-water
-        // mark (a missed item followed by a received one) is inside the
-        // window, and say which seqs of the window the cache holds so the
-        // peer ships only the rest. Two things this must stay: *cache
-        // possession*, not `article_logs` knowledge — `adopt_rotation`
-        // purges cached items but leaves their seqs seen, and the genuine
-        // ones have to come back through this path — and the *margin
-        // window*, not the log's exact gaps: closing deep holes is
-        // reconcile's job, and E14's anti-entropy-off arm (`healing.rs`)
-        // measures what is lost without it.
-        let margin = (self.cfg.repair_batch / 4) as u64;
-        let highwater: Vec<(PublisherId, u64)> = self
-            .cache
-            .highwaters()
-            .into_iter()
-            .map(|(p, hw)| (p, hw.saturating_sub(margin)))
-            .collect();
-        NewsWireMsg::RepairRequest {
-            held: self.cache.held_runs(&highwater, MAX_HELD_RUNS),
-            highwater,
-            want_snapshot: self.cache.is_empty(),
-            baselines: self.request_baselines(None),
-            ids: Vec::new(),
-        }
-    }
-
-    /// Sends one repair request to `peer` and, when configured, arms the
-    /// reply timeout that re-targets a different peer.
-    fn send_repair_request(
-        &mut self,
-        ctx: &mut Context<'_, NewsWireMsg>,
-        peer: NodeId,
-        retargets: u32,
-    ) {
-        obs::trace_event!(self.agent.id(), Layer::News, kind::REPAIR_REQUEST, peer.0);
-        ctx.send(peer, self.repair_request());
-        if let Some(wait) = self.cfg.repair_reply_timeout {
-            if let Some((_, old_timer, _)) = self.awaiting_repair.take() {
-                ctx.cancel_timer(old_timer);
-            }
-            let timer = ctx.set_timer(wait, REPAIR_WAIT_TIMER);
-            self.awaiting_repair = Some((peer, timer, retargets));
-        }
-    }
-
-    /// What a `RepairRequest` is answered with: one batch of everything
-    /// cached at or past the requester's marks, less what it says it holds.
-    fn repair_reply_items(
-        &self,
-        highwater: &[(PublisherId, u64)],
-        held: &[(PublisherId, u64, u64)],
-        want_snapshot: bool,
-    ) -> Vec<Arc<NewsItem>> {
-        let mut items: Vec<Arc<NewsItem>> = Vec::new();
-        // Everything at or past the requester's (margin-backed) marks…
-        for (publisher, hw) in highwater {
-            items.extend(self.cache.items_from(*publisher, *hw, self.cfg.repair_batch));
-        }
-        // …plus publishers the requester has never heard from.
-        for (publisher, _) in self.cache.highwaters() {
-            if !highwater.iter().any(|(p, _)| *p == publisher) {
-                items.extend(self.cache.items_from(publisher, 0, self.cfg.repair_batch));
-            }
-        }
-        if want_snapshot {
-            items.extend(self.cache.snapshot(self.cfg.repair_batch));
-        }
-        items.sort_by_key(|i| i.id);
-        items.dedup_by_key(|i| i.id);
-        items.truncate(self.cfg.repair_batch);
-        // Held items leave only now: the batch boundary is where it was, so
-        // which *missing* items a request can reach does not depend on what
-        // it declared. The runs are a peer's claim — bounded work, and a
-        // malformed run (`lo > hi`, a stray publisher) withholds nothing
-        // outside itself.
-        items.retain(|i| {
-            let declared = |&(p, lo, hi): &(PublisherId, u64, u64)| {
-                p == i.id.publisher && (lo..=hi).contains(&i.id.seq)
-            };
-            !held.iter().take(MAX_HELD_RUNS).any(declared)
-        });
-        items
-    }
-
     /// Publishes the per-publisher log digests into this node's MIB row so
     /// they gossip with everything else (`sys$ae:<publisher>`).
     fn publish_ae_digests(&mut self) {
@@ -2045,26 +1884,41 @@ impl NewsWireNode {
     /// holes (round-robin), find the freshest peer whose gossiped digest can
     /// fill them, and pull the missing ranges.
     ///
+    /// The publishers are those with a log plus those subscribed to; a
+    /// subscribed publisher with no log yet — a joiner, a node back from a
+    /// freeze, one that lost the first article — reads as an empty log, so
+    /// any neighbour's digest is ahead of it. (The log itself is only ever
+    /// created by an arrival: an empty one is never advertised.)
+    ///
     /// Peer selection prefers leaf-zone neighbours advertising a
     /// *contiguous* log (they can vouch for everything up to their mark).
     /// When the whole leaf zone shares the hole — the partition fell along a
     /// zone boundary — no such neighbour exists, and the fallback asks a
-    /// random cross-zone representative blind. Once one leaf member has
-    /// reconciled across the boundary it becomes a contiguous local source,
-    /// and the rest of the zone heals epidemically from it.
+    /// random cross-zone representative blind; so does a recovering node
+    /// whose leaf zone knows nothing of the publisher either. Once one leaf
+    /// member has reconciled across the boundary it becomes a contiguous
+    /// local source, and the rest of the zone heals epidemically from it.
     fn maybe_reconcile(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
         if !self.cfg.anti_entropy || self.awaiting_reconcile.is_some() {
             return;
         }
-        let publishers: Vec<PublisherId> = self.article_logs.keys().copied().collect();
+        let mut publishers: Vec<PublisherId> = self
+            .article_logs
+            .keys()
+            .chain(self.subscription.publishers.iter().map(|(p, _)| p))
+            .copied()
+            .collect();
         if publishers.is_empty() {
             return;
         }
+        publishers.sort_unstable();
+        publishers.dedup();
+        let no_log = SeqLog::new(ARTICLE_LOG_CAPACITY);
         let now = ctx.now();
         let own = self.agent.own_label(0);
         for step in 0..publishers.len() {
             let publisher = publishers[(self.reconcile_cursor + step) % publishers.len()];
-            let log = &self.article_logs[&publisher];
+            let log = self.article_logs.get(&publisher).unwrap_or(&no_log);
             // One walk of the own log per publisher; each neighbour is then
             // tested against the result without allocating.
             let gaps = log.gaps();
@@ -2103,8 +1957,10 @@ impl NewsWireNode {
                 Some((summary, peer)) => (NodeId(peer), log.missing_given(&summary), true),
                 None => {
                     // No leaf neighbour is ahead of us. If our own log has
-                    // internal gaps, ask across the zone boundary blind.
-                    if gaps.is_empty() {
+                    // internal gaps — or we are recovering and it has
+                    // nothing at all — ask across the zone boundary blind.
+                    let cold = log.next_seq() == 0 && self.recovering_since.is_some();
+                    if gaps.is_empty() && !cold {
                         continue;
                     }
                     match self.cross_zone_peer(ctx.rng(), now) {
@@ -2145,7 +2001,7 @@ impl NewsWireNode {
                 epoch,
                 ranges: ranges.clone(),
                 tail_from,
-                baselines: self.request_baselines(Some(publisher)),
+                baselines: self.request_baselines(publisher),
             },
         );
         if let Some(wait) = self.cfg.repair_reply_timeout {
@@ -2290,34 +2146,55 @@ impl NewsWireNode {
             }
             self.note_misbehavior(from, MISBEHAVIOR_FENCE);
         }
-        let log =
-            self.article_logs.entry(publisher).or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY));
-        if summary.epoch > log.epoch() && !fenced {
-            log.adopt_epoch(summary.epoch);
+        if summary.epoch > cur_epoch && !fenced {
+            self.article_logs
+                .entry(publisher)
+                .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY))
+                .adopt_epoch(summary.epoch);
         }
+        let next_before = self.article_logs.get(&publisher).map_or(0, |l| l.next_seq());
+        // A reply as long as a batch may have been cut there (replies are
+        // in sequence order): it speaks for nothing past its last item.
+        let spoken_for = match items.last() {
+            Some(last) if items.len() >= self.cfg.repair_batch => last.item.id.seq,
+            _ => u64::MAX,
+        };
         for SignedItem { item, key, signature, basis } in items {
             self.delta_makeup(&item, basis.as_ref());
             self.admit_bare_item(now, item, key, signature, from, 3);
         }
-        if let Some(ranges) = pending.map(|p| p.ranges) {
-            let log = self
-                .article_logs
-                .entry(publisher)
-                .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY));
-            // An empty summary vouches for nothing: a peer that has no log
-            // (say, a fresh amnesiac rejoiner picked through a stale digest)
-            // must not settle anyone's seq 0 — `0..=next-1` would otherwise
-            // saturate into the single-element range `0..=0`.
-            if summary.epoch == log.epoch() && summary.contiguous() && !summary.is_empty() {
-                for (lo, hi) in ranges {
-                    if lo >= summary.next {
-                        continue;
-                    }
-                    for seq in lo..=hi.min(summary.next - 1) {
-                        log.insert(seq, ());
-                    }
+        // An empty summary vouches for nothing: a peer that has no log
+        // (say, a fresh amnesiac rejoiner picked through a stale digest)
+        // must not settle anyone's seq 0 — `0..=next-1` would otherwise
+        // saturate into the single-element range `0..=0` — nor does it
+        // leave an empty log behind here to be advertised.
+        if summary.is_empty() {
+            return;
+        }
+        let Some(pending) = pending else { return };
+        let log =
+            self.article_logs.entry(publisher).or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY));
+        if summary.epoch != log.epoch() {
+            return;
+        }
+        if summary.contiguous() {
+            for (lo, hi) in pending.ranges {
+                if lo >= summary.next {
+                    continue;
+                }
+                for seq in lo..=hi.min(summary.next - 1).min(spoken_for) {
+                    log.insert(seq, ());
                 }
             }
+        }
+        // The responder is still ahead (the reply was cut). A recovering
+        // node may have no digest to lead it back there — its whole leaf
+        // zone can be as cold as it is — so it asks again now, for as long
+        // as each reply moves its own mark.
+        let behind = next_before < log.next_seq() && log.next_seq() < summary.next;
+        if behind && self.recovering_since.is_some() {
+            let ranges = log.missing_given(&summary);
+            self.send_reconcile_request(ctx, from, publisher, ranges, 0, false);
         }
     }
 
@@ -2522,7 +2399,7 @@ impl NewsWireNode {
     /// otherwise be vacuously hole-free.
     fn check_recovery_done(&mut self, now: SimTime) {
         let Some(started) = self.recovering_since else { return };
-        if self.awaiting_repair.is_some() || self.awaiting_reconcile.is_some() {
+        if self.awaiting_reconcile.is_some() {
             return;
         }
         if self.article_logs.values().any(|log| !log.gaps().is_empty()) {
@@ -2584,10 +2461,6 @@ impl Node for NewsWireNode {
         let interval = self.agent.config().gossip_interval;
         let first = SimDuration::from_micros(ctx.rng().gen_range(0..interval.as_micros().max(1)));
         ctx.set_timer(first, GOSSIP_TIMER);
-        if let Some(repair) = self.cfg.repair_interval {
-            let first = SimDuration::from_micros(ctx.rng().gen_range(0..repair.as_micros().max(1)));
-            ctx.set_timer(first, REPAIR_TIMER);
-        }
         if self.cfg.durable_state {
             // The subscription is configuration, not protocol state: write
             // it once, synced, so a durable restart re-derives the exact
@@ -2738,46 +2611,28 @@ impl Node for NewsWireNode {
                 self.handle_delivery(now, Arc::clone(&env.item), false);
                 self.note_gap_suspects(from, &prev, now);
             }
-            NewsWireMsg::RepairRequest { highwater, held, want_snapshot, baselines, ids } => {
-                let items = if ids.is_empty() {
-                    self.repair_reply_items(&highwater, &held, want_snapshot)
-                } else {
-                    // A named pull; one that finds nothing is not answered.
-                    let items = self.named_pull_items(&ids);
-                    if items.is_empty() {
-                        return;
-                    }
-                    obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULL_ITEMS, items.len());
-                    items
-                };
-                if !items.is_empty() {
-                    self.stats.repairs_served += 1;
-                    self.stats.repair_items_sent += items.len() as u64;
-                    obs::metric_add!(self.agent.id(), ctr::NW_REPAIRS_SERVED, 1);
-                    obs::metric_add!(self.agent.id(), ctr::NW_REPAIR_ITEMS_SENT, items.len());
-                    obs::trace_event!(
-                        self.agent.id(),
-                        Layer::News,
-                        kind::REPAIR_REPLY,
-                        from.0,
-                        items.len()
-                    );
+            NewsWireMsg::RepairRequest { ids } => {
+                // A named pull; one that finds nothing is not answered.
+                let items = self.named_pull_items(&ids);
+                if items.is_empty() {
+                    return;
                 }
-                // Reply even when empty: an empty reply tells the requester
-                // "I'm alive and have nothing for you", so its reply timeout
-                // distinguishes dead peers from up-to-date ones.
-                let items = self.sign_items(items, &baselines);
+                self.stats.repairs_served += 1;
+                self.stats.repair_items_sent += items.len() as u64;
+                obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULL_ITEMS, items.len());
+                obs::metric_add!(self.agent.id(), ctr::NW_REPAIRS_SERVED, 1);
+                obs::metric_add!(self.agent.id(), ctr::NW_REPAIR_ITEMS_SENT, items.len());
+                obs::trace_event!(
+                    self.agent.id(),
+                    Layer::News,
+                    kind::REPAIR_REPLY,
+                    from.0,
+                    items.len()
+                );
+                let items = self.sign_items(items, &[]);
                 ctx.send(from, NewsWireMsg::RepairReply { items });
             }
             NewsWireMsg::RepairReply { items } => {
-                if let Some((peer, timer, _)) = self.awaiting_repair {
-                    // Only the margin request's reply ends the wait; a
-                    // named pull's answer from the same peer does not.
-                    if peer == from && !self.answers_gap_pull(from, &items) {
-                        ctx.cancel_timer(timer);
-                        self.awaiting_repair = None;
-                    }
-                }
                 let now = ctx.now();
                 for SignedItem { item, key, signature, basis } in items {
                     self.delta_makeup(&item, basis.as_ref());
@@ -2825,8 +2680,10 @@ impl Node for NewsWireNode {
                     self.item_sigs.retain(|id, _| cache.contains(*id));
                 }
                 self.absorb_incarnation_bumps();
-                self.maybe_reconcile(ctx);
+                // What the last round's pull achieved, before the next one
+                // is in flight (a pull in flight is not a finished recovery).
                 self.check_recovery_done(now);
+                self.maybe_reconcile(ctx);
                 if self.cfg.durable_state {
                     self.persist_state(ctx);
                 }
@@ -2859,39 +2716,6 @@ impl Node for NewsWireNode {
                     self.draining = false;
                 } else {
                     ctx.set_timer(self.cfg.service_interval, DRAIN_TIMER);
-                }
-            }
-            REPAIR_TIMER => {
-                let now = ctx.now();
-                if let Some(peer) = self.repair_peer(ctx.rng(), now) {
-                    self.send_repair_request(ctx, peer, 0);
-                }
-                if let Some(repair) = self.cfg.repair_interval {
-                    ctx.set_timer(repair, REPAIR_TIMER);
-                }
-            }
-            REPAIR_WAIT_TIMER => {
-                // The peer never answered: it is dead, gray, or cut off.
-                // Re-target a different peer instead of idling out the rest
-                // of the repair interval (bounded retargets per interval).
-                let Some((failed_peer, _, retargets)) = self.awaiting_repair.take() else {
-                    return;
-                };
-                if retargets >= 2 {
-                    return;
-                }
-                self.stats.repair_retargets += 1;
-                obs::metric_add!(self.agent.id(), ctr::NW_REPAIR_RETARGETS, 1);
-                let now = ctx.now();
-                for _ in 0..4 {
-                    match self.repair_peer(ctx.rng(), now) {
-                        Some(peer) if peer != failed_peer => {
-                            self.send_repair_request(ctx, peer, retargets + 1);
-                            return;
-                        }
-                        Some(_) => continue,
-                        None => return,
-                    }
                 }
             }
             RECONCILE_WAIT_TIMER => {
@@ -2933,9 +2757,9 @@ impl Node for NewsWireNode {
         // process restarted, but ambient memory survives — the subscription
         // attributes stay in the local MIB builder (standing in for the
         // user's configuration file), queues and the duty dedup window keep
-        // their contents, and no incarnation is burned. State transfer
-        // (`want_snapshot`) refills the cache and re-delivers what the
-        // subscription matches. Cold restarts go through `on_restart`.
+        // their contents, and no incarnation is burned. Reconcile reads
+        // the absent logs as empty, refills the cache and re-delivers what
+        // the subscription matches. Cold restarts go through `on_restart`.
         self.agent.reset();
         self.cache = MessageCache::new(self.cfg.cache);
         self.deliveries.clear();
@@ -2945,16 +2769,16 @@ impl Node for NewsWireNode {
         self.digest_probes.clear();
         self.delivery_chains.clear();
         self.gap_suspects.clear();
-        self.awaiting_repair = None;
         self.article_logs.clear();
         self.peer_health.clear();
         self.misbehavior.clear();
         self.item_sigs.clear();
         self.awaiting_reconcile = None;
+        // The digests in the own row describe logs that are gone.
+        self.agent.remove_local_attrs(AE_ATTR_PREFIX);
+        self.recovering_since = Some(ctx.now());
+        self.backfill_this_recovery = 0;
         ctx.set_timer(self.agent.config().gossip_interval, GOSSIP_TIMER);
-        if let Some(repair) = self.cfg.repair_interval {
-            ctx.set_timer(repair, REPAIR_TIMER);
-        }
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, NewsWireMsg>, mode: RestartMode) {
@@ -2978,7 +2802,6 @@ impl Node for NewsWireNode {
         self.digest_probes.clear();
         self.delivery_chains.clear();
         self.gap_suspects.clear();
-        self.awaiting_repair = None;
         self.article_logs.clear();
         self.peer_health.clear();
         self.misbehavior.clear();
@@ -3088,9 +2911,6 @@ impl Node for NewsWireNode {
         // on_start-only affordance, so the cold path stays deterministic
         // relative to the legacy one.
         ctx.set_timer(self.agent.config().gossip_interval, GOSSIP_TIMER);
-        if let Some(repair) = self.cfg.repair_interval {
-            ctx.set_timer(repair, REPAIR_TIMER);
-        }
     }
 
     fn apply_corruption(&mut self, op: &CorruptionOp, rng: &mut SmallRng) -> u64 {
@@ -3520,8 +3340,8 @@ mod tests {
         assert_eq!(signed[0].basis, Some(DeltaBasis { revision: 2, body_len: 6000 }));
         assert!(signed[0].compressed_wire_size() < signed[0].wire_size() / 2);
 
-        // …a copy that races a requester already on revision 3 (repair no
-        // longer sends one knowingly) prices as pure chunk references.
+        // …a copy that races a requester already on revision 3 prices as
+        // pure chunk references.
         let even = BaselineHint { revision: 3, ..hint };
         let dup = n.sign_items(vec![rev3.clone()], &[even]);
         assert_eq!(dup[0].basis, Some(DeltaBasis { revision: 3, body_len: 6000 }));
@@ -3531,264 +3351,12 @@ mod tests {
 
         // The node's own requests declare its cache as baselines, sorted;
         // with deltas off they stay empty so the wire is byte-identical.
-        let hints = n.request_baselines(None);
+        let hints = n.request_baselines(PublisherId(0));
         assert_eq!(hints.len(), 1);
         assert_eq!(hints[0].revision, 3);
         n.cfg.deltas = false;
-        assert!(n.request_baselines(None).is_empty());
+        assert!(n.request_baselines(PublisherId(0)).is_empty());
         assert_eq!(n.sign_items(vec![rev3], &[hint])[0].basis, None, "deltas off: never annotate");
-    }
-
-    /// Two trusted publishers and nodes that know both — the fixture of
-    /// the repair-serving tests. Node ids share one 4-agent layout.
-    struct RepairFleet {
-        registry: Arc<TrustRegistry>,
-        creds: Vec<crate::auth::PublisherCredential>,
-        cfg: NewsWireConfig,
-    }
-
-    impl RepairFleet {
-        fn new(cfg: NewsWireConfig) -> Self {
-            let mut registry = TrustRegistry::new(1);
-            let creds = (0..2u16)
-                .map(|p| {
-                    let name = format!("wire{p}");
-                    let root = astrolabe::ZoneId::root();
-                    crate::auth::issue_publisher(&mut registry, PublisherId(p), &name, &root, 6000)
-                })
-                .collect();
-            RepairFleet { registry: Arc::new(registry), creds, cfg }
-        }
-
-        /// A node subscribed to publisher 0's technology feed only, so
-        /// publisher 1's articles are cached but never delivered.
-        fn node(&self, id: u32) -> NewsWireNode {
-            let layout = ZoneLayout::new(4, 4);
-            let agent = Agent::new(id, &layout, Config::standard(), vec![0]);
-            let mut n = NewsWireNode::new(agent, self.cfg.clone(), Arc::clone(&self.registry));
-            for cred in &self.creds {
-                n.install_publisher_authority(cred.certificate.clone(), cred.attest_epoch(0));
-            }
-            n.set_subscription(tech_sub());
-            n
-        }
-
-        /// Admits `item` the way a verified reply would (signature recorded,
-        /// so the node can serve it onward).
-        fn admit(&self, n: &mut NewsWireNode, item: &NewsItem) {
-            let cred = &self.creds[usize::from(item.id.publisher.0)];
-            let sig = cred.sign(item);
-            let at = SimTime::from_secs(1);
-            n.admit_bare_item(at, item.clone().into(), cred.key_id(), sig, NodeId(9), 2);
-        }
-    }
-
-    /// Revision `rev` of `publisher`'s story `slug`, published as `seq`.
-    fn story(publisher: u16, seq: u64, slug: &str, rev: u32) -> NewsItem {
-        NewsItem::builder(PublisherId(publisher), seq)
-            .slug(slug)
-            .revision(rev, None)
-            .category(Category::Technology)
-            .build()
-    }
-
-    /// The `RepairRequest` serving logic as it stood before requests
-    /// declared what they hold: one sorted, deduplicated, truncated batch of
-    /// everything at or past the marks. Kept as the executable statement of
-    /// what the batch boundary and the re-offer window are.
-    fn reference_repair_reply(
-        n: &NewsWireNode,
-        highwater: &[(PublisherId, u64)],
-        want_snapshot: bool,
-    ) -> Vec<Arc<NewsItem>> {
-        let mut items: Vec<Arc<NewsItem>> = Vec::new();
-        for (publisher, hw) in highwater {
-            items.extend(n.cache.items_from(*publisher, *hw, n.cfg.repair_batch));
-        }
-        for (publisher, _) in n.cache.highwaters() {
-            if !highwater.iter().any(|(p, _)| *p == publisher) {
-                items.extend(n.cache.items_from(publisher, 0, n.cfg.repair_batch));
-            }
-        }
-        if want_snapshot {
-            items.extend(n.cache.snapshot(n.cfg.repair_batch));
-        }
-        items.sort_by_key(|i| i.id);
-        items.dedup_by_key(|i| i.id);
-        items.truncate(n.cfg.repair_batch);
-        items
-    }
-
-    fn seqs_of(items: &[Arc<NewsItem>]) -> Vec<(u16, u64)> {
-        items.iter().map(|i| (i.id.publisher.0, i.id.seq)).collect()
-    }
-
-    #[test]
-    fn repair_reply_leaves_out_exactly_what_the_request_declares_held() {
-        let fleet = RepairFleet::new(NewsWireConfig::tech_news());
-        let mut responder = fleet.node(1);
-        let mut requester = fleet.node(0);
-        for seq in 0..=40 {
-            fleet.admit(&mut responder, &tech_item(seq));
-            if (24..=40).contains(&seq) && seq != 32 {
-                fleet.admit(&mut requester, &tech_item(seq));
-            }
-        }
-        let NewsWireMsg::RepairRequest { highwater, held, want_snapshot, .. } =
-            requester.repair_request()
-        else {
-            panic!("repair_request builds a RepairRequest");
-        };
-        // The margin window is today's (`repair_batch / 4` = 16 below the
-        // mark); what is new is the statement of what sits inside it.
-        assert_eq!(highwater, vec![(PublisherId(0), 24)]);
-        assert_eq!(held, vec![(PublisherId(0), 24, 31), (PublisherId(0), 33, 40)]);
-        assert!(!want_snapshot);
-        let reply = responder.repair_reply_items(&highwater, &held, want_snapshot);
-        assert_eq!(seqs_of(&reply), vec![(0, 32)]);
-        assert_eq!(
-            reference_repair_reply(&responder, &highwater, want_snapshot).len(),
-            17,
-            "the re-offer this replaces"
-        );
-    }
-
-    /// Declared runs are a peer's claim. Inverted, overlapping, unsorted and
-    /// stray runs, a publisher the marks never mention and a list past the
-    /// cap neither panic nor withhold anything outside the runs read.
-    #[test]
-    fn malformed_held_runs_withhold_nothing_outside_themselves() {
-        let fleet = RepairFleet::new(NewsWireConfig::tech_news());
-        let mut responder = fleet.node(1);
-        for seq in 0..=40 {
-            fleet.admit(&mut responder, &tech_item(seq));
-        }
-        for seq in 0..=5 {
-            fleet.admit(&mut responder, &story(1, seq, &format!("p1-{seq}"), 0));
-        }
-        let (p0, p1) = (PublisherId(0), PublisherId(1));
-        let highwater = vec![(p0, 24)];
-        let mut held = vec![
-            (p0, 30, 26), // inverted: empty
-            (p0, 36, 38), // unsorted …
-            (p0, 35, 37), // … and overlapping
-            (p0, 26, 27),
-            (p1, 2, 3),                    // a publisher absent from the marks
-            (PublisherId(9), 0, u64::MAX), // a publisher nobody has
-        ];
-        held.resize(MAX_HELD_RUNS, (PublisherId(7), 0, 0));
-        held.push((p0, 24, 40)); // past the cap: never read
-        let want: Vec<(u16, u64)> = (24..=40)
-            .filter(|s| !matches!(s, 26 | 27 | 35..=38))
-            .map(|s| (0, s))
-            .chain([0, 1, 4, 5].map(|s| (1, s)))
-            .collect();
-        assert_eq!(seqs_of(&responder.repair_reply_items(&highwater, &held, false)), want);
-        // Garbage marks still serve, from wherever they point.
-        let far = vec![(p0, u64::MAX), (p0, 0), (p0, 0)];
-        let served = responder.repair_reply_items(&far, &[(p0, u64::MAX, 0)], true);
-        assert_eq!(served.len(), 47, "41 + 6 distinct items, under the batch of 64");
-    }
-
-    /// A requester that holds everything still gets its (empty) reply — the
-    /// liveness signal `awaiting_repair` waits for — and one that lacks a
-    /// single item gets exactly that item, once.
-    #[test]
-    fn an_up_to_date_requester_still_gets_its_empty_reply() {
-        use simnet::{NetworkModel, Simulation};
-        let cfg = NewsWireConfig { anti_entropy: false, ..NewsWireConfig::tech_news() };
-        let fleet = RepairFleet::new(cfg);
-        let (mut a, mut b) = (fleet.node(0), fleet.node(1));
-        for seq in 0..=40 {
-            fleet.admit(&mut b, &tech_item(seq));
-            if seq != 32 {
-                fleet.admit(&mut a, &tech_item(seq));
-            }
-        }
-        let mut sim = Simulation::new(NetworkModel::ideal(SimDuration::from_millis(10)), 5);
-        let (a, b) = (sim.add_node(a), sim.add_node(b));
-        // Six repair intervals: every request after the first healing one is
-        // answered by an empty reply, and none of them times out.
-        sim.run_until(SimTime::from_secs(60));
-        assert!(sim.node(a).cache.contains(tech_item(32).id), "the hole was repaired");
-        let served =
-            [a, b].map(|n| (sim.node(n).stats.repairs_served, sim.node(n).stats.repair_items_sent));
-        assert_eq!(served, [(0, 0), (1, 1)], "one non-empty reply, one item, nothing re-sent");
-        for n in [a, b] {
-            assert_eq!(sim.node(n).stats.repair_retargets, 0, "no request went unanswered");
-            assert!(sim.node(n).awaiting_repair.is_none());
-        }
-    }
-
-    proptest::proptest! {
-        /// Against the kept reference, for random caches over two publishers
-        /// — holes, fused revisions, a requester ahead of and behind the
-        /// responder, more candidates than a batch — the reply is the
-        /// reference reply minus what the requester's cache contains, and
-        /// absorbing either leaves the requester in the same state.
-        #[test]
-        fn repair_reply_is_the_reference_reply_minus_what_the_requester_holds(
-            feed in proptest::collection::vec(
-                (0u16..2, 0usize..24, proptest::arbitrary::any::<bool>(),
-                 proptest::arbitrary::any::<bool>()),
-                0..120,
-            ),
-            cuts in (0usize..120, 0usize..120),
-        ) {
-            let cfg = NewsWireConfig { repair_batch: 8, ..NewsWireConfig::tech_news() };
-            let fleet = RepairFleet::new(cfg);
-            let mut responder = fleet.node(1);
-            let mut via_reference = fleet.node(0);
-            let mut via_held = fleet.node(0);
-            // One feed in publication order: per-publisher seqs, two dozen
-            // running stories each so later tellings fuse earlier ones away.
-            let mut next_seq = [0u64; 2];
-            let mut revisions = std::collections::HashMap::new();
-            for (at, &(p, slug, to_responder, to_requester)) in feed.iter().enumerate() {
-                let seq = next_seq[usize::from(p)];
-                next_seq[usize::from(p)] += 1;
-                let rev = revisions.entry((p, slug)).or_insert(0u32);
-                let item = story(p, seq, &format!("story-{slug}"), *rev);
-                *rev += 1;
-                if to_responder && at < cuts.0 {
-                    fleet.admit(&mut responder, &item);
-                }
-                if to_requester && at < cuts.1 {
-                    fleet.admit(&mut via_reference, &item);
-                    fleet.admit(&mut via_held, &item);
-                }
-            }
-            let NewsWireMsg::RepairRequest { highwater, held, want_snapshot, baselines, .. } =
-                via_held.repair_request()
-            else {
-                panic!("repair_request builds a RepairRequest");
-            };
-            let reference = reference_repair_reply(&responder, &highwater, want_snapshot);
-            let reply = responder.repair_reply_items(&highwater, &held, want_snapshot);
-            let not_held: Vec<Arc<NewsItem>> = reference
-                .iter()
-                .filter(|i| !via_held.cache.contains(i.id))
-                .cloned()
-                .collect();
-            proptest::prop_assert_eq!(seqs_of(&reply), seqs_of(&not_held));
-
-            let now = SimTime::from_secs(2);
-            for (node, items) in [(&mut via_reference, reference), (&mut via_held, reply)] {
-                for SignedItem { item, key, signature, .. } in responder.sign_items(items, &baselines) {
-                    node.admit_bare_item(now, item, key, signature, NodeId(1), 2);
-                }
-            }
-            let state = |n: &NewsWireNode| {
-                let cached: Vec<ItemId> = n.cache.iter().map(|i| i.id).collect();
-                let logs: Vec<_> = n
-                    .article_logs
-                    .iter()
-                    .map(|(p, log)| (*p, log.summary(), log.gaps()))
-                    .collect();
-                (cached, logs, n.deliveries.clone())
-            };
-            proptest::prop_assert_eq!(state(&via_held), state(&via_reference));
-        }
     }
 
     #[test]

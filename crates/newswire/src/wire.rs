@@ -129,10 +129,6 @@ impl SignedItem {
     }
 }
 
-/// Serialized size of one `held` run of a [`NewsWireMsg::RepairRequest`]:
-/// publisher id + inclusive `lo` + `hi`.
-const HELD_RUN_WIRE_SIZE: usize = 2 + 8 + 8;
-
 /// Serialized size of one [`ItemId`] named on the wire (a `Deliver`'s `prev`
 /// chain, a named pull's `ids`): publisher id + sequence number.
 const ITEM_ID_WIRE_SIZE: usize = 2 + 8;
@@ -213,38 +209,23 @@ pub enum NewsWireMsg {
         /// The zone whose coverage is acknowledged.
         zone: ZoneId,
     },
-    /// Cache anti-entropy: "what do you have past these marks that I do
-    /// not hold?" — or, when `ids` names items, "send me exactly these"
-    /// (the named pull; the marks are then empty and ignored).
+    /// The named pull: "send me exactly these" (DESIGN §7).
     RepairRequest {
-        /// Requester's per-publisher high-water marks.
-        highwater: Vec<(PublisherId, u64)>,
-        /// Inclusive `(publisher, lo, hi)` runs of sequence numbers at or
-        /// past those marks that sit in the requester's cache; the responder
-        /// leaves them out of its reply. Untrusted: a malformed run only
-        /// fails to withhold.
-        held: Vec<(PublisherId, u64, u64)>,
-        /// Set by (re)joining nodes to receive a recent-window snapshot
-        /// (the §9 "limited state transfer").
-        want_snapshot: bool,
-        /// Revisions the requester already holds, so the responder can
-        /// delta-encode its reply. Empty with deltas off.
-        baselines: Vec<BaselineHint>,
-        /// Named pull: items a `Deliver`'s `prev` chain revealed as missed.
-        /// The responder serves the first few it still caches and ignores
-        /// the rest; empty on the periodic margin probe.
+        /// Items a `Deliver`'s `prev` chain revealed as missed. The
+        /// responder serves the first few it still caches and ignores the
+        /// rest.
         ids: Vec<ItemId>,
     },
-    /// Items the responder holds beyond the requester's marks, each with
-    /// its publisher signature so the requester can verify before caching.
+    /// The named items the responder still caches, each with its publisher
+    /// signature so the requester can verify before caching. Never empty: a
+    /// pull that finds nothing is not answered.
     RepairReply {
-        /// The repair batch.
+        /// The pulled items.
         items: Vec<SignedItem>,
     },
     /// Log anti-entropy pull: "ship me these sequence ranges of
     /// `publisher`'s articles". Sent when a gossiped `sys$ae:` digest (or
-    /// the node's own log) reveals holes the margin-backed repair path
-    /// cannot see.
+    /// the node's own log) reveals holes.
     ReconcileRequest {
         /// The publisher whose log is being reconciled.
         publisher: PublisherId,
@@ -298,12 +279,7 @@ impl Payload for NewsWireMsg {
             NewsWireMsg::Forward { env, zone } => env.wire_size() + 2 * zone.depth(),
             NewsWireMsg::Deliver { env, prev } => env.wire_size() + prev_wire_size(prev),
             NewsWireMsg::ForwardAck { zone, .. } => 8 + 2 * zone.depth(),
-            NewsWireMsg::RepairRequest { highwater, held, baselines, ids, .. } => {
-                1 + highwater.len() * 10
-                    + held.len() * HELD_RUN_WIRE_SIZE
-                    + baselines.len() * BaselineHint::WIRE_SIZE
-                    + ids.len() * ITEM_ID_WIRE_SIZE
-            }
+            NewsWireMsg::RepairRequest { ids } => 1 + ids.len() * ITEM_ID_WIRE_SIZE,
             NewsWireMsg::RepairReply { items } => {
                 items.iter().map(|i| i.wire_size()).sum::<usize>()
             }
@@ -379,26 +355,8 @@ mod tests {
 
     #[test]
     fn wire_sizes_scale_with_item() {
-        let small = NewsWireMsg::RepairRequest {
-            highwater: vec![],
-            held: vec![],
-            want_snapshot: false,
-            baselines: vec![],
-            ids: vec![],
-        };
-        let declaring = NewsWireMsg::RepairRequest {
-            highwater: vec![(PublisherId(0), 24)],
-            held: vec![(PublisherId(0), 24, 31), (PublisherId(0), 33, 40)],
-            want_snapshot: false,
-            baselines: vec![],
-            ids: vec![],
-        };
-        assert_eq!(declaring.wire_size(), small.wire_size() + 10 + 2 * HELD_RUN_WIRE_SIZE);
+        let small = NewsWireMsg::RepairRequest { ids: vec![] };
         let naming = NewsWireMsg::RepairRequest {
-            highwater: vec![],
-            held: vec![],
-            want_snapshot: false,
-            baselines: vec![],
             ids: vec![ItemId::new(PublisherId(0), 7), ItemId::new(PublisherId(1), 9)],
         };
         assert_eq!(naming.wire_size(), small.wire_size() + 2 * ITEM_ID_WIRE_SIZE);

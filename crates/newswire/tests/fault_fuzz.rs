@@ -308,31 +308,19 @@ fn trust_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     (fingerprint, counters)
 }
 
-/// Garbage from outside the membership, through the fault era: repair
-/// requests whose declared `held` runs are inverted, overlapping, unsorted,
-/// about publishers nobody has, and up to twice the cap a responder reads —
-/// and, every other one, a named pull of up to a thousand ids, held ones
-/// among publishers nobody has and sequence numbers from the future. The
-/// responder must shrug them off — no panic, no invariant moved (its reply
-/// goes nowhere).
+/// Garbage from outside the membership, through the fault era: named pulls
+/// of up to a thousand ids — held ones among publishers nobody has and
+/// sequence numbers from the future — and, every other one, of nothing at
+/// all. The responder must shrug them off — no panic, no invariant moved
+/// (its reply goes nowhere).
 fn garbage_repair_requests(d: &mut newswire::Deployment, seed: u64) {
     let mut rng = fork(seed, 0x6A);
     for k in 0..16u64 {
-        let runs = rng.gen_range(0..512);
-        let held = (0..runs)
-            .map(|_| (PublisherId(rng.gen_range(0..3)), rng.gen_range(0..16), rng.gen_range(0..16)))
-            .collect();
         let ids = if k % 2 == 0 { garbage_ids(&mut rng) } else { Vec::new() };
         d.sim.schedule_external(
             SimTime::from_secs(95 + 3 * k),
             NodeId(rng.gen_range(1..N)),
-            NewsWireMsg::RepairRequest {
-                highwater: vec![(PublisherId(rng.gen_range(0..3)), rng.gen_range(0..16))],
-                held,
-                want_snapshot: rng.gen(),
-                baselines: vec![],
-                ids,
-            },
+            NewsWireMsg::RepairRequest { ids },
         );
     }
 }

@@ -3,9 +3,8 @@
 //!
 //! With log anti-entropy enabled, every continuously-live interested node
 //! must end converged — the items published while the network was split
-//! are pulled back through gossip-piggybacked digest reconciliation, even
-//! though the margin-backed repair path can no longer see them (post-heal
-//! publishing pushes every high-water mark far past the hole).
+//! are pulled back through gossip-piggybacked digest reconciliation: no
+//! `Deliver` ever named them on the cut side, so the named pull cannot.
 //!
 //! With anti-entropy disabled (the ablation arm, same seed, same fault
 //! schedule), the oracle must *detect* the damage: unconverged logs and
@@ -47,9 +46,8 @@ fn plan() -> FaultPlan {
 }
 
 /// Runs the scenario and returns the oracle report plus the items. The
-/// post-heal publishing keeps going long enough that every node's cache
-/// high-water mark jumps ~20 items past the partition hole — deeper than
-/// the repair path's margin (`repair_batch / 4 = 16`), so only log
+/// hole is thirty items deep and the post-heal `Deliver`s name only the
+/// three before each — deeper than any delivery chain reaches, so only log
 /// reconciliation can close it.
 fn run(anti_entropy: bool, seed: u64) -> (OracleReport, Vec<NewsItem>, newswire::NodeStats) {
     let config = NewsWireConfig { anti_entropy, ..NewsWireConfig::tech_news() };

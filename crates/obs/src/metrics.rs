@@ -132,12 +132,13 @@ pub mod ctr {
         NW_HANDOFFS_ABANDONED = 42, "nw_handoffs_abandoned";
         /// Failovers short-circuited by φ-accrual suspicion.
         NW_SUSPECT_FAILOVERS = 43, "nw_suspect_failovers";
-        /// Repair requests served.
+        /// Named pulls served.
         NW_REPAIRS_SERVED = 44, "nw_repairs_served";
-        /// Items shipped in repair replies.
+        /// Items shipped in named-pull replies.
         NW_REPAIR_ITEMS_SENT = 45, "nw_repair_items_sent";
-        /// Repair requests retargeted after a reply deadline.
-        NW_REPAIR_RETARGETS = 46, "nw_repair_retargets";
+        /// Retired with the margin probe (it counted the probe's retargets);
+        /// the slot stays so every later id keeps its position.
+        RETIRED_46 = 46, "retired_46";
         /// Anti-entropy reconcile requests issued.
         NW_RECONCILE_REQUESTS = 47, "nw_reconcile_requests";
         /// Items received in reconcile replies.

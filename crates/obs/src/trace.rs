@@ -117,9 +117,8 @@ pub mod kind {
     pub const HANDOFF_FAILOVER: u8 = 53;
     /// A hand-off was abandoned (`a` = message id).
     pub const HANDOFF_ABANDON: u8 = 54;
-    /// A repair request was sent (`a` = peer, `b` = item key).
-    pub const REPAIR_REQUEST: u8 = 55;
-    /// A repair reply was served (`a` = peer, `b` = items).
+    // 55 was the margin probe's request; a named pull traces `GAP_PULL`.
+    /// A named pull was served (`a` = peer, `b` = items).
     pub const REPAIR_REPLY: u8 = 56;
     /// An anti-entropy reconcile request was sent (`a` = peer,
     /// `b` = publisher).
@@ -199,7 +198,6 @@ pub mod kind {
             HANDOFF_RETRY => "handoff_retry",
             HANDOFF_FAILOVER => "handoff_failover",
             HANDOFF_ABANDON => "handoff_abandon",
-            REPAIR_REQUEST => "repair_request",
             REPAIR_REPLY => "repair_reply",
             AE_REQUEST => "ae_request",
             AE_REPLY => "ae_reply",

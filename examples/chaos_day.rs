@@ -104,14 +104,13 @@ fn main() {
     );
     println!(
         "protocol: {} forwards, {} acks, {} retries, {} failovers, {} abandoned, \
-         {} repairs served, {} repair retargets",
+         {} repairs served",
         stats.forwards_sent,
         stats.acks_received,
         stats.ack_retries,
         stats.ack_failovers,
         stats.handoffs_abandoned,
-        stats.repairs_served,
-        stats.repair_retargets
+        stats.repairs_served
     );
 
     // The verdict. Churned nodes are exempt from the oracle's liveness

@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
 # Interleaved A/B of one benchmark workload between two trees.
 #
-#   scripts/ab.sh <workload> <pairs> <dirA> <dirB>
+#   scripts/ab.sh <workload> <pairs> <A> [<dirB>]
+#
+# <A> is a checked-out tree or a git revision of this repository; a revision
+# is exported once (`git archive`) to target/ab/<commit> and built there.
+# <dirB> defaults to this working tree, so `scripts/ab.sh publish_steady 10
+# HEAD` is the no-regression run of uncommitted work against its parent.
 #
 # Each tree runs its *own* `benchmark` binary (built here if missing), one
 # `--child --trace 0` repetition per side per pair, seeds 101, 102, …, the
@@ -10,8 +15,19 @@
 # stated) and how many pairs B won, for all nine end-to-end metrics. Lower is
 # better except `delivered_pct`.
 set -euo pipefail
-[ $# -eq 4 ] || { echo "usage: $0 <workload> <pairs> <dirA> <dirB>" >&2; exit 2; }
-workload=$1 pairs=$2 dir_a=$3 dir_b=$4
+[ $# -eq 3 ] || [ $# -eq 4 ] || { echo "usage: $0 <workload> <pairs> <dirA|rev> [<dirB>]" >&2; exit 2; }
+root=$(cd "$(dirname "$0")/.." && pwd)
+workload=$1 pairs=$2 dir_a=$3 dir_b=${4:-$root}
+if [ ! -d "$dir_a" ]; then
+  commit=$(git -C "$root" rev-parse --verify --quiet "$dir_a^{commit}") \
+    || { echo "$0: $dir_a is neither a directory nor a revision" >&2; exit 2; }
+  dir_a=$root/target/ab/$commit
+  if [ ! -d "$dir_a" ]; then
+    mkdir -p "$dir_a.tmp"
+    git -C "$root" archive "$commit" | tar -x -C "$dir_a.tmp"
+    mv "$dir_a.tmp" "$dir_a"
+  fi
+fi
 # The nine end-to-end metrics of BENCHMARK.json (every workload reports all).
 metrics="setup_s wall_s peak_rss_mb converged_sim_s deliver_p50_ms deliver_p99_ms deliver_p999_ms delivered_pct wire_bytes_per_delivery"
 out=$(mktemp -d)

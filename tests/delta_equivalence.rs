@@ -103,8 +103,8 @@ fn run_arm(deltas: bool, seed: u64) -> Arm {
     d.sim.apply_fault_plan(&plan);
     let churned: BTreeSet<NodeId> = plan.churned_nodes().into_iter().collect();
 
-    // A revision-heavy feed through the brownout, so revision fusion, margin
-    // repair and reconciliation all re-ship bodies the delta arm can price
+    // A revision-heavy feed through the brownout, so revision fusion, named
+    // pulls and reconciliation all re-ship bodies the delta arm can price
     // as chunk references.
     let mut items: Vec<NewsItem> = Vec::new();
     let mut prev: Vec<Option<ItemId>> = vec![None; STORIES as usize];

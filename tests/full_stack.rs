@@ -159,6 +159,46 @@ fn crashed_region_recovers_and_catches_up() {
     }
 }
 
+/// The multi-batch blind catch-up: a whole leaf zone goes down through a
+/// backlog longer than one reply batch (100 articles, batch 64) and nothing
+/// is published after it recovers. No neighbour's digest is ahead — they
+/// are all as cold — so each member asks across the zone boundary with an
+/// empty log, and keeps asking while the replies show the responder ahead.
+#[test]
+fn a_crashed_zone_catches_up_a_backlog_longer_than_one_batch() {
+    let mut d = tech_news_deployment(60, 6);
+    d.settle(60);
+    let victims: Vec<NodeId> = (16..24).map(NodeId).collect(); // leaf zone /2, all of it
+    for &v in &victims {
+        d.sim.schedule_crash(SimTime::from_secs(60), v);
+    }
+    let items: Vec<NewsItem> = (0..100u64)
+        .map(|seq| {
+            NewsItem::builder(PublisherId(0), seq)
+                .headline(format!("backlog {seq}"))
+                .category(Category::Technology)
+                .build()
+        })
+        .collect();
+    for (i, item) in items.iter().enumerate() {
+        d.publish(SimTime::from_micros(65_000_000 + 500_000 * i as u64), item.clone());
+    }
+    d.settle(60);
+    for &v in &victims {
+        d.sim.schedule_recover(SimTime::from_secs(125), v);
+    }
+    d.settle(150);
+    let mut matching = 0;
+    for &v in &victims {
+        let node = d.sim.node(v);
+        for item in items.iter().filter(|i| node.subscription.matches(i)) {
+            assert!(node.has_item(item.id), "node {v} did not catch up {}", item.id);
+            matching += 1;
+        }
+    }
+    assert!(matching > 0, "workload should create interest in the crashed zone");
+}
+
 #[test]
 fn xmlrpc_gateway_end_to_end() {
     use newswire::xmlrpc::{dispatch, MethodCall, Value};
