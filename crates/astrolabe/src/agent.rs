@@ -1479,10 +1479,6 @@ mod tests {
             branching: 4,
             gossip_interval: SimDuration::from_secs(1),
             row_ttl: SimDuration::from_secs(20),
-            // Pinned so unit tests measure the same wire format regardless
-            // of the ambient NEWSWIRE_DELTAS switch; the delta path is
-            // covered explicitly by the make_delta_agents tests.
-            delta_gossip: false,
             ..Config::standard()
         }
     }

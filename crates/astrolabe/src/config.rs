@@ -75,13 +75,12 @@ pub struct Config {
     pub aggregations: Vec<AggSpec>,
     /// How many random global contacts each agent keeps for bootstrap.
     pub contact_fanout: usize,
-    /// Delta-encoded gossip (the `NEWSWIRE_DELTAS=1` arm): digests carry
+    /// Delta-encoded gossip (the delta wire protocol's gossip half): digests carry
     /// content hashes and may cover only rows changed since the last
     /// exchange with the peer, replies re-stamp unchanged rows instead of
     /// re-shipping them, and every [`DELTA_FULL_EXCHANGE_PERIOD`]-th digest
     /// to a peer is forced full so a dropped delta can never strand it.
-    /// Off by default; runs with it off are byte-identical to builds
-    /// without the delta protocol.
+    /// Off by default.
     pub delta_gossip: bool,
 }
 
@@ -114,7 +113,7 @@ impl Config {
             reps_per_zone: k,
             aggregations: vec![AggSpec::new("core", Self::core_program(k))],
             contact_fanout: 3,
-            delta_gossip: simnet::delta_mode(),
+            delta_gossip: false,
         }
     }
 

@@ -1,7 +1,7 @@
 //! The experiment runner: regenerates every table of the reproduction.
 //!
 //! ```text
-//! cargo run -p bench --release --bin experiments              # all of E1–E14 + A1
+//! cargo run -p bench --release --bin experiments              # all of E1–E21 + A1
 //! cargo run -p bench --release --bin experiments -- e3 e5     # a subset
 //! cargo run -p bench --release --bin experiments -- --quick   # smaller sizes
 //! ```

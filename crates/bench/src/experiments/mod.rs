@@ -1,6 +1,6 @@
-//! The experiment suite (E1–E18). Each module reproduces one quantitative
-//! claim of the paper; DESIGN.md §3 is the index, EXPERIMENTS.md records
-//! paper-vs-measured.
+//! The experiment suite (E1–E21, A1). Each module reproduces one
+//! quantitative claim of the paper or of the engineering around it;
+//! DESIGN.md §3 is the index, EXPERIMENTS.md records paper-vs-measured.
 
 pub mod a01_models;
 pub mod e01_latency;
@@ -20,6 +20,7 @@ pub mod e14_partition;
 pub mod e16_recovery;
 pub mod e17_adversary;
 pub mod e18_byzantine;
+pub mod e19_scale;
 pub mod e20_wire;
 pub mod e21_trust_rotation;
 

@@ -1,8 +1,8 @@
 //! # bench — the experiment harness of the NewsWire reproduction
 //!
-//! One module per experiment (E1–E14, see `DESIGN.md` §3 for the index
-//! mapping each to the paper claim it reproduces). The `experiments` binary
-//! runs them and prints the tables recorded in `EXPERIMENTS.md`:
+//! One module per experiment (E1–E21 and A1, see `DESIGN.md` §3 for the
+//! index mapping each to the paper claim it reproduces). The `experiments`
+//! binary runs them and prints the tables recorded in `EXPERIMENTS.md`:
 //!
 //! ```text
 //! cargo run -p bench --release --bin experiments            # all
@@ -14,18 +14,17 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 mod table;
 
 pub use table::Table;
 
 /// Experiment ids in run order.
-pub const ALL: [&str; 20] = [
+pub const ALL: [&str; 21] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e16",
-    "e17", "e18", "e20", "e21", "a1",
+    "e17", "e18", "e19", "e20", "e21", "a1",
 ];
 
-/// Runs one experiment by id (`"e1"`…`"e18"`); `quick` shrinks problem
+/// Runs one experiment by id (`"e1"`…`"e21"`, `"a1"`); `quick` shrinks problem
 /// sizes for smoke runs. Returns `false` for an unknown id.
 pub fn run(id: &str, quick: bool) -> bool {
     match id {
@@ -46,6 +45,7 @@ pub fn run(id: &str, quick: bool) -> bool {
         "e16" => experiments::e16_recovery::run(quick),
         "e17" => experiments::e17_adversary::run(quick),
         "e18" => experiments::e18_byzantine::run(quick),
+        "e19" => experiments::e19_scale::run(quick),
         "e20" => experiments::e20_wire::run(quick),
         "e21" => experiments::e21_trust_rotation::run(quick),
         "a1" => experiments::a01_models::run(quick),

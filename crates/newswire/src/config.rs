@@ -102,13 +102,12 @@ pub struct NewsWireConfig {
     /// failover until it restarts under a fresh incarnation. Only consulted
     /// when `defenses` is on.
     pub quarantine_threshold: u32,
-    /// The delta-everything wire protocol (`NEWSWIRE_DELTAS=1`): revised
-    /// envelopes and repair/reconcile replies carry CDC delta annotations
-    /// against baselines the receiver holds, requests declare held
-    /// revisions as [`amcast::BaselineHint`]s, and the embedded Astrolabe
-    /// agent gossips row diffs instead of full digests. Off by default;
-    /// with it off every message is byte-identical to builds without the
-    /// delta protocol.
+    /// The delta-everything wire protocol: revised envelopes and
+    /// repair/reconcile replies carry CDC delta annotations against
+    /// baselines the receiver holds, and requests declare held revisions as
+    /// [`amcast::BaselineHint`]s. Off by default. A delta run also turns on
+    /// `astrolabe.delta_gossip` (row diffs instead of full digests) and the
+    /// simulation's `set_delta_accounting` (the compressed-wire byte lane).
     pub deltas: bool,
     /// Sybil admission control (DESIGN §15): leaf-zone member rows must
     /// carry a registry-endorsed join ticket (`sys$jt` attribute), rows
@@ -145,7 +144,7 @@ impl NewsWireConfig {
             durable_state: false,
             defenses: true,
             quarantine_threshold: 3,
-            deltas: simnet::delta_mode(),
+            deltas: false,
             admission: false,
             zone_quota: 64,
         }

@@ -8,7 +8,8 @@
 //!
 //! With anti-entropy disabled (the ablation arm, same seed, same fault
 //! schedule), the oracle must *detect* the damage: unconverged logs and
-//! missed deliveries confined to the partition window.
+//! missed deliveries confined to the partition window — on the full-payload
+//! wire and on the delta wire protocol alike.
 
 use std::collections::BTreeSet;
 
@@ -48,14 +49,20 @@ fn plan() -> FaultPlan {
 /// Runs the scenario and returns the oracle report plus the items. The
 /// hole is thirty items deep and the post-heal `Deliver`s name only the
 /// three before each — deeper than any delivery chain reaches, so only log
-/// reconciliation can close it.
-fn run(anti_entropy: bool, seed: u64) -> (OracleReport, Vec<NewsItem>, newswire::NodeStats) {
-    let config = NewsWireConfig { anti_entropy, ..NewsWireConfig::tech_news() };
+/// reconciliation can close it. `deltas` selects the delta wire protocol.
+fn run(
+    anti_entropy: bool,
+    deltas: bool,
+    seed: u64,
+) -> (OracleReport, Vec<NewsItem>, newswire::NodeStats) {
+    let mut config = NewsWireConfig { anti_entropy, deltas, ..NewsWireConfig::tech_news() };
+    config.astrolabe.delta_gossip = deltas;
     let mut d = DeploymentBuilder::new(N_SUB, seed)
         .branching(8)
         .config(config)
         .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
         .build();
+    d.sim.set_delta_accounting(deltas);
     d.settle(60);
     d.sim.apply_fault_plan(&plan());
 
@@ -81,7 +88,7 @@ fn run(anti_entropy: bool, seed: u64) -> (OracleReport, Vec<NewsItem>, newswire:
 
 #[test]
 fn anti_entropy_heals_the_partition() {
-    let (report, _, stats) = run(true, 21);
+    let (report, _, stats) = run(true, false, 21);
     assert!(report.survivor_expected > 0, "vacuous run");
     assert!(report.holds(), "{report}");
     assert!(report.converged(), "{report}");
@@ -91,10 +98,18 @@ fn anti_entropy_heals_the_partition() {
     );
 }
 
+/// Both wire formats: the delta arm is where a hand-off timing regression
+/// once showed up first.
 #[test]
 fn without_anti_entropy_the_damage_is_detected() {
-    let (on, _, _) = run(true, 21);
-    let (off, _, off_stats) = run(false, 21);
+    for deltas in [false, true] {
+        damage_is_detected(deltas, 21);
+    }
+}
+
+fn damage_is_detected(deltas: bool, seed: u64) {
+    let (on, _, _) = run(true, deltas, seed);
+    let (off, _, off_stats) = run(false, deltas, seed);
     assert_eq!(off_stats.reconcile_requests, 0, "ablation arm must not reconcile");
     assert!(!off.converged(), "partition holes must show up as unconverged logs");
     assert!(!off.missed_deliveries.is_empty(), "side-B survivors miss partition items");

@@ -146,24 +146,21 @@ impl TelemetryHub {
         self.ring.drain_keyed()
     }
 
-    /// Folds every metric set of `other` (a same-schema scratch hub) into
-    /// this hub — counters/histograms/series add or concatenate, gauges take
-    /// the maximum — and resets `other`'s sets so the next merge observes
-    /// only new activity. Trace rings are *not* merged here (they move
-    /// through [`TelemetryHub::drain_trace_keyed`] +
-    /// [`TelemetryHub::push_record`] so records can be globally ordered).
-    pub fn merge_sets_from(&mut self, other: &mut TelemetryHub) {
+    /// Folds every metric set of `other` (a same-schema scratch hub that
+    /// runs the nodes `owned`) into this hub via [`MetricSet::absorb`]:
+    /// counters/histograms/series move over, and the owned nodes' gauges
+    /// replace this hub's — the same values a hub written directly would
+    /// hold. Trace rings are *not* merged here (they move through
+    /// [`TelemetryHub::drain_trace_keyed`] + [`TelemetryHub::push_record`]
+    /// so records can be globally ordered).
+    pub fn merge_sets_from(&mut self, other: &mut TelemetryHub, owned: std::ops::Range<usize>) {
         self.ensure_nodes(other.nodes.len());
-        for (dst, src) in self.nodes.iter_mut().zip(other.nodes.iter_mut()) {
+        for (i, (dst, src)) in self.nodes.iter_mut().zip(other.nodes.iter_mut()).enumerate() {
             if !src.is_zero() {
-                dst.merge(src);
-                src.reset();
+                dst.absorb(src, owned.contains(&i));
             }
         }
-        if !other.global.is_zero() {
-            self.global.merge(&other.global);
-            other.global.reset();
-        }
+        self.global.absorb(&mut other.global, false);
     }
 
     /// The trace ring (inspection and capacity control).
@@ -254,11 +251,16 @@ impl TelemetryHub {
         let dropped = self.ring.dropped();
         let events = self.ring.drain();
         let snap = self.snapshot_inner(events, dropped);
+        self.reset_metrics();
+        snap
+    }
+
+    /// Resets every metric slot (the ring is untouched).
+    pub fn reset_metrics(&mut self) {
         for m in &mut self.nodes {
             m.reset();
         }
         self.global.reset();
-        snap
     }
 }
 

@@ -202,7 +202,7 @@ pub mod ctr {
         FORGED_ITEMS_INJECTED = 74, "forged_items_injected";
         /// Forged-delivery violations found by the oracle.
         ORACLE_FORGED_VIOLATIONS = 75, "oracle_forged_violations";
-        // -- delta wire protocol (all zero unless NEWSWIRE_DELTAS=1) --
+        // -- delta wire protocol (all zero unless a run enables it) --
         /// Compressed wire bytes actually shipped (delta accounting model);
         /// compare against `bytes_sent`, which always prices full bodies.
         BYTES_WIRE = 76, "bytes_wire";
@@ -529,19 +529,23 @@ impl MetricSet {
         self.series.iter_mut().for_each(Vec::clear);
     }
 
-    /// Folds another set into this one (counters add, gauges take max,
-    /// buckets add, series concatenate).
-    pub fn merge(&mut self, other: &MetricSet) {
-        for (i, &c) in other.counters.iter().enumerate() {
-            if c != 0 {
-                *Self::slot(&mut self.counters, i) += c;
+    /// Moves another set's activity into this one and clears it there:
+    /// counters and buckets add, series concatenate. A gauge is a level with
+    /// one writer, so `other`'s gauges replace this set's when `owner` (the
+    /// writer updates `other`) and are ignored otherwise; either way `other`
+    /// keeps them, so the next absorb still sees the writer's current level.
+    pub fn absorb(&mut self, other: &mut MetricSet, owner: bool) {
+        for (i, c) in other.counters.iter_mut().enumerate() {
+            if *c != 0 {
+                *Self::slot(&mut self.counters, i) += std::mem::take(c);
             }
         }
-        for (i, &g) in other.gauges.iter().enumerate() {
-            let cur = Self::slot(&mut self.gauges, i);
-            *cur = (*cur).max(g);
+        if owner {
+            for (i, &g) in other.gauges.iter().enumerate() {
+                *Self::slot(&mut self.gauges, i) = g;
+            }
         }
-        for (i, h) in other.hists.iter().enumerate() {
+        for (i, h) in other.hists.iter_mut().enumerate() {
             if h.is_empty() {
                 continue;
             }
@@ -551,18 +555,18 @@ impl MetricSet {
             if self.hists[i].is_empty() {
                 self.hists[i].resize(h.len(), 0);
             }
-            for (b, &v) in h.iter().enumerate() {
-                self.hists[i][b] += v;
+            for (b, v) in h.iter_mut().enumerate() {
+                self.hists[i][b] += std::mem::take(v);
             }
         }
-        for (i, s) in other.series.iter().enumerate() {
+        for (i, s) in other.series.iter_mut().enumerate() {
             if s.is_empty() {
                 continue;
             }
             if i >= self.series.len() {
                 self.series.resize_with(i + 1, Vec::new);
             }
-            self.series[i].extend_from_slice(s);
+            self.series[i].append(s);
         }
     }
 
@@ -713,17 +717,24 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_sets() {
+    fn absorb_moves_activity_and_copies_owned_gauges() {
         let mut a = MetricSet::new();
         let mut b = MetricSet::new();
         a.ctr_add(ctr::MSGS_SENT, 1);
         b.ctr_add(ctr::MSGS_SENT, 2);
-        b.gauge_set(gauge::NW_PEAK_QUEUE, 5);
-        a.gauge_set(gauge::NW_PEAK_QUEUE, 9);
+        b.gauge_set(gauge::ASTRO_ROWS_HELD, 5);
+        a.gauge_set(gauge::ASTRO_ROWS_HELD, 9);
         b.series_push(series::DELIVERY_LATENCY_US, 3);
-        a.merge(&b);
+        a.absorb(&mut b, false);
         assert_eq!(a.ctr(ctr::MSGS_SENT), 3);
-        assert_eq!(a.gauge(gauge::NW_PEAK_QUEUE), 9);
+        assert_eq!(a.gauge(gauge::ASTRO_ROWS_HELD), 9, "a non-owner's gauges are ignored");
         assert_eq!(a.series(series::DELIVERY_LATENCY_US), &[3]);
+        assert_eq!(b.ctr(ctr::MSGS_SENT), 0);
+        assert!(b.series(series::DELIVERY_LATENCY_US).is_empty());
+        // A level that fell since the last absorb falls here too.
+        a.absorb(&mut b, true);
+        assert_eq!(a.gauge(gauge::ASTRO_ROWS_HELD), 5);
+        assert_eq!(b.gauge(gauge::ASTRO_ROWS_HELD), 5, "the writer keeps its level");
+        assert_eq!(a.ctr(ctr::MSGS_SENT), 3);
     }
 }

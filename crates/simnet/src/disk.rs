@@ -78,8 +78,8 @@ pub struct Disk {
 
 impl Disk {
     /// An empty disk.
-    pub fn new() -> Self {
-        Disk::default()
+    pub const fn new() -> Self {
+        Disk { durable: BTreeMap::new(), pending: Vec::new(), writes: 0, fsyncs: 0, lost: 0 }
     }
 
     /// Buffers a write of `bytes` under `key`. Not durable until

@@ -15,8 +15,9 @@
 //!   (write/fsync/read, newest unsynced writes lost on crash) and the three
 //!   recovery regimes: `Freeze` (volatile state survives), `ColdDurable`
 //!   (rebuild from disk), `ColdAmnesia` (rejoin from nothing).
-//! * [`Simulation`] — the engine: a priority queue of events ordered by
-//!   `(time, seq)`, per-node deterministic RNGs, traffic accounting.
+//! * [`Simulation`] — the engine: events totally ordered by a
+//!   `(time, node-derived key)`, per-node deterministic RNG streams, traffic
+//!   accounting; one ordering whether it runs on one shard or many.
 //! * [`NetworkModel`] — pluggable latency ([`LatencyModel`]), loss,
 //!   [`Partition`]s, per-node [`GrayProfile`] degradation, directed link
 //!   cuts, and duplication/reordering knobs.
@@ -85,19 +86,6 @@ pub use sim::Simulation;
 pub use stats::{FaultCounters, Histogram, Summary, TrafficCounters};
 pub use time::{SimDuration, SimTime};
 pub use topology::{DropCause, GrayProfile, LatencyModel, NetworkModel, Partition, RouteOutcome};
-
-/// True when the delta wire protocol is enabled for this process
-/// (`NEWSWIRE_DELTAS=1`).
-///
-/// Read once and cached: the flag selects a *deterministic arm* of the
-/// simulation (delta-encoded gossip, item chunk deltas, compressed-wire
-/// accounting), so flipping it mid-run is not supported. With the flag
-/// off, every delta code path is skipped and runs are byte-identical to
-/// builds that predate the delta protocol.
-pub fn delta_mode() -> bool {
-    static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| std::env::var("NEWSWIRE_DELTAS").is_ok_and(|v| v == "1"))
-}
 
 #[cfg(test)]
 mod proptests {

@@ -209,8 +209,8 @@ pub trait Payload {
     /// payload as a delta against receiver-held state (see the newswire
     /// delta protocol) override this to report the smaller figure. The
     /// engine tallies it into the `bytes_wire` counter only when
-    /// [`delta_mode`](crate::delta_mode) is on, so deltas-off runs stay
-    /// byte-identical.
+    /// [`Simulation::set_delta_accounting`](crate::Simulation::set_delta_accounting)
+    /// is on, so deltas-off telemetry carries no such counter.
     fn compressed_wire_size(&self) -> usize {
         self.wire_size()
     }
@@ -384,7 +384,9 @@ impl<M> Context<'_, M> {
     }
 
     /// Schedules a timer to fire after `delay`, carrying an opaque `tag` the
-    /// node uses to tell its timers apart.
+    /// node uses to tell its timers apart. A zero delay fires one microsecond
+    /// later: nothing a callback schedules lands at the instant being
+    /// handled, so one queue and many sharded ones process in the same order.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
         *self.next_timer += 1;
         let id = TimerId(*self.next_timer);

@@ -5,25 +5,31 @@
 //! is a pure function of the master seed and the schedule of external
 //! inputs — the determinism every experiment in this reproduction relies on.
 //!
-//! # Execution modes
+//! # One ordering, any number of shards
 //!
-//! The engine always runs over one or more internal **shards**, each owning a
-//! contiguous range of node ids with its own calendar-queue scheduler (see
-//! [`crate::sched`]), network-model copy and RNG streams.
+//! No key or random stream mentions how the run is executed. A node-emitted
+//! event is keyed `(arrival, destination‖source, per-source sequence)`, an
+//! externally scheduled one `(time, destination‖EXT, schedule order)`, a
+//! network-wide control event `(time, MAX, schedule order)`; every draw —
+//! protocol, network, liar — comes from a stream of its own node. A timer
+//! never fires at the instant it was set and, wherever shards are possible,
+//! every latency is positive, so whatever a callback schedules sorts after
+//! the event that caused it.
 //!
-//! * **Legacy mode** (the default): one shard, events keyed
-//!   `(time, 0, global sequence)` — bit-identical to the historical single
-//!   `BinaryHeap` engine, preserving every recorded experiment.
-//! * **Sharded mode** ([`Simulation::set_shards`] or the `SIMNET_SHARDS`
-//!   environment variable): events carry *shard-count-invariant* keys and all
-//!   randomness is split into per-node streams, so the same seed produces
-//!   byte-identical telemetry whether the run uses 1 shard or 16. Shards
-//!   synchronize conservatively at windows bounded by the network's minimum
-//!   latency (the lookahead): a message sent in window `[W, W+L)` cannot
-//!   arrive before `W+L`, so shards never see each other's events early.
-//!   [`Simulation::run_until_parallel`] executes the same window plan with
-//!   one thread per shard and is byte-identical to the sequential path by
-//!   construction.
+//! The nodes are split into contiguous id ranges, one **shard** each, with
+//! its own calendar-queue scheduler (see [`crate::sched`]), network-model
+//! copy and streams. One shard (the default) drains its queue straight to
+//! the deadline. With `k > 1` ([`Simulation::set_shards`]) the shards advance
+//! in conservative windows bounded by the network's minimum latency (the
+//! lookahead): a message sent in `[W, W+L)` cannot arrive before `W+L`, so no
+//! shard sees another's events early. Cross-shard sends wait in outboxes for
+//! the window barrier; each shard's trace records are merged into the master
+//! ring in `(time, key)` order — the order one queue pops them in — and its
+//! metric sets into the master's at the end of every run call. So the
+//! telemetry is the same bytes for every shard count.
+//! [`Simulation::run_until_parallel`] executes the same window plan with one
+//! thread per shard and is byte-identical to the sequential path by
+//! construction.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -54,34 +60,29 @@ fn drop_cause_code(cause: DropCause) -> u64 {
     }
 }
 
-/// Stream tag for the engine's dedicated liar RNG: interception draws must
-/// never touch the node or network streams, so an inert liar layer leaves
-/// every legacy run bit-identical.
-const LIAR_STREAM: u64 = 0x11A2_11A2_11A2_11A2;
-
-/// Base of the per-sender network RNG streams used in sharded mode (stream
-/// tag = base + sender id). Disjoint from the per-node protocol streams
-/// (small integers) and the legacy network stream (`u64::MAX`).
+/// Base of the per-sender network RNG streams (stream tag = base + sender
+/// id), disjoint from the per-node protocol streams (small integers).
 const NET_STREAM_BASE: u64 = 0x4E45_5452_0000_0000;
 
-/// Base of the per-node liar RNG streams used in sharded mode.
+/// Base of the per-node liar RNG streams: interception draws never touch
+/// the protocol or network streams, so an inert liar layer changes nothing.
 const LIAR_STREAM_BASE: u64 = 0x11A2_0000_0000_0000;
 
-/// `a`-key of network-global control events in sharded mode: sorts after
-/// every node event at the same instant, in every shard's queue.
+/// `a`-key of network-global control events: sorts after every node event
+/// at the same instant, in every shard's queue.
 const KEY_CONTROL: u64 = u64::MAX;
 
 /// Lane marker distinguishing externally injected events from node-emitted
-/// ones in the sharded `a`-key (no real node id equals it).
+/// ones in the `a`-key (no real node id equals it).
 const EXT_LANE: u64 = 0xFFFF_FFFF;
 
-/// Sharded-mode `a`-key of a node-emitted event: destination-major so all of
-/// one node's inbound traffic shares a lane, sub-ordered by source.
+/// `a`-key of a node-emitted event: destination-major so all of one node's
+/// inbound traffic shares a lane, sub-ordered by source.
 fn key_local(dest: u32, src: u32) -> u64 {
     (u64::from(dest) << 32) | u64::from(src)
 }
 
-/// Sharded-mode `a`-key of an externally injected per-node event.
+/// `a`-key of an externally injected per-node event.
 fn key_external(dest: u32) -> u64 {
     (u64::from(dest) << 32) | EXT_LANE
 }
@@ -142,41 +143,56 @@ fn drop_cause_slot(cause: DropCause) -> obs::CtrId {
     }
 }
 
+/// The master hub, shared with the thread-local collector.
+type Hub = Rc<RefCell<TelemetryHub>>;
+
+/// The engine's own state for one node, kept in one record so an event
+/// touches one place.
+struct Slot {
+    /// Protocol stream, lent to callbacks.
+    rng: SmallRng,
+    /// Network stream: the latency and loss draws of this node's sends.
+    route_rng: SmallRng,
+    /// `b`-key counter of the events this node emits.
+    seq: u64,
+    /// Timer-id allocator, pre-seeded to a range no other node uses.
+    next_timer: u64,
+    down: bool,
+    disk: Disk,
+}
+
+impl Slot {
+    fn new(seed: u64, id: u64) -> Self {
+        Slot {
+            rng: fork(seed, id),
+            route_rng: fork(seed, NET_STREAM_BASE + id),
+            seq: 0,
+            next_timer: (id + 1) << 32,
+            down: false,
+            disk: Disk::new(),
+        }
+    }
+}
+
 /// One execution shard: a contiguous range of nodes, their queue, and every
-/// piece of state their events touch. In legacy mode there is exactly one.
+/// piece of state their events touch.
 struct Shard<N: Node> {
     index: usize,
     base: u32,
     nodes: Vec<N>,
-    down: Vec<bool>,
-    node_rngs: Vec<SmallRng>,
-    disks: Vec<Disk>,
+    /// Engine state of each node (indexed by local id).
+    slots: Vec<Slot>,
     crash_unsynced_loss: usize,
     /// Whether `BYTES_WIRE` (the compressed-wire accounting lane) is
-    /// tallied alongside `BYTES_SENT`. Defaults to [`crate::delta_mode`];
-    /// overridable per instance so one process can compare delta-on and
-    /// delta-off arms.
+    /// tallied alongside `BYTES_SENT`.
     delta_accounting: bool,
     /// This shard's copy of the network model (control events are broadcast,
     /// so every copy applies the same mutations in the same key order).
     net: NetworkModel,
-    /// Legacy-mode network stream (single, shared).
-    net_rng: SmallRng,
-    /// Sharded-mode per-sender network streams (indexed by local id).
-    net_rngs: Vec<SmallRng>,
-    /// Legacy-mode liar stream (single, shared).
-    liar_rng: SmallRng,
-    /// Sharded-mode per-node liar streams, created lazily on first draw.
+    /// Per-node liar streams, created on a liar's first draw.
     liar_rngs: HashMap<u32, SmallRng>,
     queue: EventQueue<EventKind<N::Msg>>,
     now: SimTime,
-    /// Legacy-mode global sequence counter (shard 0 only).
-    seq: u64,
-    /// Sharded-mode per-source `b`-key counters (indexed by local id).
-    src_seq: Vec<u64>,
-    /// Timer-id allocator slots: one shared slot in legacy mode, one per
-    /// node (pre-seeded to disjoint ranges) in sharded mode.
-    next_timer: Vec<u64>,
     /// Fire times of timers still queued, so a cancellation can be bounded
     /// to the timer's lifetime (entries leave when the timer event pops).
     pending_timers: HashMap<TimerId, SimTime>,
@@ -188,12 +204,11 @@ struct Shard<N: Node> {
     events_processed: u64,
     peak_queue: usize,
     seed: u64,
-    invariant: bool,
     per: u32,
     nshards: usize,
-    /// Sharded-mode scratch telemetry hub (owned, so the shard is `Send`);
-    /// drained into the master hub at window boundaries. `None` in legacy
-    /// mode — shard 0 writes straight into the master hub.
+    /// A multi-shard run's scratch telemetry hub (owned, so the shard is
+    /// `Send`), drained into the master hub at window boundaries. `None`
+    /// when the run has one shard, which writes straight into the master.
     scratch: Option<TelemetryHub>,
     /// Cross-shard sends parked until the window barrier, one box per
     /// destination shard.
@@ -211,6 +226,12 @@ impl<N: Node> Shard<N> {
         ((id.0 / self.per) as usize).min(self.nshards - 1)
     }
 
+    /// Whether trace records must carry their event's key: only a
+    /// multi-shard run merges rings.
+    fn keyed(&self) -> bool {
+        self.nshards > 1
+    }
+
     fn push_keyed(&mut self, at: SimTime, a: u64, b: u64, kind: EventKind<N::Msg>) {
         self.queue.push(at.as_micros(), a, b, kind);
         self.peak_queue = self.peak_queue.max(self.queue.len());
@@ -219,14 +240,9 @@ impl<N: Node> Shard<N> {
     /// Allocates the ordering key for an event emitted by `src` toward
     /// `dest` (timers use `dest == src`).
     fn key_for_emit(&mut self, src: NodeId, dest: NodeId) -> (u64, u64) {
-        if self.invariant {
-            let li = (src.0 - self.base) as usize;
-            self.src_seq[li] += 1;
-            (key_local(dest.0, src.0), self.src_seq[li])
-        } else {
-            self.seq += 1;
-            (0, self.seq)
-        }
+        let slot = &mut self.slots[(src.0 - self.base) as usize];
+        slot.seq += 1;
+        (key_local(dest.0, src.0), slot.seq)
     }
 
     /// Queues a delivery locally or parks it in the outbox of the owner
@@ -244,12 +260,7 @@ impl<N: Node> Shard<N> {
     }
 
     /// Runs the node callback and then applies the effects it requested.
-    fn dispatch_callback(
-        &mut self,
-        hub: &Rc<RefCell<TelemetryHub>>,
-        id: NodeId,
-        cb: Callback<N::Msg>,
-    ) {
+    fn dispatch_callback(&mut self, hub: &Hub, id: NodeId, cb: Callback<N::Msg>) {
         let li = (id.0 - self.base) as usize;
         // One buffer per shard, drained below and handed back: a callback
         // that requests nothing costs the engine no allocation.
@@ -267,15 +278,14 @@ impl<N: Node> Shard<N> {
                 None
             };
             let node = &mut self.nodes[li];
-            let tslot =
-                if self.invariant { &mut self.next_timer[li] } else { &mut self.next_timer[0] };
+            let slot = &mut self.slots[li];
             let mut ctx = Context {
                 id,
                 now: self.now,
-                rng: &mut self.node_rngs[li],
+                rng: &mut slot.rng,
                 effects: &mut effects,
-                next_timer: tslot,
-                disk: &mut self.disks[li],
+                next_timer: &mut slot.next_timer,
+                disk: &mut slot.disk,
             };
             match cb {
                 Callback::Start => node.on_start(&mut ctx),
@@ -292,30 +302,13 @@ impl<N: Node> Shard<N> {
                     // behavior may rewrite or swallow it on the way out.
                     if let Some(b) = self.liars.get(&id.0).copied() {
                         use rand::Rng;
-                        let invariant = self.invariant;
                         let seed = self.seed;
-                        let roll = {
-                            let r: &mut SmallRng = if invariant {
-                                self.liar_rngs.entry(id.0).or_insert_with(|| {
-                                    fork(seed, LIAR_STREAM_BASE + u64::from(id.0))
-                                })
-                            } else {
-                                &mut self.liar_rng
-                            };
-                            r.gen::<f64>() < b.prob
-                        };
-                        if roll {
-                            let action = if invariant {
-                                let r = self.liar_rngs.get_mut(&id.0).expect("liar rng installed");
-                                self.nodes[li].tamper_outbound(to, &mut msg, b.mode, r)
-                            } else {
-                                self.nodes[li].tamper_outbound(
-                                    to,
-                                    &mut msg,
-                                    b.mode,
-                                    &mut self.liar_rng,
-                                )
-                            };
+                        let r = self
+                            .liar_rngs
+                            .entry(id.0)
+                            .or_insert_with(|| fork(seed, LIAR_STREAM_BASE + u64::from(id.0)));
+                        if r.gen::<f64>() < b.prob {
+                            let action = self.nodes[li].tamper_outbound(to, &mut msg, b.mode, r);
                             if action != LiarAction::Pass {
                                 let mut hub = hub.borrow_mut();
                                 // A coordinated lie is attributed to the
@@ -352,20 +345,15 @@ impl<N: Node> Shard<N> {
                             // `bytes_sent` always prices full payloads;
                             // `bytes_wire` is what the delta accounting
                             // model says actually crossed the wire. Only
-                            // tallied in delta mode so deltas-off telemetry
-                            // stays byte-identical (zero counters are
-                            // skipped by every exporter).
+                            // tallied with delta accounting on, so a
+                            // deltas-off run carries no such counter (zero
+                            // counters are skipped by every exporter).
                             if self.delta_accounting {
                                 c.ctr_add(ctr::BYTES_WIRE, msg.compressed_wire_size() as u64);
                             }
                         }
                     }
-                    let route = {
-                        let r =
-                            if self.invariant { &mut self.net_rngs[li] } else { &mut self.net_rng };
-                        self.net.route(id, to, r)
-                    };
-                    match route {
+                    match self.net.route(id, to, &mut self.slots[li].route_rng) {
                         RouteOutcome::Deliver { delay, duplicate, jittered } => {
                             if jittered || duplicate.is_some() {
                                 let mut hub = hub.borrow_mut();
@@ -403,7 +391,8 @@ impl<N: Node> Shard<N> {
                     }
                 }
                 Effect::SetTimer { id: tid, delay, tag } => {
-                    let at = self.now + delay;
+                    // Never at the current instant (see the module docs).
+                    let at = self.now + delay.max(SimDuration::from_micros(1));
                     self.pending_timers.insert(tid, at);
                     let (a, b) = self.key_for_emit(id, id);
                     self.push_keyed(at, a, b, EventKind::Timer { node: id, id: tid, tag });
@@ -422,24 +411,19 @@ impl<N: Node> Shard<N> {
     }
 
     /// Applies one popped event to this shard's state.
-    fn process_event(
-        &mut self,
-        hub: &Rc<RefCell<TelemetryHub>>,
-        t: SimTime,
-        kind_ev: EventKind<N::Msg>,
-    ) {
+    fn process_event(&mut self, hub: &Hub, t: SimTime, kind_ev: EventKind<N::Msg>) {
         debug_assert!(t >= self.now, "event queue went backwards");
         self.now = t;
-        // Network-global control events are broadcast to every shard's queue
-        // in sharded mode; tally the logical event once (on shard 0) so
+        // Network-global control events are broadcast to every shard's
+        // queue; tally the logical event once (on shard 0) so
         // `events_processed` stays shard-count-invariant.
-        if !self.invariant || self.index == 0 || event_target(&kind_ev).is_some() {
+        if self.index == 0 || event_target(&kind_ev).is_some() {
             self.events_processed += 1;
         }
         match kind_ev {
             EventKind::Deliver { from, to, msg, size } => {
                 let li = (to.0 as usize).wrapping_sub(self.base as usize);
-                if li >= self.nodes.len() || self.down[li] {
+                if self.slots.get(li).is_none_or(|s| s.down) {
                     let mut hub = hub.borrow_mut();
                     if let Some(c) = hub.node_mut(to.index()) {
                         c.ctr_add(ctr::MSGS_LOST, 1);
@@ -471,7 +455,7 @@ impl<N: Node> Shard<N> {
                     return;
                 }
                 let li = (node.0 - self.base) as usize;
-                if self.down[li] {
+                if self.slots[li].down {
                     return; // timers expiring while down are lost
                 }
                 if let Some(c) = hub.borrow_mut().node_mut(node.index()) {
@@ -481,8 +465,8 @@ impl<N: Node> Shard<N> {
             }
             EventKind::Crash(node) => {
                 let li = (node.0 - self.base) as usize;
-                if !self.down[li] {
-                    self.down[li] = true;
+                if !self.slots[li].down {
+                    self.slots[li].down = true;
                     {
                         let mut hub = hub.borrow_mut();
                         hub.global_mut().ctr_add(ctr::CRASHES, 1);
@@ -501,7 +485,7 @@ impl<N: Node> Shard<N> {
                     // The crash failure model for stable storage: the newest
                     // unsynced writes are destroyed, anything older is
                     // considered to have reached the platter in time.
-                    let lost = self.disks[li].crash(self.crash_unsynced_loss);
+                    let lost = self.slots[li].disk.crash(self.crash_unsynced_loss);
                     if lost > 0 {
                         let mut hub = hub.borrow_mut();
                         if let Some(c) = hub.node_mut(node.index()) {
@@ -512,8 +496,8 @@ impl<N: Node> Shard<N> {
             }
             EventKind::Recover(node, mode) => {
                 let li = (node.0 - self.base) as usize;
-                if self.down[li] {
-                    self.down[li] = false;
+                if self.slots[li].down {
+                    self.slots[li].down = false;
                     {
                         let mut hub = hub.borrow_mut();
                         hub.global_mut().ctr_add(ctr::RECOVERIES, 1);
@@ -541,13 +525,13 @@ impl<N: Node> Shard<N> {
                                     Layer::Sim,
                                     kind::NODE_RESTART,
                                     mode.discriminant(),
-                                    self.disks[li].total_lost(),
+                                    self.slots[li].disk.total_lost(),
                                 );
                             }
                         }
                     }
                     if mode == RestartMode::ColdAmnesia {
-                        self.disks[li].wipe();
+                        self.slots[li].disk.wipe();
                     }
                     self.dispatch_callback(hub, node, Callback::Recover(mode));
                 }
@@ -600,7 +584,12 @@ impl<N: Node> Shard<N> {
             }
             EventKind::Corrupt { node, op, seed } => {
                 let li = (node.0 - self.base) as usize;
-                if !self.down[li] {
+                if !self.slots[li].down {
+                    if obs::ENABLED {
+                        // Anything the node traces while corrupted is
+                        // stamped with this instant, not its last callback.
+                        hub.borrow_mut().set_now_us(self.now.as_micros());
+                    }
                     // Each strike carries its own seed: the RNG handed to
                     // the node (or disk) is private to this event, so the
                     // strike schedule and the damage it does replay
@@ -608,7 +597,7 @@ impl<N: Node> Shard<N> {
                     let mut rng = fork(seed, u64::from(node.0));
                     let units = match op {
                         CorruptionOp::DiskBytes { flips } => {
-                            self.disks[li].corrupt(&mut rng, flips)
+                            self.slots[li].disk.corrupt(&mut rng, flips)
                         }
                         _ => self.nodes[li].apply_corruption(&op, &mut rng),
                     };
@@ -686,28 +675,28 @@ impl<N: Node> Shard<N> {
         }
     }
 
+    /// Pops and processes the earliest queued event; `false` when the queue
+    /// is empty.
+    fn process_next(&mut self, hub: &Hub) -> bool {
+        let Some((t, a, b, kind_ev)) = self.queue.pop() else { return false };
+        if self.keyed() {
+            hub.borrow_mut().set_event_key(a, b);
+        }
+        self.process_event(hub, SimTime::from_micros(t), kind_ev);
+        true
+    }
+
     /// Pops and processes every queued event with `t < bound_us`.
-    fn drain_window(&mut self, hub: &Rc<RefCell<TelemetryHub>>, bound_us: u64) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= bound_us {
-                break;
-            }
-            let (t, a, b, kind_ev) = self.queue.pop().expect("peeked entry vanished");
-            if self.invariant {
-                hub.borrow_mut().set_event_key(a, b);
-            }
-            self.process_event(hub, SimTime::from_micros(t), kind_ev);
+    fn drain_window(&mut self, hub: &Hub, bound_us: u64) {
+        while self.queue.peek_time().is_some_and(|t| t < bound_us) {
+            self.process_next(hub);
         }
     }
 
     /// Runs a closure against this shard's effective hub: the scratch hub
     /// (re-wrapped in a transient `Rc` so the thread-local collector can
-    /// hold it) when sharded, the master hub in legacy mode.
-    fn with_hub<R>(
-        &mut self,
-        master: &Rc<RefCell<TelemetryHub>>,
-        f: impl FnOnce(&mut Self, &Rc<RefCell<TelemetryHub>>) -> R,
-    ) -> R {
+    /// hold it) in a multi-shard run, the master hub otherwise.
+    fn with_hub<R>(&mut self, master: &Hub, f: impl FnOnce(&mut Self, &Hub) -> R) -> R {
         if let Some(scr) = self.scratch.take() {
             let rc = Rc::new(RefCell::new(scr));
             let r = f(self, &rc);
@@ -723,15 +712,15 @@ impl<N: Node> Shard<N> {
     }
 
     /// Processes one window sequentially (hub installed once for the span).
-    fn run_window(&mut self, master: &Rc<RefCell<TelemetryHub>>, bound_us: u64) {
+    fn run_window(&mut self, master: &Hub, bound_us: u64) {
         self.with_hub(master, |sh, hub| {
             let _g = if obs::ENABLED { obs::collector::install_if_needed(hub) } else { None };
             sh.drain_window(hub, bound_us);
         });
     }
 
-    /// Processes one window on a worker thread (sharded mode only; never
-    /// touches the master hub, so the closure is `Send`).
+    /// Processes one window on a worker thread (multi-shard runs only;
+    /// never touches the master hub, so the closure is `Send`).
     fn run_window_owned(&mut self, bound_us: u64) {
         let scr = self.scratch.take().expect("parallel run requires scratch hubs");
         let rc = Rc::new(RefCell::new(scr));
@@ -747,22 +736,24 @@ impl<N: Node> Shard<N> {
     }
 }
 
-/// Pre-start state: nodes and externally scheduled events accumulate here
-/// until the first run call freezes the shard layout.
-struct Staging<N: Node> {
-    nodes: Vec<N>,
-    node_rngs: Vec<SmallRng>,
-    disks: Vec<Disk>,
-    events: Vec<StagedEvent<N::Msg>>,
-    peak: usize,
-    seq: u64,
+/// Runs one window on every shard, one after the other.
+fn windows_in_turn<N: Node>(shards: &mut [Shard<N>], master: &Hub, bound_us: u64) {
+    for sh in shards {
+        sh.run_window(master, bound_us);
+    }
 }
 
-struct StagedEvent<M> {
-    time: SimTime,
-    legacy_seq: u64,
-    kind: EventKind<M>,
+/// Pre-start state: nodes and externally scheduled events (with their
+/// `b`-keys) accumulate here until the first run call freezes the shard
+/// layout and gives every node its [`Slot`].
+struct Staging<N: Node> {
+    nodes: Vec<N>,
+    events: Vec<(SimTime, u64, EventKind<N::Msg>)>,
 }
+
+/// What [`Simulation::disk`] shows before the first run: nothing has run
+/// yet to write a disk.
+static UNWRITTEN: Disk = Disk::new();
 
 /// A deterministic discrete-event simulation over nodes of type `N`.
 ///
@@ -793,26 +784,24 @@ struct StagedEvent<M> {
 /// assert_eq!(sim.node(NodeId(0)).pings + sim.node(NodeId(1)).pings, 4);
 /// ```
 pub struct Simulation<N: Node> {
-    /// All traffic/fault accounting and trace records live here; the legacy
+    /// All traffic/fault accounting and trace records live here; the
     /// [`TrafficCounters`]/[`FaultCounters`] accessors are views over it.
     /// Shared (`Rc`) so the thread-local collector can reach it from inside
     /// node callbacks.
-    hub: Rc<RefCell<TelemetryHub>>,
+    hub: Hub,
     shards: Vec<Shard<N>>,
     staging: Option<Staging<N>>,
     net: NetworkModel,
     now: SimTime,
     seed: u64,
     started: bool,
-    /// Sharded (shard-count-invariant) mode flag; false = legacy keys.
-    invariant: bool,
     shard_target: usize,
     /// How many of the newest unsynced disk writes a crash destroys
     /// (default: all of them).
     crash_unsynced_loss: usize,
     /// Whether sends also tally `BYTES_WIRE` (compressed-wire accounting).
     delta_accounting: bool,
-    /// Sharded-mode `b`-key counter for externally scheduled events.
+    /// `b`-key counter for externally scheduled events (schedule order).
     ext_seq: u64,
     total: u32,
     per: u32,
@@ -827,7 +816,7 @@ impl<N: Node> std::fmt::Debug for Simulation<N> {
             .field("nodes", &self.len())
             .field("now", &self.now)
             .field("queued", &self.queued_len())
-            .field("shards", &self.shards.len().max(1))
+            .field("shards", &self.shard_count())
             .field("events_processed", &self.events_processed())
             .finish()
     }
@@ -835,41 +824,19 @@ impl<N: Node> std::fmt::Debug for Simulation<N> {
 
 impl<N: Node> Simulation<N> {
     /// Creates an empty simulation over the given network model, with all
-    /// randomness derived from `seed`.
-    ///
-    /// If the `SIMNET_SHARDS` environment variable is set to an integer
-    /// `k ≥ 1`, the simulation starts in sharded mode with that shard count,
-    /// exactly as if [`Simulation::set_shards`]`(k)` had been called.
+    /// randomness derived from `seed`: one shard, delta accounting off.
     pub fn new(net: NetworkModel, seed: u64) -> Self {
-        let mut invariant = false;
-        let mut shard_target = 1usize;
-        if let Ok(v) = std::env::var("SIMNET_SHARDS") {
-            if let Ok(k) = v.trim().parse::<usize>() {
-                if k >= 1 {
-                    invariant = true;
-                    shard_target = k;
-                }
-            }
-        }
         Simulation {
             hub: Rc::new(RefCell::new(TelemetryHub::new(seed))),
             shards: Vec::new(),
-            staging: Some(Staging {
-                nodes: Vec::new(),
-                node_rngs: Vec::new(),
-                disks: Vec::new(),
-                events: Vec::new(),
-                peak: 0,
-                seq: 0,
-            }),
+            staging: Some(Staging { nodes: Vec::new(), events: Vec::new() }),
             net,
             now: SimTime::ZERO,
             seed,
             started: false,
-            invariant,
-            shard_target,
+            shard_target: 1,
             crash_unsynced_loss: usize::MAX,
-            delta_accounting: crate::delta_mode(),
+            delta_accounting: false,
             ext_seq: 0,
             total: 0,
             per: 1,
@@ -877,14 +844,14 @@ impl<N: Node> Simulation<N> {
         }
     }
 
-    /// Switches the simulation into sharded mode with `k` execution shards
-    /// (contiguous node-id ranges). In this mode event keys and RNG streams
-    /// are *shard-count-invariant*: the same seed yields byte-identical
-    /// telemetry for any `k`, including `k = 1` — but **not** identical to
-    /// legacy (default) mode, which keeps the historical single-heap
-    /// ordering. The effective count is clamped to the node count, and to 1
-    /// when the network's minimum latency is zero (no lookahead, no safe
-    /// window).
+    /// Splits the run over `k` execution shards (contiguous node-id ranges)
+    /// that advance in lookahead-bounded windows — on one thread each under
+    /// [`Simulation::run_until_parallel`]. The shard count never changes a
+    /// result: keys and random streams belong to nodes, not shards, so the
+    /// same seed yields byte-identical telemetry for every `k`, the default
+    /// single shard included. The effective count is clamped to the node
+    /// count, and to 1 when the network's minimum latency is zero (no
+    /// lookahead, no safe window).
     ///
     /// # Panics
     ///
@@ -892,7 +859,6 @@ impl<N: Node> Simulation<N> {
     pub fn set_shards(&mut self, k: usize) {
         assert!(!self.started, "cannot reconfigure shards after the simulation started");
         self.shard_target = k.max(1);
-        self.invariant = true;
     }
 
     /// The number of execution shards: the configured target before start,
@@ -940,16 +906,17 @@ impl<N: Node> Simulation<N> {
     /// Shared handle to this simulation's telemetry hub (the metrics
     /// registry plus the trace ring). Experiment harnesses read registry
     /// slots through this; protocol code inside callbacks reaches the same
-    /// hub through the `obs` thread-local collector. In sharded mode the
-    /// hub reflects merged shard state as of the last completed run call.
+    /// hub through the `obs` thread-local collector. With several shards
+    /// the hub reflects merged shard state as of the last completed run
+    /// call.
     pub fn telemetry(&self) -> Rc<RefCell<TelemetryHub>> {
         Rc::clone(&self.hub)
     }
 
     /// A non-destructive telemetry snapshot: every non-zero registry slot
     /// plus the retained trace records, stamped with the current simulated
-    /// time. Deterministic — same seed, same schedule ⇒ same snapshot (and
-    /// in sharded mode, the same bytes for any shard count).
+    /// time. Deterministic — same seed, same schedule ⇒ same snapshot, for
+    /// any shard count.
     pub fn snapshot_telemetry(&self) -> Telemetry {
         let mut hub = self.hub.borrow_mut();
         hub.set_now_us(self.now.as_micros());
@@ -962,14 +929,21 @@ impl<N: Node> Simulation<N> {
     /// drain — use [`Simulation::snapshot_telemetry`] for a non-destructive
     /// read, and drain only at window boundaries or end of run.
     pub fn drain_telemetry(&mut self) -> Telemetry {
+        // Scratch hubs keep their nodes' gauge levels between merges; a
+        // drain forgets those too.
+        for sh in &mut self.shards {
+            if let Some(scr) = sh.scratch.as_mut() {
+                scr.reset_metrics();
+            }
+        }
         let mut hub = self.hub.borrow_mut();
         hub.set_now_us(self.now.as_micros());
         hub.drain()
     }
 
     /// Caps the trace ring at `capacity` records (drop-oldest beyond it).
-    /// In sharded mode the cap applies to the *merged* ring, so retention is
-    /// identical for every shard count.
+    /// With several shards the cap applies to the *merged* ring, so
+    /// retention is identical for every shard count.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
         self.hub.borrow_mut().set_ring_capacity(capacity);
     }
@@ -984,9 +958,7 @@ impl<N: Node> Simulation<N> {
         assert!(!self.started, "cannot add nodes after the simulation started");
         let st = self.staging.as_mut().expect("staging present before start");
         let id = NodeId(st.nodes.len() as u32);
-        st.node_rngs.push(fork(self.seed, u64::from(id.0)));
         st.nodes.push(node);
-        st.disks.push(Disk::new());
         self.hub.borrow_mut().ensure_nodes(st.nodes.len());
         id
     }
@@ -996,17 +968,19 @@ impl<N: Node> Simulation<N> {
         ((id.0 / self.per) as usize).min(self.shards.len().saturating_sub(1))
     }
 
-    /// A node's simulated stable storage (inspection between runs).
+    /// A node's simulated stable storage (inspection between runs; empty
+    /// before the first).
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn disk(&self, id: NodeId) -> &Disk {
         if let Some(st) = &self.staging {
-            &st.disks[id.index()]
+            assert!(id.index() < st.nodes.len(), "node id out of range");
+            &UNWRITTEN
         } else {
             let sh = &self.shards[self.shard_index_of(id)];
-            &sh.disks[(id.0 - sh.base) as usize]
+            &sh.slots[(id.0 - sh.base) as usize].disk
         }
     }
 
@@ -1021,9 +995,9 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Enables or disables the compressed-wire accounting lane
-    /// (`BYTES_WIRE`) independently of the `NEWSWIRE_DELTAS` environment
-    /// switch, so one process can run a delta arm and a full arm
-    /// back-to-back (E20). Defaults to [`crate::delta_mode`].
+    /// (`BYTES_WIRE`); off by default. A run on the delta wire protocol
+    /// turns it on alongside the protocol's own switches (NewsWire's
+    /// `deltas`, Astrolabe's `delta_gossip`).
     pub fn set_delta_accounting(&mut self, on: bool) {
         self.delta_accounting = on;
         for sh in &mut self.shards {
@@ -1064,11 +1038,11 @@ impl<N: Node> Simulation<N> {
     }
 
     /// High-water mark of the event queue length (for capacity benchmarks).
-    /// In sharded mode this is the sum of per-shard high-water marks — an
-    /// upper bound on the true global peak.
+    /// With several shards this is the sum of per-shard high-water marks —
+    /// an upper bound on the true global peak.
     pub fn peak_queue_depth(&self) -> usize {
         if let Some(st) = &self.staging {
-            st.peak
+            st.events.len()
         } else {
             self.shards.iter().map(|s| s.peak_queue).sum()
         }
@@ -1122,7 +1096,7 @@ impl<N: Node> Simulation<N> {
             return false;
         }
         let sh = &self.shards[self.shard_index_of(id)];
-        sh.down[(id.0 - sh.base) as usize]
+        sh.slots[(id.0 - sh.base) as usize].down
     }
 
     /// Traffic counters for one node (a view over the telemetry registry).
@@ -1156,33 +1130,31 @@ impl<N: Node> Simulation<N> {
         }
     }
 
-    /// Queues an externally scheduled event (staged pre-start; routed to the
-    /// owner shard or broadcast post-start).
+    /// Queues an externally scheduled event, keyed in schedule order
+    /// (staged pre-start).
     fn push(&mut self, time: SimTime, kind: EventKind<N::Msg>) {
-        if let Some(st) = self.staging.as_mut() {
-            st.seq += 1;
-            st.events.push(StagedEvent { time, legacy_seq: st.seq, kind });
-            st.peak = st.peak.max(st.events.len());
-            return;
-        }
-        if !self.invariant {
-            let sh = &mut self.shards[0];
-            sh.seq += 1;
-            let b = sh.seq;
-            sh.push_keyed(time, 0, b, kind);
-            return;
-        }
         self.ext_seq += 1;
         let b = self.ext_seq;
+        match self.staging.as_mut() {
+            Some(st) => st.events.push((time, b, kind)),
+            None => self.route_external(time, b, kind),
+        }
+    }
+
+    /// Queues an external event on its owner shard, or on every shard when
+    /// it is a network-global control event.
+    fn route_external(&mut self, time: SimTime, b: u64, kind: EventKind<N::Msg>) {
         match event_target(&kind) {
             Some(nid) => {
                 let si = self.shard_index_of(nid);
                 self.shards[si].push_keyed(time, key_external(nid.0), b, kind);
             }
             None => {
-                for sh in &mut self.shards {
+                let (last, rest) = self.shards.split_last_mut().expect("a started run has shards");
+                for sh in rest {
                     sh.push_keyed(time, KEY_CONTROL, b, kind.clone());
                 }
+                last.push_keyed(time, KEY_CONTROL, b, kind);
             }
         }
     }
@@ -1335,51 +1307,27 @@ impl<N: Node> Simulation<N> {
         let n = st.nodes.len();
         self.total = n as u32;
         self.lookahead_us = self.net.min_latency().as_micros();
-        let mut k = if self.invariant { self.shard_target } else { 1 };
-        if self.lookahead_us == 0 {
-            // Zero lookahead admits no safe window: fall back to one shard
-            // (the key scheme stays invariant, so telemetry is unchanged).
-            k = 1;
-        }
-        k = k.clamp(1, n.max(1));
+        // Zero lookahead admits no safe window: such a network runs on one
+        // shard (same keys, so the same telemetry).
+        let k = if self.lookahead_us == 0 { 1 } else { self.shard_target.clamp(1, n.max(1)) };
         let per = n.max(1).div_ceil(k);
         self.per = per as u32;
 
         let mut nodes = st.nodes.into_iter();
-        let mut rngs = st.node_rngs.into_iter();
-        let mut disks = st.disks.into_iter();
         for si in 0..k {
             let base = si * per;
             let count = per.min(n - base);
-            let shard = Shard {
+            self.shards.push(Shard {
                 index: si,
                 base: base as u32,
                 nodes: nodes.by_ref().take(count).collect(),
-                down: vec![false; count],
-                node_rngs: rngs.by_ref().take(count).collect(),
-                disks: disks.by_ref().take(count).collect(),
+                slots: (base..base + count).map(|g| Slot::new(self.seed, g as u64)).collect(),
                 crash_unsynced_loss: self.crash_unsynced_loss,
                 delta_accounting: self.delta_accounting,
                 net: self.net.clone(),
-                net_rng: fork(self.seed, u64::MAX),
-                net_rngs: if self.invariant {
-                    (base..base + count)
-                        .map(|g| fork(self.seed, NET_STREAM_BASE + g as u64))
-                        .collect()
-                } else {
-                    Vec::new()
-                },
-                liar_rng: fork(self.seed, LIAR_STREAM),
                 liar_rngs: HashMap::new(),
                 queue: EventQueue::new(),
                 now: SimTime::ZERO,
-                seq: 0,
-                src_seq: vec![0; count],
-                next_timer: if self.invariant {
-                    (base..base + count).map(|g| ((g as u64) + 1) << 32).collect()
-                } else {
-                    vec![0]
-                },
                 pending_timers: HashMap::new(),
                 cancelled: HashMap::new(),
                 liars: HashMap::new(),
@@ -1387,77 +1335,49 @@ impl<N: Node> Simulation<N> {
                 events_processed: 0,
                 peak_queue: 0,
                 seed: self.seed,
-                invariant: self.invariant,
                 per: per as u32,
                 nshards: k,
-                scratch: if self.invariant {
+                scratch: (k > 1).then(|| {
                     let mut h = TelemetryHub::new(self.seed);
                     h.ensure_nodes(n);
                     h.configure_as_scratch();
-                    Some(h)
-                } else {
-                    None
-                },
+                    h
+                }),
                 outboxes: (0..k).map(|_| Vec::new()).collect(),
                 effects: Vec::new(),
-            };
-            self.shards.push(shard);
+            });
         }
-        if !self.invariant {
-            self.shards[0].seq = st.seq;
-            self.shards[0].peak_queue = st.peak;
-        }
-
-        // Distribute the staged schedule. Legacy keys were assigned at
-        // schedule time; invariant keys are assigned here, in schedule
-        // order, from the external counter.
-        for ev in st.events {
-            if !self.invariant {
-                self.shards[0].push_keyed(ev.time, 0, ev.legacy_seq, ev.kind);
-                continue;
-            }
-            self.ext_seq += 1;
-            let b = self.ext_seq;
-            match event_target(&ev.kind) {
-                Some(nid) => {
-                    let si = self.shard_index_of(nid);
-                    self.shards[si].push_keyed(ev.time, key_external(nid.0), b, ev.kind);
-                }
-                None => {
-                    for sh in &mut self.shards {
-                        sh.push_keyed(ev.time, KEY_CONTROL, b, ev.kind.clone());
-                    }
-                }
-            }
+        for (time, b, kind) in st.events {
+            self.route_external(time, b, kind);
         }
 
         // Start callbacks in global id order (shard ranges are contiguous,
         // so per-shard iteration preserves the global order).
         let master = Rc::clone(&self.hub);
-        for si in 0..k {
-            let count = self.shards[si].nodes.len();
-            let base = self.shards[si].base;
-            self.shards[si].with_hub(&master, |sh, hub| {
+        for sh in &mut self.shards {
+            sh.with_hub(&master, |sh, hub| {
                 let _g = if obs::ENABLED { obs::collector::install_if_needed(hub) } else { None };
-                for li in 0..count {
-                    let gid = base + li as u32;
-                    if sh.invariant {
+                for li in 0..sh.nodes.len() {
+                    let gid = sh.base + li as u32;
+                    if sh.keyed() {
                         hub.borrow_mut().set_event_key(key_local(gid, gid), 0);
                     }
                     sh.dispatch_callback(hub, NodeId(gid), Callback::Start);
                 }
             });
         }
-        self.flush_outboxes();
-        if self.invariant {
-            self.merge_window_traces();
-        }
+        self.sync_window();
     }
 
-    /// Moves every parked cross-shard event into its owner shard's queue.
-    fn flush_outboxes(&mut self) {
+    /// The window barrier: moves every parked cross-shard event into its
+    /// owner shard's queue, then drains every shard's scratch trace ring
+    /// into the master ring in global `(time, key)` order. The sort is
+    /// stable and keys are unique per event, so records emitted while
+    /// processing one event stay in emission order — the merged stream is
+    /// what one queue would have recorded. A no-op with one shard.
+    fn sync_window(&mut self) {
         let k = self.shards.len();
-        if k <= 1 {
+        if k == 1 {
             return;
         }
         for src in 0..k {
@@ -1467,9 +1387,9 @@ impl<N: Node> Simulation<N> {
                 }
                 let moved = std::mem::take(&mut self.shards[src].outboxes[dst]);
                 for (t, a, b, kind_ev) in moved {
-                    // Conservative-sync invariant: a cross-shard arrival is
-                    // always at or beyond the window barrier, so it can
-                    // never land in the owner's past.
+                    // Conservative sync: a cross-shard arrival is always at
+                    // or beyond the window barrier, so it can never land in
+                    // the owner's past.
                     debug_assert!(
                         t >= self.shards[dst].now.as_micros(),
                         "outbox flush into the past: shard {src} -> {dst}, \
@@ -1480,22 +1400,11 @@ impl<N: Node> Simulation<N> {
                 }
             }
         }
-    }
-
-    /// Drains every shard's scratch trace ring and replays the records into
-    /// the master ring in global `(time, key)` order. The sort is stable and
-    /// keys are unique per event, so records emitted while processing one
-    /// event stay in emission order — the merged stream is byte-identical
-    /// for every shard count.
-    fn merge_window_traces(&mut self) {
         let mut all: Vec<(TraceEvent, (u64, u64))> = Vec::new();
         for sh in &mut self.shards {
             if let Some(scr) = sh.scratch.as_mut() {
                 all.extend(scr.drain_trace_keyed());
             }
-        }
-        if all.is_empty() {
-            return;
         }
         all.sort_by_key(|(ev, key)| (ev.t_us, key.0, key.1));
         let mut hub = self.hub.borrow_mut();
@@ -1504,27 +1413,28 @@ impl<N: Node> Simulation<N> {
         }
     }
 
-    /// Folds every shard's scratch metric sets into the master hub
-    /// (counters/histograms/series add, gauges take the max — all
-    /// placement-insensitive, so the totals are shard-count-invariant).
+    /// Folds every shard's scratch metric sets into the master hub (see
+    /// [`TelemetryHub::merge_sets_from`]: the result is what the shards
+    /// would have written into one hub).
     fn merge_shard_sets(&mut self) {
         let mut hub = self.hub.borrow_mut();
         for sh in &mut self.shards {
+            let owned = sh.base as usize..sh.base as usize + sh.nodes.len();
             if let Some(scr) = sh.scratch.as_mut() {
-                hub.merge_sets_from(scr);
+                hub.merge_sets_from(scr, owned);
             }
         }
     }
 
     /// Earliest queued event time across all shards.
     fn earliest_time(&mut self) -> Option<u64> {
-        let mut w: Option<u64> = None;
-        for sh in &mut self.shards {
-            if let Some(t) = sh.queue.peek_time() {
-                w = Some(w.map_or(t, |x| x.min(t)));
-            }
-        }
-        w
+        self.shards.iter_mut().filter_map(|sh| sh.queue.peek_time()).min()
+    }
+
+    /// Moves the clock up to the latest instant any shard processed.
+    fn advance_clock(&mut self) {
+        let latest = self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO);
+        self.now = self.now.max(latest);
     }
 
     /// Purges dead cancelled-timer entries once the set outgrows the live
@@ -1539,61 +1449,59 @@ impl<N: Node> Simulation<N> {
         }
     }
 
-    /// Runs windows sequentially until every queue is past `deadline_us`.
-    fn run_windows(&mut self, deadline_us: u64) {
+    /// Runs lookahead-bounded windows of a multi-shard run until every
+    /// queue is past `deadline_us` or at least `max_events` events were
+    /// processed (checked per window); `run` executes one window on every
+    /// shard.
+    fn run_windows(
+        &mut self,
+        deadline_us: u64,
+        max_events: u64,
+        mut run: impl FnMut(&mut [Shard<N>], &Hub, u64),
+    ) {
         let master = Rc::clone(&self.hub);
+        let before = self.events_processed();
         while let Some(w) = self.earliest_time() {
-            if w > deadline_us {
+            if w > deadline_us || self.events_processed() - before >= max_events {
                 break;
             }
-            let bound =
-                w.saturating_add(self.lookahead_us.max(1)).min(deadline_us.saturating_add(1));
-            for sh in &mut self.shards {
-                sh.run_window(&master, bound);
-            }
-            self.flush_outboxes();
-            self.merge_window_traces();
+            let bound = w.saturating_add(self.lookahead_us).min(deadline_us.saturating_add(1));
+            run(&mut self.shards, &master, bound);
+            self.sync_window();
         }
-        let latest = self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO);
-        self.now = self.now.max(latest);
+        self.merge_shard_sets();
+        self.advance_clock();
+    }
+
+    /// Leaves the clock at `deadline` after a run call.
+    fn finish_at(&mut self, deadline: SimTime) {
+        if self.now < deadline {
+            self.now = deadline;
+        }
+        self.compact_cancelled();
     }
 
     /// Processes the single earliest event. Returns `false` when the queues
     /// are empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        if !self.invariant {
-            let master = Rc::clone(&self.hub);
-            let sh = &mut self.shards[0];
-            let Some((t, _a, _b, kind_ev)) = sh.queue.pop() else { return false };
-            sh.process_event(&master, SimTime::from_micros(t), kind_ev);
-            self.now = self.now.max(sh.now);
-            return true;
-        }
-        // Sharded mode: pick the globally earliest key across shard queues,
-        // process just that event, then synchronize immediately (arrivals
-        // are at least one lookahead ahead, so the flush is always safe).
-        let mut best: Option<(usize, (u64, u64, u64))> = None;
-        for (i, sh) in self.shards.iter_mut().enumerate() {
-            if let Some(key) = sh.queue.peek_key() {
-                if best.is_none_or(|(_, bk)| key < bk) {
-                    best = Some((i, key));
-                }
-            }
-        }
-        let Some((si, _)) = best else { return false };
+        // Process just the globally earliest event, then synchronize
+        // (arrivals are at least one lookahead ahead, so the flush is
+        // always safe).
+        let Some((_, si)) = (self.shards.iter_mut().enumerate())
+            .filter_map(|(i, sh)| sh.queue.peek_key().map(|key| (key, i)))
+            .min()
+        else {
+            return false;
+        };
         let master = Rc::clone(&self.hub);
         self.shards[si].with_hub(&master, |sh, hub| {
             let _g = if obs::ENABLED { obs::collector::install_if_needed(hub) } else { None };
-            let (t, a, b, kind_ev) = sh.queue.pop().expect("peeked entry vanished");
-            hub.borrow_mut().set_event_key(a, b);
-            sh.process_event(hub, SimTime::from_micros(t), kind_ev);
+            sh.process_next(hub);
         });
-        self.flush_outboxes();
-        self.merge_window_traces();
+        self.sync_window();
         self.merge_shard_sets();
-        let latest = self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO);
-        self.now = self.now.max(latest);
+        self.advance_clock();
         true
     }
 
@@ -1603,19 +1511,14 @@ impl<N: Node> Simulation<N> {
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start_if_needed();
         let deadline_us = deadline.as_micros();
-        if !self.invariant {
-            let master = Rc::clone(&self.hub);
-            let sh = &mut self.shards[0];
-            sh.run_window(&master, deadline_us.saturating_add(1));
-            self.now = self.now.max(sh.now);
+        if self.shards.len() == 1 {
+            // One shard needs no windows: drain straight to the deadline.
+            self.shards[0].run_window(&self.hub, deadline_us.saturating_add(1));
+            self.advance_clock();
         } else {
-            self.run_windows(deadline_us);
-            self.merge_shard_sets();
+            self.run_windows(deadline_us, u64::MAX, windows_in_turn);
         }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.compact_cancelled();
+        self.finish_at(deadline);
     }
 
     /// Runs for `d` of simulated time from the current instant.
@@ -1625,39 +1528,20 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Runs until the event queue is empty or at least `max_events` have
-    /// been processed, returning the number of events processed. In sharded
-    /// mode the budget is checked at synchronization-window granularity, so
-    /// the count may overshoot `max_events` by up to one window.
+    /// been processed, returning the number of events processed. With
+    /// several shards the budget is checked at synchronization-window
+    /// granularity, so the count may overshoot `max_events` by up to one
+    /// window.
     pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         self.start_if_needed();
         let before = self.events_processed();
-        if !self.invariant {
-            let master = Rc::clone(&self.hub);
-            let _obs_guard =
-                if obs::ENABLED { obs::collector::install_if_needed(&master) } else { None };
+        if self.shards.len() == 1 {
+            let _g = if obs::ENABLED { obs::collector::install_if_needed(&self.hub) } else { None };
             let sh = &mut self.shards[0];
-            while sh.events_processed - before < max_events {
-                let Some((t, _a, _b, kind_ev)) = sh.queue.pop() else { break };
-                sh.process_event(&master, SimTime::from_micros(t), kind_ev);
-            }
-            self.now = self.now.max(sh.now);
+            while sh.events_processed - before < max_events && sh.process_next(&self.hub) {}
+            self.advance_clock();
         } else {
-            loop {
-                if self.events_processed() - before >= max_events {
-                    break;
-                }
-                let Some(w) = self.earliest_time() else { break };
-                let bound = w.saturating_add(self.lookahead_us.max(1));
-                let master = Rc::clone(&self.hub);
-                for sh in &mut self.shards {
-                    sh.run_window(&master, bound);
-                }
-                self.flush_outboxes();
-                self.merge_window_traces();
-            }
-            self.merge_shard_sets();
-            let latest = self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO);
-            self.now = self.now.max(latest);
+            self.run_windows(u64::MAX, max_events, windows_in_turn);
         }
         self.events_processed() - before
     }
@@ -1672,37 +1556,22 @@ where
     /// window with one thread per shard. Byte-identical to the sequential
     /// path by construction: the window plan is the same, shards share no
     /// mutable state within a window, and the cross-shard merge orders
-    /// records by their shard-count-invariant keys. Falls back to
-    /// [`Simulation::run_until`] when there is only one shard.
+    /// records by their keys. Falls back to [`Simulation::run_until`] when
+    /// there is only one shard.
     pub fn run_until_parallel(&mut self, deadline: SimTime) {
         self.start_if_needed();
-        if self.shards.len() <= 1 {
+        if self.shards.len() == 1 {
             self.run_until(deadline);
             return;
         }
-        let deadline_us = deadline.as_micros();
-        while let Some(w) = self.earliest_time() {
-            if w > deadline_us {
-                break;
-            }
-            let bound =
-                w.saturating_add(self.lookahead_us.max(1)).min(deadline_us.saturating_add(1));
-            let shards = &mut self.shards;
+        self.run_windows(deadline.as_micros(), u64::MAX, |shards, _, bound| {
             std::thread::scope(|scope| {
                 for sh in shards.iter_mut() {
                     scope.spawn(move || sh.run_window_owned(bound));
                 }
             });
-            self.flush_outboxes();
-            self.merge_window_traces();
-        }
-        self.merge_shard_sets();
-        let latest = self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO);
-        self.now = self.now.max(latest);
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.compact_cancelled();
+        });
+        self.finish_at(deadline);
     }
 
     /// Like [`Simulation::run_for`], but parallel across shards.
@@ -1969,8 +1838,8 @@ mod tests {
 
     /// A fault-heavy scenario (chaos + partition + crash/recover + liar +
     /// colluder + corruption) whose telemetry must be byte-identical for
-    /// every shard count in invariant mode.
-    fn chaos_scenario(shards: usize, parallel: bool) -> (String, Vec<Vec<(NodeId, u32)>>) {
+    /// every shard count; `None` keeps the default engine.
+    fn chaos_scenario(shards: Option<usize>, parallel: bool) -> (String, Vec<Vec<(NodeId, u32)>>) {
         let mut sim = Simulation::new(
             NetworkModel {
                 latency: crate::topology::LatencyModel::Uniform {
@@ -1982,7 +1851,9 @@ mod tests {
             },
             4242,
         );
-        sim.set_shards(shards);
+        if let Some(k) = shards {
+            sim.set_shards(k);
+        }
         let n = 8u32;
         for i in 0..n {
             sim.add_node(Echo { peer: Some(NodeId((i + 1) % n)), ..Default::default() });
@@ -2026,17 +1897,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_invariant_mode_matches_across_shard_counts() {
-        let one = chaos_scenario(1, false);
-        let four = chaos_scenario(4, false);
-        assert_eq!(one.1, four.1, "node states diverged between shard counts");
-        assert_eq!(one.0, four.0, "telemetry diverged between shard counts");
+    fn default_engine_matches_every_shard_count() {
+        let default = chaos_scenario(None, false);
+        for k in [1, 4] {
+            let sharded = chaos_scenario(Some(k), false);
+            assert_eq!(default.1, sharded.1, "node states diverged at {k} shards");
+            assert_eq!(default.0, sharded.0, "telemetry diverged at {k} shards");
+        }
     }
 
     #[test]
     fn parallel_execution_is_byte_identical_to_sequential() {
-        let seq = chaos_scenario(4, false);
-        let par = chaos_scenario(4, true);
+        let seq = chaos_scenario(Some(4), false);
+        let par = chaos_scenario(Some(4), true);
         assert_eq!(seq.1, par.1, "node states diverged under parallel execution");
         assert_eq!(seq.0, par.0, "telemetry diverged under parallel execution");
     }

@@ -3,11 +3,10 @@
 //! A small anti-entropy protocol (version vectors gossiped over a ring plus
 //! random peers) runs under the nastiest fault cocktail the engine offers —
 //! crash/cold-restart, partition, gray links, duplication, reordering, drops,
-//! a Byzantine liar and a colluder pair, disk corruption. In invariant
-//! (sharded) mode the same seed must produce *byte-identical* telemetry and
-//! identical node states for every shard count, sequential or
-//! thread-parallel. This is the contract CI pins: `SIMNET_SHARDS=1` and
-//! `SIMNET_SHARDS=4` runs of the determinism suite may be diffed directly.
+//! a Byzantine liar and a colluder pair, disk corruption. The same seed must
+//! produce *byte-identical* telemetry and identical node states on the
+//! default engine (one shard, no windows) and at every shard count,
+//! sequential or thread-parallel.
 
 use std::collections::BTreeMap;
 
@@ -75,8 +74,9 @@ impl Node for VvNode {
 /// Telemetry JSON, per-node `(vector, merges)` state, events processed.
 type RunResult = (String, Vec<(BTreeMap<u32, u64>, u64)>, u64);
 
-/// Runs the chaos cocktail and returns the run's observable outcome.
-fn run(shards: usize, parallel: bool) -> RunResult {
+/// Runs the chaos cocktail and returns the run's observable outcome;
+/// `shards: None` leaves the engine at its default.
+fn run(shards: Option<usize>, parallel: bool) -> RunResult {
     let n = 12u32;
     let mut sim = Simulation::new(
         NetworkModel {
@@ -89,7 +89,9 @@ fn run(shards: usize, parallel: bool) -> RunResult {
         },
         0xD15C0,
     );
-    sim.set_shards(shards);
+    if let Some(k) = shards {
+        sim.set_shards(k);
+    }
     for _ in 0..n {
         sim.add_node(VvNode { n, ..Default::default() });
     }
@@ -144,21 +146,19 @@ fn run(shards: usize, parallel: bool) -> RunResult {
 
 #[test]
 fn telemetry_is_byte_identical_across_shard_counts() {
-    let one = run(1, false);
-    let two = run(2, false);
-    let four = run(4, false);
-    assert_eq!(one.2, two.2, "event counts diverged (1 vs 2 shards)");
-    assert_eq!(one.2, four.2, "event counts diverged (1 vs 4 shards)");
-    assert_eq!(one.1, two.1, "node states diverged (1 vs 2 shards)");
-    assert_eq!(one.1, four.1, "node states diverged (1 vs 4 shards)");
-    assert_eq!(one.0, two.0, "telemetry diverged (1 vs 2 shards)");
-    assert_eq!(one.0, four.0, "telemetry diverged (1 vs 4 shards)");
+    let default = run(None, false);
+    for k in [1, 2, 4] {
+        let sharded = run(Some(k), false);
+        assert_eq!(default.2, sharded.2, "event counts diverged (default vs {k} shards)");
+        assert_eq!(default.1, sharded.1, "node states diverged (default vs {k} shards)");
+        assert_eq!(default.0, sharded.0, "telemetry diverged (default vs {k} shards)");
+    }
 }
 
 #[test]
 fn parallel_matches_sequential_at_four_shards() {
-    let seq = run(4, false);
-    let par = run(4, true);
+    let seq = run(Some(4), false);
+    let par = run(Some(4), true);
     assert_eq!(seq.2, par.2, "event counts diverged under threads");
     assert_eq!(seq.1, par.1, "node states diverged under threads");
     assert_eq!(seq.0, par.0, "telemetry diverged under threads");
@@ -166,5 +166,5 @@ fn parallel_matches_sequential_at_four_shards() {
 
 #[test]
 fn rerun_is_deterministic() {
-    assert_eq!(run(4, false), run(4, false));
+    assert_eq!(run(Some(4), false), run(Some(4), false));
 }

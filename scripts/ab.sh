@@ -41,8 +41,7 @@ bin() {
 bin_a=$(bin "$dir_a") bin_b=$(bin "$dir_b")
 
 run() { # side exe seed
-  env -u SIMNET_SHARDS -u NEWSWIRE_DELTAS "$2" --child --workload "$workload" --seed "$3" --trace 0 \
-    > "$out/$1.$3"
+  "$2" --child --workload "$workload" --seed "$3" --trace 0 > "$out/$1.$3"
 }
 
 printf '%-5s %-4s' seed side; printf ' %24s' $metrics; echo

@@ -7,13 +7,16 @@
 //! revisions reach which subscribers. This test pins that contract under the
 //! E13 chaos cocktail (severe gray nodes plus Poisson churn through the
 //! publish window), where repair, reconciliation and gossip all carry real
-//! weight: both arms are forced through explicit configuration (not the
-//! `NEWSWIRE_DELTAS` environment switch) and must converge every interested
-//! node to every story's final revision, with identical per-node outcomes.
+//! weight: both arms are selected through the three config fields
+//! (`deltas`, `astrolabe.delta_gossip`, `set_delta_accounting`) and must
+//! converge every interested node to every story's final revision, with
+//! identical per-node outcomes.
 //!
 //! Mid-chaos *timing* is allowed to differ between arms (delta gossip ships
 //! different message sizes, so the latency model schedules differently);
-//! converged *state* is not.
+//! converged *state* is not. Within the delta arm, a second same-seed run
+//! must drain byte-identical telemetry: the delta wire is exactly as
+//! deterministic as the full one.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,6 +46,7 @@ struct Arm {
     state: ArmState,
     bytes_sent: u64,
     bytes_wire: u64,
+    telemetry: String,
 }
 
 /// Runs the seeded chaos workload with the delta protocol explicitly on or
@@ -176,7 +180,8 @@ fn run_arm(deltas: bool, seed: u64) -> Arm {
     };
     #[cfg(not(feature = "obs"))]
     let bytes_wire = 0;
-    Arm { state: ArmState { cache, delivered }, bytes_sent, bytes_wire }
+    let telemetry = d.sim.drain_telemetry().to_json();
+    Arm { state: ArmState { cache, delivered }, bytes_sent, bytes_wire, telemetry }
 }
 
 #[test]
@@ -204,6 +209,10 @@ fn delta_on_delivers_identical_state_under_chaos() {
 
     // The contract itself: per-node converged state identical across arms.
     assert_eq!(full.state, delta.state, "delta arm must deliver exactly what the full arm does");
+
+    // Same seed, same delta arm, same bytes.
+    let again = run_arm(true, 0x0DE1_7AE0);
+    assert!(again.telemetry == delta.telemetry, "delta arm telemetry must replay byte for byte");
 
     // And the delta arm must have actually been cheaper on the wire: the
     // compressed accounting lane strictly undercuts its own full-priced
