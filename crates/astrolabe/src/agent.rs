@@ -16,11 +16,19 @@
 //!
 //! Anti-entropy in three hops. `A` picks, per level it represents, a peer
 //! `B` in a *different* child of the level's zone and sends a digest of all
-//! tables the two share (that zone and every ancestor). `B` replies with the
-//! rows where it is newer plus a want-list of rows where `A` advertised
-//! newer; `A` merges, then ships the wanted rows. Rows are immutable and
-//! stamped `(issued, version, origin)`; newest wins everywhere, which makes
-//! merging commutative, idempotent and eventually consistent.
+//! tables the two share (that zone and every ancestor): per row its label,
+//! stamp and content hash. `B` replies with the rows where it is newer plus
+//! a want-list of rows where `A` advertised newer; `A` merges, then ships
+//! the wanted rows. Rows are immutable and stamped `(issued, version,
+//! origin)`; newest wins everywhere, which makes merging commutative,
+//! idempotent and eventually consistent.
+//!
+//! Every heartbeat re-stamps a row whose values did not change, so the
+//! content hash decides what travels: where `B` holds `A`'s advertised
+//! values under an older stamp it takes the stamp from the digest (no want,
+//! no hop 3), where it holds them under a newer stamp it replies with a
+//! 30-byte refresh record instead of the row, and only rows whose values
+//! differ travel whole.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -33,7 +41,7 @@ use simnet::{PhiBank, PhiConfig, SimTime};
 use crate::agg::{parse_program, run_program, AggProgram};
 use crate::config::Config;
 use crate::mib::{AttrName, Mib, MibBuilder, Stamp};
-use crate::table::{MergeOutcome, RowDigest, ZoneTable};
+use crate::table::{Diff, MergeOutcome, RowDigest, ZoneTable};
 use crate::value::AttrValue;
 use crate::zone::{ZoneId, ZoneLayout};
 
@@ -52,7 +60,7 @@ const MAX_ROW_ATTRS: usize = 256;
 pub struct TableDigest {
     /// The zone whose table is being advertised.
     pub zone: ZoneId,
-    /// Per-row version stamps.
+    /// Per-row version stamps and content hashes.
     pub rows: Arc<[RowDigest]>,
     /// Delta gossip only: table generation this digest is relative to.
     /// `0` means the digest is *full* (covers every held row — also the
@@ -71,8 +79,10 @@ pub struct TableDigest {
 pub struct TableRows {
     /// The zone whose table the rows belong to.
     pub zone: ZoneId,
-    /// `(label, row)` pairs.
-    pub rows: Vec<(u16, Arc<Mib>)>,
+    /// `(label, stamp, values)`: each row's values under the stamp the
+    /// sender holds them under, which may be newer than the values' own
+    /// `stamp` (see [`crate::Row::stamp`]).
+    pub rows: Vec<(u16, Stamp, Arc<Mib>)>,
 }
 
 /// Gossip protocol messages.
@@ -85,16 +95,16 @@ pub enum GossipMsg {
     },
     /// Hop 2: rows newer at the receiver, plus a want-list.
     DigestReply {
-        /// Rows where the replier was newer.
+        /// Rows where the replier held other values under a newer stamp,
+        /// or that a full digest did not list.
         rows: Vec<TableRows>,
         /// `(zone, labels)` the replier wants.
         want: Vec<(ZoneId, Vec<u16>)>,
-        /// Delta gossip only: stamp-refresh records for rows where the
-        /// replier was newer but the digest's content hash proved the
-        /// values identical — the receiver re-stamps in place instead of
-        /// getting the row re-shipped. Always empty when delta gossip is
-        /// off (zero wire cost).
-        refresh: Vec<(ZoneId, Vec<(u16, Stamp)>)>,
+        /// Stamp-refresh records `(label, stamp, hash)`: rows where the
+        /// replier held the digest's values under a newer stamp. The
+        /// receiver takes the stamp for the row it holds only while that
+        /// row's values still hash to the record's `chash`.
+        refresh: Vec<(ZoneId, Vec<RowDigest>)>,
         /// Delta gossip only: zones where the replier detected a missed
         /// delta digest and needs the sender's next digest to be full.
         /// Always empty when delta gossip is off.
@@ -108,6 +118,18 @@ pub enum GossipMsg {
 }
 
 impl GossipMsg {
+    /// A digest reply that carries nothing: what an agent in sync with a
+    /// digest's sender owes it (the agent itself sends none; a host that
+    /// times exchanges by their replies does).
+    pub fn empty_reply() -> Self {
+        GossipMsg::DigestReply {
+            rows: Vec::new(),
+            want: Vec::new(),
+            refresh: Vec::new(),
+            want_full: Vec::new(),
+        }
+    }
+
     /// Approximate wire size in bytes, for traffic accounting.
     pub fn wire_size(&self) -> usize {
         fn zone_size(z: &ZoneId) -> usize {
@@ -117,28 +139,27 @@ impl GossipMsg {
             rs.iter()
                 .map(|t| {
                     zone_size(&t.zone)
-                        + t.rows.iter().map(|(_, r)| 2 + r.wire_size()).sum::<usize>()
+                        + t.rows.iter().map(|(_, _, r)| 2 + r.wire_size()).sum::<usize>()
                 })
                 .sum()
+        }
+        fn entries_size(z: &ZoneId, entries: &[RowDigest]) -> usize {
+            zone_size(z) + entries.len() * RowDigest::WIRE_SIZE
         }
         8 + match self {
             GossipMsg::Digest { digests } => digests
                 .iter()
                 .map(|d| {
-                    // Delta-mode digests (recognizable by a non-zero
-                    // generation) carry an 8-byte content hash per row on
-                    // top of the 22-byte label+stamp entry, plus the
-                    // since/gen pair. Off-mode digests stay at the
-                    // historical 22 bytes per row.
-                    let per_row = if d.gen > 0 { 30 } else { 22 };
+                    // A delta-gossip digest (recognizable by a non-zero
+                    // generation) adds its since/gen pair.
                     let header = if d.gen > 0 { 16 } else { 0 };
-                    zone_size(&d.zone) + header + d.rows.len() * per_row
+                    header + entries_size(&d.zone, &d.rows)
                 })
                 .sum::<usize>(),
             GossipMsg::DigestReply { rows, want, refresh, want_full } => {
                 rows_size(rows)
                     + want.iter().map(|(z, ls)| zone_size(z) + ls.len() * 2).sum::<usize>()
-                    + refresh.iter().map(|(z, rs)| zone_size(z) + rs.len() * 22).sum::<usize>()
+                    + refresh.iter().map(|(z, rs)| entries_size(z, rs)).sum::<usize>()
                     + want_full.iter().map(zone_size).sum::<usize>()
             }
             GossipMsg::Rows { rows } => rows_size(rows),
@@ -161,7 +182,7 @@ struct RoundState {
 /// One cached aggregate summary (see [`Agent::recompute_level`]): the row
 /// last computed over a level's table, valid while that table's content
 /// generation and the mobile-code scope both stand still. Re-issuing it is
-/// [`Mib::restamped`] — the attribute payload is shared, not copied.
+/// [`ZoneTable::merge_stamped`] — a fresh inline stamp, nothing copied.
 #[derive(Debug)]
 struct AggCache {
     content_gen: u64,
@@ -222,9 +243,8 @@ pub struct Agent {
     /// used to run every round.
     scope_epoch: u64,
     scope_cache: Option<(u64, RoundState)>,
-    /// Scratch buffers for [`ZoneTable::diff_into`] in the digest handler.
-    scratch_newer: Vec<u16>,
-    scratch_missing: Vec<u16>,
+    /// Scratch value for [`ZoneTable::diff_into`] in the digest handler.
+    scratch_diff: Diff,
     /// Bumped whenever `local` changes; keys `own_row_cache`.
     local_gen: u64,
     /// The fully decorated own row (locals + `id`/`reps`/`nmembers`),
@@ -245,11 +265,11 @@ pub struct Agent {
     /// restart and are fenced (dropped) regardless of stamp.
     incar_seen: HashMap<u16, u64>,
     /// Memoized `incar` attribute reads for the leaf fence, one slot per
-    /// leaf label: the last row examined (the `Arc` pins its attribute
-    /// allocation, so pointer identity can never alias a freed block) and
-    /// its incarnation. Steady-state heartbeats share the held row's
-    /// attribute allocation via [`Mib::restamped`], so the fence becomes a
-    /// pointer compare instead of a per-row attribute lookup.
+    /// leaf label: the last values examined (the `Arc` pins them, so pointer
+    /// identity can never alias a freed block) and their incarnation.
+    /// Steady-state heartbeats offer the same shared values under newer
+    /// stamps, so the fence becomes a pointer compare instead of a per-row
+    /// attribute lookup.
     incar_cache: Vec<Option<(Arc<Mib>, u64)>>,
     /// Node ids observed under a *newer* incarnation since the last drain —
     /// the host resets its own per-peer failure detectors for these (a
@@ -268,9 +288,10 @@ pub struct Agent {
     /// partial digest is healed by the periodic full digest, never by
     /// retransmission.
     delta_sent: HashMap<(u32, usize), DeltaPeerState>,
-    /// Delta gossip, receiver side: highest digest generation processed per
-    /// `(peer, level)`. A partial digest whose `since` exceeds this means a
-    /// delta was missed; the reply then carries `want_full`.
+    /// Delta gossip, receiver side: highest partial-digest generation
+    /// processed per `(peer, level)` since that lane's last full digest,
+    /// which removes the entry. A partial digest whose `since` exceeds this
+    /// means a delta was missed; the reply then carries `want_full`.
     peer_gen_seen: HashMap<(u32, usize), u64>,
 }
 
@@ -336,8 +357,7 @@ impl Agent {
             dynamic: BTreeMap::new(),
             scope_epoch: 0,
             scope_cache: None,
-            scratch_newer: Vec::new(),
-            scratch_missing: Vec::new(),
+            scratch_diff: Diff::default(),
             local_gen: 0,
             own_row_cache: None,
             tombstones: HashMap::new(),
@@ -509,10 +529,10 @@ impl Agent {
         let stamp = self.next_stamp(now);
         if let Some((gen, proto)) = &self.own_row_cache {
             if *gen == self.local_gen {
-                // Heartbeat of an unchanged row: re-stamp the cached row,
-                // sharing its attribute allocation.
-                let row = Arc::new(proto.restamped(stamp));
-                self.levels[0].table.merge_row(self.own_slot, row);
+                // Heartbeat of an unchanged row: the cached values under a
+                // fresh stamp, written inline — no row is allocated.
+                let proto = Arc::clone(proto);
+                self.levels[0].table.merge_stamped(self.own_slot, stamp, proto);
                 return;
             }
         }
@@ -547,13 +567,14 @@ impl Agent {
             let lv = &self.levels[level];
             let suspects: Vec<(u16, u64, bool)> = lv
                 .table
+                .rows()
                 .iter()
-                .filter(|&(label, row)| {
-                    label != keep
-                        && (lv.detectors.is_suspect(usize::from(label), now)
-                            || row.stamp.issued_us < hard_cutoff)
+                .filter(|r| {
+                    r.label != keep
+                        && (lv.detectors.is_suspect(usize::from(r.label), now)
+                            || r.stamp.issued_us < hard_cutoff)
                 })
-                .map(|(label, row)| (label, row.stamp.issued_us, row.carries_mobile_code()))
+                .map(|r| (r.label, r.stamp.issued_us, r.mib.carries_mobile_code()))
                 .collect();
             for (label, issued_us, carried_agg) in suspects {
                 self.evict(level, label, carried_agg);
@@ -652,10 +673,10 @@ impl Agent {
             // Source rows were only re-stamped since the last round: the
             // summary values are unchanged, so re-issue the cached row under
             // a fresh stamp without re-running the programs (and without
-            // copying or re-measuring its attributes).
+            // allocating, copying or re-measuring anything).
             obs::metric_add!(self.id, ctr::AGG_CACHE_HITS, 1);
             let stamp = self.next_stamp(now);
-            self.levels[parent].table.merge_row(label, Arc::new(proto.restamped(stamp)));
+            self.levels[parent].table.merge_stamped(label, stamp, proto);
             return;
         }
 
@@ -892,13 +913,71 @@ impl Agent {
             obs::gauge_set!(self.id, gauge::ASTRO_ROWS_HELD, rows_held);
             obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_ROUND, rows_held, out.len());
             for (_, msg) in &out {
-                obs::hist_record!(self.id, hist::GOSSIP_DIGEST_BYTES, msg.wire_size());
+                let bytes = msg.wire_size();
+                obs::hist_record!(self.id, hist::GOSSIP_DIGEST_BYTES, bytes);
+                obs::metric_add!(self.id, ctr::GOSSIP_BYTES_SENT, bytes);
             }
         }
         out
     }
 
     /// Merges a batch of rows; returns how many rows changed local state.
+    fn merge_rows(&mut self, now: SimTime, batches: &[TableRows]) -> usize {
+        let mut changed = 0;
+        for batch in batches {
+            let Some(level) = self.level_of(&batch.zone) else { continue };
+            for (label, stamp, row) in &batch.rows {
+                changed += usize::from(self.admit(now, level, *label, *stamp, row));
+            }
+        }
+        self.note_merged(changed);
+        changed
+    }
+
+    /// Takes the stamps `records` name for rows this replica holds with the
+    /// same values — digest entries whose hash matched (nothing is pulled)
+    /// or refresh records (nothing was shipped) — through the same fences
+    /// as a row that travelled. A record whose hash no longer matches the
+    /// held values (they changed after the peer compared) is ignored: a
+    /// stamp is only ever taken for the values it was issued with. Returns
+    /// how many stamps were taken.
+    fn restamp<'a>(
+        &mut self,
+        now: SimTime,
+        level: usize,
+        records: impl IntoIterator<Item = &'a RowDigest>,
+    ) -> usize {
+        let (mut taken, mut saved) = (0, 0);
+        for rec in records {
+            let held = match self.table(level).get(rec.label) {
+                Some(held) if held.content_hash() == rec.chash => Arc::clone(held),
+                _ => continue,
+            };
+            if self.admit(now, level, rec.label, rec.stamp, &held) {
+                taken += 1;
+                // What the row would have cost whole, less the entry that
+                // carried the stamp instead.
+                saved += (held.wire_size() + 2).saturating_sub(RowDigest::WIRE_SIZE);
+            }
+        }
+        if taken > 0 {
+            obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_ROWS, taken);
+            obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_BYTES_SAVED, saved);
+        }
+        self.note_merged(taken);
+        taken
+    }
+
+    fn note_merged(&self, changed: usize) {
+        if changed > 0 {
+            obs::metric_add!(self.id, ctr::GOSSIP_ROWS_MERGED, changed);
+            obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_MERGE, changed);
+        }
+    }
+
+    /// The one way a row enters a table from gossip: `row`'s values under
+    /// `stamp`, whether the values travelled or this replica already held
+    /// them. Returns whether the table changed.
     ///
     /// Two classes of stale row are rejected outright: rows older than the
     /// hard TTL, and rows at or below a tombstoned stamp (evicted here on
@@ -907,101 +986,82 @@ impl Agent {
     /// yet, and a failed member would never leave the membership. Each
     /// admitted stamp advance also feeds the row's phi detector — gossip
     /// *is* the heartbeat.
-    fn merge_rows(&mut self, now: SimTime, batches: &[TableRows]) -> usize {
-        let ttl = self.config.row_ttl.as_micros();
-        let cutoff = now.as_micros().saturating_sub(ttl);
-        let mut changed = 0;
-        for batch in batches {
-            let Some(level) = self.level_of(&batch.zone) else { continue };
-            let own = self.own_label(level);
-            for (label, row) in &batch.rows {
-                if self.validate_ingest && !self.row_is_valid(now, level, *label, row) {
-                    obs::metric_add!(self.id, ctr::CORRUPT_ROWS_REJECTED, 1);
-                    obs::trace_event!(
-                        self.id,
-                        Layer::Astro,
-                        kind::CORRUPT_ROW_REJECT,
-                        level,
-                        *label
-                    );
-                    continue;
-                }
-                if row.stamp.issued_us < cutoff {
-                    continue;
-                }
-                // Guard the lookup: the tombstone set is empty in a healthy
-                // system, and this test runs once per row of every batch.
-                if !self.tombstones.is_empty() {
-                    if let Some(&watermark) = self.tombstones.get(&(level, *label)) {
-                        if row.stamp.issued_us <= watermark {
-                            continue;
-                        }
-                    }
-                }
-                // Incarnation fence (leaf rows only — that is where nodes
-                // publish `incar`): a row from before the peer's last cold
-                // restart is dropped outright, and the first row of a *newer*
-                // incarnation resets the peer's suspicion state so it is
-                // selectable again within one gossip round.
-                if level == 0 && *label != own {
-                    let slot_idx = usize::from(*label);
-                    if self.incar_cache.len() <= slot_idx {
-                        self.incar_cache.resize(slot_idx + 1, None);
-                    }
-                    let incar = match &self.incar_cache[slot_idx] {
-                        Some((m, v)) if row.shares_attrs(m) => *v,
-                        _ => {
-                            let v =
-                                row.get("incar").and_then(AttrValue::as_i64).unwrap_or(0) as u64;
-                            self.incar_cache[slot_idx] = Some((Arc::clone(row), v));
-                            v
-                        }
-                    };
-                    let seen = self.incar_seen.get(label).copied().unwrap_or(0);
-                    if incar < seen {
-                        continue;
-                    }
-                    if incar > seen {
-                        self.incar_seen.insert(*label, incar);
-                        self.tombstones.remove(&(level, *label));
-                        self.levels[0].detectors.clear(usize::from(*label));
-                        let peer =
-                            row.get("id").and_then(AttrValue::as_i64).unwrap_or(-1).max(0) as u32;
-                        self.incarnation_bumps.push(peer);
-                        obs::metric_add!(self.id, ctr::INCARNATION_BUMPS, 1);
-                        obs::trace_event!(
-                            self.id,
-                            Layer::Astro,
-                            kind::INCARNATION_BUMP,
-                            peer,
-                            incar
-                        );
-                    }
-                }
-                let (advanced, old_carried_agg) =
-                    match self.levels[level].table.merge_row_outcome(*label, Arc::clone(row)) {
-                        MergeOutcome::Rejected => continue,
-                        MergeOutcome::Inserted => (true, false),
-                        MergeOutcome::Replaced { advanced_time, old_carried_agg } => {
-                            (advanced_time, old_carried_agg)
-                        }
-                    };
-                changed += 1;
-                // An admitted row can change the mobile-code scope only when
-                // the incoming or displaced version carries `sys$agg:` attrs.
-                if row.carries_mobile_code() || old_carried_agg {
-                    self.scope_epoch += 1;
-                }
-                if advanced && *label != own {
-                    self.heartbeat(level, *label, now);
+    fn admit(
+        &mut self,
+        now: SimTime,
+        level: usize,
+        label: u16,
+        stamp: Stamp,
+        row: &Arc<Mib>,
+    ) -> bool {
+        if self.validate_ingest && !self.row_is_valid(now, level, label, stamp, row) {
+            obs::metric_add!(self.id, ctr::CORRUPT_ROWS_REJECTED, 1);
+            obs::trace_event!(self.id, Layer::Astro, kind::CORRUPT_ROW_REJECT, level, label);
+            return false;
+        }
+        let cutoff = now.as_micros().saturating_sub(self.config.row_ttl.as_micros());
+        if stamp.issued_us < cutoff {
+            return false;
+        }
+        // Guard the lookup: the tombstone set is empty in a healthy system,
+        // and this test runs once per row of every batch.
+        if !self.tombstones.is_empty() {
+            if let Some(&watermark) = self.tombstones.get(&(level, label)) {
+                if stamp.issued_us <= watermark {
+                    return false;
                 }
             }
         }
-        if changed > 0 {
-            obs::metric_add!(self.id, ctr::GOSSIP_ROWS_MERGED, changed);
-            obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_MERGE, changed);
+        let own = self.own_label(level);
+        // Incarnation fence (leaf rows only — that is where nodes publish
+        // `incar`): a row from before the peer's last cold restart is
+        // dropped outright, and the first row of a *newer* incarnation
+        // resets the peer's suspicion state so it is selectable again
+        // within one gossip round.
+        if level == 0 && label != own {
+            let slot_idx = usize::from(label);
+            if self.incar_cache.len() <= slot_idx {
+                self.incar_cache.resize(slot_idx + 1, None);
+            }
+            let incar = match &self.incar_cache[slot_idx] {
+                Some((m, v)) if Arc::ptr_eq(row, m) => *v,
+                _ => {
+                    let v = row.get("incar").and_then(AttrValue::as_i64).unwrap_or(0) as u64;
+                    self.incar_cache[slot_idx] = Some((Arc::clone(row), v));
+                    v
+                }
+            };
+            let seen = self.incar_seen.get(&label).copied().unwrap_or(0);
+            if incar < seen {
+                return false;
+            }
+            if incar > seen {
+                self.incar_seen.insert(label, incar);
+                self.tombstones.remove(&(level, label));
+                self.levels[0].detectors.clear(usize::from(label));
+                let peer = row.get("id").and_then(AttrValue::as_i64).unwrap_or(-1).max(0) as u32;
+                self.incarnation_bumps.push(peer);
+                obs::metric_add!(self.id, ctr::INCARNATION_BUMPS, 1);
+                obs::trace_event!(self.id, Layer::Astro, kind::INCARNATION_BUMP, peer, incar);
+            }
         }
-        changed
+        let (advanced, old_carried_agg) =
+            match self.levels[level].table.merge_stamped(label, stamp, Arc::clone(row)) {
+                MergeOutcome::Rejected => return false,
+                MergeOutcome::Inserted => (true, false),
+                MergeOutcome::Replaced { advanced_time, old_carried_agg } => {
+                    (advanced_time, old_carried_agg)
+                }
+            };
+        // An admitted row can change the mobile-code scope only when the
+        // incoming or displaced version carries `sys$agg:` attrs.
+        if row.carries_mobile_code() || old_carried_agg {
+            self.scope_epoch += 1;
+        }
+        if advanced && label != own {
+            self.heartbeat(level, label, now);
+        }
+        true
     }
 
     /// Structural sanity of a gossiped row — the ingest validator behind
@@ -1013,12 +1073,19 @@ impl Agent {
     /// claimed membership count must be positive. Value-level lies (a wrong
     /// aggregate under a legitimate stamp) are out of scope here; those are
     /// the host's self-audit problem.
-    fn row_is_valid(&self, now: SimTime, level: usize, label: u16, row: &Mib) -> bool {
+    fn row_is_valid(
+        &self,
+        now: SimTime,
+        level: usize,
+        label: u16,
+        stamp: Stamp,
+        row: &Mib,
+    ) -> bool {
         if label >= self.config.branching {
             return false;
         }
         let slack = self.config.gossip_interval.as_micros();
-        if row.stamp.issued_us > now.as_micros().saturating_add(slack) {
+        if stamp.issued_us > now.as_micros().saturating_add(slack) {
             return false;
         }
         if row.len() > MAX_ROW_ATTRS {
@@ -1053,9 +1120,12 @@ impl Agent {
             let own = self.own_label(level);
             let bad: Vec<(u16, bool)> = self.levels[level]
                 .table
+                .rows()
                 .iter()
-                .filter(|&(label, row)| label != own && !self.row_is_valid(now, level, label, row))
-                .map(|(label, row)| (label, row.carries_mobile_code()))
+                .filter(|r| {
+                    r.label != own && !self.row_is_valid(now, level, r.label, r.stamp, &r.mib)
+                })
+                .map(|r| (r.label, r.mib.carries_mobile_code()))
                 .collect();
             for (label, carried_agg) in bad {
                 self.evict(level, label, carried_agg);
@@ -1089,11 +1159,12 @@ impl Agent {
         candidates.truncate(n as usize);
         let mut scrambled = 0u64;
         for (level, label) in candidates {
-            let old = Arc::clone(self.table(level).get(label).expect("candidate row is held"));
+            let old = self.table(level).row(label).expect("candidate row is held");
             let mut attrs: Vec<(AttrName, AttrValue)> =
-                old.attrs().iter().filter(|(name, _)| name.as_ref() != "id").cloned().collect();
+                old.mib.attrs().iter().filter(|(name, _)| name.as_ref() != "id").cloned().collect();
             attrs.push((AttrName::from("nmembers"), AttrValue::Int(-1)));
-            if self.levels[level].table.force_replace(label, Arc::new(Mib::new(old.stamp, attrs))) {
+            let scrambled_row = Arc::new(Mib::new(old.stamp, attrs));
+            if self.levels[level].table.force_replace(label, scrambled_row) {
                 scrambled += 1;
             }
         }
@@ -1119,61 +1190,18 @@ impl Agent {
         msg: GossipMsg,
         _rng: &mut SmallRng,
     ) -> Vec<(u32, GossipMsg)> {
-        match msg {
+        let out = match msg {
             GossipMsg::Digest { digests } => {
                 obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_DIGEST, from, digests.len());
-                if self.config.delta_gossip {
-                    return self.on_delta_digest(now, from, &digests);
-                }
-                let mut reply_rows = Vec::new();
-                let mut want = Vec::new();
-                // Reuse the scratch buffers across digests; the want-list
-                // steals `missing` only when non-empty, so in steady state
-                // (replicas in sync) this arm allocates nothing.
-                let mut newer = std::mem::take(&mut self.scratch_newer);
-                let mut missing = std::mem::take(&mut self.scratch_missing);
-                for d in &digests {
-                    let Some(level) = self.level_of(&d.zone) else { continue };
-                    self.table(level).diff_into(&d.rows, &mut newer, &mut missing);
-                    if !newer.is_empty() {
-                        let rows = newer
-                            .iter()
-                            .filter_map(|&l| self.table(level).get(l).map(|r| (l, Arc::clone(r))))
-                            .collect();
-                        reply_rows.push(TableRows { zone: d.zone.clone(), rows });
-                    }
-                    if !missing.is_empty() {
-                        want.push((d.zone.clone(), std::mem::take(&mut missing)));
-                    }
-                }
-                self.scratch_newer = newer;
-                self.scratch_missing = missing;
-                if obs::ENABLED {
-                    let sent: usize = reply_rows.iter().map(|t| t.rows.len()).sum();
-                    let wanted: usize = want.iter().map(|(_, ls)| ls.len()).sum();
-                    if sent + wanted > 0 {
-                        obs::metric_add!(self.id, ctr::GOSSIP_DIFF_ROWS, sent + wanted);
-                        obs::hist_record!(self.id, hist::GOSSIP_DIFF_ROWS, sent + wanted);
-                        obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_DIFF, sent, wanted);
-                    }
-                }
-                if reply_rows.is_empty() && want.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![(
-                        from,
-                        GossipMsg::DigestReply {
-                            rows: reply_rows,
-                            want,
-                            refresh: Vec::new(),
-                            want_full: Vec::new(),
-                        },
-                    )]
-                }
+                self.on_digest(now, from, &digests)
             }
             GossipMsg::DigestReply { rows, want, refresh, want_full } => {
                 self.merge_rows(now, &rows);
-                self.apply_refresh_batches(now, &refresh);
+                for (zone, records) in &refresh {
+                    if let Some(level) = self.level_of(zone) {
+                        self.restamp(now, level, records);
+                    }
+                }
                 for zone in &want_full {
                     // The peer missed a delta: drop the lane state so our
                     // next digest to it is full.
@@ -1184,10 +1212,7 @@ impl Agent {
                 let mut send = Vec::new();
                 for (zone, labels) in &want {
                     let Some(level) = self.level_of(zone) else { continue };
-                    let rows = labels
-                        .iter()
-                        .filter_map(|&l| self.table(level).get(l).map(|r| (l, Arc::clone(r))))
-                        .collect::<Vec<_>>();
+                    let rows = self.rows_of(level, labels);
                     if !rows.is_empty() {
                         send.push(TableRows { zone: zone.clone(), rows });
                     }
@@ -1202,119 +1227,58 @@ impl Agent {
                 self.merge_rows(now, &rows);
                 Vec::new()
             }
+        };
+        if obs::ENABLED {
+            for (_, msg) in &out {
+                obs::metric_add!(self.id, ctr::GOSSIP_BYTES_SENT, msg.wire_size());
+            }
         }
+        out
     }
 
-    /// Delta-gossip handling of an incoming digest (hop 1, delta arm).
-    ///
-    /// Differences from the classic path: digest entries carry content
-    /// hashes, so a hash match lets this replica adopt a newer stamp
-    /// straight from the digest (no want, no row transfer) and lets the
-    /// reply ship 22-byte refresh records instead of full rows where this
-    /// replica is newer on stamp but identical on values. Partial digests
-    /// (`since > 0`) only speak for the rows they list — the reverse sweep
-    /// over unlisted held rows applies to full digests alone — and a
-    /// partial whose baseline we never saw triggers a `want_full` request.
-    fn on_delta_digest(
+    /// Hop 1 → hop 2: compares each advertised table with this replica
+    /// ([`ZoneTable::diff_into`]), takes the stamps of rows whose values it
+    /// already holds, and replies with what the sender lacks — whole rows
+    /// where the values differ, refresh records where only the stamp does —
+    /// plus the want-list, and on the delta wire `want_full` for a partial
+    /// digest whose baseline this replica never processed. In steady state
+    /// (replicas in sync) this allocates nothing.
+    fn on_digest(
         &mut self,
         now: SimTime,
         from: u32,
         digests: &[TableDigest],
     ) -> Vec<(u32, GossipMsg)> {
-        let mut reply_rows = Vec::new();
+        let mut rows = Vec::new();
         let mut want = Vec::new();
         let mut refresh = Vec::new();
         let mut want_full = Vec::new();
+        // One scratch diff serves every digest; the reply steals a list
+        // only when it is non-empty.
+        let mut diff = std::mem::take(&mut self.scratch_diff);
         for d in digests {
             let Some(level) = self.level_of(&d.zone) else { continue };
-            if d.since > 0 {
-                let seen = self.peer_gen_seen.get(&(from, level)).copied().unwrap_or(0);
-                if seen < d.since {
-                    // We missed the delta(s) between `seen` and `since`
-                    // (or never exchanged with this peer): rows changed in
-                    // that window are not in this digest. Ask for a full
-                    // exchange; still process what *is* listed.
-                    want_full.push(d.zone.clone());
-                }
+            if self.lane_gap(from, level, d) {
+                want_full.push(d.zone.clone());
             }
-            let seen = self.peer_gen_seen.entry((from, level)).or_insert(0);
-            *seen = (*seen).max(d.gen);
-            let own = self.own_label(level);
-            let mut newer_full = Vec::new();
-            let mut newer_refresh = Vec::new();
-            let mut missing = Vec::new();
-            let mut adopted = 0u64;
-            let mut adopted_saved = 0u64;
-            for e in d.rows.iter() {
-                match self.table(level).get(e.label) {
-                    None => missing.push(e.label),
-                    Some(row) => {
-                        let held_stamp = row.stamp;
-                        let held_hash = row.content_hash();
-                        let held_wire = row.wire_size();
-                        if e.stamp > held_stamp {
-                            if e.chash == held_hash
-                                && e.label != own
-                                && self.apply_refresh(now, level, e.label, e.stamp)
-                            {
-                                // Heartbeat re-stamp of content we hold:
-                                // adopted from the digest itself, saving the
-                                // want + full-row round trip.
-                                adopted += 1;
-                                adopted_saved += (held_wire + 2).saturating_sub(8) as u64;
-                            } else {
-                                missing.push(e.label);
-                            }
-                        } else if held_stamp > e.stamp {
-                            if e.chash == held_hash {
-                                newer_refresh.push((e.label, held_stamp));
-                            } else {
-                                newer_full.push(e.label);
-                            }
-                        }
-                    }
-                }
+            self.table(level).diff_into(&d.rows, d.since == 0, &mut diff);
+            self.restamp(now, level, diff.adopt.iter().map(|&at| &d.rows[at as usize]));
+            if !diff.ship.is_empty() {
+                rows.push(TableRows {
+                    zone: d.zone.clone(),
+                    rows: self.rows_of(level, &diff.ship),
+                });
             }
-            if d.since == 0 {
-                // Full digest: rows we hold that the peer did not list are
-                // unknown to it — ship them whole.
-                for (label, _) in self.table(level).iter() {
-                    if d.rows.iter().all(|e| e.label != label) {
-                        newer_full.push(label);
-                    }
-                }
-                newer_full.sort_unstable();
-                newer_full.dedup();
+            if !diff.refresh.is_empty() {
+                refresh.push((d.zone.clone(), std::mem::take(&mut diff.refresh)));
             }
-            if adopted > 0 {
-                obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_ROWS, adopted);
-                obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_BYTES_SAVED, adopted_saved);
-            }
-            if !newer_full.is_empty() {
-                let rows = newer_full
-                    .iter()
-                    .filter_map(|&l| self.table(level).get(l).map(|r| (l, Arc::clone(r))))
-                    .collect();
-                reply_rows.push(TableRows { zone: d.zone.clone(), rows });
-            }
-            if !newer_refresh.is_empty() {
-                if obs::ENABLED {
-                    let saved: usize = newer_refresh
-                        .iter()
-                        .filter_map(|&(l, _)| self.table(level).get(l))
-                        .map(|r| (r.wire_size() + 2).saturating_sub(22))
-                        .sum();
-                    obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_ROWS, newer_refresh.len());
-                    obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_BYTES_SAVED, saved);
-                }
-                refresh.push((d.zone.clone(), newer_refresh));
-            }
-            if !missing.is_empty() {
-                want.push((d.zone.clone(), missing));
+            if !diff.want.is_empty() {
+                want.push((d.zone.clone(), std::mem::take(&mut diff.want)));
             }
         }
+        self.scratch_diff = diff;
         if obs::ENABLED {
-            let sent: usize = reply_rows.iter().map(|t| t.rows.len()).sum();
+            let sent: usize = rows.iter().map(|t| t.rows.len()).sum();
             let wanted: usize = want.iter().map(|(_, ls)| ls.len()).sum();
             if sent + wanted > 0 {
                 obs::metric_add!(self.id, ctr::GOSSIP_DIFF_ROWS, sent + wanted);
@@ -1322,68 +1286,38 @@ impl Agent {
                 obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_DIFF, sent, wanted);
             }
         }
-        if reply_rows.is_empty() && want.is_empty() && refresh.is_empty() && want_full.is_empty() {
+        if rows.is_empty() && want.is_empty() && refresh.is_empty() && want_full.is_empty() {
             Vec::new()
         } else {
-            vec![(from, GossipMsg::DigestReply { rows: reply_rows, want, refresh, want_full })]
+            vec![(from, GossipMsg::DigestReply { rows, want, refresh, want_full })]
         }
     }
 
-    /// Applies stamp-refresh batches from a digest reply (delta gossip).
-    fn apply_refresh_batches(&mut self, now: SimTime, batches: &[(ZoneId, Vec<(u16, Stamp)>)]) {
-        for (zone, records) in batches {
-            let Some(level) = self.level_of(zone) else { continue };
-            let own = self.own_label(level);
-            let mut applied = 0u64;
-            let mut saved = 0u64;
-            for &(label, stamp) in records {
-                if label == own {
-                    continue;
-                }
-                if self.apply_refresh(now, level, label, stamp) {
-                    applied += 1;
-                    if obs::ENABLED {
-                        if let Some(r) = self.table(level).get(label) {
-                            saved += (r.wire_size() + 2).saturating_sub(22) as u64;
-                        }
-                    }
-                }
-            }
-            if applied > 0 {
-                obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_ROWS, applied);
-                obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_BYTES_SAVED, saved);
-            }
-        }
+    /// The held rows of `labels` at `level`, as they travel.
+    fn rows_of(&self, level: usize, labels: &[u16]) -> Vec<(u16, Stamp, Arc<Mib>)> {
+        let table = self.table(level);
+        labels
+            .iter()
+            .filter_map(|&l| table.row(l).map(|r| (l, r.stamp, Arc::clone(&r.mib))))
+            .collect()
     }
 
-    /// Re-stamps a held row in place, mirroring every admission fence of
-    /// [`Agent::merge_rows`] for the content-unchanged case: TTL cutoff,
-    /// tombstone watermark, the future-stamp bound when ingest validation
-    /// is on, and the phi heartbeat on success (a refresh *is* the
-    /// heartbeat, no less than a full row).
-    fn apply_refresh(&mut self, now: SimTime, level: usize, label: u16, stamp: Stamp) -> bool {
-        let cutoff = now.as_micros().saturating_sub(self.config.row_ttl.as_micros());
-        if stamp.issued_us < cutoff {
+    /// Delta gossip's receiver half of a `(from, level)` lane: whether the
+    /// partial digest `d` starts past the last generation processed on it,
+    /// i.e. a delta went missing. A full digest needs no baseline and
+    /// leaves no lane state; a lane without an entry last processed a full
+    /// digest, which is the baseline the sender's next partial counts from.
+    fn lane_gap(&mut self, from: u32, level: usize, d: &TableDigest) -> bool {
+        if d.since == 0 {
+            if !self.peer_gen_seen.is_empty() {
+                self.peer_gen_seen.remove(&(from, level));
+            }
             return false;
         }
-        if self.validate_ingest {
-            let slack = self.config.gossip_interval.as_micros();
-            if stamp.issued_us > now.as_micros().saturating_add(slack) {
-                return false;
-            }
-        }
-        if !self.tombstones.is_empty() {
-            if let Some(&watermark) = self.tombstones.get(&(level, label)) {
-                if stamp.issued_us <= watermark {
-                    return false;
-                }
-            }
-        }
-        if !self.levels[level].table.restamp(label, stamp) {
-            return false;
-        }
-        self.heartbeat(level, label, now);
-        true
+        let seen = self.peer_gen_seen.entry((from, level)).or_insert(d.since);
+        let gap = *seen < d.since;
+        *seen = (*seen).max(d.gen);
+        gap
     }
 
     /// Evaluates an ad-hoc aggregation program against this agent's replica
@@ -1551,21 +1485,35 @@ mod tests {
         let (a, b) = (&mut left[0], &mut right[0]);
         let mut rng = fork(7, 0);
 
+        let at = |s: u64| SimTime::from_micros(t + s * 1_000_000);
         a.delta_sent.clear(); // normalize: next digest to b is full
         let full = a.digests_from(0, b.id());
         assert!(full.iter().all(|d| d.since == 0), "first digest after reset is full");
         assert!(full.iter().all(|d| d.gen > 0), "delta digests carry the generation");
+        b.on_message(at(0), a.id(), GossipMsg::Digest { digests: full }, &mut rng);
+        assert!(!b.peer_gen_seen.contains_key(&(a.id(), 0)), "a full digest leaves no lane state");
+
+        // The partial after it counts from the full one: no gap.
+        a.refresh_own_row(at(1));
+        let partial = a.digests_from(0, b.id());
+        assert!(partial.iter().all(|d| d.since > 0), "second digest is partial");
+        let out = b.on_message(at(1), a.id(), GossipMsg::Digest { digests: partial }, &mut rng);
+        assert!(
+            out.iter().all(|(_, m)| !matches!(m, GossipMsg::DigestReply { want_full, .. }
+                if !want_full.is_empty())),
+            "a partial right after a full one has its baseline"
+        );
 
         // Change a's table, build a partial digest... and lose it.
-        a.refresh_own_row(SimTime::from_micros(t + 1_000_000));
+        a.refresh_own_row(at(2));
         let lost = a.digests_from(0, b.id());
-        assert!(lost.iter().all(|d| d.since > 0), "second digest is partial");
+        assert!(lost.iter().all(|d| d.since > 0));
 
         // The next partial's baseline is a generation b never processed.
-        a.refresh_own_row(SimTime::from_micros(t + 2_000_000));
+        a.refresh_own_row(at(3));
         let gapped = a.digests_from(0, b.id());
         assert!(gapped.iter().all(|d| d.since > 0));
-        let now = SimTime::from_micros(t + 2_000_000);
+        let now = at(3);
         let out = b.on_message(now, a.id(), GossipMsg::Digest { digests: gapped }, &mut rng);
         let Some((to, GossipMsg::DigestReply { want_full, .. })) = out.first() else {
             panic!("gap must produce a reply");
@@ -1587,18 +1535,18 @@ mod tests {
         let label = a.own_label(0);
         a.set_local_attr("load", 2.0);
         a.refresh_own_row(SimTime::from_secs(1));
-        let first = Arc::clone(a.table(0).get(label).unwrap());
+        let first = a.table(0).row(label).unwrap().clone();
         // The per-tick re-publication of an unchanged load: a re-stamp.
         a.set_local_attr("load", 2.0);
         a.refresh_own_row(SimTime::from_secs(2));
-        let second = Arc::clone(a.table(0).get(label).unwrap());
+        let second = a.table(0).row(label).unwrap().clone();
         assert!(second.stamp > first.stamp);
-        assert!(second.shares_attrs(&first), "an equal value must not rebuild the row");
+        assert!(Arc::ptr_eq(&second.mib, &first.mib), "an equal value must not rebuild the row");
         // A changed value still rebuilds it.
         a.set_local_attr("load", 3.0);
         a.refresh_own_row(SimTime::from_secs(3));
         let third = a.table(0).get(label).unwrap();
-        assert!(!third.shares_attrs(&second));
+        assert!(!Arc::ptr_eq(third, &second.mib));
         assert_eq!(third.get("load"), Some(&AttrValue::Float(3.0)));
     }
 
@@ -1620,35 +1568,65 @@ mod tests {
     }
 
     #[test]
-    fn delta_digest_restamps_matching_content_in_place() {
-        let mut agents = make_delta_agents(2, 4);
-        let t = run_rounds(&mut agents, 4, 0);
-        let (left, right) = agents.split_at_mut(1);
-        let (a, b) = (&mut left[0], &mut right[0]);
-        let mut rng = fork(9, 0);
-        let label = a.own_label(0);
+    fn a_digest_entry_for_held_values_is_adopted_on_both_wires() {
+        for mut agents in [make_agents(2, 4), make_delta_agents(2, 4)] {
+            let t = run_rounds(&mut agents, 4, 0);
+            let (left, right) = agents.split_at_mut(1);
+            let (a, b) = (&mut left[0], &mut right[0]);
+            let mut rng = fork(9, 0);
+            let label = a.own_label(0);
 
-        // A heartbeat re-stamp of a's own row: same attrs, newer stamp.
-        a.refresh_own_row(SimTime::from_micros(t + 1_000_000));
-        let stamp = a.table(0).get(label).unwrap().stamp;
-        assert!(stamp > b.table(0).get(label).unwrap().stamp);
+            // A heartbeat re-stamp of a's own row: same attrs, newer stamp.
+            a.refresh_own_row(SimTime::from_micros(t + 1_000_000));
+            let stamp = a.table(0).row(label).unwrap().stamp;
+            assert!(stamp > b.table(0).row(label).unwrap().stamp);
+            let held = Arc::clone(b.table(0).get(label).unwrap());
 
-        a.delta_sent.clear();
-        let digests = a.digests_from(0, b.id());
-        let now = SimTime::from_micros(t + 1_000_000);
-        let out = b.on_message(now, a.id(), GossipMsg::Digest { digests }, &mut rng);
-        assert_eq!(
-            b.table(0).get(label).unwrap().stamp,
-            stamp,
-            "receiver adopts the stamp straight from the digest"
-        );
-        for (_, msg) in &out {
-            if let GossipMsg::DigestReply { want, .. } = msg {
-                assert!(
-                    want.iter().all(|(_, ls)| !ls.contains(&label)),
-                    "no row transfer for a content-identical re-stamp"
-                );
+            a.delta_sent.clear();
+            let digests = a.digests_from(0, b.id());
+            let now = SimTime::from_micros(t + 1_000_000);
+            let out = b.on_message(now, a.id(), GossipMsg::Digest { digests }, &mut rng);
+            let row = b.table(0).row(label).unwrap();
+            assert_eq!(row.stamp, stamp, "receiver adopts the stamp straight from the digest");
+            assert!(Arc::ptr_eq(&row.mib, &held), "and keeps the values it held");
+            for (_, msg) in &out {
+                if let GossipMsg::DigestReply { want, .. } = msg {
+                    assert!(
+                        want.iter().all(|(_, ls)| !ls.contains(&label)),
+                        "no row transfer for a content-identical re-stamp"
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn a_replier_newer_on_stamp_only_sends_a_refresh_record() {
+        for mut agents in [make_agents(2, 4), make_delta_agents(2, 4)] {
+            let t = run_rounds(&mut agents, 4, 0);
+            let (left, right) = agents.split_at_mut(1);
+            let (a, b) = (&mut left[0], &mut right[0]);
+            let mut rng = fork(9, 0);
+            let label = b.own_label(0);
+            let now = SimTime::from_micros(t + 1_000_000);
+
+            // b heartbeats its own row; a's digest still names the old stamp.
+            b.refresh_own_row(now);
+            a.delta_sent.clear();
+            let digests = a.digests_from(0, b.id());
+            let out = b.on_message(now, a.id(), GossipMsg::Digest { digests }, &mut rng);
+            let [(to, GossipMsg::DigestReply { rows, refresh, .. })] = out.as_slice() else {
+                panic!("b must answer a digest it is newer than: {out:?}");
+            };
+            assert_eq!(*to, a.id());
+            assert!(rows.iter().all(|t| t.rows.iter().all(|(l, _, _)| *l != label)));
+            let stamp = b.table(0).row(label).unwrap().stamp;
+            assert!(refresh
+                .iter()
+                .any(|(_, rs)| rs.iter().any(|r| r.label == label && r.stamp == stamp)));
+            let reply = out.into_iter().next().unwrap().1;
+            a.on_message(now, b.id(), reply, &mut rng);
+            assert_eq!(a.table(0).row(label).unwrap().stamp, stamp, "a takes the stamp");
         }
     }
 
@@ -1857,7 +1835,7 @@ mod tests {
         let zone = agents[0].zone(0).clone();
         let changed = agents[0].merge_rows(
             SimTime::from_micros(t2 + 1),
-            &[TableRows { zone, rows: vec![(1, forged)] }],
+            &[TableRows { zone, rows: vec![(1, forged.stamp, forged)] }],
         );
         assert_eq!(changed, 0, "stale-incarnation row must be fenced");
         assert!(agents[0].table(0).get(1).unwrap().get("incar").is_some());
@@ -1867,16 +1845,14 @@ mod tests {
     /// stamp, and a leaf row with no `id`.
     fn malformed_batch(zone: ZoneId) -> GossipMsg {
         let stamp = |t: u64, o: u32| Stamp { issued_us: t, version: 1, origin: o };
+        let row = |label: u16, b: MibBuilder, s: Stamp| (label, s, Arc::new(b.build(s)));
         GossipMsg::Rows {
             rows: vec![TableRows {
                 zone,
                 rows: vec![
-                    (63, Arc::new(MibBuilder::new().attr("id", 2i64).build(stamp(1_000_000, 2)))),
-                    (2, Arc::new(MibBuilder::new().attr("id", 2i64).build(stamp(999_000_000, 2)))),
-                    (
-                        3,
-                        Arc::new(MibBuilder::new().attr("load", 0.5f64).build(stamp(1_000_000, 3))),
-                    ),
+                    row(63, MibBuilder::new().attr("id", 2i64), stamp(1_000_000, 2)),
+                    row(2, MibBuilder::new().attr("id", 2i64), stamp(999_000_000, 2)),
+                    row(3, MibBuilder::new().attr("load", 0.5f64), stamp(1_000_000, 3)),
                 ],
             }],
         }
@@ -1901,7 +1877,7 @@ mod tests {
                 origin: 2,
             }));
         let msg = GossipMsg::Rows {
-            rows: vec![TableRows { zone: b.zone(0).clone(), rows: vec![(2, good)] }],
+            rows: vec![TableRows { zone: b.zone(0).clone(), rows: vec![(2, good.stamp, good)] }],
         };
         b.on_message(now, 2, msg, &mut rng);
         assert_eq!(b.table(0).len(), held + 1, "validation must not block honest rows");

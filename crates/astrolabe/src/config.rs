@@ -75,12 +75,15 @@ pub struct Config {
     pub aggregations: Vec<AggSpec>,
     /// How many random global contacts each agent keeps for bootstrap.
     pub contact_fanout: usize,
-    /// Delta-encoded gossip (the delta wire protocol's gossip half): digests carry
-    /// content hashes and may cover only rows changed since the last
-    /// exchange with the peer, replies re-stamp unchanged rows instead of
-    /// re-shipping them, and every [`DELTA_FULL_EXCHANGE_PERIOD`]-th digest
-    /// to a peer is forced full so a dropped delta can never strand it.
-    /// Off by default.
+    /// Delta-encoded gossip (the delta wire protocol's gossip half). Both
+    /// wires share one digest format — content-hashed entries, stamps taken
+    /// for values already held, refresh records instead of unchanged rows.
+    /// On top of it this adds per-peer lanes: a digest may cover only the
+    /// rows changed since the last one sent to the same peer on the same
+    /// level, a receiver that missed one asks for a full exchange
+    /// (`want_full`), and every [`DELTA_FULL_EXCHANGE_PERIOD`]-th digest to
+    /// a peer is full anyway so a dropped delta can never strand it. Off by
+    /// default.
     pub delta_gossip: bool,
 }
 

@@ -43,17 +43,16 @@ impl fmt::Display for Stamp {
 /// code) travel through the hierarchy.
 pub const AGG_ATTR_PREFIX: &str = "sys$agg:";
 
-/// One immutable row version.
+/// One immutable set of row values, shared (`Arc<Mib>`) by every replica
+/// that holds them.
 ///
-/// The attribute list sits behind its own `Arc`, separate from the
-/// `Arc<Mib>` replicas share: a re-stamped heartbeat of an unchanged row
-/// ([`Mib::restamped`]) is a new `Mib` (new stamp) sharing the old
-/// attribute allocation, so the steady-state gossip path neither copies
-/// attribute values nor compares them ([`Mib::same_attrs`] short-circuits
-/// on pointer identity).
+/// `stamp` is the stamp the values were first issued under. A replica
+/// holds a row under its own, possibly newer, stamp
+/// ([`Row::stamp`](crate::Row::stamp)): a heartbeat of unchanged values
+/// writes a stamp, never a new `Mib`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mib {
-    /// Version stamp used for newest-wins merging.
+    /// The stamp these values were first issued under.
     pub stamp: Stamp,
     /// Attributes, sorted by name.
     attrs: Arc<[(AttrName, AttrValue)]>,
@@ -65,9 +64,8 @@ pub struct Mib {
     /// per-row string search.
     carries_agg: bool,
     /// Stamp-independent FNV hash of the sorted attribute list, precomputed
-    /// at construction and shared by [`Mib::restamped`]. Delta gossip
-    /// advertises it in digests so peers can recognize a heartbeat re-stamp
-    /// of content they already hold.
+    /// at construction. Gossip advertises it in every digest entry so peers
+    /// can recognize a heartbeat re-stamp of content they already hold.
     chash: u64,
 }
 
@@ -99,24 +97,9 @@ impl Mib {
         Mib { stamp, attrs: attrs.into(), wire: wire as u32, carries_agg, chash }
     }
 
-    /// A fresh row version carrying the same attributes under a new stamp —
-    /// the steady-state heartbeat. Shares the attribute allocation (two
-    /// refcount bumps, no copy, no wire-size recomputation), which is also
-    /// what lets [`Mib::same_attrs`] recognize the re-issue by pointer
-    /// identity on the receiving replica.
-    pub fn restamped(&self, stamp: Stamp) -> Mib {
-        Mib {
-            stamp,
-            attrs: Arc::clone(&self.attrs),
-            wire: self.wire,
-            carries_agg: self.carries_agg,
-            chash: self.chash,
-        }
-    }
-
     /// Stamp-independent hash of the attribute list (precomputed). Two rows
-    /// with equal hashes are treated by delta gossip as carrying the same
-    /// values, so a peer can adopt a newer stamp without pulling the row.
+    /// with equal hashes are treated by gossip as carrying the same values,
+    /// so a peer can adopt a newer stamp without pulling the row.
     pub fn content_hash(&self) -> u64 {
         self.chash
     }
@@ -160,21 +143,13 @@ impl Mib {
 
     /// True when `other` carries exactly the same attributes (stamps may
     /// differ). Drives [`ZoneTable`](crate::ZoneTable) content generations:
-    /// a re-stamped heartbeat of an unchanged row must not invalidate
-    /// value-derived caches. The precomputed wire size acts as a cheap
-    /// first-pass filter, and attribute lists shared via [`Mib::restamped`]
-    /// are recognized by pointer identity without touching the values.
+    /// values that arrive again under a newer stamp must not invalidate
+    /// value-derived caches. A shared attribute list is recognized by
+    /// pointer identity, and the precomputed wire size filters the rest
+    /// before any value is compared.
     pub fn same_attrs(&self, other: &Mib) -> bool {
         Arc::ptr_eq(&self.attrs, &other.attrs)
             || (self.wire == other.wire && self.attrs == other.attrs)
-    }
-
-    /// True only when `other` *shares this row's attribute allocation* (the
-    /// [`Mib::restamped`] heartbeat path). Unlike [`Mib::same_attrs`] this
-    /// never falls back to a value comparison, so it is a single pointer
-    /// test — suitable for per-row hot paths that memoize attribute reads.
-    pub fn shares_attrs(&self, other: &Mib) -> bool {
-        Arc::ptr_eq(&self.attrs, &other.attrs)
     }
 }
 
@@ -351,7 +326,6 @@ mod tests {
         let a = MibBuilder::new().attr("load", 0.5).attr("id", 7i64).build(stamp(1, 0, 0));
         let b = MibBuilder::new().attr("id", 7i64).attr("load", 0.5).build(stamp(9, 4, 2));
         assert_eq!(a.content_hash(), b.content_hash(), "order/stamp independent");
-        assert_eq!(a.restamped(stamp(3, 0, 0)).content_hash(), a.content_hash());
         let c = MibBuilder::new().attr("load", 0.75).attr("id", 7i64).build(stamp(1, 0, 0));
         assert_ne!(a.content_hash(), c.content_hash());
         // Same encoded bytes under different types must not collide.

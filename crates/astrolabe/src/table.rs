@@ -2,7 +2,8 @@
 //!
 //! Every agent replicates the table of each zone on its root path. Tables
 //! merge by newest-stamp-wins per row; rows are shared via `Arc` across the
-//! replicas of one simulation process.
+//! replicas of one simulation process, and a replica that takes a newer
+//! stamp for values it already holds writes only its inline stamp.
 
 use std::sync::Arc;
 
@@ -26,29 +27,61 @@ pub enum MergeOutcome {
     },
 }
 
-/// Digest entry advertising one row version.
+/// One row version as gossip names it without its values: a digest entry,
+/// and also the 30-byte stamp-refresh record a digest reply carries in
+/// place of a row whose values the peer already holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowDigest {
     /// Child label of the row.
     pub label: u16,
     /// The advertised version stamp.
     pub stamp: Stamp,
-    /// Content hash of the row's attributes (stamp-independent). Carried
-    /// on the wire only in delta-gossip mode, where a matching hash lets a
-    /// peer adopt the stamp from the digest itself instead of pulling the
-    /// full row; `wire_size` accounts for it accordingly.
+    /// Content hash of the row's attributes (stamp-independent), on the
+    /// wire in every digest entry and refresh record: a receiver holding
+    /// the same values under an older stamp takes the stamp from the entry
+    /// itself instead of pulling the row.
     pub chash: u64,
 }
 
-/// One table slot, laid out for the scan-heavy paths: the label and a copy
-/// of the row's stamp sit inline, so digesting, diffing, GC sweeps and
-/// eviction walk a contiguous array without chasing the `Arc` — the shared
-/// attribute payload is only dereferenced when values are actually read.
+impl RowDigest {
+    /// Serialized size: label (2) + stamp (8 + 8 + 4) + content hash (8).
+    pub const WIRE_SIZE: usize = 30;
+}
+
+/// How a replica compares with a peer's digest of the same table — the one
+/// classification the gossip digest handler acts on (see
+/// [`ZoneTable::diff_into`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Diff {
+    /// Held rows the peer lacks or holds other values of under an older
+    /// stamp: they travel whole.
+    pub ship: Vec<u16>,
+    /// Held rows the peer holds the same values of under an older stamp:
+    /// a refresh record (this replica's stamp and the hash) is enough.
+    pub refresh: Vec<RowDigest>,
+    /// Positions in the peer digest of entries whose values this replica
+    /// holds under an older stamp: it takes the peer's stamp and nothing
+    /// travels. (Positions, not copies of the entries: an agent keeps one
+    /// `Diff` between rounds, and this list is as long as a table.)
+    pub adopt: Vec<u32>,
+    /// Labels absent here, or whose newer peer version has other values:
+    /// the row must be pulled.
+    pub want: Vec<u16>,
+}
+
+/// One table slot, laid out for the scan-heavy paths: the label and the
+/// row's stamp sit inline, so digesting, diffing, GC sweeps and eviction
+/// walk a contiguous array without chasing the `Arc` — the shared attribute
+/// payload is only dereferenced when values are actually read.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Child label of the row.
     pub label: u16,
-    /// Inline copy of `mib.stamp` (kept in sync by every mutation path).
+    /// The stamp this replica holds the row under — authoritative, and the
+    /// one the row travels under. `mib.stamp` is only the stamp its values
+    /// were first issued under: a replica that takes a newer stamp for
+    /// values it already holds (a heartbeat, an adopted digest entry, a
+    /// refresh record) writes this field and keeps sharing the values.
     pub stamp: Stamp,
     /// Table generation at which this row last changed (stamp or content).
     /// Partial digests cover exactly the rows with `gen` past a peer's
@@ -106,12 +139,19 @@ impl ZoneTable {
         self.rows.is_empty()
     }
 
-    /// The row for child `label`.
+    /// The values held for child `label`. Their own `stamp` may be older
+    /// than the one the row is held under — read that from
+    /// [`ZoneTable::row`].
     pub fn get(&self, label: u16) -> Option<&Arc<Mib>> {
-        self.rows.binary_search_by_key(&label, |r| r.label).ok().map(|i| &self.rows[i].mib)
+        self.row(label).map(|r| &r.mib)
     }
 
-    /// Iterates `(label, row)` in label order.
+    /// The slot for child `label`: its authoritative stamp and its values.
+    pub fn row(&self, label: u16) -> Option<&Row> {
+        self.rows.binary_search_by_key(&label, |r| r.label).ok().map(|i| &self.rows[i])
+    }
+
+    /// Iterates `(label, values)` in label order (stamps: [`ZoneTable::rows`]).
     pub fn iter(&self) -> impl Iterator<Item = (u16, &Arc<Mib>)> {
         self.rows.iter().map(|r| (r.label, &r.mib))
     }
@@ -125,33 +165,41 @@ impl ZoneTable {
     /// [`ZoneTable::merge_row`] reporting what happened to the previous row,
     /// so the gossip merge loop learns everything in one binary search.
     pub fn merge_row_outcome(&mut self, label: u16, row: Arc<Mib>) -> MergeOutcome {
+        self.merge_stamped(label, row.stamp, row)
+    }
+
+    /// Newest-wins merge of `values` held under `stamp`, which may be newer
+    /// than `values.stamp`: offering the held row itself under a newer stamp
+    /// is how a replica takes a stamp for values it already has, writing
+    /// the inline stamp and allocating nothing.
+    pub fn merge_stamped(&mut self, label: u16, stamp: Stamp, values: Arc<Mib>) -> MergeOutcome {
         match self.rows.binary_search_by_key(&label, |r| r.label) {
             Ok(i) => {
                 let slot = &mut self.rows[i];
                 // The inline stamp answers newest-wins without touching the
                 // old row's payload.
-                if row.stamp > slot.stamp {
-                    let outcome = MergeOutcome::Replaced {
-                        advanced_time: row.stamp.issued_us > slot.stamp.issued_us,
-                        old_carried_agg: slot.mib.carries_mobile_code(),
-                    };
-                    if !row.same_attrs(&slot.mib) {
+                if stamp <= slot.stamp {
+                    return MergeOutcome::Rejected;
+                }
+                let outcome = MergeOutcome::Replaced {
+                    advanced_time: stamp.issued_us > slot.stamp.issued_us,
+                    old_carried_agg: slot.mib.carries_mobile_code(),
+                };
+                if !Arc::ptr_eq(&values, &slot.mib) {
+                    if !values.same_attrs(&slot.mib) {
                         self.content_gen += 1;
                     }
-                    slot.stamp = row.stamp;
-                    slot.mib = row;
-                    self.generation += 1;
-                    self.rows[i].gen = self.generation;
-                    outcome
-                } else {
-                    MergeOutcome::Rejected
+                    slot.mib = values;
                 }
+                slot.stamp = stamp;
+                self.generation += 1;
+                slot.gen = self.generation;
+                outcome
             }
             Err(i) => {
                 self.generation += 1;
                 self.content_gen += 1;
-                self.rows
-                    .insert(i, Row { label, stamp: row.stamp, gen: self.generation, mib: row });
+                self.rows.insert(i, Row { label, stamp, gen: self.generation, mib: values });
                 MergeOutcome::Inserted
             }
         }
@@ -202,33 +250,10 @@ impl ZoneTable {
         }
     }
 
-    /// Advances the stamp of a held row in place, leaving its attributes
-    /// untouched — the delta-gossip refresh path, equivalent to merging a
-    /// full row whose content is known (by hash) to match what is held.
-    /// Bumps [`Self::generation`] but not [`Self::content_generation`],
-    /// exactly like a same-attrs [`ZoneTable::merge_row`]. Returns `false`
-    /// when the label is absent or the stamp does not advance.
-    pub fn restamp(&mut self, label: u16, stamp: Stamp) -> bool {
-        match self.rows.binary_search_by_key(&label, |r| r.label) {
-            Ok(i) if stamp > self.rows[i].stamp => {
-                let slot = &mut self.rows[i];
-                slot.stamp = stamp;
-                slot.mib = Arc::new(slot.mib.restamped(stamp));
-                self.generation += 1;
-                self.rows[i].gen = self.generation;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Digest of every row (for anti-entropy exchange) — a contiguous copy
-    /// of the inline `(label, stamp)` columns.
+    /// of the inline `(label, stamp)` columns and each row's content hash.
     pub fn digest(&self) -> Vec<RowDigest> {
-        self.rows
-            .iter()
-            .map(|r| RowDigest { label: r.label, stamp: r.stamp, chash: r.mib.content_hash() })
-            .collect()
+        self.digest_since(0)
     }
 
     /// Digest of only the rows that changed after table generation `since`
@@ -241,52 +266,59 @@ impl ZoneTable {
             .collect()
     }
 
-    /// Compares a peer digest against this replica.
-    ///
-    /// Returns `(newer_here, missing_here)`: labels where this replica has a
-    /// strictly newer (or unknown-to-peer) row, and labels where the peer
-    /// advertises a strictly newer (or absent-here) row.
-    pub fn diff(&self, peer: &[RowDigest]) -> (Vec<u16>, Vec<u16>) {
-        let mut newer_here = Vec::new();
-        let mut missing_here = Vec::new();
-        self.diff_into(peer, &mut newer_here, &mut missing_here);
-        (newer_here, missing_here)
+    /// Compares a peer digest against this replica (see [`Diff`]).
+    pub fn diff(&self, peer: &[RowDigest], full: bool) -> Diff {
+        let mut out = Diff::default();
+        self.diff_into(peer, full, &mut out);
+        out
     }
 
-    /// [`ZoneTable::diff`] writing into caller-provided buffers, so agents
-    /// can reuse scratch vectors across the many digests of a gossip round.
-    /// The buffers are cleared first.
-    pub fn diff_into(
-        &self,
-        peer: &[RowDigest],
-        newer_here: &mut Vec<u16>,
-        missing_here: &mut Vec<u16>,
-    ) {
-        newer_here.clear();
-        missing_here.clear();
-        // Tables are bounded by the zone branching factor (tens of rows), so
-        // the nested label scan below beats a sorted merge-walk in practice:
-        // it is branch-predictable `u16` compares over one cache line.
-        for d in peer {
-            match self.rows.binary_search_by_key(&d.label, |r| r.label) {
-                Ok(i) => {
-                    let held = self.rows[i].stamp;
-                    if held > d.stamp {
-                        newer_here.push(d.label);
-                    } else if d.stamp > held {
-                        missing_here.push(d.label);
-                    }
+    /// [`ZoneTable::diff`] writing into a caller-provided [`Diff`], so an
+    /// agent reuses one scratch value across the many digests of a gossip
+    /// round. A `full` digest lists every row its sender holds, so a held
+    /// row it does not list is one the sender lacks; a partial digest
+    /// speaks only for the rows it lists. Equal stamps compare equal: two
+    /// honest replicas never hold one stamp with two contents.
+    pub fn diff_into(&self, peer: &[RowDigest], full: bool, out: &mut Diff) {
+        out.ship.clear();
+        out.refresh.clear();
+        out.adopt.clear();
+        out.want.clear();
+        // A digest longer than `u32` positions is no honest table's; the
+        // tail is ignored.
+        for (at, d) in (0..u32::MAX).zip(peer) {
+            let Ok(i) = self.rows.binary_search_by_key(&d.label, |r| r.label) else {
+                out.want.push(d.label);
+                continue;
+            };
+            let held = &self.rows[i];
+            let same = held.mib.content_hash() == d.chash;
+            if held.stamp > d.stamp {
+                if same {
+                    out.refresh.push(RowDigest { stamp: held.stamp, ..*d });
+                } else {
+                    out.ship.push(d.label);
                 }
-                Err(_) => missing_here.push(d.label),
+            } else if d.stamp > held.stamp {
+                if same {
+                    out.adopt.push(at);
+                } else {
+                    out.want.push(d.label);
+                }
             }
         }
-        for r in &self.rows {
-            if !peer.iter().any(|d| d.label == r.label) {
-                newer_here.push(r.label);
+        if full {
+            // Tables are bounded by the zone branching factor (tens of
+            // rows), so the nested label scan beats a sorted merge-walk: it
+            // is branch-predictable `u16` compares over one cache line.
+            for r in &self.rows {
+                if !peer.iter().any(|d| d.label == r.label) {
+                    out.ship.push(r.label);
+                }
             }
         }
-        newer_here.sort_unstable();
-        newer_here.dedup();
+        out.ship.sort_unstable();
+        out.ship.dedup();
     }
 
     /// Approximate serialized size of the whole table.
@@ -328,20 +360,34 @@ mod tests {
         assert_eq!(labels, vec![1, 3, 5, 9]);
     }
 
+    /// A row of fixed values `x` under the stamp `(t, 0, origin)`.
+    fn valued(x: i64, t: u64, origin: u32) -> Arc<Mib> {
+        Arc::new(MibBuilder::new().attr("x", x).build(Stamp { issued_us: t, version: 0, origin }))
+    }
+
     #[test]
     fn diff_classifies_rows() {
         let mut a = ZoneTable::new(ZoneId::root());
         let mut b = ZoneTable::new(ZoneId::root());
         a.merge_row(1, row(10, 0)); // same on both
         b.merge_row(1, row(10, 0));
-        a.merge_row(2, row(20, 0)); // newer at a
+        a.merge_row(2, row(20, 0)); // newer values at a
         b.merge_row(2, row(15, 0));
         b.merge_row(3, row(30, 0)); // only at b
         a.merge_row(4, row(40, 0)); // only at a
+        a.merge_row(5, valued(7, 50, 0)); // same values, newer stamp at a
+        b.merge_row(5, valued(7, 45, 0));
+        a.merge_row(6, valued(7, 55, 0)); // same values, newer stamp at b
+        b.merge_row(6, valued(7, 60, 0));
 
-        let (newer_at_a, missing_at_a) = a.diff(&b.digest());
-        assert_eq!(newer_at_a, vec![2, 4]);
-        assert_eq!(missing_at_a, vec![3]);
+        let d = a.diff(&b.digest(), true);
+        assert_eq!(d.ship, vec![2, 4]);
+        assert_eq!(d.want, vec![3]);
+        assert_eq!(d.refresh, vec![a.digest()[3]], "row 5 refreshes under a's stamp");
+        assert_eq!(d.adopt, vec![4], "row 6 adopts b's stamp, the digest's fifth entry");
+        // A partial digest speaks only for what it lists.
+        let partial = a.diff(&b.digest()[..1], false);
+        assert_eq!(partial, Diff::default());
     }
 
     #[test]
@@ -350,10 +396,37 @@ mod tests {
         let mut b = ZoneTable::new(ZoneId::root());
         a.merge_row(1, row(10, 0));
         b.merge_row(1, row(12, 0));
-        let (na, ma) = a.diff(&b.digest());
-        let (nb, mb) = b.diff(&a.digest());
-        assert_eq!(na, mb);
-        assert_eq!(ma, nb);
+        a.merge_row(2, valued(1, 10, 0));
+        b.merge_row(2, valued(1, 12, 0));
+        let (ad, bd) = (a.digest(), b.digest());
+        let (da, db) = (a.diff(&bd, true), b.diff(&ad, true));
+        assert_eq!((da.ship, da.want), (db.want.clone(), db.ship.clone()));
+        let entries = |at: &[u32], of: &[RowDigest]| -> Vec<RowDigest> {
+            at.iter().map(|&i| of[i as usize]).collect()
+        };
+        assert_eq!(entries(&da.adopt, &bd), db.refresh);
+        assert_eq!(da.refresh, entries(&db.adopt, &ad));
+    }
+
+    #[test]
+    fn a_newer_stamp_for_held_values_writes_only_the_inline_stamp() {
+        let mut t = ZoneTable::new(ZoneId::root());
+        t.merge_row(3, row(10, 0));
+        let held = Arc::clone(t.get(3).unwrap());
+        let (gen, content) = (t.generation(), t.content_generation());
+        let newer = Stamp { issued_us: 20, version: 0, origin: 0 };
+        assert!(matches!(
+            t.merge_stamped(3, newer, Arc::clone(&held)),
+            MergeOutcome::Replaced { advanced_time: true, .. }
+        ));
+        assert_eq!(t.row(3).unwrap().stamp, newer);
+        assert!(Arc::ptr_eq(t.get(3).unwrap(), &held), "no row was allocated");
+        assert!(t.generation() > gen, "digest caches must see the new stamp");
+        assert_eq!(t.content_generation(), content, "values did not change");
+        assert_eq!(t.digest()[0].stamp, newer);
+        // Regressions are refused.
+        let older = Stamp { issued_us: 5, version: 0, origin: 0 };
+        assert_eq!(t.merge_stamped(3, older, held), MergeOutcome::Rejected);
     }
 
     #[test]
@@ -385,21 +458,6 @@ mod tests {
         let content = t.content_generation();
         assert!(!t.force_replace(3, same));
         assert_eq!(t.content_generation(), content);
-    }
-
-    #[test]
-    fn restamp_advances_stamp_not_content() {
-        let mut t = ZoneTable::new(ZoneId::root());
-        t.merge_row(3, row(10, 0));
-        let (gen, content) = (t.generation(), t.content_generation());
-        let newer = Stamp { issued_us: 20, version: 0, origin: 0 };
-        assert!(t.restamp(3, newer));
-        assert_eq!(t.get(3).unwrap().stamp, newer);
-        assert!(t.generation() > gen, "digest caches must see the new stamp");
-        assert_eq!(t.content_generation(), content, "values did not change");
-        // Regressions and unknown labels are refused.
-        assert!(!t.restamp(3, Stamp { issued_us: 5, version: 0, origin: 0 }));
-        assert!(!t.restamp(9, newer));
     }
 
     #[test]

@@ -127,8 +127,9 @@ fn deterministic_across_identical_runs() {
                 sim.node(NodeId(i))
                     .agent
                     .root_table()
+                    .rows()
                     .iter()
-                    .map(|(l, r)| (l, r.stamp.issued_us))
+                    .map(|r| (r.label, r.stamp.issued_us))
                     .collect()
             })
             .collect();

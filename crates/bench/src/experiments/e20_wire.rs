@@ -40,6 +40,9 @@ struct Arm {
     delta_items: u64,
     fallbacks: u64,
     refresh_rows: u64,
+    /// Gossip bytes each node sent per gossip round, digests, replies and
+    /// pushed rows together.
+    gossip_per_round: f64,
 }
 
 /// One arm: `stories` stories each revised `revs - 1` times after the
@@ -87,17 +90,19 @@ fn run_arm(n: u32, stories: u32, revs: u32, deltas: bool, seed: u64) -> Arm {
     d.settle(20 * u64::from(revs) + 80);
 
     let tc = d.sim.total_counters();
-    let (wire, delta_items, fallbacks, refresh_rows) = if obs::ENABLED {
+    let (wire, delta_items, fallbacks, refresh_rows, gossip_per_round) = if obs::ENABLED {
         let hub = d.sim.telemetry();
         let hub = hub.borrow();
+        let c = |id| hub.counter_total(id);
         (
-            hub.counter_total(obs::ctr::BYTES_WIRE),
-            hub.counter_total(obs::ctr::DELTA_ITEMS_SENT),
-            hub.counter_total(obs::ctr::DELTA_FALLBACK_FULL),
-            hub.counter_total(obs::ctr::GOSSIP_REFRESH_ROWS),
+            c(obs::ctr::BYTES_WIRE),
+            c(obs::ctr::DELTA_ITEMS_SENT),
+            c(obs::ctr::DELTA_FALLBACK_FULL),
+            c(obs::ctr::GOSSIP_REFRESH_ROWS),
+            c(obs::ctr::GOSSIP_BYTES_SENT) as f64 / c(obs::ctr::GOSSIP_ROUNDS).max(1) as f64,
         )
     } else {
-        (0, 0, 0, 0)
+        (0, 0, 0, 0, 0.0)
     };
     let mut latency = d.delivery_latency_summary();
     let q = |l: &mut simnet::Summary, at: f64| if l.is_empty() { 0.0 } else { l.quantile(at) };
@@ -121,6 +126,7 @@ fn run_arm(n: u32, stories: u32, revs: u32, deltas: bool, seed: u64) -> Arm {
         delta_items,
         fallbacks,
         refresh_rows,
+        gossip_per_round,
     }
 }
 
@@ -144,6 +150,7 @@ pub(crate) fn run(quick: bool) {
             "delta items",
             "fallbacks",
             "refresh rows",
+            "gossip B/node/round",
         ],
     );
     let mb = |b: u64| format!("{:.2}", b as f64 / 1e6);
@@ -158,6 +165,7 @@ pub(crate) fn run(quick: bool) {
         full.delta_items.to_string(),
         full.fallbacks.to_string(),
         full.refresh_rows.to_string(),
+        format!("{:.0}", full.gossip_per_round),
     ]);
     let ratio = full.bytes_wire as f64 / delta.bytes_wire.max(1) as f64;
     table.row(&[
@@ -171,15 +179,18 @@ pub(crate) fn run(quick: bool) {
         delta.delta_items.to_string(),
         delta.fallbacks.to_string(),
         delta.refresh_rows.to_string(),
+        format!("{:.0}", delta.gossip_per_round),
     ]);
     table.caption(format!(
         "{n} subscribers, branching 8, WAN with 1% loss; {stories} stories × {revs} revisions \
          published in 20 s waves, byte meters zeroed after a 60 s settle so both arms price \
          the same steady-state window. `sent MB` is every payload at full price, `wire MB` \
          is the accounting model's compressed figure, `ratio` the full arm's wire bytes \
-         over this arm's. The delta arm ships gossip row diffs plus CDC chunk deltas for \
-         revised articles; deliveries themselves are identical, so p50 must hold while \
-         bytes fall."
+         over this arm's. Both arms share one gossip digest (rows whose values did not \
+         change move by stamp: `refresh rows`); the delta arm adds per-peer partial \
+         digests plus CDC chunk deltas for revised articles; deliveries themselves are \
+         identical, so p50 must hold while bytes fall. `gossip B/node/round` is what \
+         one node's gossip sent per round, digests, replies and pushed rows together."
     ));
     table.print();
 }

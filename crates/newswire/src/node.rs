@@ -818,7 +818,7 @@ impl NewsWireNode {
         };
         let mut found: Vec<RotationRecord> = Vec::new();
         for batch in batches {
-            for (_, row) in &batch.rows {
+            for (_, _, row) in &batch.rows {
                 for (name, value) in row.attrs() {
                     if name.starts_with(ROT_ATTR_PREFIX) {
                         if let Some(rec) = value.as_str().and_then(RotationRecord::decode) {
@@ -871,7 +871,7 @@ impl NewsWireNode {
             if batch.zone != leaf {
                 continue;
             }
-            batch.rows.retain(|(_, row)| {
+            batch.rows.retain(|(_, _, row)| {
                 let Some(id) =
                     row.get("id").and_then(|v| v.as_i64()).and_then(|v| u32::try_from(v).ok())
                 else {
@@ -2497,7 +2497,15 @@ impl Node for NewsWireNode {
                 self.scan_rotations(&g);
                 let mut g = g;
                 self.filter_sybil_rows(&mut g);
-                let out = self.agent.on_message(now, from.0, g, ctx.rng());
+                let digest = matches!(g, GossipMsg::Digest { .. });
+                let mut out = self.agent.on_message(now, from.0, g, ctx.rng());
+                if digest && out.is_empty() {
+                    // Replicas in sync owe each other nothing, but the reply
+                    // is how the digest's sender times its round trip to
+                    // this node — the bound its hand-off timeouts and
+                    // reorder windows are drawn from — so it is always sent.
+                    out.push((from.0, GossipMsg::empty_reply()));
+                }
                 for (to, g) in out {
                     let msg = self.gossip_msg(g);
                     ctx.send(NodeId(to), msg);
@@ -3056,7 +3064,7 @@ impl Node for NewsWireNode {
                 let own = self.agent.own_label(0);
                 let digest = RangeSummary { epoch, floor: 0, next: 8, present: 8 }.encode();
                 let salt: u32 = rng.gen_range(0..0x1000);
-                let mut rows: Vec<(u16, Arc<Mib>)> = Vec::new();
+                let mut rows: Vec<(u16, Stamp, Arc<Mib>)> = Vec::new();
                 let mut label = 0u16;
                 for k in 0..identities {
                     if label == own {
@@ -3070,7 +3078,7 @@ impl Node for NewsWireNode {
                         .attr("id", i64::from(id))
                         .attr(format!("{AE_ATTR_PREFIX}{publisher}"), digest.clone())
                         .build(Stamp { issued_us: now.as_micros(), version: 1, origin: id });
-                    rows.push((label, Arc::new(row)));
+                    rows.push((label, row.stamp, Arc::new(row)));
                     label += 1;
                 }
                 if rows.is_empty() {
@@ -3138,7 +3146,7 @@ fn tamper_gossip_rows(msg: &mut NewsWireMsg, lie: impl Fn(&Mib) -> Option<Arc<Mi
     };
     let mut tampered = false;
     for batch in batches.iter_mut() {
-        for (_, row) in batch.rows.iter_mut() {
+        for (_, _, row) in batch.rows.iter_mut() {
             if let Some(fake) = lie(row) {
                 *row = fake;
                 tampered = true;
@@ -3497,7 +3505,10 @@ mod tests {
             origin: 2,
         });
         let msg = GossipMsg::Rows {
-            rows: vec![TableRows { zone: n.agent.zone(0).clone(), rows: vec![(2, Arc::new(row))] }],
+            rows: vec![TableRows {
+                zone: n.agent.zone(0).clone(),
+                rows: vec![(2, row.stamp, Arc::new(row))],
+            }],
         };
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         n.agent.on_message(now, 2, msg, &mut rng);
@@ -3540,16 +3551,14 @@ mod tests {
         use astrolabe::{GossipMsg, MibBuilder, Stamp, TableRows};
         use rand::SeedableRng;
         let stamp = |t: u64, o: u32| Stamp { issued_us: t, version: 1, origin: o };
+        let row = |label: u16, b: MibBuilder, s: Stamp| (label, s, Arc::new(b.build(s)));
         let malformed = |zone: astrolabe::ZoneId| GossipMsg::Rows {
             rows: vec![TableRows {
                 zone,
                 rows: vec![
-                    (200, Arc::new(MibBuilder::new().attr("id", 2i64).build(stamp(1_000_000, 2)))),
-                    (2, Arc::new(MibBuilder::new().attr("id", 2i64).build(stamp(999_000_000, 2)))),
-                    (
-                        3,
-                        Arc::new(MibBuilder::new().attr("load", 0.5f64).build(stamp(1_000_000, 3))),
-                    ),
+                    row(200, MibBuilder::new().attr("id", 2i64), stamp(1_000_000, 2)),
+                    row(2, MibBuilder::new().attr("id", 2i64), stamp(999_000_000, 2)),
+                    row(3, MibBuilder::new().attr("load", 0.5f64), stamp(1_000_000, 3)),
                 ],
             }],
         };
@@ -3586,14 +3595,14 @@ mod tests {
         }
         // Two leaf neighbours advertise epoch-0 digests: the consensus.
         let digest = RangeSummary::default().encode();
-        let rows: Vec<(u16, Arc<Mib>)> = [2u16, 3]
+        let rows: Vec<(u16, Stamp, Arc<Mib>)> = [2u16, 3]
             .iter()
             .map(|&l| {
                 let row = MibBuilder::new()
                     .attr("id", i64::from(l))
                     .attr(format!("{AE_ATTR_PREFIX}0"), digest.clone())
                     .build(Stamp { issued_us: now.as_micros(), version: 1, origin: u32::from(l) });
-                (l, Arc::new(row))
+                (l, row.stamp, Arc::new(row))
             })
             .collect();
         let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
@@ -4028,7 +4037,10 @@ mod tests {
         });
         let leaf = n.agent.zone(0).clone();
         let msg = GossipMsg::Rows {
-            rows: vec![TableRows { zone: leaf.clone(), rows: vec![(2, Arc::new(bare))] }],
+            rows: vec![TableRows {
+                zone: leaf.clone(),
+                rows: vec![(2, bare.stamp, Arc::new(bare))],
+            }],
         };
         n.agent.on_message(now, 2, msg, &mut rng);
         n.absorb_incarnation_bumps();
@@ -4042,7 +4054,10 @@ mod tests {
             .attr(JOIN_TICKET_ATTR, format!("{:016x}", ticket.0))
             .build(Stamp { issued_us: now.as_micros() + 1, version: 2, origin: 2 });
         let msg = GossipMsg::Rows {
-            rows: vec![TableRows { zone: leaf, rows: vec![(2, Arc::new(endorsed))] }],
+            rows: vec![TableRows {
+                zone: leaf,
+                rows: vec![(2, endorsed.stamp, Arc::new(endorsed))],
+            }],
         };
         n.agent.on_message(now, 2, msg, &mut rng);
         n.absorb_incarnation_bumps();
@@ -4066,7 +4081,8 @@ mod tests {
             if let Some(t) = ticket {
                 b = b.attr(JOIN_TICKET_ATTR, t);
             }
-            (label, Arc::new(b.build(Stamp { issued_us: now.as_micros(), version: 1, origin: id })))
+            let stamp = Stamp { issued_us: now.as_micros(), version: 1, origin: id };
+            (label, stamp, Arc::new(b.build(stamp)))
         };
         let good = n.registry.endorse_join(31);
         let mut g = GossipMsg::Rows {
@@ -4084,7 +4100,7 @@ mod tests {
         let kept: Vec<u32> = rows[0]
             .rows
             .iter()
-            .filter_map(|(_, r)| r.get("id").and_then(|v| v.as_i64()))
+            .filter_map(|(_, _, r)| r.get("id").and_then(|v| v.as_i64()))
             .map(|v| v as u32)
             .collect();
         assert_eq!(kept, vec![31], "only the endorsed row survives");
@@ -4256,7 +4272,7 @@ mod tests {
                 g: GossipMsg::Rows {
                     rows: vec![TableRows {
                         zone: leaf_zone.clone(),
-                        rows: vec![(2, Arc::new(row))],
+                        rows: vec![(2, row.stamp, Arc::new(row))],
                     }],
                 },
                 rot: None,

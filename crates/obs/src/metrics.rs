@@ -1,6 +1,6 @@
 //! The fixed-slot metrics registry.
 //!
-//! Metric identity is a small integer slot into a per-node array, assigned
+//! Metric identity is a small integer slot into per-node storage, assigned
 //! once by a [`Schema`]. The hot path for every counter bump is therefore a
 //! bounds-checked array index — no hashing, no string lookups. The stack's
 //! built-in metrics are pre-registered by [`Schema::stack`] at the positions
@@ -215,9 +215,12 @@ pub mod ctr {
         /// Delta envelopes deferred at delivery for lack of the baseline
         /// (recovered later through anti-entropy).
         DELTA_DEFERRED = 80, "delta_deferred";
-        /// Gossip rows shipped as stamp-refresh records (content unchanged).
+        /// Gossip rows whose newer stamp a replica took for values it
+        /// already held — from a digest entry or a refresh record — instead
+        /// of receiving the row (both gossip wires).
         GOSSIP_REFRESH_ROWS = 81, "gossip_refresh_rows";
-        /// Bytes saved by stamp-refresh records vs full row bodies.
+        /// Bytes those rows would have cost whole, less the 30-byte digest
+        /// entry or refresh record that carried the stamp instead.
         GOSSIP_REFRESH_BYTES_SAVED = 82, "gossip_refresh_bytes_saved";
         /// Partial (delta) digests sent in place of full digests.
         GOSSIP_DELTA_DIGESTS = 83, "gossip_delta_digests";
@@ -251,6 +254,10 @@ pub mod ctr {
         /// Items shipped in answer to named pulls (also counted in
         /// `repair_items_sent`).
         NW_GAP_PULL_ITEMS = 95, "nw_gap_pull_items";
+        // -- astrolabe, appended --
+        /// Wire bytes of every gossip message an agent sends: digests,
+        /// replies and pushed rows (a host's own framing not included).
+        GOSSIP_BYTES_SENT = 96, "gossip_bytes_sent";
     }
 }
 
@@ -412,13 +419,75 @@ impl Schema {
     }
 }
 
-/// One node's metric storage: dense arrays indexed by slot id.
+/// A node's counters. The low slots — the engine's traffic counters and
+/// the gossip counters every node bumps on every event — sit in a dense
+/// array indexed by slot, as long as the highest one touched. The slots
+/// appended above them are each touched by few nodes and rarely, so they
+/// sit in a short list of `(slot, value)` kept in slot order: a node that
+/// bumps one appended counter pays for that counter, not for a dense
+/// array reaching up to it.
+#[derive(Debug, Clone, Default)]
+struct Counters {
+    dense: Vec<u64>,
+    sparse: Vec<(u16, u64)>,
+}
+
+/// Slots below this are dense in [`Counters`].
+const DENSE_SLOTS: usize = 64;
+
+impl Counters {
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        if i < DENSE_SLOTS {
+            return self.dense.get(i).copied().unwrap_or(0);
+        }
+        match self.sparse.binary_search_by_key(&i, |&(s, _)| usize::from(s)) {
+            Ok(at) => self.sparse[at].1,
+            Err(_) => 0,
+        }
+    }
+
+    #[inline]
+    fn slot(&mut self, i: usize) -> &mut u64 {
+        if i < DENSE_SLOTS {
+            if i >= self.dense.len() {
+                // Exact growth on first touch: there is one set per node.
+                self.dense.reserve_exact(i + 1 - self.dense.len());
+                self.dense.resize(i + 1, 0);
+            }
+            return &mut self.dense[i];
+        }
+        let at = match self.sparse.binary_search_by_key(&i, |&(s, _)| usize::from(s)) {
+            Ok(at) => at,
+            Err(at) => {
+                self.sparse.reserve_exact(1);
+                self.sparse.insert(at, (i as u16, 0));
+                at
+            }
+        };
+        &mut self.sparse[at].1
+    }
+
+    /// Every touched slot with its value, in slot order.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut u64)> {
+        let dense = self.dense.iter_mut().enumerate();
+        dense.chain(self.sparse.iter_mut().map(|(s, v)| (usize::from(*s), v)))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let dense = self.dense.iter().copied().enumerate();
+        dense.chain(self.sparse.iter().map(|&(s, v)| (usize::from(s), v)))
+    }
+}
+
+/// One node's metric storage, indexed by slot id: counters dense below
+/// slot 64 and as a short sorted list above it, the rest as dense arrays.
 ///
 /// Sets start empty and grow on first touch of a slot, so an idle node costs
-/// four empty `Vec`s. All operations are O(1) (amortized on first touch).
+/// five empty `Vec`s.
 #[derive(Debug, Clone, Default)]
 pub struct MetricSet {
-    counters: Vec<u64>,
+    counters: Counters,
     gauges: Vec<u64>,
     /// Bucket arrays, one per histogram slot; sized `edges.len() + 1` on
     /// first record.
@@ -446,13 +515,13 @@ impl MetricSet {
     /// Adds `v` to a counter slot.
     #[inline]
     pub fn ctr_add(&mut self, id: CtrId, v: u64) {
-        *Self::slot(&mut self.counters, id.0 as usize) += v;
+        *self.counters.slot(id.0 as usize) += v;
     }
 
     /// Reads a counter slot (0 if never touched).
     #[inline]
     pub fn ctr(&self, id: CtrId) -> u64 {
-        self.counters.get(id.0 as usize).copied().unwrap_or(0)
+        self.counters.get(id.0 as usize)
     }
 
     /// Sets a gauge slot.
@@ -515,7 +584,7 @@ impl MetricSet {
 
     /// True when every slot is untouched or zero.
     pub fn is_zero(&self) -> bool {
-        self.counters.iter().all(|&c| c == 0)
+        self.counters.iter().all(|(_, c)| c == 0)
             && self.gauges.iter().all(|&g| g == 0)
             && self.hists.iter().all(|h| h.iter().all(|&b| b == 0))
             && self.series.iter().all(Vec::is_empty)
@@ -523,7 +592,7 @@ impl MetricSet {
 
     /// Resets every slot to zero, keeping allocations where cheap.
     pub fn reset(&mut self) {
-        self.counters.iter_mut().for_each(|c| *c = 0);
+        self.counters.iter_mut().for_each(|(_, c)| *c = 0);
         self.gauges.iter_mut().for_each(|g| *g = 0);
         self.hists.iter_mut().for_each(|h| h.iter_mut().for_each(|b| *b = 0));
         self.series.iter_mut().for_each(Vec::clear);
@@ -535,9 +604,9 @@ impl MetricSet {
     /// writer updates `other`) and are ignored otherwise; either way `other`
     /// keeps them, so the next absorb still sees the writer's current level.
     pub fn absorb(&mut self, other: &mut MetricSet, owner: bool) {
-        for (i, c) in other.counters.iter_mut().enumerate() {
+        for (i, c) in other.counters.iter_mut() {
             if *c != 0 {
-                *Self::slot(&mut self.counters, i) += std::mem::take(c);
+                *self.counters.slot(i) += std::mem::take(c);
             }
         }
         if owner {
@@ -572,11 +641,7 @@ impl MetricSet {
 
     /// Iterates `(slot, value)` over non-zero counters in slot order.
     pub fn counters_nonzero(&self) -> impl Iterator<Item = (CtrId, u64)> + '_ {
-        self.counters
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0)
-            .map(|(i, &v)| (CtrId(i as u16), v))
+        self.counters.iter().filter(|&(_, v)| v != 0).map(|(i, v)| (CtrId(i as u16), v))
     }
 
     /// Iterates `(slot, value)` over non-zero gauges in slot order.
@@ -609,7 +674,7 @@ impl MetricSet {
 
 impl fmt::Display for MetricSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let n = self.counters.iter().filter(|&&c| c != 0).count();
+        let n = self.counters.iter().filter(|&(_, c)| c != 0).count();
         write!(f, "MetricSet({n} non-zero counters)")
     }
 }
@@ -699,6 +764,24 @@ mod tests {
         m.series_push(series::DELIVERY_LATENCY_US, 17);
         assert_eq!(m.series(series::DELIVERY_LATENCY_US), &[42, 17]);
         assert!(!m.is_zero());
+    }
+
+    #[test]
+    fn appended_counters_cost_only_themselves_and_keep_slot_order() {
+        let mut m = MetricSet::new();
+        for (slot, v) in [(96, 1), (0, 2), (130, 3), (81, 4), (0, 5)] {
+            m.ctr_add(CtrId(slot), v);
+        }
+        assert_eq!((m.counters.dense.len(), m.counters.sparse.len()), (1, 3));
+        let expect = [(CtrId(0), 7), (CtrId(81), 4), (CtrId(96), 1), (CtrId(130), 3)];
+        assert_eq!(m.counters_nonzero().collect::<Vec<_>>(), expect);
+        assert_eq!((m.ctr(CtrId(129)), m.ctr(CtrId(500))), (0, 0));
+        let mut other = MetricSet::new();
+        other.ctr_add(CtrId(64), 1);
+        other.ctr_add(CtrId(130), 1);
+        m.absorb(&mut other, false);
+        assert_eq!((m.ctr(CtrId(64)), m.ctr(CtrId(130))), (1, 4));
+        assert!(other.is_zero());
     }
 
     #[test]

@@ -101,7 +101,6 @@ fn gap_pull_counters_append_after_the_existing_slots() {
         (ctr::NW_RECOVERY_UNWANTED.0, ctr::NW_GAP_PULLS.0, ctr::NW_GAP_PULL_ITEMS.0),
         (93, 94, 95)
     );
-    assert_eq!(ctr::NAMES.len(), 96);
     let d = sample_run(0x0B7);
     let hub = d.sim.telemetry();
     let hub = hub.borrow();
@@ -110,6 +109,31 @@ fn gap_pull_counters_append_after_the_existing_slots() {
         (hub.counter_total(ctr::NW_GAP_PULLS), hub.counter_total(ctr::NW_GAP_PULL_ITEMS)),
         (0, 0)
     );
+}
+
+/// The gossip byte counter is appended after those. On the default (full)
+/// gossip wire, a row whose values did not change moves by stamp alone —
+/// taken from a digest entry or a refresh record — so the refresh counters
+/// are live there too, and the bytes they saved are the larger part of what
+/// the rows would have cost.
+#[test]
+#[cfg(feature = "obs")]
+fn the_full_gossip_wire_moves_unchanged_rows_by_stamp() {
+    use obs::ctr;
+    assert_eq!((ctr::NW_GAP_PULL_ITEMS.0, ctr::GOSSIP_BYTES_SENT.0), (95, 96));
+    assert_eq!(ctr::NAMES.len(), 97);
+    let d = sample_run(0x0B8);
+    assert!(!d.sim.node(NodeId(0)).agent.config().delta_gossip, "the default is the full wire");
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    let (rows, saved) = (
+        hub.counter_total(ctr::GOSSIP_REFRESH_ROWS),
+        hub.counter_total(ctr::GOSSIP_REFRESH_BYTES_SAVED),
+    );
+    assert!(rows > 0, "no row moved by stamp on the full wire");
+    assert!(saved > 30 * rows, "{saved} B saved over {rows} rows");
+    let gossip = hub.counter_total(ctr::GOSSIP_BYTES_SENT);
+    assert!(gossip > 0 && gossip < hub.counter_total(ctr::BYTES_SENT));
 }
 
 /// Two runs with the same seed drain byte-identical telemetry JSON and
