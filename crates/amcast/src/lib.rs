@@ -70,7 +70,7 @@ pub use bimodal::{PbcastConfig, PbcastMsg, PbcastNode};
 pub use dedup::{CoverageWindow, DedupWindow};
 pub use log::{ForwardEvent, ForwardLog, LogRecord};
 pub use mcast::{route, zone_reps, Action, FilterSpec, McastData};
-pub use node::{McastConfig, McastMsg, McastNode, McastStats};
+pub use node::{McastConfig, McastMsg, McastNode};
 pub use queues::{ForwardingQueues, Queued, Strategy};
 pub use seqlog::{BaselineHint, RangeSummary, SeqLog};
 

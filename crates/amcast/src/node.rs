@@ -74,19 +74,6 @@ impl Default for McastConfig {
     }
 }
 
-/// Counters exposed for the experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct McastStats {
-    /// Forward/Deliver messages this node transmitted.
-    pub forwards_sent: u64,
-    /// Duplicate forwards/deliveries suppressed.
-    pub duplicates_dropped: u64,
-    /// Items that could not be routed (zone off this node's path).
-    pub route_failures: u64,
-    /// Peak queue length observed.
-    pub peak_queue: usize,
-}
-
 const GOSSIP_TIMER: u64 = 1;
 const DRAIN_TIMER: u64 = 2;
 
@@ -100,8 +87,6 @@ pub struct McastNode {
     seen: DedupWindow,
     /// Local deliveries: `(message id, delivery time)`.
     pub deliveries: Vec<(u64, SimTime)>,
-    /// Forwarding counters.
-    pub stats: McastStats,
     /// The §9 forwarding log.
     pub log: ForwardLog,
     queues: ForwardingQueues<(NodeId, McastMsg)>,
@@ -119,7 +104,6 @@ impl McastNode {
             coverage: CoverageWindow::new(cap),
             seen: DedupWindow::new(cap),
             deliveries: Vec::new(),
-            stats: McastStats::default(),
             log: ForwardLog::default(),
             queues: ForwardingQueues::new(strategy),
             draining: false,
@@ -155,7 +139,6 @@ impl McastNode {
             obs::trace_event!(self.agent.id(), Layer::Amcast, kind::MCAST_DELIVER_LOCAL, data.id);
             ForwardEvent::Delivered
         } else {
-            self.stats.duplicates_dropped += 1;
             obs::metric_add!(self.agent.id(), ctr::MCAST_DUPES_DROPPED, 1);
             ForwardEvent::Duplicate
         };
@@ -175,7 +158,6 @@ impl McastNode {
             _ => (0, 5),
         };
         self.queues.push(child, ctx.now().as_micros(), priority, (dst, msg));
-        self.stats.peak_queue = self.stats.peak_queue.max(self.queues.len());
         obs::gauge_max!(self.agent.id(), gauge::MCAST_PEAK_QUEUE, self.queues.len());
         if !self.draining {
             self.draining = true;
@@ -188,7 +170,6 @@ impl McastNode {
         let actions = route(&self.agent, &data.filter, &zone, self.cfg.redundancy, ctx.rng());
         let now = ctx.now();
         if actions.is_empty() && self.agent.level_of(&zone).is_none() {
-            self.stats.route_failures += 1;
             obs::metric_add!(self.agent.id(), ctr::MCAST_ROUTE_FAILURES, 1);
             self.log.record(LogRecord {
                 at_us: now.as_micros(),
@@ -259,7 +240,6 @@ impl Node for McastNode {
                 if self.coverage.admit(data.id, zone.depth()) {
                     self.process_duty(ctx, data, zone);
                 } else {
-                    self.stats.duplicates_dropped += 1;
                     obs::metric_add!(self.agent.id(), ctr::MCAST_DUPES_DROPPED, 1);
                 }
             }
@@ -283,7 +263,6 @@ impl Node for McastNode {
                 if let Some(q) = self.queues.pop() {
                     let (dst, msg) = q.item;
                     ctx.send(dst, msg);
-                    self.stats.forwards_sent += 1;
                     obs::metric_add!(self.agent.id(), ctr::MCAST_FORWARDS, 1);
                 }
                 if self.queues.is_empty() {

@@ -169,12 +169,11 @@ fn duplicates_are_suppressed_not_delivered_twice() {
     sim.run_until(SimTime::from_secs(45));
     publish_all(&mut sim, SimTime::from_secs(45), 0, 6000);
     sim.run_until(SimTime::from_secs(55));
-    let mut dup_drops = 0u64;
     for (_, node) in sim.iter() {
         let copies = node.deliveries.iter().filter(|&&(id, _)| id == 6000).count();
         assert!(copies <= 1, "double delivery");
-        dup_drops += node.stats.duplicates_dropped;
     }
+    let dup_drops = sim.telemetry().borrow().counter_total(obs::ctr::MCAST_DUPES_DROPPED);
     assert_eq!(delivered(&sim, 6000), 32);
     assert!(dup_drops > 0, "k=3 must actually produce suppressed duplicates");
 }

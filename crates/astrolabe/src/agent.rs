@@ -906,17 +906,15 @@ impl Agent {
                 out.push((peer, GossipMsg::Digest { digests: self.digests_from(0, peer) }));
             }
         }
-        if obs::ENABLED {
-            let rows_held: usize = self.levels.iter().map(|lv| lv.table.len()).sum();
-            obs::metric_add!(self.id, ctr::GOSSIP_ROUNDS, 1);
-            obs::metric_add!(self.id, ctr::GOSSIP_DIGESTS_SENT, out.len());
-            obs::gauge_set!(self.id, gauge::ASTRO_ROWS_HELD, rows_held);
-            obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_ROUND, rows_held, out.len());
-            for (_, msg) in &out {
-                let bytes = msg.wire_size();
-                obs::hist_record!(self.id, hist::GOSSIP_DIGEST_BYTES, bytes);
-                obs::metric_add!(self.id, ctr::GOSSIP_BYTES_SENT, bytes);
-            }
+        let rows_held: usize = self.levels.iter().map(|lv| lv.table.len()).sum();
+        obs::metric_add!(self.id, ctr::GOSSIP_ROUNDS, 1);
+        obs::metric_add!(self.id, ctr::GOSSIP_DIGESTS_SENT, out.len());
+        obs::gauge_set!(self.id, gauge::ASTRO_ROWS_HELD, rows_held);
+        obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_ROUND, rows_held, out.len());
+        for (_, msg) in &out {
+            let bytes = msg.wire_size();
+            obs::hist_record!(self.id, hist::GOSSIP_DIGEST_BYTES, bytes);
+            obs::metric_add!(self.id, ctr::GOSSIP_BYTES_SENT, bytes);
         }
         out
     }
@@ -1228,10 +1226,8 @@ impl Agent {
                 Vec::new()
             }
         };
-        if obs::ENABLED {
-            for (_, msg) in &out {
-                obs::metric_add!(self.id, ctr::GOSSIP_BYTES_SENT, msg.wire_size());
-            }
+        for (_, msg) in &out {
+            obs::metric_add!(self.id, ctr::GOSSIP_BYTES_SENT, msg.wire_size());
         }
         out
     }
@@ -1277,14 +1273,12 @@ impl Agent {
             }
         }
         self.scratch_diff = diff;
-        if obs::ENABLED {
-            let sent: usize = rows.iter().map(|t| t.rows.len()).sum();
-            let wanted: usize = want.iter().map(|(_, ls)| ls.len()).sum();
-            if sent + wanted > 0 {
-                obs::metric_add!(self.id, ctr::GOSSIP_DIFF_ROWS, sent + wanted);
-                obs::hist_record!(self.id, hist::GOSSIP_DIFF_ROWS, sent + wanted);
-                obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_DIFF, sent, wanted);
-            }
+        let sent: usize = rows.iter().map(|t| t.rows.len()).sum();
+        let wanted: usize = want.iter().map(|(_, ls)| ls.len()).sum();
+        if sent + wanted > 0 {
+            obs::metric_add!(self.id, ctr::GOSSIP_DIFF_ROWS, sent + wanted);
+            obs::hist_record!(self.id, hist::GOSSIP_DIFF_ROWS, sent + wanted);
+            obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_DIFF, sent, wanted);
         }
         if rows.is_empty() && want.is_empty() && refresh.is_empty() && want_full.is_empty() {
             Vec::new()

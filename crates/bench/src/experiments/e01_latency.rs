@@ -33,9 +33,8 @@ pub(crate) fn run(quick: bool) {
         d.settle(40);
         // Latency quantiles come from the telemetry registry's raw
         // delivery-latency series (identical to the per-node walk — no node
-        // churns in this sweep); the walk remains the obs-off fallback.
-        let mut lat =
-            d.delivery_latency_from_registry().unwrap_or_else(|| d.delivery_latency_summary());
+        // churns in this sweep).
+        let mut lat = d.delivery_latency_from_registry();
         let levels = d.layout.levels() + 1;
         if lat.is_empty() {
             table.row(&[

@@ -99,7 +99,8 @@ fn newswire_under_attack(attack_rps: u64, n: u32, seed: u64) -> (f64, u64) {
         wanted += d.interested_nodes(item).len();
         got += d.delivered_nodes(item).len();
     }
-    let rejected = d.sim.node(publisher).stats.publish_denied;
+    let rejected =
+        d.sim.telemetry().borrow().node_counter(publisher.index(), obs::ctr::NW_PUBLISH_DENIED);
     (100.0 * got as f64 / wanted.max(1) as f64, rejected)
 }
 

@@ -74,10 +74,12 @@ fn run_point(n: u32, fail_pct: u32, k: usize, seed: u64) -> (f64, f64) {
     let live: Vec<u32> = (0..n).filter(|i| !victim_set.contains(i)).collect();
     let mut delivered = 0u64;
     let mut dups = 0u64;
+    let hub = sim.telemetry();
+    let hub = hub.borrow();
     for &i in &live {
         let node = sim.node(NodeId(i));
         delivered += (1_000..1_000 + items).filter(|&m| node.has_delivered(m)).count() as u64;
-        dups += node.stats.duplicates_dropped;
+        dups += hub.node_counter(i as usize, obs::ctr::MCAST_DUPES_DROPPED);
     }
     let expected = live.len() as u64 * items;
     (100.0 * delivered as f64 / expected as f64, dups as f64 / delivered.max(1) as f64)

@@ -10,7 +10,7 @@
 
 use astrolabe::{Agent, AstroNode, Config, ZoneLayout};
 use rand::Rng;
-use simnet::{fork, NetworkModel, NodeId, SimDuration, Simulation};
+use simnet::{fork, NetworkModel, SimDuration, Simulation};
 
 use crate::experiments::support::dump_telemetry;
 use crate::Table;
@@ -35,22 +35,9 @@ fn measure(n: u32, branching: u16, seed: u64) -> (usize, f64, f64, usize) {
         (after.bytes_sent - before.bytes_sent) as f64 / f64::from(n) / window as f64;
     let msgs_per_node_s =
         (after.msgs_sent - before.msgs_sent) as f64 / f64::from(n) / window as f64;
-    // Replicated-state column from the telemetry registry's per-round gauge
-    // when instrumentation is on (0 means "never set": fall back to walking
-    // the agent's tables, which is also the obs-off path).
-    let rows_held: usize = {
-        let from_registry = {
-            let hub = sim.telemetry();
-            let g = hub.borrow().node_gauge((n / 2) as usize, obs::gauge::ASTRO_ROWS_HELD);
-            g as usize
-        };
-        if from_registry > 0 {
-            from_registry
-        } else {
-            let a = &sim.node(NodeId(n / 2)).agent;
-            (0..a.levels()).map(|l| a.table(l).len()).sum()
-        }
-    };
+    // Replicated-state column from the telemetry registry's per-round gauge.
+    let rows_held =
+        sim.telemetry().borrow().node_gauge((n / 2) as usize, obs::gauge::ASTRO_ROWS_HELD) as usize;
     dump_telemetry(&format!("e12_n{n}"), &mut sim);
     (layout.levels() + 1, bytes_per_node_s, msgs_per_node_s, rows_held)
 }

@@ -104,22 +104,12 @@ fn run_point(n: u32, churn: bool, gray_pct: u32, ack: bool, seed: u64) -> Point 
     d.settle(70);
 
     let report = check_invariants(&d, &items, &plan.churned_nodes());
-    // Ack-machinery counters from the telemetry registry (the per-node
-    // NodeStats mirror them exactly — neither resets on recovery); churned
-    // nodes clear their delivery logs, so the p99 keeps the walk, which
-    // reflects what survivors actually hold.
-    let (retries, failovers, abandoned) = if obs::ENABLED {
-        let hub = d.sim.telemetry();
-        let hub = hub.borrow();
-        (
-            hub.counter_total(obs::ctr::NW_ACK_RETRIES),
-            hub.counter_total(obs::ctr::NW_ACK_FAILOVERS),
-            hub.counter_total(obs::ctr::NW_HANDOFFS_ABANDONED),
-        )
-    } else {
-        let stats = d.total_stats();
-        (stats.ack_retries, stats.ack_failovers, stats.handoffs_abandoned)
-    };
+    // Ack-machinery counters from the telemetry registry (they do not reset
+    // on recovery); churned nodes clear their delivery logs, so the p99
+    // keeps the walk, which reflects what survivors actually hold.
+    let stats = d.total_stats();
+    let (retries, failovers, abandoned) =
+        (stats.ack_retries, stats.ack_failovers, stats.handoffs_abandoned);
     let mut lat = d.delivery_latency_summary();
     dump_telemetry(
         &format!("e13_churn{}_gray{gray_pct}_ack{}", u8::from(churn), u8::from(ack)),

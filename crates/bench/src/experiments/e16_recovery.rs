@@ -119,7 +119,7 @@ fn run_point(n: u32, mode: RestartMode, heavy: bool, ae: bool, seed: u64) -> Poi
             }
         }
     }
-    let (incar_bumps, writes_lost, recovery_us) = if obs::ENABLED {
+    let (incar_bumps, writes_lost, recovery_us) = {
         let hub = d.sim.telemetry();
         let hub = hub.borrow();
         (
@@ -127,8 +127,6 @@ fn run_point(n: u32, mode: RestartMode, heavy: bool, ae: bool, seed: u64) -> Poi
             hub.counter_total(obs::ctr::DISK_WRITES_LOST),
             hub.merged_series(obs::series::RECOVERY_DURATION_US),
         )
-    } else {
-        (0, 0, Vec::new())
     };
     let mean_recovery_secs = if recovery_us.is_empty() {
         0.0

@@ -209,15 +209,13 @@ fn run_point(n: u32, adversary: Adversary, workload: Workload, defenses: bool, s
     let verdict = self_stabilized(&mut d, &items, &exempt, ROUND_BUDGET);
 
     let faults = d.sim.fault_counters();
-    let (rejected, repairs) = if obs::ENABLED {
+    let (rejected, repairs) = {
         let hub = d.sim.telemetry();
         let hub = hub.borrow();
         (
             hub.counter_total(obs::ctr::CORRUPT_ROWS_REJECTED),
             hub.counter_total(obs::ctr::SELF_AUDIT_REPAIRS),
         )
-    } else {
-        (0, 0)
     };
     dump_telemetry(
         &format!(

@@ -133,17 +133,9 @@ fn run_point(n: u32, script: Script, size: u32, defenses: bool, seed: u64) -> Po
     let verdict = self_stabilized(&mut d, &items, &exempt, ROUND_BUDGET);
 
     let faults = d.sim.fault_counters();
-    let (forged_rejects, quarantines, refusals) = if obs::ENABLED {
-        let hub = d.sim.telemetry();
-        let hub = hub.borrow();
-        (
-            hub.counter_total(obs::ctr::NW_FORGED_REJECTS),
-            hub.counter_total(obs::ctr::NW_QUARANTINES),
-            hub.counter_total(obs::ctr::NW_SIGNED_EPOCH_REFUSALS),
-        )
-    } else {
-        (0, 0, 0)
-    };
+    let stats = d.total_stats();
+    let (forged_rejects, quarantines, refusals) =
+        (stats.forged_rejects, stats.peers_quarantined, stats.signed_epoch_refusals);
     dump_telemetry(
         &format!("e18_{}_{}_{}", script.label(), size, if defenses { "def" } else { "abl" }),
         &mut d.sim,

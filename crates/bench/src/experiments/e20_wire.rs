@@ -90,7 +90,7 @@ fn run_arm(n: u32, stories: u32, revs: u32, deltas: bool, seed: u64) -> Arm {
     d.settle(20 * u64::from(revs) + 80);
 
     let tc = d.sim.total_counters();
-    let (wire, delta_items, fallbacks, refresh_rows, gossip_per_round) = if obs::ENABLED {
+    let (wire, delta_items, fallbacks, refresh_rows, gossip_per_round) = {
         let hub = d.sim.telemetry();
         let hub = hub.borrow();
         let c = |id| hub.counter_total(id);
@@ -101,8 +101,6 @@ fn run_arm(n: u32, stories: u32, revs: u32, deltas: bool, seed: u64) -> Arm {
             c(obs::ctr::GOSSIP_REFRESH_ROWS),
             c(obs::ctr::GOSSIP_BYTES_SENT) as f64 / c(obs::ctr::GOSSIP_ROUNDS).max(1) as f64,
         )
-    } else {
-        (0, 0, 0, 0, 0.0)
     };
     let mut latency = d.delivery_latency_summary();
     let q = |l: &mut simnet::Summary, at: f64| if l.is_empty() { 0.0 } else { l.quantile(at) };

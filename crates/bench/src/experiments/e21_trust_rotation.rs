@@ -168,13 +168,7 @@ fn run_point(n: u32, duration: u64, seeds: u32, sybil: u32, defense: Defense, se
         .filter(|(id, _)| !exempt.contains(id))
         .flat_map(|(_, node)| node.deliveries.iter())
         .any(|rec| !truth.contains(&rec.item) && rec.delivered >= window_tail);
-    let joins_refused = if obs::ENABLED {
-        let hub = d.sim.telemetry();
-        let hub = hub.borrow();
-        hub.counter_total(obs::ctr::SYBIL_JOINS_REFUSED)
-    } else {
-        0
-    };
+    let joins_refused = d.sim.telemetry().borrow().counter_total(obs::ctr::SYBIL_JOINS_REFUSED);
     let totals = d.total_stats();
     let (purged, fence_rejects) = (totals.retro_purged, totals.revoked_key_rejects);
     let consensus = d

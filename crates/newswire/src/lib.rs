@@ -67,9 +67,9 @@ pub use auth::{
 };
 pub use cache::{CacheOutcome, CachePolicy, MessageCache};
 pub use config::{NewsWireConfig, SubscriptionModel};
-pub use deploy::{tech_news_deployment, Deployment, DeploymentBuilder, PublisherSpec};
+pub use deploy::{tech_news_deployment, Deployment, DeploymentBuilder, NodeStats, PublisherSpec};
 pub use flow::TokenBucket;
-pub use node::{DeliveryRecord, NewsWireNode, NodeStats, PublisherState, AE_ATTR_PREFIX};
+pub use node::{DeliveryRecord, NewsWireNode, PublisherState, AE_ATTR_PREFIX};
 pub use oracle::{
     check_invariants, collusion_breaking_point, self_stabilized, OracleReport, StabilizationReport,
     Violation,

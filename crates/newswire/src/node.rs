@@ -71,87 +71,6 @@ pub struct DeliveryRecord {
     pub via_repair: bool,
 }
 
-/// Per-node counters for the experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Items delivered to the application (subscription matched).
-    pub delivered: u64,
-    /// Duplicate arrivals suppressed.
-    pub duplicates: u64,
-    /// Items that reached this leaf but failed the exact structural test —
-    /// Bloom false-positive deliveries (§6's "final test").
-    pub bloom_fp_deliveries: u64,
-    /// Items that matched structurally but were rejected by the SQL
-    /// predicate.
-    pub predicate_filtered: u64,
-    /// Forwards rejected for bad signatures/certificates/scopes.
-    pub auth_rejects: u64,
-    /// Publish requests refused (not a publisher here).
-    pub publish_denied: u64,
-    /// Items unroutable at this node.
-    pub route_failures: u64,
-    /// Named pulls answered.
-    pub repairs_served: u64,
-    /// Items shipped in named-pull replies.
-    pub repair_items_sent: u64,
-    /// Forward/Deliver messages transmitted.
-    pub forwards_sent: u64,
-    /// Peak forwarding-queue length.
-    pub peak_queue: usize,
-    /// `ForwardAck`s received for pending hand-offs.
-    pub acks_received: u64,
-    /// Hand-offs retransmitted to the same representative after a timeout.
-    pub ack_retries: u64,
-    /// Hand-offs failed over to an alternative representative.
-    pub ack_failovers: u64,
-    /// Hand-offs abandoned to anti-entropy after exhausting failovers.
-    pub handoffs_abandoned: u64,
-    /// Hand-offs failed over early because the phi detector already
-    /// suspected the representative (retries against it would be wasted).
-    pub suspect_failovers: u64,
-    /// Anti-entropy reconcile requests sent.
-    pub reconcile_requests: u64,
-    /// Items received through reconcile replies.
-    pub reconcile_items_recv: u64,
-    /// Reconcile requests answered (with at least one item).
-    pub reconciles_served: u64,
-    /// Items shipped in reconcile replies.
-    pub reconcile_items_sent: u64,
-    /// Payload bytes shipped in reconcile replies (repair-traffic cost).
-    pub reconcile_bytes_sent: u64,
-    /// Reconcile requests re-targeted after a reply timeout.
-    pub reconcile_retargets: u64,
-    /// Cold restarts survived (durable or amnesiac — not freezes).
-    pub cold_restarts: u64,
-    /// Cold-restart recoveries that reached the caught-up criterion (log
-    /// hole-free and at the neighborhood high-water mark).
-    pub recoveries_completed: u64,
-    /// Items backfilled through repair/reconcile while recovering from a
-    /// cold restart.
-    pub recovery_backfill_items: u64,
-    /// Bare items (repair/reconcile/restore paths) refused because their
-    /// detached signature did not verify — forged or tampered content
-    /// stopped at the admission funnel (DESIGN §12).
-    pub forged_rejects: u64,
-    /// Epoch adoptions refused because the claimed epoch exceeded the
-    /// publisher's signed attestation.
-    pub signed_epoch_refusals: u64,
-    /// Peers quarantined after their misbehavior score crossed the
-    /// threshold.
-    pub peers_quarantined: u64,
-    /// Admissions refused because the signing key-epoch was revoked by an
-    /// adopted rotation record — any of the five admission paths (DESIGN
-    /// §15). Distinct from `forged_rejects`: the signature *verifies*, the
-    /// key is just no longer trusted.
-    pub revoked_key_rejects: u64,
-    /// Cached items retroactively purged because the key that signed them
-    /// was revoked after their admission.
-    pub retro_purged: u64,
-    /// Unendorsed identities placed in the bounded probation set by Sybil
-    /// admission control.
-    pub probation_holds: u64,
-}
-
 /// Metadata key carrying the publisher's §8 dissemination predicate.
 pub const DISSEMINATION_PREDICATE: &str = "ds$predicate";
 
@@ -441,8 +360,6 @@ pub struct NewsWireNode {
     coverage: CoverageWindow,
     queues: ForwardingQueues<(NodeId, NewsWireMsg)>,
     draining: bool,
-    /// Counters.
-    pub stats: NodeStats,
     /// The §9 forwarding log ("each forwarding component maintains a log
     /// file"): a bounded trace of duties, forwards, deliveries and drops.
     pub log: ForwardLog,
@@ -558,7 +475,6 @@ impl NewsWireNode {
             coverage: CoverageWindow::new(8192),
             queues: ForwardingQueues::new(strategy),
             draining: false,
-            stats: NodeStats::default(),
             log: ForwardLog::default(),
             deliveries: Vec::new(),
             load_bias: 0.0,
@@ -686,7 +602,6 @@ impl NewsWireNode {
     /// keep relaying items they admitted before the revocation reached
     /// them, and striking them would quarantine the honest majority.
     fn note_revoked_reject(&mut self, path: u64, publisher: PublisherId) {
-        self.stats.revoked_key_rejects += 1;
         obs::metric_add!(self.agent.id(), ctr::NW_REVOKED_KEY_REJECTS, 1);
         obs::trace_event!(
             self.agent.id(),
@@ -779,7 +694,6 @@ impl NewsWireNode {
             }
         }
         if purged > 0 {
-            self.stats.retro_purged += purged;
             obs::metric_add!(self.agent.id(), ctr::NW_RETRO_PURGED_ITEMS, purged);
             obs::trace_event!(
                 self.agent.id(),
@@ -904,7 +818,6 @@ impl NewsWireNode {
         for id in refused {
             obs::metric_add!(self.agent.id(), ctr::SYBIL_JOINS_REFUSED, 1);
             if self.probation.len() < PROBATION_CAP && self.probation.insert(id) {
-                self.stats.probation_holds += 1;
                 obs::metric_add!(self.agent.id(), ctr::NW_PROBATION_HOLDS, 1);
                 obs::trace_event!(
                     self.agent.id(),
@@ -1045,7 +958,6 @@ impl NewsWireNode {
         *score = score.saturating_add(weight);
         if before < threshold && *score >= threshold {
             let after = u64::from(*score);
-            self.stats.peers_quarantined += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_QUARANTINES, 1);
             obs::trace_event!(
                 self.agent.id(),
@@ -1128,7 +1040,6 @@ impl NewsWireNode {
         if !self.dissemination_admits(&item) {
             // Not addressed to this node (e.g. premium-only content on a
             // free node); neither delivered nor cached.
-            self.stats.predicate_filtered += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_PREDICATE_FILTERED, 1);
             return;
         }
@@ -1139,7 +1050,6 @@ impl NewsWireNode {
         let matches = self.subscription.matches(&item);
         match self.cache_insert(item, now) {
             CacheOutcome::Duplicate => {
-                self.stats.duplicates += 1;
                 obs::metric_add!(self.agent.id(), ctr::NW_DUPLICATES, 1);
                 return;
             }
@@ -1147,12 +1057,10 @@ impl NewsWireNode {
             CacheOutcome::Stored | CacheOutcome::Fused => {}
         }
         if via_repair && self.recovering_since.is_some() {
-            self.stats.recovery_backfill_items += 1;
             self.backfill_this_recovery += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_BACKFILL_ITEMS, 1);
         }
         if matches {
-            self.stats.delivered += 1;
             let latency_us = now.as_micros().saturating_sub(published.as_micros());
             obs::metric_add!(self.agent.id(), ctr::NW_DELIVERED, 1);
             if via_repair {
@@ -1171,11 +1079,9 @@ impl NewsWireNode {
             if !via_repair {
                 // Reached this leaf only because of Bloom aliasing; the
                 // exact final test of §6 rejects it.
-                self.stats.bloom_fp_deliveries += 1;
                 obs::metric_add!(self.agent.id(), ctr::NW_BLOOM_FP, 1);
             }
         } else {
-            self.stats.predicate_filtered += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_PREDICATE_FILTERED, 1);
         }
     }
@@ -1284,7 +1190,6 @@ impl NewsWireNode {
             _ => (0, 5),
         };
         self.queues.push(child, ctx.now().as_micros(), priority, (dst, msg));
-        self.stats.peak_queue = self.stats.peak_queue.max(self.queues.len());
         obs::gauge_max!(self.agent.id(), gauge::NW_PEAK_QUEUE, self.queues.len());
         if !self.draining {
             self.draining = true;
@@ -1302,7 +1207,6 @@ impl NewsWireNode {
         let now = ctx.now();
         if actions.is_empty() && self.agent.level_of(&zone).is_none() {
             // Not on our path and no relay representative known yet.
-            self.stats.route_failures += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_ROUTE_FAILURES, 1);
             self.log.record(LogRecord {
                 at_us: now.as_micros(),
@@ -1370,7 +1274,6 @@ impl NewsWireNode {
             None => None,
             Some(Ok(expr)) => Some(FilterSpec::Predicate { expr }),
             Some(Err(_)) => {
-                self.stats.publish_denied += 1;
                 obs::metric_add!(self.agent.id(), ctr::NW_PUBLISH_DENIED, 1);
                 return;
             }
@@ -1379,12 +1282,10 @@ impl NewsWireNode {
         // every envelope it emits (DESIGN §12).
         let attest_epoch = self.article_logs.get(&item.id.publisher).map_or(0, |l| l.epoch());
         let Some(publisher) = &mut self.publisher else {
-            self.stats.publish_denied += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_PUBLISH_DENIED, 1);
             return;
         };
         if publisher.credential.publisher() != item.id.publisher {
-            self.stats.publish_denied += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_PUBLISH_DENIED, 1);
             return;
         }
@@ -1523,7 +1424,6 @@ impl NewsWireNode {
             return;
         }
         if self.cfg.defenses && self.cfg.verify_signatures && !self.bare_item_ok(&item, key, sig) {
-            self.stats.forged_rejects += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_FORGED_REJECTS, 1);
             obs::trace_event!(
                 self.agent.id(),
@@ -1537,12 +1437,10 @@ impl NewsWireNode {
         }
         // Where a recovery item goes: a copy the cache already holds, an
         // article this node never subscribed to, or (neither) a useful one.
-        if obs::ENABLED {
-            if self.cache.contains(item.id) {
-                obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_HELD, 1);
-            } else if !self.subscription.matches(&item) {
-                obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_UNWANTED, 1);
-            }
+        if self.cache.contains(item.id) {
+            obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_HELD, 1);
+        } else if !self.subscription.matches(&item) {
+            obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_UNWANTED, 1);
         }
         self.item_sigs.insert(item.id, (key, sig));
         self.handle_delivery(now, item, true);
@@ -1571,7 +1469,6 @@ impl NewsWireNode {
                 && self.cfg.verify_signatures
                 && !self.bare_item_ok(&item, key, sig)
             {
-                self.stats.forged_rejects += 1;
                 obs::metric_add!(self.agent.id(), ctr::NW_FORGED_REJECTS, 1);
                 obs::trace_event!(
                     self.agent.id(),
@@ -1770,15 +1667,12 @@ impl NewsWireNode {
         // wasted time — fail over immediately.
         let rep_suspect = self.peer_suspect(handoff.rep, now);
         if rep_suspect && handoff.attempt < self.cfg.ack_retries {
-            self.stats.suspect_failovers += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_SUSPECT_FAILOVERS, 1);
             obs::trace_event!(self.agent.id(), Layer::News, kind::PHI_SUSPECT, handoff.rep);
         }
         if !rep_suspect && handoff.attempt < self.cfg.ack_retries {
             // Same representative, longer leash.
             handoff.attempt += 1;
-            self.stats.ack_retries += 1;
-            self.stats.forwards_sent += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_ACK_RETRIES, 1);
             obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
             obs::trace_event!(
@@ -1818,8 +1712,6 @@ impl NewsWireNode {
                 handoff.rep = rep;
                 handoff.attempt = 0;
                 handoff.failovers += 1;
-                self.stats.ack_failovers += 1;
-                self.stats.forwards_sent += 1;
                 obs::metric_add!(self.agent.id(), ctr::NW_ACK_FAILOVERS, 1);
                 obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
                 obs::trace_event!(
@@ -1846,7 +1738,6 @@ impl NewsWireNode {
                 self.rearm_handoff(ctx, tag, handoff);
             }
             None => {
-                self.stats.handoffs_abandoned += 1;
                 obs::metric_add!(self.agent.id(), ctr::NW_HANDOFFS_ABANDONED, 1);
                 obs::trace_event!(
                     self.agent.id(),
@@ -1991,7 +1882,6 @@ impl NewsWireNode {
             .get(&publisher)
             .map(|log| (log.epoch(), log.next_seq()))
             .unwrap_or((0, 0));
-        self.stats.reconcile_requests += 1;
         obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_REQUESTS, 1);
         obs::trace_event!(self.agent.id(), Layer::News, kind::AE_REQUEST, peer.0, publisher.0);
         ctx.send(
@@ -2050,10 +1940,6 @@ impl NewsWireNode {
             items.truncate(self.cfg.repair_batch);
         }
         if !items.is_empty() {
-            self.stats.reconciles_served += 1;
-            self.stats.reconcile_items_sent += items.len() as u64;
-            self.stats.reconcile_bytes_sent +=
-                items.iter().map(|i| i.wire_size() as u64).sum::<u64>();
             obs::metric_add!(self.agent.id(), ctr::NW_RECONCILES_SERVED, 1);
             obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_ITEMS_SENT, items.len());
             obs::metric_add!(
@@ -2102,7 +1988,6 @@ impl NewsWireNode {
             _ => None,
         };
         let now = ctx.now();
-        self.stats.reconcile_items_recv += items.len() as u64;
         obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_ITEMS_RECV, items.len());
         // Digest contradiction: this peer was selected because its gossiped
         // digest vouched coverage for our holes, yet it replies with an
@@ -2134,7 +2019,6 @@ impl NewsWireNode {
         if fenced {
             obs::metric_add!(self.agent.id(), ctr::CORRUPT_ROWS_REJECTED, 1);
             if authority.is_some() {
-                self.stats.signed_epoch_refusals += 1;
                 obs::metric_add!(self.agent.id(), ctr::NW_SIGNED_EPOCH_REFUSALS, 1);
                 obs::trace_event!(
                     self.agent.id(),
@@ -2441,7 +2325,6 @@ impl NewsWireNode {
         }
         let duration = now.as_micros().saturating_sub(started.as_micros());
         self.recovering_since = None;
-        self.stats.recoveries_completed += 1;
         obs::metric_add!(self.agent.id(), ctr::NW_RECOVERIES, 1);
         obs::series_record!(self.agent.id(), series::RECOVERY_DURATION_US, duration);
         obs::trace_event!(
@@ -2552,7 +2435,6 @@ impl Node for NewsWireNode {
                     return;
                 }
                 if !self.verify(&env) {
-                    self.stats.auth_rejects += 1;
                     obs::metric_add!(self.agent.id(), ctr::NW_AUTH_REJECTS, 1);
                     self.log.record(LogRecord {
                         at_us: ctx.now().as_micros(),
@@ -2577,13 +2459,11 @@ impl Node for NewsWireNode {
                 if self.coverage.admit(env.msg_id, zone.depth()) {
                     self.process_duty(ctx, env, zone);
                 } else {
-                    self.stats.duplicates += 1;
                     obs::metric_add!(self.agent.id(), ctr::NW_DUPLICATES, 1);
                 }
             }
             NewsWireMsg::ForwardAck { msg_id, zone } => {
                 if let Some(tags) = self.ack_index.remove(&(msg_id, zone)) {
-                    self.stats.acks_received += 1;
                     obs::metric_add!(self.agent.id(), ctr::NW_ACKS_RECEIVED, 1);
                     obs::trace_event!(
                         self.agent.id(),
@@ -2608,7 +2488,6 @@ impl Node for NewsWireNode {
                     return;
                 }
                 if !self.verify(&env) {
-                    self.stats.auth_rejects += 1;
                     obs::metric_add!(self.agent.id(), ctr::NW_AUTH_REJECTS, 1);
                     self.note_misbehavior(from, MISBEHAVIOR_FORGED);
                     return;
@@ -2625,8 +2504,6 @@ impl Node for NewsWireNode {
                 if items.is_empty() {
                     return;
                 }
-                self.stats.repairs_served += 1;
-                self.stats.repair_items_sent += items.len() as u64;
                 obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULL_ITEMS, items.len());
                 obs::metric_add!(self.agent.id(), ctr::NW_REPAIRS_SERVED, 1);
                 obs::metric_add!(self.agent.id(), ctr::NW_REPAIR_ITEMS_SENT, items.len());
@@ -2717,7 +2594,6 @@ impl Node for NewsWireNode {
                         _ => {}
                     }
                     ctx.send(dst, msg);
-                    self.stats.forwards_sent += 1;
                     obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
                 }
                 if self.queues.is_empty() {
@@ -2738,7 +2614,6 @@ impl Node for NewsWireNode {
                 for _ in 0..4 {
                     match self.cross_zone_peer(ctx.rng(), now) {
                         Some(peer) if peer != p.peer => {
-                            self.stats.reconcile_retargets += 1;
                             obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_RETARGETS, 1);
                             self.send_reconcile_request(
                                 ctx,
@@ -2906,7 +2781,6 @@ impl Node for NewsWireNode {
         self.publish_ae_digests();
         ctx.disk().fsync();
 
-        self.stats.cold_restarts += 1;
         self.recovering_since = Some(now);
         obs::trace_event!(
             self.agent.id(),
@@ -3223,7 +3097,31 @@ mod tests {
     use crate::subscription::Subscription;
     use astrolabe::{Config, TrustRegistry, ZoneLayout};
     use newsml::{Category, PublisherId};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::Arc;
+
+    /// A telemetry hub installed for a test that drives a node's handlers
+    /// outside a `Simulation`, so the counters they bump can be read. The
+    /// collector drops counts for node ids the hub does not know.
+    struct Counts {
+        hub: Rc<RefCell<obs::TelemetryHub>>,
+        _guard: obs::collector::HubGuard,
+    }
+
+    impl Counts {
+        /// Installs a fresh hub that knows node ids up to `node`'s.
+        fn install(node: &NewsWireNode) -> Self {
+            let hub = Rc::new(RefCell::new(obs::TelemetryHub::new(0)));
+            hub.borrow_mut().ensure_nodes(node.agent.id() as usize + 1);
+            Counts { _guard: obs::collector::install(Rc::clone(&hub)), hub }
+        }
+
+        /// `node`'s count in slot `id`.
+        fn of(&self, node: &NewsWireNode, id: obs::CtrId) -> u64 {
+            self.hub.borrow().node_counter(node.agent.id() as usize, id)
+        }
+    }
 
     fn node_with(cfg: NewsWireConfig) -> NewsWireNode {
         let layout = ZoneLayout::new(4, 4);
@@ -3301,6 +3199,7 @@ mod tests {
         let mut n =
             NewsWireNode::new(agent, NewsWireConfig::tech_news(), Arc::new(TrustRegistry::new(1)));
         n.set_subscription(tech_sub());
+        let counts = Counts::install(&n);
         let mut in_zone = tech_item(0);
         in_zone.meta.push((DISSEMINATION_SCOPE.to_owned(), "/0".to_owned()));
         assert!(n.dissemination_admits(&in_zone));
@@ -3316,7 +3215,7 @@ mod tests {
         let now = SimTime::from_secs(1);
         n.handle_delivery(now, out_of_zone.clone().into(), true);
         assert!(!n.has_item(out_of_zone.id), "repair must not leak scoped items");
-        assert_eq!(n.stats.predicate_filtered, 1);
+        assert_eq!(counts.of(&n, ctr::NW_PREDICATE_FILTERED), 1);
         // …but the seq was still *seen*, so reconcile won't re-request it.
         assert!(n.article_log(PublisherId(0)).is_some_and(|l| l.contains(1)));
         n.handle_delivery(now, in_zone.clone().into(), true);
@@ -3371,24 +3270,25 @@ mod tests {
     fn handle_delivery_classifies_outcomes() {
         let mut n = node_with(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
+        let counts = Counts::install(&n);
         let now = SimTime::from_secs(1);
         // Matching item: delivered + cached.
         n.handle_delivery(now, tech_item(0).into(), false);
-        assert_eq!(n.stats.delivered, 1);
+        assert_eq!(counts.of(&n, ctr::NW_DELIVERED), 1);
         assert_eq!(n.deliveries.len(), 1);
         // Same item again: duplicate.
         n.handle_delivery(now, tech_item(0).into(), false);
-        assert_eq!(n.stats.duplicates, 1);
+        assert_eq!(counts.of(&n, ctr::NW_DUPLICATES), 1);
         // Structurally uninteresting item: Bloom false positive.
         let sports =
             NewsItem::builder(PublisherId(0), 5).headline("s").category(Category::Sports).build();
         n.handle_delivery(now, sports.into(), false);
-        assert_eq!(n.stats.bloom_fp_deliveries, 1);
-        assert_eq!(n.stats.delivered, 1, "not delivered to the app");
+        assert_eq!(counts.of(&n, ctr::NW_BLOOM_FP), 1);
+        assert_eq!(counts.of(&n, ctr::NW_DELIVERED), 1, "not delivered to the app");
         // Matching but predicate-rejected: filtered, still cached.
         n.subscription.set_predicate("urgency = 1").unwrap();
         n.handle_delivery(now, tech_item(7).into(), false);
-        assert_eq!(n.stats.predicate_filtered, 1);
+        assert_eq!(counts.of(&n, ctr::NW_PREDICATE_FILTERED), 1);
         assert!(n.cache.contains(newsml::ItemId::new(PublisherId(0), 7)));
     }
 
@@ -3665,13 +3565,14 @@ mod tests {
     fn bare_item_admission_refuses_forgeries_on_repair_and_reconcile_paths() {
         let (mut n, cred) = node_with_authority(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
+        let counts = Counts::install(&n);
         let now = SimTime::from_secs(1);
 
         let real = tech_item(0);
         let sig = cred.sign(&real);
         n.admit_bare_item(now, real.clone().into(), cred.key_id(), sig, NodeId(5), 2);
         assert!(n.has_item(real.id), "a genuinely signed bare item admits");
-        assert_eq!(n.stats.forged_rejects, 0);
+        assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 0);
 
         // A fabricated item under an invented signature is refused — and
         // leaves no trace in the article log (a forged seq must not poison
@@ -3681,7 +3582,7 @@ mod tests {
         assert!(!n.has_item(forged.id));
         assert!(!n.cache.contains(forged.id));
         assert!(!n.article_logs[&PublisherId(0)].contains(1), "forged seq not logged as seen");
-        assert_eq!(n.stats.forged_rejects, 1);
+        assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 1);
         assert_eq!(n.misbehavior.get(&5), Some(&MISBEHAVIOR_FORGED), "the sender took a strike");
 
         // Tampering with a signed item invalidates its signature — the
@@ -3692,7 +3593,7 @@ mod tests {
         tampered.headline = "FAKE: markets collapse".into();
         n.admit_bare_item(now, tampered.clone().into(), cred.key_id(), sig2, NodeId(6), 3);
         assert!(!n.has_item(tampered.id));
-        assert_eq!(n.stats.forged_rejects, 2);
+        assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 2);
 
         // A forged revision of a real slug is refused; revision 0 stays.
         let rev0 = NewsItem::builder(PublisherId(0), 3)
@@ -3719,9 +3620,10 @@ mod tests {
         cfg.defenses = false;
         let (mut open, _) = node_with_authority(cfg);
         open.set_subscription(tech_sub());
+        let counts = Counts::install(&open);
         open.admit_bare_item(now, forged.clone().into(), KeyId(99), Signature(77), NodeId(5), 2);
         assert!(open.has_item(forged.id), "defenses off admits the forgery");
-        assert_eq!(open.stats.forged_rejects, 0);
+        assert_eq!(counts.of(&open, ctr::NW_FORGED_REJECTS), 0);
     }
 
     /// Stable-storage restore (path 4) re-verifies every item: a tampered
@@ -3730,6 +3632,7 @@ mod tests {
     fn stable_storage_restore_reverifies_signatures() {
         let (mut n, cred) = node_with_authority(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
+        let counts = Counts::install(&n);
         let now = SimTime::from_secs(1);
         let good = tech_item(0);
         let sig = cred.sign(&good);
@@ -3744,7 +3647,7 @@ mod tests {
         assert_eq!(restored, 1, "only the verifiable item restores");
         assert!(n.cache.contains(good.id));
         assert!(!n.cache.contains(bad.id));
-        assert_eq!(n.stats.forged_rejects, 1);
+        assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 1);
     }
 
     /// `item_sigs` tracks the cache, not the feed: what fusion, capacity
@@ -3844,9 +3747,9 @@ mod tests {
         let state = persist::decode_state(&blob).expect("length-preserving tamper still decodes");
         assert!(state.items.iter().all(|(i, ..)| !published.iter().any(|p| Arc::ptr_eq(i, p))));
         a.cache = MessageCache::new(a.cfg.cache);
-        let before = a.stats.forged_rejects;
+        let counts = Counts::install(&a);
         a.restore_cached_items(state.items, now);
-        assert!(a.stats.forged_rejects > before, "the tampered article does not restore");
+        assert!(counts.of(&a, ctr::NW_FORGED_REJECTS) > 0, "the tampered article does not restore");
 
         for ((item, &sig), pristine) in published.iter().zip(&sigs).zip(&pristine) {
             let held = b.cache.get(item.id).expect("B still caches it");
@@ -3906,6 +3809,7 @@ mod tests {
     fn adopt_rotation_fences_every_admission_path() {
         let (mut n, cred, record, successor) = node_with_rotation(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
+        let counts = Counts::install(&n);
         let now = SimTime::from_secs(1);
 
         // Pre-revocation the compromised key IS the publisher's key: its
@@ -3934,7 +3838,7 @@ mod tests {
         assert_eq!(n.publisher_certs[&PublisherId(0)].key, successor.key_id());
         assert_eq!(n.retired_certs[&PublisherId(0)].key, cred.key_id());
         assert!(!n.cache.contains(old.id), "the retroactive purge scrubbed the item");
-        assert_eq!(n.stats.retro_purged, 1);
+        assert_eq!(counts.of(&n, ctr::NW_RETRO_PURGED_ITEMS), 1);
         assert_eq!(n.authority_epoch(PublisherId(0)), None, "revoked-key authority dropped");
 
         // Path 1: the same envelope is now fenced before verification.
@@ -3955,7 +3859,7 @@ mod tests {
         // authority.
         n.absorb_attest(&cred.attest_epoch(40));
         assert_eq!(n.authority_epoch(PublisherId(0)), None);
-        assert_eq!(n.stats.revoked_key_rejects, 5);
+        assert_eq!(counts.of(&n, ctr::NW_REVOKED_KEY_REJECTS), 5);
         assert!(n.misbehavior.is_empty(), "revoked-key rejects never strike the relay");
 
         // The successor credential is live on every path.
@@ -4074,6 +3978,7 @@ mod tests {
         let mut cfg = NewsWireConfig::tech_news();
         cfg.admission = true;
         let (mut n, _cred, _rec, _succ) = node_with_rotation(cfg);
+        let counts = Counts::install(&n);
         let now = SimTime::from_secs(1);
         let leaf = n.agent.zone(0).clone();
         let row = |id: u32, label: u16, ticket: Option<String>| {
@@ -4105,7 +4010,7 @@ mod tests {
             .collect();
         assert_eq!(kept, vec![31], "only the endorsed row survives");
         assert!(n.probation.contains(&30) && n.probation.contains(&32));
-        assert_eq!(n.stats.probation_holds, 2);
+        assert_eq!(counts.of(&n, ctr::NW_PROBATION_HOLDS), 2);
 
         // Quota: even an endorsed identity is refused once the zone is
         // full — a registry leak cannot flood a zone past its cap.
@@ -4133,6 +4038,7 @@ mod tests {
     #[test]
     fn misbehavior_quarantine_crosses_threshold_once() {
         let mut n = node_with(NewsWireConfig::tech_news());
+        let counts = Counts::install(&n);
         let now = SimTime::from_secs(1);
         assert_eq!(n.cfg.quarantine_threshold, 3);
         n.note_misbehavior(NodeId(7), MISBEHAVIOR_FORGED);
@@ -4140,9 +4046,9 @@ mod tests {
         n.note_misbehavior(NodeId(7), MISBEHAVIOR_FENCE);
         assert!(n.quarantined(7));
         assert!(n.peer_suspect(7, now), "quarantine shows through peer_suspect without phi");
-        assert_eq!(n.stats.peers_quarantined, 1);
+        assert_eq!(counts.of(&n, ctr::NW_QUARANTINES), 1);
         n.note_misbehavior(NodeId(7), MISBEHAVIOR_CONTRADICTION);
-        assert_eq!(n.stats.peers_quarantined, 1, "crossing the threshold counts once");
+        assert_eq!(counts.of(&n, ctr::NW_QUARANTINES), 1, "crossing the threshold counts once");
         // Selection drops the quarantined peer while alternatives exist.
         let mut candidates = vec![5, 7];
         n.prefer_unsuspected(&mut candidates, now);
@@ -4241,13 +4147,14 @@ mod tests {
 
         let (mut honest, _) = node_with_authority(NewsWireConfig::tech_news());
         honest.set_subscription(tech_sub());
+        let counts = Counts::install(&honest);
         let now = SimTime::from_secs(1);
         // The forger serves its cache the way a repair reply would: items
         // wrapped with whatever signatures it recorded (bogus ones).
         for si in forger.sign_items(forged, &[]) {
             honest.admit_bare_item(now, si.item, si.key, si.signature, NodeId(1), 2);
         }
-        assert_eq!(honest.stats.forged_rejects, 3, "every fabrication refused");
+        assert_eq!(counts.of(&honest, ctr::NW_FORGED_REJECTS), 3, "every fabrication refused");
         assert!(honest.deliveries.is_empty());
         assert!(honest.quarantined(1), "three forged strikes quarantine the forger");
     }

@@ -33,6 +33,11 @@ fn one_zone(seed: u64, jitter: bool) -> Deployment {
     d
 }
 
+/// `node`'s count in the deployment's telemetry registry.
+fn count(d: &Deployment, node: NodeId, id: obs::CtrId) -> u64 {
+    d.sim.telemetry().borrow().node_counter(node.index(), id)
+}
+
 fn ms(at: u64) -> SimTime {
     SimTime::from_micros(at * 1_000)
 }
@@ -68,7 +73,7 @@ fn a_lost_deliver_is_revealed_by_the_next_and_pulled_by_name() {
     assert!(delivery(&d, &items[1]).is_empty(), "nothing but the chain can heal this");
     assert_eq!(member.gap_suspects.len(), 1, "the next Deliver revealed the gap");
     assert_eq!((member.gap_suspects[0].id, member.gap_suspects[0].from), (items[1].id, 0));
-    let served = d.sim.node(PUBLISHER).stats.repairs_served;
+    let served = count(&d, PUBLISHER, ctr::NW_REPAIRS_SERVED);
     assert_eq!(served, 0, "a suspect first: reordering is not loss");
     let window = member.round_trip_bound(PUBLISHER.0);
     assert!(
@@ -83,8 +88,13 @@ fn a_lost_deliver_is_revealed_by_the_next_and_pulled_by_name() {
     assert!(healed[0].via_repair);
     // Item 3 arrives at +10.5 ms; the pull and its reply are one round trip.
     assert!(healed[0].delivered <= ms(62_200 + 11 + 20), "at {:?}", healed[0].delivered);
-    let rep = d.sim.node(PUBLISHER);
-    assert_eq!((rep.stats.repairs_served, rep.stats.repair_items_sent), (1, 1));
+    let rep = |d: &Deployment| {
+        (
+            count(d, PUBLISHER, ctr::NW_REPAIRS_SERVED),
+            count(d, PUBLISHER, ctr::NW_REPAIR_ITEMS_SENT),
+        )
+    };
+    assert_eq!(rep(&d), (1, 1));
 
     // Two consecutive losses heal the same way, in one pull.
     publish(&mut d, 63_000, &items[4], true);
@@ -97,17 +107,14 @@ fn a_lost_deliver_is_revealed_by_the_next_and_pulled_by_name() {
         assert_eq!(got.len(), 1, "item {} delivered exactly once", item.id);
         assert_eq!(got[0].via_repair, [1, 4, 5].contains(&item.id.seq), "item {}", item.id);
     }
-    let rep = d.sim.node(PUBLISHER);
-    assert_eq!((rep.stats.repairs_served, rep.stats.repair_items_sent), (2, 3));
+    assert_eq!(rep(&d), (2, 3));
     assert!(d.sim.node(MEMBER).gap_suspects.is_empty(), "every suspect settled");
     // The other member lost nothing and asked for nothing.
     assert!(d.sim.node(NodeId(2)).deliveries.iter().all(|r| !r.via_repair));
-    if obs::ENABLED {
-        let hub = d.sim.telemetry();
-        let hub = hub.borrow();
-        assert_eq!(hub.counter_total(ctr::NW_GAP_PULLS), 2);
-        assert_eq!(hub.counter_total(ctr::NW_GAP_PULL_ITEMS), 3);
-    }
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    assert_eq!(hub.counter_total(ctr::NW_GAP_PULLS), 2);
+    assert_eq!(hub.counter_total(ctr::NW_GAP_PULL_ITEMS), 3);
 }
 
 /// (b) `Deliver`s that overtake one another on a lossless link raise
@@ -133,7 +140,7 @@ fn reordered_delivers_on_a_lossless_link_pull_nothing() {
         assert_eq!(member.deliveries.len(), 40);
         assert!(member.deliveries.iter().all(|r| !r.via_repair));
         assert!(member.gap_suspects.is_empty(), "no suspect survives");
-        assert_eq!(d.sim.node(PUBLISHER).stats.repairs_served, 0, "no pull was sent");
+        assert_eq!(count(d, PUBLISHER, ctr::NW_REPAIRS_SERVED), 0, "no pull was sent");
     }
 }
 
@@ -225,7 +232,7 @@ fn a_retransmitted_handoff_contributes_no_sample() {
             .map(|rep| publisher.peer_health.rtt[publisher.peer_health.slot_of[rep] as usize])
             .map(|rtt| u32::from(rtt.samples))
             .sum();
-        (publisher.stats.ack_retries, timed)
+        (count(&d, PUBLISHER, ctr::NW_ACK_RETRIES), timed)
     };
     let (clean_retries, clean_timed) = run(false);
     let (lossy_retries, lossy_timed) = run(true);
@@ -253,8 +260,8 @@ fn a_forged_answer_to_a_named_pull_is_refused_and_scored() {
     // further.
     d.settle(5);
     let member = d.sim.node(MEMBER);
-    assert_eq!(d.sim.node(PUBLISHER).stats.repairs_served, 2, "both pulls were answered");
-    assert_eq!(member.stats.forged_rejects, 2);
+    assert_eq!(count(&d, PUBLISHER, ctr::NW_REPAIRS_SERVED), 2, "both pulls were answered");
+    assert_eq!(count(&d, MEMBER, ctr::NW_FORGED_REJECTS), 2);
     assert_eq!(member.misbehavior.get(&PUBLISHER.0), Some(&(2 * MISBEHAVIOR_FORGED)));
     assert!(member.quarantined(PUBLISHER.0));
     assert!(member.gap_suspects.is_empty());

@@ -413,20 +413,18 @@ pub fn self_stabilized(
         report = check_invariants(deployment, items, exempt);
     }
     let stabilized = clean(&report);
-    if obs::ENABLED {
-        let now_us = deployment.sim.now().as_micros();
-        let hub = deployment.sim.telemetry();
-        let mut hub = hub.borrow_mut();
-        hub.global_mut().ctr_add(obs::ctr::ORACLE_STABILIZATION_RUNS, 1);
-        hub.trace_at(
-            now_us,
-            u32::MAX,
-            obs::Layer::News,
-            obs::kind::SELF_STABILIZED,
-            rounds_used as u64,
-            stabilized as u64,
-        );
-    }
+    let now_us = deployment.sim.now().as_micros();
+    let hub = deployment.sim.telemetry();
+    let mut hub = hub.borrow_mut();
+    hub.global_mut().ctr_add(obs::ctr::ORACLE_STABILIZATION_RUNS, 1);
+    hub.trace_at(
+        now_us,
+        u32::MAX,
+        obs::Layer::News,
+        obs::kind::SELF_STABILIZED,
+        rounds_used as u64,
+        stabilized as u64,
+    );
     StabilizationReport { stabilized, rounds_used, rounds_budget: within_rounds, report }
 }
 

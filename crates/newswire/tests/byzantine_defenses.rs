@@ -68,7 +68,9 @@ fn signed_epoch_fence_refuses_fabricated_reconcile_epoch() {
     d.settle(10);
     let victim = d.sim.node(VICTIM);
     assert_eq!(victim.article_log(PublisherId(0)).map(|l| l.epoch()), Some(0), "epoch held");
-    assert_eq!(victim.stats.signed_epoch_refusals, 1, "the refusal was signed-authority-backed");
+    let refusals =
+        d.sim.telemetry().borrow().node_counter(VICTIM.index(), obs::ctr::NW_SIGNED_EPOCH_REFUSALS);
+    assert_eq!(refusals, 1, "the refusal was signed-authority-backed");
 }
 
 #[test]
@@ -82,7 +84,10 @@ fn ablation_without_defenses_adopts_the_fabricated_epoch() {
         Some(100),
         "defenses off adopts the fabricated epoch — the E18 ablation in miniature"
     );
-    assert_eq!(victim.stats.signed_epoch_refusals, 0);
+    assert_eq!(
+        d.sim.telemetry().borrow().node_counter(VICTIM.index(), obs::ctr::NW_SIGNED_EPOCH_REFUSALS),
+        0
+    );
 }
 
 #[test]
@@ -117,11 +122,14 @@ fn repair_reply_funnel_refuses_forged_items_but_admits_signed_ones() {
             },
         ],
     };
-    let before = d.sim.node(VICTIM).stats.forged_rejects;
+    let before =
+        d.sim.telemetry().borrow().node_counter(VICTIM.index(), obs::ctr::NW_FORGED_REJECTS);
     d.sim.schedule_external(SimTime::from_secs(95), VICTIM, reply);
     d.settle(10);
     let victim = d.sim.node(VICTIM);
-    assert_eq!(victim.stats.forged_rejects, before + 1, "the forged item was refused");
+    let after =
+        d.sim.telemetry().borrow().node_counter(VICTIM.index(), obs::ctr::NW_FORGED_REJECTS);
+    assert_eq!(after, before + 1, "the forged item was refused");
     assert!(!victim.has_item(forged.id), "forged content never reached the application");
     if victim.subscription.matches(&genuine) {
         assert!(victim.has_item(genuine.id), "the genuinely signed item admitted");

@@ -81,7 +81,9 @@ fn forged_publisher_is_rejected_everywhere() {
     );
     d.settle(20);
     assert!(d.delivered_nodes(&item).is_empty());
-    assert!(d.sim.node(victim).stats.publish_denied > 0);
+    assert!(
+        d.sim.telemetry().borrow().node_counter(victim.index(), obs::ctr::NW_PUBLISH_DENIED) > 0
+    );
 }
 
 #[test]
@@ -166,7 +168,9 @@ fn predicate_subscriptions_filter_at_leaf() {
     d.publish(SimTime::from_secs(60), item.clone());
     d.settle(30);
     assert!(!d.sim.node(probe).has_item(item.id));
-    assert!(d.sim.node(probe).stats.predicate_filtered > 0);
+    assert!(
+        d.sim.telemetry().borrow().node_counter(probe.index(), obs::ctr::NW_PREDICATE_FILTERED) > 0
+    );
     // But the item is still in its cache (delivered to cache, not app).
     assert!(d.sim.node(probe).cache.contains(item.id));
 }
@@ -259,7 +263,9 @@ fn malformed_publisher_predicate_is_rejected() {
     d.settle(15);
     assert!(d.delivered_nodes(&item).is_empty());
     let publisher = d.publisher_node(PublisherId(0));
-    assert!(d.sim.node(publisher).stats.publish_denied > 0);
+    assert!(
+        d.sim.telemetry().borrow().node_counter(publisher.index(), obs::ctr::NW_PUBLISH_DENIED) > 0
+    );
 }
 
 #[test]
@@ -327,10 +333,8 @@ fn lossless_run_leaves_the_repair_path_idle() {
     assert_eq!((stats.repairs_served, stats.repair_items_sent), (0, 0));
     assert_eq!(stats.ack_retries, 0, "nothing was lost, so nothing is retransmitted");
     assert!(d.sim.iter().all(|(_, node)| node.deliveries.iter().all(|r| !r.via_repair)));
-    if obs::ENABLED {
-        let hub = d.sim.telemetry();
-        assert_eq!(hub.borrow().counter_total(obs::ctr::NW_GAP_PULLS), 0);
-    }
+    let hub = d.sim.telemetry();
+    assert_eq!(hub.borrow().counter_total(obs::ctr::NW_GAP_PULLS), 0);
 }
 
 /// A cache far smaller than the feed (4 items, 30 articles): eviction must

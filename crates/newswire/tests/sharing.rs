@@ -78,7 +78,10 @@ fn named_pull_hands_over_the_publishers_allocation() {
     let pulled: Vec<_> = node.deliveries.iter().filter(|r| r.via_repair).collect();
     assert_eq!(pulled.len(), 1, "exactly the lost Deliver came by name");
     assert_eq!(pulled[0].item, item(1).id);
-    assert_eq!(d.sim.node(publisher).stats.repair_items_sent, 1);
+    assert_eq!(
+        d.sim.telemetry().borrow().node_counter(publisher.index(), obs::ctr::NW_REPAIR_ITEMS_SENT),
+        1
+    );
     for seq in 0..4 {
         assert_eq!(holders_sharing(&d, item(seq).id), 1, "seq {seq}");
     }
@@ -105,7 +108,9 @@ fn reconcile_reply_hands_over_the_publishers_allocation() {
     d.sim.schedule_recover(SimTime::from_secs(70), victim);
     d.settle(140);
     let node = d.sim.node(victim);
-    assert!(node.stats.reconcile_items_recv > 0, "the crash window refilled by reconcile");
+    let refilled =
+        d.sim.telemetry().borrow().node_counter(victim.index(), obs::ctr::NW_RECONCILE_ITEMS_RECV);
+    assert!(refilled > 0, "the crash window refilled by reconcile");
     for seq in 0..6 {
         assert!(node.cache.contains(item(seq).id), "seq {seq} refilled");
         holders_sharing(&d, item(seq).id);

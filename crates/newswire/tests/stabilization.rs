@@ -89,19 +89,17 @@ fn corrupted_run_self_stabilizes_and_repairs_without_a_scar() {
         );
     }
 
-    if obs::ENABLED {
-        let hub = dirty.sim.telemetry();
-        let hub = hub.borrow();
-        assert!(
-            hub.counter_total(obs::ctr::SELF_AUDIT_REPAIRS) > 0,
-            "the self-audit must have repaired something"
-        );
-        assert_eq!(
-            hub.global().ctr(obs::ctr::ORACLE_STABILIZATION_RUNS),
-            1,
-            "the stabilization verdict is recorded once"
-        );
-    }
+    let hub = dirty.sim.telemetry();
+    let hub = hub.borrow();
+    assert!(
+        hub.counter_total(obs::ctr::SELF_AUDIT_REPAIRS) > 0,
+        "the self-audit must have repaired something"
+    );
+    assert_eq!(
+        hub.global().ctr(obs::ctr::ORACLE_STABILIZATION_RUNS),
+        1,
+        "the stabilization verdict is recorded once"
+    );
 }
 
 /// The control: an uncorrupted run is already stabilized — the oracle

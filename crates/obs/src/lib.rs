@@ -12,20 +12,17 @@
 //!    [`Telemetry::pair_spans`].
 //! 2. **A per-node metrics registry** ([`MetricSet`] slots declared in
 //!    [`Schema`]): typed counters/gauges/histograms/series with fixed-slot
-//!    registration, so the hot path is an array index. The simulator's
-//!    traffic and fault counters are stored here and the legacy structs are
-//!    reconstructed as views.
+//!    registration, so the hot path is an array index. Every counter of
+//!    every layer is stored here; the structs that report totals (the
+//!    simulator's traffic counters, NewsWire's node counters) are views
+//!    read from it.
 //! 3. **Deterministic telemetry export** ([`Telemetry`]): a JSON/CSV
 //!    snapshot with stable ordering and integer-only values, so same-seed
 //!    runs drain byte-identical telemetry (CI enforces this).
 //!
-//! # Zero cost when disabled
-//!
-//! Everything routed through the macros and the thread-local collector is
-//! gated behind the default-on `obs` cargo feature. With the feature off,
-//! [`ENABLED`] is `false` at compile time: macro bodies are dead code, their
-//! arguments are never evaluated, and the optimizer removes the call sites
-//! entirely.
+//! Counters are always on: the registry is the one place a counter lives.
+//! Tracing is sized at run time by the ring's capacity
+//! ([`TelemetryHub::set_ring_capacity`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,18 +38,10 @@ pub use hub::TelemetryHub;
 pub use metrics::{ctr, gauge, hist, series, CtrId, GaugeId, HistId, MetricSet, Schema, SeriesId};
 pub use trace::{kind, Layer, TraceEvent, TraceRing};
 
-/// Compile-time switch for all macro-driven instrumentation.
-///
-/// `true` iff the `obs` cargo feature is enabled. The macros below test this
-/// constant first, so with the feature off their bodies (including argument
-/// evaluation) are eliminated at compile time.
-pub const ENABLED: bool = cfg!(feature = "obs");
-
 /// Emits one structured trace record into the currently installed hub.
 ///
 /// `trace_event!(node, layer, kind)`, with optional `a` and `b` operand
-/// expressions (converted `as u64`). A no-op that never evaluates its
-/// arguments when the `obs` feature is off, and when no hub is installed
+/// expressions (converted `as u64`). A no-op when no hub is installed
 /// (i.e. outside a simulation callback).
 ///
 /// ```
@@ -68,21 +57,15 @@ macro_rules! trace_event {
         $crate::trace_event!($node, $layer, $kind, $a, 0u64)
     };
     ($node:expr, $layer:expr, $kind:expr, $a:expr, $b:expr) => {
-        if $crate::ENABLED {
-            $crate::collector::emit(($node) as u32, $layer, $kind, ($a) as u64, ($b) as u64);
-        }
+        $crate::collector::emit(($node) as u32, $layer, $kind, ($a) as u64, ($b) as u64)
     };
 }
 
 /// Adds `v` to a per-node counter slot in the currently installed hub.
-///
-/// A no-op (arguments unevaluated) when the `obs` feature is off.
 #[macro_export]
 macro_rules! metric_add {
     ($node:expr, $id:expr, $v:expr) => {
-        if $crate::ENABLED {
-            $crate::collector::counter_add(($node) as u32, $id, ($v) as u64);
-        }
+        $crate::collector::counter_add(($node) as u32, $id, ($v) as u64)
     };
 }
 
@@ -90,9 +73,7 @@ macro_rules! metric_add {
 #[macro_export]
 macro_rules! gauge_set {
     ($node:expr, $id:expr, $v:expr) => {
-        if $crate::ENABLED {
-            $crate::collector::gauge_set(($node) as u32, $id, ($v) as u64);
-        }
+        $crate::collector::gauge_set(($node) as u32, $id, ($v) as u64)
     };
 }
 
@@ -100,9 +81,7 @@ macro_rules! gauge_set {
 #[macro_export]
 macro_rules! gauge_max {
     ($node:expr, $id:expr, $v:expr) => {
-        if $crate::ENABLED {
-            $crate::collector::gauge_max(($node) as u32, $id, ($v) as u64);
-        }
+        $crate::collector::gauge_max(($node) as u32, $id, ($v) as u64)
     };
 }
 
@@ -110,9 +89,7 @@ macro_rules! gauge_max {
 #[macro_export]
 macro_rules! hist_record {
     ($node:expr, $id:expr, $v:expr) => {
-        if $crate::ENABLED {
-            $crate::collector::hist_record(($node) as u32, $id, ($v) as u64);
-        }
+        $crate::collector::hist_record(($node) as u32, $id, ($v) as u64)
     };
 }
 
@@ -120,8 +97,6 @@ macro_rules! hist_record {
 #[macro_export]
 macro_rules! series_record {
     ($node:expr, $id:expr, $v:expr) => {
-        if $crate::ENABLED {
-            $crate::collector::series_record(($node) as u32, $id, ($v) as u64);
-        }
+        $crate::collector::series_record(($node) as u32, $id, ($v) as u64)
     };
 }

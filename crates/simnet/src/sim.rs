@@ -266,17 +266,13 @@ impl<N: Node> Shard<N> {
         // that requests nothing costs the engine no allocation.
         let mut effects = std::mem::take(&mut self.effects);
         {
-            // With tracing on, expose the hub to protocol code for the span
-            // of the callback (callbacks are instantaneous in sim time, so
-            // stamping the clock once here is exact).
-            let _obs_guard = if obs::ENABLED {
-                hub.borrow_mut().set_now_us(self.now.as_micros());
-                // Usually a no-op pointer check: the run loops install the
-                // hub once per window (see `run_window`).
-                obs::collector::install_if_needed(hub)
-            } else {
-                None
-            };
+            // Expose the hub to protocol code for the span of the callback
+            // (callbacks are instantaneous in sim time, so stamping the
+            // clock once here is exact).
+            hub.borrow_mut().set_now_us(self.now.as_micros());
+            // Usually a no-op pointer check: the run loops install the hub
+            // once per window (see `run_window`).
+            let _obs_guard = obs::collector::install_if_needed(hub);
             let node = &mut self.nodes[li];
             let slot = &mut self.slots[li];
             let mut ctx = Context {
@@ -319,17 +315,15 @@ impl<N: Node> Shard<N> {
                                     ctr::LIAR_MESSAGES_INTERCEPTED
                                 };
                                 hub.global_mut().ctr_add(slot, 1);
-                                if obs::ENABLED {
-                                    let what = if action == LiarAction::Tampered { 1 } else { 2 };
-                                    hub.trace_at(
-                                        self.now.as_micros(),
-                                        id.0,
-                                        Layer::Sim,
-                                        kind::LIAR_INTERCEPT,
-                                        u64::from(to.0),
-                                        what,
-                                    );
-                                }
+                                let what = if action == LiarAction::Tampered { 1 } else { 2 };
+                                hub.trace_at(
+                                    self.now.as_micros(),
+                                    id.0,
+                                    Layer::Sim,
+                                    kind::LIAR_INTERCEPT,
+                                    u64::from(to.0),
+                                    what,
+                                );
                             }
                             if action == LiarAction::Dropped {
                                 continue;
@@ -377,16 +371,14 @@ impl<N: Node> Shard<N> {
                             if let Some(c) = hub.node_mut(to.index()) {
                                 c.ctr_add(ctr::MSGS_LOST, 1);
                             }
-                            if obs::ENABLED {
-                                hub.trace_at(
-                                    self.now.as_micros(),
-                                    id.0,
-                                    Layer::Sim,
-                                    kind::MSG_DROP,
-                                    u64::from(to.0),
-                                    drop_cause_code(cause),
-                                );
-                            }
+                            hub.trace_at(
+                                self.now.as_micros(),
+                                id.0,
+                                Layer::Sim,
+                                kind::MSG_DROP,
+                                u64::from(to.0),
+                                drop_cause_code(cause),
+                            );
                         }
                     }
                 }
@@ -436,16 +428,14 @@ impl<N: Node> Shard<N> {
                         c.ctr_add(ctr::MSGS_RECV, 1);
                         c.ctr_add(ctr::BYTES_RECV, size as u64);
                     }
-                    if obs::ENABLED {
-                        hub.trace_at(
-                            self.now.as_micros(),
-                            to.0,
-                            Layer::Sim,
-                            kind::MSG_DELIVER,
-                            u64::from(from.0),
-                            size as u64,
-                        );
-                    }
+                    hub.trace_at(
+                        self.now.as_micros(),
+                        to.0,
+                        Layer::Sim,
+                        kind::MSG_DELIVER,
+                        u64::from(from.0),
+                        size as u64,
+                    );
                 }
                 self.dispatch_callback(hub, to, Callback::Message { from, msg });
             }
@@ -470,16 +460,14 @@ impl<N: Node> Shard<N> {
                     {
                         let mut hub = hub.borrow_mut();
                         hub.global_mut().ctr_add(ctr::CRASHES, 1);
-                        if obs::ENABLED {
-                            hub.trace_at(
-                                self.now.as_micros(),
-                                node.0,
-                                Layer::Sim,
-                                kind::NODE_CRASH,
-                                0,
-                                0,
-                            );
-                        }
+                        hub.trace_at(
+                            self.now.as_micros(),
+                            node.0,
+                            Layer::Sim,
+                            kind::NODE_CRASH,
+                            0,
+                            0,
+                        );
                     }
                     self.nodes[li].on_crash();
                     // The crash failure model for stable storage: the newest
@@ -501,16 +489,14 @@ impl<N: Node> Shard<N> {
                     {
                         let mut hub = hub.borrow_mut();
                         hub.global_mut().ctr_add(ctr::RECOVERIES, 1);
-                        if obs::ENABLED {
-                            hub.trace_at(
-                                self.now.as_micros(),
-                                node.0,
-                                Layer::Sim,
-                                kind::NODE_RECOVER,
-                                0,
-                                0,
-                            );
-                        }
+                        hub.trace_at(
+                            self.now.as_micros(),
+                            node.0,
+                            Layer::Sim,
+                            kind::NODE_RECOVER,
+                            0,
+                            0,
+                        );
                         if mode != RestartMode::Freeze {
                             let slot = if mode == RestartMode::ColdDurable {
                                 ctr::COLD_RESTARTS_DURABLE
@@ -518,16 +504,14 @@ impl<N: Node> Shard<N> {
                                 ctr::COLD_RESTARTS_AMNESIA
                             };
                             hub.global_mut().ctr_add(slot, 1);
-                            if obs::ENABLED {
-                                hub.trace_at(
-                                    self.now.as_micros(),
-                                    node.0,
-                                    Layer::Sim,
-                                    kind::NODE_RESTART,
-                                    mode.discriminant(),
-                                    self.slots[li].disk.total_lost(),
-                                );
-                            }
+                            hub.trace_at(
+                                self.now.as_micros(),
+                                node.0,
+                                Layer::Sim,
+                                kind::NODE_RESTART,
+                                mode.discriminant(),
+                                self.slots[li].disk.total_lost(),
+                            );
                         }
                     }
                     if mode == RestartMode::ColdAmnesia {
@@ -548,16 +532,14 @@ impl<N: Node> Shard<N> {
                         (ctr::PARTITIONS_HEALED, kind::PARTITION_HEAL)
                     };
                     hub.global_mut().ctr_add(slot, 1);
-                    if obs::ENABLED {
-                        hub.trace_at(
-                            self.now.as_micros(),
-                            obs::TraceEvent::GLOBAL,
-                            Layer::Sim,
-                            k,
-                            0,
-                            0,
-                        );
-                    }
+                    hub.trace_at(
+                        self.now.as_micros(),
+                        obs::TraceEvent::GLOBAL,
+                        Layer::Sim,
+                        k,
+                        0,
+                        0,
+                    );
                 }
                 self.net.partition = p;
             }
@@ -585,11 +567,9 @@ impl<N: Node> Shard<N> {
             EventKind::Corrupt { node, op, seed } => {
                 let li = (node.0 - self.base) as usize;
                 if !self.slots[li].down {
-                    if obs::ENABLED {
-                        // Anything the node traces while corrupted is
-                        // stamped with this instant, not its last callback.
-                        hub.borrow_mut().set_now_us(self.now.as_micros());
-                    }
+                    // Anything the node traces while corrupted is
+                    // stamped with this instant, not its last callback.
+                    hub.borrow_mut().set_now_us(self.now.as_micros());
                     // Each strike carries its own seed: the RNG handed to
                     // the node (or disk) is private to this event, so the
                     // strike schedule and the damage it does replay
@@ -608,52 +588,44 @@ impl<N: Node> Shard<N> {
                     }
                     if let CorruptionOp::StolenKey { publisher, .. } = op {
                         hub.global_mut().ctr_add(ctr::KEY_COMPROMISE_STRIKES, 1);
-                        if obs::ENABLED {
-                            hub.trace_at(
-                                self.now.as_micros(),
-                                node.0,
-                                Layer::Sim,
-                                kind::KEY_COMPROMISE_STRIKE,
-                                u64::from(publisher),
-                                units,
-                            );
-                        }
-                    }
-                    if let CorruptionOp::SybilFlood { epoch, .. } = op {
-                        hub.global_mut().ctr_add(ctr::SYBIL_JOINS_ATTEMPTED, units);
-                        if obs::ENABLED {
-                            hub.trace_at(
-                                self.now.as_micros(),
-                                node.0,
-                                Layer::Sim,
-                                kind::SYBIL_STRIKE,
-                                units,
-                                u64::from(epoch),
-                            );
-                        }
-                    }
-                    if obs::ENABLED {
                         hub.trace_at(
                             self.now.as_micros(),
                             node.0,
                             Layer::Sim,
-                            kind::STATE_CORRUPT,
-                            op.discriminant(),
+                            kind::KEY_COMPROMISE_STRIKE,
+                            u64::from(publisher),
                             units,
                         );
                     }
+                    if let CorruptionOp::SybilFlood { epoch, .. } = op {
+                        hub.global_mut().ctr_add(ctr::SYBIL_JOINS_ATTEMPTED, units);
+                        hub.trace_at(
+                            self.now.as_micros(),
+                            node.0,
+                            Layer::Sim,
+                            kind::SYBIL_STRIKE,
+                            units,
+                            u64::from(epoch),
+                        );
+                    }
+                    hub.trace_at(
+                        self.now.as_micros(),
+                        node.0,
+                        Layer::Sim,
+                        kind::STATE_CORRUPT,
+                        op.discriminant(),
+                        units,
+                    );
                     if self.colluders.contains(&node.0) {
                         hub.global_mut().ctr_add(ctr::COLLUSION_STRIKES, 1);
-                        if obs::ENABLED {
-                            hub.trace_at(
-                                self.now.as_micros(),
-                                node.0,
-                                Layer::Sim,
-                                kind::COLLUSION_STRIKE,
-                                op.discriminant(),
-                                units,
-                            );
-                        }
+                        hub.trace_at(
+                            self.now.as_micros(),
+                            node.0,
+                            Layer::Sim,
+                            kind::COLLUSION_STRIKE,
+                            op.discriminant(),
+                            units,
+                        );
                     }
                 }
             }
@@ -714,7 +686,7 @@ impl<N: Node> Shard<N> {
     /// Processes one window sequentially (hub installed once for the span).
     fn run_window(&mut self, master: &Hub, bound_us: u64) {
         self.with_hub(master, |sh, hub| {
-            let _g = if obs::ENABLED { obs::collector::install_if_needed(hub) } else { None };
+            let _g = obs::collector::install_if_needed(hub);
             sh.drain_window(hub, bound_us);
         });
     }
@@ -725,7 +697,7 @@ impl<N: Node> Shard<N> {
         let scr = self.scratch.take().expect("parallel run requires scratch hubs");
         let rc = Rc::new(RefCell::new(scr));
         {
-            let _g = if obs::ENABLED { obs::collector::install_if_needed(&rc) } else { None };
+            let _g = obs::collector::install_if_needed(&rc);
             self.drain_window(&rc, bound_us);
         }
         self.scratch = Some(
@@ -1356,7 +1328,7 @@ impl<N: Node> Simulation<N> {
         let master = Rc::clone(&self.hub);
         for sh in &mut self.shards {
             sh.with_hub(&master, |sh, hub| {
-                let _g = if obs::ENABLED { obs::collector::install_if_needed(hub) } else { None };
+                let _g = obs::collector::install_if_needed(hub);
                 for li in 0..sh.nodes.len() {
                     let gid = sh.base + li as u32;
                     if sh.keyed() {
@@ -1496,7 +1468,7 @@ impl<N: Node> Simulation<N> {
         };
         let master = Rc::clone(&self.hub);
         self.shards[si].with_hub(&master, |sh, hub| {
-            let _g = if obs::ENABLED { obs::collector::install_if_needed(hub) } else { None };
+            let _g = obs::collector::install_if_needed(hub);
             sh.process_next(hub);
         });
         self.sync_window();
@@ -1536,7 +1508,7 @@ impl<N: Node> Simulation<N> {
         self.start_if_needed();
         let before = self.events_processed();
         if self.shards.len() == 1 {
-            let _g = if obs::ENABLED { obs::collector::install_if_needed(&self.hub) } else { None };
+            let _g = obs::collector::install_if_needed(&self.hub);
             let sh = &mut self.shards[0];
             while sh.events_processed - before < max_events && sh.process_next(&self.hub) {}
             self.advance_clock();

@@ -118,22 +118,20 @@ fn main() {
     print!("{verdict}");
     assert!(verdict.stabilized, "defenses-on run must self-stabilize within budget");
 
-    if obs::ENABLED {
-        let hub = d.sim.telemetry();
-        let hub = hub.borrow();
-        println!(
-            "telemetry: {} corrupt rows rejected at ingest, {} self-audit repairs, \
-             {} stabilization runs recorded",
-            hub.counter_total(obs::ctr::CORRUPT_ROWS_REJECTED),
-            hub.counter_total(obs::ctr::SELF_AUDIT_REPAIRS),
-            hub.global().ctr(obs::ctr::ORACLE_STABILIZATION_RUNS),
-        );
-        assert!(
-            hub.counter_total(obs::ctr::CORRUPT_ROWS_REJECTED)
-                + hub.counter_total(obs::ctr::SELF_AUDIT_REPAIRS)
-                > 0,
-            "the defenses must have done visible work"
-        );
-    }
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    println!(
+        "telemetry: {} corrupt rows rejected at ingest, {} self-audit repairs, \
+         {} stabilization runs recorded",
+        hub.counter_total(obs::ctr::CORRUPT_ROWS_REJECTED),
+        hub.counter_total(obs::ctr::SELF_AUDIT_REPAIRS),
+        hub.global().ctr(obs::ctr::ORACLE_STABILIZATION_RUNS),
+    );
+    assert!(
+        hub.counter_total(obs::ctr::CORRUPT_ROWS_REJECTED)
+            + hub.counter_total(obs::ctr::SELF_AUDIT_REPAIRS)
+            > 0,
+        "the defenses must have done visible work"
+    );
     println!("ok");
 }

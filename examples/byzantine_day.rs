@@ -111,24 +111,22 @@ fn main() {
     assert!(verdict.report.no_forged_delivery(), "no forged item may reach any application");
     assert!(verdict.stabilized, "defenses-on run must self-stabilize within budget");
 
-    if obs::ENABLED {
-        let hub = d.sim.telemetry();
-        let hub = hub.borrow();
-        println!(
-            "telemetry: {} forged items rejected at admission, {} peers quarantined, \
-             {} signed-authority epoch refusals",
-            hub.counter_total(obs::ctr::NW_FORGED_REJECTS),
-            hub.counter_total(obs::ctr::NW_QUARANTINES),
-            hub.counter_total(obs::ctr::NW_SIGNED_EPOCH_REFUSALS),
-        );
-        assert!(
-            hub.counter_total(obs::ctr::NW_FORGED_REJECTS) > 0,
-            "the signature checks must have done visible work"
-        );
-        assert!(
-            hub.counter_total(obs::ctr::NW_SIGNED_EPOCH_REFUSALS) > 0,
-            "the signed epoch fence must have done visible work"
-        );
-    }
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    println!(
+        "telemetry: {} forged items rejected at admission, {} peers quarantined, \
+         {} signed-authority epoch refusals",
+        hub.counter_total(obs::ctr::NW_FORGED_REJECTS),
+        hub.counter_total(obs::ctr::NW_QUARANTINES),
+        hub.counter_total(obs::ctr::NW_SIGNED_EPOCH_REFUSALS),
+    );
+    assert!(
+        hub.counter_total(obs::ctr::NW_FORGED_REJECTS) > 0,
+        "the signature checks must have done visible work"
+    );
+    assert!(
+        hub.counter_total(obs::ctr::NW_SIGNED_EPOCH_REFUSALS) > 0,
+        "the signed epoch fence must have done visible work"
+    );
     println!("ok");
 }

@@ -100,15 +100,14 @@ fn main() {
     let faults = d.sim.fault_counters();
     let stats = d.total_stats();
     println!(
-        "engine: {} crashes / {} recoveries; protocol: {} cold restarts, \
-         {} recoveries run to completion, {} items backfilled during recovery",
+        "engine: {} crashes / {} recoveries; protocol: {} recoveries run to completion, \
+         {} items backfilled during recovery",
         faults.crashes,
         faults.recoveries,
-        stats.cold_restarts,
         stats.recoveries_completed,
         stats.recovery_backfill_items
     );
-    if obs::ENABLED {
+    {
         let hub = d.sim.telemetry();
         let hub = hub.borrow();
         println!(
@@ -124,11 +123,12 @@ fn main() {
 
     // Cold-restarted nodes burned incarnations; frozen nodes never do.
     // (A lucky churner can ride out the whole window without crashing, so
-    // gate on the node having actually cold-restarted.)
+    // gate on the node's disk holding an incarnation record: only a cold
+    // restart writes one.)
     for &n in durable.iter().chain(&amnesic) {
-        let node = d.sim.node(n);
-        if node.stats.cold_restarts > 0 {
-            assert!(node.agent.incarnation() > 0, "cold node {n:?} must burn an incarnation");
+        if d.sim.disk(n).read("incar").is_some() {
+            let incarnation = d.sim.node(n).agent.incarnation();
+            assert!(incarnation > 0, "cold node {n:?} must burn an incarnation");
         }
     }
     for &n in &frozen {

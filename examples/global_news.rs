@@ -95,7 +95,11 @@ fn main() {
         "predicate subscriber {urgent_only}: delivered flash = {}, delivered routine = {} (predicate filtered {})",
         node.has_item(flash.id),
         node.has_item(routine.id),
-        node.stats.predicate_filtered
+        deployment
+            .sim
+            .telemetry()
+            .borrow()
+            .node_counter(urgent_only.index(), obs::ctr::NW_PREDICATE_FILTERED)
     );
     assert!(!node.has_item(routine.id), "urgency predicate must filter routine items");
 

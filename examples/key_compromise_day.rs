@@ -139,31 +139,29 @@ fn main() {
         verdict.report.compromise_exposure.len()
     );
 
-    if obs::ENABLED {
-        let hub = d.sim.telemetry();
-        let hub = hub.borrow();
-        println!(
-            "telemetry: {} revocations adopted, {} revoked-key rejects across admission \
-             paths, {} items retroactively purged, {} Sybil joins refused, {} identities \
-             held in probation",
-            hub.counter_total(obs::ctr::CERT_REVOCATIONS_SEEN),
-            hub.counter_total(obs::ctr::NW_REVOKED_KEY_REJECTS),
-            hub.counter_total(obs::ctr::NW_RETRO_PURGED_ITEMS),
-            hub.counter_total(obs::ctr::SYBIL_JOINS_REFUSED),
-            hub.counter_total(obs::ctr::NW_PROBATION_HOLDS),
-        );
-        assert!(
-            hub.counter_total(obs::ctr::CERT_REVOCATIONS_SEEN) >= u64::from(subscribers),
-            "the rotation must reach the whole fleet"
-        );
-        assert!(
-            hub.counter_total(obs::ctr::NW_RETRO_PURGED_ITEMS) > 0,
-            "the retroactive purge must have done visible work"
-        );
-        assert!(
-            hub.counter_total(obs::ctr::SYBIL_JOINS_REFUSED) > 0,
-            "admission control must have done visible work"
-        );
-    }
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    println!(
+        "telemetry: {} revocations adopted, {} revoked-key rejects across admission \
+         paths, {} items retroactively purged, {} Sybil joins refused, {} identities \
+         held in probation",
+        hub.counter_total(obs::ctr::CERT_REVOCATIONS_SEEN),
+        hub.counter_total(obs::ctr::NW_REVOKED_KEY_REJECTS),
+        hub.counter_total(obs::ctr::NW_RETRO_PURGED_ITEMS),
+        hub.counter_total(obs::ctr::SYBIL_JOINS_REFUSED),
+        hub.counter_total(obs::ctr::NW_PROBATION_HOLDS),
+    );
+    assert!(
+        hub.counter_total(obs::ctr::CERT_REVOCATIONS_SEEN) >= u64::from(subscribers),
+        "the rotation must reach the whole fleet"
+    );
+    assert!(
+        hub.counter_total(obs::ctr::NW_RETRO_PURGED_ITEMS) > 0,
+        "the retroactive purge must have done visible work"
+    );
+    assert!(
+        hub.counter_total(obs::ctr::SYBIL_JOINS_REFUSED) > 0,
+        "admission control must have done visible work"
+    );
     println!("ok");
 }

@@ -89,7 +89,8 @@ fn main() {
         items.push(item);
     }
     d.settle(80);
-    let denied = d.sim.node(publisher).stats.publish_denied;
+    let denied =
+        d.sim.telemetry().borrow().node_counter(publisher.index(), obs::ctr::NW_PUBLISH_DENIED);
     let mut delivered = 0usize;
     let mut wanted = 0usize;
     for item in &items {

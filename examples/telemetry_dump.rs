@@ -2,9 +2,7 @@
 //! and print the deterministic JSON snapshot plus the trace-event CSV.
 //!
 //! The output is byte-for-byte reproducible for a given seed — CI diffs two
-//! runs of this example to enforce telemetry determinism. With the `obs`
-//! feature disabled (`--no-default-features`) the dump is empty but still
-//! well-formed.
+//! runs of this example to enforce telemetry determinism.
 //!
 //! Run with: `cargo run --release --example telemetry_dump [seed]`
 

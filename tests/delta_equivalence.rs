@@ -161,7 +161,6 @@ fn run_arm(deltas: bool, seed: u64) -> Arm {
     }
 
     let bytes_sent = d.sim.total_counters().bytes_sent;
-    #[cfg(feature = "obs")]
     let bytes_wire = {
         let hub = d.sim.telemetry();
         let total = hub.borrow().counter_total(obs::ctr::BYTES_WIRE);
@@ -178,8 +177,6 @@ fn run_arm(deltas: bool, seed: u64) -> Arm {
         }
         total
     };
-    #[cfg(not(feature = "obs"))]
-    let bytes_wire = 0;
     let telemetry = d.sim.drain_telemetry().to_json();
     Arm { state: ArmState { cache, delivered }, bytes_sent, bytes_wire, telemetry }
 }
@@ -217,19 +214,12 @@ fn delta_on_delivers_identical_state_under_chaos() {
     // And the delta arm must have actually been cheaper on the wire: the
     // compressed accounting lane strictly undercuts its own full-priced
     // total (the full arm never tallies the lane).
-    #[cfg(feature = "obs")]
-    {
-        assert_eq!(full.bytes_wire, 0, "delta accounting stays off in the full arm");
-        assert!(delta.bytes_wire > 0, "delta arm tallies the compressed lane");
-        assert!(
-            delta.bytes_wire < delta.bytes_sent,
-            "delta arm saves wire bytes: wire {} vs sent {}",
-            delta.bytes_wire,
-            delta.bytes_sent
-        );
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (full.bytes_sent, full.bytes_wire, delta.bytes_sent, delta.bytes_wire);
-    }
+    assert_eq!(full.bytes_wire, 0, "delta accounting stays off in the full arm");
+    assert!(delta.bytes_wire > 0, "delta arm tallies the compressed lane");
+    assert!(
+        delta.bytes_wire < delta.bytes_sent,
+        "delta arm saves wire bytes: wire {} vs sent {}",
+        delta.bytes_wire,
+        delta.bytes_sent
+    );
 }

@@ -1,11 +1,11 @@
 //! End-to-end checks of the observability layer over a full NewsWire
-//! deployment: the metrics registry must agree with the ground-truth node
-//! state it mirrors, and a drained telemetry snapshot must be byte-for-byte
+//! deployment: the metrics registry must agree with the delivery logs it
+//! summarizes, and a drained telemetry snapshot must be byte-for-byte
 //! deterministic for a given seed (the property CI enforces).
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
 use newswire::{
-    tech_news_deployment, Deployment, DeploymentBuilder, NewsWireConfig, PublisherSpec,
+    tech_news_deployment, Deployment, DeploymentBuilder, NewsWireConfig, NodeStats, PublisherSpec,
 };
 use simnet::{ChurnSpec, FaultPlan, NodeId, RestartMode, SimTime};
 
@@ -28,11 +28,10 @@ fn sample_run(seed: u64) -> Deployment {
 /// per-node delivery-log walk on a churn-free run (no node ever cleared its
 /// log, so the two views see the identical sample set).
 #[test]
-#[cfg(feature = "obs")]
 fn registry_latency_matches_delivery_log_walk() {
     let d = sample_run(0x0B5);
     let mut walk = d.delivery_latency_summary();
-    let mut reg = d.delivery_latency_from_registry().expect("obs is on and items delivered");
+    let mut reg = d.delivery_latency_from_registry();
     assert!(!walk.is_empty(), "workload sanity: something delivered");
     assert_eq!(walk.len(), reg.len(), "sample counts differ");
     for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
@@ -44,32 +43,10 @@ fn registry_latency_matches_delivery_log_walk() {
     assert!((walk.max() - reg.max()).abs() < 1e-9);
 }
 
-/// Registry counters mirror the authoritative `NodeStats` totals exactly:
-/// neither resets while a node stays in the simulation.
-#[test]
-#[cfg(feature = "obs")]
-fn registry_counters_match_node_stats() {
-    let d = sample_run(0x0B6);
-    let stats = d.total_stats();
-    let hub = d.sim.telemetry();
-    let hub = hub.borrow();
-    use obs::ctr;
-    for (label, slot, want) in [
-        ("delivered", ctr::NW_DELIVERED, stats.delivered),
-        ("duplicates", ctr::NW_DUPLICATES, stats.duplicates),
-        ("forwards", ctr::NW_FORWARDS, stats.forwards_sent),
-        ("acks", ctr::NW_ACKS_RECEIVED, stats.acks_received),
-        ("repairs_served", ctr::NW_REPAIRS_SERVED, stats.repairs_served),
-    ] {
-        assert_eq!(hub.counter_total(slot), want, "{label} counter diverged from NodeStats");
-    }
-}
-
 /// The two recovery-item counters are appended after every slot a contract
 /// metric reads (none of those moved), and they classify what the recovery
 /// paths actually carried: nothing is counted that was not sent.
 #[test]
-#[cfg(feature = "obs")]
 fn recovery_item_counters_append_after_the_existing_slots() {
     use obs::ctr;
     assert_eq!(
@@ -84,17 +61,15 @@ fn recovery_item_counters_append_after_the_existing_slots() {
     let (held, unwanted) =
         (hub.counter_total(ctr::NW_RECOVERY_HELD), hub.counter_total(ctr::NW_RECOVERY_UNWANTED));
     // Anti-entropy spreads every article to nodes that never subscribed to
-    // it (ROADMAP item 2(b)); a lossless run re-sends next to nothing held.
+    // it (ROADMAP item 2); a lossless run re-sends next to nothing held.
     assert!(unwanted > 0, "workload sanity: someone was sent an article it never wanted");
     assert!(held + unwanted <= sent, "{held} + {unwanted} classified of {sent} sent");
     assert!(held * 10 <= sent, "{held} of {sent} recovery items were already held");
 }
 
-/// The delivery chain's two counters are appended after those, with no
-/// `NodeStats` mirror; on a lossless run they read what the mechanism did
-/// there — nothing.
+/// The delivery chain's two counters are appended after those; on a
+/// lossless run they read what the mechanism did there — nothing.
 #[test]
-#[cfg(feature = "obs")]
 fn gap_pull_counters_append_after_the_existing_slots() {
     use obs::ctr;
     assert_eq!(
@@ -117,7 +92,6 @@ fn gap_pull_counters_append_after_the_existing_slots() {
 /// are live there too, and the bytes they saved are the larger part of what
 /// the rows would have cost.
 #[test]
-#[cfg(feature = "obs")]
 fn the_full_gossip_wire_moves_unchanged_rows_by_stamp() {
     use obs::ctr;
     assert_eq!((ctr::NW_GAP_PULL_ITEMS.0, ctr::GOSSIP_BYTES_SENT.0), (95, 96));
@@ -138,8 +112,7 @@ fn the_full_gossip_wire_moves_unchanged_rows_by_stamp() {
 
 /// Two runs with the same seed drain byte-identical telemetry JSON and
 /// trace CSV. This is the exact property the CI telemetry-determinism gate
-/// checks; it must hold whether or not `obs` is enabled (obs-off drains an
-/// empty but well-formed snapshot).
+/// checks.
 #[test]
 fn same_seed_drains_identical_telemetry() {
     let mut a = sample_run(0xD37);
@@ -270,7 +243,6 @@ fn same_seed_adversary_run_drains_identical_telemetry() {
     assert_eq!(ca, cb, "same-seed adversary trace CSV diverged");
     // The adversary counters and the oracle verdict are part of the
     // drained snapshot (slot coverage for the new instrumentation).
-    #[cfg(feature = "obs")]
     for name in [
         "state_corruptions",
         "liar_messages_intercepted",
@@ -385,25 +357,20 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
     // (slot coverage for the Byzantine instrumentation the nightly gate
     // reads). Only non-zero slots export, so this also proves every defense
     // actually fired in the run.
-    #[cfg(feature = "obs")]
-    {
-        for name in [
-            "collusion_strikes",
-            "collusion_intercepts",
-            "forged_items_injected",
-            "forged_rejects",
-            "quarantines",
-            "signed_epoch_refusals",
-            "oracle_stabilization_runs",
-        ] {
-            assert!(ja.contains(name), "drained telemetry must carry `{name}`");
-        }
-        for kind in ["collusion_strike", "forged_reject", "peer_quarantine", "signed_epoch_refusal"]
-        {
-            assert!(ca.contains(kind), "trace CSV must carry `{kind}` records");
-        }
+    for name in [
+        "collusion_strikes",
+        "collusion_intercepts",
+        "forged_items_injected",
+        "forged_rejects",
+        "quarantines",
+        "signed_epoch_refusals",
+        "oracle_stabilization_runs",
+    ] {
+        assert!(ja.contains(name), "drained telemetry must carry `{name}`");
     }
-    let _ = (ca, cb);
+    for kind in ["collusion_strike", "forged_reject", "peer_quarantine", "signed_epoch_refusal"] {
+        assert!(ca.contains(kind), "trace CSV must carry `{kind}` records");
+    }
 }
 
 /// A trust-root rotation run — a stolen-key window straddling the
@@ -484,37 +451,32 @@ fn same_seed_trust_rotation_run_drains_identical_telemetry() {
     // snapshot (slot coverage for the E21 instrumentation the nightly gate
     // reads). Only non-zero slots export, so this also proves every
     // defense actually fired in the run.
-    #[cfg(feature = "obs")]
-    {
-        for name in [
-            "key_compromise_strikes",
-            "sybil_joins_attempted",
-            "sybil_joins_refused",
-            "cert_revocations_seen",
-            "revoked_key_rejects",
-            "retro_purged_items",
-            "probation_holds",
-        ] {
-            assert!(ja.contains(name), "drained telemetry must carry `{name}`");
-        }
-        for kind in [
-            "key_compromise_strike",
-            "sybil_strike",
-            "cert_revoked",
-            "revoked_key_reject",
-            "retro_purge",
-            "probation_hold",
-        ] {
-            assert!(ca.contains(kind), "trace CSV must carry `{kind}` records");
-        }
+    for name in [
+        "key_compromise_strikes",
+        "sybil_joins_attempted",
+        "sybil_joins_refused",
+        "cert_revocations_seen",
+        "revoked_key_rejects",
+        "retro_purged_items",
+        "probation_holds",
+    ] {
+        assert!(ja.contains(name), "drained telemetry must carry `{name}`");
     }
-    let _ = (ca, cb);
+    for kind in [
+        "key_compromise_strike",
+        "sybil_strike",
+        "cert_revoked",
+        "revoked_key_reject",
+        "retro_purge",
+        "probation_hold",
+    ] {
+        assert!(ca.contains(kind), "trace CSV must carry `{kind}` records");
+    }
 }
 
 /// Draining is destructive: a second drain yields an empty snapshot, while
 /// `snapshot_telemetry` leaves state in place.
 #[test]
-#[cfg(feature = "obs")]
 fn drain_resets_snapshot_does_not() {
     let mut d = sample_run(0xD38);
     let snap1 = d.sim.snapshot_telemetry();
@@ -524,4 +486,18 @@ fn drain_resets_snapshot_does_not() {
     assert_eq!(drained.to_json(), snap1.to_json(), "drain returns what snapshot saw");
     let after = d.sim.snapshot_telemetry();
     assert!(after.events.is_empty(), "drain must clear the trace ring");
+}
+
+/// `total_stats` is a view of the registry, so it lives exactly as long as
+/// the registry's counters: a snapshot leaves it unchanged, a drain zeroes
+/// it.
+#[test]
+fn total_stats_survives_a_snapshot_and_not_a_drain() {
+    let mut d = sample_run(0xD39);
+    let before = d.total_stats();
+    assert!(before.delivered > 0 && before.forwards_sent > 0, "workload sanity");
+    let _ = d.sim.snapshot_telemetry();
+    assert_eq!(d.total_stats(), before, "a snapshot must not touch the counters");
+    let _ = d.sim.drain_telemetry();
+    assert_eq!(d.total_stats(), NodeStats::default(), "a drain zeroes every counter");
 }
