@@ -218,21 +218,6 @@ impl MessageCache {
         n
     }
 
-    /// Cached items from `publisher` with sequence numbers at or above
-    /// `min_seq` (what a reconcile reply is built from, bounded by `limit`).
-    pub fn items_from(
-        &self,
-        publisher: PublisherId,
-        min_seq: u64,
-        limit: usize,
-    ) -> Vec<Arc<NewsItem>> {
-        self.items
-            .range(ItemId::new(publisher, min_seq)..=ItemId::new(publisher, u64::MAX))
-            .take(limit)
-            .map(|(_, (item, _))| Arc::clone(item))
-            .collect()
-    }
-
     /// The most recent `limit` items across publishers (the XML-RPC
     /// `newswire.latest` feed).
     pub fn snapshot(&self, limit: usize) -> Vec<Arc<NewsItem>> {
@@ -343,29 +328,12 @@ mod tests {
     }
 
     #[test]
-    fn items_from_serves_repair_inclusively() {
-        let mut c = MessageCache::default();
-        for i in 0..=10u64 {
-            c.insert(item(1, i, &format!("s{i}"), 0), t(i));
-        }
-        c.insert(item(2, 50, "other", 0), t(11));
-        let repair = c.items_from(PublisherId(1), 8, 100);
-        let seqs: Vec<u64> = repair.iter().map(|i| i.id.seq).collect();
-        assert_eq!(seqs, vec![8, 9, 10]);
-        // Inclusive from zero: the very first item is repairable.
-        assert_eq!(c.items_from(PublisherId(1), 0, 100).len(), 11);
-        let limited = c.items_from(PublisherId(1), 0, 2);
-        assert_eq!(limited.len(), 2);
-    }
-
-    #[test]
     fn replies_share_the_cached_allocation() {
         let mut c = MessageCache::default();
         let published = Arc::new(item(1, 1, "a", 0));
         c.insert(Arc::clone(&published), t(0));
         let id = published.id;
         assert!(Arc::ptr_eq(c.get(id).unwrap(), &published));
-        assert!(Arc::ptr_eq(&c.items_from(PublisherId(1), 0, 10)[0], &published));
         assert!(Arc::ptr_eq(&c.snapshot(10)[0], &published));
         assert_eq!(c.latest_for_slug(PublisherId(1), "a"), Some(&*published));
         assert_eq!(c.latest_for_slug(PublisherId(2), "a"), None);

@@ -69,13 +69,13 @@ pub use cache::{CacheOutcome, CachePolicy, MessageCache};
 pub use config::{NewsWireConfig, SubscriptionModel};
 pub use deploy::{tech_news_deployment, Deployment, DeploymentBuilder, NodeStats, PublisherSpec};
 pub use flow::TokenBucket;
-pub use node::{DeliveryRecord, NewsWireNode, PublisherState, AE_ATTR_PREFIX};
+pub use node::{DeliveryRecord, LogEntry, NewsWireNode, PublisherState, AE_ATTR_PREFIX};
 pub use oracle::{
     check_invariants, collusion_breaking_point, self_stabilized, OracleReport, StabilizationReport,
     Violation,
 };
 pub use subscription::{item_position_groups, ItemRow, Subscription};
-pub use wire::{msg_id_of, Envelope, NewsWireMsg, SignedItem};
+pub use wire::{msg_id_of, Envelope, NewsWireMsg, SignedItem, Stub};
 
 #[cfg(test)]
 mod proptests {

@@ -11,6 +11,7 @@
 //! (authentication, flow control, scoped publishing).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use amcast::{
@@ -40,7 +41,7 @@ use crate::config::{NewsWireConfig, SubscriptionModel};
 use crate::flow::TokenBucket;
 use crate::persist;
 use crate::subscription::{item_position_groups, Subscription};
-use crate::wire::{msg_id_of, DeltaBasis, Envelope, NewsWireMsg, SignedItem};
+use crate::wire::{msg_id_of, DeltaBasis, Envelope, NewsWireMsg, SignedItem, Stub};
 
 /// Publisher-side state (present only on publisher nodes).
 #[derive(Debug)]
@@ -69,6 +70,57 @@ pub struct DeliveryRecord {
     /// True when the item arrived out of a peer's cache — a named pull or
     /// a reconcile reply — rather than down the multicast tree.
     pub via_repair: bool,
+}
+
+/// What an article log records about a seq it has seen — what the node can
+/// vouch for when a reconcile peer asks about it (DESIGN §7). Four bytes:
+/// every seq of every log pays for one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogEntry {
+    /// The article entered this node's cache. While the cache holds it, it
+    /// is served (or withheld) on its merits; once fused into a newer
+    /// telling or evicted, the node vouches for it as gone to anyone.
+    Held,
+    /// Settled without the article — a reconcile peer withheld it, or this
+    /// node saw it but may not hold it. The stub is all the node vouches
+    /// with, and only to a requester whose summary it rejects.
+    NotForMe(StubId),
+}
+
+/// A not-for-me entry's stub, by its place in the node's stub table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StubId(NonZeroU32);
+
+/// One copy of each distinct stub the node's article logs refer to. The
+/// tellings of one story share a stub, and so do articles of one category
+/// and topic, so the table grows with the publishers' vocabulary, not with
+/// the feed.
+#[derive(Debug, Default)]
+struct StubTable {
+    stubs: Vec<Stub>,
+    ids: HashMap<Stub, StubId>,
+}
+
+impl StubTable {
+    fn intern(&mut self, stub: Stub) -> StubId {
+        if let Some(&id) = self.ids.get(&stub) {
+            return id;
+        }
+        let n = u32::try_from(self.stubs.len() + 1).expect("fewer than 2^32 distinct stubs");
+        let id = StubId(NonZeroU32::new(n).expect("one past an index is not zero"));
+        self.stubs.push(stub.clone());
+        self.ids.insert(stub, id);
+        id
+    }
+
+    fn get(&self, id: StubId) -> &Stub {
+        &self.stubs[id.0.get() as usize - 1]
+    }
+
+    fn clear(&mut self) {
+        self.stubs.clear();
+        self.ids.clear();
+    }
 }
 
 /// Metadata key carrying the publisher's §8 dissemination predicate.
@@ -168,19 +220,40 @@ const MAX_PULL_IDS: usize = 8;
 /// fused or evicted it, and gossip-paced reconcile owns the hole.
 const GAP_SUSPECT_TTL: SimDuration = SimDuration::from_secs(10);
 
+/// Most peers one reconcile pass asks, the first included, about holes the
+/// peers before them could not vouch for.
+const MAX_ASKED: usize = 4;
+
+/// How long the article logs stay quiet before a hole-free node asks a
+/// cross-zone peer for what lies past them; each ask that turns up nothing
+/// doubles the wait.
+const TAIL_PROBE_QUIET: SimDuration = SimDuration::from_secs(10);
+
 /// One outstanding reconcile request awaiting its `ReconcileReply`.
 #[derive(Debug)]
 struct PendingReconcile {
     peer: NodeId,
     publisher: PublisherId,
-    /// The inclusive ranges requested (settled against the reply summary).
+    /// The inclusive ranges requested; with `tail_from`, where the reply's
+    /// stubs are believed.
     ranges: Vec<(u64, u64)>,
+    /// The tail mark requested: everything at or past it.
+    tail_from: u64,
+    /// Peers this pass asked before `peer`, about the same holes.
+    asked: Vec<u32>,
     timer: TimerId,
     retargets: u32,
     /// True when the peer was chosen because its *gossiped digest* vouched
     /// coverage for our holes (as opposed to a blind cross-zone ask) — an
     /// empty reply then contradicts the advertisement.
     via_digest: bool,
+}
+
+impl PendingReconcile {
+    /// True when the request asked about `seq`.
+    fn requested(&self, seq: u64) -> bool {
+        seq >= self.tail_from || self.ranges.iter().any(|&(lo, hi)| lo <= seq && seq <= hi)
+    }
 }
 
 /// One unacknowledged tree hand-off awaiting its `ForwardAck`.
@@ -386,9 +459,16 @@ pub struct NewsWireNode {
     /// pull's answer; at most [`MAX_GAP_SUSPECTS`].
     gap_suspects: Vec<GapSuspect>,
     /// Per-publisher article logs: which sequence numbers this node has
-    /// *seen* (delivered, cached, or deliberately filtered). Gaps are the
-    /// holes anti-entropy reconciliation pulls.
-    article_logs: BTreeMap<PublisherId, SeqLog<()>>,
+    /// *seen* (cached, or settled as not for it), and what it can vouch for
+    /// about each. Gaps are the holes anti-entropy reconciliation pulls.
+    article_logs: BTreeMap<PublisherId, SeqLog<LogEntry>>,
+    /// The stubs the article logs' not-for-me entries refer to.
+    stubs: StubTable,
+    /// When a blind cross-zone ask for the tail of a hole-free log is next
+    /// due, and the wait after it: a whole leaf zone that missed a
+    /// publisher's newest article has no neighbour ahead to reveal it.
+    /// Anything newly logged restarts the wait at [`TAIL_PROBE_QUIET`].
+    tail_probe: (SimTime, SimDuration),
     /// Failure detection over peers this node has heard from; any message
     /// counts as a heartbeat. Replaces the fixed retry cliff in the ack
     /// layer: a suspect representative is failed over immediately.
@@ -485,6 +565,8 @@ impl NewsWireNode {
             delivery_chains: Vec::new(),
             gap_suspects: Vec::new(),
             article_logs: BTreeMap::new(),
+            stubs: StubTable::default(),
+            tail_probe: (SimTime::ZERO + TAIL_PROBE_QUIET, TAIL_PROBE_QUIET),
             peer_health,
             awaiting_reconcile: None,
             reconcile_cursor: 0,
@@ -870,6 +952,34 @@ impl NewsWireNode {
         // from the next round on.
         obs::trace_event!(self.agent.id(), Layer::News, kind::SUB_PROPAGATE);
         self.subscription = sub;
+        self.forget_admitted_stubs();
+    }
+
+    /// Drops every not-for-me log entry the current subscription admits, so
+    /// reconcile backfills what a widened subscription newly matches. A
+    /// reply still in flight was asked for under the old interest, so its
+    /// stubs are no longer believed either.
+    fn forget_admitted_stubs(&mut self) {
+        self.awaiting_reconcile = None;
+        let publishers: Vec<PublisherId> = self.article_logs.keys().copied().collect();
+        for publisher in publishers {
+            let own = self.interest(publisher);
+            let log = &self.article_logs[&publisher];
+            let admitted = |entry: &LogEntry| match *entry {
+                LogEntry::NotForMe(id) => self.admits(&own, self.stubs.get(id)),
+                LogEntry::Held => false,
+            };
+            let all = || log.range(log.floor(), u64::MAX);
+            if !all().any(|(_, entry)| admitted(entry)) {
+                continue;
+            }
+            let mut kept = SeqLog::new(ARTICLE_LOG_CAPACITY);
+            for (seq, &entry) in all().filter(|(_, entry)| !admitted(entry)) {
+                kept.insert(seq, entry);
+            }
+            kept.restore_coverage(&log.encode_coverage());
+            self.article_logs.insert(publisher, kept);
+        }
     }
 
     /// True when the item with `id` has been delivered to the application.
@@ -896,7 +1006,7 @@ impl NewsWireNode {
 
     /// The per-publisher article log, when anything from `publisher` has
     /// been seen.
-    pub fn article_log(&self, publisher: PublisherId) -> Option<&SeqLog<()>> {
+    pub fn article_log(&self, publisher: PublisherId) -> Option<&SeqLog<LogEntry>> {
         self.article_logs.get(&publisher)
     }
 
@@ -905,12 +1015,18 @@ impl NewsWireNode {
         self.article_logs.keys().copied()
     }
 
-    /// Records that `id` has been seen (whatever the cache then decided).
-    fn log_seen(&mut self, id: ItemId) {
-        self.article_logs
+    /// Records that `id` has been seen. A seq already logged keeps its
+    /// entry: a stub that later meets its article in the cache only means
+    /// the node vouches for less once the article is gone.
+    fn log_seen(&mut self, id: ItemId, entry: LogEntry) {
+        let news = self
+            .article_logs
             .entry(id.publisher)
             .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY))
-            .insert(id.seq, ());
+            .insert(id.seq, entry);
+        if news {
+            self.tail_probe = (self.clock + TAIL_PROBE_QUIET, TAIL_PROBE_QUIET);
+        }
     }
 
     /// Any message from `from` is a heartbeat for its phi detector. Returns
@@ -977,18 +1093,75 @@ impl NewsWireNode {
         }
     }
 
-    /// The per-hop filter for an item under this deployment's model.
+    /// The per-hop filter for an item under this deployment's model, built
+    /// from the item's stub: a summary row admits it exactly when
+    /// [`Stub::admitted_by`] the row's set positions does.
     fn filter_for(&self, item: &NewsItem) -> FilterSpec {
+        let stub = self.stub_of(item);
         match self.cfg.model {
-            SubscriptionModel::Bloom { bits, hashes } => FilterSpec::BloomAny {
+            SubscriptionModel::Bloom { .. } => FilterSpec::BloomAny {
                 attr: "subs".to_owned(),
-                groups: item_position_groups(item, bits, hashes),
+                groups: stub
+                    .0
+                    .chunks(self.stub_group())
+                    .map(|g| g.iter().map(|&p| usize::from(p)).collect())
+                    .collect(),
             },
             SubscriptionModel::CategoryMask => FilterSpec::MaskBits {
                 attr: self.cfg.model.attr_for(item.id.publisher),
-                mask: item.categories.iter().fold(0u64, |m, c| m | 1 << c.bit()),
+                mask: stub.0.iter().fold(0u64, |m, &b| m | 1 << b),
             },
         }
+    }
+
+    /// The positions an item's per-hop filter tests: its Bloom groups,
+    /// flattened, or its category bits.
+    fn stub_of(&self, item: &NewsItem) -> Stub {
+        let positions: Vec<u16> = match self.cfg.model {
+            SubscriptionModel::Bloom { bits, hashes } => item_position_groups(item, bits, hashes)
+                .into_iter()
+                .flatten()
+                .map(|p| u16::try_from(p).expect("Bloom arrays are narrower than 2^16 bits"))
+                .collect(),
+            SubscriptionModel::CategoryMask => {
+                let mask = item.categories.iter().fold(0u64, |m, c| m | 1 << c.bit());
+                (0..64).filter(|&b| mask >> b & 1 == 1).collect()
+            }
+        };
+        Stub(positions.into_boxed_slice())
+    }
+
+    /// How many stub positions one filter group spans: a Bloom key's hash
+    /// count, or one category bit.
+    fn stub_group(&self) -> usize {
+        match self.cfg.model {
+            SubscriptionModel::Bloom { hashes, .. } => hashes.max(1) as usize,
+            SubscriptionModel::CategoryMask => 1,
+        }
+    }
+
+    /// This node's interest in `publisher`: the set positions of the summary
+    /// value the tree tests at its leaf row — `subs`, or
+    /// `cats$<publisher>` — derived from the subscription itself, so a
+    /// corrupted advertisement cannot talk the node out of what it wants.
+    fn interest(&self, publisher: PublisherId) -> Vec<u16> {
+        match self.cfg.model {
+            SubscriptionModel::Bloom { bits, hashes } => self
+                .subscription
+                .to_bloom(bits, hashes)
+                .ones()
+                .map(|p| u16::try_from(p).expect("Bloom arrays are narrower than 2^16 bits"))
+                .collect(),
+            SubscriptionModel::CategoryMask => {
+                let mask = self.subscription.mask_for(publisher).0;
+                (0..64).filter(|&b| mask >> b & 1 == 1).collect()
+            }
+        }
+    }
+
+    /// True when `interest` admits the article `stub` stands for.
+    fn admits(&self, interest: &[u16], stub: &Stub) -> bool {
+        stub.admitted_by(interest, self.stub_group())
     }
 
     /// Evaluates the item's embedded dissemination controls — the §8 zone
@@ -1016,45 +1189,73 @@ impl NewsWireNode {
     }
 
     /// Offers `item` to the cache and keeps `item_sigs` in step with it:
-    /// the signature of whatever the insert fused away or evicted is
-    /// dropped, and so is `item`'s own when a newer revision made it
-    /// obsolete on arrival. Without this the map outgrows a bounded cache
-    /// on a revision-heavy feed.
-    fn cache_insert(&mut self, item: Arc<NewsItem>, now: SimTime) -> CacheOutcome {
+    /// `item`'s signature is recorded when the cache took it, and the
+    /// signature of whatever the insert fused away or evicted is dropped.
+    /// This is the only place a signature is recorded, so the map holds
+    /// signatures of cached ids only.
+    fn cache_insert(
+        &mut self,
+        item: Arc<NewsItem>,
+        sig: (KeyId, Signature),
+        now: SimTime,
+    ) -> CacheOutcome {
         let id = item.id;
         let (outcome, displaced) = self.cache.insert(item, now);
+        if matches!(outcome, CacheOutcome::Stored | CacheOutcome::Fused) {
+            self.item_sigs.insert(id, sig);
+        }
         if let Some(dead) = displaced {
             self.item_sigs.remove(&dead);
-        }
-        if outcome == CacheOutcome::Obsolete {
-            self.item_sigs.remove(&id);
         }
         outcome
     }
 
-    fn handle_delivery(&mut self, now: SimTime, item: Arc<NewsItem>, via_repair: bool) {
-        // Every arrival is *seen* — duplicates, obsolete revisions and
-        // predicate-filtered items included. The log tracks knowledge, not
-        // acceptance: a seen seq is never a hole to reconcile.
-        self.log_seen(item.id);
+    /// Logs an arriving article as seen and caches it when this node may
+    /// hold it — the one way a tree copy or a recovered copy enters the
+    /// cache. Returns the cache's outcome, or `None` when the article's
+    /// dissemination controls keep it out (it is then logged as not for
+    /// this node). Every arrival is *seen*: the log tracks knowledge, not
+    /// acceptance, and a seen seq is never a hole to reconcile.
+    fn keep(
+        &mut self,
+        item: Arc<NewsItem>,
+        sig: (KeyId, Signature),
+        now: SimTime,
+    ) -> Option<CacheOutcome> {
         if !self.dissemination_admits(&item) {
-            // Not addressed to this node (e.g. premium-only content on a
-            // free node); neither delivered nor cached.
-            obs::metric_add!(self.agent.id(), ctr::NW_PREDICATE_FILTERED, 1);
-            return;
+            let stub = self.stubs.intern(self.stub_of(&item));
+            self.log_seen(item.id, LogEntry::NotForMe(stub));
+            return None;
         }
+        self.log_seen(item.id, LogEntry::Held);
+        Some(self.cache_insert(item, sig, now))
+    }
+
+    fn handle_delivery(
+        &mut self,
+        now: SimTime,
+        item: Arc<NewsItem>,
+        sig: (KeyId, Signature),
+        via_repair: bool,
+    ) {
         let id = item.id;
         let msg_id = msg_id_of(id);
         let published = SimTime::from_micros(item.issued_us);
         let interested = self.subscription.interested_in(&item);
         let matches = self.subscription.matches(&item);
-        match self.cache_insert(item, now) {
-            CacheOutcome::Duplicate => {
+        match self.keep(item, sig, now) {
+            None => {
+                // Not addressed to this node (e.g. premium-only content on
+                // a free node); neither delivered nor cached.
+                obs::metric_add!(self.agent.id(), ctr::NW_PREDICATE_FILTERED, 1);
+                return;
+            }
+            Some(CacheOutcome::Duplicate) => {
                 obs::metric_add!(self.agent.id(), ctr::NW_DUPLICATES, 1);
                 return;
             }
-            CacheOutcome::Obsolete => return,
-            CacheOutcome::Stored | CacheOutcome::Fused => {}
+            Some(CacheOutcome::Obsolete) => return,
+            Some(CacheOutcome::Stored | CacheOutcome::Fused) => {}
         }
         if via_repair && self.recovering_since.is_some() {
             self.backfill_this_recovery += 1;
@@ -1224,13 +1425,16 @@ impl NewsWireNode {
             peer: None,
             event: ForwardEvent::AcceptedDuty,
         });
+        let sig = (env.key, env.signature);
+        let mut handed_on = false;
         for action in actions {
             match action {
                 Action::DeliverLocal => {
                     self.delta_makeup(&env.item, env.basis.as_ref());
-                    self.handle_delivery(now, Arc::clone(&env.item), false)
+                    self.handle_delivery(now, Arc::clone(&env.item), sig, false)
                 }
                 Action::Deliver { member } => {
+                    handed_on = true;
                     self.log.record(LogRecord {
                         at_us: now.as_micros(),
                         msg_id: env.msg_id,
@@ -1256,6 +1460,21 @@ impl NewsWireNode {
                     let fwd = NewsWireMsg::Forward { env: Arc::clone(&env), zone };
                     self.enqueue(ctx, NodeId(rep), fwd);
                 }
+            }
+        }
+        // Whoever handed the item to a member keeps it, so the member's
+        // named pull for it is answerable. Only after the loop: a copy kept
+        // first would read as a duplicate to `DeliverLocal` and drop this
+        // node's own application delivery. For the same reason a node that
+        // wants the item although its own row did not admit it (an
+        // advertisement the self-audit has yet to restore) takes it as a
+        // delivery: the cache is the dedup barrier.
+        if handed_on && !self.cache.contains(env.item.id) {
+            let item = Arc::clone(&env.item);
+            if self.subscription.matches(&item) {
+                self.handle_delivery(now, item, sig, false);
+            } else {
+                self.keep(item, sig, now);
             }
         }
     }
@@ -1348,10 +1567,9 @@ impl NewsWireNode {
         // is not a delivery, so no delivery/FP accounting): after a
         // partition, side A's publishers are authoritative reconcile sources
         // for everything the other side missed.
-        self.log_seen(env.item.id);
-        self.item_sigs.insert(env.item.id, (key, signature));
+        self.log_seen(env.item.id, LogEntry::Held);
         self.absorb_attest(&attest);
-        self.cache_insert(Arc::clone(&env.item), now);
+        self.cache_insert(Arc::clone(&env.item), (key, signature), now);
         self.process_duty(ctx, env, scope);
     }
 
@@ -1368,9 +1586,9 @@ impl NewsWireNode {
     }
 
     /// After a verified envelope: remember the publisher's certificate (so
-    /// later bare items can verify), the item's detached signature (so this
-    /// node can serve the item onward with proof), and the envelope's
-    /// signed epoch attestation when it is newer than the one held.
+    /// later bare items can verify) and the envelope's signed epoch
+    /// attestation when it is newer than the one held. The item's detached
+    /// signature is recorded only if the item is cached.
     fn learn_from_envelope(&mut self, env: &Envelope) {
         let publisher = env.item.id.publisher;
         match self.publisher_certs.get(&publisher) {
@@ -1389,7 +1607,6 @@ impl NewsWireNode {
             }
             Some(_) => {}
         }
-        self.item_sigs.insert(env.item.id, (env.key, env.signature));
         self.absorb_attest(&env.attest);
     }
 
@@ -1442,8 +1659,7 @@ impl NewsWireNode {
         } else if !self.subscription.matches(&item) {
             obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_UNWANTED, 1);
         }
-        self.item_sigs.insert(item.id, (key, sig));
-        self.handle_delivery(now, item, true);
+        self.handle_delivery(now, item, (key, sig), true);
     }
 
     /// Restores cached items from a decoded stable-storage snapshot,
@@ -1479,9 +1695,8 @@ impl NewsWireNode {
                 );
                 continue;
             }
-            self.log_seen(item.id);
-            self.item_sigs.insert(item.id, (key, sig));
-            self.cache_insert(item, now);
+            self.log_seen(item.id, LogEntry::Held);
+            self.cache_insert(item, (key, sig), now);
             restored += 1;
         }
         restored
@@ -1849,31 +2064,41 @@ impl NewsWireNode {
                 None => {
                     // No leaf neighbour is ahead of us. If our own log has
                     // internal gaps — or we are recovering and it has
-                    // nothing at all — ask across the zone boundary blind.
+                    // nothing at all, or it has been quiet long enough for
+                    // the whole zone to have missed the newest articles,
+                    // which nothing after them would reveal — ask across
+                    // the zone boundary blind.
                     let cold = log.next_seq() == 0 && self.recovering_since.is_some();
-                    if gaps.is_empty() && !cold {
+                    let (due, backoff) = self.tail_probe;
+                    let probe = gaps.is_empty() && !cold && log.next_seq() > 0 && now >= due;
+                    if gaps.is_empty() && !cold && !probe {
                         continue;
                     }
-                    match self.cross_zone_peer(ctx.rng(), now) {
-                        Some(peer) => (peer, gaps, false),
-                        None => continue,
+                    let Some(peer) = self.cross_zone_peer(ctx.rng(), now) else { continue };
+                    if probe {
+                        let backoff = backoff.checked_mul(2).unwrap_or(backoff);
+                        self.tail_probe = (now + backoff, backoff);
                     }
+                    (peer, gaps, false)
                 }
             };
             self.reconcile_cursor = (self.reconcile_cursor + step + 1) % publishers.len();
-            self.send_reconcile_request(ctx, peer, publisher, ranges, 0, via_digest);
+            self.send_reconcile_request(ctx, peer, publisher, ranges, Vec::new(), 0, via_digest);
             return;
         }
         self.reconcile_cursor = (self.reconcile_cursor + 1) % publishers.len();
     }
 
-    /// Sends one `ReconcileRequest` and arms its reply timeout.
+    /// Sends one `ReconcileRequest`, declaring this node's interest, and
+    /// arms its reply timeout. `asked` are the peers this pass asked before.
+    #[allow(clippy::too_many_arguments)]
     fn send_reconcile_request(
         &mut self,
         ctx: &mut Context<'_, NewsWireMsg>,
         peer: NodeId,
         publisher: PublisherId,
         ranges: Vec<(u64, u64)>,
+        asked: Vec<u32>,
         retargets: u32,
         via_digest: bool,
     ) {
@@ -1892,22 +2117,61 @@ impl NewsWireNode {
                 ranges: ranges.clone(),
                 tail_from,
                 baselines: self.request_baselines(publisher),
+                interest: self.interest(publisher),
             },
         );
         if let Some(wait) = self.cfg.repair_reply_timeout {
             let backoff = u64::from(self.cfg.ack_backoff.max(1)).pow(retargets);
             let delay = wait.checked_mul(backoff).unwrap_or(wait);
             let timer = ctx.set_timer(delay, RECONCILE_WAIT_TIMER);
-            self.awaiting_reconcile =
-                Some(PendingReconcile { peer, publisher, ranges, timer, retargets, via_digest });
+            self.awaiting_reconcile = Some(PendingReconcile {
+                peer,
+                publisher,
+                ranges,
+                tail_from,
+                asked,
+                timer,
+                retargets,
+                via_digest,
+            });
         }
     }
 
-    /// Serves a `ReconcileRequest` from the cache. The requester's baseline
-    /// hints let the reply delta-encode revised stories: before them, a
-    /// reconcile reply re-shipped the full `SignedItem` body even when the
-    /// requester's digest proved it held an earlier revision of the same
-    /// story.
+    /// Who is asked next about holes the peers in `asked` could not vouch
+    /// for: a representative of this node's leaf zone not yet asked — the
+    /// one that handed an article on kept it — else a cross-zone
+    /// representative. A pass asks at most [`MAX_ASKED`] peers.
+    fn follow_up_peer(&self, asked: &[u32], rng: &mut SmallRng, now: SimTime) -> Option<NodeId> {
+        if asked.len() >= MAX_ASKED {
+            return None;
+        }
+        let mut reps: Vec<u32> = match self.agent.levels() {
+            0 | 1 => Vec::new(),
+            _ => match self.agent.table(1).get(self.agent.own_label(1)).and_then(|r| r.get("reps"))
+            {
+                Some(AttrValue::Set(reps)) => {
+                    reps.iter().filter_map(|&r| u32::try_from(r).ok()).collect()
+                }
+                _ => Vec::new(),
+            },
+        };
+        reps.retain(|r| *r != self.agent.id() && !asked.contains(r));
+        self.prefer_unsuspected(&mut reps, now);
+        if let Some(&rep) = reps.as_slice().choose(rng) {
+            return Some(NodeId(rep));
+        }
+        self.cross_zone_peer(rng, now).filter(|p| !asked.contains(&p.0))
+    }
+
+    /// Serves a `ReconcileRequest` from the log, in sequence order, at most
+    /// `repair_batch` entries: each requested article the log holds is
+    /// shipped when the requester's interest admits it — the leaf hop's
+    /// own test — and withheld as a stub when it does not; a seq whose
+    /// article has since left the cache is vouched for as gone; a seq this
+    /// node settled as not for itself is vouched for with its stub, to a
+    /// requester that stub rejects. Nothing else is vouched for. The
+    /// requester's baseline hints let the reply delta-encode revised
+    /// stories.
     #[allow(clippy::too_many_arguments)]
     fn serve_reconcile(
         &mut self,
@@ -1918,26 +2182,44 @@ impl NewsWireNode {
         ranges: &[(u64, u64)],
         tail_from: u64,
         baselines: &[BaselineHint],
+        interest: &[u16],
     ) {
-        let summary =
-            self.article_logs.get(&publisher).map(|log| log.summary()).unwrap_or_default();
+        let log = self.article_logs.get(&publisher);
+        let summary = log.map(|log| log.summary()).unwrap_or_default();
         let mut items: Vec<Arc<NewsItem>> = Vec::new();
+        let mut withheld: Vec<(u64, Stub)> = Vec::new();
         // A requester on a newer epoch has restarted history; our items
         // would be misfiled under its sequencing, so ship nothing (the
         // summary still tells it where we stand).
-        if summary.epoch >= epoch {
-            for &(lo, hi) in ranges {
-                items.extend(
-                    self.cache
-                        .items_from(publisher, lo, self.cfg.repair_batch)
-                        .into_iter()
-                        .filter(|i| i.id.seq <= hi),
-                );
+        if let Some(log) = log.filter(|_| summary.epoch >= epoch) {
+            let wanted = ranges.iter().copied().chain([(tail_from, u64::MAX)]).collect();
+            'walk: for (lo, hi) in merge_ranges(wanted) {
+                for (seq, entry) in log.range(lo, hi) {
+                    if items.len() + withheld.len() >= self.cfg.repair_batch {
+                        break 'walk;
+                    }
+                    match (self.cache.get(ItemId::new(publisher, seq)), entry) {
+                        (Some(item), _) => {
+                            let stub = self.stub_of(item);
+                            if self.admits(interest, &stub) {
+                                items.push(Arc::clone(item));
+                            } else {
+                                withheld.push((seq, stub));
+                            }
+                        }
+                        (None, LogEntry::Held) => withheld.push((seq, Stub::default())),
+                        (None, &LogEntry::NotForMe(id)) => {
+                            let stub = self.stubs.get(id);
+                            if !self.admits(interest, stub) {
+                                withheld.push((seq, stub.clone()));
+                            }
+                        }
+                    }
+                }
             }
-            items.extend(self.cache.items_from(publisher, tail_from, self.cfg.repair_batch));
-            items.sort_by_key(|i| i.id);
-            items.dedup_by_key(|i| i.id);
-            items.truncate(self.cfg.repair_batch);
+        }
+        if !withheld.is_empty() {
+            obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_WITHHELD, withheld.len());
         }
         if !items.is_empty() {
             obs::metric_add!(self.agent.id(), ctr::NW_RECONCILES_SERVED, 1);
@@ -1949,19 +2231,22 @@ impl NewsWireNode {
             );
             obs::trace_event!(self.agent.id(), Layer::News, kind::AE_REPLY, from.0, items.len());
         }
-        // Reply even when empty: the summary lets the requester settle
-        // unservable holes, and the reply itself proves liveness. The
+        // Reply even when empty: the reply itself proves liveness. The
         // stored attestation rides along so signed epoch authority spreads
         // to nodes the publisher's own envelopes have not reached.
         let attest = self.authority.get(&publisher).copied();
         let items = self.sign_items(items, baselines);
-        ctx.send(from, NewsWireMsg::ReconcileReply { publisher, summary, attest, items });
+        ctx.send(from, NewsWireMsg::ReconcileReply { publisher, summary, attest, items, withheld });
     }
 
     /// Absorbs a `ReconcileReply`: deliver the recovered items, then settle
-    /// requested seqs the responder's contiguous summary vouches for —
+    /// exactly what the reply vouches for — each withheld seq, logged with
+    /// its stub as not for this node (a gone article's empty stub included:
     /// revision-fused or evicted seqs are unservable by *anyone* on that
-    /// epoch, and without settling we would re-request them forever.
+    /// epoch, and without settling we would re-request them forever). A
+    /// requested seq the responder could not vouch for stays a hole, and
+    /// is asked of the next peer at once.
+    #[allow(clippy::too_many_arguments)]
     fn absorb_reconcile_reply(
         &mut self,
         ctx: &mut Context<'_, NewsWireMsg>,
@@ -1970,6 +2255,7 @@ impl NewsWireNode {
         summary: RangeSummary,
         attest: Option<EpochAttest>,
         items: Vec<SignedItem>,
+        withheld: Vec<(u64, Stub)>,
     ) {
         // Absorb the rider attestation first: a genuine publisher epoch
         // bump raises our signed authority *before* the fence judges the
@@ -1994,7 +2280,7 @@ impl NewsWireNode {
         // empty log and no items — the advertisement and the reply cannot
         // both be honest (split-brain lying looks exactly like this).
         if let Some(p) = &pending {
-            if p.via_digest && items.is_empty() && summary.is_empty() {
+            if p.via_digest && items.is_empty() && withheld.is_empty() && summary.is_empty() {
                 self.note_misbehavior(from, MISBEHAVIOR_CONTRADICTION);
             }
         }
@@ -2038,47 +2324,72 @@ impl NewsWireNode {
         }
         let next_before = self.article_logs.get(&publisher).map_or(0, |l| l.next_seq());
         // A reply as long as a batch may have been cut there (replies are
-        // in sequence order): it speaks for nothing past its last item.
-        let spoken_for = match items.last() {
-            Some(last) if items.len() >= self.cfg.repair_batch => last.item.id.seq,
+        // in sequence order): it speaks for nothing past its last entry.
+        let last = items.last().map(|i| i.item.id.seq).max(withheld.last().map(|&(seq, _)| seq));
+        let spoken_for = match last {
+            Some(last) if items.len() + withheld.len() >= self.cfg.repair_batch => last,
             _ => u64::MAX,
         };
         for SignedItem { item, key, signature, basis } in items {
             self.delta_makeup(&item, basis.as_ref());
             self.admit_bare_item(now, item, key, signature, from, 3);
         }
-        // An empty summary vouches for nothing: a peer that has no log
-        // (say, a fresh amnesiac rejoiner picked through a stale digest)
-        // must not settle anyone's seq 0 — `0..=next-1` would otherwise
-        // saturate into the single-element range `0..=0` — nor does it
-        // leave an empty log behind here to be advertised.
-        if summary.is_empty() {
-            return;
-        }
         let Some(pending) = pending else { return };
-        let log =
-            self.article_logs.entry(publisher).or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY));
-        if summary.epoch != log.epoch() {
-            return;
-        }
-        if summary.contiguous() {
-            for (lo, hi) in pending.ranges {
-                if lo >= summary.next {
-                    continue;
-                }
-                for seq in lo..=hi.min(summary.next - 1).min(spoken_for) {
-                    log.insert(seq, ());
-                }
+        // Stubs are believed for the seqs asked about only, from a responder
+        // on this node's epoch. An empty summary vouches for nothing — a
+        // peer with no log (say, a fresh amnesiac rejoiner picked through a
+        // stale digest) cannot have withheld anything, and its reply must
+        // not leave an empty log behind here to be advertised. A stub the
+        // own interest admits contradicts the test the responder claims to
+        // have run: it settles nothing, and the responder takes a strike.
+        let epoch = self.article_logs.get(&publisher).map_or(0, |l| l.epoch());
+        if !summary.is_empty() && summary.epoch == epoch {
+            let own = self.interest(publisher);
+            let (contradicted, believed): (Vec<_>, Vec<_>) = withheld
+                .into_iter()
+                .filter(|&(seq, _)| seq <= spoken_for && pending.requested(seq))
+                .partition(|(_, stub)| self.admits(&own, stub));
+            if !contradicted.is_empty() {
+                self.note_misbehavior(from, MISBEHAVIOR_CONTRADICTION);
             }
+            for (seq, stub) in believed {
+                let id = self.stubs.intern(stub);
+                self.log_seen(ItemId::new(publisher, seq), LogEntry::NotForMe(id));
+            }
+        }
+        // A hole asked about that the reply did not vouch for stays a hole.
+        let asked_for = merge_ranges(pending.ranges.clone())
+            .into_iter()
+            .map(|(lo, hi)| (lo, hi.min(spoken_for)))
+            .filter(|(lo, hi)| lo <= hi);
+        let log = self.article_logs.get(&publisher);
+        let unvouched: Vec<(u64, u64)> = match log {
+            Some(log) => asked_for
+                .map(|(lo, hi)| (lo.max(log.floor()), hi))
+                .filter(|(lo, hi)| lo <= hi)
+                .flat_map(|(lo, hi)| holes_in(log, lo, hi))
+                .collect(),
+            None => asked_for.collect(),
+        };
+        let next_after = log.map_or(0, |log| log.next_seq());
+        if !unvouched.is_empty() {
+            let seqs: u64 = unvouched.iter().map(|(lo, hi)| hi - lo + 1).sum();
+            obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_UNVOUCHED, seqs);
         }
         // The responder is still ahead (the reply was cut). A recovering
         // node may have no digest to lead it back there — its whole leaf
         // zone can be as cold as it is — so it asks again now, for as long
         // as each reply moves its own mark.
-        let behind = next_before < log.next_seq() && log.next_seq() < summary.next;
+        let behind = next_before < next_after && next_after < summary.next;
         if behind && self.recovering_since.is_some() {
-            let ranges = log.missing_given(&summary);
-            self.send_reconcile_request(ctx, from, publisher, ranges, 0, false);
+            let ranges = self.article_logs[&publisher].missing_given(&summary);
+            self.send_reconcile_request(ctx, from, publisher, ranges, Vec::new(), 0, false);
+        } else if !unvouched.is_empty() {
+            let mut asked = pending.asked;
+            asked.push(from.0);
+            if let Some(peer) = self.follow_up_peer(&asked, ctx.rng(), now) {
+                self.send_reconcile_request(ctx, peer, publisher, unvouched, asked, 0, false);
+            }
         }
     }
 
@@ -2185,7 +2496,7 @@ impl NewsWireNode {
             let mut rebuilt = SeqLog::new(ARTICLE_LOG_CAPACITY);
             rebuilt.adopt_epoch(ce);
             for item in self.cache.iter().filter(|i| i.id.publisher == publisher) {
-                rebuilt.insert(item.id.seq, ());
+                rebuilt.insert(item.id.seq, LogEntry::Held);
             }
             self.article_logs.insert(publisher, rebuilt);
             repairs += 1;
@@ -2201,7 +2512,10 @@ impl NewsWireNode {
     /// application delivery log. Cache and deliveries persist *together* —
     /// the cache is the dedup barrier and the delivery log is the
     /// completeness substrate, and restoring one without the other would
-    /// either re-deliver everything or forget what was delivered.
+    /// either re-deliver everything or forget what was delivered. Only held
+    /// seqs persist as present: a restored entry vouches as held, so a
+    /// not-for-me seq comes back as a hole, which reconcile settles again
+    /// (it was never delivered, so nothing can be delivered twice).
     fn durable_state(&self) -> persist::NodeState {
         let logs = self
             .article_logs
@@ -2210,7 +2524,9 @@ impl NewsWireNode {
                 publisher: *p,
                 coverage: log.encode_coverage(),
                 present: persist::compress_ranges(
-                    log.range(log.floor(), log.next_seq().saturating_sub(1)).map(|(s, _)| s),
+                    log.range(log.floor(), log.next_seq().saturating_sub(1))
+                        .filter(|(_, entry)| **entry == LogEntry::Held)
+                        .map(|(s, _)| s),
                 ),
             })
             .collect();
@@ -2495,13 +2811,14 @@ impl Node for NewsWireNode {
                 self.learn_from_envelope(&env);
                 let now = ctx.now();
                 self.delta_makeup(&env.item, env.basis.as_ref());
-                self.handle_delivery(now, Arc::clone(&env.item), false);
+                self.handle_delivery(now, Arc::clone(&env.item), (env.key, env.signature), false);
                 self.note_gap_suspects(from, &prev, now);
             }
             NewsWireMsg::RepairRequest { ids } => {
                 // A named pull; one that finds nothing is not answered.
                 let items = self.named_pull_items(&ids);
                 if items.is_empty() {
+                    obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULL_UNANSWERED, 1);
                     return;
                 }
                 obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULL_ITEMS, items.len());
@@ -2524,16 +2841,25 @@ impl Node for NewsWireNode {
                     self.admit_bare_item(now, item, key, signature, from, 2);
                 }
             }
-            NewsWireMsg::ReconcileRequest { publisher, epoch, ranges, tail_from, baselines } => {
-                self.serve_reconcile(ctx, from, publisher, epoch, &ranges, tail_from, &baselines);
+            NewsWireMsg::ReconcileRequest {
+                publisher,
+                epoch,
+                ranges,
+                tail_from,
+                baselines,
+                interest,
+            } => {
+                self.serve_reconcile(
+                    ctx, from, publisher, epoch, &ranges, tail_from, &baselines, &interest,
+                );
             }
-            NewsWireMsg::ReconcileReply { publisher, summary, attest, items } => {
-                self.absorb_reconcile_reply(ctx, from, publisher, summary, attest, items);
+            NewsWireMsg::ReconcileReply { publisher, summary, attest, items, withheld } => {
+                self.absorb_reconcile_reply(ctx, from, publisher, summary, attest, items, withheld);
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, NewsWireMsg>, _t: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, NewsWireMsg>, t: TimerId, tag: u64) {
         self.clock = ctx.now();
         match tag {
             GOSSIP_TIMER => {
@@ -2605,8 +2931,10 @@ impl Node for NewsWireNode {
             RECONCILE_WAIT_TIMER => {
                 // The reconcile peer never answered. Re-target across the
                 // zone boundary (a bounded number of times — the next gossip
-                // round restarts the cycle anyway).
-                let Some(p) = self.awaiting_reconcile.take() else { return };
+                // round restarts the cycle anyway). A timer outlives a
+                // request a subscription change forgot; it is not the
+                // deadline of the request sent since.
+                let Some(p) = self.awaiting_reconcile.take_if(|p| p.timer == t) else { return };
                 if p.retargets >= self.cfg.ack_max_failovers {
                     return;
                 }
@@ -2620,6 +2948,7 @@ impl Node for NewsWireNode {
                                 peer,
                                 p.publisher,
                                 p.ranges,
+                                p.asked,
                                 p.retargets + 1,
                                 false,
                             );
@@ -2653,6 +2982,7 @@ impl Node for NewsWireNode {
         self.delivery_chains.clear();
         self.gap_suspects.clear();
         self.article_logs.clear();
+        self.stubs.clear();
         self.peer_health.clear();
         self.misbehavior.clear();
         self.item_sigs.clear();
@@ -2686,6 +3016,7 @@ impl Node for NewsWireNode {
         self.delivery_chains.clear();
         self.gap_suspects.clear();
         self.article_logs.clear();
+        self.stubs.clear();
         self.peer_health.clear();
         self.misbehavior.clear();
         // Signatures go with the cache; publisher certificates and signed
@@ -2770,7 +3101,7 @@ impl Node for NewsWireNode {
                         .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY));
                     for (lo, hi) in ls.present {
                         for seq in lo..=hi {
-                            log.insert(seq, ());
+                            log.insert(seq, LogEntry::Held);
                         }
                     }
                     log.restore_coverage(&ls.coverage);
@@ -2832,9 +3163,9 @@ impl Node for NewsWireNode {
                         .headline(format!("FORGED dispatch {seq}"))
                         .category(Category::Technology)
                         .build();
-                    self.log_seen(item.id);
-                    self.item_sigs.insert(item.id, (KeyId(rng.gen()), Signature(rng.gen())));
-                    self.cache_insert(Arc::new(item), now);
+                    self.log_seen(item.id, LogEntry::Held);
+                    let sig = (KeyId(rng.gen()), Signature(rng.gen()));
+                    self.cache_insert(Arc::new(item), sig, now);
                     injected += 1;
                 }
                 injected
@@ -2855,7 +3186,7 @@ impl Node for NewsWireNode {
                 }
                 log.adopt_epoch(epoch);
                 for seq in 0..8 {
-                    log.insert(seq, ());
+                    log.insert(seq, LogEntry::Held);
                 }
                 9
             }
@@ -2870,7 +3201,7 @@ impl Node for NewsWireNode {
                 let fake = log.epoch() + 1;
                 log.adopt_epoch(fake);
                 for seq in 0..u64::from(entries) {
-                    log.insert(seq, ());
+                    log.insert(seq, LogEntry::Held);
                 }
                 u64::from(entries) + 1
             }
@@ -2902,9 +3233,8 @@ impl Node for NewsWireNode {
                         .category(Category::Technology)
                         .build();
                     let sig = cred.sign(&item);
-                    self.log_seen(item.id);
-                    self.item_sigs.insert(item.id, (cred.key_id(), sig));
-                    self.cache_insert(Arc::new(item), now);
+                    self.log_seen(item.id, LogEntry::Held);
+                    self.cache_insert(Arc::new(item), (cred.key_id(), sig), now);
                     hit += 1;
                 }
                 if attest_bump > 0 {
@@ -3008,6 +3338,38 @@ impl Node for NewsWireNode {
             }
         }
     }
+}
+
+/// Inclusive `ranges` sorted, with the empty ones dropped and the ones that
+/// overlap or touch merged — a request's ranges are the requester's claim.
+fn merge_ranges(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    ranges.retain(|(lo, hi)| lo <= hi);
+    ranges.sort_unstable();
+    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
+    for (lo, hi) in ranges {
+        match merged.last_mut() {
+            Some(last) if lo <= last.1.saturating_add(1) => last.1 = last.1.max(hi),
+            _ => merged.push((lo, hi)),
+        }
+    }
+    merged
+}
+
+/// The seqs in `lo..=hi` (with `hi` below `u64::MAX`) that `log` has not
+/// seen, as inclusive ranges.
+fn holes_in(log: &SeqLog<LogEntry>, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+    let mut holes = Vec::new();
+    let mut cursor = lo;
+    for (seq, _) in log.range(lo, hi) {
+        if seq > cursor {
+            holes.push((cursor, seq - 1));
+        }
+        cursor = seq + 1;
+    }
+    if cursor <= hi {
+        holes.push((cursor, hi));
+    }
+    holes
 }
 
 /// Applies a per-row tampering function to every row batch of an outbound
@@ -3123,6 +3485,10 @@ mod tests {
         }
     }
 
+    /// The signature a test hands `handle_delivery` for an item nobody
+    /// verifies.
+    const UNSIGNED: (KeyId, Signature) = (KeyId(0), Signature(0));
+
     fn node_with(cfg: NewsWireConfig) -> NewsWireNode {
         let layout = ZoneLayout::new(4, 4);
         let agent = Agent::new(0, &layout, Config::standard(), vec![]);
@@ -3162,6 +3528,64 @@ mod tests {
             }
             other => panic!("expected MaskBits, got {other:?}"),
         }
+    }
+
+    /// Under both summary models, a stub tested against a node's interest
+    /// is admitted exactly where the item's per-hop filter admits the
+    /// node's summary row — the leaf hop's own test — and the gone stub
+    /// nowhere.
+    #[test]
+    fn a_stub_is_admitted_exactly_where_its_filter_is() {
+        let item = |seq: u64, cats: &[Category], subject: &str| {
+            let mut b = NewsItem::builder(PublisherId(0), seq).headline(format!("h{seq}"));
+            for &c in cats {
+                b = b.category(c);
+            }
+            b.subject(subject.parse().unwrap()).build()
+        };
+        let items = [
+            item(0, &[Category::Technology], "04.003"),
+            item(1, &[Category::Science], "07"),
+            item(2, &[Category::Sports, Category::Science], "15.001.002"),
+            item(3, &[Category::Law], "04.003.009"),
+        ];
+        let mut science = Subscription::new();
+        science.subscribe_category(PublisherId(0), Category::Science);
+        let mut subject = Subscription::new();
+        subject.subscribe_subject("04.003".parse().unwrap());
+        let (mut admitted, mut rejected) = (0, 0);
+        for cfg in [NewsWireConfig::tech_news(), NewsWireConfig::prototype_masks()] {
+            for sub in [tech_sub(), science.clone(), subject.clone(), Subscription::new()] {
+                let mut n = node_with(cfg.clone());
+                n.set_subscription(sub);
+                let mut row = MibBuilder::new();
+                for (attr, value) in n.derived_sub_attrs() {
+                    row = row.attr(attr, value);
+                }
+                let row = row.build(Stamp::default());
+                let interest = n.interest(PublisherId(0));
+                for item in &items {
+                    let by_stub = n.admits(&interest, &n.stub_of(item));
+                    assert_eq!(
+                        by_stub,
+                        n.filter_for(item).admits(&row),
+                        "{:?}: {}",
+                        n.cfg.model,
+                        item.id
+                    );
+                    if by_stub {
+                        admitted += 1;
+                    } else {
+                        rejected += 1;
+                    }
+                }
+                assert!(
+                    !n.admits(&interest, &Stub::default()),
+                    "a gone article is admitted nowhere"
+                );
+            }
+        }
+        assert!(admitted > 0 && rejected > 0, "{admitted} admitted, {rejected} rejected");
     }
 
     #[test]
@@ -3213,12 +3637,12 @@ mod tests {
         // handle_delivery with via_repair=true models the reconcile/repair
         // paths, which ship bare items: the scope must still confine them.
         let now = SimTime::from_secs(1);
-        n.handle_delivery(now, out_of_zone.clone().into(), true);
+        n.handle_delivery(now, out_of_zone.clone().into(), UNSIGNED, true);
         assert!(!n.has_item(out_of_zone.id), "repair must not leak scoped items");
         assert_eq!(counts.of(&n, ctr::NW_PREDICATE_FILTERED), 1);
         // …but the seq was still *seen*, so reconcile won't re-request it.
         assert!(n.article_log(PublisherId(0)).is_some_and(|l| l.contains(1)));
-        n.handle_delivery(now, in_zone.clone().into(), true);
+        n.handle_delivery(now, in_zone.clone().into(), UNSIGNED, true);
         assert!(n.has_item(in_zone.id), "in-zone repair still delivers");
     }
 
@@ -3273,21 +3697,21 @@ mod tests {
         let counts = Counts::install(&n);
         let now = SimTime::from_secs(1);
         // Matching item: delivered + cached.
-        n.handle_delivery(now, tech_item(0).into(), false);
+        n.handle_delivery(now, tech_item(0).into(), UNSIGNED, false);
         assert_eq!(counts.of(&n, ctr::NW_DELIVERED), 1);
         assert_eq!(n.deliveries.len(), 1);
         // Same item again: duplicate.
-        n.handle_delivery(now, tech_item(0).into(), false);
+        n.handle_delivery(now, tech_item(0).into(), UNSIGNED, false);
         assert_eq!(counts.of(&n, ctr::NW_DUPLICATES), 1);
         // Structurally uninteresting item: Bloom false positive.
         let sports =
             NewsItem::builder(PublisherId(0), 5).headline("s").category(Category::Sports).build();
-        n.handle_delivery(now, sports.into(), false);
+        n.handle_delivery(now, sports.into(), UNSIGNED, false);
         assert_eq!(counts.of(&n, ctr::NW_BLOOM_FP), 1);
         assert_eq!(counts.of(&n, ctr::NW_DELIVERED), 1, "not delivered to the app");
         // Matching but predicate-rejected: filtered, still cached.
         n.subscription.set_predicate("urgency = 1").unwrap();
-        n.handle_delivery(now, tech_item(7).into(), false);
+        n.handle_delivery(now, tech_item(7).into(), UNSIGNED, false);
         assert_eq!(counts.of(&n, ctr::NW_PREDICATE_FILTERED), 1);
         assert!(n.cache.contains(newsml::ItemId::new(PublisherId(0), 7)));
     }
@@ -3296,7 +3720,7 @@ mod tests {
     fn repair_delivery_is_flagged() {
         let mut n = node_with(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
-        n.handle_delivery(SimTime::from_secs(2), tech_item(3).into(), true);
+        n.handle_delivery(SimTime::from_secs(2), tech_item(3).into(), UNSIGNED, true);
         assert!(n.deliveries[0].via_repair);
     }
 
@@ -3313,14 +3737,14 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 4] {
-            n.handle_delivery(now, tech_item(seq).into(), false);
+            n.handle_delivery(now, tech_item(seq).into(), UNSIGNED, false);
         }
         // A duplicate is still a single log entry…
-        n.handle_delivery(now, tech_item(1).into(), false);
+        n.handle_delivery(now, tech_item(1).into(), UNSIGNED, false);
         // …and an uninteresting (Bloom FP) arrival is seen too.
         let sports =
             NewsItem::builder(PublisherId(0), 5).headline("s").category(Category::Sports).build();
-        n.handle_delivery(now, sports.into(), false);
+        n.handle_delivery(now, sports.into(), UNSIGNED, false);
         let log = n.article_log(PublisherId(0)).expect("log exists");
         assert_eq!(log.len(), 4, "seqs 0, 1, 4, 5 — the duplicate logs once");
         assert_eq!(log.gaps(), vec![(2, 3)], "the unseen seqs are the holes");
@@ -3334,7 +3758,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 2, 6] {
-            n.handle_delivery(now, tech_item(seq).into(), false);
+            n.handle_delivery(now, tech_item(seq).into(), UNSIGNED, false);
         }
         n.publish_ae_digests();
         let attr = format!("{AE_ATTR_PREFIX}0");
@@ -3345,7 +3769,7 @@ mod tests {
         // With anti-entropy off, no digest is published.
         let mut off =
             node_with(NewsWireConfig { anti_entropy: false, ..NewsWireConfig::tech_news() });
-        off.handle_delivery(now, tech_item(0).into(), false);
+        off.handle_delivery(now, tech_item(0).into(), UNSIGNED, false);
         off.publish_ae_digests();
         assert!(off.agent.local_attr(&attr).is_none());
     }
@@ -3425,7 +3849,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 4] {
-            n.handle_delivery(now, tech_item(seq).into(), false);
+            n.handle_delivery(now, tech_item(seq).into(), UNSIGNED, false);
         }
         let fp = n.state_fingerprint();
         let state = n.durable_state();
@@ -3438,7 +3862,7 @@ mod tests {
         // The fingerprint is stable while nothing changes and moves when
         // the durable state does.
         assert_eq!(n.state_fingerprint(), fp);
-        n.handle_delivery(now, tech_item(5).into(), false);
+        n.handle_delivery(now, tech_item(5).into(), UNSIGNED, false);
         assert_ne!(n.state_fingerprint(), fp);
     }
 
@@ -3491,7 +3915,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(5);
         for seq in 0..3u64 {
-            n.handle_delivery(now, tech_item(seq).into(), false);
+            n.handle_delivery(now, tech_item(seq).into(), UNSIGNED, false);
         }
         // Two leaf neighbours advertise epoch-0 digests: the consensus.
         let digest = RangeSummary::default().encode();
@@ -3688,6 +4112,54 @@ mod tests {
         assert_eq!(n.cache.len(), 8);
         assert_eq!(n.item_sigs.len(), 8);
         assert_eq!(n.served_articles().len(), 8, "every cached item still has its proof");
+    }
+
+    /// `item_sigs` holds signatures of cached ids only, through a whole run:
+    /// a relay that hands an article on without caching it, an arrival out
+    /// of its scope and a revision obsolete on arrival leave no signature
+    /// behind. Two publishers revise their stories over a lossy WAN, and a
+    /// few of the tellings are scoped to one zone.
+    #[test]
+    fn item_sigs_hold_signatures_of_cached_ids_only() {
+        use crate::deploy::{DeploymentBuilder, PublisherSpec};
+        use newsml::PublisherProfile;
+        let mut d = DeploymentBuilder::new(40, 7)
+            .branching(4)
+            .wan(0.05)
+            .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
+            .publisher(PublisherSpec::global(PublisherProfile::boutique(
+                PublisherId(1),
+                "the-register",
+                Category::Science,
+            )))
+            .build();
+        d.settle(60);
+        let scope = astrolabe::ZoneId::root().child(1);
+        for seq in 0..24u64 {
+            for (publisher, category) in [(0, Category::Technology), (1, Category::Science)] {
+                let item = NewsItem::builder(PublisherId(publisher), seq)
+                    .headline(format!("p{publisher} story {}", seq / 4))
+                    .slug(format!("p{publisher}-story-{}", seq / 4))
+                    .revision((seq % 4) as u32, None)
+                    .category(category)
+                    .build();
+                let at = SimTime::from_micros(60_000_000 + 400_000 * seq);
+                if seq % 5 == 4 {
+                    d.publish_scoped(at, item, scope.clone());
+                } else {
+                    d.publish(at, item);
+                }
+            }
+        }
+        d.settle(40);
+        let mut signed = 0;
+        for (id, node) in d.sim.iter() {
+            for held in node.item_sigs.keys() {
+                assert!(node.cache.contains(*held), "{id} keeps a signature of uncached {held}");
+            }
+            signed += node.item_sigs.len();
+        }
+        assert!(signed > 0, "workload sanity: articles were cached");
     }
 
     /// Aliasing safety: caches share one allocation per article, so a
@@ -4107,7 +4579,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(5);
         for seq in 0..3u64 {
-            n.handle_delivery(now, tech_item(seq).into(), false);
+            n.handle_delivery(now, tech_item(seq).into(), UNSIGNED, false);
         }
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
         let hit = simnet::Node::apply_corruption(

@@ -1,10 +1,11 @@
-//! Sub-second loss recovery on the tree: the measured hand-off timeout and
-//! the per-link delivery chain with its named pull (DESIGN §6, §7).
+//! Loss recovery on the tree: the measured hand-off timeout, the per-link
+//! delivery chain with its named pull, and reconcile's explicit vouching
+//! (DESIGN §6, §7).
 
 use super::tests::{tech_item, tech_sub};
 use super::*;
 use crate::deploy::{Deployment, DeploymentBuilder, PublisherSpec};
-use newsml::PublisherProfile;
+use newsml::{Category, PublisherProfile};
 use rand::SeedableRng;
 use simnet::LatencyModel;
 
@@ -267,6 +268,202 @@ fn a_forged_answer_to_a_named_pull_is_refused_and_scored() {
     assert!(member.gap_suspects.is_empty());
     assert!(delivery(&d, &items[1]).is_empty() && !member.cache.contains(items[1].id));
     assert!(!member.seen(items[1].id), "a refused item is still a hole");
+}
+
+const REQUESTER: NodeId = NodeId(5);
+const NEIGHBOUR: NodeId = NodeId(4);
+
+fn science_item(seq: u64) -> NewsItem {
+    NewsItem::builder(PublisherId(0), seq)
+        .headline(format!("s{seq}"))
+        .category(Category::Science)
+        .build()
+}
+
+fn science_sub() -> Subscription {
+    let mut s = Subscription::new();
+    s.subscribe_category(PublisherId(0), Category::Science);
+    s
+}
+
+/// Two leaf zones of four on the ideal network: the publisher (node 0) and
+/// three nodes that want nothing in /0; in /1, nodes 6 and 7 are the
+/// representatives (4 and 5 advertise load, so the election passes them
+/// over) and want science, 4 — the neighbour — wants science too, and 5 —
+/// the requester — wants technology only. Nobody else wants technology,
+/// so a technology article is held in /1 only where the tree handed it on.
+/// The requester reconciles only once `anti_entropy` is switched back on.
+fn two_zones(seed: u64) -> Deployment {
+    let mut d = DeploymentBuilder::new(7, seed)
+        .branching(4)
+        .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
+        .build();
+    for id in 1..8 {
+        let sub = match id {
+            5 => tech_sub(),
+            4 | 6 | 7 => science_sub(),
+            _ => Subscription::new(),
+        };
+        let node = d.sim.node_mut(NodeId(id));
+        node.set_subscription(sub);
+        if id == 4 || id == 5 {
+            node.load_bias = 10.0;
+        }
+    }
+    d.sim.node_mut(REQUESTER).cfg.anti_entropy = false;
+    d.settle(60);
+    let zone = ZoneId::root().child(1);
+    assert_eq!(d.sim.node(REQUESTER).agent.zone(0), &zone);
+    let mut reps = zone_reps(&d.sim.node(PUBLISHER).agent, &zone);
+    reps.sort_unstable();
+    assert_eq!(reps, vec![6, 7], "the representatives of /1");
+    d
+}
+
+/// Publishes `item` at `at_ms` with both representatives' links to the
+/// requester cut while its `Deliver`s are on the wire.
+fn publish_lost_to_requester(d: &mut Deployment, at_ms: u64, item: &NewsItem) {
+    for rep in [NodeId(6), NodeId(7)] {
+        d.sim.schedule_link_cut(ms(at_ms - 1), rep, REQUESTER);
+        d.sim.schedule_link_heal(ms(at_ms + 500), rep, REQUESTER);
+    }
+    d.publish(ms(at_ms), item.clone());
+}
+
+/// A wanted article loses both final-hop copies, and the requester's
+/// freshest contiguous neighbour had settled it as not for itself. The
+/// neighbour cannot vouch for it to a requester that wants it, so the
+/// hole stays open and the follow-up goes to a representative of the
+/// zone, which kept what it handed on: the article is still delivered.
+/// An implicit "contiguous summary settles every requested seq" would
+/// write it off; without the representative keeping it, nobody in reach
+/// holds it.
+#[test]
+fn a_wanted_article_a_neighbour_settled_as_not_for_it_is_still_delivered() {
+    let mut d = two_zones(21);
+    let label = |d: &Deployment, id: u32| d.sim.node(NodeId(id)).agent.own_label(0);
+    assert!(
+        label(&d, 4) < label(&d, 6) && label(&d, 4) < label(&d, 7),
+        "equally fresh, the neighbour comes first in the requester's leaf table"
+    );
+    let wanted = tech_item(1);
+    d.publish(ms(60_000), science_item(0));
+    publish_lost_to_requester(&mut d, 61_000, &wanted);
+    d.publish(ms(62_000), science_item(2));
+    d.settle(10);
+    let neighbour = d.sim.node(NEIGHBOUR);
+    let entry = neighbour.article_log(PublisherId(0)).and_then(|log| log.get(1));
+    assert!(matches!(entry, Some(LogEntry::NotForMe(_))), "the neighbour settled it: {entry:?}");
+    assert!(d.sim.node(REQUESTER).deliveries.is_empty(), "both copies were lost");
+
+    d.sim.node_mut(REQUESTER).cfg.anti_entropy = true;
+    d.settle(10);
+    let got = delivery_at(&d, REQUESTER, &wanted);
+    assert_eq!(got.len(), 1, "delivered exactly once");
+    assert!(got[0].via_repair);
+    assert!(
+        count(&d, REQUESTER, ctr::NW_RECONCILE_UNVOUCHED) >= 1,
+        "the neighbour could not vouch"
+    );
+    let log = d.sim.node(REQUESTER).article_log(PublisherId(0)).expect("the requester logs");
+    assert!(log.gaps().is_empty() && log.next_seq() == 3, "and the requester's log converged");
+}
+
+/// Every named pull a member sends to the representative that handed it
+/// the article is answered: the representative kept the article although
+/// it does not want it.
+#[test]
+fn every_named_pull_to_the_representative_that_took_duty_is_answered() {
+    let mut d = two_zones(22);
+    let lost = tech_item(0);
+    publish_lost_to_requester(&mut d, 61_000, &lost);
+    d.publish(ms(62_000), tech_item(1));
+    d.publish(ms(62_300), tech_item(2));
+    d.settle(5);
+    let got = delivery_at(&d, REQUESTER, &lost);
+    assert_eq!(got.len(), 1);
+    assert!(got[0].via_repair, "pulled by name, with reconcile off at the requester");
+    let reps = [NodeId(6), NodeId(7)];
+    for rep in reps {
+        assert!(d.sim.node(rep).cache.contains(lost.id), "{rep} kept what it handed on");
+    }
+    let (asked, answered, unanswered) = (
+        count(&d, REQUESTER, ctr::NW_GAP_PULLS),
+        reps.iter().map(|&rep| count(&d, rep, ctr::NW_REPAIRS_SERVED)).sum::<u64>(),
+        reps.iter().map(|&rep| count(&d, rep, ctr::NW_GAP_PULL_UNANSWERED)).sum::<u64>(),
+    );
+    assert!(asked >= 1);
+    assert_eq!((answered, unanswered), (asked, 0), "every pull was answered");
+}
+
+/// Widening a subscription backfills what it newly matches: the not-for-me
+/// entries the new interest admits are forgotten, and reconcile pulls the
+/// articles they stood for.
+#[test]
+fn widening_a_subscription_backfills_the_newly_matched_articles() {
+    let mut d = two_zones(23);
+    d.sim.node_mut(REQUESTER).cfg.anti_entropy = true;
+    let science: Vec<NewsItem> = (0..4).map(science_item).collect();
+    for (i, item) in science.iter().enumerate() {
+        d.publish(ms(60_000 + 500 * i as u64), item.clone());
+    }
+    d.publish(ms(62_500), tech_item(4));
+    d.settle(10);
+    let requester = d.sim.node(REQUESTER);
+    let log = requester.article_log(PublisherId(0)).expect("the technology article arrived");
+    for item in &science {
+        let entry = log.get(item.id.seq);
+        assert!(matches!(entry, Some(LogEntry::NotForMe(_))), "{}: {entry:?}", item.id);
+    }
+    assert_eq!(requester.deliveries.len(), 1);
+    assert_eq!(count(&d, REQUESTER, ctr::NW_RECOVERY_UNWANTED), 0, "nothing unwanted was shipped");
+
+    let mut wider = tech_sub();
+    wider.subscribe_category(PublisherId(0), Category::Science);
+    d.sim.node_mut(REQUESTER).set_subscription(wider);
+    d.settle(10);
+    for item in &science {
+        let got = delivery_at(&d, REQUESTER, item);
+        assert_eq!(got.len(), 1, "{} backfilled", item.id);
+        assert!(got[0].via_repair);
+    }
+}
+
+/// A node that relays a scoped article toward a zone outside its own never
+/// caches it, nor keeps its signature: it may not hold what it may not be
+/// delivered.
+#[test]
+fn an_out_of_scope_relay_never_caches_the_scoped_item_it_relays() {
+    let mut d = DeploymentBuilder::new(63, 24)
+        .branching(4)
+        .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
+        .build();
+    for id in 1..64 {
+        d.sim.node_mut(NodeId(id)).set_subscription(tech_sub());
+    }
+    d.settle(60);
+    let scope = ZoneId::root().child(1).child(2);
+    let item = tech_item(0);
+    d.publish_scoped(ms(60_000), item.clone(), scope.clone());
+    d.settle(20);
+    let msg_id = msg_id_of(item.id);
+    let mut relays = 0;
+    for (id, node) in d.sim.iter() {
+        let in_scope = scope.is_ancestor_of(node.agent.zone(0));
+        assert_eq!(node.has_item(item.id), in_scope, "{id}");
+        let took_duty =
+            node.log.trace(msg_id).iter().any(|r| r.event == ForwardEvent::AcceptedDuty);
+        if took_duty && !in_scope && id != PUBLISHER {
+            relays += 1;
+            assert!(!node.cache.contains(item.id), "relay {id} cached the scoped item");
+            assert!(!node.item_sigs.contains_key(&item.id), "relay {id} kept its signature");
+        }
+    }
+    assert!(relays > 0, "workload sanity: the article was relayed from outside its scope");
+}
+
+fn delivery_at<'a>(d: &'a Deployment, node: NodeId, item: &NewsItem) -> Vec<&'a DeliveryRecord> {
+    d.sim.node(node).deliveries.iter().filter(|r| r.item == item.id).collect()
 }
 
 /// The chain is bounded (three ids per member, `branching` members) and a

@@ -129,6 +129,31 @@ impl SignedItem {
     }
 }
 
+/// What a reconcile reply sends in place of an article the requester's
+/// summary rejects (DESIGN §7): the positions the article's per-hop filter
+/// tests — the bits of each subscription key's Bloom group, `hashes` per
+/// group, or the article's category bits — and nothing else. A summary
+/// admits the stub exactly when it admits the article. The empty stub is
+/// an article that is gone, fused into a newer telling or evicted, which
+/// no summary admits.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct Stub(pub Box<[u16]>);
+
+impl Stub {
+    /// Serialized size: a count byte + two bytes per position.
+    pub fn wire_size(&self) -> usize {
+        1 + 2 * self.0.len()
+    }
+
+    /// True when a summary whose set positions are `interest` admits the
+    /// article: some group of `group` consecutive positions (the Bloom
+    /// hash count, or 1 for category bits) is set in it throughout — the
+    /// test the per-hop filter runs on a summary row.
+    pub fn admitted_by(&self, interest: &[u16], group: usize) -> bool {
+        self.0.chunks(group.max(1)).any(|g| g.iter().all(|p| interest.contains(p)))
+    }
+}
+
 /// Serialized size of one [`ItemId`] named on the wire (a `Deliver`'s `prev`
 /// chain, a named pull's `ids`): publisher id + sequence number.
 const ITEM_ID_WIRE_SIZE: usize = 2 + 8;
@@ -243,10 +268,16 @@ pub enum NewsWireMsg {
         /// full body a digest already proved mostly redundant. Empty with
         /// deltas off.
         baselines: Vec<BaselineHint>,
+        /// The requester's interest: its own summary value for this
+        /// publisher as the tree tests it — the set positions of `subs`
+        /// (Bloom model) or of `cats$<publisher>` (mask model). The
+        /// responder ships only what this admits.
+        interest: Vec<u16>,
     },
-    /// The responder's answer: whatever it still holds of the requested
-    /// ranges, plus its own digest so the requester can settle holes the
-    /// responder vouches are unservable (revision-fused or evicted).
+    /// The responder's answer, in sequence order: the requested articles
+    /// the requester's interest admits, a stub for each it rejects or that
+    /// is gone, and the responder's own digest. A seq the reply names in
+    /// neither list is one the responder cannot vouch for.
     ReconcileReply {
         /// The publisher reconciled.
         publisher: PublisherId,
@@ -258,7 +289,14 @@ pub enum NewsWireMsg {
         attest: Option<EpochAttest>,
         /// The recovered items, signed.
         items: Vec<SignedItem>,
+        /// The requested seqs withheld, each with its article's stub.
+        withheld: Vec<(u64, Stub)>,
     },
+}
+
+/// Serialized size of a reconcile reply's withheld entries: seq + stub.
+fn withheld_wire_size(withheld: &[(u64, Stub)]) -> usize {
+    withheld.iter().map(|(_, stub)| 8 + stub.wire_size()).sum()
 }
 
 /// Serialized size of a `Deliver`'s `prev` chain: a count byte + the ids.
@@ -283,13 +321,19 @@ impl Payload for NewsWireMsg {
             NewsWireMsg::RepairReply { items } => {
                 items.iter().map(|i| i.wire_size()).sum::<usize>()
             }
-            NewsWireMsg::ReconcileRequest { ranges, baselines, .. } => {
-                2 + 4 + 8 + ranges.len() * 16 + baselines.len() * BaselineHint::WIRE_SIZE
+            NewsWireMsg::ReconcileRequest { ranges, baselines, interest, .. } => {
+                2 + 4
+                    + 8
+                    + ranges.len() * 16
+                    + baselines.len() * BaselineHint::WIRE_SIZE
+                    + 1
+                    + 2 * interest.len()
             }
-            NewsWireMsg::ReconcileReply { items, attest, .. } => {
+            NewsWireMsg::ReconcileReply { items, attest, withheld, .. } => {
                 2 + 16
                     + attest.map_or(0, |a| a.wire_size())
                     + items.iter().map(|i| i.wire_size()).sum::<usize>()
+                    + withheld_wire_size(withheld)
             }
         }
     }
@@ -307,11 +351,12 @@ impl Payload for NewsWireMsg {
             NewsWireMsg::RepairReply { items } => {
                 4 + items.iter().map(|i| i.compressed_wire_size()).sum::<usize>()
             }
-            NewsWireMsg::ReconcileReply { items, attest, .. } => {
+            NewsWireMsg::ReconcileReply { items, attest, withheld, .. } => {
                 4 + 2
                     + 16
                     + attest.map_or(0, |a| a.wire_size())
                     + items.iter().map(|i| i.compressed_wire_size()).sum::<usize>()
+                    + withheld_wire_size(withheld)
             }
             other => other.wire_size(),
         }

@@ -53,6 +53,7 @@ fn captured_epoch_reply() -> NewsWireMsg {
         summary: RangeSummary { epoch: 100, floor: 0, next: 9, present: 9 },
         attest: None,
         items: vec![],
+        withheld: vec![],
     }
 }
 

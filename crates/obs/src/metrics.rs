@@ -258,6 +258,16 @@ pub mod ctr {
         /// Wire bytes of every gossip message an agent sends: digests,
         /// replies and pushed rows (a host's own framing not included).
         GOSSIP_BYTES_SENT = 96, "gossip_bytes_sent";
+        // -- newswire: what a reconcile reply vouches for --
+        /// Reconcile reply entries a responder sent as a stub instead of the
+        /// item: the requester's summary rejects it, or the item is gone.
+        NW_RECONCILE_WITHHELD = 97, "nw_reconcile_withheld";
+        /// Requested seqs a reconcile reply could not vouch for, left as
+        /// holes for the follow-up request.
+        NW_RECONCILE_UNVOUCHED = 98, "nw_reconcile_unvouched";
+        /// Named pulls a representative held none of the ids for (a pull
+        /// that finds nothing is not answered).
+        NW_GAP_PULL_UNANSWERED = 99, "nw_gap_pull_unanswered";
     }
 }
 
@@ -708,6 +718,9 @@ mod tests {
         assert_eq!(s.counter_name(ctr::NW_RECOVERY_UNWANTED), "nw_recovery_unwanted");
         assert_eq!(s.counter_name(ctr::NW_GAP_PULLS), "nw_gap_pulls");
         assert_eq!(s.counter_name(ctr::NW_GAP_PULL_ITEMS), "nw_gap_pull_items");
+        assert_eq!(s.counter_name(ctr::NW_RECONCILE_WITHHELD), "nw_reconcile_withheld");
+        assert_eq!(s.counter_name(ctr::NW_RECONCILE_UNVOUCHED), "nw_reconcile_unvouched");
+        assert_eq!(s.counter_name(ctr::NW_GAP_PULL_UNANSWERED), "nw_gap_pull_unanswered");
         assert_eq!(s.gauge_name(gauge::ASTRO_ROWS_HELD), "astro_rows_held");
         assert_eq!(s.hist_def(hist::GOSSIP_DIGEST_BYTES).name, "gossip_digest_bytes");
         assert_eq!(s.series_name(series::DELIVERY_LATENCY_US), "delivery_latency_us");

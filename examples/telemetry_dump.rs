@@ -25,29 +25,28 @@ fn main() {
     }
     deployment.settle(25);
 
-    // Where the run's recovery items went and how often loss recovery
-    // stirred, read before the drain resets it.
-    let (repaired, held, unwanted, ack_retries, gap_pulls, gap_pull_items) = {
-        let hub = deployment.sim.telemetry();
-        let hub = hub.borrow();
-        let sent = hub.counter_total(ctr::NW_REPAIR_ITEMS_SENT)
-            + hub.counter_total(ctr::NW_RECONCILE_ITEMS_SENT);
-        (
-            sent,
-            hub.counter_total(ctr::NW_RECOVERY_HELD),
-            hub.counter_total(ctr::NW_RECOVERY_UNWANTED),
-            hub.counter_total(ctr::NW_ACK_RETRIES),
-            hub.counter_total(ctr::NW_GAP_PULLS),
-            hub.counter_total(ctr::NW_GAP_PULL_ITEMS),
-        )
-    };
+    // Where the run's recovery items went, what reconcile withheld, and how
+    // often loss recovery stirred, read before the drain resets it.
+    let hub = deployment.sim.telemetry();
+    let total = |id| hub.borrow().counter_total(id);
+    let repaired = total(ctr::NW_REPAIR_ITEMS_SENT) + total(ctr::NW_RECONCILE_ITEMS_SENT);
+    let summary = format!(
+        "--- summary: {repaired} recovery items sent, {} already held, \
+         {} outside the receiver's subscription, {} withheld as stubs, \
+         {} requested seqs unvouched; {} ack retries, {} gap pulls answered with {} items, \
+         {} unanswered ---",
+        total(ctr::NW_RECOVERY_HELD),
+        total(ctr::NW_RECOVERY_UNWANTED),
+        total(ctr::NW_RECONCILE_WITHHELD),
+        total(ctr::NW_RECONCILE_UNVOUCHED),
+        total(ctr::NW_ACK_RETRIES),
+        total(ctr::NW_GAP_PULLS),
+        total(ctr::NW_GAP_PULL_ITEMS),
+        total(ctr::NW_GAP_PULL_UNANSWERED),
+    );
     let telemetry = deployment.sim.drain_telemetry();
     println!("{}", telemetry.to_json());
-    eprintln!(
-        "--- summary: {repaired} recovery items sent, {held} already held, \
-         {unwanted} outside the receiver's subscription; {ack_retries} ack retries, \
-         {gap_pulls} gap pulls answered with {gap_pull_items} items ---"
-    );
+    eprintln!("{summary}");
     eprintln!("--- trace events (CSV, stderr) ---");
     eprint!("{}", telemetry.events_csv());
 }

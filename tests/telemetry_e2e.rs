@@ -60,9 +60,9 @@ fn recovery_item_counters_append_after_the_existing_slots() {
         + hub.counter_total(ctr::NW_RECONCILE_ITEMS_SENT);
     let (held, unwanted) =
         (hub.counter_total(ctr::NW_RECOVERY_HELD), hub.counter_total(ctr::NW_RECOVERY_UNWANTED));
-    // Anti-entropy spreads every article to nodes that never subscribed to
-    // it (ROADMAP item 2); a lossless run re-sends next to nothing held.
-    assert!(unwanted > 0, "workload sanity: someone was sent an article it never wanted");
+    // Reconcile withholds what the receiver's summary rejects, so a
+    // lossless run sends nothing unwanted and next to nothing held.
+    assert_eq!(unwanted, 0, "an article was shipped to a node that never wanted it");
     assert!(held + unwanted <= sent, "{held} + {unwanted} classified of {sent} sent");
     assert!(held * 10 <= sent, "{held} of {sent} recovery items were already held");
 }
@@ -95,7 +95,16 @@ fn gap_pull_counters_append_after_the_existing_slots() {
 fn the_full_gossip_wire_moves_unchanged_rows_by_stamp() {
     use obs::ctr;
     assert_eq!((ctr::NW_GAP_PULL_ITEMS.0, ctr::GOSSIP_BYTES_SENT.0), (95, 96));
-    assert_eq!(ctr::NAMES.len(), 97);
+    assert_eq!(
+        (
+            ctr::NW_RECONCILE_WITHHELD.0,
+            ctr::NW_RECONCILE_UNVOUCHED.0,
+            ctr::NW_GAP_PULL_UNANSWERED.0
+        ),
+        (97, 98, 99),
+        "what reconcile vouches for is appended after the gossip byte counter"
+    );
+    assert_eq!(ctr::NAMES.len(), 100);
     let d = sample_run(0x0B8);
     assert!(!d.sim.node(NodeId(0)).agent.config().delta_gossip, "the default is the full wire");
     let hub = d.sim.telemetry();
@@ -339,6 +348,7 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
                 summary: RangeSummary { epoch: 100, floor: 0, next: 9, present: 9 },
                 attest: None,
                 items: vec![],
+                withheld: vec![],
             },
         );
         d.settle(55); // rides out the Byzantine window to t=115
