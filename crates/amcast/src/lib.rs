@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use amcast::{FilterSpec, McastConfig, McastData, McastMsg, McastNode};
+//! use amcast::{FilterSpec, McastData, McastMsg, McastNode};
 //! use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
 //! use simnet::{NetworkModel, NodeId, SimDuration, SimTime, Simulation};
 //!
@@ -33,7 +33,7 @@
 //! let mut sim = Simulation::new(NetworkModel::ideal(SimDuration::from_millis(10)), 3);
 //! for i in 0..n {
 //!     let agent = Agent::new(i, &layout, config.clone(), vec![0]);
-//!     sim.add_node(McastNode::new(agent, McastConfig::default()));
+//!     sim.add_node(McastNode::new(agent, 1));
 //! }
 //! // Let membership and representative election converge…
 //! sim.run_until(SimTime::from_secs(40));
@@ -70,7 +70,7 @@ pub use bimodal::{PbcastConfig, PbcastMsg, PbcastNode};
 pub use dedup::{CoverageWindow, DedupWindow};
 pub use log::{ForwardEvent, ForwardLog, LogRecord};
 pub use mcast::{route, zone_reps, Action, FilterSpec, McastData};
-pub use node::{McastConfig, McastMsg, McastNode};
+pub use node::{McastMsg, McastNode, FORWARD_STRATEGY, SERVICE_INTERVAL};
 pub use queues::{ForwardingQueues, Queued, Strategy};
 pub use seqlog::{BaselineHint, RangeSummary, SeqLog};
 

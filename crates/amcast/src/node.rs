@@ -49,30 +49,17 @@ impl Payload for McastMsg {
     }
 }
 
-/// Multicast-layer configuration.
-#[derive(Debug, Clone)]
-pub struct McastConfig {
-    /// Representatives used per interested child (`k` of paper §9).
-    pub redundancy: usize,
-    /// Service time per forwarded message (models forwarding bandwidth;
-    /// queues build up when the offered load exceeds it).
-    pub service_interval: SimDuration,
-    /// Queue discipline.
-    pub strategy: Strategy,
-    /// Duplicate-suppression window size.
-    pub dedup_capacity: usize,
-}
+/// Queue discipline of every forwarding component — this crate's
+/// [`McastNode`] and a NewsWire node alike.
+pub const FORWARD_STRATEGY: Strategy = Strategy::WeightedRoundRobin;
 
-impl Default for McastConfig {
-    fn default() -> Self {
-        McastConfig {
-            redundancy: 1,
-            service_interval: SimDuration::from_micros(500),
-            strategy: Strategy::WeightedRoundRobin,
-            dedup_capacity: 4096,
-        }
-    }
-}
+/// Service time per forwarded message, shared like [`FORWARD_STRATEGY`]
+/// (models forwarding bandwidth; queues build up when the offered load
+/// exceeds it).
+pub const SERVICE_INTERVAL: SimDuration = SimDuration::from_micros(500);
+
+/// Duplicate-suppression window size.
+const DEDUP_CAPACITY: usize = 4096;
 
 const GOSSIP_TIMER: u64 = 1;
 const DRAIN_TIMER: u64 = 2;
@@ -82,7 +69,8 @@ const DRAIN_TIMER: u64 = 2;
 pub struct McastNode {
     /// The embedded Astrolabe agent.
     pub agent: Agent,
-    cfg: McastConfig,
+    /// Representatives used per interested child (`k` of paper §9).
+    redundancy: usize,
     coverage: CoverageWindow,
     seen: DedupWindow,
     /// Local deliveries: `(message id, delivery time)`.
@@ -94,25 +82,19 @@ pub struct McastNode {
 }
 
 impl McastNode {
-    /// Builds the node around an agent.
-    pub fn new(agent: Agent, cfg: McastConfig) -> Self {
-        let strategy = cfg.strategy;
-        let cap = cfg.dedup_capacity;
+    /// Builds the node around an agent, forwarding each item to
+    /// `redundancy` representatives per interested child (`k` of paper §9).
+    pub fn new(agent: Agent, redundancy: usize) -> Self {
         McastNode {
             agent,
-            cfg,
-            coverage: CoverageWindow::new(cap),
-            seen: DedupWindow::new(cap),
+            redundancy,
+            coverage: CoverageWindow::new(DEDUP_CAPACITY),
+            seen: DedupWindow::new(DEDUP_CAPACITY),
             deliveries: Vec::new(),
             log: ForwardLog::default(),
-            queues: ForwardingQueues::new(strategy),
+            queues: ForwardingQueues::new(FORWARD_STRATEGY),
             draining: false,
         }
-    }
-
-    /// The multicast configuration.
-    pub fn mcast_config(&self) -> &McastConfig {
-        &self.cfg
     }
 
     /// Declares a child queue weight (used by the queue-strategy
@@ -161,13 +143,13 @@ impl McastNode {
         obs::gauge_max!(self.agent.id(), gauge::MCAST_PEAK_QUEUE, self.queues.len());
         if !self.draining {
             self.draining = true;
-            ctx.set_timer(self.cfg.service_interval, DRAIN_TIMER);
+            ctx.set_timer(SERVICE_INTERVAL, DRAIN_TIMER);
         }
     }
 
     /// Executes forwarding duty for `zone`.
     fn process_duty(&mut self, ctx: &mut Context<'_, McastMsg>, data: McastData, zone: ZoneId) {
-        let actions = route(&self.agent, &data.filter, &zone, self.cfg.redundancy, ctx.rng());
+        let actions = route(&self.agent, &data.filter, &zone, self.redundancy, ctx.rng());
         let now = ctx.now();
         if actions.is_empty() && self.agent.level_of(&zone).is_none() {
             obs::metric_add!(self.agent.id(), ctr::MCAST_ROUTE_FAILURES, 1);
@@ -268,7 +250,7 @@ impl Node for McastNode {
                 if self.queues.is_empty() {
                     self.draining = false;
                 } else {
-                    ctx.set_timer(self.cfg.service_interval, DRAIN_TIMER);
+                    ctx.set_timer(SERVICE_INTERVAL, DRAIN_TIMER);
                 }
             }
             _ => {}

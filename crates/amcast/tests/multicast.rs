@@ -1,8 +1,6 @@
 //! Integration tests: SendToZone dissemination on full simulated networks.
 
-use amcast::{
-    FilterSpec, McastConfig, McastData, McastMsg, McastNode, PbcastConfig, PbcastMsg, PbcastNode,
-};
+use amcast::{FilterSpec, McastData, McastMsg, McastNode, PbcastConfig, PbcastMsg, PbcastNode};
 use astrolabe::{Agent, AttrValue, Config, ZoneId, ZoneLayout};
 use bytes::Bytes;
 use filters::BitArray;
@@ -11,7 +9,7 @@ use simnet::{fork, NetworkModel, NodeId, SimDuration, SimTime, Simulation};
 fn build(
     n: u32,
     branching: u16,
-    cfg: McastConfig,
+    redundancy: usize,
     net: NetworkModel,
     seed: u64,
 ) -> Simulation<McastNode> {
@@ -24,7 +22,7 @@ fn build(
         let contacts: Vec<u32> =
             (0..3).map(|_| rand::Rng::gen_range(&mut contact_rng, 0..n)).collect();
         let agent = Agent::new(i, &layout, aconfig.clone(), contacts);
-        sim.add_node(McastNode::new(agent, cfg.clone()));
+        sim.add_node(McastNode::new(agent, redundancy));
     }
     sim
 }
@@ -46,7 +44,7 @@ fn delivered(sim: &Simulation<McastNode>, id: u64) -> usize {
 
 #[test]
 fn full_dissemination_three_levels() {
-    let mut sim = build(120, 5, McastConfig::default(), NetworkModel::default(), 1);
+    let mut sim = build(120, 5, 1, NetworkModel::default(), 1);
     sim.run_until(SimTime::from_secs(45));
     publish_all(&mut sim, SimTime::from_secs(45), 17, 1000);
     sim.run_until(SimTime::from_secs(55));
@@ -55,7 +53,7 @@ fn full_dissemination_three_levels() {
 
 #[test]
 fn delivery_latency_is_seconds_not_minutes() {
-    let mut sim = build(64, 4, McastConfig::default(), NetworkModel::default(), 2);
+    let mut sim = build(64, 4, 1, NetworkModel::default(), 2);
     sim.run_until(SimTime::from_secs(45));
     let t0 = SimTime::from_secs(45);
     publish_all(&mut sim, t0, 0, 2000);
@@ -89,7 +87,7 @@ fn bloom_filtering_prunes_uninterested_subtrees() {
         }
         bits.set(10 + usize::from(i as u16 % 54)); // noise bits, disjoint from bit 9
         agent.set_local_attr("subs", AttrValue::Bits(bits));
-        sim.add_node(McastNode::new(agent, McastConfig::default()));
+        sim.add_node(McastNode::new(agent, 1));
     }
     sim.run_until(SimTime::from_secs(60));
     let data = McastData {
@@ -115,7 +113,7 @@ fn bloom_filtering_prunes_uninterested_subtrees() {
 fn scoped_publish_stays_inside_zone() {
     // E9's property: publishing into a sub-zone must not leak outside it.
     let n = 64u32;
-    let mut sim = build(n, 4, McastConfig::default(), NetworkModel::default(), 11);
+    let mut sim = build(n, 4, 1, NetworkModel::default(), 11);
     sim.run_until(SimTime::from_secs(45));
     let layout = ZoneLayout::new(n, 4);
     // Publish into the top-level zone containing node 20 ("Asia").
@@ -146,8 +144,7 @@ fn redundant_reps_survive_forwarder_failures() {
     // Kill a slice of nodes right at publish time; with k=2 redundancy the
     // remaining forwarders still cover (almost) every live subscriber.
     let n = 96u32;
-    let cfg = McastConfig { redundancy: 2, ..Default::default() };
-    let mut sim = build(n, 4, cfg, NetworkModel::default(), 13);
+    let mut sim = build(n, 4, 2, NetworkModel::default(), 13);
     sim.run_until(SimTime::from_secs(45));
     // Crash 10 random-ish non-origin nodes (spread deterministically).
     let victims: Vec<u32> = (0..n).filter(|i| i % 9 == 3).collect();
@@ -164,8 +161,7 @@ fn redundant_reps_survive_forwarder_failures() {
 
 #[test]
 fn duplicates_are_suppressed_not_delivered_twice() {
-    let cfg = McastConfig { redundancy: 3, ..Default::default() };
-    let mut sim = build(32, 4, cfg, NetworkModel::default(), 17);
+    let mut sim = build(32, 4, 3, NetworkModel::default(), 17);
     sim.run_until(SimTime::from_secs(45));
     publish_all(&mut sim, SimTime::from_secs(45), 0, 6000);
     sim.run_until(SimTime::from_secs(55));

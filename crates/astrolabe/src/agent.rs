@@ -36,7 +36,7 @@ use std::sync::Arc;
 use obs::{ctr, gauge, hist, kind, Layer};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use simnet::{PhiBank, PhiConfig, SimTime};
+use simnet::{PhiBank, SimTime};
 
 use crate::agg::{parse_program, run_program, AggProgram};
 use crate::config::Config;
@@ -311,11 +311,6 @@ impl Agent {
     /// (paper §8 leaves bootstrap configuration out of scope; the simulation
     /// hands every agent a few random contacts, standing in for the seed
     /// list a downloaded client would ship with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.phi_window` or `config.phi_threshold` is not a
-    /// usable failure-detector tuning (see [`PhiBank::new`]).
     pub fn new(id: u32, layout: &ZoneLayout, config: Config, extra_contacts: Vec<u32>) -> Self {
         let chain = layout.ancestor_chain(id);
         let mut contacts =
@@ -324,16 +319,7 @@ impl Agent {
         contacts.extend(extra_contacts.into_iter().filter(|&c| c != id));
         contacts.sort_unstable();
         contacts.dedup();
-        // Tuning for the per-row failure detectors, derived from the gossip
-        // cadence: generous floors so multi-hop propagation jitter does not
-        // read as failure, while a genuinely silent row is suspected within
-        // a few rounds instead of a fixed multi-round TTL.
-        let phi = PhiConfig {
-            window: config.phi_window,
-            threshold: config.phi_threshold,
-            first_interval: config.gossip_interval * 2,
-            min_stddev: config.gossip_interval,
-        };
+        let phi = config.phi();
         let levels = chain
             .into_iter()
             .map(|zone| Level {

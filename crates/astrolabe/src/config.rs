@@ -3,7 +3,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use simnet::SimDuration;
+use simnet::{PhiConfig, SimDuration};
 
 use crate::agg::{parse_program, AggProgram};
 
@@ -59,15 +59,9 @@ pub struct Config {
     pub gossip_interval: SimDuration,
     /// Hard staleness bound: rows issued longer ago than this are evicted
     /// and refused in merges regardless of suspicion level. Primary failure
-    /// detection is phi-accrual (see [`Config::phi_threshold`]); the TTL is
-    /// the backstop for rows whose update cadence was never observed.
+    /// detection is phi-accrual (see [`Config::phi`]); the TTL is the
+    /// backstop for rows whose update cadence was never observed.
     pub row_ttl: SimDuration,
-    /// Phi-accrual suspicion threshold at which a silent row is evicted.
-    /// Higher is more conservative; 8 ≈ one false eviction per 10^8
-    /// on-cadence observations.
-    pub phi_threshold: f64,
-    /// Inter-arrival samples the per-row phi detectors keep.
-    pub phi_window: usize,
     /// Representatives elected per zone (`k` of `REPSEL`).
     pub reps_per_zone: usize,
     /// Aggregation programs installed from configuration. Dynamic programs
@@ -111,12 +105,27 @@ impl Config {
             branching: crate::zone::DEFAULT_BRANCHING,
             gossip_interval: SimDuration::from_secs(2),
             row_ttl: SimDuration::from_secs(30),
-            phi_threshold: 8.0,
-            phi_window: 16,
             reps_per_zone: k,
             aggregations: vec![AggSpec::new("core", Self::core_program(k))],
             contact_fanout: 3,
             delta_gossip: false,
+        }
+    }
+
+    /// The phi-accrual tuning every failure detector of a deployment shares
+    /// — an agent's per-row detectors and a NewsWire node's per-peer ones:
+    /// 16 inter-arrival samples, and a silent peer is suspect at phi 8
+    /// (≈ one false suspicion per 10^8 on-cadence observations). The
+    /// cadence floors come from the gossip period, since every live peer
+    /// talks at least that often: generous, so multi-hop propagation jitter
+    /// does not read as failure, while a genuinely silent row is suspected
+    /// within a few rounds instead of a fixed multi-round TTL.
+    pub fn phi(&self) -> PhiConfig {
+        PhiConfig {
+            window: 16,
+            threshold: 8.0,
+            first_interval: self.gossip_interval * 2,
+            min_stddev: self.gossip_interval,
         }
     }
 

@@ -9,7 +9,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use astrolabe::{Agent, Config, GossipMsg, ZoneLayout};
-use simnet::{fork, PhiBank, PhiConfig, SimTime};
+use simnet::{fork, PhiBank, SimTime};
 
 thread_local! {
     // Per thread, so tests running in parallel do not see each other.
@@ -101,13 +101,6 @@ fn constructing_an_agent_stays_within_its_allocation_budget() {
 }
 
 #[test]
-#[should_panic(expected = "phi window must be non-empty")]
-fn a_bad_detector_tuning_is_refused_at_construction() {
-    let config = Config { phi_window: 0, ..Config::standard() };
-    Agent::new(0, &ZoneLayout::new(4, 4), config, vec![]);
-}
-
-#[test]
 fn detectors_are_two_exact_allocations_per_level() {
     let layout = ZoneLayout::new(64, 4); // 4 x 4 x 4
     let config = Config { branching: 4, delta_gossip: false, ..Config::standard() };
@@ -117,10 +110,10 @@ fn detectors_are_two_exact_allocations_per_level() {
 
     // What one slot costs (its record plus its share of the ring), read off
     // a bank of the same window.
-    let mut probe = PhiBank::new(PhiConfig { window: config.phi_window, ..PhiConfig::default() });
+    let mut probe = PhiBank::new(config.phi());
     probe.grow_to(1);
     let per_slot = probe.heap_bytes();
-    assert_eq!(per_slot, 40 + 4 * config.phi_window);
+    assert_eq!(per_slot, 40 + 4 * config.phi().window);
 
     for a in &agents {
         for level in 0..a.levels() {

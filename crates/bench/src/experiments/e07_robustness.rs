@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use amcast::{FilterSpec, McastConfig, McastData, McastMsg, McastNode};
+use amcast::{FilterSpec, McastData, McastMsg, McastNode};
 use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
 use bytes::Bytes;
 use rand::Rng;
@@ -32,7 +32,7 @@ fn build(n: u32, k: usize, seed: u64) -> Simulation<McastNode> {
     for i in 0..n {
         let contacts: Vec<u32> = (0..3).map(|_| contact_rng.gen_range(0..n)).collect();
         let agent = Agent::new(i, &layout, aconfig.clone(), contacts);
-        sim.add_node(McastNode::new(agent, McastConfig { redundancy: k, ..Default::default() }));
+        sim.add_node(McastNode::new(agent, k));
     }
     sim
 }

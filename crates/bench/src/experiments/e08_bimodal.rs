@@ -12,9 +12,7 @@
 //! the short-horizon delivery ratio for: raw pbcast (repair disabled),
 //! pbcast with repair, and Astrolabe SendToZone with k = 1 and k = 2.
 
-use amcast::{
-    FilterSpec, McastConfig, McastData, McastMsg, McastNode, PbcastConfig, PbcastMsg, PbcastNode,
-};
+use amcast::{FilterSpec, McastData, McastMsg, McastNode, PbcastConfig, PbcastMsg, PbcastNode};
 use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
 use bytes::Bytes;
 use rand::Rng;
@@ -77,7 +75,7 @@ fn astrolabe_ratios(n: u32, loss: f64, k: usize, seed: u64) -> Vec<f64> {
     for i in 0..n {
         let contacts: Vec<u32> = (0..3).map(|_| contact_rng.gen_range(0..n)).collect();
         let agent = Agent::new(i, &layout, aconfig.clone(), contacts);
-        sim.add_node(McastNode::new(agent, McastConfig { redundancy: k, ..Default::default() }));
+        sim.add_node(McastNode::new(agent, k));
     }
     sim.run_until(SimTime::from_secs(60));
     let mut ratios = Vec::new();

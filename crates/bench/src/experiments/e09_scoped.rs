@@ -10,7 +10,7 @@
 //! (deliveries outside the scope must be zero even though the publisher
 //! itself sits in a *different* region and relays in).
 
-use amcast::{FilterSpec, McastConfig, McastData, McastMsg, McastNode};
+use amcast::{FilterSpec, McastData, McastMsg, McastNode};
 use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
 use bytes::Bytes;
 use rand::Rng;
@@ -27,7 +27,7 @@ fn build(n: u32, seed: u64) -> (Simulation<McastNode>, ZoneLayout) {
     for i in 0..n {
         let contacts: Vec<u32> = (0..3).map(|_| contact_rng.gen_range(0..n)).collect();
         let agent = Agent::new(i, &layout, aconfig.clone(), contacts);
-        sim.add_node(McastNode::new(agent, McastConfig::default()));
+        sim.add_node(McastNode::new(agent, 1));
     }
     (sim, layout)
 }

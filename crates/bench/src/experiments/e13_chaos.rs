@@ -38,10 +38,7 @@ fn run_point(n: u32, churn: bool, gray_pct: u32, ack: bool, seed: u64) -> Point 
     let mut config = NewsWireConfig::tech_news();
     config.redundancy = 1; // isolate the first-pass tree: one rep per hand-off
     config.anti_entropy = false; // nothing periodic to mask tree losses
-    if !ack {
-        config.ack_timeout = None;
-        config.repair_reply_timeout = None;
-    }
+    config.acks = ack;
     let mut d = newswire::DeploymentBuilder::new(n, seed)
         .branching(8)
         .config(config)

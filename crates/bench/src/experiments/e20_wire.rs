@@ -49,9 +49,7 @@ struct Arm {
 /// initial telling, published in 20-second revision waves over a WAN with
 /// 1% loss, so repair and reconciliation re-ship revised bodies too.
 fn run_arm(n: u32, stories: u32, revs: u32, deltas: bool, seed: u64) -> Arm {
-    let mut config = NewsWireConfig::tech_news();
-    config.deltas = deltas;
-    config.astrolabe.delta_gossip = deltas;
+    let config = NewsWireConfig { deltas, ..NewsWireConfig::tech_news() };
     let mut d = DeploymentBuilder::new(n, seed)
         .branching(8)
         .config(config)
@@ -59,7 +57,6 @@ fn run_arm(n: u32, stories: u32, revs: u32, deltas: bool, seed: u64) -> Arm {
         .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
         .cats_per_subscriber(2)
         .build();
-    d.sim.set_delta_accounting(deltas);
     d.settle(60);
     // Zero the byte meters here so both arms price the same steady-state
     // window (cold-start membership convergence is E6's subject, not this

@@ -85,7 +85,6 @@ struct Point {
 /// oracle (which folds in the post-revocation forgery verdict).
 fn run_point(n: u32, duration: u64, seeds: u32, sybil: u32, defense: Defense, seed: u64) -> Point {
     let mut config = NewsWireConfig::tech_news();
-    config.redundancy = 2;
     config.defenses = defense != Defense::NoFence;
     config.admission = defense != Defense::NoAdmission;
     let mut d = newswire::DeploymentBuilder::new(n, seed)

@@ -2,10 +2,8 @@
 //! (§10): technical news (Slashdot, Wired, The Register, News.com) and
 //! general news (Reuters, AP, The New York Times).
 
-use amcast::Strategy;
 use astrolabe::AggSpec;
 use newsml::PublisherId;
-use simnet::SimDuration;
 
 use crate::cache::CachePolicy;
 
@@ -36,7 +34,9 @@ impl SubscriptionModel {
     }
 }
 
-/// Full NewsWire deployment configuration.
+/// Full NewsWire deployment configuration: the settings a deployment or
+/// an experiment chooses. Every other protocol parameter is a constant of
+/// the crate that owns it (DESIGN "Configuration").
 #[derive(Debug, Clone)]
 pub struct NewsWireConfig {
     /// Underlying Astrolabe parameters (branching, gossip interval, TTL…).
@@ -45,34 +45,14 @@ pub struct NewsWireConfig {
     pub model: SubscriptionModel,
     /// Representatives used per interested child during forwarding.
     pub redundancy: usize,
-    /// Forwarding queue discipline.
-    pub strategy: Strategy,
-    /// Forwarding service time per message.
-    pub service_interval: SimDuration,
     /// End-system cache policy.
     pub cache: CachePolicy,
-    /// Maximum items shipped per recovery reply.
-    pub repair_batch: usize,
-    /// Whether forwarders verify publisher signatures (§8).
-    pub verify_signatures: bool,
-    /// Base timeout for acknowledged tree hand-offs: a forwarder arms a
-    /// timer per `Forward` it transmits and, absent a `ForwardAck`, retries
-    /// with exponential backoff before failing over to another
-    /// representative. `None` restores the seed's unacknowledged hand-offs
-    /// (a slow-but-alive representative silently blackholes its subtree
-    /// until anti-entropy catches it).
-    pub ack_timeout: Option<SimDuration>,
-    /// Retries against the *same* representative before failing over.
-    pub ack_retries: u32,
-    /// Backoff multiplier applied to `ack_timeout` per retry.
-    pub ack_backoff: u32,
-    /// Alternative representatives tried after retries are exhausted;
-    /// beyond this the hand-off is abandoned to anti-entropy repair.
-    pub ack_max_failovers: u32,
-    /// Timeout on reconcile replies: absent a `ReconcileReply`, re-target
-    /// a cross-zone peer instead of waiting for the next gossip round.
-    /// `None` disables re-targeting.
-    pub repair_reply_timeout: Option<SimDuration>,
+    /// Acknowledged tree hand-offs: a forwarder arms a timer per `Forward`
+    /// it transmits and, absent a `ForwardAck`, retries with exponential
+    /// backoff before failing over to another representative. Off restores
+    /// the seed's unacknowledged hand-offs (a slow-but-alive representative
+    /// silently blackholes its subtree until anti-entropy catches it).
+    pub acks: bool,
     /// Log anti-entropy: piggyback per-publisher article-log digests
     /// (`sys$ae:<publisher>` attributes) on gossip rows and pull missing
     /// sequence ranges from the freshest known peer. The periodic recovery:
@@ -90,36 +70,29 @@ pub struct NewsWireConfig {
     /// State-corruption defenses: structural validation of gossiped zone
     /// rows at ingest, a periodic self-audit that re-derives this node's
     /// own advertisements from ground truth and scrubs rows that cannot be
-    /// honest, and an epoch fence that refuses log-epoch adoption beyond
-    /// the consensus of the node's peers. On by default — the defenses are
-    /// deterministic and cost one table sweep per few gossip rounds; E17
-    /// runs the ablation with them off.
+    /// honest, an epoch fence that refuses log-epoch adoption beyond the
+    /// consensus of the node's peers, signature checks on bare items, and
+    /// the quarantine of peers whose misbehavior score crosses a threshold
+    /// (DESIGN §12). On by default — the defenses are deterministic and
+    /// cost one table sweep per few gossip rounds; E17 runs the ablation
+    /// with them off.
     pub defenses: bool,
-    /// Misbehavior score at which a peer is quarantined (DESIGN §12):
-    /// invalid signatures score 2, refused epoch-fence replies and digest
-    /// contradictions score 1 each, and a peer at or past this threshold is
-    /// treated as suspect for repair, reconciliation, and hand-off
-    /// failover until it restarts under a fresh incarnation. Only consulted
-    /// when `defenses` is on.
-    pub quarantine_threshold: u32,
     /// The delta-everything wire protocol: revised envelopes and
     /// repair/reconcile replies carry CDC delta annotations against
     /// baselines the receiver holds, and requests declare held revisions as
-    /// [`amcast::BaselineHint`]s. Off by default. A delta run also turns on
-    /// `astrolabe.delta_gossip` (row diffs instead of full digests) and the
-    /// simulation's `set_delta_accounting` (the compressed-wire byte lane).
+    /// [`amcast::BaselineHint`]s. Off by default. A deployment built with
+    /// it also gossips row diffs (`astrolabe.delta_gossip`) and counts the
+    /// compressed-wire byte lane (`Simulation::set_delta_accounting`);
+    /// [`crate::DeploymentBuilder::build`] sets both from this switch.
     pub deltas: bool,
     /// Sybil admission control (DESIGN §15): leaf-zone member rows must
     /// carry a registry-endorsed join ticket (`sys$jt` attribute), rows
     /// without one are refused at gossip ingest and tracked in a bounded
     /// probation set, and brand-new identities are refused outright once
-    /// the leaf zone holds `zone_quota` members. Off by default — it adds
+    /// the leaf zone holds its quota of members. Off by default — it adds
     /// a ticket attribute to every member row, so legacy runs stay
     /// byte-identical.
     pub admission: bool,
-    /// Maximum leaf-zone identities admitted when `admission` is on;
-    /// beyond this, previously unseen member rows are refused.
-    pub zone_quota: usize,
 }
 
 impl NewsWireConfig {
@@ -130,23 +103,13 @@ impl NewsWireConfig {
             astrolabe: astrolabe::Config::standard(),
             model: SubscriptionModel::Bloom { bits: 1024, hashes: 3 },
             redundancy: 2,
-            strategy: Strategy::WeightedRoundRobin,
-            service_interval: SimDuration::from_micros(500),
             cache: CachePolicy::default(),
-            repair_batch: 64,
-            verify_signatures: true,
-            ack_timeout: Some(SimDuration::from_secs(2)),
-            ack_retries: 1,
-            ack_backoff: 2,
-            ack_max_failovers: 2,
-            repair_reply_timeout: Some(SimDuration::from_secs(3)),
+            acks: true,
             anti_entropy: true,
             durable_state: false,
             defenses: true,
-            quarantine_threshold: 3,
             deltas: false,
             admission: false,
-            zone_quota: 64,
         }
     }
 
@@ -203,7 +166,6 @@ mod tests {
         let global = NewsWireConfig::global_news();
         assert_eq!(tech.model, SubscriptionModel::Bloom { bits: 1024, hashes: 3 });
         assert_eq!(global.model, SubscriptionModel::Bloom { bits: 4096, hashes: 4 });
-        assert!(tech.verify_signatures);
     }
 
     #[test]

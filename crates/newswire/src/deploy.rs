@@ -193,11 +193,16 @@ impl DeploymentBuilder {
     /// leaf of the same Astrolabe tree (publishers are "just another
     /// Astrolabe leaf node", §8).
     ///
+    /// The configuration's `deltas` switch selects the whole delta wire:
+    /// the agents' `delta_gossip` and the simulation's delta accounting
+    /// follow it.
+    ///
     /// # Panics
     ///
     /// Panics if no publishers were added.
-    pub fn build(self) -> Deployment {
+    pub fn build(mut self) -> Deployment {
         assert!(!self.publishers.is_empty(), "deployment needs at least one publisher");
+        self.config.astrolabe.delta_gossip = self.config.deltas;
         let n = self.subscribers + self.publishers.len() as u32;
         let layout = ZoneLayout::new(n, self.branching);
 
@@ -270,6 +275,7 @@ impl DeploymentBuilder {
         let mut contact_rng = fork(self.seed, 0xC0);
         let mut interest_rng = fork(self.seed, 0x1A);
         let mut sim = Simulation::new(net, self.seed);
+        sim.set_delta_accounting(self.config.deltas);
         let mut publishers = Vec::new();
 
         for i in 0..n {

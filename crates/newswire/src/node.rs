@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use amcast::{
     route, zone_reps, Action, BaselineHint, CoverageWindow, FilterSpec, ForwardEvent, ForwardLog,
-    ForwardingQueues, LogRecord, RangeSummary, SeqLog,
+    ForwardingQueues, LogRecord, RangeSummary, SeqLog, FORWARD_STRATEGY, SERVICE_INTERVAL,
 };
 use astrolabe::{
     Agent, AttrValue, Certificate, GossipMsg, KeyId, Mib, MibBuilder, RotationRecord, Signature,
@@ -29,8 +29,8 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simnet::{
-    Context, CorruptionOp, LiarAction, LiarMode, Node, NodeId, PhiBank, PhiConfig, RestartMode,
-    SimDuration, SimTime, TimerId,
+    Context, CorruptionOp, LiarAction, LiarMode, Node, NodeId, PhiBank, RestartMode, SimDuration,
+    SimTime, TimerId,
 };
 
 use crate::auth::{
@@ -165,6 +165,44 @@ pub const SYBIL_ID_BASE: u32 = 0x5B11_0000;
 
 /// Bound on the probation set tracking refused unendorsed identities.
 const PROBATION_CAP: usize = 256;
+
+/// Leaf-zone identities admitted when `admission` is on; beyond this,
+/// previously unseen member rows are refused.
+const ZONE_QUOTA: usize = 64;
+
+/// Misbehavior score at which a peer is quarantined (DESIGN §12): invalid
+/// signatures score 2, refused epoch-fence replies and digest
+/// contradictions score 1 each, and a peer at or past this threshold is
+/// treated as suspect for repair, reconciliation, and hand-off failover
+/// until it restarts under a fresh incarnation. Only with `defenses` on.
+const QUARANTINE_THRESHOLD: u32 = 3;
+
+/// Most entries (items plus withheld stubs) one reconcile reply carries.
+const REPAIR_BATCH: usize = 64;
+
+/// Base timeout of an acknowledged tree hand-off, and the ceiling of every
+/// measured round-trip bound — also the answer before a peer's first round
+/// trip has been timed.
+const ACK_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
+/// Retries against the *same* representative before a hand-off fails over.
+const ACK_RETRIES: u32 = 1;
+
+/// Alternative peers tried once the first stops answering: untried
+/// representatives for an acknowledged hand-off (beyond this the hand-off
+/// is abandoned to anti-entropy repair), and cross-zone peers for a
+/// reconcile request whose reply timed out (beyond this the next gossip
+/// round starts over).
+const MAX_FAILOVERS: u32 = 2;
+
+/// Multiplier applied to a wait per timeout already burned on it: an
+/// acknowledged hand-off's per same-representative retry, a reconcile
+/// request's per re-target.
+const BACKOFF: u64 = 2;
+
+/// How long a reconcile request waits for its reply before re-targeting a
+/// cross-zone peer instead of waiting for the next gossip round.
+const REPAIR_REPLY_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 
 /// Entries retained per per-publisher article log.
 const ARTICLE_LOG_CAPACITY: usize = 8192;
@@ -360,17 +398,9 @@ struct PeerHealth {
 }
 
 impl PeerHealth {
-    /// Phi tuning shared with the embedded Astrolabe agent: window and
-    /// threshold from configuration, cadence floors from the gossip period
-    /// (every live peer talks at least that often).
+    /// Phi tuning shared with the embedded Astrolabe agent.
     fn new(astro: &astrolabe::Config) -> Self {
-        let gossip = astro.gossip_interval;
-        let bank = PhiBank::new(PhiConfig {
-            window: astro.phi_window,
-            threshold: astro.phi_threshold,
-            first_interval: gossip.checked_mul(2).unwrap_or(gossip),
-            min_stddev: gossip,
-        });
+        let bank = PhiBank::new(astro.phi());
         PeerHealth { slot_of: HashMap::new(), bank, rtt: Vec::new() }
     }
 
@@ -502,7 +532,7 @@ pub struct NewsWireNode {
     authority: HashMap<PublisherId, EpochAttest>,
     /// Per-peer misbehavior score (invalid signatures, refused-fence
     /// replies, digest contradictions). Crossing
-    /// `cfg.quarantine_threshold` quarantines the peer from selection.
+    /// [`QUARANTINE_THRESHOLD`] quarantines the peer from selection.
     misbehavior: HashMap<u32, u32>,
     /// Revoked `(publisher, key)` pairs from adopted rotation records —
     /// the fence every admission path consults *before* signature
@@ -541,7 +571,6 @@ pub struct NewsWireNode {
 impl NewsWireNode {
     /// Creates a subscriber node.
     pub fn new(mut agent: Agent, cfg: NewsWireConfig, registry: Arc<TrustRegistry>) -> Self {
-        let strategy = cfg.strategy;
         let cache = MessageCache::new(cfg.cache);
         agent.set_ingest_validation(cfg.defenses);
         let peer_health = PeerHealth::new(agent.config());
@@ -553,7 +582,7 @@ impl NewsWireNode {
             publisher: None,
             cache,
             coverage: CoverageWindow::new(8192),
-            queues: ForwardingQueues::new(strategy),
+            queues: ForwardingQueues::new(FORWARD_STRATEGY),
             draining: false,
             log: ForwardLog::default(),
             deliveries: Vec::new(),
@@ -859,7 +888,6 @@ impl NewsWireNode {
             .filter_map(|(_, row)| row.get("id").and_then(|v| v.as_i64()))
             .filter_map(|v| u32::try_from(v).ok())
             .collect();
-        let quota = self.cfg.zone_quota;
         let mut members = known.len();
         let mut refused: Vec<u32> = Vec::new();
         let registry = &self.registry;
@@ -888,7 +916,7 @@ impl NewsWireNode {
                     return false;
                 }
                 if !known.contains(&id) {
-                    if members >= quota {
+                    if members >= ZONE_QUOTA {
                         refused.push(id);
                         return false;
                     }
@@ -1037,11 +1065,10 @@ impl NewsWireNode {
     }
 
     /// What a round trip to `peer` is bounded by: measured (see
-    /// [`RttPeak::bound`]) and never above the configured ceiling, which is
-    /// also the answer before any exchange with `peer` has been timed.
+    /// [`RttPeak::bound`]) and never above [`ACK_TIMEOUT`], which is also
+    /// the answer before any exchange with `peer` has been timed.
     fn round_trip_bound(&self, peer: u32) -> SimDuration {
-        let ceiling = self.cfg.ack_timeout.unwrap_or(self.agent.config().gossip_interval);
-        self.peer_health.rtt_bound(peer).map_or(ceiling, |bound| bound.min(ceiling))
+        self.peer_health.rtt_bound(peer).map_or(ACK_TIMEOUT, |bound| bound.min(ACK_TIMEOUT))
     }
 
     /// True when the phi detector suspects `peer` — or the misbehavior
@@ -1055,8 +1082,7 @@ impl NewsWireNode {
     /// True when `peer`'s misbehavior score has crossed the quarantine
     /// threshold (defenses on only).
     fn quarantined(&self, peer: u32) -> bool {
-        self.cfg.defenses
-            && self.misbehavior.get(&peer).is_some_and(|&s| s >= self.cfg.quarantine_threshold)
+        self.cfg.defenses && self.misbehavior.get(&peer).is_some_and(|&s| s >= QUARANTINE_THRESHOLD)
     }
 
     /// Records a misbehavior strike against `peer`, tracing the quarantine
@@ -1068,11 +1094,10 @@ impl NewsWireNode {
         if peer == NodeId::EXTERNAL || !self.cfg.defenses {
             return;
         }
-        let threshold = self.cfg.quarantine_threshold;
         let score = self.misbehavior.entry(peer.0).or_insert(0);
         let before = *score;
         *score = score.saturating_add(weight);
-        if before < threshold && *score >= threshold {
+        if before < QUARANTINE_THRESHOLD && *score >= QUARANTINE_THRESHOLD {
             let after = u64::from(*score);
             obs::metric_add!(self.agent.id(), ctr::NW_QUARANTINES, 1);
             obs::trace_event!(
@@ -1394,7 +1419,7 @@ impl NewsWireNode {
         obs::gauge_max!(self.agent.id(), gauge::NW_PEAK_QUEUE, self.queues.len());
         if !self.draining {
             self.draining = true;
-            ctx.set_timer(self.cfg.service_interval, DRAIN_TIMER);
+            ctx.set_timer(SERVICE_INTERVAL, DRAIN_TIMER);
         }
     }
 
@@ -1574,15 +1599,7 @@ impl NewsWireNode {
     }
 
     fn verify(&self, env: &Envelope) -> bool {
-        !self.cfg.verify_signatures
-            || verify_item(
-                &self.registry,
-                &env.certificate,
-                &env.item,
-                &env.scope,
-                env.key,
-                env.signature,
-            )
+        verify_item(&self.registry, &env.certificate, &env.item, &env.scope, env.key, env.signature)
     }
 
     /// After a verified envelope: remember the publisher's certificate (so
@@ -1640,7 +1657,7 @@ impl NewsWireNode {
             self.note_revoked_reject(path, item.id.publisher);
             return;
         }
-        if self.cfg.defenses && self.cfg.verify_signatures && !self.bare_item_ok(&item, key, sig) {
+        if self.cfg.defenses && !self.bare_item_ok(&item, key, sig) {
             obs::metric_add!(self.agent.id(), ctr::NW_FORGED_REJECTS, 1);
             obs::trace_event!(
                 self.agent.id(),
@@ -1681,10 +1698,7 @@ impl NewsWireNode {
                 self.note_revoked_reject(4, item.id.publisher);
                 continue;
             }
-            if self.cfg.defenses
-                && self.cfg.verify_signatures
-                && !self.bare_item_ok(&item, key, sig)
-            {
+            if self.cfg.defenses && !self.bare_item_ok(&item, key, sig) {
                 obs::metric_add!(self.agent.id(), ctr::NW_FORGED_REJECTS, 1);
                 obs::trace_event!(
                     self.agent.id(),
@@ -1811,12 +1825,10 @@ impl NewsWireNode {
     }
 
     /// How long a hand-off to `rep` waits for its ack: what a round trip to
-    /// `rep` is bounded by — measured, `cfg.ack_timeout` at most — backed
+    /// `rep` is bounded by — measured, [`ACK_TIMEOUT`] at most — backed
     /// off exponentially in the timeouts already burned against `rep`.
     fn handoff_delay(&self, rep: u32, attempt: u32) -> SimDuration {
-        let timeout = self.round_trip_bound(rep);
-        let factor = u64::from(self.cfg.ack_backoff.max(1)).pow(attempt);
-        timeout.checked_mul(factor).unwrap_or(timeout)
+        self.round_trip_bound(rep) * BACKOFF.pow(attempt)
     }
 
     /// Registers an acknowledged hand-off of `env`/`zone` to `rep`, sent
@@ -1881,11 +1893,11 @@ impl NewsWireNode {
         // current representative, burning the remaining same-rep retries is
         // wasted time — fail over immediately.
         let rep_suspect = self.peer_suspect(handoff.rep, now);
-        if rep_suspect && handoff.attempt < self.cfg.ack_retries {
+        if rep_suspect && handoff.attempt < ACK_RETRIES {
             obs::metric_add!(self.agent.id(), ctr::NW_SUSPECT_FAILOVERS, 1);
             obs::trace_event!(self.agent.id(), Layer::News, kind::PHI_SUSPECT, handoff.rep);
         }
-        if !rep_suspect && handoff.attempt < self.cfg.ack_retries {
+        if !rep_suspect && handoff.attempt < ACK_RETRIES {
             // Same representative, longer leash.
             handoff.attempt += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_ACK_RETRIES, 1);
@@ -1912,7 +1924,7 @@ impl NewsWireNode {
             return;
         }
         // Retries exhausted: fail over to a representative not yet tried.
-        let next = if handoff.failovers < self.cfg.ack_max_failovers {
+        let next = if handoff.failovers < MAX_FAILOVERS {
             let mut candidates = zone_reps(&self.agent, &handoff.zone);
             candidates.retain(|r| !handoff.tried.contains(r) && *r != handoff.rep);
             // Prefer representatives the phi detector still trusts.
@@ -2120,21 +2132,18 @@ impl NewsWireNode {
                 interest: self.interest(publisher),
             },
         );
-        if let Some(wait) = self.cfg.repair_reply_timeout {
-            let backoff = u64::from(self.cfg.ack_backoff.max(1)).pow(retargets);
-            let delay = wait.checked_mul(backoff).unwrap_or(wait);
-            let timer = ctx.set_timer(delay, RECONCILE_WAIT_TIMER);
-            self.awaiting_reconcile = Some(PendingReconcile {
-                peer,
-                publisher,
-                ranges,
-                tail_from,
-                asked,
-                timer,
-                retargets,
-                via_digest,
-            });
-        }
+        let delay = REPAIR_REPLY_TIMEOUT * BACKOFF.pow(retargets);
+        let timer = ctx.set_timer(delay, RECONCILE_WAIT_TIMER);
+        self.awaiting_reconcile = Some(PendingReconcile {
+            peer,
+            publisher,
+            ranges,
+            tail_from,
+            asked,
+            timer,
+            retargets,
+            via_digest,
+        });
     }
 
     /// Who is asked next about holes the peers in `asked` could not vouch
@@ -2164,7 +2173,7 @@ impl NewsWireNode {
     }
 
     /// Serves a `ReconcileRequest` from the log, in sequence order, at most
-    /// `repair_batch` entries: each requested article the log holds is
+    /// [`REPAIR_BATCH`] entries: each requested article the log holds is
     /// shipped when the requester's interest admits it — the leaf hop's
     /// own test — and withheld as a stub when it does not; a seq whose
     /// article has since left the cache is vouched for as gone; a seq this
@@ -2195,7 +2204,7 @@ impl NewsWireNode {
             let wanted = ranges.iter().copied().chain([(tail_from, u64::MAX)]).collect();
             'walk: for (lo, hi) in merge_ranges(wanted) {
                 for (seq, entry) in log.range(lo, hi) {
-                    if items.len() + withheld.len() >= self.cfg.repair_batch {
+                    if items.len() + withheld.len() >= REPAIR_BATCH {
                         break 'walk;
                     }
                     match (self.cache.get(ItemId::new(publisher, seq)), entry) {
@@ -2327,7 +2336,7 @@ impl NewsWireNode {
         // in sequence order): it speaks for nothing past its last entry.
         let last = items.last().map(|i| i.item.id.seq).max(withheld.last().map(|&(seq, _)| seq));
         let spoken_for = match last {
-            Some(last) if items.len() + withheld.len() >= self.cfg.repair_batch => last,
+            Some(last) if items.len() + withheld.len() >= REPAIR_BATCH => last,
             _ => u64::MAX,
         };
         for SignedItem { item, key, signature, basis } in items {
@@ -2766,7 +2775,7 @@ impl Node for NewsWireNode {
                 // Receipt first: whether this is fresh duty or a duplicate,
                 // this representative covers the zone — the sender must stop
                 // retrying. Only real (simulated) node senders are acked.
-                if self.cfg.ack_timeout.is_some() && from != NodeId::EXTERNAL {
+                if self.cfg.acks && from != NodeId::EXTERNAL {
                     ctx.send(
                         from,
                         NewsWireMsg::ForwardAck { msg_id: env.msg_id, zone: zone.clone() },
@@ -2907,7 +2916,7 @@ impl Node for NewsWireNode {
                     // they hit the wire: arm the per-hand-off timeout that
                     // drives retry/backoff/failover.
                     match &msg {
-                        NewsWireMsg::Forward { env, zone } if self.cfg.ack_timeout.is_some() => {
+                        NewsWireMsg::Forward { env, zone } if self.cfg.acks => {
                             obs::trace_event!(
                                 self.agent.id(),
                                 Layer::News,
@@ -2925,7 +2934,7 @@ impl Node for NewsWireNode {
                 if self.queues.is_empty() {
                     self.draining = false;
                 } else {
-                    ctx.set_timer(self.cfg.service_interval, DRAIN_TIMER);
+                    ctx.set_timer(SERVICE_INTERVAL, DRAIN_TIMER);
                 }
             }
             RECONCILE_WAIT_TIMER => {
@@ -2935,7 +2944,7 @@ impl Node for NewsWireNode {
                 // request a subscription change forgot; it is not the
                 // deadline of the request sent since.
                 let Some(p) = self.awaiting_reconcile.take_if(|p| p.timer == t) else { return };
-                if p.retargets >= self.cfg.ack_max_failovers {
+                if p.retargets >= MAX_FAILOVERS {
                     return;
                 }
                 let now = ctx.now();
@@ -3007,7 +3016,7 @@ impl Node for NewsWireNode {
         self.agent.reset();
         self.cache = MessageCache::new(self.cfg.cache);
         self.coverage = CoverageWindow::new(8192);
-        self.queues = ForwardingQueues::new(self.cfg.strategy);
+        self.queues = ForwardingQueues::new(FORWARD_STRATEGY);
         self.deliveries.clear();
         self.draining = false;
         self.pending.clear();
@@ -4488,19 +4497,32 @@ mod tests {
         // full — a registry leak cannot flood a zone past its cap.
         let mut cfg = NewsWireConfig::tech_news();
         cfg.admission = true;
-        cfg.zone_quota = 0;
         let (mut tight, _c, _r, _s) = node_with_rotation(cfg);
-        let endorsed = tight.registry.endorse_join(40);
-        let mut g = GossipMsg::Rows {
-            rows: vec![TableRows {
-                zone: tight.agent.zone(0).clone(),
-                rows: vec![row(40, 1, Some(format!("{:016x}", endorsed.0)))],
-            }],
-        };
+        let counts = Counts::install(&tight);
+        let room = ZONE_QUOTA - tight.agent.table(0).len();
+        let joiners: Vec<u32> = (100..).take(room + 1).collect();
+        let rows = joiners
+            .iter()
+            .zip(1u16..)
+            .map(|(&id, label)| {
+                let ticket = tight.registry.endorse_join(id);
+                row(id, label, Some(format!("{:016x}", ticket.0)))
+            })
+            .collect();
+        let mut g =
+            GossipMsg::Rows { rows: vec![TableRows { zone: tight.agent.zone(0).clone(), rows }] };
         tight.filter_sybil_rows(&mut g);
         let GossipMsg::Rows { rows } = &g else { unreachable!() };
-        assert!(rows[0].rows.is_empty(), "quota-full zone refuses even endorsed joiners");
-        assert!(tight.probation.contains(&40));
+        let kept: Vec<u32> = rows[0]
+            .rows
+            .iter()
+            .filter_map(|(_, _, r)| r.get("id").and_then(|v| v.as_i64()))
+            .map(|v| v as u32)
+            .collect();
+        assert_eq!(kept, joiners[..room], "endorsed joiners fill the zone to its quota");
+        assert_eq!(tight.probation.iter().copied().collect::<Vec<_>>(), vec![joiners[room]]);
+        assert_eq!(counts.of(&tight, ctr::SYBIL_JOINS_REFUSED), 1, "the one past the quota");
+        assert_eq!(counts.of(&tight, ctr::NW_PROBATION_HOLDS), 1);
     }
 
     /// The misbehavior score: strikes accumulate, the quarantine transition
@@ -4512,7 +4534,7 @@ mod tests {
         let mut n = node_with(NewsWireConfig::tech_news());
         let counts = Counts::install(&n);
         let now = SimTime::from_secs(1);
-        assert_eq!(n.cfg.quarantine_threshold, 3);
+        assert_eq!(QUARANTINE_THRESHOLD, 3);
         n.note_misbehavior(NodeId(7), MISBEHAVIOR_FORGED);
         assert!(!n.quarantined(7), "one forged strike (weight 2) is below threshold");
         n.note_misbehavior(NodeId(7), MISBEHAVIOR_FENCE);

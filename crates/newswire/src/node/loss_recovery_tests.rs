@@ -152,7 +152,7 @@ fn reordered_delivers_on_a_lossless_link_pull_nothing() {
 #[test]
 fn the_round_trip_bound_is_measured_conservative_and_capped() {
     let cfg = NewsWireConfig::tech_news();
-    let ceiling = cfg.ack_timeout.expect("tech_news acknowledges hand-offs");
+    let ceiling = ACK_TIMEOUT;
     let layout = astrolabe::ZoneLayout::new(4, 4);
     let agent = Agent::new(0, &layout, astrolabe::Config::standard(), vec![]);
     let mut n = NewsWireNode::new(agent, cfg, Arc::new(TrustRegistry::new(1)));

@@ -136,11 +136,8 @@ fn byzantine_plan_for(seed: u64) -> FaultPlan {
 /// fingerprint as [`fuzz_once`]; asserts the forgery-safety verdict and
 /// that the adversary actually struck.
 fn byzantine_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
-    let mut config = NewsWireConfig::tech_news();
-    config.redundancy = 2;
     let mut d = DeploymentBuilder::new(N, seed)
         .branching(8)
-        .config(config)
         .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
         .build();
     d.settle(90);
@@ -247,7 +244,6 @@ fn trust_plan_for(seed: u64) -> FaultPlan {
 /// adversaries actually struck.
 fn trust_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     let mut config = NewsWireConfig::tech_news();
-    config.redundancy = 2;
     config.admission = true;
     let mut d = DeploymentBuilder::new(N, seed)
         .branching(8)
@@ -374,11 +370,8 @@ fn garbage_delivery_chains(
 /// `(node, msg_id, delivered_us)` plus the engine's fault counters, so
 /// replays can be compared bit-for-bit.
 fn fuzz_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
-    let mut config = NewsWireConfig::tech_news();
-    config.redundancy = 2;
     let mut d = DeploymentBuilder::new(N, seed)
         .branching(8)
-        .config(config)
         .wan(0.02)
         .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
         .build();

@@ -55,14 +55,12 @@ fn run(
     deltas: bool,
     seed: u64,
 ) -> (OracleReport, Vec<NewsItem>, newswire::NodeStats) {
-    let mut config = NewsWireConfig { anti_entropy, deltas, ..NewsWireConfig::tech_news() };
-    config.astrolabe.delta_gossip = deltas;
+    let config = NewsWireConfig { anti_entropy, deltas, ..NewsWireConfig::tech_news() };
     let mut d = DeploymentBuilder::new(N_SUB, seed)
         .branching(8)
         .config(config)
         .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
         .build();
-    d.sim.set_delta_accounting(deltas);
     d.settle(60);
     d.sim.apply_fault_plan(&plan());
 

@@ -30,7 +30,6 @@ fn assert_successor_only(node: u32, served: &Served) {
 
 fn build(seed: u64) -> Deployment {
     let mut config = NewsWireConfig::tech_news();
-    config.redundancy = 2;
     config.admission = true;
     DeploymentBuilder::new(N, seed)
         .branching(8)

@@ -457,6 +457,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "phi window must be non-empty")]
+    fn an_empty_window_is_refused() {
+        PhiBank::new(PhiConfig { window: 0, ..PhiConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "phi threshold must be positive")]
+    fn a_zero_threshold_is_refused() {
+        PhiBank::new(PhiConfig { threshold: 0.0, ..PhiConfig::default() });
+    }
+
+    #[test]
     fn first_heartbeat_uses_configured_estimate() {
         let mut d = PhiBank::new(PhiConfig {
             first_interval: SimDuration::from_secs(1),

@@ -24,7 +24,6 @@ fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0x715);
     let subscribers = 96u32;
     let mut config = NewsWireConfig::tech_news();
-    config.redundancy = 2;
     config.admission = true;
     let mut d = DeploymentBuilder::new(subscribers, seed)
         .branching(8)

@@ -7,10 +7,10 @@
 //! revisions reach which subscribers. This test pins that contract under the
 //! E13 chaos cocktail (severe gray nodes plus Poisson churn through the
 //! publish window), where repair, reconciliation and gossip all carry real
-//! weight: both arms are selected through the three config fields
-//! (`deltas`, `astrolabe.delta_gossip`, `set_delta_accounting`) and must
-//! converge every interested node to every story's final revision, with
-//! identical per-node outcomes.
+//! weight: both arms are selected through the one `deltas` switch (the
+//! deployment builder derives gossip row diffs and the compressed-wire
+//! accounting from it) and must converge every interested node to every
+//! story's final revision, with identical per-node outcomes.
 //!
 //! Mid-chaos *timing* is allowed to differ between arms (delta gossip ships
 //! different message sizes, so the latency model schedules differently);
@@ -52,9 +52,7 @@ struct Arm {
 /// Runs the seeded chaos workload with the delta protocol explicitly on or
 /// off and extracts the converged per-node state.
 fn run_arm(deltas: bool, seed: u64) -> Arm {
-    let mut config = NewsWireConfig::tech_news();
-    config.deltas = deltas;
-    config.astrolabe.delta_gossip = deltas;
+    let config = NewsWireConfig { deltas, ..NewsWireConfig::tech_news() };
     let mut d = DeploymentBuilder::new(N, seed)
         .branching(8)
         .config(config)
@@ -62,7 +60,6 @@ fn run_arm(deltas: bool, seed: u64) -> Arm {
         .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
         .cats_per_subscriber(2)
         .build();
-    d.sim.set_delta_accounting(deltas);
     d.settle(60);
 
     // The E13 cocktail, drawn from a stream independent of the delta knob so

@@ -2,7 +2,7 @@
 //! crate together, the way the examples do.
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile, TraceGenerator};
-use newswire::{tech_news_deployment, DeploymentBuilder, NewsWireConfig, PublisherSpec};
+use newswire::{tech_news_deployment, DeploymentBuilder, PublisherSpec};
 use simnet::{fork, NodeId, SimDuration, SimTime};
 
 #[test]
@@ -70,11 +70,8 @@ fn rss_agent_feeds_deployment() {
 
 #[test]
 fn wan_loss_with_repair_eventually_delivers_everything() {
-    let mut config = NewsWireConfig::tech_news();
-    config.redundancy = 2;
     let mut d = DeploymentBuilder::new(120, 4)
         .branching(8)
-        .config(config)
         .wan(0.03)
         .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
         .build();

@@ -31,9 +31,7 @@ struct Outcome {
 
 /// Runs the deployment on `shards` (`None`: the default engine).
 fn run(shards: Option<usize>) -> Outcome {
-    let mut config = NewsWireConfig::tech_news();
-    config.deltas = true;
-    config.astrolabe.delta_gossip = true;
+    let config = NewsWireConfig { deltas: true, ..NewsWireConfig::tech_news() };
     let mut d = DeploymentBuilder::new(N, 0x5A4D)
         .branching(8)
         .config(config)
@@ -41,7 +39,6 @@ fn run(shards: Option<usize>) -> Outcome {
         .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
         .cats_per_subscriber(2)
         .build();
-    d.sim.set_delta_accounting(true);
     if let Some(k) = shards {
         d.sim.set_shards(k);
     }
