@@ -7,8 +7,9 @@
 //! Part 1: publish a burst while crashing forwarders mid-dissemination on a
 //! lossy network, with anti-entropy (digest reconcile out of the cache)
 //! enabled vs disabled, and compare the delivery ratio right after the burst
-//! and two minutes later. The named pull runs in both arms: it is part of
-//! the tree's last hop, not of the cache's periodic recovery.
+//! and two minutes later. Acked hand-offs and final-hop re-sends run in
+//! both arms: they are the tree's own hops, not the cache's periodic
+//! recovery.
 //! Part 2: a node that was down through the burst recovers cold; we count
 //! how many of the missed items reconcile's state transfer recovers.
 
@@ -127,7 +128,7 @@ pub(crate) fn run(quick: bool) {
     table.caption(
         "paper: the cache provides end-to-end reliability under forwarding failures; \
          shape: with anti-entropy the late ratio closes to ~100%, without it what the \
-         named pull cannot reach stays lost",
+         tree's acks cannot reach stays lost",
     );
     table.print();
 

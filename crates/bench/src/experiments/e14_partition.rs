@@ -96,8 +96,8 @@ fn run_point(n: u32, shape: Shape, dur_secs: u64, anti_entropy: bool, seed: u64)
     });
 
     // 5 items before the cut, one every 2 s during it, 20 after the heal —
-    // the post-heal `Deliver`s name only their three predecessors, so the
-    // named pull never sees the hole.
+    // every hand-off across the cut is abandoned inside the window, so no
+    // ack retry reaches the hole.
     let window = dur_secs / 2;
     let items: Vec<_> = (0..5 + window + 20).map(tech_item).collect();
     for (i, item) in items.iter().enumerate().take(5) {
@@ -190,8 +190,8 @@ pub(crate) fn run(quick: bool) {
     table.caption(format!(
         "{n} subscribers + 1 publisher, branching 8; partition at t=100 for the stated \
          window while one item publishes every 2 s, then 20 more items after the heal \
-         (their Delivers name only the three before each: the named pull is blind to \
-         the hole). \
+         (hand-offs across the cut are abandoned inside the window: the tree's acks \
+         are blind to the hole). \
          Recovery counts interested survivors on the cut side over partition-window items; \
          reconv p99 is delivery lag after the heal. Identical fault schedule both arms; \
          'off:detected' = the oracle flagged the ablation arm's unconverged logs."

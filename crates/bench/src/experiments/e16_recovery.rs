@@ -203,7 +203,7 @@ pub(crate) fn run(quick: bool) {
          published every 7 s across the window, 120 s recovery tail. Completeness is over \
          churned interested nodes only. The paper's §9 crash-stop model implies 100% for \
          every mode; in the AE-off ablation nothing refills a cold log (its oracle column \
-         reads FAIL: the named pull reaches only the last items of a live link) — \
+         reads FAIL: the tree's acks only retry a hop the sender still tracks) — \
          reconciliation (sys$ae digests) is what makes recovery whole, freeze included."
     ));
     table.print();

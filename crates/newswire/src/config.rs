@@ -57,8 +57,8 @@ pub struct NewsWireConfig {
     /// (`sys$ae:<publisher>` attributes) on gossip rows and pull missing
     /// sequence ranges from the freshest known peer. The periodic recovery:
     /// it closes arbitrarily deep holes (everything missed during a
-    /// partition, a joiner's whole backlog), where the named pull only
-    /// reaches the last few items of one link.
+    /// partition, a joiner's whole backlog, a `Deliver` whose re-sends were
+    /// lost too), where the tree's acks only retry one hop.
     pub anti_entropy: bool,
     /// Persist protocol state to simulated stable storage (subscription,
     /// incarnation, article-log coverage, cached items, delivery log) so a

@@ -67,8 +67,9 @@ pub struct DeliveryRecord {
     pub published: SimTime,
     /// Local delivery time.
     pub delivered: SimTime,
-    /// True when the item arrived out of a peer's cache — a named pull or
-    /// a reconcile reply — rather than down the multicast tree.
+    /// True when the item arrived out of a peer's cache — a reconcile or
+    /// repair reply — rather than down the multicast tree (a re-sent
+    /// `Deliver` included).
     pub via_repair: bool,
 }
 
@@ -139,7 +140,8 @@ const DRAIN_TIMER: u64 = 2;
 // Tags 3 and 4 were the margin probe's; they stay unused so 5 keeps its
 // meaning for consumers that classify timers by tag.
 const RECONCILE_WAIT_TIMER: u64 = 5;
-/// Timer tags at or above this carry a pending hand-off id in the low bits.
+/// The final-hop retry sweep's timer tag; tags above it carry a pending
+/// hand-off id in the low bits.
 const ACK_TAG_BASE: u64 = 1 << 32;
 
 /// Prefix of the gossip-row attributes carrying per-publisher article-log
@@ -185,7 +187,8 @@ const REPAIR_BATCH: usize = 64;
 /// trip has been timed.
 const ACK_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
-/// Retries against the *same* representative before a hand-off fails over.
+/// Retries against the *same* representative before a hand-off fails over,
+/// and re-sends of an unacknowledged `Deliver` before reconcile owns it.
 const ACK_RETRIES: u32 = 1;
 
 /// Alternative peers tried once the first stops answering: untried
@@ -196,8 +199,8 @@ const ACK_RETRIES: u32 = 1;
 const MAX_FAILOVERS: u32 = 2;
 
 /// Multiplier applied to a wait per timeout already burned on it: an
-/// acknowledged hand-off's per same-representative retry, a reconcile
-/// request's per re-target.
+/// acknowledged hand-off's per same-representative retry, a `Deliver`'s per
+/// re-send, a reconcile request's per re-target.
 const BACKOFF: u64 = 2;
 
 /// How long a reconcile request waits for its reply before re-targeting a
@@ -242,21 +245,12 @@ const MISBEHAVIOR_CONTRADICTION: u32 = 1;
 /// without letting the request itself outgrow the reply it is optimizing.
 const MAX_BASELINES: usize = 256;
 
-/// Ids a representative remembers per leaf member and sends as a
-/// `Deliver`'s `prev` — how many consecutive final-hop losses on one link
-/// the next `Deliver` still reveals.
-const CHAIN_LEN: usize = 3;
+/// Most `Deliver`s a node awaits acks for at once; one sent beyond that is
+/// not re-sent, and reconcile owns its loss.
+const MAX_PENDING_DELIVERS: usize = 256;
 
-/// Most gap suspects a node tracks at once; further ones are left to
-/// reconcile.
-const MAX_GAP_SUSPECTS: usize = 64;
-
-/// Most ids one named pull asks for, and most a responder serves.
+/// Most ids a `RepairRequest` is served for.
 const MAX_PULL_IDS: usize = 8;
-
-/// How long a gap stays a suspect. Past this the sender's cache has likely
-/// fused or evicted it, and gossip-paced reconcile owns the hole.
-const GAP_SUSPECT_TTL: SimDuration = SimDuration::from_secs(10);
 
 /// Most peers one reconcile pass asks, the first included, about holes the
 /// peers before them could not vouch for.
@@ -320,25 +314,15 @@ impl PendingHandoff {
     }
 }
 
-/// The last [`CHAIN_LEN`] items a leaf representative handed one member,
-/// oldest first.
+/// One `Deliver` on the wire awaiting the member's `ForwardAck`.
 #[derive(Debug)]
-struct LinkChain {
+struct PendingDeliver {
+    env: Arc<Envelope>,
     member: u32,
-    ids: Vec<ItemId>,
-}
-
-/// An item a `Deliver`'s `prev` named that this node has never seen:
-/// reordered until the link's reorder window says lost.
-#[derive(Debug)]
-struct GapSuspect {
-    id: ItemId,
-    /// The representative whose chain revealed it — and who is asked.
-    from: u32,
-    since: SimTime,
-    /// When the reorder window — or, after a pull, the wait for its answer
-    /// — is over.
-    next_pull: SimTime,
+    /// Re-sends already made.
+    resends: u32,
+    /// When the wait for the ack is over.
+    due: SimTime,
 }
 
 /// Round-trip evidence about one peer: the slowest exchange timed, how many
@@ -482,12 +466,12 @@ pub struct NewsWireNode {
     /// `DigestReply`: `(peer, sent)`. Each reply times one round trip; at
     /// most one entry per table level plus two.
     digest_probes: Vec<(u32, SimTime)>,
-    /// Per-link delivery chains, one per leaf member this node has
-    /// delivered to; at most `branching` entries of [`CHAIN_LEN`] ids.
-    delivery_chains: Vec<LinkChain>,
-    /// Missed-`Deliver` suspects awaiting their reorder window or their
-    /// pull's answer; at most [`MAX_GAP_SUSPECTS`].
-    gap_suspects: Vec<GapSuspect>,
+    /// `Deliver`s on the wire awaiting their member's ack, in the order
+    /// they were sent; at most [`MAX_PENDING_DELIVERS`].
+    pending_delivers: Vec<PendingDeliver>,
+    /// The one retry-sweep timer over `pending_delivers`, and when it
+    /// fires; armed while any is pending.
+    deliver_sweep: Option<(TimerId, SimTime)>,
     /// Per-publisher article logs: which sequence numbers this node has
     /// *seen* (cached, or settled as not for it), and what it can vouch for
     /// about each. Gaps are the holes anti-entropy reconciliation pulls.
@@ -591,8 +575,8 @@ impl NewsWireNode {
             ack_index: HashMap::new(),
             next_handoff: 0,
             digest_probes: Vec::new(),
-            delivery_chains: Vec::new(),
-            gap_suspects: Vec::new(),
+            pending_delivers: Vec::new(),
+            deliver_sweep: None,
             article_logs: BTreeMap::new(),
             stubs: StubTable::default(),
             tail_probe: (SimTime::ZERO + TAIL_PROBE_QUIET, TAIL_PROBE_QUIET),
@@ -1010,6 +994,11 @@ impl NewsWireNode {
         }
     }
 
+    /// Hand-offs and `Deliver`s on the wire still awaiting their ack.
+    pub fn unacknowledged(&self) -> usize {
+        self.pending.len() + self.pending_delivers.len()
+    }
+
     /// True when the item with `id` has been delivered to the application.
     pub fn has_item(&self, id: ItemId) -> bool {
         self.deliveries.iter().any(|d| d.item == id)
@@ -1312,95 +1301,8 @@ impl NewsWireNode {
         }
     }
 
-    /// Appends `id` to `member`'s delivery chain and returns what the chain
-    /// held before it — the `prev` of the `Deliver` about to carry `id`.
-    fn chain_advance(&mut self, member: u32, id: ItemId) -> Vec<ItemId> {
-        let at = match self.delivery_chains.iter().position(|c| c.member == member) {
-            Some(at) => at,
-            None => {
-                // A leaf zone has `branching` slots; a member beyond that
-                // replaced one that left.
-                if self.delivery_chains.len() >= usize::from(self.agent.config().branching) {
-                    self.delivery_chains.remove(0);
-                }
-                self.delivery_chains.push(LinkChain { member, ids: Vec::with_capacity(CHAIN_LEN) });
-                self.delivery_chains.len() - 1
-            }
-        };
-        let ids = &mut self.delivery_chains[at].ids;
-        let prev = ids.clone();
-        if ids.len() == CHAIN_LEN {
-            ids.remove(0);
-        }
-        ids.push(id);
-        prev
-    }
-
-    /// True when `id` is in the article log — delivered, cached, filtered
-    /// or settled, but not a hole.
-    fn seen(&self, id: ItemId) -> bool {
-        self.article_logs.get(&id.publisher).is_some_and(|log| log.contains(id.seq))
-    }
-
-    /// Reads the `prev` chain of a `Deliver` from `from`: every id this
-    /// node has never seen becomes a suspect. Reordering is not loss — WAN
-    /// jitter and the sender's priority queues let `Deliver` n+1 overtake n
-    /// — so nothing is pulled here; [`Self::sweep_gap_suspects`] does that
-    /// once the reorder window has passed. `prev` is the sender's claim:
-    /// only [`CHAIN_LEN`] ids are read and the list is capped.
-    fn note_gap_suspects(&mut self, from: NodeId, prev: &[ItemId], now: SimTime) {
-        for &id in prev.iter().take(CHAIN_LEN) {
-            if self.gap_suspects.len() >= MAX_GAP_SUSPECTS {
-                return;
-            }
-            if !self.seen(id) && !self.gap_suspects.iter().any(|s| s.id == id) {
-                let next_pull = now + self.round_trip_bound(from.0);
-                self.gap_suspects.push(GapSuspect { id, from: from.0, since: now, next_pull });
-            }
-        }
-    }
-
-    /// Settles the suspect list: forgets what has since arrived, what is
-    /// older than [`GAP_SUSPECT_TTL`] and what a quarantined peer named,
-    /// then pulls by name — from the representative that revealed it —
-    /// every suspect still unseen one round-trip bound after it was noticed
-    /// (the reorder window), and again no sooner than two windows after the
-    /// last pull (the request or its reply may itself be lost).
-    fn sweep_gap_suspects(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
-        if self.gap_suspects.is_empty() {
-            return;
-        }
-        let now = ctx.now();
-        let mut suspects = std::mem::take(&mut self.gap_suspects);
-        suspects.retain(|s| {
-            !self.seen(s.id)
-                && now.saturating_since(s.since) < GAP_SUSPECT_TTL
-                && !self.quarantined(s.from)
-        });
-        while let Some(rep) = suspects.iter().find(|s| now >= s.next_pull).map(|s| s.from) {
-            let window = self.round_trip_bound(rep);
-            let mut ids = Vec::new();
-            for s in suspects.iter_mut() {
-                if ids.len() < MAX_PULL_IDS && s.from == rep && now >= s.next_pull {
-                    s.next_pull = now + window + window;
-                    ids.push(s.id);
-                    obs::trace_event!(
-                        self.agent.id(),
-                        Layer::News,
-                        kind::GAP_PULL,
-                        msg_id_of(s.id),
-                        rep
-                    );
-                }
-            }
-            obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULLS, 1);
-            ctx.send(NodeId(rep), NewsWireMsg::RepairRequest { ids });
-        }
-        self.gap_suspects = suspects;
-    }
-
-    /// What a named pull is answered with: the first [`MAX_PULL_IDS`] of
-    /// `ids` this cache still holds. The ids are a peer's claim — bounded
+    /// What a `RepairRequest` is answered with: the first [`MAX_PULL_IDS`]
+    /// of `ids` this cache still holds. The ids are a peer's claim — bounded
     /// work, and an id not held (fused away, evicted, never existed) is
     /// ignored.
     fn named_pull_items(&self, ids: &[ItemId]) -> Vec<Arc<NewsItem>> {
@@ -1412,7 +1314,7 @@ impl NewsWireNode {
             NewsWireMsg::Forward { zone, env } => {
                 (zone.label().unwrap_or(0), env.item.urgency.level())
             }
-            NewsWireMsg::Deliver { env, .. } => ((dst.0 % 64) as u16, env.item.urgency.level()),
+            NewsWireMsg::Deliver { env } => ((dst.0 % 64) as u16, env.item.urgency.level()),
             _ => (0, 5),
         };
         self.queues.push(child, ctx.now().as_micros(), priority, (dst, msg));
@@ -1467,11 +1369,10 @@ impl NewsWireNode {
                         peer: Some(member),
                         event: ForwardEvent::Delivered,
                     });
-                    let prev = self.chain_advance(member, env.item.id);
                     self.enqueue(
                         ctx,
                         NodeId(member),
-                        NewsWireMsg::Deliver { env: Arc::clone(&env), prev },
+                        NewsWireMsg::Deliver { env: Arc::clone(&env) },
                     );
                 }
                 Action::Forward { rep, zone } => {
@@ -1487,8 +1388,8 @@ impl NewsWireNode {
                 }
             }
         }
-        // Whoever handed the item to a member keeps it, so the member's
-        // named pull for it is answerable. Only after the loop: a copy kept
+        // Whoever handed the item to a member keeps it, so a reconcile that
+        // asks this node for it is answered. Only after the loop: a copy kept
         // first would read as a duplicate to `DeliverLocal` and drop this
         // node's own application delivery. For the same reason a node that
         // wants the item although its own row did not admit it (an
@@ -1982,6 +1883,90 @@ impl NewsWireNode {
                 });
                 self.unindex_handoff(handoff.env.msg_id, &handoff.zone, tag);
             }
+        }
+    }
+
+    /// Registers a `Deliver` of `env` to `member`, sent now, as awaiting the
+    /// member's ack for one round-trip bound.
+    fn arm_deliver(&mut self, ctx: &mut Context<'_, NewsWireMsg>, member: u32, env: Arc<Envelope>) {
+        if self.pending_delivers.len() >= MAX_PENDING_DELIVERS {
+            return;
+        }
+        let due = ctx.now() + self.round_trip_bound(member);
+        self.pending_delivers.push(PendingDeliver { env, member, resends: 0, due });
+        self.arm_deliver_sweep(ctx, due);
+    }
+
+    /// Makes the retry sweep fire no later than `due`.
+    fn arm_deliver_sweep(&mut self, ctx: &mut Context<'_, NewsWireMsg>, due: SimTime) {
+        if let Some((timer, at)) = self.deliver_sweep {
+            if at <= due {
+                return;
+            }
+            ctx.cancel_timer(timer);
+        }
+        let timer = ctx.set_timer(due.saturating_since(ctx.now()), ACK_TAG_BASE);
+        self.deliver_sweep = Some((timer, due));
+    }
+
+    /// The member acknowledged `msg_id`'s `Deliver`. Returns false when no
+    /// such `Deliver` is pending.
+    fn settle_deliver(
+        &mut self,
+        ctx: &mut Context<'_, NewsWireMsg>,
+        msg_id: u64,
+        member: u32,
+    ) -> bool {
+        let Some(at) =
+            self.pending_delivers.iter().position(|p| p.env.msg_id == msg_id && p.member == member)
+        else {
+            return false;
+        };
+        self.pending_delivers.remove(at);
+        obs::metric_add!(self.agent.id(), ctr::NW_DELIVER_ACKS, 1);
+        if self.pending_delivers.is_empty() {
+            if let Some((timer, _)) = self.deliver_sweep.take() {
+                ctx.cancel_timer(timer);
+            }
+        }
+        true
+    }
+
+    /// The retry sweep fired: re-send every `Deliver` whose ack is overdue,
+    /// waiting [`BACKOFF`] times longer after each re-send, and forget one
+    /// whose [`ACK_RETRIES`] re-sends went unacknowledged too — reconcile
+    /// owns that loss.
+    fn sweep_delivers(&mut self, ctx: &mut Context<'_, NewsWireMsg>, t: TimerId) {
+        if self.deliver_sweep.take_if(|&mut (timer, _)| timer == t).is_none() {
+            return; // set before a restart
+        }
+        let now = ctx.now();
+        let mut pending = std::mem::take(&mut self.pending_delivers);
+        pending.retain_mut(|p| {
+            if p.due > now {
+                return true;
+            }
+            if p.resends >= ACK_RETRIES {
+                return false;
+            }
+            p.resends += 1;
+            p.due = now + self.round_trip_bound(p.member) * BACKOFF.pow(p.resends);
+            obs::metric_add!(self.agent.id(), ctr::NW_DELIVER_RESENDS, 1);
+            obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
+            obs::trace_event!(
+                self.agent.id(),
+                Layer::News,
+                kind::DELIVER_RESEND,
+                p.env.msg_id,
+                p.member
+            );
+            ctx.send(NodeId(p.member), NewsWireMsg::Deliver { env: Arc::clone(&p.env) });
+            true
+        });
+        let next = pending.iter().map(|p| p.due).min();
+        self.pending_delivers = pending;
+        if let Some(due) = next {
+            self.arm_deliver_sweep(ctx, due);
         }
     }
 
@@ -2681,9 +2666,6 @@ impl Node for NewsWireNode {
 
     fn on_message(&mut self, ctx: &mut Context<'_, NewsWireMsg>, from: NodeId, msg: NewsWireMsg) {
         self.clock = ctx.now();
-        // No timer wakes a suspect whose reorder window has passed; the
-        // next arrival of any kind does (and the gossip tick).
-        self.sweep_gap_suspects(ctx);
         let slot = self.note_alive(from, ctx.now());
         match msg {
             NewsWireMsg::Gossip { g, rot } => {
@@ -2788,6 +2770,13 @@ impl Node for NewsWireNode {
                 }
             }
             NewsWireMsg::ForwardAck { msg_id, zone } => {
+                // A member's receipt for a `Deliver`, or else a
+                // representative's for a hand-off. No hand-off goes to a
+                // member of this node's own leaf zone, so the two never
+                // share a `(msg_id, sender)`.
+                if self.settle_deliver(ctx, msg_id, from.0) {
+                    return;
+                }
                 if let Some(tags) = self.ack_index.remove(&(msg_id, zone)) {
                     obs::metric_add!(self.agent.id(), ctr::NW_ACKS_RECEIVED, 1);
                     obs::trace_event!(
@@ -2808,7 +2797,7 @@ impl Node for NewsWireNode {
                     }
                 }
             }
-            NewsWireMsg::Deliver { env, prev } => {
+            NewsWireMsg::Deliver { env } => {
                 if self.envelope_fenced(&env) {
                     return;
                 }
@@ -2818,19 +2807,23 @@ impl Node for NewsWireNode {
                     return;
                 }
                 self.learn_from_envelope(&env);
+                // Receipt first, duplicate or not: the sender must stop
+                // re-sending.
+                if self.cfg.acks && from != NodeId::EXTERNAL {
+                    let zone = self.agent.zone(0).clone();
+                    ctx.send(from, NewsWireMsg::ForwardAck { msg_id: env.msg_id, zone });
+                }
                 let now = ctx.now();
                 self.delta_makeup(&env.item, env.basis.as_ref());
                 self.handle_delivery(now, Arc::clone(&env.item), (env.key, env.signature), false);
-                self.note_gap_suspects(from, &prev, now);
             }
             NewsWireMsg::RepairRequest { ids } => {
-                // A named pull; one that finds nothing is not answered.
+                // No node sends one any more; a request that finds nothing
+                // is not answered.
                 let items = self.named_pull_items(&ids);
                 if items.is_empty() {
-                    obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULL_UNANSWERED, 1);
                     return;
                 }
-                obs::metric_add!(self.agent.id(), ctr::NW_GAP_PULL_ITEMS, items.len());
                 obs::metric_add!(self.agent.id(), ctr::NW_REPAIRS_SERVED, 1);
                 obs::metric_add!(self.agent.id(), ctr::NW_REPAIR_ITEMS_SENT, items.len());
                 obs::trace_event!(
@@ -2893,7 +2886,6 @@ impl Node for NewsWireNode {
                     let msg = self.gossip_msg(g);
                     ctx.send(NodeId(to), msg);
                 }
-                self.sweep_gap_suspects(ctx);
                 if self.cache.gc(now) > 0 {
                     // Signatures of evicted items are dead weight.
                     let cache = &self.cache;
@@ -2914,7 +2906,8 @@ impl Node for NewsWireNode {
                     let (dst, msg) = q.item;
                     // Tree hand-offs become *acknowledged* at the moment
                     // they hit the wire: arm the per-hand-off timeout that
-                    // drives retry/backoff/failover.
+                    // drives retry/backoff/failover, or — for the final hop
+                    // — enter the retry sweep.
                     match &msg {
                         NewsWireMsg::Forward { env, zone } if self.cfg.acks => {
                             obs::trace_event!(
@@ -2925,6 +2918,9 @@ impl Node for NewsWireNode {
                                 dst.0
                             );
                             self.arm_handoff(ctx, dst.0, Arc::clone(env), zone.clone());
+                        }
+                        NewsWireMsg::Deliver { env } if self.cfg.acks => {
+                            self.arm_deliver(ctx, dst.0, Arc::clone(env));
                         }
                         _ => {}
                     }
@@ -2968,6 +2964,7 @@ impl Node for NewsWireNode {
                     }
                 }
             }
+            ACK_TAG_BASE => self.sweep_delivers(ctx, t),
             tag if tag > ACK_TAG_BASE => self.handle_ack_timeout(ctx, tag),
             _ => {}
         }
@@ -2988,8 +2985,8 @@ impl Node for NewsWireNode {
         self.pending.clear();
         self.ack_index.clear();
         self.digest_probes.clear();
-        self.delivery_chains.clear();
-        self.gap_suspects.clear();
+        self.pending_delivers.clear();
+        self.deliver_sweep = None;
         self.article_logs.clear();
         self.stubs.clear();
         self.peer_health.clear();
@@ -3022,8 +3019,8 @@ impl Node for NewsWireNode {
         self.pending.clear();
         self.ack_index.clear();
         self.digest_probes.clear();
-        self.delivery_chains.clear();
-        self.gap_suspects.clear();
+        self.pending_delivers.clear();
+        self.deliver_sweep = None;
         self.article_logs.clear();
         self.stubs.clear();
         self.peer_health.clear();

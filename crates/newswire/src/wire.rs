@@ -154,8 +154,8 @@ impl Stub {
     }
 }
 
-/// Serialized size of one [`ItemId`] named on the wire (a `Deliver`'s `prev`
-/// chain, a named pull's `ids`): publisher id + sequence number.
+/// Serialized size of one [`ItemId`] named on the wire (a `RepairRequest`'s
+/// `ids`): publisher id + sequence number.
 const ITEM_ID_WIRE_SIZE: usize = 2 + 8;
 
 /// The globally unique dissemination id of an item.
@@ -213,16 +213,11 @@ pub enum NewsWireMsg {
         /// The zone the receiver must cover.
         zone: ZoneId,
     },
-    /// Final hop to a leaf-zone member.
+    /// Final hop to a leaf-zone member, which acknowledges it with a
+    /// `ForwardAck` for its leaf zone (DESIGN §6).
     Deliver {
         /// The signed item.
         env: Arc<Envelope>,
-        /// The per-link delivery chain: the items this representative handed
-        /// this member immediately before `env` (at most three, oldest
-        /// first). An id the member has never seen is a `Deliver` it
-        /// missed, which it pulls by name (DESIGN §7). Untrusted: a
-        /// receiver reads at most three ids and only ever asks for them.
-        prev: Vec<ItemId>,
     },
     /// A representative's receipt for a `Forward`: it has taken coverage
     /// duty for `zone` (or already held it). Any representative's ack
@@ -234,11 +229,11 @@ pub enum NewsWireMsg {
         /// The zone whose coverage is acknowledged.
         zone: ZoneId,
     },
-    /// The named pull: "send me exactly these" (DESIGN §7).
+    /// The named pull: "send me exactly these". No node sends one since the
+    /// final hop is acknowledged (DESIGN §7); a node still answers it.
     RepairRequest {
-        /// Items a `Deliver`'s `prev` chain revealed as missed. The
-        /// responder serves the first few it still caches and ignores the
-        /// rest.
+        /// The items asked for. The responder serves the first few it still
+        /// caches and ignores the rest.
         ids: Vec<ItemId>,
     },
     /// The named items the responder still caches, each with its publisher
@@ -299,11 +294,6 @@ fn withheld_wire_size(withheld: &[(u64, Stub)]) -> usize {
     withheld.iter().map(|(_, stub)| 8 + stub.wire_size()).sum()
 }
 
-/// Serialized size of a `Deliver`'s `prev` chain: a count byte + the ids.
-fn prev_wire_size(prev: &[ItemId]) -> usize {
-    1 + prev.len() * ITEM_ID_WIRE_SIZE
-}
-
 impl Payload for NewsWireMsg {
     fn wire_size(&self) -> usize {
         4 + match self {
@@ -315,7 +305,7 @@ impl Payload for NewsWireMsg {
             }
             NewsWireMsg::PublishRequest { item, .. } => item.wire_size(),
             NewsWireMsg::Forward { env, zone } => env.wire_size() + 2 * zone.depth(),
-            NewsWireMsg::Deliver { env, prev } => env.wire_size() + prev_wire_size(prev),
+            NewsWireMsg::Deliver { env } => env.wire_size(),
             NewsWireMsg::ForwardAck { zone, .. } => 8 + 2 * zone.depth(),
             NewsWireMsg::RepairRequest { ids } => 1 + ids.len() * ITEM_ID_WIRE_SIZE,
             NewsWireMsg::RepairReply { items } => {
@@ -345,9 +335,7 @@ impl Payload for NewsWireMsg {
         // applies.
         match self {
             NewsWireMsg::Forward { env, zone } => 4 + env.compressed_wire_size() + 2 * zone.depth(),
-            NewsWireMsg::Deliver { env, prev } => {
-                4 + env.compressed_wire_size() + prev_wire_size(prev)
-            }
+            NewsWireMsg::Deliver { env } => 4 + env.compressed_wire_size(),
             NewsWireMsg::RepairReply { items } => {
                 4 + items.iter().map(|i| i.compressed_wire_size()).sum::<usize>()
             }
@@ -387,7 +375,6 @@ mod tests {
         use std::mem::size_of;
         let gossip = size_of::<(GossipMsg, Option<Arc<RotationRecord>>)>();
         assert!(size_of::<(Arc<Envelope>, ZoneId)>() <= gossip, "Forward");
-        assert!(size_of::<(Arc<Envelope>, Vec<ItemId>)>() <= gossip, "Deliver");
         assert!(size_of::<Vec<SignedItem>>() <= gossip, "RepairReply");
         assert!(
             size_of::<(PublisherId, RangeSummary, Option<EpochAttest>, Vec<SignedItem>)>()

@@ -310,13 +310,12 @@ fn subscription_change_takes_effect_within_tens_of_seconds() {
     );
 }
 
-/// On a lossless network the named pull has nothing to say: no `Deliver`
-/// is missed, so no `RepairRequest` is sent and no item re-sent. Reconcile
+/// On a lossless network no item is re-sent: every `Deliver` is
+/// acknowledged inside its round-trip bound, so the final-hop sweep re-sends
+/// none, and nothing is left awaiting an ack once the run drains. Reconcile
 /// still settles the seqs the tree filtered away, but with stubs: no reply
 /// carries an article, so none arrives unwanted, and every log converges.
-/// Nor does loss recovery stir: the measured hand-off timeout never fires
-/// with nothing lost, and no gap a reordered `Deliver` opens outlives its
-/// window.
+/// Nor does the measured hand-off timeout fire with nothing lost.
 #[test]
 fn lossless_run_leaves_the_repair_path_idle() {
     let mut d = tech_news_deployment(80, 9);
@@ -334,10 +333,12 @@ fn lossless_run_leaves_the_repair_path_idle() {
     assert_eq!((stats.repairs_served, stats.repair_items_sent), (0, 0));
     assert_eq!(stats.ack_retries, 0, "nothing was lost, so nothing is retransmitted");
     assert!(d.sim.iter().all(|(_, node)| node.deliveries.iter().all(|r| !r.via_repair)));
+    assert!(d.sim.iter().all(|(_, node)| node.unacknowledged() == 0), "nothing awaits an ack");
     {
         let hub = d.sim.telemetry();
         let hub = hub.borrow();
-        assert_eq!(hub.counter_total(obs::ctr::NW_GAP_PULLS), 0);
+        assert!(hub.counter_total(obs::ctr::NW_DELIVER_ACKS) > 0, "members acknowledge");
+        assert_eq!(hub.counter_total(obs::ctr::NW_DELIVER_RESENDS), 0, "no spurious re-send");
         assert!(hub.counter_total(obs::ctr::NW_RECONCILE_WITHHELD) > 0, "reconcile settled seqs");
         assert_eq!(hub.counter_total(obs::ctr::NW_RECONCILE_ITEMS_SENT), 0, "…with stubs alone");
         assert_eq!(hub.counter_total(obs::ctr::NW_RECOVERY_UNWANTED), 0);

@@ -305,7 +305,7 @@ fn trust_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
 }
 
 /// Garbage from outside the membership, through the fault era: named pulls
-/// of up to a thousand ids — held ones among publishers nobody has and
+/// (which no member sends, but every node answers) of up to a thousand ids — held ones among publishers nobody has and
 /// sequence numbers from the future — and, every other one, of nothing at
 /// all. The responder must shrug them off — no panic, no invariant moved
 /// (its reply goes nowhere).
@@ -330,16 +330,11 @@ fn garbage_ids(rng: &mut impl Rng) -> Vec<ItemId> {
         .collect()
 }
 
-/// Genuine envelopes with a garbage delivery chain: each published item is
-/// `Deliver`ed once more, from outside the membership, to a random node,
-/// its `prev` naming up to a thousand ids that node has never seen. The
-/// receiver reads a chain's worth, suspects them, and asks the sender — who
-/// does not exist — for a while; no panic, no invariant moved.
-fn garbage_delivery_chains(
-    d: &mut newswire::Deployment,
-    published: &[(SimTime, NewsItem)],
-    seed: u64,
-) {
+/// Stray genuine `Deliver`s: each published item is `Deliver`ed once more,
+/// from outside the membership, to a random node. The receiver has nobody
+/// to acknowledge it to and may already hold it; no panic, no second
+/// application delivery, no invariant moved.
+fn stray_delivers(d: &mut newswire::Deployment, published: &[(SimTime, NewsItem)], seed: u64) {
     let mut rng = fork(seed, 0x6B);
     let cred = d.sim.node(NodeId(0)).publisher().expect("node 0 publishes").credential.clone();
     for (at, item) in published {
@@ -361,7 +356,7 @@ fn garbage_delivery_chains(
         d.sim.schedule_external(
             *at + SimDuration::from_secs(2),
             NodeId(rng.gen_range(1..N)),
-            NewsWireMsg::Deliver { env: Arc::new(env), prev: garbage_ids(&mut rng) },
+            NewsWireMsg::Deliver { env: Arc::new(env) },
         );
     }
 }
@@ -397,7 +392,7 @@ fn fuzz_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     for (at, item) in &published {
         d.publish(*at, item.clone());
     }
-    garbage_delivery_chains(&mut d, &published, seed);
+    stray_delivers(&mut d, &published, seed);
     // Churn recovers everyone by t=140, brownouts and message chaos heal at
     // t=145; the long tail gives anti-entropy repair time to backfill.
     d.settle(150);

@@ -4,7 +4,8 @@
 //! With log anti-entropy enabled, every continuously-live interested node
 //! must end converged — the items published while the network was split
 //! are pulled back through gossip-piggybacked digest reconciliation: no
-//! `Deliver` ever named them on the cut side, so the named pull cannot.
+//! copy of them crossed the cut, and every hand-off that tried was
+//! abandoned inside the window, so no ack retry can.
 //!
 //! With anti-entropy disabled (the ablation arm, same seed, same fault
 //! schedule), the oracle must *detect* the damage: unconverged logs and
@@ -47,9 +48,10 @@ fn plan() -> FaultPlan {
 }
 
 /// Runs the scenario and returns the oracle report plus the items. The
-/// hole is thirty items deep and the post-heal `Deliver`s name only the
-/// three before each — deeper than any delivery chain reaches, so only log
-/// reconciliation can close it. `deltas` selects the delta wire protocol.
+/// hole is thirty items deep and the hand-offs that would have carried it
+/// across the cut were abandoned while the cut held, so only log
+/// reconciliation can close it.
+/// `deltas` selects the delta wire protocol.
 fn run(
     anti_entropy: bool,
     deltas: bool,

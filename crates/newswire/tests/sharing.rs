@@ -1,7 +1,7 @@
 //! Zero-copy article path: an article is allocated once, by its publisher,
 //! and every cache in the deployment holds a handle to that allocation —
-//! whether the article arrived down the multicast tree, in a `RepairReply`
-//! (the named pull) or in a `ReconcileReply`.
+//! whether the article arrived down the multicast tree, in a re-sent
+//! `Deliver` or in a `ReconcileReply`.
 
 use std::sync::Arc;
 
@@ -52,11 +52,11 @@ fn every_subscriber_caches_the_publishers_allocation() {
 }
 
 /// One leaf zone, so the publisher is the representative that `Deliver`s:
-/// its link to a member is cut while one `Deliver` is on the wire, the next
-/// `Deliver` names the lost one, and the member pulls it. Reconcile is off:
-/// nothing but the named pull can hand the article over.
+/// its link to a member is cut while one `Deliver` is on the wire, and the
+/// member's missing ack makes the publisher send it again. Reconcile is off:
+/// nothing but the re-send can hand the article over.
 #[test]
-fn named_pull_hands_over_the_publishers_allocation() {
+fn a_resent_deliver_hands_over_the_publishers_allocation() {
     let config = NewsWireConfig { anti_entropy: false, ..NewsWireConfig::tech_news() };
     let mut d = DeploymentBuilder::new(2, 12)
         .config(config)
@@ -70,19 +70,17 @@ fn named_pull_hands_over_the_publishers_allocation() {
     let ms = |at: u64| SimTime::from_micros(at * 1_000);
     d.sim.schedule_link_cut(ms(60_999), publisher, member);
     d.sim.schedule_link_heal(ms(61_005), publisher, member);
-    for (seq, at) in [(0, 60_000), (1, 61_000), (2, 62_000), (3, 62_200)] {
+    for (seq, at) in [(0, 60_000), (1, 61_000), (2, 62_000)] {
         d.publish(ms(at), item(seq));
     }
     d.settle(5);
     let node = d.sim.node(member);
-    let pulled: Vec<_> = node.deliveries.iter().filter(|r| r.via_repair).collect();
-    assert_eq!(pulled.len(), 1, "exactly the lost Deliver came by name");
-    assert_eq!(pulled[0].item, item(1).id);
+    assert_eq!(node.deliveries.len(), 3, "the lost Deliver came again");
     assert_eq!(
-        d.sim.telemetry().borrow().node_counter(publisher.index(), obs::ctr::NW_REPAIR_ITEMS_SENT),
+        d.sim.telemetry().borrow().node_counter(publisher.index(), obs::ctr::NW_DELIVER_RESENDS),
         1
     );
-    for seq in 0..4 {
+    for seq in 0..3 {
         assert_eq!(holders_sharing(&d, item(seq).id), 1, "seq {seq}");
     }
 }

@@ -247,13 +247,11 @@ pub mod ctr {
         NW_RECOVERY_HELD = 92, "nw_recovery_held";
         /// Recovery items not cached but outside the receiver's subscription.
         NW_RECOVERY_UNWANTED = 93, "nw_recovery_unwanted";
-        // -- newswire: the per-link delivery chain's named pulls --
-        /// Named-id `RepairRequest`s sent for gaps a `Deliver`'s `prev`
-        /// revealed and the reorder window did not close.
-        NW_GAP_PULLS = 94, "nw_gap_pulls";
-        /// Items shipped in answer to named pulls (also counted in
-        /// `repair_items_sent`).
-        NW_GAP_PULL_ITEMS = 95, "nw_gap_pull_items";
+        /// Retired with the per-link delivery chain (it counted the chain's
+        /// named pulls); the slot stays so every later id keeps its position.
+        RETIRED_94 = 94, "retired_94";
+        /// Retired with the delivery chain (items served to its named pulls).
+        RETIRED_95 = 95, "retired_95";
         // -- astrolabe, appended --
         /// Wire bytes of every gossip message an agent sends: digests,
         /// replies and pushed rows (a host's own framing not included).
@@ -265,9 +263,15 @@ pub mod ctr {
         /// Requested seqs a reconcile reply could not vouch for, left as
         /// holes for the follow-up request.
         NW_RECONCILE_UNVOUCHED = 98, "nw_reconcile_unvouched";
-        /// Named pulls a representative held none of the ids for (a pull
-        /// that finds nothing is not answered).
-        NW_GAP_PULL_UNANSWERED = 99, "nw_gap_pull_unanswered";
+        /// Retired with the delivery chain (named pulls that found nothing).
+        RETIRED_99 = 99, "retired_99";
+        // -- newswire: the acknowledged final hop --
+        /// `ForwardAck`s from members that settled a pending `Deliver`.
+        NW_DELIVER_ACKS = 100, "nw_deliver_acks";
+        /// `Deliver`s re-sent after a round-trip bound passed unacknowledged
+        /// (also counted in `nw_forwards`; hand-off retries are
+        /// `nw_ack_retries`).
+        NW_DELIVER_RESENDS = 101, "nw_deliver_resends";
     }
 }
 
@@ -716,11 +720,13 @@ mod tests {
         assert_eq!(s.counter_name(ctr::NW_PROBATION_HOLDS), "probation_holds");
         assert_eq!(s.counter_name(ctr::NW_RECOVERY_HELD), "nw_recovery_held");
         assert_eq!(s.counter_name(ctr::NW_RECOVERY_UNWANTED), "nw_recovery_unwanted");
-        assert_eq!(s.counter_name(ctr::NW_GAP_PULLS), "nw_gap_pulls");
-        assert_eq!(s.counter_name(ctr::NW_GAP_PULL_ITEMS), "nw_gap_pull_items");
+        assert_eq!(s.counter_name(ctr::RETIRED_94), "retired_94");
+        assert_eq!(s.counter_name(ctr::RETIRED_95), "retired_95");
         assert_eq!(s.counter_name(ctr::NW_RECONCILE_WITHHELD), "nw_reconcile_withheld");
         assert_eq!(s.counter_name(ctr::NW_RECONCILE_UNVOUCHED), "nw_reconcile_unvouched");
-        assert_eq!(s.counter_name(ctr::NW_GAP_PULL_UNANSWERED), "nw_gap_pull_unanswered");
+        assert_eq!(s.counter_name(ctr::RETIRED_99), "retired_99");
+        assert_eq!(s.counter_name(ctr::NW_DELIVER_ACKS), "nw_deliver_acks");
+        assert_eq!(s.counter_name(ctr::NW_DELIVER_RESENDS), "nw_deliver_resends");
         assert_eq!(s.gauge_name(gauge::ASTRO_ROWS_HELD), "astro_rows_held");
         assert_eq!(s.hist_def(hist::GOSSIP_DIGEST_BYTES).name, "gossip_digest_bytes");
         assert_eq!(s.series_name(series::DELIVERY_LATENCY_US), "delivery_latency_us");

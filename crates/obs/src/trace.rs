@@ -117,7 +117,7 @@ pub mod kind {
     pub const HANDOFF_FAILOVER: u8 = 53;
     /// A hand-off was abandoned (`a` = message id).
     pub const HANDOFF_ABANDON: u8 = 54;
-    // 55 was the margin probe's request; a named pull traces `GAP_PULL`.
+    // 55 was the margin probe's request.
     /// A named pull was served (`a` = peer, `b` = items).
     pub const REPAIR_REPLY: u8 = 56;
     /// An anti-entropy reconcile request was sent (`a` = peer,
@@ -161,10 +161,10 @@ pub mod kind {
     /// An unendorsed identity was first held in the bounded probation set
     /// (`a` = identity, `b` = probation set size after the hold).
     pub const PROBATION_HOLD: u8 = 69;
-    /// A gap a `Deliver`'s `prev` chain revealed outlived the reorder
-    /// window and was pulled by name (`a` = item key, `b` = the
-    /// representative asked).
-    pub const GAP_PULL: u8 = 70;
+    // 70 was the delivery chain's named pull.
+    /// A `Deliver` went unacknowledged for a round-trip bound and was sent
+    /// again (`a` = message id, `b` = the member).
+    pub const DELIVER_RESEND: u8 = 71;
 
     /// Stable lowercase name of a kind (used in exports).
     pub fn name(k: u8) -> &'static str {
@@ -212,7 +212,7 @@ pub mod kind {
             REVOKED_KEY_REJECT => "revoked_key_reject",
             RETRO_PURGE => "retro_purge",
             PROBATION_HOLD => "probation_hold",
-            GAP_PULL => "gap_pull",
+            DELIVER_RESEND => "deliver_resend",
             _ => "unknown",
         }
     }

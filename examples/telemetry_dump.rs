@@ -33,16 +33,15 @@ fn main() {
     let summary = format!(
         "--- summary: {repaired} recovery items sent, {} already held, \
          {} outside the receiver's subscription, {} withheld as stubs, \
-         {} requested seqs unvouched; {} ack retries, {} gap pulls answered with {} items, \
-         {} unanswered ---",
+         {} requested seqs unvouched; {} ack retries, {} deliveries acknowledged, \
+         {} re-sent ---",
         total(ctr::NW_RECOVERY_HELD),
         total(ctr::NW_RECOVERY_UNWANTED),
         total(ctr::NW_RECONCILE_WITHHELD),
         total(ctr::NW_RECONCILE_UNVOUCHED),
         total(ctr::NW_ACK_RETRIES),
-        total(ctr::NW_GAP_PULLS),
-        total(ctr::NW_GAP_PULL_ITEMS),
-        total(ctr::NW_GAP_PULL_UNANSWERED),
+        total(ctr::NW_DELIVER_ACKS),
+        total(ctr::NW_DELIVER_RESENDS),
     );
     let telemetry = deployment.sim.drain_telemetry();
     println!("{}", telemetry.to_json());

@@ -2,7 +2,7 @@
 //!
 //! A NewsWire deployment on the delta wire protocol runs through churn with
 //! cold restarts, a partition that heals, and a mis-summarizing liar — so
-//! Astrolabe gossip, hand-off retries, named pulls, reconcile and the
+//! Astrolabe gossip, hand-off retries, final-hop re-sends, reconcile and the
 //! protocol layers' own trace records and gauges all cross the window merge
 //! of a multi-shard run. The default engine (one shard, drained straight to
 //! each deadline) and the same deployment split over 2 and 4 shards must

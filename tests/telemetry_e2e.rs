@@ -67,23 +67,25 @@ fn recovery_item_counters_append_after_the_existing_slots() {
     assert!(held * 10 <= sent, "{held} of {sent} recovery items were already held");
 }
 
-/// The delivery chain's two counters are appended after those; on a
-/// lossless run they read what the mechanism did there — nothing.
+/// The acknowledged final hop's two counters are appended after every
+/// other slot; on a lossless run every `Deliver` is acknowledged and none is
+/// re-sent. They are apart from the hand-off counters: `nw_ack_retries`
+/// still counts hand-offs only.
 #[test]
-fn gap_pull_counters_append_after_the_existing_slots() {
+fn deliver_ack_counters_append_after_the_existing_slots() {
     use obs::ctr;
     assert_eq!(
-        (ctr::NW_RECOVERY_UNWANTED.0, ctr::NW_GAP_PULLS.0, ctr::NW_GAP_PULL_ITEMS.0),
-        (93, 94, 95)
+        (ctr::RETIRED_99.0, ctr::NW_DELIVER_ACKS.0, ctr::NW_DELIVER_RESENDS.0),
+        (99, 100, 101)
     );
     let d = sample_run(0x0B7);
     let hub = d.sim.telemetry();
     let hub = hub.borrow();
     assert_eq!(hub.counter_total(ctr::NW_ACK_RETRIES), 0, "nothing lost, nothing retransmitted");
-    assert_eq!(
-        (hub.counter_total(ctr::NW_GAP_PULLS), hub.counter_total(ctr::NW_GAP_PULL_ITEMS)),
-        (0, 0)
-    );
+    assert!(hub.counter_total(ctr::NW_DELIVER_ACKS) > 0, "members acknowledge their Delivers");
+    assert_eq!(hub.counter_total(ctr::NW_DELIVER_RESENDS), 0);
+    let retired = [ctr::RETIRED_94, ctr::RETIRED_95, ctr::RETIRED_99];
+    assert!(retired.iter().all(|&id| hub.counter_total(id) == 0), "retired slots stay zero");
 }
 
 /// The gossip byte counter is appended after those. On the default (full)
@@ -94,17 +96,13 @@ fn gap_pull_counters_append_after_the_existing_slots() {
 #[test]
 fn the_full_gossip_wire_moves_unchanged_rows_by_stamp() {
     use obs::ctr;
-    assert_eq!((ctr::NW_GAP_PULL_ITEMS.0, ctr::GOSSIP_BYTES_SENT.0), (95, 96));
+    assert_eq!((ctr::RETIRED_95.0, ctr::GOSSIP_BYTES_SENT.0), (95, 96));
     assert_eq!(
-        (
-            ctr::NW_RECONCILE_WITHHELD.0,
-            ctr::NW_RECONCILE_UNVOUCHED.0,
-            ctr::NW_GAP_PULL_UNANSWERED.0
-        ),
+        (ctr::NW_RECONCILE_WITHHELD.0, ctr::NW_RECONCILE_UNVOUCHED.0, ctr::RETIRED_99.0),
         (97, 98, 99),
         "what reconcile vouches for is appended after the gossip byte counter"
     );
-    assert_eq!(ctr::NAMES.len(), 100);
+    assert_eq!(ctr::NAMES.len(), 102);
     let d = sample_run(0x0B8);
     assert!(!d.sim.node(NodeId(0)).agent.config().delta_gossip, "the default is the full wire");
     let hub = d.sim.telemetry();
