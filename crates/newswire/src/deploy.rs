@@ -39,9 +39,7 @@ pub struct NodeStats {
     pub publish_denied: u64,
     /// Items unroutable at this node.
     pub route_failures: u64,
-    /// Named pulls answered.
-    pub repairs_served: u64,
-    /// Items shipped in named-pull replies.
+    /// Items shipped in named-pull replies (0: no node answers one).
     pub repair_items_sent: u64,
     /// Forward/Deliver messages transmitted.
     pub forwards_sent: u64,
@@ -545,7 +543,6 @@ impl Deployment {
             auth_rejects: c(NW_AUTH_REJECTS),
             publish_denied: c(NW_PUBLISH_DENIED),
             route_failures: c(NW_ROUTE_FAILURES),
-            repairs_served: c(NW_REPAIRS_SERVED),
             repair_items_sent: c(NW_REPAIR_ITEMS_SENT),
             forwards_sent: c(NW_FORWARDS),
             acks_received: c(NW_ACKS_RECEIVED),

@@ -67,9 +67,9 @@ pub struct DeliveryRecord {
     pub published: SimTime,
     /// Local delivery time.
     pub delivered: SimTime,
-    /// True when the item arrived out of a peer's cache — a reconcile or
-    /// repair reply — rather than down the multicast tree (a re-sent
-    /// `Deliver` included).
+    /// True when the item arrived out of a peer's cache — a reconcile
+    /// reply — rather than down the multicast tree (a re-sent `Deliver`
+    /// included).
     pub via_repair: bool,
 }
 
@@ -140,8 +140,8 @@ const DRAIN_TIMER: u64 = 2;
 // Tags 3 and 4 were the margin probe's; they stay unused so 5 keeps its
 // meaning for consumers that classify timers by tag.
 const RECONCILE_WAIT_TIMER: u64 = 5;
-/// The final-hop retry sweep's timer tag; tags above it carry a pending
-/// hand-off id in the low bits.
+/// The acknowledgement table's sweep timer tag, the one tag of the amcast
+/// path.
 const ACK_TAG_BASE: u64 = 1 << 32;
 
 /// Prefix of the gossip-row attributes carrying per-publisher article-log
@@ -249,9 +249,6 @@ const MAX_BASELINES: usize = 256;
 /// not re-sent, and reconcile owns its loss.
 const MAX_PENDING_DELIVERS: usize = 256;
 
-/// Most ids a `RepairRequest` is served for.
-const MAX_PULL_IDS: usize = 8;
-
 /// Most peers one reconcile pass asks, the first included, about holes the
 /// peers before them could not vouch for.
 const MAX_ASKED: usize = 4;
@@ -288,41 +285,155 @@ impl PendingReconcile {
     }
 }
 
-/// One unacknowledged tree hand-off awaiting its `ForwardAck`.
+/// One copy of an article on the wire awaiting its `ForwardAck`: a tree
+/// hand-off to a representative of `zone`, or — with no zone — a final-hop
+/// `Deliver` to a member of this node's leaf zone.
 #[derive(Debug)]
-struct PendingHandoff {
+struct Ack {
     env: Arc<Envelope>,
-    zone: ZoneId,
-    rep: u32,
-    /// Representatives already attempted (including `rep`).
-    tried: Vec<u32>,
-    /// Timeouts burned against the current representative.
+    /// The representative or member the copy went to.
+    peer: u32,
+    /// The zone a hand-off covers. `None` for a `Deliver`.
+    zone: Option<ZoneId>,
+    /// Re-sends to `peer` so far.
     attempt: u32,
-    /// Alternative representatives already consumed.
-    failovers: u32,
-    timer: TimerId,
+    /// Representatives a hand-off failed over from.
+    tried: Vec<u32>,
     /// When the first transmission hit the wire.
     armed_at: SimTime,
 }
 
-impl PendingHandoff {
+impl Ack {
     /// Karn's rule: only the ack of a hand-off sent once, to the peer now
     /// answering, times a round trip — after a retry or a failover the ack
     /// could belong to either transmission.
     fn times_round_trip(&self, acked_by: u32) -> bool {
-        self.rep == acked_by && self.attempt == 0 && self.failovers == 0
+        self.peer == acked_by && self.attempt == 0 && self.tried.is_empty()
+    }
+
+    /// The copy, to send again.
+    fn message(&self) -> NewsWireMsg {
+        let env = Arc::clone(&self.env);
+        match &self.zone {
+            Some(zone) => NewsWireMsg::Forward { env, zone: zone.clone() },
+            None => NewsWireMsg::Deliver { env },
+        }
     }
 }
 
-/// One `Deliver` on the wire awaiting the member's `ForwardAck`.
-#[derive(Debug)]
-struct PendingDeliver {
-    env: Arc<Envelope>,
-    member: u32,
-    /// Re-sends already made.
-    resends: u32,
-    /// When the wait for the ack is over.
-    due: SimTime,
+/// The acknowledgement table: every copy on the wire awaiting its ack —
+/// hand-offs and final-hop `Deliver`s alike — under one sweep timer (tag
+/// [`ACK_TAG_BASE`]) set for the earliest deadline, and the round-trip
+/// evidence the deadlines are drawn from. No timer is ever cancelled: a
+/// sweep that finds nothing due re-arms for the next deadline or goes idle.
+#[derive(Debug, Default)]
+struct Acks {
+    /// By deadline, then in the order armed.
+    entries: BTreeMap<(SimTime, u64), Ack>,
+    /// Entries armed so far: the order among equal deadlines.
+    armed: u64,
+    /// When the sweep timers set and not yet fired go off.
+    sweeps: BTreeSet<SimTime>,
+    /// Round-trip evidence per peer, indexed by its [`PeerHealth`] slot.
+    rtt: Vec<RttPeak>,
+}
+
+impl Acks {
+    fn insert(&mut self, due: SimTime, ack: Ack) {
+        self.armed += 1;
+        self.entries.insert((due, self.armed), ack);
+    }
+
+    /// Final-hop entries held.
+    fn delivers(&self) -> usize {
+        self.entries.values().filter(|ack| ack.zone.is_none()).count()
+    }
+
+    /// Takes out the first entry, when it is due by `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<Ack> {
+        Some(self.entries.first_entry().filter(|entry| entry.key().0 <= now)?.remove())
+    }
+
+    /// The earliest deadline, when no sweep is set to go off by then.
+    fn sweep_needed(&self) -> Option<SimTime> {
+        let &(due, _) = self.entries.keys().next()?;
+        self.sweeps.first().is_none_or(|&at| at > due).then_some(due)
+    }
+
+    /// Removes what the ack `from` sent for `msg_id`, naming `zone`,
+    /// settles, and returns whether that was hand-offs, and whether a
+    /// `Deliver`. A member's ack settles its own `Deliver` — the copy sent
+    /// first, if the article went to it twice — and nothing else:
+    /// a node that represents its leaf zone higher up also hands that zone
+    /// off to the zone's other representative, a member it `Deliver`s to as
+    /// well, and each copy awaits its own ack. Otherwise any ack naming a
+    /// hand-off's zone settles it — the hand-offs to both representatives
+    /// at once, and one that failed over by a late ack from the
+    /// representative it left — and times the round trip to `from` (health
+    /// `slot`) where Karn's rule allows.
+    fn settle(
+        &mut self,
+        msg_id: u64,
+        zone: &ZoneId,
+        from: u32,
+        slot: Option<usize>,
+        now: SimTime,
+    ) -> (bool, bool) {
+        let deliver = self
+            .entries
+            .iter()
+            .filter(|(_, ack)| ack.zone.is_none() && ack.env.msg_id == msg_id && ack.peer == from)
+            .min_by_key(|(_, ack)| ack.armed_at);
+        if let Some(&key) = deliver.map(|(key, _)| key) {
+            self.entries.remove(&key);
+            return (false, true);
+        }
+        let Acks { entries, rtt, .. } = self;
+        let mut settled = false;
+        entries.retain(|_, ack| {
+            if ack.env.msg_id != msg_id || ack.zone.as_ref() != Some(zone) {
+                return true;
+            }
+            settled = true;
+            if let Some(slot) = slot.filter(|_| ack.times_round_trip(from)) {
+                RttPeak::at(rtt, slot).note(now.saturating_since(ack.armed_at));
+            }
+            false
+        });
+        (settled, false)
+    }
+
+    fn note_rtt(&mut self, slot: usize, rtt: SimDuration) {
+        RttPeak::at(&mut self.rtt, slot).note(rtt);
+    }
+
+    fn note_timeout(&mut self, slot: Option<usize>) {
+        if let Some(peak) = slot.and_then(|slot| self.rtt.get_mut(slot)) {
+            peak.note_timeout();
+        }
+    }
+
+    /// What a round trip to the peer in health `slot` is bounded by:
+    /// measured (see [`RttPeak::bound`]) and never above [`ACK_TIMEOUT`],
+    /// which is also the answer before any exchange with it has been timed.
+    fn round_trip_bound(&self, slot: Option<usize>) -> SimDuration {
+        slot.and_then(|slot| self.rtt.get(slot))
+            .and_then(|peak| peak.bound())
+            .map_or(ACK_TIMEOUT, |bound| bound.min(ACK_TIMEOUT))
+    }
+
+    /// A new incarnation of the peer in `slot` starts unmeasured.
+    fn forget_rtt(&mut self, slot: usize) {
+        if let Some(peak) = self.rtt.get_mut(slot) {
+            *peak = RttPeak::default();
+        }
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.sweeps.clear();
+        self.rtt.clear();
+    }
 }
 
 /// Round-trip evidence about one peer: the slowest exchange timed, how many
@@ -335,6 +446,14 @@ struct RttPeak {
 }
 
 impl RttPeak {
+    /// The evidence in `slot`, made room for.
+    fn at(peaks: &mut Vec<RttPeak>, slot: usize) -> &mut RttPeak {
+        if slot >= peaks.len() {
+            peaks.resize(slot + 1, RttPeak::default());
+        }
+        &mut peaks[slot]
+    }
+
     fn note(&mut self, rtt: SimDuration) {
         let us = u32::try_from(rtt.as_micros()).unwrap_or(u32::MAX);
         self.peak_us = self.peak_us.max(us);
@@ -371,21 +490,19 @@ impl RttPeak {
 /// Phi-accrual detectors over the peers a node has heard from. A peer takes
 /// the next free slot of the one [`PhiBank`] on its first message and keeps
 /// it; forgetting a peer clears the slot, so an unobserved and a forgotten
-/// peer read alike: unknown, not suspect. The slot also keeps what round
-/// trips to the peer have measured.
+/// peer read alike: unknown, not suspect. The acknowledgement table keeps
+/// what round trips to the peer have measured under the same slot.
 #[derive(Debug)]
 struct PeerHealth {
     slot_of: HashMap<u32, u32>,
     bank: PhiBank,
-    /// Indexed by slot, one entry per `slot_of` key.
-    rtt: Vec<RttPeak>,
 }
 
 impl PeerHealth {
     /// Phi tuning shared with the embedded Astrolabe agent.
     fn new(astro: &astrolabe::Config) -> Self {
         let bank = PhiBank::new(astro.phi());
-        PeerHealth { slot_of: HashMap::new(), bank, rtt: Vec::new() }
+        PeerHealth { slot_of: HashMap::new(), bank }
     }
 
     /// Records a heartbeat and returns the peer's slot.
@@ -393,42 +510,28 @@ impl PeerHealth {
         // Keys are distinct `u32`s, so the count of them fits one.
         let next = self.slot_of.len() as u32;
         let slot = *self.slot_of.entry(peer).or_insert(next) as usize;
-        if slot == self.rtt.len() {
-            self.rtt.push(RttPeak::default());
-        }
         self.bank.heartbeat(slot, now);
         slot
     }
 
-    fn note_rtt(&mut self, slot: usize, rtt: SimDuration) {
-        self.rtt[slot].note(rtt);
-    }
-
-    fn note_timeout(&mut self, peer: u32) {
-        if let Some(&slot) = self.slot_of.get(&peer) {
-            self.rtt[slot as usize].note_timeout();
-        }
-    }
-
-    fn rtt_bound(&self, peer: u32) -> Option<SimDuration> {
-        self.slot_of.get(&peer).and_then(|&slot| self.rtt[slot as usize].bound())
+    fn slot(&self, peer: u32) -> Option<usize> {
+        self.slot_of.get(&peer).map(|&slot| slot as usize)
     }
 
     fn is_suspect(&self, peer: u32, now: SimTime) -> bool {
-        self.slot_of.get(&peer).is_some_and(|&slot| self.bank.is_suspect(slot as usize, now))
+        self.slot(peer).is_some_and(|slot| self.bank.is_suspect(slot, now))
     }
 
-    fn remove(&mut self, peer: u32) {
-        if let Some(&slot) = self.slot_of.get(&peer) {
-            self.bank.clear(slot as usize);
-            self.rtt[slot as usize] = RttPeak::default();
-        }
+    /// Clears `peer`'s detector and returns its slot.
+    fn remove(&mut self, peer: u32) -> Option<usize> {
+        let slot = self.slot(peer)?;
+        self.bank.clear(slot);
+        Some(slot)
     }
 
     fn clear(&mut self) {
         self.slot_of.clear();
         self.bank.clear_all();
-        self.rtt.clear();
     }
 }
 
@@ -457,21 +560,12 @@ pub struct NewsWireNode {
     /// the paper's publishers input items but should not also carry the
     /// system's forwarding burden.
     pub load_bias: f64,
-    /// In-flight acknowledged hand-offs, keyed by hand-off id.
-    pending: HashMap<u64, PendingHandoff>,
-    /// Hand-off ids pending per `(msg_id, zone)`: one ack settles them all.
-    ack_index: HashMap<(u64, ZoneId), Vec<u64>>,
-    next_handoff: u64,
+    /// Hand-offs and `Deliver`s on the wire awaiting their ack.
+    acks: Acks,
     /// The `Digest`s of the latest gossip tick still awaiting their
     /// `DigestReply`: `(peer, sent)`. Each reply times one round trip; at
     /// most one entry per table level plus two.
     digest_probes: Vec<(u32, SimTime)>,
-    /// `Deliver`s on the wire awaiting their member's ack, in the order
-    /// they were sent; at most [`MAX_PENDING_DELIVERS`].
-    pending_delivers: Vec<PendingDeliver>,
-    /// The one retry-sweep timer over `pending_delivers`, and when it
-    /// fires; armed while any is pending.
-    deliver_sweep: Option<(TimerId, SimTime)>,
     /// Per-publisher article logs: which sequence numbers this node has
     /// *seen* (cached, or settled as not for it), and what it can vouch for
     /// about each. Gaps are the holes anti-entropy reconciliation pulls.
@@ -571,12 +665,8 @@ impl NewsWireNode {
             log: ForwardLog::default(),
             deliveries: Vec::new(),
             load_bias: 0.0,
-            pending: HashMap::new(),
-            ack_index: HashMap::new(),
-            next_handoff: 0,
+            acks: Acks::default(),
             digest_probes: Vec::new(),
-            pending_delivers: Vec::new(),
-            deliver_sweep: None,
             article_logs: BTreeMap::new(),
             stubs: StubTable::default(),
             tail_probe: (SimTime::ZERO + TAIL_PROBE_QUIET, TAIL_PROBE_QUIET),
@@ -692,10 +782,10 @@ impl NewsWireNode {
     }
 
     /// Accounts a revoked-key rejection on admission `path` (1 envelopes,
-    /// 2 repair replies, 3 reconcile replies, 4 disk restore, 5 epoch
-    /// attestations). Deliberately no misbehavior strike: honest peers
-    /// keep relaying items they admitted before the revocation reached
-    /// them, and striking them would quarantine the honest majority.
+    /// 3 reconcile replies, 4 disk restore, 5 epoch attestations; 2 was the
+    /// retired named pull's replies). Deliberately no misbehavior strike:
+    /// honest peers keep relaying items they admitted before the revocation
+    /// reached them, and striking them would quarantine the honest majority.
     fn note_revoked_reject(&mut self, path: u64, publisher: PublisherId) {
         obs::metric_add!(self.agent.id(), ctr::NW_REVOKED_KEY_REJECTS, 1);
         obs::trace_event!(
@@ -996,7 +1086,13 @@ impl NewsWireNode {
 
     /// Hand-offs and `Deliver`s on the wire still awaiting their ack.
     pub fn unacknowledged(&self) -> usize {
-        self.pending.len() + self.pending_delivers.len()
+        self.acks.entries.len()
+    }
+
+    /// True while a sweep timer over the acknowledgement table is set and
+    /// has not gone off.
+    pub fn ack_sweep_armed(&self) -> bool {
+        !self.acks.sweeps.is_empty()
     }
 
     /// True when the item with `id` has been delivered to the application.
@@ -1053,11 +1149,17 @@ impl NewsWireNode {
         (from != NodeId::EXTERNAL).then(|| self.peer_health.heartbeat(from.0, now))
     }
 
-    /// What a round trip to `peer` is bounded by: measured (see
-    /// [`RttPeak::bound`]) and never above [`ACK_TIMEOUT`], which is also
-    /// the answer before any exchange with `peer` has been timed.
+    /// What a round trip to `peer` is bounded by ([`Acks::round_trip_bound`]).
     fn round_trip_bound(&self, peer: u32) -> SimDuration {
-        self.peer_health.rtt_bound(peer).map_or(ACK_TIMEOUT, |bound| bound.min(ACK_TIMEOUT))
+        self.acks.round_trip_bound(self.peer_health.slot(peer))
+    }
+
+    /// Forgets what this node has observed of `peer` — its φ detector and
+    /// its round trips — and so reads it as unknown, not suspect.
+    fn forget_peer(&mut self, peer: u32) {
+        if let Some(slot) = self.peer_health.remove(peer) {
+            self.acks.forget_rtt(slot);
+        }
     }
 
     /// True when the phi detector suspects `peer` — or the misbehavior
@@ -1301,14 +1403,6 @@ impl NewsWireNode {
         }
     }
 
-    /// What a `RepairRequest` is answered with: the first [`MAX_PULL_IDS`]
-    /// of `ids` this cache still holds. The ids are a peer's claim — bounded
-    /// work, and an id not held (fused away, evicted, never existed) is
-    /// ignored.
-    fn named_pull_items(&self, ids: &[ItemId]) -> Vec<Arc<NewsItem>> {
-        ids.iter().take(MAX_PULL_IDS).filter_map(|&id| self.cache.get(id).cloned()).collect()
-    }
-
     fn enqueue(&mut self, ctx: &mut Context<'_, NewsWireMsg>, dst: NodeId, msg: NewsWireMsg) {
         let (child, priority) = match &msg {
             NewsWireMsg::Forward { zone, env } => {
@@ -1536,10 +1630,10 @@ impl NewsWireNode {
             .is_some_and(|cert| verify_bare_item(&self.registry, cert, item, key, sig))
     }
 
-    /// The single admission funnel for bare items arriving off the network
-    /// — repair replies (`path` 2) and reconcile replies (`path` 3);
-    /// envelopes (1) verify in `on_message` and stable-storage restores (4)
-    /// in `restore_cached_items`. With defenses on, an item whose detached
+    /// The admission funnel for bare items arriving off the network, in
+    /// reconcile replies (admission path 3); envelopes (1) verify in
+    /// `on_message` and stable-storage restores (4) in
+    /// `restore_cached_items`. With defenses on, an item whose detached
     /// signature does not verify is refused before it touches the log or
     /// cache, and the sender takes a misbehavior strike.
     fn admit_bare_item(
@@ -1549,13 +1643,12 @@ impl NewsWireNode {
         key: KeyId,
         sig: Signature,
         from: NodeId,
-        path: u64,
     ) {
-        // Revoked key-epoch first (paths 2 and 3): the signature would
-        // *verify* — the key is just no longer trusted — so this fence
-        // must come before the forgery check, and without a strike.
+        // Revoked key-epoch first: the signature would *verify* — the key
+        // is just no longer trusted — so this fence must come before the
+        // forgery check, and without a strike.
         if self.cfg.defenses && self.key_revoked(item.id.publisher, key) {
-            self.note_revoked_reject(path, item.id.publisher);
+            self.note_revoked_reject(3, item.id.publisher);
             return;
         }
         if self.cfg.defenses && !self.bare_item_ok(&item, key, sig) {
@@ -1564,7 +1657,7 @@ impl NewsWireNode {
                 self.agent.id(),
                 Layer::News,
                 kind::FORGED_REJECT,
-                path,
+                3,
                 u64::from(item.id.publisher.0)
             );
             self.note_misbehavior(from, MISBEHAVIOR_FORGED);
@@ -1725,249 +1818,125 @@ impl NewsWireNode {
         candidates.as_slice().choose(rng).map(|&p| NodeId(p))
     }
 
-    /// How long a hand-off to `rep` waits for its ack: what a round trip to
-    /// `rep` is bounded by — measured, [`ACK_TIMEOUT`] at most — backed
-    /// off exponentially in the timeouts already burned against `rep`.
-    fn handoff_delay(&self, rep: u32, attempt: u32) -> SimDuration {
-        self.round_trip_bound(rep) * BACKOFF.pow(attempt)
-    }
-
-    /// Registers an acknowledged hand-off of `env`/`zone` to `rep`, sent
-    /// now, and arms its timeout. The hand-off id doubles as the timer tag
-    /// (offset by [`ACK_TAG_BASE`]).
-    fn arm_handoff(
+    /// Enters a copy of `env` sent now to `peer` — a hand-off covering
+    /// `zone`, or with none a final-hop `Deliver` — into the acknowledgement
+    /// table. A `Deliver` beyond [`MAX_PENDING_DELIVERS`] is not entered:
+    /// reconcile owns its loss.
+    fn arm_ack(
         &mut self,
         ctx: &mut Context<'_, NewsWireMsg>,
-        rep: u32,
+        peer: u32,
         env: Arc<Envelope>,
-        zone: ZoneId,
+        zone: Option<ZoneId>,
     ) {
-        self.next_handoff += 1;
-        let tag = ACK_TAG_BASE + self.next_handoff;
-        let timer = ctx.set_timer(self.handoff_delay(rep, 0), tag);
-        self.ack_index.entry((env.msg_id, zone.clone())).or_default().push(tag);
-        let handoff = PendingHandoff {
-            env,
-            zone,
-            rep,
-            tried: vec![rep],
-            attempt: 0,
-            failovers: 0,
-            timer,
-            armed_at: ctx.now(),
-        };
-        self.pending.insert(tag, handoff);
-    }
-
-    /// Re-arms an existing hand-off under the same tag after a timeout.
-    fn rearm_handoff(
-        &mut self,
-        ctx: &mut Context<'_, NewsWireMsg>,
-        tag: u64,
-        mut handoff: PendingHandoff,
-    ) {
-        handoff.timer = ctx.set_timer(self.handoff_delay(handoff.rep, handoff.attempt), tag);
-        self.pending.insert(tag, handoff);
-    }
-
-    /// Drops `tag` from the `(msg_id, zone)` index.
-    fn unindex_handoff(&mut self, msg_id: u64, zone: &ZoneId, tag: u64) {
-        if let Some(tags) = self.ack_index.get_mut(&(msg_id, zone.clone())) {
-            tags.retain(|&t| t != tag);
-            if tags.is_empty() {
-                self.ack_index.remove(&(msg_id, zone.clone()));
-            }
-        }
-    }
-
-    /// An armed hand-off timed out unacknowledged: retry the same
-    /// representative with backoff, then fail over to an untried one from
-    /// the zone tables, then abandon the hand-off to anti-entropy repair.
-    fn handle_ack_timeout(&mut self, ctx: &mut Context<'_, NewsWireMsg>, tag: u64) {
-        let Some(mut handoff) = self.pending.remove(&tag) else {
-            return; // acknowledged (or abandoned) before the timer fired
-        };
-        let now = ctx.now();
-        let now_us = now.as_micros();
-        self.peer_health.note_timeout(handoff.rep);
-        // Phi-accrual shortcut: when the detector already suspects the
-        // current representative, burning the remaining same-rep retries is
-        // wasted time — fail over immediately.
-        let rep_suspect = self.peer_suspect(handoff.rep, now);
-        if rep_suspect && handoff.attempt < ACK_RETRIES {
-            obs::metric_add!(self.agent.id(), ctr::NW_SUSPECT_FAILOVERS, 1);
-            obs::trace_event!(self.agent.id(), Layer::News, kind::PHI_SUSPECT, handoff.rep);
-        }
-        if !rep_suspect && handoff.attempt < ACK_RETRIES {
-            // Same representative, longer leash.
-            handoff.attempt += 1;
-            obs::metric_add!(self.agent.id(), ctr::NW_ACK_RETRIES, 1);
-            obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
-            obs::trace_event!(
-                self.agent.id(),
-                Layer::News,
-                kind::HANDOFF_RETRY,
-                handoff.env.msg_id,
-                handoff.rep
-            );
-            self.log.record(LogRecord {
-                at_us: now_us,
-                msg_id: handoff.env.msg_id,
-                zone: handoff.zone.clone(),
-                peer: Some(handoff.rep),
-                event: ForwardEvent::AckTimeout,
-            });
-            ctx.send(
-                NodeId(handoff.rep),
-                NewsWireMsg::Forward { env: Arc::clone(&handoff.env), zone: handoff.zone.clone() },
-            );
-            self.rearm_handoff(ctx, tag, handoff);
+        if zone.is_none() && self.acks.delivers() >= MAX_PENDING_DELIVERS {
             return;
         }
-        // Retries exhausted: fail over to a representative not yet tried.
-        let next = if handoff.failovers < MAX_FAILOVERS {
-            let mut candidates = zone_reps(&self.agent, &handoff.zone);
-            candidates.retain(|r| !handoff.tried.contains(r) && *r != handoff.rep);
+        let now = ctx.now();
+        self.enter_ack(now, Ack { env, peer, zone, attempt: 0, tried: Vec::new(), armed_at: now });
+        self.arm_sweep(ctx);
+    }
+
+    /// Enters `ack` due one round-trip bound to its peer from `now`, backed
+    /// off [`BACKOFF`] times per re-send already made to it.
+    fn enter_ack(&mut self, now: SimTime, ack: Ack) {
+        let due = now + self.round_trip_bound(ack.peer) * BACKOFF.pow(ack.attempt);
+        self.acks.insert(due, ack);
+    }
+
+    /// Sets a sweep timer for the earliest deadline, unless one goes off by
+    /// then already.
+    fn arm_sweep(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
+        if let Some(due) = self.acks.sweep_needed() {
+            ctx.set_timer(due.saturating_since(ctx.now()), ACK_TAG_BASE);
+            self.acks.sweeps.insert(due);
+        }
+    }
+
+    /// A sweep timer went off: every entry due is retried, in the order
+    /// armed, and the sweep re-armed for the next deadline. A retried entry
+    /// is due again a round-trip bound later, never now.
+    fn sweep_acks(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
+        let now = ctx.now();
+        self.acks.sweeps.retain(|&at| at > now);
+        while let Some(ack) = self.acks.pop_due(now) {
+            self.retry_ack(ctx, ack);
+        }
+        self.arm_sweep(ctx);
+    }
+
+    /// `ack` went unacknowledged for its wait. The copy goes to the same
+    /// peer again, up to [`ACK_RETRIES`] times, unless the φ detector
+    /// already suspects a hand-off's representative. Then a hand-off fails
+    /// over to an untried representative of its zone, up to
+    /// [`MAX_FAILOVERS`] times, and is abandoned after that; a `Deliver` is
+    /// forgotten. Reconcile owns either loss.
+    fn retry_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, mut ack: Ack) {
+        let now = ctx.now();
+        let id = self.agent.id();
+        let msg_id = ack.env.msg_id;
+        let mut suspect = false;
+        if ack.zone.is_some() {
+            self.acks.note_timeout(self.peer_health.slot(ack.peer));
+            // Phi-accrual shortcut: when the detector already suspects the
+            // representative, burning the remaining same-rep retries is
+            // wasted time — fail over immediately.
+            suspect = self.peer_suspect(ack.peer, now);
+            if suspect && ack.attempt < ACK_RETRIES {
+                obs::metric_add!(id, ctr::NW_SUSPECT_FAILOVERS, 1);
+                obs::trace_event!(id, Layer::News, kind::PHI_SUSPECT, ack.peer);
+            }
+        }
+        if !suspect && ack.attempt < ACK_RETRIES {
+            ack.attempt += 1;
+            if let Some(zone) = &ack.zone {
+                obs::metric_add!(id, ctr::NW_ACK_RETRIES, 1);
+                obs::trace_event!(id, Layer::News, kind::HANDOFF_RETRY, msg_id, ack.peer);
+                self.log.record(LogRecord {
+                    at_us: now.as_micros(),
+                    msg_id,
+                    zone: zone.clone(),
+                    peer: Some(ack.peer),
+                    event: ForwardEvent::AckTimeout,
+                });
+            } else {
+                obs::metric_add!(id, ctr::NW_DELIVER_RESENDS, 1);
+                obs::trace_event!(id, Layer::News, kind::DELIVER_RESEND, msg_id, ack.peer);
+            }
+            self.resend_ack(ctx, ack);
+            return;
+        }
+        let Some(zone) = ack.zone.clone() else { return };
+        let next = if ack.tried.len() < MAX_FAILOVERS as usize {
+            let mut candidates = zone_reps(&self.agent, &zone);
+            candidates.retain(|r| !ack.tried.contains(r) && *r != ack.peer);
             // Prefer representatives the phi detector still trusts.
             self.prefer_unsuspected(&mut candidates, now);
             candidates.as_slice().choose(ctx.rng()).copied()
         } else {
             None
         };
-        match next {
-            Some(rep) => {
-                handoff.tried.push(handoff.rep);
-                handoff.rep = rep;
-                handoff.attempt = 0;
-                handoff.failovers += 1;
-                obs::metric_add!(self.agent.id(), ctr::NW_ACK_FAILOVERS, 1);
-                obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
-                obs::trace_event!(
-                    self.agent.id(),
-                    Layer::News,
-                    kind::HANDOFF_FAILOVER,
-                    handoff.env.msg_id,
-                    rep
-                );
-                self.log.record(LogRecord {
-                    at_us: now_us,
-                    msg_id: handoff.env.msg_id,
-                    zone: handoff.zone.clone(),
-                    peer: Some(rep),
-                    event: ForwardEvent::FailedOver,
-                });
-                ctx.send(
-                    NodeId(rep),
-                    NewsWireMsg::Forward {
-                        env: Arc::clone(&handoff.env),
-                        zone: handoff.zone.clone(),
-                    },
-                );
-                self.rearm_handoff(ctx, tag, handoff);
-            }
-            None => {
-                obs::metric_add!(self.agent.id(), ctr::NW_HANDOFFS_ABANDONED, 1);
-                obs::trace_event!(
-                    self.agent.id(),
-                    Layer::News,
-                    kind::HANDOFF_ABANDON,
-                    handoff.env.msg_id,
-                    handoff.rep
-                );
-                self.log.record(LogRecord {
-                    at_us: now_us,
-                    msg_id: handoff.env.msg_id,
-                    zone: handoff.zone.clone(),
-                    peer: Some(handoff.rep),
-                    event: ForwardEvent::Abandoned,
-                });
-                self.unindex_handoff(handoff.env.msg_id, &handoff.zone, tag);
-            }
-        }
-    }
-
-    /// Registers a `Deliver` of `env` to `member`, sent now, as awaiting the
-    /// member's ack for one round-trip bound.
-    fn arm_deliver(&mut self, ctx: &mut Context<'_, NewsWireMsg>, member: u32, env: Arc<Envelope>) {
-        if self.pending_delivers.len() >= MAX_PENDING_DELIVERS {
+        let event = if next.is_some() { ForwardEvent::FailedOver } else { ForwardEvent::Abandoned };
+        let peer = Some(next.unwrap_or(ack.peer));
+        self.log.record(LogRecord { at_us: now.as_micros(), msg_id, zone, peer, event });
+        let Some(rep) = next else {
+            obs::metric_add!(id, ctr::NW_HANDOFFS_ABANDONED, 1);
+            obs::trace_event!(id, Layer::News, kind::HANDOFF_ABANDON, msg_id, ack.peer);
             return;
-        }
-        let due = ctx.now() + self.round_trip_bound(member);
-        self.pending_delivers.push(PendingDeliver { env, member, resends: 0, due });
-        self.arm_deliver_sweep(ctx, due);
-    }
-
-    /// Makes the retry sweep fire no later than `due`.
-    fn arm_deliver_sweep(&mut self, ctx: &mut Context<'_, NewsWireMsg>, due: SimTime) {
-        if let Some((timer, at)) = self.deliver_sweep {
-            if at <= due {
-                return;
-            }
-            ctx.cancel_timer(timer);
-        }
-        let timer = ctx.set_timer(due.saturating_since(ctx.now()), ACK_TAG_BASE);
-        self.deliver_sweep = Some((timer, due));
-    }
-
-    /// The member acknowledged `msg_id`'s `Deliver`. Returns false when no
-    /// such `Deliver` is pending.
-    fn settle_deliver(
-        &mut self,
-        ctx: &mut Context<'_, NewsWireMsg>,
-        msg_id: u64,
-        member: u32,
-    ) -> bool {
-        let Some(at) =
-            self.pending_delivers.iter().position(|p| p.env.msg_id == msg_id && p.member == member)
-        else {
-            return false;
         };
-        self.pending_delivers.remove(at);
-        obs::metric_add!(self.agent.id(), ctr::NW_DELIVER_ACKS, 1);
-        if self.pending_delivers.is_empty() {
-            if let Some((timer, _)) = self.deliver_sweep.take() {
-                ctx.cancel_timer(timer);
-            }
-        }
-        true
+        ack.tried.push(ack.peer);
+        ack.peer = rep;
+        ack.attempt = 0;
+        obs::metric_add!(id, ctr::NW_ACK_FAILOVERS, 1);
+        obs::trace_event!(id, Layer::News, kind::HANDOFF_FAILOVER, msg_id, rep);
+        self.resend_ack(ctx, ack);
     }
 
-    /// The retry sweep fired: re-send every `Deliver` whose ack is overdue,
-    /// waiting [`BACKOFF`] times longer after each re-send, and forget one
-    /// whose [`ACK_RETRIES`] re-sends went unacknowledged too — reconcile
-    /// owns that loss.
-    fn sweep_delivers(&mut self, ctx: &mut Context<'_, NewsWireMsg>, t: TimerId) {
-        if self.deliver_sweep.take_if(|&mut (timer, _)| timer == t).is_none() {
-            return; // set before a restart
-        }
-        let now = ctx.now();
-        let mut pending = std::mem::take(&mut self.pending_delivers);
-        pending.retain_mut(|p| {
-            if p.due > now {
-                return true;
-            }
-            if p.resends >= ACK_RETRIES {
-                return false;
-            }
-            p.resends += 1;
-            p.due = now + self.round_trip_bound(p.member) * BACKOFF.pow(p.resends);
-            obs::metric_add!(self.agent.id(), ctr::NW_DELIVER_RESENDS, 1);
-            obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
-            obs::trace_event!(
-                self.agent.id(),
-                Layer::News,
-                kind::DELIVER_RESEND,
-                p.env.msg_id,
-                p.member
-            );
-            ctx.send(NodeId(p.member), NewsWireMsg::Deliver { env: Arc::clone(&p.env) });
-            true
-        });
-        let next = pending.iter().map(|p| p.due).min();
-        self.pending_delivers = pending;
-        if let Some(due) = next {
-            self.arm_deliver_sweep(ctx, due);
-        }
+    /// Sends `ack`'s copy to its peer again and re-enters it.
+    fn resend_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, ack: Ack) {
+        obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
+        ctx.send(NodeId(ack.peer), ack.message());
+        self.enter_ack(ctx.now(), ack);
     }
 
     /// Publishes the per-publisher log digests into this node's MIB row so
@@ -2260,11 +2229,8 @@ impl NewsWireNode {
             }
         }
         let pending = match &self.awaiting_reconcile {
-            Some(p) if p.peer == from && p.publisher == publisher => {
-                let p = self.awaiting_reconcile.take().unwrap();
-                ctx.cancel_timer(p.timer);
-                Some(p)
-            }
+            // The wait timer stays set; it finds no request when it fires.
+            Some(p) if p.peer == from && p.publisher == publisher => self.awaiting_reconcile.take(),
             _ => None,
         };
         let now = ctx.now();
@@ -2326,7 +2292,7 @@ impl NewsWireNode {
         };
         for SignedItem { item, key, signature, basis } in items {
             self.delta_makeup(&item, basis.as_ref());
-            self.admit_bare_item(now, item, key, signature, from, 3);
+            self.admit_bare_item(now, item, key, signature, from);
         }
         let Some(pending) = pending else { return };
         // Stubs are believed for the seqs asked about only, from a responder
@@ -2394,7 +2360,7 @@ impl NewsWireNode {
     /// target (its next message seeds a fresh detector).
     fn absorb_incarnation_bumps(&mut self) {
         for peer in self.agent.take_incarnation_bumps() {
-            self.peer_health.remove(peer);
+            self.forget_peer(peer);
             // Misbehavior belonged to the previous life too: a reinstalled
             // node is not the liar its predecessor was. But only an
             // identity the registry still endorses earns the clean slate —
@@ -2675,7 +2641,7 @@ impl Node for NewsWireNode {
                 if let (Some(slot), GossipMsg::DigestReply { .. }) = (slot, &g) {
                     if let Some(at) = self.digest_probes.iter().position(|&(p, _)| p == from.0) {
                         let (_, sent) = self.digest_probes.swap_remove(at);
-                        self.peer_health.note_rtt(slot, now.saturating_since(sent));
+                        self.acks.note_rtt(slot, now.saturating_since(sent));
                     }
                 }
                 // Rider first, then row attributes: a revocation arriving
@@ -2770,14 +2736,13 @@ impl Node for NewsWireNode {
                 }
             }
             NewsWireMsg::ForwardAck { msg_id, zone } => {
-                // A member's receipt for a `Deliver`, or else a
-                // representative's for a hand-off. No hand-off goes to a
-                // member of this node's own leaf zone, so the two never
-                // share a `(msg_id, sender)`.
-                if self.settle_deliver(ctx, msg_id, from.0) {
-                    return;
+                // A member's receipt for a `Deliver`, or a representative's
+                // for a hand-off.
+                let (handoff, deliver) = self.acks.settle(msg_id, &zone, from.0, slot, ctx.now());
+                if deliver {
+                    obs::metric_add!(self.agent.id(), ctr::NW_DELIVER_ACKS, 1);
                 }
-                if let Some(tags) = self.ack_index.remove(&(msg_id, zone)) {
+                if handoff {
                     obs::metric_add!(self.agent.id(), ctr::NW_ACKS_RECEIVED, 1);
                     obs::trace_event!(
                         self.agent.id(),
@@ -2786,15 +2751,6 @@ impl Node for NewsWireNode {
                         msg_id,
                         from.0
                     );
-                    for tag in tags {
-                        if let Some(h) = self.pending.remove(&tag) {
-                            ctx.cancel_timer(h.timer);
-                            if let Some(slot) = slot.filter(|_| h.times_round_trip(from.0)) {
-                                let rtt = ctx.now().saturating_since(h.armed_at);
-                                self.peer_health.note_rtt(slot, rtt);
-                            }
-                        }
-                    }
                 }
             }
             NewsWireMsg::Deliver { env } => {
@@ -2817,32 +2773,9 @@ impl Node for NewsWireNode {
                 self.delta_makeup(&env.item, env.basis.as_ref());
                 self.handle_delivery(now, Arc::clone(&env.item), (env.key, env.signature), false);
             }
-            NewsWireMsg::RepairRequest { ids } => {
-                // No node sends one any more; a request that finds nothing
-                // is not answered.
-                let items = self.named_pull_items(&ids);
-                if items.is_empty() {
-                    return;
-                }
-                obs::metric_add!(self.agent.id(), ctr::NW_REPAIRS_SERVED, 1);
-                obs::metric_add!(self.agent.id(), ctr::NW_REPAIR_ITEMS_SENT, items.len());
-                obs::trace_event!(
-                    self.agent.id(),
-                    Layer::News,
-                    kind::REPAIR_REPLY,
-                    from.0,
-                    items.len()
-                );
-                let items = self.sign_items(items, &[]);
-                ctx.send(from, NewsWireMsg::RepairReply { items });
-            }
-            NewsWireMsg::RepairReply { items } => {
-                let now = ctx.now();
-                for SignedItem { item, key, signature, basis } in items {
-                    self.delta_makeup(&item, basis.as_ref());
-                    self.admit_bare_item(now, item, key, signature, from, 2);
-                }
-            }
+            // The named pull is retired: no node asks one, and an
+            // unsolicited reply is attack surface with no protocol use.
+            NewsWireMsg::RepairRequest { .. } | NewsWireMsg::RepairReply { .. } => {}
             NewsWireMsg::ReconcileRequest {
                 publisher,
                 epoch,
@@ -2904,10 +2837,9 @@ impl Node for NewsWireNode {
             DRAIN_TIMER => {
                 if let Some(q) = self.queues.pop() {
                     let (dst, msg) = q.item;
-                    // Tree hand-offs become *acknowledged* at the moment
-                    // they hit the wire: arm the per-hand-off timeout that
-                    // drives retry/backoff/failover, or — for the final hop
-                    // — enter the retry sweep.
+                    // Tree hops become *acknowledged* at the moment they
+                    // hit the wire: the copy enters the acknowledgement
+                    // table, whose sweep drives retry, backoff and failover.
                     match &msg {
                         NewsWireMsg::Forward { env, zone } if self.cfg.acks => {
                             obs::trace_event!(
@@ -2917,10 +2849,10 @@ impl Node for NewsWireNode {
                                 env.msg_id,
                                 dst.0
                             );
-                            self.arm_handoff(ctx, dst.0, Arc::clone(env), zone.clone());
+                            self.arm_ack(ctx, dst.0, Arc::clone(env), Some(zone.clone()));
                         }
                         NewsWireMsg::Deliver { env } if self.cfg.acks => {
-                            self.arm_deliver(ctx, dst.0, Arc::clone(env));
+                            self.arm_ack(ctx, dst.0, Arc::clone(env), None);
                         }
                         _ => {}
                     }
@@ -2964,8 +2896,7 @@ impl Node for NewsWireNode {
                     }
                 }
             }
-            ACK_TAG_BASE => self.sweep_delivers(ctx, t),
-            tag if tag > ACK_TAG_BASE => self.handle_ack_timeout(ctx, tag),
+            ACK_TAG_BASE => self.sweep_acks(ctx),
             _ => {}
         }
     }
@@ -2982,11 +2913,8 @@ impl Node for NewsWireNode {
         self.cache = MessageCache::new(self.cfg.cache);
         self.deliveries.clear();
         self.draining = false;
-        self.pending.clear();
-        self.ack_index.clear();
+        self.acks.clear();
         self.digest_probes.clear();
-        self.pending_delivers.clear();
-        self.deliver_sweep = None;
         self.article_logs.clear();
         self.stubs.clear();
         self.peer_health.clear();
@@ -3016,11 +2944,8 @@ impl Node for NewsWireNode {
         self.queues = ForwardingQueues::new(FORWARD_STRATEGY);
         self.deliveries.clear();
         self.draining = false;
-        self.pending.clear();
-        self.ack_index.clear();
+        self.acks.clear();
         self.digest_probes.clear();
-        self.pending_delivers.clear();
-        self.deliver_sweep = None;
         self.article_logs.clear();
         self.stubs.clear();
         self.peer_health.clear();
@@ -3986,11 +3911,12 @@ mod tests {
         (n, cred)
     }
 
-    /// The bare-item admission funnel (repair replies, path 2; reconcile
-    /// replies, path 3): a genuine detached signature admits, a forgery is
-    /// refused before it touches log or cache, a tampered item cannot reuse
-    /// a genuine signature, and a forged revision cannot displace the real
-    /// story. The defenses-off ablation admits the same forgery.
+    /// The bare-item admission funnel (reconcile replies, path 3; the named
+    /// pull's replies, path 2, are dropped unread): a genuine detached
+    /// signature admits, a forgery is refused before it touches log or
+    /// cache, a tampered item cannot reuse a genuine signature, and a forged
+    /// revision cannot displace the real story. The defenses-off ablation
+    /// admits the same forgery.
     #[test]
     fn bare_item_admission_refuses_forgeries_on_repair_and_reconcile_paths() {
         let (mut n, cred) = node_with_authority(NewsWireConfig::tech_news());
@@ -4000,7 +3926,7 @@ mod tests {
 
         let real = tech_item(0);
         let sig = cred.sign(&real);
-        n.admit_bare_item(now, real.clone().into(), cred.key_id(), sig, NodeId(5), 2);
+        n.admit_bare_item(now, real.clone().into(), cred.key_id(), sig, NodeId(5));
         assert!(n.has_item(real.id), "a genuinely signed bare item admits");
         assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 0);
 
@@ -4008,20 +3934,19 @@ mod tests {
         // leaves no trace in the article log (a forged seq must not poison
         // reconciliation into thinking it was seen).
         let forged = tech_item(1);
-        n.admit_bare_item(now, forged.clone().into(), KeyId(99), Signature(77), NodeId(5), 2);
+        n.admit_bare_item(now, forged.clone().into(), KeyId(99), Signature(77), NodeId(5));
         assert!(!n.has_item(forged.id));
         assert!(!n.cache.contains(forged.id));
         assert!(!n.article_logs[&PublisherId(0)].contains(1), "forged seq not logged as seen");
         assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 1);
         assert_eq!(n.misbehavior.get(&5), Some(&MISBEHAVIOR_FORGED), "the sender took a strike");
 
-        // Tampering with a signed item invalidates its signature — the
-        // reconcile path (3) runs the same funnel.
+        // Tampering with a signed item invalidates its signature.
         let original = tech_item(2);
         let sig2 = cred.sign(&original);
         let mut tampered = original.clone();
         tampered.headline = "FAKE: markets collapse".into();
-        n.admit_bare_item(now, tampered.clone().into(), cred.key_id(), sig2, NodeId(6), 3);
+        n.admit_bare_item(now, tampered.clone().into(), cred.key_id(), sig2, NodeId(6));
         assert!(!n.has_item(tampered.id));
         assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 2);
 
@@ -4032,7 +3957,7 @@ mod tests {
             .category(Category::Technology)
             .build();
         let rev0_sig = cred.sign(&rev0);
-        n.admit_bare_item(now, rev0.clone().into(), cred.key_id(), rev0_sig, NodeId(5), 2);
+        n.admit_bare_item(now, rev0.clone().into(), cred.key_id(), rev0_sig, NodeId(5));
         assert!(n.cache.contains(rev0.id));
         let fake_rev = NewsItem::builder(PublisherId(0), 4)
             .headline("story, rewritten")
@@ -4040,7 +3965,7 @@ mod tests {
             .revision(1, Some(rev0.id))
             .category(Category::Technology)
             .build();
-        n.admit_bare_item(now, fake_rev.clone().into(), KeyId(1), Signature(2), NodeId(5), 2);
+        n.admit_bare_item(now, fake_rev.clone().into(), KeyId(1), Signature(2), NodeId(5));
         assert!(n.cache.contains(rev0.id), "the real revision 0 survives");
         assert!(!n.cache.contains(fake_rev.id), "the forged revision is refused");
 
@@ -4051,7 +3976,7 @@ mod tests {
         let (mut open, _) = node_with_authority(cfg);
         open.set_subscription(tech_sub());
         let counts = Counts::install(&open);
-        open.admit_bare_item(now, forged.clone().into(), KeyId(99), Signature(77), NodeId(5), 2);
+        open.admit_bare_item(now, forged.clone().into(), KeyId(99), Signature(77), NodeId(5));
         assert!(open.has_item(forged.id), "defenses off admits the forgery");
         assert_eq!(counts.of(&open, ctr::NW_FORGED_REJECTS), 0);
     }
@@ -4092,7 +4017,7 @@ mod tests {
         let now = SimTime::from_secs(1);
         let admit = |n: &mut NewsWireNode, item: NewsItem| {
             let sig = cred.sign(&item);
-            n.admit_bare_item(now, item.into(), cred.key_id(), sig, NodeId(5), 2);
+            n.admit_bare_item(now, item.into(), cred.key_id(), sig, NodeId(5));
         };
         // Forty revisions of one story, newest first then a stale one …
         for rev in 0..40u32 {
@@ -4194,9 +4119,9 @@ mod tests {
         let pristine: Vec<NewsItem> = published.iter().map(|i| (**i).clone()).collect();
         // B holds both articles; A only the first, so its log head is seq 1.
         for (item, &sig) in published.iter().zip(&sigs) {
-            b.admit_bare_item(now, Arc::clone(item), cred.key_id(), sig, NodeId(9), 2);
+            b.admit_bare_item(now, Arc::clone(item), cred.key_id(), sig, NodeId(9));
         }
-        a.admit_bare_item(now, Arc::clone(&published[0]), cred.key_id(), sigs[0], NodeId(9), 2);
+        a.admit_bare_item(now, Arc::clone(&published[0]), cred.key_id(), sigs[0], NodeId(9));
         assert!(Arc::ptr_eq(a.cache.get(published[0].id).unwrap(), &published[0]));
 
         // Every state-corruption strike, the forgery landing on the very
@@ -4278,8 +4203,8 @@ mod tests {
 
     /// Adopting a rotation retires the old primary, installs the successor,
     /// retroactively purges revoked-key items, and fences every admission
-    /// path — envelopes (1), repair replies (2), reconcile replies (3),
-    /// disk restore (4), and epoch attestations (5) — against signatures
+    /// path — envelopes (1), reconcile replies (3), disk restore (4), and
+    /// epoch attestations (5) — against signatures
     /// that still verify under the stolen key. No path takes a misbehavior
     /// strike (an honest relay may simply be behind on the rotation), and
     /// the successor key is immediately live.
@@ -4295,7 +4220,7 @@ mod tests {
         // envelopes pass the fence.
         let old = tech_item(0);
         let old_sig = cred.sign(&old);
-        n.admit_bare_item(now, old.clone().into(), cred.key_id(), old_sig, NodeId(5), 2);
+        n.admit_bare_item(now, old.clone().into(), cred.key_id(), old_sig, NodeId(5));
         assert!(n.cache.contains(old.id));
         let probe = tech_item(9);
         let env = Envelope {
@@ -4321,13 +4246,11 @@ mod tests {
 
         // Path 1: the same envelope is now fenced before verification.
         assert!(n.envelope_fenced(&env), "path 1 drops revoked-key envelopes");
-        // Paths 2 and 3: a validly signed revoked-key item cannot re-enter
-        // through repair or reconcile replies.
+        // Path 3: a validly signed revoked-key item cannot re-enter through
+        // reconcile replies.
         let replay = tech_item(1);
         let replay_sig = cred.sign(&replay);
-        n.admit_bare_item(now, replay.clone().into(), cred.key_id(), replay_sig, NodeId(5), 2);
-        assert!(!n.cache.contains(replay.id));
-        n.admit_bare_item(now, replay.clone().into(), cred.key_id(), replay_sig, NodeId(6), 3);
+        n.admit_bare_item(now, replay.clone().into(), cred.key_id(), replay_sig, NodeId(6));
         assert!(!n.cache.contains(replay.id));
         // Path 4: the revoked-key blob is dropped on disk restore.
         let restored =
@@ -4337,13 +4260,13 @@ mod tests {
         // authority.
         n.absorb_attest(&cred.attest_epoch(40));
         assert_eq!(n.authority_epoch(PublisherId(0)), None);
-        assert_eq!(counts.of(&n, ctr::NW_REVOKED_KEY_REJECTS), 5);
+        assert_eq!(counts.of(&n, ctr::NW_REVOKED_KEY_REJECTS), 4);
         assert!(n.misbehavior.is_empty(), "revoked-key rejects never strike the relay");
 
         // The successor credential is live on every path.
         let fresh = tech_item(2);
         let fresh_sig = successor.sign(&fresh);
-        n.admit_bare_item(now, fresh.clone().into(), successor.key_id(), fresh_sig, NodeId(5), 2);
+        n.admit_bare_item(now, fresh.clone().into(), successor.key_id(), fresh_sig, NodeId(5));
         assert!(n.cache.contains(fresh.id));
         n.absorb_attest(&successor.attest_epoch(1));
         assert_eq!(n.authority_epoch(PublisherId(0)), Some(1));
@@ -4643,7 +4566,7 @@ mod tests {
         // The forger serves its cache the way a repair reply would: items
         // wrapped with whatever signatures it recorded (bogus ones).
         for si in forger.sign_items(forged, &[]) {
-            honest.admit_bare_item(now, si.item, si.key, si.signature, NodeId(1), 2);
+            honest.admit_bare_item(now, si.item, si.key, si.signature, NodeId(1));
         }
         assert_eq!(counts.of(&honest, ctr::NW_FORGED_REJECTS), 3, "every fabrication refused");
         assert!(honest.deliveries.is_empty());

@@ -78,7 +78,6 @@ fn a_lost_last_deliver_is_resent_after_one_round_trip_bound() {
     assert!(late <= bound + bound + hop, "{late:?} after publication, bound {bound:?}");
     assert_eq!(count(&d, PUBLISHER, ctr::NW_DELIVER_RESENDS), 1);
     assert_eq!(count(&d, PUBLISHER, ctr::NW_ACK_RETRIES), 0, "hand-off retries count apart");
-    assert_eq!(count(&d, PUBLISHER, ctr::NW_REPAIRS_SERVED), 0, "nothing was pulled");
     assert_eq!(d.sim.node(PUBLISHER).unacknowledged(), 0);
     // The other member lost nothing and was sent nothing twice.
     assert_eq!(d.sim.node(NodeId(2)).deliveries.len(), 2);
@@ -102,7 +101,6 @@ fn two_delivers_lost_in_a_row_are_each_resent() {
         assert!(!got[0].via_repair, "item {}", item.id);
     }
     assert_eq!(count(&d, PUBLISHER, ctr::NW_DELIVER_RESENDS), 2);
-    assert_eq!(count(&d, PUBLISHER, ctr::NW_REPAIRS_SERVED), 0);
     assert_eq!(d.sim.node(PUBLISHER).unacknowledged(), 0);
 }
 
@@ -147,7 +145,7 @@ fn the_pending_set_is_bounded_and_empties_when_the_member_is_dead() {
         d.sim.schedule_crash(ms(60_000), id);
         // Unmeasured, a dead member's `Deliver`s wait the 2 s ceiling, so
         // the burst below outlasts none of them.
-        d.sim.node_mut(PUBLISHER).peer_health.remove(id.0);
+        d.sim.node_mut(PUBLISHER).forget_peer(id.0);
     }
     // The publisher's flow-control burst.
     let n = 200;
@@ -157,13 +155,13 @@ fn the_pending_set_is_bounded_and_empties_when_the_member_is_dead() {
     let mut peak = 0;
     for step in 1..=40 {
         d.sim.run_until(ms(61_000 + 25 * step));
-        peak = peak.max(d.sim.node(PUBLISHER).pending_delivers.len());
+        peak = peak.max(d.sim.node(PUBLISHER).acks.delivers());
     }
     assert_eq!(peak, MAX_PENDING_DELIVERS, "the cap binds, and holds");
     d.settle(10);
     let publisher = d.sim.node(PUBLISHER);
     assert_eq!(publisher.unacknowledged(), 0, "written off, not awaited forever");
-    assert!(publisher.deliver_sweep.is_none(), "and the sweep timer is idle");
+    assert!(!publisher.ack_sweep_armed(), "and the sweep timer is idle");
     let resends = count(&d, PUBLISHER, ctr::NW_DELIVER_RESENDS);
     assert_eq!(resends, MAX_PENDING_DELIVERS as u64 * u64::from(ACK_RETRIES));
     assert_eq!(d.sim.node(NodeId(4)).deliveries.len() as u64, n, "the live member got all");
@@ -191,13 +189,13 @@ fn the_round_trip_bound_is_measured_conservative_and_capped() {
     let slowest = SimDuration::from_millis(2 * 180);
     for seed in 0..50 {
         let mut rng = SmallRng::seed_from_u64(seed);
-        n.peer_health.remove(7);
+        n.forget_peer(7);
         let mut largest = SimDuration::ZERO;
         for _ in 0..200 {
             let rtt = wan.sample(NodeId(0), NodeId(1), &mut rng)
                 + wan.sample(NodeId(1), NodeId(0), &mut rng);
             largest = largest.max(rtt);
-            n.peer_health.note_rtt(slot, rtt);
+            n.acks.note_rtt(slot, rtt);
             let bound = n.round_trip_bound(7);
             assert!(bound >= largest && bound <= ceiling);
             assert!(bound >= slowest, "seed {seed}: {bound:?} would time out a live hand-off");
@@ -208,18 +206,18 @@ fn the_round_trip_bound_is_measured_conservative_and_capped() {
     // Unacknowledged hand-offs back the bound off until the peer is timed
     // again — a dead peer ends up on the ceiling's ladder, not its own.
     let measured = n.round_trip_bound(7);
-    n.peer_health.note_timeout(7);
+    n.acks.note_timeout(Some(slot));
     assert_eq!(n.round_trip_bound(7), measured + measured);
     for _ in 0..300 {
-        n.peer_health.note_timeout(7);
+        n.acks.note_timeout(Some(slot));
     }
     assert_eq!(n.round_trip_bound(7), ceiling);
-    n.peer_health.note_rtt(slot, SimDuration::from_millis(200));
+    n.acks.note_rtt(slot, SimDuration::from_millis(200));
     assert_eq!(n.round_trip_bound(7), measured, "it answered: the measured bound is back");
 
-    n.peer_health.note_rtt(slot, SimDuration::from_secs(30));
+    n.acks.note_rtt(slot, SimDuration::from_secs(30));
     assert_eq!(n.round_trip_bound(7), ceiling, "a gray peer's leash stops at the ceiling");
-    n.peer_health.remove(7);
+    n.forget_peer(7);
     assert_eq!(n.round_trip_bound(7), ceiling, "a new incarnation starts unmeasured");
 }
 
@@ -251,10 +249,11 @@ fn a_retransmitted_handoff_contributes_no_sample() {
         d.publish(ms(61_000), tech_item(0));
         d.sim.run_until(ms(61_400));
         let publisher = d.sim.node(PUBLISHER);
-        assert!(publisher.pending.is_empty(), "the hand-off was acknowledged");
+        let handoffs = publisher.acks.entries.values().filter(|ack| ack.zone.is_some());
+        assert_eq!(handoffs.count(), 0, "the hand-off was acknowledged");
         let timed: u32 = reps
             .iter()
-            .map(|rep| publisher.peer_health.rtt[publisher.peer_health.slot_of[rep] as usize])
+            .filter_map(|&rep| publisher.acks.rtt.get(publisher.peer_health.slot(rep)?))
             .map(|rtt| u32::from(rtt.samples))
             .sum();
         (count(&d, PUBLISHER, ctr::NW_ACK_RETRIES), timed)
@@ -435,22 +434,102 @@ fn delivery_at<'a>(d: &'a Deployment, node: NodeId, item: &NewsItem) -> Vec<&'a 
     d.sim.node(node).deliveries.iter().filter(|r| r.item == item.id).collect()
 }
 
-/// A `RepairRequest` — which no node sends any more — is still answered
-/// with at most eight ids, and only with ids the cache holds.
+/// An envelope of `tech_item(seq)` under a throwaway credential: what the
+/// acknowledgement table holds, with nobody verifying it.
+fn envelope(seq: u64) -> Arc<Envelope> {
+    let mut registry = TrustRegistry::new(1);
+    let cred =
+        crate::auth::issue_publisher(&mut registry, PublisherId(0), "p", &ZoneId::root(), 60);
+    let item = tech_item(seq);
+    Arc::new(Envelope {
+        msg_id: msg_id_of(item.id),
+        filter: FilterSpec::All,
+        scope: ZoneId::root(),
+        certificate: cred.certificate.clone(),
+        key: cred.key_id(),
+        signature: cred.sign(&item),
+        attest: cred.attest_epoch(0),
+        basis: None,
+        item: item.into(),
+    })
+}
+
+/// The settle rules, entry by entry. Any ack naming a hand-off's zone
+/// settles it: the hand-offs to both representatives at once, and one that
+/// failed over by a late ack from the representative it left, which times
+/// nothing. A `Deliver` is settled by its own member's ack only, and that
+/// ack settles nothing else: a hand-off of the leaf zone to the same member
+/// waits for an ack of its own.
 #[test]
-fn a_named_pull_is_served_only_held_ids_and_few_of_them() {
-    let agent =
-        Agent::new(0, &astrolabe::ZoneLayout::new(4, 4), astrolabe::Config::standard(), vec![]);
-    let mut n =
-        NewsWireNode::new(agent, NewsWireConfig::tech_news(), Arc::new(TrustRegistry::new(1)));
-    let id = |seq| ItemId::new(PublisherId(0), seq);
-    let now = SimTime::from_secs(1);
-    for seq in 0..20 {
-        n.cache.insert(tech_item(seq), now);
-    }
-    let garbage = (0..1000).map(|s| ItemId::new(PublisherId(77), s));
-    let ask: Vec<ItemId> = (0..20).rev().map(id).chain(garbage).collect();
-    assert_eq!(n.named_pull_items(&ask).len(), MAX_PULL_IDS);
-    let unheld: Vec<ItemId> = (500..520).map(id).collect();
-    assert!(n.named_pull_items(&unheld).is_empty(), "ids not held are ignored");
+fn an_ack_settles_hand_offs_by_zone_and_a_deliver_by_its_member() {
+    let env = envelope(9);
+    let msg_id = env.msg_id;
+    let (leaf, near, far) =
+        (ZoneId::root().child(0), ZoneId::root().child(1), ZoneId::root().child(2));
+    let armed_at = SimTime::from_secs(1);
+    let now = armed_at + SimDuration::from_millis(30);
+    let ack = |peer, zone: Option<&ZoneId>, tried: Vec<u32>| Ack {
+        env: Arc::clone(&env),
+        peer,
+        zone: zone.cloned(),
+        attempt: 0,
+        tried,
+        armed_at,
+    };
+    let mut acks = Acks::default();
+    let due = now + ACK_TIMEOUT;
+    // The hand-off to /1 failed over from representative 6 to 7.
+    acks.insert(due, ack(7, Some(&near), vec![6]));
+    // Both representatives of /2, `Deliver`s to members 2 and 3, and the
+    // leaf zone handed off to member 3, its other representative.
+    acks.insert(due, ack(10, Some(&far), vec![]));
+    acks.insert(due, ack(11, Some(&far), vec![]));
+    acks.insert(due, ack(2, None, vec![]));
+    acks.insert(due, ack(3, None, vec![]));
+    acks.insert(due, ack(3, Some(&leaf), vec![]));
+    let kinds =
+        |acks: &Acks| acks.entries.values().map(|a| (a.peer, a.zone.is_some())).collect::<Vec<_>>();
+
+    assert_eq!(acks.settle(msg_id, &near, 6, Some(0), now), (true, false), "the late ack settles");
+    assert!(acks.rtt.first().is_none_or(|peak| peak.samples == 0), "and times nothing");
+    assert_eq!(acks.settle(msg_id + 1, &far, 10, None, now), (false, false), "another article");
+    assert_eq!(acks.settle(msg_id, &far, 11, Some(1), now), (true, false));
+    assert_eq!(acks.rtt[1].samples, 1, "11 answered its own first transmission");
+    assert_eq!(kinds(&acks), vec![(2, false), (3, false), (3, true)], "both to /2 settled");
+
+    assert_eq!(acks.settle(msg_id, &leaf, 2, None, now), (false, true));
+    assert_eq!(kinds(&acks), vec![(3, false), (3, true)], "member 3's still wait");
+    assert_eq!(acks.settle(msg_id, &leaf, 3, None, now), (false, true), "the Deliver first");
+    assert_eq!(acks.settle(msg_id, &leaf, 3, None, now), (true, false), "then the hand-off");
+    assert!(acks.entries.is_empty());
+}
+
+/// A new deadline needs a sweep only when none is set to go off by then,
+/// and the sweep takes what is due in deadline order, entries due at one
+/// instant in the order armed, and leaves the rest.
+#[test]
+fn the_sweep_takes_what_is_due_in_deadline_then_arming_order() {
+    let entry = |peer| Ack {
+        env: envelope(u64::from(peer)),
+        peer,
+        zone: None,
+        attempt: 0,
+        tried: Vec::new(),
+        armed_at: SimTime::ZERO,
+    };
+    let mut acks = Acks::default();
+    assert_eq!(acks.sweep_needed(), None, "an empty table needs no sweep");
+    acks.insert(ms(200), entry(1));
+    assert_eq!(acks.sweep_needed(), Some(ms(200)));
+    acks.sweeps.insert(ms(200));
+    acks.insert(ms(300), entry(2));
+    assert_eq!(acks.sweep_needed(), None, "the sweep at 200 ms comes first");
+    acks.insert(ms(100), entry(3));
+    assert_eq!(acks.sweep_needed(), Some(ms(100)));
+    acks.sweeps.insert(ms(100));
+    acks.insert(ms(200), entry(4));
+
+    let due: Vec<u32> = std::iter::from_fn(|| acks.pop_due(ms(200))).map(|a| a.peer).collect();
+    assert_eq!(due, vec![3, 1, 4]);
+    assert_eq!(acks.entries.keys().map(|&(due, _)| due).collect::<Vec<_>>(), vec![ms(300)]);
 }

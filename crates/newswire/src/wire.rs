@@ -229,16 +229,16 @@ pub enum NewsWireMsg {
         /// The zone whose coverage is acknowledged.
         zone: ZoneId,
     },
-    /// The named pull: "send me exactly these". No node sends one since the
-    /// final hop is acknowledged (DESIGN §7); a node still answers it.
+    /// The retired named pull: "send me exactly these". No node sends one
+    /// since the final hop is acknowledged, and every node drops one
+    /// (DESIGN §7). The variant stays for consumers that match on every
+    /// message kind.
     RepairRequest {
-        /// The items asked for. The responder serves the first few it still
-        /// caches and ignores the rest.
+        /// The items asked for.
         ids: Vec<ItemId>,
     },
-    /// The named items the responder still caches, each with its publisher
-    /// signature so the requester can verify before caching. Never empty: a
-    /// pull that finds nothing is not answered.
+    /// The retired named pull's reply: signed items, unasked for. Every
+    /// node drops one unread.
     RepairReply {
         /// The pulled items.
         items: Vec<SignedItem>,

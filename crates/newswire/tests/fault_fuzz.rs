@@ -305,10 +305,10 @@ fn trust_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
 }
 
 /// Garbage from outside the membership, through the fault era: named pulls
-/// (which no member sends, but every node answers) of up to a thousand ids — held ones among publishers nobody has and
+/// of up to a thousand ids — held ones among publishers nobody has and
 /// sequence numbers from the future — and, every other one, of nothing at
-/// all. The responder must shrug them off — no panic, no invariant moved
-/// (its reply goes nowhere).
+/// all. The named pull is retired and every node drops these: no panic, no
+/// reply, no invariant moved.
 fn garbage_repair_requests(d: &mut newswire::Deployment, seed: u64) {
     let mut rng = fork(seed, 0x6A);
     for k in 0..16u64 {

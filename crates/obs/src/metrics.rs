@@ -132,9 +132,11 @@ pub mod ctr {
         NW_HANDOFFS_ABANDONED = 42, "nw_handoffs_abandoned";
         /// Failovers short-circuited by φ-accrual suspicion.
         NW_SUSPECT_FAILOVERS = 43, "nw_suspect_failovers";
-        /// Named pulls served.
-        NW_REPAIRS_SERVED = 44, "nw_repairs_served";
-        /// Items shipped in named-pull replies.
+        /// Retired with the named-pull server (it counted the pulls it
+        /// answered); the slot stays so every later id keeps its position.
+        RETIRED_44 = 44, "retired_44";
+        /// Items shipped in named-pull replies. No node answers a named pull
+        /// any more, so this reads 0; the slot stays for the benchmark.
         NW_REPAIR_ITEMS_SENT = 45, "nw_repair_items_sent";
         /// Retired with the margin probe (it counted the probe's retargets);
         /// the slot stays so every later id keeps its position.
@@ -720,6 +722,7 @@ mod tests {
         assert_eq!(s.counter_name(ctr::NW_PROBATION_HOLDS), "probation_holds");
         assert_eq!(s.counter_name(ctr::NW_RECOVERY_HELD), "nw_recovery_held");
         assert_eq!(s.counter_name(ctr::NW_RECOVERY_UNWANTED), "nw_recovery_unwanted");
+        assert_eq!(s.counter_name(ctr::RETIRED_44), "retired_44");
         assert_eq!(s.counter_name(ctr::RETIRED_94), "retired_94");
         assert_eq!(s.counter_name(ctr::RETIRED_95), "retired_95");
         assert_eq!(s.counter_name(ctr::NW_RECONCILE_WITHHELD), "nw_reconcile_withheld");

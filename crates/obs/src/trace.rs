@@ -117,9 +117,7 @@ pub mod kind {
     pub const HANDOFF_FAILOVER: u8 = 53;
     /// A hand-off was abandoned (`a` = message id).
     pub const HANDOFF_ABANDON: u8 = 54;
-    // 55 was the margin probe's request.
-    /// A named pull was served (`a` = peer, `b` = items).
-    pub const REPAIR_REPLY: u8 = 56;
+    // 55 was the margin probe's request, 56 the named pull's reply.
     /// An anti-entropy reconcile request was sent (`a` = peer,
     /// `b` = publisher).
     pub const AE_REQUEST: u8 = 57;
@@ -198,7 +196,6 @@ pub mod kind {
             HANDOFF_RETRY => "handoff_retry",
             HANDOFF_FAILOVER => "handoff_failover",
             HANDOFF_ABANDON => "handoff_abandon",
-            REPAIR_REPLY => "repair_reply",
             AE_REQUEST => "ae_request",
             AE_REPLY => "ae_reply",
             SUB_PROPAGATE => "sub_propagate",

@@ -103,14 +103,12 @@ fn main() {
         faults.msgs_jittered
     );
     println!(
-        "protocol: {} forwards, {} acks, {} retries, {} failovers, {} abandoned, \
-         {} repairs served",
+        "protocol: {} forwards, {} acks, {} retries, {} failovers, {} abandoned",
         stats.forwards_sent,
         stats.acks_received,
         stats.ack_retries,
         stats.ack_failovers,
-        stats.handoffs_abandoned,
-        stats.repairs_served
+        stats.handoffs_abandoned
     );
 
     // The verdict. Churned nodes are exempt from the oracle's liveness

@@ -78,9 +78,8 @@ fn main() {
         s.handoffs_abandoned
     );
     println!(
-        "repair: {} served / {} items; reconcile: {} requests, {} served, {} items out \
+        "repair: {} items; reconcile: {} requests, {} served, {} items out \
          ({} bytes), {} items in, {} retargets",
-        s.repairs_served,
         s.repair_items_sent,
         s.reconcile_requests,
         s.reconciles_served,

@@ -329,13 +329,17 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
         d.sim.schedule_external(
             SimTime::from_secs(100),
             NodeId(7),
-            NewsWireMsg::RepairReply {
+            NewsWireMsg::ReconcileReply {
+                publisher: PublisherId(0),
+                summary: RangeSummary { epoch: 0, floor: 0, next: 0, present: 0 },
+                attest: None,
                 items: vec![SignedItem {
                     item: forged.into(),
                     key: KeyId(123),
                     signature: Signature(456),
                     basis: None,
                 }],
+                withheld: vec![],
             },
         );
         d.sim.schedule_external(
