@@ -200,13 +200,13 @@ pub fn verify_item(
     registry.verify(key, &item_bytes(item), sig)
 }
 
-/// Verification for *bare* items — the cache-to-cache paths (repair
-/// replies, anti-entropy reconcile replies, joiner state transfer, stable
-/// storage restore) that ship items without an envelope. Same chain as
-/// [`verify_item`] minus the envelope-scope clause: a bare item carries no
-/// routing scope to check, and `dissemination_admits` independently
-/// re-checks the §8 `ds$scope` embedded in the item at every admission, so
-/// a bare item cannot launder itself out of zone.
+/// Verification for *bare* items — the admission sources that carry no
+/// envelope: anti-entropy reconcile replies and stable-storage restores.
+/// Same chain as [`verify_item`] minus the envelope-scope clause: a bare
+/// item carries no routing scope to check, and `dissemination_admits`
+/// independently re-checks the §8 `ds$scope` embedded in the item before a
+/// reconcile reply's article is cached, so a bare item cannot launder
+/// itself out of zone.
 pub fn verify_bare_item(
     registry: &TrustRegistry,
     cert: &Certificate,

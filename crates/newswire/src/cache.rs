@@ -13,9 +13,18 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use astrolabe::{KeyId, Signature};
 use newsml::cdc::slug_key;
 use newsml::{ItemId, NewsItem, PublisherId};
 use simnet::{SimDuration, SimTime};
+
+/// The detached `(key, signature)` that vouches for a cached article, served
+/// with it so that a receiver can verify in turn.
+pub(crate) type Proof = (KeyId, Signature);
+
+/// The proof of an article nobody signed: what [`MessageCache::insert`]
+/// stores, and what every defended receiver refuses.
+pub(crate) const UNSIGNED: Proof = (KeyId(0), Signature(0));
 
 /// Result of offering an item to the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +58,13 @@ impl Default for CachePolicy {
 ///
 /// Articles are immutable and shared: the cache holds a handle to the one
 /// allocation the publisher (or a disk restore) made, and every reply it
-/// serves clones the handle, never the strings.
+/// serves clones the handle, never the strings. Each entry keeps the
+/// article's arrival time and its `(key, signature)` proof, so a signature
+/// lives exactly as long as the article it vouches for.
 #[derive(Debug)]
 pub struct MessageCache {
     policy: CachePolicy,
-    items: BTreeMap<ItemId, (Arc<NewsItem>, SimTime)>,
+    items: BTreeMap<ItemId, (Arc<NewsItem>, SimTime, Proof)>,
     /// Latest cached revision per story, keyed by [`slug_key`] — a 64-bit
     /// hash of `(publisher, slug)`, so neither an entry nor a lookup owns a
     /// `String`. Every hit is confirmed against the cached item's slug.
@@ -91,7 +102,12 @@ impl MessageCache {
 
     /// A cached item by id.
     pub fn get(&self, id: ItemId) -> Option<&Arc<NewsItem>> {
-        self.items.get(&id).map(|(item, _)| item)
+        self.items.get(&id).map(|(item, ..)| item)
+    }
+
+    /// A cached item by id, with its proof.
+    pub(crate) fn get_signed(&self, id: ItemId) -> Option<(&Arc<NewsItem>, Proof)> {
+        self.items.get(&id).map(|(item, _, proof)| (item, *proof))
     }
 
     /// The latest cached revision of `publisher`'s story `slug`, if any
@@ -128,39 +144,40 @@ impl MessageCache {
         hints
     }
 
-    /// Offers an item to the cache, applying revision fusion. Accepts an
-    /// owned item (allocating its one shared copy) or an existing handle.
-    ///
-    /// Alongside the outcome, reports the id this insert pushed out of the
-    /// cache — the older revision it fused away, or the victim of capacity
-    /// eviction (never both: a fusion does not grow the cache) — so the
-    /// owner can drop whatever it keeps per cached id.
-    pub fn insert(
+    /// Offers an unsigned item to the cache, applying revision fusion.
+    /// Accepts an owned item (allocating its one shared copy) or an existing
+    /// handle. A node admits what it caches, and inserts through its
+    /// admission funnel only (DESIGN §12).
+    pub fn insert(&mut self, item: impl Into<Arc<NewsItem>>, now: SimTime) -> CacheOutcome {
+        self.insert_signed(item.into(), UNSIGNED, now)
+    }
+
+    /// Offers an item with its proof to the cache, applying revision fusion
+    /// and then the capacity bound.
+    pub(crate) fn insert_signed(
         &mut self,
-        item: impl Into<Arc<NewsItem>>,
+        item: Arc<NewsItem>,
+        proof: Proof,
         now: SimTime,
-    ) -> (CacheOutcome, Option<ItemId>) {
-        let item: Arc<NewsItem> = item.into();
+    ) -> CacheOutcome {
         if self.items.contains_key(&item.id) {
-            return (CacheOutcome::Duplicate, None);
+            return CacheOutcome::Duplicate;
         }
         let mut outcome = CacheOutcome::Stored;
-        let mut displaced = None;
         let key = slug_key(item.id.publisher, &item.slug);
         let prev = self.latest_at(key, item.id.publisher, &item.slug);
         if let Some((prev_id, prev_revision)) = prev.map(|p| (p.id, p.revision)) {
             if prev_revision >= item.revision {
                 // We already hold a newer (or equal) telling of this
                 // story; keep it and drop the stale revision.
-                return (CacheOutcome::Obsolete, None);
+                return CacheOutcome::Obsolete;
             }
             // Fuse: the new revision replaces the old one.
             self.items.remove(&prev_id);
-            displaced = Some(prev_id);
             outcome = CacheOutcome::Fused;
         }
         self.latest_by_slug.insert(key, item.id);
-        self.items.insert(item.id, (item, now));
+        self.items.insert(item.id, (item, now, proof));
         self.oldest = self.oldest.min(now);
         if self.items.len() > self.policy.max_items {
             // Evict the oldest-received item (one insert grows the cache
@@ -168,17 +185,16 @@ impl MessageCache {
             let victim = self
                 .items
                 .iter()
-                .min_by_key(|(_, (_, at))| *at)
+                .min_by_key(|(_, (_, at, _))| *at)
                 .map(|(&id, _)| id)
                 .expect("non-empty");
             self.remove(victim);
-            displaced = Some(victim);
         }
-        (outcome, displaced)
+        outcome
     }
 
     fn remove(&mut self, id: ItemId) {
-        if let Some((item, _)) = self.items.remove(&id) {
+        if let Some((item, ..)) = self.items.remove(&id) {
             let key = slug_key(item.id.publisher, &item.slug);
             if self.latest_by_slug.get(&key) == Some(&id) {
                 self.latest_by_slug.remove(&key);
@@ -197,6 +213,17 @@ impl MessageCache {
         present
     }
 
+    /// Purges every item `publisher` signed under `key`; returns how many.
+    pub(crate) fn purge_signed_by(&mut self, publisher: PublisherId, key: KeyId) -> u64 {
+        let victims: Vec<ItemId> = self
+            .items
+            .iter()
+            .filter(|(id, (.., (signer, _)))| id.publisher == publisher && *signer == key)
+            .map(|(&id, _)| id)
+            .collect();
+        victims.into_iter().map(|id| u64::from(self.purge(id))).sum()
+    }
+
     /// Garbage-collects items older than the policy's `max_age`.
     /// Returns how many were collected.
     pub fn gc(&mut self, now: SimTime) -> usize {
@@ -207,14 +234,14 @@ impl MessageCache {
         let victims: Vec<ItemId> = self
             .items
             .iter()
-            .filter(|(_, (_, at))| at.as_micros() < cutoff)
+            .filter(|(_, (_, at, _))| at.as_micros() < cutoff)
             .map(|(&id, _)| id)
             .collect();
         let n = victims.len();
         for v in victims {
             self.remove(v);
         }
-        self.oldest = self.items.values().map(|(_, at)| *at).min().unwrap_or(SimTime::MAX);
+        self.oldest = self.items.values().map(|(_, at, _)| *at).min().unwrap_or(SimTime::MAX);
         n
     }
 
@@ -222,14 +249,19 @@ impl MessageCache {
     /// `newswire.latest` feed).
     pub fn snapshot(&self, limit: usize) -> Vec<Arc<NewsItem>> {
         let mut all: Vec<(&SimTime, &Arc<NewsItem>)> =
-            self.items.values().map(|(item, at)| (at, item)).collect();
+            self.items.values().map(|(item, at, _)| (at, item)).collect();
         all.sort_by_key(|(at, _)| std::cmp::Reverse(**at));
         all.into_iter().take(limit).map(|(_, item)| Arc::clone(item)).collect()
     }
 
     /// Iterates over cached items.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<NewsItem>> {
-        self.items.values().map(|(item, _)| item)
+        self.items.values().map(|(item, ..)| item)
+    }
+
+    /// Iterates over cached items with their proofs, in id order.
+    pub(crate) fn iter_signed(&self) -> impl Iterator<Item = (&Arc<NewsItem>, Proof)> {
+        self.items.values().map(|(item, _, proof)| (item, *proof))
     }
 }
 
@@ -240,6 +272,7 @@ impl Default for MessageCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unit tests of the cache itself
 mod tests {
     use super::*;
     use newsml::NewsItem;
@@ -259,21 +292,23 @@ mod tests {
     #[test]
     fn insert_and_duplicate() {
         let mut c = MessageCache::default();
-        assert_eq!(c.insert(item(1, 1, "a", 0), t(0)), (CacheOutcome::Stored, None));
-        assert_eq!(c.insert(item(1, 1, "a", 0), t(1)), (CacheOutcome::Duplicate, None));
+        assert_eq!(c.insert(item(1, 1, "a", 0), t(0)), CacheOutcome::Stored);
+        assert_eq!(c.insert(item(1, 1, "a", 0), t(1)), CacheOutcome::Duplicate);
         assert_eq!(c.len(), 1);
+        let id = ItemId::new(PublisherId(1), 1);
+        assert_eq!(c.get_signed(id).map(|(_, proof)| proof), Some(UNSIGNED));
     }
 
     #[test]
     fn revision_fusion_keeps_latest() {
         let mut c = MessageCache::default();
         c.insert(item(1, 1, "story", 0), t(0));
-        let fused_away = Some(ItemId::new(PublisherId(1), 1));
-        assert_eq!(c.insert(item(1, 5, "story", 2), t(1)), (CacheOutcome::Fused, fused_away));
+        assert_eq!(c.insert(item(1, 5, "story", 2), t(1)), CacheOutcome::Fused);
         assert_eq!(c.len(), 1, "old revision fused away");
+        assert!(!c.contains(ItemId::new(PublisherId(1), 1)));
         assert!(c.contains(ItemId::new(PublisherId(1), 5)));
         // A late-arriving older revision is rejected.
-        assert_eq!(c.insert(item(1, 3, "story", 1), t(2)), (CacheOutcome::Obsolete, None));
+        assert_eq!(c.insert(item(1, 3, "story", 1), t(2)), CacheOutcome::Obsolete);
         assert_eq!(c.len(), 1);
     }
 
@@ -281,8 +316,9 @@ mod tests {
     fn capacity_evicts_oldest_received() {
         let mut c = MessageCache::new(CachePolicy { max_items: 3, ..Default::default() });
         for i in 0..5u64 {
-            let (_, evicted) = c.insert(item(1, i, &format!("s{i}"), 0), t(i));
-            assert_eq!(evicted, i.checked_sub(3).map(|old| ItemId::new(PublisherId(1), old)));
+            c.insert(item(1, i, &format!("s{i}"), 0), t(i));
+            let evicted = i.checked_sub(3).map(|old| ItemId::new(PublisherId(1), old));
+            assert!(evicted.is_none_or(|old| !c.contains(old)), "seq {i} evicts the oldest");
         }
         assert_eq!(c.len(), 3);
         assert!(!c.contains(ItemId::new(PublisherId(1), 0)));
@@ -325,6 +361,22 @@ mod tests {
         c.insert(item(1, 4, "again", 0), t(300));
         assert_eq!(c.gc(t(400)), 0);
         assert_eq!(c.gc(t(401)), 1);
+    }
+
+    #[test]
+    fn a_proof_lives_and_dies_with_its_article() {
+        let mut c = MessageCache::new(CachePolicy { max_items: 2, ..Default::default() });
+        let proof = |n: u64| (KeyId(n), Signature(n));
+        let id = |seq: u64| ItemId::new(PublisherId(1), seq);
+        c.insert_signed(item(1, 1, "story", 0).into(), proof(1), t(0));
+        c.insert_signed(item(1, 2, "story", 1).into(), proof(2), t(1));
+        c.insert_signed(item(1, 3, "other", 0).into(), proof(3), t(2));
+        let held: Vec<_> = c.iter_signed().map(|(i, p)| (i.id, p)).collect();
+        assert_eq!(held, vec![(id(2), proof(2)), (id(3), proof(3))], "fusion took the proof too");
+        c.insert_signed(item(1, 4, "third", 0).into(), proof(4), t(3));
+        assert_eq!(c.get_signed(id(2)), None, "eviction took the proof too");
+        assert_eq!(c.purge_signed_by(PublisherId(1), KeyId(3)), 1);
+        assert_eq!(c.iter_signed().map(|(_, p)| p).collect::<Vec<_>>(), vec![proof(4)]);
     }
 
     #[test]

@@ -78,6 +78,7 @@ pub use subscription::{item_position_groups, ItemRow, Subscription};
 pub use wire::{msg_id_of, Envelope, NewsWireMsg, SignedItem, Stub};
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // drives the cache directly
 mod proptests {
     use super::*;
     use newsml::{Category, NewsItem, PublisherId, Subject};

@@ -19,11 +19,9 @@ use amcast::{
     ForwardingQueues, LogRecord, RangeSummary, SeqLog, FORWARD_STRATEGY, SERVICE_INTERVAL,
 };
 use astrolabe::{
-    Agent, AttrValue, Certificate, GossipMsg, KeyId, Mib, MibBuilder, RotationRecord, Signature,
-    Stamp, TableRows, TrustRegistry, ZoneId,
+    Agent, AttrValue, GossipMsg, KeyId, RotationRecord, Signature, TrustRegistry, ZoneId,
 };
-use filters::BitArray;
-use newsml::{Category, ItemId, NewsItem, PublisherId};
+use newsml::{ItemId, NewsItem, PublisherId};
 use obs::{ctr, gauge, kind, series, Layer};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -33,15 +31,18 @@ use simnet::{
     SimTime, TimerId,
 };
 
-use crate::auth::{
-    verify_bare_item, verify_epoch_attest, verify_item, EpochAttest, PublisherCredential,
-};
+use crate::auth::{EpochAttest, PublisherCredential};
 use crate::cache::{CacheOutcome, MessageCache};
 use crate::config::{NewsWireConfig, SubscriptionModel};
 use crate::flow::TokenBucket;
 use crate::persist;
 use crate::subscription::{item_position_groups, Subscription};
 use crate::wire::{msg_id_of, DeltaBasis, Envelope, NewsWireMsg, SignedItem, Stub};
+
+mod admit;
+mod adversary;
+
+use admit::{Admitted, Source, Trust};
 
 /// Publisher-side state (present only on publisher nodes).
 #[derive(Debug)]
@@ -598,42 +599,13 @@ pub struct NewsWireNode {
     /// what state-corruption strikes — which carry no clock — use to stamp
     /// fabricated cache inserts.
     clock: SimTime,
-    /// Certificates of known publishers: pre-installed at deployment build
-    /// (out-of-band trust distribution) and learned from verified
-    /// envelopes. What lets the bare-item paths verify without an envelope.
-    publisher_certs: HashMap<PublisherId, Certificate>,
-    /// Detached `(key, signature)` per cached item, recorded at admission
-    /// and served alongside bare items so receivers can verify in turn.
-    item_sigs: HashMap<ItemId, (KeyId, Signature)>,
-    /// Highest verified publisher-signed epoch attestation per publisher —
-    /// the authority the epoch fence trusts over neighbor consensus.
-    authority: HashMap<PublisherId, EpochAttest>,
+    /// Which publisher keys this node trusts: certificates, revocations and
+    /// signed epoch authority, consulted by the admission funnel.
+    trust: Trust,
     /// Per-peer misbehavior score (invalid signatures, refused-fence
     /// replies, digest contradictions). Crossing
     /// [`QUARANTINE_THRESHOLD`] quarantines the peer from selection.
     misbehavior: HashMap<u32, u32>,
-    /// Revoked `(publisher, key)` pairs from adopted rotation records —
-    /// the fence every admission path consults *before* signature
-    /// verification (a stolen key signs validly; DESIGN §15).
-    revoked: HashSet<(PublisherId, KeyId)>,
-    /// Highest rotation serial adopted per publisher: the freshness fence
-    /// (an older record cannot un-revoke a newer one).
-    rotation_serials: HashMap<PublisherId, u32>,
-    /// Adopted rotation records, in deterministic publisher order for
-    /// persistence and re-publication.
-    rotations: BTreeMap<PublisherId, Arc<RotationRecord>>,
-    /// The most recently adopted record, re-announced as a rider on every
-    /// outgoing gossip message.
-    rotation_rider: Option<Arc<RotationRecord>>,
-    /// Trusted certificates per `(publisher, key)` beyond the primary —
-    /// how a successor certificate learned from a verified envelope
-    /// coexists with a not-yet-rotated primary, so honest relays of
-    /// new-key items never take forgery strikes.
-    alt_certs: HashMap<(PublisherId, KeyId), Certificate>,
-    /// Pre-rotation primaries, retained for the `StolenKey` adversary arm
-    /// (the attacker keeps the compromised key after the victim re-keys);
-    /// never consulted by any admission path.
-    retired_certs: HashMap<PublisherId, Certificate>,
     /// Unendorsed identities refused by Sybil admission control, bounded
     /// by [`PROBATION_CAP`]. Refused rows never enter the tables, so
     /// probationers cannot influence epoch consensus, representative
@@ -678,16 +650,8 @@ impl NewsWireNode {
             gossip_ticks: 0,
             persisted_fingerprint: 0,
             clock: SimTime::ZERO,
-            publisher_certs: HashMap::new(),
-            item_sigs: HashMap::new(),
-            authority: HashMap::new(),
+            trust: Trust::default(),
             misbehavior: HashMap::new(),
-            revoked: HashSet::new(),
-            rotation_serials: HashMap::new(),
-            rotations: BTreeMap::new(),
-            rotation_rider: None,
-            alt_certs: HashMap::new(),
-            retired_certs: HashMap::new(),
             probation: BTreeSet::new(),
             rotation_adopted_at: None,
         };
@@ -736,174 +700,6 @@ impl NewsWireNode {
         self
     }
 
-    /// Pre-installs a publisher's certificate and signed epoch attestation
-    /// — the out-of-band trust distribution a real deployment performs
-    /// through its software package or directory service. With these in
-    /// place every bare-item admission can verify from the first message
-    /// and the epoch fence has signed authority from the start.
-    pub fn install_publisher_authority(&mut self, certificate: Certificate, attest: EpochAttest) {
-        self.publisher_certs.insert(attest.publisher, certificate);
-        self.absorb_attest(&attest);
-    }
-
-    /// Verifies and adopts a publisher-signed epoch attestation when it is
-    /// newer than the one held. Only a certificate already trusted for the
-    /// attesting publisher anchors the check — an attacker cannot smuggle
-    /// authority by pairing a fabricated attestation with its own (valid)
-    /// certificate for a different publisher id.
-    fn absorb_attest(&mut self, attest: &EpochAttest) {
-        // Admission path 5: an attestation signed by a revoked key-epoch
-        // carries no authority, however valid the signature (a compromised
-        // key attests bogus epochs that verify).
-        if self.cfg.defenses && self.key_revoked(attest.publisher, attest.key) {
-            self.note_revoked_reject(5, attest.publisher);
-            return;
-        }
-        if self.authority.get(&attest.publisher).is_some_and(|held| held.epoch >= attest.epoch) {
-            return;
-        }
-        let Some(cert) = self.publisher_certs.get(&attest.publisher) else { return };
-        if verify_epoch_attest(&self.registry, cert, attest) {
-            self.authority.insert(attest.publisher, *attest);
-        }
-    }
-
-    /// The publisher-signed authority epoch, when an attestation is held.
-    fn authority_epoch(&self, publisher: PublisherId) -> Option<u32> {
-        self.authority.get(&publisher).map(|a| a.epoch)
-    }
-
-    /// True when `key` for `publisher` has been revoked by an adopted
-    /// rotation record. Every admission path checks this *before*
-    /// signature verification — a compromised key signs validly, so the
-    /// registry check alone cannot refuse it.
-    fn key_revoked(&self, publisher: PublisherId, key: KeyId) -> bool {
-        self.revoked.contains(&(publisher, key))
-    }
-
-    /// Accounts a revoked-key rejection on admission `path` (1 envelopes,
-    /// 3 reconcile replies, 4 disk restore, 5 epoch attestations; 2 was the
-    /// retired named pull's replies). Deliberately no misbehavior strike:
-    /// honest peers keep relaying items they admitted before the revocation
-    /// reached them, and striking them would quarantine the honest majority.
-    fn note_revoked_reject(&mut self, path: u64, publisher: PublisherId) {
-        obs::metric_add!(self.agent.id(), ctr::NW_REVOKED_KEY_REJECTS, 1);
-        obs::trace_event!(
-            self.agent.id(),
-            Layer::News,
-            kind::REVOKED_KEY_REJECT,
-            path,
-            u64::from(publisher.0)
-        );
-    }
-
-    /// Admission path 1 (tree envelopes, `Forward` and `Deliver`): true
-    /// when the envelope's signing key is revoked and the envelope must be
-    /// dropped before verification — a revoked key-epoch signs *validly*.
-    /// Takes no misbehavior strike: the relay may be honest but behind on
-    /// the rotation.
-    fn envelope_fenced(&mut self, env: &Envelope) -> bool {
-        if self.cfg.defenses && self.key_revoked(env.item.id.publisher, env.key) {
-            self.note_revoked_reject(1, env.item.id.publisher);
-            return true;
-        }
-        false
-    }
-
-    /// The trusted certificate for `(publisher, key)`: the primary when
-    /// its key matches, otherwise an alternate learned from a verified
-    /// envelope (e.g. the rotation successor before this node adopts the
-    /// record).
-    fn cert_for(&self, publisher: PublisherId, key: KeyId) -> Option<&Certificate> {
-        match self.publisher_certs.get(&publisher) {
-            Some(cert) if cert.key == key => Some(cert),
-            _ => self.alt_certs.get(&(publisher, key)),
-        }
-    }
-
-    /// Verifies and adopts a trust-root rotation record (DESIGN §15).
-    /// Serial-fenced — an older record cannot un-revoke a newer one — and
-    /// registry-verified end to end (CA signature over the record plus the
-    /// successor certificate's own chain). On adoption: the revoked key
-    /// joins the fence set, the successor becomes the primary certificate
-    /// (the old primary retires), any held epoch attestation signed by the
-    /// revoked key is dropped, cached items admitted under the revoked key
-    /// are retroactively purged, and the record is re-published for
-    /// epidemic propagation (a `sys$rot:` row attribute plus the gossip
-    /// rider). Returns whether the record was adopted.
-    fn adopt_rotation(&mut self, record: &RotationRecord) -> bool {
-        if !self.cfg.defenses {
-            return false;
-        }
-        let Some(publisher) = record
-            .successor
-            .claim("publisher")
-            .and_then(|v| v.parse::<u16>().ok())
-            .map(PublisherId)
-        else {
-            return false;
-        };
-        if self.rotation_serials.get(&publisher).is_some_and(|&held| record.serial <= held) {
-            return false;
-        }
-        if !self.registry.verify_rotation(record) {
-            return false;
-        }
-        self.rotation_serials.insert(publisher, record.serial);
-        self.revoked.insert((publisher, record.revoked));
-        self.alt_certs.remove(&(publisher, record.revoked));
-        if let Some(primary) = self.publisher_certs.get(&publisher) {
-            if primary.key == record.revoked {
-                self.retired_certs.insert(publisher, primary.clone());
-            }
-        }
-        self.publisher_certs.insert(publisher, record.successor.clone());
-        if self.authority.get(&publisher).is_some_and(|a| a.key == record.revoked) {
-            self.authority.remove(&publisher);
-        }
-        // Retroactive purge: items admitted under the key before its
-        // revocation horizon are unverifiable history and must not be
-        // served onward. Deliveries already made and the seen-log stay —
-        // the oracle accounts the exposure window separately.
-        let victims: Vec<ItemId> = self
-            .item_sigs
-            .iter()
-            .filter(|&(id, &(key, _))| id.publisher == publisher && key == record.revoked)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut purged = 0u64;
-        for id in victims {
-            self.item_sigs.remove(&id);
-            if self.cache.purge(id) {
-                purged += 1;
-            }
-        }
-        if purged > 0 {
-            obs::metric_add!(self.agent.id(), ctr::NW_RETRO_PURGED_ITEMS, purged);
-            obs::trace_event!(
-                self.agent.id(),
-                Layer::News,
-                kind::RETRO_PURGE,
-                u64::from(publisher.0),
-                purged
-            );
-        }
-        obs::metric_add!(self.agent.id(), ctr::CERT_REVOCATIONS_SEEN, 1);
-        obs::trace_event!(
-            self.agent.id(),
-            Layer::News,
-            kind::CERT_REVOKED,
-            u64::from(publisher.0),
-            u64::from(record.serial)
-        );
-        let record = Arc::new(record.clone());
-        self.agent.set_local_attr(&format!("{ROT_ATTR_PREFIX}{}", publisher.0), record.encode());
-        self.rotations.insert(publisher, Arc::clone(&record));
-        self.rotation_rider = Some(record);
-        self.rotation_adopted_at = Some(self.clock);
-        true
-    }
-
     /// Scans an incoming gossip exchange for `sys$rot:` row attributes and
     /// adopts any record that verifies — epidemic revocation propagation
     /// on the rows Astrolabe already gossips, at no extra message cost.
@@ -934,7 +730,7 @@ impl NewsWireNode {
 
     /// Wraps an outgoing Astrolabe exchange with the rotation rider.
     fn gossip_msg(&self, g: GossipMsg) -> NewsWireMsg {
-        NewsWireMsg::Gossip { g, rot: self.rotation_rider.clone() }
+        NewsWireMsg::Gossip { g, rot: self.trust.rider() }
     }
 
     /// Sybil admission control (DESIGN §15), applied to incoming gossip
@@ -1107,14 +903,7 @@ impl NewsWireNode {
     /// (`tests/revocation.rs`): after a retroactive purge, nothing signed
     /// by the revoked key may remain servable, compromised run or not.
     pub fn served_articles(&self) -> Vec<(ItemId, u64, u64)> {
-        let mut out: Vec<(ItemId, u64, u64)> = self
-            .item_sigs
-            .iter()
-            .filter(|(id, _)| self.cache.contains(**id))
-            .map(|(&id, &(key, sig))| (id, key.0, sig.0))
-            .collect();
-        out.sort_unstable();
-        out
+        self.cache.iter_signed().map(|(item, (key, sig))| (item.id, key.0, sig.0)).collect()
     }
 
     /// The per-publisher article log, when anything from `publisher` has
@@ -1304,62 +1093,31 @@ impl NewsWireNode {
         }
     }
 
-    /// Offers `item` to the cache and keeps `item_sigs` in step with it:
-    /// `item`'s signature is recorded when the cache took it, and the
-    /// signature of whatever the insert fused away or evicted is dropped.
-    /// This is the only place a signature is recorded, so the map holds
-    /// signatures of cached ids only.
-    fn cache_insert(
-        &mut self,
-        item: Arc<NewsItem>,
-        sig: (KeyId, Signature),
-        now: SimTime,
-    ) -> CacheOutcome {
-        let id = item.id;
-        let (outcome, displaced) = self.cache.insert(item, now);
-        if matches!(outcome, CacheOutcome::Stored | CacheOutcome::Fused) {
-            self.item_sigs.insert(id, sig);
-        }
-        if let Some(dead) = displaced {
-            self.item_sigs.remove(&dead);
-        }
-        outcome
-    }
-
-    /// Logs an arriving article as seen and caches it when this node may
-    /// hold it — the one way a tree copy or a recovered copy enters the
-    /// cache. Returns the cache's outcome, or `None` when the article's
-    /// dissemination controls keep it out (it is then logged as not for
-    /// this node). Every arrival is *seen*: the log tracks knowledge, not
-    /// acceptance, and a seen seq is never a hole to reconcile.
-    fn keep(
-        &mut self,
-        item: Arc<NewsItem>,
-        sig: (KeyId, Signature),
-        now: SimTime,
-    ) -> Option<CacheOutcome> {
-        if !self.dissemination_admits(&item) {
-            let stub = self.stubs.intern(self.stub_of(&item));
+    /// Logs an admitted tree copy or recovered copy as seen, and caches it
+    /// when this node may hold it. Returns the cache's outcome, or `None`
+    /// when the article's dissemination controls keep it out (it is then
+    /// logged as not for this node). Every arrival is *seen*: the log
+    /// tracks knowledge, not acceptance, and a seen seq is never a hole to
+    /// reconcile.
+    fn keep(&mut self, admitted: Admitted, now: SimTime) -> Option<CacheOutcome> {
+        let item = admitted.item();
+        if !self.dissemination_admits(item) {
+            let stub = self.stubs.intern(self.stub_of(item));
             self.log_seen(item.id, LogEntry::NotForMe(stub));
             return None;
         }
         self.log_seen(item.id, LogEntry::Held);
-        Some(self.cache_insert(item, sig, now))
+        Some(self.cache_insert(admitted, now))
     }
 
-    fn handle_delivery(
-        &mut self,
-        now: SimTime,
-        item: Arc<NewsItem>,
-        sig: (KeyId, Signature),
-        via_repair: bool,
-    ) {
+    fn handle_delivery(&mut self, now: SimTime, admitted: Admitted, via_repair: bool) {
+        let item = admitted.item();
         let id = item.id;
         let msg_id = msg_id_of(id);
         let published = SimTime::from_micros(item.issued_us);
-        let interested = self.subscription.interested_in(&item);
-        let matches = self.subscription.matches(&item);
-        match self.keep(item, sig, now) {
+        let interested = self.subscription.interested_in(item);
+        let matches = self.subscription.matches(item);
+        match self.keep(admitted, now) {
             None => {
                 // Not addressed to this node (e.g. premium-only content on
                 // a free node); neither delivered nor cached.
@@ -1424,6 +1182,7 @@ impl NewsWireNode {
         ctx: &mut Context<'_, NewsWireMsg>,
         env: Arc<Envelope>,
         zone: ZoneId,
+        admitted: Admitted,
     ) {
         let actions = route(&self.agent, &env.filter, &zone, self.cfg.redundancy, ctx.rng());
         let now = ctx.now();
@@ -1446,13 +1205,12 @@ impl NewsWireNode {
             peer: None,
             event: ForwardEvent::AcceptedDuty,
         });
-        let sig = (env.key, env.signature);
         let mut handed_on = false;
         for action in actions {
             match action {
                 Action::DeliverLocal => {
                     self.delta_makeup(&env.item, env.basis.as_ref());
-                    self.handle_delivery(now, Arc::clone(&env.item), sig, false)
+                    self.handle_delivery(now, admitted.clone(), false)
                 }
                 Action::Deliver { member } => {
                     handed_on = true;
@@ -1490,11 +1248,10 @@ impl NewsWireNode {
         // advertisement the self-audit has yet to restore) takes it as a
         // delivery: the cache is the dedup barrier.
         if handed_on && !self.cache.contains(env.item.id) {
-            let item = Arc::clone(&env.item);
-            if self.subscription.matches(&item) {
-                self.handle_delivery(now, item, sig, false);
+            if self.subscription.matches(&env.item) {
+                self.handle_delivery(now, admitted, false);
             } else {
-                self.keep(item, sig, now);
+                self.keep(admitted, now);
             }
         }
     }
@@ -1589,150 +1346,84 @@ impl NewsWireNode {
         // for everything the other side missed.
         self.log_seen(env.item.id, LogEntry::Held);
         self.absorb_attest(&attest);
-        self.cache_insert(Arc::clone(&env.item), (key, signature), now);
-        self.process_duty(ctx, env, scope);
+        let admitted = Admitted::published(Arc::clone(&env.item), (key, signature));
+        self.cache_insert(admitted.clone(), now);
+        self.process_duty(ctx, env, scope, admitted);
     }
 
-    fn verify(&self, env: &Envelope) -> bool {
-        verify_item(&self.registry, &env.certificate, &env.item, &env.scope, env.key, env.signature)
-    }
-
-    /// After a verified envelope: remember the publisher's certificate (so
-    /// later bare items can verify) and the envelope's signed epoch
-    /// attestation when it is newer than the one held. The item's detached
-    /// signature is recorded only if the item is cached.
-    fn learn_from_envelope(&mut self, env: &Envelope) {
-        let publisher = env.item.id.publisher;
-        match self.publisher_certs.get(&publisher) {
-            None => {
-                self.publisher_certs.insert(publisher, env.certificate.clone());
-            }
-            Some(held) if held.key != env.certificate.key => {
-                // A verified envelope under a key other than the held
-                // primary — e.g. the rotation successor reaching this node
-                // before the rotation record does. Trust it as an
-                // alternate so bare items under the new key verify without
-                // forgery strikes against honest relays.
-                self.alt_certs
-                    .entry((publisher, env.certificate.key))
-                    .or_insert_with(|| env.certificate.clone());
-            }
-            Some(_) => {}
-        }
-        self.absorb_attest(&env.attest);
-    }
-
-    /// True when `item`'s detached signature verifies against the known
-    /// certificate for its publisher (false when no certificate is known —
-    /// fail closed: defended nodes are deployed with the certificates).
-    fn bare_item_ok(&self, item: &NewsItem, key: KeyId, sig: Signature) -> bool {
-        self.cert_for(item.id.publisher, key)
-            .is_some_and(|cert| verify_bare_item(&self.registry, cert, item, key, sig))
-    }
-
-    /// The admission funnel for bare items arriving off the network, in
-    /// reconcile replies (admission path 3); envelopes (1) verify in
-    /// `on_message` and stable-storage restores (4) in
-    /// `restore_cached_items`. With defenses on, an item whose detached
-    /// signature does not verify is refused before it touches the log or
-    /// cache, and the sender takes a misbehavior strike.
-    fn admit_bare_item(
+    /// The prelude every tree copy passes, `Forward` and `Deliver` alike:
+    /// admit the article, learn from its envelope, then acknowledge it —
+    /// fresh duty or duplicate, the sender must stop re-sending. Only real
+    /// (simulated) senders are acked, a hand-off naming the `zone` it
+    /// covers and a `Deliver` this node's leaf zone.
+    fn admit_envelope(
         &mut self,
-        now: SimTime,
-        item: Arc<NewsItem>,
-        key: KeyId,
-        sig: Signature,
+        ctx: &mut Context<'_, NewsWireMsg>,
         from: NodeId,
-    ) {
-        // Revoked key-epoch first: the signature would *verify* — the key
-        // is just no longer trusted — so this fence must come before the
-        // forgery check, and without a strike.
-        if self.cfg.defenses && self.key_revoked(item.id.publisher, key) {
-            self.note_revoked_reject(3, item.id.publisher);
-            return;
+        env: &Envelope,
+        zone: Option<&ZoneId>,
+    ) -> Option<Admitted> {
+        let source = Source::Tree { env, from, zone };
+        let admitted = self.admit(Arc::clone(&env.item), env.key, env.signature, source)?;
+        self.learn_from_envelope(env);
+        if self.cfg.acks && from != NodeId::EXTERNAL {
+            let zone = zone.unwrap_or_else(|| self.agent.zone(0)).clone();
+            ctx.send(from, NewsWireMsg::ForwardAck { msg_id: env.msg_id, zone });
         }
-        if self.cfg.defenses && !self.bare_item_ok(&item, key, sig) {
-            obs::metric_add!(self.agent.id(), ctr::NW_FORGED_REJECTS, 1);
-            obs::trace_event!(
-                self.agent.id(),
-                Layer::News,
-                kind::FORGED_REJECT,
-                3,
-                u64::from(item.id.publisher.0)
-            );
-            self.note_misbehavior(from, MISBEHAVIOR_FORGED);
-            return;
-        }
-        // Where a recovery item goes: a copy the cache already holds, an
-        // article this node never subscribed to, or (neither) a useful one.
-        if self.cache.contains(item.id) {
-            obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_HELD, 1);
-        } else if !self.subscription.matches(&item) {
-            obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_UNWANTED, 1);
-        }
-        self.handle_delivery(now, item, (key, sig), true);
+        Some(admitted)
     }
 
-    /// Restores cached items from a decoded stable-storage snapshot,
-    /// re-verifying each signature: a tampered disk (or a forged item that
-    /// slipped in before defenses were on) must not resurrect into the
-    /// cache. Returns the number of items restored.
-    fn restore_cached_items(
+    /// Admits and delivers the articles of a reconcile reply from `from`.
+    fn absorb_recovered(&mut self, now: SimTime, from: NodeId, items: Vec<SignedItem>) {
+        for SignedItem { item, key, signature, basis } in items {
+            self.delta_makeup(&item, basis.as_ref());
+            let source = Source::Reconcile { from };
+            let Some(admitted) = self.admit(item, key, signature, source) else { continue };
+            // Where a recovery item goes: a copy the cache already holds,
+            // an article this node never subscribed to, or (neither) a
+            // useful one.
+            let item = admitted.item();
+            if self.cache.contains(item.id) {
+                obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_HELD, 1);
+            } else if !self.subscription.matches(item) {
+                obs::metric_add!(self.agent.id(), ctr::NW_RECOVERY_UNWANTED, 1);
+            }
+            self.handle_delivery(now, admitted, true);
+        }
+    }
+
+    /// Restores cached items from a decoded stable-storage snapshot through
+    /// the admission funnel: a tampered disk (or a forged item that slipped
+    /// in before defenses were on) must not resurrect into the cache.
+    /// Returns the number of items restored.
+    fn restore_items(
         &mut self,
         items: Vec<(Arc<NewsItem>, KeyId, Signature)>,
         now: SimTime,
     ) -> u64 {
         let mut restored = 0u64;
         for (item, key, sig) in items {
-            // Admission path 4: a disk snapshot written before a
-            // revocation must not resurrect items signed by the revoked
-            // key-epoch (rotations restore *before* items, so the fence is
-            // armed when this runs).
-            if self.cfg.defenses && self.key_revoked(item.id.publisher, key) {
-                self.note_revoked_reject(4, item.id.publisher);
-                continue;
-            }
-            if self.cfg.defenses && !self.bare_item_ok(&item, key, sig) {
-                obs::metric_add!(self.agent.id(), ctr::NW_FORGED_REJECTS, 1);
-                obs::trace_event!(
-                    self.agent.id(),
-                    Layer::News,
-                    kind::FORGED_REJECT,
-                    4,
-                    u64::from(item.id.publisher.0)
-                );
-                continue;
-            }
-            self.log_seen(item.id, LogEntry::Held);
-            self.cache_insert(item, (key, sig), now);
+            let Some(admitted) = self.admit(item, key, sig, Source::Disk) else { continue };
+            self.log_seen(admitted.item().id, LogEntry::Held);
+            self.cache_insert(admitted, now);
             restored += 1;
         }
         restored
     }
 
-    /// Wraps cached items with their recorded detached signatures for a
-    /// bare-item reply, delta-annotating each item whose story the
-    /// requester declared an earlier revision of (`baselines`). An item
-    /// with no recorded signature (possible only on nodes that themselves
-    /// admitted unverified content) ships a null signature, which defended
-    /// receivers refuse.
-    fn sign_items(&self, items: Vec<Arc<NewsItem>>, baselines: &[BaselineHint]) -> Vec<SignedItem> {
+    /// Delta-annotates each reply item whose story the requester declared
+    /// an earlier revision of (`baselines`).
+    fn price_reply(&self, items: &mut [SignedItem], baselines: &[BaselineHint]) {
+        if !self.cfg.deltas || baselines.is_empty() {
+            return;
+        }
         let held: HashMap<u64, &BaselineHint> = baselines.iter().map(|b| (b.key, b)).collect();
-        items
-            .into_iter()
-            .map(|item| {
-                let (key, signature) =
-                    self.item_sigs.get(&item.id).copied().unwrap_or((KeyId(0), Signature(0)));
-                let basis = if self.cfg.deltas && !held.is_empty() {
-                    held.get(&newsml::cdc::slug_key(item.id.publisher, &item.slug))
-                        .copied()
-                        .and_then(|b| self.price_basis(&item, b.revision, b.body_len))
-                } else {
-                    None
-                };
-                SignedItem { item, key, signature, basis }
-            })
-            .collect()
+        for signed in items {
+            let item = &signed.item;
+            signed.basis = held
+                .get(&newsml::cdc::slug_key(item.id.publisher, &item.slug))
+                .and_then(|b| self.price_basis(item, b.revision, b.body_len));
+        }
     }
 
     /// Prices `item` against a candidate baseline and returns the basis
@@ -2149,7 +1840,7 @@ impl NewsWireNode {
     ) {
         let log = self.article_logs.get(&publisher);
         let summary = log.map(|log| log.summary()).unwrap_or_default();
-        let mut items: Vec<Arc<NewsItem>> = Vec::new();
+        let mut items: Vec<SignedItem> = Vec::new();
         let mut withheld: Vec<(u64, Stub)> = Vec::new();
         // A requester on a newer epoch has restarted history; our items
         // would be misfiled under its sequencing, so ship nothing (the
@@ -2161,11 +1852,12 @@ impl NewsWireNode {
                     if items.len() + withheld.len() >= REPAIR_BATCH {
                         break 'walk;
                     }
-                    match (self.cache.get(ItemId::new(publisher, seq)), entry) {
-                        (Some(item), _) => {
+                    match (self.cache.get_signed(ItemId::new(publisher, seq)), entry) {
+                        (Some((item, (key, signature))), _) => {
                             let stub = self.stub_of(item);
                             if self.admits(interest, &stub) {
-                                items.push(Arc::clone(item));
+                                let item = Arc::clone(item);
+                                items.push(SignedItem { item, key, signature, basis: None });
                             } else {
                                 withheld.push((seq, stub));
                             }
@@ -2190,15 +1882,15 @@ impl NewsWireNode {
             obs::metric_add!(
                 self.agent.id(),
                 ctr::NW_RECONCILE_BYTES_SENT,
-                items.iter().map(|i| i.wire_size() as u64).sum::<u64>()
+                items.iter().map(|i| i.item.wire_size() as u64).sum::<u64>()
             );
             obs::trace_event!(self.agent.id(), Layer::News, kind::AE_REPLY, from.0, items.len());
         }
         // Reply even when empty: the reply itself proves liveness. The
         // stored attestation rides along so signed epoch authority spreads
         // to nodes the publisher's own envelopes have not reached.
-        let attest = self.authority.get(&publisher).copied();
-        let items = self.sign_items(items, baselines);
+        let attest = self.trust.authority(publisher);
+        self.price_reply(&mut items, baselines);
         ctx.send(from, NewsWireMsg::ReconcileReply { publisher, summary, attest, items, withheld });
     }
 
@@ -2253,7 +1945,7 @@ impl NewsWireNode {
         // consensus mode remains the fallback for publishers no attestation
         // has reached yet (majority-honest assumption, DESIGN §11).
         let cur_epoch = self.article_logs.get(&publisher).map_or(0, |l| l.epoch());
-        let authority = self.authority_epoch(publisher);
+        let authority = self.trust.authority_epoch(publisher);
         let fenced = summary.epoch > cur_epoch
             && self.cfg.defenses
             && match authority {
@@ -2290,10 +1982,7 @@ impl NewsWireNode {
             Some(last) if items.len() + withheld.len() >= REPAIR_BATCH => last,
             _ => u64::MAX,
         };
-        for SignedItem { item, key, signature, basis } in items {
-            self.delta_makeup(&item, basis.as_ref());
-            self.admit_bare_item(now, item, key, signature, from);
-        }
+        self.absorb_recovered(now, from, items);
         let Some(pending) = pending else { return };
         // Stubs are believed for the seqs asked about only, from a responder
         // on this node's epoch. An empty summary vouches for nothing — a
@@ -2446,7 +2135,7 @@ impl NewsWireNode {
             // The fence reference: the publisher's signed attestation when
             // held (collusion-proof), neighbour consensus otherwise.
             let Some(ce) =
-                self.authority_epoch(publisher).or_else(|| self.consensus_epoch(publisher))
+                self.trust.authority_epoch(publisher).or_else(|| self.consensus_epoch(publisher))
             else {
                 continue;
             };
@@ -2494,18 +2183,14 @@ impl NewsWireNode {
             logs,
             // Each item persists with its detached signature, so a durable
             // restore can re-verify: a disk snapshot is just another
-            // admission path (see `restore_cached_items`).
+            // admission source (see `restore_items`).
             items: self
                 .cache
-                .iter()
-                .map(|item| {
-                    let (key, sig) =
-                        self.item_sigs.get(&item.id).copied().unwrap_or((KeyId(0), Signature(0)));
-                    (Arc::clone(item), key, sig)
-                })
+                .iter_signed()
+                .map(|(item, (key, sig))| (Arc::clone(item), key, sig))
                 .collect(),
             deliveries: self.deliveries.clone(),
-            rotations: self.rotations.values().map(|r| r.encode()).collect(),
+            rotations: self.trust.rotations().map(|(_, r)| r.encode()).collect(),
         }
     }
 
@@ -2526,7 +2211,7 @@ impl NewsWireNode {
             h = mix(h, log.next_seq());
             h = mix(h, log.len() as u64);
         }
-        for (p, rec) in &self.rotations {
+        for (p, rec) in self.trust.rotations() {
             h = mix(h, u64::from(p.0));
             h = mix(h, u64::from(rec.serial));
         }
@@ -2548,6 +2233,26 @@ impl NewsWireNode {
         if self.gossip_ticks.is_multiple_of(STATE_FSYNC_TICKS) {
             ctx.disk().fsync();
         }
+    }
+
+    /// Wipes the protocol state every restart mode loses, a freeze included:
+    /// membership view, cache (signatures with it), deliveries, the
+    /// acknowledgement table, article logs, peer observations and the
+    /// digests in the own row that described the logs.
+    fn reset_protocol_state(&mut self) {
+        self.agent.reset();
+        self.cache = MessageCache::new(self.cfg.cache);
+        self.deliveries.clear();
+        self.draining = false;
+        self.acks.clear();
+        self.digest_probes.clear();
+        self.article_logs.clear();
+        self.stubs.clear();
+        self.peer_health.clear();
+        self.misbehavior.clear();
+        self.awaiting_reconcile = None;
+        self.agent.remove_local_attrs(AE_ATTR_PREFIX);
+        self.backfill_this_recovery = 0;
     }
 
     /// Checks whether an in-progress cold-restart recovery has caught up:
@@ -2704,33 +2409,11 @@ impl Node for NewsWireNode {
                 self.handle_publish(ctx, item, scope, predicate)
             }
             NewsWireMsg::Forward { env, zone } => {
-                if self.envelope_fenced(&env) {
+                let Some(admitted) = self.admit_envelope(ctx, from, &env, Some(&zone)) else {
                     return;
-                }
-                if !self.verify(&env) {
-                    obs::metric_add!(self.agent.id(), ctr::NW_AUTH_REJECTS, 1);
-                    self.log.record(LogRecord {
-                        at_us: ctx.now().as_micros(),
-                        msg_id: env.msg_id,
-                        zone,
-                        peer: Some(from.0),
-                        event: ForwardEvent::AuthRejected,
-                    });
-                    self.note_misbehavior(from, MISBEHAVIOR_FORGED);
-                    return;
-                }
-                self.learn_from_envelope(&env);
-                // Receipt first: whether this is fresh duty or a duplicate,
-                // this representative covers the zone — the sender must stop
-                // retrying. Only real (simulated) node senders are acked.
-                if self.cfg.acks && from != NodeId::EXTERNAL {
-                    ctx.send(
-                        from,
-                        NewsWireMsg::ForwardAck { msg_id: env.msg_id, zone: zone.clone() },
-                    );
-                }
+                };
                 if self.coverage.admit(env.msg_id, zone.depth()) {
-                    self.process_duty(ctx, env, zone);
+                    self.process_duty(ctx, env, zone, admitted);
                 } else {
                     obs::metric_add!(self.agent.id(), ctr::NW_DUPLICATES, 1);
                 }
@@ -2754,24 +2437,9 @@ impl Node for NewsWireNode {
                 }
             }
             NewsWireMsg::Deliver { env } => {
-                if self.envelope_fenced(&env) {
-                    return;
-                }
-                if !self.verify(&env) {
-                    obs::metric_add!(self.agent.id(), ctr::NW_AUTH_REJECTS, 1);
-                    self.note_misbehavior(from, MISBEHAVIOR_FORGED);
-                    return;
-                }
-                self.learn_from_envelope(&env);
-                // Receipt first, duplicate or not: the sender must stop
-                // re-sending.
-                if self.cfg.acks && from != NodeId::EXTERNAL {
-                    let zone = self.agent.zone(0).clone();
-                    ctx.send(from, NewsWireMsg::ForwardAck { msg_id: env.msg_id, zone });
-                }
-                let now = ctx.now();
+                let Some(admitted) = self.admit_envelope(ctx, from, &env, None) else { return };
                 self.delta_makeup(&env.item, env.basis.as_ref());
-                self.handle_delivery(now, Arc::clone(&env.item), (env.key, env.signature), false);
+                self.handle_delivery(ctx.now(), admitted, false);
             }
             // The named pull is retired: no node asks one, and an
             // unsolicited reply is attack surface with no protocol use.
@@ -2819,11 +2487,7 @@ impl Node for NewsWireNode {
                     let msg = self.gossip_msg(g);
                     ctx.send(NodeId(to), msg);
                 }
-                if self.cache.gc(now) > 0 {
-                    // Signatures of evicted items are dead weight.
-                    let cache = &self.cache;
-                    self.item_sigs.retain(|id, _| cache.contains(*id));
-                }
+                self.cache.gc(now);
                 self.absorb_incarnation_bumps();
                 // What the last round's pull achieved, before the next one
                 // is in flight (a pull in flight is not a finished recovery).
@@ -2909,22 +2573,8 @@ impl Node for NewsWireNode {
         // their contents, and no incarnation is burned. Reconcile reads
         // the absent logs as empty, refills the cache and re-delivers what
         // the subscription matches. Cold restarts go through `on_restart`.
-        self.agent.reset();
-        self.cache = MessageCache::new(self.cfg.cache);
-        self.deliveries.clear();
-        self.draining = false;
-        self.acks.clear();
-        self.digest_probes.clear();
-        self.article_logs.clear();
-        self.stubs.clear();
-        self.peer_health.clear();
-        self.misbehavior.clear();
-        self.item_sigs.clear();
-        self.awaiting_reconcile = None;
-        // The digests in the own row describe logs that are gone.
-        self.agent.remove_local_attrs(AE_ATTR_PREFIX);
+        self.reset_protocol_state();
         self.recovering_since = Some(ctx.now());
-        self.backfill_this_recovery = 0;
         ctx.set_timer(self.agent.config().gossip_interval, GOSSIP_TIMER);
     }
 
@@ -2935,48 +2585,21 @@ impl Node for NewsWireNode {
         }
         let now = ctx.now();
         // The process is dead: everything volatile goes, including what a
-        // freeze keeps (forwarding queues, the duty dedup window). Stats
-        // and the forward log are measurement instrumentation, not process
-        // state, and survive in every mode.
-        self.agent.reset();
-        self.cache = MessageCache::new(self.cfg.cache);
+        // freeze keeps (forwarding queues, the duty dedup window, tick and
+        // fingerprint state, adopted rotations, probation). Stats and the
+        // forward log are measurement instrumentation, not process state,
+        // and survive in every mode.
+        self.reset_protocol_state();
         self.coverage = CoverageWindow::new(8192);
         self.queues = ForwardingQueues::new(FORWARD_STRATEGY);
-        self.deliveries.clear();
-        self.draining = false;
-        self.acks.clear();
-        self.digest_probes.clear();
-        self.article_logs.clear();
-        self.stubs.clear();
-        self.peer_health.clear();
-        self.misbehavior.clear();
-        // Signatures go with the cache; publisher certificates and signed
-        // attestations survive every restart mode — they ship with the
-        // binary (deployment pre-install), not with protocol state.
-        self.item_sigs.clear();
-        self.awaiting_reconcile = None;
         self.reconcile_cursor = 0;
         self.gossip_ticks = 0;
         self.persisted_fingerprint = 0;
-        self.backfill_this_recovery = 0;
-        // Rotation state is protocol state, not binary state: a cold
-        // process forgets adopted revocations and relearns them from disk
-        // (durable) or gossip (amnesiac). Forgetting is safe — the
-        // surviving `publisher_certs` primary is already the successor, and
-        // clearing `alt_certs`/`retired_certs` means old-key signatures
-        // simply fail certificate lookup instead of needing the fence.
-        self.revoked.clear();
-        self.rotation_serials.clear();
-        self.rotations.clear();
-        self.rotation_rider = None;
-        self.alt_certs.clear();
-        self.retired_certs.clear();
+        self.trust.forget_rotations();
         self.probation.clear();
         self.rotation_adopted_at = None;
-        // Retract gossiped advertisements describing pre-crash state the
-        // new process does not hold; they are rebuilt below from whatever
-        // the disk gives back.
-        self.agent.remove_local_attrs(AE_ATTR_PREFIX);
+        // Retract the rotation records too; what the disk gives back is
+        // re-advertised below.
         self.agent.remove_local_attrs(ROT_ATTR_PREFIX);
 
         // Incarnation: read-modify-write against stable storage, floored
@@ -3023,7 +2646,7 @@ impl Node for NewsWireNode {
                         self.adopt_rotation(&rec);
                     }
                 }
-                restored = self.restore_cached_items(state.items, now);
+                restored = self.restore_items(state.items, now);
                 self.deliveries = state.deliveries;
                 for ls in state.logs {
                     let log = self
@@ -3058,177 +2681,7 @@ impl Node for NewsWireNode {
     }
 
     fn apply_corruption(&mut self, op: &CorruptionOp, rng: &mut SmallRng) -> u64 {
-        match *op {
-            CorruptionOp::ZoneRows { rows } => {
-                // Two prongs. First: scramble this node's own subscription
-                // advertisement — poison that propagates upward under
-                // perfectly legitimate stamps until the self-audit
-                // re-derives it from the subscription object.
-                let mut hit = 0u64;
-                for (attr, want) in self.derived_sub_attrs() {
-                    let zeroed = match want {
-                        AttrValue::Bits(b) => AttrValue::from(BitArray::new(b.len())),
-                        _ => AttrValue::Int(0),
-                    };
-                    self.agent.set_local_attr(&attr, zeroed);
-                    hit += 1;
-                }
-                // Second: scramble held replicas in place, stamps kept —
-                // corruption digest-driven anti-entropy cannot see.
-                hit + self.agent.corrupt_rows(rng, rows)
-            }
-            CorruptionOp::ForgeItems { items, publisher } => {
-                // A Byzantine cache: fabricate items impersonating
-                // `publisher`, planted just past the local log head —
-                // exactly where honest tail catch-up and repair look next.
-                // The forger's own log and gossiped digest advertise them
-                // as real coverage; the bogus signatures drawn from the
-                // strike stream are what defended receivers refuse.
-                let publisher = PublisherId(publisher);
-                let base = self.article_logs.get(&publisher).map_or(0, |l| l.next_seq());
-                let now = self.clock;
-                let mut injected = 0u64;
-                for k in 0..u64::from(items) {
-                    let seq = base + k;
-                    let item = NewsItem::builder(publisher, seq)
-                        .headline(format!("FORGED dispatch {seq}"))
-                        .category(Category::Technology)
-                        .build();
-                    self.log_seen(item.id, LogEntry::Held);
-                    let sig = (KeyId(rng.gen()), Signature(rng.gen()));
-                    self.cache_insert(Arc::new(item), sig, now);
-                    injected += 1;
-                }
-                injected
-            }
-            CorruptionOp::VoteEpoch { publisher, epoch } => {
-                // A colluder votes the group's shared fabricated epoch into
-                // its own article log and digest. Enough same-zone voters
-                // capture the unsigned neighbour-consensus mode that the
-                // legacy epoch fence trusts; phantom head coverage makes
-                // the captured digest look fresher than any honest one.
-                let publisher = PublisherId(publisher);
-                let log = self
-                    .article_logs
-                    .entry(publisher)
-                    .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY));
-                if epoch <= log.epoch() {
-                    return 0;
-                }
-                log.adopt_epoch(epoch);
-                for seq in 0..8 {
-                    log.insert(seq, LogEntry::Held);
-                }
-                9
-            }
-            CorruptionOp::LogEpoch { entries } => {
-                // Poison one article log with a fabricated newer epoch plus
-                // phantom coverage. The next digest publication advertises
-                // it; with defenses off the fake epoch spreads by reconcile
-                // contagion (every absorber adopts and wipes its log).
-                let publishers: Vec<PublisherId> = self.article_logs.keys().copied().collect();
-                let Some(&publisher) = publishers.as_slice().choose(rng) else { return 0 };
-                let log = self.article_logs.get_mut(&publisher).expect("key just listed");
-                let fake = log.epoch() + 1;
-                log.adopt_epoch(fake);
-                for seq in 0..u64::from(entries) {
-                    log.insert(seq, LogEntry::Held);
-                }
-                u64::from(entries) + 1
-            }
-            CorruptionOp::StolenKey { publisher, items, attest_bump } => {
-                // The adversary holds the publisher's *real* signing key.
-                // Preferring the retired certificate over the primary keeps
-                // the attack honest across a rotation: after the victim
-                // re-keys, the stolen key is the *old* one, so its
-                // forgeries only verify on nodes that have not yet adopted
-                // the rotation.
-                let publisher = PublisherId(publisher);
-                let Some(cert) = self
-                    .retired_certs
-                    .get(&publisher)
-                    .or_else(|| self.publisher_certs.get(&publisher))
-                    .cloned()
-                else {
-                    return 0;
-                };
-                let Some(stolen) = self.registry.exfiltrate_key(cert.key) else { return 0 };
-                let cred = PublisherCredential::from_parts(cert, stolen);
-                let base = self.article_logs.get(&publisher).map_or(0, |l| l.next_seq());
-                let now = self.clock;
-                let mut hit = 0u64;
-                for k in 0..u64::from(items) {
-                    let seq = base + k;
-                    let item = NewsItem::builder(publisher, seq)
-                        .headline(format!("STOLEN-KEY dispatch {seq}"))
-                        .category(Category::Technology)
-                        .build();
-                    let sig = cred.sign(&item);
-                    self.log_seen(item.id, LogEntry::Held);
-                    self.cache_insert(Arc::new(item), (cred.key_id(), sig), now);
-                    hit += 1;
-                }
-                if attest_bump > 0 {
-                    // A bogus epoch attestation, validly signed with the
-                    // stolen key: the signed-authority defense *verifies*
-                    // it — only revocation (admission path 5) stops it.
-                    let log_epoch = self.article_logs.get(&publisher).map_or(0, |l| l.epoch());
-                    let epoch = self
-                        .authority_epoch(publisher)
-                        .unwrap_or(0)
-                        .max(log_epoch)
-                        .saturating_add(attest_bump);
-                    let attest = cred.attest_epoch(epoch);
-                    self.absorb_attest(&attest);
-                    hit += 1;
-                }
-                hit
-            }
-            CorruptionOp::SybilFlood { identities, publisher, epoch } => {
-                // Fabricated identities injected into this node's own leaf
-                // table under perfectly valid row structure: in-range
-                // label, required `id` attribute, fresh (non-future) stamp.
-                // The corrupt node merges its own message unconditionally;
-                // honest receivers with admission control on refuse the
-                // rows at gossip ingest for lacking a join ticket. Each
-                // Sybil advertises phantom coverage under the jointly
-                // fabricated epoch, pulling the unsigned neighbour
-                // consensus toward it.
-                let now = self.clock;
-                let branching = self.agent.config().branching;
-                let own = self.agent.own_label(0);
-                let digest = RangeSummary { epoch, floor: 0, next: 8, present: 8 }.encode();
-                let salt: u32 = rng.gen_range(0..0x1000);
-                let mut rows: Vec<(u16, Stamp, Arc<Mib>)> = Vec::new();
-                let mut label = 0u16;
-                for k in 0..identities {
-                    if label == own {
-                        label += 1;
-                    }
-                    if label >= branching {
-                        break; // a leaf zone has only `branching` slots
-                    }
-                    let id = SYBIL_ID_BASE + salt * 64 + k;
-                    let row = MibBuilder::new()
-                        .attr("id", i64::from(id))
-                        .attr(format!("{AE_ATTR_PREFIX}{publisher}"), digest.clone())
-                        .build(Stamp { issued_us: now.as_micros(), version: 1, origin: id });
-                    rows.push((label, row.stamp, Arc::new(row)));
-                    label += 1;
-                }
-                if rows.is_empty() {
-                    return 0;
-                }
-                let injected = rows.len() as u64;
-                let zone = self.agent.zone(0).clone();
-                let msg = GossipMsg::Rows { rows: vec![TableRows { zone, rows }] };
-                let _ = self.agent.on_message(now, self.agent.id(), msg, rng);
-                injected
-            }
-            // Torn disk bytes are flipped by the engine (`Disk::corrupt`)
-            // without consulting the node.
-            CorruptionOp::DiskBytes { .. } => 0,
-        }
+        self.corrupt(op, rng)
     }
 
     fn tamper_outbound(
@@ -3238,36 +2691,7 @@ impl Node for NewsWireNode {
         mode: LiarMode,
         _rng: &mut SmallRng,
     ) -> LiarAction {
-        match mode {
-            // A lying representative mis-aggregates: the subscription
-            // summaries in every row it gossips are zeroed (under the
-            // rows' legitimate stamps), steering forwarding away from the
-            // subtrees those rows summarize.
-            LiarMode::MisSummarize => tamper_gossip_rows(msg, mis_summarized),
-            // A lying forwarder silently swallows the news itself while
-            // staying a lively, cooperative gossip participant.
-            LiarMode::SelectiveDrop => match msg {
-                NewsWireMsg::Forward { .. } | NewsWireMsg::Deliver { .. } => LiarAction::Dropped,
-                _ => LiarAction::Pass,
-            },
-            // A liar re-advertising empty anti-entropy digests: peers never
-            // select it as a reconcile source and reconciliation pressure
-            // shifts onto the honest rest of the zone.
-            LiarMode::StaleDigest => tamper_gossip_rows(msg, stale_digested),
-            // Split-brain lying: different stories to different
-            // destinations. Half the peer space sees this node's true
-            // digests, the other half sees empty ones — no single receiver
-            // can observe the inconsistency, only the digest-contradiction
-            // strike (request what was advertised, get an empty reply)
-            // catches it.
-            LiarMode::SplitBrain => {
-                if to.0 % 2 == 1 {
-                    tamper_gossip_rows(msg, stale_digested)
-                } else {
-                    LiarAction::Pass
-                }
-            }
-        }
+        adversary::tamper_outbound(to, msg, mode)
     }
 }
 
@@ -3303,92 +2727,13 @@ fn holes_in(log: &SeqLog<LogEntry>, lo: u64, hi: u64) -> Vec<(u64, u64)> {
     holes
 }
 
-/// Applies a per-row tampering function to every row batch of an outbound
-/// gossip message. Returns `Tampered` when any row was rewritten.
-fn tamper_gossip_rows(msg: &mut NewsWireMsg, lie: impl Fn(&Mib) -> Option<Arc<Mib>>) -> LiarAction {
-    let NewsWireMsg::Gossip { g, .. } = msg else { return LiarAction::Pass };
-    let batches = match g {
-        GossipMsg::DigestReply { rows, .. } | GossipMsg::Rows { rows } => rows,
-        GossipMsg::Digest { .. } => return LiarAction::Pass,
-    };
-    let mut tampered = false;
-    for batch in batches.iter_mut() {
-        for (_, _, row) in batch.rows.iter_mut() {
-            if let Some(fake) = lie(row) {
-                *row = fake;
-                tampered = true;
-            }
-        }
-    }
-    if tampered {
-        LiarAction::Tampered
-    } else {
-        LiarAction::Pass
-    }
-}
-
-/// A mis-aggregated copy of `row`: subscription summaries (`subs` Bloom
-/// bits, `cats$` masks) zeroed, stamp kept — indistinguishable from the
-/// honest version by version vector. `None` when the row carries none.
-fn mis_summarized(row: &Mib) -> Option<Arc<Mib>> {
-    let mut changed = false;
-    let attrs = row
-        .attrs()
-        .iter()
-        .map(|(name, value)| {
-            let zero = if name.as_ref() == "subs" {
-                match value {
-                    AttrValue::Bits(b) if !b.is_zero() => {
-                        Some(AttrValue::from(BitArray::new(b.len())))
-                    }
-                    _ => None,
-                }
-            } else if name.starts_with("cats$") {
-                match value {
-                    AttrValue::Int(n) if *n != 0 => Some(AttrValue::Int(0)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            match zero {
-                Some(z) => {
-                    changed = true;
-                    (Arc::clone(name), z)
-                }
-                None => (Arc::clone(name), value.clone()),
-            }
-        })
-        .collect();
-    changed.then(|| Arc::new(Mib::new(row.stamp, attrs)))
-}
-
-/// A stale-digest copy of `row`: every `sys$ae:` advertisement replaced
-/// with an empty-coverage summary, stamp kept. `None` when nothing to fake.
-fn stale_digested(row: &Mib) -> Option<Arc<Mib>> {
-    let empty = RangeSummary::default().encode();
-    let mut changed = false;
-    let attrs = row
-        .attrs()
-        .iter()
-        .map(|(name, value)| {
-            if name.starts_with(AE_ATTR_PREFIX) && value.as_str() != Some(empty.as_str()) {
-                changed = true;
-                (Arc::clone(name), AttrValue::Str(empty.clone()))
-            } else {
-                (Arc::clone(name), value.clone())
-            }
-        })
-        .collect();
-    changed.then(|| Arc::new(Mib::new(row.stamp, attrs)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auth::verify_bare_item;
     use crate::config::SubscriptionModel;
     use crate::subscription::Subscription;
-    use astrolabe::{Config, TrustRegistry, ZoneLayout};
+    use astrolabe::{Config, Mib, MibBuilder, Stamp, TrustRegistry, ZoneLayout};
     use newsml::{Category, PublisherId};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -3397,28 +2742,24 @@ mod tests {
     /// A telemetry hub installed for a test that drives a node's handlers
     /// outside a `Simulation`, so the counters they bump can be read. The
     /// collector drops counts for node ids the hub does not know.
-    struct Counts {
+    pub(super) struct Counts {
         hub: Rc<RefCell<obs::TelemetryHub>>,
         _guard: obs::collector::HubGuard,
     }
 
     impl Counts {
         /// Installs a fresh hub that knows node ids up to `node`'s.
-        fn install(node: &NewsWireNode) -> Self {
+        pub(super) fn install(node: &NewsWireNode) -> Self {
             let hub = Rc::new(RefCell::new(obs::TelemetryHub::new(0)));
             hub.borrow_mut().ensure_nodes(node.agent.id() as usize + 1);
             Counts { _guard: obs::collector::install(Rc::clone(&hub)), hub }
         }
 
         /// `node`'s count in slot `id`.
-        fn of(&self, node: &NewsWireNode, id: obs::CtrId) -> u64 {
+        pub(super) fn of(&self, node: &NewsWireNode, id: obs::CtrId) -> u64 {
             self.hub.borrow().node_counter(node.agent.id() as usize, id)
         }
     }
-
-    /// The signature a test hands `handle_delivery` for an item nobody
-    /// verifies.
-    const UNSIGNED: (KeyId, Signature) = (KeyId(0), Signature(0));
 
     fn node_with(cfg: NewsWireConfig) -> NewsWireNode {
         let layout = ZoneLayout::new(4, 4);
@@ -3568,12 +2909,12 @@ mod tests {
         // handle_delivery with via_repair=true models the reconcile/repair
         // paths, which ship bare items: the scope must still confine them.
         let now = SimTime::from_secs(1);
-        n.handle_delivery(now, out_of_zone.clone().into(), UNSIGNED, true);
+        n.handle_delivery(now, Admitted::unverified(out_of_zone.clone()), true);
         assert!(!n.has_item(out_of_zone.id), "repair must not leak scoped items");
         assert_eq!(counts.of(&n, ctr::NW_PREDICATE_FILTERED), 1);
         // …but the seq was still *seen*, so reconcile won't re-request it.
         assert!(n.article_log(PublisherId(0)).is_some_and(|l| l.contains(1)));
-        n.handle_delivery(now, in_zone.clone().into(), UNSIGNED, true);
+        n.handle_delivery(now, Admitted::unverified(in_zone.clone()), true);
         assert!(n.has_item(in_zone.id), "in-zone repair still delivers");
     }
 
@@ -3590,7 +2931,14 @@ mod tests {
                 .body_len(6000)
                 .build(),
         );
-        n.cache.insert(rev3.clone(), now);
+        n.cache_insert(Admitted::unverified(rev3.clone()), now);
+        let reply = |n: &NewsWireNode, baselines: &[BaselineHint]| {
+            let (item, (key, signature)) = n.cache.get_signed(rev3.id).expect("cached");
+            let mut items = [SignedItem { item: Arc::clone(item), key, signature, basis: None }];
+            n.price_reply(&mut items, baselines);
+            let [signed] = items;
+            signed
+        };
 
         // A requester declaring revision 2 gets a delta-annotated reply…
         let hint = BaselineHint {
@@ -3598,18 +2946,18 @@ mod tests {
             revision: 2,
             body_len: 6000,
         };
-        let signed = n.sign_items(vec![rev3.clone()], &[hint]);
-        assert_eq!(signed[0].basis, Some(DeltaBasis { revision: 2, body_len: 6000 }));
-        assert!(signed[0].compressed_wire_size() < signed[0].wire_size() / 2);
+        let signed = reply(&n, &[hint]);
+        assert_eq!(signed.basis, Some(DeltaBasis { revision: 2, body_len: 6000 }));
+        assert!(signed.compressed_wire_size() < signed.wire_size() / 2);
 
         // …a copy that races a requester already on revision 3 prices as
         // pure chunk references.
         let even = BaselineHint { revision: 3, ..hint };
-        let dup = n.sign_items(vec![rev3.clone()], &[even]);
-        assert_eq!(dup[0].basis, Some(DeltaBasis { revision: 3, body_len: 6000 }));
-        assert!(dup[0].compressed_wire_size() < signed[0].compressed_wire_size());
+        let dup = reply(&n, &[even]);
+        assert_eq!(dup.basis, Some(DeltaBasis { revision: 3, body_len: 6000 }));
+        assert!(dup.compressed_wire_size() < signed.compressed_wire_size());
         // …and a requester that declared nothing gets the full body.
-        assert_eq!(n.sign_items(vec![rev3.clone()], &[])[0].basis, None);
+        assert_eq!(reply(&n, &[]).basis, None);
 
         // The node's own requests declare its cache as baselines, sorted;
         // with deltas off they stay empty so the wire is byte-identical.
@@ -3618,7 +2966,7 @@ mod tests {
         assert_eq!(hints[0].revision, 3);
         n.cfg.deltas = false;
         assert!(n.request_baselines(PublisherId(0)).is_empty());
-        assert_eq!(n.sign_items(vec![rev3], &[hint])[0].basis, None, "deltas off: never annotate");
+        assert_eq!(reply(&n, &[hint]).basis, None, "deltas off: never annotate");
     }
 
     #[test]
@@ -3628,21 +2976,21 @@ mod tests {
         let counts = Counts::install(&n);
         let now = SimTime::from_secs(1);
         // Matching item: delivered + cached.
-        n.handle_delivery(now, tech_item(0).into(), UNSIGNED, false);
+        n.handle_delivery(now, Admitted::unverified(tech_item(0)), false);
         assert_eq!(counts.of(&n, ctr::NW_DELIVERED), 1);
         assert_eq!(n.deliveries.len(), 1);
         // Same item again: duplicate.
-        n.handle_delivery(now, tech_item(0).into(), UNSIGNED, false);
+        n.handle_delivery(now, Admitted::unverified(tech_item(0)), false);
         assert_eq!(counts.of(&n, ctr::NW_DUPLICATES), 1);
         // Structurally uninteresting item: Bloom false positive.
         let sports =
             NewsItem::builder(PublisherId(0), 5).headline("s").category(Category::Sports).build();
-        n.handle_delivery(now, sports.into(), UNSIGNED, false);
+        n.handle_delivery(now, Admitted::unverified(sports), false);
         assert_eq!(counts.of(&n, ctr::NW_BLOOM_FP), 1);
         assert_eq!(counts.of(&n, ctr::NW_DELIVERED), 1, "not delivered to the app");
         // Matching but predicate-rejected: filtered, still cached.
         n.subscription.set_predicate("urgency = 1").unwrap();
-        n.handle_delivery(now, tech_item(7).into(), UNSIGNED, false);
+        n.handle_delivery(now, Admitted::unverified(tech_item(7)), false);
         assert_eq!(counts.of(&n, ctr::NW_PREDICATE_FILTERED), 1);
         assert!(n.cache.contains(newsml::ItemId::new(PublisherId(0), 7)));
     }
@@ -3651,7 +2999,7 @@ mod tests {
     fn repair_delivery_is_flagged() {
         let mut n = node_with(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
-        n.handle_delivery(SimTime::from_secs(2), tech_item(3).into(), UNSIGNED, true);
+        n.handle_delivery(SimTime::from_secs(2), Admitted::unverified(tech_item(3)), true);
         assert!(n.deliveries[0].via_repair);
     }
 
@@ -3668,14 +3016,14 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 4] {
-            n.handle_delivery(now, tech_item(seq).into(), UNSIGNED, false);
+            n.handle_delivery(now, Admitted::unverified(tech_item(seq)), false);
         }
         // A duplicate is still a single log entry…
-        n.handle_delivery(now, tech_item(1).into(), UNSIGNED, false);
+        n.handle_delivery(now, Admitted::unverified(tech_item(1)), false);
         // …and an uninteresting (Bloom FP) arrival is seen too.
         let sports =
             NewsItem::builder(PublisherId(0), 5).headline("s").category(Category::Sports).build();
-        n.handle_delivery(now, sports.into(), UNSIGNED, false);
+        n.handle_delivery(now, Admitted::unverified(sports), false);
         let log = n.article_log(PublisherId(0)).expect("log exists");
         assert_eq!(log.len(), 4, "seqs 0, 1, 4, 5 — the duplicate logs once");
         assert_eq!(log.gaps(), vec![(2, 3)], "the unseen seqs are the holes");
@@ -3689,7 +3037,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 2, 6] {
-            n.handle_delivery(now, tech_item(seq).into(), UNSIGNED, false);
+            n.handle_delivery(now, Admitted::unverified(tech_item(seq)), false);
         }
         n.publish_ae_digests();
         let attr = format!("{AE_ATTR_PREFIX}0");
@@ -3700,7 +3048,7 @@ mod tests {
         // With anti-entropy off, no digest is published.
         let mut off =
             node_with(NewsWireConfig { anti_entropy: false, ..NewsWireConfig::tech_news() });
-        off.handle_delivery(now, tech_item(0).into(), UNSIGNED, false);
+        off.handle_delivery(now, Admitted::unverified(tech_item(0)), false);
         off.publish_ae_digests();
         assert!(off.agent.local_attr(&attr).is_none());
     }
@@ -3780,7 +3128,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 4] {
-            n.handle_delivery(now, tech_item(seq).into(), UNSIGNED, false);
+            n.handle_delivery(now, Admitted::unverified(tech_item(seq)), false);
         }
         let fp = n.state_fingerprint();
         let state = n.durable_state();
@@ -3793,7 +3141,7 @@ mod tests {
         // The fingerprint is stable while nothing changes and moves when
         // the durable state does.
         assert_eq!(n.state_fingerprint(), fp);
-        n.handle_delivery(now, tech_item(5).into(), UNSIGNED, false);
+        n.handle_delivery(now, Admitted::unverified(tech_item(5)), false);
         assert_ne!(n.state_fingerprint(), fp);
     }
 
@@ -3846,7 +3194,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(5);
         for seq in 0..3u64 {
-            n.handle_delivery(now, tech_item(seq).into(), UNSIGNED, false);
+            n.handle_delivery(now, Admitted::unverified(tech_item(seq)), false);
         }
         // Two leaf neighbours advertise epoch-0 digests: the consensus.
         let digest = RangeSummary::default().encode();
@@ -3893,7 +3241,7 @@ mod tests {
     /// A node whose trust registry issued publisher 0's credential, with the
     /// certificate and epoch-0 attestation pre-installed the way
     /// `DeploymentBuilder::build` does it.
-    fn node_with_authority(
+    pub(super) fn node_with_authority(
         cfg: NewsWireConfig,
     ) -> (NewsWireNode, crate::auth::PublisherCredential) {
         let mut registry = TrustRegistry::new(1);
@@ -3909,188 +3257,6 @@ mod tests {
         let mut n = NewsWireNode::new(agent, cfg, Arc::new(registry));
         n.install_publisher_authority(cred.certificate.clone(), cred.attest_epoch(0));
         (n, cred)
-    }
-
-    /// The bare-item admission funnel (reconcile replies, path 3; the named
-    /// pull's replies, path 2, are dropped unread): a genuine detached
-    /// signature admits, a forgery is refused before it touches log or
-    /// cache, a tampered item cannot reuse a genuine signature, and a forged
-    /// revision cannot displace the real story. The defenses-off ablation
-    /// admits the same forgery.
-    #[test]
-    fn bare_item_admission_refuses_forgeries_on_repair_and_reconcile_paths() {
-        let (mut n, cred) = node_with_authority(NewsWireConfig::tech_news());
-        n.set_subscription(tech_sub());
-        let counts = Counts::install(&n);
-        let now = SimTime::from_secs(1);
-
-        let real = tech_item(0);
-        let sig = cred.sign(&real);
-        n.admit_bare_item(now, real.clone().into(), cred.key_id(), sig, NodeId(5));
-        assert!(n.has_item(real.id), "a genuinely signed bare item admits");
-        assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 0);
-
-        // A fabricated item under an invented signature is refused — and
-        // leaves no trace in the article log (a forged seq must not poison
-        // reconciliation into thinking it was seen).
-        let forged = tech_item(1);
-        n.admit_bare_item(now, forged.clone().into(), KeyId(99), Signature(77), NodeId(5));
-        assert!(!n.has_item(forged.id));
-        assert!(!n.cache.contains(forged.id));
-        assert!(!n.article_logs[&PublisherId(0)].contains(1), "forged seq not logged as seen");
-        assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 1);
-        assert_eq!(n.misbehavior.get(&5), Some(&MISBEHAVIOR_FORGED), "the sender took a strike");
-
-        // Tampering with a signed item invalidates its signature.
-        let original = tech_item(2);
-        let sig2 = cred.sign(&original);
-        let mut tampered = original.clone();
-        tampered.headline = "FAKE: markets collapse".into();
-        n.admit_bare_item(now, tampered.clone().into(), cred.key_id(), sig2, NodeId(6));
-        assert!(!n.has_item(tampered.id));
-        assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 2);
-
-        // A forged revision of a real slug is refused; revision 0 stays.
-        let rev0 = NewsItem::builder(PublisherId(0), 3)
-            .headline("story")
-            .slug("the-story")
-            .category(Category::Technology)
-            .build();
-        let rev0_sig = cred.sign(&rev0);
-        n.admit_bare_item(now, rev0.clone().into(), cred.key_id(), rev0_sig, NodeId(5));
-        assert!(n.cache.contains(rev0.id));
-        let fake_rev = NewsItem::builder(PublisherId(0), 4)
-            .headline("story, rewritten")
-            .slug("the-story")
-            .revision(1, Some(rev0.id))
-            .category(Category::Technology)
-            .build();
-        n.admit_bare_item(now, fake_rev.clone().into(), KeyId(1), Signature(2), NodeId(5));
-        assert!(n.cache.contains(rev0.id), "the real revision 0 survives");
-        assert!(!n.cache.contains(fake_rev.id), "the forged revision is refused");
-
-        // The ablation: defenses off admits the same forgery (what E18's
-        // undefended arms measure).
-        let mut cfg = NewsWireConfig::tech_news();
-        cfg.defenses = false;
-        let (mut open, _) = node_with_authority(cfg);
-        open.set_subscription(tech_sub());
-        let counts = Counts::install(&open);
-        open.admit_bare_item(now, forged.clone().into(), KeyId(99), Signature(77), NodeId(5));
-        assert!(open.has_item(forged.id), "defenses off admits the forgery");
-        assert_eq!(counts.of(&open, ctr::NW_FORGED_REJECTS), 0);
-    }
-
-    /// Stable-storage restore (path 4) re-verifies every item: a tampered
-    /// disk blob cannot resurrect forged content into the cache.
-    #[test]
-    fn stable_storage_restore_reverifies_signatures() {
-        let (mut n, cred) = node_with_authority(NewsWireConfig::tech_news());
-        n.set_subscription(tech_sub());
-        let counts = Counts::install(&n);
-        let now = SimTime::from_secs(1);
-        let good = tech_item(0);
-        let sig = cred.sign(&good);
-        let bad = tech_item(1);
-        let restored = n.restore_cached_items(
-            vec![
-                (good.clone().into(), cred.key_id(), sig),
-                (bad.clone().into(), KeyId(9), Signature(9)),
-            ],
-            now,
-        );
-        assert_eq!(restored, 1, "only the verifiable item restores");
-        assert!(n.cache.contains(good.id));
-        assert!(!n.cache.contains(bad.id));
-        assert_eq!(counts.of(&n, ctr::NW_FORGED_REJECTS), 1);
-    }
-
-    /// `item_sigs` tracks the cache, not the feed: what fusion, capacity
-    /// eviction or an obsolete arrival keeps out of the cache keeps no
-    /// signature either, so the map stays bounded beside a bounded cache.
-    #[test]
-    fn item_sigs_stay_in_step_with_a_bounded_cache() {
-        let mut cfg = NewsWireConfig::tech_news();
-        cfg.cache.max_items = 8;
-        let (mut n, cred) = node_with_authority(cfg);
-        n.set_subscription(tech_sub());
-        let now = SimTime::from_secs(1);
-        let admit = |n: &mut NewsWireNode, item: NewsItem| {
-            let sig = cred.sign(&item);
-            n.admit_bare_item(now, item.into(), cred.key_id(), sig, NodeId(5));
-        };
-        // Forty revisions of one story, newest first then a stale one …
-        for rev in 0..40u32 {
-            let item = NewsItem::builder(PublisherId(0), u64::from(rev))
-                .slug("running")
-                .revision(rev, None)
-                .category(Category::Technology)
-                .build();
-            admit(&mut n, item);
-        }
-        let stale = NewsItem::builder(PublisherId(0), 100)
-            .slug("running")
-            .revision(3, None)
-            .category(Category::Technology)
-            .build();
-        admit(&mut n, stale);
-        assert_eq!(n.cache.len(), 1, "fusion keeps the newest telling only");
-        assert_eq!(n.item_sigs.len(), 1);
-        // … then forty distinct stories through an eight-slot cache.
-        for seq in 200..240 {
-            admit(&mut n, tech_item(seq));
-        }
-        assert_eq!(n.cache.len(), 8);
-        assert_eq!(n.item_sigs.len(), 8);
-        assert_eq!(n.served_articles().len(), 8, "every cached item still has its proof");
-    }
-
-    /// `item_sigs` holds signatures of cached ids only, through a whole run:
-    /// a relay that hands an article on without caching it, an arrival out
-    /// of its scope and a revision obsolete on arrival leave no signature
-    /// behind. Two publishers revise their stories over a lossy WAN, and a
-    /// few of the tellings are scoped to one zone.
-    #[test]
-    fn item_sigs_hold_signatures_of_cached_ids_only() {
-        use crate::deploy::{DeploymentBuilder, PublisherSpec};
-        use newsml::PublisherProfile;
-        let mut d = DeploymentBuilder::new(40, 7)
-            .branching(4)
-            .wan(0.05)
-            .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
-            .publisher(PublisherSpec::global(PublisherProfile::boutique(
-                PublisherId(1),
-                "the-register",
-                Category::Science,
-            )))
-            .build();
-        d.settle(60);
-        let scope = astrolabe::ZoneId::root().child(1);
-        for seq in 0..24u64 {
-            for (publisher, category) in [(0, Category::Technology), (1, Category::Science)] {
-                let item = NewsItem::builder(PublisherId(publisher), seq)
-                    .headline(format!("p{publisher} story {}", seq / 4))
-                    .slug(format!("p{publisher}-story-{}", seq / 4))
-                    .revision((seq % 4) as u32, None)
-                    .category(category)
-                    .build();
-                let at = SimTime::from_micros(60_000_000 + 400_000 * seq);
-                if seq % 5 == 4 {
-                    d.publish_scoped(at, item, scope.clone());
-                } else {
-                    d.publish(at, item);
-                }
-            }
-        }
-        d.settle(40);
-        let mut signed = 0;
-        for (id, node) in d.sim.iter() {
-            for held in node.item_sigs.keys() {
-                assert!(node.cache.contains(*held), "{id} keeps a signature of uncached {held}");
-            }
-            signed += node.item_sigs.len();
-        }
-        assert!(signed > 0, "workload sanity: articles were cached");
     }
 
     /// Aliasing safety: caches share one allocation per article, so a
@@ -4118,10 +3284,12 @@ mod tests {
         let sigs: Vec<Signature> = published.iter().map(|i| cred.sign(i)).collect();
         let pristine: Vec<NewsItem> = published.iter().map(|i| (**i).clone()).collect();
         // B holds both articles; A only the first, so its log head is seq 1.
-        for (item, &sig) in published.iter().zip(&sigs) {
-            b.admit_bare_item(now, Arc::clone(item), cred.key_id(), sig, NodeId(9));
-        }
-        a.admit_bare_item(now, Arc::clone(&published[0]), cred.key_id(), sigs[0], NodeId(9));
+        let signed = |n: usize| {
+            let (item, key) = (Arc::clone(&published[n]), cred.key_id());
+            SignedItem { item, key, signature: sigs[n], basis: None }
+        };
+        b.absorb_recovered(now, NodeId(9), vec![signed(0), signed(1)]);
+        a.absorb_recovered(now, NodeId(9), vec![signed(0)]);
         assert!(Arc::ptr_eq(a.cache.get(published[0].id).unwrap(), &published[0]));
 
         // Every state-corruption strike, the forgery landing on the very
@@ -4151,21 +3319,23 @@ mod tests {
         assert!(state.items.iter().all(|(i, ..)| !published.iter().any(|p| Arc::ptr_eq(i, p))));
         a.cache = MessageCache::new(a.cfg.cache);
         let counts = Counts::install(&a);
-        a.restore_cached_items(state.items, now);
+        a.restore_items(state.items, now);
         assert!(counts.of(&a, ctr::NW_FORGED_REJECTS) > 0, "the tampered article does not restore");
 
         for ((item, &sig), pristine) in published.iter().zip(&sigs).zip(&pristine) {
             let held = b.cache.get(item.id).expect("B still caches it");
             assert!(Arc::ptr_eq(held, item), "B's handle is still the published allocation");
             assert_eq!(**held, *pristine, "…with the published content");
-            assert!(b.bare_item_ok(held, cred.key_id(), sig), "…that still verifies");
+            let verifies =
+                verify_bare_item(&b.registry, &cred.certificate, held, cred.key_id(), sig);
+            assert!(verifies, "…that still verifies");
         }
     }
 
     /// A node plus a pre-issued rotation for publisher 0: the original
     /// credential, the signed revocation record, and the successor
     /// credential — the unit-scale mirror of `DeploymentBuilder::build`.
-    fn node_with_rotation(
+    pub(super) fn node_with_rotation(
         cfg: NewsWireConfig,
     ) -> (
         NewsWireNode,
@@ -4199,119 +3369,6 @@ mod tests {
         let mut n = NewsWireNode::new(agent, cfg, Arc::new(registry));
         n.install_publisher_authority(cred.certificate.clone(), cred.attest_epoch(0));
         (n, cred, record, successor)
-    }
-
-    /// Adopting a rotation retires the old primary, installs the successor,
-    /// retroactively purges revoked-key items, and fences every admission
-    /// path — envelopes (1), reconcile replies (3), disk restore (4), and
-    /// epoch attestations (5) — against signatures
-    /// that still verify under the stolen key. No path takes a misbehavior
-    /// strike (an honest relay may simply be behind on the rotation), and
-    /// the successor key is immediately live.
-    #[test]
-    fn adopt_rotation_fences_every_admission_path() {
-        let (mut n, cred, record, successor) = node_with_rotation(NewsWireConfig::tech_news());
-        n.set_subscription(tech_sub());
-        let counts = Counts::install(&n);
-        let now = SimTime::from_secs(1);
-
-        // Pre-revocation the compromised key IS the publisher's key: its
-        // items admit (the exposure the oracle sanctions) and its
-        // envelopes pass the fence.
-        let old = tech_item(0);
-        let old_sig = cred.sign(&old);
-        n.admit_bare_item(now, old.clone().into(), cred.key_id(), old_sig, NodeId(5));
-        assert!(n.cache.contains(old.id));
-        let probe = tech_item(9);
-        let env = Envelope {
-            msg_id: msg_id_of(probe.id),
-            filter: FilterSpec::All,
-            scope: astrolabe::ZoneId::root(),
-            certificate: cred.certificate.clone(),
-            key: cred.key_id(),
-            signature: cred.sign(&probe),
-            attest: cred.attest_epoch(0),
-            basis: None,
-            item: probe.into(),
-        };
-        assert!(!n.envelope_fenced(&env), "pre-revocation envelopes pass");
-
-        assert!(n.adopt_rotation(&record), "a genuine record adopts");
-        assert!(n.rotation_adopted_at.is_some());
-        assert_eq!(n.publisher_certs[&PublisherId(0)].key, successor.key_id());
-        assert_eq!(n.retired_certs[&PublisherId(0)].key, cred.key_id());
-        assert!(!n.cache.contains(old.id), "the retroactive purge scrubbed the item");
-        assert_eq!(counts.of(&n, ctr::NW_RETRO_PURGED_ITEMS), 1);
-        assert_eq!(n.authority_epoch(PublisherId(0)), None, "revoked-key authority dropped");
-
-        // Path 1: the same envelope is now fenced before verification.
-        assert!(n.envelope_fenced(&env), "path 1 drops revoked-key envelopes");
-        // Path 3: a validly signed revoked-key item cannot re-enter through
-        // reconcile replies.
-        let replay = tech_item(1);
-        let replay_sig = cred.sign(&replay);
-        n.admit_bare_item(now, replay.clone().into(), cred.key_id(), replay_sig, NodeId(6));
-        assert!(!n.cache.contains(replay.id));
-        // Path 4: the revoked-key blob is dropped on disk restore.
-        let restored =
-            n.restore_cached_items(vec![(replay.clone().into(), cred.key_id(), replay_sig)], now);
-        assert_eq!(restored, 0, "disk restore re-checks the fence");
-        // Path 5: a bogus epoch bump signed by the stolen key carries no
-        // authority.
-        n.absorb_attest(&cred.attest_epoch(40));
-        assert_eq!(n.authority_epoch(PublisherId(0)), None);
-        assert_eq!(counts.of(&n, ctr::NW_REVOKED_KEY_REJECTS), 4);
-        assert!(n.misbehavior.is_empty(), "revoked-key rejects never strike the relay");
-
-        // The successor credential is live on every path.
-        let fresh = tech_item(2);
-        let fresh_sig = successor.sign(&fresh);
-        n.admit_bare_item(now, fresh.clone().into(), successor.key_id(), fresh_sig, NodeId(5));
-        assert!(n.cache.contains(fresh.id));
-        n.absorb_attest(&successor.attest_epoch(1));
-        assert_eq!(n.authority_epoch(PublisherId(0)), Some(1));
-    }
-
-    /// The freshness fence: rotation serials are monotonic per publisher —
-    /// an older (replayed) record cannot un-revoke a newer one, and a
-    /// record never adopts twice.
-    #[test]
-    fn rotation_freshness_fence_never_unrevokes() {
-        let (mut n, cred, older, _succ1) = node_with_rotation(NewsWireConfig::tech_news());
-        // A second, newer rotation for the same revoked key (serial 2).
-        let mut registry = TrustRegistry::new(1);
-        let cred2 = crate::auth::issue_publisher(
-            &mut registry,
-            PublisherId(0),
-            "slashdot",
-            &astrolabe::ZoneId::root(),
-            6000,
-        );
-        assert_eq!(cred2.certificate.key, cred.certificate.key, "issuance is deterministic");
-        let claims = vec![
-            ("publisher".to_owned(), "0".to_owned()),
-            ("scope".to_owned(), astrolabe::ZoneId::root().to_string()),
-            ("rate".to_owned(), "6000".to_owned()),
-        ];
-        let (newer, _) = registry.issue_rotation(
-            "publisher:slashdot".to_owned(),
-            cred2.certificate.key,
-            0,
-            2,
-            {
-                let mut c = claims.clone();
-                c.push(("note".to_owned(), "second".to_owned()));
-                c
-            },
-        );
-        assert!(n.adopt_rotation(&newer), "the serial-2 record adopts");
-        let primary = n.publisher_certs[&PublisherId(0)].key;
-        assert_eq!(primary, newer.successor.key);
-        assert!(!n.adopt_rotation(&older), "a replayed older serial is a no-op");
-        assert_eq!(n.publisher_certs[&PublisherId(0)].key, primary, "primary unchanged");
-        assert!(n.key_revoked(PublisherId(0), cred.key_id()), "the key stays revoked");
-        assert!(!n.adopt_rotation(&newer), "the same serial never adopts twice");
-        assert_eq!(n.rotation_serials[&PublisherId(0)], 2);
     }
 
     /// The §15 quarantine loophole, closed: with admission control on, an
@@ -4484,7 +3541,7 @@ mod tests {
     #[test]
     fn signed_authority_ignores_unsigned_epoch_claims() {
         let (mut n, cred) = node_with_authority(NewsWireConfig::tech_news());
-        assert_eq!(n.authority_epoch(PublisherId(0)), Some(0));
+        assert_eq!(n.trust.authority_epoch(PublisherId(0)), Some(0));
         // Claiming epoch 100 without the publisher's key goes nowhere.
         n.absorb_attest(&EpochAttest {
             publisher: PublisherId(0),
@@ -4492,13 +3549,13 @@ mod tests {
             key: cred.key_id(),
             signature: Signature(0xBAD),
         });
-        assert_eq!(n.authority_epoch(PublisherId(0)), Some(0));
+        assert_eq!(n.trust.authority_epoch(PublisherId(0)), Some(0));
         // A genuine re-signed bump is adopted…
         n.absorb_attest(&cred.attest_epoch(2));
-        assert_eq!(n.authority_epoch(PublisherId(0)), Some(2));
+        assert_eq!(n.trust.authority_epoch(PublisherId(0)), Some(2));
         // …and a stale genuine attestation never lowers it.
         n.absorb_attest(&cred.attest_epoch(1));
-        assert_eq!(n.authority_epoch(PublisherId(0)), Some(2));
+        assert_eq!(n.trust.authority_epoch(PublisherId(0)), Some(2));
         // No certificate held for the claimed publisher: fail closed.
         n.absorb_attest(&EpochAttest {
             publisher: PublisherId(7),
@@ -4506,7 +3563,7 @@ mod tests {
             key: cred.key_id(),
             signature: Signature(1),
         });
-        assert_eq!(n.authority_epoch(PublisherId(7)), None);
+        assert_eq!(n.trust.authority_epoch(PublisherId(7)), None);
     }
 
     /// With a publisher-signed attestation installed, the self-audit fences
@@ -4521,7 +3578,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(5);
         for seq in 0..3u64 {
-            n.handle_delivery(now, tech_item(seq).into(), UNSIGNED, false);
+            n.handle_delivery(now, Admitted::unverified(tech_item(seq)), false);
         }
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
         let hit = simnet::Node::apply_corruption(
@@ -4556,18 +3613,21 @@ mod tests {
             &mut rng,
         );
         assert_eq!(injected, 3);
-        let forged: Vec<Arc<NewsItem>> = forger.cache.iter().cloned().collect();
-        assert_eq!(forged.len(), 3, "the forger's cache holds the fabrications");
+        assert_eq!(forger.cache.len(), 3, "the forger's cache holds the fabrications");
 
         let (mut honest, _) = node_with_authority(NewsWireConfig::tech_news());
         honest.set_subscription(tech_sub());
         let counts = Counts::install(&honest);
         let now = SimTime::from_secs(1);
-        // The forger serves its cache the way a repair reply would: items
-        // wrapped with whatever signatures it recorded (bogus ones).
-        for si in forger.sign_items(forged, &[]) {
-            honest.admit_bare_item(now, si.item, si.key, si.signature, NodeId(1));
-        }
+        // The forger serves its cache the way a reconcile reply would:
+        // items wrapped with whatever signatures it recorded (bogus ones).
+        let served = forger.cache.iter_signed().map(|(item, (key, signature))| SignedItem {
+            item: Arc::clone(item),
+            key,
+            signature,
+            basis: None,
+        });
+        honest.absorb_recovered(now, NodeId(1), served.collect());
         assert_eq!(counts.of(&honest, ctr::NW_FORGED_REJECTS), 3, "every fabrication refused");
         assert!(honest.deliveries.is_empty());
         assert!(honest.quarantined(1), "three forged strikes quarantine the forger");

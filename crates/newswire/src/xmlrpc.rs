@@ -249,6 +249,7 @@ where
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // fills a cache without a network
 mod tests {
     use super::*;
     use crate::config::NewsWireConfig;
