@@ -367,6 +367,11 @@ impl Agent {
         &self.config
     }
 
+    /// The static zone layout this agent was placed in.
+    pub fn layout(&self) -> &ZoneLayout {
+        &self.layout
+    }
+
     /// The zone this agent replicates at `level`: its leaf zone at 0, the
     /// root at `levels() - 1`.
     ///

@@ -20,6 +20,7 @@ use amcast::{
 };
 use astrolabe::{
     Agent, AttrValue, GossipMsg, KeyId, RotationRecord, Signature, TrustRegistry, ZoneId,
+    ZoneLayout,
 };
 use newsml::{ItemId, NewsItem, PublisherId};
 use obs::{ctr, gauge, kind, series, Layer};
@@ -327,7 +328,7 @@ impl Ack {
 /// [`ACK_TAG_BASE`]) set for the earliest deadline, and the round-trip
 /// evidence the deadlines are drawn from. No timer is ever cancelled: a
 /// sweep that finds nothing due re-arms for the next deadline or goes idle.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Acks {
     /// By deadline, then in the order armed.
     entries: BTreeMap<(SimTime, u64), Ack>,
@@ -335,11 +336,62 @@ struct Acks {
     armed: u64,
     /// When the sweep timers set and not yet fired go off.
     sweeps: BTreeSet<SimTime>,
-    /// Round-trip evidence per peer, indexed by its [`PeerHealth`] slot.
+    /// This node's id and the layout it sits in: what [`Acks::zone_key`]
+    /// places a peer by.
+    me: u32,
+    layout: ZoneLayout,
+    /// Round-trip evidence per sibling zone, indexed by [`Acks::zone_key`].
     rtt: Vec<RttPeak>,
+    /// Hand-offs timed out per peer since a round trip to it was last
+    /// timed; a peer with none has no entry.
+    timeouts: HashMap<u32, u8>,
 }
 
 impl Acks {
+    /// An empty table for node `me`, with one round-trip estimate per key
+    /// [`Acks::zone_key`] can return: `(levels + 1) × branching`.
+    fn new(me: u32, layout: &ZoneLayout) -> Self {
+        let keys = (layout.levels() + 1) * usize::from(layout.branching());
+        Acks {
+            entries: BTreeMap::new(),
+            armed: 0,
+            sweeps: BTreeSet::new(),
+            me,
+            layout: layout.clone(),
+            rtt: vec![RttPeak::default(); keys],
+            timeouts: HashMap::new(),
+        }
+    }
+
+    /// Which estimate a round trip to `peer` feeds and is bounded by: the
+    /// zone `peer` sits in that is a sibling of one of this node's own —
+    /// `level × branching + label` at the first level where the two
+    /// leaf-zone paths differ — or, for a leaf mate, its own entry by
+    /// member slot. The zones mirror the network's hierarchy, so the
+    /// members of one sibling zone sit behind one path and share its round
+    /// trip. `None` for an id outside the layout (an external client, a
+    /// fabricated identity): it gets the ceiling.
+    fn zone_key(&self, peer: u32) -> Option<usize> {
+        if peer >= self.layout.agents() {
+            return None;
+        }
+        let b = usize::from(self.layout.branching());
+        let levels = self.layout.levels();
+        // Leaf-zone indices, whose base-b digits are the paths: walking up
+        // from the leaf level, the last level where the prefixes still
+        // differ is the first where the paths do.
+        let (mut mine, mut theirs) = (self.me as usize / b, peer as usize / b);
+        let mut key = levels * b + peer as usize % b;
+        for level in (0..levels).rev() {
+            if mine != theirs {
+                key = level * b + theirs % b;
+            }
+            mine /= b;
+            theirs /= b;
+        }
+        Some(key)
+    }
+
     fn insert(&mut self, due: SimTime, ack: Ack) {
         self.armed += 1;
         self.entries.insert((due, self.armed), ack);
@@ -370,129 +422,136 @@ impl Acks {
     /// well, and each copy awaits its own ack. Otherwise any ack naming a
     /// hand-off's zone settles it — the hand-offs to both representatives
     /// at once, and one that failed over by a late ack from the
-    /// representative it left — and times the round trip to `from` (health
-    /// `slot`) where Karn's rule allows.
-    fn settle(
-        &mut self,
-        msg_id: u64,
-        zone: &ZoneId,
-        from: u32,
-        slot: Option<usize>,
-        now: SimTime,
-    ) -> (bool, bool) {
+    /// representative it left. Either kind times the round trip to `from`
+    /// where Karn's rule allows.
+    fn settle(&mut self, msg_id: u64, zone: &ZoneId, from: u32, now: SimTime) -> (bool, bool) {
         let deliver = self
             .entries
             .iter()
             .filter(|(_, ack)| ack.zone.is_none() && ack.env.msg_id == msg_id && ack.peer == from)
             .min_by_key(|(_, ack)| ack.armed_at);
         if let Some(&key) = deliver.map(|(key, _)| key) {
-            self.entries.remove(&key);
+            let ack = self.entries.remove(&key).expect("the entry just found");
+            if ack.times_round_trip(from) {
+                self.note_rtt(from, now.saturating_since(ack.armed_at));
+            }
             return (false, true);
         }
-        let Acks { entries, rtt, .. } = self;
         let mut settled = false;
-        entries.retain(|_, ack| {
+        let mut timed = None;
+        self.entries.retain(|_, ack| {
             if ack.env.msg_id != msg_id || ack.zone.as_ref() != Some(zone) {
                 return true;
             }
             settled = true;
-            if let Some(slot) = slot.filter(|_| ack.times_round_trip(from)) {
-                RttPeak::at(rtt, slot).note(now.saturating_since(ack.armed_at));
+            if ack.times_round_trip(from) {
+                timed = Some(now.saturating_since(ack.armed_at));
             }
             false
         });
+        if let Some(rtt) = timed {
+            self.note_rtt(from, rtt);
+        }
         (settled, false)
     }
 
-    fn note_rtt(&mut self, slot: usize, rtt: SimDuration) {
-        RttPeak::at(&mut self.rtt, slot).note(rtt);
-    }
-
-    fn note_timeout(&mut self, slot: Option<usize>) {
-        if let Some(peak) = slot.and_then(|slot| self.rtt.get_mut(slot)) {
-            peak.note_timeout();
+    /// `peer` answered in `rtt`: its back-off is over, and the round trip
+    /// feeds its zone's estimate — unless it took longer than the ceiling.
+    /// A round trip that slow is one gray or overloaded member's, not the
+    /// path's, and would stretch every zone-mate's bound for good.
+    fn note_rtt(&mut self, peer: u32, rtt: SimDuration) {
+        self.timeouts.remove(&peer);
+        if rtt > ACK_TIMEOUT {
+            return;
+        }
+        if let Some(key) = self.zone_key(peer) {
+            self.rtt[key].note(rtt);
         }
     }
 
-    /// What a round trip to the peer in health `slot` is bounded by:
-    /// measured (see [`RttPeak::bound`]) and never above [`ACK_TIMEOUT`],
-    /// which is also the answer before any exchange with it has been timed.
-    fn round_trip_bound(&self, slot: Option<usize>) -> SimDuration {
-        slot.and_then(|slot| self.rtt.get(slot))
-            .and_then(|peak| peak.bound())
-            .map_or(ACK_TIMEOUT, |bound| bound.min(ACK_TIMEOUT))
+    /// A hand-off to `peer` went unacknowledged. Until a round trip to it
+    /// is timed again its bound stays backed off (the other half of Karn's
+    /// algorithm): a peer that has stopped answering — crashed, cut off —
+    /// is not hammered at the pace of its zone's healthy round trip, and
+    /// its live zone-mates are not slowed by it.
+    fn note_timeout(&mut self, peer: u32) {
+        let timeouts = self.timeouts.entry(peer).or_default();
+        *timeouts = timeouts.saturating_add(1);
     }
 
-    /// A new incarnation of the peer in `slot` starts unmeasured.
-    fn forget_rtt(&mut self, slot: usize) {
-        if let Some(peak) = self.rtt.get_mut(slot) {
-            *peak = RttPeak::default();
-        }
+    /// What a round trip to `peer` is bounded by: measured over its zone
+    /// (see [`RttPeak::bound`]), doubled per hand-off to `peer` timed
+    /// out since it last answered, and never above [`ACK_TIMEOUT`], which
+    /// is also the answer before any exchange with the zone has been timed.
+    fn round_trip_bound(&self, peer: u32) -> SimDuration {
+        let Some(bound) = self.zone_key(peer).and_then(|key| self.rtt[key].bound()) else {
+            return ACK_TIMEOUT;
+        };
+        let timeouts = self.timeouts.get(&peer).copied().unwrap_or(0);
+        let backed_off = 1u64.checked_shl(u32::from(timeouts)).unwrap_or(u64::MAX);
+        SimDuration::from_micros(bound.as_micros().saturating_mul(backed_off)).min(ACK_TIMEOUT)
+    }
+
+    /// A new incarnation of `peer` starts without a back-off; what round
+    /// trips into its zone measured stays, being the path's.
+    fn forget_timeouts(&mut self, peer: u32) {
+        self.timeouts.remove(&peer);
     }
 
     fn clear(&mut self) {
         self.entries.clear();
         self.sweeps.clear();
-        self.rtt.clear();
+        self.rtt.fill(RttPeak::default());
+        self.timeouts.clear();
     }
 }
 
-/// Round-trip evidence about one peer: the slowest exchange timed, how many
-/// were, and how many hand-offs have timed out since the last one.
+/// Samples after which a zone's bound drops to 1.25 times the slowest round
+/// trip timed. Until then the factor tightens from 5 by one per four samples
+/// and holds at 2: over a handful of samples the peak is likely to sit well
+/// under the path's slowest round trip, and a quarter on top of it would
+/// make live hand-offs look lost.
+const SETTLED_SAMPLES: u16 = 40;
+
+/// Round-trip evidence about one zone: the slowest exchange timed, and how
+/// many were.
 #[derive(Debug, Clone, Copy, Default)]
 struct RttPeak {
     peak_us: u32,
     samples: u16,
-    timeouts: u8,
 }
 
 impl RttPeak {
-    /// The evidence in `slot`, made room for.
-    fn at(peaks: &mut Vec<RttPeak>, slot: usize) -> &mut RttPeak {
-        if slot >= peaks.len() {
-            peaks.resize(slot + 1, RttPeak::default());
-        }
-        &mut peaks[slot]
-    }
-
     fn note(&mut self, rtt: SimDuration) {
         let us = u32::try_from(rtt.as_micros()).unwrap_or(u32::MAX);
         self.peak_us = self.peak_us.max(us);
         self.samples = self.samples.saturating_add(1);
-        self.timeouts = 0;
-    }
-
-    /// A hand-off to the peer went unacknowledged. Until an exchange with
-    /// it is timed again the bound stays backed off (the other half of
-    /// Karn's algorithm): a peer that has stopped answering — crashed, cut
-    /// off — is not hammered at the pace of its healthy round trip.
-    fn note_timeout(&mut self) {
-        self.timeouts = self.timeouts.saturating_add(1);
     }
 
     /// A bound the next round trip should not exceed: the peak times a
     /// safety factor that starts at 5 — a lone sample may be the path's
     /// *fastest* round trip, and a WAN leg's slowest delay is several times
-    /// its fastest — and tightens by one per four samples to 2, doubled per
-    /// timeout since the last sample. The peak never decays: a path that
-    /// was once slow keeps its long leash. `None` before any sample.
+    /// its fastest — tightens by one per four samples to 2, and drops to
+    /// 1.25 at [`SETTLED_SAMPLES`]. The peak never decays; a sample past
+    /// the ceiling never reaches it (see [`Acks::note_rtt`]). `None` before
+    /// any sample.
     fn bound(self) -> Option<SimDuration> {
         if self.samples == 0 {
             return None;
         }
-        let factor = 5u64.saturating_sub(u64::from(self.samples / 4)).max(2);
-        let backed_off = 1u64.checked_shl(u32::from(self.timeouts)).unwrap_or(u64::MAX);
-        Some(SimDuration::from_micros(
-            (u64::from(self.peak_us) * factor).saturating_mul(backed_off),
-        ))
+        let quarters = if self.samples >= SETTLED_SAMPLES {
+            5
+        } else {
+            4 * 5u64.saturating_sub(u64::from(self.samples / 4)).max(2)
+        };
+        Some(SimDuration::from_micros(u64::from(self.peak_us) * quarters / 4))
     }
 }
 
 /// Phi-accrual detectors over the peers a node has heard from. A peer takes
 /// the next free slot of the one [`PhiBank`] on its first message and keeps
 /// it; forgetting a peer clears the slot, so an unobserved and a forgotten
-/// peer read alike: unknown, not suspect. The acknowledgement table keeps
-/// what round trips to the peer have measured under the same slot.
+/// peer read alike: unknown, not suspect.
 #[derive(Debug)]
 struct PeerHealth {
     slot_of: HashMap<u32, u32>,
@@ -506,13 +565,11 @@ impl PeerHealth {
         PeerHealth { slot_of: HashMap::new(), bank }
     }
 
-    /// Records a heartbeat and returns the peer's slot.
-    fn heartbeat(&mut self, peer: u32, now: SimTime) -> usize {
+    fn heartbeat(&mut self, peer: u32, now: SimTime) {
         // Keys are distinct `u32`s, so the count of them fits one.
         let next = self.slot_of.len() as u32;
         let slot = *self.slot_of.entry(peer).or_insert(next) as usize;
         self.bank.heartbeat(slot, now);
-        slot
     }
 
     fn slot(&self, peer: u32) -> Option<usize> {
@@ -523,11 +580,11 @@ impl PeerHealth {
         self.slot(peer).is_some_and(|slot| self.bank.is_suspect(slot, now))
     }
 
-    /// Clears `peer`'s detector and returns its slot.
-    fn remove(&mut self, peer: u32) -> Option<usize> {
-        let slot = self.slot(peer)?;
-        self.bank.clear(slot);
-        Some(slot)
+    /// Clears `peer`'s detector.
+    fn remove(&mut self, peer: u32) {
+        if let Some(slot) = self.slot(peer) {
+            self.bank.clear(slot);
+        }
     }
 
     fn clear(&mut self) {
@@ -624,6 +681,7 @@ impl NewsWireNode {
         let cache = MessageCache::new(cfg.cache);
         agent.set_ingest_validation(cfg.defenses);
         let peer_health = PeerHealth::new(agent.config());
+        let acks = Acks::new(agent.id(), agent.layout());
         let mut node = NewsWireNode {
             agent,
             cfg,
@@ -637,7 +695,7 @@ impl NewsWireNode {
             log: ForwardLog::default(),
             deliveries: Vec::new(),
             load_bias: 0.0,
-            acks: Acks::default(),
+            acks,
             digest_probes: Vec::new(),
             article_logs: BTreeMap::new(),
             stubs: StubTable::default(),
@@ -931,24 +989,16 @@ impl NewsWireNode {
         }
     }
 
-    /// Any message from `from` is a heartbeat for its phi detector. Returns
-    /// the peer's health slot, so a handler that times a round trip need
-    /// not look it up again.
-    fn note_alive(&mut self, from: NodeId, now: SimTime) -> Option<usize> {
-        (from != NodeId::EXTERNAL).then(|| self.peer_health.heartbeat(from.0, now))
+    /// Any message from `from` is a heartbeat for its phi detector.
+    fn note_alive(&mut self, from: NodeId, now: SimTime) {
+        if from != NodeId::EXTERNAL {
+            self.peer_health.heartbeat(from.0, now);
+        }
     }
 
     /// What a round trip to `peer` is bounded by ([`Acks::round_trip_bound`]).
     fn round_trip_bound(&self, peer: u32) -> SimDuration {
-        self.acks.round_trip_bound(self.peer_health.slot(peer))
-    }
-
-    /// Forgets what this node has observed of `peer` — its φ detector and
-    /// its round trips — and so reads it as unknown, not suspect.
-    fn forget_peer(&mut self, peer: u32) {
-        if let Some(slot) = self.peer_health.remove(peer) {
-            self.acks.forget_rtt(slot);
-        }
+        self.acks.round_trip_bound(peer)
     }
 
     /// True when the phi detector suspects `peer` — or the misbehavior
@@ -1568,7 +1618,7 @@ impl NewsWireNode {
         let msg_id = ack.env.msg_id;
         let mut suspect = false;
         if ack.zone.is_some() {
-            self.acks.note_timeout(self.peer_health.slot(ack.peer));
+            self.acks.note_timeout(ack.peer);
             // Phi-accrual shortcut: when the detector already suspects the
             // representative, burning the remaining same-rep retries is
             // wasted time — fail over immediately.
@@ -2049,7 +2099,8 @@ impl NewsWireNode {
     /// target (its next message seeds a fresh detector).
     fn absorb_incarnation_bumps(&mut self) {
         for peer in self.agent.take_incarnation_bumps() {
-            self.forget_peer(peer);
+            self.peer_health.remove(peer);
+            self.acks.forget_timeouts(peer);
             // Misbehavior belonged to the previous life too: a reinstalled
             // node is not the liar its predecessor was. But only an
             // identity the registry still endorses earns the clean slate —
@@ -2337,16 +2388,16 @@ impl Node for NewsWireNode {
 
     fn on_message(&mut self, ctx: &mut Context<'_, NewsWireMsg>, from: NodeId, msg: NewsWireMsg) {
         self.clock = ctx.now();
-        let slot = self.note_alive(from, ctx.now());
+        self.note_alive(from, ctx.now());
         match msg {
             NewsWireMsg::Gossip { g, rot } => {
                 let now = ctx.now();
                 // A `DigestReply` closes the exchange this node's `Digest`
                 // opened: one timed round trip to `from`.
-                if let (Some(slot), GossipMsg::DigestReply { .. }) = (slot, &g) {
+                if let GossipMsg::DigestReply { .. } = &g {
                     if let Some(at) = self.digest_probes.iter().position(|&(p, _)| p == from.0) {
                         let (_, sent) = self.digest_probes.swap_remove(at);
-                        self.acks.note_rtt(slot, now.saturating_since(sent));
+                        self.acks.note_rtt(from.0, now.saturating_since(sent));
                     }
                 }
                 // Rider first, then row attributes: a revocation arriving
@@ -2421,7 +2472,7 @@ impl Node for NewsWireNode {
             NewsWireMsg::ForwardAck { msg_id, zone } => {
                 // A member's receipt for a `Deliver`, or a representative's
                 // for a hand-off.
-                let (handoff, deliver) = self.acks.settle(msg_id, &zone, from.0, slot, ctx.now());
+                let (handoff, deliver) = self.acks.settle(msg_id, &zone, from.0, ctx.now());
                 if deliver {
                     obs::metric_add!(self.agent.id(), ctr::NW_DELIVER_ACKS, 1);
                 }

@@ -51,6 +51,13 @@ fn delivery<'a>(d: &'a Deployment, item: &NewsItem) -> Vec<&'a DeliveryRecord> {
     d.sim.node(MEMBER).deliveries.iter().filter(|r| r.item == item.id).collect()
 }
 
+/// Half the publisher's round-trip bound to the member, in milliseconds: a
+/// link cut that long loses the copies sent into it, and the re-sends one
+/// bound later find it up again.
+fn half_bound_ms(d: &Deployment) -> u64 {
+    d.sim.node(PUBLISHER).round_trip_bound(MEMBER.0).as_micros() / 2_000
+}
+
 /// Cuts `from`→`to` from `at_ms` for `for_ms`.
 fn cut(d: &mut Deployment, from: NodeId, to: NodeId, at_ms: u64, for_ms: u64) {
     d.sim.schedule_link_cut(ms(at_ms), from, to);
@@ -90,9 +97,10 @@ fn two_delivers_lost_in_a_row_are_each_resent() {
     let mut d = one_zone(4);
     let items: Vec<NewsItem> = (0..4).map(tech_item).collect();
     publish(&mut d, 60_000, &items[0], false);
-    cut(&mut d, PUBLISHER, MEMBER, 60_999, 30);
+    let window = half_bound_ms(&d);
+    cut(&mut d, PUBLISHER, MEMBER, 60_999, window);
     publish(&mut d, 61_000, &items[1], false);
-    publish(&mut d, 61_020, &items[2], false);
+    publish(&mut d, 61_000 + window / 2, &items[2], false);
     publish(&mut d, 62_000, &items[3], false);
     d.settle(5);
     for item in &items {
@@ -115,7 +123,8 @@ fn a_lost_ack_costs_one_duplicate_and_no_second_delivery() {
     d.settle(2);
     let dups = count(&d, MEMBER, ctr::NW_DUPLICATES);
     let acks = count(&d, PUBLISHER, ctr::NW_DELIVER_ACKS);
-    cut(&mut d, MEMBER, PUBLISHER, 63_000, 30);
+    let window = half_bound_ms(&d);
+    cut(&mut d, MEMBER, PUBLISHER, 63_000, window);
     publish(&mut d, 63_000, &items[1], false);
     d.settle(5);
     assert_eq!(delivery(&d, &items[1]).len(), 1, "one application delivery");
@@ -143,17 +152,27 @@ fn the_pending_set_is_bounded_and_empties_when_the_member_is_dead() {
     d.settle(60);
     for id in dead {
         d.sim.schedule_crash(ms(60_000), id);
-        // Unmeasured, a dead member's `Deliver`s wait the 2 s ceiling, so
-        // the burst below outlasts none of them.
-        d.sim.node_mut(PUBLISHER).forget_peer(id.0);
     }
-    // The publisher's flow-control burst.
+    d.sim.run_until(ms(60_100));
+    // Unmeasured, as a member never timed is, a dead member's `Deliver`s
+    // wait the 2 s ceiling: measured, they would be written off three
+    // leaf round-trip bounds after leaving, faster than the drain fills
+    // the set.
+    let acks = &mut d.sim.node_mut(PUBLISHER).acks;
+    for id in dead {
+        let key = acks.zone_key(id.0).expect("a leaf mate");
+        acks.rtt[key] = RttPeak::default();
+    }
+    let bound = d.sim.node(PUBLISHER).round_trip_bound(dead[0].0);
+    assert_eq!(bound, ACK_TIMEOUT);
+    // The publisher's flow-control burst, watched for half a bound: the
+    // burst below outlasts none of the first copies.
     let n = 200;
     for seq in 0..n {
         d.publish(ms(61_000), tech_item(seq));
     }
     let mut peak = 0;
-    for step in 1..=40 {
+    for step in 1..=bound.as_micros() / 2_000 / 25 {
         d.sim.run_until(ms(61_000 + 25 * step));
         peak = peak.max(d.sim.node(PUBLISHER).acks.delivers());
     }
@@ -170,55 +189,235 @@ fn the_pending_set_is_bounded_and_empties_when_the_member_is_dead() {
 /// (d) The estimator: nothing measured ⇒ the configured ceiling; whatever
 /// is measured, the bound is never below the slowest round trip seen nor
 /// above the ceiling; and on the WAN model it clears the slowest round trip
-/// the path *can* produce from the first sample on.
+/// the path *can* produce on all but a rare check.
 #[test]
 fn the_round_trip_bound_is_measured_conservative_and_capped() {
-    let cfg = NewsWireConfig::tech_news();
     let ceiling = ACK_TIMEOUT;
-    let layout = astrolabe::ZoneLayout::new(4, 4);
+    let layout = astrolabe::ZoneLayout::new(8, 4);
     let agent = Agent::new(0, &layout, astrolabe::Config::standard(), vec![]);
-    let mut n = NewsWireNode::new(agent, cfg, Arc::new(TrustRegistry::new(1)));
-    let now = SimTime::from_secs(1);
-
-    assert_eq!(n.round_trip_bound(7), ceiling, "a peer never heard from");
-    let slot = n.note_alive(NodeId(7), now).expect("a real peer has a slot");
+    let mut n =
+        NewsWireNode::new(agent, NewsWireConfig::tech_news(), Arc::new(TrustRegistry::new(1)));
+    // Node 7 sits in /1, the sibling of this node's leaf zone /0.
+    assert_eq!(n.round_trip_bound(7), ceiling, "a zone never timed");
+    n.note_alive(NodeId(7), SimTime::from_secs(1));
     assert_eq!(n.round_trip_bound(7), ceiling, "heard from, nothing timed");
 
-    // Round trips over an inter-region WAN link: two one-way draws.
+    // Round trips over an inter-region WAN link: two one-way draws, 200
+    // per seed. Whatever is timed, the bound stays between the slowest
+    // round trip seen and the ceiling, and after 200 samples under 720 ms.
+    // Counted: checks whose bound is under the slowest round trip the link
+    // can produce, and checks the next live round trip outruns.
     let wan = LatencyModel::wan_defaults(vec![0, 1]);
     let slowest = SimDuration::from_millis(2 * 180);
-    for seed in 0..50 {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        n.forget_peer(7);
+    let draws = |n: &mut NewsWireNode, fresh_per_seed: bool| {
+        n.acks.clear();
+        let (mut checks, mut short, mut outrun) = (0u32, 0u32, 0u32);
         let mut largest = SimDuration::ZERO;
-        for _ in 0..200 {
-            let rtt = wan.sample(NodeId(0), NodeId(1), &mut rng)
-                + wan.sample(NodeId(1), NodeId(0), &mut rng);
-            largest = largest.max(rtt);
-            n.acks.note_rtt(slot, rtt);
-            let bound = n.round_trip_bound(7);
-            assert!(bound >= largest && bound <= ceiling);
-            assert!(bound >= slowest, "seed {seed}: {bound:?} would time out a live hand-off");
+        for seed in 0..50 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rtt = || {
+                wan.sample(NodeId(0), NodeId(1), &mut rng)
+                    + wan.sample(NodeId(1), NodeId(0), &mut rng)
+            };
+            if fresh_per_seed {
+                n.acks.clear();
+                largest = SimDuration::ZERO;
+            }
+            for _ in 0..200 {
+                let sample = rtt();
+                largest = largest.max(sample);
+                n.acks.note_rtt(7, sample);
+                let bound = n.round_trip_bound(7);
+                assert!(bound >= largest && bound <= ceiling);
+                checks += 1;
+                short += u32::from(bound < slowest);
+                outrun += u32::from(rtt() > bound);
+            }
+            let settled = n.round_trip_bound(7);
+            assert!(settled <= SimDuration::from_millis(720), "sub-second: {settled:?}");
         }
-        assert!(n.round_trip_bound(7) <= SimDuration::from_millis(720), "and it is sub-second");
+        (checks, short, outrun)
+    };
+    // Fifty estimates from their first sample, and one zone's estimate
+    // over all 10,000 draws as a run keeps it: either way at most one
+    // bound in 2,000 under the slowest round trip, and at most one live
+    // round trip in 2,000 outrunning its bound — a spurious retry.
+    for fresh_per_seed in [true, false] {
+        let (checks, short, outrun) = draws(&mut n, fresh_per_seed);
+        assert!(short * 2_000 <= checks, "{short} of {checks} bounds under {slowest:?}");
+        assert!(outrun * 2_000 <= checks, "{outrun} of {checks} round trips outran the bound");
     }
 
     // Unacknowledged hand-offs back the bound off until the peer is timed
     // again — a dead peer ends up on the ceiling's ladder, not its own.
     let measured = n.round_trip_bound(7);
-    n.acks.note_timeout(Some(slot));
+    n.acks.note_timeout(7);
     assert_eq!(n.round_trip_bound(7), measured + measured);
     for _ in 0..300 {
-        n.acks.note_timeout(Some(slot));
+        n.acks.note_timeout(7);
     }
     assert_eq!(n.round_trip_bound(7), ceiling);
-    n.acks.note_rtt(slot, SimDuration::from_millis(200));
-    assert_eq!(n.round_trip_bound(7), measured, "it answered: the measured bound is back");
+    n.acks.note_rtt(7, SimDuration::from_millis(200));
+    let key = n.acks.zone_key(7).expect("7 is in the layout");
+    let back = n.acks.rtt[key].bound().expect("timed");
+    assert_eq!(n.round_trip_bound(7), back, "it answered: the measured bound is back");
+    assert!(back < SimDuration::from_millis(720));
+    n.acks.note_timeout(7);
+    n.acks.forget_timeouts(7);
+    assert_eq!(n.round_trip_bound(7), back, "a new incarnation starts without the back-off");
 
-    n.acks.note_rtt(slot, SimDuration::from_secs(30));
-    assert_eq!(n.round_trip_bound(7), ceiling, "a gray peer's leash stops at the ceiling");
-    n.forget_peer(7);
-    assert_eq!(n.round_trip_bound(7), ceiling, "a new incarnation starts unmeasured");
+    n.acks.clear();
+    assert_eq!(n.round_trip_bound(7), ceiling, "a restart starts unmeasured");
+    n.acks.note_rtt(7, SimDuration::from_millis(1_900));
+    assert_eq!(n.round_trip_bound(7), ceiling, "a slow zone's leash stops at the ceiling");
+}
+
+/// An acknowledgement table of node 0 in four leaf zones of four: leaf
+/// mates 1–3 in /0, then /1 (4–7), /2 (8–11) and /3 (12–15).
+fn table() -> Acks {
+    Acks::new(0, &astrolabe::ZoneLayout::new(16, 4))
+}
+
+/// Evidence is pooled per sibling zone: one representative's round trip
+/// bounds a hand-off to its zone-mate, and no other zone's.
+#[test]
+fn a_sample_from_one_representative_tightens_its_zone_mates_bound() {
+    let mut acks = table();
+    acks.note_rtt(4, SimDuration::from_millis(100));
+    assert!(acks.round_trip_bound(5) < ACK_TIMEOUT, "5 shares /1 with 4");
+    assert_eq!(acks.round_trip_bound(5), acks.round_trip_bound(4));
+    assert_eq!(acks.round_trip_bound(8), ACK_TIMEOUT, "/2 was never timed");
+    assert_eq!(acks.round_trip_bound(1), ACK_TIMEOUT, "nor was a leaf mate");
+
+    // Three levels of zones of two: node 0's path is /0/0; 2 and 3 share
+    // /0/1, 4–7 share /1, and every key is in range.
+    let deep = Acks::new(0, &astrolabe::ZoneLayout::new(8, 2));
+    assert_eq!(deep.zone_key(2), deep.zone_key(3));
+    assert_eq!(deep.zone_key(4), deep.zone_key(7));
+    assert_ne!(deep.zone_key(2), deep.zone_key(4));
+    assert!((1..8).all(|peer| deep.zone_key(peer).is_some_and(|key| key < deep.rtt.len())));
+}
+
+/// One gray member of a zone — 2 s more each way than its mates — neither
+/// stretches nor backs off its mates' bound: a round trip past the ceiling
+/// stays out of the zone's estimate, and a hand-off timed out on it backs
+/// off that member alone.
+#[test]
+fn a_gray_zone_mate_leaves_its_mates_bound_measured() {
+    let mut acks = table();
+    for rtt in [100, 140, 120, 160, 110] {
+        acks.note_rtt(4, SimDuration::from_millis(rtt));
+    }
+    let measured = acks.round_trip_bound(5);
+    assert!(measured < SimDuration::from_millis(800), "{measured:?}");
+    acks.note_rtt(6, SimDuration::from_millis(4_130));
+    assert_eq!(acks.round_trip_bound(5), measured, "the gray round trip is not the path's");
+    assert_eq!(acks.round_trip_bound(6), measured, "nor its own leash");
+    acks.note_timeout(6);
+    assert_eq!(acks.round_trip_bound(6), measured * 2);
+    assert_eq!(acks.round_trip_bound(5), measured, "the back-off is the peer's");
+    acks.note_rtt(6, SimDuration::from_millis(4_090));
+    assert_eq!(acks.round_trip_bound(6), measured, "it answered, late: the back-off is over");
+}
+
+/// Leaf mates are one hop apart each, not one path: each keeps its own
+/// estimate, by member slot.
+#[test]
+fn leaf_mates_stay_apart() {
+    let mut acks = table();
+    acks.note_rtt(1, SimDuration::from_millis(20));
+    assert!(acks.round_trip_bound(1) < ACK_TIMEOUT);
+    assert_eq!(acks.round_trip_bound(2), ACK_TIMEOUT, "2's round trip was never timed");
+    assert_ne!(acks.zone_key(1), acks.zone_key(2));
+    assert_ne!(acks.zone_key(1), acks.zone_key(4), "and no leaf mate shares a sibling's entry");
+}
+
+/// Karn's rule on the final hop: the ack of a `Deliver` sent once times a
+/// round trip to its member; the ack of a re-sent one times nothing.
+#[test]
+fn a_first_transmission_deliver_ack_adds_a_sample_and_a_resent_ones_none() {
+    let env = envelope(3);
+    let leaf = ZoneId::root().child(0);
+    let armed_at = SimTime::from_secs(1);
+    let now = armed_at + SimDuration::from_millis(20);
+    let deliver = |attempt| Ack {
+        env: Arc::clone(&env),
+        peer: 1,
+        zone: None,
+        attempt,
+        tried: Vec::new(),
+        armed_at,
+    };
+    let mut acks = table();
+    let samples = |acks: &Acks| acks.rtt[acks.zone_key(1).expect("a leaf mate")].samples;
+    acks.insert(now + ACK_TIMEOUT, deliver(0));
+    assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (false, true));
+    assert_eq!(samples(&acks), 1, "the first transmission's ack is timed");
+    acks.insert(now + ACK_TIMEOUT, deliver(1));
+    assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (false, true));
+    assert_eq!(samples(&acks), 1, "a re-send's ack could be either copy's");
+}
+
+/// On a link whose delay never varies, a settled bound keeps a quarter of
+/// the round trip as its margin: a live ack is never outrun by its own
+/// bound.
+#[test]
+fn a_constant_links_bound_stays_above_its_round_trip() {
+    let mut acks = table();
+    let rtt = SimDuration::from_millis(20);
+    for _ in 0..100 {
+        acks.note_rtt(1, rtt);
+    }
+    let bound = acks.round_trip_bound(1);
+    assert_eq!(bound, rtt + rtt / 4, "1.25 × the round trip, once settled");
+    assert!(bound > rtt);
+}
+
+/// The zone key is total: an id outside the layout — an external client, a
+/// fabricated Sybil identity — has no entry, gets the ceiling, and its acks
+/// and replies settle what they settle without panicking or timing a round
+/// trip.
+#[test]
+fn an_id_outside_the_layout_has_no_entry_and_gets_the_ceiling() {
+    let env = envelope(4);
+    let zone = ZoneId::root().child(1);
+    let now = SimTime::from_secs(2);
+    let mut acks = table();
+    for stranger in [SYBIL_ID_BASE + 1, NodeId::EXTERNAL.0] {
+        assert_eq!(acks.zone_key(stranger), None);
+        acks.note_rtt(stranger, SimDuration::from_millis(50));
+        acks.note_timeout(stranger);
+        assert_eq!(acks.round_trip_bound(stranger), ACK_TIMEOUT);
+        for hop in [Some(zone.clone()), None] {
+            let ack = Ack {
+                env: Arc::clone(&env),
+                peer: stranger,
+                zone: hop.clone(),
+                attempt: 0,
+                tried: Vec::new(),
+                armed_at: now,
+            };
+            acks.insert(now + ACK_TIMEOUT, ack);
+            let settled = acks.settle(env.msg_id, &zone, stranger, now + ACK_TIMEOUT);
+            assert_eq!(settled, (hop.is_some(), hop.is_none()));
+        }
+    }
+    assert!(acks.entries.is_empty());
+    assert!(acks.rtt.iter().all(|rtt| rtt.samples == 0), "nothing was timed");
+
+    // Through the handlers: an external ack and digest reply are dropped.
+    let mut d = one_zone(8);
+    let g = GossipMsg::DigestReply {
+        rows: Vec::new(),
+        want: Vec::new(),
+        refresh: Vec::new(),
+        want_full: Vec::new(),
+    };
+    d.sim.schedule_external(ms(60_001), PUBLISHER, NewsWireMsg::Gossip { g, rot: None });
+    let ack = NewsWireMsg::ForwardAck { msg_id: env.msg_id, zone: ZoneId::root() };
+    d.sim.schedule_external(ms(60_002), PUBLISHER, ack);
+    d.settle(1);
+    assert_eq!(d.sim.node(PUBLISHER).round_trip_bound(NodeId::EXTERNAL.0), ACK_TIMEOUT);
 }
 
 /// (d) Karn's rule, through the real handlers: the same run with and
@@ -251,11 +450,10 @@ fn a_retransmitted_handoff_contributes_no_sample() {
         let publisher = d.sim.node(PUBLISHER);
         let handoffs = publisher.acks.entries.values().filter(|ack| ack.zone.is_some());
         assert_eq!(handoffs.count(), 0, "the hand-off was acknowledged");
-        let timed: u32 = reps
-            .iter()
-            .filter_map(|&rep| publisher.acks.rtt.get(publisher.peer_health.slot(rep)?))
-            .map(|rtt| u32::from(rtt.samples))
-            .sum();
+        // Both representatives feed the one estimate of their zone.
+        let key = publisher.acks.zone_key(reps[0]);
+        assert_eq!(key, publisher.acks.zone_key(reps[1]));
+        let timed = publisher.acks.rtt[key.expect("/1 is in the layout")].samples;
         (count(&d, PUBLISHER, ctr::NW_ACK_RETRIES), timed)
     };
     let (clean_retries, clean_timed) = run(false);
@@ -474,7 +672,7 @@ fn an_ack_settles_hand_offs_by_zone_and_a_deliver_by_its_member() {
         tried,
         armed_at,
     };
-    let mut acks = Acks::default();
+    let mut acks = table();
     let due = now + ACK_TIMEOUT;
     // The hand-off to /1 failed over from representative 6 to 7.
     acks.insert(due, ack(7, Some(&near), vec![6]));
@@ -488,17 +686,20 @@ fn an_ack_settles_hand_offs_by_zone_and_a_deliver_by_its_member() {
     let kinds =
         |acks: &Acks| acks.entries.values().map(|a| (a.peer, a.zone.is_some())).collect::<Vec<_>>();
 
-    assert_eq!(acks.settle(msg_id, &near, 6, Some(0), now), (true, false), "the late ack settles");
-    assert!(acks.rtt.first().is_none_or(|peak| peak.samples == 0), "and times nothing");
-    assert_eq!(acks.settle(msg_id + 1, &far, 10, None, now), (false, false), "another article");
-    assert_eq!(acks.settle(msg_id, &far, 11, Some(1), now), (true, false));
-    assert_eq!(acks.rtt[1].samples, 1, "11 answered its own first transmission");
+    let samples = |acks: &Acks, peer| acks.rtt[acks.zone_key(peer).expect("in the layout")].samples;
+
+    assert_eq!(acks.settle(msg_id, &near, 6, now), (true, false), "the late ack settles");
+    assert_eq!(samples(&acks, 6), 0, "and times nothing");
+    assert_eq!(acks.settle(msg_id + 1, &far, 10, now), (false, false), "another article");
+    assert_eq!(acks.settle(msg_id, &far, 11, now), (true, false));
+    assert_eq!(samples(&acks, 11), 1, "11 answered its own first transmission");
     assert_eq!(kinds(&acks), vec![(2, false), (3, false), (3, true)], "both to /2 settled");
 
-    assert_eq!(acks.settle(msg_id, &leaf, 2, None, now), (false, true));
+    assert_eq!(acks.settle(msg_id, &leaf, 2, now), (false, true));
+    assert_eq!(samples(&acks, 2), 1, "member 2 answered its own first transmission");
     assert_eq!(kinds(&acks), vec![(3, false), (3, true)], "member 3's still wait");
-    assert_eq!(acks.settle(msg_id, &leaf, 3, None, now), (false, true), "the Deliver first");
-    assert_eq!(acks.settle(msg_id, &leaf, 3, None, now), (true, false), "then the hand-off");
+    assert_eq!(acks.settle(msg_id, &leaf, 3, now), (false, true), "the Deliver first");
+    assert_eq!(acks.settle(msg_id, &leaf, 3, now), (true, false), "then the hand-off");
     assert!(acks.entries.is_empty());
 }
 
@@ -515,7 +716,7 @@ fn the_sweep_takes_what_is_due_in_deadline_then_arming_order() {
         tried: Vec::new(),
         armed_at: SimTime::ZERO,
     };
-    let mut acks = Acks::default();
+    let mut acks = table();
     assert_eq!(acks.sweep_needed(), None, "an empty table needs no sweep");
     acks.insert(ms(200), entry(1));
     assert_eq!(acks.sweep_needed(), Some(ms(200)));

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Interleaved A/B of one benchmark workload between two trees.
 #
-#   scripts/ab.sh <workload> <pairs> <A> [<dirB>]
+#   scripts/ab.sh [--from <seed>] <workload> <pairs> <A> [<dirB>]
 #
 # <A> is a checked-out tree or a git revision of this repository; a revision
 # is exported once (`git archive`) to target/ab/<commit> and built there.
@@ -9,13 +9,21 @@
 # HEAD` is the no-regression run of uncommitted work against its parent.
 #
 # Each tree runs its *own* `benchmark` binary (built here if missing), one
-# `--child --trace 0` repetition per side per pair, seeds 101, 102, …, the
-# side that goes first alternating. Prints every pair, then per metric the
+# `--child --trace 0` repetition per side per pair, seeds 101, 102, … (or
+# from `--from <seed>`, so an acceptance run can use seeds that tuned
+# nothing), the side that goes first alternating. Prints every pair, then per metric the
 # medians, quartiles (Python's exclusive method, as the acceptance rule is
 # stated) and how many pairs B won, for all nine end-to-end metrics. Lower is
 # better except `delivered_pct`.
 set -euo pipefail
-[ $# -eq 3 ] || [ $# -eq 4 ] || { echo "usage: $0 <workload> <pairs> <dirA|rev> [<dirB>]" >&2; exit 2; }
+usage="usage: $0 [--from <seed>] <workload> <pairs> <dirA|rev> [<dirB>]"
+first=101
+if [ "${1:-}" = --from ]; then
+  [[ ${2:-} =~ ^[0-9]+$ ]] || { echo "$usage" >&2; exit 2; }
+  first=$2
+  shift 2
+fi
+[ $# -eq 3 ] || [ $# -eq 4 ] || { echo "$usage" >&2; exit 2; }
 root=$(cd "$(dirname "$0")/.." && pwd)
 workload=$1 pairs=$2 dir_a=$3 dir_b=${4:-$root}
 if [ ! -d "$dir_a" ]; then
@@ -46,7 +54,7 @@ run() { # side exe seed
 
 printf '%-5s %-4s' seed side; printf ' %24s' $metrics; echo
 for i in $(seq 1 "$pairs"); do
-  seed=$((100 + i))
+  seed=$((first + i - 1))
   if [ $((i % 2)) -eq 1 ]; then run A "$bin_a" $seed; run B "$bin_b" $seed
   else run B "$bin_b" $seed; run A "$bin_a" $seed; fi
   for side in A B; do
@@ -56,13 +64,13 @@ for i in $(seq 1 "$pairs"); do
   done
 done
 
-python3 - "$out" "$pairs" $metrics <<'PY'
+python3 - "$out" "$pairs" "$first" $metrics <<'PY'
 import statistics, sys
-out, pairs, metrics = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+out, pairs, first, metrics = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
 def read(side, seed):
     with open(f"{out}/{side}.{seed}") as f:
         return {k: float(v) for k, v in (line.split() for line in f)}
-runs = {s: [read(s, 100 + i) for i in range(1, pairs + 1)] for s in "AB"}
+runs = {s: [read(s, first + i) for i in range(pairs)] for s in "AB"}
 def spread(v):
     q = statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
