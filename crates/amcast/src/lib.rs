@@ -15,16 +15,19 @@
 //! * [`SeqLog`] — epoch/sequence-numbered per-source article logs whose
 //!   fixed-size [`RangeSummary`] digests piggyback on gossip to drive
 //!   anti-entropy hole detection after partitions.
-//! * [`McastNode`] — the composed simulated node (Astrolabe agent +
-//!   forwarding component).
 //! * [`PbcastNode`] — Bimodal Multicast, the yardstick protocol of §5.
+//!
+//! The forwarding node itself is NewsWire's (`newswire::NewsWireNode`): it
+//! routes with [`route`], drains [`ForwardingQueues`] under
+//! [`FORWARD_STRATEGY`] at one message per [`SERVICE_INTERVAL`], and admits
+//! duties through a [`CoverageWindow`].
 //!
 //! # Example
 //!
 //! ```
-//! use amcast::{FilterSpec, McastData, McastMsg, McastNode};
-//! use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
-//! use simnet::{NetworkModel, NodeId, SimDuration, SimTime, Simulation};
+//! use amcast::{route, Action, FilterSpec};
+//! use astrolabe::{AstroNode, Agent, Config, ZoneId, ZoneLayout};
+//! use simnet::{fork, NetworkModel, NodeId, SimDuration, SimTime, Simulation};
 //!
 //! let n = 16;
 //! let layout = ZoneLayout::new(n, 4);
@@ -32,27 +35,19 @@
 //! config.branching = 4;
 //! let mut sim = Simulation::new(NetworkModel::ideal(SimDuration::from_millis(10)), 3);
 //! for i in 0..n {
-//!     let agent = Agent::new(i, &layout, config.clone(), vec![0]);
-//!     sim.add_node(McastNode::new(agent, 1));
+//!     sim.add_node(AstroNode::new(Agent::new(i, &layout, config.clone(), vec![0])));
 //! }
 //! // Let membership and representative election converge…
 //! sim.run_until(SimTime::from_secs(40));
-//! // …then multicast from node 0 to the whole system.
-//! let data = McastData {
-//!     id: 424242,
-//!     origin: 0,
-//!     priority: 3,
-//!     payload: bytes::Bytes::from_static(b"breaking"),
-//!     filter: FilterSpec::All,
-//! };
-//! sim.schedule_external(
-//!     SimTime::from_secs(40),
-//!     NodeId(0),
-//!     McastMsg::Publish { data, scope: ZoneId::root() },
-//! );
-//! sim.run_until(SimTime::from_secs(50));
-//! let delivered = sim.iter().filter(|(_, node)| node.has_delivered(424242)).count();
-//! assert_eq!(delivered, n as usize);
+//! // …then compute node 0's share of a multicast to the whole system: one
+//! // representative for each of the three other top-level zones, and the
+//! // final hop to the other three members of its own leaf zone.
+//! let agent = &sim.node(NodeId(0)).agent;
+//! let actions = route(agent, &FilterSpec::All, &ZoneId::root(), 1, &mut fork(3, 0));
+//! let forwards = actions.iter().filter(|a| matches!(a, Action::Forward { .. })).count();
+//! let finals = actions.iter().filter(|a| matches!(a, Action::Deliver { .. })).count();
+//! assert_eq!((forwards, finals), (3, 3));
+//! assert!(actions.contains(&Action::DeliverLocal));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,16 +57,14 @@ mod bimodal;
 mod dedup;
 mod log;
 mod mcast;
-mod node;
 mod queues;
 mod seqlog;
 
 pub use bimodal::{PbcastConfig, PbcastMsg, PbcastNode};
 pub use dedup::{CoverageWindow, DedupWindow};
 pub use log::{ForwardEvent, ForwardLog, LogRecord};
-pub use mcast::{route, zone_reps, Action, FilterSpec, McastData};
-pub use node::{McastMsg, McastNode, FORWARD_STRATEGY, SERVICE_INTERVAL};
-pub use queues::{ForwardingQueues, Queued, Strategy};
+pub use mcast::{route, zone_reps, Action, FilterSpec};
+pub use queues::{ForwardingQueues, Queued, Strategy, FORWARD_STRATEGY, SERVICE_INTERVAL};
 pub use seqlog::{BaselineHint, RangeSummary, SeqLog};
 
 #[cfg(test)]

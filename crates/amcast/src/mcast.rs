@@ -14,7 +14,6 @@
 //! mask) is tested first; uninterested subtrees are pruned.
 
 use astrolabe::{eval_predicate, Agent, AttrValue, Expr, Mib, ZoneId};
-use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
@@ -112,29 +111,6 @@ impl FilterSpec {
     #[must_use]
     pub fn and(self, other: FilterSpec) -> FilterSpec {
         FilterSpec::Both(Box::new(self), Box::new(other))
-    }
-}
-
-/// One multicast payload travelling through the tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct McastData {
-    /// Globally unique message id (publisher-assigned; drives duplicate
-    /// suppression).
-    pub id: u64,
-    /// Originating node.
-    pub origin: u32,
-    /// Priority class (NITF urgency; smaller = more urgent).
-    pub priority: u8,
-    /// Opaque payload.
-    pub payload: Bytes,
-    /// Per-hop interest test.
-    pub filter: FilterSpec,
-}
-
-impl McastData {
-    /// Approximate serialized size.
-    pub fn wire_size(&self) -> usize {
-        8 + 4 + 1 + self.payload.len() + self.filter.wire_size()
     }
 }
 
@@ -341,17 +317,5 @@ mod tests {
         assert!(combined.admits(&premium));
         assert!(!combined.admits(&free));
         assert!(combined.wire_size() > 2);
-    }
-
-    #[test]
-    fn wire_sizes_reflect_contents() {
-        let d = McastData {
-            id: 1,
-            origin: 0,
-            priority: 5,
-            payload: Bytes::from_static(b"0123456789"),
-            filter: FilterSpec::All,
-        };
-        assert_eq!(d.wire_size(), 8 + 4 + 1 + 10 + 1);
     }
 }

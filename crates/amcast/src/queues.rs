@@ -9,6 +9,15 @@
 
 use std::collections::VecDeque;
 
+use simnet::SimDuration;
+
+/// Queue discipline of every forwarding component (a NewsWire node's).
+pub const FORWARD_STRATEGY: Strategy = Strategy::WeightedRoundRobin;
+
+/// Service time per forwarded message (models forwarding bandwidth; queues
+/// build up when the offered load exceeds it).
+pub const SERVICE_INTERVAL: SimDuration = SimDuration::from_micros(500);
+
 /// One queued forward, generic in the payload `T`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Queued<T> {

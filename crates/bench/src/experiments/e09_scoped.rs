@@ -5,126 +5,104 @@
 //! to publish data into. This for example allows the publisher to
 //! disseminate localized news items in Asia."
 //!
-//! We publish the same item stream twice — once into the root, once into a
-//! single top-level zone — and compare total network work and containment
-//! (deliveries outside the scope must be zero even though the publisher
-//! itself sits in a *different* region and relays in).
+//! We publish the same item stream twice over the first-pass tree (k = 1,
+//! no acks, no anti-entropy) — once into the root, once into a single
+//! top-level zone — and compare the tree's forwarding work (`nw_forwards`
+//! over the publish window) and containment (deliveries outside the scope
+//! must be zero even though the publisher itself sits in a *different*
+//! region and relays in).
 
-use amcast::{FilterSpec, McastData, McastMsg, McastNode};
-use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
-use bytes::Bytes;
-use rand::Rng;
-use simnet::{fork, NetworkModel, NodeId, SimTime, Simulation};
+use std::collections::HashSet;
 
+use astrolabe::ZoneId;
+use simnet::SimTime;
+
+use crate::experiments::support::{first_pass, slashdot, tech_item};
 use crate::Table;
 
-fn build(n: u32, seed: u64) -> (Simulation<McastNode>, ZoneLayout) {
-    let layout = ZoneLayout::new(n, 8);
-    let mut aconfig = Config::standard();
-    aconfig.branching = 8;
-    let mut contact_rng = fork(seed, 99);
-    let mut sim = Simulation::new(NetworkModel::default(), seed);
-    for i in 0..n {
-        let contacts: Vec<u32> = (0..3).map(|_| contact_rng.gen_range(0..n)).collect();
-        let agent = Agent::new(i, &layout, aconfig.clone(), contacts);
-        sim.add_node(McastNode::new(agent, 1));
-    }
-    (sim, layout)
-}
-
 struct Outcome {
-    delivered_inside: usize,
-    delivered_outside: usize,
-    msgs: u64,
+    scope: ZoneId,
+    nodes_in: usize,
+    interested_in: usize,
+    delivered_in: usize,
+    delivered_out: usize,
+    forwards: u64,
 }
 
-fn publish_with_scope(n: u32, scope_child: Option<u16>, seed: u64) -> Outcome {
-    let (mut sim, layout) = build(n, seed);
-    sim.run_until(SimTime::from_secs(45));
-    // Gossip baseline over a publish-window-sized interval, so the
-    // publish-attributable message count can be isolated.
-    let b0 = sim.total_counters().msgs_sent;
-    sim.run_until(SimTime::from_secs(60));
-    let gossip_baseline = sim.total_counters().msgs_sent - b0;
-    let scope = match scope_child {
-        None => ZoneId::root(),
-        Some(c) => ZoneId::root().child(c),
+/// Publishes 5 items into the root, or into the largest top-level zone
+/// the publisher (node 0) is not in.
+fn publish_with_scope(n: u32, scoped: bool, seed: u64) -> Outcome {
+    let mut d = slashdot(n, first_pass(1), seed).build();
+    d.settle(60);
+    let scope = if scoped {
+        let publisher_leaf = d.layout.leaf_zone(0);
+        let children = d.layout.occupied_children(&ZoneId::root());
+        let zones = children.into_iter().map(|c| ZoneId::root().child(c));
+        zones
+            .filter(|z| !z.is_ancestor_of(&publisher_leaf))
+            .max_by_key(|z| d.layout.agents_under(z).len())
+            .expect("more than one top-level zone")
+    } else {
+        ZoneId::root()
     };
-    let inside = layout.agents_under(&scope);
-    let before = sim.total_counters().msgs_sent;
-    // Publisher deliberately OUTSIDE the scope (cross-zone relay path).
-    let origin = 0u32;
-    assert!(scope_child.is_none() || !inside.contains(&origin));
-    for m in 0..5u64 {
-        let data = McastData {
-            id: m,
-            origin,
-            priority: 3,
-            payload: Bytes::from_static(b"regional"),
-            filter: FilterSpec::All,
-        };
-        sim.schedule_external(
-            SimTime::from_secs(60),
-            NodeId(origin),
-            McastMsg::Publish { data, scope: scope.clone() },
-        );
+    let inside: HashSet<u32> = d.layout.agents_under(&scope).into_iter().collect();
+    let before = d.total_stats().forwards_sent;
+    let items: Vec<_> = (0..5).map(tech_item).collect();
+    for item in &items {
+        d.publish_scoped(SimTime::from_secs(60), item.clone(), scope.clone());
     }
-    sim.run_until(SimTime::from_secs(75));
-    let mut di = 0;
-    let mut doutside = 0;
-    for (id, node) in sim.iter() {
-        let got = (0..5).filter(|&m| node.has_delivered(m)).count();
-        if inside.contains(&id.0) {
-            di += got;
-        } else {
-            doutside += got;
+    d.settle(15);
+    let mut out = Outcome {
+        nodes_in: inside.len(),
+        interested_in: 0,
+        delivered_in: 0,
+        delivered_out: 0,
+        forwards: d.total_stats().forwards_sent - before,
+        scope,
+    };
+    for item in &items {
+        out.interested_in +=
+            d.interested_nodes(item).iter().filter(|id| inside.contains(&id.0)).count();
+        for id in d.delivered_nodes(item) {
+            if inside.contains(&id.0) {
+                out.delivered_in += 1;
+            } else {
+                out.delivered_out += 1;
+            }
         }
     }
-    Outcome {
-        delivered_inside: di,
-        delivered_outside: doutside,
-        msgs: (sim.total_counters().msgs_sent - before).saturating_sub(gossip_baseline),
-    }
+    out
 }
 
 pub(crate) fn run(quick: bool) {
     let n: u32 = if quick { 256 } else { 1_024 };
-    // Scope = the last top-level zone (origin 0 lives in zone /0).
-    let layout = ZoneLayout::new(n, 8);
-    let top_children = layout.occupied_children(&ZoneId::root());
-    let target = *top_children.last().expect("tree has children");
-    let zone_size = layout.agents_under(&ZoneId::root().child(target)).len();
-
-    let root = publish_with_scope(n, None, 0xE9);
-    let scoped = publish_with_scope(n, Some(target), 0xE9);
-
     let mut table = Table::new(
         "E9 — root-scoped vs zone-scoped publishing (5 items, publisher outside the zone)",
         &[
             "scope",
             "nodes in scope",
+            "interested in",
             "delivered in",
             "delivered out",
-            "publish msgs (gossip-corrected)",
+            "nw_forwards",
         ],
     );
-    table.row(&[
-        "/ (root)".to_string(),
-        n.to_string(),
-        root.delivered_inside.to_string(),
-        root.delivered_outside.to_string(),
-        root.msgs.to_string(),
-    ]);
-    table.row(&[
-        format!("/{target}"),
-        zone_size.to_string(),
-        scoped.delivered_inside.to_string(),
-        scoped.delivered_outside.to_string(),
-        scoped.msgs.to_string(),
-    ]);
-    table.caption(
-        "paper: publishers can confine dissemination to a zone ('localized news in Asia'); \
-         shape: zero leakage outside the scope and publish work ∝ scope size",
-    );
+    for scoped in [false, true] {
+        let o = publish_with_scope(n, scoped, 0xE9);
+        table.row(&[
+            o.scope.to_string(),
+            o.nodes_in.to_string(),
+            o.interested_in.to_string(),
+            o.delivered_in.to_string(),
+            o.delivered_out.to_string(),
+            o.forwards.to_string(),
+        ]);
+    }
+    table.caption(format!(
+        "{n} subscribers + 1 publisher, branching 8, first-pass tree (k=1, acks and \
+         anti-entropy off), nw_forwards counted over the 15 s after publishing; paper: \
+         publishers can confine dissemination to a zone ('localized news in Asia'); shape: \
+         zero leakage outside the scope and publish work ∝ scope size"
+    ));
     table.print();
 }

@@ -153,7 +153,7 @@ pub(crate) fn run(quick: bool) {
         "full".to_string(),
         mb(full.bytes_sent),
         mb(full.bytes_wire),
-        "1.00".to_string(),
+        "1.000".to_string(),
         format!("{:.2}", full.p50_s),
         format!("{:.2}", full.p99_s),
         format!("{:.1}", full.final_rev_pct),
@@ -167,7 +167,7 @@ pub(crate) fn run(quick: bool) {
         "delta".to_string(),
         mb(delta.bytes_sent),
         mb(delta.bytes_wire),
-        format!("{ratio:.2}"),
+        format!("{ratio:.3}"),
         format!("{:.2}", delta.p50_s),
         format!("{:.2}", delta.p99_s),
         format!("{:.1}", delta.final_rev_pct),

@@ -43,6 +43,27 @@ pub(crate) mod support {
             .build()
     }
 
+    /// One Slashdot-like publisher (node 0) over `n` subscribers, branching
+    /// 8: the deployment E7, E8 and E9 measure.
+    pub fn slashdot(n: u32, config: NewsWireConfig, seed: u64) -> DeploymentBuilder {
+        DeploymentBuilder::new(n, seed)
+            .branching(8)
+            .config(config)
+            .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
+    }
+
+    /// The first-pass tree: `k` representatives elected per zone and used
+    /// per hand-off, no acknowledgements, no anti-entropy — so a table
+    /// measures the tree alone, not the recovery behind it.
+    pub fn first_pass(k: usize) -> NewsWireConfig {
+        let mut config = NewsWireConfig::tech_news();
+        config.astrolabe = astrolabe::Config::with_reps(k);
+        config.redundancy = k;
+        config.acks = false;
+        config.anti_entropy = false;
+        config
+    }
+
     /// A test item from publisher 0 hitting the Technology interest set.
     pub fn tech_item(seq: u64) -> newsml::NewsItem {
         newsml::NewsItem::builder(PublisherId(0), seq)

@@ -5,8 +5,8 @@ use std::collections::BTreeSet;
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile, Subject};
 use newswire::{
-    check_invariants, tech_news_deployment, DeploymentBuilder, NewsWireConfig, PublisherSpec,
-    SubscriptionModel,
+    check_invariants, tech_news_deployment, Deployment, DeploymentBuilder, NewsWireConfig,
+    PublisherSpec, Subscription, SubscriptionModel,
 };
 use simnet::{NodeId, SimTime};
 
@@ -375,4 +375,94 @@ fn a_small_cache_never_delivers_twice() {
         assert!(report.holds(), "seed {seed}: {report}");
         assert_eq!(report.survivor_delivered, report.survivor_expected, "seed {seed}");
     }
+}
+
+/// The first-pass tree: `k` representatives per zone and per hand-off, no
+/// acknowledgements, no anti-entropy.
+fn first_pass(k: usize) -> NewsWireConfig {
+    let mut config = NewsWireConfig::tech_news();
+    config.astrolabe = astrolabe::Config::with_reps(k);
+    config.redundancy = k;
+    config.acks = false;
+    config.anti_entropy = false;
+    config
+}
+
+/// `n` subscribers behind one publisher (node 0), every one of them
+/// subscribed to its Technology stories.
+fn everyone_subscribed(n: u32, branching: u16, config: NewsWireConfig, seed: u64) -> Deployment {
+    let mut d = DeploymentBuilder::new(n, seed)
+        .branching(branching)
+        .config(config)
+        .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
+        .build();
+    for i in 1..=n {
+        let mut sub = Subscription::new();
+        sub.subscribe_category(PublisherId(0), Category::Technology);
+        d.sim.node_mut(NodeId(i)).set_subscription(sub);
+    }
+    d
+}
+
+#[test]
+fn first_pass_covers_a_three_level_tree() {
+    let mut d = everyone_subscribed(120, 5, first_pass(1), 1);
+    // Three levels of zone tables: the root's, a region's, a leaf zone's.
+    assert_eq!(d.layout.leaf_zone(0).depth(), 2);
+    d.settle(45);
+    let item = tech_item(0);
+    d.publish(SimTime::from_secs(45), item.clone());
+    d.settle(10);
+    assert_eq!(d.delivered_nodes(&item).len(), 120);
+}
+
+#[test]
+fn a_scoped_publish_from_outside_the_zone_stays_inside_it() {
+    let mut d = everyone_subscribed(63, 4, NewsWireConfig::tech_news(), 11);
+    d.settle(45);
+    // The top-level zone holding node 20; the publisher (node 0) is not in
+    // it, so the item is relayed in through representatives.
+    let scope = d.layout.leaf_zone(20).ancestor_at(1);
+    let inside = d.layout.agents_under(&scope);
+    assert!(!inside.contains(&0));
+    let item = tech_item(0);
+    d.publish_scoped(SimTime::from_secs(45), item.clone(), scope);
+    // Long enough for reconcile to run, which must stay confined too.
+    d.settle(30);
+    let delivered: Vec<u32> = d.delivered_nodes(&item).iter().map(|id| id.0).collect();
+    assert_eq!(delivered, inside, "delivered exactly the zone, nothing outside it");
+}
+
+#[test]
+fn two_representatives_without_acks_survive_a_tenth_of_the_nodes_crashing() {
+    let n = 96;
+    let mut d = everyone_subscribed(n, 4, first_pass(2), 13);
+    d.settle(45);
+    let victims: BTreeSet<u32> = (1..=n).filter(|i| i % 9 == 3).collect();
+    for &v in &victims {
+        d.sim.schedule_crash(SimTime::from_secs(45), NodeId(v));
+    }
+    let item = tech_item(0);
+    d.publish(SimTime::from_secs(45), item.clone());
+    d.settle(10);
+    let live = n as usize - victims.len();
+    let got = d.delivered_nodes(&item).iter().filter(|id| !victims.contains(&id.0)).count();
+    assert!(got * 10 >= live * 9, "only {got}/{live} live subscribers delivered");
+}
+
+#[test]
+fn three_representatives_suppress_duplicates_and_never_deliver_twice() {
+    let mut d = everyone_subscribed(32, 4, first_pass(3), 17);
+    d.settle(45);
+    let item = tech_item(0);
+    d.publish(SimTime::from_secs(45), item.clone());
+    d.settle(10);
+    assert_eq!(d.delivered_nodes(&item).len(), 32);
+    for (id, node) in d.sim.iter() {
+        let copies = node.deliveries.iter().filter(|r| r.item == item.id).count();
+        assert!(copies <= 1, "node {id} delivered {copies} times");
+    }
+    let stats = d.total_stats();
+    assert_eq!(stats.delivered, 32);
+    assert!(stats.duplicates > 0, "k=3 must actually produce suppressed duplicates");
 }

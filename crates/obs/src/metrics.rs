@@ -92,15 +92,17 @@ pub mod ctr {
         DIGEST_CACHE_HITS = 23, "digest_cache_hits";
         /// Peer-list constructions satisfied by the peer cache.
         PEERS_CACHE_HITS = 24, "peers_cache_hits";
-        // -- amcast --
-        /// Multicast forwards sent down the zone tree.
-        MCAST_FORWARDS = 25, "mcast_forwards";
-        /// Duplicate multicast messages suppressed.
-        MCAST_DUPES_DROPPED = 26, "mcast_dupes_dropped";
-        /// Multicast routing dead-ends.
-        MCAST_ROUTE_FAILURES = 27, "mcast_route_failures";
-        /// Messages delivered to the local application by the mcast layer.
-        MCAST_LOCAL_DELIVERIES = 28, "mcast_local_deliveries";
+        // -- amcast: retired with its second forwarding node, whose forwards,
+        //    suppressed duplicates and route failures NewsWire's own slots
+        //    count; the slots stay so every later id keeps its position --
+        /// Retired (was `mcast_forwards`; see `nw_forwards`).
+        RETIRED_25 = 25, "retired_25";
+        /// Retired (was `mcast_dupes_dropped`; see `nw_duplicates`).
+        RETIRED_26 = 26, "retired_26";
+        /// Retired (was `mcast_route_failures`; see `nw_route_failures`).
+        RETIRED_27 = 27, "retired_27";
+        /// Retired (was `mcast_local_deliveries`; see `nw_delivered`).
+        RETIRED_28 = 28, "retired_28";
         // -- newswire --
         /// Items published by this node.
         NW_PUBLISHED = 29, "nw_published";
@@ -284,8 +286,9 @@ pub mod gauge {
         ASTRO_ROWS_HELD = 0, "astro_rows_held";
         /// High-water mark of the newswire per-node work queue.
         NW_PEAK_QUEUE = 1, "nw_peak_queue";
-        /// High-water mark of the mcast per-node work queue.
-        MCAST_PEAK_QUEUE = 2, "mcast_peak_queue";
+        /// Retired with amcast's second forwarding node (was
+        /// `mcast_peak_queue`; see `nw_peak_queue`); the slot stays.
+        RETIRED_2 = 2, "retired_2";
     }
 }
 
@@ -722,6 +725,11 @@ mod tests {
         assert_eq!(s.counter_name(ctr::NW_PROBATION_HOLDS), "probation_holds");
         assert_eq!(s.counter_name(ctr::NW_RECOVERY_HELD), "nw_recovery_held");
         assert_eq!(s.counter_name(ctr::NW_RECOVERY_UNWANTED), "nw_recovery_unwanted");
+        assert_eq!(s.counter_name(ctr::RETIRED_25), "retired_25");
+        assert_eq!(s.counter_name(ctr::RETIRED_26), "retired_26");
+        assert_eq!(s.counter_name(ctr::RETIRED_27), "retired_27");
+        assert_eq!(s.counter_name(ctr::RETIRED_28), "retired_28");
+        assert_eq!(s.counter_name(ctr::NW_PUBLISHED), "nw_published");
         assert_eq!(s.counter_name(ctr::RETIRED_44), "retired_44");
         assert_eq!(s.counter_name(ctr::RETIRED_94), "retired_94");
         assert_eq!(s.counter_name(ctr::RETIRED_95), "retired_95");
@@ -731,6 +739,8 @@ mod tests {
         assert_eq!(s.counter_name(ctr::NW_DELIVER_ACKS), "nw_deliver_acks");
         assert_eq!(s.counter_name(ctr::NW_DELIVER_RESENDS), "nw_deliver_resends");
         assert_eq!(s.gauge_name(gauge::ASTRO_ROWS_HELD), "astro_rows_held");
+        assert_eq!(s.gauge_name(gauge::NW_PEAK_QUEUE), "nw_peak_queue");
+        assert_eq!(s.gauge_name(gauge::RETIRED_2), "retired_2");
         assert_eq!(s.hist_def(hist::GOSSIP_DIGEST_BYTES).name, "gossip_digest_bytes");
         assert_eq!(s.series_name(series::DELIVERY_LATENCY_US), "delivery_latency_us");
         assert_eq!(s.series_name(series::RECOVERY_DURATION_US), "recovery_duration_us");

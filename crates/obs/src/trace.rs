@@ -95,10 +95,8 @@ pub mod kind {
     /// site code, `b` = units repaired).
     pub const SELF_AUDIT_REPAIR: u8 = 23;
 
-    /// A multicast message hopped down the tree (`a` = next hop, `b` = key).
-    pub const MCAST_HOP: u8 = 32;
-    /// A multicast message was delivered locally (`a` = key).
-    pub const MCAST_DELIVER_LOCAL: u8 = 33;
+    // 32 and 33 were amcast's second forwarding node's hop and local
+    // delivery; NewsWire's node traces its own (`NW_DELIVER` and up).
 
     /// An item was published (`a` = item key).
     pub const NW_PUBLISH: u8 = 48;
@@ -187,8 +185,6 @@ pub mod kind {
             INCARNATION_BUMP => "incarnation_bump",
             CORRUPT_ROW_REJECT => "corrupt_row_reject",
             SELF_AUDIT_REPAIR => "self_audit_repair",
-            MCAST_HOP => "mcast_hop",
-            MCAST_DELIVER_LOCAL => "mcast_deliver_local",
             NW_PUBLISH => "nw_publish",
             NW_DELIVER => "nw_deliver",
             HANDOFF_ARM => "handoff_arm",
@@ -506,6 +502,10 @@ mod tests {
         assert_eq!(kind::name(kind::RETRO_PURGE), "retro_purge");
         assert_eq!(kind::name(kind::PROBATION_HOLD), "probation_hold");
         assert_eq!(kind::name(250), "unknown");
+        // Retired kinds stay unnamed, so an old trace cannot be misread.
+        for retired in [32, 33, 55, 56, 70] {
+            assert_eq!(kind::name(retired), "unknown", "kind {retired}");
+        }
         assert_eq!(Layer::from_u8(2), Some(Layer::Amcast));
         assert_eq!(Layer::from_u8(9), None);
     }

@@ -848,6 +848,12 @@ impl<N: Node> Simulation<N> {
         self.seed
     }
 
+    /// The network model as it stands now: the one the simulation was
+    /// built with, as far as scheduled fault events have changed it.
+    pub fn network(&self) -> &NetworkModel {
+        &self.net
+    }
+
     /// What the fault-injection machinery actually did to this run so far
     /// (a view over the telemetry registry's global metric set).
     pub fn fault_counters(&self) -> FaultCounters {
