@@ -11,13 +11,19 @@
 //! representatives (no acks, no anti-entropy), plus the
 //! duplicate-suppression work k costs. A last arm runs the shipped
 //! configuration (k = 2, acks and anti-entropy on) under the same crashes:
-//! what the recovery behind the tree adds in the same window.
+//! what the recovery behind the tree adds in the same window. In full mode
+//! one more row crashes one representative of every leaf zone but the
+//! publisher's once the shipped arm's final hops have been measured clean,
+//! so the members it sent payloads to hold the other representative's
+//! announce instead (DESIGN §6).
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
+use astrolabe::AttrValue;
 use newswire::{Deployment, NewsWireConfig};
+use obs::ctr;
 use rand::Rng;
-use simnet::{fork, NodeId, SimTime};
+use simnet::{fork, NodeId, SimDuration};
 
 use crate::experiments::support::{first_pass, slashdot, tech_item};
 use crate::Table;
@@ -49,8 +55,16 @@ fn run_point(n: u32, fail_pct: u32, config: NewsWireConfig, seed: u64) -> Point 
             victims.push(v);
         }
     }
-    for &v in &victims {
-        d.sim.schedule_crash(SimTime::from_secs(60), NodeId(v));
+    crash_and_publish(&mut d, n, &victims, 1)
+}
+
+/// Crashes `victims` now, in order, publishes five articles from seq
+/// `first` the same instant, and reads the interested survivors.
+fn crash_and_publish(d: &mut Deployment, n: u32, victims: &[u32], first: u64) -> Point {
+    let at = d.sim.now();
+    let victim_set: HashSet<u32> = victims.iter().copied().collect();
+    for &v in victims {
+        d.sim.schedule_crash(at, NodeId(v));
     }
     let survivors: Vec<u32> = (0..=n).filter(|i| !victim_set.contains(i)).collect();
     let duplicates = |d: &Deployment| -> u64 {
@@ -58,10 +72,10 @@ fn run_point(n: u32, fail_pct: u32, config: NewsWireConfig, seed: u64) -> Point 
         let hub = hub.borrow();
         survivors.iter().map(|&i| hub.node_counter(i as usize, obs::ctr::NW_DUPLICATES)).sum()
     };
-    let dups_before = duplicates(&d);
-    let items: Vec<_> = (1..=5).map(tech_item).collect();
+    let dups_before = duplicates(d);
+    let items: Vec<_> = (first..first + 5).map(tech_item).collect();
     for item in &items {
-        d.publish(SimTime::from_secs(60), item.clone());
+        d.publish(at, item.clone());
     }
     d.settle(15);
     let ratio = |d: &Deployment| -> (u64, f64) {
@@ -76,16 +90,75 @@ fn run_point(n: u32, fail_pct: u32, config: NewsWireConfig, seed: u64) -> Point 
         }
         (delivered, 100.0 * delivered as f64 / expected.max(1) as f64)
     };
-    let (delivered, first) = ratio(&d);
-    let dups = (duplicates(&d) - dups_before) as f64 / delivered.max(1) as f64;
+    let (delivered, first) = ratio(d);
+    let dups = (duplicates(d) - dups_before) as f64 / delivered.max(1) as f64;
     // A first-pass tree has nothing that acts after its first pass.
     let late = if d.config.anti_entropy {
         d.settle(45);
-        ratio(&d).1
+        ratio(d).1
     } else {
         first
     };
     Point { first, late, dups }
+}
+
+/// The shipped configuration, warmed: 160 articles at four a second, so
+/// that the representatives of most leaf zones have had the
+/// `SPLIT_STREAK` payloads acknowledged in a row that turn announces on.
+/// Then, in every leaf zone but the publisher's, one representative that
+/// represents no zone higher up crashes the instant five more are
+/// published: the final hop loses a payload sender, and no hand-off above
+/// it is lost. Returns the survivors' ratios and the caption's note on the
+/// run.
+fn run_warmed_rep_crash(n: u32, seed: u64) -> (Point, String) {
+    let mut d = slashdot(n, NewsWireConfig::tech_news(), seed).build();
+    d.settle(45);
+    let warm_up = 160;
+    for seq in 0..warm_up {
+        d.publish(d.sim.now() + SimDuration::from_millis(250 * seq), tech_item(seq));
+    }
+    d.settle(60);
+    let total = |d: &Deployment, id| d.sim.telemetry().borrow().counter_total(id);
+    let announced = total(&d, ctr::NW_ANNOUNCES);
+    let own = d.layout.leaf_zone(0);
+    let mut victims = BTreeSet::new();
+    let mut zones = HashSet::new();
+    for member in 1..=n {
+        let agent = &d.sim.node(NodeId(member)).agent;
+        if agent.zone(0) == &own || !zones.insert(agent.zone(0).clone()) {
+            continue;
+        }
+        // The representatives this member's tables list for its own zone
+        // at `level`: its leaf zone's at level 1.
+        let reps = |level: usize| match agent.table(level).get(agent.own_label(level)) {
+            Some(row) => match row.get("reps") {
+                Some(AttrValue::Set(reps)) => reps.clone(),
+                _ => BTreeSet::new(),
+            },
+            None => BTreeSet::new(),
+        };
+        let higher: BTreeSet<u64> = (2..agent.levels()).flat_map(reps).collect();
+        let victim = reps(1).into_iter().find(|r| *r != 0 && !higher.contains(r));
+        victims.extend(victim.and_then(|r| u32::try_from(r).ok()));
+    }
+    let victims: Vec<u32> = victims.into_iter().collect();
+    let payloads = total(&d, ctr::NW_ANNOUNCE_PAYLOADS);
+    let point = crash_and_publish(&mut d, n, &victims, warm_up);
+    let repaired = d
+        .sim
+        .iter()
+        .flat_map(|(_, node)| &node.deliveries)
+        .filter(|r| r.via_repair && r.item.seq >= warm_up)
+        .count();
+    let note = format!(
+        "; leaf rep, warmed = the shipped arm after {warm_up} articles, then in each other leaf \
+         zone one representative that represents no zone higher up crashed at publish ({} \
+         nodes; {announced} announces sent before the crash, {} answered with the payload \
+         after it, {repaired} deliveries by reconcile)",
+        victims.len(),
+        total(&d, ctr::NW_ANNOUNCE_PAYLOADS) - payloads,
+    );
+    (point, note)
 }
 
 pub(crate) fn run(quick: bool) {
@@ -108,12 +181,19 @@ pub(crate) fn run(quick: bool) {
             format!("{:.1}", shipped.late),
         ]);
     }
+    let mut warmed = String::new();
+    if !quick {
+        let (point, note) = run_warmed_rep_crash(n, 0xE7);
+        let (first, late) = (format!("{:.1}", point.first), format!("{:.1}", point.late));
+        table.row(&["leaf rep, warmed", "–", "–", "–", "–", &first, &late]);
+        warmed = note;
+    }
     table.caption(format!(
         "{n} subscribers + 1 publisher, branching 8, 5 items published the instant the \
          nodes die (one article before), ratio over interested survivors 15 s later; \
          k=1..3 = first-pass tree (acks and anti-entropy off), shipped = k=2 with acks and \
          anti-entropy, also read 60 s after publishing; paper: redundancy increases \
-         robustness, duplicates removed by item id"
+         robustness, duplicates removed by item id{warmed}"
     ));
     table.print();
 }

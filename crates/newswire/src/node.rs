@@ -10,7 +10,7 @@
 //! [`PublisherCredential`] — the restricted publisher application of §8
 //! (authentication, flow control, scoped publishing).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::num::NonZeroU32;
 use std::sync::Arc;
 
@@ -251,6 +251,17 @@ const MAX_BASELINES: usize = 256;
 /// not re-sent, and reconcile owns its loss.
 const MAX_PENDING_DELIVERS: usize = 256;
 
+/// First-transmission payload `Deliver`s a node must have had acknowledged
+/// since it last re-sent a `Deliver` or an announce before it sends a
+/// member an announce in place of a second payload (DESIGN §6). A run of 256
+/// tells a final hop losing under 0.4 % from a 1 % one, whose round trips
+/// all answer 256 times in a row with odds of 0.98^256 ≈ 0.6 %.
+const SPLIT_STREAK: u32 = 256;
+
+/// Most announces a member remembers while it waits for their article; past
+/// that, the oldest is forgotten and its announcer sends the payload.
+const MAX_HELD_ANNOUNCES: usize = 256;
+
 /// Most peers one reconcile pass asks, the first included, about holes the
 /// peers before them could not vouch for.
 const MAX_ASKED: usize = 4;
@@ -303,14 +314,22 @@ struct Ack {
     tried: Vec<u32>,
     /// When the first transmission hit the wire.
     armed_at: SimTime,
+    /// For an announce, the node that handed this one the duty: the wait
+    /// covers its hand-off to the co-representative that sends the payload.
+    /// `None` for a payload and a hand-off.
+    announce: Option<u32>,
 }
 
 impl Ack {
-    /// Karn's rule: only the ack of a hand-off sent once, to the peer now
+    /// Karn's rule: only the ack of a copy sent once, to the peer now
     /// answering, times a round trip — after a retry or a failover the ack
-    /// could belong to either transmission.
+    /// could belong to either transmission. An announce's ack times
+    /// nothing: it waits on the other representative's copy.
     fn times_round_trip(&self, acked_by: u32) -> bool {
-        self.peer == acked_by && self.attempt == 0 && self.tried.is_empty()
+        self.peer == acked_by
+            && self.attempt == 0
+            && self.tried.is_empty()
+            && self.announce.is_none()
     }
 
     /// The copy, to send again.
@@ -318,15 +337,16 @@ impl Ack {
         let env = Arc::clone(&self.env);
         match &self.zone {
             Some(zone) => NewsWireMsg::Forward { env, zone: zone.clone() },
-            None => NewsWireMsg::Deliver { env },
+            None => NewsWireMsg::Deliver { env, announce: self.announce.is_some() },
         }
     }
 }
 
 /// The acknowledgement table: every copy on the wire awaiting its ack —
-/// hand-offs and final-hop `Deliver`s alike — under one sweep timer (tag
-/// [`ACK_TAG_BASE`]) set for the earliest deadline, and the round-trip
-/// evidence the deadlines are drawn from. No timer is ever cancelled: a
+/// hand-offs, final-hop `Deliver`s and announces alike — under one sweep
+/// timer (tag [`ACK_TAG_BASE`]) set for the earliest deadline, the
+/// round-trip evidence the deadlines are drawn from, and the final hop's
+/// measured loss that gates announces. No timer is ever cancelled: a
 /// sweep that finds nothing due re-arms for the next deadline or goes idle.
 #[derive(Debug)]
 struct Acks {
@@ -345,6 +365,11 @@ struct Acks {
     /// Hand-offs timed out per peer since a round trip to it was last
     /// timed; a peer with none has no entry.
     timeouts: HashMap<u32, u8>,
+    /// Final-hop entries held: `Deliver`s and announces.
+    delivers: usize,
+    /// First-transmission payload `Deliver`s acknowledged since this node
+    /// last re-sent a `Deliver` or an announce.
+    streak: u32,
 }
 
 impl Acks {
@@ -360,6 +385,8 @@ impl Acks {
             layout: layout.clone(),
             rtt: vec![RttPeak::default(); keys],
             timeouts: HashMap::new(),
+            delivers: 0,
+            streak: 0,
         }
     }
 
@@ -394,17 +421,32 @@ impl Acks {
 
     fn insert(&mut self, due: SimTime, ack: Ack) {
         self.armed += 1;
+        self.delivers += usize::from(ack.zone.is_none());
         self.entries.insert((due, self.armed), ack);
     }
 
     /// Final-hop entries held.
     fn delivers(&self) -> usize {
-        self.entries.values().filter(|ack| ack.zone.is_none()).count()
+        self.delivers
+    }
+
+    /// True while the final hop is measured clean: [`SPLIT_STREAK`]
+    /// first-transmission payloads acknowledged in a row.
+    fn split_on(&self) -> bool {
+        self.streak >= SPLIT_STREAK
+    }
+
+    /// A `Deliver` or an announce went unacknowledged and is sent again:
+    /// the final hop is no longer measured clean.
+    fn note_resend(&mut self) {
+        self.streak = 0;
     }
 
     /// Takes out the first entry, when it is due by `now`.
     fn pop_due(&mut self, now: SimTime) -> Option<Ack> {
-        Some(self.entries.first_entry().filter(|entry| entry.key().0 <= now)?.remove())
+        let ack = self.entries.first_entry().filter(|entry| entry.key().0 <= now)?.remove();
+        self.delivers -= usize::from(ack.zone.is_none());
+        Some(ack)
     }
 
     /// The earliest deadline, when no sweep is set to go off by then.
@@ -415,15 +457,17 @@ impl Acks {
 
     /// Removes what the ack `from` sent for `msg_id`, naming `zone`,
     /// settles, and returns whether that was hand-offs, and whether a
-    /// `Deliver`. A member's ack settles its own `Deliver` — the copy sent
-    /// first, if the article went to it twice — and nothing else:
+    /// `Deliver` or an announce. A member's ack settles its own `Deliver` —
+    /// the copy sent first, if the article went to it twice — and nothing
+    /// else:
     /// a node that represents its leaf zone higher up also hands that zone
     /// off to the zone's other representative, a member it `Deliver`s to as
     /// well, and each copy awaits its own ack. Otherwise any ack naming a
     /// hand-off's zone settles it — the hand-offs to both representatives
     /// at once, and one that failed over by a late ack from the
     /// representative it left. Either kind times the round trip to `from`
-    /// where Karn's rule allows.
+    /// where Karn's rule allows, and a payload that does extends the final
+    /// hop's clean run.
     fn settle(&mut self, msg_id: u64, zone: &ZoneId, from: u32, now: SimTime) -> (bool, bool) {
         let deliver = self
             .entries
@@ -432,7 +476,9 @@ impl Acks {
             .min_by_key(|(_, ack)| ack.armed_at);
         if let Some(&key) = deliver.map(|(key, _)| key) {
             let ack = self.entries.remove(&key).expect("the entry just found");
+            self.delivers -= 1;
             if ack.times_round_trip(from) {
+                self.streak = self.streak.saturating_add(1);
                 self.note_rtt(from, now.saturating_since(ack.armed_at));
             }
             return (false, true);
@@ -503,6 +549,8 @@ impl Acks {
         self.sweeps.clear();
         self.rtt.fill(RttPeak::default());
         self.timeouts.clear();
+        self.delivers = 0;
+        self.streak = 0;
     }
 }
 
@@ -606,7 +654,9 @@ pub struct NewsWireNode {
     /// The end-system message cache.
     pub cache: MessageCache,
     coverage: CoverageWindow,
-    queues: ForwardingQueues<(NodeId, NewsWireMsg)>,
+    /// Copies waiting for the wire: the destination, the message and, for
+    /// an announce, the node that handed the duty in.
+    queues: ForwardingQueues<(NodeId, NewsWireMsg, Option<u32>)>,
     draining: bool,
     /// The §9 forwarding log ("each forwarding component maintains a log
     /// file"): a bounded trace of duties, forwards, deliveries and drops.
@@ -620,6 +670,10 @@ pub struct NewsWireNode {
     pub load_bias: f64,
     /// Hand-offs and `Deliver`s on the wire awaiting their ack.
     acks: Acks,
+    /// Announces of articles this node does not hold yet, `(msg_id,
+    /// announcer)`, oldest first: each is acknowledged once a tree copy of
+    /// its article is admitted. At most [`MAX_HELD_ANNOUNCES`].
+    held_announces: VecDeque<(u64, u32)>,
     /// The `Digest`s of the latest gossip tick still awaiting their
     /// `DigestReply`: `(peer, sent)`. Each reply times one round trip; at
     /// most one entry per table level plus two.
@@ -696,6 +750,7 @@ impl NewsWireNode {
             deliveries: Vec::new(),
             load_bias: 0.0,
             acks,
+            held_announces: VecDeque::new(),
             digest_probes: Vec::new(),
             article_logs: BTreeMap::new(),
             stubs: StubTable::default(),
@@ -947,6 +1002,11 @@ impl NewsWireNode {
     /// has not gone off.
     pub fn ack_sweep_armed(&self) -> bool {
         !self.acks.sweeps.is_empty()
+    }
+
+    /// Announces held until their article arrives (at most 256).
+    pub fn held_announces(&self) -> usize {
+        self.held_announces.len()
     }
 
     /// True when the item with `id` has been delivered to the application.
@@ -1211,15 +1271,23 @@ impl NewsWireNode {
         }
     }
 
-    fn enqueue(&mut self, ctx: &mut Context<'_, NewsWireMsg>, dst: NodeId, msg: NewsWireMsg) {
+    /// Queues `msg` for `dst`; an announce names `upstream`, the node that
+    /// handed the duty in.
+    fn enqueue(
+        &mut self,
+        ctx: &mut Context<'_, NewsWireMsg>,
+        dst: NodeId,
+        msg: NewsWireMsg,
+        upstream: Option<u32>,
+    ) {
         let (child, priority) = match &msg {
             NewsWireMsg::Forward { zone, env } => {
                 (zone.label().unwrap_or(0), env.item.urgency.level())
             }
-            NewsWireMsg::Deliver { env } => ((dst.0 % 64) as u16, env.item.urgency.level()),
+            NewsWireMsg::Deliver { env, .. } => ((dst.0 % 64) as u16, env.item.urgency.level()),
             _ => (0, 5),
         };
-        self.queues.push(child, ctx.now().as_micros(), priority, (dst, msg));
+        self.queues.push(child, ctx.now().as_micros(), priority, (dst, msg, upstream));
         obs::gauge_max!(self.agent.id(), gauge::NW_PEAK_QUEUE, self.queues.len());
         if !self.draining {
             self.draining = true;
@@ -1227,12 +1295,50 @@ impl NewsWireNode {
         }
     }
 
+    /// The representatives of this node's leaf zone, as its parent table
+    /// lists them. `None` in a one-level tree, or before the row is known.
+    fn leaf_reps(&self) -> Option<&BTreeSet<u64>> {
+        if self.agent.levels() < 2 {
+            return None;
+        }
+        match self.agent.table(1).get(self.agent.own_label(1))?.get("reps") {
+            Some(AttrValue::Set(reps)) => Some(reps),
+            _ => None,
+        }
+    }
+
+    /// True when this node sends `member` an announce in place of the
+    /// payload (DESIGN §6): the final hop is measured clean, this node is
+    /// one of at least two representatives of its leaf zone, and either
+    /// `member` is one too — it was handed the article — or a stable hash
+    /// of `member` over the sorted set names another representative as the
+    /// one that sends it the payload. A table that cannot await one more
+    /// ack gets the payload instead, when the copy leaves the queue.
+    fn announces_to(&self, member: u32) -> bool {
+        if !self.cfg.acks || !self.acks.split_on() {
+            return false;
+        }
+        let Some(reps) = self.leaf_reps() else { return false };
+        let me = u64::from(self.agent.id());
+        if reps.len() < 2 || !reps.contains(&me) {
+            return false;
+        }
+        if reps.contains(&u64::from(member)) {
+            return true;
+        }
+        let pick = filters::fnv1a(&member.to_le_bytes()) % reps.len() as u64;
+        reps.iter().nth(pick as usize) != Some(&me)
+    }
+
+    /// Covers `zone` with `env`, a duty handed in by `upstream`'s `Forward`
+    /// or, with none, this publisher's own.
     fn process_duty(
         &mut self,
         ctx: &mut Context<'_, NewsWireMsg>,
         env: Arc<Envelope>,
         zone: ZoneId,
         admitted: Admitted,
+        upstream: Option<u32>,
     ) {
         let actions = route(&self.agent, &env.filter, &zone, self.cfg.redundancy, ctx.rng());
         let now = ctx.now();
@@ -1271,11 +1377,10 @@ impl NewsWireNode {
                         peer: Some(member),
                         event: ForwardEvent::Delivered,
                     });
-                    self.enqueue(
-                        ctx,
-                        NodeId(member),
-                        NewsWireMsg::Deliver { env: Arc::clone(&env) },
-                    );
+                    let split = upstream.filter(|_| self.announces_to(member));
+                    let deliver =
+                        NewsWireMsg::Deliver { env: Arc::clone(&env), announce: split.is_some() };
+                    self.enqueue(ctx, NodeId(member), deliver, split);
                 }
                 Action::Forward { rep, zone } => {
                     self.log.record(LogRecord {
@@ -1286,7 +1391,7 @@ impl NewsWireNode {
                         event: ForwardEvent::Forwarded,
                     });
                     let fwd = NewsWireMsg::Forward { env: Arc::clone(&env), zone };
-                    self.enqueue(ctx, NodeId(rep), fwd);
+                    self.enqueue(ctx, NodeId(rep), fwd, None);
                 }
             }
         }
@@ -1398,7 +1503,7 @@ impl NewsWireNode {
         self.absorb_attest(&attest);
         let admitted = Admitted::published(Arc::clone(&env.item), (key, signature));
         self.cache_insert(admitted.clone(), now);
-        self.process_duty(ctx, env, scope, admitted);
+        self.process_duty(ctx, env, scope, admitted, None);
     }
 
     /// The prelude every tree copy passes, `Forward` and `Deliver` alike:
@@ -1420,7 +1525,47 @@ impl NewsWireNode {
             let zone = zone.unwrap_or_else(|| self.agent.zone(0)).clone();
             ctx.send(from, NewsWireMsg::ForwardAck { msg_id: env.msg_id, zone });
         }
+        if !self.held_announces.is_empty() {
+            let zone = self.agent.zone(0);
+            self.held_announces.retain(|&(msg_id, announcer)| {
+                if msg_id == env.msg_id {
+                    let ack = NewsWireMsg::ForwardAck { msg_id, zone: zone.clone() };
+                    ctx.send(NodeId(announcer), ack);
+                }
+                msg_id != env.msg_id
+            });
+        }
         Some(admitted)
+    }
+
+    /// An announce of `id` from `from`: the leaf zone's other representative
+    /// is sending this member the article. Nothing but the id is read —
+    /// nothing is admitted, cached, logged or delivered. An article already
+    /// held or logged is acknowledged now; otherwise the announce waits for
+    /// a tree copy (see [`NewsWireNode::hold_announce`]). One from outside
+    /// the membership has nobody to acknowledge and is dropped.
+    fn take_announce(&mut self, ctx: &mut Context<'_, NewsWireMsg>, from: NodeId, id: ItemId) {
+        if !self.cfg.acks || from == NodeId::EXTERNAL || self.hold_announce(from.0, id) {
+            return;
+        }
+        let zone = self.agent.zone(0).clone();
+        ctx.send(from, NewsWireMsg::ForwardAck { msg_id: msg_id_of(id), zone });
+    }
+
+    /// Remembers `from`'s announce of `id` until a tree copy of the article
+    /// is admitted, forgetting the oldest past [`MAX_HELD_ANNOUNCES`], and
+    /// returns true — unless the article is already held or logged, when
+    /// the announce is answered now and this returns false.
+    fn hold_announce(&mut self, from: u32, id: ItemId) -> bool {
+        let logged = self.article_logs.get(&id.publisher).is_some_and(|log| log.contains(id.seq));
+        if logged || self.cache.contains(id) {
+            return false;
+        }
+        if self.held_announces.len() >= MAX_HELD_ANNOUNCES {
+            self.held_announces.pop_front();
+        }
+        self.held_announces.push_back((msg_id_of(id), from));
+        true
     }
 
     /// Admits and delivers the articles of a reconcile reply from `from`.
@@ -1560,28 +1705,35 @@ impl NewsWireNode {
     }
 
     /// Enters a copy of `env` sent now to `peer` — a hand-off covering
-    /// `zone`, or with none a final-hop `Deliver` — into the acknowledgement
-    /// table. A `Deliver` beyond [`MAX_PENDING_DELIVERS`] is not entered:
-    /// reconcile owns its loss.
+    /// `zone`, or with none a final-hop `Deliver`, an announce when it names
+    /// the node that handed the duty in — into the acknowledgement table,
+    /// and returns whether it did. A `Deliver` beyond
+    /// [`MAX_PENDING_DELIVERS`] is not entered: reconcile owns its loss.
     fn arm_ack(
         &mut self,
         ctx: &mut Context<'_, NewsWireMsg>,
         peer: u32,
         env: Arc<Envelope>,
         zone: Option<ZoneId>,
-    ) {
+        announce: Option<u32>,
+    ) -> bool {
         if zone.is_none() && self.acks.delivers() >= MAX_PENDING_DELIVERS {
-            return;
+            return false;
         }
         let now = ctx.now();
-        self.enter_ack(now, Ack { env, peer, zone, attempt: 0, tried: Vec::new(), armed_at: now });
+        let tried = Vec::new();
+        self.enter_ack(now, Ack { env, peer, zone, attempt: 0, tried, armed_at: now, announce });
         self.arm_sweep(ctx);
+        true
     }
 
     /// Enters `ack` due one round-trip bound to its peer from `now`, backed
-    /// off [`BACKOFF`] times per re-send already made to it.
+    /// off [`BACKOFF`] times per re-send already made to it. An announce
+    /// waits one round-trip bound to the node that handed the duty in on
+    /// top: the co-representative's copy came by way of that node.
     fn enter_ack(&mut self, now: SimTime, ack: Ack) {
-        let due = now + self.round_trip_bound(ack.peer) * BACKOFF.pow(ack.attempt);
+        let lag = ack.announce.map_or(SimDuration::ZERO, |up| self.round_trip_bound(up));
+        let due = now + self.round_trip_bound(ack.peer) * BACKOFF.pow(ack.attempt) + lag;
         self.acks.insert(due, ack);
     }
 
@@ -1608,10 +1760,11 @@ impl NewsWireNode {
 
     /// `ack` went unacknowledged for its wait. The copy goes to the same
     /// peer again, up to [`ACK_RETRIES`] times, unless the φ detector
-    /// already suspects a hand-off's representative. Then a hand-off fails
-    /// over to an untried representative of its zone, up to
-    /// [`MAX_FAILOVERS`] times, and is abandoned after that; a `Deliver` is
-    /// forgotten. Reconcile owns either loss.
+    /// already suspects a hand-off's representative — an announce's re-send
+    /// is the payload. Then a hand-off fails over to an untried
+    /// representative of its zone, up to [`MAX_FAILOVERS`] times, and is
+    /// abandoned after that; a `Deliver` is forgotten. Reconcile owns either
+    /// loss.
     fn retry_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, mut ack: Ack) {
         let now = ctx.now();
         let id = self.agent.id();
@@ -1641,8 +1794,14 @@ impl NewsWireNode {
                     event: ForwardEvent::AckTimeout,
                 });
             } else {
+                self.acks.note_resend();
                 obs::metric_add!(id, ctr::NW_DELIVER_RESENDS, 1);
-                obs::trace_event!(id, Layer::News, kind::DELIVER_RESEND, msg_id, ack.peer);
+                if ack.announce.take().is_some() {
+                    obs::metric_add!(id, ctr::NW_ANNOUNCE_PAYLOADS, 1);
+                    obs::trace_event!(id, Layer::News, kind::ANNOUNCE_PAYLOAD, msg_id, ack.peer);
+                } else {
+                    obs::trace_event!(id, Layer::News, kind::DELIVER_RESEND, msg_id, ack.peer);
+                }
             }
             self.resend_ack(ctx, ack);
             return;
@@ -1849,16 +2008,10 @@ impl NewsWireNode {
         if asked.len() >= MAX_ASKED {
             return None;
         }
-        let mut reps: Vec<u32> = match self.agent.levels() {
-            0 | 1 => Vec::new(),
-            _ => match self.agent.table(1).get(self.agent.own_label(1)).and_then(|r| r.get("reps"))
-            {
-                Some(AttrValue::Set(reps)) => {
-                    reps.iter().filter_map(|&r| u32::try_from(r).ok()).collect()
-                }
-                _ => Vec::new(),
-            },
-        };
+        let mut reps: Vec<u32> = self
+            .leaf_reps()
+            .map(|reps| reps.iter().filter_map(|&r| u32::try_from(r).ok()).collect())
+            .unwrap_or_default();
         reps.retain(|r| *r != self.agent.id() && !asked.contains(r));
         self.prefer_unsuspected(&mut reps, now);
         if let Some(&rep) = reps.as_slice().choose(rng) {
@@ -2296,6 +2449,7 @@ impl NewsWireNode {
         self.deliveries.clear();
         self.draining = false;
         self.acks.clear();
+        self.held_announces.clear();
         self.digest_probes.clear();
         self.article_logs.clear();
         self.stubs.clear();
@@ -2464,7 +2618,8 @@ impl Node for NewsWireNode {
                     return;
                 };
                 if self.coverage.admit(env.msg_id, zone.depth()) {
-                    self.process_duty(ctx, env, zone, admitted);
+                    let upstream = (from != NodeId::EXTERNAL).then_some(from.0);
+                    self.process_duty(ctx, env, zone, admitted, upstream);
                 } else {
                     obs::metric_add!(self.agent.id(), ctr::NW_DUPLICATES, 1);
                 }
@@ -2487,7 +2642,10 @@ impl Node for NewsWireNode {
                     );
                 }
             }
-            NewsWireMsg::Deliver { env } => {
+            NewsWireMsg::Deliver { env, announce: true } => {
+                self.take_announce(ctx, from, env.item.id)
+            }
+            NewsWireMsg::Deliver { env, announce: false } => {
                 let Some(admitted) = self.admit_envelope(ctx, from, &env, None) else { return };
                 self.delta_makeup(&env.item, env.basis.as_ref());
                 self.handle_delivery(ctx.now(), admitted, false);
@@ -2551,7 +2709,7 @@ impl Node for NewsWireNode {
             }
             DRAIN_TIMER => {
                 if let Some(q) = self.queues.pop() {
-                    let (dst, msg) = q.item;
+                    let (dst, mut msg, upstream) = q.item;
                     // Tree hops become *acknowledged* at the moment they
                     // hit the wire: the copy enters the acknowledgement
                     // table, whose sweep drives retry, backoff and failover.
@@ -2564,10 +2722,18 @@ impl Node for NewsWireNode {
                                 env.msg_id,
                                 dst.0
                             );
-                            self.arm_ack(ctx, dst.0, Arc::clone(env), Some(zone.clone()));
+                            self.arm_ack(ctx, dst.0, Arc::clone(env), Some(zone.clone()), None);
                         }
-                        NewsWireMsg::Deliver { env } if self.cfg.acks => {
-                            self.arm_ack(ctx, dst.0, Arc::clone(env), None);
+                        NewsWireMsg::Deliver { env, announce } if self.cfg.acks => {
+                            let (env, announce) = (Arc::clone(env), *announce);
+                            let armed = self.arm_ack(ctx, dst.0, Arc::clone(&env), None, upstream);
+                            if announce && !armed {
+                                // An announce nothing awaits would leave the
+                                // member without this node's payload.
+                                msg = NewsWireMsg::Deliver { env, announce: false };
+                            } else if announce {
+                                obs::metric_add!(self.agent.id(), ctr::NW_ANNOUNCES, 1);
+                            }
                         }
                         _ => {}
                     }

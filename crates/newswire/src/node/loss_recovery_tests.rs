@@ -347,6 +347,7 @@ fn a_first_transmission_deliver_ack_adds_a_sample_and_a_resent_ones_none() {
         attempt,
         tried: Vec::new(),
         armed_at,
+        announce: None,
     };
     let mut acks = table();
     let samples = |acks: &Acks| acks.rtt[acks.zone_key(1).expect("a leaf mate")].samples;
@@ -396,6 +397,7 @@ fn an_id_outside_the_layout_has_no_entry_and_gets_the_ceiling() {
                 attempt: 0,
                 tried: Vec::new(),
                 armed_at: now,
+                announce: None,
             };
             acks.insert(now + ACK_TIMEOUT, ack);
             let settled = acks.settle(env.msg_id, &zone, stranger, now + ACK_TIMEOUT);
@@ -671,6 +673,7 @@ fn an_ack_settles_hand_offs_by_zone_and_a_deliver_by_its_member() {
         attempt: 0,
         tried,
         armed_at,
+        announce: None,
     };
     let mut acks = table();
     let due = now + ACK_TIMEOUT;
@@ -715,6 +718,7 @@ fn the_sweep_takes_what_is_due_in_deadline_then_arming_order() {
         attempt: 0,
         tried: Vec::new(),
         armed_at: SimTime::ZERO,
+        announce: None,
     };
     let mut acks = table();
     assert_eq!(acks.sweep_needed(), None, "an empty table needs no sweep");
@@ -731,4 +735,172 @@ fn the_sweep_takes_what_is_due_in_deadline_then_arming_order() {
     let due: Vec<u32> = std::iter::from_fn(|| acks.pop_due(ms(200))).map(|a| a.peer).collect();
     assert_eq!(due, vec![3, 1, 4]);
     assert_eq!(acks.entries.keys().map(|&(due, _)| due).collect::<Vec<_>>(), vec![ms(300)]);
+}
+
+/// The final-hop count the table keeps equals the entries without a zone
+/// after every step of a seeded sequence of arms, acks, sweeps and clears:
+/// hand-offs, `Deliver`s and announces alike.
+#[test]
+fn the_final_hop_count_follows_every_insert_settle_sweep_and_clear() {
+    let mut rng = SmallRng::seed_from_u64(35);
+    let envs: Vec<Arc<Envelope>> = (0..4).map(envelope).collect();
+    let zones = [ZoneId::root().child(0), ZoneId::root().child(1), ZoneId::root().child(2)];
+    let mut acks = table();
+    let mut finals = 0;
+    for step in 0..2_000 {
+        let env = &envs[rng.gen_range(0..envs.len())];
+        let peer = rng.gen_range(1..16);
+        let now = ms(rng.gen_range(0..1_000));
+        match rng.gen_range(0..10) {
+            0..=4 => {
+                let zone = rng.gen_bool(0.5).then(|| zones[rng.gen_range(0..3usize)].clone());
+                let announce = (zone.is_none() && rng.gen_bool(0.5)).then_some(0);
+                let tried = Vec::new();
+                let ack = Ack {
+                    env: Arc::clone(env),
+                    peer,
+                    zone,
+                    attempt: 0,
+                    tried,
+                    armed_at: now,
+                    announce,
+                };
+                acks.insert(now + SimDuration::from_millis(rng.gen_range(0..500)), ack);
+            }
+            5..=7 => {
+                let zone = &zones[rng.gen_range(0..3usize)];
+                acks.settle(env.msg_id, zone, peer, now);
+            }
+            8 => while acks.pop_due(now).is_some() {},
+            _ if step % 97 == 0 => acks.clear(),
+            _ => {}
+        }
+        let filtered = acks.entries.values().filter(|ack| ack.zone.is_none()).count();
+        assert_eq!(acks.delivers(), filtered, "step {step}");
+        finals = finals.max(filtered);
+    }
+    assert!(finals > 10, "the sequence held final-hop entries: {finals}");
+}
+
+/// An announce's ack waits on the other representative's copy: it times
+/// no round trip and does not extend the final hop's clean run. A
+/// first-transmission payload's ack does both, [`SPLIT_STREAK`] of them in a
+/// row turn the split on, and any re-send turns it off again.
+#[test]
+fn an_announce_ack_times_nothing_and_a_resend_ends_the_clean_run() {
+    let env = envelope(5);
+    let leaf = ZoneId::root().child(0);
+    let armed_at = SimTime::from_secs(1);
+    let now = armed_at + SimDuration::from_millis(20);
+    let entry = |announce| Ack {
+        env: Arc::clone(&env),
+        peer: 1,
+        zone: None,
+        attempt: 0,
+        tried: Vec::new(),
+        armed_at,
+        announce,
+    };
+    let mut acks = table();
+    let samples = |acks: &Acks| acks.rtt[acks.zone_key(1).expect("a leaf mate")].samples;
+    acks.insert(now + ACK_TIMEOUT, entry(Some(4)));
+    assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (false, true), "the announce settles");
+    assert_eq!((samples(&acks), acks.streak), (0, 0), "and times nothing");
+    for n in 1..=SPLIT_STREAK {
+        assert!(!acks.split_on(), "{n}");
+        acks.insert(now + ACK_TIMEOUT, entry(None));
+        acks.settle(env.msg_id, &leaf, 1, now);
+    }
+    assert!(acks.split_on(), "{SPLIT_STREAK} clean first transmissions");
+    assert_eq!(u32::from(samples(&acks)), SPLIT_STREAK, "each one timed");
+    acks.insert(now + ACK_TIMEOUT, entry(Some(4)));
+    acks.settle(env.msg_id, &leaf, 1, now);
+    assert_eq!(acks.streak, SPLIT_STREAK, "an announce's ack leaves the run as it was");
+    acks.note_resend();
+    assert!(!acks.split_on(), "a re-send ends the run");
+
+    // Through the handlers: a lost `Deliver`'s re-send ends the run too.
+    let mut d = one_zone(9);
+    d.sim.node_mut(PUBLISHER).acks.streak = SPLIT_STREAK;
+    publish(&mut d, 61_000, &tech_item(0), true);
+    d.settle(5);
+    assert_eq!(count(&d, PUBLISHER, ctr::NW_DELIVER_RESENDS), 1);
+    assert_eq!(d.sim.node(PUBLISHER).acks.streak, 0);
+}
+
+/// In the two-zone deployment, with the split forced on at both
+/// representatives of /1, the neighbour (node 4) is sent the payload by one
+/// of them and an announce by the other. Its payload is lost: the announce
+/// it holds delivers, caches and logs nothing, and the payload's re-send —
+/// a tree copy — is what it acknowledges the announce on. The announcer
+/// never sends the payload.
+#[test]
+fn a_held_announce_is_acknowledged_once_a_tree_copy_arrives() {
+    let mut d = two_zones(31);
+    for rep in [6, 7] {
+        d.sim.node_mut(NodeId(rep)).acks.streak = SPLIT_STREAK;
+    }
+    let sends_payload = |d: &Deployment, rep: u32| !d.sim.node(NodeId(rep)).announces_to(4);
+    let (payload, announcer) = if sends_payload(&d, 6) { (6, 7) } else { (7, 6) };
+    assert!(sends_payload(&d, payload) && !sends_payload(&d, announcer), "one payload to 4");
+    assert!(d.sim.node(NodeId(6)).announces_to(7), "a representative is announced to");
+    // The payload's re-send comes before the announcer's wait runs out.
+    let resend = d.sim.node(NodeId(payload)).round_trip_bound(4);
+    let node = d.sim.node(NodeId(announcer));
+    let wait = node.round_trip_bound(PUBLISHER.0) + node.round_trip_bound(4);
+    assert!(resend < wait, "{resend:?} vs {wait:?}");
+
+    // The hand-off and the payload take 10 ms each: the cut loses the
+    // payload, and the look is taken after the announce came and before
+    // the re-send can have.
+    let item = science_item(0);
+    let half = resend.as_micros() / 2_000;
+    cut(&mut d, NodeId(payload), NEIGHBOUR, 60_999, 11 + half);
+    d.publish(ms(61_000), item.clone());
+    d.sim.run_until(ms(61_025 + half));
+    let neighbour = d.sim.node(NEIGHBOUR);
+    assert_eq!(neighbour.held_announces(), 1, "the announce came, the payload did not");
+    assert!(neighbour.deliveries.is_empty() && !neighbour.cache.contains(item.id));
+    assert!(neighbour.article_log(PublisherId(0)).is_none_or(|log| !log.contains(item.id.seq)));
+    assert_eq!(d.sim.node(NodeId(announcer)).unacknowledged(), 1, "the announce awaits its ack");
+
+    d.settle(5);
+    let got = delivery_at(&d, NEIGHBOUR, &item);
+    assert_eq!(got.len(), 1, "delivered once");
+    assert!(!got[0].via_repair);
+    assert_eq!(d.sim.node(NEIGHBOUR).held_announces(), 0);
+    assert_eq!(count(&d, NodeId(payload), ctr::NW_DELIVER_RESENDS), 1, "the payload was re-sent");
+    assert!(count(&d, NodeId(announcer), ctr::NW_ANNOUNCES) >= 1);
+    assert_eq!(
+        count(&d, NodeId(announcer), ctr::NW_ANNOUNCE_PAYLOADS),
+        0,
+        "acked on the tree copy"
+    );
+    assert_eq!(d.sim.node(NodeId(announcer)).unacknowledged(), 0);
+}
+
+/// Announces from arbitrary senders of ids nobody published — ids past
+/// every log head — are held, never delivered, cached or logged, and the
+/// held list keeps the newest [`MAX_HELD_ANNOUNCES`]. An announce of an
+/// article already logged is answered at once and holds nothing.
+#[test]
+fn the_held_announces_are_capped_and_hold_nothing_but_ids() {
+    let mut d = one_zone(10);
+    d.publish(ms(61_000), tech_item(0));
+    d.settle(2);
+    let member = d.sim.node_mut(MEMBER);
+    let logged = ItemId::new(PublisherId(0), 0);
+    assert!(!member.hold_announce(PUBLISHER.0, logged), "logged: answered now");
+    let fabricated = |k: u32| ItemId::new(PublisherId((k % 3) as u16), 1_000 + u64::from(k));
+    let n = MAX_HELD_ANNOUNCES as u32 + 40;
+    for k in 0..n {
+        assert!(member.hold_announce(SYBIL_ID_BASE + k, fabricated(k)));
+        assert!(member.held_announces() <= MAX_HELD_ANNOUNCES);
+    }
+    assert_eq!(member.held_announces(), MAX_HELD_ANNOUNCES);
+    let oldest = member.held_announces.front().expect("held").0;
+    assert_eq!(oldest, msg_id_of(fabricated(40)), "the first 40 were forgotten");
+    assert_eq!(member.deliveries.len(), 1, "only the published article");
+    assert_eq!(member.cache.len(), 1);
+    assert!(member.logged_publishers().eq([PublisherId(0)]), "nothing else logged");
 }

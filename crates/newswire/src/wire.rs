@@ -155,7 +155,7 @@ impl Stub {
 }
 
 /// Serialized size of one [`ItemId`] named on the wire (a `RepairRequest`'s
-/// `ids`): publisher id + sequence number.
+/// `ids`, an announce's article): publisher id + sequence number.
 const ITEM_ID_WIRE_SIZE: usize = 2 + 8;
 
 /// The globally unique dissemination id of an item.
@@ -218,6 +218,11 @@ pub enum NewsWireMsg {
     Deliver {
         /// The signed item.
         env: Arc<Envelope>,
+        /// An announce: only the item's id goes on the wire, and the
+        /// member acknowledges it once it holds the article, which the leaf
+        /// zone's other representative is sending it. The announcer sends
+        /// the payload if no ack comes.
+        announce: bool,
     },
     /// A representative's receipt for a `Forward`: it has taken coverage
     /// duty for `zone` (or already held it). Any representative's ack
@@ -305,7 +310,8 @@ impl Payload for NewsWireMsg {
             }
             NewsWireMsg::PublishRequest { item, .. } => item.wire_size(),
             NewsWireMsg::Forward { env, zone } => env.wire_size() + 2 * zone.depth(),
-            NewsWireMsg::Deliver { env } => env.wire_size(),
+            NewsWireMsg::Deliver { announce: true, .. } => ITEM_ID_WIRE_SIZE + 1,
+            NewsWireMsg::Deliver { env, .. } => env.wire_size(),
             NewsWireMsg::ForwardAck { zone, .. } => 8 + 2 * zone.depth(),
             NewsWireMsg::RepairRequest { ids } => 1 + ids.len() * ITEM_ID_WIRE_SIZE,
             NewsWireMsg::RepairReply { items } => {
@@ -335,7 +341,7 @@ impl Payload for NewsWireMsg {
         // applies.
         match self {
             NewsWireMsg::Forward { env, zone } => 4 + env.compressed_wire_size() + 2 * zone.depth(),
-            NewsWireMsg::Deliver { env } => 4 + env.compressed_wire_size(),
+            NewsWireMsg::Deliver { env, announce: false } => 4 + env.compressed_wire_size(),
             NewsWireMsg::RepairReply { items } => {
                 4 + items.iter().map(|i| i.compressed_wire_size()).sum::<usize>()
             }
@@ -404,6 +410,33 @@ mod tests {
         assert!(big.wire_size() > 5000);
         assert_eq!(small.compressed_wire_size(), small.wire_size());
         assert_eq!(big.compressed_wire_size(), big.wire_size(), "no basis, no delta");
+    }
+
+    /// An announce prices the header, the item id and its flag — whatever
+    /// the article weighs — on both byte lanes; the payload `Deliver` keeps
+    /// the envelope's price.
+    #[test]
+    fn an_announce_prices_the_id_and_its_flag() {
+        let item = Arc::new(NewsItem::builder(PublisherId(0), 3).body_len(5000).build());
+        let mut registry = astrolabe::TrustRegistry::new(1);
+        let cred =
+            crate::auth::issue_publisher(&mut registry, PublisherId(0), "p", &ZoneId::root(), 60);
+        let env = Arc::new(Envelope {
+            msg_id: msg_id_of(item.id),
+            filter: FilterSpec::All,
+            scope: ZoneId::root(),
+            certificate: cred.certificate.clone(),
+            key: cred.key_id(),
+            signature: cred.sign(&item),
+            attest: cred.attest_epoch(0),
+            basis: None,
+            item,
+        });
+        let announce = NewsWireMsg::Deliver { env: Arc::clone(&env), announce: true };
+        assert_eq!(announce.wire_size(), 4 + ITEM_ID_WIRE_SIZE + 1);
+        assert_eq!(announce.compressed_wire_size(), announce.wire_size());
+        let payload = NewsWireMsg::Deliver { env: Arc::clone(&env), announce: false };
+        assert_eq!(payload.wire_size(), 4 + env.wire_size());
     }
 
     #[test]

@@ -8,6 +8,7 @@ use newswire::{
     check_invariants, tech_news_deployment, Deployment, DeploymentBuilder, NewsWireConfig,
     PublisherSpec, Subscription, SubscriptionModel,
 };
+use obs::ctr;
 use simnet::{NodeId, SimTime};
 
 fn tech_item(seq: u64) -> NewsItem {
@@ -465,4 +466,127 @@ fn three_representatives_suppress_duplicates_and_never_deliver_twice() {
     let stats = d.total_stats();
     assert_eq!(stats.delivered, 32);
     assert!(stats.duplicates > 0, "k=3 must actually produce suppressed duplicates");
+}
+
+/// Fifteen subscribers of Technology behind one publisher (node 0), in two
+/// leaf zones of eight: the publisher's own, /0, and /1, which the
+/// publisher hands every article off to, one hand-off to each of its two
+/// representatives.
+fn two_leaf_zones(seed: u64, drop_prob: Option<f64>) -> Deployment {
+    let mut builder = DeploymentBuilder::new(15, seed)
+        .branching(8)
+        .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))));
+    if let Some(p) = drop_prob {
+        builder = builder.wan(p);
+    }
+    let mut d = builder.build();
+    for i in 1..=15 {
+        let mut sub = Subscription::new();
+        sub.subscribe_category(PublisherId(0), Category::Technology);
+        d.sim.node_mut(NodeId(i)).set_subscription(sub);
+    }
+    d.settle(45);
+    d
+}
+
+/// Publishes `n` articles from `first`, four a second from `at`, and returns
+/// them.
+fn feed(d: &mut Deployment, first: u64, n: u64, at: SimTime) -> Vec<NewsItem> {
+    let items: Vec<NewsItem> = (first..first + n).map(tech_item).collect();
+    for (i, item) in items.iter().enumerate() {
+        d.publish(at + simnet::SimDuration::from_millis(250 * i as u64), item.clone());
+    }
+    items
+}
+
+fn counter(d: &Deployment, node: NodeId, id: obs::CtrId) -> u64 {
+    d.sim.telemetry().borrow().node_counter(node.index(), id)
+}
+
+/// The members of /1, and its two representatives as the publisher sees
+/// them.
+fn zone_one(d: &Deployment) -> (Vec<NodeId>, Vec<NodeId>) {
+    let zone = astrolabe::ZoneId::root().child(1);
+    let members = d.layout.agents_under(&zone).into_iter().map(NodeId).collect();
+    let reps = amcast::zone_reps(&d.sim.node(NodeId(0)).agent, &zone);
+    assert_eq!(reps.len(), 2, "both representatives of /1 are known");
+    (members, reps.into_iter().map(NodeId).collect())
+}
+
+/// On a clean network, once both representatives of /1 have had
+/// enough payloads acknowledged in a row, each member of /1 is sent one
+/// payload per article: the second copy is an announce, so no member of
+/// /1 reads a duplicate, and every article is still delivered once to every
+/// member.
+#[test]
+fn a_warmed_clean_leaf_zone_is_sent_one_payload_per_member() {
+    let mut d = two_leaf_zones(21, None);
+    let (members, reps) = zone_one(&d);
+    feed(&mut d, 0, 60, SimTime::from_secs(45));
+    d.settle(20);
+    let announces =
+        |d: &Deployment| reps.iter().map(|&r| counter(d, r, ctr::NW_ANNOUNCES)).sum::<u64>();
+    let dups =
+        |d: &Deployment| members.iter().map(|&m| counter(d, m, ctr::NW_DUPLICATES)).sum::<u64>();
+    let (announced, duplicates) = (announces(&d), dups(&d));
+    assert!(duplicates > 0, "before the split, members read the second payload");
+
+    let now = d.sim.now();
+    let items = feed(&mut d, 60, 20, now);
+    d.settle(10);
+    assert!(announces(&d) > announced, "the split is on");
+    assert_eq!(dups(&d), duplicates, "one payload per member and article");
+    for item in &items {
+        assert_eq!(d.interested_nodes(item), d.delivered_nodes(item), "item {}", item.id);
+    }
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    assert_eq!(hub.counter_total(ctr::NW_ANNOUNCE_PAYLOADS), 0, "every announce was answered");
+    assert_eq!(hub.counter_total(ctr::NW_DELIVER_RESENDS), 0);
+    assert!(d.sim.iter().all(|(_, node)| node.held_announces() == 0));
+    assert!(d.sim.iter().all(|(_, node)| node.unacknowledged() == 0));
+}
+
+/// The split is on, and one representative of /1 crashes just before
+/// an article is published. The members it would have sent the payload
+/// to hold the other one's announce, whose wait runs out: that one sends
+/// the payload, and every live member of /1 delivers it within a second,
+/// down the tree.
+#[test]
+fn a_crashed_payload_representative_costs_one_announce_wait() {
+    let mut d = two_leaf_zones(22, None);
+    let (members, reps) = zone_one(&d);
+    feed(&mut d, 0, 60, SimTime::from_secs(45));
+    d.settle(20);
+    let (crashed, survivor) = (reps[0], reps[1]);
+    let at = d.sim.now();
+    d.sim.schedule_crash(at, crashed);
+    let item = tech_item(60);
+    d.publish(at + simnet::SimDuration::from_millis(100), item.clone());
+    d.settle(10);
+    assert!(counter(&d, survivor, ctr::NW_ANNOUNCE_PAYLOADS) > 0, "the crashed one sent payloads");
+    for &m in members.iter().filter(|&&m| m != crashed) {
+        let got: Vec<_> = d.sim.node(m).deliveries.iter().filter(|r| r.item == item.id).collect();
+        assert_eq!(got.len(), 1, "{m} delivered once");
+        assert!(!got[0].via_repair, "{m}: down the tree");
+        let late = got[0].delivered.saturating_since(got[0].published);
+        assert!(late < simnet::SimDuration::from_secs(1), "{m}: {late:?}");
+    }
+}
+
+/// On a link losing 5 % of its messages, no representative measures a
+/// clean run long enough to split: a whole feed goes out without one
+/// announce, and every article is delivered.
+#[test]
+fn a_lossy_final_hop_sends_no_announce() {
+    let mut d = two_leaf_zones(23, Some(0.05));
+    let items = feed(&mut d, 0, 100, SimTime::from_secs(45));
+    d.settle(60);
+    let hub = d.sim.telemetry();
+    assert!(hub.borrow().counter_total(ctr::NW_DELIVER_ACKS) > 1_000, "the final hop was busy");
+    assert_eq!(hub.borrow().counter_total(ctr::NW_ANNOUNCES), 0);
+    drop(hub);
+    for item in &items {
+        assert_eq!(d.interested_nodes(item), d.delivered_nodes(item), "item {}", item.id);
+    }
 }

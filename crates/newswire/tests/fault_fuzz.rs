@@ -14,7 +14,7 @@ use astrolabe::ZoneId;
 use newsml::{Category, ItemId, NewsItem, PublisherId, PublisherProfile};
 use newswire::{
     check_invariants, msg_id_of, DeploymentBuilder, Envelope, NewsWireConfig, NewsWireMsg,
-    PublisherSpec,
+    PublisherCredential, PublisherSpec,
 };
 use rand::Rng;
 use simnet::{
@@ -341,22 +341,49 @@ fn stray_delivers(d: &mut newswire::Deployment, published: &[(SimTime, NewsItem)
         // The bytes the publisher signed: it stamps the issue time.
         let mut item = item.clone();
         item.issued_us = at.as_micros();
-        let item = Arc::new(item);
-        let env = Envelope {
-            msg_id: msg_id_of(item.id),
-            filter: FilterSpec::All,
-            scope: ZoneId::root(),
-            certificate: cred.certificate.clone(),
-            key: cred.key_id(),
-            signature: cred.sign(&item),
-            attest: cred.attest_epoch(0),
-            basis: None,
-            item,
-        };
         d.sim.schedule_external(
             *at + SimDuration::from_secs(2),
             NodeId(rng.gen_range(1..N)),
-            NewsWireMsg::Deliver { env: Arc::new(env) },
+            NewsWireMsg::Deliver { env: envelope(&cred, item), announce: false },
+        );
+    }
+}
+
+/// `item` in an envelope under `cred`, as its publisher would send it.
+fn envelope(cred: &PublisherCredential, item: NewsItem) -> Arc<Envelope> {
+    let item = Arc::new(item);
+    Arc::new(Envelope {
+        msg_id: msg_id_of(item.id),
+        filter: FilterSpec::All,
+        scope: ZoneId::root(),
+        certificate: cred.certificate.clone(),
+        key: cred.key_id(),
+        signature: cred.sign(&item),
+        attest: cred.attest_epoch(0),
+        basis: None,
+        item,
+    })
+}
+
+/// Announces from outside the membership, through the fault era: of
+/// articles nobody published — publishers nobody has, sequence numbers past
+/// every log head — and of published ones, to random nodes. A receiver reads
+/// nothing but the id and has nobody to acknowledge: no panic, no delivery,
+/// nothing held.
+fn garbage_announces(d: &mut newswire::Deployment, published: &[(SimTime, NewsItem)], seed: u64) {
+    let mut rng = fork(seed, 0x6C);
+    let cred = d.sim.node(NodeId(0)).publisher().expect("node 0 publishes").credential.clone();
+    for k in 0..48u64 {
+        let id = match k % 3 {
+            0 => ItemId::new(PublisherId(rng.gen_range(0..3)), rng.gen_range(0..1 << 40)),
+            1 => ItemId::new(PublisherId(0), published.len() as u64 + rng.gen_range(0..1000u64)),
+            _ => published[rng.gen_range(0..published.len())].1.id,
+        };
+        let env = envelope(&cred, NewsItem::builder(id.publisher, id.seq).build());
+        d.sim.schedule_external(
+            SimTime::from_secs(93 + k),
+            NodeId(rng.gen_range(1..N)),
+            NewsWireMsg::Deliver { env, announce: true },
         );
     }
 }
@@ -393,6 +420,7 @@ fn fuzz_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
         d.publish(*at, item.clone());
     }
     stray_delivers(&mut d, &published, seed);
+    garbage_announces(&mut d, &published, seed);
     // Churn recovers everyone by t=140, brownouts and message chaos heal at
     // t=145; the long tail gives anti-entropy repair time to backfill.
     d.settle(150);
@@ -417,6 +445,13 @@ fn fuzz_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
                 exempt.contains(&node)
             );
         }
+    }
+
+    // Only published articles were delivered, and no announce was held.
+    let ids: HashSet<ItemId> = items.iter().map(|item| item.id).collect();
+    for (id, node) in d.sim.iter() {
+        assert!(node.deliveries.iter().all(|r| ids.contains(&r.item)), "seed {seed}: node {id}");
+        assert_eq!(node.held_announces(), 0, "seed {seed}: node {id}");
     }
 
     let mut fingerprint = Vec::new();

@@ -276,6 +276,13 @@ pub mod ctr {
         /// (also counted in `nw_forwards`; hand-off retries are
         /// `nw_ack_retries`).
         NW_DELIVER_RESENDS = 101, "nw_deliver_resends";
+        // -- newswire: announces on a clean final hop --
+        /// Id-only `Deliver`s a leaf representative sent in place of the
+        /// payload its co-representative sends.
+        NW_ANNOUNCES = 102, "nw_announces";
+        /// Announces whose wait ran out, so the payload went (also counted
+        /// in `nw_deliver_resends`).
+        NW_ANNOUNCE_PAYLOADS = 103, "nw_announce_payloads";
     }
 }
 
@@ -738,6 +745,9 @@ mod tests {
         assert_eq!(s.counter_name(ctr::RETIRED_99), "retired_99");
         assert_eq!(s.counter_name(ctr::NW_DELIVER_ACKS), "nw_deliver_acks");
         assert_eq!(s.counter_name(ctr::NW_DELIVER_RESENDS), "nw_deliver_resends");
+        assert_eq!(s.counter_name(ctr::NW_ANNOUNCES), "nw_announces");
+        assert_eq!(s.counter_name(ctr::NW_ANNOUNCE_PAYLOADS), "nw_announce_payloads");
+        assert_eq!((ctr::NW_ANNOUNCES.0, ctr::NW_ANNOUNCE_PAYLOADS.0), (102, 103));
         assert_eq!(s.gauge_name(gauge::ASTRO_ROWS_HELD), "astro_rows_held");
         assert_eq!(s.gauge_name(gauge::NW_PEAK_QUEUE), "nw_peak_queue");
         assert_eq!(s.gauge_name(gauge::RETIRED_2), "retired_2");

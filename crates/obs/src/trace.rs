@@ -161,6 +161,9 @@ pub mod kind {
     /// A `Deliver` went unacknowledged for a round-trip bound and was sent
     /// again (`a` = message id, `b` = the member).
     pub const DELIVER_RESEND: u8 = 71;
+    /// An announce went unacknowledged for its wait and the payload was
+    /// sent in its place (`a` = message id, `b` = the member).
+    pub const ANNOUNCE_PAYLOAD: u8 = 72;
 
     /// Stable lowercase name of a kind (used in exports).
     pub fn name(k: u8) -> &'static str {
@@ -206,6 +209,7 @@ pub mod kind {
             RETRO_PURGE => "retro_purge",
             PROBATION_HOLD => "probation_hold",
             DELIVER_RESEND => "deliver_resend",
+            ANNOUNCE_PAYLOAD => "announce_payload",
             _ => "unknown",
         }
     }
@@ -501,6 +505,9 @@ mod tests {
         assert_eq!(kind::name(kind::REVOKED_KEY_REJECT), "revoked_key_reject");
         assert_eq!(kind::name(kind::RETRO_PURGE), "retro_purge");
         assert_eq!(kind::name(kind::PROBATION_HOLD), "probation_hold");
+        assert_eq!(kind::name(kind::DELIVER_RESEND), "deliver_resend");
+        assert_eq!(kind::name(kind::ANNOUNCE_PAYLOAD), "announce_payload");
+        assert_eq!(kind::ANNOUNCE_PAYLOAD, 72);
         assert_eq!(kind::name(250), "unknown");
         // Retired kinds stay unnamed, so an old trace cannot be misread.
         for retired in [32, 33, 55, 56, 70] {

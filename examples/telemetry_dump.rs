@@ -34,7 +34,7 @@ fn main() {
         "--- summary: {repaired} recovery items sent, {} already held, \
          {} outside the receiver's subscription, {} withheld as stubs, \
          {} requested seqs unvouched; {} ack retries, {} deliveries acknowledged, \
-         {} re-sent ---",
+         {} re-sent; {} announces, {} answered with the payload ---",
         total(ctr::NW_RECOVERY_HELD),
         total(ctr::NW_RECOVERY_UNWANTED),
         total(ctr::NW_RECONCILE_WITHHELD),
@@ -42,6 +42,8 @@ fn main() {
         total(ctr::NW_ACK_RETRIES),
         total(ctr::NW_DELIVER_ACKS),
         total(ctr::NW_DELIVER_RESENDS),
+        total(ctr::NW_ANNOUNCES),
+        total(ctr::NW_ANNOUNCE_PAYLOADS),
     );
     let telemetry = deployment.sim.drain_telemetry();
     println!("{}", telemetry.to_json());

@@ -102,7 +102,7 @@ fn the_full_gossip_wire_moves_unchanged_rows_by_stamp() {
         (97, 98, 99),
         "what reconcile vouches for is appended after the gossip byte counter"
     );
-    assert_eq!(ctr::NAMES.len(), 102);
+    assert_eq!(ctr::NAMES.len(), 104);
     let d = sample_run(0x0B8);
     assert!(!d.sim.node(NodeId(0)).agent.config().delta_gossip, "the default is the full wire");
     let hub = d.sim.telemetry();
