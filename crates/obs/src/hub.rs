@@ -22,10 +22,6 @@ pub struct TelemetryHub {
     ring: TraceRing,
     now_us: u64,
     seed: u64,
-    /// Ordering key of the event currently being processed (sharded-engine
-    /// scratch hubs stamp it onto every trace record; see
-    /// [`TraceRing::enable_keys`]).
-    event_key: (u64, u64),
 }
 
 impl TelemetryHub {
@@ -38,7 +34,6 @@ impl TelemetryHub {
             ring: TraceRing::default(),
             now_us: 0,
             seed,
-            event_key: (0, 0),
         }
     }
 
@@ -106,61 +101,14 @@ impl TelemetryHub {
     /// Records a trace event stamped with the current simulated time.
     #[inline]
     pub fn trace(&mut self, node: u32, layer: Layer, kind: u8, a: u64, b: u64) {
-        self.ring
-            .push_keyed(TraceEvent { t_us: self.now_us, a, b, node, layer, kind }, self.event_key);
+        self.ring.push(TraceEvent { t_us: self.now_us, a, b, node, layer, kind });
     }
 
     /// Records a trace event with an explicit timestamp (engine paths that
     /// know the event time before updating the hub clock).
     #[inline]
     pub fn trace_at(&mut self, t_us: u64, node: u32, layer: Layer, kind: u8, a: u64, b: u64) {
-        self.ring.push_keyed(TraceEvent { t_us, a, b, node, layer, kind }, self.event_key);
-    }
-
-    /// Sets the ordering key stamped onto subsequent trace records (only
-    /// observable on hubs whose ring has key tracking enabled).
-    #[inline]
-    pub fn set_event_key(&mut self, a: u64, b: u64) {
-        self.event_key = (a, b);
-    }
-
-    /// Enables per-record ordering keys on the ring and lifts the capacity
-    /// bound — the configuration the sharded engine uses for its per-shard
-    /// scratch hubs, which are drained and merged every synchronization
-    /// window (the *merged* ring enforces the real capacity).
-    pub fn configure_as_scratch(&mut self) {
-        self.ring.set_capacity(usize::MAX);
-        self.ring.enable_keys();
-    }
-
-    /// Pushes an already-built record (cross-shard merges replaying records
-    /// into the master ring in globally sorted order).
-    #[inline]
-    pub fn push_record(&mut self, ev: TraceEvent) {
-        self.ring.push(ev);
-    }
-
-    /// Drains the ring of a keyed scratch hub: `(record, ordering key)`
-    /// pairs in emission order. Metric sets are untouched.
-    pub fn drain_trace_keyed(&mut self) -> Vec<(TraceEvent, (u64, u64))> {
-        self.ring.drain_keyed()
-    }
-
-    /// Folds every metric set of `other` (a same-schema scratch hub that
-    /// runs the nodes `owned`) into this hub via [`MetricSet::absorb`]:
-    /// counters/histograms/series move over, and the owned nodes' gauges
-    /// replace this hub's — the same values a hub written directly would
-    /// hold. Trace rings are *not* merged here (they move through
-    /// [`TelemetryHub::drain_trace_keyed`] + [`TelemetryHub::push_record`]
-    /// so records can be globally ordered).
-    pub fn merge_sets_from(&mut self, other: &mut TelemetryHub, owned: std::ops::Range<usize>) {
-        self.ensure_nodes(other.nodes.len());
-        for (i, (dst, src)) in self.nodes.iter_mut().zip(other.nodes.iter_mut()).enumerate() {
-            if !src.is_zero() {
-                dst.absorb(src, owned.contains(&i));
-            }
-        }
-        self.global.absorb(&mut other.global, false);
+        self.ring.push(TraceEvent { t_us, a, b, node, layer, kind });
     }
 
     /// The trace ring (inspection and capacity control).
@@ -251,16 +199,11 @@ impl TelemetryHub {
         let dropped = self.ring.dropped();
         let events = self.ring.drain();
         let snap = self.snapshot_inner(events, dropped);
-        self.reset_metrics();
-        snap
-    }
-
-    /// Resets every metric slot (the ring is untouched).
-    pub fn reset_metrics(&mut self) {
         for m in &mut self.nodes {
             m.reset();
         }
         self.global.reset();
+        snap
     }
 }
 

@@ -624,47 +624,6 @@ impl MetricSet {
         self.series.iter_mut().for_each(Vec::clear);
     }
 
-    /// Moves another set's activity into this one and clears it there:
-    /// counters and buckets add, series concatenate. A gauge is a level with
-    /// one writer, so `other`'s gauges replace this set's when `owner` (the
-    /// writer updates `other`) and are ignored otherwise; either way `other`
-    /// keeps them, so the next absorb still sees the writer's current level.
-    pub fn absorb(&mut self, other: &mut MetricSet, owner: bool) {
-        for (i, c) in other.counters.iter_mut() {
-            if *c != 0 {
-                *self.counters.slot(i) += std::mem::take(c);
-            }
-        }
-        if owner {
-            for (i, &g) in other.gauges.iter().enumerate() {
-                *Self::slot(&mut self.gauges, i) = g;
-            }
-        }
-        for (i, h) in other.hists.iter_mut().enumerate() {
-            if h.is_empty() {
-                continue;
-            }
-            if i >= self.hists.len() {
-                self.hists.resize_with(i + 1, Vec::new);
-            }
-            if self.hists[i].is_empty() {
-                self.hists[i].resize(h.len(), 0);
-            }
-            for (b, v) in h.iter_mut().enumerate() {
-                self.hists[i][b] += std::mem::take(v);
-            }
-        }
-        for (i, s) in other.series.iter_mut().enumerate() {
-            if s.is_empty() {
-                continue;
-            }
-            if i >= self.series.len() {
-                self.series.resize_with(i + 1, Vec::new);
-            }
-            self.series[i].append(s);
-        }
-    }
-
     /// Iterates `(slot, value)` over non-zero counters in slot order.
     pub fn counters_nonzero(&self) -> impl Iterator<Item = (CtrId, u64)> + '_ {
         self.counters.iter().filter(|&(_, v)| v != 0).map(|(i, v)| (CtrId(i as u16), v))
@@ -818,12 +777,6 @@ mod tests {
         let expect = [(CtrId(0), 7), (CtrId(81), 4), (CtrId(96), 1), (CtrId(130), 3)];
         assert_eq!(m.counters_nonzero().collect::<Vec<_>>(), expect);
         assert_eq!((m.ctr(CtrId(129)), m.ctr(CtrId(500))), (0, 0));
-        let mut other = MetricSet::new();
-        other.ctr_add(CtrId(64), 1);
-        other.ctr_add(CtrId(130), 1);
-        m.absorb(&mut other, false);
-        assert_eq!((m.ctr(CtrId(64)), m.ctr(CtrId(130))), (1, 4));
-        assert!(other.is_zero());
     }
 
     #[test]
@@ -839,27 +792,5 @@ mod tests {
         assert!(m.is_zero());
         assert_eq!(m.ctr(ctr::NW_DELIVERED), 0);
         assert!(m.series(series::DELIVERY_LATENCY_US).is_empty());
-    }
-
-    #[test]
-    fn absorb_moves_activity_and_copies_owned_gauges() {
-        let mut a = MetricSet::new();
-        let mut b = MetricSet::new();
-        a.ctr_add(ctr::MSGS_SENT, 1);
-        b.ctr_add(ctr::MSGS_SENT, 2);
-        b.gauge_set(gauge::ASTRO_ROWS_HELD, 5);
-        a.gauge_set(gauge::ASTRO_ROWS_HELD, 9);
-        b.series_push(series::DELIVERY_LATENCY_US, 3);
-        a.absorb(&mut b, false);
-        assert_eq!(a.ctr(ctr::MSGS_SENT), 3);
-        assert_eq!(a.gauge(gauge::ASTRO_ROWS_HELD), 9, "a non-owner's gauges are ignored");
-        assert_eq!(a.series(series::DELIVERY_LATENCY_US), &[3]);
-        assert_eq!(b.ctr(ctr::MSGS_SENT), 0);
-        assert!(b.series(series::DELIVERY_LATENCY_US).is_empty());
-        // A level that fell since the last absorb falls here too.
-        a.absorb(&mut b, true);
-        assert_eq!(a.gauge(gauge::ASTRO_ROWS_HELD), 5);
-        assert_eq!(b.gauge(gauge::ASTRO_ROWS_HELD), 5, "the writer keeps its level");
-        assert_eq!(a.ctr(ctr::MSGS_SENT), 3);
     }
 }

@@ -274,12 +274,6 @@ pub struct TraceRing {
     /// Index of the oldest record once the ring has wrapped.
     head: usize,
     dropped: u64,
-    /// When key tracking is on, one `(a, b)` ordering key per record in
-    /// `buf`, maintained in lockstep (same indices, same eviction). The
-    /// sharded engine keys every record with its generating event's
-    /// shard-invariant ordering key so cross-shard merges can reconstruct
-    /// the global record order.
-    keys: Option<Vec<(u64, u64)>>,
 }
 
 /// Default ring capacity (records), chosen so a full chaos-day run keeps its
@@ -295,19 +289,7 @@ impl Default for TraceRing {
 impl TraceRing {
     /// A ring holding at most `capacity` records (min 1).
     pub fn new(capacity: usize) -> Self {
-        TraceRing { buf: Vec::new(), capacity: capacity.max(1), head: 0, dropped: 0, keys: None }
-    }
-
-    /// Turns on per-record ordering-key tracking (see the `keys` field).
-    /// Must be called while the ring is empty.
-    pub fn enable_keys(&mut self) {
-        assert!(self.buf.is_empty(), "enable_keys on a non-empty ring");
-        self.keys = Some(Vec::new());
-    }
-
-    /// Whether per-record ordering keys are tracked.
-    pub fn keyed(&self) -> bool {
-        self.keys.is_some()
+        TraceRing { buf: Vec::new(), capacity: capacity.max(1), head: 0, dropped: 0 }
     }
 
     /// Maximum records retained.
@@ -330,28 +312,13 @@ impl TraceRing {
         self.dropped
     }
 
-    /// Pushes a record, evicting the oldest when full. With key tracking on
-    /// the record gets the zero key; keyed emitters use
-    /// [`TraceRing::push_keyed`].
+    /// Pushes a record, evicting the oldest when full.
     #[inline]
     pub fn push(&mut self, ev: TraceEvent) {
-        self.push_keyed(ev, (0, 0));
-    }
-
-    /// Pushes a record tagged with its generating event's ordering key
-    /// (ignored unless [`TraceRing::enable_keys`] was called).
-    #[inline]
-    pub fn push_keyed(&mut self, ev: TraceEvent, key: (u64, u64)) {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
-            if let Some(keys) = &mut self.keys {
-                keys.push(key);
-            }
         } else {
             self.buf[self.head] = ev;
-            if let Some(keys) = &mut self.keys {
-                keys[self.head] = key;
-            }
             self.head += 1;
             if self.head == self.capacity {
                 self.head = 0;
@@ -373,30 +340,6 @@ impl TraceRing {
     pub fn drain(&mut self) -> Vec<TraceEvent> {
         let out = self.ordered();
         self.buf.clear();
-        if let Some(keys) = &mut self.keys {
-            keys.clear();
-        }
-        self.head = 0;
-        self.dropped = 0;
-        out
-    }
-
-    /// Empties a keyed ring, returning `(record, key)` pairs oldest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if key tracking was never enabled.
-    pub fn drain_keyed(&mut self) -> Vec<(TraceEvent, (u64, u64))> {
-        let keys = self.keys.as_mut().expect("drain_keyed on an unkeyed ring");
-        let mut out = Vec::with_capacity(self.buf.len());
-        for (ev, k) in self.buf[self.head..].iter().zip(&keys[self.head..]) {
-            out.push((*ev, *k));
-        }
-        for (ev, k) in self.buf[..self.head].iter().zip(&keys[..self.head]) {
-            out.push((*ev, *k));
-        }
-        self.buf.clear();
-        keys.clear();
         self.head = 0;
         self.dropped = 0;
         out
@@ -407,22 +350,12 @@ impl TraceRing {
     pub fn set_capacity(&mut self, capacity: usize) {
         let capacity = capacity.max(1);
         let mut ordered = self.ordered();
-        let mut keys_ordered = self.keys.as_ref().map(|keys| {
-            let mut out = Vec::with_capacity(keys.len());
-            out.extend_from_slice(&keys[self.head..]);
-            out.extend_from_slice(&keys[..self.head]);
-            out
-        });
         if ordered.len() > capacity {
             let shed = ordered.len() - capacity;
             ordered.drain(..shed);
-            if let Some(k) = &mut keys_ordered {
-                k.drain(..shed);
-            }
             self.dropped += shed as u64;
         }
         self.buf = ordered;
-        self.keys = keys_ordered.or_else(|| self.keys.take());
         self.head = 0;
         self.capacity = capacity;
     }

@@ -16,8 +16,9 @@
 //!   recovery regimes: `Freeze` (volatile state survives), `ColdDurable`
 //!   (rebuild from disk), `ColdAmnesia` (rejoin from nothing).
 //! * [`Simulation`] — the engine: events totally ordered by a
-//!   `(time, node-derived key)`, per-node deterministic RNG streams, traffic
-//!   accounting; one ordering whether it runs on one shard or many.
+//!   `(time, node-derived key)` in one calendar queue, per-node
+//!   deterministic RNG streams, traffic accounting; a run depends on
+//!   nothing but the seed and the schedule.
 //! * [`NetworkModel`] — pluggable latency ([`LatencyModel`]), loss,
 //!   [`Partition`]s, per-node [`GrayProfile`] degradation, directed link
 //!   cuts, and duplication/reordering knobs.

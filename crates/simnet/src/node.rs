@@ -385,8 +385,8 @@ impl<M> Context<'_, M> {
 
     /// Schedules a timer to fire after `delay`, carrying an opaque `tag` the
     /// node uses to tell its timers apart. A zero delay fires one microsecond
-    /// later: nothing a callback schedules lands at the instant being
-    /// handled, so one queue and many sharded ones process in the same order.
+    /// later: a timer never lands at the instant being handled, so it sorts
+    /// after the event that set it.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
         *self.next_timer += 1;
         let id = TimerId(*self.next_timer);

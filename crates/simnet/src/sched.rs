@@ -19,10 +19,9 @@
 //!   heap and are re-filed into the ring when their epoch arrives — each
 //!   entry is touched at most once more, so inserts stay O(1) amortized.
 //!
-//! The ordering key is `(time, a, b)`: the legacy engine uses
-//! `a = 0, b = global sequence` (bit-identical to the historical
-//! `(time, seq)` heap order), while the sharded engine uses the
-//! shard-count-invariant keys described in `sim.rs`.
+//! The ordering key is `(time, a, b)`; the engine's node-derived keys are
+//! described in `sim.rs`. The queue itself only requires that no key is
+//! pushed twice and none lands before the last popped time.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -146,10 +145,11 @@ impl<T> EventQueue<T> {
         // it pops a full rotation late.
         let cursor_end = self.epoch_end - SPAN + (((self.cur_bucket as u64) + 1) << SHIFT);
         if t_us < cursor_end {
-            // At or behind the cursor (e.g. a zero-delay timer scheduled
-            // while the cursor already sits on a later bucket, or a
-            // cross-shard arrival behind a jumped window): the heap absorbs
-            // it so nothing is ever parked behind the cursor.
+            // At or behind the cursor (e.g. an event at the instant being
+            // handled while the cursor already sits on its bucket, or an
+            // external input scheduled behind a window that a `peek_time`
+            // jumped ahead): the heap absorbs it so nothing is ever parked
+            // behind the cursor.
             self.cur.push(Reverse(e));
         } else {
             let bi = ((t_us >> SHIFT) & MASK) as usize;
@@ -204,14 +204,6 @@ impl<T> EventQueue<T> {
     pub fn peek_time(&mut self) -> Option<u64> {
         self.advance();
         self.cur.peek().map(|Reverse(e)| e.t)
-    }
-
-    /// Full `(t, a, b)` key of the earliest queued event (advances the
-    /// internal cursor, but never pops). The sharded engine's `step` uses
-    /// this to pick the globally earliest event across shard queues.
-    pub fn peek_key(&mut self) -> Option<(u64, u64, u64)> {
-        self.advance();
-        self.cur.peek().map(|Reverse(e)| (e.t, e.a, e.b))
     }
 
     /// Pops the earliest event in strict `(t, a, b)` order.
@@ -296,11 +288,12 @@ mod tests {
 
     #[test]
     fn push_behind_a_jumped_window_stays_visible() {
-        // Regression: the sharded engine can push into a queue whose window
-        // jumped several epochs ahead (an idle shard whose only remaining
-        // event was far-future). The new entry's time is behind the whole
-        // window; filing it by mod-SPAN bucket index would park it in a
-        // future slot where it pops a rotation late and out of order.
+        // Regression: a push can land in a queue whose window jumped several
+        // epochs ahead — a run call's `peek_time` on an idle queue whose
+        // only event is far-future, then an external input scheduled for an
+        // earlier instant. The new entry's time is behind the whole window;
+        // filing it by mod-SPAN bucket index would park it in a future slot
+        // where it pops a rotation late and out of order.
         let mut q = EventQueue::new();
         let far = 3 * SPAN + 777; // several epochs out
         q.push(far, 0, 1, far ^ 1);

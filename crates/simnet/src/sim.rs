@@ -1,41 +1,30 @@
 //! The discrete-event engine.
 //!
-//! [`Simulation`] owns the nodes, the event queues, the network model and all
-//! randomness. Events are totally ordered by a `(time, a, b)` key, so a run
-//! is a pure function of the master seed and the schedule of external
-//! inputs — the determinism every experiment in this reproduction relies on.
+//! [`Simulation`] owns the nodes, one calendar-queue scheduler (see
+//! [`crate::sched`]), the network model and all randomness, and every run
+//! call drains that queue straight to its deadline.
 //!
-//! # One ordering, any number of shards
+//! # One ordering
 //!
-//! No key or random stream mentions how the run is executed. A node-emitted
-//! event is keyed `(arrival, destination‖source, per-source sequence)`, an
-//! externally scheduled one `(time, destination‖EXT, schedule order)`, a
-//! network-wide control event `(time, MAX, schedule order)`; every draw —
-//! protocol, network, liar — comes from a stream of its own node. A timer
-//! never fires at the instant it was set and, wherever shards are possible,
-//! every latency is positive, so whatever a callback schedules sorts after
-//! the event that caused it.
-//!
-//! The nodes are split into contiguous id ranges, one **shard** each, with
-//! its own calendar-queue scheduler (see [`crate::sched`]), network-model
-//! copy and streams. One shard (the default) drains its queue straight to
-//! the deadline. With `k > 1` ([`Simulation::set_shards`]) the shards advance
-//! in conservative windows bounded by the network's minimum latency (the
-//! lookahead): a message sent in `[W, W+L)` cannot arrive before `W+L`, so no
-//! shard sees another's events early. Cross-shard sends wait in outboxes for
-//! the window barrier; each shard's trace records are merged into the master
-//! ring in `(time, key)` order — the order one queue pops them in — and its
-//! metric sets into the master's at the end of every run call. So the
-//! telemetry is the same bytes for every shard count.
-//! [`Simulation::run_until_parallel`] executes the same window plan with one
-//! thread per shard and is byte-identical to the sequential path by
-//! construction.
+//! Events are totally ordered by a `(time, a, b)` key that names only nodes
+//! and the schedule: a node-emitted event is keyed `(arrival,
+//! destination‖source, per-source sequence)`, an externally scheduled one
+//! `(time, destination‖EXT, schedule order)`, a network-wide control event
+//! `(time, MAX, schedule order)`. Every draw — protocol, network, liar —
+//! comes from a stream of its own node, forked from the master seed by the
+//! node's id. So a node's draws and a run's order depend on nothing but the
+//! seed and the schedule of external inputs: the same seed replays
+//! byte-identical telemetry, however the run is split into run calls — the
+//! determinism every experiment in this reproduction relies on. A timer
+//! never fires at the instant it was set (its delay is floored at 1 µs), so
+//! whatever a callback schedules for itself sorts after the event that
+//! caused it.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use obs::{ctr, kind, Layer, Telemetry, TelemetryHub, TraceEvent};
+use obs::{ctr, kind, Layer, Telemetry, TelemetryHub};
 use rand::rngs::SmallRng;
 
 use crate::disk::{Disk, RestartMode};
@@ -69,7 +58,7 @@ const NET_STREAM_BASE: u64 = 0x4E45_5452_0000_0000;
 const LIAR_STREAM_BASE: u64 = 0x11A2_0000_0000_0000;
 
 /// `a`-key of network-global control events: sorts after every node event
-/// at the same instant, in every shard's queue.
+/// at the same instant.
 const KEY_CONTROL: u64 = u64::MAX;
 
 /// Lane marker distinguishing externally injected events from node-emitted
@@ -82,12 +71,6 @@ fn key_local(dest: u32, src: u32) -> u64 {
     (u64::from(dest) << 32) | u64::from(src)
 }
 
-/// `a`-key of an externally injected per-node event.
-fn key_external(dest: u32) -> u64 {
-    (u64::from(dest) << 32) | EXT_LANE
-}
-
-#[derive(Clone)]
 enum EventKind<M> {
     Deliver { from: NodeId, to: NodeId, msg: M, size: usize },
     Timer { node: NodeId, id: TimerId, tag: u64 },
@@ -104,25 +87,25 @@ enum EventKind<M> {
     SetColluder(NodeId, bool),
 }
 
-/// The shard that must process an event: `Some(node)` for per-node events
-/// (owner shard), `None` for network-global control events (broadcast — every
-/// shard applies them to its network-model copy).
-fn event_target<M>(kind: &EventKind<M>) -> Option<NodeId> {
-    match kind {
-        EventKind::Deliver { to, .. } => Some(*to),
-        EventKind::Timer { node, .. } => Some(*node),
-        EventKind::Crash(n) => Some(*n),
-        EventKind::Recover(n, _) => Some(*n),
-        EventKind::Corrupt { node, .. } => Some(*node),
-        EventKind::SetLiar(n, _) => Some(*n),
-        EventKind::SetColluder(n, _) => Some(*n),
+/// `a`-key of an externally scheduled event: its node's external lane for a
+/// per-node event, the control lane for a network-global one.
+fn external_key<M>(kind: &EventKind<M>) -> u64 {
+    let node = match kind {
+        EventKind::Deliver { to: n, .. }
+        | EventKind::Timer { node: n, .. }
+        | EventKind::Crash(n)
+        | EventKind::Recover(n, _)
+        | EventKind::Corrupt { node: n, .. }
+        | EventKind::SetLiar(n, _)
+        | EventKind::SetColluder(n, _) => n,
         EventKind::SetPartition(_)
         | EventKind::SetDropProb(_)
         | EventKind::SetGray(..)
         | EventKind::SetLink { .. }
         | EventKind::SetDupProb(_)
-        | EventKind::SetReorder { .. } => None,
-    }
+        | EventKind::SetReorder { .. } => return KEY_CONTROL,
+    };
+    (u64::from(node.0) << 32) | EXT_LANE
 }
 
 enum Callback<M> {
@@ -143,7 +126,7 @@ fn drop_cause_slot(cause: DropCause) -> obs::CtrId {
     }
 }
 
-/// The master hub, shared with the thread-local collector.
+/// The telemetry hub, shared with the thread-local collector.
 type Hub = Rc<RefCell<TelemetryHub>>;
 
 /// The engine's own state for one node, kept in one record so an event
@@ -174,65 +157,93 @@ impl Slot {
     }
 }
 
-/// One execution shard: a contiguous range of nodes, their queue, and every
-/// piece of state their events touch.
-struct Shard<N: Node> {
-    index: usize,
-    base: u32,
+/// What [`Simulation::disk`] shows before the first run: nothing has run
+/// yet to write a disk.
+static UNWRITTEN: Disk = Disk::new();
+
+/// A deterministic discrete-event simulation over nodes of type `N`.
+///
+/// # Examples
+///
+/// A two-node ping-pong (the single-byte payload carries a hop budget):
+///
+/// ```
+/// use simnet::{Simulation, NetworkModel, Node, NodeId, Context, TimerId, SimDuration};
+///
+/// struct Ping { peer: NodeId, pings: u32 }
+/// impl Node for Ping {
+///     type Msg = Vec<u8>;
+///     fn on_start(&mut self, ctx: &mut Context<'_, Vec<u8>>) {
+///         if ctx.id() == NodeId(0) { ctx.send(self.peer, vec![3]); }
+///     }
+///     fn on_message(&mut self, ctx: &mut Context<'_, Vec<u8>>, from: NodeId, m: Vec<u8>) {
+///         self.pings += 1;
+///         if m[0] > 0 { ctx.send(from, vec![m[0] - 1]); }
+///     }
+///     fn on_timer(&mut self, _: &mut Context<'_, Vec<u8>>, _: TimerId, _: u64) {}
+/// }
+///
+/// let mut sim = Simulation::new(NetworkModel::ideal(SimDuration::from_millis(10)), 42);
+/// sim.add_node(Ping { peer: NodeId(1), pings: 0 });
+/// sim.add_node(Ping { peer: NodeId(0), pings: 0 });
+/// sim.run_until(simnet::SimTime::from_secs(1));
+/// assert_eq!(sim.node(NodeId(0)).pings + sim.node(NodeId(1)).pings, 4);
+/// ```
+pub struct Simulation<N: Node> {
+    /// All traffic/fault accounting and trace records live here; the
+    /// [`TrafficCounters`]/[`FaultCounters`] accessors are views over it.
+    /// Shared (`Rc`) so the thread-local collector can reach it from inside
+    /// node callbacks.
+    hub: Hub,
     nodes: Vec<N>,
-    /// Engine state of each node (indexed by local id).
+    /// Engine state of each node (indexed by id), built by the first run
+    /// call so that adding a node stages nothing but the node.
     slots: Vec<Slot>,
-    crash_unsynced_loss: usize,
-    /// Whether `BYTES_WIRE` (the compressed-wire accounting lane) is
-    /// tallied alongside `BYTES_SENT`.
-    delta_accounting: bool,
-    /// This shard's copy of the network model (control events are broadcast,
-    /// so every copy applies the same mutations in the same key order).
+    /// The network model, as scheduled control events have changed it.
     net: NetworkModel,
     /// Per-node liar streams, created on a liar's first draw.
     liar_rngs: HashMap<u32, SmallRng>,
-    queue: EventQueue<EventKind<N::Msg>>,
-    now: SimTime,
-    /// Fire times of timers still queued, so a cancellation can be bounded
-    /// to the timer's lifetime (entries leave when the timer event pops).
-    pending_timers: HashMap<TimerId, SimTime>,
-    /// Cancelled-but-not-yet-popped timers, keyed to their fire time so
-    /// stale entries can be purged once that time has passed.
-    cancelled: HashMap<TimerId, SimTime>,
     liars: HashMap<u32, LiarBehavior>,
     colluders: HashSet<u32>,
+    queue: EventQueue<EventKind<N::Msg>>,
+    /// Externally scheduled events (with their `b`-keys) that wait for the
+    /// first run call to be queued, so that building a run costs a `Vec`
+    /// push per input.
+    staged: Vec<(SimTime, u64, EventKind<N::Msg>)>,
+    now: SimTime,
+    /// Timers still queued and not cancelled: a popped timer fires only if
+    /// its id is here (entries leave when the timer pops or is cancelled).
+    live_timers: HashSet<TimerId>,
     events_processed: u64,
     peak_queue: usize,
     seed: u64,
-    per: u32,
-    nshards: usize,
-    /// A multi-shard run's scratch telemetry hub (owned, so the shard is
-    /// `Send`), drained into the master hub at window boundaries. `None`
-    /// when the run has one shard, which writes straight into the master.
-    scratch: Option<TelemetryHub>,
-    /// Cross-shard sends parked until the window barrier, one box per
-    /// destination shard.
-    outboxes: Vec<Outbox<N::Msg>>,
+    started: bool,
+    /// How many of the newest unsynced disk writes a crash destroys
+    /// (default: all of them).
+    crash_unsynced_loss: usize,
+    /// Whether sends also tally `BYTES_WIRE` (compressed-wire accounting).
+    delta_accounting: bool,
+    /// `b`-key counter for externally scheduled events (schedule order).
+    ext_seq: u64,
     /// The effects buffer `dispatch_callback` lends each callback; empty
     /// between callbacks, its capacity kept.
     effects: Vec<Effect<N::Msg>>,
 }
 
-/// A parked cross-shard event: `(arrival µs, a, b, event)`.
-type Outbox<M> = Vec<(u64, u64, u64, EventKind<M>)>;
-
-impl<N: Node> Shard<N> {
-    fn shard_of(&self, id: NodeId) -> usize {
-        ((id.0 / self.per) as usize).min(self.nshards - 1)
+impl<N: Node> std::fmt::Debug for Simulation<N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Simulation")
+            .field("nodes", &self.len())
+            .field("now", &self.now)
+            .field("queued", &(self.queue.len() + self.staged.len()))
+            .field("events_processed", &self.events_processed())
+            .finish()
     }
+}
 
-    /// Whether trace records must carry their event's key: only a
-    /// multi-shard run merges rings.
-    fn keyed(&self) -> bool {
-        self.nshards > 1
-    }
-
-    fn push_keyed(&mut self, at: SimTime, a: u64, b: u64, kind: EventKind<N::Msg>) {
+impl<N: Node> Simulation<N> {
+    /// Queues an event and tracks the queue's high-water mark.
+    fn enqueue(&mut self, at: SimTime, a: u64, b: u64, kind: EventKind<N::Msg>) {
         self.queue.push(at.as_micros(), a, b, kind);
         self.peak_queue = self.peak_queue.max(self.queue.len());
     }
@@ -240,29 +251,21 @@ impl<N: Node> Shard<N> {
     /// Allocates the ordering key for an event emitted by `src` toward
     /// `dest` (timers use `dest == src`).
     fn key_for_emit(&mut self, src: NodeId, dest: NodeId) -> (u64, u64) {
-        let slot = &mut self.slots[(src.0 - self.base) as usize];
+        let slot = &mut self.slots[src.index()];
         slot.seq += 1;
         (key_local(dest.0, src.0), slot.seq)
     }
 
-    /// Queues a delivery locally or parks it in the outbox of the owner
-    /// shard (cross-shard arrivals are always at or beyond the window
-    /// barrier, because every latency is at least the lookahead).
+    /// Queues a delivery from `from` to `to` at `at`.
     fn emit_deliver(&mut self, from: NodeId, to: NodeId, msg: N::Msg, size: usize, at: SimTime) {
         let (a, b) = self.key_for_emit(from, to);
-        let dst = self.shard_of(to);
-        let kind = EventKind::Deliver { from, to, msg, size };
-        if dst == self.index {
-            self.push_keyed(at, a, b, kind);
-        } else {
-            self.outboxes[dst].push((at.as_micros(), a, b, kind));
-        }
+        self.enqueue(at, a, b, EventKind::Deliver { from, to, msg, size });
     }
 
     /// Runs the node callback and then applies the effects it requested.
     fn dispatch_callback(&mut self, hub: &Hub, id: NodeId, cb: Callback<N::Msg>) {
-        let li = (id.0 - self.base) as usize;
-        // One buffer per shard, drained below and handed back: a callback
+        let li = id.index();
+        // One buffer per simulation, drained below and handed back: a callback
         // that requests nothing costs the engine no allocation.
         let mut effects = std::mem::take(&mut self.effects);
         {
@@ -270,8 +273,8 @@ impl<N: Node> Shard<N> {
             // (callbacks are instantaneous in sim time, so stamping the
             // clock once here is exact).
             hub.borrow_mut().set_now_us(self.now.as_micros());
-            // Usually a no-op pointer check: the run loops install the hub
-            // once per window (see `run_window`).
+            // Usually a no-op pointer check: the run calls install the hub
+            // once for their whole drain.
             let _obs_guard = obs::collector::install_if_needed(hub);
             let node = &mut self.nodes[li];
             let slot = &mut self.slots[li];
@@ -385,37 +388,28 @@ impl<N: Node> Shard<N> {
                 Effect::SetTimer { id: tid, delay, tag } => {
                     // Never at the current instant (see the module docs).
                     let at = self.now + delay.max(SimDuration::from_micros(1));
-                    self.pending_timers.insert(tid, at);
+                    self.live_timers.insert(tid);
                     let (a, b) = self.key_for_emit(id, id);
-                    self.push_keyed(at, a, b, EventKind::Timer { node: id, id: tid, tag });
+                    self.enqueue(at, a, b, EventKind::Timer { node: id, id: tid, tag });
                 }
                 Effect::CancelTimer { id: tid } => {
-                    // Cancelling an already-fired (or never-set) timer must
-                    // not grow the set forever: only timers still queued are
-                    // recorded, keyed to the time their entry self-expires.
-                    if let Some(&fire) = self.pending_timers.get(&tid) {
-                        self.cancelled.insert(tid, fire);
-                    }
+                    // Only queued timers are live, so cancelling a fired or
+                    // never-set one leaves nothing behind.
+                    self.live_timers.remove(&tid);
                 }
             }
         }
         self.effects = effects;
     }
 
-    /// Applies one popped event to this shard's state.
+    /// Applies one popped event.
     fn process_event(&mut self, hub: &Hub, t: SimTime, kind_ev: EventKind<N::Msg>) {
         debug_assert!(t >= self.now, "event queue went backwards");
         self.now = t;
-        // Network-global control events are broadcast to every shard's
-        // queue; tally the logical event once (on shard 0) so
-        // `events_processed` stays shard-count-invariant.
-        if self.index == 0 || event_target(&kind_ev).is_some() {
-            self.events_processed += 1;
-        }
+        self.events_processed += 1;
         match kind_ev {
             EventKind::Deliver { from, to, msg, size } => {
-                let li = (to.0 as usize).wrapping_sub(self.base as usize);
-                if self.slots.get(li).is_none_or(|s| s.down) {
+                if self.slots.get(to.index()).is_none_or(|s| s.down) {
                     let mut hub = hub.borrow_mut();
                     if let Some(c) = hub.node_mut(to.index()) {
                         c.ctr_add(ctr::MSGS_LOST, 1);
@@ -440,12 +434,10 @@ impl<N: Node> Shard<N> {
                 self.dispatch_callback(hub, to, Callback::Message { from, msg });
             }
             EventKind::Timer { node, id, tag } => {
-                self.pending_timers.remove(&id);
-                if self.cancelled.remove(&id).is_some() {
-                    return;
+                if !self.live_timers.remove(&id) {
+                    return; // cancelled while queued
                 }
-                let li = (node.0 - self.base) as usize;
-                if self.slots[li].down {
+                if self.slots[node.index()].down {
                     return; // timers expiring while down are lost
                 }
                 if let Some(c) = hub.borrow_mut().node_mut(node.index()) {
@@ -454,7 +446,7 @@ impl<N: Node> Shard<N> {
                 self.dispatch_callback(hub, node, Callback::Timer { timer: id, tag });
             }
             EventKind::Crash(node) => {
-                let li = (node.0 - self.base) as usize;
+                let li = node.index();
                 if !self.slots[li].down {
                     self.slots[li].down = true;
                     {
@@ -483,7 +475,7 @@ impl<N: Node> Shard<N> {
                 }
             }
             EventKind::Recover(node, mode) => {
-                let li = (node.0 - self.base) as usize;
+                let li = node.index();
                 if self.slots[li].down {
                     self.slots[li].down = false;
                     {
@@ -522,9 +514,7 @@ impl<N: Node> Shard<N> {
             }
             EventKind::SetPartition(p) => {
                 let healed = p.is_none() && self.net.partition.is_some();
-                // Control events are broadcast to every shard; only shard 0
-                // tallies, so the merged telemetry counts each change once.
-                if self.index == 0 && (p.is_some() || healed) {
+                if p.is_some() || healed {
                     let mut hub = hub.borrow_mut();
                     let (slot, k) = if p.is_some() {
                         (ctr::PARTITIONS_STARTED, kind::PARTITION_START)
@@ -565,7 +555,7 @@ impl<N: Node> Shard<N> {
                 self.net.reorder_jitter = jitter;
             }
             EventKind::Corrupt { node, op, seed } => {
-                let li = (node.0 - self.base) as usize;
+                let li = node.index();
                 if !self.slots[li].down {
                     // Anything the node traces while corrupted is
                     // stamped with this instant, not its last callback.
@@ -650,196 +640,36 @@ impl<N: Node> Shard<N> {
     /// Pops and processes the earliest queued event; `false` when the queue
     /// is empty.
     fn process_next(&mut self, hub: &Hub) -> bool {
-        let Some((t, a, b, kind_ev)) = self.queue.pop() else { return false };
-        if self.keyed() {
-            hub.borrow_mut().set_event_key(a, b);
-        }
+        let Some((t, _, _, kind_ev)) = self.queue.pop() else { return false };
         self.process_event(hub, SimTime::from_micros(t), kind_ev);
         true
-    }
-
-    /// Pops and processes every queued event with `t < bound_us`.
-    fn drain_window(&mut self, hub: &Hub, bound_us: u64) {
-        while self.queue.peek_time().is_some_and(|t| t < bound_us) {
-            self.process_next(hub);
-        }
-    }
-
-    /// Runs a closure against this shard's effective hub: the scratch hub
-    /// (re-wrapped in a transient `Rc` so the thread-local collector can
-    /// hold it) in a multi-shard run, the master hub otherwise.
-    fn with_hub<R>(&mut self, master: &Hub, f: impl FnOnce(&mut Self, &Hub) -> R) -> R {
-        if let Some(scr) = self.scratch.take() {
-            let rc = Rc::new(RefCell::new(scr));
-            let r = f(self, &rc);
-            self.scratch = Some(
-                Rc::try_unwrap(rc)
-                    .map(RefCell::into_inner)
-                    .unwrap_or_else(|_| panic!("scratch hub retained")),
-            );
-            r
-        } else {
-            f(self, master)
-        }
-    }
-
-    /// Processes one window sequentially (hub installed once for the span).
-    fn run_window(&mut self, master: &Hub, bound_us: u64) {
-        self.with_hub(master, |sh, hub| {
-            let _g = obs::collector::install_if_needed(hub);
-            sh.drain_window(hub, bound_us);
-        });
-    }
-
-    /// Processes one window on a worker thread (multi-shard runs only;
-    /// never touches the master hub, so the closure is `Send`).
-    fn run_window_owned(&mut self, bound_us: u64) {
-        let scr = self.scratch.take().expect("parallel run requires scratch hubs");
-        let rc = Rc::new(RefCell::new(scr));
-        {
-            let _g = obs::collector::install_if_needed(&rc);
-            self.drain_window(&rc, bound_us);
-        }
-        self.scratch = Some(
-            Rc::try_unwrap(rc)
-                .map(RefCell::into_inner)
-                .unwrap_or_else(|_| panic!("scratch hub retained")),
-        );
-    }
-}
-
-/// Runs one window on every shard, one after the other.
-fn windows_in_turn<N: Node>(shards: &mut [Shard<N>], master: &Hub, bound_us: u64) {
-    for sh in shards {
-        sh.run_window(master, bound_us);
-    }
-}
-
-/// Pre-start state: nodes and externally scheduled events (with their
-/// `b`-keys) accumulate here until the first run call freezes the shard
-/// layout and gives every node its [`Slot`].
-struct Staging<N: Node> {
-    nodes: Vec<N>,
-    events: Vec<(SimTime, u64, EventKind<N::Msg>)>,
-}
-
-/// What [`Simulation::disk`] shows before the first run: nothing has run
-/// yet to write a disk.
-static UNWRITTEN: Disk = Disk::new();
-
-/// A deterministic discrete-event simulation over nodes of type `N`.
-///
-/// # Examples
-///
-/// A two-node ping-pong (the single-byte payload carries a hop budget):
-///
-/// ```
-/// use simnet::{Simulation, NetworkModel, Node, NodeId, Context, TimerId, SimDuration};
-///
-/// struct Ping { peer: NodeId, pings: u32 }
-/// impl Node for Ping {
-///     type Msg = Vec<u8>;
-///     fn on_start(&mut self, ctx: &mut Context<'_, Vec<u8>>) {
-///         if ctx.id() == NodeId(0) { ctx.send(self.peer, vec![3]); }
-///     }
-///     fn on_message(&mut self, ctx: &mut Context<'_, Vec<u8>>, from: NodeId, m: Vec<u8>) {
-///         self.pings += 1;
-///         if m[0] > 0 { ctx.send(from, vec![m[0] - 1]); }
-///     }
-///     fn on_timer(&mut self, _: &mut Context<'_, Vec<u8>>, _: TimerId, _: u64) {}
-/// }
-///
-/// let mut sim = Simulation::new(NetworkModel::ideal(SimDuration::from_millis(10)), 42);
-/// sim.add_node(Ping { peer: NodeId(1), pings: 0 });
-/// sim.add_node(Ping { peer: NodeId(0), pings: 0 });
-/// sim.run_until(simnet::SimTime::from_secs(1));
-/// assert_eq!(sim.node(NodeId(0)).pings + sim.node(NodeId(1)).pings, 4);
-/// ```
-pub struct Simulation<N: Node> {
-    /// All traffic/fault accounting and trace records live here; the
-    /// [`TrafficCounters`]/[`FaultCounters`] accessors are views over it.
-    /// Shared (`Rc`) so the thread-local collector can reach it from inside
-    /// node callbacks.
-    hub: Hub,
-    shards: Vec<Shard<N>>,
-    staging: Option<Staging<N>>,
-    net: NetworkModel,
-    now: SimTime,
-    seed: u64,
-    started: bool,
-    shard_target: usize,
-    /// How many of the newest unsynced disk writes a crash destroys
-    /// (default: all of them).
-    crash_unsynced_loss: usize,
-    /// Whether sends also tally `BYTES_WIRE` (compressed-wire accounting).
-    delta_accounting: bool,
-    /// `b`-key counter for externally scheduled events (schedule order).
-    ext_seq: u64,
-    total: u32,
-    per: u32,
-    /// Conservative-synchronization lookahead: the network's minimum
-    /// latency, in µs (frozen at start).
-    lookahead_us: u64,
-}
-
-impl<N: Node> std::fmt::Debug for Simulation<N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation")
-            .field("nodes", &self.len())
-            .field("now", &self.now)
-            .field("queued", &self.queued_len())
-            .field("shards", &self.shard_count())
-            .field("events_processed", &self.events_processed())
-            .finish()
     }
 }
 
 impl<N: Node> Simulation<N> {
     /// Creates an empty simulation over the given network model, with all
-    /// randomness derived from `seed`: one shard, delta accounting off.
+    /// randomness derived from `seed`; delta accounting off.
     pub fn new(net: NetworkModel, seed: u64) -> Self {
         Simulation {
             hub: Rc::new(RefCell::new(TelemetryHub::new(seed))),
-            shards: Vec::new(),
-            staging: Some(Staging { nodes: Vec::new(), events: Vec::new() }),
+            nodes: Vec::new(),
+            slots: Vec::new(),
             net,
+            liar_rngs: HashMap::new(),
+            liars: HashMap::new(),
+            colluders: HashSet::new(),
+            queue: EventQueue::new(),
+            staged: Vec::new(),
             now: SimTime::ZERO,
+            live_timers: HashSet::new(),
+            events_processed: 0,
+            peak_queue: 0,
             seed,
             started: false,
-            shard_target: 1,
             crash_unsynced_loss: usize::MAX,
             delta_accounting: false,
             ext_seq: 0,
-            total: 0,
-            per: 1,
-            lookahead_us: 0,
-        }
-    }
-
-    /// Splits the run over `k` execution shards (contiguous node-id ranges)
-    /// that advance in lookahead-bounded windows — on one thread each under
-    /// [`Simulation::run_until_parallel`]. The shard count never changes a
-    /// result: keys and random streams belong to nodes, not shards, so the
-    /// same seed yields byte-identical telemetry for every `k`, the default
-    /// single shard included. The effective count is clamped to the node
-    /// count, and to 1 when the network's minimum latency is zero (no
-    /// lookahead, no safe window).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after the simulation has started running.
-    pub fn set_shards(&mut self, k: usize) {
-        assert!(!self.started, "cannot reconfigure shards after the simulation started");
-        self.shard_target = k.max(1);
-    }
-
-    /// The number of execution shards: the configured target before start,
-    /// the effective (clamped) count after.
-    pub fn shard_count(&self) -> usize {
-        if self.started {
-            self.shards.len()
-        } else {
-            self.shard_target
+            effects: Vec::new(),
         }
     }
 
@@ -884,17 +714,14 @@ impl<N: Node> Simulation<N> {
     /// Shared handle to this simulation's telemetry hub (the metrics
     /// registry plus the trace ring). Experiment harnesses read registry
     /// slots through this; protocol code inside callbacks reaches the same
-    /// hub through the `obs` thread-local collector. With several shards
-    /// the hub reflects merged shard state as of the last completed run
-    /// call.
+    /// hub through the `obs` thread-local collector.
     pub fn telemetry(&self) -> Rc<RefCell<TelemetryHub>> {
         Rc::clone(&self.hub)
     }
 
     /// A non-destructive telemetry snapshot: every non-zero registry slot
     /// plus the retained trace records, stamped with the current simulated
-    /// time. Deterministic — same seed, same schedule ⇒ same snapshot, for
-    /// any shard count.
+    /// time. Deterministic — same seed, same schedule ⇒ same snapshot.
     pub fn snapshot_telemetry(&self) -> Telemetry {
         let mut hub = self.hub.borrow_mut();
         hub.set_now_us(self.now.as_micros());
@@ -907,21 +734,12 @@ impl<N: Node> Simulation<N> {
     /// drain — use [`Simulation::snapshot_telemetry`] for a non-destructive
     /// read, and drain only at window boundaries or end of run.
     pub fn drain_telemetry(&mut self) -> Telemetry {
-        // Scratch hubs keep their nodes' gauge levels between merges; a
-        // drain forgets those too.
-        for sh in &mut self.shards {
-            if let Some(scr) = sh.scratch.as_mut() {
-                scr.reset_metrics();
-            }
-        }
         let mut hub = self.hub.borrow_mut();
         hub.set_now_us(self.now.as_micros());
         hub.drain()
     }
 
     /// Caps the trace ring at `capacity` records (drop-oldest beyond it).
-    /// With several shards the cap applies to the *merged* ring, so
-    /// retention is identical for every shard count.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
         self.hub.borrow_mut().set_ring_capacity(capacity);
     }
@@ -934,16 +752,10 @@ impl<N: Node> Simulation<N> {
     /// Panics if called after the simulation has started running.
     pub fn add_node(&mut self, node: N) -> NodeId {
         assert!(!self.started, "cannot add nodes after the simulation started");
-        let st = self.staging.as_mut().expect("staging present before start");
-        let id = NodeId(st.nodes.len() as u32);
-        st.nodes.push(node);
-        self.hub.borrow_mut().ensure_nodes(st.nodes.len());
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(node);
+        self.hub.borrow_mut().ensure_nodes(self.nodes.len());
         id
-    }
-
-    /// Shard index owning a node id (valid post-start).
-    fn shard_index_of(&self, id: NodeId) -> usize {
-        ((id.0 / self.per) as usize).min(self.shards.len().saturating_sub(1))
     }
 
     /// A node's simulated stable storage (inspection between runs; empty
@@ -953,13 +765,8 @@ impl<N: Node> Simulation<N> {
     ///
     /// Panics if `id` is out of range.
     pub fn disk(&self, id: NodeId) -> &Disk {
-        if let Some(st) = &self.staging {
-            assert!(id.index() < st.nodes.len(), "node id out of range");
-            &UNWRITTEN
-        } else {
-            let sh = &self.shards[self.shard_index_of(id)];
-            &sh.slots[(id.0 - sh.base) as usize].disk
-        }
+        assert!(id.index() < self.nodes.len(), "node id out of range");
+        self.slots.get(id.index()).map_or(&UNWRITTEN, |s| &s.disk)
     }
 
     /// Sets how many of the newest unsynced disk writes a crash destroys.
@@ -967,9 +774,6 @@ impl<N: Node> Simulation<N> {
     /// write-through disk that never loses anything.
     pub fn set_crash_unsynced_loss(&mut self, k: usize) {
         self.crash_unsynced_loss = k;
-        for sh in &mut self.shards {
-            sh.crash_unsynced_loss = k;
-        }
     }
 
     /// Enables or disables the compressed-wire accounting lane
@@ -978,23 +782,16 @@ impl<N: Node> Simulation<N> {
     /// `deltas`, Astrolabe's `delta_gossip`).
     pub fn set_delta_accounting(&mut self, on: bool) {
         self.delta_accounting = on;
-        for sh in &mut self.shards {
-            sh.delta_accounting = on;
-        }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        if let Some(st) = &self.staging {
-            st.nodes.len()
-        } else {
-            self.total as usize
-        }
+        self.nodes.len()
     }
 
     /// True when the simulation holds no nodes.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.nodes.is_empty()
     }
 
     /// Current simulated time.
@@ -1002,28 +799,17 @@ impl<N: Node> Simulation<N> {
         self.now
     }
 
-    /// Total events processed so far (for throughput benchmarks).
+    /// Total events processed so far: every popped event, network-wide
+    /// control events and skipped timers included (for throughput
+    /// benchmarks).
     pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
+        self.events_processed
     }
 
-    fn queued_len(&self) -> usize {
-        if let Some(st) = &self.staging {
-            st.events.len()
-        } else {
-            self.shards.iter().map(|s| s.queue.len()).sum()
-        }
-    }
-
-    /// High-water mark of the event queue length (for capacity benchmarks).
-    /// With several shards this is the sum of per-shard high-water marks —
-    /// an upper bound on the true global peak.
+    /// High-water mark of the event queue length (for capacity benchmarks),
+    /// events scheduled before the first run included.
     pub fn peak_queue_depth(&self) -> usize {
-        if let Some(st) = &self.staging {
-            st.events.len()
-        } else {
-            self.shards.iter().map(|s| s.peak_queue).sum()
-        }
+        self.peak_queue.max(self.staged.len())
     }
 
     /// Immutable access to a node's protocol state.
@@ -1032,12 +818,7 @@ impl<N: Node> Simulation<N> {
     ///
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &N {
-        if let Some(st) = &self.staging {
-            &st.nodes[id.index()]
-        } else {
-            let sh = &self.shards[self.shard_index_of(id)];
-            &sh.nodes[(id.0 - sh.base) as usize]
-        }
+        &self.nodes[id.index()]
     }
 
     /// Mutable access to a node's protocol state (configuration between runs,
@@ -1047,34 +828,17 @@ impl<N: Node> Simulation<N> {
     ///
     /// Panics if `id` is out of range.
     pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        if self.staging.is_none() {
-            let si = self.shard_index_of(id);
-            let sh = &mut self.shards[si];
-            return &mut sh.nodes[(id.0 - sh.base) as usize];
-        }
-        let st = self.staging.as_mut().expect("staging present (checked above)");
-        &mut st.nodes[id.index()]
+        &mut self.nodes[id.index()]
     }
 
     /// Iterates over `(id, node)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &N)> {
-        self.staging
-            .as_ref()
-            .map(|st| st.nodes.iter())
-            .into_iter()
-            .flatten()
-            .chain(self.shards.iter().flat_map(|sh| sh.nodes.iter()))
-            .enumerate()
-            .map(|(i, n)| (NodeId(i as u32), n))
+        self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i as u32), n))
     }
 
     /// Whether `id` is currently crashed.
     pub fn is_down(&self, id: NodeId) -> bool {
-        if self.staging.is_some() {
-            return false;
-        }
-        let sh = &self.shards[self.shard_index_of(id)];
-        sh.slots[(id.0 - sh.base) as usize].down
+        self.slots.get(id.index()).is_some_and(|s| s.down)
     }
 
     /// Traffic counters for one node (a view over the telemetry registry).
@@ -1109,31 +873,13 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Queues an externally scheduled event, keyed in schedule order
-    /// (staged pre-start).
+    /// (staged before the first run call).
     fn push(&mut self, time: SimTime, kind: EventKind<N::Msg>) {
         self.ext_seq += 1;
-        let b = self.ext_seq;
-        match self.staging.as_mut() {
-            Some(st) => st.events.push((time, b, kind)),
-            None => self.route_external(time, b, kind),
-        }
-    }
-
-    /// Queues an external event on its owner shard, or on every shard when
-    /// it is a network-global control event.
-    fn route_external(&mut self, time: SimTime, b: u64, kind: EventKind<N::Msg>) {
-        match event_target(&kind) {
-            Some(nid) => {
-                let si = self.shard_index_of(nid);
-                self.shards[si].push_keyed(time, key_external(nid.0), b, kind);
-            }
-            None => {
-                let (last, rest) = self.shards.split_last_mut().expect("a started run has shards");
-                for sh in rest {
-                    sh.push_keyed(time, KEY_CONTROL, b, kind.clone());
-                }
-                last.push_keyed(time, KEY_CONTROL, b, kind);
-            }
+        if self.started {
+            self.enqueue(time, external_key(&kind), self.ext_seq, kind);
+        } else {
+            self.staged.push((time, self.ext_seq, kind));
         }
     }
 
@@ -1274,213 +1020,32 @@ impl<N: Node> Simulation<N> {
         self.push(at, EventKind::SetColluder(node, on));
     }
 
-    /// Freezes the shard layout, distributes staged state and dispatches
-    /// every node's `on_start` in global id order.
+    /// Gives every node its [`Slot`], queues the staged events and
+    /// dispatches every node's `on_start` in id order.
     fn start_if_needed(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        let st = self.staging.take().expect("staging present before start");
-        let n = st.nodes.len();
-        self.total = n as u32;
-        self.lookahead_us = self.net.min_latency().as_micros();
-        // Zero lookahead admits no safe window: such a network runs on one
-        // shard (same keys, so the same telemetry).
-        let k = if self.lookahead_us == 0 { 1 } else { self.shard_target.clamp(1, n.max(1)) };
-        let per = n.max(1).div_ceil(k);
-        self.per = per as u32;
-
-        let mut nodes = st.nodes.into_iter();
-        for si in 0..k {
-            let base = si * per;
-            let count = per.min(n - base);
-            self.shards.push(Shard {
-                index: si,
-                base: base as u32,
-                nodes: nodes.by_ref().take(count).collect(),
-                slots: (base..base + count).map(|g| Slot::new(self.seed, g as u64)).collect(),
-                crash_unsynced_loss: self.crash_unsynced_loss,
-                delta_accounting: self.delta_accounting,
-                net: self.net.clone(),
-                liar_rngs: HashMap::new(),
-                queue: EventQueue::new(),
-                now: SimTime::ZERO,
-                pending_timers: HashMap::new(),
-                cancelled: HashMap::new(),
-                liars: HashMap::new(),
-                colluders: HashSet::new(),
-                events_processed: 0,
-                peak_queue: 0,
-                seed: self.seed,
-                per: per as u32,
-                nshards: k,
-                scratch: (k > 1).then(|| {
-                    let mut h = TelemetryHub::new(self.seed);
-                    h.ensure_nodes(n);
-                    h.configure_as_scratch();
-                    h
-                }),
-                outboxes: (0..k).map(|_| Vec::new()).collect(),
-                effects: Vec::new(),
-            });
+        let seed = self.seed;
+        self.slots = (0..self.nodes.len() as u64).map(|g| Slot::new(seed, g)).collect();
+        for (time, b, kind) in std::mem::take(&mut self.staged) {
+            self.enqueue(time, external_key(&kind), b, kind);
         }
-        for (time, b, kind) in st.events {
-            self.route_external(time, b, kind);
-        }
-
-        // Start callbacks in global id order (shard ranges are contiguous,
-        // so per-shard iteration preserves the global order).
-        let master = Rc::clone(&self.hub);
-        for sh in &mut self.shards {
-            sh.with_hub(&master, |sh, hub| {
-                let _g = obs::collector::install_if_needed(hub);
-                for li in 0..sh.nodes.len() {
-                    let gid = sh.base + li as u32;
-                    if sh.keyed() {
-                        hub.borrow_mut().set_event_key(key_local(gid, gid), 0);
-                    }
-                    sh.dispatch_callback(hub, NodeId(gid), Callback::Start);
-                }
-            });
-        }
-        self.sync_window();
-    }
-
-    /// The window barrier: moves every parked cross-shard event into its
-    /// owner shard's queue, then drains every shard's scratch trace ring
-    /// into the master ring in global `(time, key)` order. The sort is
-    /// stable and keys are unique per event, so records emitted while
-    /// processing one event stay in emission order — the merged stream is
-    /// what one queue would have recorded. A no-op with one shard.
-    fn sync_window(&mut self) {
-        let k = self.shards.len();
-        if k == 1 {
-            return;
-        }
-        for src in 0..k {
-            for dst in 0..k {
-                if src == dst || self.shards[src].outboxes[dst].is_empty() {
-                    continue;
-                }
-                let moved = std::mem::take(&mut self.shards[src].outboxes[dst]);
-                for (t, a, b, kind_ev) in moved {
-                    // Conservative sync: a cross-shard arrival is always at
-                    // or beyond the window barrier, so it can never land in
-                    // the owner's past.
-                    debug_assert!(
-                        t >= self.shards[dst].now.as_micros(),
-                        "outbox flush into the past: shard {src} -> {dst}, \
-                         event t={t} but dst now={} (key a={a:#x} b={b})",
-                        self.shards[dst].now.as_micros()
-                    );
-                    self.shards[dst].push_keyed(SimTime::from_micros(t), a, b, kind_ev);
-                }
-            }
-        }
-        let mut all: Vec<(TraceEvent, (u64, u64))> = Vec::new();
-        for sh in &mut self.shards {
-            if let Some(scr) = sh.scratch.as_mut() {
-                all.extend(scr.drain_trace_keyed());
-            }
-        }
-        all.sort_by_key(|(ev, key)| (ev.t_us, key.0, key.1));
-        let mut hub = self.hub.borrow_mut();
-        for (ev, _) in all {
-            hub.push_record(ev);
+        let hub = Rc::clone(&self.hub);
+        let _g = obs::collector::install_if_needed(&hub);
+        for gid in 0..self.nodes.len() as u32 {
+            self.dispatch_callback(&hub, NodeId(gid), Callback::Start);
         }
     }
 
-    /// Folds every shard's scratch metric sets into the master hub (see
-    /// [`TelemetryHub::merge_sets_from`]: the result is what the shards
-    /// would have written into one hub).
-    fn merge_shard_sets(&mut self) {
-        let mut hub = self.hub.borrow_mut();
-        for sh in &mut self.shards {
-            let owned = sh.base as usize..sh.base as usize + sh.nodes.len();
-            if let Some(scr) = sh.scratch.as_mut() {
-                hub.merge_sets_from(scr, owned);
-            }
-        }
-    }
-
-    /// Earliest queued event time across all shards.
-    fn earliest_time(&mut self) -> Option<u64> {
-        self.shards.iter_mut().filter_map(|sh| sh.queue.peek_time()).min()
-    }
-
-    /// Moves the clock up to the latest instant any shard processed.
-    fn advance_clock(&mut self) {
-        let latest = self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO);
-        self.now = self.now.max(latest);
-    }
-
-    /// Purges dead cancelled-timer entries once the set outgrows the live
-    /// queue (a cancelled timer whose fire time has passed can never pop
-    /// again, so its entry is pure dead weight).
-    fn compact_cancelled(&mut self) {
-        let now = self.now;
-        for sh in &mut self.shards {
-            if sh.cancelled.len() > 64 || sh.cancelled.len() > sh.queue.len() {
-                sh.cancelled.retain(|_, &mut fire| fire > now);
-            }
-        }
-    }
-
-    /// Runs lookahead-bounded windows of a multi-shard run until every
-    /// queue is past `deadline_us` or at least `max_events` events were
-    /// processed (checked per window); `run` executes one window on every
-    /// shard.
-    fn run_windows(
-        &mut self,
-        deadline_us: u64,
-        max_events: u64,
-        mut run: impl FnMut(&mut [Shard<N>], &Hub, u64),
-    ) {
-        let master = Rc::clone(&self.hub);
-        let before = self.events_processed();
-        while let Some(w) = self.earliest_time() {
-            if w > deadline_us || self.events_processed() - before >= max_events {
-                break;
-            }
-            let bound = w.saturating_add(self.lookahead_us).min(deadline_us.saturating_add(1));
-            run(&mut self.shards, &master, bound);
-            self.sync_window();
-        }
-        self.merge_shard_sets();
-        self.advance_clock();
-    }
-
-    /// Leaves the clock at `deadline` after a run call.
-    fn finish_at(&mut self, deadline: SimTime) {
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.compact_cancelled();
-    }
-
-    /// Processes the single earliest event. Returns `false` when the queues
-    /// are empty.
+    /// Processes the single earliest event. Returns `false` when the queue
+    /// is empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        // Process just the globally earliest event, then synchronize
-        // (arrivals are at least one lookahead ahead, so the flush is
-        // always safe).
-        let Some((_, si)) = (self.shards.iter_mut().enumerate())
-            .filter_map(|(i, sh)| sh.queue.peek_key().map(|key| (key, i)))
-            .min()
-        else {
-            return false;
-        };
-        let master = Rc::clone(&self.hub);
-        self.shards[si].with_hub(&master, |sh, hub| {
-            let _g = obs::collector::install_if_needed(hub);
-            sh.process_next(hub);
-        });
-        self.sync_window();
-        self.merge_shard_sets();
-        self.advance_clock();
-        true
+        let hub = Rc::clone(&self.hub);
+        let _g = obs::collector::install_if_needed(&hub);
+        self.process_next(&hub)
     }
 
     /// Runs until the simulated clock reaches `deadline` (events at exactly
@@ -1488,15 +1053,17 @@ impl<N: Node> Simulation<N> {
     /// `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start_if_needed();
+        let hub = Rc::clone(&self.hub);
+        // Installed once for the whole drain, so each callback's install is
+        // a pointer check.
+        let _g = obs::collector::install_if_needed(&hub);
         let deadline_us = deadline.as_micros();
-        if self.shards.len() == 1 {
-            // One shard needs no windows: drain straight to the deadline.
-            self.shards[0].run_window(&self.hub, deadline_us.saturating_add(1));
-            self.advance_clock();
-        } else {
-            self.run_windows(deadline_us, u64::MAX, windows_in_turn);
+        while self.queue.peek_time().is_some_and(|t| t <= deadline_us) {
+            self.process_next(&hub);
         }
-        self.finish_at(deadline);
+        if self.now < deadline {
+            self.now = deadline;
+        }
     }
 
     /// Runs for `d` of simulated time from the current instant.
@@ -1505,57 +1072,15 @@ impl<N: Node> Simulation<N> {
         self.run_until(deadline);
     }
 
-    /// Runs until the event queue is empty or at least `max_events` have
-    /// been processed, returning the number of events processed. With
-    /// several shards the budget is checked at synchronization-window
-    /// granularity, so the count may overshoot `max_events` by up to one
-    /// window.
+    /// Runs until the event queue is empty or exactly `max_events` have
+    /// been processed, returning the number of events processed.
     pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         self.start_if_needed();
-        let before = self.events_processed();
-        if self.shards.len() == 1 {
-            let _g = obs::collector::install_if_needed(&self.hub);
-            let sh = &mut self.shards[0];
-            while sh.events_processed - before < max_events && sh.process_next(&self.hub) {}
-            self.advance_clock();
-        } else {
-            self.run_windows(u64::MAX, max_events, windows_in_turn);
-        }
-        self.events_processed() - before
-    }
-}
-
-impl<N> Simulation<N>
-where
-    N: Node + Send,
-    N::Msg: Send,
-{
-    /// Like [`Simulation::run_until`], but executes each synchronization
-    /// window with one thread per shard. Byte-identical to the sequential
-    /// path by construction: the window plan is the same, shards share no
-    /// mutable state within a window, and the cross-shard merge orders
-    /// records by their keys. Falls back to [`Simulation::run_until`] when
-    /// there is only one shard.
-    pub fn run_until_parallel(&mut self, deadline: SimTime) {
-        self.start_if_needed();
-        if self.shards.len() == 1 {
-            self.run_until(deadline);
-            return;
-        }
-        self.run_windows(deadline.as_micros(), u64::MAX, |shards, _, bound| {
-            std::thread::scope(|scope| {
-                for sh in shards.iter_mut() {
-                    scope.spawn(move || sh.run_window_owned(bound));
-                }
-            });
-        });
-        self.finish_at(deadline);
-    }
-
-    /// Like [`Simulation::run_for`], but parallel across shards.
-    pub fn run_for_parallel(&mut self, d: SimDuration) {
-        let deadline = self.now + d;
-        self.run_until_parallel(deadline);
+        let hub = Rc::clone(&self.hub);
+        let _g = obs::collector::install_if_needed(&hub);
+        let before = self.events_processed;
+        while self.events_processed - before < max_events && self.process_next(&hub) {}
+        self.events_processed - before
     }
 }
 
@@ -1670,8 +1195,8 @@ mod tests {
 
     #[test]
     fn cancelled_timer_set_stays_bounded() {
-        // A node that cancels every timer *after* it fired: the old
-        // HashSet grew one entry per cancellation, forever.
+        // A node that cancels every timer *after* it fired: a set that
+        // recorded every cancellation would grow one entry per call, forever.
         struct LateCancel {
             last: Option<TimerId>,
         }
@@ -1696,16 +1221,15 @@ mod tests {
         for t in 1..=200u64 {
             sim.run_until(SimTime::from_micros(t * 10_000));
         }
-        let sh = &sim.shards[0];
-        assert!(sh.cancelled.len() <= 1, "cancelled set leaked: {} entries", sh.cancelled.len());
-        assert!(sh.pending_timers.len() <= 1, "pending map leaked");
+        let live = sim.live_timers.len();
+        assert!(live <= 1, "live timer set leaked: {live} entries");
     }
 
     #[test]
-    fn cancelled_set_compacts_against_live_queue() {
-        // Cancel a burst of still-pending far-future timers: each entry must
-        // vanish when its timer event pops, and the set never outlives the
-        // live queue.
+    fn cancelled_timers_leave_the_live_set() {
+        // Cancel a burst of still-pending far-future timers: each leaves the
+        // live set at once, the set never outgrows the queue, and none of
+        // them fires when its event pops.
         struct Burst {
             pending: Vec<TimerId>,
             fired: Vec<u64>,
@@ -1731,14 +1255,10 @@ mod tests {
         let mut sim = Simulation::new(NetworkModel::default(), 11);
         let id = sim.add_node(Burst { pending: Vec::new(), fired: Vec::new() });
         sim.run_until(SimTime::from_secs(1));
-        {
-            let sh = &sim.shards[0];
-            assert_eq!(sh.cancelled.len(), 200, "cancellations of pending timers are recorded");
-            assert!(sh.cancelled.len() <= sh.queue.len(), "cancelled set outgrew the live queue");
-        }
+        assert_eq!(sim.live_timers.len(), 0, "cancellations of queued timers are recorded");
+        assert_eq!(sim.queue.len(), 200, "the cancelled timers' events are still queued");
         sim.run_until(SimTime::from_secs(20));
-        let sh = &sim.shards[0];
-        assert_eq!(sh.cancelled.len(), 0, "popped timer events must clear their entries");
+        assert!(sim.live_timers.is_empty() && sim.queue.is_empty());
         assert_eq!(sim.node(id).fired, vec![999], "cancelled timers must not fire");
     }
 
@@ -1815,9 +1335,10 @@ mod tests {
     }
 
     /// A fault-heavy scenario (chaos + partition + crash/recover + liar +
-    /// colluder + corruption) whose telemetry must be byte-identical for
-    /// every shard count; `None` keeps the default engine.
-    fn chaos_scenario(shards: Option<usize>, parallel: bool) -> (String, Vec<Vec<(NodeId, u32)>>) {
+    /// colluder + corruption) run to 2 s in one call, or in 200 calls of
+    /// 10 ms when `split`; returns the drained telemetry JSON, the node
+    /// states and the event count.
+    fn chaos_scenario(split: bool) -> (String, Vec<Vec<(NodeId, u32)>>, u64) {
         let mut sim = Simulation::new(
             NetworkModel {
                 latency: crate::topology::LatencyModel::Uniform {
@@ -1829,9 +1350,6 @@ mod tests {
             },
             4242,
         );
-        if let Some(k) = shards {
-            sim.set_shards(k);
-        }
         let n = 8u32;
         for i in 0..n {
             sim.add_node(Echo { peer: Some(NodeId((i + 1) % n)), ..Default::default() });
@@ -1864,41 +1382,46 @@ mod tests {
         );
         sim.schedule_dup_prob(SimTime::from_millis_t(40), 0.1);
         sim.schedule_reorder(SimTime::from_millis_t(40), 0.2, SimDuration::from_millis(5));
-        if parallel {
-            sim.run_until_parallel(SimTime::from_secs(2));
+        if split {
+            for _ in 0..200 {
+                sim.run_for(SimDuration::from_millis(10));
+            }
         } else {
             sim.run_until(SimTime::from_secs(2));
         }
+        assert_eq!(sim.now(), SimTime::from_secs(2));
         let t = sim.drain_telemetry();
         let states = (0..n).map(|i| sim.node(NodeId(i)).got.clone()).collect();
-        (t.to_json(), states)
+        (t.to_json(), states, sim.events_processed())
     }
 
     #[test]
-    fn default_engine_matches_every_shard_count() {
-        let default = chaos_scenario(None, false);
-        for k in [1, 4] {
-            let sharded = chaos_scenario(Some(k), false);
-            assert_eq!(default.1, sharded.1, "node states diverged at {k} shards");
-            assert_eq!(default.0, sharded.0, "telemetry diverged at {k} shards");
-        }
+    fn same_seed_chaos_replays_byte_identical() {
+        let (a, b) = (chaos_scenario(false), chaos_scenario(false));
+        assert!(a.2 > 100, "the scenario does work: {} events", a.2);
+        assert_eq!(a, b, "a same-seed rerun diverged");
     }
 
     #[test]
-    fn parallel_execution_is_byte_identical_to_sequential() {
-        let seq = chaos_scenario(Some(4), false);
-        let par = chaos_scenario(Some(4), true);
-        assert_eq!(seq.1, par.1, "node states diverged under parallel execution");
-        assert_eq!(seq.0, par.0, "telemetry diverged under parallel execution");
+    fn split_run_calls_match_one_run_call() {
+        let one = chaos_scenario(false);
+        let split = chaos_scenario(true);
+        assert_eq!(one.1, split.1, "node states diverged when the run was split");
+        assert_eq!(one.2, split.2, "event counts diverged when the run was split");
+        assert_eq!(one.0, split.0, "telemetry diverged when the run was split");
     }
 
     #[test]
     fn run_to_quiescence_counts_events() {
         let mut sim = two_node_sim();
         sim.schedule_external(SimTime::ZERO, NodeId(0), Msg::Ping(3));
-        let n = sim.run_to_quiescence(1000);
-        assert_eq!(n, 5); // one injection + 4 inter-node deliveries
+        // One injection + 4 inter-node deliveries are coming; a budget of 3
+        // stops at exactly 3.
+        assert_eq!(sim.run_to_quiescence(3), 3);
+        assert_eq!(sim.events_processed(), 3);
+        assert_eq!(sim.run_to_quiescence(1000), 2);
         assert_eq!(sim.events_processed(), 5);
+        assert_eq!(sim.run_to_quiescence(1000), 0, "the queue is empty");
     }
 
     #[test]

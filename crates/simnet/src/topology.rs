@@ -57,18 +57,6 @@ impl LatencyModel {
         }
     }
 
-    /// The smallest latency this model can ever produce, over every node
-    /// pair. This is the sharded engine's conservative lookahead: a message
-    /// sent at `t` can never arrive before `t + min_latency()`, because the
-    /// gray/jitter/duplication knobs only *add* delay on top of the sample.
-    pub fn min_latency(&self) -> SimDuration {
-        match self {
-            LatencyModel::Constant(d) => *d,
-            LatencyModel::Uniform { min, .. } => *min,
-            LatencyModel::ZonedWan { intra, inter, .. } => intra.0.min(inter.0),
-        }
-    }
-
     /// Samples the one-way latency from `from` to `to`.
     pub fn sample(&self, from: NodeId, to: NodeId, rng: &mut SmallRng) -> SimDuration {
         match self {
@@ -247,13 +235,6 @@ impl NetworkModel {
             drop_prob,
             ..NetworkModel::default()
         }
-    }
-
-    /// The conservative lookahead bound for sharded execution: no message
-    /// routed through this model is ever delivered sooner than this after
-    /// its send (see [`LatencyModel::min_latency`]).
-    pub fn min_latency(&self) -> SimDuration {
-        self.latency.min_latency()
     }
 
     /// Decides the fate of one message.

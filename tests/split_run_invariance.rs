@@ -1,12 +1,14 @@
-//! The shard count never changes a result, through the whole stack.
+//! Where a caller pauses a run never changes its result, through the whole
+//! stack.
 //!
 //! A NewsWire deployment on the delta wire protocol runs through churn with
 //! cold restarts, a partition that heals, and a mis-summarizing liar — so
 //! Astrolabe gossip, hand-off retries, final-hop re-sends, reconcile and the
-//! protocol layers' own trace records and gauges all cross the window merge
-//! of a multi-shard run. The default engine (one shard, drained straight to
-//! each deadline) and the same deployment split over 2 and 4 shards must
-//! drain byte-identical telemetry and hand every node the same deliveries.
+//! protocol layers' own trace records and gauges all run across run-call
+//! boundaries. Settled in fourteen 10-second calls or in one 80-second and
+//! one 60-second call, the deployment must show the same snapshot at 80
+//! settled seconds, drain byte-identical telemetry and hand every node the
+//! same deliveries.
 
 use newsml::{Category, ItemId, NewsItem, PublisherId, PublisherProfile};
 use newswire::{DeploymentBuilder, NewsWireConfig, PublisherSpec};
@@ -20,7 +22,7 @@ const N: u32 = 60;
 /// What one run leaves behind.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
-    /// A snapshot taken mid-run, between two run calls.
+    /// A snapshot taken after the first 80 settled seconds.
     mid: String,
     /// The final drain.
     drained: String,
@@ -29,8 +31,9 @@ struct Outcome {
     events: u64,
 }
 
-/// Runs the deployment on `shards` (`None`: the default engine).
-fn run(shards: Option<usize>) -> Outcome {
+/// Runs the deployment, settling it in 10-second calls when `short_calls`
+/// and in an 80-second and a 60-second call otherwise.
+fn run(short_calls: bool) -> Outcome {
     let config = NewsWireConfig { deltas: true, ..NewsWireConfig::tech_news() };
     let mut d = DeploymentBuilder::new(N, 0x5A4D)
         .branching(8)
@@ -39,9 +42,6 @@ fn run(shards: Option<usize>) -> Outcome {
         .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
         .cats_per_subscriber(2)
         .build();
-    if let Some(k) = shards {
-        d.sim.set_shards(k);
-    }
     let plan = FaultPlan {
         salt: 7,
         churn: vec![ChurnSpec {
@@ -68,32 +68,37 @@ fn run(shards: Option<usize>) -> Outcome {
     };
     d.sim.apply_fault_plan(&plan);
     // Four stories, each told three times, so the delta arm has revisions
-    // to ship as chunk deltas.
+    // to ship as chunk deltas. The last publish lands exactly on the
+    // 80-second mark.
     let mut prev: [Option<ItemId>; 4] = [None; 4];
     for seq in 0..12u64 {
         let story = (seq % 4) as usize;
         let item = NewsItem::builder(PublisherId(0), seq)
             .headline(format!("story {story} rev {}", seq / 4))
-            .slug(format!("shard-story-{story}"))
+            .slug(format!("split-story-{story}"))
             .category(Category::Technology)
             .revision((seq / 4) as u32, prev[story])
             .body_len(3_000)
             .build();
         prev[story] = Some(item.id);
-        d.publish(SimTime::from_secs(35 + 4 * seq), item);
+        d.publish(SimTime::from_secs(36 + 4 * seq), item);
     }
-    // Many short run calls: every call ends in a merge of the shards'
-    // metric sets, which must leave what one hub would have.
-    for _ in 0..8 {
-        d.settle(10);
-    }
+    // Every call ends exactly at its deadline, events at that instant
+    // included, so the next call picks up where it stopped.
+    let settle = |d: &mut newswire::Deployment, secs: u64| {
+        if short_calls {
+            for _ in 0..secs / 10 {
+                d.settle(10);
+            }
+        } else {
+            d.settle(secs);
+        }
+    };
+    settle(&mut d, 80);
+    let published = d.sim.telemetry().borrow().counter_total(obs::ctr::NW_PUBLISHED);
+    assert_eq!(published, 12, "a run call processes the events at its deadline");
     let mid = d.sim.snapshot_telemetry().to_json();
-    for _ in 0..6 {
-        d.settle(10);
-    }
-    if let Some(k) = shards {
-        assert_eq!(d.sim.shard_count(), k, "the run really was split");
-    }
+    settle(&mut d, 60);
     let faults = d.sim.fault_counters();
     assert!(faults.recoveries > 0 && faults.partitions_healed == 1, "{faults:?}");
     assert!(faults.liar_intercepts > 0, "the liar lied: {faults:?}");
@@ -113,13 +118,11 @@ fn run(shards: Option<usize>) -> Outcome {
 }
 
 #[test]
-fn default_engine_and_every_shard_count_drain_identical_telemetry() {
-    let default = run(None);
-    for k in [2, 4] {
-        let sharded = run(Some(k));
-        assert_eq!(default.events, sharded.events, "event counts diverged at {k} shards");
-        assert_eq!(default.deliveries, sharded.deliveries, "deliveries diverged at {k} shards");
-        assert!(default.mid == sharded.mid, "mid-run snapshot diverged at {k} shards");
-        assert!(default.drained == sharded.drained, "drained telemetry diverged at {k} shards");
-    }
+fn settling_in_short_calls_matches_two_long_ones() {
+    let long = run(false);
+    let short = run(true);
+    assert_eq!(long.events, short.events, "event counts diverged");
+    assert_eq!(long.deliveries, short.deliveries, "deliveries diverged");
+    assert!(long.mid == short.mid, "the snapshot at 80 settled seconds diverged");
+    assert!(long.drained == short.drained, "drained telemetry diverged");
 }
