@@ -10,8 +10,6 @@
 //!   [`Strategy::Priority`]).
 //! * [`DedupWindow`] / [`CoverageWindow`] — duplicate suppression for
 //!   `k`-redundant representative forwarding.
-//! * [`ForwardLog`] — the forwarding component's bounded operational log
-//!   (§9: "each forwarding component maintains a log file").
 //! * [`SeqLog`] — epoch/sequence-numbered per-source article logs whose
 //!   fixed-size [`RangeSummary`] digests piggyback on gossip to drive
 //!   anti-entropy hole detection after partitions.
@@ -20,7 +18,11 @@
 //! The forwarding node itself is NewsWire's (`newswire::NewsWireNode`): it
 //! routes with [`route`], drains [`ForwardingQueues`] under
 //! [`FORWARD_STRATEGY`] at one message per [`SERVICE_INTERVAL`], and admits
-//! duties through a [`CoverageWindow`].
+//! duties through a [`CoverageWindow`]. The §9 log file ("each forwarding
+//! component maintains a log file") is that node's `obs` trace and counters:
+//! publishes, deliveries and every hand-off's arm, ack, retry, fail-over and
+//! abandon are trace kinds, and forwards, duplicates, route failures and
+//! refused copies are per-node counters. No node keeps a second record.
 //!
 //! # Example
 //!
@@ -55,14 +57,12 @@
 
 mod bimodal;
 mod dedup;
-mod log;
 mod mcast;
 mod queues;
 mod seqlog;
 
 pub use bimodal::{PbcastConfig, PbcastMsg, PbcastNode};
 pub use dedup::{CoverageWindow, DedupWindow};
-pub use log::{ForwardEvent, ForwardLog, LogRecord};
 pub use mcast::{route, zone_reps, Action, FilterSpec};
 pub use queues::{ForwardingQueues, Queued, Strategy, FORWARD_STRATEGY, SERVICE_INTERVAL};
 pub use seqlog::{BaselineHint, RangeSummary, SeqLog};

@@ -1,6 +1,6 @@
 //! Epoch/sequence-numbered article logs with compact range summaries.
 //!
-//! [`ForwardLog`](crate::ForwardLog) records *decisions*; [`SeqLog`] records
+//! The `obs` trace records forwarding *decisions*; [`SeqLog`] records
 //! *possession*: which sequence numbers of some totally-ordered per-source
 //! stream (articles from one publisher, say) a node currently holds. Its
 //! [`RangeSummary`] is a fixed-size digest — four integers, regardless of

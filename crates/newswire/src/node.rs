@@ -15,8 +15,8 @@ use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use amcast::{
-    route, zone_reps, Action, BaselineHint, CoverageWindow, FilterSpec, ForwardEvent, ForwardLog,
-    ForwardingQueues, LogRecord, RangeSummary, SeqLog, FORWARD_STRATEGY, SERVICE_INTERVAL,
+    route, zone_reps, Action, BaselineHint, CoverageWindow, FilterSpec, ForwardingQueues,
+    RangeSummary, SeqLog, FORWARD_STRATEGY, SERVICE_INTERVAL,
 };
 use astrolabe::{
     Agent, AttrValue, GossipMsg, KeyId, RotationRecord, Signature, TrustRegistry, ZoneId,
@@ -52,8 +52,6 @@ pub struct PublisherState {
     pub credential: PublisherCredential,
     bucket: TokenBucket,
     default_scope: ZoneId,
-    /// Items accepted and disseminated.
-    pub published: u64,
     /// Items refused by flow control.
     pub rate_limited: u64,
 }
@@ -657,10 +655,10 @@ pub struct NewsWireNode {
     /// Copies waiting for the wire: the destination, the message and, for
     /// an announce, the node that handed the duty in.
     queues: ForwardingQueues<(NodeId, NewsWireMsg, Option<u32>)>,
-    draining: bool,
-    /// The §9 forwarding log ("each forwarding component maintains a log
-    /// file"): a bounded trace of duties, forwards, deliveries and drops.
-    pub log: ForwardLog,
+    /// The one drain timer that sends the next queued copy, while any wait.
+    /// A drain timer armed before a freeze may fire after the recovery armed
+    /// its successor; it is not this one and does nothing.
+    drain_timer: Option<TimerId>,
     /// Application deliveries in order.
     pub deliveries: Vec<DeliveryRecord>,
     /// Constant added to the advertised forwarding load. Publisher nodes
@@ -745,8 +743,7 @@ impl NewsWireNode {
             cache,
             coverage: CoverageWindow::new(8192),
             queues: ForwardingQueues::new(FORWARD_STRATEGY),
-            draining: false,
-            log: ForwardLog::default(),
+            drain_timer: None,
             deliveries: Vec::new(),
             load_bias: 0.0,
             acks,
@@ -807,7 +804,6 @@ impl NewsWireNode {
             credential,
             bucket: TokenBucket::new(rate_per_min, burst),
             default_scope,
-            published: 0,
             rate_limited: 0,
         });
         self
@@ -1289,10 +1285,14 @@ impl NewsWireNode {
         };
         self.queues.push(child, ctx.now().as_micros(), priority, (dst, msg, upstream));
         obs::gauge_max!(self.agent.id(), gauge::NW_PEAK_QUEUE, self.queues.len());
-        if !self.draining {
-            self.draining = true;
-            ctx.set_timer(SERVICE_INTERVAL, DRAIN_TIMER);
+        if self.drain_timer.is_none() {
+            self.arm_drain(ctx);
         }
+    }
+
+    /// Sends the next queued copy one [`SERVICE_INTERVAL`] from now.
+    fn arm_drain(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
+        self.drain_timer = Some(ctx.set_timer(SERVICE_INTERVAL, DRAIN_TIMER));
     }
 
     /// The representatives of this node's leaf zone, as its parent table
@@ -1345,22 +1345,8 @@ impl NewsWireNode {
         if actions.is_empty() && self.agent.level_of(&zone).is_none() {
             // Not on our path and no relay representative known yet.
             obs::metric_add!(self.agent.id(), ctr::NW_ROUTE_FAILURES, 1);
-            self.log.record(LogRecord {
-                at_us: now.as_micros(),
-                msg_id: env.msg_id,
-                zone,
-                peer: None,
-                event: ForwardEvent::Unroutable,
-            });
             return;
         }
-        self.log.record(LogRecord {
-            at_us: now.as_micros(),
-            msg_id: env.msg_id,
-            zone: zone.clone(),
-            peer: None,
-            event: ForwardEvent::AcceptedDuty,
-        });
         let mut handed_on = false;
         for action in actions {
             match action {
@@ -1370,26 +1356,12 @@ impl NewsWireNode {
                 }
                 Action::Deliver { member } => {
                     handed_on = true;
-                    self.log.record(LogRecord {
-                        at_us: now.as_micros(),
-                        msg_id: env.msg_id,
-                        zone: zone.clone(),
-                        peer: Some(member),
-                        event: ForwardEvent::Delivered,
-                    });
                     let split = upstream.filter(|_| self.announces_to(member));
                     let deliver =
                         NewsWireMsg::Deliver { env: Arc::clone(&env), announce: split.is_some() };
                     self.enqueue(ctx, NodeId(member), deliver, split);
                 }
                 Action::Forward { rep, zone } => {
-                    self.log.record(LogRecord {
-                        at_us: now.as_micros(),
-                        msg_id: env.msg_id,
-                        zone: zone.clone(),
-                        peer: Some(rep),
-                        event: ForwardEvent::Forwarded,
-                    });
                     let fwd = NewsWireMsg::Forward { env: Arc::clone(&env), zone };
                     self.enqueue(ctx, NodeId(rep), fwd, None);
                 }
@@ -1444,7 +1416,6 @@ impl NewsWireNode {
             publisher.rate_limited += 1;
             return;
         }
-        publisher.published += 1;
         item.issued_us = now.as_micros();
         if let Some(src) = &predicate {
             // The predicate travels as item metadata (§8: "adding a
@@ -1518,7 +1489,7 @@ impl NewsWireNode {
         env: &Envelope,
         zone: Option<&ZoneId>,
     ) -> Option<Admitted> {
-        let source = Source::Tree { env, from, zone };
+        let source = Source::Tree { env, from };
         let admitted = self.admit(Arc::clone(&env.item), env.key, env.signature, source)?;
         self.learn_from_envelope(env);
         if self.cfg.acks && from != NodeId::EXTERNAL {
@@ -1783,16 +1754,9 @@ impl NewsWireNode {
         }
         if !suspect && ack.attempt < ACK_RETRIES {
             ack.attempt += 1;
-            if let Some(zone) = &ack.zone {
+            if ack.zone.is_some() {
                 obs::metric_add!(id, ctr::NW_ACK_RETRIES, 1);
                 obs::trace_event!(id, Layer::News, kind::HANDOFF_RETRY, msg_id, ack.peer);
-                self.log.record(LogRecord {
-                    at_us: now.as_micros(),
-                    msg_id,
-                    zone: zone.clone(),
-                    peer: Some(ack.peer),
-                    event: ForwardEvent::AckTimeout,
-                });
             } else {
                 self.acks.note_resend();
                 obs::metric_add!(id, ctr::NW_DELIVER_RESENDS, 1);
@@ -1806,9 +1770,9 @@ impl NewsWireNode {
             self.resend_ack(ctx, ack);
             return;
         }
-        let Some(zone) = ack.zone.clone() else { return };
+        let Some(zone) = &ack.zone else { return };
         let next = if ack.tried.len() < MAX_FAILOVERS as usize {
-            let mut candidates = zone_reps(&self.agent, &zone);
+            let mut candidates = zone_reps(&self.agent, zone);
             candidates.retain(|r| !ack.tried.contains(r) && *r != ack.peer);
             // Prefer representatives the phi detector still trusts.
             self.prefer_unsuspected(&mut candidates, now);
@@ -1816,9 +1780,6 @@ impl NewsWireNode {
         } else {
             None
         };
-        let event = if next.is_some() { ForwardEvent::FailedOver } else { ForwardEvent::Abandoned };
-        let peer = Some(next.unwrap_or(ack.peer));
-        self.log.record(LogRecord { at_us: now.as_micros(), msg_id, zone, peer, event });
         let Some(rep) = next else {
             obs::metric_add!(id, ctr::NW_HANDOFFS_ABANDONED, 1);
             obs::trace_event!(id, Layer::News, kind::HANDOFF_ABANDON, msg_id, ack.peer);
@@ -2447,7 +2408,7 @@ impl NewsWireNode {
         self.agent.reset();
         self.cache = MessageCache::new(self.cfg.cache);
         self.deliveries.clear();
-        self.draining = false;
+        self.drain_timer = None;
         self.acks.clear();
         self.held_announces.clear();
         self.digest_probes.clear();
@@ -2708,6 +2669,7 @@ impl Node for NewsWireNode {
                 ctx.set_timer(self.agent.config().gossip_interval, GOSSIP_TIMER);
             }
             DRAIN_TIMER => {
+                let Some(_) = self.drain_timer.take_if(|armed| *armed == t) else { return };
                 if let Some(q) = self.queues.pop() {
                     let (dst, mut msg, upstream) = q.item;
                     // Tree hops become *acknowledged* at the moment they
@@ -2740,10 +2702,8 @@ impl Node for NewsWireNode {
                     ctx.send(dst, msg);
                     obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
                 }
-                if self.queues.is_empty() {
-                    self.draining = false;
-                } else {
-                    ctx.set_timer(SERVICE_INTERVAL, DRAIN_TIMER);
+                if !self.queues.is_empty() {
+                    self.arm_drain(ctx);
                 }
             }
             RECONCILE_WAIT_TIMER => {
@@ -2791,6 +2751,12 @@ impl Node for NewsWireNode {
         // the absent logs as empty, refills the cache and re-delivers what
         // the subscription matches. Cold restarts go through `on_restart`.
         self.reset_protocol_state();
+        // A drain timer that went off while the node was down is lost, and
+        // one still pending is no longer `drain_timer`: what the queues kept
+        // gets a new one.
+        if !self.queues.is_empty() {
+            self.arm_drain(ctx);
+        }
         self.recovering_since = Some(ctx.now());
         ctx.set_timer(self.agent.config().gossip_interval, GOSSIP_TIMER);
     }
@@ -2803,9 +2769,9 @@ impl Node for NewsWireNode {
         let now = ctx.now();
         // The process is dead: everything volatile goes, including what a
         // freeze keeps (forwarding queues, the duty dedup window, tick and
-        // fingerprint state, adopted rotations, probation). Stats and the
-        // forward log are measurement instrumentation, not process state,
-        // and survive in every mode.
+        // fingerprint state, adopted rotations, probation). Counters and
+        // trace records live in the telemetry hub, not in the process, and
+        // survive in every mode.
         self.reset_protocol_state();
         self.coverage = CoverageWindow::new(8192);
         self.queues = ForwardingQueues::new(FORWARD_STRATEGY);

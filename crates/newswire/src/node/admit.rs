@@ -12,8 +12,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use amcast::{ForwardEvent, LogRecord};
-use astrolabe::{Certificate, KeyId, RotationRecord, Signature, ZoneId};
+use astrolabe::{Certificate, KeyId, RotationRecord, Signature};
 use newsml::{NewsItem, PublisherId};
 use obs::{ctr, kind, Layer};
 use simnet::{NodeId, SimTime};
@@ -25,9 +24,9 @@ use crate::wire::Envelope;
 
 /// Where an article offered for admission came from.
 pub(super) enum Source<'a> {
-    /// A tree copy from `from`, checked against the certificate chain its
-    /// envelope carries: a `Forward` covering `zone`, or a `Deliver`.
-    Tree { env: &'a Envelope, from: NodeId, zone: Option<&'a ZoneId> },
+    /// A tree copy from `from` — a `Forward` or a `Deliver` — checked
+    /// against the certificate chain its envelope carries.
+    Tree { env: &'a Envelope, from: NodeId },
     /// A bare article in a reconcile reply from `from`.
     Reconcile { from: NodeId },
     /// A bare article from this node's own stable storage.
@@ -194,18 +193,7 @@ impl NewsWireNode {
         }
         let (id, path, p) = (self.agent.id(), source.path(), u64::from(publisher.0));
         match &source {
-            Source::Tree { env, from, zone } => {
-                obs::metric_add!(id, ctr::NW_AUTH_REJECTS, 1);
-                if let Some(zone) = zone {
-                    self.log.record(LogRecord {
-                        at_us: self.clock.as_micros(),
-                        msg_id: env.msg_id,
-                        zone: (*zone).clone(),
-                        peer: Some(from.0),
-                        event: ForwardEvent::AuthRejected,
-                    });
-                }
-            }
+            Source::Tree { .. } => obs::metric_add!(id, ctr::NW_AUTH_REJECTS, 1),
             Source::Reconcile { .. } | Source::Disk => {
                 obs::metric_add!(id, ctr::NW_FORGED_REJECTS, 1);
                 obs::trace_event!(id, Layer::News, kind::FORGED_REJECT, path, p);
@@ -350,6 +338,7 @@ mod tests {
     use crate::config::NewsWireConfig;
     use crate::wire::{msg_id_of, SignedItem};
     use amcast::FilterSpec;
+    use astrolabe::ZoneId;
     use newsml::Category;
 
     /// Where a case offers its article: the three admission sources and
@@ -443,13 +432,11 @@ mod tests {
                         basis: None,
                         item: item.into(),
                     };
-                    let source = Source::Tree { env: &env, from: PEER, zone: Some(&root) };
+                    let source = Source::Tree { env: &env, from: PEER };
                     let verdict = n.admit(Arc::clone(&env.item), key, sig, source);
-                    let logged =
-                        n.log.trace(env.msg_id).iter().any(|r| {
-                            r.event == ForwardEvent::AuthRejected && r.peer == Some(PEER.0)
-                        });
-                    assert_eq!(logged, auth == 1, "{at}: the forwarding log");
+                    // A refused tree copy is counted where it is refused.
+                    let refused = counts.of(&n, ctr::NW_AUTH_REJECTS);
+                    assert_eq!(refused, auth, "{at}: the refused tree copy");
                     verdict.map(|admitted| n.handle_delivery(now, admitted, false)).is_some()
                 }
                 Via::Reconcile => {

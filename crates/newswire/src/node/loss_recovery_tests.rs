@@ -464,6 +464,53 @@ fn a_retransmitted_handoff_contributes_no_sample() {
     assert_eq!(clean_timed, lossy_timed + 1, "the retransmission's ack was not timed");
 }
 
+/// A hand-off whose zone's representatives are both cut off is retried,
+/// failed over and abandoned, and the trace names each step as the counters
+/// count it: `a` is the message id, `b` the representative the step went to.
+#[test]
+fn a_handoff_to_a_cut_off_zone_traces_retry_failover_and_abandon() {
+    let mut d = DeploymentBuilder::new(7, 6)
+        .branching(4)
+        .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
+        .build();
+    for id in 1..8 {
+        d.sim.node_mut(NodeId(id)).set_subscription(tech_sub());
+    }
+    d.settle(60);
+    d.sim.drain_telemetry();
+    let reps = zone_reps(&d.sim.node(PUBLISHER).agent, &ZoneId::root().child(1));
+    assert_eq!(reps.len(), 2, "both representatives of /1 are known");
+    for &rep in &reps {
+        d.sim.schedule_link_cut(ms(60_999), PUBLISHER, NodeId(rep));
+        d.sim.schedule_link_heal(ms(90_000), PUBLISHER, NodeId(rep));
+    }
+    let item = tech_item(0);
+    d.publish(ms(61_000), item.clone());
+    d.sim.run_until(ms(90_000));
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    assert_eq!(hub.ring().dropped(), 0);
+    let trace = hub.ring().ordered();
+    let steps = |k: u8| {
+        let steps: Vec<_> = trace.iter().filter(|e| e.node == PUBLISHER.0 && e.kind == k).collect();
+        for e in &steps {
+            assert_eq!(e.a, msg_id_of(item.id), "{}: a is the message id", kind::name(k));
+            assert!(reps.contains(&(e.b as u32)), "{}: b is a representative", kind::name(k));
+        }
+        steps.len() as u64
+    };
+    let node = PUBLISHER.index();
+    for (k, c) in [
+        (kind::HANDOFF_RETRY, ctr::NW_ACK_RETRIES),
+        (kind::HANDOFF_FAILOVER, ctr::NW_ACK_FAILOVERS),
+        (kind::HANDOFF_ABANDON, ctr::NW_HANDOFFS_ABANDONED),
+    ] {
+        let n = steps(k);
+        assert!(n > 0, "{} traced", kind::name(k));
+        assert_eq!(n, hub.node_counter(node, c), "{} counted as traced", kind::name(k));
+    }
+}
+
 const REQUESTER: NodeId = NodeId(5);
 const NEIGHBOUR: NodeId = NodeId(4);
 
@@ -601,7 +648,30 @@ fn widening_a_subscription_backfills_the_newly_matched_articles() {
 /// caches it: it may not hold what it may not be delivered.
 #[test]
 fn an_out_of_scope_relay_never_caches_the_scoped_item_it_relays() {
-    let mut d = DeploymentBuilder::new(63, 24)
+    let mut d = tech_tree(24);
+    d.sim.drain_telemetry();
+    let scope = ZoneId::root().child(1).child(2);
+    let item = tech_item(0);
+    d.publish_scoped(ms(60_000), item.clone(), scope.clone());
+    d.settle(20);
+    let mut relays = 0;
+    for (id, node) in d.sim.iter() {
+        let in_scope = scope.is_ancestor_of(node.agent.zone(0));
+        assert_eq!(node.has_item(item.id), in_scope, "{id}");
+        // The one article is all anyone forwarded since the drain.
+        let relayed = count(&d, id, ctr::NW_FORWARDS) > 0;
+        if relayed && !in_scope && id != PUBLISHER {
+            relays += 1;
+            assert!(!node.cache.contains(item.id), "relay {id} cached the scoped item");
+        }
+    }
+    assert!(relays > 0, "workload sanity: the article was relayed from outside its scope");
+}
+
+/// The 63-subscriber, branching-4 deployment every member of which takes
+/// technology news.
+fn tech_tree(seed: u64) -> Deployment {
+    let mut d = DeploymentBuilder::new(63, seed)
         .branching(4)
         .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
         .build();
@@ -609,23 +679,66 @@ fn an_out_of_scope_relay_never_caches_the_scoped_item_it_relays() {
         d.sim.node_mut(NodeId(id)).set_subscription(tech_sub());
     }
     d.settle(60);
-    let scope = ZoneId::root().child(1).child(2);
+    d
+}
+
+/// A node frozen mid-drain sends what its queue kept once it recovers: the
+/// drain timer that went off while it was down is lost, and no later
+/// article comes to arm another. Reconcile cannot stand in: nobody's log
+/// shows a hole before a second article.
+fn frozen_mid_drain_sends_what_its_queue_kept(node_of: fn(&Deployment) -> NodeId) {
+    let mut d = tech_tree(24);
+    let node = node_of(&d);
     let item = tech_item(0);
-    d.publish_scoped(ms(60_000), item.clone(), scope.clone());
-    d.settle(20);
-    let msg_id = msg_id_of(item.id);
-    let mut relays = 0;
-    for (id, node) in d.sim.iter() {
-        let in_scope = scope.is_ancestor_of(node.agent.zone(0));
-        assert_eq!(node.has_item(item.id), in_scope, "{id}");
-        let took_duty =
-            node.log.trace(msg_id).iter().any(|r| r.event == ForwardEvent::AcceptedDuty);
-        if took_duty && !in_scope && id != PUBLISHER {
-            relays += 1;
-            assert!(!node.cache.contains(item.id), "relay {id} cached the scoped item");
-        }
+    d.publish(ms(60_000), item.clone());
+    while count(&d, node, ctr::NW_FORWARDS) == 0 || d.sim.node(node).queues.is_empty() {
+        assert!(d.sim.now() < ms(61_000), "workload sanity: {node} drains a queue");
+        d.sim.run_until(d.sim.now() + SimDuration::from_micros(100));
     }
-    assert!(relays > 0, "workload sanity: the article was relayed from outside its scope");
+    d.sim.schedule_crash(d.sim.now(), node);
+    d.sim.schedule_recover(ms(63_000), node);
+    d.sim.run_until(ms(63_000));
+    assert!(!d.sim.node(node).queues.is_empty(), "workload sanity: {node} kept copies");
+    d.sim.run_until(ms(63_500));
+    assert!(d.sim.node(node).queues.is_empty(), "{node} drained");
+    // The frozen node's own copy waits for reconcile.
+    for id in (1..64).map(NodeId).filter(|&id| id != node) {
+        assert!(d.sim.node(id).has_item(item.id), "{id} has the article");
+    }
+}
+
+/// The publisher, its first article's copies queued.
+#[test]
+fn a_publisher_frozen_mid_drain_sends_what_its_queue_kept() {
+    frozen_mid_drain_sends_what_its_queue_kept(|_| PUBLISHER);
+}
+
+/// A representative of `/1`, the copies of its duty for that zone queued.
+#[test]
+fn a_representative_frozen_mid_drain_sends_what_its_queue_kept() {
+    frozen_mid_drain_sends_what_its_queue_kept(|d| {
+        NodeId(zone_reps(&d.sim.node(PUBLISHER).agent, &ZoneId::root().child(1))[0])
+    });
+}
+
+/// A publisher recovered before the drain timer it armed ahead of the freeze
+/// goes off drains at one copy per [`SERVICE_INTERVAL`]: that stale timer
+/// does not start a second drain beside the recovery's.
+#[test]
+fn a_drain_timer_armed_before_a_freeze_starts_no_second_drain() {
+    let mut d = tech_tree(24);
+    d.publish(ms(60_000), tech_item(0));
+    // Drain timers fire at +0.5, +1.0 and +1.5 ms: the last is pending
+    // across the 0.1 ms outage.
+    let crash = SimTime::from_micros(60_001_200);
+    let recover = SimTime::from_micros(60_001_300);
+    d.sim.schedule_crash(crash, PUBLISHER);
+    d.sim.schedule_recover(recover, PUBLISHER);
+    d.sim.run_until(recover);
+    let sent = count(&d, PUBLISHER, ctr::NW_FORWARDS);
+    assert!(d.sim.node(PUBLISHER).queues.len() >= 4, "workload sanity: copies wait");
+    d.sim.run_until(recover + SERVICE_INTERVAL * 4 + SimDuration::from_micros(100));
+    assert_eq!(count(&d, PUBLISHER, ctr::NW_FORWARDS) - sent, 4, "one drain, not two");
 }
 
 fn delivery_at<'a>(d: &'a Deployment, node: NodeId, item: &NewsItem) -> Vec<&'a DeliveryRecord> {

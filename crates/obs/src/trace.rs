@@ -103,17 +103,20 @@ pub mod kind {
     /// An item was delivered to the application (`a` = item key,
     /// `b` = publish→deliver latency in µs).
     pub const NW_DELIVER: u8 = 49;
-    /// A tree hand-off was armed, awaiting ack (`a` = representative,
-    /// `b` = message id).
+    /// A tree hand-off was armed, awaiting ack (`a` = message id,
+    /// `b` = the representative).
     pub const HANDOFF_ARM: u8 = 50;
-    /// A hand-off ack arrived (`a` = representative, `b` = message id).
+    /// A hand-off ack arrived (`a` = message id, `b` = the representative
+    /// that acked).
     pub const HANDOFF_ACK: u8 = 51;
-    /// A hand-off retried the same representative (`a` = representative,
-    /// `b` = attempt).
+    /// A hand-off retried the same representative (`a` = message id,
+    /// `b` = the representative).
     pub const HANDOFF_RETRY: u8 = 52;
-    /// A hand-off failed over to the next representative (`a` = new rep).
+    /// A hand-off failed over to the next representative (`a` = message id,
+    /// `b` = the new representative).
     pub const HANDOFF_FAILOVER: u8 = 53;
-    /// A hand-off was abandoned (`a` = message id).
+    /// A hand-off was abandoned to anti-entropy (`a` = message id,
+    /// `b` = the last representative tried).
     pub const HANDOFF_ABANDON: u8 = 54;
     // 55 was the margin probe's request, 56 the named pull's reply.
     /// An anti-entropy reconcile request was sent (`a` = peer,

@@ -229,12 +229,16 @@ fn xmlrpc_gateway_end_to_end() {
     assert!(resp.contains("Pushed over XML-RPC"), "{resp}");
 }
 
+/// The paper's §9 forwarding log is the telemetry trace: one article's
+/// publish, hand-offs and deliveries can be read back from the hub's ring.
 #[test]
 fn forwarding_log_traces_an_item() {
-    use amcast::ForwardEvent;
+    use obs::{kind, Layer};
+    use std::collections::BTreeSet;
 
     let mut d = tech_news_deployment(60, 9);
     d.settle(60);
+    d.sim.drain_telemetry();
     let item = NewsItem::builder(PublisherId(0), 0)
         .headline("traced")
         .category(Category::Technology)
@@ -243,25 +247,39 @@ fn forwarding_log_traces_an_item() {
     d.settle(20);
 
     let msg_id = newswire::msg_id_of(item.id);
-    // The publisher's log shows the accepted duty and outgoing forwards.
-    let publisher = d.publisher_node(PublisherId(0));
-    let log = &d.sim.node(publisher).log;
-    let trace = log.trace(msg_id);
-    assert!(
-        trace.iter().any(|r| r.event == ForwardEvent::AcceptedDuty),
-        "publisher must log its duty"
-    );
-    assert!(
-        trace.iter().any(|r| r.event == ForwardEvent::Forwarded),
-        "publisher must log hand-offs"
-    );
-    // Somewhere in the system the item was logged as delivered.
-    let delivered_logs: usize = d
-        .sim
-        .iter()
-        .map(|(_, n)| {
-            n.log.trace(msg_id).iter().filter(|r| r.event == ForwardEvent::Delivered).count()
-        })
-        .sum();
-    assert!(delivered_logs > 0);
+    let publisher = d.publisher_node(PublisherId(0)).0;
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    assert_eq!(hub.ring().dropped(), 0, "the window's trace is whole");
+    let trace = hub.ring().ordered();
+    let news = |k: u8| trace.iter().filter(move |e| e.layer == Layer::News && e.kind == k);
+    // The publisher traces its publish, then one armed hand-off per
+    // representative: `a` is the message id, `b` the representative, and
+    // an ack names the pair it settles (the first of a zone's
+    // representatives to ack settles the zone).
+    let published: Vec<_> = news(kind::NW_PUBLISH).filter(|e| e.a == msg_id).collect();
+    assert_eq!(published.len(), 1, "one publish");
+    assert_eq!(published[0].node, publisher);
+    let at_publisher = |k: u8| {
+        news(k)
+            .filter(|e| e.node == publisher)
+            .inspect(|e| {
+                assert_eq!(e.a, msg_id, "{}: a is the message id", kind::name(k));
+                assert!(e.t_us > published[0].t_us, "{} follows the publish", kind::name(k));
+            })
+            .map(|e| e.b)
+            .collect::<BTreeSet<_>>()
+    };
+    let armed = at_publisher(kind::HANDOFF_ARM);
+    assert!(!armed.is_empty(), "publisher must trace hand-offs");
+    assert!(!armed.contains(&u64::from(publisher)));
+    let acked = at_publisher(kind::HANDOFF_ACK);
+    assert!(!acked.is_empty() && acked.is_subset(&armed), "b is the representative");
+    // Every subscriber that has the article traced its delivery, once.
+    let mut delivered: Vec<u32> =
+        news(kind::NW_DELIVER).filter(|e| e.a == msg_id).map(|e| e.node).collect();
+    delivered.sort_unstable();
+    let holders: Vec<u32> = d.delivered_nodes(&item).iter().map(|n| n.0).collect();
+    assert!(!holders.is_empty());
+    assert_eq!(delivered, holders);
 }
