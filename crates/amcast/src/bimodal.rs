@@ -17,7 +17,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use simnet::{Context, Node, NodeId, Payload, SimDuration, SimTime, TimerId};
 
-use crate::dedup::DedupWindow;
+use crate::dedup::CoverageWindow;
 
 /// pbcast wire messages.
 #[derive(Debug, Clone)]
@@ -92,7 +92,7 @@ const GOSSIP_TIMER: u64 = 1;
 pub struct PbcastNode {
     membership: Vec<u32>,
     cfg: PbcastConfig,
-    seen: DedupWindow,
+    seen: CoverageWindow,
     /// Local deliveries `(id, time)`.
     pub deliveries: Vec<(u64, SimTime)>,
     buffer: VecDeque<(u64, u32)>,
@@ -103,7 +103,7 @@ impl PbcastNode {
     pub fn new(membership: Vec<u32>, cfg: PbcastConfig) -> Self {
         PbcastNode {
             membership,
-            seen: DedupWindow::new(cfg.buffer * 16),
+            seen: CoverageWindow::new(cfg.buffer * 16),
             cfg,
             deliveries: Vec::new(),
             buffer: VecDeque::new(),
@@ -116,7 +116,7 @@ impl PbcastNode {
     }
 
     fn deliver(&mut self, now: SimTime, id: u64, len: u32) {
-        if self.seen.insert(id) {
+        if self.seen.admit(id, 0) {
             self.deliveries.push((id, now));
             self.buffer.push_back((id, len));
             if self.buffer.len() > self.cfg.buffer {

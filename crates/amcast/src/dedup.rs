@@ -6,71 +6,7 @@
 //! robustness of the delivery." A bounded window keeps memory constant on
 //! long-running forwarders.
 
-use std::collections::{HashSet, VecDeque};
-
-/// A sliding window of recently seen message ids.
-///
-/// ```
-/// let mut w = amcast::DedupWindow::new(2);
-/// assert!(w.insert(1), "first sighting");
-/// assert!(!w.insert(1), "duplicate");
-/// w.insert(2);
-/// w.insert(3); // evicts 1
-/// assert!(w.insert(1), "forgotten after eviction");
-/// ```
-#[derive(Debug, Clone)]
-pub struct DedupWindow {
-    seen: HashSet<u64>,
-    order: VecDeque<u64>,
-    capacity: usize,
-}
-
-impl DedupWindow {
-    /// Creates a window remembering up to `capacity` ids. The capacity is
-    /// an eviction bound, not a reservation: the window allocates nothing
-    /// until the first id arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "dedup window needs capacity");
-        DedupWindow { seen: HashSet::new(), order: VecDeque::new(), capacity }
-    }
-
-    /// Records `id`; returns `true` when it was not already in the window
-    /// (i.e. the caller should process the message).
-    pub fn insert(&mut self, id: u64) -> bool {
-        if self.seen.contains(&id) {
-            return false;
-        }
-        // Evict before inserting, so a full window never grows its tables
-        // past `capacity` entries.
-        if self.order.len() == self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
-        self.seen.insert(id);
-        self.order.push_back(id);
-        true
-    }
-
-    /// Membership test without recording.
-    pub fn contains(&self, id: u64) -> bool {
-        self.seen.contains(&id)
-    }
-
-    /// Number of ids currently remembered.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-}
+use std::collections::{HashMap, VecDeque};
 
 /// Depth-aware duplicate suppression for forwarding duty.
 ///
@@ -79,10 +15,21 @@ impl DedupWindow {
 /// (ancestor) zone whose other children it must still cover. Suppressing by
 /// id alone would leave those children unserved, so the window remembers
 /// the *shallowest* zone depth already processed per id and only admits
-/// strictly wider duty.
+/// strictly wider duty. At a single depth (every admit at `0`) it is a
+/// plain sliding window of recently seen ids: a duplicate is refused and
+/// does not refresh its position, and the oldest id is evicted first.
+///
+/// ```
+/// let mut w = amcast::CoverageWindow::new(2);
+/// assert!(w.admit(1, 0), "first sighting");
+/// assert!(!w.admit(1, 0), "duplicate");
+/// w.admit(2, 0);
+/// w.admit(3, 0); // evicts 1
+/// assert!(w.admit(1, 0), "forgotten after eviction");
+/// ```
 #[derive(Debug, Clone)]
 pub struct CoverageWindow {
-    seen: std::collections::HashMap<u64, usize>,
+    seen: HashMap<u64, usize>,
     order: VecDeque<u64>,
     capacity: usize,
 }
@@ -96,7 +43,7 @@ impl CoverageWindow {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "coverage window needs capacity");
-        CoverageWindow { seen: std::collections::HashMap::new(), order: VecDeque::new(), capacity }
+        CoverageWindow { seen: HashMap::new(), order: VecDeque::new(), capacity }
     }
 
     /// Records forwarding duty for `id` at `zone_depth`; returns `true`
@@ -110,6 +57,8 @@ impl CoverageWindow {
                 true
             }
             None => {
+                // Evict before inserting, so a full window never grows its
+                // tables past `capacity` entries.
                 if self.order.len() == self.capacity {
                     if let Some(old) = self.order.pop_front() {
                         self.seen.remove(&old);
@@ -120,6 +69,11 @@ impl CoverageWindow {
                 true
             }
         }
+    }
+
+    /// Membership test without recording.
+    pub fn contains(&self, id: u64) -> bool {
+        self.seen.contains_key(&id)
     }
 
     /// Number of ids currently remembered.
@@ -159,18 +113,19 @@ mod tests {
 
     #[test]
     fn suppresses_duplicates() {
-        let mut w = DedupWindow::new(8);
-        assert!(w.insert(7));
-        assert!(!w.insert(7));
+        let mut w = CoverageWindow::new(8);
+        assert!(w.admit(7, 0));
+        assert!(!w.admit(7, 0));
         assert!(w.contains(7));
+        assert!(!w.contains(8), "contains records nothing");
         assert_eq!(w.len(), 1);
     }
 
     #[test]
     fn evicts_oldest_beyond_capacity() {
-        let mut w = DedupWindow::new(3);
+        let mut w = CoverageWindow::new(3);
         for id in 1..=5 {
-            assert!(w.insert(id));
+            assert!(w.admit(id, 0));
         }
         assert!(!w.contains(1) && !w.contains(2));
         assert!(w.contains(3) && w.contains(5));
@@ -179,18 +134,16 @@ mod tests {
 
     #[test]
     fn duplicate_does_not_refresh_position() {
-        let mut w = DedupWindow::new(2);
-        w.insert(1);
-        w.insert(2);
-        w.insert(1); // duplicate, must not move 1 to the back
-        w.insert(3); // evicts 1
+        let mut w = CoverageWindow::new(2);
+        w.admit(1, 0);
+        w.admit(2, 0);
+        w.admit(1, 0); // duplicate, must not move 1 to the back
+        w.admit(3, 0); // evicts 1
         assert!(!w.contains(1));
     }
 
     #[test]
     fn windows_allocate_nothing_until_first_use() {
-        let d = DedupWindow::new(8192);
-        assert_eq!((d.seen.capacity(), d.order.capacity()), (0, 0));
         let c = CoverageWindow::new(8192);
         assert_eq!((c.seen.capacity(), c.order.capacity()), (0, 0));
     }
@@ -212,6 +165,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
-        DedupWindow::new(0);
+        CoverageWindow::new(0);
     }
 }

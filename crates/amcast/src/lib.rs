@@ -8,8 +8,9 @@
 //! * [`ForwardingQueues`] — per-child forwarding queues under pluggable
 //!   disciplines ([`Strategy::Fifo`] / [`Strategy::WeightedRoundRobin`] /
 //!   [`Strategy::Priority`]).
-//! * [`DedupWindow`] / [`CoverageWindow`] — duplicate suppression for
-//!   `k`-redundant representative forwarding.
+//! * [`CoverageWindow`] — bounded duplicate suppression for `k`-redundant
+//!   representative forwarding (and, at one depth, for Bimodal Multicast's
+//!   gossip).
 //! * [`SeqLog`] — epoch/sequence-numbered per-source article logs whose
 //!   fixed-size [`RangeSummary`] digests piggyback on gossip to drive
 //!   anti-entropy hole detection after partitions.
@@ -62,7 +63,7 @@ mod queues;
 mod seqlog;
 
 pub use bimodal::{PbcastConfig, PbcastMsg, PbcastNode};
-pub use dedup::{CoverageWindow, DedupWindow};
+pub use dedup::CoverageWindow;
 pub use mcast::{route, zone_reps, Action, FilterSpec};
 pub use queues::{ForwardingQueues, Queued, Strategy, FORWARD_STRATEGY, SERVICE_INTERVAL};
 pub use seqlog::{BaselineHint, RangeSummary, SeqLog};
@@ -70,18 +71,18 @@ pub use seqlog::{BaselineHint, RangeSummary, SeqLog};
 #[cfg(test)]
 mod proptests {
     use super::Strategy as QStrategy;
-    use super::{CoverageWindow, DedupWindow, ForwardingQueues, SeqLog};
+    use super::{CoverageWindow, ForwardingQueues, SeqLog};
     use proptest::prelude::*;
 
     proptest! {
-        /// The dedup window admits each distinct id at most once while it
-        /// remains within capacity.
+        /// At one depth the window admits each distinct id at most once
+        /// while it remains within capacity.
         #[test]
         fn dedup_single_admission(ids in proptest::collection::vec(0u64..50, 1..100)) {
-            let mut w = DedupWindow::new(1000);
+            let mut w = CoverageWindow::new(1000);
             let mut first = std::collections::HashSet::new();
             for id in ids {
-                prop_assert_eq!(w.insert(id), first.insert(id));
+                prop_assert_eq!(w.admit(id, 0), first.insert(id));
             }
         }
 

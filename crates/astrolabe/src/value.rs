@@ -76,22 +76,6 @@ impl AttrValue {
         }
     }
 
-    /// Set view.
-    pub fn as_set(&self) -> Option<&BTreeSet<u64>> {
-        match self {
-            AttrValue::Set(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Bit-array view.
-    pub fn as_bits(&self) -> Option<&BitArray> {
-        match self {
-            AttrValue::Bits(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// Approximate serialized size in bytes (for traffic accounting).
     pub fn wire_size(&self) -> usize {
         1 + match self {

@@ -118,8 +118,7 @@ fn run_warmed_rep_crash(n: u32, seed: u64) -> (Point, String) {
         d.publish(d.sim.now() + SimDuration::from_millis(250 * seq), tech_item(seq));
     }
     d.settle(60);
-    let total = |d: &Deployment, id| d.sim.telemetry().borrow().counter_total(id);
-    let announced = total(&d, ctr::NW_ANNOUNCES);
+    let announced = d.counter(ctr::NW_ANNOUNCES);
     let own = d.layout.leaf_zone(0);
     let mut victims = BTreeSet::new();
     let mut zones = HashSet::new();
@@ -142,7 +141,7 @@ fn run_warmed_rep_crash(n: u32, seed: u64) -> (Point, String) {
         victims.extend(victim.and_then(|r| u32::try_from(r).ok()));
     }
     let victims: Vec<u32> = victims.into_iter().collect();
-    let payloads = total(&d, ctr::NW_ANNOUNCE_PAYLOADS);
+    let payloads = d.counter(ctr::NW_ANNOUNCE_PAYLOADS);
     let point = crash_and_publish(&mut d, n, &victims, warm_up);
     let repaired = d
         .sim
@@ -156,7 +155,7 @@ fn run_warmed_rep_crash(n: u32, seed: u64) -> (Point, String) {
          nodes; {announced} announces sent before the crash, {} answered with the payload \
          after it, {repaired} deliveries by reconcile)",
         victims.len(),
-        total(&d, ctr::NW_ANNOUNCE_PAYLOADS) - payloads,
+        d.counter(ctr::NW_ANNOUNCE_PAYLOADS) - payloads,
     );
     (point, note)
 }

@@ -46,7 +46,7 @@ fn publish_with_scope(n: u32, scoped: bool, seed: u64) -> Outcome {
         ZoneId::root()
     };
     let inside: HashSet<u32> = d.layout.agents_under(&scope).into_iter().collect();
-    let before = d.total_stats().forwards_sent;
+    let before = d.counter(obs::ctr::NW_FORWARDS);
     let items: Vec<_> = (0..5).map(tech_item).collect();
     for item in &items {
         d.publish_scoped(SimTime::from_secs(60), item.clone(), scope.clone());
@@ -57,7 +57,7 @@ fn publish_with_scope(n: u32, scoped: bool, seed: u64) -> Outcome {
         interested_in: 0,
         delivered_in: 0,
         delivered_out: 0,
-        forwards: d.total_stats().forwards_sent - before,
+        forwards: d.counter(obs::ctr::NW_FORWARDS) - before,
         scope,
     };
     for item in &items {

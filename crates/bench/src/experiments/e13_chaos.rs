@@ -104,9 +104,11 @@ fn run_point(n: u32, churn: bool, gray_pct: u32, ack: bool, seed: u64) -> Point 
     // Ack-machinery counters from the telemetry registry (they do not reset
     // on recovery); churned nodes clear their delivery logs, so the p99
     // keeps the walk, which reflects what survivors actually hold.
-    let stats = d.total_stats();
-    let (retries, failovers, abandoned) =
-        (stats.ack_retries, stats.ack_failovers, stats.handoffs_abandoned);
+    let (retries, failovers, abandoned) = (
+        d.counter(obs::ctr::NW_ACK_RETRIES),
+        d.counter(obs::ctr::NW_ACK_FAILOVERS),
+        d.counter(obs::ctr::NW_HANDOFFS_ABANDONED),
+    );
     let mut lat = d.delivery_latency_summary();
     dump_telemetry(
         &format!("e13_churn{}_gray{gray_pct}_ack{}", u8::from(churn), u8::from(ack)),

@@ -134,7 +134,8 @@ fn run_point(n: u32, shape: Shape, dur_secs: u64, anti_entropy: bool, seed: u64)
         }
     }
     let report = check_invariants(&d, &items, &std::collections::BTreeSet::new());
-    let stats = d.total_stats();
+    let reconcile_bytes = d.counter(obs::ctr::NW_RECONCILE_BYTES_SENT);
+    let requests = d.counter(obs::ctr::NW_RECONCILE_REQUESTS);
     dump_telemetry(
         &format!("e14_{}_{dur_secs}s_ae{}", shape.label(), u8::from(anti_entropy)),
         &mut d.sim,
@@ -146,8 +147,8 @@ fn run_point(n: u32, shape: Shape, dur_secs: u64, anti_entropy: bool, seed: u64)
             100.0 * recovered as f64 / expected as f64
         },
         reconv_p99_secs: if reconv.is_empty() { 0.0 } else { reconv.quantile(0.99) },
-        reconcile_kib: stats.reconcile_bytes_sent as f64 / 1024.0,
-        requests: stats.reconcile_requests,
+        reconcile_kib: reconcile_bytes as f64 / 1024.0,
+        requests,
         holds: report.holds(),
         converged: report.converged(),
     }

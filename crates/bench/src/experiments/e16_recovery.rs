@@ -106,7 +106,8 @@ fn run_point(n: u32, mode: RestartMode, heavy: bool, ae: bool, seed: u64) -> Poi
     d.settle(300);
 
     let report = check_invariants(&d, &items, &plan.churned_nodes());
-    let stats = d.total_stats();
+    let recoveries = d.counter(obs::ctr::NW_RECOVERIES);
+    let backfill = d.counter(obs::ctr::NW_BACKFILL_ITEMS);
     // Eventual completeness over the *churned* interested nodes — the arm's
     // whole question is what a restarted node ends up holding.
     let exempt = plan.churned_nodes();
@@ -145,9 +146,9 @@ fn run_point(n: u32, mode: RestartMode, heavy: bool, ae: bool, seed: u64) -> Poi
     Point {
         completeness_pct: if want == 0 { 100.0 } else { 100.0 * have as f64 / want as f64 },
         oracle_ok: report.holds(),
-        recoveries: stats.recoveries_completed,
+        recoveries,
         mean_recovery_secs,
-        backfill: stats.recovery_backfill_items,
+        backfill,
         incar_bumps,
         writes_lost,
     }

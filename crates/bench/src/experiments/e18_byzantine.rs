@@ -133,9 +133,11 @@ fn run_point(n: u32, script: Script, size: u32, defenses: bool, seed: u64) -> Po
     let verdict = self_stabilized(&mut d, &items, &exempt, ROUND_BUDGET);
 
     let faults = d.sim.fault_counters();
-    let stats = d.total_stats();
-    let (forged_rejects, quarantines, refusals) =
-        (stats.forged_rejects, stats.peers_quarantined, stats.signed_epoch_refusals);
+    let (forged_rejects, quarantines, refusals) = (
+        d.counter(obs::ctr::NW_FORGED_REJECTS),
+        d.counter(obs::ctr::NW_QUARANTINES),
+        d.counter(obs::ctr::NW_SIGNED_EPOCH_REFUSALS),
+    );
     dump_telemetry(
         &format!("e18_{}_{}_{}", script.label(), size, if defenses { "def" } else { "abl" }),
         &mut d.sim,

@@ -167,9 +167,9 @@ fn run_point(n: u32, duration: u64, seeds: u32, sybil: u32, defense: Defense, se
         .filter(|(id, _)| !exempt.contains(id))
         .flat_map(|(_, node)| node.deliveries.iter())
         .any(|rec| !truth.contains(&rec.item) && rec.delivered >= window_tail);
-    let joins_refused = d.sim.telemetry().borrow().counter_total(obs::ctr::SYBIL_JOINS_REFUSED);
-    let totals = d.total_stats();
-    let (purged, fence_rejects) = (totals.retro_purged, totals.revoked_key_rejects);
+    let joins_refused = d.counter(obs::ctr::SYBIL_JOINS_REFUSED);
+    let purged = d.counter(obs::ctr::NW_RETRO_PURGED_ITEMS);
+    let fence_rejects = d.counter(obs::ctr::NW_REVOKED_KEY_REJECTS);
     let consensus = d
         .sim
         .iter()

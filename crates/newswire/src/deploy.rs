@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use astrolabe::{RotationRecord, TrustRegistry, ZoneId, ZoneLayout};
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile, Zipf};
+use obs::CtrId;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::{fork, LatencyModel, NetworkModel, NodeId, SimDuration, SimTime, Simulation, Summary};
@@ -18,85 +19,6 @@ use crate::config::NewsWireConfig;
 use crate::node::NewsWireNode;
 use crate::subscription::Subscription;
 use crate::wire::NewsWireMsg;
-
-/// NewsWire's counters summed over a deployment: a typed view of the
-/// telemetry registry, filled by [`Deployment::total_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Items delivered to the application (subscription matched).
-    pub delivered: u64,
-    /// Duplicate arrivals suppressed.
-    pub duplicates: u64,
-    /// Items that reached this leaf but failed the exact structural test —
-    /// Bloom false-positive deliveries (§6's "final test").
-    pub bloom_fp_deliveries: u64,
-    /// Items that matched structurally but were rejected by the SQL
-    /// predicate.
-    pub predicate_filtered: u64,
-    /// Forwards rejected for bad signatures/certificates/scopes.
-    pub auth_rejects: u64,
-    /// Publish requests refused (not a publisher here).
-    pub publish_denied: u64,
-    /// Items unroutable at this node.
-    pub route_failures: u64,
-    /// Items shipped in named-pull replies (0: no node answers one).
-    pub repair_items_sent: u64,
-    /// Forward/Deliver messages transmitted.
-    pub forwards_sent: u64,
-    /// `ForwardAck`s received for pending hand-offs.
-    pub acks_received: u64,
-    /// Hand-offs retransmitted to the same representative after a timeout.
-    pub ack_retries: u64,
-    /// Hand-offs failed over to an alternative representative.
-    pub ack_failovers: u64,
-    /// Hand-offs abandoned to anti-entropy after exhausting failovers.
-    pub handoffs_abandoned: u64,
-    /// Hand-offs failed over early because the phi detector already
-    /// suspected the representative (retries against it would be wasted).
-    pub suspect_failovers: u64,
-    /// Anti-entropy reconcile requests sent.
-    pub reconcile_requests: u64,
-    /// Items received through reconcile replies.
-    pub reconcile_items_recv: u64,
-    /// Reconcile requests answered (with at least one item).
-    pub reconciles_served: u64,
-    /// Items shipped in reconcile replies.
-    pub reconcile_items_sent: u64,
-    /// Payload bytes shipped in reconcile replies (repair-traffic cost).
-    pub reconcile_bytes_sent: u64,
-    /// Reconcile requests re-targeted after a reply timeout.
-    pub reconcile_retargets: u64,
-    /// Cold restarts (durable or amnesiac — not freezes), counted by the
-    /// simulator.
-    pub cold_restarts: u64,
-    /// Cold-restart recoveries that reached the caught-up criterion (log
-    /// hole-free and at the neighborhood high-water mark).
-    pub recoveries_completed: u64,
-    /// Items backfilled through repair/reconcile while recovering from a
-    /// cold restart.
-    pub recovery_backfill_items: u64,
-    /// Bare items (repair/reconcile/restore paths) refused because their
-    /// detached signature did not verify — forged or tampered content
-    /// stopped at the admission funnel (DESIGN §12).
-    pub forged_rejects: u64,
-    /// Epoch adoptions refused because the claimed epoch exceeded the
-    /// publisher's signed attestation.
-    pub signed_epoch_refusals: u64,
-    /// Peers quarantined after their misbehavior score crossed the
-    /// threshold.
-    pub peers_quarantined: u64,
-    /// Admissions refused because the signing key-epoch was revoked by an
-    /// adopted rotation record — any of the five admission paths (DESIGN
-    /// §15). Distinct from `forged_rejects`: the signature *verifies*, the
-    /// key is just no longer trusted.
-    pub revoked_key_rejects: u64,
-    /// Cached items retroactively purged because the key that signed them
-    /// was revoked after their admission.
-    pub retro_purged: u64,
-    /// Unendorsed identities placed in the bounded probation set by Sybil
-    /// admission control.
-    pub probation_holds: u64,
-}
 
 /// A publisher to install in the deployment.
 #[derive(Debug, Clone)]
@@ -520,52 +442,18 @@ impl Deployment {
         s
     }
 
-    /// Sum of all nodes' NewsWire counters, read from the telemetry
+    /// One counter summed over every node, read from the telemetry
     /// registry (the only place a counter lives).
     ///
-    /// The view lives as long as the registry does:
+    /// The sum lives as long as the registry does:
     /// [`Simulation::snapshot_telemetry`] leaves it unchanged and
     /// [`Simulation::drain_telemetry`] zeroes it, so read a run's totals
     /// before draining its telemetry. Every experiment does: E13, E14, E16,
-    /// E18 and E21 call this before `dump_telemetry`, and E20 drains after its
-    /// warm-up on purpose, so its counters cover the measured phase only.
-    pub fn total_stats(&self) -> NodeStats {
-        use obs::ctr::*;
-        let hub = self.sim.telemetry();
-        let hub = hub.borrow();
-        let c = |id| hub.counter_total(id);
-        let global = hub.global();
-        NodeStats {
-            delivered: c(NW_DELIVERED),
-            duplicates: c(NW_DUPLICATES),
-            bloom_fp_deliveries: c(NW_BLOOM_FP),
-            predicate_filtered: c(NW_PREDICATE_FILTERED),
-            auth_rejects: c(NW_AUTH_REJECTS),
-            publish_denied: c(NW_PUBLISH_DENIED),
-            route_failures: c(NW_ROUTE_FAILURES),
-            repair_items_sent: c(NW_REPAIR_ITEMS_SENT),
-            forwards_sent: c(NW_FORWARDS),
-            acks_received: c(NW_ACKS_RECEIVED),
-            ack_retries: c(NW_ACK_RETRIES),
-            ack_failovers: c(NW_ACK_FAILOVERS),
-            handoffs_abandoned: c(NW_HANDOFFS_ABANDONED),
-            suspect_failovers: c(NW_SUSPECT_FAILOVERS),
-            reconcile_requests: c(NW_RECONCILE_REQUESTS),
-            reconcile_items_recv: c(NW_RECONCILE_ITEMS_RECV),
-            reconciles_served: c(NW_RECONCILES_SERVED),
-            reconcile_items_sent: c(NW_RECONCILE_ITEMS_SENT),
-            reconcile_bytes_sent: c(NW_RECONCILE_BYTES_SENT),
-            reconcile_retargets: c(NW_RECONCILE_RETARGETS),
-            cold_restarts: global.ctr(COLD_RESTARTS_DURABLE) + global.ctr(COLD_RESTARTS_AMNESIA),
-            recoveries_completed: c(NW_RECOVERIES),
-            recovery_backfill_items: c(NW_BACKFILL_ITEMS),
-            forged_rejects: c(NW_FORGED_REJECTS),
-            signed_epoch_refusals: c(NW_SIGNED_EPOCH_REFUSALS),
-            peers_quarantined: c(NW_QUARANTINES),
-            revoked_key_rejects: c(NW_REVOKED_KEY_REJECTS),
-            retro_purged: c(NW_RETRO_PURGED_ITEMS),
-            probation_holds: c(NW_PROBATION_HOLDS),
-        }
+    /// E18 and E21 read their counters before `dump_telemetry`, and E20
+    /// drains after its warm-up on purpose, so its counters cover the
+    /// measured phase only.
+    pub fn counter(&self, id: CtrId) -> u64 {
+        self.sim.telemetry().borrow().counter_total(id)
     }
 }
 

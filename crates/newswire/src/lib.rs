@@ -67,7 +67,7 @@ pub use auth::{
 };
 pub use cache::{CacheOutcome, CachePolicy, MessageCache};
 pub use config::{NewsWireConfig, SubscriptionModel};
-pub use deploy::{tech_news_deployment, Deployment, DeploymentBuilder, NodeStats, PublisherSpec};
+pub use deploy::{tech_news_deployment, Deployment, DeploymentBuilder, PublisherSpec};
 pub use flow::TokenBucket;
 pub use node::{DeliveryRecord, LogEntry, NewsWireNode, PublisherState, AE_ATTR_PREFIX};
 pub use oracle::{

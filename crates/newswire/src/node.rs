@@ -2386,8 +2386,8 @@ impl NewsWireNode {
     /// Write-behind persistence, called once per gossip tick when
     /// `durable_state` is configured: snapshot the `state` record when the
     /// fingerprint moved, fsync every [`STATE_FSYNC_TICKS`]th tick. The
-    /// window between write and fsync is exactly what the engine's
-    /// `crash_unsynced_loss` knob destroys on crash.
+    /// window between write and fsync is exactly what a crash destroys:
+    /// the engine loses every unsynced write.
     fn persist_state(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
         let fp = self.state_fingerprint();
         if fp != self.persisted_fingerprint {

@@ -331,10 +331,9 @@ fn lossless_run_leaves_the_repair_path_idle() {
     for item in &items {
         assert_eq!(d.interested_nodes(item), d.delivered_nodes(item), "item {}", item.id);
     }
-    let stats = d.total_stats();
-    assert!(stats.delivered > 0, "workload should create interest");
-    assert_eq!(stats.repair_items_sent, 0);
-    assert_eq!(stats.ack_retries, 0, "nothing was lost, so nothing is retransmitted");
+    assert!(d.counter(ctr::NW_DELIVERED) > 0, "workload should create interest");
+    assert_eq!(d.counter(ctr::NW_REPAIR_ITEMS_SENT), 0);
+    assert_eq!(d.counter(ctr::NW_ACK_RETRIES), 0, "nothing was lost, so nothing is retransmitted");
     assert!(d.sim.iter().all(|(_, node)| node.deliveries.iter().all(|r| !r.via_repair)));
     assert!(d.sim.iter().all(|(_, node)| node.unacknowledged() == 0), "nothing awaits an ack");
     assert!(d.sim.iter().all(|(_, node)| !node.ack_sweep_armed()), "no sweep is left set");
@@ -464,9 +463,8 @@ fn three_representatives_suppress_duplicates_and_never_deliver_twice() {
         let copies = node.deliveries.iter().filter(|r| r.item == item.id).count();
         assert!(copies <= 1, "node {id} delivered {copies} times");
     }
-    let stats = d.total_stats();
-    assert_eq!(stats.delivered, 32);
-    assert!(stats.duplicates > 0, "k=3 must actually produce suppressed duplicates");
+    assert_eq!(d.counter(ctr::NW_DELIVERED), 32);
+    assert!(d.counter(ctr::NW_DUPLICATES) > 0, "k=3 must actually produce suppressed duplicates");
 }
 
 /// Fifteen subscribers of Technology behind one publisher (node 0), in two

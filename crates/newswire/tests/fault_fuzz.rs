@@ -425,7 +425,8 @@ fn fuzz_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     // t=145; the long tail gives anti-entropy repair time to backfill.
     d.settle(150);
 
-    assert_eq!(d.total_stats().auth_rejects, 0, "seed {seed}: unexpected auth rejects");
+    let auth_rejects = d.counter(obs::ctr::NW_AUTH_REJECTS);
+    assert_eq!(auth_rejects, 0, "seed {seed}: unexpected auth rejects");
 
     // The shared oracle: no dups, no unwanted deliveries anywhere; eventual
     // delivery for every node outside the churn set.

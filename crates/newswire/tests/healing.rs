@@ -15,7 +15,9 @@
 use std::collections::BTreeSet;
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
-use newswire::{check_invariants, DeploymentBuilder, NewsWireConfig, OracleReport, PublisherSpec};
+use newswire::{
+    check_invariants, Deployment, DeploymentBuilder, NewsWireConfig, OracleReport, PublisherSpec,
+};
 use simnet::{FaultPlan, Partition, PartitionSpec, SimTime};
 
 /// Total nodes: one publisher + 47 subscribers; branching 8 puts the split
@@ -47,16 +49,13 @@ fn plan() -> FaultPlan {
     }
 }
 
-/// Runs the scenario and returns the oracle report plus the items. The
+/// Runs the scenario and returns the oracle report plus the items and the
+/// finished deployment (its counters unread and undrained). The
 /// hole is thirty items deep and the hand-offs that would have carried it
 /// across the cut were abandoned while the cut held, so only log
 /// reconciliation can close it.
 /// `deltas` selects the delta wire protocol.
-fn run(
-    anti_entropy: bool,
-    deltas: bool,
-    seed: u64,
-) -> (OracleReport, Vec<NewsItem>, newswire::NodeStats) {
+fn run(anti_entropy: bool, deltas: bool, seed: u64) -> (OracleReport, Vec<NewsItem>, Deployment) {
     let config = NewsWireConfig { anti_entropy, deltas, ..NewsWireConfig::tech_news() };
     let mut d = DeploymentBuilder::new(N_SUB, seed)
         .branching(8)
@@ -83,17 +82,17 @@ fn run(
     assert_eq!(f.partitions_healed, 1);
 
     let report = check_invariants(&d, &items, &BTreeSet::new());
-    (report, items, d.total_stats())
+    (report, items, d)
 }
 
 #[test]
 fn anti_entropy_heals_the_partition() {
-    let (report, _, stats) = run(true, false, 21);
+    let (report, _, d) = run(true, false, 21);
     assert!(report.survivor_expected > 0, "vacuous run");
     assert!(report.holds(), "{report}");
     assert!(report.converged(), "{report}");
     assert!(
-        stats.reconcile_items_recv > 0,
+        d.counter(obs::ctr::NW_RECONCILE_ITEMS_RECV) > 0,
         "recovery must have flowed through reconciliation, not luck"
     );
 }
@@ -109,8 +108,9 @@ fn without_anti_entropy_the_damage_is_detected() {
 
 fn damage_is_detected(deltas: bool, seed: u64) {
     let (on, _, _) = run(true, deltas, seed);
-    let (off, _, off_stats) = run(false, deltas, seed);
-    assert_eq!(off_stats.reconcile_requests, 0, "ablation arm must not reconcile");
+    let (off, _, off_d) = run(false, deltas, seed);
+    let off_requests = off_d.counter(obs::ctr::NW_RECONCILE_REQUESTS);
+    assert_eq!(off_requests, 0, "ablation arm must not reconcile");
     assert!(!off.converged(), "partition holes must show up as unconverged logs");
     assert!(!off.missed_deliveries.is_empty(), "side-B survivors miss partition items");
     assert!(

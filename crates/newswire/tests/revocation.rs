@@ -113,8 +113,8 @@ fn run(seed: u64, compromised: bool) -> BTreeMap<u32, (bool, Served)> {
     if compromised {
         let counters = d.sim.fault_counters();
         assert!(counters.key_compromise_strikes > 0, "seed {seed}: stolen key never struck");
-        let total = d.total_stats();
-        assert!(total.retro_purged > 0, "seed {seed}: nothing was retroactively purged");
+        let purged = d.counter(obs::ctr::NW_RETRO_PURGED_ITEMS);
+        assert!(purged > 0, "seed {seed}: nothing was retroactively purged");
     }
 
     // Every item — pre- and post-rotation — must still have reached every

@@ -114,9 +114,8 @@ pub fn gauge_max(node: u32, id: GaugeId, v: u64) {
 #[inline]
 pub fn hist_record(node: u32, id: HistId, v: u64) {
     with_hub(|h| {
-        let def = h.schema().hist_def(id);
         if let Some(m) = h.node_mut(node as usize) {
-            m.hist_record(id, def, v);
+            m.hist_record(id, v);
         }
     });
 }

@@ -4,7 +4,7 @@
 //! JSON), so everything here is integer-valued, ordered by slot id and node
 //! id, and hand-serialized — no hash-map iteration, no floats, no locale.
 
-use crate::metrics::{MetricSet, Schema};
+use crate::metrics::{ctr, gauge, hist, series, MetricSet};
 use crate::trace::{kind, TraceEvent};
 
 /// Summary of a raw-sample series (integers only; exact quantiles are
@@ -33,7 +33,7 @@ impl SeriesStats {
     }
 }
 
-/// One node's non-zero metrics with names resolved against the schema.
+/// One node's non-zero metrics with their slots' names.
 #[derive(Debug, Clone, Default)]
 pub struct NodeMetrics {
     /// The node id ([`TraceEvent::GLOBAL`] for the simulation-global set).
@@ -49,19 +49,22 @@ pub struct NodeMetrics {
 }
 
 impl NodeMetrics {
-    /// Extracts the non-zero slots of `set` under `schema`'s names.
-    pub fn from_set(node: u32, set: &MetricSet, schema: &Schema) -> NodeMetrics {
+    /// Extracts the non-zero slots of `set` under their static names.
+    pub fn from_set(node: u32, set: &MetricSet) -> NodeMetrics {
         NodeMetrics {
             node,
-            counters: set.counters_nonzero().map(|(id, v)| (schema.counter_name(id), v)).collect(),
-            gauges: set.gauges_nonzero().map(|(id, v)| (schema.gauge_name(id), v)).collect(),
+            counters: set
+                .counters_nonzero()
+                .map(|(id, v)| (ctr::NAMES[id.0 as usize], v))
+                .collect(),
+            gauges: set.gauges_nonzero().map(|(id, v)| (gauge::NAMES[id.0 as usize], v)).collect(),
             hists: set
                 .hists_nonzero()
-                .map(|(id, h)| (schema.hist_def(id).name, h.to_vec()))
+                .map(|(id, h)| (hist::NAMES[id.0 as usize], h.to_vec()))
                 .collect(),
             series: set
                 .series_nonzero()
-                .map(|(id, s)| (schema.series_name(id), SeriesStats::of(s)))
+                .map(|(id, s)| (series::NAMES[id.0 as usize], SeriesStats::of(s)))
                 .collect(),
         }
     }
@@ -72,26 +75,6 @@ impl NodeMetrics {
             && self.gauges.is_empty()
             && self.hists.is_empty()
             && self.series.is_empty()
-    }
-}
-
-/// A reconstructed interval between two paired trace records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// Node of the *end* record (for publish→deliver, the subscriber).
-    pub node: u32,
-    /// The correlation key (the `a` operand shared by both records).
-    pub key: u64,
-    /// Timestamp of the start record, µs.
-    pub start_us: u64,
-    /// Timestamp of the end record, µs.
-    pub end_us: u64,
-}
-
-impl Span {
-    /// Span length in µs.
-    pub fn duration_us(&self) -> u64 {
-        self.end_us.saturating_sub(self.start_us)
     }
 }
 
@@ -217,35 +200,12 @@ impl Telemetry {
         }
         out
     }
-
-    /// Pairs `start_kind` records with later `end_kind` records sharing the
-    /// same `a` operand (the correlation key), returning one [`Span`] per
-    /// end record. A single start may anchor many ends (e.g. one
-    /// `NW_PUBLISH` fanning out to many `NW_DELIVER`s); ends with no
-    /// recorded start are skipped (their start fell off the ring).
-    pub fn pair_spans(&self, start_kind: u8, end_kind: u8) -> Vec<Span> {
-        let mut starts: Vec<(u64, u64)> = Vec::new(); // (key, t_us), first wins
-        let mut out = Vec::new();
-        for e in &self.events {
-            if e.kind == start_kind {
-                if !starts.iter().any(|&(k, _)| k == e.a) {
-                    starts.push((e.a, e.t_us));
-                }
-            } else if e.kind == end_kind {
-                if let Some(&(_, t0)) = starts.iter().find(|&&(k, _)| k == e.a) {
-                    out.push(Span { node: e.node, key: e.a, start_us: t0, end_us: e.t_us });
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hub::TelemetryHub;
-    use crate::metrics::{ctr, series};
     use crate::trace::Layer;
 
     fn sample_hub() -> TelemetryHub {
@@ -282,22 +242,5 @@ mod tests {
         assert_eq!(lines[0], "t_us,node,layer,kind,a,b");
         assert_eq!(lines[1], "5000,0,news,nw_publish,77,0");
         assert_eq!(lines[2], "5000,1,news,nw_deliver,77,250");
-    }
-
-    #[test]
-    fn spans_pair_on_key() {
-        let mut hub = TelemetryHub::new(0);
-        hub.set_now_us(100);
-        hub.trace(0, Layer::News, kind::NW_PUBLISH, 9, 0);
-        hub.set_now_us(350);
-        hub.trace(4, Layer::News, kind::NW_DELIVER, 9, 250);
-        hub.set_now_us(400);
-        hub.trace(5, Layer::News, kind::NW_DELIVER, 9, 300);
-        // An end with no matching start is skipped.
-        hub.trace(6, Layer::News, kind::NW_DELIVER, 1234, 0);
-        let spans = hub.snapshot().pair_spans(kind::NW_PUBLISH, kind::NW_DELIVER);
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0], Span { node: 4, key: 9, start_us: 100, end_us: 350 });
-        assert_eq!(spans[1].duration_us(), 300);
     }
 }

@@ -1,7 +1,7 @@
 //! The per-simulation telemetry hub: one ring, one registry, one clock.
 
 use crate::export::{NodeMetrics, Telemetry};
-use crate::metrics::{CtrId, GaugeId, HistId, MetricSet, Schema, SeriesId};
+use crate::metrics::{CtrId, GaugeId, MetricSet, SeriesId};
 use crate::trace::{Layer, TraceEvent, TraceRing};
 
 /// Everything one `Simulation` observes about itself.
@@ -16,7 +16,6 @@ use crate::trace::{Layer, TraceEvent, TraceRing};
 /// loop, so hub contents are a pure function of the simulation seed.
 #[derive(Debug)]
 pub struct TelemetryHub {
-    schema: Schema,
     nodes: Vec<MetricSet>,
     global: MetricSet,
     ring: TraceRing,
@@ -25,26 +24,15 @@ pub struct TelemetryHub {
 }
 
 impl TelemetryHub {
-    /// A fresh hub over the built-in stack [`Schema`].
+    /// A fresh, empty hub.
     pub fn new(seed: u64) -> Self {
         TelemetryHub {
-            schema: Schema::stack(),
             nodes: Vec::new(),
             global: MetricSet::new(),
             ring: TraceRing::default(),
             now_us: 0,
             seed,
         }
-    }
-
-    /// The slot table in force.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Mutable slot table (for registering experiment-specific slots).
-    pub fn schema_mut(&mut self) -> &mut Schema {
-        &mut self.schema
     }
 
     /// The seed of the owning simulation (stamped into exports).
@@ -151,31 +139,13 @@ impl TelemetryHub {
         out
     }
 
-    /// Sums a histogram's buckets across every node.
-    pub fn merged_hist(&self, id: HistId) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for m in &self.nodes {
-            let h = m.hist_buckets(id);
-            if h.is_empty() {
-                continue;
-            }
-            if out.is_empty() {
-                out.resize(h.len(), 0);
-            }
-            for (o, &v) in out.iter_mut().zip(h) {
-                *o += v;
-            }
-        }
-        out
-    }
-
     fn snapshot_inner(&self, events: Vec<TraceEvent>, events_dropped: u64) -> Telemetry {
         let nodes = self
             .nodes
             .iter()
             .enumerate()
             .filter(|(_, m)| !m.is_zero())
-            .map(|(i, m)| NodeMetrics::from_set(i as u32, m, &self.schema))
+            .map(|(i, m)| NodeMetrics::from_set(i as u32, m))
             .collect();
         Telemetry {
             seed: self.seed,
@@ -183,7 +153,7 @@ impl TelemetryHub {
             events_dropped,
             events,
             nodes,
-            global: NodeMetrics::from_set(TraceEvent::GLOBAL, &self.global, &self.schema),
+            global: NodeMetrics::from_set(TraceEvent::GLOBAL, &self.global),
         }
     }
 

@@ -4,18 +4,19 @@
 //! partition run that misbehaves needs a story better than `println!`. This
 //! crate provides the three pieces the whole stack shares:
 //!
-//! 1. **Sim-time structured tracing** ([`trace_event!`]): compact 32-byte
-//!    binary records pushed into a per-[`TelemetryHub`] ring buffer
-//!    ([`TraceRing`], drop-oldest on overflow). Records carry the simulated
-//!    timestamp, node, layer, kind and two 64-bit operands; paired kinds
-//!    (publish→deliver, hand-off arm→ack) reconstruct spans via
-//!    [`Telemetry::pair_spans`].
-//! 2. **A per-node metrics registry** ([`MetricSet`] slots declared in
-//!    [`Schema`]): typed counters/gauges/histograms/series with fixed-slot
-//!    registration, so the hot path is an array index. Every counter of
-//!    every layer is stored here; the structs that report totals (the
-//!    simulator's traffic counters, NewsWire's node counters) are views
-//!    read from it.
+//! 1. **Sim-time structured tracing** ([`trace_event!`]): plain in-memory
+//!    [`TraceEvent`] records (32 bytes each) pushed into a
+//!    per-[`TelemetryHub`] ring buffer ([`TraceRing`], drop-oldest on
+//!    overflow). Records carry the simulated timestamp, node, layer, kind
+//!    and two 64-bit operands; correlated kinds (publish→deliver, hand-off
+//!    arm→ack) share their `a` operand.
+//! 2. **A per-node metrics registry** ([`MetricSet`], indexed by the slot
+//!    constants in [`ctr`], [`gauge`], [`hist`] and [`series`], whose static
+//!    `NAMES` tables name them in exports): typed
+//!    counters/gauges/histograms/series, so the hot path is an array index.
+//!    Every counter of every layer is stored here and read by its one slot
+//!    constant; the simulator's `TrafficCounters` and `FaultCounters` are
+//!    views read from it.
 //! 3. **Deterministic telemetry export** ([`Telemetry`]): a JSON/CSV
 //!    snapshot with stable ordering and integer-only values, so same-seed
 //!    runs drain byte-identical telemetry (CI enforces this).
@@ -33,9 +34,9 @@ pub mod hub;
 pub mod metrics;
 pub mod trace;
 
-pub use export::{NodeMetrics, SeriesStats, Span, Telemetry};
+pub use export::{NodeMetrics, SeriesStats, Telemetry};
 pub use hub::TelemetryHub;
-pub use metrics::{ctr, gauge, hist, series, CtrId, GaugeId, HistId, MetricSet, Schema, SeriesId};
+pub use metrics::{ctr, gauge, hist, series, CtrId, GaugeId, HistId, MetricSet, SeriesId};
 pub use trace::{kind, Layer, TraceEvent, TraceRing};
 
 /// Emits one structured trace record into the currently installed hub.

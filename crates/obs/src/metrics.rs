@@ -1,12 +1,11 @@
 //! The fixed-slot metrics registry.
 //!
-//! Metric identity is a small integer slot into per-node storage, assigned
-//! once by a [`Schema`]. The hot path for every counter bump is therefore a
-//! bounds-checked array index — no hashing, no string lookups. The stack's
-//! built-in metrics are pre-registered by [`Schema::stack`] at the positions
-//! named by the constants in [`ctr`], [`gauge`], [`hist`] and [`series`];
-//! callers may register additional slots at runtime (registration is
-//! idempotent per name: re-registering returns the existing slot).
+//! Metric identity is a small integer slot into per-node storage, fixed at
+//! compile time by the constants in [`ctr`], [`gauge`], [`hist`] and
+//! [`series`]. The hot path for every counter bump is therefore a
+//! bounds-checked array index — no hashing, no string lookups. Each module's
+//! static `NAMES` table gives a slot's export name (index == slot id), and
+//! [`hist::EDGES`] a histogram's bucket edges.
 
 use std::fmt;
 
@@ -29,8 +28,13 @@ pub struct SeriesId(pub u16);
 macro_rules! slots {
     ($idty:ident, $($(#[$m:meta])* $name:ident = $idx:expr, $s:expr;)*) => {
         $( $(#[$m])* pub const $name: super::$idty = super::$idty($idx); )*
-        /// Slot names in registration order (index == slot id).
+        /// Slot names (index == slot id).
         pub const NAMES: &[&str] = &[$($s),*];
+        // Every constant's slot is its name's position in `NAMES`.
+        const _: () = {
+            let mut _i = 0;
+            $( assert!($idx == _i, "slots must be declared in slot order"); _i += 1; )*
+        };
     };
 }
 
@@ -312,6 +316,11 @@ pub mod hist {
         /// Rows carried by each digest reply / diff push.
         GOSSIP_DIFF_ROWS = 1, "gossip_diff_rows";
     }
+    /// Ascending bucket edges of each histogram (index == slot id). A value
+    /// `v` lands in bucket `i` such that `edges[i-1] <= v < edges[i]`;
+    /// bucket `0` is the underflow bucket (`v < edges[0]`) and bucket
+    /// `edges.len()` collects overflow.
+    pub const EDGES: &[&[u64]] = &[DIGEST_BYTES_EDGES, DIFF_ROWS_EDGES];
 }
 
 /// Built-in series slots (raw samples, exact quantiles).
@@ -321,127 +330,6 @@ pub mod series {
         DELIVERY_LATENCY_US = 0, "delivery_latency_us";
         /// Cold-restart → logs-hole-free recovery duration, in µs.
         RECOVERY_DURATION_US = 1, "recovery_duration_us";
-    }
-}
-
-/// Definition of one histogram family: its name and fixed bucket edges.
-#[derive(Debug, Clone, Copy)]
-pub struct HistDef {
-    /// Stable metric name (used in exports).
-    pub name: &'static str,
-    /// Ascending bucket edges. A value `v` lands in bucket `i` such that
-    /// `edges[i-1] <= v < edges[i]`; bucket `0` is the underflow bucket
-    /// (`v < edges[0]`) and bucket `edges.len()` collects overflow.
-    pub edges: &'static [u64],
-}
-
-/// The slot table: names (and, for histograms, bucket edges) in slot order.
-///
-/// Registration is idempotent per name — asking for a slot that already
-/// exists returns the existing id, so independent subsystems can safely
-/// re-declare shared metrics.
-#[derive(Debug, Clone, Default)]
-pub struct Schema {
-    counters: Vec<&'static str>,
-    gauges: Vec<&'static str>,
-    hists: Vec<HistDef>,
-    series: Vec<&'static str>,
-}
-
-impl Schema {
-    /// An empty schema (for tests and bespoke registries).
-    pub fn empty() -> Self {
-        Schema::default()
-    }
-
-    /// The full built-in schema for the NewsWire stack, with every constant
-    /// in [`ctr`], [`gauge`], [`hist`] and [`series`] at its declared slot.
-    pub fn stack() -> Self {
-        let mut s = Schema::empty();
-        for name in ctr::NAMES {
-            s.counter(name);
-        }
-        for name in gauge::NAMES {
-            s.gauge(name);
-        }
-        s.histogram(hist::NAMES[0], hist::DIGEST_BYTES_EDGES);
-        s.histogram(hist::NAMES[1], hist::DIFF_ROWS_EDGES);
-        for name in series::NAMES {
-            s.series(name);
-        }
-        s
-    }
-
-    /// Registers (or finds) a counter slot by name.
-    pub fn counter(&mut self, name: &'static str) -> CtrId {
-        if let Some(i) = self.counters.iter().position(|n| *n == name) {
-            return CtrId(i as u16);
-        }
-        self.counters.push(name);
-        CtrId((self.counters.len() - 1) as u16)
-    }
-
-    /// Registers (or finds) a gauge slot by name.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|n| *n == name) {
-            return GaugeId(i as u16);
-        }
-        self.gauges.push(name);
-        GaugeId((self.gauges.len() - 1) as u16)
-    }
-
-    /// Registers (or finds) a histogram slot by name. Re-registering an
-    /// existing name returns the original slot (the edges argument is
-    /// ignored in that case — bucket layout is fixed at first registration).
-    pub fn histogram(&mut self, name: &'static str, edges: &'static [u64]) -> HistId {
-        if let Some(i) = self.hists.iter().position(|h| h.name == name) {
-            return HistId(i as u16);
-        }
-        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "histogram edges must ascend");
-        self.hists.push(HistDef { name, edges });
-        HistId((self.hists.len() - 1) as u16)
-    }
-
-    /// Registers (or finds) a series slot by name.
-    pub fn series(&mut self, name: &'static str) -> SeriesId {
-        if let Some(i) = self.series.iter().position(|n| *n == name) {
-            return SeriesId(i as u16);
-        }
-        self.series.push(name);
-        SeriesId((self.series.len() - 1) as u16)
-    }
-
-    /// Name of a counter slot.
-    pub fn counter_name(&self, id: CtrId) -> &'static str {
-        self.counters[id.0 as usize]
-    }
-    /// Name of a gauge slot.
-    pub fn gauge_name(&self, id: GaugeId) -> &'static str {
-        self.gauges[id.0 as usize]
-    }
-    /// Definition of a histogram slot.
-    pub fn hist_def(&self, id: HistId) -> HistDef {
-        self.hists[id.0 as usize]
-    }
-    /// Name of a series slot.
-    pub fn series_name(&self, id: SeriesId) -> &'static str {
-        self.series[id.0 as usize]
-    }
-    /// Number of registered counter slots.
-    pub fn counter_slots(&self) -> usize {
-        self.counters.len()
-    }
-    /// Number of registered gauge slots.
-    pub fn gauge_slots(&self) -> usize {
-        self.gauges.len()
-    }
-    /// Number of registered histogram slots.
-    pub fn hist_slots(&self) -> usize {
-        self.hists.len()
-    }
-    /// Number of registered series slots.
-    pub fn series_slots(&self) -> usize {
-        self.series.len()
     }
 }
 
@@ -569,21 +457,22 @@ impl MetricSet {
         self.gauges.get(id.0 as usize).copied().unwrap_or(0)
     }
 
-    /// Records `v` into a histogram slot, given its definition.
+    /// Records `v` into a histogram slot under its [`hist::EDGES`].
     ///
     /// Returns the bucket index the value landed in. Bucket `i` holds values
     /// in `[edges[i-1], edges[i])`; bucket `0` is underflow, the last bucket
     /// overflow.
-    pub fn hist_record(&mut self, id: HistId, def: HistDef, v: u64) -> usize {
+    pub fn hist_record(&mut self, id: HistId, v: u64) -> usize {
         let i = id.0 as usize;
+        let edges = hist::EDGES[i];
         if i >= self.hists.len() {
             self.hists.resize_with(i + 1, Vec::new);
         }
         let buckets = &mut self.hists[i];
         if buckets.is_empty() {
-            buckets.resize(def.edges.len() + 1, 0);
+            buckets.resize(edges.len() + 1, 0);
         }
-        let b = def.edges.partition_point(|&e| e <= v);
+        let b = edges.partition_point(|&e| e <= v);
         buckets[b] += 1;
         b
     }
@@ -669,84 +558,80 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stack_schema_matches_declared_slots() {
-        let s = Schema::stack();
-        assert_eq!(s.counter_name(ctr::MSGS_SENT), "msgs_sent");
-        assert_eq!(s.counter_name(ctr::ORACLE_UNCONVERGED_LOGS), "oracle_unconverged_logs");
-        assert_eq!(s.counter_name(ctr::NW_BACKFILL_ITEMS), "nw_backfill_items");
-        assert_eq!(s.counter_name(ctr::CORRUPT_ROWS_REJECTED), "corrupt_rows_rejected");
-        assert_eq!(s.counter_name(ctr::LIAR_MESSAGES_INTERCEPTED), "liar_messages_intercepted");
-        assert_eq!(s.counter_name(ctr::NW_FORGED_REJECTS), "forged_rejects");
-        assert_eq!(s.counter_name(ctr::NW_QUARANTINES), "quarantines");
-        assert_eq!(s.counter_name(ctr::NW_SIGNED_EPOCH_REFUSALS), "signed_epoch_refusals");
-        assert_eq!(s.counter_name(ctr::COLLUSION_STRIKES), "collusion_strikes");
-        assert_eq!(s.counter_name(ctr::COLLUSION_INTERCEPTS), "collusion_intercepts");
-        assert_eq!(s.counter_name(ctr::FORGED_ITEMS_INJECTED), "forged_items_injected");
-        assert_eq!(s.counter_name(ctr::KEY_COMPROMISE_STRIKES), "key_compromise_strikes");
-        assert_eq!(s.counter_name(ctr::SYBIL_JOINS_ATTEMPTED), "sybil_joins_attempted");
-        assert_eq!(s.counter_name(ctr::SYBIL_JOINS_REFUSED), "sybil_joins_refused");
-        assert_eq!(s.counter_name(ctr::CERT_REVOCATIONS_SEEN), "cert_revocations_seen");
-        assert_eq!(s.counter_name(ctr::NW_REVOKED_KEY_REJECTS), "revoked_key_rejects");
-        assert_eq!(s.counter_name(ctr::NW_RETRO_PURGED_ITEMS), "retro_purged_items");
-        assert_eq!(s.counter_name(ctr::NW_PROBATION_HOLDS), "probation_holds");
-        assert_eq!(s.counter_name(ctr::NW_RECOVERY_HELD), "nw_recovery_held");
-        assert_eq!(s.counter_name(ctr::NW_RECOVERY_UNWANTED), "nw_recovery_unwanted");
-        assert_eq!(s.counter_name(ctr::RETIRED_25), "retired_25");
-        assert_eq!(s.counter_name(ctr::RETIRED_26), "retired_26");
-        assert_eq!(s.counter_name(ctr::RETIRED_27), "retired_27");
-        assert_eq!(s.counter_name(ctr::RETIRED_28), "retired_28");
-        assert_eq!(s.counter_name(ctr::NW_PUBLISHED), "nw_published");
-        assert_eq!(s.counter_name(ctr::RETIRED_44), "retired_44");
-        assert_eq!(s.counter_name(ctr::RETIRED_94), "retired_94");
-        assert_eq!(s.counter_name(ctr::RETIRED_95), "retired_95");
-        assert_eq!(s.counter_name(ctr::NW_RECONCILE_WITHHELD), "nw_reconcile_withheld");
-        assert_eq!(s.counter_name(ctr::NW_RECONCILE_UNVOUCHED), "nw_reconcile_unvouched");
-        assert_eq!(s.counter_name(ctr::RETIRED_99), "retired_99");
-        assert_eq!(s.counter_name(ctr::NW_DELIVER_ACKS), "nw_deliver_acks");
-        assert_eq!(s.counter_name(ctr::NW_DELIVER_RESENDS), "nw_deliver_resends");
-        assert_eq!(s.counter_name(ctr::NW_ANNOUNCES), "nw_announces");
-        assert_eq!(s.counter_name(ctr::NW_ANNOUNCE_PAYLOADS), "nw_announce_payloads");
-        assert_eq!((ctr::NW_ANNOUNCES.0, ctr::NW_ANNOUNCE_PAYLOADS.0), (102, 103));
-        assert_eq!(s.gauge_name(gauge::ASTRO_ROWS_HELD), "astro_rows_held");
-        assert_eq!(s.gauge_name(gauge::NW_PEAK_QUEUE), "nw_peak_queue");
-        assert_eq!(s.gauge_name(gauge::RETIRED_2), "retired_2");
-        assert_eq!(s.hist_def(hist::GOSSIP_DIGEST_BYTES).name, "gossip_digest_bytes");
-        assert_eq!(s.series_name(series::DELIVERY_LATENCY_US), "delivery_latency_us");
-        assert_eq!(s.series_name(series::RECOVERY_DURATION_US), "recovery_duration_us");
-        assert_eq!(s.counter_slots(), ctr::NAMES.len());
+    fn slot_names_are_unique_and_histogram_edges_ascend() {
+        assert_eq!(hist::EDGES.len(), hist::NAMES.len(), "one edge table per histogram");
+        for names in [ctr::NAMES, gauge::NAMES, hist::NAMES, series::NAMES] {
+            let mut seen = std::collections::BTreeSet::new();
+            for name in names {
+                assert!(seen.insert(name), "slot name {name:?} declared twice");
+            }
+        }
+        for (name, edges) in hist::NAMES.iter().zip(hist::EDGES) {
+            assert!(edges.windows(2).all(|w| w[0] < w[1]), "{name}: edges must ascend");
+        }
     }
 
     #[test]
-    fn slot_registration_reuses_existing_names() {
-        let mut s = Schema::empty();
-        let a = s.counter("alpha");
-        let b = s.counter("beta");
-        let a2 = s.counter("alpha");
-        assert_eq!(a, a2, "re-registering a name must return the same slot");
-        assert_ne!(a, b);
-        assert_eq!(s.counter_slots(), 2);
-        let h = s.histogram("lat", &[1, 10]);
-        let h2 = s.histogram("lat", &[5, 50]);
-        assert_eq!(h, h2);
-        assert_eq!(s.hist_def(h).edges, &[1, 10], "edges fixed at first registration");
+    fn slot_constants_keep_their_export_names() {
+        let c = |id: CtrId| ctr::NAMES[id.0 as usize];
+        assert_eq!(c(ctr::MSGS_SENT), "msgs_sent");
+        assert_eq!(c(ctr::ORACLE_UNCONVERGED_LOGS), "oracle_unconverged_logs");
+        assert_eq!(c(ctr::NW_BACKFILL_ITEMS), "nw_backfill_items");
+        assert_eq!(c(ctr::CORRUPT_ROWS_REJECTED), "corrupt_rows_rejected");
+        assert_eq!(c(ctr::LIAR_MESSAGES_INTERCEPTED), "liar_messages_intercepted");
+        assert_eq!(c(ctr::NW_FORGED_REJECTS), "forged_rejects");
+        assert_eq!(c(ctr::NW_QUARANTINES), "quarantines");
+        assert_eq!(c(ctr::NW_SIGNED_EPOCH_REFUSALS), "signed_epoch_refusals");
+        assert_eq!(c(ctr::COLLUSION_STRIKES), "collusion_strikes");
+        assert_eq!(c(ctr::COLLUSION_INTERCEPTS), "collusion_intercepts");
+        assert_eq!(c(ctr::FORGED_ITEMS_INJECTED), "forged_items_injected");
+        assert_eq!(c(ctr::KEY_COMPROMISE_STRIKES), "key_compromise_strikes");
+        assert_eq!(c(ctr::SYBIL_JOINS_ATTEMPTED), "sybil_joins_attempted");
+        assert_eq!(c(ctr::SYBIL_JOINS_REFUSED), "sybil_joins_refused");
+        assert_eq!(c(ctr::CERT_REVOCATIONS_SEEN), "cert_revocations_seen");
+        assert_eq!(c(ctr::NW_REVOKED_KEY_REJECTS), "revoked_key_rejects");
+        assert_eq!(c(ctr::NW_RETRO_PURGED_ITEMS), "retro_purged_items");
+        assert_eq!(c(ctr::NW_PROBATION_HOLDS), "probation_holds");
+        assert_eq!(c(ctr::NW_RECOVERY_HELD), "nw_recovery_held");
+        assert_eq!(c(ctr::NW_RECOVERY_UNWANTED), "nw_recovery_unwanted");
+        assert_eq!(c(ctr::RETIRED_25), "retired_25");
+        assert_eq!(c(ctr::RETIRED_26), "retired_26");
+        assert_eq!(c(ctr::RETIRED_27), "retired_27");
+        assert_eq!(c(ctr::RETIRED_28), "retired_28");
+        assert_eq!(c(ctr::NW_PUBLISHED), "nw_published");
+        assert_eq!(c(ctr::RETIRED_44), "retired_44");
+        assert_eq!(c(ctr::RETIRED_94), "retired_94");
+        assert_eq!(c(ctr::RETIRED_95), "retired_95");
+        assert_eq!(c(ctr::NW_RECONCILE_WITHHELD), "nw_reconcile_withheld");
+        assert_eq!(c(ctr::NW_RECONCILE_UNVOUCHED), "nw_reconcile_unvouched");
+        assert_eq!(c(ctr::RETIRED_99), "retired_99");
+        assert_eq!(c(ctr::NW_DELIVER_ACKS), "nw_deliver_acks");
+        assert_eq!(c(ctr::NW_DELIVER_RESENDS), "nw_deliver_resends");
+        assert_eq!(c(ctr::NW_ANNOUNCES), "nw_announces");
+        assert_eq!(c(ctr::NW_ANNOUNCE_PAYLOADS), "nw_announce_payloads");
+        assert_eq!((ctr::NW_ANNOUNCES.0, ctr::NW_ANNOUNCE_PAYLOADS.0), (102, 103));
+        assert_eq!(gauge::NAMES[gauge::ASTRO_ROWS_HELD.0 as usize], "astro_rows_held");
+        assert_eq!(gauge::NAMES[gauge::NW_PEAK_QUEUE.0 as usize], "nw_peak_queue");
+        assert_eq!(gauge::NAMES[gauge::RETIRED_2.0 as usize], "retired_2");
+        assert_eq!(hist::NAMES[hist::GOSSIP_DIGEST_BYTES.0 as usize], "gossip_digest_bytes");
+        assert_eq!(series::NAMES[series::DELIVERY_LATENCY_US.0 as usize], "delivery_latency_us");
+        assert_eq!(series::NAMES[series::RECOVERY_DURATION_US.0 as usize], "recovery_duration_us");
     }
 
     #[test]
     fn histogram_bucket_boundaries() {
-        let mut s = Schema::empty();
-        let h = s.histogram("h", &[10, 100]);
-        let def = s.hist_def(h);
+        // gossip_diff_rows: edges 1, 2, 4, …, 256.
+        let h = hist::GOSSIP_DIFF_ROWS;
         let mut m = MetricSet::new();
         // Underflow: strictly below the first edge.
-        assert_eq!(m.hist_record(h, def, 0), 0);
-        assert_eq!(m.hist_record(h, def, 9), 0);
-        // An edge value belongs to the bucket it opens: [10, 100).
-        assert_eq!(m.hist_record(h, def, 10), 1);
-        assert_eq!(m.hist_record(h, def, 99), 1);
-        // [100, ∞) is overflow.
-        assert_eq!(m.hist_record(h, def, 100), 2);
-        assert_eq!(m.hist_record(h, def, u64::MAX), 2);
-        assert_eq!(m.hist_buckets(h), &[2, 2, 2]);
+        assert_eq!(m.hist_record(h, 0), 0);
+        // An edge value belongs to the bucket it opens: [4, 8).
+        assert_eq!(m.hist_record(h, 4), 3);
+        assert_eq!(m.hist_record(h, 7), 3);
+        // [256, ∞) is overflow.
+        assert_eq!(m.hist_record(h, 256), 9);
+        assert_eq!(m.hist_record(h, u64::MAX), 9);
+        assert_eq!(m.hist_buckets(h), &[1, 0, 0, 2, 0, 0, 0, 0, 0, 2]);
     }
 
     #[test]
@@ -781,11 +666,10 @@ mod tests {
 
     #[test]
     fn reset_zeroes_everything() {
-        let s = Schema::stack();
         let mut m = MetricSet::new();
         m.ctr_add(ctr::NW_DELIVERED, 9);
         m.gauge_set(gauge::NW_PEAK_QUEUE, 4);
-        m.hist_record(hist::GOSSIP_DIGEST_BYTES, s.hist_def(hist::GOSSIP_DIGEST_BYTES), 300);
+        m.hist_record(hist::GOSSIP_DIGEST_BYTES, 300);
         m.series_push(series::DELIVERY_LATENCY_US, 1);
         assert!(!m.is_zero());
         m.reset();

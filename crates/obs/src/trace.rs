@@ -1,4 +1,4 @@
-//! Compact sim-time trace records and the bounded ring that stores them.
+//! Sim-time trace records and the bounded ring that stores them.
 
 /// Which layer of the stack emitted a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,22 +24,11 @@ impl Layer {
             Layer::News => "news",
         }
     }
-
-    /// Inverse of the `repr(u8)` discriminant (for decoding).
-    pub fn from_u8(v: u8) -> Option<Layer> {
-        match v {
-            0 => Some(Layer::Sim),
-            1 => Some(Layer::Astro),
-            2 => Some(Layer::Amcast),
-            3 => Some(Layer::News),
-            _ => None,
-        }
-    }
 }
 
 /// Trace record kinds. Grouped by layer in blocks of 16 so new kinds can be
-/// added without renumbering; the numbers are part of the binary encoding
-/// and must stay stable.
+/// added without renumbering; a retired number is never reused, so an old
+/// trace cannot be misread.
 pub mod kind {
     /// A message reached its destination node (`a` = sender, `b` = bytes).
     pub const MSG_DELIVER: u8 = 1;
@@ -218,7 +207,8 @@ pub mod kind {
     }
 }
 
-/// One trace record: 32 bytes, fixed layout, no heap.
+/// One trace record: a plain in-memory struct (32 bytes, no heap), exported
+/// by name through [`Telemetry`](crate::Telemetry)'s JSON and CSV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated timestamp, µs since simulation start.
@@ -238,31 +228,6 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Sentinel node id for records not attributable to one node.
     pub const GLOBAL: u32 = u32::MAX;
-
-    /// Encodes the record into its 32-byte little-endian wire form.
-    pub fn encode(&self) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        out[0..8].copy_from_slice(&self.t_us.to_le_bytes());
-        out[8..16].copy_from_slice(&self.a.to_le_bytes());
-        out[16..24].copy_from_slice(&self.b.to_le_bytes());
-        out[24..28].copy_from_slice(&self.node.to_le_bytes());
-        out[28] = self.layer as u8;
-        out[29] = self.kind;
-        out
-    }
-
-    /// Decodes a record from its 32-byte wire form. Returns `None` for an
-    /// unknown layer byte.
-    pub fn decode(buf: &[u8; 32]) -> Option<TraceEvent> {
-        Some(TraceEvent {
-            t_us: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
-            a: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
-            b: u64::from_le_bytes(buf[16..24].try_into().unwrap()),
-            node: u32::from_le_bytes(buf[24..28].try_into().unwrap()),
-            layer: Layer::from_u8(buf[28])?,
-            kind: buf[29],
-        })
-    }
 }
 
 /// A bounded ring of trace records with a **drop-oldest** overflow policy.
@@ -373,20 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let e = TraceEvent {
-            t_us: 123_456,
-            a: u64::MAX,
-            b: 7,
-            node: 42,
-            layer: Layer::News,
-            kind: kind::NW_DELIVER,
-        };
-        assert_eq!(TraceEvent::decode(&e.encode()), Some(e));
-        assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
-    }
-
-    #[test]
     fn ring_overflow_drops_oldest() {
         let mut r = TraceRing::new(4);
         for t in 0..7 {
@@ -396,6 +347,7 @@ mod tests {
         assert_eq!(r.dropped(), 3, "three oldest records shed");
         let kept: Vec<u64> = r.ordered().iter().map(|e| e.t_us).collect();
         assert_eq!(kept, vec![3, 4, 5, 6], "survivors are the newest, oldest first");
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 32, "a full default ring is 2 MiB");
     }
 
     #[test]
@@ -449,7 +401,5 @@ mod tests {
         for retired in [32, 33, 55, 56, 70] {
             assert_eq!(kind::name(retired), "unknown", "kind {retired}");
         }
-        assert_eq!(Layer::from_u8(2), Some(Layer::Amcast));
-        assert_eq!(Layer::from_u8(9), None);
     }
 }

@@ -5,9 +5,8 @@
 //! from *disk* — or from nothing — so the engine now gives every node a
 //! [`Disk`]: a key→bytes store with an explicit write buffer. `write` is
 //! cheap and volatile; only [`Disk::fsync`] moves buffered writes to the
-//! durable area. A crash loses the last *k* unsynced writes (configurable on
-//! the simulation, defaulting to all of them) — the standard failure model
-//! for write-behind storage.
+//! durable area. A crash loses every unsynced write — the standard failure
+//! model for write-behind storage.
 //!
 //! [`RestartMode`] names what a recovering node gets back:
 //!
@@ -62,24 +61,21 @@ impl std::fmt::Display for RestartMode {
 ///
 /// Writes land in an ordered buffer; [`Disk::fsync`] makes them durable.
 /// Reads see buffered writes (read-your-writes), mirroring an OS page
-/// cache. [`Disk::crash`] applies the crash failure model: the most recent
-/// `lose_last` unsynced writes vanish, anything older is considered to have
-/// reached the platter by the time the machine died.
+/// cache. [`Disk::crash`] applies the crash failure model: every unsynced
+/// write vanishes.
 #[derive(Debug, Clone, Default)]
 pub struct Disk {
     durable: BTreeMap<String, Vec<u8>>,
-    /// Unsynced writes, oldest first. Same-key rewrites are kept in order so
-    /// losing the tail exposes the previous (older) buffered value.
+    /// Unsynced writes, oldest first.
     pending: Vec<(String, Vec<u8>)>,
     writes: u64,
-    fsyncs: u64,
     lost: u64,
 }
 
 impl Disk {
     /// An empty disk.
     pub const fn new() -> Self {
-        Disk { durable: BTreeMap::new(), pending: Vec::new(), writes: 0, fsyncs: 0, lost: 0 }
+        Disk { durable: BTreeMap::new(), pending: Vec::new(), writes: 0, lost: 0 }
     }
 
     /// Buffers a write of `bytes` under `key`. Not durable until
@@ -94,7 +90,6 @@ impl Disk {
         for (key, bytes) in self.pending.drain(..) {
             self.durable.insert(key, bytes);
         }
-        self.fsyncs += 1;
     }
 
     /// The current value of `key`, seeing buffered writes first
@@ -108,15 +103,12 @@ impl Disk {
             .or_else(|| self.durable.get(key).map(Vec::as_slice))
     }
 
-    /// Applies the crash failure model: the newest `lose_last` buffered
-    /// writes are lost, the remainder is treated as having reached the
-    /// durable area. Returns how many writes were lost.
-    pub fn crash(&mut self, lose_last: usize) -> usize {
-        let lost = lose_last.min(self.pending.len());
-        self.pending.truncate(self.pending.len() - lost);
-        for (key, bytes) in self.pending.drain(..) {
-            self.durable.insert(key, bytes);
-        }
+    /// Applies the crash failure model: every buffered write is lost and
+    /// the durable area is what the last fsync left. Returns how many
+    /// writes were lost.
+    pub fn crash(&mut self) -> usize {
+        let lost = self.pending.len();
+        self.pending.clear();
         self.lost += lost as u64;
         lost
     }
@@ -177,11 +169,6 @@ impl Disk {
         self.writes
     }
 
-    /// Total fsyncs over the disk's lifetime.
-    pub fn total_fsyncs(&self) -> u64 {
-        self.fsyncs
-    }
-
     /// Total writes lost to crashes over the disk's lifetime.
     pub fn total_lost(&self) -> u64 {
         self.lost
@@ -207,37 +194,17 @@ mod tests {
     }
 
     #[test]
-    fn crash_loses_newest_unsynced_writes() {
-        let mut d = Disk::new();
-        d.write("a", b"v1".to_vec());
-        d.fsync();
-        d.write("a", b"v2".to_vec());
-        d.write("b", b"w1".to_vec());
-        d.write("a", b"v3".to_vec());
-        // Lose the last two: a=v3 and b=w1 vanish, a=v2 reached the platter.
-        assert_eq!(d.crash(2), 2);
-        assert_eq!(d.read("a"), Some(&b"v2"[..]));
-        assert_eq!(d.read("b"), None);
-        assert_eq!(d.total_lost(), 2);
-    }
-
-    #[test]
     fn crash_losing_everything_keeps_last_fsync() {
         let mut d = Disk::new();
         d.write("k", b"durable".to_vec());
         d.fsync();
         d.write("k", b"volatile".to_vec());
-        assert_eq!(d.crash(usize::MAX), 1);
+        d.write("l", b"w1".to_vec());
+        d.write("k", b"newer".to_vec());
+        assert_eq!(d.crash(), 3);
         assert_eq!(d.read("k"), Some(&b"durable"[..]));
-    }
-
-    #[test]
-    fn crash_losing_nothing_syncs_the_buffer() {
-        let mut d = Disk::new();
-        d.write("k", b"v".to_vec());
-        assert_eq!(d.crash(0), 0);
-        assert_eq!(d.read("k"), Some(&b"v"[..]), "k=0: every write survived");
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.read("l"), None);
+        assert_eq!((d.pending_writes(), d.total_lost()), (0, 3));
     }
 
     #[test]

@@ -338,21 +338,6 @@ impl FaultPlan {
         self.churn.iter().flat_map(|c| c.nodes.iter().copied()).collect()
     }
 
-    /// Every node any brownout degrades.
-    pub fn grayed_nodes(&self) -> BTreeSet<NodeId> {
-        self.gray.iter().flat_map(|g| g.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any corruption process may strike.
-    pub fn corrupted_nodes(&self) -> BTreeSet<NodeId> {
-        self.corruption.iter().flat_map(|c| c.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any liar window covers.
-    pub fn liar_nodes(&self) -> BTreeSet<NodeId> {
-        self.liars.iter().flat_map(|l| l.nodes.iter().copied()).collect()
-    }
-
     /// Every node any collusion script binds.
     pub fn colluding_nodes(&self) -> BTreeSet<NodeId> {
         self.collusion.iter().flat_map(|c| c.nodes.iter().copied()).collect()

@@ -12,7 +12,7 @@
 //! * [`Node`] — the callback interface protocols implement
 //!   (`on_start`/`on_message`/`on_timer`, plus crash/restart hooks).
 //! * [`Disk`] / [`RestartMode`] — per-node simulated stable storage
-//!   (write/fsync/read, newest unsynced writes lost on crash) and the three
+//!   (write/fsync/read, every unsynced write lost on crash) and the three
 //!   recovery regimes: `Freeze` (volatile state survives), `ColdDurable`
 //!   (rebuild from disk), `ColdAmnesia` (rejoin from nothing).
 //! * [`Simulation`] — the engine: events totally ordered by a
@@ -28,12 +28,12 @@
 //! * [`PhiBank`] — adaptive phi-accrual failure detection
 //!   (Hayashibara et al.), shared by protocols that must distinguish
 //!   "slow" from "gone" without a fixed timeout cliff.
-//! * [`Summary`] / [`Histogram`] / [`TrafficCounters`] /
-//!   [`FaultCounters`] — the measurement toolkit experiments use. Since the
-//!   observability PR these are views over the per-simulation telemetry
-//!   hub ([`Simulation::telemetry`]); the full registry plus the structured
-//!   trace ring drain via [`Simulation::drain_telemetry`] into a
-//!   deterministic JSON/CSV [`Telemetry`] timeline.
+//! * [`Summary`] / [`TrafficCounters`] / [`FaultCounters`] — the
+//!   measurement toolkit experiments use. The counters are views read from
+//!   the per-simulation telemetry hub ([`Simulation::telemetry`]), the one
+//!   place a counter lives; the registry plus the structured trace ring
+//!   drain via [`Simulation::drain_telemetry`] into a deterministic
+//!   JSON/CSV [`Telemetry`] timeline.
 //!
 //! # Example
 //!
@@ -84,7 +84,7 @@ pub use phi::{PhiBank, PhiConfig};
 pub use rng::{exp_sample, fork, splitmix64};
 pub use sched::EventQueue;
 pub use sim::Simulation;
-pub use stats::{FaultCounters, Histogram, Summary, TrafficCounters};
+pub use stats::{FaultCounters, Summary, TrafficCounters};
 pub use time::{SimDuration, SimTime};
 pub use topology::{DropCause, GrayProfile, LatencyModel, NetworkModel, Partition, RouteOutcome};
 
@@ -104,21 +104,6 @@ mod proptests {
             let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
             let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(vals[0] >= lo - 1e-9 && vals[qs.len() - 1] <= hi + 1e-9);
-        }
-
-        /// A histogram never loses a sample: buckets + under + over = total.
-        #[test]
-        fn histogram_conserves_samples(
-            samples in proptest::collection::vec(-10f64..10.0, 0..200),
-            lo in -5f64..0.0,
-            width in 0.5f64..10.0,
-            n in 1usize..16,
-        ) {
-            let mut h = Histogram::new(lo, lo + width, n);
-            for &v in &samples { h.record(v); }
-            prop_assert_eq!(h.total() as usize, samples.len());
-            let bucket_sum: u64 = h.buckets().iter().sum();
-            prop_assert_eq!(bucket_sum + h.underflow + h.overflow, samples.len() as u64);
         }
 
         /// SimTime/SimDuration arithmetic is consistent: (t + d) - t == d.

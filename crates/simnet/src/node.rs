@@ -255,8 +255,8 @@ pub trait Node {
     /// recovery is decided by the [`RestartMode`] of the recovery event, not
     /// here: the in-memory value always survives in the engine's node table,
     /// but under a cold restart [`Node::on_restart`] is responsible for
-    /// discarding it. The engine applies the disk failure model (losing the
-    /// newest unsynced writes) immediately after this hook returns.
+    /// discarding it. The engine applies the disk failure model (losing
+    /// every unsynced write) immediately after this hook returns.
     fn on_crash(&mut self) {}
 
     /// Invoked when the engine recovers this node under the legacy
@@ -279,8 +279,7 @@ pub trait Node {
     /// - [`RestartMode::Freeze`] — volatile state survived; resume.
     /// - [`RestartMode::ColdDurable`] — the process died: the node must
     ///   discard all volatile state and rebuild from [`Context::disk`],
-    ///   which holds everything fsynced before the crash (minus the
-    ///   configured number of lost unsynced writes).
+    ///   which holds exactly what was fsynced before the crash.
     /// - [`RestartMode::ColdAmnesia`] — the machine died: the engine has
     ///   already wiped the disk; the node must discard everything and
     ///   rejoin as if newly installed.
@@ -371,8 +370,7 @@ impl<M> Context<'_, M> {
     }
 
     /// This node's simulated stable storage. Writes are volatile until
-    /// [`Disk::fsync`]; a crash loses the newest unsynced writes (see
-    /// [`Simulation::set_crash_unsynced_loss`](crate::Simulation::set_crash_unsynced_loss)).
+    /// [`Disk::fsync`]; a crash loses every unsynced write.
     pub fn disk(&mut self) -> &mut Disk {
         self.disk
     }

@@ -218,9 +218,6 @@ pub struct Simulation<N: Node> {
     peak_queue: usize,
     seed: u64,
     started: bool,
-    /// How many of the newest unsynced disk writes a crash destroys
-    /// (default: all of them).
-    crash_unsynced_loss: usize,
     /// Whether sends also tally `BYTES_WIRE` (compressed-wire accounting).
     delta_accounting: bool,
     /// `b`-key counter for externally scheduled events (schedule order).
@@ -462,10 +459,9 @@ impl<N: Node> Simulation<N> {
                         );
                     }
                     self.nodes[li].on_crash();
-                    // The crash failure model for stable storage: the newest
-                    // unsynced writes are destroyed, anything older is
-                    // considered to have reached the platter in time.
-                    let lost = self.slots[li].disk.crash(self.crash_unsynced_loss);
+                    // The crash failure model for stable storage: every
+                    // unsynced write is destroyed.
+                    let lost = self.slots[li].disk.crash();
                     if lost > 0 {
                         let mut hub = hub.borrow_mut();
                         if let Some(c) = hub.node_mut(node.index()) {
@@ -666,7 +662,6 @@ impl<N: Node> Simulation<N> {
             peak_queue: 0,
             seed,
             started: false,
-            crash_unsynced_loss: usize::MAX,
             delta_accounting: false,
             ext_seq: 0,
             effects: Vec::new(),
@@ -767,13 +762,6 @@ impl<N: Node> Simulation<N> {
     pub fn disk(&self, id: NodeId) -> &Disk {
         assert!(id.index() < self.nodes.len(), "node id out of range");
         self.slots.get(id.index()).map_or(&UNWRITTEN, |s| &s.disk)
-    }
-
-    /// Sets how many of the newest unsynced disk writes a crash destroys.
-    /// `usize::MAX` (the default) loses every unsynced write; `0` models a
-    /// write-through disk that never loses anything.
-    pub fn set_crash_unsynced_loss(&mut self, k: usize) {
-        self.crash_unsynced_loss = k;
     }
 
     /// Enables or disables the compressed-wire accounting lane

@@ -3,10 +3,8 @@
 //! The engine credits every send/receive/drop against per-node
 //! [`TrafficCounters`]; experiments read them back after the run to produce
 //! the load tables (e.g. experiment E2, publisher load, and E12, per-node
-//! gossip cost). [`Summary`] and [`Histogram`] provide the percentile and
-//! distribution reporting used throughout the benchmark harness.
-
-use crate::time::SimDuration;
+//! gossip cost). [`Summary`] provides the exact percentiles reported
+//! throughout the benchmark harness.
 
 /// Per-node message and byte counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,18 +22,6 @@ pub struct TrafficCounters {
     pub msgs_lost: u64,
     /// Timer events fired at this node.
     pub timers_fired: u64,
-}
-
-impl TrafficCounters {
-    /// Adds another node's counters into this one (for totals).
-    pub fn merge(&mut self, other: &TrafficCounters) {
-        self.msgs_sent += other.msgs_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.msgs_recv += other.msgs_recv;
-        self.bytes_recv += other.bytes_recv;
-        self.msgs_lost += other.msgs_lost;
-        self.timers_fired += other.timers_fired;
-    }
 }
 
 /// Simulation-wide fault-injection accounting: what the chaos layer actually
@@ -93,28 +79,6 @@ impl FaultCounters {
             + self.drops_gray_send
             + self.drops_gray_recv
     }
-
-    /// Adds another run's counters into this one (for sweep totals).
-    pub fn merge(&mut self, other: &FaultCounters) {
-        self.drops_partition += other.drops_partition;
-        self.drops_link_cut += other.drops_link_cut;
-        self.drops_loss += other.drops_loss;
-        self.drops_gray_send += other.drops_gray_send;
-        self.drops_gray_recv += other.drops_gray_recv;
-        self.msgs_duplicated += other.msgs_duplicated;
-        self.msgs_jittered += other.msgs_jittered;
-        self.crashes += other.crashes;
-        self.recoveries += other.recoveries;
-        self.partitions_started += other.partitions_started;
-        self.partitions_healed += other.partitions_healed;
-        self.state_corruptions += other.state_corruptions;
-        self.liar_intercepts += other.liar_intercepts;
-        self.collusion_strikes += other.collusion_strikes;
-        self.collusion_intercepts += other.collusion_intercepts;
-        self.forged_items_injected += other.forged_items_injected;
-        self.key_compromise_strikes += other.key_compromise_strikes;
-        self.sybil_joins_attempted += other.sybil_joins_attempted;
-    }
 }
 
 /// An exact-percentile summary built from raw `f64` samples.
@@ -149,11 +113,6 @@ impl Summary {
         assert!(!v.is_nan(), "cannot record NaN sample");
         self.samples.push(v);
         self.sorted = false;
-    }
-
-    /// Records a simulated duration, in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Number of recorded samples.
@@ -244,79 +203,9 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-/// A fixed-bucket histogram over `[lo, hi)` with uniform bucket width.
-///
-/// Used to show *distributions* (e.g. the bimodal delivery-ratio histogram of
-/// experiment E8) rather than single quantiles.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    /// Samples below `lo`.
-    pub underflow: u64,
-    /// Samples at or above `hi`.
-    pub overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `n` equal-width buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `n == 0`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(n > 0, "histogram needs at least one bucket");
-        Histogram { lo, hi, buckets: vec![0; n], underflow: 0, overflow: 0 }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: f64) {
-        if v < self.lo {
-            self.underflow += 1;
-        } else if v >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((v - self.lo) / (self.hi - self.lo) * self.buckets.len() as f64) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Bucket counts, lowest bucket first.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// `(bucket_low, bucket_high, count)` triples for display.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        let w = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + w * i as f64, self.lo + w * (i + 1) as f64, c))
-    }
-
-    /// Total samples recorded, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_merge() {
-        let mut a = TrafficCounters { msgs_sent: 1, bytes_sent: 10, ..Default::default() };
-        let b = TrafficCounters { msgs_sent: 2, msgs_recv: 5, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.msgs_sent, 3);
-        assert_eq!(a.msgs_recv, 5);
-        assert_eq!(a.bytes_sent, 10);
-    }
 
     #[test]
     fn summary_quantiles_exact() {
@@ -343,26 +232,5 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn summary_rejects_nan() {
         Summary::new().record(f64::NAN);
-    }
-
-    #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for v in [0.0, 0.1, 0.3, 0.6, 0.99, -0.5, 1.0, 2.0] {
-            h.record(v);
-        }
-        assert_eq!(h.buckets(), &[2, 1, 1, 1]);
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.overflow, 2);
-        assert_eq!(h.total(), 8);
-    }
-
-    #[test]
-    fn histogram_iter_ranges() {
-        let mut h = Histogram::new(0.0, 2.0, 2);
-        h.record(1.5);
-        let triples: Vec<_> = h.iter().collect();
-        assert_eq!(triples.len(), 2);
-        assert_eq!(triples[1], (1.0, 2.0, 1));
     }
 }

@@ -287,18 +287,6 @@ fn crash_destroys_unsynced_writes_by_default() {
 }
 
 #[test]
-fn crash_unsynced_loss_zero_models_write_through() {
-    let mut sim = Simulation::new(NetworkModel::default(), 17);
-    let n = sim.add_node(Probe { restarts: Vec::new() });
-    sim.set_crash_unsynced_loss(0);
-    sim.schedule_crash(SimTime::from_secs(1), n);
-    sim.schedule_restart(SimTime::from_secs(2), n, RestartMode::ColdDurable);
-    sim.run_until(SimTime::from_secs(3));
-    assert_eq!(sim.disk(n).read("scratch"), Some(&b"unsynced"[..]), "k=0 loses nothing");
-    assert_eq!(sim.disk(n).total_lost(), 0);
-}
-
-#[test]
 fn asymmetric_cut_blocks_one_direction() {
     let mut sim = build(2, NetworkModel::ideal(SimDuration::from_millis(5)), 8);
     sim.apply_fault_plan(&FaultPlan {

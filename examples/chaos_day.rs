@@ -15,6 +15,7 @@ use std::collections::BTreeSet;
 
 use newsml::{Category, NewsItem, PublisherId};
 use newswire::{check_invariants, tech_news_deployment};
+use obs::ctr;
 use simnet::{
     ChurnSpec, FaultPlan, GrayProfile, GraySpec, MessageChaosSpec, NodeId, SimDuration, SimTime,
 };
@@ -90,7 +91,6 @@ fn main() {
     d.settle(660);
 
     let faults = d.sim.fault_counters();
-    let stats = d.total_stats();
     println!(
         "engine: {} crashes / {} recoveries; drops: {} gray-send, {} gray-recv, {} loss; \
          {} msgs duplicated, {} jittered",
@@ -104,11 +104,11 @@ fn main() {
     );
     println!(
         "protocol: {} forwards, {} acks, {} retries, {} failovers, {} abandoned",
-        stats.forwards_sent,
-        stats.acks_received,
-        stats.ack_retries,
-        stats.ack_failovers,
-        stats.handoffs_abandoned
+        d.counter(ctr::NW_FORWARDS),
+        d.counter(ctr::NW_ACKS_RECEIVED),
+        d.counter(ctr::NW_ACK_RETRIES),
+        d.counter(ctr::NW_ACK_FAILOVERS),
+        d.counter(ctr::NW_HANDOFFS_ABANDONED)
     );
 
     // The verdict. Churned nodes are exempt from the oracle's liveness

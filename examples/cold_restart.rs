@@ -98,28 +98,30 @@ fn main() {
     d.settle(660);
 
     let faults = d.sim.fault_counters();
-    let stats = d.total_stats();
     println!(
         "engine: {} crashes / {} recoveries; protocol: {} recoveries run to completion, \
          {} items backfilled during recovery",
         faults.crashes,
         faults.recoveries,
-        stats.recoveries_completed,
-        stats.recovery_backfill_items
+        d.counter(obs::ctr::NW_RECOVERIES),
+        d.counter(obs::ctr::NW_BACKFILL_ITEMS)
     );
-    {
+    let cold_restarts = {
         let hub = d.sim.telemetry();
         let hub = hub.borrow();
-        println!(
-            "telemetry: {} durable / {} amnesiac cold restarts, {} unsynced writes lost, \
-             {} incarnation bumps observed by peers",
+        let (durable, amnesiac) = (
             hub.global().ctr(obs::ctr::COLD_RESTARTS_DURABLE),
             hub.global().ctr(obs::ctr::COLD_RESTARTS_AMNESIA),
+        );
+        println!(
+            "telemetry: {durable} durable / {amnesiac} amnesiac cold restarts, {} unsynced \
+             writes lost, {} incarnation bumps observed by peers",
             hub.counter_total(obs::ctr::DISK_WRITES_LOST),
             hub.counter_total(obs::ctr::INCARNATION_BUMPS),
         );
-    }
-    assert!(stats.cold_restarts > 0, "the drill must actually cold-restart somebody");
+        durable + amnesiac
+    };
+    assert!(cold_restarts > 0, "the drill must actually cold-restart somebody");
 
     // Cold-restarted nodes burned incarnations; frozen nodes never do.
     // (A lucky churner can ride out the whole window without crashing, so

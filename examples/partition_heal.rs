@@ -15,6 +15,7 @@ use std::collections::BTreeSet;
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
 use newswire::{check_invariants, DeploymentBuilder, NewsWireConfig, PublisherSpec};
+use obs::ctr;
 use simnet::{FaultPlan, Partition, PartitionSpec, SimTime};
 
 fn main() {
@@ -66,27 +67,25 @@ fn main() {
         "faults: partitions {}/{} started/healed, {} drops to the cut",
         f.partitions_started, f.partitions_healed, f.drops_partition
     );
-    let s = d.total_stats();
     println!(
         "protocol: {} forwards, {} acks, {} retries, {} failovers ({} phi-shortcut), \
          {} abandoned",
-        s.forwards_sent,
-        s.acks_received,
-        s.ack_retries,
-        s.ack_failovers,
-        s.suspect_failovers,
-        s.handoffs_abandoned
+        d.counter(ctr::NW_FORWARDS),
+        d.counter(ctr::NW_ACKS_RECEIVED),
+        d.counter(ctr::NW_ACK_RETRIES),
+        d.counter(ctr::NW_ACK_FAILOVERS),
+        d.counter(ctr::NW_SUSPECT_FAILOVERS),
+        d.counter(ctr::NW_HANDOFFS_ABANDONED)
     );
     println!(
-        "repair: {} items; reconcile: {} requests, {} served, {} items out \
-         ({} bytes), {} items in, {} retargets",
-        s.repair_items_sent,
-        s.reconcile_requests,
-        s.reconciles_served,
-        s.reconcile_items_sent,
-        s.reconcile_bytes_sent,
-        s.reconcile_items_recv,
-        s.reconcile_retargets
+        "reconcile: {} requests, {} served, {} items out ({} bytes), {} items in, \
+         {} retargets",
+        d.counter(ctr::NW_RECONCILE_REQUESTS),
+        d.counter(ctr::NW_RECONCILES_SERVED),
+        d.counter(ctr::NW_RECONCILE_ITEMS_SENT),
+        d.counter(ctr::NW_RECONCILE_BYTES_SENT),
+        d.counter(ctr::NW_RECONCILE_ITEMS_RECV),
+        d.counter(ctr::NW_RECONCILE_RETARGETS)
     );
 
     // Per-node digest: enough detail that any divergence between two runs

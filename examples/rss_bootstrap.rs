@@ -55,9 +55,8 @@ fn main() {
     }
     deployment.settle(6 * 30 + 30);
 
-    let stats = deployment.total_stats();
     println!("\ningested {} distinct stories, published {published}", agent.ingested());
-    println!("NewsWire deliveries: {}", stats.delivered);
+    println!("NewsWire deliveries: {}", deployment.counter(obs::ctr::NW_DELIVERED));
     let mut lat = deployment.delivery_latency_summary();
     if !lat.is_empty() {
         println!("latency p50 {:.2}s  max {:.2}s", lat.quantile(0.5), lat.max());

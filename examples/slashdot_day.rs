@@ -35,9 +35,10 @@ fn main() {
     }
     deployment.settle(horizon_us / 1_000_000 + 60);
 
-    let stats = deployment.total_stats();
+    let delivered = deployment.counter(obs::ctr::NW_DELIVERED);
+    let bloom_fp = deployment.counter(obs::ctr::NW_BLOOM_FP);
     let mut lat = deployment.delivery_latency_summary();
-    println!("NewsWire deliveries: {}", stats.delivered);
+    println!("NewsWire deliveries: {delivered}");
     if !lat.is_empty() {
         println!(
             "  latency p50 {:.2}s  p99 {:.2}s  max {:.2}s",
@@ -48,10 +49,10 @@ fn main() {
     }
     println!(
         "  bloom false-positive deliveries: {} ({:.3}% of deliveries)",
-        stats.bloom_fp_deliveries,
-        100.0 * stats.bloom_fp_deliveries as f64 / stats.delivered.max(1) as f64
+        bloom_fp,
+        100.0 * bloom_fp as f64 / delivered.max(1) as f64
     );
-    println!("  duplicates suppressed: {}", stats.duplicates);
+    println!("  duplicates suppressed: {}", deployment.counter(obs::ctr::NW_DUPLICATES));
 
     // Per-subscriber bytes: only items they wanted.
     let subs = deployment.sim.len() as u64 - 2;

@@ -13,8 +13,21 @@
 # from `--from <seed>`, so an acceptance run can use seeds that tuned
 # nothing), the side that goes first alternating. Prints every pair, then per metric the
 # medians, quartiles (Python's exclusive method, as the acceptance rule is
-# stated) and how many pairs B won, for all nine end-to-end metrics. Lower is
-# better except `delivered_pct`.
+# stated), how many pairs B won, and a verdict, for all nine end-to-end
+# metrics. Each metric's direction and bound are read from BENCHMARK.json.
+# The verdict, first rule that applies:
+#   tie         every pair reads the same (a simulated metric of a change
+#               that moves nothing: the same seed gives the same number,
+#               however far apart the seeds' numbers lie)
+#   worse       B's median is worse than A's by more than the bound (checked
+#               before `unresolved`, so a noisy metric still reports a
+#               regression of its median)
+#   unresolved  A's IQR / A's median exceeds the bound, and not every run of
+#               B reads better than every run of A (the spread is too wide
+#               to call the metric unchanged)
+#   gain        B wins at least 9 in 10 pairs, ties counting for neither,
+#               and the medians differ by more than A's IQR
+#   ok          anything else: within the bound
 set -euo pipefail
 usage="usage: $0 [--from <seed>] <workload> <pairs> <dirA|rev> [<dirB>]"
 first=101
@@ -64,23 +77,42 @@ for i in $(seq 1 "$pairs"); do
   done
 done
 
-python3 - "$out" "$pairs" "$first" $metrics <<'PY'
-import statistics, sys
-out, pairs, first, metrics = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
+python3 - "$out" "$pairs" "$first" "$root/BENCHMARK.json" $metrics <<'PY'
+import json, statistics, sys
+out, pairs, first, spec, metrics = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4], sys.argv[5:]
+with open(spec) as f:
+    rules = {m["name"]: (m["better"] == "lower", m["bound"]) for m in json.load(f)["end_to_end"]}
 def read(side, seed):
     with open(f"{out}/{side}.{seed}") as f:
         return {k: float(v) for k, v in (line.split() for line in f)}
 runs = {s: [read(s, first + i) for i in range(pairs)] for s in "AB"}
+def quartiles(v):
+    return statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
 def spread(v):
-    q = statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
+    q = quartiles(v)
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
-print(f"\n{'metric':<26}{'A median [q1, q3]':>36}{'B median [q1, q3]':>36}{'B/A':>8}  B wins")
+print(f"\n{'metric':<26}{'A median [q1, q3]':>36}{'B median [q1, q3]':>36}{'B/A':>8}  {'B wins':<15} verdict")
 for m in metrics:
     a, b = ([r[m] for r in runs[s]] for s in "AB")
-    better = (lambda x, y: x > y) if m == "delivered_pct" else (lambda x, y: x < y)
+    lower, bound = rules[m]
+    better = (lambda x, y: x < y) if lower else (lambda x, y: x > y)
     wins = sum(better(y, x) for x, y in zip(a, b))
     ties = sum(x == y for x, y in zip(a, b))
     ma, mb = statistics.median(a), statistics.median(b)
+    qa = quartiles(a)
+    iqr = qa[2] - qa[0]
+    every = max(b) < min(a) if lower else min(b) > max(a)
+    if ties == pairs:
+        verdict = "tie"
+    elif (mb - ma if lower else ma - mb) > bound * abs(ma):
+        verdict = "worse"
+    elif iqr > bound * abs(ma) and not every:
+        verdict = "unresolved"
+    elif wins * 10 >= 9 * pairs and better(mb, ma) and abs(mb - ma) > iqr:
+        verdict = "gain"
+    else:
+        verdict = "ok"
+    won = f"{wins}/{pairs}" + (f" ({ties} ties)" if ties else "")
     print(f"{m:<26}{spread(a):>36}{spread(b):>36}{mb / ma if ma else float('nan'):>8.3f}"
-          f"  {wins}/{pairs}" + (f" ({ties} ties)" if ties else ""))
+          f"  {won:<15} {verdict}")
 PY

@@ -18,6 +18,7 @@ use std::process::ExitCode;
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile, TraceGenerator};
 use newswire::{DeploymentBuilder, NewsWireConfig, PublisherSpec, SubscriptionModel};
+use obs::ctr;
 use simnet::{fork, SimDuration};
 
 const DAY_US: u64 = 86_400_000_000;
@@ -257,11 +258,9 @@ fn build_deployment(opts: &RunOpts) -> newswire::Deployment {
 }
 
 fn print_summary(d: &newswire::Deployment) {
-    let stats = d.total_stats();
-    println!("deliveries:            {}", stats.delivered);
-    println!("duplicates suppressed: {}", stats.duplicates);
-    println!("bloom FP deliveries:   {}", stats.bloom_fp_deliveries);
-    println!("repair items:          {}", stats.repair_items_sent);
+    println!("deliveries:            {}", d.counter(ctr::NW_DELIVERED));
+    println!("duplicates suppressed: {}", d.counter(ctr::NW_DUPLICATES));
+    println!("bloom FP deliveries:   {}", d.counter(ctr::NW_BLOOM_FP));
     let mut lat = d.delivery_latency_summary();
     if !lat.is_empty() {
         println!(

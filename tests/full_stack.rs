@@ -31,13 +31,12 @@ fn generated_trace_flows_end_to_end() {
         d.publish(t0 + SimDuration::from_micros(ev.at_us), ev.item.clone());
     }
     d.settle(1_800 + 40);
-    let stats = d.total_stats();
     // Ground truth: every (item, interested node) pair delivered.
     let wanted: usize = events.iter().map(|e| d.interested_nodes(&e.item).len()).sum();
     let got: usize = events.iter().map(|e| d.delivered_nodes(&e.item).len()).sum();
-    assert_eq!(wanted, got, "trace delivery incomplete (stats: {stats:?})");
-    assert_eq!(stats.auth_rejects, 0);
-    assert_eq!(stats.route_failures, 0);
+    assert_eq!(wanted, got, "trace delivery incomplete");
+    assert_eq!(d.counter(obs::ctr::NW_AUTH_REJECTS), 0);
+    assert_eq!(d.counter(obs::ctr::NW_ROUTE_FAILURES), 0);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
 use newswire::{
-    tech_news_deployment, Deployment, DeploymentBuilder, NewsWireConfig, NodeStats, PublisherSpec,
+    tech_news_deployment, Deployment, DeploymentBuilder, NewsWireConfig, PublisherSpec,
 };
 use simnet::{ChurnSpec, FaultPlan, NodeId, RestartMode, SimTime};
 
@@ -500,16 +500,23 @@ fn drain_resets_snapshot_does_not() {
     assert!(after.events.is_empty(), "drain must clear the trace ring");
 }
 
-/// `total_stats` is a view of the registry, so it lives exactly as long as
-/// the registry's counters: a snapshot leaves it unchanged, a drain zeroes
-/// it.
+/// A deployment's counter totals are read from the registry, so they live
+/// exactly as long as the registry's counters: a snapshot leaves every one
+/// unchanged, a drain zeroes them all.
 #[test]
-fn total_stats_survives_a_snapshot_and_not_a_drain() {
+fn counter_totals_survive_a_snapshot_and_not_a_drain() {
+    use obs::{ctr, CtrId};
+    let totals = |d: &Deployment| -> Vec<u64> {
+        let global = d.sim.telemetry().borrow().global().clone();
+        (0..ctr::NAMES.len() as u16)
+            .flat_map(|i| [d.counter(CtrId(i)), global.ctr(CtrId(i))])
+            .collect()
+    };
     let mut d = sample_run(0xD39);
-    let before = d.total_stats();
-    assert!(before.delivered > 0 && before.forwards_sent > 0, "workload sanity");
+    let before = totals(&d);
+    assert!(d.counter(ctr::NW_DELIVERED) > 0 && d.counter(ctr::NW_FORWARDS) > 0, "workload sanity");
     let _ = d.sim.snapshot_telemetry();
-    assert_eq!(d.total_stats(), before, "a snapshot must not touch the counters");
+    assert_eq!(totals(&d), before, "a snapshot must not touch the counters");
     let _ = d.sim.drain_telemetry();
-    assert_eq!(d.total_stats(), NodeStats::default(), "a drain zeroes every counter");
+    assert!(totals(&d).iter().all(|&c| c == 0), "a drain zeroes every counter");
 }
