@@ -43,26 +43,6 @@ impl RangeSummary {
     pub fn is_empty(&self) -> bool {
         self.next <= self.floor
     }
-
-    /// Encodes as a compact `epoch:floor:next:present` string, suitable for
-    /// a gossip row attribute.
-    pub fn encode(&self) -> String {
-        format!("{}:{}:{}:{}", self.epoch, self.floor, self.next, self.present)
-    }
-
-    /// Decodes [`RangeSummary::encode`] output; `None` on malformed input
-    /// (gossip payloads are untrusted).
-    pub fn decode(s: &str) -> Option<RangeSummary> {
-        let mut parts = s.split(':');
-        let epoch = parts.next()?.parse().ok()?;
-        let floor = parts.next()?.parse().ok()?;
-        let next = parts.next()?.parse().ok()?;
-        let present = parts.next()?.parse().ok()?;
-        if parts.next().is_some() || next < floor || present > next - floor {
-            return None;
-        }
-        Some(RangeSummary { epoch, floor, next, present })
-    }
 }
 
 /// A requester-held baseline for one story line, piggybacked on repair and
@@ -88,24 +68,6 @@ pub struct BaselineHint {
 impl BaselineHint {
     /// Serialized size: key + revision + length.
     pub const WIRE_SIZE: usize = 16;
-
-    /// Encodes as a compact `key:revision:body_len` string (hex key), the
-    /// same attribute-friendly shape as [`RangeSummary::encode`].
-    pub fn encode(&self) -> String {
-        format!("{:x}:{}:{}", self.key, self.revision, self.body_len)
-    }
-
-    /// Decodes [`BaselineHint::encode`] output; `None` on malformed input.
-    pub fn decode(s: &str) -> Option<BaselineHint> {
-        let mut parts = s.split(':');
-        let key = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let revision = parts.next()?.parse().ok()?;
-        let body_len = parts.next()?.parse().ok()?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(BaselineHint { key, revision, body_len })
-    }
 }
 
 /// A bounded, epoch-aware log of sequence-numbered entries from one source.
@@ -346,17 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_hint_roundtrip_and_rejection() {
-        let h = BaselineHint { key: 0xDEAD_BEEF_1234_5678, revision: 7, body_len: 4_096 };
-        assert_eq!(BaselineHint::decode(&h.encode()), Some(h));
-        assert_eq!(BaselineHint::decode(""), None);
-        assert_eq!(BaselineHint::decode("zz:1:2"), None);
-        assert_eq!(BaselineHint::decode("ff:1"), None);
-        assert_eq!(BaselineHint::decode("ff:1:2:3"), None);
-        assert_eq!(BaselineHint::WIRE_SIZE, 16);
-    }
-
-    #[test]
     fn empty_log_summary_and_gaps() {
         let log: SeqLog<()> = SeqLog::new(8);
         let s = log.summary();
@@ -453,15 +404,6 @@ mod tests {
         assert_eq!(log.floor(), 3);
         assert_eq!(log.len(), 2);
         assert!(log.summary().contiguous());
-    }
-
-    #[test]
-    fn summary_roundtrip_and_malformed() {
-        let s = RangeSummary { epoch: 3, floor: 17, next: 40, present: 20 };
-        assert_eq!(RangeSummary::decode(&s.encode()), Some(s));
-        for bad in ["", "1:2:3", "1:2:3:4:5", "a:0:0:0", "0:9:3:0", "0:0:4:9"] {
-            assert_eq!(RangeSummary::decode(bad), None, "{bad:?}");
-        }
     }
 
     #[test]

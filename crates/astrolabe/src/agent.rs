@@ -60,18 +60,8 @@ const MAX_ROW_ATTRS: usize = 256;
 pub struct TableDigest {
     /// The zone whose table is being advertised.
     pub zone: ZoneId,
-    /// Per-row version stamps and content hashes.
+    /// Per-row version stamps and content hashes of every held row.
     pub rows: Arc<[RowDigest]>,
-    /// Delta gossip only: table generation this digest is relative to.
-    /// `0` means the digest is *full* (covers every held row — also the
-    /// invariant shape when delta gossip is off); non-zero means it covers
-    /// only rows changed after that generation of the sender's table.
-    pub since: u64,
-    /// Delta gossip only: the sender's table generation at send time, so
-    /// the receiver can detect a missed delta (`since` beyond the last
-    /// generation it processed) and ask for a full exchange. `0` when
-    /// delta gossip is off.
-    pub gen: u64,
 }
 
 /// A batch of rows from one table.
@@ -96,7 +86,7 @@ pub enum GossipMsg {
     /// Hop 2: rows newer at the receiver, plus a want-list.
     DigestReply {
         /// Rows where the replier held other values under a newer stamp,
-        /// or that a full digest did not list.
+        /// or that the digest did not list.
         rows: Vec<TableRows>,
         /// `(zone, labels)` the replier wants.
         want: Vec<(ZoneId, Vec<u16>)>,
@@ -105,10 +95,6 @@ pub enum GossipMsg {
         /// receiver takes the stamp for the row it holds only while that
         /// row's values still hash to the record's `chash`.
         refresh: Vec<(ZoneId, Vec<RowDigest>)>,
-        /// Delta gossip only: zones where the replier detected a missed
-        /// delta digest and needs the sender's next digest to be full.
-        /// Always empty when delta gossip is off.
-        want_full: Vec<ZoneId>,
     },
     /// Hop 3: the wanted rows.
     Rows {
@@ -122,12 +108,7 @@ impl GossipMsg {
     /// digest's sender owes it (the agent itself sends none; a host that
     /// times exchanges by their replies does).
     pub fn empty_reply() -> Self {
-        GossipMsg::DigestReply {
-            rows: Vec::new(),
-            want: Vec::new(),
-            refresh: Vec::new(),
-            want_full: Vec::new(),
-        }
+        GossipMsg::DigestReply { rows: Vec::new(), want: Vec::new(), refresh: Vec::new() }
     }
 
     /// Approximate wire size in bytes, for traffic accounting.
@@ -147,20 +128,13 @@ impl GossipMsg {
             zone_size(z) + entries.len() * RowDigest::WIRE_SIZE
         }
         8 + match self {
-            GossipMsg::Digest { digests } => digests
-                .iter()
-                .map(|d| {
-                    // A delta-gossip digest (recognizable by a non-zero
-                    // generation) adds its since/gen pair.
-                    let header = if d.gen > 0 { 16 } else { 0 };
-                    header + entries_size(&d.zone, &d.rows)
-                })
-                .sum::<usize>(),
-            GossipMsg::DigestReply { rows, want, refresh, want_full } => {
+            GossipMsg::Digest { digests } => {
+                digests.iter().map(|d| entries_size(&d.zone, &d.rows)).sum::<usize>()
+            }
+            GossipMsg::DigestReply { rows, want, refresh } => {
                 rows_size(rows)
                     + want.iter().map(|(z, ls)| zone_size(z) + ls.len() * 2).sum::<usize>()
                     + refresh.iter().map(|(z, rs)| entries_size(z, rs)).sum::<usize>()
-                    + want_full.iter().map(zone_size).sum::<usize>()
             }
             GossipMsg::Rows { rows } => rows_size(rows),
         }
@@ -282,26 +256,6 @@ pub struct Agent {
     /// Astrolabe protocol trusts its peers, matching the paper; hosts that
     /// face an adversarial fault model (the NewsWire node) switch it on.
     validate_ingest: bool,
-    /// Delta gossip, sender side: per `(peer, level)`, the table generation
-    /// covered by the last digest sent there and a countdown to the next
-    /// forced full exchange. Advanced optimistically (no ack): a dropped
-    /// partial digest is healed by the periodic full digest, never by
-    /// retransmission.
-    delta_sent: HashMap<(u32, usize), DeltaPeerState>,
-    /// Delta gossip, receiver side: highest partial-digest generation
-    /// processed per `(peer, level)` since that lane's last full digest,
-    /// which removes the entry. A partial digest whose `since` exceeds this
-    /// means a delta was missed; the reply then carries `want_full`.
-    peer_gen_seen: HashMap<(u32, usize), u64>,
-}
-
-/// Sender-side delta gossip bookkeeping for one `(peer, level)` lane.
-#[derive(Debug, Clone, Copy)]
-struct DeltaPeerState {
-    /// Table generation the last digest to this peer covered through.
-    sent_gen: u64,
-    /// Digests remaining until the next forced full exchange.
-    rounds_to_full: u32,
 }
 
 impl Agent {
@@ -352,8 +306,6 @@ impl Agent {
             incar_cache: Vec::new(),
             incarnation_bumps: Vec::new(),
             validate_ingest: false,
-            delta_sent: HashMap::new(),
-            peer_gen_seen: HashMap::new(),
         }
     }
 
@@ -757,69 +709,12 @@ impl Agent {
         out
     }
 
-    fn digests_from(&mut self, level: usize, peer: u32) -> Vec<TableDigest> {
-        if !self.config.delta_gossip {
-            return (level..self.levels.len())
-                .map(|i| TableDigest {
-                    zone: self.zone(i).clone(),
-                    rows: self.digest_at(i),
-                    since: 0,
-                    gen: 0,
-                })
-                .collect();
-        }
-        let mut out = Vec::with_capacity(self.levels.len() - level);
-        for i in level..self.levels.len() {
-            let gen = self.table(i).generation();
-            // Full digest when: first contact with this peer on this lane,
-            // the periodic safety-net exchange is due, the peer asked for
-            // one (missed delta), or our table generation regressed past
-            // the marker (reset/restart) — a partial against a vanished
-            // baseline would advertise nothing.
-            let state = self.delta_sent.get(&(peer, i)).copied();
-            let full = match state {
-                None => true,
-                Some(s) => s.rounds_to_full == 0 || s.sent_gen > gen,
-            };
-            if full {
-                if state.is_some() {
-                    obs::metric_add!(self.id, ctr::GOSSIP_FULL_FALLBACKS, 1);
-                }
-                self.delta_sent.insert(
-                    (peer, i),
-                    DeltaPeerState {
-                        sent_gen: gen,
-                        rounds_to_full: crate::config::DELTA_FULL_EXCHANGE_PERIOD - 1,
-                    },
-                );
-                out.push(TableDigest {
-                    zone: self.zone(i).clone(),
-                    rows: self.digest_at(i),
-                    since: 0,
-                    gen,
-                });
-            } else {
-                let s = state.expect("partial digest requires prior state");
-                let rows: Arc<[RowDigest]> = self.table(i).digest_since(s.sent_gen).into();
-                self.delta_sent.insert(
-                    (peer, i),
-                    DeltaPeerState { sent_gen: gen, rounds_to_full: s.rounds_to_full - 1 },
-                );
-                // An empty partial digest advertises nothing and triggers
-                // nothing — skip it (the marker above still advanced, which
-                // is correct: nothing changed, so nothing was skipped).
-                if !rows.is_empty() {
-                    obs::metric_add!(self.id, ctr::GOSSIP_DELTA_DIGESTS, 1);
-                    out.push(TableDigest {
-                        zone: self.zone(i).clone(),
-                        rows,
-                        since: s.sent_gen,
-                        gen,
-                    });
-                }
-            }
-        }
-        out
+    /// The digests of `level` and every level above it: each lists every
+    /// held row.
+    fn digests_from(&mut self, level: usize) -> Vec<TableDigest> {
+        (level..self.levels.len())
+            .map(|i| TableDigest { zone: self.zone(i).clone(), rows: self.digest_at(i) })
+            .collect()
     }
 
     /// The digest of `tables[i]`, reusing the cached copy while the table's
@@ -867,7 +762,7 @@ impl Agent {
                 None => None,
             };
             if let Some(peer) = target {
-                out.push((peer, GossipMsg::Digest { digests: self.digests_from(level, peer) }));
+                out.push((peer, GossipMsg::Digest { digests: self.digests_from(level) }));
             }
         }
         // Anti-clique measure: the peer selection above only reaches nodes
@@ -885,16 +780,13 @@ impl Agent {
         if let Some(range) = self.layout.agent_range(self.zone(bridge_level)) {
             let peer = rand::Rng::gen_range(rng, range.clone());
             if peer != self.id {
-                out.push((
-                    peer,
-                    GossipMsg::Digest { digests: self.digests_from(bridge_level, peer) },
-                ));
+                out.push((peer, GossipMsg::Digest { digests: self.digests_from(bridge_level) }));
             }
         }
         // Also keep pinging configured contacts occasionally (join seeds).
         if rand::Rng::gen_bool(rng, 0.25) {
             if let Some(&peer) = self.contacts.as_slice().choose(rng) {
-                out.push((peer, GossipMsg::Digest { digests: self.digests_from(0, peer) }));
+                out.push((peer, GossipMsg::Digest { digests: self.digests_from(0) }));
             }
         }
         let rows_held: usize = self.levels.iter().map(|lv| lv.table.len()).sum();
@@ -1184,18 +1076,11 @@ impl Agent {
                 obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_DIGEST, from, digests.len());
                 self.on_digest(now, from, &digests)
             }
-            GossipMsg::DigestReply { rows, want, refresh, want_full } => {
+            GossipMsg::DigestReply { rows, want, refresh } => {
                 self.merge_rows(now, &rows);
                 for (zone, records) in &refresh {
                     if let Some(level) = self.level_of(zone) {
                         self.restamp(now, level, records);
-                    }
-                }
-                for zone in &want_full {
-                    // The peer missed a delta: drop the lane state so our
-                    // next digest to it is full.
-                    if let Some(level) = self.level_of(zone) {
-                        self.delta_sent.remove(&(from, level));
                     }
                 }
                 let mut send = Vec::new();
@@ -1227,9 +1112,8 @@ impl Agent {
     /// ([`ZoneTable::diff_into`]), takes the stamps of rows whose values it
     /// already holds, and replies with what the sender lacks — whole rows
     /// where the values differ, refresh records where only the stamp does —
-    /// plus the want-list, and on the delta wire `want_full` for a partial
-    /// digest whose baseline this replica never processed. In steady state
-    /// (replicas in sync) this allocates nothing.
+    /// plus the want-list. In steady state (replicas in sync) this
+    /// allocates nothing.
     fn on_digest(
         &mut self,
         now: SimTime,
@@ -1239,16 +1123,12 @@ impl Agent {
         let mut rows = Vec::new();
         let mut want = Vec::new();
         let mut refresh = Vec::new();
-        let mut want_full = Vec::new();
         // One scratch diff serves every digest; the reply steals a list
         // only when it is non-empty.
         let mut diff = std::mem::take(&mut self.scratch_diff);
         for d in digests {
             let Some(level) = self.level_of(&d.zone) else { continue };
-            if self.lane_gap(from, level, d) {
-                want_full.push(d.zone.clone());
-            }
-            self.table(level).diff_into(&d.rows, d.since == 0, &mut diff);
+            self.table(level).diff_into(&d.rows, &mut diff);
             self.restamp(now, level, diff.adopt.iter().map(|&at| &d.rows[at as usize]));
             if !diff.ship.is_empty() {
                 rows.push(TableRows {
@@ -1271,10 +1151,10 @@ impl Agent {
             obs::hist_record!(self.id, hist::GOSSIP_DIFF_ROWS, sent + wanted);
             obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_DIFF, sent, wanted);
         }
-        if rows.is_empty() && want.is_empty() && refresh.is_empty() && want_full.is_empty() {
+        if rows.is_empty() && want.is_empty() && refresh.is_empty() {
             Vec::new()
         } else {
-            vec![(from, GossipMsg::DigestReply { rows, want, refresh, want_full })]
+            vec![(from, GossipMsg::DigestReply { rows, want, refresh })]
         }
     }
 
@@ -1285,24 +1165,6 @@ impl Agent {
             .iter()
             .filter_map(|&l| table.row(l).map(|r| (l, r.stamp, Arc::clone(&r.mib))))
             .collect()
-    }
-
-    /// Delta gossip's receiver half of a `(from, level)` lane: whether the
-    /// partial digest `d` starts past the last generation processed on it,
-    /// i.e. a delta went missing. A full digest needs no baseline and
-    /// leaves no lane state; a lane without an entry last processed a full
-    /// digest, which is the baseline the sender's next partial counts from.
-    fn lane_gap(&mut self, from: u32, level: usize, d: &TableDigest) -> bool {
-        if d.since == 0 {
-            if !self.peer_gen_seen.is_empty() {
-                self.peer_gen_seen.remove(&(from, level));
-            }
-            return false;
-        }
-        let seen = self.peer_gen_seen.entry((from, level)).or_insert(d.since);
-        let gap = *seen < d.since;
-        *seen = (*seen).max(d.gen);
-        gap
     }
 
     /// Evaluates an ad-hoc aggregation program against this agent's replica
@@ -1348,11 +1210,6 @@ impl Agent {
         // `local` did not change.)
         self.scope_epoch += 1;
         self.scope_cache = None;
-        // Delta-gossip lanes reference the old generation counters on both
-        // sides; a partial digest against a pre-reset baseline would be
-        // silently wrong, so force full exchanges all around.
-        self.delta_sent.clear();
-        self.peer_gen_seen.clear();
     }
 
     /// Current phi suspicion level for the row at `(level, label)`, if a
@@ -1440,79 +1297,6 @@ mod tests {
             .collect()
     }
 
-    fn make_delta_agents(n: u32, branching: u16) -> Vec<Agent> {
-        let layout = ZoneLayout::new(n, branching);
-        let mut config = small_config();
-        config.branching = branching;
-        config.delta_gossip = true;
-        (0..n).map(|i| Agent::new(i, &layout, config.clone(), vec![0])).collect()
-    }
-
-    #[test]
-    fn delta_gossip_converges_like_full() {
-        let mut agents = make_delta_agents(12, 4);
-        run_rounds(&mut agents, 12, 0);
-        for a in &agents {
-            let total: i64 = a
-                .root_table()
-                .iter()
-                .filter_map(|(_, r)| r.get("nmembers").and_then(|v| v.as_i64()))
-                .sum();
-            assert_eq!(total, 12, "agent {} sees nmembers {total}", a.id());
-        }
-    }
-
-    #[test]
-    fn delta_digest_goes_partial_then_full_on_generation_gap() {
-        let mut agents = make_delta_agents(2, 4);
-        let t = run_rounds(&mut agents, 4, 0);
-        let (left, right) = agents.split_at_mut(1);
-        let (a, b) = (&mut left[0], &mut right[0]);
-        let mut rng = fork(7, 0);
-
-        let at = |s: u64| SimTime::from_micros(t + s * 1_000_000);
-        a.delta_sent.clear(); // normalize: next digest to b is full
-        let full = a.digests_from(0, b.id());
-        assert!(full.iter().all(|d| d.since == 0), "first digest after reset is full");
-        assert!(full.iter().all(|d| d.gen > 0), "delta digests carry the generation");
-        b.on_message(at(0), a.id(), GossipMsg::Digest { digests: full }, &mut rng);
-        assert!(!b.peer_gen_seen.contains_key(&(a.id(), 0)), "a full digest leaves no lane state");
-
-        // The partial after it counts from the full one: no gap.
-        a.refresh_own_row(at(1));
-        let partial = a.digests_from(0, b.id());
-        assert!(partial.iter().all(|d| d.since > 0), "second digest is partial");
-        let out = b.on_message(at(1), a.id(), GossipMsg::Digest { digests: partial }, &mut rng);
-        assert!(
-            out.iter().all(|(_, m)| !matches!(m, GossipMsg::DigestReply { want_full, .. }
-                if !want_full.is_empty())),
-            "a partial right after a full one has its baseline"
-        );
-
-        // Change a's table, build a partial digest... and lose it.
-        a.refresh_own_row(at(2));
-        let lost = a.digests_from(0, b.id());
-        assert!(lost.iter().all(|d| d.since > 0));
-
-        // The next partial's baseline is a generation b never processed.
-        a.refresh_own_row(at(3));
-        let gapped = a.digests_from(0, b.id());
-        assert!(gapped.iter().all(|d| d.since > 0));
-        let now = at(3);
-        let out = b.on_message(now, a.id(), GossipMsg::Digest { digests: gapped }, &mut rng);
-        let Some((to, GossipMsg::DigestReply { want_full, .. })) = out.first() else {
-            panic!("gap must produce a reply");
-        };
-        assert_eq!(*to, a.id());
-        assert!(!want_full.is_empty(), "missed delta must request a full exchange");
-
-        // Receiving want_full drops the lane state: next digest is full.
-        let reply = out.into_iter().next().unwrap().1;
-        a.on_message(now, b.id(), reply, &mut rng);
-        let healed = a.digests_from(0, b.id());
-        assert!(healed.iter().all(|d| d.since == 0), "want_full forces a full digest");
-    }
-
     #[test]
     fn setting_an_attribute_to_its_value_keeps_the_own_row_shared() {
         let layout = ZoneLayout::new(4, 4);
@@ -1536,83 +1320,62 @@ mod tests {
     }
 
     #[test]
-    fn delta_full_exchange_period_bounds_partial_streak() {
-        let mut agents = make_delta_agents(2, 4);
+    fn a_digest_entry_for_held_values_is_adopted() {
+        let mut agents = make_agents(2, 4);
         let t = run_rounds(&mut agents, 4, 0);
-        let a = &mut agents[0];
-        a.delta_sent.clear();
-        let mut fulls = 0;
-        for i in 0..=crate::config::DELTA_FULL_EXCHANGE_PERIOD {
-            a.refresh_own_row(SimTime::from_micros(t + u64::from(i + 1) * 1_000_000));
-            let ds = a.digests_from(0, 1);
-            if ds.iter().all(|d| d.since == 0) {
-                fulls += 1;
-            }
-        }
-        assert_eq!(fulls, 2, "first digest and the periodic safety net are full");
-    }
+        let (left, right) = agents.split_at_mut(1);
+        let (a, b) = (&mut left[0], &mut right[0]);
+        let mut rng = fork(9, 0);
+        let label = a.own_label(0);
 
-    #[test]
-    fn a_digest_entry_for_held_values_is_adopted_on_both_wires() {
-        for mut agents in [make_agents(2, 4), make_delta_agents(2, 4)] {
-            let t = run_rounds(&mut agents, 4, 0);
-            let (left, right) = agents.split_at_mut(1);
-            let (a, b) = (&mut left[0], &mut right[0]);
-            let mut rng = fork(9, 0);
-            let label = a.own_label(0);
+        // A heartbeat re-stamp of a's own row: same attrs, newer stamp.
+        a.refresh_own_row(SimTime::from_micros(t + 1_000_000));
+        let stamp = a.table(0).row(label).unwrap().stamp;
+        assert!(stamp > b.table(0).row(label).unwrap().stamp);
+        let held = Arc::clone(b.table(0).get(label).unwrap());
 
-            // A heartbeat re-stamp of a's own row: same attrs, newer stamp.
-            a.refresh_own_row(SimTime::from_micros(t + 1_000_000));
-            let stamp = a.table(0).row(label).unwrap().stamp;
-            assert!(stamp > b.table(0).row(label).unwrap().stamp);
-            let held = Arc::clone(b.table(0).get(label).unwrap());
-
-            a.delta_sent.clear();
-            let digests = a.digests_from(0, b.id());
-            let now = SimTime::from_micros(t + 1_000_000);
-            let out = b.on_message(now, a.id(), GossipMsg::Digest { digests }, &mut rng);
-            let row = b.table(0).row(label).unwrap();
-            assert_eq!(row.stamp, stamp, "receiver adopts the stamp straight from the digest");
-            assert!(Arc::ptr_eq(&row.mib, &held), "and keeps the values it held");
-            for (_, msg) in &out {
-                if let GossipMsg::DigestReply { want, .. } = msg {
-                    assert!(
-                        want.iter().all(|(_, ls)| !ls.contains(&label)),
-                        "no row transfer for a content-identical re-stamp"
-                    );
-                }
+        let digests = a.digests_from(0);
+        let now = SimTime::from_micros(t + 1_000_000);
+        let out = b.on_message(now, a.id(), GossipMsg::Digest { digests }, &mut rng);
+        let row = b.table(0).row(label).unwrap();
+        assert_eq!(row.stamp, stamp, "receiver adopts the stamp straight from the digest");
+        assert!(Arc::ptr_eq(&row.mib, &held), "and keeps the values it held");
+        for (_, msg) in &out {
+            if let GossipMsg::DigestReply { want, .. } = msg {
+                assert!(
+                    want.iter().all(|(_, ls)| !ls.contains(&label)),
+                    "no row transfer for a content-identical re-stamp"
+                );
             }
         }
     }
 
     #[test]
     fn a_replier_newer_on_stamp_only_sends_a_refresh_record() {
-        for mut agents in [make_agents(2, 4), make_delta_agents(2, 4)] {
-            let t = run_rounds(&mut agents, 4, 0);
-            let (left, right) = agents.split_at_mut(1);
-            let (a, b) = (&mut left[0], &mut right[0]);
-            let mut rng = fork(9, 0);
-            let label = b.own_label(0);
-            let now = SimTime::from_micros(t + 1_000_000);
+        let mut agents = make_agents(2, 4);
+        let t = run_rounds(&mut agents, 4, 0);
+        let (left, right) = agents.split_at_mut(1);
+        let (a, b) = (&mut left[0], &mut right[0]);
+        let mut rng = fork(9, 0);
+        let label = b.own_label(0);
+        let now = SimTime::from_micros(t + 1_000_000);
 
-            // b heartbeats its own row; a's digest still names the old stamp.
-            b.refresh_own_row(now);
-            a.delta_sent.clear();
-            let digests = a.digests_from(0, b.id());
-            let out = b.on_message(now, a.id(), GossipMsg::Digest { digests }, &mut rng);
-            let [(to, GossipMsg::DigestReply { rows, refresh, .. })] = out.as_slice() else {
-                panic!("b must answer a digest it is newer than: {out:?}");
-            };
-            assert_eq!(*to, a.id());
-            assert!(rows.iter().all(|t| t.rows.iter().all(|(l, _, _)| *l != label)));
-            let stamp = b.table(0).row(label).unwrap().stamp;
-            assert!(refresh
-                .iter()
-                .any(|(_, rs)| rs.iter().any(|r| r.label == label && r.stamp == stamp)));
-            let reply = out.into_iter().next().unwrap().1;
-            a.on_message(now, b.id(), reply, &mut rng);
-            assert_eq!(a.table(0).row(label).unwrap().stamp, stamp, "a takes the stamp");
-        }
+        // b heartbeats its own row; a's digest still names the old stamp.
+        b.refresh_own_row(now);
+        let digests = a.digests_from(0);
+        let out = b.on_message(now, a.id(), GossipMsg::Digest { digests }, &mut rng);
+        let [(to, GossipMsg::DigestReply { rows, refresh, .. })] = out.as_slice() else {
+            panic!("b must answer a digest it is newer than: {out:?}");
+        };
+        assert_eq!(*to, a.id());
+        assert!(rows.iter().all(|t| t.rows.iter().all(|(l, _, _)| *l != label)));
+        let stamp = b.table(0).row(label).unwrap().stamp;
+        assert!(refresh
+            .iter()
+            .any(|(_, rs)| rs.iter().any(|r| r.label == label && r.stamp == stamp)));
+        let reply = out.into_iter().next().unwrap().1;
+        a.on_message(now, b.id(), reply, &mut rng);
+        assert_eq!(a.table(0).row(label).unwrap().stamp, stamp, "a takes the stamp");
     }
 
     #[test]
@@ -1941,15 +1704,6 @@ mod tests {
         assert!(!out.is_empty());
         for (_, m) in &out {
             assert!(m.wire_size() > 8);
-        }
-        // Delta gossip may legitimately shrink a round to a digest-only
-        // exchange, but never to a free one.
-        let mut agents = make_delta_agents(8, 4);
-        let mut rng = fork(1, 1);
-        let out = agents[0].on_tick(SimTime::from_secs(1), &mut rng);
-        assert!(!out.is_empty());
-        for (_, m) in &out {
-            assert!(m.wire_size() > 0);
         }
     }
 }

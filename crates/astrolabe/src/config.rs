@@ -69,22 +69,13 @@ pub struct Config {
     pub aggregations: Vec<AggSpec>,
     /// How many random global contacts each agent keeps for bootstrap.
     pub contact_fanout: usize,
-    /// Delta-encoded gossip (the delta wire protocol's gossip half). Both
-    /// wires share one digest format — content-hashed entries, stamps taken
-    /// for values already held, refresh records instead of unchanged rows.
-    /// On top of it this adds per-peer lanes: a digest may cover only the
-    /// rows changed since the last one sent to the same peer on the same
-    /// level, a receiver that missed one asks for a full exchange
-    /// (`want_full`), and every [`DELTA_FULL_EXCHANGE_PERIOD`]-th digest to
-    /// a peer is full anyway so a dropped delta can never strand it. Off by
-    /// default.
+    /// Selects nothing: every agent sends the one gossip digest
+    /// (content-hashed entries for every held row, stamps taken for values
+    /// already held, refresh records instead of unchanged rows). The field
+    /// stays because existing configurations, the benchmark's among them,
+    /// still write it; nothing reads it.
     pub delta_gossip: bool,
 }
-
-/// In delta-gossip mode, every n-th digest to a given peer is a full
-/// digest — the safety net that re-advertises rows a lost partial digest
-/// may have skipped.
-pub const DELTA_FULL_EXCHANGE_PERIOD: u32 = 8;
 
 impl Config {
     /// The standard configuration: the core management aggregation

@@ -69,7 +69,7 @@ pub use agg::{
     EvalError, Expr, ParseAggError, RowSource,
 };
 pub use cert::{Certificate, KeyId, RotationRecord, SecretKey, Signature, TrustRegistry};
-pub use config::{AggSource, AggSpec, Config, DELTA_FULL_EXCHANGE_PERIOD};
+pub use config::{AggSource, AggSpec, Config};
 pub use mib::{AttrName, Mib, MibBuilder, Stamp};
 pub use simnode::AstroNode;
 pub use table::{Diff, MergeOutcome, Row, RowDigest, ZoneTable};
@@ -142,9 +142,9 @@ mod proptests {
             for (l, r) in &a_rows { a.merge_row(*l, Arc::clone(r)); }
             for (l, r) in &b_rows { b.merge_row(*l, Arc::clone(r)); }
 
-            // `b` answers `a`'s full digest; `a` takes the reply.
+            // `b` answers `a`'s digest; `a` takes the reply.
             let digest = a.digest();
-            let at_b = b.diff(&digest, true);
+            let at_b = b.diff(&digest);
             for e in at_b.adopt.iter().map(|&i| &digest[i as usize]) {
                 let held = Arc::clone(b.get(e.label).unwrap());
                 prop_assert!(b.merge_stamped(e.label, e.stamp, held) != MergeOutcome::Rejected);

@@ -83,10 +83,6 @@ pub struct Row {
     /// values it already holds (a heartbeat, an adopted digest entry, a
     /// refresh record) writes this field and keeps sharing the values.
     pub stamp: Stamp,
-    /// Table generation at which this row last changed (stamp or content).
-    /// Partial digests cover exactly the rows with `gen` past a peer's
-    /// last-synced generation.
-    pub gen: u64,
     /// The shared row version.
     pub mib: Arc<Mib>,
 }
@@ -193,13 +189,12 @@ impl ZoneTable {
                 }
                 slot.stamp = stamp;
                 self.generation += 1;
-                slot.gen = self.generation;
                 outcome
             }
             Err(i) => {
                 self.generation += 1;
                 self.content_gen += 1;
-                self.rows.insert(i, Row { label, stamp, gen: self.generation, mib: values });
+                self.rows.insert(i, Row { label, stamp, mib: values });
                 MergeOutcome::Inserted
             }
         }
@@ -223,14 +218,12 @@ impl ZoneTable {
                 slot.stamp = row.stamp;
                 slot.mib = row;
                 self.generation += 1;
-                self.rows[i].gen = self.generation;
                 changed
             }
             Err(i) => {
                 self.generation += 1;
                 self.content_gen += 1;
-                self.rows
-                    .insert(i, Row { label, stamp: row.stamp, gen: self.generation, mib: row });
+                self.rows.insert(i, Row { label, stamp: row.stamp, mib: row });
                 true
             }
         }
@@ -253,33 +246,25 @@ impl ZoneTable {
     /// Digest of every row (for anti-entropy exchange) — a contiguous copy
     /// of the inline `(label, stamp)` columns and each row's content hash.
     pub fn digest(&self) -> Vec<RowDigest> {
-        self.digest_since(0)
-    }
-
-    /// Digest of only the rows that changed after table generation `since`
-    /// (delta gossip). `digest_since(0)` equals [`ZoneTable::digest`].
-    pub fn digest_since(&self, since: u64) -> Vec<RowDigest> {
         self.rows
             .iter()
-            .filter(|r| r.gen > since)
             .map(|r| RowDigest { label: r.label, stamp: r.stamp, chash: r.mib.content_hash() })
             .collect()
     }
 
     /// Compares a peer digest against this replica (see [`Diff`]).
-    pub fn diff(&self, peer: &[RowDigest], full: bool) -> Diff {
+    pub fn diff(&self, peer: &[RowDigest]) -> Diff {
         let mut out = Diff::default();
-        self.diff_into(peer, full, &mut out);
+        self.diff_into(peer, &mut out);
         out
     }
 
     /// [`ZoneTable::diff`] writing into a caller-provided [`Diff`], so an
     /// agent reuses one scratch value across the many digests of a gossip
-    /// round. A `full` digest lists every row its sender holds, so a held
-    /// row it does not list is one the sender lacks; a partial digest
-    /// speaks only for the rows it lists. Equal stamps compare equal: two
-    /// honest replicas never hold one stamp with two contents.
-    pub fn diff_into(&self, peer: &[RowDigest], full: bool, out: &mut Diff) {
+    /// round. A digest lists every row its sender holds, so a held row it
+    /// does not list is one the sender lacks. Equal stamps compare equal:
+    /// two honest replicas never hold one stamp with two contents.
+    pub fn diff_into(&self, peer: &[RowDigest], out: &mut Diff) {
         out.ship.clear();
         out.refresh.clear();
         out.adopt.clear();
@@ -307,14 +292,12 @@ impl ZoneTable {
                 }
             }
         }
-        if full {
-            // Tables are bounded by the zone branching factor (tens of
-            // rows), so the nested label scan beats a sorted merge-walk: it
-            // is branch-predictable `u16` compares over one cache line.
-            for r in &self.rows {
-                if !peer.iter().any(|d| d.label == r.label) {
-                    out.ship.push(r.label);
-                }
+        // Tables are bounded by the zone branching factor (tens of rows),
+        // so the nested label scan beats a sorted merge-walk: it is
+        // branch-predictable `u16` compares over one cache line.
+        for r in &self.rows {
+            if !peer.iter().any(|d| d.label == r.label) {
+                out.ship.push(r.label);
             }
         }
         out.ship.sort_unstable();
@@ -380,14 +363,13 @@ mod tests {
         a.merge_row(6, valued(7, 55, 0)); // same values, newer stamp at b
         b.merge_row(6, valued(7, 60, 0));
 
-        let d = a.diff(&b.digest(), true);
+        let d = a.diff(&b.digest());
         assert_eq!(d.ship, vec![2, 4]);
         assert_eq!(d.want, vec![3]);
         assert_eq!(d.refresh, vec![a.digest()[3]], "row 5 refreshes under a's stamp");
         assert_eq!(d.adopt, vec![4], "row 6 adopts b's stamp, the digest's fifth entry");
-        // A partial digest speaks only for what it lists.
-        let partial = a.diff(&b.digest()[..1], false);
-        assert_eq!(partial, Diff::default());
+        // Digest entries carry the stamp-independent content hash.
+        assert_eq!(a.digest()[0].chash, a.get(1).unwrap().content_hash());
     }
 
     #[test]
@@ -399,7 +381,7 @@ mod tests {
         a.merge_row(2, valued(1, 10, 0));
         b.merge_row(2, valued(1, 12, 0));
         let (ad, bd) = (a.digest(), b.digest());
-        let (da, db) = (a.diff(&bd, true), b.diff(&ad, true));
+        let (da, db) = (a.diff(&bd), b.diff(&ad));
         assert_eq!((da.ship, da.want), (db.want.clone(), db.ship.clone()));
         let entries = |at: &[u32], of: &[RowDigest]| -> Vec<RowDigest> {
             at.iter().map(|&i| of[i as usize]).collect()
@@ -458,22 +440,6 @@ mod tests {
         let content = t.content_generation();
         assert!(!t.force_replace(3, same));
         assert_eq!(t.content_generation(), content);
-    }
-
-    #[test]
-    fn digest_since_covers_only_changed_rows() {
-        let mut t = ZoneTable::new(ZoneId::root());
-        t.merge_row(1, row(10, 0));
-        t.merge_row(2, row(10, 0));
-        let mark = t.generation();
-        t.merge_row(2, row(20, 0));
-        let partial = t.digest_since(mark);
-        assert_eq!(partial.len(), 1);
-        assert_eq!(partial[0].label, 2);
-        assert_eq!(t.digest_since(0), t.digest());
-        assert!(t.digest_since(t.generation()).is_empty());
-        // Digest entries carry the stamp-independent content hash.
-        assert_eq!(t.digest()[0].chash, t.get(1).unwrap().content_hash());
     }
 
     #[test]

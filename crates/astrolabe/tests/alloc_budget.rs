@@ -103,7 +103,7 @@ fn constructing_an_agent_stays_within_its_allocation_budget() {
 #[test]
 fn detectors_are_two_exact_allocations_per_level() {
     let layout = ZoneLayout::new(64, 4); // 4 x 4 x 4
-    let config = Config { branching: 4, delta_gossip: false, ..Config::standard() };
+    let config = Config { branching: 4, ..Config::standard() };
     let mut agents: Vec<Agent> =
         (0..64).map(|i| Agent::new(i, &layout, config.clone(), vec![0])).collect();
     run_rounds(&mut agents, 30);

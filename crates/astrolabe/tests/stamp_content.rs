@@ -3,7 +3,7 @@
 //! the property that lets a replica take a newer stamp for values it
 //! already holds (a digest entry or a refresh record with an equal content
 //! hash) instead of pulling the row, and the one such a shortcut would
-//! break silently. Both gossip wires are checked.
+//! break silently.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,12 +11,11 @@ use std::sync::Arc;
 use astrolabe::{Agent, Config, GossipMsg, MibBuilder, Stamp, TableDigest, TableRows, ZoneLayout};
 use simnet::{fork, SimDuration, SimTime};
 
-fn config(delta_gossip: bool) -> Config {
+fn config() -> Config {
     Config {
         branching: 4,
         gossip_interval: SimDuration::from_secs(1),
         row_ttl: SimDuration::from_secs(20),
-        delta_gossip,
         ..Config::standard()
     }
 }
@@ -51,66 +50,58 @@ fn assert_one_content_per_stamp(agents: &[Agent], context: &str) {
 /// `b`'s old ones; the record's content hash must stop it.
 #[test]
 fn a_refresh_record_never_restamps_values_that_changed_since_the_digest() {
-    for delta in [false, true] {
-        let layout = ZoneLayout::new(4, 4);
-        let mut agents: Vec<Agent> =
-            (0..2).map(|i| Agent::new(i, &layout, config(delta), vec![])).collect();
-        let zone = agents[0].zone(0).clone();
-        let mut rng = fork(3, 0);
-        let now = SimTime::from_secs(10);
-        // Row 2 is node 2's, which is not simulated: its versions arrive
-        // as pushed rows.
-        let stamp = |s: u64| Stamp { issued_us: s * 1_000_000, version: s, origin: 2 };
-        let rows = |s: Stamp, load: f64| {
-            let values = MibBuilder::new().attr("id", 2i64).attr("load", load).build(s);
-            GossipMsg::Rows {
-                rows: vec![TableRows { zone: zone.clone(), rows: vec![(2, s, Arc::new(values))] }],
-            }
-        };
-        let digest_of = |a: &Agent| GossipMsg::Digest {
-            digests: vec![TableDigest {
-                zone: zone.clone(),
-                rows: a.table(0).digest().into(),
-                since: 0,
-                gen: 0,
-            }],
-        };
-        let (old, between, newer) = (stamp(5), stamp(6), stamp(7));
-
-        // a holds the values under an old stamp, b the same values under a
-        // newer one.
-        agents[0].on_message(now, 2, rows(old, 0.5), &mut rng);
-        agents[1].on_message(now, 2, rows(newer, 0.5), &mut rng);
-        let digest = digest_of(&agents[0]);
-        let mut out = agents[1].on_message(now, 0, digest, &mut rng);
-        assert!(
-            matches!(out.as_slice(), [(0, GossipMsg::DigestReply { .. })]),
-            "b, newer on row 2, must answer a's digest: {out:?}"
-        );
-        let reply = out.pop().unwrap().1;
-
-        // Before the reply lands, a learns other values under a stamp
-        // between the two.
-        agents[0].on_message(now, 2, rows(between, 0.9), &mut rng);
-        agents[0].on_message(now, 1, reply, &mut rng);
-        assert_one_content_per_stamp(&agents, &format!("delta {delta}, after the reply"));
-        let held = agents[0].table(0).row(2).unwrap();
-        let held = (held.stamp, held.mib.get("load").and_then(|v| v.as_f64()));
-        assert!(
-            [(between, Some(0.9)), (newer, Some(0.5))].contains(&held),
-            "delta {delta}: a holds {held:?}, a version nobody issued"
-        );
-
-        // The next exchange settles it the ordinary way: b is newer with
-        // other values, so the row travels.
-        let digest = digest_of(&agents[0]);
-        let out = agents[1].on_message(now, 0, digest, &mut rng);
-        for (_, reply) in out {
-            agents[0].on_message(now, 1, reply, &mut rng);
+    let layout = ZoneLayout::new(4, 4);
+    let mut agents: Vec<Agent> = (0..2).map(|i| Agent::new(i, &layout, config(), vec![])).collect();
+    let zone = agents[0].zone(0).clone();
+    let mut rng = fork(3, 0);
+    let now = SimTime::from_secs(10);
+    // Row 2 is node 2's, which is not simulated: its versions arrive
+    // as pushed rows.
+    let stamp = |s: u64| Stamp { issued_us: s * 1_000_000, version: s, origin: 2 };
+    let rows = |s: Stamp, load: f64| {
+        let values = MibBuilder::new().attr("id", 2i64).attr("load", load).build(s);
+        GossipMsg::Rows {
+            rows: vec![TableRows { zone: zone.clone(), rows: vec![(2, s, Arc::new(values))] }],
         }
-        let held = agents[0].table(0).row(2).unwrap();
-        assert_eq!((held.stamp, held.mib.get("load").and_then(|v| v.as_f64())), (newer, Some(0.5)));
+    };
+    let digest_of = |a: &Agent| GossipMsg::Digest {
+        digests: vec![TableDigest { zone: zone.clone(), rows: a.table(0).digest().into() }],
+    };
+    let (old, between, newer) = (stamp(5), stamp(6), stamp(7));
+
+    // a holds the values under an old stamp, b the same values under a
+    // newer one.
+    agents[0].on_message(now, 2, rows(old, 0.5), &mut rng);
+    agents[1].on_message(now, 2, rows(newer, 0.5), &mut rng);
+    let digest = digest_of(&agents[0]);
+    let mut out = agents[1].on_message(now, 0, digest, &mut rng);
+    assert!(
+        matches!(out.as_slice(), [(0, GossipMsg::DigestReply { .. })]),
+        "b, newer on row 2, must answer a's digest: {out:?}"
+    );
+    let reply = out.pop().unwrap().1;
+
+    // Before the reply lands, a learns other values under a stamp
+    // between the two.
+    agents[0].on_message(now, 2, rows(between, 0.9), &mut rng);
+    agents[0].on_message(now, 1, reply, &mut rng);
+    assert_one_content_per_stamp(&agents, "after the reply");
+    let held = agents[0].table(0).row(2).unwrap();
+    let held = (held.stamp, held.mib.get("load").and_then(|v| v.as_f64()));
+    assert!(
+        [(between, Some(0.9)), (newer, Some(0.5))].contains(&held),
+        "a holds {held:?}, a version nobody issued"
+    );
+
+    // The next exchange settles it the ordinary way: b is newer with
+    // other values, so the row travels.
+    let digest = digest_of(&agents[0]);
+    let out = agents[1].on_message(now, 0, digest, &mut rng);
+    for (_, reply) in out {
+        agents[0].on_message(now, 1, reply, &mut rng);
     }
+    let held = agents[0].table(0).row(2).unwrap();
+    assert_eq!((held.stamp, held.mib.get("load").and_then(|v| v.as_f64())), (newer, Some(0.5)));
 }
 
 /// A message in flight: `(from, to, message)`.
@@ -123,17 +114,15 @@ type Flight = (u32, u32, GossipMsg);
 /// every step.
 #[test]
 fn no_two_replicas_hold_one_stamp_with_two_contents() {
-    for delta in [false, true] {
-        for (seed, n, branching) in [(1u64, 4u32, 2u16), (2, 6, 2), (3, 8, 2), (4, 8, 4)] {
-            run_schedule(delta, seed, n, branching);
-        }
+    for (seed, n, branching) in [(1u64, 4u32, 2u16), (2, 6, 2), (3, 8, 2), (4, 8, 4)] {
+        run_schedule(seed, n, branching);
     }
 }
 
-fn run_schedule(delta: bool, seed: u64, n: u32, branching: u16) {
+fn run_schedule(seed: u64, n: u32, branching: u16) {
     use rand::Rng;
     let layout = ZoneLayout::new(n, branching);
-    let cfg = Config { branching, ..config(delta) };
+    let cfg = Config { branching, ..config() };
     let mut agents: Vec<Agent> =
         (0..n).map(|i| Agent::new(i, &layout, cfg.clone(), vec![0])).collect();
     let mut rng = fork(seed, 1);
@@ -181,7 +170,7 @@ fn run_schedule(delta: bool, seed: u64, n: u32, branching: u16) {
         }
         assert_one_content_per_stamp(
             &agents,
-            &format!("delta {delta}, seed {seed}, n {n}, b {branching}, step {step}"),
+            &format!("seed {seed}, n {n}, b {branching}, step {step}"),
         );
     }
 }

@@ -61,9 +61,9 @@ const N: u32 = 64;
 const ROUND: SimDuration = SimDuration::from_secs(2);
 
 /// 64 agents in three levels of four (the standard gossip cadence).
-fn deployment(delta_gossip: bool) -> Vec<Agent> {
+fn deployment() -> Vec<Agent> {
     let layout = ZoneLayout::new(N, 4);
-    let config = Config { branching: 4, delta_gossip, ..Config::standard() };
+    let config = Config { branching: 4, ..Config::standard() };
     (0..N).map(|i| Agent::new(i, &layout, config.clone(), vec![(i * 17 + 5) % N])).collect()
 }
 
@@ -82,45 +82,37 @@ fn round(agents: &mut [Agent], now: SimTime, rng: &mut SmallRng) {
 
 /// Allocations per round of a converged 64-agent deployment: the messages
 /// themselves (digest, reply and outbox vectors, a few per exchange) and
-/// the failure-detector sweep. Measured at 1,355 on the full wire and 1,713
-/// on the delta wire (whose lanes hash-map per peer); a build that
-/// allocated a row per re-stamp measured 2,086 and 2,779. The budgets leave
-/// ≈ 7 % for hash-seed wobble and none for a row per re-stamp.
+/// the failure-detector sweep. Measured at 1,355; a build that allocated a
+/// row per re-stamp measured 2,086. The budget leaves ≈ 7 % for hash-seed
+/// wobble and none for a row per re-stamp.
 #[test]
 fn a_steady_round_stays_within_its_allocation_budget() {
-    for (delta, budget) in [(false, 1_450), (true, 1_850)] {
-        let mut agents = deployment(delta);
-        let mut rng = fork(7, 0);
-        let mut now = SimTime::ZERO;
-        for _ in 0..40 {
+    let mut agents = deployment();
+    let mut rng = fork(7, 0);
+    let mut now = SimTime::ZERO;
+    for _ in 0..40 {
+        now += ROUND;
+        round(&mut agents, now, &mut rng);
+    }
+    for a in &agents {
+        let rows: usize = (0..a.levels()).map(|l| a.table(l).len()).sum();
+        assert_eq!(rows, 12, "agent {} converged", a.id());
+    }
+    const ROUNDS: u64 = 10;
+    let ((), allocs) = counted(|| {
+        for _ in 0..ROUNDS {
             now += ROUND;
             round(&mut agents, now, &mut rng);
         }
-        for a in &agents {
-            let rows: usize = (0..a.levels()).map(|l| a.table(l).len()).sum();
-            assert_eq!(rows, 12, "agent {} converged (delta {delta})", a.id());
-        }
-        const ROUNDS: u64 = 10;
-        let ((), allocs) = counted(|| {
-            for _ in 0..ROUNDS {
-                now += ROUND;
-                round(&mut agents, now, &mut rng);
-            }
-        });
-        let per_round = allocs / ROUNDS;
-        assert!(per_round <= budget, "{per_round} allocations per round (delta {delta})");
-    }
+    });
+    let per_round = allocs / ROUNDS;
+    assert!(per_round <= 1_450, "{per_round} allocations per round");
 }
 
 /// `a`'s full digest of every table it shares with `b`.
 fn digest_of(a: &Agent) -> GossipMsg {
     let digests = (0..a.levels())
-        .map(|l| TableDigest {
-            zone: a.zone(l).clone(),
-            rows: a.table(l).digest().into(),
-            since: 0,
-            gen: 0,
-        })
+        .map(|l| TableDigest { zone: a.zone(l).clone(), rows: a.table(l).digest().into() })
         .collect();
     GossipMsg::Digest { digests }
 }
@@ -136,7 +128,7 @@ fn sync(agents: &mut [Agent], a: usize, b: usize, now: SimTime, rng: &mut SmallR
 
 #[test]
 fn taking_a_stamp_for_held_values_allocates_nothing() {
-    let mut agents = deployment(false);
+    let mut agents = deployment();
     let mut rng = fork(9, 0);
     let mut now = SimTime::ZERO;
     for _ in 0..40 {

@@ -205,7 +205,7 @@ pub(crate) fn run(quick: bool) {
          churned interested nodes only. The paper's §9 crash-stop model implies 100% for \
          every mode; in the AE-off ablation nothing refills a cold log (its oracle column \
          reads FAIL: the tree's acks only retry a hop the sender still tracks) — \
-         reconciliation (sys$ae digests) is what makes recovery whole, freeze included."
+         reconciliation (leaf mates' digest riders) is what makes recovery whole, freeze included."
     ));
     table.print();
 }

@@ -1,19 +1,19 @@
-//! E20 — the delta-everything wire protocol: wire bytes under CDC article
-//! deltas plus gossip row diffs, against the full-payload baseline.
+//! E20 — the delta wire protocol: wire bytes under CDC article deltas,
+//! against the full-payload baseline.
 //!
 //! Paper basis (§5, §9): the infrastructure leans on continuous background
 //! traffic — gossip exchanges every round, revision fusion re-shipping
 //! whole article bodies, repair and reconciliation replies — and the paper
 //! simply prices all of it at full size. This experiment asks
-//! what the same protocol costs when everything on the wire is
-//! delta-encoded: gossip digests shrink to row diffs against what the peer
-//! already acknowledged, and a revised article ships only the CDC chunks
-//! that changed since the revision the receiver holds.
+//! what the same protocol costs when article bodies are delta-encoded: a
+//! revised article ships only the CDC chunks that changed since the
+//! revision the receiver holds. Gossip is the same on both arms — one
+//! digest, in which a row whose values did not change moves by stamp.
 //!
 //! Two arms run the identical seeded revision-heavy workload in one
 //! process: `full` with the delta protocol off (every payload full-priced,
-//! the pre-delta wire format) and `delta` with CDC article deltas, gossip
-//! row diffs and compressed-wire accounting all on. Telemetry is drained
+//! the pre-delta wire format) and `delta` with CDC article deltas and
+//! compressed-wire accounting on. Telemetry is drained
 //! after the settle phase so both arms meter the same steady-state window.
 //! Reported: full-priced bytes, accounted wire bytes, the reduction ratio
 //! (full arm's wire bytes over the delta arm's — the nightly gate asserts
@@ -181,10 +181,10 @@ pub(crate) fn run(quick: bool) {
          published in 20 s waves, byte meters zeroed after a 60 s settle so both arms price \
          the same steady-state window. `sent MB` is every payload at full price, `wire MB` \
          is the accounting model's compressed figure, `ratio` the full arm's wire bytes \
-         over this arm's. Both arms share one gossip digest (rows whose values did not \
-         change move by stamp: `refresh rows`); the delta arm adds per-peer partial \
-         digests plus CDC chunk deltas for revised articles; deliveries themselves are \
-         identical, so p50 must hold while bytes fall. `gossip B/node/round` is what \
+         over this arm's. Both arms send the one gossip digest (rows whose values did \
+         not change move by stamp: `refresh rows`); the delta arm adds CDC chunk deltas \
+         for revised articles; deliveries themselves are identical, so p50 must hold \
+         while bytes fall. `gossip B/node/round` is what \
          one node's gossip sent per round, digests, replies and pushed rows together."
     ));
     table.print();

@@ -122,7 +122,6 @@ fn run_point(n: u32, duration: u64, seeds: u32, sybil: u32, defense: Defense, se
             end,
             mean_interval_secs: 9.0,
             identities_per_strike: sybil,
-            publisher: 0,
         });
     }
     d.sim.apply_fault_plan(&plan);

@@ -43,7 +43,10 @@ pub struct NewsWireConfig {
     pub astrolabe: astrolabe::Config,
     /// Subscription summary model.
     pub model: SubscriptionModel,
-    /// Representatives used per interested child during forwarding.
+    /// Representatives used per interested child during forwarding. While
+    /// its gossip exchanges lose messages, the source also sends each of
+    /// its hand-offs this many times, so a zone it hands an article to is
+    /// reached by `redundancy²` copies, as every zone below is.
     pub redundancy: usize,
     /// End-system cache policy.
     pub cache: CachePolicy,
@@ -53,9 +56,10 @@ pub struct NewsWireConfig {
     /// the seed's unacknowledged hand-offs (a slow-but-alive representative
     /// silently blackholes its subtree until anti-entropy catches it).
     pub acks: bool,
-    /// Log anti-entropy: piggyback per-publisher article-log digests
-    /// (`sys$ae:<publisher>` attributes) on gossip rows and pull missing
-    /// sequence ranges from the freshest known peer. The periodic recovery:
+    /// Log anti-entropy: carry this node's per-publisher article-log
+    /// digests as a rider on gossip to its leaf mates, and pull missing
+    /// sequence ranges from the freshest mate (or, blind, across the zone
+    /// boundary). Off sends no rider. The periodic recovery:
     /// it closes arbitrarily deep holes (everything missed during a
     /// partition, a joiner's whole backlog, a `Deliver` whose re-sends were
     /// lost too), where the tree's acks only retry one hop.
@@ -80,10 +84,10 @@ pub struct NewsWireConfig {
     /// The delta-everything wire protocol: revised envelopes and
     /// repair/reconcile replies carry CDC delta annotations against
     /// baselines the receiver holds, and requests declare held revisions as
-    /// [`amcast::BaselineHint`]s. Off by default. A deployment built with
-    /// it also gossips row diffs (`astrolabe.delta_gossip`) and counts the
-    /// compressed-wire byte lane (`Simulation::set_delta_accounting`);
-    /// [`crate::DeploymentBuilder::build`] sets both from this switch.
+    /// [`amcast::BaselineHint`]s. Off by default. Gossip is the same on
+    /// both wires. A deployment built with it also counts the
+    /// compressed-wire byte lane (`Simulation::set_delta_accounting`),
+    /// which [`crate::DeploymentBuilder::build`] sets from this switch.
     pub deltas: bool,
     /// Sybil admission control (DESIGN §15): leaf-zone member rows must
     /// carry a registry-endorsed join ticket (`sys$jt` attribute), rows

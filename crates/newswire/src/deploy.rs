@@ -113,16 +113,14 @@ impl DeploymentBuilder {
     /// leaf of the same Astrolabe tree (publishers are "just another
     /// Astrolabe leaf node", §8).
     ///
-    /// The configuration's `deltas` switch selects the whole delta wire:
-    /// the agents' `delta_gossip` and the simulation's delta accounting
-    /// follow it.
+    /// The configuration's `deltas` switch selects the delta wire, and the
+    /// simulation's delta accounting follows it.
     ///
     /// # Panics
     ///
     /// Panics if no publishers were added.
-    pub fn build(mut self) -> Deployment {
+    pub fn build(self) -> Deployment {
         assert!(!self.publishers.is_empty(), "deployment needs at least one publisher");
-        self.config.astrolabe.delta_gossip = self.config.deltas;
         let n = self.subscribers + self.publishers.len() as u32;
         let layout = ZoneLayout::new(n, self.branching);
 

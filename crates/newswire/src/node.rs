@@ -19,7 +19,7 @@ use amcast::{
     RangeSummary, SeqLog, FORWARD_STRATEGY, SERVICE_INTERVAL,
 };
 use astrolabe::{
-    Agent, AttrValue, GossipMsg, KeyId, RotationRecord, Signature, TrustRegistry, ZoneId,
+    Agent, AttrValue, GossipMsg, KeyId, Mib, RotationRecord, Signature, TrustRegistry, ZoneId,
     ZoneLayout,
 };
 use newsml::{ItemId, NewsItem, PublisherId};
@@ -38,7 +38,7 @@ use crate::config::{NewsWireConfig, SubscriptionModel};
 use crate::flow::TokenBucket;
 use crate::persist;
 use crate::subscription::{item_position_groups, Subscription};
-use crate::wire::{msg_id_of, DeltaBasis, Envelope, NewsWireMsg, SignedItem, Stub};
+use crate::wire::{msg_id_of, DeltaBasis, Envelope, LogDigests, NewsWireMsg, SignedItem, Stub};
 
 mod admit;
 mod adversary;
@@ -143,12 +143,6 @@ const RECONCILE_WAIT_TIMER: u64 = 5;
 /// The acknowledgement table's sweep timer tag, the one tag of the amcast
 /// path.
 const ACK_TAG_BASE: u64 = 1 << 32;
-
-/// Prefix of the gossip-row attributes carrying per-publisher article-log
-/// digests (`sys$ae:<publisher>` → [`RangeSummary::encode`] output). The
-/// digests ride on the rows Astrolabe already gossips — anti-entropy hole
-/// detection costs no extra message types.
-pub const AE_ATTR_PREFIX: &str = "sys$ae:";
 
 /// Prefix of the gossip-row attributes carrying adopted trust-root
 /// rotation records (`sys$rot:<publisher>` → [`RotationRecord::encode`]
@@ -255,6 +249,11 @@ const MAX_PENDING_DELIVERS: usize = 256;
 /// tells a final hop losing under 0.4 % from a 1 % one, whose round trips
 /// all answer 256 times in a row with odds of 0.98^256 ≈ 0.6 %.
 const SPLIT_STREAK: u32 = 256;
+
+/// Gossip exchanges answered in a row after which a node takes its links as
+/// clean again (see [`NewsWireNode::source_copies`]). At 5 % loss one
+/// exchange in ten goes unanswered, so a run of 256 does not occur.
+const CLEAN_EXCHANGES: u32 = 256;
 
 /// Most announces a member remembers while it waits for their article; past
 /// that, the oldest is forgotten and its announcer sends the payload.
@@ -676,10 +675,21 @@ pub struct NewsWireNode {
     /// `DigestReply`: `(peer, sent)`. Each reply times one round trip; at
     /// most one entry per table level plus two.
     digest_probes: Vec<(u32, SimTime)>,
+    /// Probes answered in a row since one was still open at the next tick.
+    /// Starts at [`CLEAN_EXCHANGES`]: links are clean until one loses.
+    answered_probes: u32,
     /// Per-publisher article logs: which sequence numbers this node has
     /// *seen* (cached, or settled as not for it), and what it can vouch for
     /// about each. Gaps are the holes anti-entropy reconciliation pulls.
     article_logs: BTreeMap<PublisherId, SeqLog<LogEntry>>,
+    /// This node's digest rider, rebuilt from the article logs once per
+    /// gossip tick; every gossip message to a leaf mate carries it.
+    ae_digests: Option<LogDigests>,
+    /// The last digest rider each leaf mate sent, by node id, with the
+    /// version of the mate's leaf row when it came: what hole detection,
+    /// the epoch vote and the recovery check read. At most one entry per
+    /// leaf-zone member.
+    leaf_digests: BTreeMap<u32, (u64, LogDigests)>,
     /// The stubs the article logs' not-for-me entries refer to.
     stubs: StubTable,
     /// When a blind cross-zone ask for the tail of a hole-free log is next
@@ -749,7 +759,10 @@ impl NewsWireNode {
             acks,
             held_announces: VecDeque::new(),
             digest_probes: Vec::new(),
+            answered_probes: CLEAN_EXCHANGES,
             article_logs: BTreeMap::new(),
+            ae_digests: None,
+            leaf_digests: BTreeMap::new(),
             stubs: StubTable::default(),
             tail_probe: (SimTime::ZERO + TAIL_PROBE_QUIET, TAIL_PROBE_QUIET),
             peer_health,
@@ -837,9 +850,63 @@ impl NewsWireNode {
         }
     }
 
-    /// Wraps an outgoing Astrolabe exchange with the rotation rider.
-    fn gossip_msg(&self, g: GossipMsg) -> NewsWireMsg {
-        NewsWireMsg::Gossip { g, rot: self.trust.rider() }
+    /// Wraps an outgoing Astrolabe exchange with the rotation rider and,
+    /// to a leaf mate, the digest rider.
+    fn gossip_msg(&self, to: u32, g: GossipMsg) -> NewsWireMsg {
+        let digests = self.ae_digests.as_ref().filter(|_| self.leaf_mate(to)).map(Arc::clone);
+        NewsWireMsg::Gossip { g, rot: self.trust.rider(), digests }
+    }
+
+    /// Takes the digest rider of a gossip message from `from`: a leaf
+    /// mate's replaces the last one it sent, and a mate's exchange without
+    /// one retracts it. A rider from outside the leaf zone is not kept, and
+    /// one naming a window no log can have (`next` below `floor`, or more
+    /// entries present than the window holds) counts as none: riders come
+    /// from peers, and a peer may lie.
+    fn take_digest_rider(&mut self, from: u32, digests: Option<LogDigests>) {
+        if !self.leaf_mate(from) {
+            return;
+        }
+        let possible = |s: &RangeSummary| s.floor <= s.next && s.present <= s.next - s.floor;
+        match digests.filter(|d| d.iter().all(|(_, s)| possible(s))) {
+            Some(d) => {
+                let row = self.agent.table(0).rows().iter().find(|r| row_id(&r.mib) == Some(from));
+                self.leaf_digests.insert(from, (row.map_or(0, |r| r.stamp.version), d))
+            }
+            None => self.leaf_digests.remove(&from),
+        };
+    }
+
+    /// Whether `peer` is another member of this node's leaf zone.
+    fn leaf_mate(&self, peer: u32) -> bool {
+        peer != self.agent.id()
+            && self
+                .agent
+                .layout()
+                .agent_range(self.agent.zone(0))
+                .is_some_and(|r| r.contains(&peer))
+    }
+
+    /// The digests of `publisher`'s log this node's leaf mates last sent
+    /// it, `(mate, summary)`, in leaf-table order. Only a mate with a row
+    /// here counts, so a rider from a member the table has let go of, or
+    /// never admitted, is not read. Nor is one taken before the mate's row
+    /// versions started over: every restart, a freeze included, restarts
+    /// them and wipes the logs the rider described, and only a cold
+    /// restart burns an incarnation that drops the rider outright.
+    fn mate_digests(
+        &self,
+        publisher: PublisherId,
+    ) -> impl Iterator<Item = (u32, RangeSummary)> + '_ {
+        let own = self.agent.own_label(0);
+        self.agent.table(0).rows().iter().filter(move |r| r.label != own).filter_map(move |r| {
+            let mate = row_id(&r.mib)?;
+            let (version, digests) = self.leaf_digests.get(&mate)?;
+            if r.stamp.version < *version {
+                return None;
+            }
+            digests.iter().find(|(p, _)| *p == publisher).map(|&(_, s)| (mate, s))
+        })
     }
 
     /// Sybil admission control (DESIGN §15), applied to incoming gossip
@@ -860,13 +927,8 @@ impl NewsWireNode {
         };
         let leaf = self.agent.zone(0).clone();
         let own_id = self.agent.id();
-        let known: HashSet<u32> = self
-            .agent
-            .table(0)
-            .iter()
-            .filter_map(|(_, row)| row.get("id").and_then(|v| v.as_i64()))
-            .filter_map(|v| u32::try_from(v).ok())
-            .collect();
+        let known: HashSet<u32> =
+            self.agent.table(0).iter().filter_map(|(_, row)| row_id(row)).collect();
         let mut members = known.len();
         let mut refused: Vec<u32> = Vec::new();
         let registry = &self.registry;
@@ -875,9 +937,7 @@ impl NewsWireNode {
                 continue;
             }
             batch.rows.retain(|(_, _, row)| {
-                let Some(id) =
-                    row.get("id").and_then(|v| v.as_i64()).and_then(|v| u32::try_from(v).ok())
-                else {
+                let Some(id) = row_id(row) else {
                     // Structurally invalid rows are the ingest validator's
                     // problem, not admission control's.
                     return true;
@@ -926,7 +986,7 @@ impl NewsWireNode {
             return true;
         }
         self.agent.table(0).iter().any(|(_, row)| {
-            row.get("id").and_then(|v| v.as_i64()).and_then(|v| u32::try_from(v).ok()) == Some(peer)
+            row_id(row) == Some(peer)
                 && row
                     .get(JOIN_TICKET_ATTR)
                     .and_then(|v| v.as_str())
@@ -1793,6 +1853,24 @@ impl NewsWireNode {
         self.resend_ack(ctx, ack);
     }
 
+    /// How many times a queued copy goes on the wire. A zone below the
+    /// source is handed an article by each of its parent zone's
+    /// `redundancy` representatives; one the source hands it to has one
+    /// sender. So while this node's gossip exchanges lose messages, the
+    /// source sends each of its hand-offs `redundancy` times, under one
+    /// acknowledgement entry; a retry is one copy (DESIGN §6).
+    fn source_copies(&self, msg: &NewsWireMsg) -> u64 {
+        match (msg, &self.publisher) {
+            (NewsWireMsg::Forward { env, .. }, Some(p))
+                if p.credential.publisher() == env.item.id.publisher
+                    && self.answered_probes < CLEAN_EXCHANGES =>
+            {
+                self.cfg.redundancy.max(1) as u64
+            }
+            _ => 1,
+        }
+    }
+
     /// Sends `ack`'s copy to its peer again and re-enters it.
     fn resend_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, ack: Ack) {
         obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
@@ -1800,22 +1878,17 @@ impl NewsWireNode {
         self.enter_ack(ctx.now(), ack);
     }
 
-    /// Publishes the per-publisher log digests into this node's MIB row so
-    /// they gossip with everything else (`sys$ae:<publisher>`).
+    /// Rebuilds this node's digest rider from its article logs: one
+    /// summary per logged publisher, or none with anti-entropy off or
+    /// nothing logged.
     fn publish_ae_digests(&mut self) {
-        if !self.cfg.anti_entropy {
-            return;
-        }
-        let digests: Vec<(PublisherId, String)> =
-            self.article_logs.iter().map(|(p, log)| (*p, log.summary().encode())).collect();
-        for (publisher, encoded) in digests {
-            self.agent.set_local_attr(&format!("{AE_ATTR_PREFIX}{}", publisher.0), encoded);
-        }
+        self.ae_digests = (self.cfg.anti_entropy && !self.article_logs.is_empty())
+            .then(|| self.article_logs.iter().map(|(p, log)| (*p, log.summary())).collect());
     }
 
     /// One reconcile step per gossip round: pick the next publisher with
-    /// holes (round-robin), find the freshest peer whose gossiped digest can
-    /// fill them, and pull the missing ranges.
+    /// holes (round-robin), find the freshest leaf mate whose digest rider
+    /// can fill them, and pull the missing ranges.
     ///
     /// The publishers are those with a log plus those subscribed to; a
     /// subscribed publisher with no log yet — a joiner, a node back from a
@@ -1848,30 +1921,15 @@ impl NewsWireNode {
         publishers.dedup();
         let no_log = SeqLog::new(ARTICLE_LOG_CAPACITY);
         let now = ctx.now();
-        let own = self.agent.own_label(0);
         for step in 0..publishers.len() {
             let publisher = publishers[(self.reconcile_cursor + step) % publishers.len()];
             let log = self.article_logs.get(&publisher).unwrap_or(&no_log);
             // One walk of the own log per publisher; each neighbour is then
             // tested against the result without allocating.
             let gaps = log.gaps();
-            let attr = format!("{AE_ATTR_PREFIX}{}", publisher.0);
             // Leaf neighbours advertising digests that cover holes we have.
             let mut best: Option<(RangeSummary, u32)> = None;
-            for (label, row) in self.agent.table(0).iter() {
-                if label == own {
-                    continue;
-                }
-                let Some(peer) =
-                    row.get("id").and_then(|v| v.as_i64()).and_then(|v| u32::try_from(v).ok())
-                else {
-                    continue;
-                };
-                let Some(summary) =
-                    row.get(&attr).and_then(|v| v.as_str()).and_then(RangeSummary::decode)
-                else {
-                    continue;
-                };
+            for (peer, summary) in self.mate_digests(publisher) {
                 if !summary.contiguous() || !log.lacks(&gaps, &summary) {
                     continue;
                 }
@@ -2223,33 +2281,30 @@ impl NewsWireNode {
             if self.peer_endorsed(peer) {
                 self.misbehavior.remove(&peer);
             }
+            // So was its digest: a restarted mate's log may now be shorter
+            // than the rider it last sent, and a pull against that rider
+            // would take its honest, empty reply for a contradiction.
+            self.leaf_digests.remove(&peer);
         }
     }
 
     /// The epoch most of this node's leaf neighbours advertise for
-    /// `publisher` in their gossiped `sys$ae:` digests — the reference the
-    /// epoch fence trusts. A genuine publisher restart reaches every
-    /// neighbour within a gossip round or two, so the mode tracks honest
-    /// epoch bumps; a fabricated epoch stays a minority of one. Ties break
-    /// *low* (never fence up to a contested epoch). `None` when no
-    /// neighbour advertises a digest. This is corruption tolerance under a
-    /// majority-honest leaf zone, not Byzantine agreement — a colluding
-    /// majority defeats it, which is why the epoch fence prefers the
-    /// publisher-signed attestation whenever one is held and falls back to
-    /// this mode only before any attestation arrives (see DESIGN §12; the
-    /// §11 caveat describes the fallback's limits).
+    /// `publisher` in their digest riders — the reference the epoch fence
+    /// trusts. Only a mate that sent a rider votes, so an identity that
+    /// exists only as a row (a Sybil) has no vote. A genuine publisher
+    /// restart reaches every neighbour within a gossip round or two, so the
+    /// mode tracks honest epoch bumps; a fabricated epoch stays a minority
+    /// of one. Ties break *low* (never fence up to a contested epoch).
+    /// `None` when no neighbour advertises a digest. This is corruption
+    /// tolerance under a majority-honest leaf zone, not Byzantine agreement
+    /// — a colluding majority defeats it, which is why the epoch fence
+    /// prefers the publisher-signed attestation whenever one is held and
+    /// falls back to this mode only before any attestation arrives (see
+    /// DESIGN §12; the §11 caveat describes the fallback's limits).
     fn consensus_epoch(&self, publisher: PublisherId) -> Option<u32> {
-        let attr = format!("{AE_ATTR_PREFIX}{}", publisher.0);
-        let own = self.agent.own_label(0);
         let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
-        for (label, row) in self.agent.table(0).iter() {
-            if label == own {
-                continue;
-            }
-            let summary = row.get(&attr).and_then(|v| v.as_str()).and_then(RangeSummary::decode);
-            if let Some(s) = summary {
-                *counts.entry(s.epoch).or_insert(0) += 1;
-            }
+        for (_, s) in self.mate_digests(publisher) {
+            *counts.entry(s.epoch).or_insert(0) += 1;
         }
         counts.into_iter().max_by_key(|&(epoch, n)| (n, std::cmp::Reverse(epoch))).map(|(e, _)| e)
     }
@@ -2402,8 +2457,8 @@ impl NewsWireNode {
 
     /// Wipes the protocol state every restart mode loses, a freeze included:
     /// membership view, cache (signatures with it), deliveries, the
-    /// acknowledgement table, article logs, peer observations and the
-    /// digests in the own row that described the logs.
+    /// acknowledgement table, article logs, the digest riders that
+    /// described them and the ones leaf mates sent, and peer observations.
     fn reset_protocol_state(&mut self) {
         self.agent.reset();
         self.cache = MessageCache::new(self.cfg.cache);
@@ -2412,22 +2467,24 @@ impl NewsWireNode {
         self.acks.clear();
         self.held_announces.clear();
         self.digest_probes.clear();
+        self.answered_probes = CLEAN_EXCHANGES;
         self.article_logs.clear();
+        self.ae_digests = None;
+        self.leaf_digests.clear();
         self.stubs.clear();
         self.peer_health.clear();
         self.misbehavior.clear();
         self.awaiting_reconcile = None;
-        self.agent.remove_local_attrs(AE_ATTR_PREFIX);
         self.backfill_this_recovery = 0;
     }
 
     /// Checks whether an in-progress cold-restart recovery has caught up:
     /// no pull in flight, every article log hole-free, and — for every
     /// publisher this node subscribes to — the log's high-water mark at or
-    /// past the highest mark any leaf neighbour advertises in its gossiped
-    /// anti-entropy digest. The last clause is what makes the criterion
-    /// meaningful for an amnesiac rejoin, whose freshly empty logs would
-    /// otherwise be vacuously hole-free.
+    /// past the highest mark any leaf neighbour advertises in its digest
+    /// rider. The last clause is what makes the criterion meaningful for an
+    /// amnesiac rejoin, whose freshly empty logs would otherwise be
+    /// vacuously hole-free.
     fn check_recovery_done(&mut self, now: SimTime) {
         let Some(started) = self.recovering_since else { return };
         if self.awaiting_reconcile.is_some() {
@@ -2450,18 +2507,7 @@ impl NewsWireNode {
             return;
         }
         for (p, _) in &self.subscription.publishers {
-            let attr = format!("{AE_ATTR_PREFIX}{}", p.0);
-            let mut neighborhood_next = 0u64;
-            for (label, row) in self.agent.table(0).iter() {
-                if label == own {
-                    continue;
-                }
-                if let Some(s) =
-                    row.get(&attr).and_then(|v| v.as_str()).and_then(RangeSummary::decode)
-                {
-                    neighborhood_next = neighborhood_next.max(s.next);
-                }
-            }
+            let neighborhood_next = self.mate_digests(*p).map(|(_, s)| s.next).max().unwrap_or(0);
             let reached = self
                 .article_logs
                 .get(p)
@@ -2505,13 +2551,14 @@ impl Node for NewsWireNode {
         self.clock = ctx.now();
         self.note_alive(from, ctx.now());
         match msg {
-            NewsWireMsg::Gossip { g, rot } => {
+            NewsWireMsg::Gossip { g, rot, digests } => {
                 let now = ctx.now();
                 // A `DigestReply` closes the exchange this node's `Digest`
                 // opened: one timed round trip to `from`.
                 if let GossipMsg::DigestReply { .. } = &g {
                     if let Some(at) = self.digest_probes.iter().position(|&(p, _)| p == from.0) {
                         let (_, sent) = self.digest_probes.swap_remove(at);
+                        self.answered_probes = self.answered_probes.saturating_add(1);
                         self.acks.note_rtt(from.0, now.saturating_since(sent));
                     }
                 }
@@ -2534,13 +2581,17 @@ impl Node for NewsWireNode {
                     out.push((from.0, GossipMsg::empty_reply()));
                 }
                 for (to, g) in out {
-                    let msg = self.gossip_msg(g);
+                    let msg = self.gossip_msg(to, g);
                     ctx.send(NodeId(to), msg);
                 }
                 // Any incarnation bumps the merge just surfaced clear peer
                 // suspicion immediately — within the same gossip round, not
                 // a tick later.
                 self.absorb_incarnation_bumps();
+                // The digest rider last, against the rows this exchange
+                // merged: the sender's row version it is taken at is the
+                // sender's current life.
+                self.take_digest_rider(from.0, digests);
             }
             NewsWireMsg::Rotate { record, credential } => {
                 // Ablation: with defenses off the rotation is a dead
@@ -2649,12 +2700,15 @@ impl Node for NewsWireNode {
                 }
                 self.publish_ae_digests();
                 let out = self.agent.on_tick(now, ctx.rng());
+                if !self.digest_probes.is_empty() {
+                    self.answered_probes = 0;
+                }
                 self.digest_probes.clear();
                 for (to, g) in out {
                     if matches!(g, GossipMsg::Digest { .. }) {
                         self.digest_probes.push((to, now));
                     }
-                    let msg = self.gossip_msg(g);
+                    let msg = self.gossip_msg(to, g);
                     ctx.send(NodeId(to), msg);
                 }
                 self.cache.gc(now);
@@ -2699,8 +2753,12 @@ impl Node for NewsWireNode {
                         }
                         _ => {}
                     }
+                    let copies = self.source_copies(&msg);
+                    for _ in 1..copies {
+                        ctx.send(dst, msg.clone());
+                    }
                     ctx.send(dst, msg);
-                    obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
+                    obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, copies);
                 }
                 if !self.queues.is_empty() {
                     self.arm_drain(ctx);
@@ -2874,8 +2932,13 @@ impl Node for NewsWireNode {
         mode: LiarMode,
         _rng: &mut SmallRng,
     ) -> LiarAction {
-        adversary::tamper_outbound(to, msg, mode)
+        adversary::tamper_outbound(&self.agent, to, msg, mode)
     }
+}
+
+/// The node id a leaf-table row names in its `id` attribute.
+fn row_id(row: &Mib) -> Option<u32> {
+    row.get("id").and_then(|v| v.as_i64()).and_then(|v| u32::try_from(v).ok())
 }
 
 /// Inclusive `ranges` sorted, with the empty ones dropped and the ones that
@@ -3214,26 +3277,93 @@ mod tests {
         assert!(n.article_log(PublisherId(9)).is_none());
     }
 
+    /// The digest rider of a message from `n` to `to`.
+    fn rider_to(n: &NewsWireNode, to: u32) -> Option<LogDigests> {
+        match n.gossip_msg(to, GossipMsg::empty_reply()) {
+            NewsWireMsg::Gossip { digests, .. } => digests,
+            _ => unreachable!("gossip_msg wraps gossip"),
+        }
+    }
+
+    /// One publisher-0 rider claiming the contiguous log `0..next` under
+    /// `epoch`.
+    fn rider_of(epoch: u32, next: u64) -> LogDigests {
+        Arc::from([(PublisherId(0), RangeSummary { epoch, floor: 0, next, present: next })])
+    }
+
+    /// A published rider is the article logs' summaries, and it rides gossip
+    /// to leaf mates only. With anti-entropy off, none is sent.
     #[test]
-    fn ae_digest_attr_roundtrips_through_the_mib() {
+    fn a_published_rider_equals_the_logs_summaries() {
         let mut n = node_with(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
+        assert!(rider_to(&n, 1).is_none(), "nothing logged, nothing to say");
         for seq in [0, 1, 2, 6] {
             n.handle_delivery(now, Admitted::unverified(tech_item(seq)), false);
         }
         n.publish_ae_digests();
-        let attr = format!("{AE_ATTR_PREFIX}0");
-        let encoded = n.agent.local_attr(&attr).and_then(|v| v.as_str().map(str::to_owned));
-        let summary = RangeSummary::decode(&encoded.expect("digest published")).unwrap();
-        assert_eq!(summary, n.article_log(PublisherId(0)).unwrap().summary());
+        let rider = rider_to(&n, 1).expect("a leaf mate gets the rider");
+        let summary = rider[0].1;
+        assert_eq!(&*rider, &[(PublisherId(0), n.article_log(PublisherId(0)).unwrap().summary())]);
         assert!(!summary.contiguous(), "the hole at 3..=5 shows in the digest");
+        assert!(rider_to(&n, 4).is_none(), "gossip leaving the leaf zone carries none");
         // With anti-entropy off, no digest is published.
         let mut off =
             node_with(NewsWireConfig { anti_entropy: false, ..NewsWireConfig::tech_news() });
         off.handle_delivery(now, Admitted::unverified(tech_item(0)), false);
         off.publish_ae_digests();
-        assert!(off.agent.local_attr(&attr).is_none());
+        assert!(rider_to(&off, 1).is_none());
+    }
+
+    /// A leaf mate's rider is kept until its next exchange replaces or
+    /// retracts it, a non-mate's is never stored, only a mate with a row
+    /// is read, and not once that row's versions start over; a restart
+    /// forgets every rider.
+    #[test]
+    fn a_leaf_mates_rider_is_kept_until_replaced_retracted_or_reset() {
+        use astrolabe::{MibBuilder, Stamp, TableRows};
+        use rand::SeedableRng;
+        let mut n = node_with(NewsWireConfig::tech_news());
+        n.take_digest_rider(1, Some(rider_of(0, 3)));
+        n.take_digest_rider(9, Some(rider_of(2, 5)));
+        assert_eq!(n.leaf_digests.keys().copied().collect::<Vec<_>>(), vec![1], "9 is no mate");
+        assert_eq!(n.consensus_epoch(PublisherId(0)), None, "1 has no row here yet");
+        let now = SimTime::from_secs(1);
+        let merge = |n: &mut NewsWireNode, at: SimTime, version: u64| {
+            let row = MibBuilder::new().attr("id", 1i64).build(Stamp {
+                issued_us: at.as_micros(),
+                version,
+                origin: 1,
+            });
+            let rows = vec![(1, row.stamp, Arc::new(row))];
+            let zone = n.agent.zone(0).clone();
+            let msg = GossipMsg::Rows { rows: vec![TableRows { zone, rows }] };
+            n.agent.on_message(at, 1, msg, &mut rand::rngs::SmallRng::seed_from_u64(1));
+        };
+        merge(&mut n, now, 1);
+        assert_eq!(n.consensus_epoch(PublisherId(0)), Some(0));
+        n.take_digest_rider(1, Some(rider_of(1, 4)));
+        assert_eq!(
+            n.consensus_epoch(PublisherId(0)),
+            Some(1),
+            "the latest rider replaces the last"
+        );
+        merge(&mut n, SimTime::from_secs(2), 0);
+        assert_eq!(n.consensus_epoch(PublisherId(0)), None, "1's versions started over");
+        n.take_digest_rider(1, None);
+        assert!(n.leaf_digests.is_empty(), "a rider-less exchange retracts it");
+        let impossible = RangeSummary { epoch: 0, floor: 5, next: 3, present: 0 };
+        n.take_digest_rider(1, Some(Arc::from([(PublisherId(0), impossible)])));
+        assert!(n.leaf_digests.is_empty(), "a window no log can have is not kept");
+        assert_eq!(n.consensus_epoch(PublisherId(0)), None);
+        n.take_digest_rider(2, Some(rider_of(0, 3)));
+        n.set_subscription(tech_sub());
+        n.handle_delivery(now, Admitted::unverified(tech_item(0)), false);
+        n.publish_ae_digests();
+        n.reset_protocol_state();
+        assert!(n.leaf_digests.is_empty(), "a restart forgets the mates' riders");
+        assert!(rider_to(&n, 1).is_none(), "and its own");
     }
 
     #[test]
@@ -3380,20 +3510,23 @@ mod tests {
             n.handle_delivery(now, Admitted::unverified(tech_item(seq)), false);
         }
         // Two leaf neighbours advertise epoch-0 digests: the consensus.
-        let digest = RangeSummary::default().encode();
         let rows: Vec<(u16, Stamp, Arc<Mib>)> = [2u16, 3]
             .iter()
             .map(|&l| {
-                let row = MibBuilder::new()
-                    .attr("id", i64::from(l))
-                    .attr(format!("{AE_ATTR_PREFIX}0"), digest.clone())
-                    .build(Stamp { issued_us: now.as_micros(), version: 1, origin: u32::from(l) });
+                let row = MibBuilder::new().attr("id", i64::from(l)).build(Stamp {
+                    issued_us: now.as_micros(),
+                    version: 1,
+                    origin: u32::from(l),
+                });
                 (l, row.stamp, Arc::new(row))
             })
             .collect();
         let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
         let msg = GossipMsg::Rows { rows: vec![TableRows { zone: n.agent.zone(0).clone(), rows }] };
         n.agent.on_message(now, 2, msg, &mut rng);
+        for mate in [2, 3] {
+            n.take_digest_rider(mate, Some(Arc::from([(PublisherId(0), RangeSummary::default())])));
+        }
 
         // A healthy audit is a no-op: same epoch, same coverage.
         n.self_audit(now);
@@ -3484,7 +3617,7 @@ mod tests {
             CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 1 },
             CorruptionOp::VoteEpoch { publisher: 0, epoch: 7 },
             CorruptionOp::LogEpoch { entries: 4 },
-            CorruptionOp::SybilFlood { identities: 2, publisher: 0, epoch: 9 },
+            CorruptionOp::SybilFlood { identities: 2, epoch: 9 },
         ] {
             a.apply_corruption(&op, &mut rng);
         }
@@ -3816,22 +3949,72 @@ mod tests {
         assert!(honest.quarantined(1), "three forged strikes quarantine the forger");
     }
 
+    /// A mis-summarizing liar ships a row its reply would only have
+    /// restamped whole, summaries zeroed under the refresh record's stamp;
+    /// a record for a row with no summary to zero stays a record.
+    #[test]
+    fn mis_summarizing_liar_ships_refreshed_rows_whole_and_zeroed() {
+        use astrolabe::{GossipMsg, MibBuilder, RowDigest, Stamp, TableRows};
+        use rand::SeedableRng;
+        use simnet::{LiarAction, LiarMode};
+        let mut n = node_with(NewsWireConfig::tech_news());
+        let zone = n.agent.zone(0).clone();
+        let stamp = |origin: u32| Stamp { issued_us: 1_000_000, version: 1, origin };
+        let subscribed = MibBuilder::new().attr("id", 2i64).attr("cats$0", 6i64).build(stamp(2));
+        let bare = MibBuilder::new().attr("id", 3i64).build(stamp(3));
+        let record = |label: u16, row: &astrolabe::Mib| RowDigest {
+            label,
+            stamp: Stamp { issued_us: 2_000_000, ..row.stamp },
+            chash: row.content_hash(),
+        };
+        let refresh = vec![(zone.clone(), vec![record(2, &subscribed), record(3, &bare)])];
+        let rows =
+            vec![(2, subscribed.stamp, Arc::new(subscribed)), (3, bare.stamp, Arc::new(bare))];
+        let msg = GossipMsg::Rows { rows: vec![TableRows { zone: zone.clone(), rows }] };
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(4);
+        n.agent.on_message(SimTime::from_secs(1), 2, msg, &mut rng);
+
+        let mut reply = NewsWireMsg::Gossip {
+            g: GossipMsg::DigestReply { rows: Vec::new(), want: Vec::new(), refresh },
+            rot: None,
+            digests: None,
+        };
+        let act = simnet::Node::tamper_outbound(
+            &mut n,
+            NodeId(1),
+            &mut reply,
+            LiarMode::MisSummarize,
+            &mut rng,
+        );
+        assert!(matches!(act, LiarAction::Tampered));
+        let NewsWireMsg::Gossip { g: GossipMsg::DigestReply { rows, refresh, .. }, .. } = reply
+        else {
+            unreachable!()
+        };
+        let [TableRows { rows: shipped, .. }] = rows.as_slice() else { panic!("{rows:?}") };
+        let [(2, at, fake)] = shipped.as_slice() else { panic!("{shipped:?}") };
+        assert_eq!(at.issued_us, 2_000_000, "under the record's stamp");
+        assert_eq!(fake.get("cats$0").and_then(|v| v.as_i64()), Some(0), "the summary zeroed");
+        let [(_, kept)] = refresh.as_slice() else { panic!("{refresh:?}") };
+        assert_eq!(kept.iter().map(|r| r.label).collect::<Vec<_>>(), vec![3]);
+    }
+
     /// Split-brain lying is destination-dependent: odd-numbered peers get
-    /// stale-digested gossip rows, even-numbered peers the truth — no
-    /// single receiver can observe the inconsistency.
+    /// an emptied digest rider, even-numbered peers the truth — no single
+    /// receiver can observe the inconsistency.
     #[test]
     fn split_brain_liar_tells_destinations_different_stories() {
         use astrolabe::{GossipMsg, MibBuilder, Stamp, TableRows};
         use rand::SeedableRng;
         use simnet::{LiarAction, LiarMode};
         let mut n = node_with(NewsWireConfig::tech_news());
-        let digest = RangeSummary { epoch: 0, floor: 0, next: 3, present: 3 }.encode();
         let leaf_zone = n.agent.zone(0).clone();
         let make = || {
-            let row = MibBuilder::new()
-                .attr("id", 2i64)
-                .attr(format!("{AE_ATTR_PREFIX}0"), digest.clone())
-                .build(Stamp { issued_us: 1_000_000, version: 1, origin: 2 });
+            let row = MibBuilder::new().attr("id", 2i64).build(Stamp {
+                issued_us: 1_000_000,
+                version: 1,
+                origin: 2,
+            });
             NewsWireMsg::Gossip {
                 g: GossipMsg::Rows {
                     rows: vec![TableRows {
@@ -3840,7 +4023,12 @@ mod tests {
                     }],
                 },
                 rot: None,
+                digests: Some(rider_of(0, 3)),
             }
+        };
+        let rider = |msg: &NewsWireMsg| match msg {
+            NewsWireMsg::Gossip { digests, .. } => digests.clone().expect("the rider stays"),
+            _ => unreachable!(),
         };
         let mut rng = rand::rngs::SmallRng::seed_from_u64(4);
         let mut to_odd = make();
@@ -3852,6 +4040,7 @@ mod tests {
             &mut rng,
         );
         assert!(matches!(act, LiarAction::Tampered), "odd destinations get the stale story");
+        assert_eq!(&*rider(&to_odd), &[(PublisherId(0), RangeSummary::default())]);
         let mut to_even = make();
         let act = simnet::Node::tamper_outbound(
             &mut n,
@@ -3861,6 +4050,7 @@ mod tests {
             &mut rng,
         );
         assert!(matches!(act, LiarAction::Pass), "even destinations get the truth");
+        assert_eq!(rider(&to_even), rider_of(0, 3));
     }
 }
 

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use amcast::{RangeSummary, SeqLog};
-use astrolabe::{AttrValue, GossipMsg, KeyId, Mib, MibBuilder, Signature, Stamp, TableRows};
+use astrolabe::{Agent, AttrValue, GossipMsg, KeyId, Mib, MibBuilder, Signature, Stamp, TableRows};
 use filters::BitArray;
 use newsml::{Category, NewsItem, PublisherId};
 use rand::rngs::SmallRng;
@@ -14,7 +14,7 @@ use rand::Rng;
 use simnet::{CorruptionOp, LiarAction, LiarMode, NodeId};
 
 use super::admit::Admitted;
-use super::{LogEntry, NewsWireNode, AE_ATTR_PREFIX, ARTICLE_LOG_CAPACITY, SYBIL_ID_BASE};
+use super::{LogEntry, NewsWireNode, ARTICLE_LOG_CAPACITY, SYBIL_ID_BASE};
 use crate::auth::PublisherCredential;
 use crate::wire::NewsWireMsg;
 
@@ -45,8 +45,8 @@ impl NewsWireNode {
                 // A Byzantine cache: fabricate items impersonating
                 // `publisher`, planted just past the local log head —
                 // exactly where honest tail catch-up and repair look next.
-                // The forger's own log and gossiped digest advertise them
-                // as real coverage; the bogus signatures drawn from the
+                // The forger's own log and digest rider advertise them as
+                // real coverage; the bogus signatures drawn from the
                 // strike stream are what defended receivers refuse.
                 let publisher = PublisherId(publisher);
                 let base = self.article_logs.get(&publisher).map_or(0, |l| l.next_seq());
@@ -67,8 +67,8 @@ impl NewsWireNode {
             }
             CorruptionOp::VoteEpoch { publisher, epoch } => {
                 // A colluder votes the group's shared fabricated epoch into
-                // its own article log and digest. Enough same-zone voters
-                // capture the unsigned neighbour-consensus mode that the
+                // its own article log and digest rider. Enough same-zone
+                // voters capture the unsigned neighbour-consensus mode that the
                 // legacy epoch fence trusts; phantom head coverage makes
                 // the captured digest look fresher than any honest one.
                 let publisher = PublisherId(publisher);
@@ -87,8 +87,8 @@ impl NewsWireNode {
             }
             CorruptionOp::LogEpoch { entries } => {
                 // Poison one article log with a fabricated newer epoch plus
-                // phantom coverage. The next digest publication advertises
-                // it; with defenses off the fake epoch spreads by reconcile
+                // phantom coverage. The next digest rider advertises it;
+                // with defenses off the fake epoch spreads by reconcile
                 // contagion (every absorber adopts and wipes its log).
                 let publishers: Vec<PublisherId> = self.article_logs.keys().copied().collect();
                 let Some(&publisher) = publishers.as_slice().choose(rng) else { return 0 };
@@ -142,20 +142,18 @@ impl NewsWireNode {
                 }
                 hit
             }
-            CorruptionOp::SybilFlood { identities, publisher, epoch } => {
+            CorruptionOp::SybilFlood { identities, .. } => {
                 // Fabricated identities injected into this node's own leaf
                 // table under perfectly valid row structure: in-range
                 // label, required `id` attribute, fresh (non-future) stamp.
                 // The corrupt node merges its own message unconditionally;
                 // honest receivers with admission control on refuse the
-                // rows at gossip ingest for lacking a join ticket. Each
-                // Sybil advertises phantom coverage under the jointly
-                // fabricated epoch, pulling the unsigned neighbour
-                // consensus toward it.
+                // rows at gossip ingest for lacking a join ticket. A Sybil
+                // sends nothing, so it has no digest rider and no vote in
+                // the epoch consensus, wherever its row is held.
                 let now = self.clock;
                 let branching = self.agent.config().branching;
                 let own = self.agent.own_label(0);
-                let digest = RangeSummary { epoch, floor: 0, next: 8, present: 8 }.encode();
                 let salt: u32 = rng.gen_range(0..0x1000);
                 let mut rows: Vec<(u16, Stamp, Arc<Mib>)> = Vec::new();
                 let mut label = 0u16;
@@ -167,10 +165,11 @@ impl NewsWireNode {
                         break; // a leaf zone has only `branching` slots
                     }
                     let id = SYBIL_ID_BASE + salt * 64 + k;
-                    let row = MibBuilder::new()
-                        .attr("id", i64::from(id))
-                        .attr(format!("{AE_ATTR_PREFIX}{publisher}"), digest.clone())
-                        .build(Stamp { issued_us: now.as_micros(), version: 1, origin: id });
+                    let row = MibBuilder::new().attr("id", i64::from(id)).build(Stamp {
+                        issued_us: now.as_micros(),
+                        version: 1,
+                        origin: id,
+                    });
                     rows.push((label, row.stamp, Arc::new(row)));
                     label += 1;
                 }
@@ -190,14 +189,20 @@ impl NewsWireNode {
     }
 }
 
-/// Rewrites an outbound message the way a liar in `mode` would.
-pub(super) fn tamper_outbound(to: NodeId, msg: &mut NewsWireMsg, mode: LiarMode) -> LiarAction {
+/// Rewrites an outbound message the way a liar in `mode` would; `agent`
+/// is the liar's own, whose tables hold the rows it gossips about.
+pub(super) fn tamper_outbound(
+    agent: &Agent,
+    to: NodeId,
+    msg: &mut NewsWireMsg,
+    mode: LiarMode,
+) -> LiarAction {
     match mode {
         // A lying representative mis-aggregates: the subscription
         // summaries in every row it gossips are zeroed (under the
         // rows' legitimate stamps), steering forwarding away from the
         // subtrees those rows summarize.
-        LiarMode::MisSummarize => tamper_gossip_rows(msg, mis_summarized),
+        LiarMode::MisSummarize => mis_summarize_gossip(agent, msg),
         // A lying forwarder silently swallows the news itself while
         // staying a lively, cooperative gossip participant.
         LiarMode::SelectiveDrop => match msg {
@@ -207,7 +212,7 @@ pub(super) fn tamper_outbound(to: NodeId, msg: &mut NewsWireMsg, mode: LiarMode)
         // A liar re-advertising empty anti-entropy digests: peers never
         // select it as a reconcile source and reconciliation pressure
         // shifts onto the honest rest of the zone.
-        LiarMode::StaleDigest => tamper_gossip_rows(msg, stale_digested),
+        LiarMode::StaleDigest => empty_digest_rider(msg),
         // Split-brain lying: different stories to different
         // destinations. Half the peer space sees this node's true
         // digests, the other half sees empty ones — no single receiver
@@ -216,7 +221,7 @@ pub(super) fn tamper_outbound(to: NodeId, msg: &mut NewsWireMsg, mode: LiarMode)
         // catches it.
         LiarMode::SplitBrain => {
             if to.0 % 2 == 1 {
-                tamper_gossip_rows(msg, stale_digested)
+                empty_digest_rider(msg)
             } else {
                 LiarAction::Pass
             }
@@ -224,22 +229,42 @@ pub(super) fn tamper_outbound(to: NodeId, msg: &mut NewsWireMsg, mode: LiarMode)
     }
 }
 
-/// Applies a per-row tampering function to every row batch of an outbound
-/// gossip message. Returns `Tampered` when any row was rewritten.
-fn tamper_gossip_rows(msg: &mut NewsWireMsg, lie: impl Fn(&Mib) -> Option<Arc<Mib>>) -> LiarAction {
+/// Mis-summarizes every row an outbound gossip message carries. A reply
+/// sends a row the receiver already holds the values of as a refresh
+/// record, a stamp and a hash with no values to zero; the liar ships such
+/// a row whole instead, mis-summarized under the record's stamp, so the lie
+/// lands wherever the honest row would only have been restamped. Returns
+/// `Tampered` when any row was rewritten.
+fn mis_summarize_gossip(agent: &Agent, msg: &mut NewsWireMsg) -> LiarAction {
     let NewsWireMsg::Gossip { g, .. } = msg else { return LiarAction::Pass };
-    let batches = match g {
-        GossipMsg::DigestReply { rows, .. } | GossipMsg::Rows { rows } => rows,
+    let (batches, refresh) = match g {
+        GossipMsg::DigestReply { rows, refresh, .. } => (rows, Some(refresh)),
+        GossipMsg::Rows { rows } => (rows, None),
         GossipMsg::Digest { .. } => return LiarAction::Pass,
     };
     let mut tampered = false;
     for batch in batches.iter_mut() {
         for (_, _, row) in batch.rows.iter_mut() {
-            if let Some(fake) = lie(row) {
+            if let Some(fake) = mis_summarized(row) {
                 *row = fake;
                 tampered = true;
             }
         }
+    }
+    if let Some(refresh) = refresh {
+        for (zone, records) in refresh.iter_mut() {
+            let Some(level) = agent.level_of(zone) else { continue };
+            let mut rows = Vec::new();
+            records.retain(|rec| {
+                let fake = agent.table(level).get(rec.label).and_then(|row| mis_summarized(row));
+                fake.map(|fake| rows.push((rec.label, rec.stamp, fake))).is_none()
+            });
+            if !rows.is_empty() {
+                batches.push(TableRows { zone: zone.clone(), rows });
+                tampered = true;
+            }
+        }
+        refresh.retain(|(_, records)| !records.is_empty());
     }
     if tampered {
         LiarAction::Tampered
@@ -252,54 +277,34 @@ fn tamper_gossip_rows(msg: &mut NewsWireMsg, lie: impl Fn(&Mib) -> Option<Arc<Mi
 /// bits, `cats$` masks) zeroed, stamp kept — indistinguishable from the
 /// honest version by version vector. `None` when the row carries none.
 fn mis_summarized(row: &Mib) -> Option<Arc<Mib>> {
+    let zeroed = |name: &str, value: &AttrValue| match value {
+        AttrValue::Bits(b) if name == "subs" && !b.is_zero() => {
+            Some(AttrValue::from(BitArray::new(b.len())))
+        }
+        AttrValue::Int(n) if name.starts_with("cats$") && *n != 0 => Some(AttrValue::Int(0)),
+        _ => None,
+    };
     let mut changed = false;
     let attrs = row
         .attrs()
         .iter()
         .map(|(name, value)| {
-            let zero = if name.as_ref() == "subs" {
-                match value {
-                    AttrValue::Bits(b) if !b.is_zero() => {
-                        Some(AttrValue::from(BitArray::new(b.len())))
-                    }
-                    _ => None,
-                }
-            } else if name.starts_with("cats$") {
-                match value {
-                    AttrValue::Int(n) if *n != 0 => Some(AttrValue::Int(0)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            match zero {
-                Some(z) => {
-                    changed = true;
-                    (Arc::clone(name), z)
-                }
-                None => (Arc::clone(name), value.clone()),
-            }
+            let zero = zeroed(name, value);
+            changed |= zero.is_some();
+            (Arc::clone(name), zero.unwrap_or_else(|| value.clone()))
         })
         .collect();
     changed.then(|| Arc::new(Mib::new(row.stamp, attrs)))
 }
 
-/// A stale-digest copy of `row`: every `sys$ae:` advertisement replaced
-/// with an empty-coverage summary, stamp kept. `None` when nothing to fake.
-fn stale_digested(row: &Mib) -> Option<Arc<Mib>> {
-    let empty = RangeSummary::default().encode();
-    let mut changed = false;
-    let attrs = row
-        .attrs()
-        .iter()
-        .map(|(name, value)| {
-            if name.starts_with(AE_ATTR_PREFIX) && value.as_str() != Some(empty.as_str()) {
-                changed = true;
-                (Arc::clone(name), AttrValue::Str(empty.clone()))
-            } else {
-                (Arc::clone(name), value.clone())
-            }
-        })
-        .collect();
-    changed.then(|| Arc::new(Mib::new(row.stamp, attrs)))
+/// Rewrites an outbound digest rider to claim empty coverage for every
+/// publisher it names. `Tampered` when any summary was not empty already.
+fn empty_digest_rider(msg: &mut NewsWireMsg) -> LiarAction {
+    let NewsWireMsg::Gossip { digests: Some(digests), .. } = msg else { return LiarAction::Pass };
+    let empty = RangeSummary::default();
+    if digests.iter().all(|(_, s)| *s == empty) {
+        return LiarAction::Pass;
+    }
+    *digests = digests.iter().map(|&(p, _)| (p, empty)).collect();
+    LiarAction::Tampered
 }

@@ -409,13 +409,9 @@ fn an_id_outside_the_layout_has_no_entry_and_gets_the_ceiling() {
 
     // Through the handlers: an external ack and digest reply are dropped.
     let mut d = one_zone(8);
-    let g = GossipMsg::DigestReply {
-        rows: Vec::new(),
-        want: Vec::new(),
-        refresh: Vec::new(),
-        want_full: Vec::new(),
-    };
-    d.sim.schedule_external(ms(60_001), PUBLISHER, NewsWireMsg::Gossip { g, rot: None });
+    let g = GossipMsg::empty_reply();
+    let gossip = NewsWireMsg::Gossip { g, rot: None, digests: None };
+    d.sim.schedule_external(ms(60_001), PUBLISHER, gossip);
     let ack = NewsWireMsg::ForwardAck { msg_id: env.msg_id, zone: ZoneId::root() };
     d.sim.schedule_external(ms(60_002), PUBLISHER, ack);
     d.settle(1);
@@ -1016,4 +1012,102 @@ fn the_held_announces_are_capped_and_hold_nothing_but_ids() {
     assert_eq!(member.deliveries.len(), 1, "only the published article");
     assert_eq!(member.cache.len(), 1);
     assert!(member.logged_publishers().eq([PublisherId(0)]), "nothing else logged");
+}
+
+/// What a mate's restart under `mode` leaves at an observer that then
+/// pulls: whether the restarted mate took a strike, whether its old rider
+/// was still held once its new row arrived, and whom the pull went to.
+/// Leaf zone /1 is node 4 — first in every leaf table of /1, and
+/// subscribed to nothing, so its log stays empty after any restart — and 5
+/// (the observer), 6 and 7. The observer hears of 4's restart only through
+/// 6's and 7's rows, since 4's own link to it is cut, and is then given a
+/// hole every mate's rider covers.
+fn pull_after_a_mates_restart(mode: RestartMode) -> (bool, bool, Option<NodeId>) {
+    const RESTARTED: NodeId = NodeId(4);
+    const OBSERVER: NodeId = NodeId(5);
+    let publisher = PublisherId(0);
+    let mut d = DeploymentBuilder::new(7, 25)
+        .branching(4)
+        .publisher(PublisherSpec::global(PublisherProfile::slashdot(publisher)))
+        .build();
+    for id in 1..8 {
+        let sub = if NodeId(id) == RESTARTED { Subscription::new() } else { tech_sub() };
+        d.sim.node_mut(NodeId(id)).set_subscription(sub);
+    }
+    d.settle(60);
+    for seq in 0..4 {
+        d.publish(ms(60_000 + 500 * seq), tech_item(seq));
+    }
+    d.settle(10);
+    // 4 settled the four articles as its mates hold them: a contiguous log.
+    let mut log = SeqLog::new(ARTICLE_LOG_CAPACITY);
+    for seq in 0..4 {
+        log.insert(seq, LogEntry::Held);
+    }
+    d.sim.node_mut(RESTARTED).article_logs.insert(publisher, log);
+    d.settle(10);
+    let held = |d: &Deployment| d.sim.node(OBSERVER).leaf_digests.contains_key(&RESTARTED.0);
+    assert!(held(&d), "the observer holds 4's rider");
+
+    // Every restart starts 4's row versions over; the observer sees its
+    // new life once a row of 4's below the last old version reaches it.
+    let label = d.sim.node(RESTARTED).agent.own_label(0);
+    let version = |d: &Deployment| {
+        d.sim.node(OBSERVER).agent.table(0).row(label).map_or(0, |r| r.stamp.version)
+    };
+    let before = version(&d);
+    let now = d.sim.now();
+    d.sim.schedule_link_cut(now, RESTARTED, OBSERVER);
+    d.sim.schedule_crash(now + SimDuration::from_millis(100), RESTARTED);
+    d.sim.schedule_restart(now + SimDuration::from_millis(200), RESTARTED, mode);
+    let restarted = |d: &Deployment| version(d) < before;
+    for _ in 0..60 {
+        if restarted(&d) {
+            break;
+        }
+        d.sim.run_for(SimDuration::from_millis(500));
+    }
+    assert!(restarted(&d), "4's new row reached the observer through its mates");
+    let held_after_restart = held(&d);
+
+    // A hole at seq 1, which every mate's rider covers.
+    let mut log = SeqLog::new(ARTICLE_LOG_CAPACITY);
+    for seq in [0, 2, 3] {
+        log.insert(seq, LogEntry::Held);
+    }
+    d.sim.node_mut(OBSERVER).article_logs.insert(publisher, log);
+    for _ in 0..5_000 {
+        if d.sim.node(OBSERVER).awaiting_reconcile.is_some() {
+            break;
+        }
+        d.sim.run_for(SimDuration::from_millis(1));
+    }
+    let asked = d.sim.node(OBSERVER).awaiting_reconcile.as_ref().map(|p| p.peer);
+    // The reply, had 4 been asked, now reaches the observer.
+    d.sim.schedule_link_heal(d.sim.now(), RESTARTED, OBSERVER);
+    d.settle(10);
+    let observer = d.sim.node(OBSERVER);
+    assert!(observer.article_log(publisher).is_some_and(|log| log.gaps().is_empty()));
+    (observer.misbehavior.contains_key(&RESTARTED.0), held_after_restart, asked)
+}
+
+/// A mate's cold restart voids the digest rider it sent before: a pull
+/// against that rider would find the restarted log empty and take the
+/// honest, empty reply for a contradiction. The incarnation bump drops it.
+#[test]
+fn a_mates_restart_drops_its_rider_before_it_draws_a_pull() {
+    let (struck, held, asked) = pull_after_a_mates_restart(RestartMode::ColdAmnesia);
+    assert!(!struck, "the restarted mate took a strike");
+    assert!(!held, "the bump dropped 4's rider");
+    assert!(asked.is_some_and(|p| p != NodeId(4)), "the pull went to a live rider: {asked:?}");
+}
+
+/// A freeze wipes the logs too but burns no incarnation: the frozen
+/// mate's old rider is still held when its new row arrives, and must not
+/// be read once that row shows the row versions starting over.
+#[test]
+fn a_mates_freeze_voids_its_rider_before_it_draws_a_pull() {
+    let (struck, _, asked) = pull_after_a_mates_restart(RestartMode::Freeze);
+    assert!(!struck, "the frozen mate took a strike");
+    assert!(asked.is_some_and(|p| p != NodeId(4)), "the pull went to a live rider: {asked:?}");
 }

@@ -166,13 +166,24 @@ pub fn msg_id_of(id: ItemId) -> u64 {
     fnv1a(&bytes)
 }
 
+/// A node's article-log digests, one [`RangeSummary`] per publisher it
+/// logs, in publisher order: the rider its gossip carries to leaf mates
+/// (DESIGN §7). Built once per gossip tick and shared by every message
+/// that carries it.
+pub type LogDigests = Arc<[(PublisherId, RangeSummary)]>;
+
+/// Serialized size of one [`LogDigests`] entry: publisher id + the summary
+/// (priced as a reconcile reply prices its summary).
+const LOG_DIGEST_WIRE_SIZE: usize = 2 + 16;
+
 /// NewsWire protocol messages.
 #[derive(Debug, Clone)]
 pub enum NewsWireMsg {
-    /// Astrolabe gossip, optionally carrying the sender's most recently
-    /// adopted trust-root rotation record as a rider (DESIGN §15). `None`
-    /// in runs with no rotations — the wire stays byte-identical to builds
-    /// that predate trust-root rotation.
+    /// Astrolabe gossip, optionally carrying two riders: the sender's most
+    /// recently adopted trust-root rotation record (DESIGN §15), and, to a
+    /// leaf mate, the sender's article-log digests (DESIGN §7). Both are
+    /// `None` in runs that use neither — the wire stays byte-identical to
+    /// builds that predate them.
     Gossip {
         /// The embedded Astrolabe exchange.
         g: GossipMsg,
@@ -181,6 +192,10 @@ pub enum NewsWireMsg {
         /// reaches even nodes whose zone rows never carry the `sys$rot:`
         /// attribute.
         rot: Option<Arc<RotationRecord>>,
+        /// Article-log rider: the sender's digests, on gossip to a member
+        /// of its own leaf zone. `None` with anti-entropy off, before the
+        /// sender has logged anything, and on gossip leaving the leaf zone.
+        digests: Option<LogDigests>,
     },
     /// Trust-root rotation: a registry-endorsed record revoking a
     /// publisher's key epoch and endorsing its successor certificate.
@@ -249,7 +264,7 @@ pub enum NewsWireMsg {
         items: Vec<SignedItem>,
     },
     /// Log anti-entropy pull: "ship me these sequence ranges of
-    /// `publisher`'s articles". Sent when a gossiped `sys$ae:` digest (or
+    /// `publisher`'s articles". Sent when a leaf mate's digest rider (or
     /// the node's own log) reveals holes.
     ReconcileRequest {
         /// The publisher whose log is being reconciled.
@@ -302,8 +317,10 @@ fn withheld_wire_size(withheld: &[(u64, Stub)]) -> usize {
 impl Payload for NewsWireMsg {
     fn wire_size(&self) -> usize {
         4 + match self {
-            NewsWireMsg::Gossip { g, rot } => {
-                g.wire_size() + rot.as_ref().map_or(0, |r| r.encode().len())
+            NewsWireMsg::Gossip { g, rot, digests } => {
+                g.wire_size()
+                    + rot.as_ref().map_or(0, |r| r.encode().len())
+                    + digests.as_ref().map_or(0, |d| 1 + d.len() * LOG_DIGEST_WIRE_SIZE)
             }
             NewsWireMsg::Rotate { record, credential } => {
                 record.encode().len() + credential.as_ref().map_or(0, |_| 96)
@@ -379,7 +396,7 @@ mod tests {
     #[test]
     fn article_bearing_variants_are_handle_sized() {
         use std::mem::size_of;
-        let gossip = size_of::<(GossipMsg, Option<Arc<RotationRecord>>)>();
+        let gossip = size_of::<(GossipMsg, Option<Arc<RotationRecord>>, Option<LogDigests>)>();
         assert!(size_of::<(Arc<Envelope>, ZoneId)>() <= gossip, "Forward");
         assert!(size_of::<Vec<SignedItem>>() <= gossip, "RepairReply");
         assert!(

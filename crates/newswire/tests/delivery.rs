@@ -512,6 +512,35 @@ fn zone_one(d: &Deployment) -> (Vec<NodeId>, Vec<NodeId>) {
     (members, reps.into_iter().map(NodeId).collect())
 }
 
+/// The source sends each hand-off `redundancy` times while its gossip
+/// exchanges lose messages, and once again after they have run clean for
+/// long enough: an article costs the publisher its `Deliver`s to /0 and
+/// one copy per hand-off to /1's two representatives, or, hedged, a
+/// second copy to each of them.
+#[test]
+fn a_source_whose_exchanges_lose_messages_sends_each_hand_off_twice() {
+    let mut d = two_leaf_zones(21, None);
+    let publisher = NodeId(0);
+    let sent = |d: &mut Deployment, seq: u64| {
+        let before = counter(d, publisher, ctr::NW_FORWARDS);
+        d.publish(d.sim.now(), tech_item(seq));
+        d.settle(5);
+        counter(d, publisher, ctr::NW_FORWARDS) - before
+    };
+    let clean = sent(&mut d, 0);
+    assert_eq!(counter(&d, publisher, ctr::NW_ACK_RETRIES), 0, "workload sanity: nothing lost");
+    // Ten seconds at 50 % loss leave some exchange of the publisher's
+    // unanswered.
+    let now = d.sim.now();
+    d.sim.schedule_drop_prob(now, 0.5);
+    d.sim.schedule_drop_prob(now + simnet::SimDuration::from_secs(10), 0.0);
+    d.settle(12);
+    assert_eq!(sent(&mut d, 1), clean + 2, "a second copy to each representative of /1");
+    // 256 exchanges answered in a row, at three or four a gossip round.
+    d.settle(300);
+    assert_eq!(sent(&mut d, 2), clean, "clean again: one copy per hand-off");
+}
+
 /// On a clean network, once both representatives of /1 have had
 /// enough payloads acknowledged in a row, each member of /1 is sent one
 /// payload per article: the second copy is an announce, so no member of

@@ -231,7 +231,6 @@ fn trust_plan_for(seed: u64) -> FaultPlan {
             end: SimTime::from_secs(140),
             mean_interval_secs: 7.0,
             identities_per_strike: 6,
-            publisher: 0,
         }],
     }
 }

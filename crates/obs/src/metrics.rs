@@ -225,15 +225,17 @@ pub mod ctr {
         DELTA_DEFERRED = 80, "delta_deferred";
         /// Gossip rows whose newer stamp a replica took for values it
         /// already held — from a digest entry or a refresh record — instead
-        /// of receiving the row (both gossip wires).
+        /// of receiving the row.
         GOSSIP_REFRESH_ROWS = 81, "gossip_refresh_rows";
         /// Bytes those rows would have cost whole, less the 30-byte digest
         /// entry or refresh record that carried the stamp instead.
         GOSSIP_REFRESH_BYTES_SAVED = 82, "gossip_refresh_bytes_saved";
-        /// Partial (delta) digests sent in place of full digests.
-        GOSSIP_DELTA_DIGESTS = 83, "gossip_delta_digests";
-        /// Full-digest fallbacks (periodic safety net or generation gap).
-        GOSSIP_FULL_FALLBACKS = 84, "gossip_full_fallbacks";
+        /// Retired with the per-peer gossip lanes (it counted partial
+        /// digests); the slot stays so every later id keeps its position.
+        RETIRED_83 = 83, "retired_83";
+        /// Retired with the per-peer gossip lanes (it counted their
+        /// full-digest fallbacks).
+        RETIRED_84 = 84, "retired_84";
         // -- trust-root rotation: key compromise, revocation, Sybil
         //    admission --
         /// Stolen-key strikes executed against compromised members.
@@ -600,6 +602,8 @@ mod tests {
         assert_eq!(c(ctr::RETIRED_28), "retired_28");
         assert_eq!(c(ctr::NW_PUBLISHED), "nw_published");
         assert_eq!(c(ctr::RETIRED_44), "retired_44");
+        assert_eq!(c(ctr::RETIRED_83), "retired_83");
+        assert_eq!(c(ctr::RETIRED_84), "retired_84");
         assert_eq!(c(ctr::RETIRED_94), "retired_94");
         assert_eq!(c(ctr::RETIRED_95), "retired_95");
         assert_eq!(c(ctr::NW_RECONCILE_WITHHELD), "nw_reconcile_withheld");

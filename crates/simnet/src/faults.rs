@@ -264,9 +264,10 @@ pub struct KeyCompromiseSpec {
 /// Poisson intervals with [`CorruptionOp::SybilFlood`], each strike
 /// injecting `identities_per_strike` fabricated member identities into the
 /// striker's own leaf-zone table — where gossip, join, and reconcile
-/// peer-selection paths will encounter them. All Sybils in one spec vote
-/// the same fabricated epoch (drawn once from the plan stream, like
-/// [`CollusionScript::EpochCapture`]'s joint vote).
+/// peer-selection paths will encounter them. All strikes of one spec stand
+/// for the same fabricated epoch (drawn once from the plan stream, like
+/// [`CollusionScript::EpochCapture`]'s joint vote); the rows themselves
+/// cast no epoch vote.
 #[derive(Debug, Clone)]
 pub struct SybilSpec {
     /// Nodes that fabricate identities.
@@ -279,8 +280,6 @@ pub struct SybilSpec {
     pub mean_interval_secs: f64,
     /// Fabricated identities injected per strike.
     pub identities_per_strike: u32,
-    /// Raw id of the publisher whose epoch the Sybils jointly vote.
-    pub publisher: u16,
 }
 
 /// A liar window: the nodes run their outbound traffic through the
@@ -536,11 +535,7 @@ impl<N: Node> Simulation<N> {
             // Like the epoch-capture joint vote: one fabricated epoch per
             // spec, drawn once from the plan stream, claimed by every Sybil.
             let epoch: u32 = 100 + rng.gen_range(0u32..64);
-            let op = CorruptionOp::SybilFlood {
-                identities: spec.identities_per_strike,
-                publisher: spec.publisher,
-                epoch,
-            };
+            let op = CorruptionOp::SybilFlood { identities: spec.identities_per_strike, epoch };
             let end = spec.end.since(SimTime::ZERO).as_secs_f64();
             for &node in &spec.nodes {
                 let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
@@ -622,7 +617,7 @@ mod tests {
                     }
                     u64::from(*items)
                 }
-                CorruptionOp::SybilFlood { identities, epoch, .. } => {
+                CorruptionOp::SybilFlood { identities, epoch } => {
                     for _ in 0..*identities {
                         self.draws.push(u64::from(*epoch));
                     }
@@ -898,7 +893,6 @@ mod tests {
                 end: SimTime::from_secs(30),
                 mean_interval_secs: 5.0,
                 identities_per_strike: 4,
-                publisher: 0,
             }],
             ..FaultPlan::default()
         };

@@ -105,13 +105,13 @@ pub enum CorruptionOp {
     },
     /// Inject `identities` fabricated member identities into the node's own
     /// leaf-zone table, where gossip will spread them: the Sybil burst.
-    /// Each fake row votes the fabricated `epoch` for `publisher`.
+    /// `epoch` names the fabricated epoch the burst stands for in traces;
+    /// a fake row carries no vote of its own, since a node's epoch vote
+    /// rides the gossip it sends.
     SybilFlood {
         /// Fabricated identities injected per strike.
         identities: u32,
-        /// Raw id of the publisher whose epoch the Sybils vote.
-        publisher: u16,
-        /// The fabricated epoch the Sybils jointly claim.
+        /// The fabricated epoch the burst stands for.
         epoch: u32,
     },
 }

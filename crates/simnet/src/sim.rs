@@ -766,8 +766,8 @@ impl<N: Node> Simulation<N> {
 
     /// Enables or disables the compressed-wire accounting lane
     /// (`BYTES_WIRE`); off by default. A run on the delta wire protocol
-    /// turns it on alongside the protocol's own switches (NewsWire's
-    /// `deltas`, Astrolabe's `delta_gossip`).
+    /// turns it on alongside the protocol's own switch (NewsWire's
+    /// `deltas`).
     pub fn set_delta_accounting(&mut self, on: bool) {
         self.delta_accounting = on;
     }

@@ -72,7 +72,6 @@ fn main() {
             end,
             mean_interval_secs: 9.0,
             identities_per_strike: 8,
-            publisher: 0,
         }],
         ..FaultPlan::default()
     };

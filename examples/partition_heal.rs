@@ -103,7 +103,9 @@ fn main() {
             id.0,
             node.deliveries.len(),
             node.deliveries.iter().filter(|r| r.via_repair).count(),
-            log.map(|l| l.summary().encode()).unwrap_or_else(|| "-".into()),
+            log.map(|l| l.summary())
+                .map(|s| format!("{}:{}:{}:{}", s.epoch, s.floor, s.next, s.present))
+                .unwrap_or_else(|| "-".into()),
             last_us,
         );
     }

@@ -1,19 +1,20 @@
 //! Semantic equivalence of the delta wire protocol: a delta-on run must
 //! deliver exactly the news a delta-off run delivers for the same seed.
 //!
-//! The delta protocol (CDC article deltas, gossip row diffs, compressed-wire
-//! accounting) is a wire-format optimization — it changes how bytes are
+//! The delta protocol (CDC article deltas, compressed-wire accounting) is a
+//! wire-format optimization — it changes how bytes are
 //! priced and which redundant payload fragments are re-shipped, never which
 //! revisions reach which subscribers. This test pins that contract under the
 //! E13 chaos cocktail (severe gray nodes plus Poisson churn through the
 //! publish window), where repair, reconciliation and gossip all carry real
 //! weight: both arms are selected through the one `deltas` switch (the
-//! deployment builder derives gossip row diffs and the compressed-wire
-//! accounting from it) and must converge every interested node to every
-//! story's final revision, with identical per-node outcomes.
+//! deployment builder derives the compressed-wire accounting from it) and
+//! must converge every interested node to every story's final revision,
+//! with identical per-node outcomes. Both arms gossip the same digest.
 //!
-//! Mid-chaos *timing* is allowed to differ between arms (delta gossip ships
-//! different message sizes, so the latency model schedules differently);
+//! Mid-chaos *timing* is allowed to differ between arms (delta-encoded
+//! articles ship different message sizes, so the latency model schedules
+//! differently);
 //! converged *state* is not. Within the delta arm, a second same-seed run
 //! must drain byte-identical telemetry: the delta wire is exactly as
 //! deterministic as the full one.
@@ -169,7 +170,7 @@ fn run_arm(deltas: bool, seed: u64) -> Arm {
             );
             assert!(
                 hub.counter_total(obs::ctr::GOSSIP_REFRESH_ROWS) > 0,
-                "delta arm sanity: gossip row diffs actually ran"
+                "delta arm sanity: gossip moved unchanged rows by stamp"
             );
         }
         total

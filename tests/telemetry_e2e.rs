@@ -84,12 +84,13 @@ fn deliver_ack_counters_append_after_the_existing_slots() {
     assert_eq!(hub.counter_total(ctr::NW_ACK_RETRIES), 0, "nothing lost, nothing retransmitted");
     assert!(hub.counter_total(ctr::NW_DELIVER_ACKS) > 0, "members acknowledge their Delivers");
     assert_eq!(hub.counter_total(ctr::NW_DELIVER_RESENDS), 0);
-    let retired = [ctr::RETIRED_94, ctr::RETIRED_95, ctr::RETIRED_99];
+    let retired =
+        [ctr::RETIRED_83, ctr::RETIRED_84, ctr::RETIRED_94, ctr::RETIRED_95, ctr::RETIRED_99];
     assert!(retired.iter().all(|&id| hub.counter_total(id) == 0), "retired slots stay zero");
 }
 
-/// The gossip byte counter is appended after those. On the default (full)
-/// gossip wire, a row whose values did not change moves by stamp alone —
+/// The gossip byte counter is appended after those. On the one gossip
+/// wire, a row whose values did not change moves by stamp alone —
 /// taken from a digest entry or a refresh record — so the refresh counters
 /// are live there too, and the bytes they saved are the larger part of what
 /// the rows would have cost.
@@ -104,14 +105,13 @@ fn the_full_gossip_wire_moves_unchanged_rows_by_stamp() {
     );
     assert_eq!(ctr::NAMES.len(), 104);
     let d = sample_run(0x0B8);
-    assert!(!d.sim.node(NodeId(0)).agent.config().delta_gossip, "the default is the full wire");
     let hub = d.sim.telemetry();
     let hub = hub.borrow();
     let (rows, saved) = (
         hub.counter_total(ctr::GOSSIP_REFRESH_ROWS),
         hub.counter_total(ctr::GOSSIP_REFRESH_BYTES_SAVED),
     );
-    assert!(rows > 0, "no row moved by stamp on the full wire");
+    assert!(rows > 0, "no row moved by stamp");
     assert!(saved > 30 * rows, "{saved} B saved over {rows} rows");
     let gossip = hub.counter_total(ctr::GOSSIP_BYTES_SENT);
     assert!(gossip > 0 && gossip < hub.counter_total(ctr::BYTES_SENT));
@@ -424,7 +424,6 @@ fn same_seed_trust_rotation_run_drains_identical_telemetry() {
                 end: SimTime::from_secs(110),
                 mean_interval_secs: 5.0,
                 identities_per_strike: 6,
-                publisher: 0,
             }],
             ..FaultPlan::default()
         };
