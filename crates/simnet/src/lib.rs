@@ -16,7 +16,9 @@
 //!   recovery regimes: `Freeze` (volatile state survives), `ColdDurable`
 //!   (rebuild from disk), `ColdAmnesia` (rejoin from nothing).
 //! * [`Simulation`] — the engine: events totally ordered by a
-//!   `(time, node-derived key)` in one calendar queue, per-node
+//!   `(time, node-derived key)` in one calendar queue ([`EventQueue`]:
+//!   1 ms ring buckets, the cursor's bucket split into 1 µs slots, each
+//!   microsecond's events sorted once), per-node
 //!   deterministic RNG streams, traffic accounting; a run depends on
 //!   nothing but the seed and the schedule.
 //! * [`NetworkModel`] — pluggable latency ([`LatencyModel`]), loss,
