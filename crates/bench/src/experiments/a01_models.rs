@@ -48,6 +48,13 @@ fn run_model(n: u32, model: Model, seed: u64) -> Outcome {
     if model == Model::Masks {
         config.model = SubscriptionModel::CategoryMask;
     }
+    // The §11 self-audit re-derives a node's advertised `subs` bits from
+    // its real subscription every few rounds, which would quietly turn the
+    // flood arm's saturated bits back into the Bloom arm's. Run it with the
+    // defenses off, as E17's ablation does.
+    if model == Model::Flood {
+        config.defenses = false;
+    }
     let mut d = DeploymentBuilder::new(n, seed)
         .branching(8)
         .config(config)

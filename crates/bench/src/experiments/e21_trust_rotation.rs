@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use newsml::{PublisherId, PublisherProfile};
 use newswire::{self_stabilized, NewsWireConfig, PublisherSpec};
-use simnet::{FaultPlan, KeyCompromiseSpec, NodeId, SimDuration, SimTime, SybilSpec};
+use simnet::{CorruptionOp, CorruptionSpec, FaultPlan, NodeId, SimDuration, SimTime};
 
 use crate::experiments::support::{dump_telemetry, tech_item};
 use crate::Table;
@@ -104,24 +104,22 @@ fn run_point(n: u32, duration: u64, seeds: u32, sybil: u32, defense: Defense, se
         (SimTime::from_secs(WINDOW_START), SimTime::from_secs(WINDOW_START + duration));
     let mut plan = FaultPlan {
         salt: seed ^ 0xE21,
-        key_compromise: vec![KeyCompromiseSpec {
-            nodes: thieves,
+        corruption: vec![CorruptionSpec {
+            nodes: thieves.clone(),
             start,
             end,
             mean_interval_secs: 8.0,
-            items_per_strike: 3,
-            attest_bump: 2,
-            publisher: 0,
+            op: CorruptionOp::StolenKey { publisher: 0, items: 3, attest_bump: 2 },
         }],
         ..FaultPlan::default()
     };
     if sybil > 0 {
-        plan.sybil.push(SybilSpec {
+        plan.corruption.push(CorruptionSpec {
             nodes: vec![striker],
             start,
             end,
             mean_interval_secs: 9.0,
-            identities_per_strike: sybil,
+            op: CorruptionOp::SybilFlood { identities: sybil, epoch: 0 },
         });
     }
     d.sim.apply_fault_plan(&plan);
@@ -144,7 +142,7 @@ fn run_point(n: u32, duration: u64, seeds: u32, sybil: u32, defense: Defense, se
 
     // The striker is exempt even in burst-free runs, so the consensus
     // fingerprint below covers the same honest node set in every cell.
-    let mut exempt: BTreeSet<NodeId> = plan.compromised_nodes();
+    let mut exempt: BTreeSet<NodeId> = thieves.into_iter().collect();
     exempt.insert(striker);
     let verdict = self_stabilized(&mut d, &items, &exempt, ROUND_BUDGET);
 

@@ -18,9 +18,8 @@ use newswire::{
 };
 use rand::Rng;
 use simnet::{
-    fork, ChurnSpec, CollusionScript, CollusionSpec, FaultCounters, FaultPlan, ForgeSpec,
-    GrayProfile, GraySpec, KeyCompromiseSpec, MessageChaosSpec, NodeId, SimDuration, SimTime,
-    SybilSpec,
+    fork, ChurnSpec, CollusionSpec, CorruptionOp, CorruptionSpec, FaultCounters, FaultPlan,
+    GrayProfile, GraySpec, MessageChaosSpec, NodeId, SimDuration, SimTime,
 };
 
 /// Subscriber count; the deployment adds one publisher at node 0.
@@ -78,9 +77,6 @@ fn plan_for(seed: u64) -> FaultPlan {
         corruption: vec![],
         liars: vec![],
         collusion: vec![],
-        forgery: vec![],
-        key_compromise: vec![],
-        sybil: vec![],
     }
 }
 
@@ -103,6 +99,7 @@ fn byzantine_plan_for(seed: u64) -> FaultPlan {
     };
     let colluders = draw(&mut rng, &mut picked, 5);
     let forgers = draw(&mut rng, &mut picked, 3);
+    let (start, end) = (SimTime::from_secs(90), SimTime::from_secs(140));
     FaultPlan {
         salt: seed,
         churn: vec![],
@@ -110,26 +107,30 @@ fn byzantine_plan_for(seed: u64) -> FaultPlan {
         link_cuts: vec![],
         partitions: vec![],
         message_chaos: vec![],
-        corruption: vec![],
+        corruption: vec![
+            CorruptionSpec {
+                nodes: colluders.clone(),
+                start,
+                end,
+                mean_interval_secs: 6.0,
+                op: CorruptionOp::VoteEpoch { publisher: 0, epoch: 0 },
+            },
+            CorruptionSpec {
+                nodes: forgers,
+                start,
+                end,
+                mean_interval_secs: 8.0,
+                op: CorruptionOp::ForgeItems { items: 3, publisher: 0 },
+            },
+        ],
         liars: vec![],
-        collusion: vec![CollusionSpec {
-            nodes: colluders,
-            start: SimTime::from_secs(90),
-            end: SimTime::from_secs(140),
-            mean_interval_secs: 6.0,
-            script: CollusionScript::EpochCapture { publisher: 0 },
-        }],
-        forgery: vec![ForgeSpec {
-            nodes: forgers,
-            start: SimTime::from_secs(90),
-            end: SimTime::from_secs(140),
-            mean_interval_secs: 8.0,
-            items_per_strike: 3,
-            publisher: 0,
-        }],
-        key_compromise: vec![],
-        sybil: vec![],
+        collusion: vec![CollusionSpec { nodes: colluders, start, end }],
     }
+}
+
+/// Every node a plan's strikes puppet.
+fn strikers(plan: &FaultPlan) -> BTreeSet<NodeId> {
+    plan.corruption.iter().flat_map(|c| c.nodes.iter().copied()).collect()
 }
 
 /// One Byzantine chaos run with defenses on. Returns the same replayable
@@ -167,8 +168,7 @@ fn byzantine_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     // already-seen) but every honest node is held to every invariant, and
     // with defenses on, no forged item may have reached ANY application —
     // colluders and forgers included.
-    let mut exempt: BTreeSet<NodeId> = plan.colluding_nodes();
-    exempt.extend(plan.forging_nodes());
+    let exempt = strikers(&plan);
     let report = check_invariants(&d, &items, &exempt);
     assert!(report.survivor_expected > 0, "seed {seed}: vacuous oracle run");
     assert!(report.no_forged_delivery(), "seed {seed}: forged delivery: {report}");
@@ -209,29 +209,28 @@ fn trust_plan_for(seed: u64) -> FaultPlan {
         link_cuts: vec![],
         partitions: vec![],
         message_chaos: vec![],
-        corruption: vec![],
+        // The stolen-key window opens at t=105, after the real stream has
+        // circulated, so forged seqs land beyond the published range and
+        // stay visible to the oracle as forgeries rather than colliding
+        // with real ids.
+        corruption: vec![
+            CorruptionSpec {
+                nodes: thieves,
+                start: SimTime::from_secs(105),
+                end: SimTime::from_secs(135),
+                mean_interval_secs: 6.0,
+                op: CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 2 },
+            },
+            CorruptionSpec {
+                nodes: sybils,
+                start: SimTime::from_secs(95),
+                end: SimTime::from_secs(140),
+                mean_interval_secs: 7.0,
+                op: CorruptionOp::SybilFlood { identities: 6, epoch: 0 },
+            },
+        ],
         liars: vec![],
         collusion: vec![],
-        forgery: vec![],
-        // The window opens at t=105, after the real stream has circulated,
-        // so forged seqs land beyond the published range and stay visible
-        // to the oracle as forgeries rather than colliding with real ids.
-        key_compromise: vec![KeyCompromiseSpec {
-            nodes: thieves,
-            start: SimTime::from_secs(105),
-            end: SimTime::from_secs(135),
-            mean_interval_secs: 6.0,
-            items_per_strike: 2,
-            attest_bump: 2,
-            publisher: 0,
-        }],
-        sybil: vec![SybilSpec {
-            nodes: sybils,
-            start: SimTime::from_secs(95),
-            end: SimTime::from_secs(140),
-            mean_interval_secs: 7.0,
-            identities_per_strike: 6,
-        }],
     }
 }
 
@@ -284,8 +283,7 @@ fn trust_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     // Thieves and Sybil strikers are exempt from eventual delivery (their
     // own state was puppeted), but no node — them included — may deliver
     // forged content after adopting the revocation.
-    let mut exempt: BTreeSet<NodeId> = plan.compromised_nodes();
-    exempt.extend(plan.sybil_nodes());
+    let exempt = strikers(&plan);
     let report = check_invariants(&d, &items, &exempt);
     assert!(report.survivor_expected > 0, "seed {seed}: vacuous oracle run");
     assert!(

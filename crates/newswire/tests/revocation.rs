@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
 use newswire::{check_invariants, Deployment, DeploymentBuilder, NewsWireConfig, PublisherSpec};
-use simnet::{FaultPlan, KeyCompromiseSpec, NodeId, SimTime};
+use simnet::{CorruptionOp, CorruptionSpec, FaultPlan, NodeId, SimTime};
 
 /// Subscriber count; the deployment adds one publisher at node 0.
 const N: u32 = 48;
@@ -38,6 +38,9 @@ fn build(seed: u64) -> Deployment {
         .build()
 }
 
+/// The nodes the adversary wields the stolen key from.
+const THIEVES: [NodeId; 2] = [NodeId(5), NodeId(23)];
+
 fn compromise_plan(seed: u64) -> FaultPlan {
     FaultPlan {
         salt: seed,
@@ -46,20 +49,15 @@ fn compromise_plan(seed: u64) -> FaultPlan {
         link_cuts: vec![],
         partitions: vec![],
         message_chaos: vec![],
-        corruption: vec![],
-        liars: vec![],
-        collusion: vec![],
-        forgery: vec![],
-        key_compromise: vec![KeyCompromiseSpec {
-            nodes: vec![NodeId(5), NodeId(23)],
+        corruption: vec![CorruptionSpec {
+            nodes: THIEVES.to_vec(),
             start: SimTime::from_secs(104),
             end: SimTime::from_secs(118),
             mean_interval_secs: 3.0,
-            items_per_strike: 2,
-            attest_bump: 1,
-            publisher: 0,
+            op: CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 1 },
         }],
-        sybil: vec![],
+        liars: vec![],
+        collusion: vec![],
     }
 }
 
@@ -123,7 +121,7 @@ fn run(seed: u64, compromised: bool) -> BTreeMap<u32, (bool, Served)> {
     let mut all = pre.clone();
     all.extend(post.iter().cloned());
     let exempt: BTreeSet<NodeId> =
-        if compromised { compromise_plan(seed).compromised_nodes() } else { BTreeSet::new() };
+        if compromised { THIEVES.into_iter().collect() } else { BTreeSet::new() };
     let report = check_invariants(&d, &all, &exempt);
     assert!(report.survivor_expected > 0, "seed {seed}: vacuous oracle run");
     assert!(

@@ -2,8 +2,14 @@
 //!
 //! A [`FaultPlan`] describes *processes* of failure rather than individual
 //! events: Poisson churn (crash/recover with configurable mean up/down dwell
-//! times), gray brownouts over node sets, directed link cuts, and
-//! network-wide duplication/reordering windows. Applying a plan expands it
+//! times), gray brownouts over node sets, directed link cuts, partitions,
+//! and network-wide duplication/reordering windows. The adversary has three
+//! primitives: Poisson corruption strikes ([`CorruptionSpec`], one
+//! [`CorruptionOp`] per strike), liar windows ([`LiarSpec`]) and colluder
+//! marks ([`CollusionSpec`]). Every attack is built from them: a colluding
+//! epoch capture is `VoteEpoch` strikes plus a mark over the same group, a
+//! split-brain pair a `SplitBrain` liar window plus a mark, a stolen key
+//! `StolenKey` strikes. Applying a plan expands it
 //! into concrete engine events using randomness forked from the simulation's
 //! master seed (mixed with the plan's `salt`), so the same `(seed, plan)`
 //! pair always produces the same schedule — chaos runs are replayable
@@ -44,7 +50,7 @@ use std::collections::BTreeSet;
 use rand::Rng;
 
 use crate::disk::RestartMode;
-use crate::node::{CorruptionOp, LiarBehavior, LiarMode, Node, NodeId};
+use crate::node::{CorruptionOp, LiarBehavior, Node, NodeId};
 use crate::rng::{exp_sample, fork};
 use crate::sim::Simulation;
 use crate::time::{SimDuration, SimTime};
@@ -137,12 +143,22 @@ pub struct MessageChaosSpec {
     pub reorder_jitter: SimDuration,
 }
 
-/// A Poisson process of adversarial state-corruption strikes over a set of
-/// nodes: within `[start, end)`, each node is struck at exponentially
-/// distributed intervals, each strike applying `op` to its live state (or
-/// its disk, for [`CorruptionOp::DiskBytes`]). Every strike carries its own
-/// seed drawn from the plan-expansion stream, so the schedule *and* the
-/// damage replay bit-for-bit for a given `(seed, plan)` pair.
+/// A Poisson process of adversarial strikes over a set of nodes: within
+/// `[start, end)`, each node is struck at exponentially distributed
+/// intervals, each strike applying `op` to its live state (or its disk, for
+/// [`CorruptionOp::DiskBytes`]). Every threat that acts by editing a node's
+/// own state is one of these: scrambled rows, phantom log entries, torn
+/// disk records, forged items ([`CorruptionOp::ForgeItems`]), a colluding
+/// group's epoch vote ([`CorruptionOp::VoteEpoch`]), forgeries under a
+/// stolen key ([`CorruptionOp::StolenKey`]), a Sybil burst
+/// ([`CorruptionOp::SybilFlood`]). Every strike carries its own seed drawn
+/// from the plan-expansion stream, so the schedule *and* the damage replay
+/// bit-for-bit for a given `(seed, plan)` pair.
+///
+/// `VoteEpoch` and `SybilFlood` stand for one fabricated epoch that every
+/// strike of the spec asserts (the group's joint vote): the plan draws it
+/// once per spec, before the spec's strikes, high enough that no legitimate
+/// restart history reaches it, and it replaces the `epoch` given in `op`.
 #[derive(Debug, Clone)]
 pub struct CorruptionSpec {
     /// Nodes subjected to corruption strikes.
@@ -157,129 +173,19 @@ pub struct CorruptionSpec {
     pub op: CorruptionOp,
 }
 
-/// The shared script a colluding group executes (see [`CollusionSpec`]).
-/// Every member runs the *same* script with *jointly chosen* fabricated
-/// values, which is what distinguishes collusion from independent
-/// corruption: an unsigned neighborhood vote can be captured only when the
-/// liars agree with each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollusionScript {
-    /// Jointly vote the consensus epoch upward: every member repeatedly
-    /// asserts the same fabricated log epoch for `publisher` (drawn once
-    /// per spec from the plan stream) and advertises it, so the group forms
-    /// a leaf-zone majority behind a history that never happened.
-    EpochCapture {
-        /// Raw id of the publisher whose epoch the group captures.
-        publisher: u16,
-    },
-    /// Coordinated `SelectiveDrop` along a publisher→subscriber routing
-    /// path: every member silently drops the outbound payload traffic it
-    /// was trusted to forward, for the whole window.
-    RoutePartition,
-    /// Split-brain lying: each member tells different peers different
-    /// stories about its anti-entropy digests (inflated to one half of the
-    /// destination space, stale to the other).
-    SplitBrain,
-}
-
-impl CollusionScript {
-    /// Stable lowercase name, for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CollusionScript::EpochCapture { .. } => "epoch_capture",
-            CollusionScript::RoutePartition => "route_partition",
-            CollusionScript::SplitBrain => "split_brain",
-        }
-    }
-}
-
-/// A seeded group of nodes bound to a shared Byzantine script for a window.
-/// Strike cadence (for episodic scripts like
-/// [`CollusionScript::EpochCapture`]) is Poisson per member; behavioral
-/// scripts install liar behaviors for the window. The group membership is
-/// marked in the engine so its strikes and intercepts are tallied as
-/// *collusion* (not independent corruption) and harnesses can sweep the
-/// colluding fraction.
+/// A colluder mark: the nodes count as one colluding group for a window.
+/// The mark changes attribution only — strikes by a member also tally as
+/// collusion strikes, and its liar intercepts tally as collusion intercepts
+/// instead of solo ones — so a group attack is a [`CorruptionSpec`] or a
+/// [`LiarSpec`] over the same nodes and window plus this mark.
 #[derive(Debug, Clone)]
 pub struct CollusionSpec {
     /// The colluding members.
     pub nodes: Vec<NodeId>,
-    /// When the script starts.
+    /// When the group forms.
     pub start: SimTime,
-    /// When it stops.
+    /// When it disbands.
     pub end: SimTime,
-    /// Mean seconds between strikes against one member (episodic scripts).
-    pub mean_interval_secs: f64,
-    /// What the group jointly does.
-    pub script: CollusionScript,
-}
-
-/// A Poisson process of item-forgery strikes: each strike fabricates
-/// `items_per_strike` forged payload items (invented content under bogus
-/// signatures, impersonating `publisher`) directly into the victim's own
-/// state, where repair and anti-entropy traffic will offer them to honest
-/// peers. Expands to [`CorruptionOp::ForgeItems`] strikes.
-#[derive(Debug, Clone)]
-pub struct ForgeSpec {
-    /// Nodes that fabricate forged items.
-    pub nodes: Vec<NodeId>,
-    /// When the forgery window opens.
-    pub start: SimTime,
-    /// When it closes.
-    pub end: SimTime,
-    /// Mean seconds between strikes against one node.
-    pub mean_interval_secs: f64,
-    /// Forged items fabricated per strike.
-    pub items_per_strike: u32,
-    /// Raw id of the publisher being impersonated.
-    pub publisher: u16,
-}
-
-/// A key-compromise window: the adversary holds `publisher`'s *real*
-/// signing key (exfiltrated from the trust registry) and, at Poisson
-/// intervals within `[start, end)`, strikes the listed nodes with
-/// [`CorruptionOp::StolenKey`] — fabricating validly-signed forged items
-/// and a bogus epoch attestation that verify correctly until the
-/// key-epoch is revoked. Expands exactly like [`ForgeSpec`], so the
-/// schedule replays bit-for-bit for a given `(seed, plan)` pair.
-#[derive(Debug, Clone)]
-pub struct KeyCompromiseSpec {
-    /// Nodes the adversary operates from during the window.
-    pub nodes: Vec<NodeId>,
-    /// When the key is stolen (first possible strike).
-    pub start: SimTime,
-    /// When the window closes (no strikes at or after this time).
-    pub end: SimTime,
-    /// Mean seconds between strikes against one node.
-    pub mean_interval_secs: f64,
-    /// Forged (validly signed) items fabricated per strike.
-    pub items_per_strike: u32,
-    /// How far above the signed authority each bogus attestation claims.
-    pub attest_bump: u32,
-    /// Raw id of the publisher whose key the adversary holds.
-    pub publisher: u16,
-}
-
-/// A Sybil burst: within `[start, end)`, the listed nodes are struck at
-/// Poisson intervals with [`CorruptionOp::SybilFlood`], each strike
-/// injecting `identities_per_strike` fabricated member identities into the
-/// striker's own leaf-zone table — where gossip, join, and reconcile
-/// peer-selection paths will encounter them. All strikes of one spec stand
-/// for the same fabricated epoch (drawn once from the plan stream, like
-/// [`CollusionScript::EpochCapture`]'s joint vote); the rows themselves
-/// cast no epoch vote.
-#[derive(Debug, Clone)]
-pub struct SybilSpec {
-    /// Nodes that fabricate identities.
-    pub nodes: Vec<NodeId>,
-    /// When the burst starts.
-    pub start: SimTime,
-    /// When it stops.
-    pub end: SimTime,
-    /// Mean seconds between strikes against one node.
-    pub mean_interval_secs: f64,
-    /// Fabricated identities injected per strike.
-    pub identities_per_strike: u32,
 }
 
 /// A liar window: the nodes run their outbound traffic through the
@@ -316,18 +222,13 @@ pub struct FaultPlan {
     pub partitions: Vec<PartitionSpec>,
     /// Duplication/reordering windows.
     pub message_chaos: Vec<MessageChaosSpec>,
-    /// Adversarial state-corruption processes.
+    /// Strike processes. They draw from the plan stream in list order, so
+    /// moving one re-rolls the schedule of every spec after it.
     pub corruption: Vec<CorruptionSpec>,
     /// Liar windows.
     pub liars: Vec<LiarSpec>,
-    /// Colluding-group scripts.
+    /// Colluder marks.
     pub collusion: Vec<CollusionSpec>,
-    /// Item-forgery processes.
-    pub forgery: Vec<ForgeSpec>,
-    /// Key-compromise windows (stolen-key forgeries).
-    pub key_compromise: Vec<KeyCompromiseSpec>,
-    /// Sybil identity bursts.
-    pub sybil: Vec<SybilSpec>,
 }
 
 impl FaultPlan {
@@ -336,30 +237,11 @@ impl FaultPlan {
     pub fn churned_nodes(&self) -> BTreeSet<NodeId> {
         self.churn.iter().flat_map(|c| c.nodes.iter().copied()).collect()
     }
-
-    /// Every node any collusion script binds.
-    pub fn colluding_nodes(&self) -> BTreeSet<NodeId> {
-        self.collusion.iter().flat_map(|c| c.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any forgery process may strike.
-    pub fn forging_nodes(&self) -> BTreeSet<NodeId> {
-        self.forgery.iter().flat_map(|f| f.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any key-compromise window operates from.
-    pub fn compromised_nodes(&self) -> BTreeSet<NodeId> {
-        self.key_compromise.iter().flat_map(|k| k.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any Sybil burst strikes.
-    pub fn sybil_nodes(&self) -> BTreeSet<NodeId> {
-        self.sybil.iter().flat_map(|s| s.nodes.iter().copied()).collect()
-    }
 }
 
 impl<N: Node> Simulation<N> {
-    /// Expands `plan` into concrete crash/recover/gray/link/knob events.
+    /// Expands `plan` into concrete crash/recover/gray/link/knob events,
+    /// corruption strikes, liar installs and colluder marks.
     ///
     /// Expansion randomness is forked from the simulation's master seed and
     /// the plan's `salt` only — it does not touch the node or network RNG
@@ -368,8 +250,9 @@ impl<N: Node> Simulation<N> {
     ///
     /// # Panics
     ///
-    /// Panics if any window in the plan starts in the simulated past, or if
-    /// a churn spec has a non-positive mean dwell.
+    /// Panics if any window in the plan starts in the simulated past or
+    /// ends before it starts, or if a churn or corruption spec has a
+    /// non-positive mean.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         let mut rng = fork(self.seed() ^ plan.salt, PLAN_STREAM);
         for spec in &plan.churn {
@@ -426,13 +309,22 @@ impl<N: Node> Simulation<N> {
                 spec.mean_interval_secs > 0.0,
                 "corruption spec needs a positive mean interval"
             );
+            let op = match spec.op {
+                CorruptionOp::VoteEpoch { publisher, .. } => {
+                    CorruptionOp::VoteEpoch { publisher, epoch: fabricated_epoch(&mut rng) }
+                }
+                CorruptionOp::SybilFlood { identities, .. } => {
+                    CorruptionOp::SybilFlood { identities, epoch: fabricated_epoch(&mut rng) }
+                }
+                op => op,
+            };
             let end = spec.end.since(SimTime::ZERO).as_secs_f64();
             for &node in &spec.nodes {
                 let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
                     + exp_sample(&mut rng, spec.mean_interval_secs);
                 while t < end {
                     let strike_seed: u64 = rng.gen();
-                    self.schedule_corruption(at_secs(t), node, spec.op, strike_seed);
+                    self.schedule_corruption(at_secs(t), node, op, strike_seed);
                     t += exp_sample(&mut rng, spec.mean_interval_secs);
                 }
             }
@@ -454,100 +346,13 @@ impl<N: Node> Simulation<N> {
                 self.schedule_colluder(spec.start, node, true);
                 self.schedule_colluder(spec.end, node, false);
             }
-            match spec.script {
-                CollusionScript::EpochCapture { publisher } => {
-                    assert!(
-                        spec.mean_interval_secs > 0.0,
-                        "epoch-capture script needs a positive mean interval"
-                    );
-                    // The joint vote: one fabricated epoch, drawn once from
-                    // the plan stream, asserted by every member. High enough
-                    // that no legitimate restart history reaches it.
-                    let epoch: u32 = 100 + rng.gen_range(0u32..64);
-                    let op = CorruptionOp::VoteEpoch { publisher, epoch };
-                    let end = spec.end.since(SimTime::ZERO).as_secs_f64();
-                    for &node in &spec.nodes {
-                        let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
-                            + exp_sample(&mut rng, spec.mean_interval_secs);
-                        while t < end {
-                            let strike_seed: u64 = rng.gen();
-                            self.schedule_corruption(at_secs(t), node, op, strike_seed);
-                            t += exp_sample(&mut rng, spec.mean_interval_secs);
-                        }
-                    }
-                }
-                CollusionScript::RoutePartition => {
-                    let behavior = LiarBehavior { mode: LiarMode::SelectiveDrop, prob: 1.0 };
-                    for &node in &spec.nodes {
-                        self.schedule_liar(spec.start, node, Some(behavior));
-                        self.schedule_liar(spec.end, node, None);
-                    }
-                }
-                CollusionScript::SplitBrain => {
-                    let behavior = LiarBehavior { mode: LiarMode::SplitBrain, prob: 1.0 };
-                    for &node in &spec.nodes {
-                        self.schedule_liar(spec.start, node, Some(behavior));
-                        self.schedule_liar(spec.end, node, None);
-                    }
-                }
-            }
-        }
-        for spec in &plan.forgery {
-            assert!(spec.mean_interval_secs > 0.0, "forge spec needs a positive mean interval");
-            let op = CorruptionOp::ForgeItems {
-                items: spec.items_per_strike,
-                publisher: spec.publisher,
-            };
-            let end = spec.end.since(SimTime::ZERO).as_secs_f64();
-            for &node in &spec.nodes {
-                let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
-                    + exp_sample(&mut rng, spec.mean_interval_secs);
-                while t < end {
-                    let strike_seed: u64 = rng.gen();
-                    self.schedule_corruption(at_secs(t), node, op, strike_seed);
-                    t += exp_sample(&mut rng, spec.mean_interval_secs);
-                }
-            }
-        }
-        for spec in &plan.key_compromise {
-            assert!(
-                spec.mean_interval_secs > 0.0,
-                "key-compromise spec needs a positive mean interval"
-            );
-            let op = CorruptionOp::StolenKey {
-                publisher: spec.publisher,
-                items: spec.items_per_strike,
-                attest_bump: spec.attest_bump,
-            };
-            let end = spec.end.since(SimTime::ZERO).as_secs_f64();
-            for &node in &spec.nodes {
-                let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
-                    + exp_sample(&mut rng, spec.mean_interval_secs);
-                while t < end {
-                    let strike_seed: u64 = rng.gen();
-                    self.schedule_corruption(at_secs(t), node, op, strike_seed);
-                    t += exp_sample(&mut rng, spec.mean_interval_secs);
-                }
-            }
-        }
-        for spec in &plan.sybil {
-            assert!(spec.mean_interval_secs > 0.0, "sybil spec needs a positive mean interval");
-            // Like the epoch-capture joint vote: one fabricated epoch per
-            // spec, drawn once from the plan stream, claimed by every Sybil.
-            let epoch: u32 = 100 + rng.gen_range(0u32..64);
-            let op = CorruptionOp::SybilFlood { identities: spec.identities_per_strike, epoch };
-            let end = spec.end.since(SimTime::ZERO).as_secs_f64();
-            for &node in &spec.nodes {
-                let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
-                    + exp_sample(&mut rng, spec.mean_interval_secs);
-                while t < end {
-                    let strike_seed: u64 = rng.gen();
-                    self.schedule_corruption(at_secs(t), node, op, strike_seed);
-                    t += exp_sample(&mut rng, spec.mean_interval_secs);
-                }
-            }
         }
     }
+}
+
+/// A joint vote's fabricated epoch: above any legitimate restart history.
+fn fabricated_epoch(rng: &mut impl Rng) -> u32 {
+    100 + rng.gen_range(0u32..64)
 }
 
 fn at_secs(secs: f64) -> SimTime {
@@ -575,7 +380,8 @@ mod tests {
     }
 
     /// A chatty node that records exactly what the adversary did to it:
-    /// every corruption draw, every tampered byte it received.
+    /// every corruption draw, every tampered byte it received. It keeps one
+    /// fsynced disk record, so a `DiskBytes` strike has bits to flip.
     struct Chatty {
         peer: NodeId,
         draws: Vec<u64>,
@@ -584,6 +390,8 @@ mod tests {
     impl Node for Chatty {
         type Msg = Vec<u8>;
         fn on_start(&mut self, ctx: &mut Context<'_, Vec<u8>>) {
+            ctx.disk().write("state", vec![0; 16]);
+            ctx.disk().fsync();
             ctx.set_timer(SimDuration::from_secs(1), 0);
         }
         fn on_message(&mut self, _ctx: &mut Context<'_, Vec<u8>>, _from: NodeId, m: Vec<u8>) {
@@ -593,38 +401,23 @@ mod tests {
             ctx.send(self.peer, vec![7]);
             ctx.set_timer(SimDuration::from_secs(1), 0);
         }
+        /// One record per unit of damage: the epoch a vote asserts, or one
+        /// draw from the strike's private stream.
         fn apply_corruption(&mut self, op: &CorruptionOp, rng: &mut SmallRng) -> u64 {
-            match op {
-                CorruptionOp::ZoneRows { rows } => {
-                    for _ in 0..*rows {
-                        self.draws.push(rng.gen());
-                    }
-                    u64::from(*rows)
+            let (units, epoch) = match *op {
+                CorruptionOp::ZoneRows { rows } => (rows, None),
+                CorruptionOp::LogEpoch { entries } => (entries, None),
+                CorruptionOp::ForgeItems { items, .. } | CorruptionOp::StolenKey { items, .. } => {
+                    (items, None)
                 }
-                CorruptionOp::ForgeItems { items, .. } => {
-                    for _ in 0..*items {
-                        self.draws.push(rng.gen());
-                    }
-                    u64::from(*items)
-                }
-                CorruptionOp::VoteEpoch { epoch, .. } => {
-                    self.draws.push(u64::from(*epoch));
-                    1
-                }
-                CorruptionOp::StolenKey { items, .. } => {
-                    for _ in 0..*items {
-                        self.draws.push(rng.gen());
-                    }
-                    u64::from(*items)
-                }
-                CorruptionOp::SybilFlood { identities, epoch } => {
-                    for _ in 0..*identities {
-                        self.draws.push(u64::from(*epoch));
-                    }
-                    u64::from(*identities)
-                }
-                _ => 0,
+                CorruptionOp::VoteEpoch { epoch, .. } => (1, Some(epoch)),
+                CorruptionOp::SybilFlood { identities, epoch } => (identities, Some(epoch)),
+                CorruptionOp::DiskBytes { .. } => unreachable!("the engine strikes the disk"),
+            };
+            for _ in 0..units {
+                self.draws.push(epoch.map_or_else(|| rng.gen(), u64::from));
             }
+            u64::from(units)
         }
         fn tamper_outbound(
             &mut self,
@@ -658,39 +451,140 @@ mod tests {
         sim
     }
 
+    /// Every strike the run executed, as `(µs, node, op discriminant)`,
+    /// read from the trace ring.
+    fn strikes(sim: &Simulation<Chatty>) -> Vec<(u64, u32, u64)> {
+        let t = sim.snapshot_telemetry();
+        t.events
+            .iter()
+            .filter(|e| e.kind == obs::kind::STATE_CORRUPT)
+            .map(|e| (e.t_us, e.node, e.a))
+            .collect()
+    }
+
+    /// Both nodes' corruption records, node 0's first.
+    fn draws(sim: &Simulation<Chatty>) -> Vec<u64> {
+        [NodeId(0), NodeId(1)].iter().flat_map(|&n| sim.node(n).draws.iter().copied()).collect()
+    }
+
+    /// Both nodes' disk records.
+    fn disks(sim: &Simulation<Chatty>) -> Vec<Vec<u8>> {
+        [NodeId(0), NodeId(1)]
+            .iter()
+            .map(|&n| sim.disk(n).read("state").expect("written at start").to_vec())
+            .collect()
+    }
+
+    /// Every op runs through the one strike process: it strikes inside its
+    /// window, its schedule and damage replay for the same seed, a new
+    /// salt re-draws the schedule, and it tallies its own counter. The two
+    /// joint-vote ops assert one fabricated epoch per spec.
     #[test]
-    fn corruption_spec_schedule_is_seed_deterministic() {
-        let plan = FaultPlan {
-            salt: 0xBAD,
-            corruption: vec![CorruptionSpec {
-                nodes: vec![NodeId(0), NodeId(1)],
-                start: SimTime::from_secs(5),
-                end: SimTime::from_secs(30),
-                mean_interval_secs: 4.0,
-                op: CorruptionOp::ZoneRows { rows: 3 },
-            }],
-            ..FaultPlan::default()
-        };
-        let s1 = chatty_pair(11, &plan);
-        let s2 = chatty_pair(11, &plan);
-        let f1 = s1.fault_counters();
-        assert!(f1.state_corruptions > 0, "the window must actually strike");
-        assert_eq!(f1, s2.fault_counters(), "same seed ⇒ identical fault counters");
-        for n in [NodeId(0), NodeId(1)] {
+    fn every_strike_op_replays_and_tallies_its_counter() {
+        let ops = [
+            CorruptionOp::ZoneRows { rows: 3 },
+            CorruptionOp::LogEpoch { entries: 2 },
+            CorruptionOp::DiskBytes { flips: 5 },
+            CorruptionOp::ForgeItems { items: 2, publisher: 0 },
+            CorruptionOp::VoteEpoch { publisher: 0, epoch: 0 },
+            CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 3 },
+            CorruptionOp::SybilFlood { identities: 4, epoch: 0 },
+        ];
+        for op in ops {
+            let name = op.name();
+            let group = vec![NodeId(0), NodeId(1)];
+            let (start, end) = (SimTime::from_secs(5), SimTime::from_secs(30));
+            let vote = matches!(op, CorruptionOp::VoteEpoch { .. });
+            let plan = FaultPlan {
+                salt: 0xBAD,
+                corruption: vec![CorruptionSpec {
+                    nodes: group.clone(),
+                    start,
+                    end,
+                    mean_interval_secs: 5.0,
+                    op,
+                }],
+                // The epoch vote is a colluding group's; every other op
+                // strikes solo.
+                collusion: if vote {
+                    vec![CollusionSpec { nodes: group, start, end }]
+                } else {
+                    vec![]
+                },
+                ..FaultPlan::default()
+            };
+            let s1 = chatty_pair(11, &plan);
+            let s2 = chatty_pair(11, &plan);
+            let f = s1.fault_counters();
+            assert!(f.state_corruptions > 0, "{name}: the window must actually strike");
             assert_eq!(
-                s1.node(n).draws,
-                s2.node(n).draws,
-                "same seed ⇒ identical corruption draws on {n}"
+                f.state_corruptions,
+                strikes(&s1).len() as u64,
+                "{name}: one trace per strike"
             );
+            assert_eq!(f, s2.fault_counters(), "{name}: same seed ⇒ identical fault counters");
+            assert_eq!(strikes(&s1), strikes(&s2), "{name}: same seed ⇒ identical schedule");
+            assert_eq!(
+                (draws(&s1), disks(&s1)),
+                (draws(&s2), disks(&s2)),
+                "{name}: same seed ⇒ identical damage"
+            );
+            let s3 = chatty_pair(11, &FaultPlan { salt: 0xF00D, ..plan.clone() });
+            assert_ne!(strikes(&s1), strikes(&s3), "{name}: salt must re-randomize the schedule");
+
+            let all = draws(&s1);
+            let disk = matches!(op, CorruptionOp::DiskBytes { .. });
+            assert_eq!(all.is_empty(), disk, "{name}: every other strike records its damage");
+            if vote {
+                assert_eq!(
+                    f.state_corruptions, f.collusion_strikes,
+                    "colluder strikes are also state corruptions"
+                );
+            } else {
+                assert_eq!(f.collusion_strikes, 0, "{name}: a lone striker is not a collusion");
+            }
+            match op {
+                CorruptionOp::ZoneRows { rows: units }
+                | CorruptionOp::LogEpoch { entries: units } => {
+                    assert_eq!(all.len() as u64, f.state_corruptions * u64::from(units));
+                }
+                CorruptionOp::DiskBytes { .. } => {
+                    assert!(
+                        disks(&s1).iter().any(|d| d.iter().any(|&b| b != 0)),
+                        "disk strikes must flip stored bits"
+                    );
+                }
+                CorruptionOp::ForgeItems { .. } => assert_eq!(
+                    f.forged_items_injected,
+                    all.len() as u64,
+                    "every fabricated item was drawn from the strike stream"
+                ),
+                CorruptionOp::StolenKey { items, .. } => {
+                    assert_eq!(f.key_compromise_strikes, f.state_corruptions);
+                    assert_eq!(
+                        f.forged_items_injected, 0,
+                        "stolen-key forgeries are tallied separately"
+                    );
+                    assert_eq!(
+                        all.len() as u64,
+                        f.key_compromise_strikes * u64::from(items),
+                        "every strike fabricates its items"
+                    );
+                }
+                CorruptionOp::VoteEpoch { .. } | CorruptionOp::SybilFlood { .. } => {
+                    if let CorruptionOp::SybilFlood { .. } = op {
+                        assert_eq!(all.len() as u64, f.sybil_joins_attempted);
+                    }
+                    // The vote is *joint*: every strike on every member
+                    // asserts the one epoch the plan drew for the spec.
+                    assert!(all.iter().all(|&e| e == all[0]), "{name}: one epoch per spec");
+                    assert!(
+                        (100..164).contains(&all[0]),
+                        "the fabricated epoch sits above any legitimate history"
+                    );
+                }
+            }
         }
-        assert!(!s1.node(NodeId(0)).draws.is_empty() || !s1.node(NodeId(1)).draws.is_empty());
-        // A different salt draws a different schedule.
-        let s3 = chatty_pair(11, &FaultPlan { salt: 0xF00D, ..plan.clone() });
-        assert_ne!(
-            (s1.node(NodeId(0)).draws.clone(), s1.node(NodeId(1)).draws.clone()),
-            (s3.node(NodeId(0)).draws.clone(), s3.node(NodeId(1)).draws.clone()),
-            "salt must re-randomize the schedule"
-        );
     }
 
     #[test]
@@ -757,59 +651,19 @@ mod tests {
     }
 
     #[test]
-    fn collusion_epoch_capture_is_seed_deterministic() {
-        let plan = FaultPlan {
-            salt: 0xC0117,
-            collusion: vec![CollusionSpec {
-                nodes: vec![NodeId(0), NodeId(1)],
-                start: SimTime::from_secs(5),
-                end: SimTime::from_secs(30),
-                mean_interval_secs: 5.0,
-                script: CollusionScript::EpochCapture { publisher: 0 },
-            }],
-            ..FaultPlan::default()
-        };
-        let s1 = chatty_pair(21, &plan);
-        let s2 = chatty_pair(21, &plan);
-        let f1 = s1.fault_counters();
-        assert!(f1.collusion_strikes > 0, "the script must actually strike");
-        assert_eq!(
-            f1.state_corruptions, f1.collusion_strikes,
-            "colluder strikes are also state corruptions"
-        );
-        assert_eq!(f1, s2.fault_counters(), "same seed ⇒ identical strike counters");
-        // The vote is *joint*: both members assert the identical fabricated
-        // epoch, every strike.
-        let all: Vec<u64> = s1
-            .node(NodeId(0))
-            .draws
-            .iter()
-            .chain(s1.node(NodeId(1)).draws.iter())
-            .copied()
-            .collect();
-        assert!(!all.is_empty());
-        assert!(all.iter().all(|&e| e == all[0]), "colluders must vote the same epoch");
-        assert!(all[0] >= 100, "the fabricated epoch sits above any legitimate history");
-        assert_eq!(s1.node(NodeId(0)).draws, s2.node(NodeId(0)).draws);
-        // A different salt draws a different schedule (and usually epoch).
-        let s3 = chatty_pair(21, &FaultPlan { salt: 0xD00D, ..plan.clone() });
-        assert_ne!(
-            (s1.node(NodeId(0)).draws.clone(), s1.fault_counters().collusion_strikes),
-            (s3.node(NodeId(0)).draws.clone(), s3.fault_counters().collusion_strikes),
-            "salt must re-randomize the script"
-        );
-    }
-
-    #[test]
     fn collusion_split_brain_lies_by_destination() {
         let plan = FaultPlan {
             salt: 0x5B,
+            liars: vec![LiarSpec {
+                nodes: vec![NodeId(0)],
+                start: SimTime::from_secs(2),
+                end: Some(SimTime::from_secs(30)),
+                behavior: LiarBehavior { mode: LiarMode::SplitBrain, prob: 1.0 },
+            }],
             collusion: vec![CollusionSpec {
                 nodes: vec![NodeId(0)],
                 start: SimTime::from_secs(2),
                 end: SimTime::from_secs(30),
-                mean_interval_secs: 5.0,
-                script: CollusionScript::SplitBrain,
             }],
             ..FaultPlan::default()
         };
@@ -823,96 +677,117 @@ mod tests {
         assert_eq!(s1.fault_counters(), chatty_pair(23, &plan).fault_counters());
     }
 
+    /// The strike schedule of a mixed plan, pinned: a colluding epoch vote,
+    /// a split-brain liar window, and forge, stolen-key and Sybil strikes,
+    /// listed in the order the plan stream draws them. An edit that
+    /// reorders the plan stream moves these times.
     #[test]
-    fn forge_spec_schedule_is_seed_deterministic() {
+    fn mixed_plan_strike_schedule_is_pinned() {
+        let (start, end) = (SimTime::from_secs(5), SimTime::from_secs(30));
+        let late = SimTime::from_secs(35);
+        let both = vec![NodeId(0), NodeId(1)];
+        let strikes_of = |nodes: Vec<NodeId>, end, mean_interval_secs, op| CorruptionSpec {
+            nodes,
+            start,
+            end,
+            mean_interval_secs,
+            op,
+        };
         let plan = FaultPlan {
-            salt: 0xF06E,
-            forgery: vec![ForgeSpec {
-                nodes: vec![NodeId(1)],
-                start: SimTime::from_secs(5),
-                end: SimTime::from_secs(35),
-                mean_interval_secs: 6.0,
-                items_per_strike: 2,
-                publisher: 0,
+            salt: 0x5C4E_D01E,
+            corruption: vec![
+                strikes_of(
+                    both.clone(),
+                    end,
+                    5.0,
+                    CorruptionOp::VoteEpoch { publisher: 0, epoch: 0 },
+                ),
+                strikes_of(
+                    vec![NodeId(1)],
+                    late,
+                    6.0,
+                    CorruptionOp::ForgeItems { items: 2, publisher: 0 },
+                ),
+                strikes_of(
+                    vec![NodeId(0)],
+                    late,
+                    7.0,
+                    CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 3 },
+                ),
+                strikes_of(
+                    both.clone(),
+                    end,
+                    5.0,
+                    CorruptionOp::SybilFlood { identities: 4, epoch: 0 },
+                ),
+            ],
+            liars: vec![LiarSpec {
+                nodes: vec![NodeId(0)],
+                start: SimTime::from_secs(2),
+                end: Some(end),
+                behavior: LiarBehavior { mode: LiarMode::SplitBrain, prob: 1.0 },
             }],
+            collusion: vec![
+                CollusionSpec { nodes: both, start, end },
+                CollusionSpec { nodes: vec![NodeId(0)], start: SimTime::from_secs(2), end },
+            ],
             ..FaultPlan::default()
         };
-        let s1 = chatty_pair(29, &plan);
-        let s2 = chatty_pair(29, &plan);
-        let f1 = s1.fault_counters();
-        assert!(f1.forged_items_injected > 0, "forgery must actually inject");
-        assert_eq!(f1.collusion_strikes, 0, "a lone forger is not a collusion");
-        assert_eq!(f1, s2.fault_counters(), "same seed ⇒ identical forge counters");
-        assert_eq!(s1.node(NodeId(1)).draws, s2.node(NodeId(1)).draws);
-        assert_eq!(
-            f1.forged_items_injected,
-            s1.node(NodeId(1)).draws.len() as u64,
-            "every fabricated item was drawn from the strike stream"
-        );
-    }
-
-    #[test]
-    fn key_compromise_spec_schedule_is_seed_deterministic() {
-        let plan = FaultPlan {
-            salt: 0x5701E,
-            key_compromise: vec![KeyCompromiseSpec {
-                nodes: vec![NodeId(1)],
-                start: SimTime::from_secs(5),
-                end: SimTime::from_secs(35),
-                mean_interval_secs: 6.0,
-                items_per_strike: 2,
-                attest_bump: 3,
-                publisher: 0,
-            }],
-            ..FaultPlan::default()
-        };
-        let s1 = chatty_pair(31, &plan);
-        let s2 = chatty_pair(31, &plan);
-        let f1 = s1.fault_counters();
-        assert!(f1.key_compromise_strikes > 0, "the stolen key must actually strike");
-        assert_eq!(f1.forged_items_injected, 0, "stolen-key forgeries are tallied separately");
-        assert_eq!(f1, s2.fault_counters(), "same seed ⇒ identical strike counters");
-        assert_eq!(s1.node(NodeId(1)).draws, s2.node(NodeId(1)).draws);
-        assert_eq!(
-            s1.node(NodeId(1)).draws.len() as u64,
-            f1.key_compromise_strikes * 2,
-            "every strike fabricates items_per_strike items"
-        );
-        // A different salt draws a different schedule.
-        let s3 = chatty_pair(31, &FaultPlan { salt: 0xD1FF, ..plan.clone() });
-        assert_ne!(s1.node(NodeId(1)).draws, s3.node(NodeId(1)).draws);
-    }
-
-    #[test]
-    fn sybil_spec_votes_one_epoch_and_replays() {
-        let plan = FaultPlan {
-            salt: 0x5B11,
-            sybil: vec![SybilSpec {
-                nodes: vec![NodeId(0), NodeId(1)],
-                start: SimTime::from_secs(5),
-                end: SimTime::from_secs(30),
-                mean_interval_secs: 5.0,
-                identities_per_strike: 4,
-            }],
-            ..FaultPlan::default()
-        };
-        let s1 = chatty_pair(37, &plan);
-        let s2 = chatty_pair(37, &plan);
-        let f1 = s1.fault_counters();
-        assert!(f1.sybil_joins_attempted > 0, "the burst must actually inject");
-        assert_eq!(f1, s2.fault_counters(), "same seed ⇒ identical injection counters");
-        // The Sybils vote *jointly*: every fabricated identity across every
-        // striker claims the identical epoch, drawn once per spec.
-        let all: Vec<u64> = s1
-            .node(NodeId(0))
-            .draws
-            .iter()
-            .chain(s1.node(NodeId(1)).draws.iter())
-            .copied()
-            .collect();
-        assert_eq!(all.len() as u64, f1.sybil_joins_attempted);
-        assert!(all.iter().all(|&e| e == all[0]), "sybils must vote the same epoch");
-        assert!((100..164).contains(&(all[0] as u32)));
+        let sim = chatty_pair(41, &plan);
+        // (µs, node, op): 4 forge, 5 vote, 6 stolen key, 7 Sybil.
+        const PINNED: [(u64, u32, u64); 39] = [
+            (5_435_427, 0, 6),
+            (5_485_933, 0, 7),
+            (6_785_481, 1, 7),
+            (7_417_796, 1, 7),
+            (7_852_163, 0, 5),
+            (7_995_510, 0, 7),
+            (8_101_634, 0, 6),
+            (9_215_817, 0, 7),
+            (9_713_033, 1, 4),
+            (9_996_333, 1, 7),
+            (10_033_336, 1, 7),
+            (10_110_079, 1, 4),
+            (10_614_759, 0, 7),
+            (10_760_349, 0, 6),
+            (12_699_209, 0, 6),
+            (12_722_717, 1, 4),
+            (13_750_877, 0, 7),
+            (14_005_219, 0, 7),
+            (15_162_674, 0, 5),
+            (15_286_329, 0, 5),
+            (18_217_106, 1, 5),
+            (18_354_193, 1, 7),
+            (18_648_991, 1, 5),
+            (20_412_345, 1, 5),
+            (20_906_689, 0, 5),
+            (21_869_974, 1, 5),
+            (22_989_412, 1, 7),
+            (23_404_676, 0, 5),
+            (23_413_548, 1, 4),
+            (24_685_957, 0, 7),
+            (25_039_053, 0, 7),
+            (25_405_043, 1, 7),
+            (25_450_521, 1, 4),
+            (27_813_199, 0, 5),
+            (29_206_063, 1, 7),
+            (29_762_908, 0, 6),
+            (30_875_785, 0, 6),
+            (33_278_330, 1, 4),
+            (33_600_106, 1, 4),
+        ];
+        assert_eq!(strikes(&sim), PINNED);
+        // The two drawn epochs: the vote's, and the Sybil burst's (node 0's
+        // other records are stolen-key draws, far above any epoch).
+        let epochs: BTreeSet<u64> =
+            sim.node(NodeId(0)).draws.iter().copied().filter(|&d| d < 164).collect();
+        assert_eq!(epochs, BTreeSet::from([120, 153]));
+        let t = sim.snapshot_telemetry();
+        assert!(t.events.iter().filter(|e| e.kind == obs::kind::SYBIL_STRIKE).all(|e| e.b == 120));
+        // The marks: the strikes inside 5–30 s are collusion strikes, and
+        // every split-brain lie is a collusion intercept.
+        let f = sim.fault_counters();
+        assert_eq!((f.collusion_strikes, f.collusion_intercepts, f.liar_intercepts), (36, 28, 0));
     }
 
     #[test]

@@ -25,8 +25,11 @@
 //!   [`Partition`]s, per-node [`GrayProfile`] degradation, directed link
 //!   cuts, and duplication/reordering knobs.
 //! * [`FaultPlan`] — the chaos engine: declarative, seeded schedules of
-//!   Poisson churn, gray brownouts, link cuts, and message-chaos windows,
-//!   expanded deterministically by [`Simulation::apply_fault_plan`].
+//!   Poisson churn, gray brownouts, link cuts, partitions and message-chaos
+//!   windows, plus the adversary's three primitives — Poisson corruption
+//!   strikes ([`CorruptionSpec`], one [`CorruptionOp`] each), liar windows
+//!   ([`LiarSpec`]) and colluder marks ([`CollusionSpec`]) — expanded
+//!   deterministically by [`Simulation::apply_fault_plan`].
 //! * [`PhiBank`] — adaptive phi-accrual failure detection
 //!   (Hayashibara et al.), shared by protocols that must distinguish
 //!   "slow" from "gone" without a fixed timeout cliff.
@@ -75,8 +78,8 @@ mod topology;
 
 pub use disk::{Disk, RestartMode};
 pub use faults::{
-    ChurnSpec, CollusionScript, CollusionSpec, CorruptionSpec, FaultPlan, ForgeSpec, GraySpec,
-    KeyCompromiseSpec, LiarSpec, LinkCutSpec, MessageChaosSpec, PartitionSpec, SybilSpec,
+    ChurnSpec, CollusionSpec, CorruptionSpec, FaultPlan, GraySpec, LiarSpec, LinkCutSpec,
+    MessageChaosSpec, PartitionSpec,
 };
 pub use node::{
     Context, CorruptionOp, LiarAction, LiarBehavior, LiarMode, Node, NodeId, Payload, TimerId,

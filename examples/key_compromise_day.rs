@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
 use newswire::{self_stabilized, DeploymentBuilder, NewsWireConfig, PublisherSpec};
-use simnet::{FaultPlan, KeyCompromiseSpec, NodeId, SimTime, SybilSpec};
+use simnet::{CorruptionOp, CorruptionSpec, FaultPlan, NodeId, SimTime};
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0x715);
@@ -55,24 +55,26 @@ fn main() {
     // identities, all inside a 120 s–240 s window. The publisher (node 0)
     // is spared so ground truth stays intact.
     let (start, end) = (SimTime::from_secs(120), SimTime::from_secs(240));
+    let thieves = vec![NodeId(17), NodeId(41)];
+    let striker = NodeId(63);
     let plan = FaultPlan {
         salt: 0x715,
-        key_compromise: vec![KeyCompromiseSpec {
-            nodes: vec![NodeId(17), NodeId(41)],
-            start,
-            end,
-            mean_interval_secs: 8.0,
-            items_per_strike: 3,
-            attest_bump: 2,
-            publisher: 0,
-        }],
-        sybil: vec![SybilSpec {
-            nodes: vec![NodeId(63)],
-            start,
-            end,
-            mean_interval_secs: 9.0,
-            identities_per_strike: 8,
-        }],
+        corruption: vec![
+            CorruptionSpec {
+                nodes: thieves.clone(),
+                start,
+                end,
+                mean_interval_secs: 8.0,
+                op: CorruptionOp::StolenKey { publisher: 0, items: 3, attest_bump: 2 },
+            },
+            CorruptionSpec {
+                nodes: vec![striker],
+                start,
+                end,
+                mean_interval_secs: 9.0,
+                op: CorruptionOp::SybilFlood { identities: 8, epoch: 0 },
+            },
+        ],
         ..FaultPlan::default()
     };
     d.sim.apply_fault_plan(&plan);
@@ -117,8 +119,8 @@ fn main() {
     // restored within a bounded number of gossip rounds. The adversary's
     // footholds are exempt from eventual delivery only — their state was
     // puppeted directly.
-    let mut exempt: BTreeSet<NodeId> = plan.compromised_nodes();
-    exempt.extend(plan.sybil_nodes());
+    let mut exempt: BTreeSet<NodeId> = thieves.into_iter().collect();
+    exempt.insert(striker);
     let verdict = self_stabilized(&mut d, &items, &exempt, 60);
     print!("{verdict}");
     for (id, node) in d.sim.iter() {

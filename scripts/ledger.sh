@@ -6,6 +6,8 @@
 #   scripts/ledger.sh table         # print ledger/seed1.txt as DESIGN §8's seed table
 #   scripts/ledger.sh panel write   # regenerate ledger/panel.txt (seeds 101–190)
 #   scripts/ledger.sh panel check   # fail if any panel number differs from it
+#   scripts/ledger.sh examples write  # regenerate ledger/examples/<example>.<seed>.txt
+#   scripts/ledger.sh examples check  # fail if any example's output differs from it
 #
 # Builds this tree's `benchmark` package and runs one `--child --seed 1
 # --trace 1` repetition of each workload (the interface `scripts/ab.sh`
@@ -24,10 +26,16 @@
 # `lossy_revisions` `deliver_p999_ms` moves seed by seed, so one seed says
 # little about it; the panel commits its distribution. `panel check` is
 # exact equality too (≈ 4 min on two cores).
+#
+# The examples ledger is the whole stdout of each determinism-matrix
+# example (the CI matrix's list) at seeds 42 and 7. The examples print no
+# wall-clock time, so their output is a pure function of the source: a
+# change meant to move nothing must leave every file byte-identical.
 set -euo pipefail
-usage="usage: $0 write|check|table|panel write|panel check"
-if [ $# -eq 2 ] && [ "$1" = panel ] && { [ "$2" = write ] || [ "$2" = check ]; }; then
-  mode=panel-$2
+usage="usage: $0 write|check|table|panel write|panel check|examples write|examples check"
+if [ $# -eq 2 ] && { [ "$1" = panel ] || [ "$1" = examples ]; } \
+  && { [ "$2" = write ] || [ "$2" = check ]; }; then
+  mode=$1-$2
 elif [ $# -eq 1 ] && { [ "$1" = write ] || [ "$1" = check ] || [ "$1" = table ]; }; then
   mode=$1
 else
@@ -45,6 +53,35 @@ keys="converged_sim_s deliver_p50_ms deliver_p99_ms deliver_p999_ms delivered_pc
   newswire.repair_items_sent newswire.repair_bytes newswire.repair_useful_ratio
   newswire.reconcile_requests newswire.delivered
   obs.trace_records obs.trace_dropped"
+
+if [ "$mode" = examples-write ] || [ "$mode" = examples-check ]; then
+  examples="partition_heal chaos_day global_news cold_restart adversary_day byzantine_day key_compromise_day"
+  flags=""
+  for ex in $examples; do flags="$flags --example $ex"; done
+  # shellcheck disable=SC2086 # one word per flag
+  cargo build --release --offline --quiet --manifest-path "$root/Cargo.toml" $flags
+  bin=${CARGO_TARGET_DIR:-$root/target}/release/examples
+  dir=$root/ledger/examples
+  mkdir -p "$dir"
+  failed=0
+  for ex in $examples; do
+    for seed in 42 7; do
+      out=$dir/$ex.$seed.txt
+      if [ "$mode" = examples-write ]; then
+        "$bin/$ex" "$seed" > "$out"
+      elif ! "$bin/$ex" "$seed" | diff -u "$out" -; then
+        echo "examples: $ex $seed differs from $out (- committed, + this tree)" >&2
+        failed=1
+      fi
+    done
+  done
+  if [ "$mode" = examples-write ]; then
+    echo "wrote $(ls "$dir" | wc -l) example outputs to $dir"
+  elif [ "$failed" = 0 ]; then
+    echo "examples: all $(ls "$dir" | wc -l) example outputs unchanged"
+  fi
+  exit "$failed"
+fi
 
 if [ "$mode" = table ]; then
   awk -v workloads="$workloads" '

@@ -273,38 +273,44 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
     use amcast::RangeSummary;
     use astrolabe::{KeyId, Signature};
     use newswire::{self_stabilized, NewsWireMsg, SignedItem};
-    use simnet::{CollusionScript, CollusionSpec, ForgeSpec};
+    use simnet::{CollusionSpec, CorruptionOp, CorruptionSpec, LiarBehavior, LiarMode, LiarSpec};
     use std::collections::BTreeSet;
 
     fn byzantine_run(seed: u64) -> (String, String) {
         let mut d = tech_news_deployment(40, seed);
         d.settle(60);
+        let (start, end) = (SimTime::from_secs(65), SimTime::from_secs(95));
+        let cartel = vec![NodeId(5), NodeId(11), NodeId(17)];
+        let pair = vec![NodeId(22), NodeId(28)];
+        let forger = NodeId(33);
         let plan = FaultPlan {
             salt: 0xB2,
-            collusion: vec![
-                CollusionSpec {
-                    nodes: vec![NodeId(5), NodeId(11), NodeId(17)],
-                    start: SimTime::from_secs(65),
-                    end: SimTime::from_secs(95),
+            corruption: vec![
+                CorruptionSpec {
+                    nodes: cartel.clone(),
+                    start,
+                    end,
                     mean_interval_secs: 6.0,
-                    script: CollusionScript::EpochCapture { publisher: 0 },
+                    op: CorruptionOp::VoteEpoch { publisher: 0, epoch: 0 },
                 },
-                CollusionSpec {
-                    nodes: vec![NodeId(22), NodeId(28)],
-                    start: SimTime::from_secs(65),
-                    end: SimTime::from_secs(95),
-                    mean_interval_secs: 6.0,
-                    script: CollusionScript::SplitBrain,
+                CorruptionSpec {
+                    nodes: vec![forger],
+                    start,
+                    end,
+                    mean_interval_secs: 8.0,
+                    op: CorruptionOp::ForgeItems { items: 2, publisher: 0 },
                 },
             ],
-            forgery: vec![ForgeSpec {
-                nodes: vec![NodeId(33)],
-                start: SimTime::from_secs(65),
-                end: SimTime::from_secs(95),
-                mean_interval_secs: 8.0,
-                items_per_strike: 2,
-                publisher: 0,
+            liars: vec![LiarSpec {
+                nodes: pair.clone(),
+                start,
+                end: Some(end),
+                behavior: LiarBehavior { mode: LiarMode::SplitBrain, prob: 1.0 },
             }],
+            collusion: vec![
+                CollusionSpec { nodes: cartel.clone(), start, end },
+                CollusionSpec { nodes: pair.clone(), start, end },
+            ],
             ..FaultPlan::default()
         };
         d.sim.apply_fault_plan(&plan);
@@ -354,8 +360,8 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
             },
         );
         d.settle(55); // rides out the Byzantine window to t=115
-        let mut exempt: BTreeSet<NodeId> = plan.colluding_nodes();
-        exempt.extend(plan.forging_nodes());
+        let mut exempt: BTreeSet<NodeId> = cartel.into_iter().chain(pair).collect();
+        exempt.insert(forger);
         let verdict = self_stabilized(&mut d, &items, &exempt, 30);
         assert!(verdict.stabilized, "defenses-on byzantine run must stabilize");
         let t = d.sim.drain_telemetry();
@@ -395,7 +401,7 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
 #[test]
 fn same_seed_trust_rotation_run_drains_identical_telemetry() {
     use newswire::self_stabilized;
-    use simnet::{KeyCompromiseSpec, SybilSpec};
+    use simnet::{CorruptionOp, CorruptionSpec};
     use std::collections::BTreeSet;
 
     fn trust_run(seed: u64) -> (String, String) {
@@ -407,24 +413,26 @@ fn same_seed_trust_rotation_run_drains_identical_telemetry() {
             .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
             .build();
         d.settle(60);
+        let thieves = vec![NodeId(6), NodeId(21)];
+        let striker = NodeId(13);
         let plan = FaultPlan {
             salt: 0x15,
-            key_compromise: vec![KeyCompromiseSpec {
-                nodes: vec![NodeId(6), NodeId(21)],
-                start: SimTime::from_secs(70),
-                end: SimTime::from_secs(110),
-                mean_interval_secs: 4.0,
-                items_per_strike: 2,
-                attest_bump: 1,
-                publisher: 0,
-            }],
-            sybil: vec![SybilSpec {
-                nodes: vec![NodeId(13)],
-                start: SimTime::from_secs(65),
-                end: SimTime::from_secs(110),
-                mean_interval_secs: 5.0,
-                identities_per_strike: 6,
-            }],
+            corruption: vec![
+                CorruptionSpec {
+                    nodes: thieves.clone(),
+                    start: SimTime::from_secs(70),
+                    end: SimTime::from_secs(110),
+                    mean_interval_secs: 4.0,
+                    op: CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 1 },
+                },
+                CorruptionSpec {
+                    nodes: vec![striker],
+                    start: SimTime::from_secs(65),
+                    end: SimTime::from_secs(110),
+                    mean_interval_secs: 5.0,
+                    op: CorruptionOp::SybilFlood { identities: 6, epoch: 0 },
+                },
+            ],
             ..FaultPlan::default()
         };
         d.sim.apply_fault_plan(&plan);
@@ -443,8 +451,8 @@ fn same_seed_trust_rotation_run_drains_identical_telemetry() {
         // keep striking, so the admission-path fences fire on live traffic.
         d.schedule_rotation(SimTime::from_secs(90), PublisherId(0), 3);
         d.settle(90); // rides out the compromise window to t=150
-        let mut exempt: BTreeSet<NodeId> = plan.compromised_nodes();
-        exempt.extend(plan.sybil_nodes());
+        let mut exempt: BTreeSet<NodeId> = thieves.into_iter().collect();
+        exempt.insert(striker);
         let verdict = self_stabilized(&mut d, &items, &exempt, 30);
         assert!(verdict.stabilized, "defenses-on trust-rotation run must stabilize");
         assert!(
