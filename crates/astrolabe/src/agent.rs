@@ -55,7 +55,8 @@ const MAX_ROW_ATTRS: usize = 256;
 /// Digest of one table for anti-entropy exchange.
 ///
 /// The row digests are shared (`Arc`): an agent fanning the same digest out
-/// to several peers in one round clones a pointer, not the stamp list.
+/// to several peers in one tick clones a pointer, not the stamp list, and
+/// keeps no copy once the tick's messages are gone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableDigest {
     /// The zone whose table is being advertised.
@@ -172,9 +173,6 @@ struct AggCache {
 struct Level {
     /// The replica of the zone's table; `table.zone` names the zone.
     table: ZoneTable,
-    /// The table's digest keyed by its generation, so the several gossip
-    /// fan-outs of one round share a single stamp-list allocation.
-    digest: Option<(u64, Arc<[RowDigest]>)>,
     /// Aggregate summary of `table`, keyed on its content generation and
     /// `scope_epoch`. In steady state rows are merely re-stamped each round,
     /// both keys stand still, and the summary is re-issued from the cache
@@ -190,6 +188,18 @@ struct Level {
     /// — the gc sweep and the merge loop consult a detector per row, so
     /// this sits on the hot path where a hashed lookup showed up.
     detectors: PhiBank,
+}
+
+/// What admission's fences ([`Agent::fence`]) make of a stamp offered for a
+/// row.
+enum Fence {
+    /// A fence refused it.
+    Closed,
+    /// Every fence let it through.
+    Open,
+    /// Let through, and the first row of a newer incarnation `incar` of the
+    /// leaf member `peer`.
+    Reincarnated { incar: u64, peer: u32 },
 }
 
 /// One node's Astrolabe state machine. See the module docs for the protocol.
@@ -234,17 +244,12 @@ pub struct Agent {
     /// attribute (only when non-zero, so pre-recovery deployments gossip
     /// byte-identical rows).
     incarnation: u64,
-    /// Highest incarnation observed per leaf-table label. Rows carrying an
-    /// older incarnation are stale gossip from before that peer's cold
-    /// restart and are fenced (dropped) regardless of stamp.
-    incar_seen: HashMap<u16, u64>,
-    /// Memoized `incar` attribute reads for the leaf fence, one slot per
-    /// leaf label: the last values examined (the `Arc` pins them, so pointer
-    /// identity can never alias a freed block) and their incarnation.
-    /// Steady-state heartbeats offer the same shared values under newer
-    /// stamps, so the fence becomes a pointer compare instead of a per-row
-    /// attribute lookup.
-    incar_cache: Vec<Option<(Arc<Mib>, u64)>>,
+    /// Highest incarnation observed per leaf-table label, indexed by label
+    /// (a label past the end has seen none). Rows carrying an older
+    /// incarnation are stale gossip from before that peer's cold restart
+    /// and are fenced (dropped) regardless of stamp. Empty until the first
+    /// non-zero incarnation arrives.
+    incar_seen: Vec<u64>,
     /// Node ids observed under a *newer* incarnation since the last drain —
     /// the host resets its own per-peer failure detectors for these (a
     /// restarted peer must be immediately selectable again, not held hostage
@@ -278,7 +283,6 @@ impl Agent {
             .into_iter()
             .map(|zone| Level {
                 table: ZoneTable::new(zone),
-                digest: None,
                 agg: None,
                 peers: None,
                 detectors: PhiBank::new(phi),
@@ -302,8 +306,7 @@ impl Agent {
             own_row_cache: None,
             tombstones: HashMap::new(),
             incarnation: 0,
-            incar_seen: HashMap::new(),
-            incar_cache: Vec::new(),
+            incar_seen: Vec::new(),
             incarnation_bumps: Vec::new(),
             validate_ingest: false,
         }
@@ -710,27 +713,31 @@ impl Agent {
     }
 
     /// The digests of `level` and every level above it: each lists every
-    /// held row.
-    fn digests_from(&mut self, level: usize) -> Vec<TableDigest> {
-        (level..self.levels.len())
-            .map(|i| TableDigest { zone: self.zone(i).clone(), rows: self.digest_at(i) })
+    /// held row. The tables stand still while a tick fans out, so a digest
+    /// an earlier message of the tick (`sent`) carries is shared, not
+    /// rebuilt; the tick's outbox is the only place a digest is kept.
+    fn digests_from(&self, level: usize, sent: &[(u32, GossipMsg)]) -> Vec<TableDigest> {
+        let top = self.levels.len();
+        (level..top)
+            .map(|i| {
+                // A digest message from level `l` lists levels `l..top`,
+                // so level `i`'s entry is the `top - i`th from its end.
+                let shared = sent.iter().find_map(|(_, m)| match m {
+                    GossipMsg::Digest { digests } => {
+                        digests.len().checked_sub(top - i).map(|at| &digests[at].rows)
+                    }
+                    _ => None,
+                });
+                let rows = match shared {
+                    Some(rows) => {
+                        obs::metric_add!(self.id, ctr::DIGEST_CACHE_HITS, 1);
+                        Arc::clone(rows)
+                    }
+                    None => self.table(i).digest(),
+                };
+                TableDigest { zone: self.zone(i).clone(), rows }
+            })
             .collect()
-    }
-
-    /// The digest of `tables[i]`, reusing the cached copy while the table's
-    /// generation stands still (typically across the 2-4 fan-outs of one
-    /// gossip round).
-    fn digest_at(&mut self, i: usize) -> Arc<[RowDigest]> {
-        let generation = self.table(i).generation();
-        if let Some((g, d)) = &self.levels[i].digest {
-            if *g == generation {
-                obs::metric_add!(self.id, ctr::DIGEST_CACHE_HITS, 1);
-                return Arc::clone(d);
-            }
-        }
-        let d: Arc<[RowDigest]> = self.table(i).digest().into();
-        self.levels[i].digest = Some((generation, Arc::clone(&d)));
-        d
     }
 
     /// One gossip round: refresh the local row, evict stale rows, recompute
@@ -762,7 +769,7 @@ impl Agent {
                 None => None,
             };
             if let Some(peer) = target {
-                out.push((peer, GossipMsg::Digest { digests: self.digests_from(level) }));
+                out.push((peer, GossipMsg::Digest { digests: self.digests_from(level, &out) }));
             }
         }
         // Anti-clique measure: the peer selection above only reaches nodes
@@ -780,13 +787,14 @@ impl Agent {
         if let Some(range) = self.layout.agent_range(self.zone(bridge_level)) {
             let peer = rand::Rng::gen_range(rng, range.clone());
             if peer != self.id {
-                out.push((peer, GossipMsg::Digest { digests: self.digests_from(bridge_level) }));
+                let digests = self.digests_from(bridge_level, &out);
+                out.push((peer, GossipMsg::Digest { digests }));
             }
         }
         // Also keep pinging configured contacts occasionally (join seeds).
         if rand::Rng::gen_bool(rng, 0.25) {
             if let Some(&peer) = self.contacts.as_slice().choose(rng) {
-                out.push((peer, GossipMsg::Digest { digests: self.digests_from(0) }));
+                out.push((peer, GossipMsg::Digest { digests: self.digests_from(0, &out) }));
             }
         }
         let rows_held: usize = self.levels.iter().map(|lv| lv.table.len()).sum();
@@ -803,12 +811,12 @@ impl Agent {
     }
 
     /// Merges a batch of rows; returns how many rows changed local state.
-    fn merge_rows(&mut self, now: SimTime, batches: &[TableRows]) -> usize {
+    fn merge_rows(&mut self, now: SimTime, batches: Vec<TableRows>) -> usize {
         let mut changed = 0;
         for batch in batches {
             let Some(level) = self.level_of(&batch.zone) else { continue };
-            for (label, stamp, row) in &batch.rows {
-                changed += usize::from(self.admit(now, level, *label, *stamp, row));
+            for (label, stamp, row) in batch.rows {
+                changed += usize::from(self.admit(now, level, label, stamp, row));
             }
         }
         self.note_merged(changed);
@@ -820,33 +828,42 @@ impl Agent {
     /// or refresh records (nothing was shipped) — through the same fences
     /// as a row that travelled. A record whose hash no longer matches the
     /// held values (they changed after the peer compared) is ignored: a
-    /// stamp is only ever taken for the values it was issued with. Returns
-    /// how many stamps were taken.
+    /// stamp is only ever taken for the values it was issued with. Records
+    /// find their rows by [`ZoneTable::seek`] from one cursor, and a take
+    /// writes the inline stamp where the row sits. Returns how many stamps
+    /// were taken.
     fn restamp<'a>(
         &mut self,
         now: SimTime,
         level: usize,
         records: impl IntoIterator<Item = &'a RowDigest>,
     ) -> usize {
-        let (mut taken, mut saved) = (0, 0);
+        let (mut taken, mut saved, mut cursor) = (0, 0, 0);
         for rec in records {
-            let held = match self.table(level).get(rec.label) {
-                Some(held) if held.content_hash() == rec.chash => Arc::clone(held),
-                _ => continue,
-            };
-            if self.admit(now, level, rec.label, rec.stamp, &held) {
+            let table = self.table(level);
+            let Some(at) = table.seek(rec.label, &mut cursor) else { continue };
+            let held = &table.rows()[at];
+            if held.mib.content_hash() != rec.chash {
+                continue;
+            }
+            // What the row would have cost whole, less the entry that
+            // carried the stamp instead.
+            let row_saved = (held.wire_size() + 2).saturating_sub(RowDigest::WIRE_SIZE);
+            if self.take(now, level, at, rec.stamp) {
                 taken += 1;
-                // What the row would have cost whole, less the entry that
-                // carried the stamp instead.
-                saved += (held.wire_size() + 2).saturating_sub(RowDigest::WIRE_SIZE);
+                saved += row_saved;
             }
         }
+        self.note_taken(taken, saved);
+        taken
+    }
+
+    fn note_taken(&self, taken: usize, saved: usize) {
         if taken > 0 {
             obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_ROWS, taken);
             obs::metric_add!(self.id, ctr::GOSSIP_REFRESH_BYTES_SAVED, saved);
         }
         self.note_merged(taken);
-        taken
     }
 
     fn note_merged(&self, changed: usize) {
@@ -856,90 +873,118 @@ impl Agent {
         }
     }
 
-    /// The one way a row enters a table from gossip: `row`'s values under
-    /// `stamp`, whether the values travelled or this replica already held
-    /// them. Returns whether the table changed.
-    ///
-    /// Two classes of stale row are rejected outright: rows older than the
-    /// hard TTL, and rows at or below a tombstoned stamp (evicted here on
-    /// suspicion). Without this, a row evicted locally would be resurrected
-    /// by the next gossip exchange with a replica that had not evicted it
-    /// yet, and a failed member would never leave the membership. Each
-    /// admitted stamp advance also feeds the row's phi detector — gossip
-    /// *is* the heartbeat.
+    /// The one way a row that travelled enters a table from gossip: `row`'s
+    /// values under `stamp`. Returns whether the table changed.
     fn admit(
         &mut self,
         now: SimTime,
         level: usize,
         label: u16,
         stamp: Stamp,
-        row: &Arc<Mib>,
+        row: Arc<Mib>,
     ) -> bool {
+        let fence = self.fence(now, level, label, stamp, &row);
+        let carries_agg = row.carries_mobile_code();
+        self.enter(now, level, label, fence, carries_agg, |t| t.merge_stamped(label, stamp, row))
+    }
+
+    /// [`Agent::admit`] of the values the row at position `at` of `level`'s
+    /// table already holds, under `stamp`: the same fences in the same
+    /// order, then [`ZoneTable::take_stamp`].
+    fn take(&mut self, now: SimTime, level: usize, at: usize, stamp: Stamp) -> bool {
+        let held = &self.table(level).rows()[at];
+        let (label, carries_agg) = (held.label, held.carries_mobile_code());
+        let fence = self.fence(now, level, label, stamp, &held.mib);
+        self.enter(now, level, label, fence, carries_agg, |t| t.take_stamp(at, stamp))
+    }
+
+    /// Admission's fences, in order, for `row`'s values offered under
+    /// `stamp` at `(level, label)`.
+    ///
+    /// Two classes of stale row are rejected outright: rows older than the
+    /// hard TTL, and rows at or below a tombstoned stamp (evicted here on
+    /// suspicion). Without this, a row evicted locally would be resurrected
+    /// by the next gossip exchange with a replica that had not evicted it
+    /// yet, and a failed member would never leave the membership. Then the
+    /// incarnation fence (leaf rows only — that is where nodes publish
+    /// `incar`): a row from before the peer's last cold restart is dropped
+    /// outright, and the first row of a *newer* incarnation is reported so
+    /// [`Agent::enter`] resets the peer's suspicion state.
+    fn fence(&self, now: SimTime, level: usize, label: u16, stamp: Stamp, row: &Mib) -> Fence {
         if self.validate_ingest && !self.row_is_valid(now, level, label, stamp, row) {
             obs::metric_add!(self.id, ctr::CORRUPT_ROWS_REJECTED, 1);
             obs::trace_event!(self.id, Layer::Astro, kind::CORRUPT_ROW_REJECT, level, label);
-            return false;
+            return Fence::Closed;
         }
         let cutoff = now.as_micros().saturating_sub(self.config.row_ttl.as_micros());
         if stamp.issued_us < cutoff {
-            return false;
+            return Fence::Closed;
         }
         // Guard the lookup: the tombstone set is empty in a healthy system,
         // and this test runs once per row of every batch.
         if !self.tombstones.is_empty() {
             if let Some(&watermark) = self.tombstones.get(&(level, label)) {
                 if stamp.issued_us <= watermark {
-                    return false;
+                    return Fence::Closed;
                 }
             }
         }
-        let own = self.own_label(level);
-        // Incarnation fence (leaf rows only — that is where nodes publish
-        // `incar`): a row from before the peer's last cold restart is
-        // dropped outright, and the first row of a *newer* incarnation
-        // resets the peer's suspicion state so it is selectable again
-        // within one gossip round.
-        if level == 0 && label != own {
-            let slot_idx = usize::from(label);
-            if self.incar_cache.len() <= slot_idx {
-                self.incar_cache.resize(slot_idx + 1, None);
-            }
-            let incar = match &self.incar_cache[slot_idx] {
-                Some((m, v)) if Arc::ptr_eq(row, m) => *v,
-                _ => {
-                    let v = row.get("incar").and_then(AttrValue::as_i64).unwrap_or(0) as u64;
-                    self.incar_cache[slot_idx] = Some((Arc::clone(row), v));
-                    v
-                }
-            };
-            let seen = self.incar_seen.get(&label).copied().unwrap_or(0);
+        if level == 0 && label != self.own_label(0) {
+            let incar = row.incarnation();
+            let seen = self.incar_seen.get(usize::from(label)).copied().unwrap_or(0);
             if incar < seen {
-                return false;
+                return Fence::Closed;
             }
             if incar > seen {
-                self.incar_seen.insert(label, incar);
-                self.tombstones.remove(&(level, label));
-                self.levels[0].detectors.clear(usize::from(label));
                 let peer = row.get("id").and_then(AttrValue::as_i64).unwrap_or(-1).max(0) as u32;
+                return Fence::Reincarnated { incar, peer };
+            }
+        }
+        Fence::Open
+    }
+
+    /// Admits what `fence` let through: records a newer incarnation, merges
+    /// through `merge`, and on a stamp advance feeds the row's phi detector
+    /// — gossip *is* the heartbeat. `carries_agg` is the offered values'
+    /// mobile-code bit. Returns whether the table changed.
+    fn enter(
+        &mut self,
+        now: SimTime,
+        level: usize,
+        label: u16,
+        fence: Fence,
+        carries_agg: bool,
+        merge: impl FnOnce(&mut ZoneTable) -> MergeOutcome,
+    ) -> bool {
+        match fence {
+            Fence::Closed => return false,
+            Fence::Open => {}
+            Fence::Reincarnated { incar, peer } => {
+                let at = usize::from(label);
+                if self.incar_seen.len() <= at {
+                    self.incar_seen.resize(at + 1, 0);
+                }
+                self.incar_seen[at] = incar;
+                self.tombstones.remove(&(level, label));
+                self.levels[0].detectors.clear(at);
                 self.incarnation_bumps.push(peer);
                 obs::metric_add!(self.id, ctr::INCARNATION_BUMPS, 1);
                 obs::trace_event!(self.id, Layer::Astro, kind::INCARNATION_BUMP, peer, incar);
             }
         }
-        let (advanced, old_carried_agg) =
-            match self.levels[level].table.merge_stamped(label, stamp, Arc::clone(row)) {
-                MergeOutcome::Rejected => return false,
-                MergeOutcome::Inserted => (true, false),
-                MergeOutcome::Replaced { advanced_time, old_carried_agg } => {
-                    (advanced_time, old_carried_agg)
-                }
-            };
+        let (advanced, old_carried_agg) = match merge(&mut self.levels[level].table) {
+            MergeOutcome::Rejected => return false,
+            MergeOutcome::Inserted => (true, false),
+            MergeOutcome::Replaced { advanced_time, old_carried_agg } => {
+                (advanced_time, old_carried_agg)
+            }
+        };
         // An admitted row can change the mobile-code scope only when the
         // incoming or displaced version carries `sys$agg:` attrs.
-        if row.carries_mobile_code() || old_carried_agg {
+        if carries_agg || old_carried_agg {
             self.scope_epoch += 1;
         }
-        if advanced && label != own {
+        if advanced && label != self.own_label(level) {
             self.heartbeat(level, label, now);
         }
         true
@@ -1077,7 +1122,7 @@ impl Agent {
                 self.on_digest(now, from, &digests)
             }
             GossipMsg::DigestReply { rows, want, refresh } => {
-                self.merge_rows(now, &rows);
+                self.merge_rows(now, rows);
                 for (zone, records) in &refresh {
                     if let Some(level) = self.level_of(zone) {
                         self.restamp(now, level, records);
@@ -1098,7 +1143,7 @@ impl Agent {
                 }
             }
             GossipMsg::Rows { rows } => {
-                self.merge_rows(now, &rows);
+                self.merge_rows(now, rows);
                 Vec::new()
             }
         };
@@ -1161,9 +1206,11 @@ impl Agent {
     /// The held rows of `labels` at `level`, as they travel.
     fn rows_of(&self, level: usize, labels: &[u16]) -> Vec<(u16, Stamp, Arc<Mib>)> {
         let table = self.table(level);
+        let mut cursor = 0;
         labels
             .iter()
-            .filter_map(|&l| table.row(l).map(|r| (l, r.stamp, Arc::clone(&r.mib))))
+            .filter_map(|&l| table.seek(l, &mut cursor).map(|at| &table.rows()[at]))
+            .map(|r| (r.label, r.stamp, Arc::clone(&r.mib)))
             .collect()
     }
 
@@ -1193,17 +1240,16 @@ impl Agent {
 
     /// Clears all replicated state except identity (cold restart).
     pub fn reset(&mut self) {
-        // Table generations restart at zero, so the digests, summaries and
-        // peer lists keyed on the old counters go with the rows.
+        // Table generations restart at zero, so the summaries and peer
+        // lists keyed on the old counters go with the rows.
         for lv in &mut self.levels {
             lv.table = ZoneTable::new(lv.table.zone.clone());
             lv.detectors.clear_all();
-            (lv.digest, lv.agg, lv.peers) = (None, None, None);
+            (lv.agg, lv.peers) = (None, None);
         }
         self.version = 0;
         self.tombstones.clear();
         self.incar_seen.clear();
-        self.incar_cache.clear();
         self.incarnation_bumps.clear();
         // The mobile-code scope shrank to the locally installed programs, so
         // the round state must be rebuilt too. (The own-row cache survives:
@@ -1334,7 +1380,7 @@ mod tests {
         assert!(stamp > b.table(0).row(label).unwrap().stamp);
         let held = Arc::clone(b.table(0).get(label).unwrap());
 
-        let digests = a.digests_from(0);
+        let digests = a.digests_from(0, &[]);
         let now = SimTime::from_micros(t + 1_000_000);
         let out = b.on_message(now, a.id(), GossipMsg::Digest { digests }, &mut rng);
         let row = b.table(0).row(label).unwrap();
@@ -1362,7 +1408,7 @@ mod tests {
 
         // b heartbeats its own row; a's digest still names the old stamp.
         b.refresh_own_row(now);
-        let digests = a.digests_from(0);
+        let digests = a.digests_from(0, &[]);
         let out = b.on_message(now, a.id(), GossipMsg::Digest { digests }, &mut rng);
         let [(to, GossipMsg::DigestReply { rows, refresh, .. })] = out.as_slice() else {
             panic!("b must answer a digest it is newer than: {out:?}");
@@ -1583,7 +1629,7 @@ mod tests {
         let zone = agents[0].zone(0).clone();
         let changed = agents[0].merge_rows(
             SimTime::from_micros(t2 + 1),
-            &[TableRows { zone, rows: vec![(1, forged.stamp, forged)] }],
+            vec![TableRows { zone, rows: vec![(1, forged.stamp, forged)] }],
         );
         assert_eq!(changed, 0, "stale-incarnation row must be fenced");
         assert!(agents[0].table(0).get(1).unwrap().get("incar").is_some());
@@ -1704,6 +1750,285 @@ mod tests {
         assert!(!out.is_empty());
         for (_, m) in &out {
             assert!(m.wire_size() > 8);
+        }
+    }
+
+    /// The stamp-take path before the cursor: each record looks its row up
+    /// by label and offers a clone of the held values to [`Agent::admit`].
+    /// Kept as the model [`Agent::restamp`] must agree with.
+    impl Agent {
+        fn restamp_model<'a>(
+            &mut self,
+            now: SimTime,
+            level: usize,
+            records: impl IntoIterator<Item = &'a RowDigest>,
+        ) -> usize {
+            let (mut taken, mut saved) = (0, 0);
+            for rec in records {
+                let held = match self.table(level).get(rec.label) {
+                    Some(held) if held.content_hash() == rec.chash => Arc::clone(held),
+                    _ => continue,
+                };
+                let wire = held.wire_size();
+                if self.admit(now, level, rec.label, rec.stamp, held) {
+                    taken += 1;
+                    saved += (wire + 2).saturating_sub(RowDigest::WIRE_SIZE);
+                }
+            }
+            self.note_taken(taken, saved);
+            taken
+        }
+    }
+
+    mod one_pass {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        use proptest::prelude::*;
+
+        use super::*;
+        use crate::table::diff_model;
+
+        /// One gossip time unit: stamps, heartbeats and watermarks fall on
+        /// multiples of it around `T`.
+        const U: u64 = 400_000;
+        const T: u64 = 100_000_000;
+        /// Labels run past the branching factor (8): gossip may carry any.
+        const LABELS: u16 = 12;
+
+        /// `(label, value, incarnation, shape, mobile code)`: the values
+        /// of a row; `shape` 1 drops `id`, 2 claims `nmembers` −1.
+        type Values = (u16, u8, u8, u8, bool);
+
+        fn values((label, x, incar, shape, agg): Values) -> Arc<Mib> {
+            let mut b = MibBuilder::new().attr("x", i64::from(x));
+            if shape != 1 {
+                b.set("id", i64::from(label));
+            }
+            if shape == 2 {
+                b.set("nmembers", -1i64);
+            }
+            if incar > 0 {
+                b.set("incar", i64::from(incar));
+            }
+            if agg {
+                b.set("sys$agg:n", "SELECT COUNT() AS n");
+            }
+            Arc::new(b.build(Stamp::default()))
+        }
+
+        /// A stamp `k` units from `T` (`k` below −40 falls past the TTL).
+        fn stamp(k: i64, version: u64, origin: u32) -> Stamp {
+            Stamp { issued_us: T.saturating_add_signed(k * U as i64), version, origin }
+        }
+
+        fn values_strategy() -> impl Strategy<Value = Values> {
+            (0..LABELS, 0u8..3, prop_oneof![Just(0u8), 1u8..4], 0u8..6, 0u8..5)
+                .prop_map(|(l, x, i, shape, agg)| (l, x, i, shape.saturating_sub(3), agg == 0))
+        }
+
+        fn stamp_strategy() -> impl Strategy<Value = (i64, u64, u32)> {
+            (prop_oneof![-3i64..4, -3i64..4, Just(-60i64), Just(6)], 0u64..3, 0u32..2)
+        }
+
+        /// A record a peer sends: its label, stamp, and a hash that is the
+        /// held row's (0), that of other values (1) or junk (2).
+        type Record = (u16, (i64, u64, u32), u8, Values);
+
+        fn record_strategy() -> impl Strategy<Value = Record> {
+            (
+                0..LABELS,
+                stamp_strategy(),
+                prop_oneof![Just(0u8), Just(0), 1u8..3],
+                values_strategy(),
+            )
+        }
+
+        /// The records in label order (0), label order without repeats (1),
+        /// as drawn (2) or in reverse label order (3).
+        fn arrange(table: &ZoneTable, records: &[Record], order: u8) -> Vec<RowDigest> {
+            let mut out: Vec<RowDigest> = records
+                .iter()
+                .map(|&(label, (k, v, o), hash, other)| {
+                    let chash = match (hash, table.get(label)) {
+                        (0, Some(held)) => held.content_hash(),
+                        (2, _) => u64::from(label) << 32 | 0xBAD,
+                        _ => values((label, other.1, other.2, other.3, other.4)).content_hash(),
+                    };
+                    RowDigest { label, stamp: stamp(k, v, o), chash }
+                })
+                .collect();
+            match order {
+                0 => out.sort_by_key(|d| d.label),
+                1 => {
+                    out.sort_by_key(|d| d.label);
+                    out.dedup_by_key(|d| d.label);
+                }
+                2 => {}
+                _ => out.sort_by_key(|d| std::cmp::Reverse(d.label)),
+            }
+            out
+        }
+
+        /// Everything the two sides start from.
+        #[derive(Debug, Clone)]
+        struct World {
+            validate: bool,
+            rows: Vec<(usize, Values, (i64, u64, u32))>,
+            beats: Vec<(usize, u16, i64)>,
+            tombstones: Vec<(usize, u16, i64)>,
+            incarnations: Vec<(u16, u8)>,
+        }
+
+        fn world() -> impl Strategy<Value = World> {
+            (
+                any::<bool>(),
+                proptest::collection::vec((0usize..2, values_strategy(), stamp_strategy()), 0..24),
+                proptest::collection::vec((0usize..2, 0..LABELS, -8i64..0), 0..40),
+                proptest::collection::vec((0usize..2, 0..LABELS, -4i64..3), 0..3),
+                proptest::collection::vec((0..LABELS, 1u8..3), 0..3),
+            )
+                .prop_map(|(validate, rows, beats, tombstones, incarnations)| World {
+                    validate,
+                    rows,
+                    beats,
+                    tombstones,
+                    incarnations,
+                })
+        }
+
+        /// Agent 0 of 64 (branching 8: a leaf table and the root's) in
+        /// `w`'s state, with a fresh telemetry hub.
+        fn build(w: &World) -> (Agent, Rc<RefCell<obs::TelemetryHub>>) {
+            let layout = ZoneLayout::new(64, 8);
+            let config = Config { branching: 8, ..small_config() };
+            let mut a = Agent::new(0, &layout, config, vec![]);
+            a.set_ingest_validation(w.validate);
+            for &(level, vals, (k, v, o)) in &w.rows {
+                a.levels[level].table.merge_stamped(vals.0, stamp(k, v, o), values(vals));
+            }
+            for &(level, label, k) in &w.beats {
+                a.heartbeat(level, label, SimTime::from_micros(stamp(k, 0, 0).issued_us));
+            }
+            for &(level, label, k) in &w.tombstones {
+                a.tombstones.insert((level, label), stamp(k, 0, 0).issued_us);
+            }
+            for &(label, incar) in &w.incarnations {
+                let at = usize::from(label);
+                a.incar_seen.resize(a.incar_seen.len().max(at + 1), 0);
+                a.incar_seen[at] = u64::from(incar);
+            }
+            let hub = Rc::new(RefCell::new(obs::TelemetryHub::new(0)));
+            hub.borrow_mut().ensure_nodes(1);
+            (a, hub)
+        }
+
+        /// What the comparison reads off one side.
+        fn state(a: &mut Agent, hub: &RefCell<obs::TelemetryHub>) -> String {
+            let later = SimTime::from_micros(T + 30 * U);
+            let mut out = String::new();
+            for (level, lv) in a.levels.iter().enumerate() {
+                let t = &lv.table;
+                out += &format!(
+                    "L{level} gen {} content {}\n",
+                    t.generation(),
+                    t.content_generation()
+                );
+                for r in t.rows() {
+                    out += &format!("  {} {} {:x}\n", r.label, r.stamp, r.mib.content_hash());
+                }
+                for slot in 0..16 {
+                    let phi = |at| lv.detectors.phi(slot, at).map(f64::to_bits);
+                    out += &format!(
+                        "  phi {slot} {:?} {:?}\n",
+                        phi(SimTime::from_micros(T)),
+                        phi(later)
+                    );
+                }
+            }
+            let mut tombstones: Vec<_> = a.tombstones.clone().into_iter().collect();
+            tombstones.sort();
+            out += &format!(
+                "bumps {:?} seen {:?} tombstones {tombstones:?}\n",
+                a.take_incarnation_bumps(),
+                a.incar_seen
+            );
+            out += &format!("scope {}\n", a.scope_epoch);
+            let hub = hub.borrow();
+            for id in [
+                ctr::GOSSIP_REFRESH_ROWS,
+                ctr::GOSSIP_REFRESH_BYTES_SAVED,
+                ctr::GOSSIP_ROWS_MERGED,
+                ctr::CORRUPT_ROWS_REJECTED,
+                ctr::INCARNATION_BUMPS,
+            ] {
+                out += &format!("ctr {id:?} {}\n", hub.node_counter(0, id));
+            }
+            out
+        }
+
+        /// One digest and one batch of refresh records at `level`, each
+        /// arranged in `orders`' order, through both sides.
+        type Exchange = (Vec<Record>, Vec<Record>, (u8, u8), usize);
+
+        fn exchange_strategy() -> impl Strategy<Value = Exchange> {
+            (
+                proptest::collection::vec(record_strategy(), 0..20),
+                proptest::collection::vec(record_strategy(), 0..12),
+                (0u8..4, 0u8..4),
+                0usize..2,
+            )
+        }
+
+        fn exchange(
+            sides: [&mut (Agent, Rc<RefCell<obs::TelemetryHub>>); 2],
+            (peer, refresh, orders, level): &Exchange,
+            now: SimTime,
+            scratch: &mut Diff,
+        ) {
+            let [(new, new_hub), (model, model_hub)] = sides;
+            let level = *level;
+            let digest = arrange(new.table(level), peer, orders.0);
+            let records = arrange(new.table(level), refresh, orders.1);
+            new.table(level).diff_into(&digest, scratch);
+            let expect = diff_model(model.table(level), &digest);
+            assert_eq!(scratch, &expect);
+            let adopted = |diff: &Diff| -> Vec<RowDigest> {
+                diff.adopt.iter().map(|&at| digest[at as usize]).collect()
+            };
+            let taken = {
+                let _hub = obs::collector::install(Rc::clone(new_hub));
+                new.restamp(now, level, &adopted(scratch)) + new.restamp(now, level, &records)
+            };
+            let model_taken = {
+                let _hub = obs::collector::install(Rc::clone(model_hub));
+                let adopted = model.restamp_model(now, level, &adopted(&expect));
+                adopted + model.restamp_model(now, level, &records)
+            };
+            assert_eq!(taken, model_taken);
+        }
+
+        proptest! {
+            /// The one-pass digest walk and the cursor's stamp takes do
+            /// what the binary search, nested scan and per-record lookup
+            /// did: same classification, same rows and stamps, same table
+            /// generations, detectors, incarnation bumps and counts, over
+            /// exchanges in a row whose digests and refresh records come in
+            /// any order, repeat labels or name labels past the zone.
+            #[test]
+            fn one_pass_digest_handling_matches_the_model(
+                w in world(),
+                exchanges in proptest::collection::vec(exchange_strategy(), 1..5),
+            ) {
+                let (mut new, mut model) = (build(&w), build(&w));
+                // One scratch diff for every exchange, as an agent keeps.
+                let mut scratch = Diff::default();
+                for (k, x) in exchanges.iter().enumerate() {
+                    let now = SimTime::from_micros(T + k as u64 * U);
+                    exchange([&mut new, &mut model], x, now, &mut scratch);
+                    prop_assert_eq!(state(&mut new.0, &new.1), state(&mut model.0, &model.1));
+                }
+            }
         }
     }
 }

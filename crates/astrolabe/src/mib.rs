@@ -67,6 +67,9 @@ pub struct Mib {
     /// at construction. Gossip advertises it in every digest entry so peers
     /// can recognize a heartbeat re-stamp of content they already hold.
     chash: u64,
+    /// Precomputed [`Mib::incarnation`]: the leaf fence reads it for every
+    /// leaf row a gossip exchange offers.
+    incar: u64,
 }
 
 impl Mib {
@@ -94,7 +97,11 @@ impl Mib {
         let at = attrs.partition_point(|(n, _)| n.as_ref() < AGG_ATTR_PREFIX);
         let carries_agg = attrs.get(at).is_some_and(|(n, _)| n.starts_with(AGG_ATTR_PREFIX));
         let chash = content_hash(&attrs);
-        Mib { stamp, attrs: attrs.into(), wire: wire as u32, carries_agg, chash }
+        let incar = match attrs.binary_search_by(|(n, _)| n.as_ref().cmp("incar")) {
+            Ok(i) => attrs[i].1.as_i64().unwrap_or(0) as u64,
+            Err(_) => 0,
+        };
+        Mib { stamp, attrs: attrs.into(), wire: wire as u32, carries_agg, chash, incar }
     }
 
     /// Stamp-independent hash of the attribute list (precomputed). Two rows
@@ -102,6 +109,13 @@ impl Mib {
     /// so a peer can adopt a newer stamp without pulling the row.
     pub fn content_hash(&self) -> u64 {
         self.chash
+    }
+
+    /// The incarnation the row's `incar` attribute names (its two's
+    /// complement bits when negative), zero when it names none:
+    /// precomputed at construction.
+    pub fn incarnation(&self) -> u64 {
+        self.incar
     }
 
     /// Attribute lookup.

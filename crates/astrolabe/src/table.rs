@@ -51,10 +51,10 @@ impl RowDigest {
 /// How a replica compares with a peer's digest of the same table — the one
 /// classification the gossip digest handler acts on (see
 /// [`ZoneTable::diff_into`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Diff {
     /// Held rows the peer lacks or holds other values of under an older
-    /// stamp: they travel whole.
+    /// stamp: they travel whole. In label order, each once.
     pub ship: Vec<u16>,
     /// Held rows the peer holds the same values of under an older stamp:
     /// a refresh record (this replica's stamp and the hash) is enough.
@@ -67,16 +67,38 @@ pub struct Diff {
     /// Labels absent here, or whose newer peer version has other values:
     /// the row must be pulled.
     pub want: Vec<u16>,
+    /// Scratch, one byte per held row: whether the digest lists it
+    /// ([`LISTED`]) and whether it ships ([`SHIPS`]). Not part of the
+    /// comparison.
+    marks: Vec<u8>,
 }
+
+/// [`Diff::marks`] bit: the peer digest lists the row.
+const LISTED: u8 = 1;
+/// [`Diff::marks`] bit: the peer holds other values under an older stamp.
+const SHIPS: u8 = 2;
+
+impl PartialEq for Diff {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.ship, &self.refresh, &self.adopt, &self.want)
+            == (&other.ship, &other.refresh, &other.adopt, &other.want)
+    }
+}
+
+impl Eq for Diff {}
 
 /// One table slot, laid out for the scan-heavy paths: the label and the
 /// row's stamp sit inline, so digesting, diffing, GC sweeps and eviction
 /// walk a contiguous array without chasing the `Arc` — the shared attribute
-/// payload is only dereferenced when values are actually read.
+/// payload is only dereferenced when values are actually read. 40 bytes.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Child label of the row.
     pub label: u16,
+    /// `mib`'s wire size in the low 31 bits and its mobile-code bit on top,
+    /// in what would otherwise be padding: a stamp take and a merge read
+    /// both without touching the shared values.
+    meta: u32,
     /// The stamp this replica holds the row under — authoritative, and the
     /// one the row travels under. `mib.stamp` is only the stamp its values
     /// were first issued under: a replica that takes a newer stamp for
@@ -85,6 +107,40 @@ pub struct Row {
     pub stamp: Stamp,
     /// The shared row version.
     pub mib: Arc<Mib>,
+}
+
+/// [`Row::meta`]'s mobile-code bit; the bits below it hold the wire size.
+const CARRIES_AGG: u32 = 1 << 31;
+
+impl Row {
+    fn new(label: u16, stamp: Stamp, mib: Arc<Mib>) -> Self {
+        Row { label, meta: Row::meta_of(&mib), stamp, mib }
+    }
+
+    fn meta_of(mib: &Mib) -> u32 {
+        // A row of 2 GiB does not exist; the clamp keeps the flag bit clear.
+        let wire = u32::try_from(mib.wire_size()).unwrap_or(u32::MAX).min(CARRIES_AGG - 1);
+        if mib.carries_mobile_code() {
+            wire | CARRIES_AGG
+        } else {
+            wire
+        }
+    }
+
+    fn set_values(&mut self, mib: Arc<Mib>) {
+        self.meta = Row::meta_of(&mib);
+        self.mib = mib;
+    }
+
+    /// [`Mib::wire_size`] of the held values, read from the slot.
+    pub fn wire_size(&self) -> usize {
+        (self.meta & !CARRIES_AGG) as usize
+    }
+
+    /// [`Mib::carries_mobile_code`] of the held values, read from the slot.
+    pub fn carries_mobile_code(&self) -> bool {
+        self.meta & CARRIES_AGG != 0
+    }
 }
 
 /// A replica of one zone's table.
@@ -147,6 +203,22 @@ impl ZoneTable {
         self.rows.binary_search_by_key(&label, |r| r.label).ok().map(|i| &self.rows[i])
     }
 
+    /// Position in [`ZoneTable::rows`] of `label`'s row, searched from
+    /// `*cursor`, which is left where the search ended. Labels met in
+    /// ascending order cost one step per row passed over all told; a label
+    /// behind the cursor is binary-searched, so input in any order (gossip
+    /// is untrusted: unsorted, repeated, out of range) finds the same rows.
+    pub(crate) fn seek(&self, label: u16, cursor: &mut usize) -> Option<usize> {
+        let mut i = (*cursor).min(self.rows.len());
+        if i > 0 && self.rows[i - 1].label >= label {
+            i = self.rows[..i].partition_point(|r| r.label < label);
+        } else {
+            i += self.rows[i..].iter().take_while(|r| r.label < label).count();
+        }
+        *cursor = i;
+        (self.rows.get(i)?.label == label).then_some(i)
+    }
+
     /// Iterates `(label, values)` in label order (stamps: [`ZoneTable::rows`]).
     pub fn iter(&self) -> impl Iterator<Item = (u16, &Arc<Mib>)> {
         self.rows.iter().map(|r| (r.label, &r.mib))
@@ -171,33 +243,44 @@ impl ZoneTable {
     pub fn merge_stamped(&mut self, label: u16, stamp: Stamp, values: Arc<Mib>) -> MergeOutcome {
         match self.rows.binary_search_by_key(&label, |r| r.label) {
             Ok(i) => {
+                let outcome = self.take_stamp(i, stamp);
                 let slot = &mut self.rows[i];
-                // The inline stamp answers newest-wins without touching the
-                // old row's payload.
-                if stamp <= slot.stamp {
-                    return MergeOutcome::Rejected;
-                }
-                let outcome = MergeOutcome::Replaced {
-                    advanced_time: stamp.issued_us > slot.stamp.issued_us,
-                    old_carried_agg: slot.mib.carries_mobile_code(),
-                };
-                if !Arc::ptr_eq(&values, &slot.mib) {
+                if outcome != MergeOutcome::Rejected && !Arc::ptr_eq(&values, &slot.mib) {
                     if !values.same_attrs(&slot.mib) {
                         self.content_gen += 1;
                     }
-                    slot.mib = values;
+                    slot.set_values(values);
                 }
-                slot.stamp = stamp;
-                self.generation += 1;
                 outcome
             }
             Err(i) => {
                 self.generation += 1;
                 self.content_gen += 1;
-                self.rows.insert(i, Row { label, stamp, mib: values });
+                self.rows.insert(i, Row::new(label, stamp, values));
                 MergeOutcome::Inserted
             }
         }
+    }
+
+    /// [`ZoneTable::merge_stamped`] of the values the row at position `at`
+    /// already holds (found by [`ZoneTable::seek`]): newest-wins on the
+    /// inline stamp alone, with no search and no `Arc` to clone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at >= len()`.
+    pub(crate) fn take_stamp(&mut self, at: usize, stamp: Stamp) -> MergeOutcome {
+        let slot = &mut self.rows[at];
+        if stamp <= slot.stamp {
+            return MergeOutcome::Rejected;
+        }
+        let outcome = MergeOutcome::Replaced {
+            advanced_time: stamp.issued_us > slot.stamp.issued_us,
+            old_carried_agg: slot.carries_mobile_code(),
+        };
+        slot.stamp = stamp;
+        self.generation += 1;
+        outcome
     }
 
     /// Unconditionally installs `row` for `label`, bypassing the
@@ -216,14 +299,14 @@ impl ZoneTable {
                     self.content_gen += 1;
                 }
                 slot.stamp = row.stamp;
-                slot.mib = row;
+                slot.set_values(row);
                 self.generation += 1;
                 changed
             }
             Err(i) => {
                 self.generation += 1;
                 self.content_gen += 1;
-                self.rows.insert(i, Row { label, stamp: row.stamp, mib: row });
+                self.rows.insert(i, Row::new(label, row.stamp, row));
                 true
             }
         }
@@ -244,8 +327,9 @@ impl ZoneTable {
     }
 
     /// Digest of every row (for anti-entropy exchange) — a contiguous copy
-    /// of the inline `(label, stamp)` columns and each row's content hash.
-    pub fn digest(&self) -> Vec<RowDigest> {
+    /// of the inline `(label, stamp)` columns and each row's content hash,
+    /// in one allocation the fan-outs of a gossip round share.
+    pub fn digest(&self) -> Arc<[RowDigest]> {
         self.rows
             .iter()
             .map(|r| RowDigest { label: r.label, stamp: r.stamp, chash: r.mib.content_hash() })
@@ -264,44 +348,42 @@ impl ZoneTable {
     /// round. A digest lists every row its sender holds, so a held row it
     /// does not list is one the sender lacks. Equal stamps compare equal:
     /// two honest replicas never hold one stamp with two contents.
+    ///
+    /// One pass: each entry finds its row from a forward cursor and marks
+    /// it, then one walk of the marks lists what ships.
     pub fn diff_into(&self, peer: &[RowDigest], out: &mut Diff) {
         out.ship.clear();
         out.refresh.clear();
         out.adopt.clear();
         out.want.clear();
+        out.marks.clear();
+        out.marks.resize(self.rows.len(), 0);
+        let mut cursor = 0;
         // A digest longer than `u32` positions is no honest table's; the
         // tail is ignored.
         for (at, d) in (0..u32::MAX).zip(peer) {
-            let Ok(i) = self.rows.binary_search_by_key(&d.label, |r| r.label) else {
+            let Some(i) = self.seek(d.label, &mut cursor) else {
                 out.want.push(d.label);
                 continue;
             };
+            out.marks[i] |= LISTED;
             let held = &self.rows[i];
-            let same = held.mib.content_hash() == d.chash;
             if held.stamp > d.stamp {
-                if same {
+                if held.mib.content_hash() == d.chash {
                     out.refresh.push(RowDigest { stamp: held.stamp, ..*d });
                 } else {
-                    out.ship.push(d.label);
+                    out.marks[i] |= SHIPS;
                 }
             } else if d.stamp > held.stamp {
-                if same {
+                if held.mib.content_hash() == d.chash {
                     out.adopt.push(at);
                 } else {
                     out.want.push(d.label);
                 }
             }
         }
-        // Tables are bounded by the zone branching factor (tens of rows),
-        // so the nested label scan beats a sorted merge-walk: it is
-        // branch-predictable `u16` compares over one cache line.
-        for r in &self.rows {
-            if !peer.iter().any(|d| d.label == r.label) {
-                out.ship.push(r.label);
-            }
-        }
-        out.ship.sort_unstable();
-        out.ship.dedup();
+        let ships = |(r, &m): (&Row, &u8)| (m != LISTED).then_some(r.label);
+        out.ship.extend(self.rows.iter().zip(&out.marks).filter_map(ships));
     }
 
     /// Approximate serialized size of the whole table.
@@ -310,10 +392,79 @@ impl ZoneTable {
     }
 }
 
+/// [`ZoneTable::diff_into`] as it was before the one-pass walk — a binary
+/// search per digest entry, then a scan of the whole digest per held row —
+/// kept as the model the walk must agree with.
+#[cfg(test)]
+pub(crate) fn diff_model(table: &ZoneTable, peer: &[RowDigest]) -> Diff {
+    let mut out = Diff::default();
+    for (at, d) in (0..u32::MAX).zip(peer) {
+        let Ok(i) = table.rows.binary_search_by_key(&d.label, |r| r.label) else {
+            out.want.push(d.label);
+            continue;
+        };
+        let held = &table.rows[i];
+        let same = held.mib.content_hash() == d.chash;
+        if held.stamp > d.stamp {
+            if same {
+                out.refresh.push(RowDigest { stamp: held.stamp, ..*d });
+            } else {
+                out.ship.push(d.label);
+            }
+        } else if d.stamp > held.stamp {
+            if same {
+                out.adopt.push(at);
+            } else {
+                out.want.push(d.label);
+            }
+        }
+    }
+    for r in &table.rows {
+        if !peer.iter().any(|d| d.label == r.label) {
+            out.ship.push(r.label);
+        }
+    }
+    out.ship.sort_unstable();
+    out.ship.dedup();
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mib::MibBuilder;
+
+    #[test]
+    fn a_slot_carries_its_values_size_and_mobile_code_bit_in_40_bytes() {
+        assert_eq!(std::mem::size_of::<Row>(), 40);
+        let mut t = ZoneTable::new(ZoneId::root());
+        let plain = row(10, 0);
+        let agg =
+            Arc::new(MibBuilder::new().attr("sys$agg:x", "SELECT COUNT() AS n").build(Stamp {
+                issued_us: 20,
+                version: 0,
+                origin: 0,
+            }));
+        t.merge_row(1, Arc::clone(&plain));
+        let slot = t.row(1).unwrap();
+        assert_eq!((slot.wire_size(), slot.carries_mobile_code()), (plain.wire_size(), false));
+        t.merge_row(1, Arc::clone(&agg));
+        let slot = t.row(1).unwrap();
+        assert_eq!((slot.wire_size(), slot.carries_mobile_code()), (agg.wire_size(), true));
+    }
+
+    #[test]
+    fn seek_finds_labels_in_any_order() {
+        let mut t = ZoneTable::new(ZoneId::root());
+        for l in [2u16, 4, 6, 8] {
+            t.merge_row(l, row(1, 0));
+        }
+        let mut cursor = 0;
+        let found: Vec<Option<usize>> =
+            [4u16, 4, 5, 8, 9, 2, 6, 0, 8].iter().map(|&l| t.seek(l, &mut cursor)).collect();
+        let expect = [Some(1), Some(1), None, Some(3), None, Some(0), Some(2), None, Some(3)];
+        assert_eq!(found, expect);
+    }
 
     fn row(t: u64, origin: u32) -> Arc<Mib> {
         Arc::new(MibBuilder::new().attr("t", t as i64).build(Stamp {

@@ -1,20 +1,31 @@
 //! What an Astrolabe replica allocates beside its rows, pinned with a
 //! counting allocator: building an agent is a gated benchmark metric
-//! (`gossip_cold_start` `setup_s` constructs 2,560 of them), and failure
+//! (`gossip_cold_start` `setup_s` constructs 2,560 of them), failure
 //! detection and compiled programs must cost nothing until — and nothing
-//! more than — they are used.
+//! more than — they are used, and a gossip tick leaves nothing behind.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use astrolabe::{Agent, Config, GossipMsg, ZoneLayout};
 use simnet::{fork, PhiBank, SimTime};
 
+/// Blocks [`kept_by`] can follow at once.
+const WATCHED: usize = 512;
+
+/// `(address, size)` of every watched block allocated and not yet freed:
+/// the first `.1` entries of the array.
+type Watch = ([(usize, usize); WATCHED], usize);
+
 thread_local! {
     // Per thread, so tests running in parallel do not see each other.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// The blocks [`kept_by`] follows while it runs.
+    static WATCH: RefCell<Option<Watch>> = const { RefCell::new(None) };
+    /// A watched block did not fit the array.
+    static OVERFLOW: Cell<bool> = const { Cell::new(false) };
 }
 
 struct Counting;
@@ -24,6 +35,30 @@ fn count(bytes: usize) {
     BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
+fn watch_alloc(ptr: *mut u8, size: usize) {
+    WATCH.with(|w| {
+        if let Some((blocks, len)) = w.borrow_mut().as_mut() {
+            if *len == WATCHED {
+                OVERFLOW.with(|o| o.set(true));
+            } else {
+                blocks[*len] = (ptr as usize, size);
+                *len += 1;
+            }
+        }
+    });
+}
+
+fn watch_free(ptr: *mut u8) {
+    WATCH.with(|w| {
+        if let Some((blocks, len)) = w.borrow_mut().as_mut() {
+            if let Some(at) = blocks[..*len].iter().position(|&(p, _)| p == ptr as usize) {
+                blocks[at] = blocks[*len - 1];
+                *len -= 1;
+            }
+        }
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters are const-initialised
 // thread-locals without destructors, so touching them never allocates.
@@ -31,24 +66,32 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
         // SAFETY: the caller's obligations are passed through unchanged.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        watch_alloc(ptr, layout.size());
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
         // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        watch_alloc(ptr, layout.size());
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        watch_free(ptr);
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        watch_free(ptr);
         // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        watch_alloc(new, new_size);
+        new
     }
 }
 
@@ -62,10 +105,20 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     (out, ALLOCS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1)
 }
 
+/// Runs `f`, returning the bytes of the blocks it allocated that are still
+/// live when it returns (a block that grew counts at its new size).
+fn kept_by(f: impl FnOnce()) -> usize {
+    WATCH.with(|w| *w.borrow_mut() = Some(([(0, 0); WATCHED], 0)));
+    f();
+    let (blocks, len) = WATCH.with(|w| w.borrow_mut().take()).expect("the watch is open");
+    assert!(!OVERFLOW.with(Cell::get), "more than {WATCHED} blocks live at once");
+    blocks[..len].iter().map(|&(_, size)| size).sum()
+}
+
 /// Synchronous gossip rounds with perfect delivery (as the agent unit tests).
-fn run_rounds(agents: &mut [Agent], rounds: u64) {
+fn run_rounds(agents: &mut [Agent], rounds: std::ops::RangeInclusive<u64>) {
     let mut rng = fork(42, 0);
-    for round in 1..=rounds {
+    for round in rounds {
         let now = SimTime::from_secs(round);
         let mut inflight: Vec<(u32, u32, GossipMsg)> = Vec::new();
         for a in agents.iter_mut() {
@@ -106,14 +159,14 @@ fn detectors_are_two_exact_allocations_per_level() {
     let config = Config { branching: 4, ..Config::standard() };
     let mut agents: Vec<Agent> =
         (0..64).map(|i| Agent::new(i, &layout, config.clone(), vec![0])).collect();
-    run_rounds(&mut agents, 30);
+    run_rounds(&mut agents, 1..=30);
 
     // What one slot costs (its record plus its share of the ring), read off
     // a bank of the same window.
     let mut probe = PhiBank::new(config.phi());
     probe.grow_to(1);
     let per_slot = probe.heap_bytes();
-    assert_eq!(per_slot, 40 + 4 * config.phi().window);
+    assert_eq!(per_slot, 32 + 4 * config.phi().window);
 
     for a in &agents {
         for level in 0..a.levels() {
@@ -138,4 +191,28 @@ fn agents_of_one_deployment_share_their_compiled_programs() {
     let b = Agent::new(11, &layout, config.clone(), vec![0]);
     let program = |agent: &Agent| Arc::clone(agent.config().aggregations[0].compiled().unwrap());
     assert!(Arc::ptr_eq(&program(&a), &program(&b)));
+}
+
+/// Between ticks an agent keeps its rows, its detectors and what it derives
+/// from their values, and nothing of the tick itself: in a converged
+/// deployment no block `on_tick` allocates outlives its outbox — the
+/// digests it fans out included — and that still holds ten rounds later.
+#[test]
+fn a_tick_leaves_nothing_behind_but_its_outbox() {
+    let layout = ZoneLayout::new(64, 4);
+    let config = Config { branching: 4, ..Config::standard() };
+    let mut agents: Vec<Agent> =
+        (0..64).map(|i| Agent::new(i, &layout, config.clone(), vec![0])).collect();
+    let mut rng = fork(7, 0);
+    for (rounds, at) in [(1..=30, 30), (31..=40, 40)] {
+        run_rounds(&mut agents, rounds);
+        // An extra tick per agent, half a round on, whose messages are lost.
+        let now = SimTime::from_micros(at * 1_000_000 + 500_000);
+        for a in &mut agents {
+            let mut sent = 0;
+            let kept = kept_by(|| sent = a.on_tick(now, &mut rng).len());
+            assert!(sent > 0, "agent {} fanned out", a.id());
+            assert_eq!(kept, 0, "agent {} kept {kept} B of its tick at {now}", a.id());
+        }
+    }
 }

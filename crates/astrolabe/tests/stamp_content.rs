@@ -65,7 +65,7 @@ fn a_refresh_record_never_restamps_values_that_changed_since_the_digest() {
         }
     };
     let digest_of = |a: &Agent| GossipMsg::Digest {
-        digests: vec![TableDigest { zone: zone.clone(), rows: a.table(0).digest().into() }],
+        digests: vec![TableDigest { zone: zone.clone(), rows: a.table(0).digest() }],
     };
     let (old, between, newer) = (stamp(5), stamp(6), stamp(7));
 

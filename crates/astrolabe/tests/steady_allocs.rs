@@ -112,7 +112,7 @@ fn a_steady_round_stays_within_its_allocation_budget() {
 /// `a`'s full digest of every table it shares with `b`.
 fn digest_of(a: &Agent) -> GossipMsg {
     let digests = (0..a.levels())
-        .map(|l| TableDigest { zone: a.zone(l).clone(), rows: a.table(l).digest().into() })
+        .map(|l| TableDigest { zone: a.zone(l).clone(), rows: a.table(l).digest() })
         .collect();
     GossipMsg::Digest { digests }
 }

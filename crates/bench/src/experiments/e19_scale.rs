@@ -5,7 +5,7 @@
 //! full membership at the root, then run a 30-simulated-second steady state
 //! window (the per-round recompute cost). The run must converge; its
 //! simulated columns (convergence second, events) are a pure function of
-//! the seed, and its wall-clock columns measure the engine.
+//! the seed, and its wall-clock and peak-RSS columns measure the host.
 
 use std::time::Instant;
 
@@ -70,11 +70,19 @@ pub fn converge(n: u32) -> ScaleRun {
     }
 }
 
+/// The process's peak resident set (`VmHWM` in `/proc/self/status`) in
+/// MiB; `None` on a host without that file.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    Some(kb.trim().trim_end_matches("kB").trim().parse::<f64>().ok()? / 1024.0)
+}
+
 pub(crate) fn run(quick: bool) {
     let n: u32 = if quick { 1_000 } else { 10_000 };
     let mut table = Table::new(
         "E19 — Astrolabe cold-start convergence + 30 s steady state (branching 16)",
-        &["agents", "converged sim-s", "events", "wall s", "events/s"],
+        &["agents", "converged sim-s", "events", "wall s", "events/s", "peak RSS"],
     );
     let r = converge(n);
     let converged = r.converged_sim_s.expect("the scale scenario must converge within 600 s");
@@ -84,10 +92,12 @@ pub(crate) fn run(quick: bool) {
         r.events.to_string(),
         format!("{:.2}", r.wall_s),
         format!("{:.0}", r.events as f64 / r.wall_s),
+        peak_rss_mib().map_or_else(|| "–".to_owned(), |mib| format!("{mib:.0} MB")),
     ]);
     table.caption(
         "simulated columns are a pure function of the seed; wall-clock columns are one run \
-         and move with the host's load",
+         and move with the host's load; peak RSS is the whole process's (VmHWM), so it is \
+         E19's own only when E19 runs alone (`-- e19`)",
     );
     table.print();
 }

@@ -887,13 +887,48 @@ impl NewsWireNode {
                 .is_some_and(|r| r.contains(&peer))
     }
 
+    /// Hands a gossip exchange from `from` to the embedded agent, then
+    /// settles what its merge revealed: incarnation bumps clear peer
+    /// suspicion within the same gossip round, not a tick later, and riders
+    /// of mates whose row versions started over go. Returns the agent's
+    /// replies.
+    fn merge_gossip(
+        &mut self,
+        now: SimTime,
+        from: u32,
+        g: GossipMsg,
+        rng: &mut SmallRng,
+    ) -> Vec<(u32, GossipMsg)> {
+        let out = self.agent.on_message(now, from, g, rng);
+        self.absorb_incarnation_bumps();
+        self.retire_stale_riders();
+        out
+    }
+
+    /// Drops the rider of every leaf mate whose row now stands at a version
+    /// below the one the rider was taken at. The mate's row versions
+    /// started over: every restart, a freeze included, restarts them and
+    /// wipes the logs the rider described, while only a cold restart burns
+    /// an incarnation that [`NewsWireNode::absorb_incarnation_bumps`]
+    /// drops the rider on. Run after every merge of gossip, so the old
+    /// rider is gone before the mate's new versions climb past it.
+    fn retire_stale_riders(&mut self) {
+        if self.leaf_digests.is_empty() {
+            return;
+        }
+        let own = self.agent.own_label(0);
+        for r in self.agent.table(0).rows().iter().filter(|r| r.label != own) {
+            let Some(mate) = row_id(&r.mib) else { continue };
+            if self.leaf_digests.get(&mate).is_some_and(|(version, _)| r.stamp.version < *version) {
+                self.leaf_digests.remove(&mate);
+            }
+        }
+    }
+
     /// The digests of `publisher`'s log this node's leaf mates last sent
     /// it, `(mate, summary)`, in leaf-table order. Only a mate with a row
     /// here counts, so a rider from a member the table has let go of, or
-    /// never admitted, is not read. Nor is one taken before the mate's row
-    /// versions started over: every restart, a freeze included, restarts
-    /// them and wipes the logs the rider described, and only a cold
-    /// restart burns an incarnation that drops the rider outright.
+    /// never admitted, is not read.
     fn mate_digests(
         &self,
         publisher: PublisherId,
@@ -901,10 +936,7 @@ impl NewsWireNode {
         let own = self.agent.own_label(0);
         self.agent.table(0).rows().iter().filter(move |r| r.label != own).filter_map(move |r| {
             let mate = row_id(&r.mib)?;
-            let (version, digests) = self.leaf_digests.get(&mate)?;
-            if r.stamp.version < *version {
-                return None;
-            }
+            let (_, digests) = self.leaf_digests.get(&mate)?;
             digests.iter().find(|(p, _)| *p == publisher).map(|&(_, s)| (mate, s))
         })
     }
@@ -2572,7 +2604,7 @@ impl Node for NewsWireNode {
                 let mut g = g;
                 self.filter_sybil_rows(&mut g);
                 let digest = matches!(g, GossipMsg::Digest { .. });
-                let mut out = self.agent.on_message(now, from.0, g, ctx.rng());
+                let mut out = self.merge_gossip(now, from.0, g, ctx.rng());
                 if digest && out.is_empty() {
                     // Replicas in sync owe each other nothing, but the reply
                     // is how the digest's sender times its round trip to
@@ -2584,10 +2616,6 @@ impl Node for NewsWireNode {
                     let msg = self.gossip_msg(to, g);
                     ctx.send(NodeId(to), msg);
                 }
-                // Any incarnation bumps the merge just surfaced clear peer
-                // suspicion immediately — within the same gossip round, not
-                // a tick later.
-                self.absorb_incarnation_bumps();
                 // The digest rider last, against the rows this exchange
                 // merged: the sender's row version it is taken at is the
                 // sender's current life.
@@ -3339,7 +3367,7 @@ mod tests {
             let rows = vec![(1, row.stamp, Arc::new(row))];
             let zone = n.agent.zone(0).clone();
             let msg = GossipMsg::Rows { rows: vec![TableRows { zone, rows }] };
-            n.agent.on_message(at, 1, msg, &mut rand::rngs::SmallRng::seed_from_u64(1));
+            n.merge_gossip(at, 1, msg, &mut rand::rngs::SmallRng::seed_from_u64(1));
         };
         merge(&mut n, now, 1);
         assert_eq!(n.consensus_epoch(PublisherId(0)), Some(0));
@@ -3351,6 +3379,8 @@ mod tests {
         );
         merge(&mut n, SimTime::from_secs(2), 0);
         assert_eq!(n.consensus_epoch(PublisherId(0)), None, "1's versions started over");
+        assert!(n.leaf_digests.is_empty(), "and its rider went with them");
+        n.take_digest_rider(1, Some(rider_of(1, 4)));
         n.take_digest_rider(1, None);
         assert!(n.leaf_digests.is_empty(), "a rider-less exchange retracts it");
         let impossible = RangeSummary { epoch: 0, floor: 5, next: 3, present: 0 };
@@ -3364,6 +3394,46 @@ mod tests {
         n.reset_protocol_state();
         assert!(n.leaf_digests.is_empty(), "a restart forgets the mates' riders");
         assert!(rider_to(&n, 1).is_none(), "and its own");
+    }
+
+    /// A freeze burns no incarnation, so a leaf mate's pre-freeze rider
+    /// goes the moment the mate's row is merged below the version the rider
+    /// was taken at — here by way of a third mate, with no fresh rider from
+    /// the frozen one — and is never read again as the new versions climb
+    /// past that one.
+    #[test]
+    fn a_frozen_mates_old_rider_is_never_read_again() {
+        use astrolabe::{MibBuilder, Stamp, TableRows};
+        use rand::SeedableRng;
+        let mut n = node_with(NewsWireConfig::tech_news());
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        // Mate 1's row, as mate `via` forwards it.
+        let mut merge = |n: &mut NewsWireNode, via: u32, at: SimTime, version: u64| {
+            let row = MibBuilder::new().attr("id", 1i64).build(Stamp {
+                issued_us: at.as_micros(),
+                version,
+                origin: 1,
+            });
+            let rows = vec![(1, row.stamp, Arc::new(row))];
+            let zone = n.agent.zone(0).clone();
+            n.merge_gossip(
+                at,
+                via,
+                GossipMsg::Rows { rows: vec![TableRows { zone, rows }] },
+                &mut rng,
+            );
+        };
+        merge(&mut n, 1, SimTime::from_secs(1), 40);
+        n.take_digest_rider(1, Some(rider_of(3, 7)));
+        let read = |n: &NewsWireNode| n.mate_digests(PublisherId(0)).collect::<Vec<_>>();
+        assert_eq!(read(&n), vec![(1, rider_of(3, 7)[0].1)], "the rider is read before the freeze");
+        for (k, version) in [1, 2, 39, 40, 41, 90].into_iter().enumerate() {
+            let at = SimTime::from_secs(10 + k as u64);
+            merge(&mut n, 2, at, version);
+            assert_eq!(n.agent.table(0).row(1).unwrap().stamp.version, version);
+            assert_eq!(read(&n), vec![], "the pre-freeze rider is read at version {version}");
+            assert_eq!(n.consensus_epoch(PublisherId(0)), None);
+        }
     }
 
     #[test]

@@ -92,7 +92,8 @@ pub mod ctr {
         AGG_RECOMPUTES = 21, "agg_recomputes";
         /// Aggregations satisfied by the content-generation cache.
         AGG_CACHE_HITS = 22, "agg_cache_hits";
-        /// Digest constructions satisfied by the per-level digest cache.
+        /// Table digests a gossip fan-out shared with an earlier message of
+        /// the same tick instead of building.
         DIGEST_CACHE_HITS = 23, "digest_cache_hits";
         /// Peer-list constructions satisfied by the peer cache.
         PEERS_CACHE_HITS = 24, "peers_cache_hits";

@@ -59,30 +59,34 @@ impl Default for PhiConfig {
 /// produce these). The exact value is kept in [`PhiBank::wide`].
 const WIDE: u32 = u32::MAX;
 
-/// The detector state of one monitored peer.
+/// The detector state of one monitored peer: 32 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// Instant (µs) of the most recent heartbeat; meaningful when `tracked`.
+    /// Instant (µs) of the most recent heartbeat, or [`UNTRACKED_US`]
+    /// before the first one and again after [`PhiBank::clear`].
     last_us: u64,
     /// Conservative elapsed bound (µs since `last_us`) below which phi
     /// provably stays under the threshold — recomputed on each heartbeat so
     /// [`PhiBank::is_suspect`] is a single integer compare for a healthy
     /// peer. Callers sweep every monitored row every round; the full
-    /// transcendental phi only runs once a peer is genuinely late.
-    safe_elapsed_us: u64,
-    sum: f64,
-    sum_sq: f64,
+    /// transcendental phi only runs once a peer is genuinely late. Saturated
+    /// to 32 bits: a smaller bound only sends more sweeps to the exact phi.
+    safe_elapsed_us: u32,
     /// Ring position the next sample is written to; once the window is
     /// full that is also where the oldest sample sits.
     next: u16,
     /// Samples currently modeled (`<= window`).
     len: u16,
-    /// False until the first heartbeat, and again after [`PhiBank::clear`].
-    tracked: bool,
+    sum: f64,
+    sum_sq: f64,
 }
 
+/// `last_us` of a slot that has seen no heartbeat. A heartbeat at this very
+/// instant (`u64::MAX` µs, 584,000 simulated years) would read as none.
+const UNTRACKED_US: u64 = u64::MAX;
+
 const UNTRACKED: Slot =
-    Slot { last_us: 0, safe_elapsed_us: 0, sum: 0.0, sum_sq: 0.0, next: 0, len: 0, tracked: false };
+    Slot { last_us: UNTRACKED_US, safe_elapsed_us: 0, next: 0, len: 0, sum: 0.0, sum_sq: 0.0 };
 
 impl Slot {
     /// Windowed (mean, stddev) of inter-arrivals in µs, with the configured
@@ -125,7 +129,7 @@ impl Slot {
     /// particular while `y < y_safe = e_need / (1.5976 + 0.070566·c²)` for
     /// `c = e_need / 1.5976` (since `e(c) ≥ e_need` forces `y_safe ≤
     /// e⁻¹(e_need)`). Truncation to integer µs only tightens the bound.
-    fn safe_elapsed(&self, config: &PhiConfig) -> u64 {
+    fn safe_elapsed(&self, config: &PhiConfig) -> u32 {
         let e_need = (config.threshold - std::f64::consts::LOG10_2) * std::f64::consts::LN_10;
         if e_need <= 0.0 {
             return 0;
@@ -133,13 +137,14 @@ impl Slot {
         let c = e_need / 1.5976;
         let y_safe = e_need / (1.5976 + 0.070566 * c * c);
         let (mean, stddev) = self.model(config);
-        (mean + y_safe * stddev).max(0.0) as u64
+        // `as` saturates: a bound past 2^32 µs stays a valid, smaller one.
+        (mean + y_safe * stddev).max(0.0) as u32
     }
 }
 
 /// Phi-accrual failure detectors for the peers of one owner, addressed by a
 /// dense slot index the owner assigns (a row label, a peer's position in a
-/// map). Stored as columns: the tuning once, one 40-byte slot per peer, and one
+/// map). Stored as columns: the tuning once, one 32-byte slot per peer, and one
 /// ring allocation of `slots × window` inter-arrival samples in whole
 /// microseconds — the clock's own unit, so 32-bit entries lose nothing.
 ///
@@ -209,14 +214,13 @@ impl PhiBank {
         }
         let now_us = now.as_micros();
         let s = self.slots[slot];
-        if s.tracked {
+        if s.last_us != UNTRACKED_US {
             if now_us <= s.last_us {
                 return;
             }
             self.push_interval(slot, now_us - s.last_us);
         }
         let s = &mut self.slots[slot];
-        s.tracked = true;
         s.last_us = now_us;
         s.safe_elapsed_us = s.safe_elapsed(&self.config);
     }
@@ -235,7 +239,7 @@ impl PhiBank {
     /// precomputed bound.
     pub fn is_suspect(&self, slot: usize, now: SimTime) -> bool {
         self.tracked(slot).is_some_and(|s| {
-            now.as_micros().saturating_sub(s.last_us) >= s.safe_elapsed_us
+            now.as_micros().saturating_sub(s.last_us) >= u64::from(s.safe_elapsed_us)
                 && s.phi(&self.config, now) >= self.config.threshold
         })
     }
@@ -258,7 +262,7 @@ impl PhiBank {
     }
 
     fn tracked(&self, slot: usize) -> Option<&Slot> {
-        self.slots.get(slot).filter(|s| s.tracked)
+        self.slots.get(slot).filter(|s| s.last_us != UNTRACKED_US)
     }
 
     fn push_interval(&mut self, slot: usize, us: u64) {
@@ -552,7 +556,7 @@ mod tests {
 
     #[test]
     fn slot_stays_within_its_size_budget() {
-        assert!(std::mem::size_of::<Slot>() <= 40, "{}", std::mem::size_of::<Slot>());
+        assert!(std::mem::size_of::<Slot>() <= 32, "{}", std::mem::size_of::<Slot>());
     }
 
     /// One step of the differential test below.

@@ -8,6 +8,8 @@
 #   scripts/ledger.sh panel check   # fail if any panel number differs from it
 #   scripts/ledger.sh examples write  # regenerate ledger/examples/<example>.<seed>.txt
 #   scripts/ledger.sh examples check  # fail if any example's output differs from it
+#   scripts/ledger.sh telemetry write # regenerate ledger/telemetry.42.txt
+#   scripts/ledger.sh telemetry check # fail if `telemetry_dump 42` moved from it
 #
 # Builds this tree's `benchmark` package and runs one `--child --seed 1
 # --trace 1` repetition of each workload (the interface `scripts/ab.sh`
@@ -31,9 +33,15 @@
 # example (the CI matrix's list) at seeds 42 and 7. The examples print no
 # wall-clock time, so their output is a pure function of the source: a
 # change meant to move nothing must leave every file byte-identical.
+#
+# The telemetry ledger is `telemetry_dump 42`: the sha256 of its stdout
+# (the registry JSON, ≈ 5 MB) and of its stderr (summary and trace CSV,
+# ≈ 2 MB), then one `<counter> <total over nodes>` line per counter, by
+# name. The hashes say whether anything moved; the totals say which
+# counter did, including the many no seed-1 key reads.
 set -euo pipefail
-usage="usage: $0 write|check|table|panel write|panel check|examples write|examples check"
-if [ $# -eq 2 ] && { [ "$1" = panel ] || [ "$1" = examples ]; } \
+usage="usage: $0 write|check|table|panel write|panel check|examples write|examples check|telemetry write|telemetry check"
+if [ $# -eq 2 ] && { [ "$1" = panel ] || [ "$1" = examples ] || [ "$1" = telemetry ]; } \
   && { [ "$2" = write ] || [ "$2" = check ]; }; then
   mode=$1-$2
 elif [ $# -eq 1 ] && { [ "$1" = write ] || [ "$1" = check ] || [ "$1" = table ]; }; then
@@ -81,6 +89,40 @@ if [ "$mode" = examples-write ] || [ "$mode" = examples-check ]; then
     echo "examples: all $(ls "$dir" | wc -l) example outputs unchanged"
   fi
   exit "$failed"
+fi
+
+if [ "$mode" = telemetry-write ] || [ "$mode" = telemetry-check ]; then
+  cargo build --release --offline --quiet --manifest-path "$root/Cargo.toml" --example telemetry_dump
+  bin=${CARGO_TARGET_DIR:-$root/target}/release/examples/telemetry_dump
+  file=$root/ledger/telemetry.42.txt
+  run=$(mktemp -d)
+  trap 'rm -rf "$run"' EXIT
+  "$bin" 42 > "$run/stdout" 2> "$run/stderr"
+  {
+    echo "stdout sha256 $(sha256sum < "$run/stdout" | cut -d' ' -f1)"
+    echo "stderr sha256 $(sha256sum < "$run/stderr" | cut -d' ' -f1)"
+    python3 - "$run/stdout" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    dump = json.load(f)
+totals = {}
+for node in dump["nodes"] + [dump["global"]]:
+    for name, value in node["counters"].items():
+        totals[name] = totals.get(name, 0) + value
+for name in sorted(totals):
+    print(name, totals[name])
+PY
+  } > "$run/ledger"
+  if [ "$mode" = telemetry-write ]; then
+    cp "$run/ledger" "$file"
+    echo "wrote $(wc -l < "$file") lines to $file"
+  elif diff -u "$file" "$run/ledger"; then
+    echo "telemetry: telemetry_dump 42 unchanged ($(wc -l < "$file") lines)"
+  else
+    echo "telemetry: telemetry_dump 42 moved (- committed, + this tree); if intended, run '$0 telemetry write' and commit" >&2
+    exit 1
+  fi
+  exit 0
 fi
 
 if [ "$mode" = table ]; then
