@@ -2315,7 +2315,9 @@ impl NewsWireNode {
             }
             // So was its digest: a restarted mate's log may now be shorter
             // than the rider it last sent, and a pull against that rider
-            // would take its honest, empty reply for a contradiction.
+            // would take its honest, empty reply for a contradiction. The
+            // new life's first row may already stand past the version the
+            // rider was taken at, so `retire_stale_riders` cannot see it.
             self.leaf_digests.remove(&peer);
         }
     }
@@ -3434,6 +3436,43 @@ mod tests {
             assert_eq!(read(&n), vec![], "the pre-freeze rider is read at version {version}");
             assert_eq!(n.consensus_epoch(PublisherId(0)), None);
         }
+    }
+
+    /// A cold restart's rider goes on the incarnation bump itself: the
+    /// first row of the mate's new life to reach this node may already
+    /// stand at or past the version its old rider was taken at — the old
+    /// life was short, or the new one climbed before its row got here —
+    /// and then no version check can tell the two lives apart.
+    #[test]
+    fn a_cold_restarted_mates_rider_goes_with_its_old_incarnation() {
+        use astrolabe::{MibBuilder, Stamp, TableRows};
+        use rand::SeedableRng;
+        let mut n = node_with(NewsWireConfig::tech_news());
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut merge = |n: &mut NewsWireNode, at: SimTime, version: u64, incar: i64| {
+            let stamp = Stamp { issued_us: at.as_micros(), version, origin: 1 };
+            let row = MibBuilder::new().attr("id", 1i64).attr("incar", incar).build(stamp);
+            let rows = vec![(1, row.stamp, Arc::new(row))];
+            let zone = n.agent.zone(0).clone();
+            n.merge_gossip(
+                at,
+                1,
+                GossipMsg::Rows { rows: vec![TableRows { zone, rows }] },
+                &mut rng,
+            );
+        };
+        merge(&mut n, SimTime::from_secs(1), 5, 1);
+        n.take_digest_rider(1, Some(rider_of(3, 7)));
+        let read = |n: &NewsWireNode| n.mate_digests(PublisherId(0)).collect::<Vec<_>>();
+        assert_eq!(
+            read(&n),
+            vec![(1, rider_of(3, 7)[0].1)],
+            "the rider is read before the restart"
+        );
+        merge(&mut n, SimTime::from_secs(30), 9, 2);
+        assert_eq!(n.agent.table(0).row(1).unwrap().stamp.version, 9, "the new life is merged");
+        assert_eq!(read(&n), vec![], "the old life's rider is read past the restart");
+        assert_eq!(n.consensus_epoch(PublisherId(0)), None);
     }
 
     #[test]
