@@ -28,8 +28,8 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simnet::{
-    Context, CorruptionOp, LiarAction, LiarMode, Node, NodeId, PhiBank, RestartMode, SimDuration,
-    SimTime, TimerId,
+    Context, CorruptionOp, LiarAction, LiarMode, Node, NodeId, RestartMode, SimDuration, SimTime,
+    TimerId,
 };
 
 use crate::auth::{EpochAttest, PublisherCredential};
@@ -191,6 +191,13 @@ const ACK_RETRIES: u32 = 1;
 /// reconcile request whose reply timed out (beyond this the next gossip
 /// round starts over).
 const MAX_FAILOVERS: u32 = 2;
+
+/// Hand-offs to one peer timed out in a row, with no round trip to it timed
+/// between them, after which the peer is suspect: passed over as a
+/// failover, cross-zone or reconcile candidate while another is left, and
+/// failed over from at once. One timeout is a lost message; two in a row,
+/// each after a backed-off wait, is a peer that has stopped answering.
+const SUSPECT_TIMEOUTS: u8 = 2;
 
 /// Multiplier applied to a wait per timeout already burned on it: an
 /// acknowledged hand-off's per same-representative retry, a `Deliver`'s per
@@ -530,9 +537,14 @@ impl Acks {
         let Some(bound) = self.zone_key(peer).and_then(|key| self.rtt[key].bound()) else {
             return ACK_TIMEOUT;
         };
-        let timeouts = self.timeouts.get(&peer).copied().unwrap_or(0);
-        let backed_off = 1u64.checked_shl(u32::from(timeouts)).unwrap_or(u64::MAX);
+        let backed_off = 1u64.checked_shl(u32::from(self.timeouts(peer))).unwrap_or(u64::MAX);
         SimDuration::from_micros(bound.as_micros().saturating_mul(backed_off)).min(ACK_TIMEOUT)
+    }
+
+    /// Hand-offs to `peer` timed out since a round trip to it was last
+    /// timed.
+    fn timeouts(&self, peer: u32) -> u8 {
+        self.timeouts.get(&peer).copied().unwrap_or(0)
     }
 
     /// A new incarnation of `peer` starts without a back-off; what round
@@ -590,51 +602,6 @@ impl RttPeak {
             4 * 5u64.saturating_sub(u64::from(self.samples / 4)).max(2)
         };
         Some(SimDuration::from_micros(u64::from(self.peak_us) * quarters / 4))
-    }
-}
-
-/// Phi-accrual detectors over the peers a node has heard from. A peer takes
-/// the next free slot of the one [`PhiBank`] on its first message and keeps
-/// it; forgetting a peer clears the slot, so an unobserved and a forgotten
-/// peer read alike: unknown, not suspect.
-#[derive(Debug)]
-struct PeerHealth {
-    slot_of: HashMap<u32, u32>,
-    bank: PhiBank,
-}
-
-impl PeerHealth {
-    /// Phi tuning shared with the embedded Astrolabe agent.
-    fn new(astro: &astrolabe::Config) -> Self {
-        let bank = PhiBank::new(astro.phi());
-        PeerHealth { slot_of: HashMap::new(), bank }
-    }
-
-    fn heartbeat(&mut self, peer: u32, now: SimTime) {
-        // Keys are distinct `u32`s, so the count of them fits one.
-        let next = self.slot_of.len() as u32;
-        let slot = *self.slot_of.entry(peer).or_insert(next) as usize;
-        self.bank.heartbeat(slot, now);
-    }
-
-    fn slot(&self, peer: u32) -> Option<usize> {
-        self.slot_of.get(&peer).map(|&slot| slot as usize)
-    }
-
-    fn is_suspect(&self, peer: u32, now: SimTime) -> bool {
-        self.slot(peer).is_some_and(|slot| self.bank.is_suspect(slot, now))
-    }
-
-    /// Clears `peer`'s detector.
-    fn remove(&mut self, peer: u32) {
-        if let Some(slot) = self.slot(peer) {
-            self.bank.clear(slot);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.slot_of.clear();
-        self.bank.clear_all();
     }
 }
 
@@ -697,10 +664,6 @@ pub struct NewsWireNode {
     /// publisher's newest article has no neighbour ahead to reveal it.
     /// Anything newly logged restarts the wait at [`TAIL_PROBE_QUIET`].
     tail_probe: (SimTime, SimDuration),
-    /// Failure detection over peers this node has heard from; any message
-    /// counts as a heartbeat. Replaces the fixed retry cliff in the ack
-    /// layer: a suspect representative is failed over immediately.
-    peer_health: PeerHealth,
     /// Outstanding reconcile request, at most one in flight.
     awaiting_reconcile: Option<PendingReconcile>,
     /// Round-robin cursor over publishers for reconcile target selection.
@@ -742,7 +705,6 @@ impl NewsWireNode {
     pub fn new(mut agent: Agent, cfg: NewsWireConfig, registry: Arc<TrustRegistry>) -> Self {
         let cache = MessageCache::new(cfg.cache);
         agent.set_ingest_validation(cfg.defenses);
-        let peer_health = PeerHealth::new(agent.config());
         let acks = Acks::new(agent.id(), agent.layout());
         let mut node = NewsWireNode {
             agent,
@@ -765,7 +727,6 @@ impl NewsWireNode {
             leaf_digests: BTreeMap::new(),
             stubs: StubTable::default(),
             tail_probe: (SimTime::ZERO + TAIL_PROBE_QUIET, TAIL_PROBE_QUIET),
-            peer_health,
             awaiting_reconcile: None,
             reconcile_cursor: 0,
             recovering_since: None,
@@ -888,10 +849,11 @@ impl NewsWireNode {
     }
 
     /// Hands a gossip exchange from `from` to the embedded agent, then
-    /// settles what its merge revealed: incarnation bumps clear peer
-    /// suspicion within the same gossip round, not a tick later, and riders
-    /// of mates whose row versions started over go. Returns the agent's
-    /// replies.
+    /// settles what its merge revealed: a restarted peer's back-off, its
+    /// rider and — for an endorsed identity — its misbehavior score go
+    /// with its old incarnation within the same gossip round, not a tick
+    /// later, and riders of mates whose row versions started over go.
+    /// Returns the agent's replies.
     fn merge_gossip(
         &mut self,
         now: SimTime,
@@ -1137,24 +1099,23 @@ impl NewsWireNode {
         }
     }
 
-    /// Any message from `from` is a heartbeat for its phi detector.
-    fn note_alive(&mut self, from: NodeId, now: SimTime) {
-        if from != NodeId::EXTERNAL {
-            self.peer_health.heartbeat(from.0, now);
-        }
-    }
-
     /// What a round trip to `peer` is bounded by ([`Acks::round_trip_bound`]).
     fn round_trip_bound(&self, peer: u32) -> SimDuration {
         self.acks.round_trip_bound(peer)
     }
 
-    /// True when the phi detector suspects `peer` — or the misbehavior
-    /// score has quarantined it. Folding quarantine in here covers every
-    /// selection path at once (cross-zone peers, ack failovers, reconcile
-    /// sources). Unobserved peers are unknown, not suspect.
-    fn peer_suspect(&self, peer: u32, now: SimTime) -> bool {
-        self.quarantined(peer) || self.peer_health.is_suspect(peer, now)
+    /// True when the acknowledgement table has backed `peer` off — at
+    /// least [`SUSPECT_TIMEOUTS`] hand-offs to it in a row went
+    /// unacknowledged, with no round trip timed since and no new
+    /// incarnation seen — or the misbehavior score has quarantined it.
+    /// Folding quarantine in here covers every selection path at once
+    /// (cross-zone peers, ack failovers, reconcile sources). The node keeps
+    /// no detector of its own: a silent leaf mate is Astrolabe's to judge,
+    /// whose detectors evict its row, and every candidate list is read from
+    /// rows the tables still hold. A peer never handed anything is not
+    /// suspect.
+    fn peer_suspect(&self, peer: u32) -> bool {
+        self.quarantined(peer) || self.acks.timeouts(peer) >= SUSPECT_TIMEOUTS
     }
 
     /// True when `peer`'s misbehavior score has crossed the quarantine
@@ -1164,10 +1125,10 @@ impl NewsWireNode {
     }
 
     /// Records a misbehavior strike against `peer`, tracing the quarantine
-    /// transition when the score crosses the threshold. Unlike phi
-    /// suspicion — which is about *silence* and decays as soon as the peer
-    /// talks again — misbehavior is about *lying* and only clears when the
-    /// peer restarts into a new incarnation.
+    /// transition when the score crosses the threshold. Unlike a back-off
+    /// — which is about *silence* and clears as soon as the peer answers
+    /// again — misbehavior is about *lying* and only clears when the peer
+    /// restarts into a new incarnation.
     fn note_misbehavior(&mut self, peer: NodeId, weight: u32) {
         if peer == NodeId::EXTERNAL || !self.cfg.defenses {
             return;
@@ -1188,11 +1149,11 @@ impl NewsWireNode {
         }
     }
 
-    /// Drops phi-suspect entries from a candidate list — unless that would
+    /// Drops suspect entries from a candidate list — unless that would
     /// empty it (a suspect peer beats no peer at all).
-    fn prefer_unsuspected(&self, candidates: &mut Vec<u32>, now: SimTime) {
-        if candidates.iter().any(|&c| !self.peer_suspect(c, now)) {
-            candidates.retain(|&c| !self.peer_suspect(c, now));
+    fn prefer_unsuspected(&self, candidates: &mut Vec<u32>) {
+        if candidates.iter().any(|&c| !self.peer_suspect(c)) {
+            candidates.retain(|&c| !self.peer_suspect(c));
         }
     }
 
@@ -1749,7 +1710,7 @@ impl NewsWireNode {
     /// A random *cross-zone* representative from the higher tables — the
     /// escape hatch when the whole leaf zone shares the same log holes
     /// (partitions usually fall along zone boundaries).
-    fn cross_zone_peer(&self, rng: &mut rand::rngs::SmallRng, now: SimTime) -> Option<NodeId> {
+    fn cross_zone_peer(&self, rng: &mut rand::rngs::SmallRng) -> Option<NodeId> {
         use astrolabe::AttrValue;
         let mut candidates: Vec<u32> = Vec::new();
         for level in 1..self.agent.levels() {
@@ -1763,7 +1724,7 @@ impl NewsWireNode {
             }
         }
         candidates.retain(|&p| p != self.agent.id());
-        self.prefer_unsuspected(&mut candidates, now);
+        self.prefer_unsuspected(&mut candidates);
         candidates.as_slice().choose(rng).map(|&p| NodeId(p))
     }
 
@@ -1822,23 +1783,22 @@ impl NewsWireNode {
     }
 
     /// `ack` went unacknowledged for its wait. The copy goes to the same
-    /// peer again, up to [`ACK_RETRIES`] times, unless the φ detector
-    /// already suspects a hand-off's representative — an announce's re-send
-    /// is the payload. Then a hand-off fails over to an untried
+    /// peer again, up to [`ACK_RETRIES`] times, unless a hand-off's
+    /// representative is already suspect — an announce's re-send is the
+    /// payload. Then a hand-off fails over to an untried
     /// representative of its zone, up to [`MAX_FAILOVERS`] times, and is
     /// abandoned after that; a `Deliver` is forgotten. Reconcile owns either
     /// loss.
     fn retry_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, mut ack: Ack) {
-        let now = ctx.now();
         let id = self.agent.id();
         let msg_id = ack.env.msg_id;
         let mut suspect = false;
         if ack.zone.is_some() {
             self.acks.note_timeout(ack.peer);
-            // Phi-accrual shortcut: when the detector already suspects the
-            // representative, burning the remaining same-rep retries is
-            // wasted time — fail over immediately.
-            suspect = self.peer_suspect(ack.peer, now);
+            // Suspect shortcut: when hand-offs to the representative keep
+            // going unacknowledged, burning the remaining same-rep retries
+            // is wasted time — fail over immediately.
+            suspect = self.peer_suspect(ack.peer);
             if suspect && ack.attempt < ACK_RETRIES {
                 obs::metric_add!(id, ctr::NW_SUSPECT_FAILOVERS, 1);
                 obs::trace_event!(id, Layer::News, kind::PHI_SUSPECT, ack.peer);
@@ -1866,8 +1826,8 @@ impl NewsWireNode {
         let next = if ack.tried.len() < MAX_FAILOVERS as usize {
             let mut candidates = zone_reps(&self.agent, zone);
             candidates.retain(|r| !ack.tried.contains(r) && *r != ack.peer);
-            // Prefer representatives the phi detector still trusts.
-            self.prefer_unsuspected(&mut candidates, now);
+            // Prefer representatives that still answer.
+            self.prefer_unsuspected(&mut candidates);
             candidates.as_slice().choose(ctx.rng()).copied()
         } else {
             None
@@ -1965,7 +1925,7 @@ impl NewsWireNode {
                 if !summary.contiguous() || !log.lacks(&gaps, &summary) {
                     continue;
                 }
-                if self.peer_suspect(peer, now) {
+                if self.peer_suspect(peer) {
                     continue;
                 }
                 let fresher = match &best {
@@ -1991,7 +1951,7 @@ impl NewsWireNode {
                     if gaps.is_empty() && !cold && !probe {
                         continue;
                     }
-                    let Some(peer) = self.cross_zone_peer(ctx.rng(), now) else { continue };
+                    let Some(peer) = self.cross_zone_peer(ctx.rng()) else { continue };
                     if probe {
                         let backoff = backoff.checked_mul(2).unwrap_or(backoff);
                         self.tail_probe = (now + backoff, backoff);
@@ -2055,7 +2015,7 @@ impl NewsWireNode {
     /// for: a representative of this node's leaf zone not yet asked — the
     /// one that handed an article on kept it — else a cross-zone
     /// representative. A pass asks at most [`MAX_ASKED`] peers.
-    fn follow_up_peer(&self, asked: &[u32], rng: &mut SmallRng, now: SimTime) -> Option<NodeId> {
+    fn follow_up_peer(&self, asked: &[u32], rng: &mut SmallRng) -> Option<NodeId> {
         if asked.len() >= MAX_ASKED {
             return None;
         }
@@ -2064,11 +2024,11 @@ impl NewsWireNode {
             .map(|reps| reps.iter().filter_map(|&r| u32::try_from(r).ok()).collect())
             .unwrap_or_default();
         reps.retain(|r| *r != self.agent.id() && !asked.contains(r));
-        self.prefer_unsuspected(&mut reps, now);
+        self.prefer_unsuspected(&mut reps);
         if let Some(&rep) = reps.as_slice().choose(rng) {
             return Some(NodeId(rep));
         }
-        self.cross_zone_peer(rng, now).filter(|p| !asked.contains(&p.0))
+        self.cross_zone_peer(rng).filter(|p| !asked.contains(&p.0))
     }
 
     /// Serves a `ReconcileRequest` from the log, in sequence order, at most
@@ -2290,20 +2250,18 @@ impl NewsWireNode {
         } else if !unvouched.is_empty() {
             let mut asked = pending.asked;
             asked.push(from.0);
-            if let Some(peer) = self.follow_up_peer(&asked, ctx.rng(), now) {
+            if let Some(peer) = self.follow_up_peer(&asked, ctx.rng()) {
                 self.send_reconcile_request(ctx, peer, publisher, unvouched, asked, 0, false);
             }
         }
     }
 
     /// Drains incarnation bumps observed by the embedded agent and forgets
-    /// the phi-accrual history of each bumped peer: the suspicion belonged
-    /// to the peer's previous life, and a freshly restarted peer must be
-    /// immediately eligible again as an ack-failover / repair / reconcile
-    /// target (its next message seeds a fresh detector).
+    /// each bumped peer's back-off: the unanswered hand-offs belonged to the
+    /// peer's previous life, and a freshly restarted peer must be
+    /// immediately eligible again as an ack-failover / reconcile target.
     fn absorb_incarnation_bumps(&mut self) {
         for peer in self.agent.take_incarnation_bumps() {
-            self.peer_health.remove(peer);
             self.acks.forget_timeouts(peer);
             // Misbehavior belonged to the previous life too: a reinstalled
             // node is not the liar its predecessor was. But only an
@@ -2492,7 +2450,7 @@ impl NewsWireNode {
     /// Wipes the protocol state every restart mode loses, a freeze included:
     /// membership view, cache (signatures with it), deliveries, the
     /// acknowledgement table, article logs, the digest riders that
-    /// described them and the ones leaf mates sent, and peer observations.
+    /// described them and the ones leaf mates sent, and misbehavior scores.
     fn reset_protocol_state(&mut self) {
         self.agent.reset();
         self.cache = MessageCache::new(self.cfg.cache);
@@ -2506,7 +2464,6 @@ impl NewsWireNode {
         self.ae_digests = None;
         self.leaf_digests.clear();
         self.stubs.clear();
-        self.peer_health.clear();
         self.misbehavior.clear();
         self.awaiting_reconcile = None;
         self.backfill_this_recovery = 0;
@@ -2583,7 +2540,6 @@ impl Node for NewsWireNode {
 
     fn on_message(&mut self, ctx: &mut Context<'_, NewsWireMsg>, from: NodeId, msg: NewsWireMsg) {
         self.clock = ctx.now();
-        self.note_alive(from, ctx.now());
         match msg {
             NewsWireMsg::Gossip { g, rot, digests } => {
                 let now = ctx.now();
@@ -2804,9 +2760,8 @@ impl Node for NewsWireNode {
                 if p.retargets >= MAX_FAILOVERS {
                     return;
                 }
-                let now = ctx.now();
                 for _ in 0..4 {
-                    match self.cross_zone_peer(ctx.rng(), now) {
+                    match self.cross_zone_peer(ctx.rng()) {
                         Some(peer) if peer != p.peer => {
                             obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_RETARGETS, 1);
                             self.send_reconcile_request(
@@ -3475,34 +3430,34 @@ mod tests {
         assert_eq!(n.consensus_epoch(PublisherId(0)), None);
     }
 
+    /// A peer is suspect once two hand-offs to it in a row went
+    /// unacknowledged, not after one; a Karn-timed ack clears it, and
+    /// quarantine shows through. A peer never handed anything is not
+    /// suspect, and a suspect peer is kept when it is the only candidate.
     #[test]
-    fn phi_detector_suspects_silent_peers_only() {
+    fn two_unacknowledged_hand_offs_make_a_peer_suspect_until_it_answers() {
         let mut n = node_with(NewsWireConfig::tech_news());
-        let (fresh, quiet) = (NodeId(7), NodeId(8));
-        // Both peers heartbeat regularly for a while…
-        for s in 0..20 {
-            n.note_alive(fresh, SimTime::from_secs(s));
-            n.note_alive(quiet, SimTime::from_secs(s));
-        }
-        // …then one goes silent while the other keeps talking.
-        for s in 20..60 {
-            n.note_alive(fresh, SimTime::from_secs(s));
-        }
-        let now = SimTime::from_secs(60);
-        assert!(!n.peer_suspect(7, now));
-        assert!(n.peer_suspect(8, now));
-        assert!(!n.peer_suspect(9, now), "never-seen peers are unknown, not suspect");
-        // External inputs never feed a detector.
-        n.note_alive(NodeId::EXTERNAL, now);
-        assert!(!n.peer_health.slot_of.contains_key(&NodeId::EXTERNAL.0));
+        assert!(!n.peer_suspect(9), "a peer never handed anything is not suspect");
+        n.acks.note_timeout(8);
+        assert!(!n.peer_suspect(8), "one lost hand-off is a lost message");
+        n.acks.note_timeout(8);
+        assert!(n.peer_suspect(8), "two in a row is a peer that stopped answering");
         // Candidate filtering drops the suspect while alternatives exist…
         let mut candidates = vec![7, 8];
-        n.prefer_unsuspected(&mut candidates, now);
+        n.prefer_unsuspected(&mut candidates);
         assert_eq!(candidates, vec![7]);
         // …but keeps it when it is the only option.
         let mut only = vec![8];
-        n.prefer_unsuspected(&mut only, now);
+        n.prefer_unsuspected(&mut only);
         assert_eq!(only, vec![8]);
+        // A round trip timed under Karn's rule ends the back-off.
+        n.acks.note_rtt(8, SimDuration::from_millis(60));
+        assert!(!n.peer_suspect(8), "an answered hand-off clears the suspicion");
+        n.acks.note_timeout(8);
+        assert!(!n.peer_suspect(8), "and the count starts over");
+        // Quarantine shows through with no back-off at all.
+        n.note_misbehavior(NodeId(7), QUARANTINE_THRESHOLD);
+        assert!(n.peer_suspect(7));
     }
 
     #[test]
@@ -3511,19 +3466,19 @@ mod tests {
         use rand::SeedableRng;
         let mut n = node_with(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
-        // Peer 2 (a leaf-zone neighbour) heartbeats, then goes silent long
-        // enough for phi-accrual to suspect it.
-        for s in 0..20 {
-            n.note_alive(NodeId(2), SimTime::from_secs(s));
+        // Hand-offs to peer 2 (a leaf-zone neighbour) go unacknowledged
+        // until the ack table has backed it off.
+        for _ in 0..SUSPECT_TIMEOUTS {
+            n.acks.note_timeout(2);
         }
-        let now = SimTime::from_secs(60);
-        assert!(n.peer_suspect(2, now), "silence made the peer suspect");
+        assert!(n.peer_suspect(2), "unanswered hand-offs made the peer suspect");
         let mut candidates = vec![1, 2];
-        n.prefer_unsuspected(&mut candidates, now);
+        n.prefer_unsuspected(&mut candidates);
         assert_eq!(candidates, vec![1], "suspect peer dropped from failover candidates");
         // The peer cold-restarts; the very next gossip round carries its
         // row under a new incarnation. The suspicion belonged to its
         // previous life and must clear within that same round.
+        let now = SimTime::from_secs(60);
         let row = MibBuilder::new().attr("id", 2i64).attr("incar", 5i64).build(Stamp {
             issued_us: now.as_micros(),
             version: 1,
@@ -3536,11 +3491,11 @@ mod tests {
             }],
         };
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-        n.agent.on_message(now, 2, msg, &mut rng);
-        n.absorb_incarnation_bumps();
-        assert!(!n.peer_suspect(2, now), "new incarnation cleared the stale suspicion");
+        n.merge_gossip(now, 2, msg, &mut rng);
+        assert!(!n.peer_suspect(2), "new incarnation cleared the stale suspicion");
+        assert_eq!(n.acks.round_trip_bound(2), ACK_TIMEOUT, "and its back-off");
         let mut candidates = vec![1, 2];
-        n.prefer_unsuspected(&mut candidates, now);
+        n.prefer_unsuspected(&mut candidates);
         assert_eq!(candidates, vec![1, 2], "recovered peer selectable as failover target");
     }
 
@@ -3797,7 +3752,7 @@ mod tests {
     }
 
     /// The §15 quarantine loophole, closed: with admission control on, an
-    /// incarnation bump clears phi suspicion but launders the misbehavior
+    /// incarnation bump clears a back-off but launders the misbehavior
     /// score only when the restarted identity still holds a valid
     /// registry-endorsed join ticket. A quarantined peer restarting
     /// without one stays quarantined.
@@ -3929,25 +3884,24 @@ mod tests {
 
     /// The misbehavior score: strikes accumulate, the quarantine transition
     /// fires exactly once at the threshold, a quarantined peer is suspect
-    /// without any phi history, and external inputs / defenses-off nodes
+    /// without any back-off, and external inputs / defenses-off nodes
     /// never quarantine.
     #[test]
     fn misbehavior_quarantine_crosses_threshold_once() {
         let mut n = node_with(NewsWireConfig::tech_news());
         let counts = Counts::install(&n);
-        let now = SimTime::from_secs(1);
         assert_eq!(QUARANTINE_THRESHOLD, 3);
         n.note_misbehavior(NodeId(7), MISBEHAVIOR_FORGED);
         assert!(!n.quarantined(7), "one forged strike (weight 2) is below threshold");
         n.note_misbehavior(NodeId(7), MISBEHAVIOR_FENCE);
         assert!(n.quarantined(7));
-        assert!(n.peer_suspect(7, now), "quarantine shows through peer_suspect without phi");
+        assert!(n.peer_suspect(7), "quarantine shows through peer_suspect without a back-off");
         assert_eq!(counts.of(&n, ctr::NW_QUARANTINES), 1);
         n.note_misbehavior(NodeId(7), MISBEHAVIOR_CONTRADICTION);
         assert_eq!(counts.of(&n, ctr::NW_QUARANTINES), 1, "crossing the threshold counts once");
         // Selection drops the quarantined peer while alternatives exist.
         let mut candidates = vec![5, 7];
-        n.prefer_unsuspected(&mut candidates, now);
+        n.prefer_unsuspected(&mut candidates);
         assert_eq!(candidates, vec![5]);
         // External inputs never take strikes.
         n.note_misbehavior(NodeId::EXTERNAL, 10);

@@ -199,8 +199,6 @@ fn the_round_trip_bound_is_measured_conservative_and_capped() {
         NewsWireNode::new(agent, NewsWireConfig::tech_news(), Arc::new(TrustRegistry::new(1)));
     // Node 7 sits in /1, the sibling of this node's leaf zone /0.
     assert_eq!(n.round_trip_bound(7), ceiling, "a zone never timed");
-    n.note_alive(NodeId(7), SimTime::from_secs(1));
-    assert_eq!(n.round_trip_bound(7), ceiling, "heard from, nothing timed");
 
     // Round trips over an inter-region WAN link: two one-way draws, 200
     // per seed. Whatever is timed, the bound stays between the slowest
@@ -1110,4 +1108,31 @@ fn a_mates_freeze_voids_its_rider_before_it_draws_a_pull() {
     let (struck, _, asked) = pull_after_a_mates_restart(RestartMode::Freeze);
     assert!(!struck, "the frozen mate took a strike");
     assert!(asked.is_some_and(|p| p != NodeId(4)), "the pull went to a live rider: {asked:?}");
+}
+
+/// On a lossless WAN no live peer is judged suspect: every hand-off is
+/// acknowledged inside its bound, so at the end no node holds a backed-off
+/// peer and no hand-off took the suspect shortcut.
+#[test]
+fn a_lossless_run_judges_no_peer_suspect() {
+    let mut d = DeploymentBuilder::new(48, 5)
+        .branching(8)
+        .wan(0.0)
+        .config(NewsWireConfig::tech_news())
+        .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
+        .build();
+    d.settle(60);
+    let items: Vec<NewsItem> = (0..30).map(tech_item).collect();
+    for (i, item) in items.iter().enumerate() {
+        d.publish(SimTime::from_secs(60 + i as u64), item.clone());
+    }
+    d.settle(30);
+    for item in &items {
+        assert_eq!(d.interested_nodes(item), d.delivered_nodes(item), "item {}", item.id);
+    }
+    assert!(d.counter(ctr::NW_ACKS_RECEIVED) > 0, "hand-offs were acknowledged");
+    for (id, node) in d.sim.iter() {
+        assert!(node.acks.timeouts.is_empty(), "{id:?} backed off {:?}", node.acks.timeouts);
+    }
+    assert_eq!(d.counter(ctr::NW_SUSPECT_FAILOVERS), 0);
 }

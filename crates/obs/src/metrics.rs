@@ -137,7 +137,9 @@ pub mod ctr {
         NW_ACK_FAILOVERS = 41, "nw_ack_failovers";
         /// Hand-offs abandoned after exhausting representatives.
         NW_HANDOFFS_ABANDONED = 42, "nw_handoffs_abandoned";
-        /// Failovers short-circuited by φ-accrual suspicion.
+        /// Hand-off failovers that skipped their remaining retries because
+        /// the representative was suspect: backed off by the
+        /// acknowledgement table, or quarantined.
         NW_SUSPECT_FAILOVERS = 43, "nw_suspect_failovers";
         /// Retired with the named-pull server (it counted the pulls it
         /// answered); the slot stays so every later id keeps its position.

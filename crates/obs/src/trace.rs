@@ -71,11 +71,14 @@ pub mod kind {
     pub const GOSSIP_DIFF: u8 = 18;
     /// Rows were merged into the local tables (`a` = peer, `b` = rows).
     pub const GOSSIP_MERGE: u8 = 19;
-    /// φ-accrual declared a peer suspect (`a` = peer or row label hash).
+    /// A hand-off failed over without its remaining retries because its
+    /// representative was suspect — backed off by the acknowledgement
+    /// table or quarantined (`a` = the representative). The name is kept
+    /// from when a per-peer φ detector made the call.
     pub const PHI_SUSPECT: u8 = 20;
     /// A newer incarnation of a peer was observed in gossip (`a` = peer id,
-    /// `b` = the incarnation number). Stale-incarnation fencing and φ reset
-    /// key off this observation.
+    /// `b` = the incarnation number). Stale-incarnation fencing, the φ
+    /// reset and the host's back-off reset key off this observation.
     pub const INCARNATION_BUMP: u8 = 21;
     /// Defensive ingest validation rejected a gossip row (`a` = zone level,
     /// `b` = row label).

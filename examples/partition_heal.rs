@@ -68,7 +68,7 @@ fn main() {
         f.partitions_started, f.partitions_healed, f.drops_partition
     );
     println!(
-        "protocol: {} forwards, {} acks, {} retries, {} failovers ({} phi-shortcut), \
+        "protocol: {} forwards, {} acks, {} retries, {} failovers ({} suspect-shortcut), \
          {} abandoned",
         d.counter(ctr::NW_FORWARDS),
         d.counter(ctr::NW_ACKS_RECEIVED),
