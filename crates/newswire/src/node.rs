@@ -196,7 +196,7 @@ const MAX_FAILOVERS: u32 = 2;
 /// between them, after which the peer is suspect: passed over as a
 /// failover, cross-zone or reconcile candidate while another is left, and
 /// failed over from at once. One timeout is a lost message; two in a row,
-/// each after a backed-off wait, is a peer that has stopped answering.
+/// the second after a backed-off wait, is a peer that has stopped answering.
 const SUSPECT_TIMEOUTS: u8 = 2;
 
 /// Multiplier applied to a wait per timeout already burned on it: an
