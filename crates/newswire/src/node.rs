@@ -3493,7 +3493,7 @@ mod tests {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         n.merge_gossip(now, 2, msg, &mut rng);
         assert!(!n.peer_suspect(2), "new incarnation cleared the stale suspicion");
-        assert_eq!(n.acks.round_trip_bound(2), ACK_TIMEOUT, "and its back-off");
+        assert_eq!(n.acks.timeouts(2), 0, "and its back-off");
         let mut candidates = vec![1, 2];
         n.prefer_unsuspected(&mut candidates);
         assert_eq!(candidates, vec![1, 2], "recovered peer selectable as failover target");
