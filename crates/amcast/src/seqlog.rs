@@ -12,7 +12,7 @@
 //! sequence numbering bumps its epoch, and a summary from a newer epoch
 //! supersedes anything known about an older one.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// A compact, fixed-size summary of a [`SeqLog`]'s coverage.
 ///
@@ -74,13 +74,18 @@ impl BaselineHint {
 ///
 /// Entries are keyed by sequence number; capacity eviction removes the
 /// lowest numbers first and raises [`SeqLog::floor`] so the summary never
-/// claims knowledge the log no longer has.
+/// claims knowledge the log no longer has. Sequence number `u64::MAX` is
+/// never logged: `next` is one past the highest, and could not name it.
 #[derive(Debug, Clone)]
 pub struct SeqLog<T> {
     epoch: u32,
     floor: u64,
     next: u64,
-    entries: BTreeMap<u64, T>,
+    /// Retained entries in ascending sequence order, all inside
+    /// `floor..next`. Arrivals run mostly in order and eviction takes the
+    /// lowest, so the common cases are a push at the back and a pop at the
+    /// front; a late arrival is placed by binary search.
+    entries: VecDeque<(u64, T)>,
     capacity: usize,
     total: u64,
 }
@@ -93,7 +98,7 @@ impl<T> SeqLog<T> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "log needs capacity");
-        SeqLog { epoch: 0, floor: 0, next: 0, entries: BTreeMap::new(), capacity, total: 0 }
+        SeqLog { epoch: 0, floor: 0, next: 0, entries: VecDeque::new(), capacity, total: 0 }
     }
 
     /// Current history epoch.
@@ -126,20 +131,35 @@ impl<T> SeqLog<T> {
         self.total
     }
 
+    /// Where `seq` is retained (`Ok`), or where it would be inserted.
+    fn search(&self, seq: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&seq, |&(s, _)| s)
+    }
+
+    /// The index of the first retained entry at or above `seq`.
+    fn lower_bound(&self, seq: u64) -> usize {
+        self.entries.partition_point(|&(s, _)| s < seq)
+    }
+
     /// Inserts `value` at `seq`. Returns `false` (and keeps the existing
     /// entry) for duplicates and for sequence numbers below the floor —
     /// those were already evicted, and readmitting them would make the
-    /// summary lie.
+    /// summary lie — and for `u64::MAX`, which no window can hold.
     pub fn insert(&mut self, seq: u64, value: T) -> bool {
-        if seq < self.floor || self.entries.contains_key(&seq) {
+        if seq < self.floor || seq == u64::MAX {
             return false;
         }
-        self.entries.insert(seq, value);
+        match self.entries.back() {
+            Some(&(last, _)) if last >= seq => match self.search(seq) {
+                Ok(_) => return false,
+                Err(at) => self.entries.insert(at, (seq, value)),
+            },
+            _ => self.entries.push_back((seq, value)),
+        }
         self.next = self.next.max(seq + 1);
         self.total += 1;
         while self.entries.len() > self.capacity {
-            let (&lowest, _) = self.entries.iter().next().expect("non-empty over capacity");
-            self.entries.remove(&lowest);
+            let (lowest, _) = self.entries.pop_front().expect("non-empty over capacity");
             self.floor = lowest + 1;
         }
         true
@@ -147,23 +167,26 @@ impl<T> SeqLog<T> {
 
     /// True when `seq` is retained.
     pub fn contains(&self, seq: u64) -> bool {
-        self.entries.contains_key(&seq)
+        self.search(seq).is_ok()
     }
 
     /// The retained entry at `seq`, if any.
     pub fn get(&self, seq: u64) -> Option<&T> {
-        self.entries.get(&seq)
+        self.search(seq).ok().map(|at| &self.entries[at].1)
     }
 
     /// Iterates retained `(seq, entry)` pairs in the inclusive range, in
-    /// sequence order.
+    /// sequence order. An empty range (`lo > hi`) yields nothing.
     pub fn range(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, &T)> {
-        self.entries.range(lo..=hi).map(|(s, v)| (*s, v))
+        let start = self.lower_bound(lo);
+        let end = self.entries.partition_point(|&(s, _)| s <= hi).max(start);
+        self.entries.range(start..end).map(|(s, v)| (*s, v))
     }
 
     /// Drops all entries below `seq` and raises the floor to at least `seq`.
     pub fn prune_below(&mut self, seq: u64) {
-        self.entries = self.entries.split_off(&seq);
+        let cut = self.lower_bound(seq);
+        self.entries.drain(..cut);
         self.floor = self.floor.max(seq);
         self.next = self.next.max(self.floor);
     }
@@ -204,7 +227,7 @@ impl<T> SeqLog<T> {
             return out; // hole-free: nothing to walk
         }
         let mut cursor = self.floor;
-        for &seq in self.entries.keys() {
+        for &(seq, _) in &self.entries {
             if seq > cursor {
                 out.push((cursor, seq - 1));
             }
@@ -292,6 +315,153 @@ impl<T> SeqLog<T> {
             .then_some((self.next.max(lo_bound), top))
             .filter(|(lo, hi)| lo <= hi);
         whole.into_iter().chain(holes).chain(tail)
+    }
+}
+
+/// The log as it was kept in a `BTreeMap` before [`SeqLog`] became a
+/// sorted deque: the reference the differential test drives in lockstep.
+#[cfg(test)]
+mod model {
+    use std::collections::BTreeMap;
+
+    use super::RangeSummary;
+
+    pub(super) struct MapLog<T> {
+        epoch: u32,
+        floor: u64,
+        next: u64,
+        entries: BTreeMap<u64, T>,
+        capacity: usize,
+        total: u64,
+    }
+
+    impl<T> MapLog<T> {
+        pub(super) fn new(capacity: usize) -> Self {
+            MapLog { epoch: 0, floor: 0, next: 0, entries: BTreeMap::new(), capacity, total: 0 }
+        }
+
+        pub(super) fn total_written(&self) -> u64 {
+            self.total
+        }
+
+        pub(super) fn insert(&mut self, seq: u64, value: T) -> bool {
+            if seq < self.floor || self.entries.contains_key(&seq) {
+                return false;
+            }
+            self.entries.insert(seq, value);
+            self.next = self.next.max(seq + 1);
+            self.total += 1;
+            while self.entries.len() > self.capacity {
+                let (&lowest, _) = self.entries.iter().next().expect("non-empty over capacity");
+                self.entries.remove(&lowest);
+                self.floor = lowest + 1;
+            }
+            true
+        }
+
+        pub(super) fn contains(&self, seq: u64) -> bool {
+            self.entries.contains_key(&seq)
+        }
+
+        pub(super) fn get(&self, seq: u64) -> Option<&T> {
+            self.entries.get(&seq)
+        }
+
+        pub(super) fn range(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, &T)> {
+            self.entries.range(lo..=hi).map(|(s, v)| (*s, v))
+        }
+
+        pub(super) fn prune_below(&mut self, seq: u64) {
+            self.entries = self.entries.split_off(&seq);
+            self.floor = self.floor.max(seq);
+            self.next = self.next.max(self.floor);
+        }
+
+        pub(super) fn bump_epoch(&mut self) {
+            self.epoch += 1;
+            self.floor = 0;
+            self.next = 0;
+            self.entries.clear();
+        }
+
+        pub(super) fn adopt_epoch(&mut self, epoch: u32) {
+            if epoch > self.epoch {
+                self.epoch = epoch;
+                self.floor = 0;
+                self.next = 0;
+                self.entries.clear();
+            }
+        }
+
+        pub(super) fn summary(&self) -> RangeSummary {
+            RangeSummary {
+                epoch: self.epoch,
+                floor: self.floor,
+                next: self.next,
+                present: self.entries.len() as u64,
+            }
+        }
+
+        pub(super) fn gaps(&self) -> Vec<(u64, u64)> {
+            let mut out = Vec::new();
+            if self.summary().contiguous() {
+                return out;
+            }
+            let mut cursor = self.floor;
+            for &seq in self.entries.keys() {
+                if seq > cursor {
+                    out.push((cursor, seq - 1));
+                }
+                cursor = seq + 1;
+            }
+            if cursor < self.next {
+                out.push((cursor, self.next - 1));
+            }
+            out
+        }
+
+        pub(super) fn encode_coverage(&self) -> String {
+            format!("{}:{}:{}:{}", self.epoch, self.floor, self.next, self.total)
+        }
+
+        pub(super) fn restore_coverage(&mut self, s: &str) -> bool {
+            let mut parts = s.split(':');
+            let Some(epoch) = parts.next().and_then(|p| p.parse().ok()) else { return false };
+            let Some(floor) = parts.next().and_then(|p| p.parse::<u64>().ok()) else {
+                return false;
+            };
+            let Some(next) = parts.next().and_then(|p| p.parse::<u64>().ok()) else {
+                return false;
+            };
+            let Some(total) = parts.next().and_then(|p| p.parse::<u64>().ok()) else {
+                return false;
+            };
+            if parts.next().is_some() || next < floor {
+                return false;
+            }
+            self.epoch = epoch;
+            self.prune_below(floor);
+            self.next = self.next.max(next);
+            self.total = self.total.max(total);
+            true
+        }
+
+        pub(super) fn missing_given(&self, peer: &RangeSummary) -> Vec<(u64, u64)> {
+            let gaps = self.gaps();
+            let usable = peer.epoch >= self.epoch && !peer.is_empty();
+            let same_epoch = usable && peer.epoch == self.epoch;
+            let lo_bound = peer.floor.max(self.floor);
+            let top = peer.next.saturating_sub(1);
+            let whole = (usable && !same_epoch).then_some((peer.floor, top));
+            let holes = if same_epoch { &gaps[..] } else { &[] }
+                .iter()
+                .map(move |&(lo, hi)| (lo.max(lo_bound), hi.min(top)))
+                .filter(|(lo, hi)| lo <= hi);
+            let tail = (same_epoch && peer.next > self.next)
+                .then_some((self.next.max(lo_bound), top))
+                .filter(|(lo, hi)| lo <= hi);
+            whole.into_iter().chain(holes).chain(tail).collect()
+        }
     }
 }
 
@@ -461,5 +631,120 @@ mod tests {
         let log = filled(&[5, 1, 9, 3]);
         let got: Vec<u64> = log.range(2, 9).map(|(s, _)| s).collect();
         assert_eq!(got, vec![3, 5, 9]);
+    }
+
+    #[test]
+    fn an_empty_range_yields_nothing() {
+        let log = filled(&[0, 1, 2, 5]);
+        assert_eq!(log.range(3, 2).count(), 0);
+        assert_eq!(log.range(9, 0).count(), 0);
+        assert_eq!(log.range(5, 5).map(|(s, _)| s).collect::<Vec<_>>(), vec![5]);
+        // A restored floor equal to its highwater (a flipped bit turns
+        // `0:0:1:1` into `0:1:1:1`) is what asks for `range(1, 0)`.
+        let mut restored = filled(&[0]);
+        assert!(restored.restore_coverage("0:1:1:1"));
+        assert_eq!((restored.floor(), restored.next_seq()), (1, 1));
+        let hi = restored.next_seq().saturating_sub(1);
+        assert_eq!(restored.range(restored.floor(), hi).count(), 0);
+    }
+
+    #[test]
+    fn the_last_sequence_number_is_refused() {
+        let mut log = filled(&[0, 1]);
+        let before = log.summary();
+        assert!(!log.insert(u64::MAX, 7), "no window can hold u64::MAX");
+        assert_eq!(log.summary(), before);
+        assert_eq!(log.total_written(), 2);
+        assert!(!log.contains(u64::MAX));
+        // The seq below it is an ordinary (if distant) arrival.
+        assert!(log.insert(u64::MAX - 1, 7));
+        assert_eq!(log.next_seq(), u64::MAX);
+        assert_eq!(log.gaps(), vec![(2, u64::MAX - 2)]);
+    }
+
+    /// One step of the differential test, decoded from three random words
+    /// against the log's current window.
+    fn step(log: &mut SeqLog<u64>, model: &mut model::MapLog<u64>, op: u8, a: u64, b: u64) {
+        let (floor, next) = (log.floor(), log.next_seq());
+        let mut both_insert = |seq: u64| {
+            let value = seq * 10 + b % 10;
+            assert_eq!(log.insert(seq, value), model.insert(seq, value), "insert {seq}");
+        };
+        match op {
+            // In order, or a little ahead of the highwater.
+            0..=3 => both_insert(next + a % 3),
+            // Late: a hole's worth behind the highwater.
+            4 => both_insert(next.saturating_sub(1 + a % 8)),
+            // Anywhere in the window, most often a duplicate.
+            5 => both_insert(floor + a % (next - floor + 1)),
+            // Below the floor.
+            6 => both_insert(floor.saturating_sub(1 + a % 4)),
+            7 => {
+                let seq = floor + a % 6;
+                log.prune_below(seq);
+                model.prune_below(seq);
+            }
+            8 if a.is_multiple_of(4) => {
+                log.bump_epoch();
+                model.bump_epoch();
+            }
+            8 => {
+                let epoch = log.epoch() + (a % 3) as u32;
+                let epoch = epoch.saturating_sub(1);
+                log.adopt_epoch(epoch);
+                model.adopt_epoch(epoch);
+            }
+            _ => {
+                // A snapshot token near the current coverage, malformed
+                // when its floor passes its highwater.
+                let s = log.summary();
+                let token = format!(
+                    "{}:{}:{}:{}",
+                    s.epoch + (a % 2) as u32,
+                    s.floor + a % 4,
+                    s.next + b % 4,
+                    log.total_written() + b % 3
+                );
+                assert_eq!(log.restore_coverage(&token), model.restore_coverage(&token), "{token}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The sorted-deque log answers every query as the map-backed log
+        /// it replaced does, after every operation of a seeded sequence.
+        #[test]
+        fn the_deque_log_matches_the_map_model(
+            cap in 1usize..9,
+            ops in proptest::collection::vec((0u8..10, 0u64..1_000, 0u64..1_000), 1..120),
+        ) {
+            let mut log = SeqLog::new(cap);
+            let mut model = model::MapLog::new(cap);
+            for (op, a, b) in ops {
+                step(&mut log, &mut model, op, a, b);
+                let s = log.summary();
+                assert_eq!(s, model.summary());
+                assert_eq!(log.len() as u64, s.present);
+                assert_eq!(log.gaps(), model.gaps());
+                assert_eq!(log.encode_coverage(), model.encode_coverage());
+                assert_eq!(log.total_written(), model.total_written());
+                let peer = RangeSummary {
+                    epoch: (s.epoch + (a % 3) as u32).saturating_sub(1),
+                    floor: s.floor.saturating_sub(2) + b % 5,
+                    next: s.floor + b % 13,
+                    present: b % 7,
+                };
+                assert_eq!(log.missing_given(&peer), model.missing_given(&peer), "{peer:?}");
+                let lo = s.floor.saturating_sub(2) + a % 9;
+                let hi = lo + b % 9;
+                let ours: Vec<_> = log.range(lo, hi).map(|(s, v)| (s, *v)).collect();
+                let theirs: Vec<_> = model.range(lo, hi).map(|(s, v)| (s, *v)).collect();
+                assert_eq!(ours, theirs, "range({lo}, {hi})");
+                for seq in s.floor.saturating_sub(2)..s.next + 2 {
+                    assert_eq!(log.contains(seq), model.contains(seq), "contains {seq}");
+                    assert_eq!(log.get(seq), model.get(seq), "get {seq}");
+                }
+            }
+        }
     }
 }

@@ -10,7 +10,6 @@
 //! the case of forwarding node failures, and for a limited state transfer
 //! to participants that are joining the system."
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use astrolabe::{KeyId, Signature};
@@ -61,14 +60,23 @@ impl Default for CachePolicy {
 /// serves clones the handle, never the strings. Each entry keeps the
 /// article's arrival time and its `(key, signature)` proof, so a signature
 /// lives exactly as long as the article it vouches for.
+///
+/// Entries sit in two parallel vectors sorted by id: a node takes each
+/// publisher's articles mostly in seq order, so an insert is most often an
+/// append, and a flat entry costs its own 48 bytes instead of a tree
+/// node's share.
 #[derive(Debug)]
 pub struct MessageCache {
     policy: CachePolicy,
-    items: BTreeMap<ItemId, (Arc<NewsItem>, SimTime, Proof)>,
-    /// Latest cached revision per story, keyed by [`slug_key`] — a 64-bit
+    /// Cached ids, ascending; `entries[i]` belongs to `keys[i]`. The ids
+    /// are kept beside the articles so a lookup never reads through a
+    /// handle.
+    keys: Vec<ItemId>,
+    entries: Vec<(Arc<NewsItem>, SimTime, Proof)>,
+    /// Latest cached revision per story, sorted by [`slug_key`] — a 64-bit
     /// hash of `(publisher, slug)`, so neither an entry nor a lookup owns a
     /// `String`. Every hit is confirmed against the cached item's slug.
-    latest_by_slug: HashMap<u64, ItemId>,
+    latest_by_slug: Vec<(u64, ItemId)>,
     /// Lower bound on the arrival time of every cached item: while it is
     /// younger than `max_age` there is nothing for [`Self::gc`] to scan for.
     oldest: SimTime,
@@ -79,69 +87,83 @@ impl MessageCache {
     pub fn new(policy: CachePolicy) -> Self {
         MessageCache {
             policy,
-            items: BTreeMap::new(),
-            latest_by_slug: HashMap::new(),
+            keys: Vec::new(),
+            entries: Vec::new(),
+            latest_by_slug: Vec::new(),
             oldest: SimTime::MAX,
         }
     }
 
     /// Number of cached items.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.keys.len()
     }
 
     /// True when the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.keys.is_empty()
+    }
+
+    /// Where `id` is cached (`Ok`), or where it would be inserted. Ids are
+    /// compared as one integer each: the derived field-by-field order
+    /// branches per probe and made a lookup slower than the map's.
+    fn find(&self, id: ItemId) -> Result<usize, usize> {
+        let order = |id: &ItemId| (u128::from(id.publisher.0) << 64) | u128::from(id.seq);
+        let want = order(&id);
+        self.keys.binary_search_by(|k| order(k).cmp(&want))
+    }
+
+    /// Where the story `key` sits in the slug index (`Ok`), or would.
+    fn slug_slot(&self, key: u64) -> Result<usize, usize> {
+        self.latest_by_slug.binary_search_by_key(&key, |&(k, _)| k)
     }
 
     /// Whether `id` is currently cached.
     pub fn contains(&self, id: ItemId) -> bool {
-        self.items.contains_key(&id)
+        self.find(id).is_ok()
     }
 
     /// A cached item by id.
     pub fn get(&self, id: ItemId) -> Option<&Arc<NewsItem>> {
-        self.items.get(&id).map(|(item, ..)| item)
+        self.find(id).ok().map(|at| &self.entries[at].0)
     }
 
     /// A cached item by id, with its proof.
     pub(crate) fn get_signed(&self, id: ItemId) -> Option<(&Arc<NewsItem>, Proof)> {
-        self.items.get(&id).map(|(item, _, proof)| (item, *proof))
+        self.find(id).ok().map(|at| (&self.entries[at].0, self.entries[at].2))
     }
 
     /// The latest cached revision of `publisher`'s story `slug`, if any
     /// (the delta-encoding baseline lookup).
     pub fn latest_for_slug(&self, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
-        self.latest_at(slug_key(publisher, slug), publisher, slug)
+        let slot = self.slug_slot(slug_key(publisher, slug)).ok()?;
+        self.latest_at(slot, publisher, slug)
     }
 
-    /// [`Self::latest_for_slug`] with the story's `slug_key` already in hand.
-    fn latest_at(&self, key: u64, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
-        let item = self.get(*self.latest_by_slug.get(&key)?)?;
+    /// [`Self::latest_for_slug`] with the story's slot in the slug index
+    /// already in hand.
+    fn latest_at(&self, slot: usize, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
+        let item = self.get(self.latest_by_slug[slot].1)?;
         // A colliding key is a different story, not an earlier telling.
         (item.id.publisher == publisher && item.slug == slug).then_some(&**item)
     }
 
     /// Baseline hints for the revisions of `publisher`'s stories this cache
     /// holds — what a reconcile requester declares so the responder can
-    /// delta-encode its reply. Sorted by key (the backing map iterates in
-    /// arbitrary order) and capped at `cap` so the request stays small.
+    /// delta-encode its reply. Sorted by key (the slug index's own order)
+    /// and capped at `cap` so the request stays small.
     pub fn baselines(&self, publisher: PublisherId, cap: usize) -> Vec<amcast::BaselineHint> {
-        let mut hints: Vec<amcast::BaselineHint> = self
-            .latest_by_slug
+        self.latest_by_slug
             .iter()
-            .filter_map(|(&key, id)| self.get(*id).map(|item| (key, item)))
+            .filter_map(|&(key, id)| self.get(id).map(|item| (key, item)))
             .filter(|(_, item)| item.id.publisher == publisher)
             .map(|(key, item)| amcast::BaselineHint {
                 key,
                 revision: item.revision,
                 body_len: item.body_len,
             })
-            .collect();
-        hints.sort_by_key(|h| h.key);
-        hints.truncate(cap);
-        hints
+            .take(cap)
+            .collect()
     }
 
     /// Offers an unsigned item to the cache, applying revision fusion.
@@ -160,12 +182,18 @@ impl MessageCache {
         proof: Proof,
         now: SimTime,
     ) -> CacheOutcome {
-        if self.items.contains_key(&item.id) {
-            return CacheOutcome::Duplicate;
-        }
+        // Arrivals run in seq order: check the append before searching.
+        let mut at = match self.keys.last() {
+            Some(&last) if last >= item.id => match self.find(item.id) {
+                Ok(_) => return CacheOutcome::Duplicate,
+                Err(at) => at,
+            },
+            _ => self.keys.len(),
+        };
         let mut outcome = CacheOutcome::Stored;
         let key = slug_key(item.id.publisher, &item.slug);
-        let prev = self.latest_at(key, item.id.publisher, &item.slug);
+        let slot = self.slug_slot(key);
+        let prev = slot.ok().and_then(|s| self.latest_at(s, item.id.publisher, &item.slug));
         if let Some((prev_id, prev_revision)) = prev.map(|p| (p.id, p.revision)) {
             if prev_revision >= item.revision {
                 // We already hold a newer (or equal) telling of this
@@ -173,33 +201,55 @@ impl MessageCache {
                 return CacheOutcome::Obsolete;
             }
             // Fuse: the new revision replaces the old one.
-            self.items.remove(&prev_id);
+            let gone = self.find(prev_id).expect("the slug index names a cached item");
+            self.keys.remove(gone);
+            self.entries.remove(gone);
+            at -= usize::from(gone < at);
             outcome = CacheOutcome::Fused;
         }
-        self.latest_by_slug.insert(key, item.id);
-        self.items.insert(item.id, (item, now, proof));
+        match slot {
+            Ok(s) => self.latest_by_slug[s].1 = item.id,
+            Err(s) => self.latest_by_slug.insert(s, (key, item.id)),
+        }
+        self.keys.insert(at, item.id);
+        self.entries.insert(at, (item, now, proof));
         self.oldest = self.oldest.min(now);
-        if self.items.len() > self.policy.max_items {
-            // Evict the oldest-received item (one insert grows the cache
-            // by at most one).
-            let victim = self
-                .items
-                .iter()
-                .min_by_key(|(_, (_, at, _))| *at)
-                .map(|(&id, _)| id)
-                .expect("non-empty");
-            self.remove(victim);
+        if self.keys.len() > self.policy.max_items {
+            // Evict the oldest-received item, the first in id order among
+            // equals (one insert grows the cache by at most one).
+            let victim =
+                (0..self.entries.len()).min_by_key(|&i| self.entries[i].1).expect("non-empty");
+            self.remove_at(victim);
         }
         outcome
     }
 
-    fn remove(&mut self, id: ItemId) {
-        if let Some((item, ..)) = self.items.remove(&id) {
-            let key = slug_key(item.id.publisher, &item.slug);
-            if self.latest_by_slug.get(&key) == Some(&id) {
-                self.latest_by_slug.remove(&key);
+    /// Removes the entry at `at`, and the slug index's pointer to it.
+    fn remove_at(&mut self, at: usize) {
+        let id = self.keys.remove(at);
+        let (item, ..) = self.entries.remove(at);
+        if let Ok(s) = self.slug_slot(slug_key(item.id.publisher, &item.slug)) {
+            if self.latest_by_slug[s].1 == id {
+                self.latest_by_slug.remove(s);
             }
         }
+    }
+
+    /// Removes every entry `doomed` picks; returns how many.
+    fn remove_where(
+        &mut self,
+        doomed: impl Fn(&ItemId, &(Arc<NewsItem>, SimTime, Proof)) -> bool,
+    ) -> usize {
+        let before = self.keys.len();
+        let mut at = 0;
+        while at < self.keys.len() {
+            if doomed(&self.keys[at], &self.entries[at]) {
+                self.remove_at(at);
+            } else {
+                at += 1;
+            }
+        }
+        before - self.keys.len()
     }
 
     /// Evicts `id` unconditionally, bypassing policy. Used by the
@@ -208,20 +258,17 @@ impl MessageCache {
     /// must not be served to repair or reconcile peers. Returns whether the
     /// item was present.
     pub fn purge(&mut self, id: ItemId) -> bool {
-        let present = self.items.contains_key(&id);
-        self.remove(id);
-        present
+        let at = self.find(id);
+        if let Ok(at) = at {
+            self.remove_at(at);
+        }
+        at.is_ok()
     }
 
     /// Purges every item `publisher` signed under `key`; returns how many.
     pub(crate) fn purge_signed_by(&mut self, publisher: PublisherId, key: KeyId) -> u64 {
-        let victims: Vec<ItemId> = self
-            .items
-            .iter()
-            .filter(|(id, (.., (signer, _)))| id.publisher == publisher && *signer == key)
-            .map(|(&id, _)| id)
-            .collect();
-        victims.into_iter().map(|id| u64::from(self.purge(id))).sum()
+        self.remove_where(|id, (.., (signer, _))| id.publisher == publisher && *signer == key)
+            as u64
     }
 
     /// Garbage-collects items older than the policy's `max_age`.
@@ -231,17 +278,8 @@ impl MessageCache {
         if self.oldest.as_micros() >= cutoff {
             return 0;
         }
-        let victims: Vec<ItemId> = self
-            .items
-            .iter()
-            .filter(|(_, (_, at, _))| at.as_micros() < cutoff)
-            .map(|(&id, _)| id)
-            .collect();
-        let n = victims.len();
-        for v in victims {
-            self.remove(v);
-        }
-        self.oldest = self.items.values().map(|(_, at, _)| *at).min().unwrap_or(SimTime::MAX);
+        let n = self.remove_where(|_, (_, at, _)| at.as_micros() < cutoff);
+        self.oldest = self.entries.iter().map(|(_, at, _)| *at).min().unwrap_or(SimTime::MAX);
         n
     }
 
@@ -249,25 +287,183 @@ impl MessageCache {
     /// `newswire.latest` feed).
     pub fn snapshot(&self, limit: usize) -> Vec<Arc<NewsItem>> {
         let mut all: Vec<(&SimTime, &Arc<NewsItem>)> =
-            self.items.values().map(|(item, at, _)| (at, item)).collect();
+            self.entries.iter().map(|(item, at, _)| (at, item)).collect();
         all.sort_by_key(|(at, _)| std::cmp::Reverse(**at));
         all.into_iter().take(limit).map(|(_, item)| Arc::clone(item)).collect()
     }
 
-    /// Iterates over cached items.
+    /// Iterates over cached items, in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<NewsItem>> {
-        self.items.values().map(|(item, ..)| item)
+        self.entries.iter().map(|(item, ..)| item)
     }
 
     /// Iterates over cached items with their proofs, in id order.
     pub(crate) fn iter_signed(&self) -> impl Iterator<Item = (&Arc<NewsItem>, Proof)> {
-        self.items.values().map(|(item, _, proof)| (item, *proof))
+        self.entries.iter().map(|(item, _, proof)| (item, *proof))
     }
 }
 
 impl Default for MessageCache {
     fn default() -> Self {
         MessageCache::new(CachePolicy::default())
+    }
+}
+
+/// The cache as it was kept in a `BTreeMap` and a `HashMap` before
+/// [`MessageCache`] went flat: the reference the differential test drives
+/// in lockstep.
+#[cfg(test)]
+mod model {
+    use std::collections::{BTreeMap, HashMap};
+    use std::sync::Arc;
+
+    use astrolabe::KeyId;
+    use newsml::cdc::slug_key;
+    use newsml::{ItemId, NewsItem, PublisherId};
+    use simnet::SimTime;
+
+    use super::{CacheOutcome, CachePolicy, Proof};
+
+    pub(super) struct MapCache {
+        policy: CachePolicy,
+        items: BTreeMap<ItemId, (Arc<NewsItem>, SimTime, Proof)>,
+        latest_by_slug: HashMap<u64, ItemId>,
+    }
+
+    impl MapCache {
+        pub(super) fn new(policy: CachePolicy) -> Self {
+            MapCache { policy, items: BTreeMap::new(), latest_by_slug: HashMap::new() }
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.items.len()
+        }
+
+        fn get(&self, id: ItemId) -> Option<&Arc<NewsItem>> {
+            self.items.get(&id).map(|(item, ..)| item)
+        }
+
+        pub(super) fn get_signed(&self, id: ItemId) -> Option<(&Arc<NewsItem>, Proof)> {
+            self.items.get(&id).map(|(item, _, proof)| (item, *proof))
+        }
+
+        pub(super) fn latest_for_slug(
+            &self,
+            publisher: PublisherId,
+            slug: &str,
+        ) -> Option<&NewsItem> {
+            self.latest_at(slug_key(publisher, slug), publisher, slug)
+        }
+
+        fn latest_at(&self, key: u64, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
+            let item = self.get(*self.latest_by_slug.get(&key)?)?;
+            (item.id.publisher == publisher && item.slug == slug).then_some(&**item)
+        }
+
+        pub(super) fn baselines(
+            &self,
+            publisher: PublisherId,
+            cap: usize,
+        ) -> Vec<amcast::BaselineHint> {
+            let mut hints: Vec<amcast::BaselineHint> = self
+                .latest_by_slug
+                .iter()
+                .filter_map(|(&key, id)| self.get(*id).map(|item| (key, item)))
+                .filter(|(_, item)| item.id.publisher == publisher)
+                .map(|(key, item)| amcast::BaselineHint {
+                    key,
+                    revision: item.revision,
+                    body_len: item.body_len,
+                })
+                .collect();
+            hints.sort_by_key(|h| h.key);
+            hints.truncate(cap);
+            hints
+        }
+
+        pub(super) fn insert_signed(
+            &mut self,
+            item: Arc<NewsItem>,
+            proof: Proof,
+            now: SimTime,
+        ) -> CacheOutcome {
+            if self.items.contains_key(&item.id) {
+                return CacheOutcome::Duplicate;
+            }
+            let mut outcome = CacheOutcome::Stored;
+            let key = slug_key(item.id.publisher, &item.slug);
+            let prev = self.latest_at(key, item.id.publisher, &item.slug);
+            if let Some((prev_id, prev_revision)) = prev.map(|p| (p.id, p.revision)) {
+                if prev_revision >= item.revision {
+                    return CacheOutcome::Obsolete;
+                }
+                self.items.remove(&prev_id);
+                outcome = CacheOutcome::Fused;
+            }
+            self.latest_by_slug.insert(key, item.id);
+            self.items.insert(item.id, (item, now, proof));
+            if self.items.len() > self.policy.max_items {
+                let victim = self
+                    .items
+                    .iter()
+                    .min_by_key(|(_, (_, at, _))| *at)
+                    .map(|(&id, _)| id)
+                    .expect("non-empty");
+                self.remove(victim);
+            }
+            outcome
+        }
+
+        fn remove(&mut self, id: ItemId) {
+            if let Some((item, ..)) = self.items.remove(&id) {
+                let key = slug_key(item.id.publisher, &item.slug);
+                if self.latest_by_slug.get(&key) == Some(&id) {
+                    self.latest_by_slug.remove(&key);
+                }
+            }
+        }
+
+        pub(super) fn purge(&mut self, id: ItemId) -> bool {
+            let present = self.items.contains_key(&id);
+            self.remove(id);
+            present
+        }
+
+        pub(super) fn purge_signed_by(&mut self, publisher: PublisherId, key: KeyId) -> u64 {
+            let victims: Vec<ItemId> = self
+                .items
+                .iter()
+                .filter(|(id, (.., (signer, _)))| id.publisher == publisher && *signer == key)
+                .map(|(&id, _)| id)
+                .collect();
+            victims.into_iter().map(|id| u64::from(self.purge(id))).sum()
+        }
+
+        pub(super) fn gc(&mut self, now: SimTime) -> usize {
+            let cutoff = now.as_micros().saturating_sub(self.policy.max_age.as_micros());
+            let victims: Vec<ItemId> = self
+                .items
+                .iter()
+                .filter(|(_, (_, at, _))| at.as_micros() < cutoff)
+                .map(|(&id, _)| id)
+                .collect();
+            let n = victims.len();
+            for v in victims {
+                self.remove(v);
+            }
+            n
+        }
+
+        pub(super) fn snapshot(&self, limit: usize) -> Vec<Arc<NewsItem>> {
+            let mut all: Vec<(&SimTime, &Arc<NewsItem>)> =
+                self.items.values().map(|(item, at, _)| (at, item)).collect();
+            all.sort_by_key(|(at, _)| std::cmp::Reverse(**at));
+            all.into_iter().take(limit).map(|(_, item)| Arc::clone(item)).collect()
+        }
+
+        pub(super) fn iter_signed(&self) -> impl Iterator<Item = (&Arc<NewsItem>, Proof)> {
+            self.items.values().map(|(item, _, proof)| (item, *proof))
+        }
     }
 }
 
@@ -404,5 +600,91 @@ mod tests {
             "{:?}",
             snap.iter().map(|i| i.id.seq).collect::<Vec<_>>()
         );
+    }
+    /// Ids the differential test draws from: two publishers, 24 seqs each.
+    fn any_id(n: u64) -> ItemId {
+        ItemId::new(PublisherId((n / 24 % 2) as u16), n % 24)
+    }
+
+    /// Drives the flat cache and the map model through `ops` in lockstep,
+    /// comparing every query after every operation. Returns the outcomes
+    /// the inserts produced, one bit per [`CacheOutcome`].
+    fn drive_against_model(max_items: usize, ops: &[(u8, u64, u64)]) -> u8 {
+        let policy = CachePolicy { max_items, max_age: SimDuration::from_secs(40) };
+        let (mut cache, mut model) = (MessageCache::new(policy), model::MapCache::new(policy));
+        let mut now = SimTime::ZERO;
+        let mut seen = 0u8;
+        for &(op, a, b) in ops {
+            match op {
+                0..=6 => {
+                    // Revisions of a few stories, in and out of order, and
+                    // equal arrival times to test eviction ties.
+                    now += SimDuration::from_secs(a % 3);
+                    let id = any_id(a);
+                    let slug = format!("s{}", b % 4);
+                    let it = Arc::new(item(id.publisher.0, id.seq, &slug, (b / 4 % 4) as u32));
+                    let proof = (KeyId(1 + b % 2), Signature(b));
+                    let outcome = cache.insert_signed(Arc::clone(&it), proof, now);
+                    assert_eq!(outcome, model.insert_signed(it, proof, now), "insert {id:?}");
+                    seen |= 1 << outcome as u8;
+                }
+                7 => {
+                    now += SimDuration::from_secs(a % 30);
+                    assert_eq!(cache.gc(now), model.gc(now), "gc at {now:?}");
+                }
+                8 => assert_eq!(cache.purge(any_id(a)), model.purge(any_id(a))),
+                _ => {
+                    let (publisher, key) = (PublisherId((a % 2) as u16), KeyId(1 + b % 2));
+                    let ours = cache.purge_signed_by(publisher, key);
+                    assert_eq!(ours, model.purge_signed_by(publisher, key));
+                }
+            }
+            assert_eq!(cache.len(), model.len());
+            let held = |it: (&Arc<NewsItem>, Proof)| (it.0.id, it.1);
+            let ours: Vec<_> = cache.iter_signed().map(held).collect();
+            assert_eq!(ours, model.iter_signed().map(held).collect::<Vec<_>>());
+            for n in 0..48 {
+                let id = any_id(n);
+                assert_eq!(cache.get_signed(id).map(held), model.get_signed(id).map(held));
+            }
+            for publisher in [PublisherId(0), PublisherId(1)] {
+                for slug in ["s0", "s1", "s2", "s3"] {
+                    let id = |it: Option<&NewsItem>| it.map(|it| it.id);
+                    assert_eq!(
+                        id(cache.latest_for_slug(publisher, slug)),
+                        id(model.latest_for_slug(publisher, slug)),
+                        "latest {publisher:?} {slug}"
+                    );
+                }
+                let cap = (b % 5) as usize;
+                assert_eq!(cache.baselines(publisher, cap), model.baselines(publisher, cap));
+            }
+            let ids = |v: Vec<Arc<NewsItem>>| v.iter().map(|it| it.id).collect::<Vec<_>>();
+            let limit = (a % 8) as usize;
+            assert_eq!(ids(cache.snapshot(limit)), ids(model.snapshot(limit)));
+        }
+        seen
+    }
+
+    #[test]
+    fn the_model_comparison_reaches_every_outcome() {
+        // Story s1 at revision 1, a duplicate, revision 2 (fused), a late
+        // revision 0 (obsolete), then two more stories past `max_items`.
+        let ops = [(0, 1, 5), (0, 1, 5), (0, 2, 9), (0, 3, 1), (0, 4, 2), (0, 5, 3)];
+        assert_eq!(drive_against_model(2, &ops), 0b1111);
+    }
+
+    proptest::proptest! {
+        /// The flat cache answers every query as the map-backed cache it
+        /// replaced does, after every operation of a seeded sequence that
+        /// stores, duplicates, fuses, obsoletes, evicts, ages out and
+        /// purges.
+        #[test]
+        fn the_flat_cache_matches_the_map_model(
+            max_items in 1usize..7,
+            ops in proptest::collection::vec((0u8..10, 0u64..1_000, 0u64..1_000), 1..80),
+        ) {
+            drive_against_model(max_items, &ops);
+        }
     }
 }

@@ -59,10 +59,8 @@ pub struct PublisherState {
 /// One successful delivery to the local application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveryRecord {
-    /// The delivered item.
+    /// The delivered item (its dissemination id is `msg_id_of(item)`).
     pub item: ItemId,
-    /// Its dissemination id.
-    pub msg_id: u64,
     /// Publisher issue time.
     pub published: SimTime,
     /// Local delivery time.
@@ -98,19 +96,23 @@ pub struct StubId(NonZeroU32);
 /// the feed.
 #[derive(Debug, Default)]
 struct StubTable {
+    /// The stubs, by id: `stubs[i]` is `StubId(i + 1)`'s.
     stubs: Vec<Stub>,
-    ids: HashMap<Stub, StubId>,
+    /// Every id, sorted by the stub it names, so a lookup searches the
+    /// stubs themselves and no stub is held twice.
+    by_stub: Vec<StubId>,
 }
 
 impl StubTable {
     fn intern(&mut self, stub: Stub) -> StubId {
-        if let Some(&id) = self.ids.get(&stub) {
-            return id;
-        }
+        let at = match self.by_stub.binary_search_by(|&id| self.get(id).0.cmp(&stub.0)) {
+            Ok(at) => return self.by_stub[at],
+            Err(at) => at,
+        };
         let n = u32::try_from(self.stubs.len() + 1).expect("fewer than 2^32 distinct stubs");
         let id = StubId(NonZeroU32::new(n).expect("one past an index is not zero"));
-        self.stubs.push(stub.clone());
-        self.ids.insert(stub, id);
+        self.stubs.push(stub);
+        self.by_stub.insert(at, id);
         id
     }
 
@@ -120,7 +122,7 @@ impl StubTable {
 
     fn clear(&mut self) {
         self.stubs.clear();
-        self.ids.clear();
+        self.by_stub.clear();
     }
 }
 
@@ -1272,7 +1274,6 @@ impl NewsWireNode {
     fn handle_delivery(&mut self, now: SimTime, admitted: Admitted, via_repair: bool) {
         let item = admitted.item();
         let id = item.id;
-        let msg_id = msg_id_of(id);
         let published = SimTime::from_micros(item.issued_us);
         let interested = self.subscription.interested_in(item);
         let matches = self.subscription.matches(item);
@@ -1301,10 +1302,10 @@ impl NewsWireNode {
                 obs::metric_add!(self.agent.id(), ctr::NW_DELIVERED_REPAIR, 1);
             }
             obs::series_record!(self.agent.id(), series::DELIVERY_LATENCY_US, latency_us);
+            let msg_id = msg_id_of(id);
             obs::trace_event!(self.agent.id(), Layer::News, kind::NW_DELIVER, msg_id, latency_us);
             self.deliveries.push(DeliveryRecord {
                 item: id,
-                msg_id,
                 published,
                 delivered: now,
                 via_repair,
@@ -2406,6 +2407,35 @@ impl NewsWireNode {
         }
     }
 
+    /// Re-installs a decoded `state` snapshot after a cold wipe: rotations
+    /// first, then cached items through admission, the delivery log, and
+    /// the article logs' coverage. Returns how many items were restored.
+    fn restore_state(&mut self, state: persist::NodeState, now: SimTime) -> u64 {
+        // Re-arm the revocation fence *before* re-admitting items: restore
+        // is admission path 4, and a rotation adopted from disk must fence
+        // the very blob it rode in on.
+        for enc in &state.rotations {
+            if let Some(rec) = RotationRecord::decode(enc) {
+                self.adopt_rotation(&rec);
+            }
+        }
+        let restored = self.restore_items(state.items, now);
+        self.deliveries = state.deliveries;
+        for ls in state.logs {
+            let log = self
+                .article_logs
+                .entry(ls.publisher)
+                .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY));
+            for (lo, hi) in ls.present {
+                for seq in lo..=hi {
+                    log.insert(seq, LogEntry::Held);
+                }
+            }
+            log.restore_coverage(&ls.coverage);
+        }
+        restored
+    }
+
     /// Cheap change detector over the durable state: structure and counts,
     /// not content. Skipping unchanged snapshots keeps steady-state disk
     /// traffic near zero without diffing item payloads.
@@ -2864,28 +2894,7 @@ impl Node for NewsWireNode {
         let mut restored = 0u64;
         if mode == RestartMode::ColdDurable {
             if let Some(state) = ctx.disk().read(DISK_KEY_STATE).and_then(persist::decode_state) {
-                // Re-arm the revocation fence *before* re-admitting items:
-                // restore is admission path 4, and a rotation adopted from
-                // disk must fence the very blob it rode in on.
-                for enc in &state.rotations {
-                    if let Some(rec) = RotationRecord::decode(enc) {
-                        self.adopt_rotation(&rec);
-                    }
-                }
-                restored = self.restore_items(state.items, now);
-                self.deliveries = state.deliveries;
-                for ls in state.logs {
-                    let log = self
-                        .article_logs
-                        .entry(ls.publisher)
-                        .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY));
-                    for (lo, hi) in ls.present {
-                        for seq in lo..=hi {
-                            log.insert(seq, LogEntry::Held);
-                        }
-                    }
-                    log.restore_coverage(&ls.coverage);
-                }
+                restored = self.restore_state(state, now);
             }
         }
         // Re-advertise coverage from what actually came back.
@@ -3520,6 +3529,30 @@ mod tests {
         assert_eq!(n.state_fingerprint(), fp);
         n.handle_delivery(now, Admitted::unverified(tech_item(5)), false);
         assert_ne!(n.state_fingerprint(), fp);
+    }
+
+    /// A disk snapshot whose coverage token lost one bit (`0:0:1:1` →
+    /// `0:1:1:1`, a floor equal to its highwater) restores, and the
+    /// restored node persists again: its durable state asks the log for
+    /// the empty range `1..=0`.
+    #[test]
+    fn a_restored_floor_at_the_highwater_persists_again() {
+        let mut n = node_with(NewsWireConfig::tech_news());
+        n.set_subscription(tech_sub());
+        let now = SimTime::from_secs(1);
+        n.handle_delivery(now, Admitted::unverified(tech_item(0)), false);
+        let mut blob = persist::encode_state(&n.durable_state());
+        let at = blob.windows(9).position(|w| w == b"7:0:0:1:1").expect("coverage token");
+        blob[at + 4] ^= 1;
+        let state = persist::decode_state(&blob).expect("length-preserving flip still decodes");
+        assert_eq!(state.logs[0].coverage, "0:1:1:1");
+        n.reset_protocol_state();
+        n.restore_state(state, now);
+        let log = n.article_log(PublisherId(0)).expect("the log came back");
+        assert_eq!((log.floor(), log.next_seq(), log.len()), (1, 1, 0));
+        let again = n.durable_state();
+        assert_eq!(again.logs[0].present, vec![]);
+        assert!(persist::decode_state(&persist::encode_state(&again)).is_some());
     }
 
     /// A malformed gossip batch — out-of-range label, future-dated stamp,

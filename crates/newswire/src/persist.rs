@@ -17,6 +17,7 @@ use newsml::{Category, ItemId, NewsItem, PublisherId, Subject, Urgency};
 use simnet::SimTime;
 
 use crate::node::DeliveryRecord;
+use crate::wire::msg_id_of;
 use crate::Subscription;
 
 /// Appends length-prefixed tokens to a growing string buffer.
@@ -272,7 +273,9 @@ pub(crate) fn encode_state(state: &NodeState) -> Vec<u8> {
     for d in &state.deliveries {
         w.push_u64(u64::from(d.item.publisher.0));
         w.push_u64(d.item.seq);
-        w.push_u64(d.msg_id);
+        // The dissemination id is a function of the item; the token keeps
+        // the record's layout.
+        w.push_u64(msg_id_of(d.item));
         w.push_u64(d.published.as_micros());
         w.push_u64(d.delivered.as_micros());
         w.push(if d.via_repair { "1" } else { "0" });
@@ -321,7 +324,7 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Option<NodeState> {
     for _ in 0..ndeliveries {
         let publisher = PublisherId(u16::try_from(r.next_u64()?).ok()?);
         let seq = r.next_u64()?;
-        let msg_id = r.next_u64()?;
+        r.next_u64()?; // the dissemination id, re-derived from the item
         let published = SimTime::from_micros(r.next_u64()?);
         let delivered = SimTime::from_micros(r.next_u64()?);
         let via_repair = match r.next()? {
@@ -331,7 +334,6 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Option<NodeState> {
         };
         state.deliveries.push(DeliveryRecord {
             item: ItemId::new(publisher, seq),
-            msg_id,
             published,
             delivered,
             via_repair,
@@ -449,7 +451,6 @@ mod tests {
             items: vec![(Arc::new(item.clone()), KeyId(11), Signature(22))],
             deliveries: vec![DeliveryRecord {
                 item: item.id,
-                msg_id: 777,
                 published: SimTime::from_micros(95_000_000),
                 delivered: SimTime::from_micros(95_420_000),
                 via_repair: true,

@@ -177,7 +177,11 @@ fn byzantine_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     let mut fingerprint = Vec::new();
     for (id, node) in d.sim.iter() {
         for rec in &node.deliveries {
-            fingerprint.push((id.0, rec.msg_id, rec.delivered.since(SimTime::ZERO).as_micros()));
+            fingerprint.push((
+                id.0,
+                msg_id_of(rec.item),
+                rec.delivered.since(SimTime::ZERO).as_micros(),
+            ));
         }
     }
     (fingerprint, counters)
@@ -295,7 +299,11 @@ fn trust_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     let mut fingerprint = Vec::new();
     for (id, node) in d.sim.iter() {
         for rec in &node.deliveries {
-            fingerprint.push((id.0, rec.msg_id, rec.delivered.since(SimTime::ZERO).as_micros()));
+            fingerprint.push((
+                id.0,
+                msg_id_of(rec.item),
+                rec.delivered.since(SimTime::ZERO).as_micros(),
+            ));
         }
     }
     (fingerprint, counters)
@@ -455,7 +463,11 @@ fn fuzz_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     let mut fingerprint = Vec::new();
     for (id, node) in d.sim.iter() {
         for rec in &node.deliveries {
-            fingerprint.push((id.0, rec.msg_id, rec.delivered.since(SimTime::ZERO).as_micros()));
+            fingerprint.push((
+                id.0,
+                msg_id_of(rec.item),
+                rec.delivered.since(SimTime::ZERO).as_micros(),
+            ));
         }
     }
     (fingerprint, d.sim.fault_counters())

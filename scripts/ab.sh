@@ -15,6 +15,9 @@
 # medians, quartiles (Python's exclusive method, as the acceptance rule is
 # stated), how many pairs B won, and a verdict, for all nine end-to-end
 # metrics. Each metric's direction and bound are read from BENCHMARK.json.
+# Beside each verdict it prints A's IQR / A's median, the spread the
+# `unresolved` rule weighs against the bound, so a verdict on a noisy host
+# metric shows how much of it is A's own scatter.
 # The verdict, first rule that applies:
 #   tie         every pair reads the same (a simulated metric of a change
 #               that moves nothing: the same seed gives the same number,
@@ -91,7 +94,8 @@ def quartiles(v):
 def spread(v):
     q = quartiles(v)
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
-print(f"\n{'metric':<26}{'A median [q1, q3]':>36}{'B median [q1, q3]':>36}{'B/A':>8}  {'B wins':<15} verdict")
+print(f"\n{'metric':<26}{'A median [q1, q3]':>36} {'B median [q1, q3]':>36}{'B/A':>8}  {'B wins':<15}"
+      f"{'A IQR/med':>10}{'bound':>7}  verdict")
 for m in metrics:
     a, b = ([r[m] for r in runs[s]] for s in "AB")
     lower, bound = rules[m]
@@ -113,6 +117,7 @@ for m in metrics:
     else:
         verdict = "ok"
     won = f"{wins}/{pairs}" + (f" ({ties} ties)" if ties else "")
-    print(f"{m:<26}{spread(a):>36}{spread(b):>36}{mb / ma if ma else float('nan'):>8.3f}"
-          f"  {won:<15} {verdict}")
+    rel = iqr / abs(ma) if ma else float("nan")
+    print(f"{m:<26}{spread(a):>36} {spread(b):>36}{mb / ma if ma else float('nan'):>8.3f}"
+          f"  {won:<15}{rel:>10.4f}{bound:>7.3g}  {verdict}")
 PY
