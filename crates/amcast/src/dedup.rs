@@ -46,6 +46,12 @@ impl CoverageWindow {
         CoverageWindow { seen: HashMap::new(), order: VecDeque::new(), capacity }
     }
 
+    /// Heap bytes the window has allocated, capacity included.
+    pub fn heap_bytes(&self) -> usize {
+        crate::heap::hash_map_bytes::<u64, usize>(self.seen.capacity())
+            + self.order.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Records forwarding duty for `id` at `zone_depth`; returns `true`
     /// when the caller should process it (first sighting, or a strictly
     /// wider zone than anything processed before).

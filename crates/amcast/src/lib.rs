@@ -58,6 +58,7 @@
 
 mod bimodal;
 mod dedup;
+pub mod heap;
 mod mcast;
 mod queues;
 mod seqlog;

@@ -72,6 +72,15 @@ impl<T> ForwardingQueues<T> {
         }
     }
 
+    /// Heap bytes the queues have allocated, capacity included; a queued
+    /// item's own heap is its owner's to count.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.queues.capacity() * size_of::<(u16, u32, VecDeque<Queued<T>>)>()
+            + self.queues.iter().map(|(.., q)| q.capacity() * size_of::<Queued<T>>()).sum::<usize>()
+            + self.seqs.capacity() * size_of::<(u64, u16)>()
+    }
+
     /// The configured discipline.
     pub fn strategy(&self) -> Strategy {
         self.strategy

@@ -12,7 +12,7 @@
 //! sequence numbering bumps its epoch, and a summary from a newer epoch
 //! supersedes anything known about an older one.
 
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 
 /// A compact, fixed-size summary of a [`SeqLog`]'s coverage.
 ///
@@ -76,18 +76,68 @@ impl BaselineHint {
 /// lowest numbers first and raises [`SeqLog::floor`] so the summary never
 /// claims knowledge the log no longer has. Sequence number `u64::MAX` is
 /// never logged: `next` is one past the highest, and could not name it.
+///
+/// The log keeps runs of consecutive seqs, not one `(seq, value)` pair per
+/// seq: a header per run, and the values back to back. A log that holds a
+/// publisher's articles without holes costs one header and its values (4 B
+/// a seq for a 4-byte value), and a log of `()` costs a header per run.
 #[derive(Debug, Clone)]
 pub struct SeqLog<T> {
     epoch: u32,
     floor: u64,
     next: u64,
-    /// Retained entries in ascending sequence order, all inside
-    /// `floor..next`. Arrivals run mostly in order and eviction takes the
-    /// lowest, so the common cases are a push at the back and a pop at the
-    /// front; a late arrival is placed by binary search.
-    entries: VecDeque<(u64, T)>,
+    /// The maximal runs of consecutive retained seqs, ascending and all
+    /// inside `floor..next`; no two touch. Arrivals run mostly in order and
+    /// eviction takes the lowest, so the common cases are a value appended
+    /// to the last run and a value taken off the first; a late arrival is
+    /// placed by binary search, and may join the runs on either side.
+    runs: VecDeque<Run>,
+    /// Every retained value in seq order: each run's values back to back.
+    values: VecDeque<T>,
+    /// Values taken off the front of `values` so far: run `r`'s values
+    /// start at `values[r.at - base]`, so an eviction moves no header but
+    /// the first.
+    base: u64,
     capacity: usize,
     total: u64,
+}
+
+/// One run of consecutive retained seqs: its first seq, and where its first
+/// value sits in the log's `values` (offset by the log's `base`). A run
+/// ends where the next one's values begin.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: u64,
+    at: u64,
+}
+
+/// The entries of [`SeqLog::range`]: the values in order, each numbered
+/// from the run it belongs to.
+struct Entries<'a, T> {
+    values: vec_deque::Iter<'a, T>,
+    /// The runs after `next_run`.
+    later: vec_deque::Iter<'a, Run>,
+    /// The run whose first value comes at `pos`, once the values reach it.
+    next_run: Option<Run>,
+    /// Where the next value sits (offset by the log's `base`), and its seq.
+    pos: u64,
+    seq: u64,
+}
+
+impl<'a, T> Iterator for Entries<'a, T> {
+    type Item = (u64, &'a T);
+
+    fn next(&mut self) -> Option<(u64, &'a T)> {
+        let value = self.values.next()?;
+        if let Some(run) = self.next_run.filter(|r| r.at == self.pos) {
+            self.seq = run.start;
+            self.next_run = self.later.next().copied();
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        self.pos += 1;
+        Some((seq, value))
+    }
 }
 
 impl<T> SeqLog<T> {
@@ -98,7 +148,16 @@ impl<T> SeqLog<T> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "log needs capacity");
-        SeqLog { epoch: 0, floor: 0, next: 0, entries: VecDeque::new(), capacity, total: 0 }
+        SeqLog {
+            epoch: 0,
+            floor: 0,
+            next: 0,
+            runs: VecDeque::new(),
+            values: VecDeque::new(),
+            base: 0,
+            capacity,
+            total: 0,
+        }
     }
 
     /// Current history epoch.
@@ -118,12 +177,12 @@ impl<T> SeqLog<T> {
 
     /// Retained entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.values.len()
     }
 
     /// True when no entries are retained.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.values.is_empty()
     }
 
     /// Total entries ever inserted (including evicted ones).
@@ -131,14 +190,39 @@ impl<T> SeqLog<T> {
         self.total
     }
 
-    /// Where `seq` is retained (`Ok`), or where it would be inserted.
-    fn search(&self, seq: u64) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&seq, |&(s, _)| s)
+    /// Heap bytes the log has allocated: its run headers and its values,
+    /// capacity included.
+    pub fn heap_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<Run>()
+            + self.values.capacity() * std::mem::size_of::<T>()
     }
 
-    /// The index of the first retained entry at or above `seq`.
+    /// Run `i` as `(start, end, first)`: it holds seqs `start..end`, whose
+    /// values begin at `values[first]`.
+    fn run(&self, i: usize) -> (u64, u64, usize) {
+        let Run { start, at } = self.runs[i];
+        let first = (at - self.base) as usize;
+        let past = self.runs.get(i + 1).map_or(self.values.len(), |r| (r.at - self.base) as usize);
+        (start, start + (past - first) as u64, first)
+    }
+
+    /// The run that would hold `seq`: the last starting at or below it.
+    fn run_below(&self, seq: u64) -> Option<usize> {
+        self.runs.partition_point(|r| r.start <= seq).checked_sub(1)
+    }
+
+    /// Where `seq`'s value is kept, when it is retained.
+    fn index_of(&self, seq: u64) -> Option<usize> {
+        let (start, end, first) = self.run(self.run_below(seq)?);
+        (seq < end).then(|| first + (seq - start) as usize)
+    }
+
+    /// The index of the first retained value at or above `seq`.
     fn lower_bound(&self, seq: u64) -> usize {
-        self.entries.partition_point(|&(s, _)| s < seq)
+        self.run_below(seq).map_or(0, |i| {
+            let (start, end, first) = self.run(i);
+            first + (seq.min(end) - start) as usize
+        })
     }
 
     /// Inserts `value` at `seq`. Returns `false` (and keeps the existing
@@ -149,44 +233,121 @@ impl<T> SeqLog<T> {
         if seq < self.floor || seq == u64::MAX {
             return false;
         }
-        match self.entries.back() {
-            Some(&(last, _)) if last >= seq => match self.search(seq) {
-                Ok(_) => return false,
-                Err(at) => self.entries.insert(at, (seq, value)),
-            },
-            _ => self.entries.push_back((seq, value)),
+        let end = self.runs.back().map(|r| r.start + (self.base + self.values.len() as u64 - r.at));
+        match end {
+            // The next seq of the last run: the in-order arrival.
+            Some(end) if seq == end => self.values.push_back(value),
+            Some(end) if seq < end => {
+                if !self.insert_late(seq, value) {
+                    return false;
+                }
+            }
+            _ => {
+                self.runs.push_back(Run { start: seq, at: self.base + self.values.len() as u64 });
+                self.values.push_back(value);
+            }
         }
         self.next = self.next.max(seq + 1);
         self.total += 1;
-        while self.entries.len() > self.capacity {
-            let (lowest, _) = self.entries.pop_front().expect("non-empty over capacity");
-            self.floor = lowest + 1;
+        while self.values.len() > self.capacity {
+            self.evict_lowest();
         }
         true
     }
 
+    /// Places a `seq` below the last run's end: `false` when it is held,
+    /// otherwise its value goes before the next run's, and it joins the run
+    /// it touches on either side (closing a one-seq hole makes two runs one).
+    fn insert_late(&mut self, seq: u64, value: T) -> bool {
+        let i = self.runs.partition_point(|r| r.start <= seq);
+        let joins_prev = match i.checked_sub(1).map(|p| self.run(p).1) {
+            Some(end) if seq < end => return false,
+            Some(end) => end == seq,
+            None => false,
+        };
+        // Not held and below the last run's end: a run starts above it.
+        let Run { start: after, at } = self.runs[i];
+        self.values.insert((at - self.base) as usize, value);
+        for r in self.runs.range_mut(i..) {
+            r.at += 1;
+        }
+        match (joins_prev, after == seq + 1) {
+            (true, true) => {
+                self.runs.remove(i);
+            }
+            (true, false) => {}
+            (false, true) => self.runs[i] = Run { start: seq, at },
+            (false, false) => self.runs.insert(i, Run { start: seq, at }),
+        }
+        true
+    }
+
+    /// Drops the lowest retained value, and its run once that is empty.
+    fn evict_lowest(&mut self) {
+        self.values.pop_front();
+        self.base += 1;
+        let front = &mut self.runs[0];
+        self.floor = front.start + 1;
+        front.start += 1;
+        front.at += 1;
+        let at = front.at;
+        if self.runs.get(1).map_or(self.values.is_empty(), |r| r.at == at) {
+            self.runs.pop_front();
+        }
+    }
+
+    /// Forgets every entry, as a new history does.
+    fn forget(&mut self) {
+        self.floor = 0;
+        self.next = 0;
+        self.runs.clear();
+        self.values.clear();
+        self.base = 0;
+    }
+
     /// True when `seq` is retained.
     pub fn contains(&self, seq: u64) -> bool {
-        self.search(seq).is_ok()
+        self.index_of(seq).is_some()
     }
 
     /// The retained entry at `seq`, if any.
     pub fn get(&self, seq: u64) -> Option<&T> {
-        self.search(seq).ok().map(|at| &self.entries[at].1)
+        self.index_of(seq).map(|at| &self.values[at])
     }
 
     /// Iterates retained `(seq, entry)` pairs in the inclusive range, in
     /// sequence order. An empty range (`lo > hi`) yields nothing.
     pub fn range(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, &T)> {
-        let start = self.lower_bound(lo);
-        let end = self.entries.partition_point(|&(s, _)| s <= hi).max(start);
-        self.entries.range(start..end).map(|(s, v)| (*s, v))
+        let from = self.lower_bound(lo);
+        let to = self.lower_bound(hi.saturating_add(1)).max(from);
+        // The run the first value belongs to, and its seq.
+        let pos = self.base + from as u64;
+        let current = self.runs.partition_point(|r| r.at <= pos).saturating_sub(1);
+        let seq = self.runs.get(current).map_or(0, |r| r.start + (pos - r.at));
+        let mut later = self.runs.range((current + 1).min(self.runs.len())..);
+        let next_run = later.next().copied();
+        Entries { values: self.values.range(from..to), later, next_run, pos, seq }
     }
 
     /// Drops all entries below `seq` and raises the floor to at least `seq`.
     pub fn prune_below(&mut self, seq: u64) {
         let cut = self.lower_bound(seq);
-        self.entries.drain(..cut);
+        while !self.runs.is_empty() {
+            let (start, end, _) = self.run(0);
+            if end <= seq {
+                self.runs.pop_front();
+                continue;
+            }
+            if start < seq {
+                // `seq` falls inside the first run: it starts there now.
+                let front = &mut self.runs[0];
+                front.at += seq - start;
+                front.start = seq;
+            }
+            break;
+        }
+        self.values.drain(..cut);
+        self.base += cut as u64;
         self.floor = self.floor.max(seq);
         self.next = self.next.max(self.floor);
     }
@@ -195,18 +356,14 @@ impl<T> SeqLog<T> {
     /// a source restarts with fresh sequence numbering.
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
-        self.floor = 0;
-        self.next = 0;
-        self.entries.clear();
+        self.forget();
     }
 
     /// Adopts `epoch` (forgetting prior coverage) if it is newer than ours.
     pub fn adopt_epoch(&mut self, epoch: u32) {
         if epoch > self.epoch {
             self.epoch = epoch;
-            self.floor = 0;
-            self.next = 0;
-            self.entries.clear();
+            self.forget();
         }
     }
 
@@ -216,22 +373,25 @@ impl<T> SeqLog<T> {
             epoch: self.epoch,
             floor: self.floor,
             next: self.next,
-            present: self.entries.len() as u64,
+            present: self.values.len() as u64,
         }
     }
 
-    /// The holes inside our own window, as inclusive `(lo, hi)` ranges.
+    /// The holes inside our own window, as inclusive `(lo, hi)` ranges: one
+    /// before each run that does not start at the cursor, and the tail.
     pub fn gaps(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         if self.summary().contiguous() {
             return out; // hole-free: nothing to walk
         }
         let mut cursor = self.floor;
-        for &(seq, _) in &self.entries {
-            if seq > cursor {
-                out.push((cursor, seq - 1));
+        let past = self.runs.iter().skip(1).map(|r| r.at);
+        let past = past.chain([self.base + self.values.len() as u64]);
+        for (run, past) in self.runs.iter().zip(past) {
+            if run.start > cursor {
+                out.push((cursor, run.start - 1));
             }
-            cursor = seq + 1;
+            cursor = run.start + (past - run.at);
         }
         if cursor < self.next {
             out.push((cursor, self.next - 1));
@@ -318,8 +478,8 @@ impl<T> SeqLog<T> {
     }
 }
 
-/// The log as it was kept in a `BTreeMap` before [`SeqLog`] became a
-/// sorted deque: the reference the differential test drives in lockstep.
+/// The log as it was kept in a `BTreeMap` before [`SeqLog`] kept runs:
+/// the reference the differential test drives in lockstep.
 #[cfg(test)]
 mod model {
     use std::collections::BTreeMap;
@@ -361,6 +521,18 @@ mod model {
 
         pub(super) fn contains(&self, seq: u64) -> bool {
             self.entries.contains_key(&seq)
+        }
+
+        /// The maximal runs of consecutive retained seqs, inclusive.
+        pub(super) fn runs(&self) -> Vec<(u64, u64)> {
+            let mut out: Vec<(u64, u64)> = Vec::new();
+            for &seq in self.entries.keys() {
+                match out.last_mut() {
+                    Some((_, hi)) if *hi + 1 == seq => *hi = seq,
+                    _ => out.push((seq, seq)),
+                }
+            }
+            out
         }
 
         pub(super) fn get(&self, seq: u64) -> Option<&T> {
@@ -466,6 +638,14 @@ mod model {
 }
 
 #[cfg(test)]
+impl<T> SeqLog<T> {
+    /// The runs as inclusive `(first, last)` seqs, for the lockstep test.
+    fn run_bounds(&self) -> Vec<(u64, u64)> {
+        (0..self.runs.len()).map(|i| self.run(i)).map(|(start, end, _)| (start, end - 1)).collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -475,105 +655,6 @@ mod tests {
             log.insert(s, s * 10);
         }
         log
-    }
-
-    #[test]
-    fn empty_log_summary_and_gaps() {
-        let log: SeqLog<()> = SeqLog::new(8);
-        let s = log.summary();
-        assert!(s.is_empty());
-        assert!(s.contiguous());
-        assert_eq!(s, RangeSummary { epoch: 0, floor: 0, next: 0, present: 0 });
-        assert!(log.gaps().is_empty());
-        // An empty log wants everything a non-empty peer advertises.
-        let peer = RangeSummary { epoch: 0, floor: 2, next: 7, present: 5 };
-        assert_eq!(log.missing_given(&peer), vec![(2, 6)]);
-        // And nothing from an empty peer.
-        assert!(log.missing_given(&RangeSummary::default()).is_empty());
-    }
-
-    #[test]
-    fn single_gap_detected_and_requested() {
-        let log = filled(&[0, 1, 2, 5, 6]);
-        assert_eq!(log.gaps(), vec![(3, 4)]);
-        let s = log.summary();
-        assert_eq!(s, RangeSummary { epoch: 0, floor: 0, next: 7, present: 5 });
-        assert!(!s.contiguous());
-        // A contiguous peer covering the window fills the hole and the tail.
-        let peer = RangeSummary { epoch: 0, floor: 0, next: 9, present: 9 };
-        assert_eq!(log.missing_given(&peer), vec![(3, 4), (7, 8)]);
-        // A peer whose window misses the hole only supplies the tail.
-        let late = RangeSummary { epoch: 0, floor: 5, next: 9, present: 4 };
-        assert_eq!(log.missing_given(&late), vec![(7, 8)]);
-    }
-
-    #[test]
-    fn capacity_eviction_raises_floor() {
-        let mut log = SeqLog::new(4);
-        for seq in 0..10 {
-            assert!(log.insert(seq, ()));
-        }
-        // Wrapped 6 entries past capacity: floor chased the evictions.
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.floor(), 6);
-        assert_eq!(log.summary(), RangeSummary { epoch: 0, floor: 6, next: 10, present: 4 });
-        assert!(log.summary().contiguous());
-        assert_eq!(log.total_written(), 10);
-        // Evicted history is not readmitted and not re-requested.
-        assert!(!log.insert(3, ()));
-        let peer = RangeSummary { epoch: 0, floor: 0, next: 10, present: 10 };
-        assert!(log.missing_given(&peer).is_empty());
-    }
-
-    #[test]
-    fn eviction_with_gaps_skips_stranded_holes() {
-        let mut log = SeqLog::new(3);
-        for seq in [0, 1, 4, 6, 7] {
-            log.insert(seq, ());
-        }
-        // 0 and 1 evicted; floor lands past the evicted entry, leaving the
-        // still-reachable hole at 5.
-        assert_eq!(log.floor(), 2);
-        assert_eq!(log.gaps(), vec![(2, 3), (5, 5)]);
-        let peer = RangeSummary { epoch: 0, floor: 0, next: 8, present: 8 };
-        assert_eq!(log.missing_given(&peer), vec![(2, 3), (5, 5)]);
-    }
-
-    #[test]
-    fn duplicates_rejected() {
-        let mut log = SeqLog::new(8);
-        assert!(log.insert(3, "a"));
-        assert!(!log.insert(3, "b"));
-        assert_eq!(log.get(3), Some(&"a"));
-        assert_eq!(log.total_written(), 1);
-    }
-
-    #[test]
-    fn epochs_order_histories() {
-        let mut log = filled(&[0, 1, 2]);
-        let newer = RangeSummary { epoch: 2, floor: 5, next: 9, present: 4 };
-        assert_eq!(log.missing_given(&newer), vec![(5, 8)]);
-        let older = RangeSummary { epoch: 0, floor: 0, next: 50, present: 50 };
-        log.bump_epoch();
-        assert_eq!(log.epoch(), 1);
-        assert!(log.missing_given(&older).is_empty());
-        assert!(log.is_empty());
-        // adopt_epoch is monotone.
-        log.insert(0, 99);
-        log.adopt_epoch(1);
-        assert!(log.contains(0));
-        log.adopt_epoch(4);
-        assert_eq!(log.epoch(), 4);
-        assert!(!log.contains(0));
-    }
-
-    #[test]
-    fn prune_below_truncates() {
-        let mut log = filled(&[0, 1, 2, 3, 4]);
-        log.prune_below(3);
-        assert_eq!(log.floor(), 3);
-        assert_eq!(log.len(), 2);
-        assert!(log.summary().contiguous());
     }
 
     #[test]
@@ -627,13 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn range_iterates_in_order() {
-        let log = filled(&[5, 1, 9, 3]);
-        let got: Vec<u64> = log.range(2, 9).map(|(s, _)| s).collect();
-        assert_eq!(got, vec![3, 5, 9]);
-    }
-
-    #[test]
     fn an_empty_range_yields_nothing() {
         let log = filled(&[0, 1, 2, 5]);
         assert_eq!(log.range(3, 2).count(), 0);
@@ -660,12 +734,17 @@ mod tests {
         assert!(log.insert(u64::MAX - 1, 7));
         assert_eq!(log.next_seq(), u64::MAX);
         assert_eq!(log.gaps(), vec![(2, u64::MAX - 2)]);
+        assert_eq!(
+            log.range(u64::MAX - 3, u64::MAX).map(|(s, v)| (s, *v)).collect::<Vec<_>>(),
+            [(u64::MAX - 1, 7)]
+        );
     }
 
     /// One step of the differential test, decoded from three random words
     /// against the log's current window.
     fn step(log: &mut SeqLog<u64>, model: &mut model::MapLog<u64>, op: u8, a: u64, b: u64) {
         let (floor, next) = (log.floor(), log.next_seq());
+        let (runs, gaps) = (model.runs(), model.gaps());
         let mut both_insert = |seq: u64| {
             let value = seq * 10 + b % 10;
             assert_eq!(log.insert(seq, value), model.insert(seq, value), "insert {seq}");
@@ -679,8 +758,24 @@ mod tests {
             5 => both_insert(floor + a % (next - floor + 1)),
             // Below the floor.
             6 => both_insert(floor.saturating_sub(1 + a % 4)),
+            // Into a hole: at either edge (a one-seq hole closes, and its
+            // two runs become one) or inside it (a run is born between two).
+            10 | 11 => match gaps.get(a as usize % 4) {
+                Some(&(lo, hi)) if op == 10 => {
+                    both_insert(if b.is_multiple_of(2) { lo } else { hi })
+                }
+                Some(&(lo, hi)) => both_insert(lo + b % (hi - lo + 1)),
+                None => both_insert(next + 1),
+            },
             7 => {
                 let seq = floor + a % 6;
+                log.prune_below(seq);
+                model.prune_below(seq);
+            }
+            // Inside a run, or at its first or last seq.
+            12 => {
+                let seq =
+                    runs.get(a as usize % 3).map_or(floor, |&(lo, hi)| lo + b % (hi - lo + 1));
                 log.prune_below(seq);
                 model.prune_below(seq);
             }
@@ -710,40 +805,64 @@ mod tests {
         }
     }
 
+    /// Every query answered alike, with peers and ranges both at random
+    /// near the window and pinned to run boundaries.
+    fn agree(log: &SeqLog<u64>, model: &model::MapLog<u64>, a: u64, b: u64) {
+        let s = log.summary();
+        assert_eq!(s, model.summary());
+        assert_eq!(log.len() as u64, s.present);
+        assert_eq!(log.run_bounds(), model.runs(), "runs");
+        assert_eq!(log.gaps(), model.gaps());
+        assert_eq!(log.encode_coverage(), model.encode_coverage());
+        assert_eq!(log.total_written(), model.total_written());
+        // Every seq where a run starts or ends, one either side, and the
+        // window's edges.
+        let mut edges = vec![s.floor, s.next];
+        for (lo, hi) in model.runs() {
+            edges.extend([lo.saturating_sub(1), lo, hi, hi + 1]);
+        }
+        let edge = |k: u64| edges[k as usize % edges.len()];
+        let peers = [
+            RangeSummary {
+                epoch: (s.epoch + (a % 3) as u32).saturating_sub(1),
+                floor: s.floor.saturating_sub(2) + b % 5,
+                next: s.floor + b % 13,
+                present: b % 7,
+            },
+            RangeSummary { epoch: s.epoch, floor: edge(a), next: edge(b) + 1, present: 0 },
+        ];
+        for peer in &peers {
+            assert_eq!(log.missing_given(peer), model.missing_given(peer), "{peer:?}");
+        }
+        let lo = s.floor.saturating_sub(2) + a % 9;
+        let ranges = [(lo, lo + b % 9), (edge(a), edge(b)), (edge(a / 7), edge(a / 7) + b % 3)];
+        for (lo, hi) in ranges {
+            let ours: Vec<_> = log.range(lo, hi).map(|(s, v)| (s, *v)).collect();
+            let theirs: Vec<_> = model.range(lo, hi.max(lo)).map(|(s, v)| (s, *v)).collect();
+            let theirs = if lo > hi { Vec::new() } else { theirs };
+            assert_eq!(ours, theirs, "range({lo}, {hi})");
+        }
+        for seq in s.floor.saturating_sub(2)..s.next + 2 {
+            assert_eq!(log.contains(seq), model.contains(seq), "contains {seq}");
+            assert_eq!(log.get(seq), model.get(seq), "get {seq}");
+        }
+    }
+
     proptest::proptest! {
-        /// The sorted-deque log answers every query as the map-backed log
-        /// it replaced does, after every operation of a seeded sequence.
+        /// The run-length log answers every query as the map-backed log it
+        /// replaced does, and keeps the same maximal runs, before and after
+        /// every operation of a seeded sequence.
         #[test]
         fn the_deque_log_matches_the_map_model(
-            cap in 1usize..9,
-            ops in proptest::collection::vec((0u8..10, 0u64..1_000, 0u64..1_000), 1..120),
+            cap in 1usize..12,
+            ops in proptest::collection::vec((0u8..13, 0u64..1_000, 0u64..1_000), 1..160),
         ) {
             let mut log = SeqLog::new(cap);
             let mut model = model::MapLog::new(cap);
+            agree(&log, &model, cap as u64, 0);
             for (op, a, b) in ops {
                 step(&mut log, &mut model, op, a, b);
-                let s = log.summary();
-                assert_eq!(s, model.summary());
-                assert_eq!(log.len() as u64, s.present);
-                assert_eq!(log.gaps(), model.gaps());
-                assert_eq!(log.encode_coverage(), model.encode_coverage());
-                assert_eq!(log.total_written(), model.total_written());
-                let peer = RangeSummary {
-                    epoch: (s.epoch + (a % 3) as u32).saturating_sub(1),
-                    floor: s.floor.saturating_sub(2) + b % 5,
-                    next: s.floor + b % 13,
-                    present: b % 7,
-                };
-                assert_eq!(log.missing_given(&peer), model.missing_given(&peer), "{peer:?}");
-                let lo = s.floor.saturating_sub(2) + a % 9;
-                let hi = lo + b % 9;
-                let ours: Vec<_> = log.range(lo, hi).map(|(s, v)| (s, *v)).collect();
-                let theirs: Vec<_> = model.range(lo, hi).map(|(s, v)| (s, *v)).collect();
-                assert_eq!(ours, theirs, "range({lo}, {hi})");
-                for seq in s.floor.saturating_sub(2)..s.next + 2 {
-                    assert_eq!(log.contains(seq), model.contains(seq), "contains {seq}");
-                    assert_eq!(log.get(seq), model.get(seq), "get {seq}");
-                }
+                agree(&log, &model, a, b);
             }
         }
     }

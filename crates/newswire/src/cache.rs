@@ -73,10 +73,12 @@ pub struct MessageCache {
     /// handle.
     keys: Vec<ItemId>,
     entries: Vec<(Arc<NewsItem>, SimTime, Proof)>,
-    /// Latest cached revision per story, sorted by [`slug_key`] — a 64-bit
-    /// hash of `(publisher, slug)`, so neither an entry nor a lookup owns a
-    /// `String`. Every hit is confirmed against the cached item's slug.
-    latest_by_slug: Vec<(u64, ItemId)>,
+    /// Latest cached revision per story: one index per publisher, by
+    /// publisher, each a key-sorted list of `(key, seq)` — 16 bytes a story.
+    /// The key is [`slug_key`], a 64-bit hash of `(publisher, slug)`, so
+    /// neither an entry nor a lookup owns a `String`. Every hit is confirmed
+    /// against the cached item's slug.
+    latest_by_slug: Vec<(PublisherId, Vec<(u64, u64)>)>,
     /// Lower bound on the arrival time of every cached item: while it is
     /// younger than `max_age` there is nothing for [`Self::gc`] to scan for.
     oldest: SimTime,
@@ -113,9 +115,30 @@ impl MessageCache {
         self.keys.binary_search_by(|k| order(k).cmp(&want))
     }
 
-    /// Where the story `key` sits in the slug index (`Ok`), or would.
-    fn slug_slot(&self, key: u64) -> Result<usize, usize> {
-        self.latest_by_slug.binary_search_by_key(&key, |&(k, _)| k)
+    /// `publisher`'s slug index; empty when none of its stories is cached.
+    fn stories(&self, publisher: PublisherId) -> &[(u64, u64)] {
+        match self.latest_by_slug.binary_search_by_key(&publisher, |&(p, _)| p) {
+            Ok(at) => &self.latest_by_slug[at].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// `publisher`'s slug index, made when it has none.
+    fn stories_mut(&mut self, publisher: PublisherId) -> &mut Vec<(u64, u64)> {
+        let at = match self.latest_by_slug.binary_search_by_key(&publisher, |&(p, _)| p) {
+            Ok(at) => at,
+            Err(at) => {
+                self.latest_by_slug.insert(at, (publisher, Vec::new()));
+                at
+            }
+        };
+        &mut self.latest_by_slug[at].1
+    }
+
+    /// Where the story `key` sits in `publisher`'s slug index (`Ok`), or
+    /// would.
+    fn slug_slot(&self, publisher: PublisherId, key: u64) -> Result<usize, usize> {
+        self.stories(publisher).binary_search_by_key(&key, |&(k, _)| k)
     }
 
     /// Whether `id` is currently cached.
@@ -136,16 +159,16 @@ impl MessageCache {
     /// The latest cached revision of `publisher`'s story `slug`, if any
     /// (the delta-encoding baseline lookup).
     pub fn latest_for_slug(&self, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
-        let slot = self.slug_slot(slug_key(publisher, slug)).ok()?;
+        let slot = self.slug_slot(publisher, slug_key(publisher, slug)).ok()?;
         self.latest_at(slot, publisher, slug)
     }
 
-    /// [`Self::latest_for_slug`] with the story's slot in the slug index
-    /// already in hand.
+    /// [`Self::latest_for_slug`] with the story's slot in the publisher's
+    /// slug index already in hand.
     fn latest_at(&self, slot: usize, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
-        let item = self.get(self.latest_by_slug[slot].1)?;
+        let item = self.get(ItemId::new(publisher, self.stories(publisher)[slot].1))?;
         // A colliding key is a different story, not an earlier telling.
-        (item.id.publisher == publisher && item.slug == slug).then_some(&**item)
+        (item.slug == slug).then_some(&**item)
     }
 
     /// Baseline hints for the revisions of `publisher`'s stories this cache
@@ -153,10 +176,9 @@ impl MessageCache {
     /// delta-encode its reply. Sorted by key (the slug index's own order)
     /// and capped at `cap` so the request stays small.
     pub fn baselines(&self, publisher: PublisherId, cap: usize) -> Vec<amcast::BaselineHint> {
-        self.latest_by_slug
+        self.stories(publisher)
             .iter()
-            .filter_map(|&(key, id)| self.get(id).map(|item| (key, item)))
-            .filter(|(_, item)| item.id.publisher == publisher)
+            .filter_map(|&(key, seq)| self.get(ItemId::new(publisher, seq)).map(|item| (key, item)))
             .map(|(key, item)| amcast::BaselineHint {
                 key,
                 revision: item.revision,
@@ -191,9 +213,9 @@ impl MessageCache {
             _ => self.keys.len(),
         };
         let mut outcome = CacheOutcome::Stored;
-        let key = slug_key(item.id.publisher, &item.slug);
-        let slot = self.slug_slot(key);
-        let prev = slot.ok().and_then(|s| self.latest_at(s, item.id.publisher, &item.slug));
+        let (publisher, key) = (item.id.publisher, slug_key(item.id.publisher, &item.slug));
+        let slot = self.slug_slot(publisher, key);
+        let prev = slot.ok().and_then(|s| self.latest_at(s, publisher, &item.slug));
         if let Some((prev_id, prev_revision)) = prev.map(|p| (p.id, p.revision)) {
             if prev_revision >= item.revision {
                 // We already hold a newer (or equal) telling of this
@@ -207,9 +229,10 @@ impl MessageCache {
             at -= usize::from(gone < at);
             outcome = CacheOutcome::Fused;
         }
+        let stories = self.stories_mut(publisher);
         match slot {
-            Ok(s) => self.latest_by_slug[s].1 = item.id,
-            Err(s) => self.latest_by_slug.insert(s, (key, item.id)),
+            Ok(s) => stories[s].1 = item.id.seq,
+            Err(s) => stories.insert(s, (key, item.id.seq)),
         }
         self.keys.insert(at, item.id);
         self.entries.insert(at, (item, now, proof));
@@ -228,9 +251,10 @@ impl MessageCache {
     fn remove_at(&mut self, at: usize) {
         let id = self.keys.remove(at);
         let (item, ..) = self.entries.remove(at);
-        if let Ok(s) = self.slug_slot(slug_key(item.id.publisher, &item.slug)) {
-            if self.latest_by_slug[s].1 == id {
-                self.latest_by_slug.remove(s);
+        if let Ok(s) = self.slug_slot(id.publisher, slug_key(id.publisher, &item.slug)) {
+            let stories = self.stories_mut(id.publisher);
+            if stories[s].1 == id.seq {
+                stories.remove(s);
             }
         }
     }
@@ -290,6 +314,21 @@ impl MessageCache {
             self.entries.iter().map(|(item, at, _)| (at, item)).collect();
         all.sort_by_key(|(at, _)| std::cmp::Reverse(**at));
         all.into_iter().take(limit).map(|(_, item)| Arc::clone(item)).collect()
+    }
+
+    /// Heap bytes the entries and the slug index have allocated, capacity
+    /// included: `(entries, slug index)`.
+    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
+        use std::mem::size_of;
+        let entries = self.keys.capacity() * size_of::<ItemId>()
+            + self.entries.capacity() * size_of::<(Arc<NewsItem>, SimTime, Proof)>();
+        let slugs = self.latest_by_slug.capacity() * size_of::<(PublisherId, Vec<(u64, u64)>)>()
+            + self
+                .latest_by_slug
+                .iter()
+                .map(|(_, s)| s.capacity() * size_of::<(u64, u64)>())
+                .sum::<usize>();
+        (entries, slugs)
     }
 
     /// Iterates over cached items, in id order.

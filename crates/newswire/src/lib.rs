@@ -51,6 +51,7 @@ mod agents;
 mod auth;
 mod cache;
 mod config;
+mod deliveries;
 mod deploy;
 mod flow;
 mod node;
@@ -67,9 +68,10 @@ pub use auth::{
 };
 pub use cache::{CacheOutcome, CachePolicy, MessageCache};
 pub use config::{NewsWireConfig, SubscriptionModel};
+pub use deliveries::{DeliveryIter, DeliveryLog, DeliveryRecord};
 pub use deploy::{tech_news_deployment, Deployment, DeploymentBuilder, PublisherSpec};
 pub use flow::TokenBucket;
-pub use node::{DeliveryRecord, LogEntry, NewsWireNode, PublisherState};
+pub use node::{Footprint, LogEntry, NewsWireNode, PublisherState};
 pub use oracle::{
     check_invariants, collusion_breaking_point, self_stabilized, OracleReport, StabilizationReport,
     Violation,

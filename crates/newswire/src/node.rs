@@ -35,6 +35,7 @@ use simnet::{
 use crate::auth::{EpochAttest, PublisherCredential};
 use crate::cache::{CacheOutcome, MessageCache};
 use crate::config::{NewsWireConfig, SubscriptionModel};
+use crate::deliveries::{DeliveryLog, DeliveryRecord};
 use crate::flow::TokenBucket;
 use crate::persist;
 use crate::subscription::{item_position_groups, Subscription};
@@ -42,6 +43,9 @@ use crate::wire::{msg_id_of, DeltaBasis, Envelope, LogDigests, NewsWireMsg, Sign
 
 mod admit;
 mod adversary;
+mod footprint;
+
+pub use footprint::Footprint;
 
 use admit::{Admitted, Source, Trust};
 
@@ -54,21 +58,6 @@ pub struct PublisherState {
     default_scope: ZoneId,
     /// Items refused by flow control.
     pub rate_limited: u64,
-}
-
-/// One successful delivery to the local application.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeliveryRecord {
-    /// The delivered item (its dissemination id is `msg_id_of(item)`).
-    pub item: ItemId,
-    /// Publisher issue time.
-    pub published: SimTime,
-    /// Local delivery time.
-    pub delivered: SimTime,
-    /// True when the item arrived out of a peer's cache — a reconcile
-    /// reply — rather than down the multicast tree (a re-sent `Deliver`
-    /// included).
-    pub via_repair: bool,
 }
 
 /// What an article log records about a seq it has seen — what the node can
@@ -557,6 +546,7 @@ impl Acks {
 
     fn clear(&mut self) {
         self.entries.clear();
+        self.armed = 0;
         self.sweeps.clear();
         self.rtt.fill(RttPeak::default());
         self.timeouts.clear();
@@ -628,7 +618,7 @@ pub struct NewsWireNode {
     /// its successor; it is not this one and does nothing.
     drain_timer: Option<TimerId>,
     /// Application deliveries in order.
-    pub deliveries: Vec<DeliveryRecord>,
+    pub deliveries: DeliveryLog,
     /// Constant added to the advertised forwarding load. Publisher nodes
     /// set this high so representative election routes around them —
     /// the paper's publishers input items but should not also carry the
@@ -718,7 +708,7 @@ impl NewsWireNode {
             coverage: CoverageWindow::new(8192),
             queues: ForwardingQueues::new(FORWARD_STRATEGY),
             drain_timer: None,
-            deliveries: Vec::new(),
+            deliveries: DeliveryLog::default(),
             load_bias: 0.0,
             acks,
             held_announces: VecDeque::new(),
@@ -3240,7 +3230,7 @@ mod tests {
         let mut n = node_with(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
         n.handle_delivery(SimTime::from_secs(2), Admitted::unverified(tech_item(3)), true);
-        assert!(n.deliveries[0].via_repair);
+        assert!(n.deliveries.get(0).is_some_and(|d| d.via_repair));
     }
 
     #[test]
@@ -3506,6 +3496,32 @@ mod tests {
         let mut candidates = vec![1, 2];
         n.prefer_unsuspected(&mut candidates);
         assert_eq!(candidates, vec![1, 2], "recovered peer selectable as failover target");
+    }
+
+    /// A snapshot from the layout that kept one `DeliveryRecord` struct per
+    /// delivery, taken after these same four deliveries (one by repair):
+    /// the node writes it byte for byte, and it decodes and re-encodes
+    /// unchanged.
+    #[test]
+    fn a_snapshot_keeps_the_bytes_the_record_per_delivery_layout_wrote() {
+        let written = concat!(
+            "8:nwstate21:11:07:0:0:5:47:0-1,3-41:41:01:01:01:-2:t02:t01:21:01:51:01:0",
+            "1:01:01:01:01:11:01:-2:t12:t11:21:01:51:01:01:01:01:01:01:31:01:-2:t32:t",
+            "31:21:01:51:01:01:01:01:01:01:41:01:-2:t42:t41:21:01:51:01:01:01:01:01:4",
+            "1:01:019:76254471673761586051:07:10000001:01:01:119:53931317604085691961",
+            ":07:10012341:01:01:420:171429296132153525851:07:10049361:11:01:319:98577",
+            "625743437480141:07:10037021:0",
+        );
+        let mut n = node_with(NewsWireConfig::tech_news());
+        n.set_subscription(tech_sub());
+        for (seq, repair) in [(0, false), (1, false), (4, true), (3, false)] {
+            let now = SimTime::from_micros(1_000_000 + 1_234 * seq);
+            n.handle_delivery(now, Admitted::unverified(tech_item(seq)), repair);
+        }
+        let bytes = crate::persist::encode_state(&n.durable_state());
+        assert_eq!(std::str::from_utf8(&bytes), Ok(written));
+        let decoded = crate::persist::decode_state(written.as_bytes()).expect("decodes");
+        assert_eq!(crate::persist::encode_state(&decoded), written.as_bytes());
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn publish(d: &mut Deployment, at_ms: u64, item: &NewsItem, lose: bool) {
     d.publish(ms(at_ms), item.clone());
 }
 
-fn delivery<'a>(d: &'a Deployment, item: &NewsItem) -> Vec<&'a DeliveryRecord> {
+fn delivery(d: &Deployment, item: &NewsItem) -> Vec<DeliveryRecord> {
     d.sim.node(MEMBER).deliveries.iter().filter(|r| r.item == item.id).collect()
 }
 
@@ -735,7 +735,7 @@ fn a_drain_timer_armed_before_a_freeze_starts_no_second_drain() {
     assert_eq!(count(&d, PUBLISHER, ctr::NW_FORWARDS) - sent, 4, "one drain, not two");
 }
 
-fn delivery_at<'a>(d: &'a Deployment, node: NodeId, item: &NewsItem) -> Vec<&'a DeliveryRecord> {
+fn delivery_at(d: &Deployment, node: NodeId, item: &NewsItem) -> Vec<DeliveryRecord> {
     d.sim.node(node).deliveries.iter().filter(|r| r.item == item.id).collect()
 }
 

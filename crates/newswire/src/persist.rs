@@ -16,7 +16,7 @@ use astrolabe::{KeyId, Signature};
 use newsml::{Category, ItemId, NewsItem, PublisherId, Subject, Urgency};
 use simnet::SimTime;
 
-use crate::node::DeliveryRecord;
+use crate::deliveries::{DeliveryLog, DeliveryRecord};
 use crate::wire::msg_id_of;
 use crate::Subscription;
 
@@ -242,7 +242,7 @@ pub(crate) struct NodeState {
     /// each article anew (a disk restore is the other place, besides a
     /// publish, where an article is born).
     pub(crate) items: Vec<(Arc<NewsItem>, KeyId, Signature)>,
-    pub(crate) deliveries: Vec<DeliveryRecord>,
+    pub(crate) deliveries: DeliveryLog,
     /// Adopted trust-root rotation records (encoded), persisted so a
     /// durable cold restart re-arms the revocation fence *before* it
     /// re-admits cached items — otherwise a reboot would resurrect items
@@ -332,12 +332,11 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Option<NodeState> {
             "0" => false,
             _ => return None,
         };
-        state.deliveries.push(DeliveryRecord {
-            item: ItemId::new(publisher, seq),
-            published,
-            delivered,
-            via_repair,
-        });
+        let rec =
+            DeliveryRecord { item: ItemId::new(publisher, seq), published, delivered, via_repair };
+        if !state.deliveries.try_push(rec) {
+            return None;
+        }
     }
     // Optional trailing rotation section; absent in pre-rotation blobs.
     if let Some(tag) = r.next() {
@@ -442,21 +441,22 @@ mod tests {
     #[test]
     fn state_roundtrip_preserves_items_logs_and_deliveries() {
         let item = rich_item();
-        let state = NodeState {
+        let mut state = NodeState {
             logs: vec![LogState {
                 publisher: PublisherId(3),
                 coverage: "1:2:20:15".to_owned(),
                 present: vec![(2, 9), (12, 19)],
             }],
             items: vec![(Arc::new(item.clone()), KeyId(11), Signature(22))],
-            deliveries: vec![DeliveryRecord {
-                item: item.id,
-                published: SimTime::from_micros(95_000_000),
-                delivered: SimTime::from_micros(95_420_000),
-                via_repair: true,
-            }],
+            deliveries: DeliveryLog::default(),
             rotations: vec!["rot1|publisher:3|fake|record".to_owned()],
         };
+        state.deliveries.push(DeliveryRecord {
+            item: item.id,
+            published: SimTime::from_micros(95_000_000),
+            delivered: SimTime::from_micros(95_420_000),
+            via_repair: true,
+        });
         let decoded = decode_state(&encode_state(&state)).unwrap();
         assert_eq!(decoded, state);
         assert_eq!(*decoded.items[0].0, item, "full NewsItem fidelity incl. meta/supersedes");
@@ -472,6 +472,25 @@ mod tests {
         assert!(decode_state(b"8:garbage!").is_none());
         assert!(decode_incarnation(b"not a number").is_none());
         assert_eq!(decode_incarnation(b"41"), Some(41));
+    }
+
+    #[test]
+    fn a_delivery_time_past_the_repair_flag_decodes_to_none() {
+        let blob = |delivered: u64| {
+            let mut w = TokenWriter::new();
+            w.push("nwstate2");
+            for tok in [0, 0, 1, 3, 17, 0, 95_000_000, delivered] {
+                w.push_u64(tok);
+            }
+            w.push("1");
+            w.finish()
+        };
+        let last = decode_state(blob((1 << 63) - 1).as_bytes()).expect("the latest time fits");
+        assert_eq!(
+            last.deliveries.get(0).map(|d| (d.delivered.as_micros(), d.via_repair)),
+            Some(((1 << 63) - 1, true))
+        );
+        assert!(decode_state(blob(1 << 63).as_bytes()).is_none());
     }
 
     #[test]
