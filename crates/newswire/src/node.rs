@@ -597,6 +597,18 @@ impl RttPeak {
     }
 }
 
+/// A copy waiting in the forwarding queues. The message is built when the
+/// copy is sent: a queued `NewsWireMsg` would be as large as its largest
+/// variant, `PublishRequest`.
+#[derive(Debug)]
+enum Hop {
+    /// A hand-off to a representative of `zone`.
+    Forward { env: Arc<Envelope>, zone: ZoneId },
+    /// A delivery to a member. An announce names the node that handed the
+    /// duty in; `None` sends the payload.
+    Deliver { env: Arc<Envelope>, announce: Option<u32> },
+}
+
 /// A full NewsWire node.
 #[derive(Debug)]
 pub struct NewsWireNode {
@@ -610,9 +622,8 @@ pub struct NewsWireNode {
     /// The end-system message cache.
     pub cache: MessageCache,
     coverage: CoverageWindow,
-    /// Copies waiting for the wire: the destination, the message and, for
-    /// an announce, the node that handed the duty in.
-    queues: ForwardingQueues<(NodeId, NewsWireMsg, Option<u32>)>,
+    /// Copies waiting for the wire, each with its destination.
+    queues: ForwardingQueues<(NodeId, Hop)>,
     /// The one drain timer that sends the next queued copy, while any wait.
     /// A drain timer armed before a freeze may fire after the recovery armed
     /// its successor; it is not this one and does nothing.
@@ -1311,23 +1322,14 @@ impl NewsWireNode {
         }
     }
 
-    /// Queues `msg` for `dst`; an announce names `upstream`, the node that
-    /// handed the duty in.
-    fn enqueue(
-        &mut self,
-        ctx: &mut Context<'_, NewsWireMsg>,
-        dst: NodeId,
-        msg: NewsWireMsg,
-        upstream: Option<u32>,
-    ) {
-        let (child, priority) = match &msg {
-            NewsWireMsg::Forward { zone, env } => {
-                (zone.label().unwrap_or(0), env.item.urgency.level())
-            }
-            NewsWireMsg::Deliver { env, .. } => ((dst.0 % 64) as u16, env.item.urgency.level()),
-            _ => (0, 5),
+    /// Queues `hop` for `dst`.
+    fn enqueue(&mut self, ctx: &mut Context<'_, NewsWireMsg>, dst: NodeId, hop: Hop) {
+        let (child, env) = match &hop {
+            Hop::Forward { env, zone } => (zone.label().unwrap_or(0), env),
+            Hop::Deliver { env, .. } => ((dst.0 % 64) as u16, env),
         };
-        self.queues.push(child, ctx.now().as_micros(), priority, (dst, msg, upstream));
+        let priority = env.item.urgency.level();
+        self.queues.push(child, ctx.now().as_micros(), priority, (dst, hop));
         obs::gauge_max!(self.agent.id(), gauge::NW_PEAK_QUEUE, self.queues.len());
         if self.drain_timer.is_none() {
             self.arm_drain(ctx);
@@ -1400,14 +1402,13 @@ impl NewsWireNode {
                 }
                 Action::Deliver { member } => {
                     handed_on = true;
-                    let split = upstream.filter(|_| self.announces_to(member));
-                    let deliver =
-                        NewsWireMsg::Deliver { env: Arc::clone(&env), announce: split.is_some() };
-                    self.enqueue(ctx, NodeId(member), deliver, split);
+                    let announce = upstream.filter(|_| self.announces_to(member));
+                    let deliver = Hop::Deliver { env: Arc::clone(&env), announce };
+                    self.enqueue(ctx, NodeId(member), deliver);
                 }
                 Action::Forward { rep, zone } => {
-                    let fwd = NewsWireMsg::Forward { env: Arc::clone(&env), zone };
-                    self.enqueue(ctx, NodeId(rep), fwd, None);
+                    let fwd = Hop::Forward { env: Arc::clone(&env), zone };
+                    self.enqueue(ctx, NodeId(rep), fwd);
                 }
             }
         }
@@ -2731,34 +2732,41 @@ impl Node for NewsWireNode {
             DRAIN_TIMER => {
                 let Some(_) = self.drain_timer.take_if(|armed| *armed == t) else { return };
                 if let Some(q) = self.queues.pop() {
-                    let (dst, mut msg, upstream) = q.item;
+                    let (dst, hop) = q.item;
                     // Tree hops become *acknowledged* at the moment they
                     // hit the wire: the copy enters the acknowledgement
                     // table, whose sweep drives retry, backoff and failover.
-                    match &msg {
-                        NewsWireMsg::Forward { env, zone } if self.cfg.acks => {
-                            obs::trace_event!(
-                                self.agent.id(),
-                                Layer::News,
-                                kind::HANDOFF_ARM,
-                                env.msg_id,
-                                dst.0
-                            );
-                            self.arm_ack(ctx, dst.0, Arc::clone(env), Some(zone.clone()), None);
-                        }
-                        NewsWireMsg::Deliver { env, announce } if self.cfg.acks => {
-                            let (env, announce) = (Arc::clone(env), *announce);
-                            let armed = self.arm_ack(ctx, dst.0, Arc::clone(&env), None, upstream);
-                            if announce && !armed {
-                                // An announce nothing awaits would leave the
-                                // member without this node's payload.
-                                msg = NewsWireMsg::Deliver { env, announce: false };
-                            } else if announce {
-                                obs::metric_add!(self.agent.id(), ctr::NW_ANNOUNCES, 1);
+                    let msg = match hop {
+                        Hop::Forward { env, zone } => {
+                            if self.cfg.acks {
+                                obs::trace_event!(
+                                    self.agent.id(),
+                                    Layer::News,
+                                    kind::HANDOFF_ARM,
+                                    env.msg_id,
+                                    dst.0
+                                );
+                                let (copy, covers) = (Arc::clone(&env), Some(zone.clone()));
+                                self.arm_ack(ctx, dst.0, copy, covers, None);
                             }
+                            NewsWireMsg::Forward { env, zone }
                         }
-                        _ => {}
-                    }
+                        Hop::Deliver { env, announce: upstream } => {
+                            let mut announce = upstream.is_some();
+                            if self.cfg.acks {
+                                let armed =
+                                    self.arm_ack(ctx, dst.0, Arc::clone(&env), None, upstream);
+                                if announce && !armed {
+                                    // An announce nothing awaits would leave
+                                    // the member without this node's payload.
+                                    announce = false;
+                                } else if announce {
+                                    obs::metric_add!(self.agent.id(), ctr::NW_ANNOUNCES, 1);
+                                }
+                            }
+                            NewsWireMsg::Deliver { env, announce }
+                        }
+                    };
                     let copies = self.source_copies(&msg);
                     for _ in 1..copies {
                         ctx.send(dst, msg.clone());

@@ -135,4 +135,14 @@ mod tests {
             assert!(off <= 0.1, "{name}: footprint {reported} B, the allocator freed {freed} B");
         }
     }
+
+    /// A queued copy is a hop — an envelope handle with a zone or an
+    /// upstream id — not a `NewsWireMsg`, whose `PublishRequest` made each
+    /// slot 256 bytes.
+    #[test]
+    fn a_queued_copy_is_at_most_64_bytes() {
+        let slot = std::mem::size_of::<amcast::Queued<(NodeId, super::super::Hop)>>();
+        assert!(slot <= 64, "{slot} B a queued copy");
+        assert!(std::mem::size_of::<crate::NewsWireMsg>() > 4 * slot);
+    }
 }

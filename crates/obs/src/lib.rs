@@ -5,11 +5,13 @@
 //! crate provides the three pieces the whole stack shares:
 //!
 //! 1. **Sim-time structured tracing** ([`trace_event!`]): plain in-memory
-//!    [`TraceEvent`] records (32 bytes each) pushed into a
-//!    per-[`TelemetryHub`] ring buffer ([`TraceRing`], drop-oldest on
-//!    overflow). Records carry the simulated timestamp, node, layer, kind
-//!    and two 64-bit operands; correlated kinds (publish→deliver, hand-off
-//!    arm→ack) share their `a` operand.
+//!    [`TraceEvent`] records pushed into a per-[`TelemetryHub`] ring buffer
+//!    ([`TraceRing`], drop-oldest on overflow). Records carry the simulated
+//!    timestamp, node, layer, kind and two 64-bit operands; correlated kinds
+//!    (publish→deliver, hand-off arm→ack) share their `a` operand. A record
+//!    is 32 bytes unpacked; the ring packs it into 10 bytes when its fields
+//!    are small (30 when not), so a full default ring of engine records
+//!    holds about 0.68 MB, not 2 MiB.
 //! 2. **A per-node metrics registry** ([`MetricSet`], indexed by the slot
 //!    constants in [`ctr`], [`gauge`], [`hist`] and [`series`], whose static
 //!    `NAMES` tables name them in exports): typed

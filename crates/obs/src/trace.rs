@@ -1,5 +1,11 @@
 //! Sim-time trace records and the bounded ring that stores them.
 
+use std::collections::VecDeque;
+use std::fmt;
+
+#[cfg(test)]
+pub(crate) mod model;
+
 /// Which layer of the stack emitted a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
@@ -211,7 +217,8 @@ pub mod kind {
 }
 
 /// One trace record: a plain in-memory struct (32 bytes, no heap), exported
-/// by name through [`Telemetry`](crate::Telemetry)'s JSON and CSV.
+/// by name through [`Telemetry`](crate::Telemetry)'s JSON and CSV. The ring
+/// keeps it packed and rebuilds it on the way out ([`TraceRing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated timestamp, µs since simulation start.
@@ -233,22 +240,158 @@ impl TraceEvent {
     pub const GLOBAL: u32 = u32::MAX;
 }
 
+/// Bytes in one block of packed records.
+const BLOCK: usize = 4096;
+/// Bytes of a short record: one 80-bit little-endian word holding, from
+/// the least significant bit, a 0 (the form), the layer (2 bits), the kind
+/// (8), the node (`NODE_BITS`), the time since the block's previous record
+/// (`DT_BITS`), `a` (`A_BITS`) and `b` (`B_BITS`).
+const SHORT: usize = 10;
+/// Bytes of a long record: a byte holding a 1 (the form) and the layer,
+/// the kind, then the node (4 bytes), the absolute time, `a` and `b`
+/// (8 bytes each), all little-endian. Any record fits it.
+const LONG: usize = 30;
+const NODE_BITS: u32 = 16;
+const DT_BITS: u32 = 13;
+const A_BITS: u32 = 20;
+const B_BITS: u32 = 20;
+const NODE_AT: u32 = 11;
+const DT_AT: u32 = NODE_AT + NODE_BITS;
+const A_AT: u32 = DT_AT + DT_BITS;
+const B_AT: u32 = A_AT + A_BITS;
+const _: () = assert!(B_AT < 64 && B_AT + B_BITS == 8 * SHORT as u32);
+
+impl Layer {
+    fn from_bits(bits: u8) -> Layer {
+        match bits & 3 {
+            0 => Layer::Sim,
+            1 => Layer::Astro,
+            2 => Layer::Amcast,
+            _ => Layer::News,
+        }
+    }
+}
+
+/// Writes `ev`, `dt` µs after the block's previous record (modulo 2^64),
+/// at the start of `out`; returns the bytes written. A backward step is a
+/// difference far past `DT_BITS`, so it takes the long form.
+#[inline]
+fn encode(out: &mut [u8; LONG], ev: &TraceEvent, dt: u64) -> usize {
+    let small =
+        (u64::from(ev.node) >> NODE_BITS) | (dt >> DT_BITS) | (ev.a >> A_BITS) | (ev.b >> B_BITS);
+    if small == 0 {
+        // The word's low 64 bits, then its top 16 (the top of `b`).
+        let low = (ev.layer as u64) << 1
+            | u64::from(ev.kind) << 3
+            | u64::from(ev.node) << NODE_AT
+            | dt << DT_AT
+            | ev.a << A_AT
+            | ev.b << B_AT;
+        out[..8].copy_from_slice(&low.to_le_bytes());
+        out[8..SHORT].copy_from_slice(&((ev.b >> (64 - B_AT)) as u16).to_le_bytes());
+        SHORT
+    } else {
+        out[0] = 1 | (ev.layer as u8) << 1;
+        out[1] = ev.kind;
+        out[2..6].copy_from_slice(&ev.node.to_le_bytes());
+        out[6..14].copy_from_slice(&ev.t_us.to_le_bytes());
+        out[14..22].copy_from_slice(&ev.a.to_le_bytes());
+        out[22..30].copy_from_slice(&ev.b.to_le_bytes());
+        LONG
+    }
+}
+
+/// Reads the record at the start of `bytes`, whose predecessor in the block
+/// was stamped `*t`; advances `*t` to its time and returns it with the
+/// bytes it took.
+fn decode(bytes: &[u8], t: &mut u64) -> (TraceEvent, usize) {
+    let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
+    if bytes[0] & 1 == 0 {
+        let mut word = [0; 16];
+        word[..SHORT].copy_from_slice(&bytes[..SHORT]);
+        let word = u128::from_le_bytes(word);
+        let field = |at: u32, bits: u32| (word >> at) as u64 & ((1 << bits) - 1);
+        *t = t.wrapping_add(field(DT_AT, DT_BITS));
+        let ev = TraceEvent {
+            t_us: *t,
+            a: field(A_AT, A_BITS),
+            b: field(B_AT, B_BITS),
+            node: field(NODE_AT, NODE_BITS) as u32,
+            layer: Layer::from_bits(field(1, 2) as u8),
+            kind: field(3, 8) as u8,
+        };
+        (ev, SHORT)
+    } else {
+        *t = u64_at(6);
+        let ev = TraceEvent {
+            t_us: *t,
+            a: u64_at(14),
+            b: u64_at(22),
+            node: u32::from_le_bytes(bytes[2..6].try_into().expect("4 bytes")),
+            layer: Layer::from_bits(bytes[0] >> 1),
+            kind: bytes[1],
+        };
+        (ev, LONG)
+    }
+}
+
+/// A block of packed records, oldest first.
+#[derive(Clone)]
+struct Block {
+    /// `BLOCK` bytes, or none before the ring's first record.
+    bytes: Box<[u8]>,
+    /// Bytes written.
+    used: usize,
+    /// Records written.
+    count: usize,
+    /// Time of the first record, the base of the block's first delta.
+    t0: u64,
+}
+
+impl Block {
+    /// A tail with no buffer, so no room: the first push opens a block.
+    fn empty() -> Block {
+        Block { bytes: Box::default(), used: 0, count: 0, t0: 0 }
+    }
+}
+
 /// A bounded ring of trace records with a **drop-oldest** overflow policy.
 ///
 /// Long runs emit far more records than anyone wants to keep; the ring keeps
 /// the most recent `capacity` and counts what it discarded, so exports can
 /// report exactly how much history was shed.
-#[derive(Debug, Clone)]
+///
+/// Records are stored packed in 4 KiB blocks: 10 bytes when the node fits
+/// 16 bits, `a` and `b` 20 bits each and the time is less than 8.192 ms
+/// after the block's previous record, and 30 bytes otherwise (any `u64`
+/// operand, [`TraceEvent::GLOBAL`], a backward timestamp). Each time the
+/// block being written fills, the oldest blocks whose records were all
+/// shed are freed, so a push never decodes and never frees, and a ring
+/// that keeps shedding reuses one buffer.
+#[derive(Clone)]
 pub struct TraceRing {
-    buf: Vec<TraceEvent>,
+    /// Blocks written full, oldest first.
+    full: VecDeque<Block>,
+    /// The block being written, after every full one.
+    tail: Block,
+    /// The last freed block's buffer, for the next block to open: a ring
+    /// allocates nothing once it is full.
+    spare: Option<Box<[u8]>>,
+    /// Records already shed at the front of the blocks (the full ones,
+    /// then the tail). Blocks are freed only as the tail fills, so this
+    /// may span more than one.
+    skip: usize,
+    /// Time of the newest record, the base of the next delta.
+    last_t: u64,
+    len: usize,
     capacity: usize,
-    /// Index of the oldest record once the ring has wrapped.
-    head: usize,
     dropped: u64,
 }
 
 /// Default ring capacity (records), chosen so a full chaos-day run keeps its
-/// recent history while the ring stays ~2 MiB.
+/// recent history. Packed, a full ring of engine records holds about
+/// 0.68 MB (10.3 B a record), and one of long records 1.99 MB, against the
+/// 2 MiB of 32-byte records an unpacked ring held.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 impl Default for TraceRing {
@@ -257,10 +400,30 @@ impl Default for TraceRing {
     }
 }
 
+impl fmt::Debug for TraceRing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceRing")
+            .field("len", &self.len)
+            .field("capacity", &self.capacity)
+            .field("dropped", &self.dropped)
+            .field("full_blocks", &self.full.len())
+            .finish_non_exhaustive()
+    }
+}
+
 impl TraceRing {
     /// A ring holding at most `capacity` records (min 1).
     pub fn new(capacity: usize) -> Self {
-        TraceRing { buf: Vec::new(), capacity: capacity.max(1), head: 0, dropped: 0 }
+        TraceRing {
+            full: VecDeque::new(),
+            tail: Block::empty(),
+            spare: None,
+            skip: 0,
+            last_t: 0,
+            len: 0,
+            capacity: capacity.max(1),
+            dropped: 0,
+        }
     }
 
     /// Maximum records retained.
@@ -270,12 +433,12 @@ impl TraceRing {
 
     /// Records currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// True when no records are held.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// Records discarded by the drop-oldest policy so far.
@@ -283,26 +446,78 @@ impl TraceRing {
         self.dropped
     }
 
+    /// The heap bytes the ring holds: its blocks, the spare one and the
+    /// block table.
+    pub fn heap_bytes(&self) -> usize {
+        let spare = self.spare.as_ref().map_or(0, |b| b.len());
+        self.full.len() * BLOCK
+            + self.tail.bytes.len()
+            + spare
+            + self.full.capacity() * std::mem::size_of::<Block>()
+    }
+
     /// Pushes a record, evicting the oldest when full.
     #[inline]
     pub fn push(&mut self, ev: TraceEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(ev);
+        if self.tail.bytes.len() - self.tail.used < LONG {
+            self.roll(ev.t_us);
+        }
+        let dt = ev.t_us.wrapping_sub(self.last_t);
+        self.last_t = ev.t_us;
+        let tail = &mut self.tail;
+        let out = (&mut tail.bytes[tail.used..tail.used + LONG]).try_into().expect("LONG bytes");
+        tail.used += encode(out, &ev, dt);
+        tail.count += 1;
+        if self.len < self.capacity {
+            self.len += 1;
         } else {
-            self.buf[self.head] = ev;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
             self.dropped += 1;
+            self.skip += 1;
+        }
+    }
+
+    /// Files the tail with the full blocks, frees the ones that hold only
+    /// shed records, and opens a new tail at `t0`.
+    #[cold]
+    fn roll(&mut self, t0: u64) {
+        let done = std::mem::replace(&mut self.tail, Block::empty());
+        if done.count > 0 {
+            self.full.push_back(done);
+        }
+        self.shed_blocks();
+        let bytes = self.spare.take().unwrap_or_else(|| vec![0; BLOCK].into_boxed_slice());
+        self.tail = Block { bytes, used: 0, count: 0, t0 };
+        self.last_t = t0;
+    }
+
+    /// Frees the oldest full blocks while every record in them was shed,
+    /// keeping the last buffer freed as the spare. The newest record is
+    /// never shed, so the tail never is either.
+    fn shed_blocks(&mut self) {
+        while self.full.front().is_some_and(|b| b.count <= self.skip) {
+            let block = self.full.pop_front().expect("a front block");
+            self.skip -= block.count;
+            self.spare = Some(block.bytes);
         }
     }
 
     /// The retained records, oldest first.
     pub fn ordered(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
+        let mut out = Vec::with_capacity(self.len);
+        let mut skip = self.skip;
+        for block in self.full.iter().chain([&self.tail]) {
+            let (mut at, mut t) = (0, block.t0);
+            while at < block.used {
+                let (ev, n) = decode(&block.bytes[at..], &mut t);
+                at += n;
+                if skip > 0 {
+                    skip -= 1;
+                } else {
+                    out.push(ev);
+                }
+            }
+        }
+        debug_assert_eq!(out.len(), self.len);
         out
     }
 
@@ -310,8 +525,10 @@ impl TraceRing {
     /// were held, oldest first.
     pub fn drain(&mut self) -> Vec<TraceEvent> {
         let out = self.ordered();
-        self.buf.clear();
-        self.head = 0;
+        self.full.clear();
+        self.tail = Block::empty();
+        self.skip = 0;
+        self.len = 0;
         self.dropped = 0;
         out
     }
@@ -319,21 +536,20 @@ impl TraceRing {
     /// Changes the capacity. Existing records beyond the new capacity are
     /// discarded oldest-first (counted as dropped).
     pub fn set_capacity(&mut self, capacity: usize) {
-        let capacity = capacity.max(1);
-        let mut ordered = self.ordered();
-        if ordered.len() > capacity {
-            let shed = ordered.len() - capacity;
-            ordered.drain(..shed);
+        self.capacity = capacity.max(1);
+        if self.len > self.capacity {
+            let shed = self.len - self.capacity;
+            self.len = self.capacity;
             self.dropped += shed as u64;
+            self.skip += shed;
+            self.shed_blocks();
         }
-        self.buf = ordered;
-        self.head = 0;
-        self.capacity = capacity;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::model::VecRing;
     use super::*;
 
     fn ev(t: u64) -> TraceEvent {
@@ -350,7 +566,11 @@ mod tests {
         assert_eq!(r.dropped(), 3, "three oldest records shed");
         let kept: Vec<u64> = r.ordered().iter().map(|e| e.t_us).collect();
         assert_eq!(kept, vec![3, 4, 5, 6], "survivors are the newest, oldest first");
-        assert_eq!(std::mem::size_of::<TraceEvent>(), 32, "a full default ring is 2 MiB");
+        assert_eq!(
+            std::mem::size_of::<TraceEvent>(),
+            32,
+            "a record is 32 bytes unpacked; the ring stores it in 10 or 30"
+        );
     }
 
     #[test]
@@ -377,6 +597,140 @@ mod tests {
         assert_eq!(r.dropped(), 3);
         r.push(ev(6));
         assert_eq!(r.len(), 3);
+    }
+
+    /// A seeded splitmix64 stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A value of a field `bits` wide in the short form: mostly small, and
+    /// otherwise at either side of the field's edge or anywhere in `u64`.
+    fn operand(rng: &mut Rng, bits: u32) -> u64 {
+        match rng.below(16) {
+            0 => rng.next(),
+            1 => u64::MAX,
+            2 => (1 << bits) - 1,
+            3 => 1 << bits,
+            _ => rng.below(1 << 12),
+        }
+    }
+
+    /// The next record of a random stream whose clock stands at `t`: any
+    /// node (`GLOBAL` included), layer and kind, operands across `u64`,
+    /// and a clock that mostly steps forward a little but also jumps,
+    /// stands still and goes backward.
+    fn random_event(rng: &mut Rng, t: &mut u64) -> TraceEvent {
+        *t = match rng.below(16) {
+            0 => t.saturating_sub(rng.below(1 << 14)),
+            1 => rng.next(),
+            2 => t.saturating_add(operand(rng, DT_BITS)),
+            3..=7 => *t,
+            _ => t.saturating_add(rng.below(1 << 10)),
+        };
+        let node = match rng.below(8) {
+            0 => TraceEvent::GLOBAL,
+            1 => rng.next() as u32,
+            2 => operand(rng, NODE_BITS) as u32,
+            _ => rng.below(512) as u32,
+        };
+        TraceEvent {
+            t_us: *t,
+            a: operand(rng, A_BITS),
+            b: operand(rng, B_BITS),
+            node,
+            layer: Layer::from_bits(rng.next() as u8),
+            kind: rng.next() as u8,
+        }
+    }
+
+    fn assert_same(ring: &TraceRing, model: &VecRing, step: usize) {
+        assert_eq!(ring.len(), model.len(), "len at step {step}");
+        assert_eq!(ring.dropped(), model.dropped(), "dropped at step {step}");
+        assert_eq!(ring.capacity(), model.capacity(), "capacity at step {step}");
+        assert_eq!(ring.ordered(), model.ordered(), "records at step {step}");
+    }
+
+    /// Drives the packed ring and the unpacked model through one seeded
+    /// stream of pushes, resizes, drains and clones, comparing them after
+    /// every step.
+    fn lockstep(seed: u64, capacity: usize, steps: usize) {
+        let mut rng = Rng(seed);
+        let (mut ring, mut model) = (TraceRing::new(capacity), VecRing::new(capacity));
+        let mut t = 0;
+        for step in 0..steps {
+            match rng.below(1_000) {
+                0..=3 => {
+                    let to = 1 + rng.below(3 * capacity as u64) as usize;
+                    ring.set_capacity(to);
+                    model.set_capacity(to);
+                }
+                4 => assert_eq!(ring.drain(), model.drain(), "drained at step {step}"),
+                5 => (ring, model) = (ring.clone(), model.clone()),
+                _ => {
+                    let ev = random_event(&mut rng, &mut t);
+                    ring.push(ev);
+                    model.push(ev);
+                }
+            }
+            assert_same(&ring, &model, step);
+        }
+    }
+
+    #[test]
+    fn packed_ring_matches_the_unpacked_model() {
+        // One record, a few, one block of short records either side of its
+        // edge (a block takes 407 of them), and several blocks.
+        for (seed, capacity) in [(1, 1), (2, 2), (3, 5), (4, 406), (5, 407), (6, 408), (7, 1_300)] {
+            lockstep(seed, capacity, 4_000);
+        }
+    }
+
+    #[test]
+    fn both_forms_round_trip_at_their_edges() {
+        let edge = |bits: u32| [0, (1 << bits) - 1, 1 << bits, u64::MAX];
+        let mut ring = TraceRing::new(1 << 12);
+        let mut model = VecRing::new(1 << 12);
+        let mut t: u64 = 5;
+        for dt in edge(DT_BITS) {
+            t = t.saturating_add(dt);
+            for node in edge(NODE_BITS).map(|n| n as u32).into_iter().chain([TraceEvent::GLOBAL]) {
+                for (a, b) in edge(A_BITS).into_iter().zip(edge(B_BITS).into_iter().rev()) {
+                    for layer in [Layer::Sim, Layer::Astro, Layer::Amcast, Layer::News] {
+                        let ev = TraceEvent { t_us: t, a, b, node, layer, kind: (a ^ t) as u8 };
+                        ring.push(ev);
+                        model.push(ev);
+                    }
+                }
+            }
+        }
+        for kind in 0..=255 {
+            // Every kind, on a clock that steps back 1 µs a record.
+            let ev = TraceEvent {
+                t_us: 255 - u64::from(kind),
+                a: 1,
+                b: 2,
+                node: 3,
+                layer: Layer::News,
+                kind,
+            };
+            ring.push(ev);
+            model.push(ev);
+        }
+        assert_eq!(model.dropped(), 0);
+        assert_same(&ring, &model, 0);
     }
 
     #[test]

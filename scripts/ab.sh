@@ -31,6 +31,10 @@
 #   gain        B wins at least 9 in 10 pairs, ties counting for neither,
 #               and the medians differ by more than A's IQR
 #   ok          anything else: within the bound
+# Below the nine it prints `cpu_s`, each child's user + system CPU seconds
+# (bash's `time`), with medians, quartiles and wins but no verdict: it is
+# informational, for telling host noise on `wall_s` from a cost the change
+# adds (a noisy host moves wall time more than CPU time).
 set -euo pipefail
 usage="usage: $0 [--from <seed>] <workload> <pairs> <dirA|rev> [<dirB>]"
 first=101
@@ -65,10 +69,12 @@ bin() {
 bin_a=$(bin "$dir_a") bin_b=$(bin "$dir_b")
 
 run() { # side exe seed
-  "$2" --child --workload "$workload" --seed "$3" --trace 0 > "$out/$1.$3"
+  local TIMEFORMAT='%U %S'
+  { time "$2" --child --workload "$workload" --seed "$3" --trace 0 > "$out/$1.$3" 2>&3; } \
+    3>&2 2> "$out/$1.$3.cpu"
 }
 
-printf '%-5s %-4s' seed side; printf ' %24s' $metrics; echo
+printf '%-5s %-4s' seed side; printf ' %24s' $metrics cpu_s; echo
 for i in $(seq 1 "$pairs"); do
   seed=$((first + i - 1))
   if [ $((i % 2)) -eq 1 ]; then run A "$bin_a" $seed; run B "$bin_b" $seed
@@ -76,7 +82,7 @@ for i in $(seq 1 "$pairs"); do
   for side in A B; do
     printf '%-5s %-4s' $seed $side
     for m in $metrics; do printf ' %24s' "$(awk -v m="$m" '$1 == m { print $2 }' "$out/$side.$seed")"; done
-    echo
+    printf ' %24s\n' "$(awk '{ print $1 + $2 }' "$out/$side.$seed.cpu")"
   done
 done
 
@@ -87,7 +93,10 @@ with open(spec) as f:
     rules = {m["name"]: (m["better"] == "lower", m["bound"]) for m in json.load(f)["end_to_end"]}
 def read(side, seed):
     with open(f"{out}/{side}.{seed}") as f:
-        return {k: float(v) for k, v in (line.split() for line in f)}
+        values = {k: float(v) for k, v in (line.split() for line in f)}
+    with open(f"{out}/{side}.{seed}.cpu") as f:
+        values["cpu_s"] = sum(float(v) for v in f.read().split())
+    return values
 runs = {s: [read(s, first + i) for i in range(pairs)] for s in "AB"}
 def quartiles(v):
     return statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
@@ -120,4 +129,11 @@ for m in metrics:
     rel = iqr / abs(ma) if ma else float("nan")
     print(f"{m:<26}{spread(a):>36} {spread(b):>36}{mb / ma if ma else float('nan'):>8.3f}"
           f"  {won:<15}{rel:>10.4f}{bound:>7.3g}  {verdict}")
+a, b = ([r["cpu_s"] for r in runs[s]] for s in "AB")
+ma, mb = statistics.median(a), statistics.median(b)
+qa = quartiles(a)
+won = f"{sum(y < x for x, y in zip(a, b))}/{pairs}"
+rel = (qa[2] - qa[0]) / ma if ma else float("nan")
+print(f"{'cpu_s':<26}{spread(a):>36} {spread(b):>36}{mb / ma if ma else float('nan'):>8.3f}"
+      f"  {won:<15}{rel:>10.4f}{'-':>7}  informational")
 PY

@@ -527,3 +527,93 @@ fn counter_totals_survive_a_snapshot_and_not_a_drain() {
     let _ = d.sim.drain_telemetry();
     assert!(totals(&d).iter().all(|&c| c == 0), "a drain zeroes every counter");
 }
+
+/// A run whose trace ring wraps many times over exports exactly the records
+/// an unpacked ring of 32-byte slots kept: the newest 1,000, oldest first.
+/// The hash was taken from a build that stored the ring unpacked. The
+/// window holds gossip records, whose fields fit the ring's short form,
+/// and NewsWire deliveries, whose 64-bit message ids take the long one.
+#[test]
+fn a_wrapped_ring_exports_the_records_an_unpacked_ring_kept() {
+    let mut d = tech_news_deployment(40, 0xD3A);
+    d.sim.set_trace_capacity(1_000);
+    d.settle(30);
+    for seq in 0..6u64 {
+        let item = NewsItem::builder(PublisherId(0), seq)
+            .headline(format!("wrapped ring {seq}"))
+            .category(Category::Technology)
+            .build();
+        d.publish(SimTime::from_secs(30) + simnet::SimDuration::from_millis(50 * seq), item);
+    }
+    d.settle(1);
+    let t = d.sim.snapshot_telemetry();
+    assert_eq!(t.events.len(), 1_000);
+    assert!(t.events_dropped > 5_000, "the ring wrapped: {} dropped", t.events_dropped);
+    let delivered = t.events.iter().filter(|e| e.kind == obs::kind::NW_DELIVER).count();
+    let gossip = t.events.iter().filter(|e| e.layer == obs::Layer::Astro).count();
+    assert!(
+        delivered > 50 && gossip > 50,
+        "workload sanity: {delivered} deliveries, {gossip} gossip"
+    );
+    assert_eq!(
+        sha256_hex(b"abc"),
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        "the FIPS 180-4 test vector"
+    );
+    assert_eq!(
+        sha256_hex(t.events_csv().as_bytes()),
+        "63f74365743dc580cad551d371f569ea000981f31b41cd7252b3603e893e44bc"
+    );
+}
+
+/// SHA-256 of `data` in lowercase hex (FIPS 180-4): what `sha256sum`
+/// prints for the same bytes.
+fn sha256_hex(data: &[u8]) -> String {
+    const K: [u32; 64] = [
+        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
+        0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
+        0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
+        0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
+        0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+        0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
+        0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+        0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+        0xc67178f2,
+    ];
+    let mut h: [u32; 8] = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+    let mut msg = data.to_vec();
+    msg.push(0x80);
+    while msg.len() % 64 != 56 {
+        msg.push(0);
+    }
+    msg.extend_from_slice(&(8 * data.len() as u64).to_be_bytes());
+    for chunk in msg.chunks_exact(64) {
+        let mut w = [0u32; 64];
+        for (i, word) in chunk.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        }
+        let mut v = h;
+        for (k, w) in K.iter().zip(w) {
+            let [a, b, c, d, e, f, g, hh] = v;
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(*k).wrapping_add(w);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let t2 = s0.wrapping_add((a & b) ^ (a & c) ^ (b & c));
+            v = [t1.wrapping_add(t2), a, b, c, d.wrapping_add(t1), e, f, g];
+        }
+        for (x, y) in h.iter_mut().zip(v) {
+            *x = x.wrapping_add(y);
+        }
+    }
+    h.iter().map(|x| format!("{x:08x}")).collect()
+}
