@@ -48,7 +48,7 @@ impl CoverageWindow {
 
     /// Heap bytes the window has allocated, capacity included.
     pub fn heap_bytes(&self) -> usize {
-        crate::heap::hash_map_bytes::<u64, usize>(self.seen.capacity())
+        simnet::heap::hash_map_bytes::<u64, usize>(self.seen.capacity())
             + self.order.capacity() * std::mem::size_of::<u64>()
     }
 

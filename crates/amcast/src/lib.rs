@@ -58,7 +58,6 @@
 
 mod bimodal;
 mod dedup;
-pub mod heap;
 mod mcast;
 mod queues;
 mod seqlog;

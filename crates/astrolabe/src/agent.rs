@@ -47,6 +47,9 @@ use crate::zone::{ZoneId, ZoneLayout};
 
 pub use crate::mib::AGG_ATTR_PREFIX;
 
+mod footprint;
+pub use footprint::Footprint;
+
 /// Defense-in-depth bound on attributes per ingested row: honest rows carry
 /// a couple of dozen attributes (locals, core aggregates, mobile code), so
 /// anything past this is a memory-amplification attempt, not data.
@@ -171,7 +174,8 @@ struct AggCache {
 /// allocation for all of them.
 #[derive(Debug)]
 struct Level {
-    /// The replica of the zone's table; `table.zone` names the zone.
+    /// The replica of the zone's table; `table.zone` names the zone. Sized
+    /// to the zone's child count together with `detectors`.
     table: ZoneTable,
     /// Aggregate summary of `table`, keyed on its content generation and
     /// `scope_epoch`. In steady state rows are merely re-stamped each round,
@@ -548,7 +552,9 @@ impl Agent {
         }
         let lv = &mut self.levels[level];
         if lv.detectors.is_empty() {
-            lv.detectors.grow_to(usize::from(self.layout.child_count(&lv.table.zone)));
+            let children = usize::from(self.layout.child_count(&lv.table.zone));
+            lv.detectors.grow_to(children);
+            lv.table.size_for(children);
         }
         lv.detectors.heartbeat(usize::from(label), now);
     }
@@ -1241,9 +1247,10 @@ impl Agent {
     /// Clears all replicated state except identity (cold restart).
     pub fn reset(&mut self) {
         // Table generations restart at zero, so the summaries and peer
-        // lists keyed on the old counters go with the rows.
+        // lists keyed on the old counters go with the rows. Tables and
+        // detectors keep their allocations, sized to the zone.
         for lv in &mut self.levels {
-            lv.table = ZoneTable::new(lv.table.zone.clone());
+            lv.table.clear();
             lv.detectors.clear_all();
             (lv.agg, lv.peers) = (None, None);
         }
@@ -1262,17 +1269,6 @@ impl Agent {
     /// detector has observed it (diagnostics and host-layer reuse).
     pub fn suspicion(&self, level: usize, label: u16, now: SimTime) -> Option<f64> {
         self.levels.get(level)?.detectors.phi(usize::from(label), now)
-    }
-
-    /// Heap bytes the failure detectors of `level` own (memory accounting):
-    /// zero until the level's first foreign row, then two exact allocations
-    /// sized to the zone's child count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level >= levels()`.
-    pub fn detector_heap_bytes(&self, level: usize) -> usize {
-        self.levels[level].detectors.heap_bytes()
     }
 }
 
@@ -1308,7 +1304,7 @@ mod tests {
     /// Drives a set of agents through synchronous rounds with perfect
     /// message delivery — a harness for protocol-logic tests (network
     /// effects are covered by the simnet-based integration tests).
-    fn run_rounds(agents: &mut [Agent], rounds: usize, start: u64) -> u64 {
+    pub(super) fn run_rounds(agents: &mut [Agent], rounds: usize, start: u64) -> u64 {
         let mut rng = fork(42, 0);
         let mut t = start;
         for _ in 0..rounds {
@@ -1331,7 +1327,7 @@ mod tests {
         t
     }
 
-    fn make_agents(n: u32, branching: u16) -> Vec<Agent> {
+    pub(super) fn make_agents(n: u32, branching: u16) -> Vec<Agent> {
         let layout = ZoneLayout::new(n, branching);
         let mut config = small_config();
         config.branching = branching;

@@ -63,7 +63,7 @@ mod table;
 mod value;
 mod zone;
 
-pub use agent::{Agent, GossipMsg, TableDigest, TableRows, AGG_ATTR_PREFIX};
+pub use agent::{Agent, Footprint, GossipMsg, TableDigest, TableRows, AGG_ATTR_PREFIX};
 pub use agg::{
     eval_predicate, eval_scalar, parse_predicate, parse_program, run_program, AggProgram,
     EvalError, Expr, ParseAggError, RowSource,

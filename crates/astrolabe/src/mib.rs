@@ -118,6 +118,31 @@ impl Mib {
         self.incar
     }
 
+    /// Heap bytes dropping the handle `this` would free: nothing while
+    /// another handle shares the values; else the `Mib`'s own block, its
+    /// attribute list unless another `Mib` shares it, the names no other
+    /// list shares, and the values' buffers.
+    pub(crate) fn heap_bytes_alone(this: &Arc<Mib>) -> usize {
+        use simnet::heap::arc_bytes;
+        if Arc::strong_count(this) > 1 {
+            return 0;
+        }
+        let own = arc_bytes(std::mem::size_of::<Mib>());
+        if Arc::strong_count(&this.attrs) > 1 {
+            return own;
+        }
+        let list = arc_bytes(std::mem::size_of_val(&*this.attrs));
+        let names_and_values: usize = this
+            .attrs
+            .iter()
+            .map(|(name, value)| {
+                let name = if Arc::strong_count(name) == 1 { arc_bytes(name.len()) } else { 0 };
+                name + value.heap_bytes()
+            })
+            .sum();
+        own + list + names_and_values
+    }
+
     /// Attribute lookup.
     pub fn get(&self, name: &str) -> Option<&AttrValue> {
         self.attrs.binary_search_by(|(n, _)| n.as_ref().cmp(name)).ok().map(|i| &self.attrs[i].1)

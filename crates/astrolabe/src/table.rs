@@ -78,6 +78,18 @@ const LISTED: u8 = 1;
 /// [`Diff::marks`] bit: the peer holds other values under an older stamp.
 const SHIPS: u8 = 2;
 
+impl Diff {
+    /// Heap bytes of the lists, from their capacities.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ship.capacity() * size_of::<u16>()
+            + self.refresh.capacity() * size_of::<RowDigest>()
+            + self.adopt.capacity() * size_of::<u32>()
+            + self.want.capacity() * size_of::<u16>()
+            + self.marks.capacity()
+    }
+}
+
 impl PartialEq for Diff {
     fn eq(&self, other: &Self) -> bool {
         (&self.ship, &self.refresh, &self.adopt, &self.want)
@@ -189,6 +201,25 @@ impl ZoneTable {
     /// True when no rows are present.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// Rows the table has room for without growing.
+    pub(crate) fn capacity(&self) -> usize {
+        self.rows.capacity()
+    }
+
+    /// Makes room for `rows` rows in all, and no more: a replica that knows
+    /// its zone's child count states it once, instead of growing by
+    /// doubling past it.
+    pub(crate) fn size_for(&mut self, rows: usize) {
+        self.rows.reserve_exact(rows.saturating_sub(self.rows.len()));
+    }
+
+    /// Drops every row, keeping the slots, and restarts both generations
+    /// at zero: the table reads as [`ZoneTable::new`]'s.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        (self.generation, self.content_gen) = (0, 0);
     }
 
     /// The values held for child `label`. Their own `stamp` may be older

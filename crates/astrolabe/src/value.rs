@@ -76,6 +76,18 @@ impl AttrValue {
         }
     }
 
+    /// Heap bytes the value's own buffer holds, from its length or
+    /// capacity (a set's nodes as `simnet::heap` lays them out).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            AttrValue::Int(_) | AttrValue::Float(_) | AttrValue::Bool(_) => 0,
+            AttrValue::Str(s) => s.capacity(),
+            AttrValue::Set(s) => simnet::heap::btree_map_bytes::<u64, ()>(s.len(), !s.is_empty()),
+            AttrValue::Bits(b) => b.size_bytes(),
+            AttrValue::Bytes(b) => b.capacity(),
+        }
+    }
+
     /// Approximate serialized size in bytes (for traffic accounting).
     pub fn wire_size(&self) -> usize {
         1 + match self {

@@ -45,6 +45,14 @@ impl ZoneId {
         ZoneId { path: Arc::from([]) }
     }
 
+    /// Heap bytes the label path holds, when no other id shares it.
+    pub(crate) fn heap_bytes_alone(&self) -> usize {
+        if Arc::strong_count(&self.path) > 1 {
+            return 0;
+        }
+        simnet::heap::arc_bytes(std::mem::size_of_val(&*self.path))
+    }
+
     /// Builds a zone from a label path (root = empty).
     pub fn from_path(path: Vec<u16>) -> Self {
         ZoneId { path: path.into() }

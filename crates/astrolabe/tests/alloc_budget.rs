@@ -148,9 +148,7 @@ fn constructing_an_agent_stays_within_its_allocation_budget() {
     assert!(allocs <= BUDGET, "{allocs} allocations ({bytes} B) to build one agent");
     // One 64-row detector lane alone would be 6.6 KB.
     assert!(bytes < 2_048, "{bytes} B to build one agent");
-    for level in 0..agent.levels() {
-        assert_eq!(agent.detector_heap_bytes(level), 0, "level {level}");
-    }
+    assert_eq!(agent.footprint().detectors, 0);
 }
 
 #[test]
@@ -166,20 +164,16 @@ fn detectors_are_two_exact_allocations_per_level() {
     let mut probe = PhiBank::new(config.phi());
     probe.grow_to(1);
     let per_slot = probe.heap_bytes();
-    assert_eq!(per_slot, 32 + 4 * config.phi().window);
+    assert_eq!(per_slot, 24 + 3 * config.phi().window);
 
     for a in &agents {
         for level in 0..a.levels() {
             assert_eq!(a.table(level).len(), 4, "agent {} level {level} converged", a.id());
-            // Sized once to the zone's four children — the own row's slot
-            // included, idle — with no growth slack and nothing else owned.
-            assert_eq!(
-                a.detector_heap_bytes(level),
-                4 * per_slot,
-                "agent {} level {level}",
-                a.id()
-            );
         }
+        // Each level sized once to the zone's four children — the own
+        // row's slot included, idle — with no growth slack and nothing
+        // else owned.
+        assert_eq!(a.footprint().detectors, a.levels() * 4 * per_slot, "agent {}", a.id());
     }
 }
 

@@ -3,8 +3,8 @@
 
 use std::mem::size_of;
 
-use amcast::heap::{btree_map_bytes, hash_map_bytes};
 use amcast::SeqLog;
+use simnet::heap::{btree_map_bytes, hash_map_bytes};
 
 use super::{Ack, LogEntry, NewsWireNode, RttPeak};
 use newsml::PublisherId;

@@ -1,6 +1,7 @@
 //! Heap bytes of the standard collections, from their lengths and
 //! capacities, laid out as the standard library lays them out: what a
-//! node's footprint report adds up without a counting allocator.
+//! footprint report (a NewsWire node's, an Astrolabe agent's) adds up
+//! without a counting allocator.
 
 use std::mem::{align_of, size_of};
 
@@ -14,6 +15,12 @@ pub fn hash_map_bytes<K, V>(capacity: usize) -> usize {
     let buckets = if capacity < 8 { capacity + 1 } else { capacity / 7 * 8 };
     let ctrl_align = align_of::<(K, V)>().max(16);
     (size_of::<(K, V)>() * buckets).next_multiple_of(ctrl_align) + buckets + 16
+}
+
+/// Bytes an `Arc` block holding a `payload`-byte value allocates: the two
+/// counts, then the value, padded to their 8-byte alignment.
+pub fn arc_bytes(payload: usize) -> usize {
+    (2 * size_of::<usize>() + payload).next_multiple_of(align_of::<usize>())
 }
 
 /// Bytes a `BTreeMap<K, V>` of `len` entries has allocated, when it holds

@@ -67,6 +67,7 @@
 
 mod disk;
 mod faults;
+pub mod heap;
 mod node;
 mod phi;
 mod rng;

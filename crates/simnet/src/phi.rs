@@ -24,6 +24,9 @@
 //! node's peer set) monitors many peers under one tuning, so the bank keeps
 //! one [`PhiConfig`], one dense array of per-peer slots and one ring of
 //! integer-microsecond samples. A detector never owns an allocation.
+//!
+//! A slot keeps no running sum of its samples: the sum is recomputed from
+//! the ring, as an integer, where the model needs it (see [`Slot`]).
 
 use crate::time::{SimDuration, SimTime};
 
@@ -54,12 +57,37 @@ impl Default for PhiConfig {
     }
 }
 
-/// Ring entry standing for an interval that does not fit 32 bits (a peer
-/// heard again after more than ~71 minutes of silence — simulated days do
-/// produce these). The exact value is kept in [`PhiBank::wide`].
-const WIDE: u32 = u32::MAX;
+/// One ring entry: an inter-arrival time in whole µs, 3 bytes little-endian.
+type Cell = [u8; 3];
 
-/// The detector state of one monitored peer: 32 bytes.
+/// Ring entry standing for an interval that does not fit a [`Cell`] (a peer
+/// heard again after 16.78 s of silence or more — a freeze, a partition, a
+/// gray-failure stall). The exact value is kept in [`PhiBank::wide`].
+const WIDE: u32 = 0xFF_FFFF;
+
+fn cell_of(us: u32) -> Cell {
+    let [low, mid, high, _] = us.to_le_bytes();
+    [low, mid, high]
+}
+
+fn value_of([low, mid, high]: Cell) -> u32 {
+    u32::from_le_bytes([low, mid, high, 0])
+}
+
+/// The detector state of one monitored peer: 24 bytes.
+///
+/// The window's sum is not kept: [`PhiBank::sum`] adds the ring up as an
+/// integer when the model is needed — at each heartbeat, for
+/// `safe_elapsed_us`, and on the exact-phi path. That is bit-identical to
+/// the running `f64` sum the reference detector keeps: every sample is a
+/// whole number of µs, so while a window totals less than 2^53 µs (285
+/// years) every partial sum the running total passes through is an integer
+/// an `f64` holds exactly, and the running sum *is* the integer. (The
+/// window's samples are consecutive intervals, so its total never exceeds
+/// the time since its first arrival and the `u64` cannot overflow.) The
+/// sum of squares stays a running `f64`: an interval of 95 s or more
+/// squares past 2^53, where a running sum rounds and its value depends on
+/// the order of history, which only the running total reproduces.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     /// Instant (µs) of the most recent heartbeat, or [`UNTRACKED_US`]
@@ -75,9 +103,9 @@ struct Slot {
     /// Ring position the next sample is written to; once the window is
     /// full that is also where the oldest sample sits.
     next: u16,
-    /// Samples currently modeled (`<= window`).
+    /// Samples currently modeled (`<= window`): the ring cells `0..len`
+    /// of the slot, since cells are written in order from 0 after a clear.
     len: u16,
-    sum: f64,
     sum_sq: f64,
 }
 
@@ -86,26 +114,26 @@ struct Slot {
 const UNTRACKED_US: u64 = u64::MAX;
 
 const UNTRACKED: Slot =
-    Slot { last_us: UNTRACKED_US, safe_elapsed_us: 0, next: 0, len: 0, sum: 0.0, sum_sq: 0.0 };
+    Slot { last_us: UNTRACKED_US, safe_elapsed_us: 0, next: 0, len: 0, sum_sq: 0.0 };
 
 impl Slot {
     /// Windowed (mean, stddev) of inter-arrivals in µs, with the configured
-    /// floors applied.
-    fn model(&self, config: &PhiConfig) -> (f64, f64) {
+    /// floors applied; `sum` is the window's total ([`PhiBank::sum`]).
+    fn model(&self, sum: u64, config: &PhiConfig) -> (f64, f64) {
         if self.len == 0 {
             let first = config.first_interval.as_micros() as f64;
             return (first, (config.min_stddev.as_micros() as f64).max(first / 4.0));
         }
         let n = f64::from(self.len);
-        let mean = self.sum / n;
+        let mean = sum as f64 / n;
         let var = (self.sum_sq / n - mean * mean).max(0.0);
         let floor = (config.min_stddev.as_micros() as f64).max(mean / 4.0);
         (mean, var.sqrt().max(floor))
     }
 
-    fn phi(&self, config: &PhiConfig, now: SimTime) -> f64 {
+    fn phi(&self, sum: u64, config: &PhiConfig, now: SimTime) -> f64 {
         let elapsed = now.as_micros().saturating_sub(self.last_us) as f64;
-        let (mean, stddev) = self.model(config);
+        let (mean, stddev) = self.model(sum, config);
         let y = (elapsed - mean) / stddev;
         // -log10 of the logistic tail approximation, computed in a form
         // stable for large y (where 1 - CDF underflows).
@@ -129,14 +157,14 @@ impl Slot {
     /// particular while `y < y_safe = e_need / (1.5976 + 0.070566·c²)` for
     /// `c = e_need / 1.5976` (since `e(c) ≥ e_need` forces `y_safe ≤
     /// e⁻¹(e_need)`). Truncation to integer µs only tightens the bound.
-    fn safe_elapsed(&self, config: &PhiConfig) -> u32 {
+    fn safe_elapsed(&self, sum: u64, config: &PhiConfig) -> u32 {
         let e_need = (config.threshold - std::f64::consts::LOG10_2) * std::f64::consts::LN_10;
         if e_need <= 0.0 {
             return 0;
         }
         let c = e_need / 1.5976;
         let y_safe = e_need / (1.5976 + 0.070566 * c * c);
-        let (mean, stddev) = self.model(config);
+        let (mean, stddev) = self.model(sum, config);
         // `as` saturates: a bound past 2^32 µs stays a valid, smaller one.
         (mean + y_safe * stddev).max(0.0) as u32
     }
@@ -144,9 +172,10 @@ impl Slot {
 
 /// Phi-accrual failure detectors for the peers of one owner, addressed by a
 /// dense slot index the owner assigns (a row label, a peer's position in a
-/// map). Stored as columns: the tuning once, one 32-byte slot per peer, and one
-/// ring allocation of `slots × window` inter-arrival samples in whole
-/// microseconds — the clock's own unit, so 32-bit entries lose nothing.
+/// map). Stored as columns: the tuning once, one 24-byte slot per peer, and
+/// one ring allocation of `slots × window` 3-byte cells, each an
+/// inter-arrival sample in whole microseconds — the clock's own unit, so a
+/// cell loses nothing below 16.78 s, and a side list keeps the rest exactly.
 ///
 /// An empty bank allocates nothing. An owner that knows its fan-out states
 /// it with [`PhiBank::grow_to`] and pays for precisely that many detectors
@@ -157,7 +186,7 @@ pub struct PhiBank {
     config: PhiConfig,
     slots: Vec<Slot>,
     /// Slot `s` owns cells `s * window ..` for `window` entries.
-    ring: Vec<u32>,
+    ring: Vec<Cell>,
     /// `(ring cell, µs)` of the samples the ring marks [`WIDE`].
     wide: Vec<(usize, u64)>,
 }
@@ -182,11 +211,11 @@ impl PhiBank {
     }
 
     /// Heap bytes the bank owns, for memory accounting: slots × (one slot
-    /// record + `window` 4-byte samples) when [`PhiBank::grow_to`] sized it
+    /// record + `window` 3-byte samples) when [`PhiBank::grow_to`] sized it
     /// and no over-wide sample is on record.
     pub fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot>()
-            + self.ring.capacity() * std::mem::size_of::<u32>()
+            + self.ring.capacity() * std::mem::size_of::<Cell>()
             + self.wide.capacity() * std::mem::size_of::<(usize, u64)>()
     }
 
@@ -202,7 +231,7 @@ impl PhiBank {
 
     fn resize(&mut self, slots: usize) {
         self.slots.resize(slots, UNTRACKED);
-        self.ring.resize(slots * self.config.window, 0);
+        self.ring.resize(slots * self.config.window, [0; 3]);
     }
 
     /// Records a heartbeat (any sign of life) from the peer in `slot` at
@@ -220,9 +249,10 @@ impl PhiBank {
             }
             self.push_interval(slot, now_us - s.last_us);
         }
+        let sum = self.sum(slot);
         let s = &mut self.slots[slot];
         s.last_us = now_us;
-        s.safe_elapsed_us = s.safe_elapsed(&self.config);
+        s.safe_elapsed_us = s.safe_elapsed(sum, &self.config);
     }
 
     /// The suspicion level of `slot` at `now`: `None` before its first
@@ -230,7 +260,7 @@ impl PhiBank {
     /// instant of an arrival, growing without bound while the peer stays
     /// silent.
     pub fn phi(&self, slot: usize, now: SimTime) -> Option<f64> {
-        self.tracked(slot).map(|s| s.phi(&self.config, now))
+        self.tracked(slot).map(|s| s.phi(self.sum(slot), &self.config, now))
     }
 
     /// True when the suspicion level has crossed the configured threshold.
@@ -240,7 +270,7 @@ impl PhiBank {
     pub fn is_suspect(&self, slot: usize, now: SimTime) -> bool {
         self.tracked(slot).is_some_and(|s| {
             now.as_micros().saturating_sub(s.last_us) >= u64::from(s.safe_elapsed_us)
-                && s.phi(&self.config, now) >= self.config.threshold
+                && s.phi(self.sum(slot), &self.config, now) >= self.config.threshold
         })
     }
 
@@ -265,33 +295,47 @@ impl PhiBank {
         self.slots.get(slot).filter(|s| s.last_us != UNTRACKED_US)
     }
 
+    /// The total of `slot`'s window, in µs (see [`Slot`]): its cells as
+    /// written, plus what each wide sample on record adds to its sentinel.
+    fn sum(&self, slot: usize) -> u64 {
+        let start = slot * self.config.window;
+        let cells = start..start + usize::from(self.slots[slot].len);
+        // Byte by byte: at most `u16::MAX` cells, so each column fits 32
+        // bits.
+        let (mut low, mut mid, mut high) = (0u32, 0u32, 0u32);
+        for &[l, m, h] in &self.ring[cells.clone()] {
+            (low, mid, high) = (low + u32::from(l), mid + u32::from(m), high + u32::from(h));
+        }
+        let narrow = u64::from(low) + (u64::from(mid) << 8) + (u64::from(high) << 16);
+        let over = |&(cell, us): &(usize, u64)| cells.contains(&cell).then(|| us - u64::from(WIDE));
+        narrow + self.wide.iter().filter_map(over).sum::<u64>()
+    }
+
     fn push_interval(&mut self, slot: usize, us: u64) {
         let window = self.config.window;
         let s = &mut self.slots[slot];
         let cell = slot * window + usize::from(s.next);
         if usize::from(s.len) == window {
-            let old = match self.ring[cell] {
+            let old = match value_of(self.ring[cell]) {
                 WIDE => {
                     let at = self.wide.iter().position(|&(c, _)| c == cell);
                     self.wide.swap_remove(at.expect("a WIDE cell has its value on record")).1
                 }
                 narrow => u64::from(narrow),
             } as f64;
-            s.sum -= old;
             s.sum_sq -= old * old;
         } else {
             s.len += 1;
         }
         self.ring[cell] = match u32::try_from(us) {
-            Ok(narrow) if narrow != WIDE => narrow,
+            Ok(narrow) if narrow < WIDE => cell_of(narrow),
             _ => {
                 self.wide.push((cell, us));
-                WIDE
+                cell_of(WIDE)
             }
         };
         s.next = ((usize::from(s.next) + 1) % window) as u16;
         let us = us as f64;
-        s.sum += us;
         s.sum_sq += us * us;
     }
 }
@@ -455,7 +499,7 @@ mod tests {
         // The same holds for a slot that exists but was never fed.
         d.grow_to(4);
         assert_eq!((d.slots.len(), d.slots.capacity(), d.ring.capacity()), (4, 4, 4 * 64));
-        assert_eq!(d.heap_bytes(), 4 * (std::mem::size_of::<Slot>() + 64 * 4));
+        assert_eq!(d.heap_bytes(), 4 * (std::mem::size_of::<Slot>() + 64 * 3));
         assert_eq!(d.phi(3, SimTime::from_secs(1000)), None);
         assert!(!d.is_suspect(3, SimTime::from_secs(1000)));
     }
@@ -527,7 +571,7 @@ mod tests {
             d.heartbeat(0, SimTime::from_secs(i));
         }
         assert_eq!(d.slots[0].len, 8);
-        assert_eq!(d.ring.len(), 8);
+        assert_eq!(std::mem::size_of_val(d.ring.as_slice()), 8 * 3);
     }
 
     #[test]
@@ -556,7 +600,7 @@ mod tests {
 
     #[test]
     fn slot_stays_within_its_size_budget() {
-        assert!(std::mem::size_of::<Slot>() <= 32, "{}", std::mem::size_of::<Slot>());
+        assert!(std::mem::size_of::<Slot>() <= 24, "{}", std::mem::size_of::<Slot>());
     }
 
     /// One step of the differential test below.
@@ -575,13 +619,16 @@ mod tests {
     const SLOTS: usize = 5;
 
     fn step() -> impl Strategy<Value = Step> {
-        // Gaps on both sides of 2^32 µs: same-instant, gossip-cadence,
-        // minutes, just under / exactly at / just over the 32-bit edge, and
-        // far past it.
+        // Gaps on both sides of the 3-byte ring cell and of 2^32 µs:
+        // same-instant, gossip-cadence, just under / exactly at / just over
+        // the cell's sentinel, a freeze's 10–40 s, minutes, the 32-bit edge,
+        // and far past it.
         let gap = || {
             prop_oneof![
                 Just(0u64),
                 1u64..5_000_000,
+                (u64::from(WIDE) - 3)..(u64::from(WIDE) + 4),
+                10_000_000u64..40_000_000,
                 1u64..600_000_000,
                 (u64::from(u32::MAX) - 3)..(u64::from(u32::MAX) + 4),
                 (1u64 << 32)..(1u64 << 40),
@@ -599,7 +646,7 @@ mod tests {
     proptest! {
         /// The bank makes the reference detector's decisions bit for bit:
         /// random tunings, several slots, heartbeats in and out of order,
-        /// clears, and intervals on both sides of the 32-bit ring entry.
+        /// clears, and intervals on both sides of the ring cell's sentinel.
         #[test]
         fn bank_matches_reference_detector(
             window in 1usize..65,
@@ -644,7 +691,7 @@ mod tests {
                 }
             }
             // Every wide sample on record is still referenced by its ring.
-            prop_assert!(bank.wide.iter().all(|&(cell, _)| bank.ring[cell] == WIDE));
+            prop_assert!(bank.wide.iter().all(|&(cell, _)| value_of(bank.ring[cell]) == WIDE));
         }
     }
 }
