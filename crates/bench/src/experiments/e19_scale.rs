@@ -94,6 +94,7 @@ pub(crate) fn run(quick: bool) {
         format!("{:.0}", r.events as f64 / r.wall_s),
         peak_rss_mib().map_or_else(|| "–".to_owned(), |mib| format!("{mib:.0} MB")),
     ]);
+    table.host_columns(&["wall s", "events/s", "peak RSS"]);
     table.caption(
         "simulated columns are a pure function of the seed; wall-clock columns are one run \
          and move with the host's load; peak RSS is the whole process's (VmHWM), so it is \

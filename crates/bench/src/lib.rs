@@ -8,6 +8,7 @@
 //! cargo run -p bench --release --bin experiments            # all
 //! cargo run -p bench --release --bin experiments -- e3 e5   # a subset
 //! cargo run -p bench --release --bin experiments -- --quick # smaller sizes
+//! cargo run -p bench --release --bin experiments -- --quick --ledger # + one line per cell
 //! ```
 
 #![forbid(unsafe_code)]
@@ -16,7 +17,7 @@
 pub mod experiments;
 mod table;
 
-pub use table::Table;
+pub use table::{print_ledger, Table};
 
 /// Experiment ids in run order.
 pub const ALL: [&str; 21] = [

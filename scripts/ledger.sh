@@ -10,6 +10,8 @@
 #   scripts/ledger.sh examples check  # fail if any example's output differs from it
 #   scripts/ledger.sh telemetry write # regenerate ledger/telemetry.42.txt
 #   scripts/ledger.sh telemetry check # fail if `telemetry_dump 42` moved from it
+#   scripts/ledger.sh experiments write  # regenerate ledger/experiments_quick.txt
+#   scripts/ledger.sh experiments check  # fail if any quick-mode table cell moved
 #
 # Builds this tree's `benchmark` package and runs one `--child --seed 1
 # --trace 1` repetition of each workload (the interface `scripts/ab.sh`
@@ -39,9 +41,16 @@
 # ≈ 2 MB), then one `<counter> <total over nodes>` line per counter, by
 # name. The hashes say whether anything moved; the totals say which
 # counter did, including the many no seed-1 key reads.
+#
+# The experiments ledger is every table cell of the quick suite
+# (`experiments --quick --ledger`): one `<id> <row> <column> <value>` line
+# per cell, the table's own key cells naming the row (`bench::Table::ledger`).
+# Host columns (E19's wall s, events/s and peak RSS) print with a `~` mark
+# and are neither kept nor compared, nor are the `[… took]` lines. The
+# suite's report goes to stdout as it runs, so its own asserts still gate.
 set -euo pipefail
-usage="usage: $0 write|check|table|panel write|panel check|examples write|examples check|telemetry write|telemetry check"
-if [ $# -eq 2 ] && { [ "$1" = panel ] || [ "$1" = examples ] || [ "$1" = telemetry ]; } \
+usage="usage: $0 write|check|table|panel write|panel check|examples write|examples check|telemetry write|telemetry check|experiments write|experiments check"
+if [ $# -eq 2 ] && { [ "$1" = panel ] || [ "$1" = examples ] || [ "$1" = telemetry ] || [ "$1" = experiments ]; } \
   && { [ "$2" = write ] || [ "$2" = check ]; }; then
   mode=$1-$2
 elif [ $# -eq 1 ] && { [ "$1" = write ] || [ "$1" = check ] || [ "$1" = table ]; }; then
@@ -120,6 +129,25 @@ PY
     echo "telemetry: telemetry_dump 42 unchanged ($(wc -l < "$file") lines)"
   else
     echo "telemetry: telemetry_dump 42 moved (- committed, + this tree); if intended, run '$0 telemetry write' and commit" >&2
+    exit 1
+  fi
+  exit 0
+fi
+
+if [ "$mode" = experiments-write ] || [ "$mode" = experiments-check ]; then
+  file=$root/ledger/experiments_quick.txt
+  run=$(mktemp)
+  trap 'rm -f "$run" "$run.cells"' EXIT
+  cargo run --release --offline --quiet --manifest-path "$root/Cargo.toml" -p bench \
+    --bin experiments -- --quick --ledger | tee "$run"
+  grep -E '^[EA][0-9]+[a-z]? ' "$run" > "$run.cells"
+  if [ "$mode" = experiments-write ]; then
+    cp "$run.cells" "$file"
+    echo "wrote $(wc -l < "$file") cells to $file"
+  elif diff -u "$file" "$run.cells"; then
+    echo "experiments: all $(wc -l < "$file") quick-mode cells unchanged"
+  else
+    echo "experiments: quick-mode cells moved (- committed, + this tree); if intended, run '$0 experiments write' and commit" >&2
     exit 1
   fi
   exit 0
