@@ -610,6 +610,9 @@ impl Agent {
             return;
         }
         if !(self.is_rep(level) || self.bootstrap_duty(level)) {
+            // No duty here: a summary cached while there was one would
+            // only be held, never issued.
+            self.levels[level].agg = None;
             return;
         }
 

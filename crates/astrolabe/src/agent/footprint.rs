@@ -133,6 +133,12 @@ mod tests {
         let names =
             ["tables", "detectors", "levels", "agg caches", "peers", "scratch diff", "contacts"];
         for (name, (reported, freed)) in names.into_iter().zip(rows) {
+            if name == "agg caches" {
+                // Only an agent with a duty keeps a summary, and once
+                // converged it shares it with its parent table's row.
+                assert_eq!((reported, freed), (0, 0), "a summary only a cache holds");
+                continue;
+            }
             assert!(freed > 0, "{name}: nothing to measure");
             let off = (reported as f64 - freed as f64).abs() / freed as f64;
             assert!(off <= 0.1, "{name}: footprint {reported} B, the allocator freed {freed} B");
