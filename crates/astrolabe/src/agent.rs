@@ -36,7 +36,7 @@ use std::sync::Arc;
 use obs::{ctr, gauge, hist, kind, Layer};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use simnet::{PhiBank, SimTime};
+use simnet::SimTime;
 
 use crate::agg::{parse_program, run_program, AggProgram};
 use crate::config::Config;
@@ -44,10 +44,12 @@ use crate::mib::{AttrName, Mib, MibBuilder, Stamp};
 use crate::table::{Diff, MergeOutcome, RowDigest, ZoneTable};
 use crate::value::AttrValue;
 use crate::zone::{ZoneId, ZoneLayout};
+use timeout::Timeouts;
 
 pub use crate::mib::AGG_ATTR_PREFIX;
 
 mod footprint;
+mod timeout;
 pub use footprint::Footprint;
 
 /// Defense-in-depth bound on attributes per ingested row: honest rows carry
@@ -175,7 +177,7 @@ struct AggCache {
 #[derive(Debug)]
 struct Level {
     /// The replica of the zone's table; `table.zone` names the zone. Sized
-    /// to the zone's child count together with `detectors`.
+    /// to the zone's child count together with `timeouts`.
     table: ZoneTable,
     /// Aggregate summary of `table`, keyed on its content generation and
     /// `scope_epoch`. In steady state rows are merely re-stamped each round,
@@ -185,13 +187,14 @@ struct Level {
     /// Gossip peer candidates, keyed on the content generations of `table`
     /// and the parent level's (the two inputs of [`Agent::peers_at`]).
     peers: Option<(u64, u64, Vec<u32>)>,
-    /// Phi-accrual detectors indexed by row label, fed whenever a merged
-    /// row's stamp advances. Failure detection: a row is evicted when its
-    /// detector grows suspicious, not on a fixed TTL cliff. Empty until the
-    /// first foreign row arrives, then sized once to the zone's child count
-    /// — the gc sweep and the merge loop consult a detector per row, so
-    /// this sits on the hot path where a hashed lookup showed up.
-    detectors: PhiBank,
+    /// Row timeouts indexed by row label, fed whenever a merged row's stamp
+    /// advances. Failure detection: a row is evicted when it has been
+    /// silent for its own cadence's timeout, not on a fixed TTL cliff.
+    /// Empty until the first foreign row arrives, then sized once to the
+    /// zone's child count — the gc sweep and the merge loop consult a
+    /// timeout per row, so this sits on the hot path where a hashed lookup
+    /// showed up.
+    timeouts: Timeouts,
 }
 
 /// What admission's fences ([`Agent::fence`]) make of a stamp offered for a
@@ -282,14 +285,13 @@ impl Agent {
         contacts.extend(extra_contacts.into_iter().filter(|&c| c != id));
         contacts.sort_unstable();
         contacts.dedup();
-        let phi = config.phi();
         let levels = chain
             .into_iter()
             .map(|zone| Level {
                 table: ZoneTable::new(zone),
                 agg: None,
                 peers: None,
-                detectors: PhiBank::new(phi),
+                timeouts: Timeouts::default(),
             })
             .collect();
         Agent {
@@ -506,12 +508,12 @@ impl Agent {
         self.levels[0].table.merge_row(self.own_slot, row);
     }
 
-    /// Failure detection sweep: evict rows whose phi detector has crossed
-    /// the suspicion threshold, plus (backstop) rows past the hard TTL whose
-    /// cadence was never observed. Evicted stamps are tombstoned so stale
+    /// Failure detection sweep: evict rows silent for their timeout, plus
+    /// (backstop) rows past the hard TTL whose cadence was never observed. Evicted stamps are tombstoned so stale
     /// replicas cannot resurrect them.
     fn gc(&mut self, now: SimTime) {
         let hard_cutoff = now.as_micros().saturating_sub(self.config.row_ttl.as_micros());
+        let tuning = self.config.row_timeout();
         for level in 0..self.levels.len() {
             let keep = self.own_label(level);
             let lv = &self.levels[level];
@@ -521,7 +523,7 @@ impl Agent {
                 .iter()
                 .filter(|r| {
                     r.label != keep
-                        && (lv.detectors.is_suspect(usize::from(r.label), now)
+                        && (lv.timeouts.is_suspect(usize::from(r.label), now, &tuning)
                             || r.stamp.issued_us < hard_cutoff)
                 })
                 .map(|r| (r.label, r.stamp.issued_us, r.mib.carries_mobile_code()))
@@ -533,11 +535,11 @@ impl Agent {
         }
     }
 
-    /// Drops a held row together with its failure detector.
+    /// Drops a held row together with its timeout.
     fn evict(&mut self, level: usize, label: u16, carried_agg: bool) {
         let lv = &mut self.levels[level];
         lv.table.remove(label);
-        lv.detectors.clear(usize::from(label));
+        lv.timeouts.clear(usize::from(label));
         if carried_agg {
             self.scope_epoch += 1;
         }
@@ -545,18 +547,18 @@ impl Agent {
 
     /// The stamp of the foreign row at `(level, label)` just advanced: its
     /// member is alive again as far as any tombstone goes, and gossip *is*
-    /// the heartbeat its failure detector feeds on.
+    /// the heartbeat its timeout feeds on.
     fn heartbeat(&mut self, level: usize, label: u16, now: SimTime) {
         if !self.tombstones.is_empty() {
             self.tombstones.remove(&(level, label));
         }
         let lv = &mut self.levels[level];
-        if lv.detectors.is_empty() {
+        if lv.timeouts.is_empty() {
             let children = usize::from(self.layout.child_count(&lv.table.zone));
-            lv.detectors.grow_to(children);
+            lv.timeouts.grow_to(children);
             lv.table.size_for(children);
         }
-        lv.detectors.heartbeat(usize::from(label), now);
+        lv.timeouts.heartbeat(usize::from(label), now);
     }
 
     /// All dynamic programs visible in any replicated table (union of
@@ -953,7 +955,7 @@ impl Agent {
     }
 
     /// Admits what `fence` let through: records a newer incarnation, merges
-    /// through `merge`, and on a stamp advance feeds the row's phi detector
+    /// through `merge`, and on a stamp advance feeds the row's timeout
     /// — gossip *is* the heartbeat. `carries_agg` is the offered values'
     /// mobile-code bit. Returns whether the table changed.
     fn enter(
@@ -975,7 +977,7 @@ impl Agent {
                 }
                 self.incar_seen[at] = incar;
                 self.tombstones.remove(&(level, label));
-                self.levels[0].detectors.clear(at);
+                self.levels[0].timeouts.clear(at);
                 self.incarnation_bumps.push(peer);
                 obs::metric_add!(self.id, ctr::INCARNATION_BUMPS, 1);
                 obs::trace_event!(self.id, Layer::Astro, kind::INCARNATION_BUMP, peer, incar);
@@ -1251,10 +1253,10 @@ impl Agent {
     pub fn reset(&mut self) {
         // Table generations restart at zero, so the summaries and peer
         // lists keyed on the old counters go with the rows. Tables and
-        // detectors keep their allocations, sized to the zone.
+        // timeouts keep their allocations, sized to the zone.
         for lv in &mut self.levels {
             lv.table.clear();
-            lv.detectors.clear_all();
+            lv.timeouts.clear_all();
             (lv.agg, lv.peers) = (None, None);
         }
         self.version = 0;
@@ -1268,10 +1270,11 @@ impl Agent {
         self.scope_cache = None;
     }
 
-    /// Current phi suspicion level for the row at `(level, label)`, if a
-    /// detector has observed it (diagnostics and host-layer reuse).
-    pub fn suspicion(&self, level: usize, label: u16, now: SimTime) -> Option<f64> {
-        self.levels.get(level)?.detectors.phi(usize::from(label), now)
+    /// The instant the row at `(level, label)` becomes suspect if it stays
+    /// silent, once its timeout has observed it (diagnostics).
+    pub fn suspicion(&self, level: usize, label: u16) -> Option<SimTime> {
+        let tuning = self.config.row_timeout();
+        self.levels.get(level)?.timeouts.deadline(usize::from(label), &tuning)
     }
 }
 
@@ -1525,8 +1528,8 @@ mod tests {
 
     #[test]
     fn phi_evicts_before_hard_ttl() {
-        // With a 20s TTL a silent member used to linger for 20 rounds; the
-        // phi detector, having learned the ~1s refresh cadence, suspects it
+        // With a 20s TTL a silent member used to linger for 20 rounds; its
+        // row's timeout, having learned the ~1s refresh cadence, expires
         // within a handful of rounds.
         let mut agents = make_agents(8, 4);
         let t = run_rounds(&mut agents, 8, 0);
@@ -1538,12 +1541,12 @@ mod tests {
         );
         assert!(
             survivors[0].table(0).get(1).is_none(),
-            "phi should evict the silent member before the hard TTL"
+            "the timeout should evict the silent member before the hard TTL"
         );
-        // The detector state is queryable while a row is alive.
+        // A live row's deadline is queryable, and lies ahead.
         let a0 = &survivors[0];
-        assert!(a0.suspicion(0, 2, SimTime::from_micros(t2)).is_some());
-        assert!(a0.suspicion(0, 1, SimTime::from_micros(t2)).is_none(), "evicted: gone");
+        assert!(a0.suspicion(0, 2) > Some(SimTime::from_micros(t2)));
+        assert!(a0.suspicion(0, 1).is_none(), "evicted: gone");
     }
 
     #[test]
@@ -1937,12 +1940,9 @@ mod tests {
                     out += &format!("  {} {} {:x}\n", r.label, r.stamp, r.mib.content_hash());
                 }
                 for slot in 0..16 {
-                    let phi = |at| lv.detectors.phi(slot, at).map(f64::to_bits);
-                    out += &format!(
-                        "  phi {slot} {:?} {:?}\n",
-                        phi(SimTime::from_micros(T)),
-                        phi(later)
-                    );
+                    let deadline = lv.timeouts.deadline(slot, &a.config.row_timeout());
+                    let suspect = lv.timeouts.is_suspect(slot, later, &a.config.row_timeout());
+                    out += &format!("  timeout {slot} {deadline:?} {suspect}\n");
                 }
             }
             let mut tombstones: Vec<_> = a.tombstones.clone().into_iter().collect();

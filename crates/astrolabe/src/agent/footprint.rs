@@ -14,9 +14,9 @@ use crate::table::Row;
 pub struct Footprint {
     /// The zone tables' row slots.
     pub tables: usize,
-    /// The phi-accrual detector banks.
+    /// The row timeouts, 16 bytes a slot.
     pub detectors: usize,
-    /// The per-level records, each with its table's and bank's header
+    /// The per-level records, each with its table's and timeouts' header
     /// inline, and the zone ids' label paths.
     pub levels: usize,
     /// Summaries only an aggregate cache still holds: a summary a table row
@@ -49,7 +49,7 @@ impl Agent {
         let sum = |f: fn(&Level) -> usize| self.levels.iter().map(f).sum();
         Footprint {
             tables: sum(|lv| lv.table.capacity() * size_of::<Row>()),
-            detectors: sum(|lv| lv.detectors.heap_bytes()),
+            detectors: sum(|lv| lv.timeouts.heap_bytes()),
             levels: self.levels.capacity() * size_of::<Level>()
                 + sum(|lv| lv.table.zone.heap_bytes_alone()),
             agg_caches: sum(|lv| lv.agg.as_ref().map_or(0, |c| Mib::heap_bytes_alone(&c.proto))),
@@ -65,8 +65,6 @@ impl Agent {
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
-
-    use simnet::PhiBank;
 
     use super::super::tests::{make_agents, run_rounds};
     use super::*;
@@ -102,13 +100,11 @@ mod tests {
         let mut rows = [(0usize, 0i64); 7];
         for a in &mut agents {
             let f = a.footprint();
-            let phi = a.config.phi();
             let mut freed = [0i64; 7];
             for lv in &mut a.levels {
                 let empty = ZoneTable::new(lv.table.zone.clone());
                 freed[0] += heapcount::freed_by(std::mem::replace(&mut lv.table, empty));
-                freed[1] +=
-                    heapcount::freed_by(std::mem::replace(&mut lv.detectors, PhiBank::new(phi)));
+                freed[1] += heapcount::freed_by(std::mem::take(&mut lv.timeouts));
                 freed[3] += heapcount::freed_by(lv.agg.take());
                 freed[4] += heapcount::freed_by(lv.peers.take());
             }
@@ -146,12 +142,13 @@ mod tests {
     }
 
     /// What one agent of the converged deployment holds, at most: measured
-    /// at 3,366 B (2,900 B the least). With 32-byte detector slots, 4-byte
-    /// ring cells and tables grown by doubling (sixteen slots for ten rows)
-    /// the same agents hold 3,860–4,326 B.
+    /// at 1,764 B (1,612 B the least) with 16-byte row timeouts. With the
+    /// 72-byte φ ring a row had before, the same agents held 2,900–3,366 B;
+    /// with 32-byte detector slots, 4-byte ring cells and tables grown by
+    /// doubling (sixteen slots for ten rows), 3,860–4,326 B.
     #[test]
     fn an_agent_stays_within_its_footprint_budget() {
-        const BUDGET: usize = 3_366;
+        const BUDGET: usize = 1_764;
         for a in converged() {
             let f = a.footprint();
             assert!(f.total() <= BUDGET, "agent {}: {} B, {f:?}", a.id(), f.total());

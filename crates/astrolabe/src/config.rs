@@ -3,7 +3,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use simnet::{PhiConfig, SimDuration};
+use simnet::SimDuration;
 
 use crate::agg::{parse_program, AggProgram};
 
@@ -58,9 +58,10 @@ pub struct Config {
     /// Gossip round period per agent.
     pub gossip_interval: SimDuration,
     /// Hard staleness bound: rows issued longer ago than this are evicted
-    /// and refused in merges regardless of suspicion level. Primary failure
-    /// detection is phi-accrual (see [`Config::phi`]); the TTL is the
-    /// backstop for rows whose update cadence was never observed.
+    /// and refused in merges regardless of their row timeout. Primary
+    /// failure detection is each row's own timeout (see
+    /// [`Config::row_timeout`]); the TTL is the backstop for rows whose
+    /// update cadence was never observed.
     pub row_ttl: SimDuration,
     /// Representatives elected per zone (`k` of `REPSEL`).
     pub reps_per_zone: usize,
@@ -103,21 +104,17 @@ impl Config {
         }
     }
 
-    /// The phi-accrual tuning every failure detector of a deployment shares
-    /// — an agent's per-row detectors and a NewsWire node's per-peer ones:
-    /// 16 inter-arrival samples, and a silent peer is suspect at phi 8
-    /// (≈ one false suspicion per 10^8 on-cadence observations). The
-    /// cadence floors come from the gossip period, since every live peer
-    /// talks at least that often: generous, so multi-hop propagation jitter
-    /// does not read as failure, while a genuinely silent row is suspected
-    /// within a few rounds instead of a fixed multi-round TTL.
-    pub fn phi(&self) -> PhiConfig {
-        PhiConfig {
-            window: 16,
-            threshold: 8.0,
-            first_interval: self.gossip_interval * 2,
-            min_stddev: self.gossip_interval,
-        }
+    /// The tuning of every row timeout of a deployment's agents. A row is
+    /// suspect once it has been silent for its mean heartbeat interval plus
+    /// 5.226 deviations (where the φ-accrual detector this replaced reached
+    /// φ = 8); both are estimated per row from its own heartbeats. Until the first interval is observed the
+    /// mean is two gossip periods, and the deviation is never taken below
+    /// one gossip period (nor below a quarter of the mean): generous, so
+    /// multi-hop propagation jitter does not read as failure, while a
+    /// genuinely silent row is suspected within a few rounds instead of a
+    /// fixed multi-round TTL.
+    pub fn row_timeout(&self) -> RowTimeout {
+        RowTimeout { first_interval: self.gossip_interval * 2, min_deviation: self.gossip_interval }
     }
 
     /// Source of the core management program for `k` representatives.
@@ -127,6 +124,19 @@ impl Config {
              SUM(nmembers) AS nmembers"
         )
     }
+}
+
+/// The tuning of an agent's row timeouts, derived from the gossip period
+/// by [`Config::row_timeout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowTimeout {
+    /// Assumed heartbeat interval until a row's first one is observed.
+    pub first_interval: SimDuration,
+    /// Deviation floor, so a metronomically regular row (simulated gossip
+    /// can be exactly periodic) is not suspected the microsecond it slips.
+    /// The effective floor is the larger of this and a quarter of the
+    /// row's mean interval, keeping tolerance proportional to cadence.
+    pub min_deviation: SimDuration,
 }
 
 impl Default for Config {

@@ -9,7 +9,7 @@ use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use astrolabe::{Agent, Config, GossipMsg, ZoneLayout};
-use simnet::{fork, PhiBank, SimTime};
+use simnet::{fork, SimTime};
 
 /// Blocks [`kept_by`] can follow at once.
 const WATCHED: usize = 512;
@@ -151,29 +151,26 @@ fn constructing_an_agent_stays_within_its_allocation_budget() {
     assert_eq!(agent.footprint().detectors, 0);
 }
 
+/// What one row's timeout costs: a `u64` last-heard instant and two `u32`
+/// estimates.
+const BYTES_PER_TIMEOUT: usize = 16;
+
 #[test]
-fn detectors_are_two_exact_allocations_per_level() {
+fn detectors_are_one_exact_allocation_per_level() {
     let layout = ZoneLayout::new(64, 4); // 4 x 4 x 4
     let config = Config { branching: 4, ..Config::standard() };
     let mut agents: Vec<Agent> =
         (0..64).map(|i| Agent::new(i, &layout, config.clone(), vec![0])).collect();
     run_rounds(&mut agents, 1..=30);
 
-    // What one slot costs (its record plus its share of the ring), read off
-    // a bank of the same window.
-    let mut probe = PhiBank::new(config.phi());
-    probe.grow_to(1);
-    let per_slot = probe.heap_bytes();
-    assert_eq!(per_slot, 24 + 3 * config.phi().window);
-
     for a in &agents {
         for level in 0..a.levels() {
             assert_eq!(a.table(level).len(), 4, "agent {} level {level} converged", a.id());
         }
         // Each level sized once to the zone's four children — the own
-        // row's slot included, idle — with no growth slack and nothing
-        // else owned.
-        assert_eq!(a.footprint().detectors, a.levels() * 4 * per_slot, "agent {}", a.id());
+        // row's slot included, idle — with no growth slack, no side list
+        // and nothing else owned.
+        assert_eq!(a.footprint().detectors, a.levels() * 4 * BYTES_PER_TIMEOUT, "agent {}", a.id());
     }
 }
 

@@ -30,9 +30,6 @@
 //!   strikes ([`CorruptionSpec`], one [`CorruptionOp`] each), liar windows
 //!   ([`LiarSpec`]) and colluder marks ([`CollusionSpec`]) — expanded
 //!   deterministically by [`Simulation::apply_fault_plan`].
-//! * [`PhiBank`] — adaptive phi-accrual failure detection
-//!   (Hayashibara et al.), shared by protocols that must distinguish
-//!   "slow" from "gone" without a fixed timeout cliff.
 //! * [`Summary`] / [`TrafficCounters`] / [`FaultCounters`] — the
 //!   measurement toolkit experiments use. The counters are views read from
 //!   the per-simulation telemetry hub ([`Simulation::telemetry`]), the one
@@ -69,7 +66,6 @@ mod disk;
 mod faults;
 pub mod heap;
 mod node;
-mod phi;
 mod rng;
 mod sched;
 mod sim;
@@ -86,7 +82,6 @@ pub use node::{
     Context, CorruptionOp, LiarAction, LiarBehavior, LiarMode, Node, NodeId, Payload, TimerId,
 };
 pub use obs::{Telemetry, TelemetryHub};
-pub use phi::{PhiBank, PhiConfig};
 pub use rng::{exp_sample, fork, splitmix64};
 pub use sched::EventQueue;
 pub use sim::Simulation;

@@ -1,7 +1,7 @@
 //! A deterministic partition-and-heal scenario, printed verbosely enough
 //! to diff two runs bit-for-bit — CI runs this twice with the same seed
 //! and compares the output, which pins down the whole stack (chaos engine,
-//! gossip, forwarding, phi detection, log reconciliation) as replayable.
+//! gossip, forwarding, row timeouts, log reconciliation) as replayable.
 //!
 //! The shape: a 60-second clean split along zone boundaries while the
 //! newsroom keeps publishing, then a heal, then more publishing so every
