@@ -509,8 +509,9 @@ impl Agent {
     }
 
     /// Failure detection sweep: evict rows silent for their timeout, plus
-    /// (backstop) rows past the hard TTL whose cadence was never observed. Evicted stamps are tombstoned so stale
-    /// replicas cannot resurrect them.
+    /// (backstop) rows past the hard TTL whose cadence was never observed.
+    /// Evicted stamps are tombstoned so stale replicas cannot resurrect
+    /// them.
     fn gc(&mut self, now: SimTime) {
         let hard_cutoff = now.as_micros().saturating_sub(self.config.row_ttl.as_micros());
         let tuning = self.config.row_timeout();
@@ -1939,9 +1940,10 @@ mod tests {
                 for r in t.rows() {
                     out += &format!("  {} {} {:x}\n", r.label, r.stamp, r.mib.content_hash());
                 }
+                let tuning = a.config.row_timeout();
                 for slot in 0..16 {
-                    let deadline = lv.timeouts.deadline(slot, &a.config.row_timeout());
-                    let suspect = lv.timeouts.is_suspect(slot, later, &a.config.row_timeout());
+                    let deadline = lv.timeouts.deadline(slot, &tuning);
+                    let suspect = lv.timeouts.is_suspect(slot, later, &tuning);
                     out += &format!("  timeout {slot} {deadline:?} {suspect}\n");
                 }
             }

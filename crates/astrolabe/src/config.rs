@@ -59,9 +59,9 @@ pub struct Config {
     pub gossip_interval: SimDuration,
     /// Hard staleness bound: rows issued longer ago than this are evicted
     /// and refused in merges regardless of their row timeout. Primary
-    /// failure detection is each row's own timeout (see
-    /// [`Config::row_timeout`]); the TTL is the backstop for rows whose
-    /// update cadence was never observed.
+    /// failure detection is each row's own timeout, adapted to its
+    /// heartbeat cadence; the TTL is the backstop for rows whose update
+    /// cadence was never observed.
     pub row_ttl: SimDuration,
     /// Representatives elected per zone (`k` of `REPSEL`).
     pub reps_per_zone: usize,
@@ -107,13 +107,13 @@ impl Config {
     /// The tuning of every row timeout of a deployment's agents. A row is
     /// suspect once it has been silent for its mean heartbeat interval plus
     /// 5.226 deviations (where the φ-accrual detector this replaced reached
-    /// φ = 8); both are estimated per row from its own heartbeats. Until the first interval is observed the
-    /// mean is two gossip periods, and the deviation is never taken below
-    /// one gossip period (nor below a quarter of the mean): generous, so
-    /// multi-hop propagation jitter does not read as failure, while a
-    /// genuinely silent row is suspected within a few rounds instead of a
-    /// fixed multi-round TTL.
-    pub fn row_timeout(&self) -> RowTimeout {
+    /// φ = 8); both are estimated per row from its own heartbeats. Until
+    /// the first interval is observed the mean is two gossip periods, and
+    /// the deviation is never taken below one gossip period (nor below a
+    /// quarter of the mean): generous, so multi-hop propagation jitter does
+    /// not read as failure, while a genuinely silent row is suspected
+    /// within a few rounds instead of a fixed multi-round TTL.
+    pub(crate) fn row_timeout(&self) -> RowTimeout {
         RowTimeout { first_interval: self.gossip_interval * 2, min_deviation: self.gossip_interval }
     }
 
@@ -129,7 +129,7 @@ impl Config {
 /// The tuning of an agent's row timeouts, derived from the gossip period
 /// by [`Config::row_timeout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowTimeout {
+pub(crate) struct RowTimeout {
     /// Assumed heartbeat interval until a row's first one is observed.
     pub first_interval: SimDuration,
     /// Deviation floor, so a metronomically regular row (simulated gossip

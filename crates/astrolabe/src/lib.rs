@@ -69,7 +69,7 @@ pub use agg::{
     EvalError, Expr, ParseAggError, RowSource,
 };
 pub use cert::{Certificate, KeyId, RotationRecord, SecretKey, Signature, TrustRegistry};
-pub use config::{AggSource, AggSpec, Config, RowTimeout};
+pub use config::{AggSource, AggSpec, Config};
 pub use mib::{AttrName, Mib, MibBuilder, Stamp};
 pub use simnode::AstroNode;
 pub use table::{Diff, MergeOutcome, Row, RowDigest, ZoneTable};
