@@ -10,7 +10,7 @@
 //! [`PublisherCredential`] — the restricted publisher application of §8
 //! (authentication, flow control, scoped publishing).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::num::NonZeroU32;
 use std::sync::Arc;
 
@@ -20,7 +20,6 @@ use amcast::{
 };
 use astrolabe::{
     Agent, AttrValue, GossipMsg, KeyId, Mib, RotationRecord, Signature, TrustRegistry, ZoneId,
-    ZoneLayout,
 };
 use newsml::{ItemId, NewsItem, PublisherId};
 use obs::{ctr, gauge, kind, series, Layer};
@@ -41,12 +40,14 @@ use crate::persist;
 use crate::subscription::{item_position_groups, Subscription};
 use crate::wire::{msg_id_of, DeltaBasis, Envelope, LogDigests, NewsWireMsg, SignedItem, Stub};
 
+mod acks;
 mod admit;
 mod adversary;
 mod footprint;
 
 pub use footprint::Footprint;
 
+use acks::{Ack, Acks};
 use admit::{Admitted, Source, Trust};
 
 /// Publisher-side state (present only on publisher nodes).
@@ -167,11 +168,6 @@ const QUARANTINE_THRESHOLD: u32 = 3;
 /// Most entries (items plus withheld stubs) one reconcile reply carries.
 const REPAIR_BATCH: usize = 64;
 
-/// Base timeout of an acknowledged tree hand-off, and the ceiling of every
-/// measured round-trip bound — also the answer before a peer's first round
-/// trip has been timed.
-const ACK_TIMEOUT: SimDuration = SimDuration::from_secs(2);
-
 /// Retries against the *same* representative before a hand-off fails over,
 /// and re-sends of an unacknowledged `Deliver` before reconcile owns it.
 const ACK_RETRIES: u32 = 1;
@@ -182,13 +178,6 @@ const ACK_RETRIES: u32 = 1;
 /// reconcile request whose reply timed out (beyond this the next gossip
 /// round starts over).
 const MAX_FAILOVERS: u32 = 2;
-
-/// Hand-offs to one peer timed out in a row, with no round trip to it timed
-/// between them, after which the peer is suspect: passed over as a
-/// failover, cross-zone or reconcile candidate while another is left, and
-/// failed over from at once. One timeout is a lost message; two in a row,
-/// the second after a backed-off wait, is a peer that has stopped answering.
-const SUSPECT_TIMEOUTS: u8 = 2;
 
 /// Multiplier applied to a wait per timeout already burned on it: an
 /// acknowledged hand-off's per same-representative retry, a `Deliver`'s per
@@ -237,25 +226,10 @@ const MISBEHAVIOR_CONTRADICTION: u32 = 1;
 /// without letting the request itself outgrow the reply it is optimizing.
 const MAX_BASELINES: usize = 256;
 
-/// Most `Deliver`s a node awaits acks for at once; one sent beyond that is
-/// not re-sent, and reconcile owns its loss.
-const MAX_PENDING_DELIVERS: usize = 256;
-
-/// First-transmission payload `Deliver`s a node must have had acknowledged
-/// since it last re-sent a `Deliver` or an announce before it sends a
-/// member an announce in place of a second payload (DESIGN §6). A run of 256
-/// tells a final hop losing under 0.4 % from a 1 % one, whose round trips
-/// all answer 256 times in a row with odds of 0.98^256 ≈ 0.6 %.
-const SPLIT_STREAK: u32 = 256;
-
 /// Gossip exchanges answered in a row after which a node takes its links as
 /// clean again (see [`NewsWireNode::source_copies`]). At 5 % loss one
 /// exchange in ten goes unanswered, so a run of 256 does not occur.
 const CLEAN_EXCHANGES: u32 = 256;
-
-/// Most announces a member remembers while it waits for their article; past
-/// that, the oldest is forgotten and its announcer sends the payload.
-const MAX_HELD_ANNOUNCES: usize = 256;
 
 /// Most peers one reconcile pass asks, the first included, about holes the
 /// peers before them could not vouch for.
@@ -290,310 +264,6 @@ impl PendingReconcile {
     /// True when the request asked about `seq`.
     fn requested(&self, seq: u64) -> bool {
         seq >= self.tail_from || self.ranges.iter().any(|&(lo, hi)| lo <= seq && seq <= hi)
-    }
-}
-
-/// One copy of an article on the wire awaiting its `ForwardAck`: a tree
-/// hand-off to a representative of `zone`, or — with no zone — a final-hop
-/// `Deliver` to a member of this node's leaf zone.
-#[derive(Debug)]
-struct Ack {
-    env: Arc<Envelope>,
-    /// The representative or member the copy went to.
-    peer: u32,
-    /// The zone a hand-off covers. `None` for a `Deliver`.
-    zone: Option<ZoneId>,
-    /// Re-sends to `peer` so far.
-    attempt: u32,
-    /// Representatives a hand-off failed over from.
-    tried: Vec<u32>,
-    /// When the first transmission hit the wire.
-    armed_at: SimTime,
-    /// For an announce, the node that handed this one the duty: the wait
-    /// covers its hand-off to the co-representative that sends the payload.
-    /// `None` for a payload and a hand-off.
-    announce: Option<u32>,
-}
-
-impl Ack {
-    /// Karn's rule: only the ack of a copy sent once, to the peer now
-    /// answering, times a round trip — after a retry or a failover the ack
-    /// could belong to either transmission. An announce's ack times
-    /// nothing: it waits on the other representative's copy.
-    fn times_round_trip(&self, acked_by: u32) -> bool {
-        self.peer == acked_by
-            && self.attempt == 0
-            && self.tried.is_empty()
-            && self.announce.is_none()
-    }
-
-    /// The copy, to send again.
-    fn message(&self) -> NewsWireMsg {
-        let env = Arc::clone(&self.env);
-        match &self.zone {
-            Some(zone) => NewsWireMsg::Forward { env, zone: zone.clone() },
-            None => NewsWireMsg::Deliver { env, announce: self.announce.is_some() },
-        }
-    }
-}
-
-/// The acknowledgement table: every copy on the wire awaiting its ack —
-/// hand-offs, final-hop `Deliver`s and announces alike — under one sweep
-/// timer (tag [`ACK_TAG_BASE`]) set for the earliest deadline, the
-/// round-trip evidence the deadlines are drawn from, and the final hop's
-/// measured loss that gates announces. No timer is ever cancelled: a
-/// sweep that finds nothing due re-arms for the next deadline or goes idle.
-#[derive(Debug)]
-struct Acks {
-    /// By deadline, then in the order armed.
-    entries: BTreeMap<(SimTime, u64), Ack>,
-    /// Entries armed so far: the order among equal deadlines.
-    armed: u64,
-    /// When the sweep timers set and not yet fired go off.
-    sweeps: BTreeSet<SimTime>,
-    /// This node's id and the layout it sits in: what [`Acks::zone_key`]
-    /// places a peer by.
-    me: u32,
-    layout: ZoneLayout,
-    /// Round-trip evidence per sibling zone, indexed by [`Acks::zone_key`].
-    rtt: Vec<RttPeak>,
-    /// Hand-offs timed out per peer since a round trip to it was last
-    /// timed; a peer with none has no entry.
-    timeouts: HashMap<u32, u8>,
-    /// Final-hop entries held: `Deliver`s and announces.
-    delivers: usize,
-    /// First-transmission payload `Deliver`s acknowledged since this node
-    /// last re-sent a `Deliver` or an announce.
-    streak: u32,
-}
-
-impl Acks {
-    /// An empty table for node `me`, with one round-trip estimate per key
-    /// [`Acks::zone_key`] can return: `(levels + 1) × branching`.
-    fn new(me: u32, layout: &ZoneLayout) -> Self {
-        let keys = (layout.levels() + 1) * usize::from(layout.branching());
-        Acks {
-            entries: BTreeMap::new(),
-            armed: 0,
-            sweeps: BTreeSet::new(),
-            me,
-            layout: layout.clone(),
-            rtt: vec![RttPeak::default(); keys],
-            timeouts: HashMap::new(),
-            delivers: 0,
-            streak: 0,
-        }
-    }
-
-    /// Which estimate a round trip to `peer` feeds and is bounded by: the
-    /// zone `peer` sits in that is a sibling of one of this node's own —
-    /// `level × branching + label` at the first level where the two
-    /// leaf-zone paths differ — or, for a leaf mate, its own entry by
-    /// member slot. The zones mirror the network's hierarchy, so the
-    /// members of one sibling zone sit behind one path and share its round
-    /// trip. `None` for an id outside the layout (an external client, a
-    /// fabricated identity): it gets the ceiling.
-    fn zone_key(&self, peer: u32) -> Option<usize> {
-        if peer >= self.layout.agents() {
-            return None;
-        }
-        let b = usize::from(self.layout.branching());
-        let levels = self.layout.levels();
-        // Leaf-zone indices, whose base-b digits are the paths: walking up
-        // from the leaf level, the last level where the prefixes still
-        // differ is the first where the paths do.
-        let (mut mine, mut theirs) = (self.me as usize / b, peer as usize / b);
-        let mut key = levels * b + peer as usize % b;
-        for level in (0..levels).rev() {
-            if mine != theirs {
-                key = level * b + theirs % b;
-            }
-            mine /= b;
-            theirs /= b;
-        }
-        Some(key)
-    }
-
-    fn insert(&mut self, due: SimTime, ack: Ack) {
-        self.armed += 1;
-        self.delivers += usize::from(ack.zone.is_none());
-        self.entries.insert((due, self.armed), ack);
-    }
-
-    /// Final-hop entries held.
-    fn delivers(&self) -> usize {
-        self.delivers
-    }
-
-    /// True while the final hop is measured clean: [`SPLIT_STREAK`]
-    /// first-transmission payloads acknowledged in a row.
-    fn split_on(&self) -> bool {
-        self.streak >= SPLIT_STREAK
-    }
-
-    /// A `Deliver` or an announce went unacknowledged and is sent again:
-    /// the final hop is no longer measured clean.
-    fn note_resend(&mut self) {
-        self.streak = 0;
-    }
-
-    /// Takes out the first entry, when it is due by `now`.
-    fn pop_due(&mut self, now: SimTime) -> Option<Ack> {
-        let ack = self.entries.first_entry().filter(|entry| entry.key().0 <= now)?.remove();
-        self.delivers -= usize::from(ack.zone.is_none());
-        Some(ack)
-    }
-
-    /// The earliest deadline, when no sweep is set to go off by then.
-    fn sweep_needed(&self) -> Option<SimTime> {
-        let &(due, _) = self.entries.keys().next()?;
-        self.sweeps.first().is_none_or(|&at| at > due).then_some(due)
-    }
-
-    /// Removes what the ack `from` sent for `msg_id`, naming `zone`,
-    /// settles, and returns whether that was hand-offs, and whether a
-    /// `Deliver` or an announce. A member's ack settles its own `Deliver` —
-    /// the copy sent first, if the article went to it twice — and nothing
-    /// else:
-    /// a node that represents its leaf zone higher up also hands that zone
-    /// off to the zone's other representative, a member it `Deliver`s to as
-    /// well, and each copy awaits its own ack. Otherwise any ack naming a
-    /// hand-off's zone settles it — the hand-offs to both representatives
-    /// at once, and one that failed over by a late ack from the
-    /// representative it left. Either kind times the round trip to `from`
-    /// where Karn's rule allows, and a payload that does extends the final
-    /// hop's clean run.
-    fn settle(&mut self, msg_id: u64, zone: &ZoneId, from: u32, now: SimTime) -> (bool, bool) {
-        let deliver = self
-            .entries
-            .iter()
-            .filter(|(_, ack)| ack.zone.is_none() && ack.env.msg_id == msg_id && ack.peer == from)
-            .min_by_key(|(_, ack)| ack.armed_at);
-        if let Some(&key) = deliver.map(|(key, _)| key) {
-            let ack = self.entries.remove(&key).expect("the entry just found");
-            self.delivers -= 1;
-            if ack.times_round_trip(from) {
-                self.streak = self.streak.saturating_add(1);
-                self.note_rtt(from, now.saturating_since(ack.armed_at));
-            }
-            return (false, true);
-        }
-        let mut settled = false;
-        let mut timed = None;
-        self.entries.retain(|_, ack| {
-            if ack.env.msg_id != msg_id || ack.zone.as_ref() != Some(zone) {
-                return true;
-            }
-            settled = true;
-            if ack.times_round_trip(from) {
-                timed = Some(now.saturating_since(ack.armed_at));
-            }
-            false
-        });
-        if let Some(rtt) = timed {
-            self.note_rtt(from, rtt);
-        }
-        (settled, false)
-    }
-
-    /// `peer` answered in `rtt`: its back-off is over, and the round trip
-    /// feeds its zone's estimate — unless it took longer than the ceiling.
-    /// A round trip that slow is one gray or overloaded member's, not the
-    /// path's, and would stretch every zone-mate's bound for good.
-    fn note_rtt(&mut self, peer: u32, rtt: SimDuration) {
-        self.timeouts.remove(&peer);
-        if rtt > ACK_TIMEOUT {
-            return;
-        }
-        if let Some(key) = self.zone_key(peer) {
-            self.rtt[key].note(rtt);
-        }
-    }
-
-    /// A hand-off to `peer` went unacknowledged. Until a round trip to it
-    /// is timed again its bound stays backed off (the other half of Karn's
-    /// algorithm): a peer that has stopped answering — crashed, cut off —
-    /// is not hammered at the pace of its zone's healthy round trip, and
-    /// its live zone-mates are not slowed by it.
-    fn note_timeout(&mut self, peer: u32) {
-        let timeouts = self.timeouts.entry(peer).or_default();
-        *timeouts = timeouts.saturating_add(1);
-    }
-
-    /// What a round trip to `peer` is bounded by: measured over its zone
-    /// (see [`RttPeak::bound`]), doubled per hand-off to `peer` timed
-    /// out since it last answered, and never above [`ACK_TIMEOUT`], which
-    /// is also the answer before any exchange with the zone has been timed.
-    fn round_trip_bound(&self, peer: u32) -> SimDuration {
-        let Some(bound) = self.zone_key(peer).and_then(|key| self.rtt[key].bound()) else {
-            return ACK_TIMEOUT;
-        };
-        let backed_off = 1u64.checked_shl(u32::from(self.timeouts(peer))).unwrap_or(u64::MAX);
-        SimDuration::from_micros(bound.as_micros().saturating_mul(backed_off)).min(ACK_TIMEOUT)
-    }
-
-    /// Hand-offs to `peer` timed out since a round trip to it was last
-    /// timed.
-    fn timeouts(&self, peer: u32) -> u8 {
-        self.timeouts.get(&peer).copied().unwrap_or(0)
-    }
-
-    /// A new incarnation of `peer` starts without a back-off; what round
-    /// trips into its zone measured stays, being the path's.
-    fn forget_timeouts(&mut self, peer: u32) {
-        self.timeouts.remove(&peer);
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.armed = 0;
-        self.sweeps.clear();
-        self.rtt.fill(RttPeak::default());
-        self.timeouts.clear();
-        self.delivers = 0;
-        self.streak = 0;
-    }
-}
-
-/// Samples after which a zone's bound drops to 1.25 times the slowest round
-/// trip timed. Until then the factor tightens from 5 by one per four samples
-/// and holds at 2: over a handful of samples the peak is likely to sit well
-/// under the path's slowest round trip, and a quarter on top of it would
-/// make live hand-offs look lost.
-const SETTLED_SAMPLES: u16 = 40;
-
-/// Round-trip evidence about one zone: the slowest exchange timed, and how
-/// many were.
-#[derive(Debug, Clone, Copy, Default)]
-struct RttPeak {
-    peak_us: u32,
-    samples: u16,
-}
-
-impl RttPeak {
-    fn note(&mut self, rtt: SimDuration) {
-        let us = u32::try_from(rtt.as_micros()).unwrap_or(u32::MAX);
-        self.peak_us = self.peak_us.max(us);
-        self.samples = self.samples.saturating_add(1);
-    }
-
-    /// A bound the next round trip should not exceed: the peak times a
-    /// safety factor that starts at 5 — a lone sample may be the path's
-    /// *fastest* round trip, and a WAN leg's slowest delay is several times
-    /// its fastest — tightens by one per four samples to 2, and drops to
-    /// 1.25 at [`SETTLED_SAMPLES`]. The peak never decays; a sample past
-    /// the ceiling never reaches it (see [`Acks::note_rtt`]). `None` before
-    /// any sample.
-    fn bound(self) -> Option<SimDuration> {
-        if self.samples == 0 {
-            return None;
-        }
-        let quarters = if self.samples >= SETTLED_SAMPLES {
-            5
-        } else {
-            4 * 5u64.saturating_sub(u64::from(self.samples / 4)).max(2)
-        };
-        Some(SimDuration::from_micros(u64::from(self.peak_us) * quarters / 4))
     }
 }
 
@@ -635,12 +305,9 @@ pub struct NewsWireNode {
     /// the paper's publishers input items but should not also carry the
     /// system's forwarding burden.
     pub load_bias: f64,
-    /// Hand-offs and `Deliver`s on the wire awaiting their ack.
+    /// Hand-offs and `Deliver`s on the wire awaiting their ack, and the
+    /// announces held until their article arrives.
     acks: Acks,
-    /// Announces of articles this node does not hold yet, `(msg_id,
-    /// announcer)`, oldest first: each is acknowledged once a tree copy of
-    /// its article is admitted. At most [`MAX_HELD_ANNOUNCES`].
-    held_announces: VecDeque<(u64, u32)>,
     /// The `Digest`s of the latest gossip tick still awaiting their
     /// `DigestReply`: `(peer, sent)`. Each reply times one round trip; at
     /// most one entry per table level plus two.
@@ -722,7 +389,6 @@ impl NewsWireNode {
             deliveries: DeliveryLog::default(),
             load_bias: 0.0,
             acks,
-            held_announces: VecDeque::new(),
             digest_probes: Vec::new(),
             answered_probes: CLEAN_EXCHANGES,
             article_logs: BTreeMap::new(),
@@ -1048,18 +714,18 @@ impl NewsWireNode {
 
     /// Hand-offs and `Deliver`s on the wire still awaiting their ack.
     pub fn unacknowledged(&self) -> usize {
-        self.acks.entries.len()
+        self.acks.len()
     }
 
     /// True while a sweep timer over the acknowledgement table is set and
     /// has not gone off.
     pub fn ack_sweep_armed(&self) -> bool {
-        !self.acks.sweeps.is_empty()
+        self.acks.sweep_armed()
     }
 
     /// Announces held until their article arrives (at most 256).
     pub fn held_announces(&self) -> usize {
-        self.held_announces.len()
+        self.acks.held_announces()
     }
 
     /// True when the item with `id` has been delivered to the application.
@@ -1102,15 +768,8 @@ impl NewsWireNode {
         }
     }
 
-    /// What a round trip to `peer` is bounded by ([`Acks::round_trip_bound`]).
-    fn round_trip_bound(&self, peer: u32) -> SimDuration {
-        self.acks.round_trip_bound(peer)
-    }
-
-    /// True when the acknowledgement table has backed `peer` off — at
-    /// least [`SUSPECT_TIMEOUTS`] hand-offs to it in a row went
-    /// unacknowledged, with no round trip timed since and no new
-    /// incarnation seen — or the misbehavior score has quarantined it.
+    /// True when the acknowledgement table has backed `peer` off
+    /// ([`Acks::suspect`]) or the misbehavior score has quarantined it.
     /// Folding quarantine in here covers every selection path at once
     /// (cross-zone peers, ack failovers, reconcile sources). The node keeps
     /// no detector of its own: a silent leaf mate is Astrolabe's to judge,
@@ -1118,7 +777,7 @@ impl NewsWireNode {
     /// rows the tables still hold. A peer never handed anything is not
     /// suspect.
     fn peer_suspect(&self, peer: u32) -> bool {
-        self.quarantined(peer) || self.acks.timeouts(peer) >= SUSPECT_TIMEOUTS
+        self.quarantined(peer) || self.acks.suspect(peer)
     }
 
     /// True when `peer`'s misbehavior score has crossed the quarantine
@@ -1541,16 +1200,10 @@ impl NewsWireNode {
             let zone = zone.unwrap_or_else(|| self.agent.zone(0)).clone();
             ctx.send(from, NewsWireMsg::ForwardAck { msg_id: env.msg_id, zone });
         }
-        if !self.held_announces.is_empty() {
-            let zone = self.agent.zone(0);
-            self.held_announces.retain(|&(msg_id, announcer)| {
-                if msg_id == env.msg_id {
-                    let ack = NewsWireMsg::ForwardAck { msg_id, zone: zone.clone() };
-                    ctx.send(NodeId(announcer), ack);
-                }
-                msg_id != env.msg_id
-            });
-        }
+        let (msg_id, zone) = (env.msg_id, self.agent.zone(0));
+        self.acks.release_announces(msg_id, |announcer| {
+            ctx.send(NodeId(announcer), NewsWireMsg::ForwardAck { msg_id, zone: zone.clone() });
+        });
         Some(admitted)
     }
 
@@ -1568,19 +1221,15 @@ impl NewsWireNode {
         ctx.send(from, NewsWireMsg::ForwardAck { msg_id: msg_id_of(id), zone });
     }
 
-    /// Remembers `from`'s announce of `id` until a tree copy of the article
-    /// is admitted, forgetting the oldest past [`MAX_HELD_ANNOUNCES`], and
-    /// returns true — unless the article is already held or logged, when
-    /// the announce is answered now and this returns false.
+    /// Holds `from`'s announce of `id` ([`Acks::hold_announce`]) and returns
+    /// true — unless the article is already held or logged, when the
+    /// announce is answered now and this returns false.
     fn hold_announce(&mut self, from: u32, id: ItemId) -> bool {
         let logged = self.article_logs.get(&id.publisher).is_some_and(|log| log.contains(id.seq));
         if logged || self.cache.contains(id) {
             return false;
         }
-        if self.held_announces.len() >= MAX_HELD_ANNOUNCES {
-            self.held_announces.pop_front();
-        }
-        self.held_announces.push_back((msg_id_of(id), from));
+        self.acks.hold_announce(msg_id_of(id), from);
         true
     }
 
@@ -1720,45 +1369,32 @@ impl NewsWireNode {
         candidates.as_slice().choose(rng).map(|&p| NodeId(p))
     }
 
-    /// Enters a copy of `env` sent now to `peer` — a hand-off covering
-    /// `zone`, or with none a final-hop `Deliver`, an announce when it names
-    /// the node that handed the duty in — into the acknowledgement table,
-    /// and returns whether it did. A `Deliver` beyond
-    /// [`MAX_PENDING_DELIVERS`] is not entered: reconcile owns its loss.
-    fn arm_ack(
-        &mut self,
-        ctx: &mut Context<'_, NewsWireMsg>,
-        peer: u32,
-        env: Arc<Envelope>,
-        zone: Option<ZoneId>,
-        announce: Option<u32>,
-    ) -> bool {
-        if zone.is_none() && self.acks.delivers() >= MAX_PENDING_DELIVERS {
-            return false;
+    /// A tree hop becomes *acknowledged* the moment it hits the wire: it
+    /// enters the acknowledgement table, whose sweep drives retry, back-off
+    /// and failover. Returns the copy to send — the payload in place of an
+    /// announce the table cannot await, which would leave the member none.
+    fn arm_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, ack: Ack) -> NewsWireMsg {
+        let id = self.agent.id();
+        if ack.zone.is_some() {
+            obs::trace_event!(id, Layer::News, kind::HANDOFF_ARM, ack.env.msg_id, ack.peer);
         }
-        let now = ctx.now();
-        let tried = Vec::new();
-        self.enter_ack(now, Ack { env, peer, zone, attempt: 0, tried, armed_at: now, announce });
+        let (msg, announce) = (ack.message(), ack.announce.is_some());
+        if !self.acks.arm(ctx.now(), ack) {
+            let NewsWireMsg::Deliver { env, .. } = msg else { unreachable!("hand-offs fit") };
+            return NewsWireMsg::Deliver { env, announce: false };
+        }
+        if announce {
+            obs::metric_add!(id, ctr::NW_ANNOUNCES, 1);
+        }
         self.arm_sweep(ctx);
-        true
-    }
-
-    /// Enters `ack` due one round-trip bound to its peer from `now`, backed
-    /// off [`BACKOFF`] times per re-send already made to it. An announce
-    /// waits one round-trip bound to the node that handed the duty in on
-    /// top: the co-representative's copy came by way of that node.
-    fn enter_ack(&mut self, now: SimTime, ack: Ack) {
-        let lag = ack.announce.map_or(SimDuration::ZERO, |up| self.round_trip_bound(up));
-        let due = now + self.round_trip_bound(ack.peer) * BACKOFF.pow(ack.attempt) + lag;
-        self.acks.insert(due, ack);
+        msg
     }
 
     /// Sets a sweep timer for the earliest deadline, unless one goes off by
     /// then already.
     fn arm_sweep(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
-        if let Some(due) = self.acks.sweep_needed() {
+        if let Some(due) = self.acks.schedule_sweep() {
             ctx.set_timer(due.saturating_since(ctx.now()), ACK_TAG_BASE);
-            self.acks.sweeps.insert(due);
         }
     }
 
@@ -1767,7 +1403,6 @@ impl NewsWireNode {
     /// is due again a round-trip bound later, never now.
     fn sweep_acks(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
         let now = ctx.now();
-        self.acks.sweeps.retain(|&at| at > now);
         while let Some(ack) = self.acks.pop_due(now) {
             self.retry_ack(ctx, ack);
         }
@@ -1780,7 +1415,7 @@ impl NewsWireNode {
     /// payload. Then a hand-off fails over to an untried
     /// representative of its zone, up to [`MAX_FAILOVERS`] times, and is
     /// abandoned after that; a `Deliver` is forgotten. Reconcile owns either
-    /// loss.
+    /// loss. What goes again is re-entered.
     fn retry_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, mut ack: Ack) {
         let id = self.agent.id();
         let msg_id = ack.env.msg_id;
@@ -1811,30 +1446,31 @@ impl NewsWireNode {
                     obs::trace_event!(id, Layer::News, kind::DELIVER_RESEND, msg_id, ack.peer);
                 }
             }
-            self.resend_ack(ctx, ack);
-            return;
-        }
-        let Some(zone) = &ack.zone else { return };
-        let next = if ack.tried.len() < MAX_FAILOVERS as usize {
-            let mut candidates = zone_reps(&self.agent, zone);
-            candidates.retain(|r| !ack.tried.contains(r) && *r != ack.peer);
-            // Prefer representatives that still answer.
-            self.prefer_unsuspected(&mut candidates);
-            candidates.as_slice().choose(ctx.rng()).copied()
         } else {
-            None
-        };
-        let Some(rep) = next else {
-            obs::metric_add!(id, ctr::NW_HANDOFFS_ABANDONED, 1);
-            obs::trace_event!(id, Layer::News, kind::HANDOFF_ABANDON, msg_id, ack.peer);
-            return;
-        };
-        ack.tried.push(ack.peer);
-        ack.peer = rep;
-        ack.attempt = 0;
-        obs::metric_add!(id, ctr::NW_ACK_FAILOVERS, 1);
-        obs::trace_event!(id, Layer::News, kind::HANDOFF_FAILOVER, msg_id, rep);
-        self.resend_ack(ctx, ack);
+            let Some(zone) = &ack.zone else { return };
+            let next = if ack.tried.len() < MAX_FAILOVERS as usize {
+                let mut candidates = zone_reps(&self.agent, zone);
+                candidates.retain(|r| !ack.tried.contains(r) && *r != ack.peer);
+                // Prefer representatives that still answer.
+                self.prefer_unsuspected(&mut candidates);
+                candidates.as_slice().choose(ctx.rng()).copied()
+            } else {
+                None
+            };
+            let Some(rep) = next else {
+                obs::metric_add!(id, ctr::NW_HANDOFFS_ABANDONED, 1);
+                obs::trace_event!(id, Layer::News, kind::HANDOFF_ABANDON, msg_id, ack.peer);
+                return;
+            };
+            ack.tried.push(ack.peer);
+            ack.peer = rep;
+            ack.attempt = 0;
+            obs::metric_add!(id, ctr::NW_ACK_FAILOVERS, 1);
+            obs::trace_event!(id, Layer::News, kind::HANDOFF_FAILOVER, msg_id, rep);
+        }
+        obs::metric_add!(id, ctr::NW_FORWARDS, 1);
+        ctx.send(NodeId(ack.peer), ack.message());
+        self.acks.arm(ctx.now(), ack);
     }
 
     /// How many times a queued copy goes on the wire. A zone below the
@@ -1853,13 +1489,6 @@ impl NewsWireNode {
             }
             _ => 1,
         }
-    }
-
-    /// Sends `ack`'s copy to its peer again and re-enters it.
-    fn resend_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, ack: Ack) {
-        obs::metric_add!(self.agent.id(), ctr::NW_FORWARDS, 1);
-        ctx.send(NodeId(ack.peer), ack.message());
-        self.enter_ack(ctx.now(), ack);
     }
 
     /// Rebuilds this node's digest rider from its article logs: one
@@ -2478,7 +2107,6 @@ impl NewsWireNode {
         self.deliveries.clear();
         self.drain_timer = None;
         self.acks.clear();
-        self.held_announces.clear();
         self.digest_probes.clear();
         self.answered_probes = CLEAN_EXCHANGES;
         self.article_logs.clear();
@@ -2733,40 +2361,8 @@ impl Node for NewsWireNode {
                 let Some(_) = self.drain_timer.take_if(|armed| *armed == t) else { return };
                 if let Some(q) = self.queues.pop() {
                     let (dst, hop) = q.item;
-                    // Tree hops become *acknowledged* at the moment they
-                    // hit the wire: the copy enters the acknowledgement
-                    // table, whose sweep drives retry, backoff and failover.
-                    let msg = match hop {
-                        Hop::Forward { env, zone } => {
-                            if self.cfg.acks {
-                                obs::trace_event!(
-                                    self.agent.id(),
-                                    Layer::News,
-                                    kind::HANDOFF_ARM,
-                                    env.msg_id,
-                                    dst.0
-                                );
-                                let (copy, covers) = (Arc::clone(&env), Some(zone.clone()));
-                                self.arm_ack(ctx, dst.0, copy, covers, None);
-                            }
-                            NewsWireMsg::Forward { env, zone }
-                        }
-                        Hop::Deliver { env, announce: upstream } => {
-                            let mut announce = upstream.is_some();
-                            if self.cfg.acks {
-                                let armed =
-                                    self.arm_ack(ctx, dst.0, Arc::clone(&env), None, upstream);
-                                if announce && !armed {
-                                    // An announce nothing awaits would leave
-                                    // the member without this node's payload.
-                                    announce = false;
-                                } else if announce {
-                                    obs::metric_add!(self.agent.id(), ctr::NW_ANNOUNCES, 1);
-                                }
-                            }
-                            NewsWireMsg::Deliver { env, announce }
-                        }
-                    };
+                    let ack = Ack::new(hop, dst.0, ctx.now());
+                    let msg = if self.cfg.acks { self.arm_ack(ctx, ack) } else { ack.message() };
                     let copies = self.source_copies(&msg);
                     for _ in 1..copies {
                         ctx.send(dst, msg.clone());
@@ -2967,6 +2563,7 @@ fn holes_in(log: &SeqLog<LogEntry>, lo: u64, hi: u64) -> Vec<(u64, u64)> {
 
 #[cfg(test)]
 mod tests {
+    use super::acks::SUSPECT_TIMEOUTS;
     use super::*;
     use crate::auth::verify_bare_item;
     use crate::config::SubscriptionModel;
@@ -3500,7 +3097,7 @@ mod tests {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         n.merge_gossip(now, 2, msg, &mut rng);
         assert!(!n.peer_suspect(2), "new incarnation cleared the stale suspicion");
-        assert_eq!(n.acks.timeouts(2), 0, "and its back-off");
+        assert!(n.acks.backed_off().is_empty(), "and its back-off");
         let mut candidates = vec![1, 2];
         n.prefer_unsuspected(&mut candidates);
         assert_eq!(candidates, vec![1, 2], "recovered peer selectable as failover target");

@@ -1,14 +1,11 @@
 //! What a node's NewsWire bookkeeping holds, structure by structure
 //! (DESIGN §8, "Where a NewsWire node's memory goes").
 
-use std::mem::size_of;
-
 use amcast::SeqLog;
-use simnet::heap::{btree_map_bytes, hash_map_bytes};
+use simnet::heap::btree_map_bytes;
 
-use super::{Ack, LogEntry, NewsWireNode, RttPeak};
+use super::{LogEntry, NewsWireNode};
 use newsml::PublisherId;
-use simnet::SimTime;
 
 /// Heap bytes of a node's NewsWire structures, each computed from its
 /// lengths and capacities. Articles and envelopes are shared handles: each
@@ -41,16 +38,6 @@ impl NewsWireNode {
         let article_logs =
             btree_map_bytes::<PublisherId, SeqLog<LogEntry>>(logs.len(), !logs.is_empty())
                 + logs.values().map(SeqLog::heap_bytes).sum::<usize>();
-        let acks = &self.acks;
-        // An emptied map keeps its root node: a table that armed an entry
-        // since it was last cleared holds one.
-        let rooted = acks.armed > 0;
-        let table = btree_map_bytes::<(SimTime, u64), Ack>(acks.entries.len(), rooted)
-            + acks.entries.values().map(|a| a.tried.capacity() * size_of::<u32>()).sum::<usize>()
-            + btree_map_bytes::<SimTime, ()>(acks.sweeps.len(), rooted)
-            + acks.rtt.capacity() * size_of::<RttPeak>()
-            + hash_map_bytes::<u32, u8>(acks.timeouts.capacity())
-            + self.held_announces.capacity() * size_of::<(u64, u32)>();
         Footprint {
             cache,
             slug_index,
@@ -58,7 +45,7 @@ impl NewsWireNode {
             deliveries: self.deliveries.heap_bytes(),
             coverage: self.coverage.heap_bytes(),
             queues: self.queues.heap_bytes(),
-            acks: table,
+            acks: self.acks.heap_bytes(),
         }
     }
 }
@@ -72,7 +59,7 @@ mod tests {
     use crate::deploy::tech_news_deployment;
     use amcast::{CoverageWindow, ForwardingQueues, FORWARD_STRATEGY};
     use newsml::{Category, NewsItem};
-    use simnet::{NodeId, SimDuration};
+    use simnet::{NodeId, SimDuration, SimTime};
 
     /// Every structure of every node of a small deployment, dropped in turn
     /// under a counting allocator, frees what `footprint` reports of it, to
@@ -103,7 +90,7 @@ mod tests {
             let node = d.sim.node_mut(NodeId(i as u32));
             let f = node.footprint();
             let (acks, queues) = (
-                Acks::new(node.acks.me, &node.acks.layout),
+                Acks::new(node.agent.id(), node.agent.layout()),
                 ForwardingQueues::new(FORWARD_STRATEGY),
             );
             let freed = [
@@ -112,8 +99,7 @@ mod tests {
                 heapcount::freed_by(std::mem::take(&mut node.deliveries)),
                 heapcount::freed_by(std::mem::replace(&mut node.coverage, CoverageWindow::new(1))),
                 heapcount::freed_by(std::mem::replace(&mut node.queues, queues)),
-                heapcount::freed_by(std::mem::replace(&mut node.acks, acks))
-                    + heapcount::freed_by(std::mem::take(&mut node.held_announces)),
+                heapcount::freed_by(std::mem::replace(&mut node.acks, acks)),
             ];
             let reported = [
                 f.cache + f.slug_index,

@@ -1,6 +1,7 @@
 //! Loss recovery on the tree: the measured hand-off timeout, the
 //! acknowledged final hop, and reconcile's explicit vouching (DESIGN §6, §7).
 
+use super::acks::{ACK_TIMEOUT, MAX_HELD_ANNOUNCES, MAX_PENDING_DELIVERS};
 use super::tests::{tech_item, tech_sub};
 use super::*;
 use crate::deploy::{Deployment, DeploymentBuilder, PublisherSpec};
@@ -55,7 +56,7 @@ fn delivery(d: &Deployment, item: &NewsItem) -> Vec<DeliveryRecord> {
 /// link cut that long loses the copies sent into it, and the re-sends one
 /// bound later find it up again.
 fn half_bound_ms(d: &Deployment) -> u64 {
-    d.sim.node(PUBLISHER).round_trip_bound(MEMBER.0).as_micros() / 2_000
+    d.sim.node(PUBLISHER).acks.round_trip_bound(MEMBER.0).as_micros() / 2_000
 }
 
 /// Cuts `from`→`to` from `at_ms` for `for_ms`.
@@ -78,7 +79,7 @@ fn a_lost_last_deliver_is_resent_after_one_round_trip_bound() {
     let got = delivery(&d, &items[1]);
     assert_eq!(got.len(), 1, "delivered exactly once");
     assert!(!got[0].via_repair, "the re-sent Deliver is the tree's own copy");
-    let bound = d.sim.node(PUBLISHER).round_trip_bound(MEMBER.0);
+    let bound = d.sim.node(PUBLISHER).acks.round_trip_bound(MEMBER.0);
     assert!(bound < SimDuration::from_millis(200), "measured, not the 2 s ceiling: {bound:?}");
     let hop = SimDuration::from_millis(11);
     let late = got[0].delivered.saturating_since(got[0].published);
@@ -160,10 +161,9 @@ fn the_pending_set_is_bounded_and_empties_when_the_member_is_dead() {
     // the set.
     let acks = &mut d.sim.node_mut(PUBLISHER).acks;
     for id in dead {
-        let key = acks.zone_key(id.0).expect("a leaf mate");
-        acks.rtt[key] = RttPeak::default();
+        acks.forget_rtt(id.0);
     }
-    let bound = d.sim.node(PUBLISHER).round_trip_bound(dead[0].0);
+    let bound = d.sim.node(PUBLISHER).acks.round_trip_bound(dead[0].0);
     assert_eq!(bound, ACK_TIMEOUT);
     // The publisher's flow-control burst, watched for half a bound: the
     // burst below outlasts none of the first copies.
@@ -198,7 +198,7 @@ fn the_round_trip_bound_is_measured_conservative_and_capped() {
     let mut n =
         NewsWireNode::new(agent, NewsWireConfig::tech_news(), Arc::new(TrustRegistry::new(1)));
     // Node 7 sits in /1, the sibling of this node's leaf zone /0.
-    assert_eq!(n.round_trip_bound(7), ceiling, "a zone never timed");
+    assert_eq!(n.acks.round_trip_bound(7), ceiling, "a zone never timed");
 
     // Round trips over an inter-region WAN link: two one-way draws, 200
     // per seed. Whatever is timed, the bound stays between the slowest
@@ -225,13 +225,13 @@ fn the_round_trip_bound_is_measured_conservative_and_capped() {
                 let sample = rtt();
                 largest = largest.max(sample);
                 n.acks.note_rtt(7, sample);
-                let bound = n.round_trip_bound(7);
+                let bound = n.acks.round_trip_bound(7);
                 assert!(bound >= largest && bound <= ceiling);
                 checks += 1;
                 short += u32::from(bound < slowest);
                 outrun += u32::from(rtt() > bound);
             }
-            let settled = n.round_trip_bound(7);
+            let settled = n.acks.round_trip_bound(7);
             assert!(settled <= SimDuration::from_millis(720), "sub-second: {settled:?}");
         }
         (checks, short, outrun)
@@ -248,172 +248,41 @@ fn the_round_trip_bound_is_measured_conservative_and_capped() {
 
     // Unacknowledged hand-offs back the bound off until the peer is timed
     // again — a dead peer ends up on the ceiling's ladder, not its own.
-    let measured = n.round_trip_bound(7);
+    let measured = n.acks.round_trip_bound(7);
     n.acks.note_timeout(7);
-    assert_eq!(n.round_trip_bound(7), measured + measured);
+    assert_eq!(n.acks.round_trip_bound(7), measured + measured);
     for _ in 0..300 {
         n.acks.note_timeout(7);
     }
-    assert_eq!(n.round_trip_bound(7), ceiling);
+    assert_eq!(n.acks.round_trip_bound(7), ceiling);
     n.acks.note_rtt(7, SimDuration::from_millis(200));
-    let key = n.acks.zone_key(7).expect("7 is in the layout");
-    let back = n.acks.rtt[key].bound().expect("timed");
-    assert_eq!(n.round_trip_bound(7), back, "it answered: the measured bound is back");
+    let back = n.acks.measured(7).expect("timed");
+    assert_eq!(n.acks.round_trip_bound(7), back, "it answered: the measured bound is back");
     assert!(back < SimDuration::from_millis(720));
     n.acks.note_timeout(7);
     n.acks.forget_timeouts(7);
-    assert_eq!(n.round_trip_bound(7), back, "a new incarnation starts without the back-off");
+    assert_eq!(n.acks.round_trip_bound(7), back, "a new incarnation starts without the back-off");
 
     n.acks.clear();
-    assert_eq!(n.round_trip_bound(7), ceiling, "a restart starts unmeasured");
+    assert_eq!(n.acks.round_trip_bound(7), ceiling, "a restart starts unmeasured");
     n.acks.note_rtt(7, SimDuration::from_millis(1_900));
-    assert_eq!(n.round_trip_bound(7), ceiling, "a slow zone's leash stops at the ceiling");
+    assert_eq!(n.acks.round_trip_bound(7), ceiling, "a slow zone's leash stops at the ceiling");
 }
 
-/// An acknowledgement table of node 0 in four leaf zones of four: leaf
-/// mates 1–3 in /0, then /1 (4–7), /2 (8–11) and /3 (12–15).
-fn table() -> Acks {
-    Acks::new(0, &astrolabe::ZoneLayout::new(16, 4))
-}
-
-/// Evidence is pooled per sibling zone: one representative's round trip
-/// bounds a hand-off to its zone-mate, and no other zone's.
+/// Through the handlers, an external ack and digest reply are dropped: an
+/// id outside the layout has no round-trip entry (see
+/// `acks::tests::an_id_outside_the_layout_has_no_entry_and_gets_the_ceiling`).
 #[test]
-fn a_sample_from_one_representative_tightens_its_zone_mates_bound() {
-    let mut acks = table();
-    acks.note_rtt(4, SimDuration::from_millis(100));
-    assert!(acks.round_trip_bound(5) < ACK_TIMEOUT, "5 shares /1 with 4");
-    assert_eq!(acks.round_trip_bound(5), acks.round_trip_bound(4));
-    assert_eq!(acks.round_trip_bound(8), ACK_TIMEOUT, "/2 was never timed");
-    assert_eq!(acks.round_trip_bound(1), ACK_TIMEOUT, "nor was a leaf mate");
-
-    // Three levels of zones of two: node 0's path is /0/0; 2 and 3 share
-    // /0/1, 4–7 share /1, and every key is in range.
-    let deep = Acks::new(0, &astrolabe::ZoneLayout::new(8, 2));
-    assert_eq!(deep.zone_key(2), deep.zone_key(3));
-    assert_eq!(deep.zone_key(4), deep.zone_key(7));
-    assert_ne!(deep.zone_key(2), deep.zone_key(4));
-    assert!((1..8).all(|peer| deep.zone_key(peer).is_some_and(|key| key < deep.rtt.len())));
-}
-
-/// One gray member of a zone — 2 s more each way than its mates — neither
-/// stretches nor backs off its mates' bound: a round trip past the ceiling
-/// stays out of the zone's estimate, and a hand-off timed out on it backs
-/// off that member alone.
-#[test]
-fn a_gray_zone_mate_leaves_its_mates_bound_measured() {
-    let mut acks = table();
-    for rtt in [100, 140, 120, 160, 110] {
-        acks.note_rtt(4, SimDuration::from_millis(rtt));
-    }
-    let measured = acks.round_trip_bound(5);
-    assert!(measured < SimDuration::from_millis(800), "{measured:?}");
-    acks.note_rtt(6, SimDuration::from_millis(4_130));
-    assert_eq!(acks.round_trip_bound(5), measured, "the gray round trip is not the path's");
-    assert_eq!(acks.round_trip_bound(6), measured, "nor its own leash");
-    acks.note_timeout(6);
-    assert_eq!(acks.round_trip_bound(6), measured * 2);
-    assert_eq!(acks.round_trip_bound(5), measured, "the back-off is the peer's");
-    acks.note_rtt(6, SimDuration::from_millis(4_090));
-    assert_eq!(acks.round_trip_bound(6), measured, "it answered, late: the back-off is over");
-}
-
-/// Leaf mates are one hop apart each, not one path: each keeps its own
-/// estimate, by member slot.
-#[test]
-fn leaf_mates_stay_apart() {
-    let mut acks = table();
-    acks.note_rtt(1, SimDuration::from_millis(20));
-    assert!(acks.round_trip_bound(1) < ACK_TIMEOUT);
-    assert_eq!(acks.round_trip_bound(2), ACK_TIMEOUT, "2's round trip was never timed");
-    assert_ne!(acks.zone_key(1), acks.zone_key(2));
-    assert_ne!(acks.zone_key(1), acks.zone_key(4), "and no leaf mate shares a sibling's entry");
-}
-
-/// Karn's rule on the final hop: the ack of a `Deliver` sent once times a
-/// round trip to its member; the ack of a re-sent one times nothing.
-#[test]
-fn a_first_transmission_deliver_ack_adds_a_sample_and_a_resent_ones_none() {
-    let env = envelope(3);
-    let leaf = ZoneId::root().child(0);
-    let armed_at = SimTime::from_secs(1);
-    let now = armed_at + SimDuration::from_millis(20);
-    let deliver = |attempt| Ack {
-        env: Arc::clone(&env),
-        peer: 1,
-        zone: None,
-        attempt,
-        tried: Vec::new(),
-        armed_at,
-        announce: None,
-    };
-    let mut acks = table();
-    let samples = |acks: &Acks| acks.rtt[acks.zone_key(1).expect("a leaf mate")].samples;
-    acks.insert(now + ACK_TIMEOUT, deliver(0));
-    assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (false, true));
-    assert_eq!(samples(&acks), 1, "the first transmission's ack is timed");
-    acks.insert(now + ACK_TIMEOUT, deliver(1));
-    assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (false, true));
-    assert_eq!(samples(&acks), 1, "a re-send's ack could be either copy's");
-}
-
-/// On a link whose delay never varies, a settled bound keeps a quarter of
-/// the round trip as its margin: a live ack is never outrun by its own
-/// bound.
-#[test]
-fn a_constant_links_bound_stays_above_its_round_trip() {
-    let mut acks = table();
-    let rtt = SimDuration::from_millis(20);
-    for _ in 0..100 {
-        acks.note_rtt(1, rtt);
-    }
-    let bound = acks.round_trip_bound(1);
-    assert_eq!(bound, rtt + rtt / 4, "1.25 × the round trip, once settled");
-    assert!(bound > rtt);
-}
-
-/// The zone key is total: an id outside the layout — an external client, a
-/// fabricated Sybil identity — has no entry, gets the ceiling, and its acks
-/// and replies settle what they settle without panicking or timing a round
-/// trip.
-#[test]
-fn an_id_outside_the_layout_has_no_entry_and_gets_the_ceiling() {
-    let env = envelope(4);
-    let zone = ZoneId::root().child(1);
-    let now = SimTime::from_secs(2);
-    let mut acks = table();
-    for stranger in [SYBIL_ID_BASE + 1, NodeId::EXTERNAL.0] {
-        assert_eq!(acks.zone_key(stranger), None);
-        acks.note_rtt(stranger, SimDuration::from_millis(50));
-        acks.note_timeout(stranger);
-        assert_eq!(acks.round_trip_bound(stranger), ACK_TIMEOUT);
-        for hop in [Some(zone.clone()), None] {
-            let ack = Ack {
-                env: Arc::clone(&env),
-                peer: stranger,
-                zone: hop.clone(),
-                attempt: 0,
-                tried: Vec::new(),
-                armed_at: now,
-                announce: None,
-            };
-            acks.insert(now + ACK_TIMEOUT, ack);
-            let settled = acks.settle(env.msg_id, &zone, stranger, now + ACK_TIMEOUT);
-            assert_eq!(settled, (hop.is_some(), hop.is_none()));
-        }
-    }
-    assert!(acks.entries.is_empty());
-    assert!(acks.rtt.iter().all(|rtt| rtt.samples == 0), "nothing was timed");
-
-    // Through the handlers: an external ack and digest reply are dropped.
+fn an_external_ack_and_digest_reply_time_nothing() {
     let mut d = one_zone(8);
     let g = GossipMsg::empty_reply();
     let gossip = NewsWireMsg::Gossip { g, rot: None, digests: None };
     d.sim.schedule_external(ms(60_001), PUBLISHER, gossip);
-    let ack = NewsWireMsg::ForwardAck { msg_id: env.msg_id, zone: ZoneId::root() };
+    let msg_id = msg_id_of(tech_item(4).id);
+    let ack = NewsWireMsg::ForwardAck { msg_id, zone: ZoneId::root() };
     d.sim.schedule_external(ms(60_002), PUBLISHER, ack);
     d.settle(1);
-    assert_eq!(d.sim.node(PUBLISHER).round_trip_bound(NodeId::EXTERNAL.0), ACK_TIMEOUT);
+    assert_eq!(d.sim.node(PUBLISHER).acks.round_trip_bound(NodeId::EXTERNAL.0), ACK_TIMEOUT);
 }
 
 /// (d) Karn's rule, through the real handlers: the same run with and
@@ -444,12 +313,12 @@ fn a_retransmitted_handoff_contributes_no_sample() {
         d.publish(ms(61_000), tech_item(0));
         d.sim.run_until(ms(61_400));
         let publisher = d.sim.node(PUBLISHER);
-        let handoffs = publisher.acks.entries.values().filter(|ack| ack.zone.is_some());
-        assert_eq!(handoffs.count(), 0, "the hand-off was acknowledged");
+        let handoffs = publisher.acks.len() - publisher.acks.delivers();
+        assert_eq!(handoffs, 0, "the hand-off was acknowledged");
         // Both representatives feed the one estimate of their zone.
         let key = publisher.acks.zone_key(reps[0]);
         assert_eq!(key, publisher.acks.zone_key(reps[1]));
-        let timed = publisher.acks.rtt[key.expect("/1 is in the layout")].samples;
+        let timed = publisher.acks.samples(reps[0]);
         (count(&d, PUBLISHER, ctr::NW_ACK_RETRIES), timed)
     };
     let (clean_retries, clean_timed) = run(false);
@@ -739,200 +608,16 @@ fn delivery_at(d: &Deployment, node: NodeId, item: &NewsItem) -> Vec<DeliveryRec
     d.sim.node(node).deliveries.iter().filter(|r| r.item == item.id).collect()
 }
 
-/// An envelope of `tech_item(seq)` under a throwaway credential: what the
-/// acknowledgement table holds, with nobody verifying it.
-fn envelope(seq: u64) -> Arc<Envelope> {
-    let mut registry = TrustRegistry::new(1);
-    let cred =
-        crate::auth::issue_publisher(&mut registry, PublisherId(0), "p", &ZoneId::root(), 60);
-    let item = tech_item(seq);
-    Arc::new(Envelope {
-        msg_id: msg_id_of(item.id),
-        filter: FilterSpec::All,
-        scope: ZoneId::root(),
-        certificate: cred.certificate.clone(),
-        key: cred.key_id(),
-        signature: cred.sign(&item),
-        attest: cred.attest_epoch(0),
-        basis: None,
-        item: item.into(),
-    })
-}
-
-/// The settle rules, entry by entry. Any ack naming a hand-off's zone
-/// settles it: the hand-offs to both representatives at once, and one that
-/// failed over by a late ack from the representative it left, which times
-/// nothing. A `Deliver` is settled by its own member's ack only, and that
-/// ack settles nothing else: a hand-off of the leaf zone to the same member
-/// waits for an ack of its own.
+/// Through the handlers, a lost `Deliver`'s re-send ends the final hop's
+/// clean run (the table's half: `acks::tests::an_announce_ack_times_nothing_and_a_resend_ends_the_clean_run`).
 #[test]
-fn an_ack_settles_hand_offs_by_zone_and_a_deliver_by_its_member() {
-    let env = envelope(9);
-    let msg_id = env.msg_id;
-    let (leaf, near, far) =
-        (ZoneId::root().child(0), ZoneId::root().child(1), ZoneId::root().child(2));
-    let armed_at = SimTime::from_secs(1);
-    let now = armed_at + SimDuration::from_millis(30);
-    let ack = |peer, zone: Option<&ZoneId>, tried: Vec<u32>| Ack {
-        env: Arc::clone(&env),
-        peer,
-        zone: zone.cloned(),
-        attempt: 0,
-        tried,
-        armed_at,
-        announce: None,
-    };
-    let mut acks = table();
-    let due = now + ACK_TIMEOUT;
-    // The hand-off to /1 failed over from representative 6 to 7.
-    acks.insert(due, ack(7, Some(&near), vec![6]));
-    // Both representatives of /2, `Deliver`s to members 2 and 3, and the
-    // leaf zone handed off to member 3, its other representative.
-    acks.insert(due, ack(10, Some(&far), vec![]));
-    acks.insert(due, ack(11, Some(&far), vec![]));
-    acks.insert(due, ack(2, None, vec![]));
-    acks.insert(due, ack(3, None, vec![]));
-    acks.insert(due, ack(3, Some(&leaf), vec![]));
-    let kinds =
-        |acks: &Acks| acks.entries.values().map(|a| (a.peer, a.zone.is_some())).collect::<Vec<_>>();
-
-    let samples = |acks: &Acks, peer| acks.rtt[acks.zone_key(peer).expect("in the layout")].samples;
-
-    assert_eq!(acks.settle(msg_id, &near, 6, now), (true, false), "the late ack settles");
-    assert_eq!(samples(&acks, 6), 0, "and times nothing");
-    assert_eq!(acks.settle(msg_id + 1, &far, 10, now), (false, false), "another article");
-    assert_eq!(acks.settle(msg_id, &far, 11, now), (true, false));
-    assert_eq!(samples(&acks, 11), 1, "11 answered its own first transmission");
-    assert_eq!(kinds(&acks), vec![(2, false), (3, false), (3, true)], "both to /2 settled");
-
-    assert_eq!(acks.settle(msg_id, &leaf, 2, now), (false, true));
-    assert_eq!(samples(&acks, 2), 1, "member 2 answered its own first transmission");
-    assert_eq!(kinds(&acks), vec![(3, false), (3, true)], "member 3's still wait");
-    assert_eq!(acks.settle(msg_id, &leaf, 3, now), (false, true), "the Deliver first");
-    assert_eq!(acks.settle(msg_id, &leaf, 3, now), (true, false), "then the hand-off");
-    assert!(acks.entries.is_empty());
-}
-
-/// A new deadline needs a sweep only when none is set to go off by then,
-/// and the sweep takes what is due in deadline order, entries due at one
-/// instant in the order armed, and leaves the rest.
-#[test]
-fn the_sweep_takes_what_is_due_in_deadline_then_arming_order() {
-    let entry = |peer| Ack {
-        env: envelope(u64::from(peer)),
-        peer,
-        zone: None,
-        attempt: 0,
-        tried: Vec::new(),
-        armed_at: SimTime::ZERO,
-        announce: None,
-    };
-    let mut acks = table();
-    assert_eq!(acks.sweep_needed(), None, "an empty table needs no sweep");
-    acks.insert(ms(200), entry(1));
-    assert_eq!(acks.sweep_needed(), Some(ms(200)));
-    acks.sweeps.insert(ms(200));
-    acks.insert(ms(300), entry(2));
-    assert_eq!(acks.sweep_needed(), None, "the sweep at 200 ms comes first");
-    acks.insert(ms(100), entry(3));
-    assert_eq!(acks.sweep_needed(), Some(ms(100)));
-    acks.sweeps.insert(ms(100));
-    acks.insert(ms(200), entry(4));
-
-    let due: Vec<u32> = std::iter::from_fn(|| acks.pop_due(ms(200))).map(|a| a.peer).collect();
-    assert_eq!(due, vec![3, 1, 4]);
-    assert_eq!(acks.entries.keys().map(|&(due, _)| due).collect::<Vec<_>>(), vec![ms(300)]);
-}
-
-/// The final-hop count the table keeps equals the entries without a zone
-/// after every step of a seeded sequence of arms, acks, sweeps and clears:
-/// hand-offs, `Deliver`s and announces alike.
-#[test]
-fn the_final_hop_count_follows_every_insert_settle_sweep_and_clear() {
-    let mut rng = SmallRng::seed_from_u64(35);
-    let envs: Vec<Arc<Envelope>> = (0..4).map(envelope).collect();
-    let zones = [ZoneId::root().child(0), ZoneId::root().child(1), ZoneId::root().child(2)];
-    let mut acks = table();
-    let mut finals = 0;
-    for step in 0..2_000 {
-        let env = &envs[rng.gen_range(0..envs.len())];
-        let peer = rng.gen_range(1..16);
-        let now = ms(rng.gen_range(0..1_000));
-        match rng.gen_range(0..10) {
-            0..=4 => {
-                let zone = rng.gen_bool(0.5).then(|| zones[rng.gen_range(0..3usize)].clone());
-                let announce = (zone.is_none() && rng.gen_bool(0.5)).then_some(0);
-                let tried = Vec::new();
-                let ack = Ack {
-                    env: Arc::clone(env),
-                    peer,
-                    zone,
-                    attempt: 0,
-                    tried,
-                    armed_at: now,
-                    announce,
-                };
-                acks.insert(now + SimDuration::from_millis(rng.gen_range(0..500)), ack);
-            }
-            5..=7 => {
-                let zone = &zones[rng.gen_range(0..3usize)];
-                acks.settle(env.msg_id, zone, peer, now);
-            }
-            8 => while acks.pop_due(now).is_some() {},
-            _ if step % 97 == 0 => acks.clear(),
-            _ => {}
-        }
-        let filtered = acks.entries.values().filter(|ack| ack.zone.is_none()).count();
-        assert_eq!(acks.delivers(), filtered, "step {step}");
-        finals = finals.max(filtered);
-    }
-    assert!(finals > 10, "the sequence held final-hop entries: {finals}");
-}
-
-/// An announce's ack waits on the other representative's copy: it times
-/// no round trip and does not extend the final hop's clean run. A
-/// first-transmission payload's ack does both, [`SPLIT_STREAK`] of them in a
-/// row turn the split on, and any re-send turns it off again.
-#[test]
-fn an_announce_ack_times_nothing_and_a_resend_ends_the_clean_run() {
-    let env = envelope(5);
-    let leaf = ZoneId::root().child(0);
-    let armed_at = SimTime::from_secs(1);
-    let now = armed_at + SimDuration::from_millis(20);
-    let entry = |announce| Ack {
-        env: Arc::clone(&env),
-        peer: 1,
-        zone: None,
-        attempt: 0,
-        tried: Vec::new(),
-        armed_at,
-        announce,
-    };
-    let mut acks = table();
-    let samples = |acks: &Acks| acks.rtt[acks.zone_key(1).expect("a leaf mate")].samples;
-    acks.insert(now + ACK_TIMEOUT, entry(Some(4)));
-    assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (false, true), "the announce settles");
-    assert_eq!((samples(&acks), acks.streak), (0, 0), "and times nothing");
-    for n in 1..=SPLIT_STREAK {
-        assert!(!acks.split_on(), "{n}");
-        acks.insert(now + ACK_TIMEOUT, entry(None));
-        acks.settle(env.msg_id, &leaf, 1, now);
-    }
-    assert!(acks.split_on(), "{SPLIT_STREAK} clean first transmissions");
-    assert_eq!(u32::from(samples(&acks)), SPLIT_STREAK, "each one timed");
-    acks.insert(now + ACK_TIMEOUT, entry(Some(4)));
-    acks.settle(env.msg_id, &leaf, 1, now);
-    assert_eq!(acks.streak, SPLIT_STREAK, "an announce's ack leaves the run as it was");
-    acks.note_resend();
-    assert!(!acks.split_on(), "a re-send ends the run");
-
-    // Through the handlers: a lost `Deliver`'s re-send ends the run too.
+fn a_resent_deliver_ends_the_clean_run() {
     let mut d = one_zone(9);
-    d.sim.node_mut(PUBLISHER).acks.streak = SPLIT_STREAK;
+    d.sim.node_mut(PUBLISHER).acks.force_split();
     publish(&mut d, 61_000, &tech_item(0), true);
     d.settle(5);
     assert_eq!(count(&d, PUBLISHER, ctr::NW_DELIVER_RESENDS), 1);
-    assert_eq!(d.sim.node(PUBLISHER).acks.streak, 0);
+    assert!(!d.sim.node(PUBLISHER).acks.split_on());
 }
 
 /// In the two-zone deployment, with the split forced on at both
@@ -945,16 +630,16 @@ fn an_announce_ack_times_nothing_and_a_resend_ends_the_clean_run() {
 fn a_held_announce_is_acknowledged_once_a_tree_copy_arrives() {
     let mut d = two_zones(31);
     for rep in [6, 7] {
-        d.sim.node_mut(NodeId(rep)).acks.streak = SPLIT_STREAK;
+        d.sim.node_mut(NodeId(rep)).acks.force_split();
     }
     let sends_payload = |d: &Deployment, rep: u32| !d.sim.node(NodeId(rep)).announces_to(4);
     let (payload, announcer) = if sends_payload(&d, 6) { (6, 7) } else { (7, 6) };
     assert!(sends_payload(&d, payload) && !sends_payload(&d, announcer), "one payload to 4");
     assert!(d.sim.node(NodeId(6)).announces_to(7), "a representative is announced to");
     // The payload's re-send comes before the announcer's wait runs out.
-    let resend = d.sim.node(NodeId(payload)).round_trip_bound(4);
+    let resend = d.sim.node(NodeId(payload)).acks.round_trip_bound(4);
     let node = d.sim.node(NodeId(announcer));
-    let wait = node.round_trip_bound(PUBLISHER.0) + node.round_trip_bound(4);
+    let wait = node.acks.round_trip_bound(PUBLISHER.0) + node.acks.round_trip_bound(4);
     assert!(resend < wait, "{resend:?} vs {wait:?}");
 
     // The hand-off and the payload take 10 ms each: the cut loses the
@@ -1005,7 +690,7 @@ fn the_held_announces_are_capped_and_hold_nothing_but_ids() {
         assert!(member.held_announces() <= MAX_HELD_ANNOUNCES);
     }
     assert_eq!(member.held_announces(), MAX_HELD_ANNOUNCES);
-    let oldest = member.held_announces.front().expect("held").0;
+    let oldest = member.acks.oldest_held().expect("held");
     assert_eq!(oldest, msg_id_of(fabricated(40)), "the first 40 were forgotten");
     assert_eq!(member.deliveries.len(), 1, "only the published article");
     assert_eq!(member.cache.len(), 1);
@@ -1132,7 +817,8 @@ fn a_lossless_run_judges_no_peer_suspect() {
     }
     assert!(d.counter(ctr::NW_ACKS_RECEIVED) > 0, "hand-offs were acknowledged");
     for (id, node) in d.sim.iter() {
-        assert!(node.acks.timeouts.is_empty(), "{id:?} backed off {:?}", node.acks.timeouts);
+        let backed_off = node.acks.backed_off();
+        assert!(backed_off.is_empty(), "{id:?} backed off {backed_off:?}");
     }
     assert_eq!(d.counter(ctr::NW_SUSPECT_FAILOVERS), 0);
 }
