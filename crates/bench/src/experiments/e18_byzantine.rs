@@ -29,7 +29,7 @@ use simnet::{
 };
 
 use crate::experiments::support::{dump_telemetry, tech_item};
-use crate::Table;
+use crate::{print_ledger_line, Table};
 
 /// The adversary axis: the three collusion scripts plus a forgery clique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,7 +235,10 @@ pub(crate) fn run(quick: bool) {
     ));
     table.print();
     for (script, samples) in &ablated {
-        match collusion_breaking_point(samples) {
+        let point = collusion_breaking_point(samples);
+        let value = point.map_or("none".to_string(), |frac| format!("{frac:.3}"));
+        print_ledger_line("E18", "breaking_point", script.label(), value);
+        match point {
             Some(frac) => println!(
                 "  breaking point, defenses off, {}: fraction {:.3} ({} of {n}) fails to \
                  stabilize",

@@ -27,7 +27,7 @@ use newswire::{self_stabilized, NewsWireConfig, PublisherSpec};
 use simnet::{CorruptionOp, CorruptionSpec, FaultPlan, NodeId, SimDuration, SimTime};
 
 use crate::experiments::support::{dump_telemetry, tech_item};
-use crate::Table;
+use crate::{print_ledger_line, Table};
 
 /// The defense axis: the full stack, the revocation fence ablated (no
 /// fencing, no purge — rotation records are ignored), or Sybil admission
@@ -304,12 +304,10 @@ pub(crate) fn run(quick: bool) {
          tickets + zone quotas + probation. self_stabilized budget: {ROUND_BUDGET} rounds.",
     ));
     table.print();
-    println!(
-        "  exposure window monotone shrinking with revocation seeding: {}",
-        if monotone { "yes" } else { "NO" }
-    );
-    println!(
-        "  Sybil-defended epoch consensus & rep election vs no-Sybil same-seed: {}",
-        if neutral { "unchanged" } else { "DIVERGED" }
-    );
+    let monotone = if monotone { "yes" } else { "NO" };
+    println!("  exposure window monotone shrinking with revocation seeding: {monotone}");
+    print_ledger_line("E21", "verdict", "exposure_monotone", monotone);
+    let neutral = if neutral { "unchanged" } else { "DIVERGED" };
+    println!("  Sybil-defended epoch consensus & rep election vs no-Sybil same-seed: {neutral}");
+    print_ledger_line("E21", "verdict", "sybil_neutral", neutral);
 }

@@ -17,7 +17,7 @@
 pub mod experiments;
 mod table;
 
-pub use table::{print_ledger, Table};
+pub use table::{print_ledger, print_ledger_line, Table};
 
 /// Experiment ids in run order.
 pub const ALL: [&str; 21] = [

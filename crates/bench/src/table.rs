@@ -11,6 +11,15 @@ pub fn print_ledger(on: bool) {
     LEDGER.store(on, Ordering::Relaxed);
 }
 
+/// Prints one ledger line, `<id> <row> <column> <value>`, when
+/// [`print_ledger`] is on: for a verdict an experiment prints outside any
+/// [`Table`], so that a ledger check sees it flip. No name may hold a space.
+pub fn print_ledger_line(id: &str, row: &str, column: &str, value: impl std::fmt::Display) {
+    if LEDGER.load(Ordering::Relaxed) {
+        println!("{id} {row} {column} {value}");
+    }
+}
+
 /// A right-aligned text table with a title and a caption line.
 ///
 /// ```

@@ -10,10 +10,13 @@
 # table, the ack arm's survivor delivery is at least the no-ack arm's and
 # no more than 2 pp — E13's stated resolution: one seed per cell, and any
 # change that shifts a random draw moves a cell by 1–3 pp — below the
-# floor recorded below for that cell (the EXPERIMENTS.md table). Percentages
-# print to one decimal and are compared in tenths, so 2.0 pp below a floor
-# passes and 2.1 fails. A change that moves a cell for a reason re-records
-# the table and its floor here together.
+# floor recorded below for that cell. Percentages print to one decimal and
+# are compared in tenths, so 2.0 pp below a floor passes and 2.1 fails.
+#
+# The floors are fixed: the ack column of the EXPERIMENTS.md recording
+# they were set from, which EXPERIMENTS §E13 names. Re-recording the table
+# does not move them; a change that means to move a floor edits it here,
+# names the recording in EXPERIMENTS §E13 and says why in CHANGES.
 set -euo pipefail
 [ $# -eq 1 ] || { echo "usage: $0 <experiments report>" >&2; exit 2; }
 awk '

@@ -44,7 +44,9 @@
 #
 # The experiments ledger is every table cell of the quick suite
 # (`experiments --quick --ledger`): one `<id> <row> <column> <value>` line
-# per cell, the table's own key cells naming the row (`bench::Table::ledger`).
+# per cell, the table's own key cells naming the row (`bench::Table::ledger`),
+# and one such line per verdict an experiment prints outside a table (E18's
+# breaking points, E21's two verdicts: `bench::print_ledger_line`).
 # Host columns (E19's wall s, events/s and peak RSS) print with a `~` mark
 # and are neither kept nor compared, nor are the `[… took]` lines. The
 # suite's report goes to stdout as it runs, so its own asserts still gate.
