@@ -179,9 +179,9 @@ const ACK_RETRIES: u32 = 1;
 /// round starts over).
 const MAX_FAILOVERS: u32 = 2;
 
-/// Multiplier applied to a wait per timeout already burned on it: an
-/// acknowledged hand-off's per same-representative retry, a `Deliver`'s per
-/// re-send, a reconcile request's per re-target.
+/// Multiplier applied to a wait per timeout already burned on it: a
+/// `Deliver`'s per re-send, a reconcile request's per re-target. A
+/// hand-off's retry is backed off once, by its peer's round-trip bound.
 const BACKOFF: u64 = 2;
 
 /// How long a reconcile request waits for its reply before re-targeting a
@@ -1380,8 +1380,10 @@ impl NewsWireNode {
         }
         let (msg, announce) = (ack.message(), ack.announce.is_some());
         if !self.acks.arm(ctx.now(), ack) {
-            let NewsWireMsg::Deliver { env, .. } = msg else { unreachable!("hand-offs fit") };
-            return NewsWireMsg::Deliver { env, announce: false };
+            return match msg {
+                NewsWireMsg::Deliver { env, .. } => NewsWireMsg::Deliver { env, announce: false },
+                msg => msg,
+            };
         }
         if announce {
             obs::metric_add!(id, ctr::NW_ANNOUNCES, 1);

@@ -172,16 +172,18 @@ impl Acks {
     }
 
     /// Enters `ack`, sent or re-sent at `now`, due one round-trip bound to
-    /// its peer later, backed off [`BACKOFF`] times per re-send already made
-    /// to it; an announce waits a bound to the node that handed the duty in
-    /// on top, as the co-representative's copy came by way of it. A
-    /// `Deliver` beyond [`MAX_PENDING_DELIVERS`] is not entered (false).
+    /// its peer later. A hand-off's timeouts back that bound off, once each
+    /// (RFC 6298 §5.5); a `Deliver` feeds no per-peer count, so its re-send
+    /// waits [`BACKOFF`] bounds. An announce waits a bound to the node that
+    /// handed the duty in on top, as the co-representative's copy came by
+    /// way of it. A `Deliver` past [`MAX_PENDING_DELIVERS`] is not entered.
     pub(super) fn arm(&mut self, now: SimTime, ack: Ack) -> bool {
         if ack.zone.is_none() && self.delivers >= MAX_PENDING_DELIVERS {
             return false;
         }
         let lag = ack.announce.map_or(SimDuration::ZERO, |up| self.round_trip_bound(up));
-        let due = now + self.round_trip_bound(ack.peer) * BACKOFF.pow(ack.attempt) + lag;
+        let backoff = if ack.zone.is_some() { 1 } else { BACKOFF.pow(ack.attempt) };
+        let due = now + self.round_trip_bound(ack.peer) * backoff + lag;
         self.insert(due, ack);
         true
     }
@@ -452,8 +454,6 @@ mod tests {
     use amcast::FilterSpec;
     use astrolabe::TrustRegistry;
     use newsml::PublisherId;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
     use simnet::NodeId;
 
     use super::super::tests::tech_item;
@@ -483,137 +483,6 @@ mod tests {
             basis: None,
             item: item.into(),
         })
-    }
-
-    /// The settle rules, entry by entry. Any ack naming a hand-off's zone
-    /// settles it: the hand-offs to both representatives at once, and one that
-    /// failed over by a late ack from the representative it left, which times
-    /// nothing. A `Deliver` is settled by its own member's ack only, and that
-    /// ack settles nothing else: a hand-off of the leaf zone to the same member
-    /// waits for an ack of its own.
-    #[test]
-    fn an_ack_settles_hand_offs_by_zone_and_a_deliver_by_its_member() {
-        let env = envelope(9);
-        let msg_id = env.msg_id;
-        let (leaf, near, far) =
-            (ZoneId::root().child(0), ZoneId::root().child(1), ZoneId::root().child(2));
-        let armed_at = SimTime::from_secs(1);
-        let now = armed_at + SimDuration::from_millis(30);
-        let ack = |peer, zone: Option<&ZoneId>, tried: Vec<u32>| Ack {
-            env: Arc::clone(&env),
-            peer,
-            zone: zone.cloned(),
-            attempt: 0,
-            tried,
-            armed_at,
-            announce: None,
-        };
-        let mut acks = table();
-        let due = now + ACK_TIMEOUT;
-        // The hand-off to /1 failed over from representative 6 to 7.
-        acks.insert(due, ack(7, Some(&near), vec![6]));
-        // Both representatives of /2, `Deliver`s to members 2 and 3, and the
-        // leaf zone handed off to member 3, its other representative.
-        acks.insert(due, ack(10, Some(&far), vec![]));
-        acks.insert(due, ack(11, Some(&far), vec![]));
-        acks.insert(due, ack(2, None, vec![]));
-        acks.insert(due, ack(3, None, vec![]));
-        acks.insert(due, ack(3, Some(&leaf), vec![]));
-        let kinds = |acks: &Acks| {
-            acks.entries.values().map(|a| (a.peer, a.zone.is_some())).collect::<Vec<_>>()
-        };
-
-        let samples =
-            |acks: &Acks, peer| acks.rtt[acks.zone_key(peer).expect("in the layout")].samples;
-
-        assert_eq!(acks.settle(msg_id, &near, 6, now), (true, false), "the late ack settles");
-        assert_eq!(samples(&acks, 6), 0, "and times nothing");
-        assert_eq!(acks.settle(msg_id + 1, &far, 10, now), (false, false), "another article");
-        assert_eq!(acks.settle(msg_id, &far, 11, now), (true, false));
-        assert_eq!(samples(&acks, 11), 1, "11 answered its own first transmission");
-        assert_eq!(kinds(&acks), vec![(2, false), (3, false), (3, true)], "both to /2 settled");
-
-        assert_eq!(acks.settle(msg_id, &leaf, 2, now), (false, true));
-        assert_eq!(samples(&acks, 2), 1, "member 2 answered its own first transmission");
-        assert_eq!(kinds(&acks), vec![(3, false), (3, true)], "member 3's still wait");
-        assert_eq!(acks.settle(msg_id, &leaf, 3, now), (false, true), "the Deliver first");
-        assert_eq!(acks.settle(msg_id, &leaf, 3, now), (true, false), "then the hand-off");
-        assert!(acks.entries.is_empty());
-    }
-
-    /// A new deadline needs a sweep only when none is set to go off by then,
-    /// and the sweep takes what is due in deadline order, entries due at one
-    /// instant in the order armed, and leaves the rest.
-    #[test]
-    fn the_sweep_takes_what_is_due_in_deadline_then_arming_order() {
-        let entry = |peer| Ack {
-            env: envelope(u64::from(peer)),
-            peer,
-            zone: None,
-            attempt: 0,
-            tried: Vec::new(),
-            armed_at: SimTime::ZERO,
-            announce: None,
-        };
-        let mut acks = table();
-        assert_eq!(acks.schedule_sweep(), None, "an empty table needs no sweep");
-        acks.insert(ms(200), entry(1));
-        assert_eq!(acks.schedule_sweep(), Some(ms(200)));
-        assert_eq!(acks.schedule_sweep(), None, "the sweep at 200 ms is set");
-        acks.insert(ms(300), entry(2));
-        assert_eq!(acks.schedule_sweep(), None, "the sweep at 200 ms comes first");
-        acks.insert(ms(100), entry(3));
-        assert_eq!(acks.schedule_sweep(), Some(ms(100)));
-        acks.insert(ms(200), entry(4));
-
-        let due: Vec<u32> = std::iter::from_fn(|| acks.pop_due(ms(200))).map(|a| a.peer).collect();
-        assert_eq!(due, vec![3, 1, 4]);
-        assert_eq!(acks.entries.keys().map(|&(due, _)| due).collect::<Vec<_>>(), vec![ms(300)]);
-    }
-
-    /// The final-hop count the table keeps equals the entries without a zone
-    /// after every step of a seeded sequence of arms, acks, sweeps and clears:
-    /// hand-offs, `Deliver`s and announces alike.
-    #[test]
-    fn the_final_hop_count_follows_every_insert_settle_sweep_and_clear() {
-        let mut rng = SmallRng::seed_from_u64(35);
-        let envs: Vec<Arc<Envelope>> = (0..4).map(envelope).collect();
-        let zones = [ZoneId::root().child(0), ZoneId::root().child(1), ZoneId::root().child(2)];
-        let mut acks = table();
-        let mut finals = 0;
-        for step in 0..2_000 {
-            let env = &envs[rng.gen_range(0..envs.len())];
-            let peer = rng.gen_range(1..16);
-            let now = ms(rng.gen_range(0..1_000));
-            match rng.gen_range(0..10) {
-                0..=4 => {
-                    let zone = rng.gen_bool(0.5).then(|| zones[rng.gen_range(0..3usize)].clone());
-                    let announce = (zone.is_none() && rng.gen_bool(0.5)).then_some(0);
-                    let tried = Vec::new();
-                    let ack = Ack {
-                        env: Arc::clone(env),
-                        peer,
-                        zone,
-                        attempt: 0,
-                        tried,
-                        armed_at: now,
-                        announce,
-                    };
-                    acks.insert(now + SimDuration::from_millis(rng.gen_range(0..500)), ack);
-                }
-                5..=7 => {
-                    let zone = &zones[rng.gen_range(0..3usize)];
-                    acks.settle(env.msg_id, zone, peer, now);
-                }
-                8 => while acks.pop_due(now).is_some() {},
-                _ if step % 97 == 0 => acks.clear(),
-                _ => {}
-            }
-            let filtered = acks.entries.values().filter(|ack| ack.zone.is_none()).count();
-            assert_eq!(acks.delivers(), filtered, "step {step}");
-            finals = finals.max(filtered);
-        }
-        assert!(finals > 10, "the sequence held final-hop entries: {finals}");
     }
 
     /// An announce's ack waits on the other representative's copy: it times
@@ -788,5 +657,476 @@ mod tests {
         }
         assert!(acks.entries.is_empty());
         assert!(acks.rtt.iter().all(|rtt| rtt.samples == 0), "nothing was timed");
+    }
+
+    /// After one timeout, a hand-off's retry is due twice its zone's
+    /// settled bound after the re-send: the timeout backed the bound off,
+    /// and nothing backs it off again.
+    #[test]
+    fn a_retried_hand_off_waits_twice_its_zones_bound() {
+        let mut acks = table();
+        for _ in 0..SETTLED_SAMPLES {
+            acks.note_rtt(4, SimDuration::from_millis(120));
+        }
+        let bound = acks.round_trip_bound(5);
+        assert_eq!(bound, SimDuration::from_millis(150), "settled: 1.25 × the peak");
+        let hop = Hop::Forward { env: envelope(1), zone: ZoneId::root().child(1) };
+        assert!(acks.arm(ms(1_000), Ack::new(hop, 5, ms(1_000))));
+        let resent = ms(1_000) + bound;
+        let mut ack = acks.pop_due(resent).expect("due one bound after it was sent");
+        acks.note_timeout(5);
+        ack.attempt += 1;
+        assert!(acks.arm(resent, ack));
+        let (&(due, _), _) = acks.entries.first_key_value().expect("re-entered");
+        assert_eq!(due, resent + bound * 2, "twice the bound, not four times");
+    }
+
+    /// Once its peer has timed out three times or more, a hand-off — sent,
+    /// retried, or failed over to that peer — is never due more than
+    /// [`ACK_TIMEOUT`] after it went out, whatever the zone measured. (A
+    /// `Deliver`'s one re-send keeps its [`BACKOFF`]: it feeds no per-peer
+    /// count.)
+    #[test]
+    fn a_backed_off_hand_off_never_waits_past_the_ceiling() {
+        for rtt_ms in [20, 120, 400, 1_900] {
+            let mut acks = table();
+            acks.note_rtt(5, SimDuration::from_millis(rtt_ms));
+            for timeouts in 1..=8 {
+                acks.note_timeout(5);
+                for (attempt, tried) in [(0, vec![]), (1, vec![]), (0, vec![6]), (1, vec![6])] {
+                    let now = ms(10_000);
+                    let hop = Hop::Forward { env: envelope(1), zone: ZoneId::root().child(1) };
+                    let mut ack = Ack::new(hop, 5, ms(9_000));
+                    (ack.attempt, ack.tried) = (attempt, tried);
+                    assert!(acks.arm(now, ack));
+                    let ((due, _), _) = acks.entries.pop_first().expect("entered");
+                    let wait = due.saturating_since(now);
+                    assert!(
+                        timeouts < 3 || wait <= ACK_TIMEOUT,
+                        "{rtt_ms} ms zone, {timeouts} timeouts, attempt {attempt}: {wait:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// One copy in the model table, flat: the article and zone by index.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Entry {
+        due: SimTime,
+        seq: u64,
+        msg: usize,
+        peer: u32,
+        zone: Option<usize>,
+        attempt: u32,
+        tried: Vec<u32>,
+        armed_at: SimTime,
+        announce: Option<u32>,
+    }
+
+    impl Entry {
+        fn times_round_trip(&self, from: u32) -> bool {
+            self.peer == from
+                && self.attempt == 0
+                && self.tried.is_empty()
+                && self.announce.is_none()
+        }
+    }
+
+    /// The acknowledgement table as plain vectors scanned linearly, from
+    /// the rules DESIGN §6 and §7 state. `keys` is an empty table, asked
+    /// only where a peer's zone estimate sits.
+    struct Model {
+        keys: Acks,
+        entries: Vec<Entry>,
+        armed: u64,
+        sweeps: Vec<SimTime>,
+        /// `(zone key, peak µs, samples)`.
+        peaks: Vec<(usize, u32, u16)>,
+        timeouts: Vec<(u32, u8)>,
+        streak: u32,
+        held: Vec<(u64, u32)>,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            let (entries, sweeps, peaks, timeouts, held) = (vec![], vec![], vec![], vec![], vec![]);
+            Model { keys: table(), entries, armed: 0, sweeps, peaks, timeouts, streak: 0, held }
+        }
+
+        fn timeouts(&self, peer: u32) -> u8 {
+            self.timeouts.iter().find(|t| t.0 == peer).map_or(0, |t| t.1)
+        }
+
+        /// The zone's peak times 5, tightening by one per four samples to 2,
+        /// then 1.25 from 40 samples; doubled per timeout; at most 2 s.
+        fn bound(&self, peer: u32) -> SimDuration {
+            let key = self.keys.zone_key(peer);
+            let Some(&(_, peak, n)) = self.peaks.iter().find(|p| Some(p.0) == key) else {
+                return ACK_TIMEOUT;
+            };
+            let quarters = if n >= 40 { 5 } else { 4 * (5 - u64::from(n / 4).min(3)) };
+            let backed_off = 2u64.saturating_pow(u32::from(self.timeouts(peer)));
+            let us = (u64::from(peak) * quarters / 4).saturating_mul(backed_off);
+            SimDuration::from_micros(us).min(ACK_TIMEOUT)
+        }
+
+        fn delivers(&self) -> usize {
+            self.entries.iter().filter(|e| e.zone.is_none()).count()
+        }
+
+        /// Indices of the entries by deadline, then arming order.
+        fn order(&self) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..self.entries.len()).collect();
+            order.sort_by_key(|&i| (self.entries[i].due, self.entries[i].seq));
+            order
+        }
+
+        fn arm(&mut self, now: SimTime, mut e: Entry) -> bool {
+            if e.zone.is_none() && self.delivers() >= MAX_PENDING_DELIVERS {
+                return false;
+            }
+            let resends = if e.zone.is_some() { 1 } else { 2u64.pow(e.attempt) };
+            let lag = e.announce.map_or(SimDuration::ZERO, |up| self.bound(up));
+            self.armed += 1;
+            (e.due, e.seq) = (now + self.bound(e.peer) * resends + lag, self.armed);
+            self.entries.push(e);
+            true
+        }
+
+        fn schedule_sweep(&mut self) -> Option<SimTime> {
+            let due = self.entries.iter().map(|e| e.due).min()?;
+            let needed = self.sweeps.iter().all(|&at| at > due);
+            needed.then(|| {
+                self.sweeps.push(due);
+                due
+            })
+        }
+
+        fn pop_due(&mut self, now: SimTime) -> Option<Entry> {
+            self.sweeps.retain(|&at| at > now);
+            let first = *self.order().first()?;
+            (self.entries[first].due <= now).then(|| self.entries.remove(first))
+        }
+
+        fn settle(&mut self, msg: usize, zone: usize, from: u32, now: SimTime) -> (bool, bool) {
+            let order = self.order();
+            let delivers = order.iter().map(|&i| (i, &self.entries[i]));
+            let mine = delivers.filter(|(_, e)| e.zone.is_none() && e.msg == msg && e.peer == from);
+            // The oldest; the first in deadline order among equals.
+            let mut oldest: Option<(usize, SimTime)> = None;
+            for (i, e) in mine {
+                if oldest.is_none_or(|(_, at)| e.armed_at < at) {
+                    oldest = Some((i, e.armed_at));
+                }
+            }
+            if let Some((i, _)) = oldest {
+                let e = self.entries.remove(i);
+                if e.times_round_trip(from) {
+                    self.streak = self.streak.saturating_add(1);
+                    self.note_rtt(from, now.saturating_since(e.armed_at));
+                }
+                return (false, true);
+            }
+            let covered = |e: &Entry| e.msg == msg && e.zone == Some(zone);
+            let timed = order
+                .iter()
+                .rev()
+                .map(|&i| &self.entries[i])
+                .find(|e| covered(e) && e.times_round_trip(from))
+                .map(|e| now.saturating_since(e.armed_at));
+            let before = self.entries.len();
+            self.entries.retain(|e| !covered(e));
+            if let Some(rtt) = timed {
+                self.note_rtt(from, rtt);
+            }
+            (self.entries.len() < before, false)
+        }
+
+        fn note_rtt(&mut self, peer: u32, rtt: SimDuration) {
+            self.timeouts.retain(|t| t.0 != peer);
+            let Some(key) = self.keys.zone_key(peer).filter(|_| rtt <= ACK_TIMEOUT) else {
+                return;
+            };
+            if !self.peaks.iter().any(|p| p.0 == key) {
+                self.peaks.push((key, 0, 0));
+            }
+            let p = self.peaks.iter_mut().find(|p| p.0 == key).expect("just pushed");
+            p.1 = p.1.max(u32::try_from(rtt.as_micros()).unwrap_or(u32::MAX));
+            p.2 = p.2.saturating_add(1);
+        }
+
+        fn note_timeout(&mut self, peer: u32) {
+            match self.timeouts.iter_mut().find(|t| t.0 == peer) {
+                Some(t) => t.1 = t.1.saturating_add(1),
+                None => self.timeouts.push((peer, 1)),
+            }
+        }
+
+        fn hold(&mut self, msg_id: u64, from: u32) {
+            if self.held.len() >= MAX_HELD_ANNOUNCES {
+                self.held.remove(0);
+            }
+            self.held.push((msg_id, from));
+        }
+
+        fn release(&mut self, msg_id: u64) -> Vec<u32> {
+            let out = self.held.iter().filter(|h| h.0 == msg_id).map(|h| h.1).collect();
+            self.held.retain(|h| h.0 != msg_id);
+            out
+        }
+
+        fn clear(&mut self) {
+            *self = Model::new();
+        }
+    }
+
+    /// What the model's seeded runs must have done at least once, or the
+    /// settle rules the model checks were never exercised.
+    #[derive(Debug, Default)]
+    struct Seen {
+        failed_over_settled_by_the_peer_left: u32,
+        both_representatives_settled_at_once: u32,
+        deliver_settled_before_a_hand_off_to_the_same_member: u32,
+        deliver_settled_with_a_second_copy_waiting: u32,
+        sweep_took_two_due_at_one_instant: u32,
+        deliver_cap_refused: u32,
+        held_cap_dropped: u32,
+    }
+
+    /// Node 0's peers in the 16-node layout: leaf mates, members of the
+    /// three sibling zones, and an id outside the layout.
+    const PEERS: [u32; 10] = [1, 2, 3, 4, 5, 6, 8, 9, 12, SYBIL_ID_BASE + 1];
+
+    /// Drives the table and the model through `ops` in lockstep, a sweep
+    /// retrying what it takes as `NewsWireNode::retry_ack` does (the next
+    /// representative picked in `PEERS` order), and compares them after
+    /// every step.
+    fn lockstep(ops: &[(u8, u8, u8, u16)], seen: &mut Seen) {
+        let envs: Vec<Arc<Envelope>> = (0..3).map(envelope).collect();
+        let msg_ids = [envs[0].msg_id, envs[1].msg_id, envs[2].msg_id, u64::MAX];
+        let zones = [ZoneId::root().child(0), ZoneId::root().child(1), ZoneId::root().child(2)];
+        let ack_of = |e: &Entry| Ack {
+            env: Arc::clone(&envs[e.msg]),
+            peer: e.peer,
+            zone: e.zone.map(|z| zones[z].clone()),
+            attempt: e.attempt,
+            tried: e.tried.clone(),
+            armed_at: e.armed_at,
+            announce: e.announce,
+        };
+        let (mut acks, mut model) = (table(), Model::new());
+        let mut now = ms(1_000);
+        for (step, &(op, a, b, c)) in ops.iter().enumerate() {
+            if c % 4 != 0 {
+                now += SimDuration::from_millis(u64::from(c));
+            }
+            let peer = PEERS[usize::from(b) % PEERS.len()];
+            let msg = usize::from(a) % 3;
+            let zone = usize::from(a / 3) % 3;
+            let first = |peer, kind: u8| Entry {
+                due: now,
+                seq: 0,
+                msg,
+                peer,
+                zone: (kind == 0).then_some(zone),
+                attempt: 0,
+                tried: vec![],
+                armed_at: now,
+                announce: (kind == 2).then_some(PEERS[usize::from(c) % PEERS.len()]),
+            };
+            match op {
+                0..=2 => {
+                    let e = first(peer, a % 3);
+                    let armed = acks.arm(now, ack_of(&e));
+                    assert_eq!(armed, model.arm(now, e), "step {step}: arm");
+                    assert_eq!(acks.schedule_sweep(), model.schedule_sweep(), "step {step}");
+                }
+                3..=5 => {
+                    let msg = usize::from(c) % 4;
+                    let waiting = |m: &Model, hand_off: bool| {
+                        m.entries
+                            .iter()
+                            .filter(|e| e.msg == msg && e.peer == peer)
+                            .filter(|e| e.zone.is_some() == hand_off)
+                            .count()
+                    };
+                    let (delivers, hand_offs) = (waiting(&model, false), waiting(&model, true));
+                    let old = model
+                        .entries
+                        .iter()
+                        .any(|e| e.msg == msg && e.zone == Some(zone) && e.tried.contains(&peer));
+                    let mates =
+                        model.entries.iter().filter(|e| e.msg == msg && e.zone == Some(zone));
+                    let mates = mates.map(|e| e.peer).collect::<BTreeSet<_>>().len();
+                    let settled = model.settle(msg, zone, peer, now);
+                    assert_eq!(
+                        acks.settle(msg_ids[msg], &zones[zone], peer, now),
+                        settled,
+                        "step {step}: settle"
+                    );
+                    seen.deliver_settled_with_a_second_copy_waiting +=
+                        u32::from(settled.1 && delivers > 1);
+                    seen.deliver_settled_before_a_hand_off_to_the_same_member +=
+                        u32::from(settled.1 && hand_offs > 0);
+                    seen.failed_over_settled_by_the_peer_left += u32::from(settled.0 && old);
+                    seen.both_representatives_settled_at_once += u32::from(settled.0 && mates > 1);
+                }
+                6 => {
+                    let mut taken = 0;
+                    while let Some(e) = model.pop_due(now) {
+                        let ack = acks.pop_due(now).expect("the model took one");
+                        assert_eq!(ack.env.msg_id, msg_ids[e.msg], "step {step}");
+                        let same = (ack.peer, ack.zone.clone(), ack.attempt, &ack.tried);
+                        let zone = e.zone.map(|z| zones[z].clone());
+                        assert_eq!(same, (e.peer, zone, e.attempt, &e.tried), "step {step}");
+                        assert_eq!((ack.armed_at, ack.announce), (e.armed_at, e.announce));
+                        taken += 1;
+                        seen.sweep_took_two_due_at_one_instant += u32::from(taken == 2);
+                        let Some(e) = retry(e, &mut acks, &mut model) else { continue };
+                        assert_eq!(acks.arm(now, ack_of(&e)), model.arm(now, e), "step {step}");
+                    }
+                    assert!(acks.pop_due(now).is_none(), "step {step}: the table took more");
+                    assert_eq!(acks.schedule_sweep(), model.schedule_sweep(), "step {step}");
+                }
+                7 => {
+                    let rtt = SimDuration::from_millis(4 * u64::from(c) + 1);
+                    acks.note_rtt(peer, rtt);
+                    model.note_rtt(peer, rtt);
+                }
+                8 if c % 2 == 0 => {
+                    acks.note_timeout(peer);
+                    model.note_timeout(peer);
+                }
+                8 => {
+                    acks.forget_timeouts(peer);
+                    model.timeouts.retain(|t| t.0 != peer);
+                }
+                9 if c % 2 == 0 => {
+                    seen.held_cap_dropped += u32::from(model.held.len() >= MAX_HELD_ANNOUNCES);
+                    acks.hold_announce(msg_ids[usize::from(a) % 4], peer);
+                    model.hold(msg_ids[usize::from(a) % 4], peer);
+                }
+                9 => {
+                    let mut released = vec![];
+                    acks.release_announces(msg_ids[usize::from(a) % 4], |p| released.push(p));
+                    assert_eq!(released, model.release(msg_ids[usize::from(a) % 4]));
+                }
+                10 => {
+                    for k in 0..64u32 {
+                        let e = first(PEERS[(usize::from(b) + k as usize) % 3], 1);
+                        let armed = model.arm(now, e.clone());
+                        seen.deliver_cap_refused += u32::from(!armed);
+                        assert_eq!(acks.arm(now, ack_of(&e)), armed, "step {step}: burst");
+                    }
+                    assert_eq!(acks.schedule_sweep(), model.schedule_sweep(), "step {step}");
+                }
+                11 => {
+                    for k in 0..64u64 {
+                        seen.held_cap_dropped += u32::from(model.held.len() >= MAX_HELD_ANNOUNCES);
+                        acks.hold_announce(k, peer);
+                        model.hold(k, peer);
+                    }
+                }
+                _ if c % 8 == 0 => {
+                    acks.clear();
+                    model.clear();
+                }
+                _ => {}
+            }
+            agree(&acks, &model, &ack_of, step);
+        }
+    }
+
+    /// What `NewsWireNode::retry_ack` does with an entry whose wait ran
+    /// out, applied to both tables: the entry to re-arm, if any.
+    fn retry(mut e: Entry, acks: &mut Acks, model: &mut Model) -> Option<Entry> {
+        let mut suspect = false;
+        if e.zone.is_some() {
+            acks.note_timeout(e.peer);
+            model.note_timeout(e.peer);
+            suspect = model.timeouts(e.peer) >= SUSPECT_TIMEOUTS;
+            assert_eq!(acks.suspect(e.peer), suspect);
+        }
+        if !suspect && e.attempt < super::super::ACK_RETRIES {
+            e.attempt += 1;
+            if e.zone.is_none() {
+                acks.note_resend();
+                model.streak = 0;
+                e.announce = None;
+            }
+            return Some(e);
+        }
+        e.zone?;
+        let next = PEERS.iter().find(|&&p| p != e.peer && !e.tried.contains(&p))?;
+        if e.tried.len() >= super::super::MAX_FAILOVERS as usize {
+            return None;
+        }
+        e.tried.push(e.peer);
+        (e.peer, e.attempt) = (*next, 0);
+        Some(e)
+    }
+
+    /// The table holds what the model holds, in the same order, and answers
+    /// every question the node asks of it the same way.
+    fn agree(acks: &Acks, model: &Model, ack_of: &dyn Fn(&Entry) -> Ack, step: usize) {
+        let table: Vec<_> = acks.entries.iter().collect();
+        let order = model.order();
+        assert_eq!(table.len(), order.len(), "step {step}: entries");
+        for (&(&(due, seq), ack), &i) in table.iter().zip(&order) {
+            let e = &model.entries[i];
+            assert_eq!((due, seq), (e.due, e.seq), "step {step}: deadline of {e:?}");
+            let want = ack_of(e);
+            let got = (ack.env.msg_id, ack.peer, &ack.zone, ack.attempt, &ack.tried);
+            assert_eq!(got, (want.env.msg_id, want.peer, &want.zone, want.attempt, &want.tried));
+            assert_eq!((ack.armed_at, ack.announce), (e.armed_at, e.announce), "step {step}");
+        }
+        assert_eq!((acks.len(), acks.delivers()), (order.len(), model.delivers()), "step {step}");
+        assert_eq!((acks.streak, acks.split_on()), (model.streak, model.streak >= SPLIT_STREAK));
+        let mut sweeps = model.sweeps.clone();
+        sweeps.sort();
+        assert!(acks.sweeps.iter().eq(&sweeps), "step {step}: sweeps");
+        assert_eq!(acks.sweep_armed(), !sweeps.is_empty());
+        let mut timeouts = model.timeouts.clone();
+        timeouts.sort();
+        assert_eq!(acks.timeouts, timeouts, "step {step}: back-off");
+        for peer in PEERS {
+            let (bound, suspect) = (model.bound(peer), model.timeouts(peer) >= SUSPECT_TIMEOUTS);
+            assert_eq!(acks.round_trip_bound(peer), bound, "step {step}: bound to {peer}");
+            assert_eq!(acks.suspect(peer), suspect, "step {step}: {peer} suspect");
+            let samples = model
+                .keys
+                .zone_key(peer)
+                .and_then(|k| model.peaks.iter().find(|p| p.0 == k).map(|p| p.2));
+            assert_eq!(acks.samples(peer), samples.unwrap_or(0), "step {step}: samples");
+        }
+        assert!(acks.held_announces.iter().eq(&model.held), "step {step}: held announces");
+        assert_eq!(acks.held_announces(), model.held.len());
+    }
+
+    /// The table agrees with the linear model after every step of the
+    /// shim's seeded operation sequences — arms, acks, sweeps with retries
+    /// and failovers, timed round trips, timeouts, held announces, bursts
+    /// past both caps, and restarts — and every settle and sweep rule the
+    /// model states came up in them.
+    #[test]
+    fn the_table_matches_a_linear_model() {
+        use proptest::strategy::Strategy;
+        let ops = proptest::collection::vec((0u8..13, 0u8..16, 0u8..16, 0u16..600), 1..300);
+        let mut seen = Seen::default();
+        for case in 0..proptest::CASES {
+            let mut rng = proptest::test_rng("node::acks::lockstep", case);
+            lockstep(&ops.generate(&mut rng), &mut seen);
+        }
+        let counts = [
+            seen.failed_over_settled_by_the_peer_left,
+            seen.both_representatives_settled_at_once,
+            seen.deliver_settled_before_a_hand_off_to_the_same_member,
+            seen.deliver_settled_with_a_second_copy_waiting,
+            seen.sweep_took_two_due_at_one_instant,
+            seen.deliver_cap_refused,
+            seen.held_cap_dropped,
+        ];
+        assert!(counts.iter().all(|&n| n > 0), "{seen:?}");
     }
 }
