@@ -10,8 +10,7 @@
 //! [`PublisherCredential`] — the restricted publisher application of §8
 //! (authentication, flow control, scoped publishing).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::num::NonZeroU32;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use amcast::{
@@ -38,17 +37,20 @@ use crate::deliveries::{DeliveryLog, DeliveryRecord};
 use crate::flow::TokenBucket;
 use crate::persist;
 use crate::subscription::{item_position_groups, Subscription};
-use crate::wire::{msg_id_of, DeltaBasis, Envelope, LogDigests, NewsWireMsg, SignedItem, Stub};
+use crate::wire::{msg_id_of, DeltaBasis, Envelope, NewsWireMsg, SignedItem, Stub};
 
 mod acks;
 mod admit;
 mod adversary;
 mod footprint;
+mod reconcile;
 
 pub use footprint::Footprint;
+pub use reconcile::LogEntry;
 
 use acks::{Ack, Acks};
 use admit::{Admitted, Source, Trust};
+use reconcile::{Ask, Reconcile};
 
 /// Publisher-side state (present only on publisher nodes).
 #[derive(Debug)]
@@ -59,61 +61,6 @@ pub struct PublisherState {
     default_scope: ZoneId,
     /// Items refused by flow control.
     pub rate_limited: u64,
-}
-
-/// What an article log records about a seq it has seen — what the node can
-/// vouch for when a reconcile peer asks about it (DESIGN §7). Four bytes:
-/// every seq of every log pays for one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogEntry {
-    /// The article entered this node's cache. While the cache holds it, it
-    /// is served (or withheld) on its merits; once fused into a newer
-    /// telling or evicted, the node vouches for it as gone to anyone.
-    Held,
-    /// Settled without the article — a reconcile peer withheld it, or this
-    /// node saw it but may not hold it. The stub is all the node vouches
-    /// with, and only to a requester whose summary it rejects.
-    NotForMe(StubId),
-}
-
-/// A not-for-me entry's stub, by its place in the node's stub table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StubId(NonZeroU32);
-
-/// One copy of each distinct stub the node's article logs refer to. The
-/// tellings of one story share a stub, and so do articles of one category
-/// and topic, so the table grows with the publishers' vocabulary, not with
-/// the feed.
-#[derive(Debug, Default)]
-struct StubTable {
-    /// The stubs, by id: `stubs[i]` is `StubId(i + 1)`'s.
-    stubs: Vec<Stub>,
-    /// Every id, sorted by the stub it names, so a lookup searches the
-    /// stubs themselves and no stub is held twice.
-    by_stub: Vec<StubId>,
-}
-
-impl StubTable {
-    fn intern(&mut self, stub: Stub) -> StubId {
-        let at = match self.by_stub.binary_search_by(|&id| self.get(id).0.cmp(&stub.0)) {
-            Ok(at) => return self.by_stub[at],
-            Err(at) => at,
-        };
-        let n = u32::try_from(self.stubs.len() + 1).expect("fewer than 2^32 distinct stubs");
-        let id = StubId(NonZeroU32::new(n).expect("one past an index is not zero"));
-        self.stubs.push(stub);
-        self.by_stub.insert(at, id);
-        id
-    }
-
-    fn get(&self, id: StubId) -> &Stub {
-        &self.stubs[id.0.get() as usize - 1]
-    }
-
-    fn clear(&mut self) {
-        self.stubs.clear();
-        self.by_stub.clear();
-    }
 }
 
 /// Metadata key carrying the publisher's §8 dissemination predicate.
@@ -165,9 +112,6 @@ const ZONE_QUOTA: usize = 64;
 /// until it restarts under a fresh incarnation. Only with `defenses` on.
 const QUARANTINE_THRESHOLD: u32 = 3;
 
-/// Most entries (items plus withheld stubs) one reconcile reply carries.
-const REPAIR_BATCH: usize = 64;
-
 /// Retries against the *same* representative before a hand-off fails over,
 /// and re-sends of an unacknowledged `Deliver` before reconcile owns it.
 const ACK_RETRIES: u32 = 1;
@@ -183,13 +127,6 @@ const MAX_FAILOVERS: u32 = 2;
 /// `Deliver`'s per re-send, a reconcile request's per re-target. A
 /// hand-off's retry is backed off once, by its peer's round-trip bound.
 const BACKOFF: u64 = 2;
-
-/// How long a reconcile request waits for its reply before re-targeting a
-/// cross-zone peer instead of waiting for the next gossip round.
-const REPAIR_REPLY_TIMEOUT: SimDuration = SimDuration::from_secs(3);
-
-/// Entries retained per per-publisher article log.
-const ARTICLE_LOG_CAPACITY: usize = 8192;
 
 /// Disk record keys (see `persist` for the formats). `incar` and `sub` are
 /// written once and fsynced immediately; `state` is written write-behind on
@@ -230,42 +167,6 @@ const MAX_BASELINES: usize = 256;
 /// clean again (see [`NewsWireNode::source_copies`]). At 5 % loss one
 /// exchange in ten goes unanswered, so a run of 256 does not occur.
 const CLEAN_EXCHANGES: u32 = 256;
-
-/// Most peers one reconcile pass asks, the first included, about holes the
-/// peers before them could not vouch for.
-const MAX_ASKED: usize = 4;
-
-/// How long the article logs stay quiet before a hole-free node asks a
-/// cross-zone peer for what lies past them; each ask that turns up nothing
-/// doubles the wait.
-const TAIL_PROBE_QUIET: SimDuration = SimDuration::from_secs(10);
-
-/// One outstanding reconcile request awaiting its `ReconcileReply`.
-#[derive(Debug)]
-struct PendingReconcile {
-    peer: NodeId,
-    publisher: PublisherId,
-    /// The inclusive ranges requested; with `tail_from`, where the reply's
-    /// stubs are believed.
-    ranges: Vec<(u64, u64)>,
-    /// The tail mark requested: everything at or past it.
-    tail_from: u64,
-    /// Peers this pass asked before `peer`, about the same holes.
-    asked: Vec<u32>,
-    timer: TimerId,
-    retargets: u32,
-    /// True when the peer was chosen because its *gossiped digest* vouched
-    /// coverage for our holes (as opposed to a blind cross-zone ask) — an
-    /// empty reply then contradicts the advertisement.
-    via_digest: bool,
-}
-
-impl PendingReconcile {
-    /// True when the request asked about `seq`.
-    fn requested(&self, seq: u64) -> bool {
-        seq >= self.tail_from || self.ranges.iter().any(|&(lo, hi)| lo <= seq && seq <= hi)
-    }
-}
 
 /// A copy waiting in the forwarding queues. The message is built when the
 /// copy is sent: a queued `NewsWireMsg` would be as large as its largest
@@ -315,29 +216,9 @@ pub struct NewsWireNode {
     /// Probes answered in a row since one was still open at the next tick.
     /// Starts at [`CLEAN_EXCHANGES`]: links are clean until one loses.
     answered_probes: u32,
-    /// Per-publisher article logs: which sequence numbers this node has
-    /// *seen* (cached, or settled as not for it), and what it can vouch for
-    /// about each. Gaps are the holes anti-entropy reconciliation pulls.
-    article_logs: BTreeMap<PublisherId, SeqLog<LogEntry>>,
-    /// This node's digest rider, rebuilt from the article logs once per
-    /// gossip tick; every gossip message to a leaf mate carries it.
-    ae_digests: Option<LogDigests>,
-    /// The last digest rider each leaf mate sent, by node id, with the
-    /// version of the mate's leaf row when it came: what hole detection,
-    /// the epoch vote and the recovery check read. At most one entry per
-    /// leaf-zone member.
-    leaf_digests: BTreeMap<u32, (u64, LogDigests)>,
-    /// The stubs the article logs' not-for-me entries refer to.
-    stubs: StubTable,
-    /// When a blind cross-zone ask for the tail of a hole-free log is next
-    /// due, and the wait after it: a whole leaf zone that missed a
-    /// publisher's newest article has no neighbour ahead to reveal it.
-    /// Anything newly logged restarts the wait at [`TAIL_PROBE_QUIET`].
-    tail_probe: (SimTime, SimDuration),
-    /// Outstanding reconcile request, at most one in flight.
-    awaiting_reconcile: Option<PendingReconcile>,
-    /// Round-robin cursor over publishers for reconcile target selection.
-    reconcile_cursor: usize,
+    /// Anti-entropy reconcile: the article logs and their stubs, the
+    /// digest riders, and the pull in flight.
+    reconcile: Reconcile,
     /// When a cold restart began, while its recovery is still in progress.
     recovering_since: Option<SimTime>,
     /// Items backfilled during the current recovery (for the done trace).
@@ -376,6 +257,7 @@ impl NewsWireNode {
         let cache = MessageCache::new(cfg.cache);
         agent.set_ingest_validation(cfg.defenses);
         let acks = Acks::new(agent.id(), agent.layout());
+        let reconcile = Reconcile::new(stub_group(cfg.model));
         let mut node = NewsWireNode {
             agent,
             cfg,
@@ -391,13 +273,7 @@ impl NewsWireNode {
             acks,
             digest_probes: Vec::new(),
             answered_probes: CLEAN_EXCHANGES,
-            article_logs: BTreeMap::new(),
-            ae_digests: None,
-            leaf_digests: BTreeMap::new(),
-            stubs: StubTable::default(),
-            tail_probe: (SimTime::ZERO + TAIL_PROBE_QUIET, TAIL_PROBE_QUIET),
-            awaiting_reconcile: None,
-            reconcile_cursor: 0,
+            reconcile,
             recovering_since: None,
             backfill_this_recovery: 0,
             gossip_ticks: 0,
@@ -483,38 +359,8 @@ impl NewsWireNode {
     /// Wraps an outgoing Astrolabe exchange with the rotation rider and,
     /// to a leaf mate, the digest rider.
     fn gossip_msg(&self, to: u32, g: GossipMsg) -> NewsWireMsg {
-        let digests = self.ae_digests.as_ref().filter(|_| self.leaf_mate(to)).map(Arc::clone);
+        let digests = self.reconcile.rider_to(&self.agent, to);
         NewsWireMsg::Gossip { g, rot: self.trust.rider(), digests }
-    }
-
-    /// Takes the digest rider of a gossip message from `from`: a leaf
-    /// mate's replaces the last one it sent, and a mate's exchange without
-    /// one retracts it. A rider from outside the leaf zone is not kept, and
-    /// one naming a window no log can have (`next` below `floor`, or more
-    /// entries present than the window holds) counts as none: riders come
-    /// from peers, and a peer may lie.
-    fn take_digest_rider(&mut self, from: u32, digests: Option<LogDigests>) {
-        if !self.leaf_mate(from) {
-            return;
-        }
-        let possible = |s: &RangeSummary| s.floor <= s.next && s.present <= s.next - s.floor;
-        match digests.filter(|d| d.iter().all(|(_, s)| possible(s))) {
-            Some(d) => {
-                let row = self.agent.table(0).rows().iter().find(|r| row_id(&r.mib) == Some(from));
-                self.leaf_digests.insert(from, (row.map_or(0, |r| r.stamp.version), d))
-            }
-            None => self.leaf_digests.remove(&from),
-        };
-    }
-
-    /// Whether `peer` is another member of this node's leaf zone.
-    fn leaf_mate(&self, peer: u32) -> bool {
-        peer != self.agent.id()
-            && self
-                .agent
-                .layout()
-                .agent_range(self.agent.zone(0))
-                .is_some_and(|r| r.contains(&peer))
     }
 
     /// Hands a gossip exchange from `from` to the embedded agent, then
@@ -532,44 +378,8 @@ impl NewsWireNode {
     ) -> Vec<(u32, GossipMsg)> {
         let out = self.agent.on_message(now, from, g, rng);
         self.absorb_incarnation_bumps();
-        self.retire_stale_riders();
+        self.reconcile.retire_stale_riders(&self.agent);
         out
-    }
-
-    /// Drops the rider of every leaf mate whose row now stands at a version
-    /// below the one the rider was taken at. The mate's row versions
-    /// started over: every restart, a freeze included, restarts them and
-    /// wipes the logs the rider described, while only a cold restart burns
-    /// an incarnation that [`NewsWireNode::absorb_incarnation_bumps`]
-    /// drops the rider on. Run after every merge of gossip, so the old
-    /// rider is gone before the mate's new versions climb past it.
-    fn retire_stale_riders(&mut self) {
-        if self.leaf_digests.is_empty() {
-            return;
-        }
-        let own = self.agent.own_label(0);
-        for r in self.agent.table(0).rows().iter().filter(|r| r.label != own) {
-            let Some(mate) = row_id(&r.mib) else { continue };
-            if self.leaf_digests.get(&mate).is_some_and(|(version, _)| r.stamp.version < *version) {
-                self.leaf_digests.remove(&mate);
-            }
-        }
-    }
-
-    /// The digests of `publisher`'s log this node's leaf mates last sent
-    /// it, `(mate, summary)`, in leaf-table order. Only a mate with a row
-    /// here counts, so a rider from a member the table has let go of, or
-    /// never admitted, is not read.
-    fn mate_digests(
-        &self,
-        publisher: PublisherId,
-    ) -> impl Iterator<Item = (u32, RangeSummary)> + '_ {
-        let own = self.agent.own_label(0);
-        self.agent.table(0).rows().iter().filter(move |r| r.label != own).filter_map(move |r| {
-            let mate = row_id(&r.mib)?;
-            let (_, digests) = self.leaf_digests.get(&mate)?;
-            digests.iter().find(|(p, _)| *p == publisher).map(|&(_, s)| (mate, s))
-        })
     }
 
     /// Sybil admission control (DESIGN §15), applied to incoming gossip
@@ -682,34 +492,8 @@ impl NewsWireNode {
         // from the next round on.
         obs::trace_event!(self.agent.id(), Layer::News, kind::SUB_PROPAGATE);
         self.subscription = sub;
-        self.forget_admitted_stubs();
-    }
-
-    /// Drops every not-for-me log entry the current subscription admits, so
-    /// reconcile backfills what a widened subscription newly matches. A
-    /// reply still in flight was asked for under the old interest, so its
-    /// stubs are no longer believed either.
-    fn forget_admitted_stubs(&mut self) {
-        self.awaiting_reconcile = None;
-        let publishers: Vec<PublisherId> = self.article_logs.keys().copied().collect();
-        for publisher in publishers {
-            let own = self.interest(publisher);
-            let log = &self.article_logs[&publisher];
-            let admitted = |entry: &LogEntry| match *entry {
-                LogEntry::NotForMe(id) => self.admits(&own, self.stubs.get(id)),
-                LogEntry::Held => false,
-            };
-            let all = || log.range(log.floor(), u64::MAX);
-            if !all().any(|(_, entry)| admitted(entry)) {
-                continue;
-            }
-            let mut kept = SeqLog::new(ARTICLE_LOG_CAPACITY);
-            for (seq, &entry) in all().filter(|(_, entry)| !admitted(entry)) {
-                kept.insert(seq, entry);
-            }
-            kept.restore_coverage(&log.encode_coverage());
-            self.article_logs.insert(publisher, kept);
-        }
+        let (model, sub) = (self.cfg.model, &self.subscription);
+        self.reconcile.forget_admitted_stubs(|publisher| sub.interest(model, publisher));
     }
 
     /// Hand-offs and `Deliver`s on the wire still awaiting their ack.
@@ -746,26 +530,12 @@ impl NewsWireNode {
     /// The per-publisher article log, when anything from `publisher` has
     /// been seen.
     pub fn article_log(&self, publisher: PublisherId) -> Option<&SeqLog<LogEntry>> {
-        self.article_logs.get(&publisher)
+        self.reconcile.log(publisher)
     }
 
     /// Publishers with a non-empty article log, in id order.
     pub fn logged_publishers(&self) -> impl Iterator<Item = PublisherId> + '_ {
-        self.article_logs.keys().copied()
-    }
-
-    /// Records that `id` has been seen. A seq already logged keeps its
-    /// entry: a stub that later meets its article in the cache only means
-    /// the node vouches for less once the article is gone.
-    fn log_seen(&mut self, id: ItemId, entry: LogEntry) {
-        let news = self
-            .article_logs
-            .entry(id.publisher)
-            .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY))
-            .insert(id.seq, entry);
-        if news {
-            self.tail_probe = (self.clock + TAIL_PROBE_QUIET, TAIL_PROBE_QUIET);
-        }
+        self.reconcile.logged_publishers()
     }
 
     /// True when the acknowledgement table has backed `peer` off
@@ -783,7 +553,7 @@ impl NewsWireNode {
     /// True when `peer`'s misbehavior score has crossed the quarantine
     /// threshold (defenses on only).
     fn quarantined(&self, peer: u32) -> bool {
-        self.cfg.defenses && self.misbehavior.get(&peer).is_some_and(|&s| s >= QUARANTINE_THRESHOLD)
+        in_quarantine(&self.misbehavior, self.cfg.defenses, peer)
     }
 
     /// Records a misbehavior strike against `peer`, tracing the quarantine
@@ -811,14 +581,6 @@ impl NewsWireNode {
         }
     }
 
-    /// Drops suspect entries from a candidate list — unless that would
-    /// empty it (a suspect peer beats no peer at all).
-    fn prefer_unsuspected(&self, candidates: &mut Vec<u32>) {
-        if candidates.iter().any(|&c| !self.peer_suspect(c)) {
-            candidates.retain(|&c| !self.peer_suspect(c));
-        }
-    }
-
     /// The per-hop filter for an item under this deployment's model, built
     /// from the item's stub: a summary row admits it exactly when
     /// [`Stub::admitted_by`] the row's set positions does.
@@ -829,7 +591,7 @@ impl NewsWireNode {
                 attr: "subs".to_owned(),
                 groups: stub
                     .0
-                    .chunks(self.stub_group())
+                    .chunks(stub_group(self.cfg.model))
                     .map(|g| g.iter().map(|&p| usize::from(p)).collect())
                     .collect(),
             },
@@ -857,37 +619,9 @@ impl NewsWireNode {
         Stub(positions.into_boxed_slice())
     }
 
-    /// How many stub positions one filter group spans: a Bloom key's hash
-    /// count, or one category bit.
-    fn stub_group(&self) -> usize {
-        match self.cfg.model {
-            SubscriptionModel::Bloom { hashes, .. } => hashes.max(1) as usize,
-            SubscriptionModel::CategoryMask => 1,
-        }
-    }
-
-    /// This node's interest in `publisher`: the set positions of the summary
-    /// value the tree tests at its leaf row — `subs`, or
-    /// `cats$<publisher>` — derived from the subscription itself, so a
-    /// corrupted advertisement cannot talk the node out of what it wants.
+    /// This node's interest in `publisher` ([`Subscription::interest`]).
     fn interest(&self, publisher: PublisherId) -> Vec<u16> {
-        match self.cfg.model {
-            SubscriptionModel::Bloom { bits, hashes } => self
-                .subscription
-                .to_bloom(bits, hashes)
-                .ones()
-                .map(|p| u16::try_from(p).expect("Bloom arrays are narrower than 2^16 bits"))
-                .collect(),
-            SubscriptionModel::CategoryMask => {
-                let mask = self.subscription.mask_for(publisher).0;
-                (0..64).filter(|&b| mask >> b & 1 == 1).collect()
-            }
-        }
-    }
-
-    /// True when `interest` admits the article `stub` stands for.
-    fn admits(&self, interest: &[u16], stub: &Stub) -> bool {
-        stub.admitted_by(interest, self.stub_group())
+        self.subscription.interest(self.cfg.model, publisher)
     }
 
     /// Evaluates the item's embedded dissemination controls — the §8 zone
@@ -923,11 +657,10 @@ impl NewsWireNode {
     fn keep(&mut self, admitted: Admitted, now: SimTime) -> Option<CacheOutcome> {
         let item = admitted.item();
         if !self.dissemination_admits(item) {
-            let stub = self.stubs.intern(self.stub_of(item));
-            self.log_seen(item.id, LogEntry::NotForMe(stub));
+            self.reconcile.log_seen(item.id, Some(self.stub_of(item)), self.clock);
             return None;
         }
-        self.log_seen(item.id, LogEntry::Held);
+        self.reconcile.log_seen(item.id, None, self.clock);
         Some(self.cache_insert(admitted, now))
     }
 
@@ -1002,16 +735,6 @@ impl NewsWireNode {
 
     /// The representatives of this node's leaf zone, as its parent table
     /// lists them. `None` in a one-level tree, or before the row is known.
-    fn leaf_reps(&self) -> Option<&BTreeSet<u64>> {
-        if self.agent.levels() < 2 {
-            return None;
-        }
-        match self.agent.table(1).get(self.agent.own_label(1))?.get("reps") {
-            Some(AttrValue::Set(reps)) => Some(reps),
-            _ => None,
-        }
-    }
-
     /// True when this node sends `member` an announce in place of the
     /// payload (DESIGN §6): the final hop is measured clean, this node is
     /// one of at least two representatives of its leaf zone, and either
@@ -1023,7 +746,7 @@ impl NewsWireNode {
         if !self.cfg.acks || !self.acks.split_on() {
             return false;
         }
-        let Some(reps) = self.leaf_reps() else { return false };
+        let Some(reps) = leaf_reps(&self.agent) else { return false };
         let me = u64::from(self.agent.id());
         if reps.len() < 2 || !reps.contains(&me) {
             return false;
@@ -1107,7 +830,7 @@ impl NewsWireNode {
         };
         // The publisher's current log epoch, attested under its key on
         // every envelope it emits (DESIGN §12).
-        let attest_epoch = self.article_logs.get(&item.id.publisher).map_or(0, |l| l.epoch());
+        let attest_epoch = self.reconcile.epoch(item.id.publisher);
         let Some(publisher) = &mut self.publisher else {
             obs::metric_add!(self.agent.id(), ctr::NW_PUBLISH_DENIED, 1);
             return;
@@ -1174,7 +897,7 @@ impl NewsWireNode {
         // is not a delivery, so no delivery/FP accounting): after a
         // partition, side A's publishers are authoritative reconcile sources
         // for everything the other side missed.
-        self.log_seen(env.item.id, LogEntry::Held);
+        self.reconcile.log_seen(env.item.id, None, self.clock);
         self.absorb_attest(&attest);
         let admitted = Admitted::published(Arc::clone(&env.item), (key, signature));
         self.cache_insert(admitted.clone(), now);
@@ -1225,8 +948,7 @@ impl NewsWireNode {
     /// true — unless the article is already held or logged, when the
     /// announce is answered now and this returns false.
     fn hold_announce(&mut self, from: u32, id: ItemId) -> bool {
-        let logged = self.article_logs.get(&id.publisher).is_some_and(|log| log.contains(id.seq));
-        if logged || self.cache.contains(id) {
+        if self.reconcile.logged(id) || self.cache.contains(id) {
             return false;
         }
         self.acks.hold_announce(msg_id_of(id), from);
@@ -1264,7 +986,7 @@ impl NewsWireNode {
         let mut restored = 0u64;
         for (item, key, sig) in items {
             let Some(admitted) = self.admit(item, key, sig, Source::Disk) else { continue };
-            self.log_seen(admitted.item().id, LogEntry::Held);
+            self.reconcile.log_seen(admitted.item().id, None, self.clock);
             self.cache_insert(admitted, now);
             restored += 1;
         }
@@ -1346,27 +1068,6 @@ impl NewsWireNode {
         );
         obs::metric_add!(self.agent.id(), ctr::DELTA_FALLBACK_FULL, 1);
         obs::metric_add!(self.agent.id(), ctr::BYTES_WIRE, cost.saved() as u64);
-    }
-
-    /// A random *cross-zone* representative from the higher tables — the
-    /// escape hatch when the whole leaf zone shares the same log holes
-    /// (partitions usually fall along zone boundaries).
-    fn cross_zone_peer(&self, rng: &mut rand::rngs::SmallRng) -> Option<NodeId> {
-        use astrolabe::AttrValue;
-        let mut candidates: Vec<u32> = Vec::new();
-        for level in 1..self.agent.levels() {
-            for (label, row) in self.agent.table(level).iter() {
-                if label == self.agent.own_label(level) {
-                    continue; // our own branch shares our holes
-                }
-                if let Some(AttrValue::Set(reps)) = row.get("reps") {
-                    candidates.extend(reps.iter().filter_map(|&r| u32::try_from(r).ok()));
-                }
-            }
-        }
-        candidates.retain(|&p| p != self.agent.id());
-        self.prefer_unsuspected(&mut candidates);
-        candidates.as_slice().choose(rng).map(|&p| NodeId(p))
     }
 
     /// A tree hop becomes *acknowledged* the moment it hits the wire: it
@@ -1454,7 +1155,7 @@ impl NewsWireNode {
                 let mut candidates = zone_reps(&self.agent, zone);
                 candidates.retain(|r| !ack.tried.contains(r) && *r != ack.peer);
                 // Prefer representatives that still answer.
-                self.prefer_unsuspected(&mut candidates);
+                prefer_unsuspected(&mut candidates, &|peer| self.peer_suspect(peer));
                 candidates.as_slice().choose(ctx.rng()).copied()
             } else {
                 None
@@ -1493,176 +1194,39 @@ impl NewsWireNode {
         }
     }
 
-    /// Rebuilds this node's digest rider from its article logs: one
-    /// summary per logged publisher, or none with anti-entropy off or
-    /// nothing logged.
-    fn publish_ae_digests(&mut self) {
-        self.ae_digests = (self.cfg.anti_entropy && !self.article_logs.is_empty())
-            .then(|| self.article_logs.iter().map(|(p, log)| (*p, log.summary())).collect());
-    }
-
-    /// One reconcile step per gossip round: pick the next publisher with
-    /// holes (round-robin), find the freshest leaf mate whose digest rider
-    /// can fill them, and pull the missing ranges.
-    ///
-    /// The publishers are those with a log plus those subscribed to; a
-    /// subscribed publisher with no log yet — a joiner, a node back from a
-    /// freeze, one that lost the first article — reads as an empty log, so
-    /// any neighbour's digest is ahead of it. (The log itself is only ever
-    /// created by an arrival: an empty one is never advertised.)
-    ///
-    /// Peer selection prefers leaf-zone neighbours advertising a
-    /// *contiguous* log (they can vouch for everything up to their mark).
-    /// When the whole leaf zone shares the hole — the partition fell along a
-    /// zone boundary — no such neighbour exists, and the fallback asks a
-    /// random cross-zone representative blind; so does a recovering node
-    /// whose leaf zone knows nothing of the publisher either. Once one leaf
-    /// member has reconciled across the boundary it becomes a contiguous
-    /// local source, and the rest of the zone heals epidemically from it.
+    /// One reconcile step per gossip round ([`Reconcile::next_ask`]).
     fn maybe_reconcile(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
-        if !self.cfg.anti_entropy || self.awaiting_reconcile.is_some() {
+        if !self.cfg.anti_entropy {
             return;
         }
-        let mut publishers: Vec<PublisherId> = self
-            .article_logs
-            .keys()
-            .chain(self.subscription.publishers.iter().map(|(p, _)| p))
-            .copied()
-            .collect();
-        if publishers.is_empty() {
-            return;
-        }
-        publishers.sort_unstable();
-        publishers.dedup();
-        let no_log = SeqLog::new(ARTICLE_LOG_CAPACITY);
+        let recovering = self.recovering_since.is_some();
+        let subscribed = self.subscription.publishers.iter().map(|(p, _)| *p);
+        // `peer_suspect`, over the fields it reads: the component is
+        // borrowed mutably beside them.
+        let (acks, misbehavior, defenses) = (&self.acks, &self.misbehavior, self.cfg.defenses);
+        let suspect = |peer| in_quarantine(misbehavior, defenses, peer) || acks.suspect(peer);
         let now = ctx.now();
-        for step in 0..publishers.len() {
-            let publisher = publishers[(self.reconcile_cursor + step) % publishers.len()];
-            let log = self.article_logs.get(&publisher).unwrap_or(&no_log);
-            // One walk of the own log per publisher; each neighbour is then
-            // tested against the result without allocating.
-            let gaps = log.gaps();
-            // Leaf neighbours advertising digests that cover holes we have.
-            let mut best: Option<(RangeSummary, u32)> = None;
-            for (peer, summary) in self.mate_digests(publisher) {
-                if !summary.contiguous() || !log.lacks(&gaps, &summary) {
-                    continue;
-                }
-                if self.peer_suspect(peer) {
-                    continue;
-                }
-                let fresher = match &best {
-                    None => true,
-                    Some((b, _)) => (summary.epoch, summary.next) > (b.epoch, b.next),
-                };
-                if fresher {
-                    best = Some((summary, peer));
-                }
-            }
-            let (peer, ranges, via_digest) = match best {
-                Some((summary, peer)) => (NodeId(peer), log.missing_given(&summary), true),
-                None => {
-                    // No leaf neighbour is ahead of us. If our own log has
-                    // internal gaps — or we are recovering and it has
-                    // nothing at all, or it has been quiet long enough for
-                    // the whole zone to have missed the newest articles,
-                    // which nothing after them would reveal — ask across
-                    // the zone boundary blind.
-                    let cold = log.next_seq() == 0 && self.recovering_since.is_some();
-                    let (due, backoff) = self.tail_probe;
-                    let probe = gaps.is_empty() && !cold && log.next_seq() > 0 && now >= due;
-                    if gaps.is_empty() && !cold && !probe {
-                        continue;
-                    }
-                    let Some(peer) = self.cross_zone_peer(ctx.rng()) else { continue };
-                    if probe {
-                        let backoff = backoff.checked_mul(2).unwrap_or(backoff);
-                        self.tail_probe = (now + backoff, backoff);
-                    }
-                    (peer, gaps, false)
-                }
-            };
-            self.reconcile_cursor = (self.reconcile_cursor + step + 1) % publishers.len();
-            self.send_reconcile_request(ctx, peer, publisher, ranges, Vec::new(), 0, via_digest);
-            return;
+        let ask =
+            self.reconcile.next_ask(&self.agent, subscribed, recovering, now, &suspect, ctx.rng());
+        if let Some(ask) = ask {
+            self.send_reconcile_request(ctx, ask);
         }
-        self.reconcile_cursor = (self.reconcile_cursor + 1) % publishers.len();
     }
 
-    /// Sends one `ReconcileRequest`, declaring this node's interest, and
-    /// arms its reply timeout. `asked` are the peers this pass asked before.
-    #[allow(clippy::too_many_arguments)]
-    fn send_reconcile_request(
-        &mut self,
-        ctx: &mut Context<'_, NewsWireMsg>,
-        peer: NodeId,
-        publisher: PublisherId,
-        ranges: Vec<(u64, u64)>,
-        asked: Vec<u32>,
-        retargets: u32,
-        via_digest: bool,
-    ) {
-        let (epoch, tail_from) = self
-            .article_logs
-            .get(&publisher)
-            .map(|log| (log.epoch(), log.next_seq()))
-            .unwrap_or((0, 0));
+    /// Sends `ask`'s `ReconcileRequest`, declaring this node's interest, and
+    /// arms its reply timeout.
+    fn send_reconcile_request(&mut self, ctx: &mut Context<'_, NewsWireMsg>, ask: Ask) {
+        let (peer, publisher) = (ask.peer, ask.publisher);
         obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_REQUESTS, 1);
         obs::trace_event!(self.agent.id(), Layer::News, kind::AE_REQUEST, peer.0, publisher.0);
-        ctx.send(
-            peer,
-            NewsWireMsg::ReconcileRequest {
-                publisher,
-                epoch,
-                ranges: ranges.clone(),
-                tail_from,
-                baselines: self.request_baselines(publisher),
-                interest: self.interest(publisher),
-            },
-        );
-        let delay = REPAIR_REPLY_TIMEOUT * BACKOFF.pow(retargets);
-        let timer = ctx.set_timer(delay, RECONCILE_WAIT_TIMER);
-        self.awaiting_reconcile = Some(PendingReconcile {
-            peer,
-            publisher,
-            ranges,
-            tail_from,
-            asked,
-            timer,
-            retargets,
-            via_digest,
-        });
+        let timer = ctx.set_timer(ask.wait(), RECONCILE_WAIT_TIMER);
+        let (baselines, interest) = (self.request_baselines(publisher), self.interest(publisher));
+        ctx.send(peer, self.reconcile.ask(ask, timer, baselines, interest));
     }
 
-    /// Who is asked next about holes the peers in `asked` could not vouch
-    /// for: a representative of this node's leaf zone not yet asked — the
-    /// one that handed an article on kept it — else a cross-zone
-    /// representative. A pass asks at most [`MAX_ASKED`] peers.
-    fn follow_up_peer(&self, asked: &[u32], rng: &mut SmallRng) -> Option<NodeId> {
-        if asked.len() >= MAX_ASKED {
-            return None;
-        }
-        let mut reps: Vec<u32> = self
-            .leaf_reps()
-            .map(|reps| reps.iter().filter_map(|&r| u32::try_from(r).ok()).collect())
-            .unwrap_or_default();
-        reps.retain(|r| *r != self.agent.id() && !asked.contains(r));
-        self.prefer_unsuspected(&mut reps);
-        if let Some(&rep) = reps.as_slice().choose(rng) {
-            return Some(NodeId(rep));
-        }
-        self.cross_zone_peer(rng).filter(|p| !asked.contains(&p.0))
-    }
-
-    /// Serves a `ReconcileRequest` from the log, in sequence order, at most
-    /// [`REPAIR_BATCH`] entries: each requested article the log holds is
-    /// shipped when the requester's interest admits it — the leaf hop's
-    /// own test — and withheld as a stub when it does not; a seq whose
-    /// article has since left the cache is vouched for as gone; a seq this
-    /// node settled as not for itself is vouched for with its stub, to a
-    /// requester that stub rejects. Nothing else is vouched for. The
-    /// requester's baseline hints let the reply delta-encode revised
-    /// stories.
+    /// Serves a `ReconcileRequest` ([`Reconcile::serve`]) and counts what
+    /// the reply carries. The requester's baseline hints let the reply
+    /// delta-encode revised stories.
     #[allow(clippy::too_many_arguments)]
     fn serve_reconcile(
         &mut self,
@@ -1675,41 +1239,16 @@ impl NewsWireNode {
         baselines: &[BaselineHint],
         interest: &[u16],
     ) {
-        let log = self.article_logs.get(&publisher);
-        let summary = log.map(|log| log.summary()).unwrap_or_default();
-        let mut items: Vec<SignedItem> = Vec::new();
-        let mut withheld: Vec<(u64, Stub)> = Vec::new();
-        // A requester on a newer epoch has restarted history; our items
-        // would be misfiled under its sequencing, so ship nothing (the
-        // summary still tells it where we stand).
-        if let Some(log) = log.filter(|_| summary.epoch >= epoch) {
-            let wanted = ranges.iter().copied().chain([(tail_from, u64::MAX)]).collect();
-            'walk: for (lo, hi) in merge_ranges(wanted) {
-                for (seq, entry) in log.range(lo, hi) {
-                    if items.len() + withheld.len() >= REPAIR_BATCH {
-                        break 'walk;
-                    }
-                    match (self.cache.get_signed(ItemId::new(publisher, seq)), entry) {
-                        (Some((item, (key, signature))), _) => {
-                            let stub = self.stub_of(item);
-                            if self.admits(interest, &stub) {
-                                let item = Arc::clone(item);
-                                items.push(SignedItem { item, key, signature, basis: None });
-                            } else {
-                                withheld.push((seq, stub));
-                            }
-                        }
-                        (None, LogEntry::Held) => withheld.push((seq, Stub::default())),
-                        (None, &LogEntry::NotForMe(id)) => {
-                            let stub = self.stubs.get(id);
-                            if !self.admits(interest, stub) {
-                                withheld.push((seq, stub.clone()));
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let stub_of = |item: &NewsItem| self.stub_of(item);
+        let (summary, mut items, withheld) = self.reconcile.serve(
+            &self.cache,
+            stub_of,
+            publisher,
+            epoch,
+            ranges,
+            tail_from,
+            interest,
+        );
         if !withheld.is_empty() {
             obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_WITHHELD, withheld.len());
         }
@@ -1732,10 +1271,7 @@ impl NewsWireNode {
     }
 
     /// Absorbs a `ReconcileReply`: deliver the recovered items, then settle
-    /// exactly what the reply vouches for — each withheld seq, logged with
-    /// its stub as not for this node (a gone article's empty stub included:
-    /// revision-fused or evicted seqs are unservable by *anyone* on that
-    /// epoch, and without settling we would re-request them forever). A
+    /// exactly what the reply vouches for ([`Reconcile::settle`]). A
     /// requested seq the responder could not vouch for stays a hole, and
     /// is asked of the next peer at once.
     #[allow(clippy::too_many_arguments)]
@@ -1757,21 +1293,14 @@ impl NewsWireNode {
                 self.absorb_attest(a);
             }
         }
-        let pending = match &self.awaiting_reconcile {
-            // The wait timer stays set; it finds no request when it fires.
-            Some(p) if p.peer == from && p.publisher == publisher => self.awaiting_reconcile.take(),
-            _ => None,
-        };
+        let pending = self.reconcile.take_reply(from, publisher);
         let now = ctx.now();
         obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_ITEMS_RECV, items.len());
         // Digest contradiction: this peer was selected because its gossiped
         // digest vouched coverage for our holes, yet it replies with an
-        // empty log and no items — the advertisement and the reply cannot
-        // both be honest (split-brain lying looks exactly like this).
-        if let Some(p) = &pending {
-            if p.via_digest && items.is_empty() && withheld.is_empty() && summary.is_empty() {
-                self.note_misbehavior(from, MISBEHAVIOR_CONTRADICTION);
-            }
+        // empty log and no items.
+        if pending.as_ref().is_some_and(|p| p.belied_by(&summary, &items, &withheld)) {
+            self.note_misbehavior(from, MISBEHAVIOR_CONTRADICTION);
         }
         // Epoch fence (DESIGN §12): adopting a newer epoch wipes this log,
         // and a reply summary is a single peer's unverified claim — the
@@ -1781,15 +1310,16 @@ impl NewsWireNode {
         // neighbour consensus, but it cannot sign as the publisher. The
         // consensus mode remains the fallback for publishers no attestation
         // has reached yet (majority-honest assumption, DESIGN §11).
-        let cur_epoch = self.article_logs.get(&publisher).map_or(0, |l| l.epoch());
+        let cur_epoch = self.reconcile.epoch(publisher);
         let authority = self.trust.authority_epoch(publisher);
         let fenced = summary.epoch > cur_epoch
             && self.cfg.defenses
             && match authority {
                 Some(ae) => summary.epoch > ae,
-                None => {
-                    matches!(self.consensus_epoch(publisher), Some(ce) if summary.epoch > ce)
-                }
+                None => matches!(
+                    self.reconcile.consensus_epoch(&self.agent, publisher),
+                    Some(ce) if summary.epoch > ce
+                ),
             };
         if fenced {
             obs::metric_add!(self.agent.id(), ctr::CORRUPT_ROWS_REJECTED, 1);
@@ -1806,76 +1336,36 @@ impl NewsWireNode {
             self.note_misbehavior(from, MISBEHAVIOR_FENCE);
         }
         if summary.epoch > cur_epoch && !fenced {
-            self.article_logs
-                .entry(publisher)
-                .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY))
-                .adopt_epoch(summary.epoch);
+            self.reconcile.adopt_epoch(publisher, summary.epoch);
         }
-        let next_before = self.article_logs.get(&publisher).map_or(0, |l| l.next_seq());
-        // A reply as long as a batch may have been cut there (replies are
-        // in sequence order): it speaks for nothing past its last entry.
-        let last = items.last().map(|i| i.item.id.seq).max(withheld.last().map(|&(seq, _)| seq));
-        let spoken_for = match last {
-            Some(last) if items.len() + withheld.len() >= REPAIR_BATCH => last,
-            _ => u64::MAX,
-        };
+        let next_before = self.reconcile.next_seq(publisher);
+        let spoken_for = reconcile::last_spoken_for(&items, &withheld);
         self.absorb_recovered(now, from, items);
         let Some(pending) = pending else { return };
-        // Stubs are believed for the seqs asked about only, from a responder
-        // on this node's epoch. An empty summary vouches for nothing — a
-        // peer with no log (say, a fresh amnesiac rejoiner picked through a
-        // stale digest) cannot have withheld anything, and its reply must
-        // not leave an empty log behind here to be advertised. A stub the
-        // own interest admits contradicts the test the responder claims to
-        // have run: it settles nothing, and the responder takes a strike.
-        let epoch = self.article_logs.get(&publisher).map_or(0, |l| l.epoch());
-        if !summary.is_empty() && summary.epoch == epoch {
-            let own = self.interest(publisher);
-            let (contradicted, believed): (Vec<_>, Vec<_>) = withheld
-                .into_iter()
-                .filter(|&(seq, _)| seq <= spoken_for && pending.requested(seq))
-                .partition(|(_, stub)| self.admits(&own, stub));
-            if !contradicted.is_empty() {
-                self.note_misbehavior(from, MISBEHAVIOR_CONTRADICTION);
-            }
-            for (seq, stub) in believed {
-                let id = self.stubs.intern(stub);
-                self.log_seen(ItemId::new(publisher, seq), LogEntry::NotForMe(id));
-            }
+        let own = self.interest(publisher);
+        let settled =
+            self.reconcile.settle(&pending, &summary, withheld, spoken_for, &own, next_before, now);
+        if settled.contradicted {
+            self.note_misbehavior(from, MISBEHAVIOR_CONTRADICTION);
         }
-        // A hole asked about that the reply did not vouch for stays a hole.
-        let asked_for = merge_ranges(pending.ranges.clone())
-            .into_iter()
-            .map(|(lo, hi)| (lo, hi.min(spoken_for)))
-            .filter(|(lo, hi)| lo <= hi);
-        let log = self.article_logs.get(&publisher);
-        let unvouched: Vec<(u64, u64)> = match log {
-            Some(log) => asked_for
-                .map(|(lo, hi)| (lo.max(log.floor()), hi))
-                .filter(|(lo, hi)| lo <= hi)
-                .flat_map(|(lo, hi)| holes_in(log, lo, hi))
-                .collect(),
-            None => asked_for.collect(),
-        };
-        let next_after = log.map_or(0, |log| log.next_seq());
-        if !unvouched.is_empty() {
-            let seqs: u64 = unvouched.iter().map(|(lo, hi)| hi - lo + 1).sum();
+        if !settled.unvouched.is_empty() {
+            let seqs: u64 = settled.unvouched.iter().map(|(lo, hi)| hi - lo + 1).sum();
             obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_UNVOUCHED, seqs);
         }
         // The responder is still ahead (the reply was cut). A recovering
         // node may have no digest to lead it back there — its whole leaf
         // zone can be as cold as it is — so it asks again now, for as long
         // as each reply moves its own mark.
-        let behind = next_before < next_after && next_after < summary.next;
-        if behind && self.recovering_since.is_some() {
-            let ranges = self.article_logs[&publisher].missing_given(&summary);
-            self.send_reconcile_request(ctx, from, publisher, ranges, Vec::new(), 0, false);
-        } else if !unvouched.is_empty() {
-            let mut asked = pending.asked;
-            asked.push(from.0);
-            if let Some(peer) = self.follow_up_peer(&asked, ctx.rng()) {
-                self.send_reconcile_request(ctx, peer, publisher, unvouched, asked, 0, false);
-            }
+        let next = if settled.behind && self.recovering_since.is_some() {
+            Some(pending.again(self.reconcile.missing(publisher, &summary)))
+        } else if !settled.unvouched.is_empty() {
+            let suspect = |peer| self.peer_suspect(peer);
+            pending.follow_up(settled.unvouched, &self.agent, &suspect, ctx.rng())
+        } else {
+            None
+        };
+        if let Some(ask) = next {
+            self.send_reconcile_request(ctx, ask);
         }
     }
 
@@ -1894,34 +1384,9 @@ impl NewsWireNode {
             if self.peer_endorsed(peer) {
                 self.misbehavior.remove(&peer);
             }
-            // So was its digest: a restarted mate's log may now be shorter
-            // than the rider it last sent, and a pull against that rider
-            // would take its honest, empty reply for a contradiction. The
-            // new life's first row may already stand past the version the
-            // rider was taken at, so `retire_stale_riders` cannot see it.
-            self.leaf_digests.remove(&peer);
+            // So was its digest rider.
+            self.reconcile.forget_rider(peer);
         }
-    }
-
-    /// The epoch most of this node's leaf neighbours advertise for
-    /// `publisher` in their digest riders — the reference the epoch fence
-    /// trusts. Only a mate that sent a rider votes, so an identity that
-    /// exists only as a row (a Sybil) has no vote. A genuine publisher
-    /// restart reaches every neighbour within a gossip round or two, so the
-    /// mode tracks honest epoch bumps; a fabricated epoch stays a minority
-    /// of one. Ties break *low* (never fence up to a contested epoch).
-    /// `None` when no neighbour advertises a digest. This is corruption
-    /// tolerance under a majority-honest leaf zone, not Byzantine agreement
-    /// — a colluding majority defeats it, which is why the epoch fence
-    /// prefers the publisher-signed attestation whenever one is held and
-    /// falls back to this mode only before any attestation arrives (see
-    /// DESIGN §12; the §11 caveat describes the fallback's limits).
-    fn consensus_epoch(&self, publisher: PublisherId) -> Option<u32> {
-        let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
-        for (_, s) in self.mate_digests(publisher) {
-            *counts.entry(s.epoch).or_insert(0) += 1;
-        }
-        counts.into_iter().max_by_key(|&(epoch, n)| (n, std::cmp::Reverse(epoch))).map(|(e, _)| e)
     }
 
     /// The subscription summary attributes this node *should* advertise,
@@ -1965,24 +1430,22 @@ impl NewsWireNode {
                 obs::trace_event!(self.agent.id(), Layer::Astro, kind::SELF_AUDIT_REPAIR, 2, 1);
             }
         }
-        let publishers: Vec<PublisherId> = self.article_logs.keys().copied().collect();
+        let publishers: Vec<PublisherId> = self.reconcile.logged_publishers().collect();
         for publisher in publishers {
             // The fence reference: the publisher's signed attestation when
             // held (collusion-proof), neighbour consensus otherwise.
-            let Some(ce) =
-                self.trust.authority_epoch(publisher).or_else(|| self.consensus_epoch(publisher))
+            let Some(ce) = self
+                .trust
+                .authority_epoch(publisher)
+                .or_else(|| self.reconcile.consensus_epoch(&self.agent, publisher))
             else {
                 continue;
             };
-            if self.article_logs[&publisher].epoch() <= ce {
+            if self.reconcile.epoch(publisher) <= ce {
                 continue;
             }
-            let mut rebuilt = SeqLog::new(ARTICLE_LOG_CAPACITY);
-            rebuilt.adopt_epoch(ce);
-            for item in self.cache.iter().filter(|i| i.id.publisher == publisher) {
-                rebuilt.insert(item.id.seq, LogEntry::Held);
-            }
-            self.article_logs.insert(publisher, rebuilt);
+            let held = self.cache.iter().filter(|i| i.id.publisher == publisher);
+            self.reconcile.rebuild_log(publisher, ce, held.map(|item| item.id.seq));
             repairs += 1;
             obs::trace_event!(self.agent.id(), Layer::Astro, kind::SELF_AUDIT_REPAIR, 3, 1);
         }
@@ -1997,25 +1460,10 @@ impl NewsWireNode {
     /// the cache is the dedup barrier and the delivery log is the
     /// completeness substrate, and restoring one without the other would
     /// either re-deliver everything or forget what was delivered. Only held
-    /// seqs persist as present: a restored entry vouches as held, so a
-    /// not-for-me seq comes back as a hole, which reconcile settles again
-    /// (it was never delivered, so nothing can be delivered twice).
+    /// seqs persist as present ([`Reconcile::log_states`]).
     fn durable_state(&self) -> persist::NodeState {
-        let logs = self
-            .article_logs
-            .iter()
-            .map(|(p, log)| persist::LogState {
-                publisher: *p,
-                coverage: log.encode_coverage(),
-                present: persist::compress_ranges(
-                    log.range(log.floor(), log.next_seq().saturating_sub(1))
-                        .filter(|(_, entry)| **entry == LogEntry::Held)
-                        .map(|(s, _)| s),
-                ),
-            })
-            .collect();
         persist::NodeState {
-            logs,
+            logs: self.reconcile.log_states(),
             // Each item persists with its detached signature, so a durable
             // restore can re-verify: a disk snapshot is just another
             // admission source (see `restore_items`).
@@ -2044,16 +1492,7 @@ impl NewsWireNode {
         let restored = self.restore_items(state.items, now);
         self.deliveries = state.deliveries;
         for ls in state.logs {
-            let log = self
-                .article_logs
-                .entry(ls.publisher)
-                .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY));
-            for (lo, hi) in ls.present {
-                for seq in lo..=hi {
-                    log.insert(seq, LogEntry::Held);
-                }
-            }
-            log.restore_coverage(&ls.coverage);
+            self.reconcile.restore_log(ls);
         }
         restored
     }
@@ -2068,7 +1507,7 @@ impl NewsWireNode {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         h = mix(h, self.cache.len() as u64);
         h = mix(h, self.deliveries.len() as u64);
-        for (p, log) in &self.article_logs {
+        for (p, log) in self.reconcile.logs() {
             h = mix(h, u64::from(p.0));
             h = mix(h, u64::from(log.epoch()));
             h = mix(h, log.floor());
@@ -2111,12 +1550,8 @@ impl NewsWireNode {
         self.acks.clear();
         self.digest_probes.clear();
         self.answered_probes = CLEAN_EXCHANGES;
-        self.article_logs.clear();
-        self.ae_digests = None;
-        self.leaf_digests.clear();
-        self.stubs.clear();
+        self.reconcile.clear();
         self.misbehavior.clear();
-        self.awaiting_reconcile = None;
         self.backfill_this_recovery = 0;
     }
 
@@ -2129,12 +1564,6 @@ impl NewsWireNode {
     /// vacuously hole-free.
     fn check_recovery_done(&mut self, now: SimTime) {
         let Some(started) = self.recovering_since else { return };
-        if self.awaiting_reconcile.is_some() {
-            return;
-        }
-        if self.article_logs.values().any(|log| !log.gaps().is_empty()) {
-            return;
-        }
         // A freshly reset membership view is vacuously consistent — an
         // amnesiac node that has not yet heard from anyone would sail
         // through the digest comparison below. Refuse to declare victory
@@ -2148,15 +1577,9 @@ impl NewsWireNode {
         if !self.agent.table(0).iter().any(|(label, _)| label != own) {
             return;
         }
-        for (p, _) in &self.subscription.publishers {
-            let neighborhood_next = self.mate_digests(*p).map(|(_, s)| s.next).max().unwrap_or(0);
-            let reached = self
-                .article_logs
-                .get(p)
-                .map_or(neighborhood_next == 0, |log| log.next_seq() >= neighborhood_next);
-            if !reached {
-                return;
-            }
+        let subscribed = self.subscription.publishers.iter().map(|(p, _)| *p);
+        if !self.reconcile.caught_up(&self.agent, subscribed) {
+            return;
         }
         let duration = now.as_micros().saturating_sub(started.as_micros());
         self.recovering_since = None;
@@ -2228,7 +1651,7 @@ impl Node for NewsWireNode {
                 // The digest rider last, against the rows this exchange
                 // merged: the sender's row version it is taken at is the
                 // sender's current life.
-                self.take_digest_rider(from.0, digests);
+                self.reconcile.take_digest_rider(&self.agent, from.0, digests);
             }
             NewsWireMsg::Rotate { record, credential } => {
                 // Ablation: with defenses off the rotation is a dead
@@ -2250,7 +1673,7 @@ impl Node for NewsWireNode {
                         // every item published from here signs with the
                         // successor key.
                         let publisher = cred.publisher();
-                        let epoch = self.article_logs.get(&publisher).map_or(0, |l| l.epoch());
+                        let epoch = self.reconcile.epoch(publisher);
                         self.install_publisher_authority(
                             cred.certificate.clone(),
                             cred.attest_epoch(epoch),
@@ -2335,7 +1758,7 @@ impl Node for NewsWireNode {
                 if self.cfg.defenses && self.gossip_ticks.is_multiple_of(SELF_AUDIT_TICKS) {
                     self.self_audit(now);
                 }
-                self.publish_ae_digests();
+                self.reconcile.publish_ae_digests(self.cfg.anti_entropy);
                 let out = self.agent.on_tick(now, ctx.rng());
                 if !self.digest_probes.is_empty() {
                     self.answered_probes = 0;
@@ -2382,29 +1805,11 @@ impl Node for NewsWireNode {
                 // round restarts the cycle anyway). A timer outlives a
                 // request a subscription change forgot; it is not the
                 // deadline of the request sent since.
-                let Some(p) = self.awaiting_reconcile.take_if(|p| p.timer == t) else { return };
-                if p.retargets >= MAX_FAILOVERS {
-                    return;
-                }
-                for _ in 0..4 {
-                    match self.cross_zone_peer(ctx.rng()) {
-                        Some(peer) if peer != p.peer => {
-                            obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_RETARGETS, 1);
-                            self.send_reconcile_request(
-                                ctx,
-                                peer,
-                                p.publisher,
-                                p.ranges,
-                                p.asked,
-                                p.retargets + 1,
-                                false,
-                            );
-                            return;
-                        }
-                        Some(_) => continue,
-                        None => return,
-                    }
-                }
+                let Some(p) = self.reconcile.take_timed_out(t) else { return };
+                let suspect = |peer| self.peer_suspect(peer);
+                let Some(ask) = p.retarget(&self.agent, &suspect, ctx.rng()) else { return };
+                obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_RETARGETS, 1);
+                self.send_reconcile_request(ctx, ask);
             }
             ACK_TAG_BASE => self.sweep_acks(ctx),
             _ => {}
@@ -2444,7 +1849,7 @@ impl Node for NewsWireNode {
         self.reset_protocol_state();
         self.coverage = CoverageWindow::new(8192);
         self.queues = ForwardingQueues::new(FORWARD_STRATEGY);
-        self.reconcile_cursor = 0;
+        self.reconcile.rewind();
         self.gossip_ticks = 0;
         self.persisted_fingerprint = 0;
         self.trust.forget_rotations();
@@ -2494,7 +1899,7 @@ impl Node for NewsWireNode {
             }
         }
         // Re-advertise coverage from what actually came back.
-        self.publish_ae_digests();
+        self.reconcile.publish_ae_digests(self.cfg.anti_entropy);
         ctx.disk().fsync();
 
         self.recovering_since = Some(now);
@@ -2531,36 +1936,39 @@ fn row_id(row: &Mib) -> Option<u32> {
     row.get("id").and_then(|v| v.as_i64()).and_then(|v| u32::try_from(v).ok())
 }
 
-/// Inclusive `ranges` sorted, with the empty ones dropped and the ones that
-/// overlap or touch merged — a request's ranges are the requester's claim.
-fn merge_ranges(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    ranges.retain(|(lo, hi)| lo <= hi);
-    ranges.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
-    for (lo, hi) in ranges {
-        match merged.last_mut() {
-            Some(last) if lo <= last.1.saturating_add(1) => last.1 = last.1.max(hi),
-            _ => merged.push((lo, hi)),
-        }
-    }
-    merged
+/// True when, with defenses on, `peer`'s score in `misbehavior` has crossed
+/// the quarantine threshold.
+fn in_quarantine(misbehavior: &HashMap<u32, u32>, defenses: bool, peer: u32) -> bool {
+    defenses && misbehavior.get(&peer).is_some_and(|&s| s >= QUARANTINE_THRESHOLD)
 }
 
-/// The seqs in `lo..=hi` (with `hi` below `u64::MAX`) that `log` has not
-/// seen, as inclusive ranges.
-fn holes_in(log: &SeqLog<LogEntry>, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-    let mut holes = Vec::new();
-    let mut cursor = lo;
-    for (seq, _) in log.range(lo, hi) {
-        if seq > cursor {
-            holes.push((cursor, seq - 1));
-        }
-        cursor = seq + 1;
+/// Drops the entries `suspect` names from a candidate list — unless that
+/// would empty it (a suspect peer beats no peer at all).
+fn prefer_unsuspected(candidates: &mut Vec<u32>, suspect: &dyn Fn(u32) -> bool) {
+    if candidates.iter().any(|&c| !suspect(c)) {
+        candidates.retain(|&c| !suspect(c));
     }
-    if cursor <= hi {
-        holes.push((cursor, hi));
+}
+
+/// How many stub positions one filter group spans under `model`: a Bloom
+/// key's hash count, or one category bit.
+fn stub_group(model: SubscriptionModel) -> usize {
+    match model {
+        SubscriptionModel::Bloom { hashes, .. } => hashes.max(1) as usize,
+        SubscriptionModel::CategoryMask => 1,
     }
-    holes
+}
+
+/// The representatives of `agent`'s leaf zone, as its parent table lists
+/// them. `None` in a one-level tree, or before the row is known.
+fn leaf_reps(agent: &Agent) -> Option<&BTreeSet<u64>> {
+    if agent.levels() < 2 {
+        return None;
+    }
+    match agent.table(1).get(agent.own_label(1))?.get("reps") {
+        Some(AttrValue::Set(reps)) => Some(reps),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -2570,6 +1978,7 @@ mod tests {
     use crate::auth::verify_bare_item;
     use crate::config::SubscriptionModel;
     use crate::subscription::Subscription;
+    use crate::wire::LogDigests;
     use astrolabe::{Config, Mib, MibBuilder, Stamp, TrustRegistry, ZoneLayout};
     use newsml::{Category, PublisherId};
     use std::cell::RefCell;
@@ -2674,7 +2083,7 @@ mod tests {
                 let row = row.build(Stamp::default());
                 let interest = n.interest(PublisherId(0));
                 for item in &items {
-                    let by_stub = n.admits(&interest, &n.stub_of(item));
+                    let by_stub = n.reconcile.admits(&interest, &n.stub_of(item));
                     assert_eq!(
                         by_stub,
                         n.filter_for(item).admits(&row),
@@ -2689,7 +2098,7 @@ mod tests {
                     }
                 }
                 assert!(
-                    !n.admits(&interest, &Stub::default()),
+                    !n.reconcile.admits(&interest, &Stub::default()),
                     "a gone article is admitted nowhere"
                 );
             }
@@ -2868,172 +2277,10 @@ mod tests {
         assert!(n.article_log(PublisherId(9)).is_none());
     }
 
-    /// The digest rider of a message from `n` to `to`.
-    fn rider_to(n: &NewsWireNode, to: u32) -> Option<LogDigests> {
-        match n.gossip_msg(to, GossipMsg::empty_reply()) {
-            NewsWireMsg::Gossip { digests, .. } => digests,
-            _ => unreachable!("gossip_msg wraps gossip"),
-        }
-    }
-
     /// One publisher-0 rider claiming the contiguous log `0..next` under
     /// `epoch`.
-    fn rider_of(epoch: u32, next: u64) -> LogDigests {
+    pub(super) fn rider_of(epoch: u32, next: u64) -> LogDigests {
         Arc::from([(PublisherId(0), RangeSummary { epoch, floor: 0, next, present: next })])
-    }
-
-    /// A published rider is the article logs' summaries, and it rides gossip
-    /// to leaf mates only. With anti-entropy off, none is sent.
-    #[test]
-    fn a_published_rider_equals_the_logs_summaries() {
-        let mut n = node_with(NewsWireConfig::tech_news());
-        n.set_subscription(tech_sub());
-        let now = SimTime::from_secs(1);
-        assert!(rider_to(&n, 1).is_none(), "nothing logged, nothing to say");
-        for seq in [0, 1, 2, 6] {
-            n.handle_delivery(now, Admitted::unverified(tech_item(seq)), false);
-        }
-        n.publish_ae_digests();
-        let rider = rider_to(&n, 1).expect("a leaf mate gets the rider");
-        let summary = rider[0].1;
-        assert_eq!(&*rider, &[(PublisherId(0), n.article_log(PublisherId(0)).unwrap().summary())]);
-        assert!(!summary.contiguous(), "the hole at 3..=5 shows in the digest");
-        assert!(rider_to(&n, 4).is_none(), "gossip leaving the leaf zone carries none");
-        // With anti-entropy off, no digest is published.
-        let mut off =
-            node_with(NewsWireConfig { anti_entropy: false, ..NewsWireConfig::tech_news() });
-        off.handle_delivery(now, Admitted::unverified(tech_item(0)), false);
-        off.publish_ae_digests();
-        assert!(rider_to(&off, 1).is_none());
-    }
-
-    /// A leaf mate's rider is kept until its next exchange replaces or
-    /// retracts it, a non-mate's is never stored, only a mate with a row
-    /// is read, and not once that row's versions start over; a restart
-    /// forgets every rider.
-    #[test]
-    fn a_leaf_mates_rider_is_kept_until_replaced_retracted_or_reset() {
-        use astrolabe::{MibBuilder, Stamp, TableRows};
-        use rand::SeedableRng;
-        let mut n = node_with(NewsWireConfig::tech_news());
-        n.take_digest_rider(1, Some(rider_of(0, 3)));
-        n.take_digest_rider(9, Some(rider_of(2, 5)));
-        assert_eq!(n.leaf_digests.keys().copied().collect::<Vec<_>>(), vec![1], "9 is no mate");
-        assert_eq!(n.consensus_epoch(PublisherId(0)), None, "1 has no row here yet");
-        let now = SimTime::from_secs(1);
-        let merge = |n: &mut NewsWireNode, at: SimTime, version: u64| {
-            let row = MibBuilder::new().attr("id", 1i64).build(Stamp {
-                issued_us: at.as_micros(),
-                version,
-                origin: 1,
-            });
-            let rows = vec![(1, row.stamp, Arc::new(row))];
-            let zone = n.agent.zone(0).clone();
-            let msg = GossipMsg::Rows { rows: vec![TableRows { zone, rows }] };
-            n.merge_gossip(at, 1, msg, &mut rand::rngs::SmallRng::seed_from_u64(1));
-        };
-        merge(&mut n, now, 1);
-        assert_eq!(n.consensus_epoch(PublisherId(0)), Some(0));
-        n.take_digest_rider(1, Some(rider_of(1, 4)));
-        assert_eq!(
-            n.consensus_epoch(PublisherId(0)),
-            Some(1),
-            "the latest rider replaces the last"
-        );
-        merge(&mut n, SimTime::from_secs(2), 0);
-        assert_eq!(n.consensus_epoch(PublisherId(0)), None, "1's versions started over");
-        assert!(n.leaf_digests.is_empty(), "and its rider went with them");
-        n.take_digest_rider(1, Some(rider_of(1, 4)));
-        n.take_digest_rider(1, None);
-        assert!(n.leaf_digests.is_empty(), "a rider-less exchange retracts it");
-        let impossible = RangeSummary { epoch: 0, floor: 5, next: 3, present: 0 };
-        n.take_digest_rider(1, Some(Arc::from([(PublisherId(0), impossible)])));
-        assert!(n.leaf_digests.is_empty(), "a window no log can have is not kept");
-        assert_eq!(n.consensus_epoch(PublisherId(0)), None);
-        n.take_digest_rider(2, Some(rider_of(0, 3)));
-        n.set_subscription(tech_sub());
-        n.handle_delivery(now, Admitted::unverified(tech_item(0)), false);
-        n.publish_ae_digests();
-        n.reset_protocol_state();
-        assert!(n.leaf_digests.is_empty(), "a restart forgets the mates' riders");
-        assert!(rider_to(&n, 1).is_none(), "and its own");
-    }
-
-    /// A freeze burns no incarnation, so a leaf mate's pre-freeze rider
-    /// goes the moment the mate's row is merged below the version the rider
-    /// was taken at — here by way of a third mate, with no fresh rider from
-    /// the frozen one — and is never read again as the new versions climb
-    /// past that one.
-    #[test]
-    fn a_frozen_mates_old_rider_is_never_read_again() {
-        use astrolabe::{MibBuilder, Stamp, TableRows};
-        use rand::SeedableRng;
-        let mut n = node_with(NewsWireConfig::tech_news());
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-        // Mate 1's row, as mate `via` forwards it.
-        let mut merge = |n: &mut NewsWireNode, via: u32, at: SimTime, version: u64| {
-            let row = MibBuilder::new().attr("id", 1i64).build(Stamp {
-                issued_us: at.as_micros(),
-                version,
-                origin: 1,
-            });
-            let rows = vec![(1, row.stamp, Arc::new(row))];
-            let zone = n.agent.zone(0).clone();
-            n.merge_gossip(
-                at,
-                via,
-                GossipMsg::Rows { rows: vec![TableRows { zone, rows }] },
-                &mut rng,
-            );
-        };
-        merge(&mut n, 1, SimTime::from_secs(1), 40);
-        n.take_digest_rider(1, Some(rider_of(3, 7)));
-        let read = |n: &NewsWireNode| n.mate_digests(PublisherId(0)).collect::<Vec<_>>();
-        assert_eq!(read(&n), vec![(1, rider_of(3, 7)[0].1)], "the rider is read before the freeze");
-        for (k, version) in [1, 2, 39, 40, 41, 90].into_iter().enumerate() {
-            let at = SimTime::from_secs(10 + k as u64);
-            merge(&mut n, 2, at, version);
-            assert_eq!(n.agent.table(0).row(1).unwrap().stamp.version, version);
-            assert_eq!(read(&n), vec![], "the pre-freeze rider is read at version {version}");
-            assert_eq!(n.consensus_epoch(PublisherId(0)), None);
-        }
-    }
-
-    /// A cold restart's rider goes on the incarnation bump itself: the
-    /// first row of the mate's new life to reach this node may already
-    /// stand at or past the version its old rider was taken at — the old
-    /// life was short, or the new one climbed before its row got here —
-    /// and then no version check can tell the two lives apart.
-    #[test]
-    fn a_cold_restarted_mates_rider_goes_with_its_old_incarnation() {
-        use astrolabe::{MibBuilder, Stamp, TableRows};
-        use rand::SeedableRng;
-        let mut n = node_with(NewsWireConfig::tech_news());
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-        let mut merge = |n: &mut NewsWireNode, at: SimTime, version: u64, incar: i64| {
-            let stamp = Stamp { issued_us: at.as_micros(), version, origin: 1 };
-            let row = MibBuilder::new().attr("id", 1i64).attr("incar", incar).build(stamp);
-            let rows = vec![(1, row.stamp, Arc::new(row))];
-            let zone = n.agent.zone(0).clone();
-            n.merge_gossip(
-                at,
-                1,
-                GossipMsg::Rows { rows: vec![TableRows { zone, rows }] },
-                &mut rng,
-            );
-        };
-        merge(&mut n, SimTime::from_secs(1), 5, 1);
-        n.take_digest_rider(1, Some(rider_of(3, 7)));
-        let read = |n: &NewsWireNode| n.mate_digests(PublisherId(0)).collect::<Vec<_>>();
-        assert_eq!(
-            read(&n),
-            vec![(1, rider_of(3, 7)[0].1)],
-            "the rider is read before the restart"
-        );
-        merge(&mut n, SimTime::from_secs(30), 9, 2);
-        assert_eq!(n.agent.table(0).row(1).unwrap().stamp.version, 9, "the new life is merged");
-        assert_eq!(read(&n), vec![], "the old life's rider is read past the restart");
-        assert_eq!(n.consensus_epoch(PublisherId(0)), None);
     }
 
     /// A peer is suspect once two hand-offs to it in a row went
@@ -3050,11 +2297,11 @@ mod tests {
         assert!(n.peer_suspect(8), "two in a row is a peer that stopped answering");
         // Candidate filtering drops the suspect while alternatives exist…
         let mut candidates = vec![7, 8];
-        n.prefer_unsuspected(&mut candidates);
+        prefer_unsuspected(&mut candidates, &|p| n.peer_suspect(p));
         assert_eq!(candidates, vec![7]);
         // …but keeps it when it is the only option.
         let mut only = vec![8];
-        n.prefer_unsuspected(&mut only);
+        prefer_unsuspected(&mut only, &|p| n.peer_suspect(p));
         assert_eq!(only, vec![8]);
         // A round trip timed under Karn's rule ends the back-off.
         n.acks.note_rtt(8, SimDuration::from_millis(60));
@@ -3079,7 +2326,7 @@ mod tests {
         }
         assert!(n.peer_suspect(2), "unanswered hand-offs made the peer suspect");
         let mut candidates = vec![1, 2];
-        n.prefer_unsuspected(&mut candidates);
+        prefer_unsuspected(&mut candidates, &|p| n.peer_suspect(p));
         assert_eq!(candidates, vec![1], "suspect peer dropped from failover candidates");
         // The peer cold-restarts; the very next gossip round carries its
         // row under a new incarnation. The suspicion belonged to its
@@ -3101,7 +2348,7 @@ mod tests {
         assert!(!n.peer_suspect(2), "new incarnation cleared the stale suspicion");
         assert!(n.acks.backed_off().is_empty(), "and its back-off");
         let mut candidates = vec![1, 2];
-        n.prefer_unsuspected(&mut candidates);
+        prefer_unsuspected(&mut candidates, &|p| n.peer_suspect(p));
         assert_eq!(candidates, vec![1, 2], "recovered peer selectable as failover target");
     }
 
@@ -3245,13 +2492,14 @@ mod tests {
         let msg = GossipMsg::Rows { rows: vec![TableRows { zone: n.agent.zone(0).clone(), rows }] };
         n.agent.on_message(now, 2, msg, &mut rng);
         for mate in [2, 3] {
-            n.take_digest_rider(mate, Some(Arc::from([(PublisherId(0), RangeSummary::default())])));
+            let rider = Arc::from([(PublisherId(0), RangeSummary::default())]);
+            n.reconcile.take_digest_rider(&n.agent, mate, Some(rider));
         }
 
         // A healthy audit is a no-op: same epoch, same coverage.
         n.self_audit(now);
-        assert_eq!(n.article_logs[&PublisherId(0)].epoch(), 0);
-        assert!(n.article_logs[&PublisherId(0)].contains(2));
+        assert_eq!(n.article_log(PublisherId(0)).unwrap().epoch(), 0);
+        assert!(n.article_log(PublisherId(0)).unwrap().contains(2));
 
         // The adversary fabricates a newer epoch plus phantom coverage…
         let hit = simnet::Node::apply_corruption(
@@ -3260,13 +2508,13 @@ mod tests {
             &mut rng,
         );
         assert!(hit > 0, "corruption must land");
-        assert_eq!(n.article_logs[&PublisherId(0)].epoch(), 1);
+        assert_eq!(n.article_log(PublisherId(0)).unwrap().epoch(), 1);
 
         // …and the audit fences it back to the neighbours' consensus,
         // rebuilt from the cache: the three delivered items are present,
         // the phantom fourth is gone.
         n.self_audit(now);
-        let log = &n.article_logs[&PublisherId(0)];
+        let log = n.article_log(PublisherId(0)).unwrap();
         assert_eq!(log.epoch(), 0, "fenced back to the consensus epoch");
         for seq in 0..3u64 {
             assert!(log.contains(seq), "cached item {seq} re-seeded");
@@ -3557,7 +2805,7 @@ mod tests {
         assert_eq!(counts.of(&n, ctr::NW_QUARANTINES), 1, "crossing the threshold counts once");
         // Selection drops the quarantined peer while alternatives exist.
         let mut candidates = vec![5, 7];
-        n.prefer_unsuspected(&mut candidates);
+        prefer_unsuspected(&mut candidates, &|p| n.peer_suspect(p));
         assert_eq!(candidates, vec![5]);
         // External inputs never take strikes.
         n.note_misbehavior(NodeId::EXTERNAL, 10);
@@ -3622,11 +2870,11 @@ mod tests {
             &mut rng,
         );
         assert!(hit > 0, "the vote must land");
-        assert_eq!(n.article_logs[&PublisherId(0)].epoch(), 60);
+        assert_eq!(n.article_log(PublisherId(0)).unwrap().epoch(), 60);
         // No gossip rows were ever absorbed: the unsigned consensus is
         // unavailable (or capturable). The signed authority still fences.
         n.self_audit(now);
-        let log = &n.article_logs[&PublisherId(0)];
+        let log = n.article_log(PublisherId(0)).unwrap();
         assert_eq!(log.epoch(), 0, "fenced back to the signed authority epoch");
         for seq in 0..3u64 {
             assert!(log.contains(seq), "cached item {seq} re-seeded");

@@ -460,8 +460,7 @@ mod tests {
             assert_eq!(verdict, admitted, "{at}: the verdict");
             let holds = admitted && via != Via::Attest;
             assert_eq!(n.cache.contains(id), holds, "{at}: the cache");
-            let seen = n.article_logs.get(&id.publisher).is_some_and(|log| log.contains(id.seq));
-            assert_eq!(seen, holds, "{at}: the article log");
+            assert_eq!(n.reconcile.logged(id), holds, "{at}: the article log");
             let delivered = holds && via != Via::Disk;
             assert_eq!(n.has_item(id), delivered, "{at}: the application");
             assert_eq!(counts.of(&n, ctr::NW_AUTH_REJECTS), auth, "{at}: auth rejects");

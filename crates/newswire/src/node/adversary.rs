@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use amcast::{RangeSummary, SeqLog};
+use amcast::RangeSummary;
 use astrolabe::{Agent, AttrValue, GossipMsg, KeyId, Mib, MibBuilder, Signature, Stamp, TableRows};
 use filters::BitArray;
 use newsml::{Category, NewsItem, PublisherId};
@@ -14,7 +14,7 @@ use rand::Rng;
 use simnet::{CorruptionOp, LiarAction, LiarMode, NodeId};
 
 use super::admit::Admitted;
-use super::{LogEntry, NewsWireNode, ARTICLE_LOG_CAPACITY, SYBIL_ID_BASE};
+use super::{NewsWireNode, SYBIL_ID_BASE};
 use crate::auth::PublisherCredential;
 use crate::wire::NewsWireMsg;
 
@@ -49,7 +49,7 @@ impl NewsWireNode {
                 // real coverage; the bogus signatures drawn from the
                 // strike stream are what defended receivers refuse.
                 let publisher = PublisherId(publisher);
-                let base = self.article_logs.get(&publisher).map_or(0, |l| l.next_seq());
+                let base = self.reconcile.next_seq(publisher);
                 let now = self.clock;
                 let mut injected = 0u64;
                 for k in 0..u64::from(items) {
@@ -58,7 +58,7 @@ impl NewsWireNode {
                         .headline(format!("FORGED dispatch {seq}"))
                         .category(Category::Technology)
                         .build();
-                    self.log_seen(item.id, LogEntry::Held);
+                    self.reconcile.log_seen(item.id, None, now);
                     let sig = (KeyId(rng.gen()), Signature(rng.gen()));
                     self.cache_insert(Admitted::planted(Arc::new(item), sig), now);
                     injected += 1;
@@ -71,17 +71,8 @@ impl NewsWireNode {
                 // voters capture the unsigned neighbour-consensus mode that the
                 // legacy epoch fence trusts; phantom head coverage makes
                 // the captured digest look fresher than any honest one.
-                let publisher = PublisherId(publisher);
-                let log = self
-                    .article_logs
-                    .entry(publisher)
-                    .or_insert_with(|| SeqLog::new(ARTICLE_LOG_CAPACITY));
-                if epoch <= log.epoch() {
+                if !self.reconcile.forge_epoch(PublisherId(publisher), epoch, 8) {
                     return 0;
-                }
-                log.adopt_epoch(epoch);
-                for seq in 0..8 {
-                    log.insert(seq, LogEntry::Held);
                 }
                 9
             }
@@ -90,14 +81,10 @@ impl NewsWireNode {
                 // phantom coverage. The next digest rider advertises it;
                 // with defenses off the fake epoch spreads by reconcile
                 // contagion (every absorber adopts and wipes its log).
-                let publishers: Vec<PublisherId> = self.article_logs.keys().copied().collect();
+                let publishers: Vec<PublisherId> = self.reconcile.logged_publishers().collect();
                 let Some(&publisher) = publishers.as_slice().choose(rng) else { return 0 };
-                let log = self.article_logs.get_mut(&publisher).expect("key just listed");
-                let fake = log.epoch() + 1;
-                log.adopt_epoch(fake);
-                for seq in 0..u64::from(entries) {
-                    log.insert(seq, LogEntry::Held);
-                }
+                let fake = self.reconcile.epoch(publisher) + 1;
+                self.reconcile.forge_epoch(publisher, fake, u64::from(entries));
                 u64::from(entries) + 1
             }
             CorruptionOp::StolenKey { publisher, items, attest_bump } => {
@@ -111,7 +98,7 @@ impl NewsWireNode {
                 let Some(cert) = self.trust.compromised_cert(publisher) else { return 0 };
                 let Some(stolen) = self.registry.exfiltrate_key(cert.key) else { return 0 };
                 let cred = PublisherCredential::from_parts(cert, stolen);
-                let base = self.article_logs.get(&publisher).map_or(0, |l| l.next_seq());
+                let base = self.reconcile.next_seq(publisher);
                 let now = self.clock;
                 let mut hit = 0u64;
                 for k in 0..u64::from(items) {
@@ -121,7 +108,7 @@ impl NewsWireNode {
                         .category(Category::Technology)
                         .build();
                     let sig = cred.sign(&item);
-                    self.log_seen(item.id, LogEntry::Held);
+                    self.reconcile.log_seen(item.id, None, now);
                     self.cache_insert(Admitted::planted(Arc::new(item), (cred.key_id(), sig)), now);
                     hit += 1;
                 }
@@ -129,7 +116,7 @@ impl NewsWireNode {
                     // A bogus epoch attestation, validly signed with the
                     // stolen key: the signed-authority defense *verifies*
                     // it — only revocation (admission path 5) stops it.
-                    let log_epoch = self.article_logs.get(&publisher).map_or(0, |l| l.epoch());
+                    let log_epoch = self.reconcile.epoch(publisher);
                     let epoch = self
                         .trust
                         .authority_epoch(publisher)

@@ -1,11 +1,7 @@
 //! What a node's NewsWire bookkeeping holds, structure by structure
 //! (DESIGN §8, "Where a NewsWire node's memory goes").
 
-use amcast::SeqLog;
-use simnet::heap::btree_map_bytes;
-
-use super::{LogEntry, NewsWireNode};
-use newsml::PublisherId;
+use super::NewsWireNode;
 
 /// Heap bytes of a node's NewsWire structures, each computed from its
 /// lengths and capacities. Articles and envelopes are shared handles: each
@@ -17,8 +13,9 @@ pub struct Footprint {
     pub cache: usize,
     /// The cache's slug index.
     pub slug_index: usize,
-    /// The per-publisher article logs.
-    pub article_logs: usize,
+    /// The reconcile component: the article logs, the stub table, the own
+    /// digest rider and the handles to the mates', and the pull in flight.
+    pub reconcile: usize,
     /// The application delivery log.
     pub deliveries: usize,
     /// The forwarding-duty coverage window.
@@ -34,14 +31,10 @@ impl NewsWireNode {
     /// The heap bytes of this node's NewsWire structures.
     pub fn footprint(&self) -> Footprint {
         let (cache, slug_index) = self.cache.heap_bytes();
-        let logs = &self.article_logs;
-        let article_logs =
-            btree_map_bytes::<PublisherId, SeqLog<LogEntry>>(logs.len(), !logs.is_empty())
-                + logs.values().map(SeqLog::heap_bytes).sum::<usize>();
         Footprint {
             cache,
             slug_index,
-            article_logs,
+            reconcile: self.reconcile.heap_bytes(),
             deliveries: self.deliveries.heap_bytes(),
             coverage: self.coverage.heap_bytes(),
             queues: self.queues.heap_bytes(),
@@ -54,11 +47,10 @@ impl NewsWireNode {
 mod tests {
     use std::sync::Arc;
 
-    use super::super::Acks;
-    use super::*;
+    use super::super::{Acks, Reconcile};
     use crate::deploy::tech_news_deployment;
     use amcast::{CoverageWindow, ForwardingQueues, FORWARD_STRATEGY};
-    use newsml::{Category, NewsItem};
+    use newsml::{Category, NewsItem, PublisherId};
     use simnet::{NodeId, SimDuration, SimTime};
 
     /// Every structure of every node of a small deployment, dropped in turn
@@ -83,8 +75,8 @@ mod tests {
             .flat_map(|(_, node)| node.cache.iter().cloned().collect::<Vec<_>>())
             .collect();
         assert!(!articles.is_empty());
-        // (reported, freed) for the cache with its slug index, the article
-        // logs, deliveries, the coverage window, the queues and the acks.
+        // (reported, freed) for the cache with its slug index, reconcile,
+        // deliveries, the coverage window, the queues and the acks.
         let mut rows = [(0usize, 0i64); 6];
         for i in 0..d.sim.iter().count() {
             let node = d.sim.node_mut(NodeId(i as u32));
@@ -95,26 +87,20 @@ mod tests {
             );
             let freed = [
                 heapcount::freed_by(std::mem::take(&mut node.cache)),
-                heapcount::freed_by(std::mem::take(&mut node.article_logs)),
+                heapcount::freed_by(std::mem::replace(&mut node.reconcile, Reconcile::new(1))),
                 heapcount::freed_by(std::mem::take(&mut node.deliveries)),
                 heapcount::freed_by(std::mem::replace(&mut node.coverage, CoverageWindow::new(1))),
                 heapcount::freed_by(std::mem::replace(&mut node.queues, queues)),
                 heapcount::freed_by(std::mem::replace(&mut node.acks, acks)),
             ];
-            let reported = [
-                f.cache + f.slug_index,
-                f.article_logs,
-                f.deliveries,
-                f.coverage,
-                f.queues,
-                f.acks,
-            ];
+            let reported =
+                [f.cache + f.slug_index, f.reconcile, f.deliveries, f.coverage, f.queues, f.acks];
             for (row, (r, freed)) in rows.iter_mut().zip(reported.into_iter().zip(freed)) {
                 row.0 += r;
                 row.1 += freed;
             }
         }
-        let names = ["cache", "article logs", "deliveries", "coverage", "queues", "acks"];
+        let names = ["cache", "reconcile", "deliveries", "coverage", "queues", "acks"];
         for (name, (reported, freed)) in names.into_iter().zip(rows) {
             assert!(freed > 0, "{name}: nothing to measure");
             let off = (reported as f64 - freed as f64).abs() / freed as f64;

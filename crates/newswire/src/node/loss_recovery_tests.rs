@@ -723,13 +723,9 @@ fn pull_after_a_mates_restart(mode: RestartMode) -> (bool, bool, Option<NodeId>)
     }
     d.settle(10);
     // 4 settled the four articles as its mates hold them: a contiguous log.
-    let mut log = SeqLog::new(ARTICLE_LOG_CAPACITY);
-    for seq in 0..4 {
-        log.insert(seq, LogEntry::Held);
-    }
-    d.sim.node_mut(RESTARTED).article_logs.insert(publisher, log);
+    d.sim.node_mut(RESTARTED).reconcile.set_log(publisher, 0..4);
     d.settle(10);
-    let held = |d: &Deployment| d.sim.node(OBSERVER).leaf_digests.contains_key(&RESTARTED.0);
+    let held = |d: &Deployment| d.sim.node(OBSERVER).reconcile.holds_rider(RESTARTED.0);
     assert!(held(&d), "the observer holds 4's rider");
 
     // Every restart starts 4's row versions over; the observer sees its
@@ -754,18 +750,14 @@ fn pull_after_a_mates_restart(mode: RestartMode) -> (bool, bool, Option<NodeId>)
     let held_after_restart = held(&d);
 
     // A hole at seq 1, which every mate's rider covers.
-    let mut log = SeqLog::new(ARTICLE_LOG_CAPACITY);
-    for seq in [0, 2, 3] {
-        log.insert(seq, LogEntry::Held);
-    }
-    d.sim.node_mut(OBSERVER).article_logs.insert(publisher, log);
+    d.sim.node_mut(OBSERVER).reconcile.set_log(publisher, [0, 2, 3]);
     for _ in 0..5_000 {
-        if d.sim.node(OBSERVER).awaiting_reconcile.is_some() {
+        if d.sim.node(OBSERVER).reconcile.pending_peer().is_some() {
             break;
         }
         d.sim.run_for(SimDuration::from_millis(1));
     }
-    let asked = d.sim.node(OBSERVER).awaiting_reconcile.as_ref().map(|p| p.peer);
+    let asked = d.sim.node(OBSERVER).reconcile.pending_peer();
     // The reply, had 4 been asked, now reaches the observer.
     d.sim.schedule_link_heal(d.sim.now(), RESTARTED, OBSERVER);
     d.settle(10);

@@ -12,6 +12,8 @@ use astrolabe::{eval_predicate, parse_predicate, AttrValue, Expr, ParseAggError,
 use filters::{positions, BitArray, BloomFilter, CategoryMask};
 use newsml::{Category, NewsItem, PublisherId, Subject};
 
+use crate::config::SubscriptionModel;
+
 /// Adapter exposing a news item's fields/metadata as SQL columns.
 #[derive(Debug, Clone, Copy)]
 pub struct ItemRow<'a>(pub &'a NewsItem);
@@ -128,6 +130,24 @@ impl Subscription {
             .find(|(p, _)| *p == publisher)
             .map(|(_, cats)| cats.iter().map(|c| c.bit()).collect())
             .unwrap_or(CategoryMask::EMPTY)
+    }
+
+    /// The interest in `publisher` under `model`: the set positions of the
+    /// summary value the tree tests at the subscriber's leaf row — `subs`,
+    /// or `cats$<publisher>` — derived from the subscription itself, so a
+    /// corrupted advertisement cannot talk a node out of what it wants.
+    pub(crate) fn interest(&self, model: SubscriptionModel, publisher: PublisherId) -> Vec<u16> {
+        match model {
+            SubscriptionModel::Bloom { bits, hashes } => self
+                .to_bloom(bits, hashes)
+                .ones()
+                .map(|p| u16::try_from(p).expect("Bloom arrays are narrower than 2^16 bits"))
+                .collect(),
+            SubscriptionModel::CategoryMask => {
+                let mask = self.mask_for(publisher).0;
+                (0..64).filter(|&b| mask >> b & 1 == 1).collect()
+            }
+        }
     }
 
     /// Structural interest: does the item hit any category or subject
