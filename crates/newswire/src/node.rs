@@ -50,7 +50,7 @@ pub use reconcile::LogEntry;
 
 use acks::{Ack, Acks};
 use admit::{Admitted, Source, Trust};
-use reconcile::{Ask, Reconcile};
+use reconcile::{Ask, Reconcile, RECONCILE_REPLY_TIMEOUT};
 
 /// Publisher-side state (present only on publisher nodes).
 #[derive(Debug)]
@@ -116,16 +116,14 @@ const QUARANTINE_THRESHOLD: u32 = 3;
 /// and re-sends of an unacknowledged `Deliver` before reconcile owns it.
 const ACK_RETRIES: u32 = 1;
 
-/// Alternative peers tried once the first stops answering: untried
-/// representatives for an acknowledged hand-off (beyond this the hand-off
-/// is abandoned to anti-entropy repair), and cross-zone peers for a
-/// reconcile request whose reply timed out (beyond this the next gossip
-/// round starts over).
+/// Untried representatives an acknowledged hand-off fails over to once the
+/// first stops answering; beyond this the hand-off is abandoned to
+/// anti-entropy repair.
 const MAX_FAILOVERS: u32 = 2;
 
-/// Multiplier applied to a wait per timeout already burned on it: a
-/// `Deliver`'s per re-send, a reconcile request's per re-target. A
-/// hand-off's retry is backed off once, by its peer's round-trip bound.
+/// Multiplier applied to a `Deliver`'s wait per re-send already burned on
+/// it. A hand-off's retry is backed off once, by its peer's round-trip
+/// bound.
 const BACKOFF: u64 = 2;
 
 /// Disk record keys (see `persist` for the formats). `incar` and `sub` are
@@ -1219,7 +1217,7 @@ impl NewsWireNode {
         let (peer, publisher) = (ask.peer, ask.publisher);
         obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_REQUESTS, 1);
         obs::trace_event!(self.agent.id(), Layer::News, kind::AE_REQUEST, peer.0, publisher.0);
-        let timer = ctx.set_timer(ask.wait(), RECONCILE_WAIT_TIMER);
+        let timer = ctx.set_timer(RECONCILE_REPLY_TIMEOUT, RECONCILE_WAIT_TIMER);
         let (baselines, interest) = (self.request_baselines(publisher), self.interest(publisher));
         ctx.send(peer, self.reconcile.ask(ask, timer, baselines, interest));
     }
@@ -1800,14 +1798,14 @@ impl Node for NewsWireNode {
                 }
             }
             RECONCILE_WAIT_TIMER => {
-                // The reconcile peer never answered. Re-target across the
-                // zone boundary (a bounded number of times — the next gossip
-                // round restarts the cycle anyway). A timer outlives a
-                // request a subscription change forgot; it is not the
-                // deadline of the request sent since.
+                // The reconcile peer never answered: it vouched for nothing,
+                // and the pass asks the next peer as after any reply that
+                // left holes. A timer outlives a request a subscription
+                // change forgot; it is not the deadline of the request sent
+                // since.
                 let Some(p) = self.reconcile.take_timed_out(t) else { return };
                 let suspect = |peer| self.peer_suspect(peer);
-                let Some(ask) = p.retarget(&self.agent, &suspect, ctx.rng()) else { return };
+                let Some(ask) = p.unanswered(&self.agent, &suspect, ctx.rng()) else { return };
                 obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_RETARGETS, 1);
                 self.send_reconcile_request(ctx, ask);
             }

@@ -2,6 +2,7 @@
 //! acknowledged final hop, and reconcile's explicit vouching (DESIGN §6, §7).
 
 use super::acks::{ACK_TIMEOUT, MAX_HELD_ANNOUNCES, MAX_PENDING_DELIVERS};
+use super::reconcile::MAX_ASKED;
 use super::tests::{tech_item, tech_sub};
 use super::*;
 use crate::deploy::{Deployment, DeploymentBuilder, PublisherSpec};
@@ -472,6 +473,49 @@ fn a_wanted_article_a_neighbour_settled_as_not_for_it_is_still_delivered() {
     );
     let log = d.sim.node(REQUESTER).article_log(PublisherId(0)).expect("the requester logs");
     assert!(log.gaps().is_empty() && log.next_seq() == 3, "and the requester's log converged");
+}
+
+/// A peer that never answers vouched for nothing: the pass follows it up as
+/// it follows up a reply that left a hole, each request waiting the same
+/// flat [`RECONCILE_REPLY_TIMEOUT`]. Here the neighbour cannot vouch for
+/// the wanted article and every node that could is cut off from the
+/// requester: the two representatives of its leaf zone are asked next,
+/// each once, before any cross-zone peer, and the pass ends after
+/// [`MAX_ASKED`] peers — the next request opens a new pass at the
+/// neighbour.
+#[test]
+fn a_silent_reconcile_peer_is_followed_up_like_one_that_vouched_for_nothing() {
+    let mut d = two_zones(21);
+    d.publish(ms(60_000), science_item(0));
+    publish_lost_to_requester(&mut d, 61_000, &tech_item(1));
+    d.publish(ms(62_000), science_item(2));
+    d.settle(10);
+    let now = d.sim.now();
+    for id in (0..8).map(NodeId).filter(|&id| id != REQUESTER && id != NEIGHBOUR) {
+        d.sim.schedule_link_cut(now, id, REQUESTER);
+    }
+    d.sim.drain_telemetry();
+    d.sim.node_mut(REQUESTER).cfg.anti_entropy = true;
+    d.sim.run_for(SimDuration::from_secs(30));
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    let asks: Vec<(u64, u32)> = hub
+        .ring()
+        .ordered()
+        .iter()
+        .filter(|e| e.node == REQUESTER.0 && e.kind == kind::AE_REQUEST)
+        .map(|e| (e.t_us, e.a as u32))
+        .collect();
+    assert!(asks.len() > MAX_ASKED, "{asks:?}");
+    let peers: Vec<u32> = asks.iter().map(|&(_, peer)| peer).collect();
+    let rep = |p: u32| p == 6 || p == 7;
+    assert_eq!(peers[0], NEIGHBOUR.0, "the freshest digest is asked first: {peers:?}");
+    assert!(rep(peers[1]) && rep(peers[2]) && peers[1] != peers[2], "{peers:?}");
+    assert!(peers[3] < 4, "a cross-zone peer only after both representatives: {peers:?}");
+    let wait = RECONCILE_REPLY_TIMEOUT.as_micros();
+    assert_eq!((asks[2].0 - asks[1].0, asks[3].0 - asks[2].0), (wait, wait), "{asks:?}");
+    assert_eq!(peers[MAX_ASKED], NEIGHBOUR.0, "a new pass: {peers:?}");
+    assert!(asks[MAX_ASKED].0 > asks[MAX_ASKED - 1].0 + wait, "{asks:?}");
 }
 
 /// Widening a subscription backfills what it newly matches: the not-for-me

@@ -17,24 +17,25 @@ use rand::seq::SliceRandom;
 use simnet::heap::btree_map_bytes;
 use simnet::{NodeId, SimDuration, SimTime, TimerId};
 
-use super::{prefer_unsuspected, row_id, BACKOFF, MAX_FAILOVERS};
+use super::{prefer_unsuspected, row_id};
 use crate::cache::MessageCache;
 use crate::persist;
 use crate::wire::{LogDigests, NewsWireMsg, SignedItem, Stub};
 
 /// Most entries (items plus withheld stubs) one reconcile reply carries.
-const REPAIR_BATCH: usize = 64;
+const RECONCILE_BATCH: usize = 64;
 
-/// How long a reconcile request waits for its reply before re-targeting a
-/// cross-zone peer instead of waiting for the next gossip round.
-const REPAIR_REPLY_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+/// How long a reconcile request waits for its reply. A peer silent that
+/// long vouched for nothing, and the pass asks the next one
+/// ([`PendingReconcile::unanswered`]).
+pub(super) const RECONCILE_REPLY_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 
 /// Entries retained per per-publisher article log.
 const ARTICLE_LOG_CAPACITY: usize = 8192;
 
 /// Most peers one reconcile pass asks, the first included, about holes the
 /// peers before them could not vouch for.
-const MAX_ASKED: usize = 4;
+pub(super) const MAX_ASKED: usize = 4;
 
 /// How long the article logs stay quiet before a hole-free node asks a
 /// cross-zone peer for what lies past them; each ask that turns up nothing
@@ -106,18 +107,10 @@ pub(super) struct Ask {
     ranges: Vec<(u64, u64)>,
     /// Peers this pass asked before `peer`, about the same holes.
     asked: Vec<u32>,
-    retargets: u32,
     /// True when the peer was chosen because its *gossiped digest* vouched
     /// coverage for our holes (as opposed to a blind cross-zone ask) — an
     /// empty reply then contradicts the advertisement.
     via_digest: bool,
-}
-
-impl Ask {
-    /// How long the request waits for its reply.
-    pub(super) fn wait(&self) -> SimDuration {
-        REPAIR_REPLY_TIMEOUT * BACKOFF.pow(self.retargets)
-    }
 }
 
 /// One outstanding reconcile request awaiting its `ReconcileReply`.
@@ -152,7 +145,7 @@ impl PendingReconcile {
     /// pass.
     pub(super) fn again(self, ranges: Vec<(u64, u64)>) -> Ask {
         let Ask { peer, publisher, .. } = self.ask;
-        Ask { peer, publisher, ranges, asked: Vec::new(), retargets: 0, via_digest: false }
+        Ask { peer, publisher, ranges, asked: Vec::new(), via_digest: false }
     }
 
     /// Who is asked next about `holes`, which this request's peer could
@@ -180,39 +173,19 @@ impl PendingReconcile {
             Some(&rep) => NodeId(rep),
             None => cross_zone_peer(agent, suspect, rng).filter(|p| !asked.contains(&p.0))?,
         };
-        Some(Ask { peer, publisher, ranges: holes, asked, retargets: 0, via_digest: false })
+        Some(Ask { peer, publisher, ranges: holes, asked, via_digest: false })
     }
 
-    /// The request's peer never answered: a cross-zone peer other than it,
-    /// asked about the same ranges, up to [`MAX_FAILOVERS`] times a request.
-    pub(super) fn retarget(
+    /// The follow-up after this request's peer never answered: a silent
+    /// peer vouched for nothing, so the next peer is asked all it was.
+    pub(super) fn unanswered(
         self,
         agent: &Agent,
         suspect: &dyn Fn(u32) -> bool,
         rng: &mut SmallRng,
     ) -> Option<Ask> {
-        let Ask { peer: silent, publisher, ranges, asked, retargets, .. } = self.ask;
-        if retargets >= MAX_FAILOVERS {
-            return None;
-        }
-        for _ in 0..4 {
-            match cross_zone_peer(agent, suspect, rng) {
-                Some(peer) if peer != silent => {
-                    let retargets = retargets + 1;
-                    return Some(Ask {
-                        peer,
-                        publisher,
-                        ranges,
-                        asked,
-                        retargets,
-                        via_digest: false,
-                    });
-                }
-                Some(_) => continue,
-                None => return None,
-            }
-        }
-        None
+        let holes = self.ask.ranges.clone();
+        self.follow_up(holes, agent, suspect, rng)
     }
 }
 
@@ -628,14 +601,7 @@ impl Reconcile {
                 }
             };
             self.cursor = (self.cursor + step + 1) % publishers.len();
-            return Some(Ask {
-                peer,
-                publisher,
-                ranges,
-                asked: Vec::new(),
-                retargets: 0,
-                via_digest,
-            });
+            return Some(Ask { peer, publisher, ranges, asked: Vec::new(), via_digest });
         }
         self.cursor = (self.cursor + 1) % publishers.len();
         None
@@ -677,7 +643,7 @@ impl Reconcile {
     }
 
     /// Serves a `ReconcileRequest` from the log of `publisher`, in sequence
-    /// order, at most [`REPAIR_BATCH`] entries: each requested article the
+    /// order, at most [`RECONCILE_BATCH`] entries: each requested article the
     /// log holds is shipped when the requester's `interest` admits it — the
     /// leaf hop's own test, on the article's `stub_of` — and withheld as a
     /// stub when it does not; a seq whose article has since left the
@@ -706,7 +672,7 @@ impl Reconcile {
             let wanted = ranges.iter().copied().chain([(tail_from, u64::MAX)]).collect();
             'walk: for (lo, hi) in merge_ranges(wanted) {
                 for (seq, entry) in log.range(lo, hi) {
-                    if items.len() + withheld.len() >= REPAIR_BATCH {
+                    if items.len() + withheld.len() >= RECONCILE_BATCH {
                         break 'walk;
                     }
                     match (cache.get_signed(ItemId::new(publisher, seq)), entry) {
@@ -866,7 +832,7 @@ fn cross_zone_peer(
 pub(super) fn last_spoken_for(items: &[SignedItem], withheld: &[(u64, Stub)]) -> u64 {
     let last = items.last().map(|i| i.item.id.seq).max(withheld.last().map(|&(seq, _)| seq));
     match last {
-        Some(last) if items.len() + withheld.len() >= REPAIR_BATCH => last,
+        Some(last) if items.len() + withheld.len() >= RECONCILE_BATCH => last,
         _ => u64::MAX,
     }
 }

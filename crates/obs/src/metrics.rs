@@ -160,7 +160,8 @@ pub mod ctr {
         NW_RECONCILE_ITEMS_SENT = 50, "nw_reconcile_items_sent";
         /// Bytes shipped in reconcile replies.
         NW_RECONCILE_BYTES_SENT = 51, "nw_reconcile_bytes_sent";
-        /// Reconcile requests retargeted after a reply deadline.
+        /// Reconcile follow-ups sent after a reply deadline: the silent peer
+        /// vouched for nothing, and the pass asked the next one.
         NW_RECONCILE_RETARGETS = 52, "nw_reconcile_retargets";
         // -- oracle verdicts (global set; recorded post-run) --
         /// Oracle runs recorded.
