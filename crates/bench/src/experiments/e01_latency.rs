@@ -31,10 +31,9 @@ pub(crate) fn run(quick: bool) {
             d.publish(t0 + SimDuration::from_secs(2 * seq), tech_item(seq));
         }
         d.settle(40);
-        // Latency quantiles come from the telemetry registry's raw
-        // delivery-latency series (identical to the per-node walk — no node
-        // churns in this sweep).
-        let mut lat = d.delivery_latency_from_registry();
+        // Latency quantiles walk every node's delivery log: no node churns
+        // in this sweep, so no log was cleared by a recovery.
+        let mut lat = d.delivery_latency_summary();
         let levels = d.layout.levels() + 1;
         if lat.is_empty() {
             table.row(&[

@@ -426,20 +426,6 @@ impl Deployment {
         s
     }
 
-    /// The same latency summary, rebuilt from the telemetry registry's raw
-    /// `delivery_latency_us` series instead of walking every node's delivery
-    /// log. Empty when nothing has been delivered yet. The quantiles are
-    /// identical to [`Deployment::delivery_latency_summary`]'s as long as no
-    /// node crashed mid-run (a recovering node clears its delivery log, but
-    /// registry samples — like the paper's measurements — survive).
-    pub fn delivery_latency_from_registry(&self) -> Summary {
-        let mut s = Summary::new();
-        for us in self.sim.telemetry().borrow().merged_series(obs::series::DELIVERY_LATENCY_US) {
-            s.record(us as f64 / 1e6);
-        }
-        s
-    }
-
     /// One counter summed over every node, read from the telemetry
     /// registry (the only place a counter lives).
     ///

@@ -692,7 +692,6 @@ impl NewsWireNode {
             if via_repair {
                 obs::metric_add!(self.agent.id(), ctr::NW_DELIVERED_REPAIR, 1);
             }
-            obs::series_record!(self.agent.id(), series::DELIVERY_LATENCY_US, latency_us);
             let msg_id = msg_id_of(id);
             obs::trace_event!(self.agent.id(), Layer::News, kind::NW_DELIVER, msg_id, latency_us);
             self.deliveries.push(DeliveryRecord {

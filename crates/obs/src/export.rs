@@ -213,7 +213,7 @@ mod tests {
         hub.ensure_nodes(2);
         hub.set_now_us(5_000);
         hub.node_mut(0).unwrap().ctr_add(ctr::MSGS_SENT, 3);
-        hub.node_mut(1).unwrap().series_push(series::DELIVERY_LATENCY_US, 250);
+        hub.node_mut(1).unwrap().series_push(series::RECOVERY_DURATION_US, 250);
         hub.global_mut().ctr_add(ctr::DROPS_LOSS, 1);
         hub.trace(0, Layer::News, kind::NW_PUBLISH, 77, 0);
         hub.trace(1, Layer::News, kind::NW_DELIVER, 77, 250);
@@ -228,9 +228,9 @@ mod tests {
         assert!(a.starts_with("{\"seed\":42,"));
         assert!(a.contains("\"kind\":\"nw_publish\""));
         assert!(a.contains("\"msgs_sent\":3"));
-        assert!(
-            a.contains("\"delivery_latency_us\":{\"count\":1,\"sum\":250,\"min\":250,\"max\":250}")
-        );
+        assert!(a.contains(
+            "\"recovery_duration_us\":{\"count\":1,\"sum\":250,\"min\":250,\"max\":250}"
+        ));
         assert!(a.contains("\"node\":\"global\""));
         assert_eq!(a.matches('{').count(), a.matches('}').count());
     }

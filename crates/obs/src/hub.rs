@@ -188,7 +188,7 @@ mod tests {
         hub.ensure_nodes(2);
         hub.set_now_us(1_000);
         hub.node_mut(0).unwrap().ctr_add(ctr::MSGS_SENT, 4);
-        hub.node_mut(1).unwrap().series_push(series::DELIVERY_LATENCY_US, 9);
+        hub.node_mut(1).unwrap().series_push(series::RECOVERY_DURATION_US, 9);
         hub.global_mut().ctr_add(ctr::CRASHES, 1);
         hub.trace(0, Layer::Sim, crate::kind::MSG_DELIVER, 1, 2);
 
@@ -197,7 +197,7 @@ mod tests {
         assert_eq!(t.events.len(), 1);
         assert_eq!(t.nodes.len(), 2);
         assert_eq!(hub.counter_total(ctr::MSGS_SENT), 0, "drain must reset counters");
-        assert!(hub.merged_series(series::DELIVERY_LATENCY_US).is_empty());
+        assert!(hub.merged_series(series::RECOVERY_DURATION_US).is_empty());
         assert_eq!(hub.global().ctr(ctr::CRASHES), 0);
         assert!(hub.ring().is_empty());
 
@@ -212,10 +212,10 @@ mod tests {
         hub.ensure_nodes(3);
         for i in 0..3 {
             hub.node_mut(i).unwrap().ctr_add(ctr::MSGS_SENT, (i as u64) + 1);
-            hub.node_mut(i).unwrap().series_push(series::DELIVERY_LATENCY_US, i as u64);
+            hub.node_mut(i).unwrap().series_push(series::RECOVERY_DURATION_US, i as u64);
         }
         assert_eq!(hub.counter_total(ctr::MSGS_SENT), 6);
         assert_eq!(hub.node_counter(1, ctr::MSGS_SENT), 2);
-        assert_eq!(hub.merged_series(series::DELIVERY_LATENCY_US), vec![0, 1, 2]);
+        assert_eq!(hub.merged_series(series::RECOVERY_DURATION_US), vec![0, 1, 2]);
     }
 }

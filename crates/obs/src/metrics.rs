@@ -332,8 +332,9 @@ pub mod hist {
 /// Built-in series slots (raw samples, exact quantiles).
 pub mod series {
     slots! { SeriesId,
-        /// Publish→deliver latency of each application delivery, in µs.
-        DELIVERY_LATENCY_US = 0, "delivery_latency_us";
+        /// Retired (was `delivery_latency_us`, one sample per delivery
+        /// beside each node's delivery log, which is the one record).
+        RETIRED_0 = 0, "retired_0";
         /// Cold-restart → logs-hole-free recovery duration, in µs.
         RECOVERY_DURATION_US = 1, "recovery_duration_us";
     }
@@ -622,7 +623,7 @@ mod tests {
         assert_eq!(gauge::NAMES[gauge::NW_PEAK_QUEUE.0 as usize], "nw_peak_queue");
         assert_eq!(gauge::NAMES[gauge::RETIRED_2.0 as usize], "retired_2");
         assert_eq!(hist::NAMES[hist::GOSSIP_DIGEST_BYTES.0 as usize], "gossip_digest_bytes");
-        assert_eq!(series::NAMES[series::DELIVERY_LATENCY_US.0 as usize], "delivery_latency_us");
+        assert_eq!(series::NAMES[series::RETIRED_0.0 as usize], "retired_0");
         assert_eq!(series::NAMES[series::RECOVERY_DURATION_US.0 as usize], "recovery_duration_us");
     }
 
@@ -654,9 +655,9 @@ mod tests {
         assert_eq!(m.gauge(gauge::ASTRO_ROWS_HELD), 7);
         m.gauge_max(gauge::ASTRO_ROWS_HELD, 11);
         assert_eq!(m.gauge(gauge::ASTRO_ROWS_HELD), 11);
-        m.series_push(series::DELIVERY_LATENCY_US, 42);
-        m.series_push(series::DELIVERY_LATENCY_US, 17);
-        assert_eq!(m.series(series::DELIVERY_LATENCY_US), &[42, 17]);
+        m.series_push(series::RECOVERY_DURATION_US, 42);
+        m.series_push(series::RECOVERY_DURATION_US, 17);
+        assert_eq!(m.series(series::RECOVERY_DURATION_US), &[42, 17]);
         assert!(!m.is_zero());
     }
 
@@ -678,11 +679,11 @@ mod tests {
         m.ctr_add(ctr::NW_DELIVERED, 9);
         m.gauge_set(gauge::NW_PEAK_QUEUE, 4);
         m.hist_record(hist::GOSSIP_DIGEST_BYTES, 300);
-        m.series_push(series::DELIVERY_LATENCY_US, 1);
+        m.series_push(series::RECOVERY_DURATION_US, 1);
         assert!(!m.is_zero());
         m.reset();
         assert!(m.is_zero());
         assert_eq!(m.ctr(ctr::NW_DELIVERED), 0);
-        assert!(m.series(series::DELIVERY_LATENCY_US).is_empty());
+        assert!(m.series(series::RECOVERY_DURATION_US).is_empty());
     }
 }
