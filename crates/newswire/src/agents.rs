@@ -8,7 +8,7 @@
 //! entries across polls, and emits fresh `NewsItem`s ready for a
 //! `PublishRequest`.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use newsml::xml::{parse, Element, ParseXmlError};
 use newsml::{Category, NewsItem, PublisherId, Subject, Urgency};
@@ -90,7 +90,7 @@ impl RssChannel {
 pub struct RssIngestAgent {
     publisher: PublisherId,
     next_seq: u64,
-    seen_guids: HashSet<String>,
+    seen_guids: BTreeSet<String>,
     default_category: Category,
 }
 
@@ -98,7 +98,7 @@ impl RssIngestAgent {
     /// Creates an agent publishing as `publisher`; entries without a
     /// recognizable category get `default_category`.
     pub fn new(publisher: PublisherId, default_category: Category) -> Self {
-        RssIngestAgent { publisher, next_seq: 0, seen_guids: HashSet::new(), default_category }
+        RssIngestAgent { publisher, next_seq: 0, seen_guids: BTreeSet::new(), default_category }
     }
 
     /// Number of distinct entries ingested so far.

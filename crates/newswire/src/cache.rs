@@ -348,12 +348,11 @@ impl Default for MessageCache {
     }
 }
 
-/// The cache as it was kept in a `BTreeMap` and a `HashMap` before
-/// [`MessageCache`] went flat: the reference the differential test drives
-/// in lockstep.
+/// The cache as it was kept in two maps before [`MessageCache`] went flat:
+/// the reference the differential test drives in lockstep.
 #[cfg(test)]
 mod model {
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use astrolabe::KeyId;
@@ -366,12 +365,12 @@ mod model {
     pub(super) struct MapCache {
         policy: CachePolicy,
         items: BTreeMap<ItemId, (Arc<NewsItem>, SimTime, Proof)>,
-        latest_by_slug: HashMap<u64, ItemId>,
+        latest_by_slug: BTreeMap<u64, ItemId>,
     }
 
     impl MapCache {
         pub(super) fn new(policy: CachePolicy) -> Self {
-            MapCache { policy, items: BTreeMap::new(), latest_by_slug: HashMap::new() }
+            MapCache { policy, items: BTreeMap::new(), latest_by_slug: BTreeMap::new() }
         }
 
         pub(super) fn len(&self) -> usize {

@@ -10,7 +10,7 @@
 //! [`PublisherCredential`] — the restricted publisher application of §8
 //! (authentication, flow control, scoped publishing).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use amcast::{
@@ -236,7 +236,7 @@ pub struct NewsWireNode {
     /// Per-peer misbehavior score (invalid signatures, refused-fence
     /// replies, digest contradictions). Crossing
     /// [`QUARANTINE_THRESHOLD`] quarantines the peer from selection.
-    misbehavior: HashMap<u32, u32>,
+    misbehavior: BTreeMap<u32, u32>,
     /// Unendorsed identities refused by Sybil admission control, bounded
     /// by [`PROBATION_CAP`]. Refused rows never enter the tables, so
     /// probationers cannot influence epoch consensus, representative
@@ -278,7 +278,7 @@ impl NewsWireNode {
             persisted_fingerprint: 0,
             clock: SimTime::ZERO,
             trust: Trust::default(),
-            misbehavior: HashMap::new(),
+            misbehavior: BTreeMap::new(),
             probation: BTreeSet::new(),
             rotation_adopted_at: None,
         };
@@ -398,7 +398,7 @@ impl NewsWireNode {
         };
         let leaf = self.agent.zone(0).clone();
         let own_id = self.agent.id();
-        let known: HashSet<u32> =
+        let known: BTreeSet<u32> =
             self.agent.table(0).iter().filter_map(|(_, row)| row_id(row)).collect();
         let mut members = known.len();
         let mut refused: Vec<u32> = Vec::new();
@@ -996,7 +996,7 @@ impl NewsWireNode {
         if !self.cfg.deltas || baselines.is_empty() {
             return;
         }
-        let held: HashMap<u64, &BaselineHint> = baselines.iter().map(|b| (b.key, b)).collect();
+        let held: BTreeMap<u64, &BaselineHint> = baselines.iter().map(|b| (b.key, b)).collect();
         for signed in items {
             let item = &signed.item;
             signed.basis = held
@@ -1935,7 +1935,7 @@ fn row_id(row: &Mib) -> Option<u32> {
 
 /// True when, with defenses on, `peer`'s score in `misbehavior` has crossed
 /// the quarantine threshold.
-fn in_quarantine(misbehavior: &HashMap<u32, u32>, defenses: bool, peer: u32) -> bool {
+fn in_quarantine(misbehavior: &BTreeMap<u32, u32>, defenses: bool, peer: u32) -> bool {
     defenses && misbehavior.get(&peer).is_some_and(|&s| s >= QUARANTINE_THRESHOLD)
 }
 

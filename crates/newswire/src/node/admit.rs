@@ -9,7 +9,7 @@
 //! Nothing outside this module makes one, bar two named constructors: the
 //! publisher's own article and the adversary's plants.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use astrolabe::{Certificate, KeyId, RotationRecord, Signature};
@@ -84,25 +84,25 @@ impl Admitted {
 pub(super) struct Trust {
     /// Primary certificate per publisher: pre-installed at deployment
     /// build, learned from admitted envelopes, replaced on rotation.
-    publisher_certs: HashMap<PublisherId, Certificate>,
+    publisher_certs: BTreeMap<PublisherId, Certificate>,
     /// Certificates under a key other than the primary's, learned from
     /// admitted envelopes — a rotation's successor that arrives before its
     /// record does, so honest relays of new-key items take no strikes.
-    alt_certs: HashMap<(PublisherId, KeyId), Certificate>,
+    alt_certs: BTreeMap<(PublisherId, KeyId), Certificate>,
     /// Rotated-out primaries, for the `StolenKey` adversary only.
-    retired_certs: HashMap<PublisherId, Certificate>,
+    retired_certs: BTreeMap<PublisherId, Certificate>,
     /// Keys revoked by adopted rotation records: the fence.
-    revoked: HashSet<(PublisherId, KeyId)>,
+    revoked: BTreeSet<(PublisherId, KeyId)>,
     /// Highest rotation serial adopted per publisher: an older record
     /// cannot un-revoke a newer one.
-    rotation_serials: HashMap<PublisherId, u32>,
+    rotation_serials: BTreeMap<PublisherId, u32>,
     /// Adopted rotation records, in publisher order for persistence.
     rotations: BTreeMap<PublisherId, Arc<RotationRecord>>,
     /// The record adopted last, a rider on every outgoing gossip message.
     rotation_rider: Option<Arc<RotationRecord>>,
     /// Newest verified epoch attestation per publisher: the authority the
     /// epoch fence trusts over neighbour consensus.
-    authority: HashMap<PublisherId, EpochAttest>,
+    authority: BTreeMap<PublisherId, EpochAttest>,
 }
 
 impl Trust {

@@ -15,7 +15,7 @@
 //!    crashed during the run are exempt from this check (they may have been
 //!    down at the wrong moment) but still subject to the first two.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use newsml::{ItemId, NewsItem};
@@ -205,10 +205,10 @@ pub fn check_invariants(
     items: &[NewsItem],
     exempt: &BTreeSet<NodeId>,
 ) -> OracleReport {
-    let by_id: HashMap<ItemId, &NewsItem> = items.iter().map(|i| (i.id, i)).collect();
+    let by_id: BTreeMap<ItemId, &NewsItem> = items.iter().map(|i| (i.id, i)).collect();
     // Highest ground-truth sequence number per publisher, for the log
     // convergence check.
-    let mut max_seq: HashMap<newsml::PublisherId, u64> = HashMap::new();
+    let mut max_seq: BTreeMap<newsml::PublisherId, u64> = BTreeMap::new();
     for item in items {
         let e = max_seq.entry(item.id.publisher).or_insert(item.id.seq);
         *e = (*e).max(item.id.seq);
@@ -218,7 +218,7 @@ pub fn check_invariants(
     // contagion leaves subscribers sequencing a history the publisher
     // never started — coverage can look hole-free at the fake epoch, so
     // convergence must also mean epoch agreement with the authority.
-    let authority_epoch: HashMap<newsml::PublisherId, u32> = deployment
+    let authority_epoch: BTreeMap<newsml::PublisherId, u32> = deployment
         .publishers
         .iter()
         .map(|&(p, nid)| (p, deployment.sim.node(nid).article_log(p).map_or(0, |log| log.epoch())))
@@ -237,8 +237,8 @@ pub fn check_invariants(
         // before this node adopted the revocation may be delivered once
         // more afterwards — the retroactive purge scrubbed the tainted
         // copy, and the genuine successor-key item takes its place.
-        let mut seen: HashSet<ItemId> = HashSet::with_capacity(node.deliveries.len());
-        let mut pre_adoption: HashSet<ItemId> = HashSet::new();
+        let mut seen: BTreeSet<ItemId> = BTreeSet::new();
+        let mut pre_adoption: BTreeSet<ItemId> = BTreeSet::new();
         for d in &node.deliveries {
             // Strictly after: a delivery stamped at the adoption instant
             // itself was admitted before the fence armed within that tick

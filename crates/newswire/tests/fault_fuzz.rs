@@ -6,7 +6,7 @@
 //! continuously-live interested node. Every run is replayable bit-for-bit
 //! from its seed.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use amcast::FilterSpec;
@@ -31,7 +31,7 @@ const N: u32 = 120;
 /// publisher) is spared.
 fn plan_for(seed: u64) -> FaultPlan {
     let mut rng = fork(seed, 0xF0);
-    let mut picked: HashSet<u32> = HashSet::new();
+    let mut picked: BTreeSet<u32> = BTreeSet::new();
     let mut victims = Vec::new();
     for _ in 0..12 {
         // Subscribers occupy `1..=N`; draw from `1..N` so the publisher at
@@ -86,8 +86,8 @@ fn plan_for(seed: u64) -> FaultPlan {
 /// is spared, and colluders/forgers are disjoint.
 fn byzantine_plan_for(seed: u64) -> FaultPlan {
     let mut rng = fork(seed, 0xB7);
-    let mut picked: HashSet<u32> = HashSet::new();
-    let draw = |rng: &mut _, picked: &mut HashSet<u32>, n: usize| {
+    let mut picked: BTreeSet<u32> = BTreeSet::new();
+    let draw = |rng: &mut _, picked: &mut BTreeSet<u32>, n: usize| {
         let mut out = Vec::new();
         while out.len() < n {
             let v: u32 = rand::Rng::gen_range(rng, 1..N);
@@ -193,8 +193,8 @@ fn byzantine_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
 /// and thieves/Sybil strikers are disjoint.
 fn trust_plan_for(seed: u64) -> FaultPlan {
     let mut rng = fork(seed, 0x7A);
-    let mut picked: HashSet<u32> = HashSet::new();
-    let draw = |rng: &mut _, picked: &mut HashSet<u32>, n: usize| {
+    let mut picked: BTreeSet<u32> = BTreeSet::new();
+    let draw = |rng: &mut _, picked: &mut BTreeSet<u32>, n: usize| {
         let mut out = Vec::new();
         while out.len() < n {
             let v: u32 = rand::Rng::gen_range(rng, 1..N);
@@ -454,7 +454,7 @@ fn fuzz_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     }
 
     // Only published articles were delivered, and no announce was held.
-    let ids: HashSet<ItemId> = items.iter().map(|item| item.id).collect();
+    let ids: BTreeSet<ItemId> = items.iter().map(|item| item.id).collect();
     for (id, node) in d.sim.iter() {
         assert!(node.deliveries.iter().all(|r| ids.contains(&r.item)), "seed {seed}: node {id}");
         assert_eq!(node.held_announces(), 0, "seed {seed}: node {id}");
