@@ -119,7 +119,6 @@ pub(super) struct PendingReconcile {
     ask: Ask,
     /// The tail mark requested: everything at or past it.
     tail_from: u64,
-    timer: TimerId,
 }
 
 impl PendingReconcile {
@@ -226,8 +225,9 @@ pub(super) struct Reconcile {
     /// publisher's newest article has no neighbour ahead to reveal it.
     /// Anything newly logged restarts the wait at [`TAIL_PROBE_QUIET`].
     tail_probe: (SimTime, SimDuration),
-    /// Outstanding reconcile request, at most one in flight.
-    pending: Option<PendingReconcile>,
+    /// Outstanding reconcile request, at most one in flight, with its wait
+    /// timer.
+    pending: Option<(PendingReconcile, TimerId)>,
     /// Round-robin cursor over publishers for reconcile target selection.
     cursor: usize,
 }
@@ -620,7 +620,7 @@ impl Reconcile {
         let publisher = ask.publisher;
         let (epoch, tail_from, ranges) =
             (self.epoch(publisher), self.next_seq(publisher), ask.ranges.clone());
-        self.pending = Some(PendingReconcile { ask, tail_from, timer });
+        self.pending = Some((PendingReconcile { ask, tail_from }, timer));
         NewsWireMsg::ReconcileRequest { publisher, epoch, ranges, tail_from, baselines, interest }
     }
 
@@ -628,7 +628,7 @@ impl Reconcile {
     /// outlives a request a subscription change forgot; it is not the
     /// deadline of the request sent since.
     pub(super) fn take_timed_out(&mut self, timer: TimerId) -> Option<PendingReconcile> {
-        self.pending.take_if(|p| p.timer == timer)
+        self.pending.take_if(|(_, t)| *t == timer).map(|(p, _)| p)
     }
 
     /// Takes the request in flight when a reply from `from` about
@@ -639,7 +639,8 @@ impl Reconcile {
         from: NodeId,
         publisher: PublisherId,
     ) -> Option<PendingReconcile> {
-        self.pending.take_if(|p| p.ask.peer == from && p.ask.publisher == publisher)
+        let answers = |p: &PendingReconcile| p.ask.peer == from && p.ask.publisher == publisher;
+        self.pending.take_if(|(p, _)| answers(p)).map(|(p, _)| p)
     }
 
     /// Serves a `ReconcileRequest` from the log of `publisher`, in sequence
@@ -883,13 +884,16 @@ impl Reconcile {
 
     /// The peer of the request in flight.
     pub(super) fn pending_peer(&self) -> Option<NodeId> {
-        self.pending.as_ref().map(|p| p.ask.peer)
+        self.pending.as_ref().map(|(p, _)| p.ask.peer)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use astrolabe::{Config, GossipMsg, MibBuilder, Stamp, TableRows, ZoneLayout};
+    use astrolabe::{
+        Config, GossipMsg, KeyId, MibBuilder, Signature, Stamp, TableRows, ZoneLayout,
+    };
+    use newsml::Category;
     use rand::SeedableRng;
 
     use super::super::tests::rider_of;
@@ -923,6 +927,99 @@ mod tests {
             rc.forget_rider(peer);
         }
         rc.retire_stale_riders(agent);
+    }
+
+    /// The stub of an article: its categories' bits, one position a group.
+    fn categories(item: &NewsItem) -> Stub {
+        Stub(item.categories.iter().map(|c| u16::from(c.bit())).collect())
+    }
+
+    fn article(seq: u64, category: Category) -> Arc<NewsItem> {
+        let item = NewsItem::builder(PublisherId(0), seq).headline(format!("h{seq}"));
+        Arc::new(item.category(category).build())
+    }
+
+    const PROOF: (KeyId, Signature) = (KeyId(7), Signature(9));
+
+    /// The serve walk's four outcomes, one seq each: a held article the
+    /// requester's interest admits ships; one it rejects is withheld with
+    /// its stub; a held seq whose article left the cache is vouched for as
+    /// gone, with the empty stub; a seq settled as not for this node is
+    /// vouched for with its stub to a requester that stub rejects, and to
+    /// no other. A requester on a newer epoch is shipped nothing.
+    #[test]
+    fn the_serve_walk_ships_withholds_and_vouches_for_gone_and_not_for_me() {
+        let (mut rc, mut cache, now) = (Reconcile::new(1), MessageCache::default(), SimTime::ZERO);
+        let (tech, science, sports) = (Category::Technology, Category::Science, Category::Sports);
+        for item in [article(0, tech), article(1, science)] {
+            rc.log_seen(item.id, None, now);
+            cache.insert_signed(item, PROOF, now);
+        }
+        rc.log_seen(ItemId::new(PublisherId(0), 2), None, now);
+        let sports_stub = categories(&article(3, sports));
+        rc.log_seen(ItemId::new(PublisherId(0), 3), Some(sports_stub.clone()), now);
+        let interest = |c: Category| vec![u16::from(c.bit())];
+        let serve = |epoch: u32, interest: &[u16]| {
+            rc.serve(&cache, categories, PublisherId(0), epoch, &[(0, 2)], 3, interest)
+        };
+
+        let (summary, items, withheld) = serve(0, &interest(tech));
+        assert_eq!((summary.epoch, summary.next, summary.present), (0, 4, 4));
+        let shipped: Vec<u64> = items.iter().map(|i| i.item.id.seq).collect();
+        assert_eq!(shipped, vec![0], "the admitted article ships");
+        assert_eq!((items[0].key, items[0].signature), PROOF, "with its proof");
+        let science_stub = categories(&article(1, science));
+        let expect = vec![(1, science_stub), (2, Stub::default()), (3, sports_stub)];
+        assert_eq!(withheld, expect, "withheld, gone, and not for a technology reader");
+
+        let (_, items, withheld) = serve(0, &interest(sports));
+        assert!(items.is_empty(), "nothing this requester wants is held");
+        let seqs: Vec<u64> = withheld.iter().map(|&(seq, _)| seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2], "a stub the requester admits vouches for nothing");
+
+        let (summary, items, withheld) = serve(1, &interest(tech));
+        assert_eq!(summary.next, 4, "a newer epoch still learns where this log stands");
+        assert!(items.is_empty() && withheld.is_empty());
+    }
+
+    /// A reply as long as a batch stops at [`RECONCILE_BATCH`] entries and
+    /// speaks for nothing past its last one: what the requester settles
+    /// from it stops there, a stub past it is not believed, and the seqs
+    /// past it are neither settled nor counted unvouched — the responder is
+    /// still ahead. A shorter reply speaks for everything asked.
+    #[test]
+    fn a_full_batch_speaks_for_nothing_past_its_last_entry() {
+        let now = SimTime::ZERO;
+        let mut responder = Reconcile::new(1);
+        for seq in 0..100 {
+            responder.log_seen(ItemId::new(PublisherId(0), seq), None, now);
+        }
+        let cache = MessageCache::default();
+        let serve =
+            |hi: u64| responder.serve(&cache, categories, PublisherId(0), 0, &[(0, hi)], 100, &[]);
+        let (_, items, withheld) = serve(9);
+        assert_eq!(last_spoken_for(&items, &withheld), u64::MAX, "ten entries are not a batch");
+        let (summary, items, mut withheld) = serve(99);
+        assert_eq!(withheld.len(), RECONCILE_BATCH, "every seq is gone; the batch is full");
+        let spoken_for = last_spoken_for(&items, &withheld);
+        assert_eq!(spoken_for, RECONCILE_BATCH as u64 - 1);
+        withheld.push((80, Stub::default()));
+
+        let mut requester = Reconcile::new(1);
+        let ask = Ask {
+            peer: NodeId(1),
+            publisher: PublisherId(0),
+            ranges: vec![(0, 99)],
+            asked: Vec::new(),
+            via_digest: false,
+        };
+        let pending = PendingReconcile { ask, tail_from: 0 };
+        let settled = requester.settle(&pending, &summary, withheld, spoken_for, &[], 0, now);
+        let log = requester.log(PublisherId(0)).expect("the stubs were settled");
+        assert_eq!((log.len(), log.next_seq()), (RECONCILE_BATCH, RECONCILE_BATCH as u64));
+        assert!(!log.contains(80), "a stub past the last entry is not believed");
+        assert!(settled.unvouched.is_empty(), "{:?}", settled.unvouched);
+        assert!(settled.behind && !settled.contradicted);
     }
 
     /// A published rider is the article logs' summaries, and it rides gossip
