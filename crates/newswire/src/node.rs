@@ -617,11 +617,6 @@ impl NewsWireNode {
         Stub(positions.into_boxed_slice())
     }
 
-    /// This node's interest in `publisher` ([`Subscription::interest`]).
-    fn interest(&self, publisher: PublisherId) -> Vec<u16> {
-        self.subscription.interest(self.cfg.model, publisher)
-    }
-
     /// Evaluates the item's embedded dissemination controls — the §8 zone
     /// scope and predicate, if any — against this node's own position and
     /// attributes. Fail-closed.
@@ -1217,7 +1212,8 @@ impl NewsWireNode {
         obs::metric_add!(self.agent.id(), ctr::NW_RECONCILE_REQUESTS, 1);
         obs::trace_event!(self.agent.id(), Layer::News, kind::AE_REQUEST, peer.0, publisher.0);
         let timer = ctx.set_timer(RECONCILE_REPLY_TIMEOUT, RECONCILE_WAIT_TIMER);
-        let (baselines, interest) = (self.request_baselines(publisher), self.interest(publisher));
+        let interest = self.subscription.interest(self.cfg.model, publisher);
+        let baselines = self.request_baselines(publisher);
         ctx.send(peer, self.reconcile.ask(ask, timer, baselines, interest));
     }
 
@@ -1339,7 +1335,7 @@ impl NewsWireNode {
         let spoken_for = reconcile::last_spoken_for(&items, &withheld);
         self.absorb_recovered(now, from, items);
         let Some(pending) = pending else { return };
-        let own = self.interest(publisher);
+        let own = self.subscription.interest(self.cfg.model, publisher);
         let settled =
             self.reconcile.settle(&pending, &summary, withheld, spoken_for, &own, next_before, now);
         if settled.contradicted {
@@ -2078,7 +2074,7 @@ mod tests {
                     row = row.attr(attr, value);
                 }
                 let row = row.build(Stamp::default());
-                let interest = n.interest(PublisherId(0));
+                let interest = n.subscription.interest(n.cfg.model, PublisherId(0));
                 for item in &items {
                     let by_stub = n.reconcile.admits(&interest, &n.stub_of(item));
                     assert_eq!(
