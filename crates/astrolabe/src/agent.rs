@@ -30,7 +30,8 @@
 //! 30-byte refresh record instead of the row, and only rows whose values
 //! differ travel whole.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use obs::{ctr, gauge, hist, kind, Layer};
@@ -197,6 +198,45 @@ struct Level {
     timeouts: Timeouts,
 }
 
+/// What only mobile code, evictions and peers' cold restarts create: the
+/// programs, tombstones and incarnations an agent on a healthy network
+/// never holds. It sits behind one box (the agent's `rare`) that the first
+/// mobile-code install (local, or a `sys$agg:` row in scope), the first
+/// eviction or the first row of a peer's newer incarnation allocates, so
+/// an agent without any pays one pointer for all five.
+#[derive(Debug, Default)]
+struct Rare {
+    /// Mobile-code (`sys$agg:`) sources seen so far, compiled (`None`: does
+    /// not parse). Configured programs arrive compiled in their
+    /// [`crate::AggSpec`] and never enter this map.
+    compiled: BTreeMap<String, Option<Arc<AggProgram>>>,
+    /// Programs installed here ([`Agent::install_aggregation`]), by name.
+    dynamic: BTreeMap<String, String>,
+    /// Stamp watermark of rows evicted on suspicion: gossip re-offering the
+    /// same (or an older) stamp is refused, so an evicted member cannot be
+    /// resurrected by a replica that has not evicted it yet. A genuinely
+    /// alive member re-enters with its next, newer stamp.
+    tombstones: BTreeMap<(usize, u16), u64>,
+    /// Highest incarnation observed per leaf-table label, indexed by label
+    /// (a label past the end has seen none). Rows carrying an older
+    /// incarnation are stale gossip from before that peer's cold restart
+    /// and are fenced (dropped) regardless of stamp.
+    incar_seen: Vec<u64>,
+    /// Node ids observed under a *newer* incarnation since the last drain —
+    /// the host resets its own per-peer failure detectors for these (a
+    /// restarted peer must be immediately selectable again, not held hostage
+    /// by suspicion accrued against its previous life).
+    incarnation_bumps: Vec<u32>,
+}
+
+thread_local! {
+    /// The digest handler's scratch [`Diff`] ([`ZoneTable::diff_into`]):
+    /// one per thread rather than one per agent, since a handler runs to
+    /// completion before the next starts. It keeps its lists' capacity
+    /// between digests, so a handler in steady state allocates nothing.
+    static SCRATCH_DIFF: Cell<Diff> = const { Cell::new(Diff::new()) };
+}
+
 /// What admission's fences ([`Agent::fence`]) make of a stamp offered for a
 /// row.
 enum Fence {
@@ -222,11 +262,6 @@ pub struct Agent {
     contacts: Vec<u32>,
     version: u64,
     local: MibBuilder,
-    /// Mobile-code (`sys$agg:`) sources seen so far, compiled (`None`: does
-    /// not parse). Configured programs arrive compiled in their
-    /// [`crate::AggSpec`] and never enter this map.
-    compiled: HashMap<String, Option<Arc<AggProgram>>>,
-    dynamic: BTreeMap<String, String>,
     /// Bumped whenever the inputs of [`Agent::dynamic_in_scope`] may have
     /// changed: a program install, a merge or eviction touching a row that
     /// carries `sys$agg:` attributes, or a reset. While it stands still the
@@ -234,34 +269,19 @@ pub struct Agent {
     /// used to run every round.
     scope_epoch: u64,
     scope_cache: Option<(u64, RoundState)>,
-    /// Scratch value for [`ZoneTable::diff_into`] in the digest handler.
-    scratch_diff: Diff,
     /// Bumped whenever `local` changes; keys `own_row_cache`.
     local_gen: u64,
     /// The fully decorated own row (locals + `id`/`reps`/`nmembers`),
     /// rebuilt only when `local` changed; heartbeats re-stamp it in place.
     own_row_cache: Option<(u64, Arc<Mib>)>,
-    /// Stamp watermark of rows evicted on suspicion: gossip re-offering the
-    /// same (or an older) stamp is refused, so an evicted member cannot be
-    /// resurrected by a replica that has not evicted it yet. A genuinely
-    /// alive member re-enters with its next, newer stamp.
-    tombstones: HashMap<(usize, u16), u64>,
+    /// Mobile code, tombstones and incarnations seen, allocated on first
+    /// use ([`Rare`]).
+    rare: Option<Box<Rare>>,
     /// This node's own incarnation number: persisted by the host and bumped
     /// on every cold restart. Carried in the own leaf row as the `incar`
     /// attribute (only when non-zero, so pre-recovery deployments gossip
     /// byte-identical rows).
     incarnation: u64,
-    /// Highest incarnation observed per leaf-table label, indexed by label
-    /// (a label past the end has seen none). Rows carrying an older
-    /// incarnation are stale gossip from before that peer's cold restart
-    /// and are fenced (dropped) regardless of stamp. Empty until the first
-    /// non-zero incarnation arrives.
-    incar_seen: Vec<u64>,
-    /// Node ids observed under a *newer* incarnation since the last drain —
-    /// the host resets its own per-peer failure detectors for these (a
-    /// restarted peer must be immediately selectable again, not held hostage
-    /// by suspicion accrued against its previous life).
-    incarnation_bumps: Vec<u32>,
     /// When set, gossiped rows are structurally validated before merging
     /// (see [`Agent::row_is_valid`]); malformed rows are rejected and
     /// counted instead of silently merged. Off by default — the bare
@@ -303,17 +323,12 @@ impl Agent {
             contacts,
             version: 0,
             local: MibBuilder::new(),
-            compiled: HashMap::new(),
-            dynamic: BTreeMap::new(),
             scope_epoch: 0,
             scope_cache: None,
-            scratch_diff: Diff::default(),
             local_gen: 0,
             own_row_cache: None,
-            tombstones: HashMap::new(),
+            rare: None,
             incarnation: 0,
-            incar_seen: Vec::new(),
-            incarnation_bumps: Vec::new(),
             validate_ingest: false,
         }
     }
@@ -423,7 +438,12 @@ impl Agent {
     /// forwarding, repair, gossip) instead of inheriting the suspicion its
     /// previous life accrued.
     pub fn take_incarnation_bumps(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.incarnation_bumps)
+        self.rare.as_mut().map(|r| std::mem::take(&mut r.incarnation_bumps)).unwrap_or_default()
+    }
+
+    /// The rarely used state, allocated here on first use.
+    fn rare(&mut self) -> &mut Rare {
+        self.rare.get_or_insert_with(Box::default)
     }
 
     /// Enables (or disables) structural validation of gossiped rows before
@@ -437,7 +457,7 @@ impl Agent {
     /// to the rest of the system as a `sys$agg:` attribute and is evaluated
     /// by every agent that sees it.
     pub fn install_aggregation(&mut self, name: &str, program: &str) {
-        self.dynamic.insert(name.to_owned(), program.to_owned());
+        self.rare().dynamic.insert(name.to_owned(), program.to_owned());
         self.local.set(format!("{AGG_ATTR_PREFIX}{name}"), program.to_owned());
         self.scope_epoch += 1;
         self.local_gen += 1;
@@ -531,7 +551,7 @@ impl Agent {
                 .collect();
             for (label, issued_us, carried_agg) in suspects {
                 self.evict(level, label, carried_agg);
-                self.tombstones.insert((level, label), issued_us);
+                self.rare().tombstones.insert((level, label), issued_us);
             }
         }
     }
@@ -550,8 +570,8 @@ impl Agent {
     /// member is alive again as far as any tombstone goes, and gossip *is*
     /// the heartbeat its timeout feeds on.
     fn heartbeat(&mut self, level: usize, label: u16, now: SimTime) {
-        if !self.tombstones.is_empty() {
-            self.tombstones.remove(&(level, label));
+        if let Some(rare) = &mut self.rare {
+            rare.tombstones.remove(&(level, label));
         }
         let lv = &mut self.levels[level];
         if lv.timeouts.is_empty() {
@@ -565,7 +585,7 @@ impl Agent {
     /// All dynamic programs visible in any replicated table (union of
     /// `sys$agg:` attributes), plus locally installed ones.
     fn dynamic_in_scope(&self) -> BTreeMap<String, String> {
-        let mut progs = self.dynamic.clone();
+        let mut progs = self.rare.as_ref().map(|r| r.dynamic.clone()).unwrap_or_default();
         for lv in &self.levels {
             for (_, row) in lv.table.iter() {
                 for (name, value) in row.attrs() {
@@ -592,7 +612,7 @@ impl Agent {
         let mut programs: Vec<Arc<AggProgram>> =
             self.config.aggregations.iter().filter_map(|a| a.compiled().cloned()).collect();
         for src in dynamic.values() {
-            if let Some(p) = compile_cached(&mut self.compiled, src) {
+            if let Some(p) = compile_cached(&mut self.rare().compiled, src) {
                 programs.push(p);
             }
         }
@@ -860,7 +880,7 @@ impl Agent {
             }
             // What the row would have cost whole, less the entry that
             // carried the stamp instead.
-            let row_saved = (held.wire_size() + 2).saturating_sub(RowDigest::WIRE_SIZE);
+            let row_saved = (held.mib.wire_size() + 2).saturating_sub(RowDigest::WIRE_SIZE);
             if self.take(now, level, at, rec.stamp) {
                 taken += 1;
                 saved += row_saved;
@@ -905,7 +925,7 @@ impl Agent {
     /// order, then [`ZoneTable::take_stamp`].
     fn take(&mut self, now: SimTime, level: usize, at: usize, stamp: Stamp) -> bool {
         let held = &self.table(level).rows()[at];
-        let (label, carries_agg) = (held.label, held.carries_mobile_code());
+        let (label, carries_agg) = (held.label, held.mib.carries_mobile_code());
         let fence = self.fence(now, level, label, stamp, &held.mib);
         self.enter(now, level, label, fence, carries_agg, |t| t.take_stamp(at, stamp))
     }
@@ -932,18 +952,18 @@ impl Agent {
         if stamp.issued_us < cutoff {
             return Fence::Closed;
         }
-        // Guard the lookup: the tombstone set is empty in a healthy system,
-        // and this test runs once per row of every batch.
-        if !self.tombstones.is_empty() {
-            if let Some(&watermark) = self.tombstones.get(&(level, label)) {
-                if stamp.issued_us <= watermark {
-                    return Fence::Closed;
-                }
+        // A healthy system has no box, and this test runs once per row of
+        // every batch.
+        let rare = self.rare.as_deref();
+        if let Some(&watermark) = rare.and_then(|r| r.tombstones.get(&(level, label))) {
+            if stamp.issued_us <= watermark {
+                return Fence::Closed;
             }
         }
         if level == 0 && label != self.own_label(0) {
             let incar = row.incarnation();
-            let seen = self.incar_seen.get(usize::from(label)).copied().unwrap_or(0);
+            let seen = rare.and_then(|r| r.incar_seen.get(usize::from(label)).copied());
+            let seen = seen.unwrap_or(0);
             if incar < seen {
                 return Fence::Closed;
             }
@@ -973,13 +993,14 @@ impl Agent {
             Fence::Open => {}
             Fence::Reincarnated { incar, peer } => {
                 let at = usize::from(label);
-                if self.incar_seen.len() <= at {
-                    self.incar_seen.resize(at + 1, 0);
+                let rare = self.rare();
+                if rare.incar_seen.len() <= at {
+                    rare.incar_seen.resize(at + 1, 0);
                 }
-                self.incar_seen[at] = incar;
-                self.tombstones.remove(&(level, label));
+                rare.incar_seen[at] = incar;
+                rare.tombstones.remove(&(level, label));
+                rare.incarnation_bumps.push(peer);
                 self.levels[0].timeouts.clear(at);
-                self.incarnation_bumps.push(peer);
                 obs::metric_add!(self.id, ctr::INCARNATION_BUMPS, 1);
                 obs::trace_event!(self.id, Layer::Astro, kind::INCARNATION_BUMP, peer, incar);
             }
@@ -1182,7 +1203,7 @@ impl Agent {
         let mut refresh = Vec::new();
         // One scratch diff serves every digest; the reply steals a list
         // only when it is non-empty.
-        let mut diff = std::mem::take(&mut self.scratch_diff);
+        let mut diff = SCRATCH_DIFF.take();
         for d in digests {
             let Some(level) = self.level_of(&d.zone) else { continue };
             self.table(level).diff_into(&d.rows, &mut diff);
@@ -1200,7 +1221,7 @@ impl Agent {
                 want.push((d.zone.clone(), std::mem::take(&mut diff.want)));
             }
         }
-        self.scratch_diff = diff;
+        SCRATCH_DIFF.set(diff);
         let sent: usize = rows.iter().map(|t| t.rows.len()).sum();
         let wanted: usize = want.iter().map(|(_, ls)| ls.len()).sum();
         if sent + wanted > 0 {
@@ -1261,9 +1282,11 @@ impl Agent {
             (lv.agg, lv.peers) = (None, None);
         }
         self.version = 0;
-        self.tombstones.clear();
-        self.incar_seen.clear();
-        self.incarnation_bumps.clear();
+        if let Some(rare) = &mut self.rare {
+            rare.tombstones.clear();
+            rare.incar_seen.clear();
+            rare.incarnation_bumps.clear();
+        }
         // The mobile-code scope shrank to the locally installed programs, so
         // the round state must be rebuilt too. (The own-row cache survives:
         // `local` did not change.)
@@ -1283,7 +1306,7 @@ impl Agent {
 /// bad program is not re-parsed every round). A free function rather than a
 /// method so callers can hold other `Agent` fields borrowed.
 fn compile_cached(
-    cache: &mut HashMap<String, Option<Arc<AggProgram>>>,
+    cache: &mut BTreeMap<String, Option<Arc<AggProgram>>>,
     src: &str,
 ) -> Option<Arc<AggProgram>> {
     if let Some(hit) = cache.get(src) {
@@ -1566,6 +1589,15 @@ mod tests {
         // header (tuning + three empty vectors) is the largest member.
         let size = std::mem::size_of::<Level>();
         assert!(size <= 256, "Level is {size} B");
+    }
+
+    #[test]
+    fn an_agent_record_is_at_most_256_bytes() {
+        // One per node of every deployment: what only mobile code,
+        // evictions and restarts fill sits behind one pointer, and the
+        // digest handler's scratch lists live once per thread.
+        let size = std::mem::size_of::<Agent>();
+        assert!(size <= 256, "Agent is {size} B");
     }
 
     #[test]
@@ -1914,12 +1946,13 @@ mod tests {
                 a.heartbeat(level, label, SimTime::from_micros(stamp(k, 0, 0).issued_us));
             }
             for &(level, label, k) in &w.tombstones {
-                a.tombstones.insert((level, label), stamp(k, 0, 0).issued_us);
+                a.rare().tombstones.insert((level, label), stamp(k, 0, 0).issued_us);
             }
             for &(label, incar) in &w.incarnations {
                 let at = usize::from(label);
-                a.incar_seen.resize(a.incar_seen.len().max(at + 1), 0);
-                a.incar_seen[at] = u64::from(incar);
+                let seen = &mut a.rare().incar_seen;
+                seen.resize(seen.len().max(at + 1), 0);
+                seen[at] = u64::from(incar);
             }
             let hub = Rc::new(RefCell::new(obs::TelemetryHub::new(0)));
             hub.borrow_mut().ensure_nodes(1);
@@ -1947,13 +1980,9 @@ mod tests {
                     out += &format!("  timeout {slot} {deadline:?} {suspect}\n");
                 }
             }
-            let mut tombstones: Vec<_> = a.tombstones.clone().into_iter().collect();
-            tombstones.sort();
-            out += &format!(
-                "bumps {:?} seen {:?} tombstones {tombstones:?}\n",
-                a.take_incarnation_bumps(),
-                a.incar_seen
-            );
+            let bumps = a.take_incarnation_bumps();
+            let rare = a.rare.as_ref().map(|r| (&r.incar_seen, &r.tombstones));
+            out += &format!("bumps {bumps:?} seen and tombstones {rare:?}\n");
             out += &format!("scope {}\n", a.scope_epoch);
             let hub = hub.borrow();
             for id in [
@@ -2022,7 +2051,7 @@ mod tests {
                 exchanges in proptest::collection::vec(exchange_strategy(), 1..5),
             ) {
                 let (mut new, mut model) = (build(&w), build(&w));
-                // One scratch diff for every exchange, as an agent keeps.
+                // One scratch diff for every exchange, as a thread keeps.
                 let mut scratch = Diff::default();
                 for (k, x) in exchanges.iter().enumerate() {
                     let now = SimTime::from_micros(T + k as u64 * U);

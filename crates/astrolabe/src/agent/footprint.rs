@@ -2,8 +2,11 @@
 //! "Where an Astrolabe replica's memory goes").
 
 use std::mem::size_of;
+use std::sync::Arc;
 
-use super::{Agent, Level};
+use simnet::heap::{arc_bytes, btree_map_bytes};
+
+use super::{Agent, AggProgram, Level, Rare};
 use crate::mib::Mib;
 use crate::table::Row;
 
@@ -24,8 +27,11 @@ pub struct Footprint {
     pub agg_caches: usize,
     /// The cached gossip-peer lists.
     pub peers: usize,
-    /// The digest handler's scratch `Diff`.
-    pub scratch_diff: usize,
+    /// The box of mobile code, tombstones and incarnations, when one was
+    /// allocated: its record, its maps and lists, the names and sources
+    /// they hold, and each compiled program's `Arc` block (not the parsed
+    /// program inside it).
+    pub rare: usize,
     /// The bootstrap contacts.
     pub contacts: usize,
 }
@@ -38,7 +44,7 @@ impl Footprint {
             + self.levels
             + self.agg_caches
             + self.peers
-            + self.scratch_diff
+            + self.rare
             + self.contacts
     }
 }
@@ -56,9 +62,35 @@ impl Agent {
             peers: sum(|lv| {
                 lv.peers.as_ref().map_or(0, |(_, _, p)| p.capacity() * size_of::<u32>())
             }),
-            scratch_diff: self.scratch_diff.heap_bytes(),
+            rare: self.rare.as_deref().map_or(0, Rare::heap_bytes),
             contacts: self.contacts.capacity() * size_of::<u32>(),
         }
+    }
+}
+
+impl Rare {
+    /// Heap bytes of the box and everything it holds alone.
+    fn heap_bytes(&self) -> usize {
+        fn map<K, V>(len: usize) -> usize {
+            btree_map_bytes::<K, V>(len, len > 0)
+        }
+        let compiled = map::<String, Option<Arc<AggProgram>>>(self.compiled.len())
+            + self
+                .compiled
+                .iter()
+                .map(|(src, prog)| {
+                    let alone = prog.as_ref().is_some_and(|p| Arc::strong_count(p) == 1);
+                    src.capacity() + if alone { arc_bytes(size_of::<AggProgram>()) } else { 0 }
+                })
+                .sum::<usize>();
+        let dynamic = map::<String, String>(self.dynamic.len())
+            + self.dynamic.iter().map(|(k, v)| k.capacity() + v.capacity()).sum::<usize>();
+        size_of::<Rare>()
+            + compiled
+            + dynamic
+            + map::<(usize, u16), u64>(self.tombstones.len())
+            + self.incar_seen.capacity() * size_of::<u64>()
+            + self.incarnation_bumps.capacity() * size_of::<u32>()
     }
 }
 
@@ -85,10 +117,17 @@ mod tests {
 
     /// Every structure of every agent of a small converged deployment,
     /// dropped in turn under a counting allocator, frees what `footprint`
-    /// reports of it, to within 10 %.
+    /// reports of it, to within 10 %. Two members restart into a new
+    /// incarnation first, so their leaf mates hold the box.
     #[test]
     fn the_footprint_agrees_with_a_counting_allocator() {
         let mut agents = converged();
+        for restarted in [3, 57] {
+            agents[restarted].set_incarnation(1);
+        }
+        run_rounds(&mut agents, 3, 40_000_000);
+        let boxes = agents.iter().filter(|a| a.rare.is_some()).count();
+        assert_eq!(boxes, 18, "the restarted members' leaf mates, and only they");
         // The row values outlive every table: a table frees its slots only.
         let values: Vec<Arc<Mib>> = agents
             .iter()
@@ -96,7 +135,7 @@ mod tests {
             .cloned()
             .collect();
         // (reported, freed) for the tables, detectors, level records,
-        // aggregate caches, peer lists, scratch diff and contacts.
+        // aggregate caches, peer lists, boxes and contacts.
         let mut rows = [(0usize, 0i64); 7];
         for a in &mut agents {
             let f = a.footprint();
@@ -109,25 +148,17 @@ mod tests {
                 freed[4] += heapcount::freed_by(lv.peers.take());
             }
             freed[2] = heapcount::freed_by(std::mem::take(&mut a.levels));
-            freed[5] = heapcount::freed_by(std::mem::take(&mut a.scratch_diff));
+            freed[5] = heapcount::freed_by(a.rare.take());
             freed[6] = heapcount::freed_by(std::mem::take(&mut a.contacts));
-            let reported = [
-                f.tables,
-                f.detectors,
-                f.levels,
-                f.agg_caches,
-                f.peers,
-                f.scratch_diff,
-                f.contacts,
-            ];
+            let reported =
+                [f.tables, f.detectors, f.levels, f.agg_caches, f.peers, f.rare, f.contacts];
             for (row, (r, freed)) in rows.iter_mut().zip(reported.into_iter().zip(freed)) {
                 row.0 += r;
                 row.1 += freed;
             }
         }
         drop(values);
-        let names =
-            ["tables", "detectors", "levels", "agg caches", "peers", "scratch diff", "contacts"];
+        let names = ["tables", "detectors", "levels", "agg caches", "peers", "boxes", "contacts"];
         for (name, (reported, freed)) in names.into_iter().zip(rows) {
             if name == "agg caches" {
                 // Only an agent with a duty keeps a summary, and once
@@ -142,13 +173,15 @@ mod tests {
     }
 
     /// What one agent of the converged deployment holds, at most: measured
-    /// at 1,764 B (1,612 B the least) with 16-byte row timeouts. With the
-    /// 72-byte φ ring a row had before, the same agents held 2,900–3,366 B;
-    /// with 32-byte detector slots, 4-byte ring cells and tables grown by
-    /// doubling (sixteen slots for ten rows), 3,860–4,326 B.
+    /// at 1,524 B (1,396 B the least) with 32-byte row slots and no scratch
+    /// diff of its own. With 40-byte slots and a per-agent scratch diff the
+    /// same agents held 1,612–1,764 B; with the 72-byte φ ring a row had
+    /// before that, 2,900–3,366 B; with 32-byte detector slots, 4-byte ring
+    /// cells and tables grown by doubling (sixteen slots for ten rows),
+    /// 3,860–4,326 B.
     #[test]
     fn an_agent_stays_within_its_footprint_budget() {
-        const BUDGET: usize = 1_764;
+        const BUDGET: usize = 1_524;
         for a in converged() {
             let f = a.footprint();
             assert!(f.total() <= BUDGET, "agent {}: {} B, {f:?}", a.id(), f.total());

@@ -9,7 +9,7 @@
 //! and rejection of forged or tampered data — without a crypto dependency;
 //! only the mathematical hardness is simulated.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use filters::fnv1a_seeded;
@@ -196,7 +196,7 @@ impl RotationRecord {
 /// well-known CA public key plays in a real PKI.
 #[derive(Debug, Clone)]
 pub struct TrustRegistry {
-    secrets: HashMap<KeyId, u64>,
+    secrets: BTreeMap<KeyId, u64>,
     ca: SecretKey,
     counter: u64,
     seed: u64,
@@ -207,7 +207,7 @@ impl TrustRegistry {
     pub fn new(seed: u64) -> Self {
         let ca_secret = splitmix64(seed ^ 0xCA);
         let ca = SecretKey { id: KeyId(splitmix64(ca_secret)), secret: ca_secret };
-        let mut secrets = HashMap::new();
+        let mut secrets = BTreeMap::new();
         secrets.insert(ca.id, ca.secret);
         TrustRegistry { secrets, ca, counter: 0, seed }
     }

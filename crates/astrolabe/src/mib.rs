@@ -23,7 +23,13 @@ pub type AttrName = Arc<str>;
 /// Newer stamps win during gossip merges; comparison is lexicographic on
 /// `(issued_us, version, origin)`, with `origin` only as a deterministic
 /// tie-breaker between concurrent writers.
+///
+/// Packed to 20 bytes at 4-byte alignment, so a table slot and a digest
+/// entry each fit 32 bytes (a padded stamp took 24 and made them 40). Read
+/// a field by value (`{ stamp.version }` where a reference would be taken):
+/// the compiler refuses a reference to an under-aligned `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(C, packed(4))]
 pub struct Stamp {
     /// Issue time at the origin, in simulated microseconds.
     pub issued_us: u64,
@@ -35,7 +41,7 @@ pub struct Stamp {
 
 impl fmt::Display for Stamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "@{}v{}by{}", self.issued_us, self.version, self.origin)
+        write!(f, "@{}v{}by{}", { self.issued_us }, { self.version }, { self.origin })
     }
 }
 

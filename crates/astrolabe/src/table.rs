@@ -44,7 +44,8 @@ pub struct RowDigest {
 }
 
 impl RowDigest {
-    /// Serialized size: label (2) + stamp (8 + 8 + 4) + content hash (8).
+    /// Serialized size: label (2) + stamp (8 + 8 + 4) + content hash (8);
+    /// in memory the entry is 32 bytes (two of padding).
     pub const WIRE_SIZE: usize = 30;
 }
 
@@ -79,14 +80,15 @@ const LISTED: u8 = 1;
 const SHIPS: u8 = 2;
 
 impl Diff {
-    /// Heap bytes of the lists, from their capacities.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.ship.capacity() * size_of::<u16>()
-            + self.refresh.capacity() * size_of::<RowDigest>()
-            + self.adopt.capacity() * size_of::<u32>()
-            + self.want.capacity() * size_of::<u16>()
-            + self.marks.capacity()
+    /// An empty diff, usable where a constant is needed.
+    pub(crate) const fn new() -> Self {
+        Diff {
+            ship: Vec::new(),
+            refresh: Vec::new(),
+            adopt: Vec::new(),
+            want: Vec::new(),
+            marks: Vec::new(),
+        }
     }
 }
 
@@ -102,15 +104,14 @@ impl Eq for Diff {}
 /// One table slot, laid out for the scan-heavy paths: the label and the
 /// row's stamp sit inline, so digesting, diffing, GC sweeps and eviction
 /// walk a contiguous array without chasing the `Arc` — the shared attribute
-/// payload is only dereferenced when values are actually read. 40 bytes.
+/// payload is only dereferenced when values are actually read (a stamp
+/// take reads the wire size and mobile-code bit there, beside the content
+/// hash it already compares). 32 bytes: the 20-byte stamp packs beside the
+/// label.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Child label of the row.
     pub label: u16,
-    /// `mib`'s wire size in the low 31 bits and its mobile-code bit on top,
-    /// in what would otherwise be padding: a stamp take and a merge read
-    /// both without touching the shared values.
-    meta: u32,
     /// The stamp this replica holds the row under — authoritative, and the
     /// one the row travels under. `mib.stamp` is only the stamp its values
     /// were first issued under: a replica that takes a newer stamp for
@@ -119,40 +120,6 @@ pub struct Row {
     pub stamp: Stamp,
     /// The shared row version.
     pub mib: Arc<Mib>,
-}
-
-/// [`Row::meta`]'s mobile-code bit; the bits below it hold the wire size.
-const CARRIES_AGG: u32 = 1 << 31;
-
-impl Row {
-    fn new(label: u16, stamp: Stamp, mib: Arc<Mib>) -> Self {
-        Row { label, meta: Row::meta_of(&mib), stamp, mib }
-    }
-
-    fn meta_of(mib: &Mib) -> u32 {
-        // A row of 2 GiB does not exist; the clamp keeps the flag bit clear.
-        let wire = u32::try_from(mib.wire_size()).unwrap_or(u32::MAX).min(CARRIES_AGG - 1);
-        if mib.carries_mobile_code() {
-            wire | CARRIES_AGG
-        } else {
-            wire
-        }
-    }
-
-    fn set_values(&mut self, mib: Arc<Mib>) {
-        self.meta = Row::meta_of(&mib);
-        self.mib = mib;
-    }
-
-    /// [`Mib::wire_size`] of the held values, read from the slot.
-    pub fn wire_size(&self) -> usize {
-        (self.meta & !CARRIES_AGG) as usize
-    }
-
-    /// [`Mib::carries_mobile_code`] of the held values, read from the slot.
-    pub fn carries_mobile_code(&self) -> bool {
-        self.meta & CARRIES_AGG != 0
-    }
 }
 
 /// A replica of one zone's table.
@@ -280,14 +247,14 @@ impl ZoneTable {
                     if !values.same_attrs(&slot.mib) {
                         self.content_gen += 1;
                     }
-                    slot.set_values(values);
+                    slot.mib = values;
                 }
                 outcome
             }
             Err(i) => {
                 self.generation += 1;
                 self.content_gen += 1;
-                self.rows.insert(i, Row::new(label, stamp, values));
+                self.rows.insert(i, Row { label, stamp, mib: values });
                 MergeOutcome::Inserted
             }
         }
@@ -307,7 +274,7 @@ impl ZoneTable {
         }
         let outcome = MergeOutcome::Replaced {
             advanced_time: stamp.issued_us > slot.stamp.issued_us,
-            old_carried_agg: slot.carries_mobile_code(),
+            old_carried_agg: slot.mib.carries_mobile_code(),
         };
         slot.stamp = stamp;
         self.generation += 1;
@@ -330,14 +297,14 @@ impl ZoneTable {
                     self.content_gen += 1;
                 }
                 slot.stamp = row.stamp;
-                slot.set_values(row);
+                slot.mib = row;
                 self.generation += 1;
                 changed
             }
             Err(i) => {
                 self.generation += 1;
                 self.content_gen += 1;
-                self.rows.insert(i, Row::new(label, row.stamp, row));
+                self.rows.insert(i, Row { label, stamp: row.stamp, mib: row });
                 true
             }
         }
@@ -466,22 +433,29 @@ mod tests {
     use crate::mib::MibBuilder;
 
     #[test]
-    fn a_slot_carries_its_values_size_and_mobile_code_bit_in_40_bytes() {
-        assert_eq!(std::mem::size_of::<Row>(), 40);
+    fn a_slot_and_a_digest_entry_take_32_bytes_and_a_stamp_20() {
+        use std::mem::{align_of, size_of};
+        assert_eq!((size_of::<Stamp>(), align_of::<Stamp>()), (20, 4));
+        assert_eq!(size_of::<Row>(), 32);
+        assert_eq!(size_of::<RowDigest>(), 32);
+        assert_eq!(RowDigest::WIRE_SIZE, 30, "the wire form does not move");
+        // A stamp take reports the displaced values' mobile-code bit, read
+        // from the shared values now that the slot keeps no copy of it.
         let mut t = ZoneTable::new(ZoneId::root());
-        let plain = row(10, 0);
         let agg =
             Arc::new(MibBuilder::new().attr("sys$agg:x", "SELECT COUNT() AS n").build(Stamp {
                 issued_us: 20,
                 version: 0,
                 origin: 0,
             }));
-        t.merge_row(1, Arc::clone(&plain));
-        let slot = t.row(1).unwrap();
-        assert_eq!((slot.wire_size(), slot.carries_mobile_code()), (plain.wire_size(), false));
-        t.merge_row(1, Arc::clone(&agg));
-        let slot = t.row(1).unwrap();
-        assert_eq!((slot.wire_size(), slot.carries_mobile_code()), (agg.wire_size(), true));
+        t.merge_row(1, agg);
+        let newer = Stamp { issued_us: 30, version: 0, origin: 0 };
+        let expect = MergeOutcome::Replaced { advanced_time: true, old_carried_agg: true };
+        assert_eq!(t.take_stamp(0, newer), expect);
+        assert_eq!(t.merge_row_outcome(1, row(40, 0)), expect);
+        let newest = Stamp { issued_us: 50, version: 0, origin: 0 };
+        let plain = MergeOutcome::Replaced { advanced_time: true, old_carried_agg: false };
+        assert_eq!(t.take_stamp(0, newest), plain);
     }
 
     #[test]
@@ -511,7 +485,7 @@ mod tests {
         assert!(t.merge_row(3, row(10, 0)));
         assert!(!t.merge_row(3, row(5, 0)), "older row must not replace");
         assert!(t.merge_row(3, row(20, 0)));
-        assert_eq!(t.get(3).unwrap().stamp.issued_us, 20);
+        assert_eq!({ t.get(3).unwrap().stamp.issued_us }, 20);
         assert_eq!(t.len(), 1);
     }
 

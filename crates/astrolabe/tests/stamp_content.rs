@@ -5,7 +5,7 @@
 //! hash) instead of pulling the row, and the one such a shortcut would
 //! break silently.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use astrolabe::{Agent, Config, GossipMsg, MibBuilder, Stamp, TableDigest, TableRows, ZoneLayout};
@@ -23,7 +23,7 @@ fn config() -> Config {
 /// Panics on the first stamp two replicas of one zone hold with two
 /// different contents.
 fn assert_one_content_per_stamp(agents: &[Agent], context: &str) {
-    let mut seen: HashMap<(String, Stamp), (u64, u32)> = HashMap::new();
+    let mut seen: BTreeMap<(String, Stamp), (u64, u32)> = BTreeMap::new();
     for a in agents {
         for level in 0..a.levels() {
             for r in a.table(level).rows() {

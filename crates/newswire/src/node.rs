@@ -37,7 +37,7 @@ use crate::deliveries::{DeliveryLog, DeliveryRecord};
 use crate::flow::TokenBucket;
 use crate::persist;
 use crate::subscription::{item_position_groups, Subscription};
-use crate::wire::{msg_id_of, DeltaBasis, Envelope, NewsWireMsg, SignedItem, Stub};
+use crate::wire::{msg_id_of, trace_key, DeltaBasis, Envelope, NewsWireMsg, SignedItem, Stub};
 
 mod acks;
 mod admit;
@@ -687,8 +687,8 @@ impl NewsWireNode {
             if via_repair {
                 obs::metric_add!(self.agent.id(), ctr::NW_DELIVERED_REPAIR, 1);
             }
-            let msg_id = msg_id_of(id);
-            obs::trace_event!(self.agent.id(), Layer::News, kind::NW_DELIVER, msg_id, latency_us);
+            let key = trace_key(id);
+            obs::trace_event!(self.agent.id(), Layer::News, kind::NW_DELIVER, key, latency_us);
             self.deliveries.push(DeliveryRecord {
                 item: id,
                 published,
@@ -883,7 +883,7 @@ impl NewsWireNode {
             basis,
         });
         obs::metric_add!(self.agent.id(), ctr::NW_PUBLISHED, 1);
-        obs::trace_event!(self.agent.id(), Layer::News, kind::NW_PUBLISH, env.msg_id);
+        obs::trace_event!(self.agent.id(), Layer::News, kind::NW_PUBLISH, trace_key(env.item.id));
         self.coverage.admit(env.msg_id, scope.depth());
         // The publisher caches and logs its own output (direct insert — this
         // is not a delivery, so no delivery/FP accounting): after a
@@ -1069,7 +1069,8 @@ impl NewsWireNode {
     fn arm_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, ack: Ack) -> NewsWireMsg {
         let id = self.agent.id();
         if ack.zone.is_some() {
-            obs::trace_event!(id, Layer::News, kind::HANDOFF_ARM, ack.env.msg_id, ack.peer);
+            let key = trace_key(ack.env.item.id);
+            obs::trace_event!(id, Layer::News, kind::HANDOFF_ARM, key, ack.peer);
         }
         let (msg, announce) = (ack.message(), ack.announce.is_some());
         if !self.acks.arm(ctx.now(), ack) {
@@ -1113,7 +1114,7 @@ impl NewsWireNode {
     /// loss. What goes again is re-entered.
     fn retry_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, mut ack: Ack) {
         let id = self.agent.id();
-        let msg_id = ack.env.msg_id;
+        let key = trace_key(ack.env.item.id);
         let mut suspect = false;
         if ack.zone.is_some() {
             self.acks.note_timeout(ack.peer);
@@ -1130,15 +1131,15 @@ impl NewsWireNode {
             ack.attempt += 1;
             if ack.zone.is_some() {
                 obs::metric_add!(id, ctr::NW_ACK_RETRIES, 1);
-                obs::trace_event!(id, Layer::News, kind::HANDOFF_RETRY, msg_id, ack.peer);
+                obs::trace_event!(id, Layer::News, kind::HANDOFF_RETRY, key, ack.peer);
             } else {
                 self.acks.note_resend();
                 obs::metric_add!(id, ctr::NW_DELIVER_RESENDS, 1);
                 if ack.announce.take().is_some() {
                     obs::metric_add!(id, ctr::NW_ANNOUNCE_PAYLOADS, 1);
-                    obs::trace_event!(id, Layer::News, kind::ANNOUNCE_PAYLOAD, msg_id, ack.peer);
+                    obs::trace_event!(id, Layer::News, kind::ANNOUNCE_PAYLOAD, key, ack.peer);
                 } else {
-                    obs::trace_event!(id, Layer::News, kind::DELIVER_RESEND, msg_id, ack.peer);
+                    obs::trace_event!(id, Layer::News, kind::DELIVER_RESEND, key, ack.peer);
                 }
             }
         } else {
@@ -1154,14 +1155,14 @@ impl NewsWireNode {
             };
             let Some(rep) = next else {
                 obs::metric_add!(id, ctr::NW_HANDOFFS_ABANDONED, 1);
-                obs::trace_event!(id, Layer::News, kind::HANDOFF_ABANDON, msg_id, ack.peer);
+                obs::trace_event!(id, Layer::News, kind::HANDOFF_ABANDON, key, ack.peer);
                 return;
             };
             ack.tried.push(ack.peer);
             ack.peer = rep;
             ack.attempt = 0;
             obs::metric_add!(id, ctr::NW_ACK_FAILOVERS, 1);
-            obs::trace_event!(id, Layer::News, kind::HANDOFF_FAILOVER, msg_id, rep);
+            obs::trace_event!(id, Layer::News, kind::HANDOFF_FAILOVER, key, rep);
         }
         obs::metric_add!(id, ctr::NW_FORWARDS, 1);
         ctx.send(NodeId(ack.peer), ack.message());
@@ -1696,15 +1697,10 @@ impl Node for NewsWireNode {
                 if deliver {
                     obs::metric_add!(self.agent.id(), ctr::NW_DELIVER_ACKS, 1);
                 }
-                if handoff {
+                if let Some(item) = handoff {
                     obs::metric_add!(self.agent.id(), ctr::NW_ACKS_RECEIVED, 1);
-                    obs::trace_event!(
-                        self.agent.id(),
-                        Layer::News,
-                        kind::HANDOFF_ACK,
-                        msg_id,
-                        from.0
-                    );
+                    let key = trace_key(item);
+                    obs::trace_event!(self.agent.id(), Layer::News, kind::HANDOFF_ACK, key, from.0);
                 }
             }
             NewsWireMsg::Deliver { env, announce: true } => {
@@ -2953,7 +2949,7 @@ mod tests {
         };
         let [TableRows { rows: shipped, .. }] = rows.as_slice() else { panic!("{rows:?}") };
         let [(2, at, fake)] = shipped.as_slice() else { panic!("{shipped:?}") };
-        assert_eq!(at.issued_us, 2_000_000, "under the record's stamp");
+        assert_eq!({ at.issued_us }, 2_000_000, "under the record's stamp");
         assert_eq!(fake.get("cats$0").and_then(|v| v.as_i64()), Some(0), "the summary zeroed");
         let [(_, kept)] = refresh.as_slice() else { panic!("{refresh:?}") };
         assert_eq!(kept.iter().map(|r| r.label).collect::<Vec<_>>(), vec![3]);

@@ -7,6 +7,7 @@ use std::mem::size_of;
 use std::sync::Arc;
 
 use astrolabe::{ZoneId, ZoneLayout};
+use newsml::ItemId;
 use simnet::heap::btree_map_bytes;
 use simnet::{SimDuration, SimTime};
 
@@ -242,15 +243,21 @@ impl Acks {
     }
 
     /// Removes what the ack `from` sent for article `id`, naming `zone`,
-    /// settles at `t`: whether that was hand-offs, and whether a `Deliver`
-    /// or an announce. A member's ack settles its own `Deliver` (the one sent
+    /// settles at `t`: the article of the hand-offs it settled, if any, and
+    /// whether it settled a `Deliver` or an announce. A member's ack settles its own `Deliver` (the one sent
     /// first) and nothing else — a hand-off of the leaf zone to the same
     /// member awaits its own. Otherwise any ack naming a hand-off's zone
     /// settles it: to both representatives at once, and one that failed
     /// over by a late ack from the one it left. Either kind times the round
     /// trip where Karn's rule allows; a payload that does extends the clean
     /// run.
-    pub(super) fn settle(&mut self, id: u64, zone: &ZoneId, from: u32, t: SimTime) -> (bool, bool) {
+    pub(super) fn settle(
+        &mut self,
+        id: u64,
+        zone: &ZoneId,
+        from: u32,
+        t: SimTime,
+    ) -> (Option<ItemId>, bool) {
         let deliver = self
             .entries
             .iter()
@@ -263,15 +270,15 @@ impl Acks {
                 self.streak = self.streak.saturating_add(1);
                 self.note_rtt(from, t.saturating_since(ack.armed_at));
             }
-            return (false, true);
+            return (None, true);
         }
-        let mut settled = false;
+        let mut settled = None;
         let mut timed = None;
         self.entries.retain(|_, ack| {
             if ack.env.msg_id != id || ack.zone.as_ref() != Some(zone) {
                 return true;
             }
-            settled = true;
+            settled = Some(ack.env.item.id);
             if ack.times_round_trip(from) {
                 timed = Some(t.saturating_since(ack.armed_at));
             }
@@ -507,7 +514,7 @@ mod tests {
         let mut acks = table();
         let samples = |acks: &Acks| acks.rtt[acks.zone_key(1).expect("a leaf mate")].samples;
         acks.insert(now + ACK_TIMEOUT, entry(Some(4)));
-        assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (false, true), "the announce settles");
+        assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (None, true), "the announce settles");
         assert_eq!((samples(&acks), acks.streak), (0, 0), "and times nothing");
         for n in 1..=SPLIT_STREAK {
             assert!(!acks.split_on(), "{n}");
@@ -603,10 +610,10 @@ mod tests {
         let mut acks = table();
         let samples = |acks: &Acks| acks.rtt[acks.zone_key(1).expect("a leaf mate")].samples;
         acks.insert(now + ACK_TIMEOUT, deliver(0));
-        assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (false, true));
+        assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (None, true));
         assert_eq!(samples(&acks), 1, "the first transmission's ack is timed");
         acks.insert(now + ACK_TIMEOUT, deliver(1));
-        assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (false, true));
+        assert_eq!(acks.settle(env.msg_id, &leaf, 1, now), (None, true));
         assert_eq!(samples(&acks), 1, "a re-send's ack could be either copy's");
     }
 
@@ -652,7 +659,7 @@ mod tests {
                 };
                 acks.insert(now + ACK_TIMEOUT, ack);
                 let settled = acks.settle(env.msg_id, &zone, stranger, now + ACK_TIMEOUT);
-                assert_eq!(settled, (hop.is_some(), hop.is_none()));
+                assert_eq!(settled, (hop.is_some().then_some(env.item.id), hop.is_none()));
             }
         }
         assert!(acks.entries.is_empty());
@@ -960,11 +967,8 @@ mod tests {
                         model.entries.iter().filter(|e| e.msg == msg && e.zone == Some(zone));
                     let mates = mates.map(|e| e.peer).collect::<BTreeSet<_>>().len();
                     let settled = model.settle(msg, zone, peer, now);
-                    assert_eq!(
-                        acks.settle(msg_ids[msg], &zones[zone], peer, now),
-                        settled,
-                        "step {step}: settle"
-                    );
+                    let (handoffs, deliver) = acks.settle(msg_ids[msg], &zones[zone], peer, now);
+                    assert_eq!((handoffs.is_some(), deliver), settled, "step {step}: settle");
                     seen.deliver_settled_with_a_second_copy_waiting +=
                         u32::from(settled.1 && delivers > 1);
                     seen.deliver_settled_before_a_hand_off_to_the_same_member +=

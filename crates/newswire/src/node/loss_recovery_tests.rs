@@ -358,7 +358,7 @@ fn a_handoff_to_a_cut_off_zone_traces_retry_failover_and_abandon() {
     let steps = |k: u8| {
         let steps: Vec<_> = trace.iter().filter(|e| e.node == PUBLISHER.0 && e.kind == k).collect();
         for e in &steps {
-            assert_eq!(e.a, msg_id_of(item.id), "{}: a is the message id", kind::name(k));
+            assert_eq!(e.a, trace_key(item.id), "{}: a is the item's trace key", kind::name(k));
             assert!(reps.contains(&(e.b as u32)), "{}: b is a representative", kind::name(k));
         }
         steps.len() as u64

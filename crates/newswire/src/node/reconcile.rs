@@ -1096,7 +1096,7 @@ mod tests {
         for (k, version) in [1, 2, 39, 40, 41, 90].into_iter().enumerate() {
             let at = SimTime::from_secs(10 + k as u64);
             merge(&mut agent, &mut rc, MibBuilder::new(), 2, at, version);
-            assert_eq!(agent.table(0).row(1).unwrap().stamp.version, version);
+            assert_eq!({ agent.table(0).row(1).unwrap().stamp.version }, version);
             assert_eq!(read(&agent, &rc), vec![], "the pre-freeze rider is read at {version}");
             assert_eq!(rc.consensus_epoch(&agent, PublisherId(0)), None);
         }
@@ -1119,7 +1119,7 @@ mod tests {
         let before = read(&agent, &rc);
         assert_eq!(before, vec![(1, rider_of(3, 7)[0].1)], "the rider is read before the restart");
         merge(&mut agent, &mut rc, life(2), 1, SimTime::from_secs(30), 9);
-        assert_eq!(agent.table(0).row(1).unwrap().stamp.version, 9, "the new life is merged");
+        assert_eq!({ agent.table(0).row(1).unwrap().stamp.version }, 9, "the new life is merged");
         assert_eq!(read(&agent, &rc), vec![], "the old life's rider is read past the restart");
         assert_eq!(rc.consensus_epoch(&agent, PublisherId(0)), None);
     }

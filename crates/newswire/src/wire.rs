@@ -158,6 +158,22 @@ impl Stub {
 /// `ids`, an announce's article): publisher id + sequence number.
 const ITEM_ID_WIRE_SIZE: usize = 2 + 8;
 
+/// Bits of [`trace_key`] that hold the publisher id's bit length.
+const TRACE_KEY_WIDTH_BITS: u32 = 5;
+
+/// The item id as the trace operand of every record that names an article
+/// (`NW_PUBLISH`, `NW_DELIVER`, the `HANDOFF_*` kinds): the low 5 bits hold
+/// the publisher id's bit length `w`, the next `w` bits the publisher id,
+/// and the bits above them the seq. A small id stays a small number, so the
+/// record fits the trace ring's 10-byte form (20-bit operands): publisher
+/// 0's first 32,768 items and publisher 1's first 16,384 do. Distinct ids
+/// get distinct keys while the seq stays below 2^43.
+pub fn trace_key(id: ItemId) -> u64 {
+    let publisher = u64::from(id.publisher.0);
+    let width = u64::BITS - publisher.leading_zeros();
+    id.seq << (TRACE_KEY_WIDTH_BITS + width) | publisher << TRACE_KEY_WIDTH_BITS | u64::from(width)
+}
+
 /// The globally unique dissemination id of an item.
 pub fn msg_id_of(id: ItemId) -> u64 {
     let mut bytes = [0u8; 10];
@@ -386,6 +402,29 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, msg_id_of(ItemId::new(PublisherId(1), 7)), "deterministic");
+    }
+
+    #[test]
+    fn trace_keys_are_small_for_small_ids_and_distinct() {
+        let key = |p: u16, seq: u64| trace_key(ItemId::new(PublisherId(p), seq));
+        assert!(key(0, (1 << 15) - 1) < 1 << 20);
+        assert!(key(1, (1 << 14) - 1) < 1 << 20);
+        assert!(key(0, 1 << 15) >= 1 << 20);
+        let publishers = [0, 1, 2, 3, 4, 7, 8, 255, 256, 4_096, u16::MAX];
+        let seqs = [0, 1, 2, 3, 100, 1 << 14, (1 << 43) - 1];
+        let mut keys: Vec<u64> =
+            publishers.iter().flat_map(|&p| seqs.iter().map(move |&s| key(p, s))).collect();
+        let all = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), all, "one key per id");
+        // The key unpacks to its id.
+        for (p, s) in [(0u16, 9u64), (5, 1_000), (u16::MAX, (1 << 43) - 1)] {
+            let k = key(p, s);
+            let width = (k & 31) as u32;
+            assert_eq!((k >> 5) & ((1 << width) - 1), u64::from(p));
+            assert_eq!(k >> (5 + width), s);
+        }
     }
 
     /// The event slab and the forwarding queues move `NewsWireMsg` by

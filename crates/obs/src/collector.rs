@@ -83,51 +83,31 @@ pub fn emit(node: u32, layer: Layer, kind: u8, a: u64, b: u64) {
 /// Adds to a per-node counter slot.
 #[inline]
 pub fn counter_add(node: u32, id: CtrId, v: u64) {
-    with_hub(|h| {
-        if let Some(m) = h.node_mut(node as usize) {
-            m.ctr_add(id, v);
-        }
-    });
+    with_hub(|h| h.node_ctr_add(node as usize, id, v));
 }
 
 /// Sets a per-node gauge slot.
 #[inline]
 pub fn gauge_set(node: u32, id: GaugeId, v: u64) {
-    with_hub(|h| {
-        if let Some(m) = h.node_mut(node as usize) {
-            m.gauge_set(id, v);
-        }
-    });
+    with_hub(|h| h.node_gauge_set(node as usize, id, v));
 }
 
 /// Raises a per-node gauge slot to `v` if larger.
 #[inline]
 pub fn gauge_max(node: u32, id: GaugeId, v: u64) {
-    with_hub(|h| {
-        if let Some(m) = h.node_mut(node as usize) {
-            m.gauge_max(id, v);
-        }
-    });
+    with_hub(|h| h.node_gauge_max(node as usize, id, v));
 }
 
 /// Records into a per-node histogram slot.
 #[inline]
 pub fn hist_record(node: u32, id: HistId, v: u64) {
-    with_hub(|h| {
-        if let Some(m) = h.node_mut(node as usize) {
-            m.hist_record(id, v);
-        }
-    });
+    with_hub(|h| h.node_hist_record(node as usize, id, v));
 }
 
 /// Appends to a per-node series slot.
 #[inline]
 pub fn series_record(node: u32, id: SeriesId, v: u64) {
-    with_hub(|h| {
-        if let Some(m) = h.node_mut(node as usize) {
-            m.series_push(id, v);
-        }
-    });
+    with_hub(|h| h.node_series_push(node as usize, id, v));
 }
 
 #[cfg(test)]

@@ -212,8 +212,8 @@ mod tests {
         let mut hub = TelemetryHub::new(42);
         hub.ensure_nodes(2);
         hub.set_now_us(5_000);
-        hub.node_mut(0).unwrap().ctr_add(ctr::MSGS_SENT, 3);
-        hub.node_mut(1).unwrap().series_push(series::RECOVERY_DURATION_US, 250);
+        hub.node_ctr_add(0, ctr::MSGS_SENT, 3);
+        hub.node_series_push(1, series::RECOVERY_DURATION_US, 250);
         hub.global_mut().ctr_add(ctr::DROPS_LOSS, 1);
         hub.trace(0, Layer::News, kind::NW_PUBLISH, 77, 0);
         hub.trace(1, Layer::News, kind::NW_DELIVER, 77, 250);

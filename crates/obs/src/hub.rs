@@ -1,7 +1,7 @@
 //! The per-simulation telemetry hub: one ring, one registry, one clock.
 
 use crate::export::{NodeMetrics, Telemetry};
-use crate::metrics::{CtrId, GaugeId, MetricSet, SeriesId};
+use crate::metrics::{CtrId, GaugeId, HistId, MetricSet, NodeColumns, SeriesId};
 use crate::trace::{Layer, TraceEvent, TraceRing};
 
 /// Everything one `Simulation` observes about itself.
@@ -16,7 +16,8 @@ use crate::trace::{Layer, TraceEvent, TraceRing};
 /// loop, so hub contents are a pure function of the simulation seed.
 #[derive(Debug)]
 pub struct TelemetryHub {
-    nodes: Vec<MetricSet>,
+    /// Every node's metrics, one column per touched slot.
+    nodes: NodeColumns,
     global: MetricSet,
     ring: TraceRing,
     now_us: u64,
@@ -27,7 +28,7 @@ impl TelemetryHub {
     /// A fresh, empty hub.
     pub fn new(seed: u64) -> Self {
         TelemetryHub {
-            nodes: Vec::new(),
+            nodes: NodeColumns::default(),
             global: MetricSet::new(),
             ring: TraceRing::default(),
             now_us: 0,
@@ -53,26 +54,48 @@ impl TelemetryHub {
 
     /// Grows the per-node table to cover node ids `0..n`.
     pub fn ensure_nodes(&mut self, n: usize) {
-        if self.nodes.len() < n {
-            self.nodes.resize_with(n, MetricSet::new);
-        }
+        self.nodes.grow(n);
     }
 
-    /// Number of per-node metric sets.
+    /// Number of nodes the per-node table covers.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.nodes()
     }
 
-    /// One node's metrics (None when out of range).
-    pub fn node(&self, idx: usize) -> Option<&MetricSet> {
-        self.nodes.get(idx)
-    }
-
-    /// One node's metrics, mutable (None when out of range — notably for
-    /// the external pseudo-sender).
+    /// Adds `v` to one node's counter slot. A node out of range — notably
+    /// the external pseudo-sender — is ignored.
     #[inline]
-    pub fn node_mut(&mut self, idx: usize) -> Option<&mut MetricSet> {
-        self.nodes.get_mut(idx)
+    pub fn node_ctr_add(&mut self, idx: usize, id: CtrId, v: u64) {
+        self.nodes.ctr_add(idx, id, v);
+    }
+
+    /// Sets one node's gauge slot (ignored out of range).
+    #[inline]
+    pub fn node_gauge_set(&mut self, idx: usize, id: GaugeId, v: u64) {
+        self.nodes.gauge_set(idx, id, v);
+    }
+
+    /// Raises one node's gauge slot to `v` if larger (ignored out of range).
+    #[inline]
+    pub fn node_gauge_max(&mut self, idx: usize, id: GaugeId, v: u64) {
+        self.nodes.gauge_max(idx, id, v);
+    }
+
+    /// Records into one node's histogram slot (ignored out of range).
+    #[inline]
+    pub fn node_hist_record(&mut self, idx: usize, id: HistId, v: u64) {
+        self.nodes.hist_record(idx, id, v);
+    }
+
+    /// Appends to one node's series slot (ignored out of range).
+    #[inline]
+    pub fn node_series_push(&mut self, idx: usize, id: SeriesId, v: u64) {
+        self.nodes.series_push(idx, id, v);
+    }
+
+    /// Heap bytes of the per-node metrics, from their capacities.
+    pub fn node_metrics_heap_bytes(&self) -> usize {
+        self.nodes.heap_bytes()
     }
 
     /// The simulation-global metric set (fault tallies, oracle verdicts).
@@ -111,41 +134,34 @@ impl TelemetryHub {
 
     /// Sums a counter slot across every node.
     pub fn counter_total(&self, id: CtrId) -> u64 {
-        self.nodes.iter().map(|m| m.ctr(id)).sum()
+        self.nodes.ctr_total(id)
     }
 
     /// Reads one node's counter slot (0 when out of range).
     pub fn node_counter(&self, idx: usize, id: CtrId) -> u64 {
-        self.nodes.get(idx).map(|m| m.ctr(id)).unwrap_or(0)
+        self.nodes.ctr(idx, id)
     }
 
     /// Reads one node's gauge slot (0 when out of range).
     pub fn node_gauge(&self, idx: usize, id: GaugeId) -> u64 {
-        self.nodes.get(idx).map(|m| m.gauge(id)).unwrap_or(0)
+        self.nodes.gauge(idx, id)
     }
 
     /// Sums a gauge slot across every node (useful for "rows held" style
     /// totals where each node's gauge is a level, not a high-water mark).
     pub fn gauge_total(&self, id: GaugeId) -> u64 {
-        self.nodes.iter().map(|m| m.gauge(id)).sum()
+        self.nodes.gauge_total(id)
     }
 
     /// Concatenates a series slot across every node, in node-id order.
     pub fn merged_series(&self, id: SeriesId) -> Vec<u64> {
-        let mut out = Vec::new();
-        for m in &self.nodes {
-            out.extend_from_slice(m.series(id));
-        }
-        out
+        (0..self.nodes.nodes()).flat_map(|i| self.nodes.series(i, id)).copied().collect()
     }
 
     fn snapshot_inner(&self, events: Vec<TraceEvent>, events_dropped: u64) -> Telemetry {
-        let nodes = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !m.is_zero())
-            .map(|(i, m)| NodeMetrics::from_set(i as u32, m))
+        let nodes = (0..self.nodes.nodes())
+            .filter(|&i| !self.nodes.is_zero(i))
+            .map(|i| self.nodes.node_metrics(i))
             .collect();
         Telemetry {
             seed: self.seed,
@@ -169,9 +185,7 @@ impl TelemetryHub {
         let dropped = self.ring.dropped();
         let events = self.ring.drain();
         let snap = self.snapshot_inner(events, dropped);
-        for m in &mut self.nodes {
-            m.reset();
-        }
+        self.nodes.reset();
         self.global.reset();
         snap
     }
@@ -187,8 +201,8 @@ mod tests {
         let mut hub = TelemetryHub::new(7);
         hub.ensure_nodes(2);
         hub.set_now_us(1_000);
-        hub.node_mut(0).unwrap().ctr_add(ctr::MSGS_SENT, 4);
-        hub.node_mut(1).unwrap().series_push(series::RECOVERY_DURATION_US, 9);
+        hub.node_ctr_add(0, ctr::MSGS_SENT, 4);
+        hub.node_series_push(1, series::RECOVERY_DURATION_US, 9);
         hub.global_mut().ctr_add(ctr::CRASHES, 1);
         hub.trace(0, Layer::Sim, crate::kind::MSG_DELIVER, 1, 2);
 
@@ -211,8 +225,8 @@ mod tests {
         let mut hub = TelemetryHub::new(0);
         hub.ensure_nodes(3);
         for i in 0..3 {
-            hub.node_mut(i).unwrap().ctr_add(ctr::MSGS_SENT, (i as u64) + 1);
-            hub.node_mut(i).unwrap().series_push(series::RECOVERY_DURATION_US, i as u64);
+            hub.node_ctr_add(i, ctr::MSGS_SENT, (i as u64) + 1);
+            hub.node_series_push(i, series::RECOVERY_DURATION_US, i as u64);
         }
         assert_eq!(hub.counter_total(ctr::MSGS_SENT), 6);
         assert_eq!(hub.node_counter(1, ctr::MSGS_SENT), 2);

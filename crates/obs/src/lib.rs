@@ -12,10 +12,12 @@
 //!    is 32 bytes unpacked; the ring packs it into 10 bytes when its fields
 //!    are small (30 when not), so a full default ring of engine records
 //!    holds about 0.68 MB, not 2 MiB.
-//! 2. **A per-node metrics registry** ([`MetricSet`], indexed by the slot
-//!    constants in [`ctr`], [`gauge`], [`hist`] and [`series`], whose static
-//!    `NAMES` tables name them in exports): typed
-//!    counters/gauges/histograms/series, so the hot path is an array index.
+//! 2. **A per-node metrics registry** ([`TelemetryHub`]'s per-node
+//!    columns and the global [`MetricSet`], indexed by the slot constants in
+//!    [`ctr`], [`gauge`], [`hist`] and [`series`], whose static `NAMES`
+//!    tables name them in exports): typed counters/gauges/histograms/series,
+//!    so the hot path is an array index, and each slot any node touched is
+//!    one array across nodes.
 //!    Every counter of every layer is stored here and read by its one slot
 //!    constant; the simulator's `TrafficCounters` and `FaultCounters` are
 //!    views read from it.

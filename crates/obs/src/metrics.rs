@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use crate::export::{NodeMetrics, SeriesStats};
+
 /// Slot id of a counter (also used for monotone global/fault tallies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CtrId(pub u16);
@@ -340,75 +342,13 @@ pub mod series {
     }
 }
 
-/// A node's counters. The low slots — the engine's traffic counters and
-/// the gossip counters every node bumps on every event — sit in a dense
-/// array indexed by slot, as long as the highest one touched. The slots
-/// appended above them are each touched by few nodes and rarely, so they
-/// sit in a short list of `(slot, value)` kept in slot order: a node that
-/// bumps one appended counter pays for that counter, not for a dense
-/// array reaching up to it.
-#[derive(Debug, Clone, Default)]
-struct Counters {
-    dense: Vec<u64>,
-    sparse: Vec<(u16, u64)>,
-}
-
-/// Slots below this are dense in [`Counters`].
-const DENSE_SLOTS: usize = 64;
-
-impl Counters {
-    #[inline]
-    fn get(&self, i: usize) -> u64 {
-        if i < DENSE_SLOTS {
-            return self.dense.get(i).copied().unwrap_or(0);
-        }
-        match self.sparse.binary_search_by_key(&i, |&(s, _)| usize::from(s)) {
-            Ok(at) => self.sparse[at].1,
-            Err(_) => 0,
-        }
-    }
-
-    #[inline]
-    fn slot(&mut self, i: usize) -> &mut u64 {
-        if i < DENSE_SLOTS {
-            if i >= self.dense.len() {
-                // Exact growth on first touch: there is one set per node.
-                self.dense.reserve_exact(i + 1 - self.dense.len());
-                self.dense.resize(i + 1, 0);
-            }
-            return &mut self.dense[i];
-        }
-        let at = match self.sparse.binary_search_by_key(&i, |&(s, _)| usize::from(s)) {
-            Ok(at) => at,
-            Err(at) => {
-                self.sparse.reserve_exact(1);
-                self.sparse.insert(at, (i as u16, 0));
-                at
-            }
-        };
-        &mut self.sparse[at].1
-    }
-
-    /// Every touched slot with its value, in slot order.
-    fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut u64)> {
-        let dense = self.dense.iter_mut().enumerate();
-        dense.chain(self.sparse.iter_mut().map(|(s, v)| (usize::from(*s), v)))
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let dense = self.dense.iter().copied().enumerate();
-        dense.chain(self.sparse.iter().map(|&(s, v)| (usize::from(s), v)))
-    }
-}
-
-/// One node's metric storage, indexed by slot id: counters dense below
-/// slot 64 and as a short sorted list above it, the rest as dense arrays.
-///
-/// Sets start empty and grow on first touch of a slot, so an idle node costs
-/// five empty `Vec`s.
+/// One metric set indexed by slot id, each kind a dense array grown to the
+/// highest slot touched: the simulation-global tallies (faults, oracle
+/// verdicts). Per-node metrics are stored as columns across nodes instead
+/// (the hub's `NodeColumns`).
 #[derive(Debug, Clone, Default)]
 pub struct MetricSet {
-    counters: Counters,
+    counters: Vec<u64>,
     gauges: Vec<u64>,
     /// Bucket arrays, one per histogram slot; sized `edges.len() + 1` on
     /// first record.
@@ -425,9 +365,6 @@ impl MetricSet {
     #[inline]
     fn slot(v: &mut Vec<u64>, i: usize) -> &mut u64 {
         if i >= v.len() {
-            // Exact growth: a set is as long as its highest touched slot,
-            // not the next power of two (there is one set per node).
-            v.reserve_exact(i + 1 - v.len());
             v.resize(i + 1, 0);
         }
         &mut v[i]
@@ -436,13 +373,13 @@ impl MetricSet {
     /// Adds `v` to a counter slot.
     #[inline]
     pub fn ctr_add(&mut self, id: CtrId, v: u64) {
-        *self.counters.slot(id.0 as usize) += v;
+        *Self::slot(&mut self.counters, id.0 as usize) += v;
     }
 
     /// Reads a counter slot (0 if never touched).
     #[inline]
     pub fn ctr(&self, id: CtrId) -> u64 {
-        self.counters.get(id.0 as usize)
+        self.counters.get(id.0 as usize).copied().unwrap_or(0)
     }
 
     /// Sets a gauge slot.
@@ -506,7 +443,7 @@ impl MetricSet {
 
     /// True when every slot is untouched or zero.
     pub fn is_zero(&self) -> bool {
-        self.counters.iter().all(|(_, c)| c == 0)
+        self.counters.iter().all(|&c| c == 0)
             && self.gauges.iter().all(|&g| g == 0)
             && self.hists.iter().all(|h| h.iter().all(|&b| b == 0))
             && self.series.iter().all(Vec::is_empty)
@@ -514,7 +451,7 @@ impl MetricSet {
 
     /// Resets every slot to zero, keeping allocations where cheap.
     pub fn reset(&mut self) {
-        self.counters.iter_mut().for_each(|(_, c)| *c = 0);
+        self.counters.iter_mut().for_each(|c| *c = 0);
         self.gauges.iter_mut().for_each(|g| *g = 0);
         self.hists.iter_mut().for_each(|h| h.iter_mut().for_each(|b| *b = 0));
         self.series.iter_mut().for_each(Vec::clear);
@@ -522,7 +459,11 @@ impl MetricSet {
 
     /// Iterates `(slot, value)` over non-zero counters in slot order.
     pub fn counters_nonzero(&self) -> impl Iterator<Item = (CtrId, u64)> + '_ {
-        self.counters.iter().filter(|&(_, v)| v != 0).map(|(i, v)| (CtrId(i as u16), v))
+        self.counters
+            .iter()
+            .enumerate()
+            .filter(|(_, &v)| v != 0)
+            .map(|(i, &v)| (CtrId(i as u16), v))
     }
 
     /// Iterates `(slot, value)` over non-zero gauges in slot order.
@@ -553,9 +494,228 @@ impl MetricSet {
     }
 }
 
+/// Every node's counters, gauges, histograms and series, stored as
+/// columns: for each slot some node touched, one array indexed by node id
+/// (a histogram's holds each node's buckets back to back). A simulation
+/// touches a few dozen slots, most of them on every node, so a slot costs
+/// 8 bytes a node in one allocation, where a [`MetricSet`] per node cost
+/// five vectors and up to six allocations each, and a dense counter array
+/// as long as the highest slot that node touched.
+///
+/// A column is allocated at its slot's first touch, as long as the node
+/// count, and grows with it; untouched slots cost an empty `Vec` each, once
+/// per simulation.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeColumns {
+    nodes: usize,
+    counters: Vec<Vec<u64>>,
+    gauges: Vec<Vec<u64>>,
+    hists: Vec<Vec<u64>>,
+    series: Vec<Vec<Vec<u64>>>,
+}
+
+/// Buckets of histogram slot `slot`.
+fn hist_width(slot: usize) -> usize {
+    hist::EDGES[slot].len() + 1
+}
+
+impl NodeColumns {
+    /// Number of nodes every column covers.
+    pub(crate) fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// Grows every column to cover node ids `0..n`.
+    pub(crate) fn grow(&mut self, n: usize) {
+        if n <= self.nodes {
+            return;
+        }
+        self.nodes = n;
+        for col in self.counters.iter_mut().chain(&mut self.gauges).filter(|c| !c.is_empty()) {
+            col.resize(n, 0);
+        }
+        for (slot, col) in self.hists.iter_mut().enumerate().filter(|(_, c)| !c.is_empty()) {
+            col.resize(n * hist_width(slot), 0);
+        }
+        for col in self.series.iter_mut().filter(|c| !c.is_empty()) {
+            col.resize_with(n, Vec::new);
+        }
+    }
+
+    /// Slot `slot`'s column of `len` values, allocated on first touch.
+    #[inline]
+    fn column(cols: &mut Vec<Vec<u64>>, slot: usize, len: usize) -> &mut [u64] {
+        if slot >= cols.len() {
+            cols.resize_with(slot + 1, Vec::new);
+        }
+        let col = &mut cols[slot];
+        if col.is_empty() {
+            *col = vec![0; len];
+        }
+        col
+    }
+
+    /// `node`'s value in a counter or gauge column, 0 if never touched.
+    #[inline]
+    fn read(cols: &[Vec<u64>], slot: usize, node: usize) -> u64 {
+        cols.get(slot).and_then(|c| c.get(node)).copied().unwrap_or(0)
+    }
+
+    /// Adds `v` to `node`'s counter slot; a node past the table is ignored.
+    /// A slot's column, once allocated, covers every node, so the common
+    /// case is two bounds checks; the first touch of a slot goes the slow
+    /// way.
+    #[inline]
+    pub(crate) fn ctr_add(&mut self, node: usize, id: CtrId, v: u64) {
+        match self.counters.get_mut(id.0 as usize).and_then(|col| col.get_mut(node)) {
+            Some(c) => *c += v,
+            None => self.ctr_add_first(node, id, v),
+        }
+    }
+
+    #[cold]
+    fn ctr_add_first(&mut self, node: usize, id: CtrId, v: u64) {
+        if node < self.nodes {
+            Self::column(&mut self.counters, id.0 as usize, self.nodes)[node] += v;
+        }
+    }
+
+    /// `node`'s counter slot (0 if never touched or out of range).
+    #[inline]
+    pub(crate) fn ctr(&self, node: usize, id: CtrId) -> u64 {
+        Self::read(&self.counters, id.0 as usize, node)
+    }
+
+    /// A counter slot summed over every node.
+    pub(crate) fn ctr_total(&self, id: CtrId) -> u64 {
+        self.counters.get(id.0 as usize).map_or(0, |c| c.iter().sum())
+    }
+
+    /// Sets `node`'s gauge slot; a node past the table is ignored.
+    #[inline]
+    pub(crate) fn gauge_set(&mut self, node: usize, id: GaugeId, v: u64) {
+        if node < self.nodes {
+            Self::column(&mut self.gauges, id.0 as usize, self.nodes)[node] = v;
+        }
+    }
+
+    /// Raises `node`'s gauge slot to `v` if larger.
+    #[inline]
+    pub(crate) fn gauge_max(&mut self, node: usize, id: GaugeId, v: u64) {
+        if node < self.nodes {
+            let g = &mut Self::column(&mut self.gauges, id.0 as usize, self.nodes)[node];
+            *g = (*g).max(v);
+        }
+    }
+
+    /// `node`'s gauge slot (0 if never set or out of range).
+    #[inline]
+    pub(crate) fn gauge(&self, node: usize, id: GaugeId) -> u64 {
+        Self::read(&self.gauges, id.0 as usize, node)
+    }
+
+    /// A gauge slot summed over every node.
+    pub(crate) fn gauge_total(&self, id: GaugeId) -> u64 {
+        self.gauges.get(id.0 as usize).map_or(0, |c| c.iter().sum())
+    }
+
+    /// Records `v` into `node`'s histogram slot under its [`hist::EDGES`],
+    /// as [`MetricSet::hist_record`] does.
+    pub(crate) fn hist_record(&mut self, node: usize, id: HistId, v: u64) {
+        if node < self.nodes {
+            let (slot, width) = (id.0 as usize, hist_width(id.0 as usize));
+            let b = hist::EDGES[slot].partition_point(|&e| e <= v);
+            Self::column(&mut self.hists, slot, self.nodes * width)[node * width + b] += 1;
+        }
+    }
+
+    /// `node`'s buckets of a histogram slot (empty if no node recorded one).
+    fn hist_buckets(&self, node: usize, slot: usize) -> &[u64] {
+        let width = hist_width(slot);
+        self.hists.get(slot).and_then(|c| c.get(node * width..(node + 1) * width)).unwrap_or(&[])
+    }
+
+    /// Appends a raw sample to `node`'s series slot.
+    pub(crate) fn series_push(&mut self, node: usize, id: SeriesId, v: u64) {
+        if node < self.nodes {
+            let slot = id.0 as usize;
+            if slot >= self.series.len() {
+                self.series.resize_with(slot + 1, Vec::new);
+            }
+            let col = &mut self.series[slot];
+            if col.is_empty() {
+                col.resize_with(self.nodes, Vec::new);
+            }
+            col[node].push(v);
+        }
+    }
+
+    /// `node`'s samples of a series slot, in record order.
+    pub(crate) fn series(&self, node: usize, id: SeriesId) -> &[u64] {
+        self.series.get(id.0 as usize).and_then(|c| c.get(node)).map_or(&[], Vec::as_slice)
+    }
+
+    /// True when every slot of `node` is untouched or zero.
+    pub(crate) fn is_zero(&self, node: usize) -> bool {
+        let zero = |cols: &[Vec<u64>]| cols.iter().all(|c| c.get(node).is_none_or(|&v| v == 0));
+        zero(&self.counters)
+            && zero(&self.gauges)
+            && (0..self.hists.len()).all(|s| self.hist_buckets(node, s).iter().all(|&b| b == 0))
+            && self.series.iter().all(|c| c.get(node).is_none_or(Vec::is_empty))
+    }
+
+    /// `node`'s non-zero slots under their static names, as
+    /// [`NodeMetrics::from_set`] lists a [`MetricSet`]'s.
+    pub(crate) fn node_metrics(&self, node: usize) -> NodeMetrics {
+        let nonzero = |cols: &[Vec<u64>], names: &'static [&'static str]| {
+            (0..cols.len())
+                .map(|s| (names[s], Self::read(cols, s, node)))
+                .filter(|&(_, v)| v != 0)
+                .collect()
+        };
+        NodeMetrics {
+            node: node as u32,
+            counters: nonzero(&self.counters, ctr::NAMES),
+            gauges: nonzero(&self.gauges, gauge::NAMES),
+            hists: (0..self.hists.len())
+                .map(|s| (hist::NAMES[s], self.hist_buckets(node, s)))
+                .filter(|(_, h)| h.iter().any(|&b| b != 0))
+                .map(|(name, h)| (name, h.to_vec()))
+                .collect(),
+            series: (0..self.series.len())
+                .map(|s| (series::NAMES[s], self.series(node, SeriesId(s as u16))))
+                .filter(|(_, samples)| !samples.is_empty())
+                .map(|(name, samples)| (name, SeriesStats::of(samples)))
+                .collect(),
+        }
+    }
+
+    /// Zeroes every slot of every node, keeping the columns.
+    pub(crate) fn reset(&mut self) {
+        for col in self.counters.iter_mut().chain(&mut self.gauges).chain(&mut self.hists) {
+            col.fill(0);
+        }
+        self.series.iter_mut().flatten().for_each(Vec::clear);
+    }
+
+    /// Heap bytes of the columns, from their capacities.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let cols = |cols: &Vec<Vec<u64>>| {
+            cols.capacity() * size_of::<Vec<u64>>()
+                + cols.iter().map(|c| c.capacity() * size_of::<u64>()).sum::<usize>()
+        };
+        cols(&self.counters)
+            + cols(&self.gauges)
+            + cols(&self.hists)
+            + self.series.capacity() * size_of::<Vec<Vec<u64>>>()
+            + self.series.iter().map(cols).sum::<usize>()
+    }
+}
+
 impl fmt::Display for MetricSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let n = self.counters.iter().filter(|&(_, c)| c != 0).count();
+        let n = self.counters.iter().filter(|&&c| c != 0).count();
         write!(f, "MetricSet({n} non-zero counters)")
     }
 }
@@ -662,15 +822,81 @@ mod tests {
     }
 
     #[test]
-    fn appended_counters_cost_only_themselves_and_keep_slot_order() {
+    fn counters_list_in_slot_order() {
         let mut m = MetricSet::new();
         for (slot, v) in [(96, 1), (0, 2), (130, 3), (81, 4), (0, 5)] {
             m.ctr_add(CtrId(slot), v);
         }
-        assert_eq!((m.counters.dense.len(), m.counters.sparse.len()), (1, 3));
         let expect = [(CtrId(0), 7), (CtrId(81), 4), (CtrId(96), 1), (CtrId(130), 3)];
         assert_eq!(m.counters_nonzero().collect::<Vec<_>>(), expect);
         assert_eq!((m.ctr(CtrId(129)), m.ctr(CtrId(500))), (0, 0));
+    }
+
+    /// The columns hold what a [`MetricSet`] per node held: a seeded
+    /// stream of every kind of update, nodes past the table included, a
+    /// growth of the table midway and a reset, read back slot by slot, as
+    /// totals and as each node's export.
+    #[test]
+    fn the_columns_match_a_metric_set_per_node() {
+        let mut cols = NodeColumns::default();
+        let mut model: Vec<MetricSet> = Vec::new();
+        let grow = |cols: &mut NodeColumns, model: &mut Vec<MetricSet>, n: usize| {
+            cols.grow(n);
+            model.resize_with(n.max(model.len()), MetricSet::new);
+        };
+        grow(&mut cols, &mut model, 5);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for step in 0..4_000 {
+            if step == 2_000 {
+                grow(&mut cols, &mut model, 9);
+            }
+            if step == 3_000 {
+                cols.reset();
+                model.iter_mut().for_each(MetricSet::reset);
+            }
+            let node = next(model.len() as u64 + 2) as usize;
+            let bits = next(20);
+            let v = next(1 << bits);
+            let (c, g) = (CtrId(next(ctr::NAMES.len() as u64) as u16), GaugeId(next(3) as u16));
+            let (h, s) = (HistId(next(2) as u16), SeriesId(next(2) as u16));
+            let op = next(5);
+            match op {
+                0 => cols.ctr_add(node, c, v),
+                1 => cols.gauge_set(node, g, v),
+                2 => cols.gauge_max(node, g, v),
+                3 => cols.hist_record(node, h, v),
+                _ => cols.series_push(node, s, v),
+            }
+            if let Some(m) = model.get_mut(node) {
+                match op {
+                    0 => m.ctr_add(c, v),
+                    1 => m.gauge_set(g, v),
+                    2 => m.gauge_max(g, v),
+                    3 => _ = m.hist_record(h, v),
+                    _ => m.series_push(s, v),
+                }
+            }
+        }
+        assert_eq!(cols.nodes(), model.len());
+        for (node, m) in model.iter().enumerate() {
+            assert_eq!(cols.is_zero(node), m.is_zero(), "node {node}");
+            let (a, b) = (cols.node_metrics(node), NodeMetrics::from_set(node as u32, m));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "node {node}");
+        }
+        for slot in 0..ctr::NAMES.len() as u16 {
+            let total: u64 = model.iter().map(|m| m.ctr(CtrId(slot))).sum();
+            assert_eq!(cols.ctr_total(CtrId(slot)), total, "counter {slot}");
+        }
+        for slot in 0..3 {
+            let total: u64 = model.iter().map(|m| m.gauge(GaugeId(slot))).sum();
+            assert_eq!(cols.gauge_total(GaugeId(slot)), total, "gauge {slot}");
+        }
     }
 
     #[test]

@@ -96,24 +96,26 @@ pub mod kind {
     // 32 and 33 were amcast's second forwarding node's hop and local
     // delivery; NewsWire's node traces its own (`NW_DELIVER` and up).
 
-    /// An item was published (`a` = item key).
+    /// An item was published (`a` = the item's trace key,
+    /// `newswire::trace_key`: its publisher id and seq packed so that small
+    /// ones keep the record short).
     pub const NW_PUBLISH: u8 = 48;
-    /// An item was delivered to the application (`a` = item key,
+    /// An item was delivered to the application (`a` = its trace key,
     /// `b` = publish→deliver latency in µs).
     pub const NW_DELIVER: u8 = 49;
-    /// A tree hand-off was armed, awaiting ack (`a` = message id,
+    /// A tree hand-off was armed, awaiting ack (`a` = the item's trace key,
     /// `b` = the representative).
     pub const HANDOFF_ARM: u8 = 50;
-    /// A hand-off ack arrived (`a` = message id, `b` = the representative
-    /// that acked).
+    /// A hand-off ack arrived (`a` = the item's trace key, `b` = the
+    /// representative that acked).
     pub const HANDOFF_ACK: u8 = 51;
-    /// A hand-off retried the same representative (`a` = message id,
-    /// `b` = the representative).
+    /// A hand-off retried the same representative (`a` = the item's trace
+    /// key, `b` = the representative).
     pub const HANDOFF_RETRY: u8 = 52;
-    /// A hand-off failed over to the next representative (`a` = message id,
-    /// `b` = the new representative).
+    /// A hand-off failed over to the next representative (`a` = the item's
+    /// trace key, `b` = the new representative).
     pub const HANDOFF_FAILOVER: u8 = 53;
-    /// A hand-off was abandoned to anti-entropy (`a` = message id,
+    /// A hand-off was abandoned to anti-entropy (`a` = the item's trace key,
     /// `b` = the last representative tried).
     pub const HANDOFF_ABANDON: u8 = 54;
     // 55 was the margin probe's request, 56 the named pull's reply.
@@ -160,10 +162,10 @@ pub mod kind {
     pub const PROBATION_HOLD: u8 = 69;
     // 70 was the delivery chain's named pull.
     /// A `Deliver` went unacknowledged for a round-trip bound and was sent
-    /// again (`a` = message id, `b` = the member).
+    /// again (`a` = the item's trace key, `b` = the member).
     pub const DELIVER_RESEND: u8 = 71;
     /// An announce went unacknowledged for its wait and the payload was
-    /// sent in its place (`a` = message id, `b` = the member).
+    /// sent in its place (`a` = the item's trace key, `b` = the member).
     pub const ANNOUNCE_PAYLOAD: u8 = 72;
 
     /// Stable lowercase name of a kind (used in exports).

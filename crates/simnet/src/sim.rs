@@ -333,18 +333,17 @@ impl<N: Node> Simulation<N> {
                     let size = msg.wire_size();
                     {
                         let mut hub = hub.borrow_mut();
-                        if let Some(c) = hub.node_mut(id.index()) {
-                            c.ctr_add(ctr::MSGS_SENT, 1);
-                            c.ctr_add(ctr::BYTES_SENT, size as u64);
-                            // `bytes_sent` always prices full payloads;
-                            // `bytes_wire` is what the delta accounting
-                            // model says actually crossed the wire. Only
-                            // tallied with delta accounting on, so a
-                            // deltas-off run carries no such counter (zero
-                            // counters are skipped by every exporter).
-                            if self.delta_accounting {
-                                c.ctr_add(ctr::BYTES_WIRE, msg.compressed_wire_size() as u64);
-                            }
+                        hub.node_ctr_add(id.index(), ctr::MSGS_SENT, 1);
+                        hub.node_ctr_add(id.index(), ctr::BYTES_SENT, size as u64);
+                        // `bytes_sent` always prices full payloads;
+                        // `bytes_wire` is what the delta accounting model
+                        // says actually crossed the wire. Only tallied with
+                        // delta accounting on, so a deltas-off run carries
+                        // no such counter (zero counters are skipped by
+                        // every exporter).
+                        if self.delta_accounting {
+                            let wire = msg.compressed_wire_size() as u64;
+                            hub.node_ctr_add(id.index(), ctr::BYTES_WIRE, wire);
                         }
                     }
                     match self.net.route(id, to, &mut self.slots[li].route_rng) {
@@ -368,9 +367,7 @@ impl<N: Node> Simulation<N> {
                         RouteOutcome::Drop(cause) => {
                             let mut hub = hub.borrow_mut();
                             hub.global_mut().ctr_add(drop_cause_slot(cause), 1);
-                            if let Some(c) = hub.node_mut(to.index()) {
-                                c.ctr_add(ctr::MSGS_LOST, 1);
-                            }
+                            hub.node_ctr_add(to.index(), ctr::MSGS_LOST, 1);
                             hub.trace_at(
                                 self.now.as_micros(),
                                 id.0,
@@ -407,18 +404,13 @@ impl<N: Node> Simulation<N> {
         match kind_ev {
             EventKind::Deliver { from, to, msg, size } => {
                 if self.slots.get(to.index()).is_none_or(|s| s.down) {
-                    let mut hub = hub.borrow_mut();
-                    if let Some(c) = hub.node_mut(to.index()) {
-                        c.ctr_add(ctr::MSGS_LOST, 1);
-                    }
+                    hub.borrow_mut().node_ctr_add(to.index(), ctr::MSGS_LOST, 1);
                     return;
                 }
                 {
                     let mut hub = hub.borrow_mut();
-                    if let Some(c) = hub.node_mut(to.index()) {
-                        c.ctr_add(ctr::MSGS_RECV, 1);
-                        c.ctr_add(ctr::BYTES_RECV, size as u64);
-                    }
+                    hub.node_ctr_add(to.index(), ctr::MSGS_RECV, 1);
+                    hub.node_ctr_add(to.index(), ctr::BYTES_RECV, size as u64);
                     hub.trace_at(
                         self.now.as_micros(),
                         to.0,
@@ -437,9 +429,7 @@ impl<N: Node> Simulation<N> {
                 if self.slots[node.index()].down {
                     return; // timers expiring while down are lost
                 }
-                if let Some(c) = hub.borrow_mut().node_mut(node.index()) {
-                    c.ctr_add(ctr::TIMERS_FIRED, 1);
-                }
+                hub.borrow_mut().node_ctr_add(node.index(), ctr::TIMERS_FIRED, 1);
                 self.dispatch_callback(hub, node, Callback::Timer { timer: id, tag });
             }
             EventKind::Crash(node) => {
@@ -463,10 +453,8 @@ impl<N: Node> Simulation<N> {
                     // unsynced write is destroyed.
                     let lost = self.slots[li].disk.crash();
                     if lost > 0 {
-                        let mut hub = hub.borrow_mut();
-                        if let Some(c) = hub.node_mut(node.index()) {
-                            c.ctr_add(ctr::DISK_WRITES_LOST, lost as u64);
-                        }
+                        let lost = lost as u64;
+                        hub.borrow_mut().node_ctr_add(node.index(), ctr::DISK_WRITES_LOST, lost);
                     }
                 }
             }
@@ -836,14 +824,15 @@ impl<N: Node> Simulation<N> {
     /// Panics if `id` is out of range.
     pub fn counters(&self, id: NodeId) -> TrafficCounters {
         let hub = self.hub.borrow();
-        let m = hub.node(id.index()).expect("node id out of range");
+        assert!(id.index() < hub.node_count(), "node id out of range");
+        let read = |slot: obs::CtrId| hub.node_counter(id.index(), slot);
         TrafficCounters {
-            msgs_sent: m.ctr(ctr::MSGS_SENT),
-            bytes_sent: m.ctr(ctr::BYTES_SENT),
-            msgs_recv: m.ctr(ctr::MSGS_RECV),
-            bytes_recv: m.ctr(ctr::BYTES_RECV),
-            msgs_lost: m.ctr(ctr::MSGS_LOST),
-            timers_fired: m.ctr(ctr::TIMERS_FIRED),
+            msgs_sent: read(ctr::MSGS_SENT),
+            bytes_sent: read(ctr::BYTES_SENT),
+            msgs_recv: read(ctr::MSGS_RECV),
+            bytes_recv: read(ctr::BYTES_RECV),
+            msgs_lost: read(ctr::MSGS_LOST),
+            timers_fired: read(ctr::TIMERS_FIRED),
         }
     }
 

@@ -12,6 +12,8 @@
 #   scripts/ledger.sh telemetry check # fail if `telemetry_dump 42` moved from it
 #   scripts/ledger.sh experiments write  # regenerate ledger/experiments_quick.txt
 #   scripts/ledger.sh experiments check  # fail if any quick-mode table cell moved
+#   scripts/ledger.sh footprint write    # regenerate ledger/footprint.txt
+#   scripts/ledger.sh footprint check    # fail if any structure's bytes moved
 #
 # Builds this tree's `benchmark` package and runs one `--child --seed 1
 # --trace 1` repetition of each workload (the interface `scripts/ab.sh`
@@ -50,9 +52,17 @@
 # Host columns (E19's wall s, events/s and peak RSS) print with a `~` mark
 # and are neither kept nor compared, nor are the `[… took]` lines. The
 # suite's report goes to stdout as it runs, so its own asserts still gate.
+#
+# The footprint ledger is `footprint_census 1`: the heap bytes each
+# structure of `gossip_cold_start`'s deployment holds at the end of a seed-1
+# run (agent records, tables, detectors, level records, caches, the rare
+# state's boxes, contacts, the per-node telemetry columns and the trace
+# ring), summed over nodes and per node. They are computed from lengths and
+# capacities, so a change that grows or shrinks a structure shows as a
+# diff naming it; one meant to move nothing leaves the file byte-identical.
 set -euo pipefail
-usage="usage: $0 write|check|table|panel write|panel check|examples write|examples check|telemetry write|telemetry check|experiments write|experiments check"
-if [ $# -eq 2 ] && { [ "$1" = panel ] || [ "$1" = examples ] || [ "$1" = telemetry ] || [ "$1" = experiments ]; } \
+usage="usage: $0 write|check|table|panel write|panel check|examples write|examples check|telemetry write|telemetry check|experiments write|experiments check|footprint write|footprint check"
+if [ $# -eq 2 ] && { [ "$1" = panel ] || [ "$1" = examples ] || [ "$1" = telemetry ] || [ "$1" = experiments ] || [ "$1" = footprint ]; } \
   && { [ "$2" = write ] || [ "$2" = check ]; }; then
   mode=$1-$2
 elif [ $# -eq 1 ] && { [ "$1" = write ] || [ "$1" = check ] || [ "$1" = table ]; }; then
@@ -100,6 +110,23 @@ if [ "$mode" = examples-write ] || [ "$mode" = examples-check ]; then
     echo "examples: all $(ls "$dir" | wc -l) example outputs unchanged"
   fi
   exit "$failed"
+fi
+
+if [ "$mode" = footprint-write ] || [ "$mode" = footprint-check ]; then
+  cargo build --release --offline --quiet --manifest-path "$root/Cargo.toml" --example footprint_census
+  bin=${CARGO_TARGET_DIR:-$root/target}/release/examples/footprint_census
+  file=$root/ledger/footprint.txt
+  if [ "$mode" = footprint-write ]; then
+    "$bin" 1 > "$file"
+    echo "wrote $file"
+    exit 0
+  fi
+  if ! "$bin" 1 | diff -u "$file" -; then
+    echo "footprint: a structure's bytes differ from $file (- committed, + this tree)" >&2
+    exit 1
+  fi
+  echo "footprint: every structure's bytes unchanged"
+  exit 0
 fi
 
 if [ "$mode" = telemetry-write ] || [ "$mode" = telemetry-check ]; then

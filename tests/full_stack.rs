@@ -245,7 +245,7 @@ fn forwarding_log_traces_an_item() {
     d.publish(SimTime::from_secs(60), item.clone());
     d.settle(20);
 
-    let msg_id = newswire::msg_id_of(item.id);
+    let key = newswire::trace_key(item.id);
     let publisher = d.publisher_node(PublisherId(0)).0;
     let hub = d.sim.telemetry();
     let hub = hub.borrow();
@@ -253,17 +253,17 @@ fn forwarding_log_traces_an_item() {
     let trace = hub.ring().ordered();
     let news = |k: u8| trace.iter().filter(move |e| e.layer == Layer::News && e.kind == k);
     // The publisher traces its publish, then one armed hand-off per
-    // representative: `a` is the message id, `b` the representative, and
+    // representative: `a` is the item's trace key, `b` the representative, and
     // an ack names the pair it settles (the first of a zone's
     // representatives to ack settles the zone).
-    let published: Vec<_> = news(kind::NW_PUBLISH).filter(|e| e.a == msg_id).collect();
+    let published: Vec<_> = news(kind::NW_PUBLISH).filter(|e| e.a == key).collect();
     assert_eq!(published.len(), 1, "one publish");
     assert_eq!(published[0].node, publisher);
     let at_publisher = |k: u8| {
         news(k)
             .filter(|e| e.node == publisher)
             .inspect(|e| {
-                assert_eq!(e.a, msg_id, "{}: a is the message id", kind::name(k));
+                assert_eq!(e.a, key, "{}: a is the item's trace key", kind::name(k));
                 assert!(e.t_us > published[0].t_us, "{} follows the publish", kind::name(k));
             })
             .map(|e| e.b)
@@ -276,7 +276,7 @@ fn forwarding_log_traces_an_item() {
     assert!(!acked.is_empty() && acked.is_subset(&armed), "b is the representative");
     // Every subscriber that has the article traced its delivery, once.
     let mut delivered: Vec<u32> =
-        news(kind::NW_DELIVER).filter(|e| e.a == msg_id).map(|e| e.node).collect();
+        news(kind::NW_DELIVER).filter(|e| e.a == key).map(|e| e.node).collect();
     delivered.sort_unstable();
     let holders: Vec<u32> = d.delivered_nodes(&item).iter().map(|n| n.0).collect();
     assert!(!holders.is_empty());

@@ -511,9 +511,13 @@ fn counter_totals_survive_a_snapshot_and_not_a_drain() {
 
 /// A run whose trace ring wraps many times over exports exactly the records
 /// an unpacked ring of 32-byte slots kept: the newest 1,000, oldest first.
-/// The hash was taken from a build that stored the ring unpacked. The
-/// window holds gossip records, whose fields fit the ring's short form,
-/// and NewsWire deliveries, whose 64-bit message ids take the long one.
+/// The hash was first taken from a build that stored the ring unpacked,
+/// and re-taken when article records began naming their item by its trace
+/// key, as the last 1,000 records of the same run with a ring that never
+/// wraps. The window holds gossip records and NewsWire deliveries; most fit
+/// the ring's short form, and one with a field past it (a step of more than
+/// 8.19 ms from the block's previous record, a latency over 2^20 µs) takes
+/// the long one.
 #[test]
 fn a_wrapped_ring_exports_the_records_an_unpacked_ring_kept() {
     let mut d = tech_news_deployment(40, 0xD3A);
@@ -543,7 +547,7 @@ fn a_wrapped_ring_exports_the_records_an_unpacked_ring_kept() {
     );
     assert_eq!(
         sha256_hex(t.events_csv().as_bytes()),
-        "63f74365743dc580cad551d371f569ea000981f31b41cd7252b3603e893e44bc"
+        "94ac41b4cc19ea67488b786a4d0e300e58d16e894fc1b9551ac4ec51f0a6a414"
     );
 }
 
