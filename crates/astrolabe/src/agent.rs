@@ -962,8 +962,8 @@ impl Agent {
         }
         if level == 0 && label != self.own_label(0) {
             let incar = row.incarnation();
-            let seen = rare.and_then(|r| r.incar_seen.get(usize::from(label)).copied());
-            let seen = seen.unwrap_or(0);
+            let seen =
+                rare.and_then(|r| r.incar_seen.get(usize::from(label))).copied().unwrap_or(0);
             if incar < seen {
                 return Fence::Closed;
             }
