@@ -80,7 +80,7 @@ mod proptests {
         #[test]
         fn dedup_single_admission(ids in proptest::collection::vec(0u64..50, 1..100)) {
             let mut w = CoverageWindow::new(1000);
-            let mut first = std::collections::HashSet::new();
+            let mut first = std::collections::BTreeSet::new();
             for id in ids {
                 prop_assert_eq!(w.admit(id, 0), first.insert(id));
             }

@@ -1,7 +1,7 @@
 //! Structural invariants of the `route` computation, checked against a
 //! converged agent population (synchronous rounds, no network effects).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use amcast::{route, Action, FilterSpec};
 use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
@@ -43,7 +43,7 @@ fn route_actions_satisfy_structural_invariants() {
             let actions = route(agent, &filter, &ZoneId::root(), k, &mut rng);
             assert!(!actions.is_empty(), "agent {} produced no actions", agent.id());
 
-            let mut forwards_per_zone: HashMap<ZoneId, Vec<u32>> = HashMap::new();
+            let mut forwards_per_zone: BTreeMap<ZoneId, Vec<u32>> = BTreeMap::new();
             let mut local = 0;
             for a in &actions {
                 match a {

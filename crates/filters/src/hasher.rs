@@ -31,6 +31,16 @@ pub fn base_hashes(data: &[u8]) -> (u64, u64) {
     (h1, h2)
 }
 
+/// A fixed mix of a 64-bit key for hash tables whose layout must not depend
+/// on a per-process seed: the high half folded into the low, then
+/// multiplied by 2^64/φ (Fibonacci hashing), so keys that differ only in
+/// their low bits or only in their high bits spread over the product's high
+/// bits. Take a table slot from the high bits, `(mix(k) as u128 * len) >>
+/// 64`, not the low.
+pub fn mix(key: u64) -> u64 {
+    (key ^ key >> 32).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 /// The `i`-th derived hash of the Kirsch–Mitzenmacher family.
 pub fn derived(h1: u64, h2: u64, i: u32) -> u64 {
     h1.wrapping_add(h2.wrapping_mul(u64::from(i)))
@@ -57,6 +67,15 @@ mod tests {
     fn second_hash_is_odd() {
         for s in [&b"a"[..], b"bb", b"ccc", b""] {
             assert_eq!(base_hashes(s).1 & 1, 1);
+        }
+    }
+
+    #[test]
+    fn mix_spreads_low_and_high_bit_keys_over_the_top_bits() {
+        let slot = |k: u64| ((u128::from(mix(k)) * 64) >> 64) as u64;
+        for keys in [(0..32).collect::<Vec<u64>>(), (0..32).map(|n| n << 40).collect()] {
+            let slots: std::collections::BTreeSet<u64> = keys.iter().map(|&k| slot(k)).collect();
+            assert!(slots.len() >= 24, "{} slots of 64 for 32 keys", slots.len());
         }
     }
 

@@ -24,7 +24,7 @@ mod hasher;
 pub use bitarray::BitArray;
 pub use bitmask::CategoryMask;
 pub use bloom::{positions, BloomFilter};
-pub use hasher::{base_hashes, derived, fnv1a, fnv1a_seeded};
+pub use hasher::{base_hashes, derived, fnv1a, fnv1a_seeded, mix};
 
 #[cfg(test)]
 mod proptests {

@@ -61,114 +61,238 @@ impl Default for CachePolicy {
 /// article's arrival time and its `(key, signature)` proof, so a signature
 /// lives exactly as long as the article it vouches for.
 ///
-/// Entries sit in two parallel vectors sorted by id: a node takes each
-/// publisher's articles mostly in seq order, so an insert is most often an
-/// append, and a flat entry costs its own 48 bytes instead of a tree
-/// node's share.
+/// Entries sit on one [`Shelf`] per publisher, sorted by seq: a node takes
+/// each publisher's articles mostly in seq order, so an insert is most
+/// often an append. An entry costs 33 bytes with no padding — a 32-byte
+/// row of its seq, handle, arrival and signature, and a byte naming its
+/// signer among the shelf's few keys in a column beside the rows. Iteration
+/// runs shelf by shelf, in publisher order, so it visits entries in id
+/// order.
 #[derive(Debug)]
 pub struct MessageCache {
     policy: CachePolicy,
-    /// Cached ids, ascending; `entries[i]` belongs to `keys[i]`. The ids
-    /// are kept beside the articles so a lookup never reads through a
-    /// handle.
-    keys: Vec<ItemId>,
-    entries: Vec<(Arc<NewsItem>, SimTime, Proof)>,
-    /// Latest cached revision per story: one index per publisher, by
-    /// publisher, each a key-sorted list of `(key, seq)` — 16 bytes a story.
-    /// The key is [`slug_key`], a 64-bit hash of `(publisher, slug)`, so
-    /// neither an entry nor a lookup owns a `String`. Every hit is confirmed
-    /// against the cached item's slug.
-    latest_by_slug: Vec<(PublisherId, Vec<(u64, u64)>)>,
+    /// One shelf per publisher with an article cached, ascending by
+    /// publisher; an emptied shelf is dropped.
+    shelves: Vec<Shelf>,
+    /// Entries over every shelf.
+    len: usize,
     /// Lower bound on the arrival time of every cached item: while it is
     /// younger than `max_age` there is nothing for [`Self::gc`] to scan for.
     oldest: SimTime,
 }
 
+/// One publisher's cached articles: `entries[i]` is signed by
+/// `signers.get(i)`.
+#[derive(Debug)]
+struct Shelf {
+    publisher: PublisherId,
+    /// Ascending by seq.
+    entries: Vec<Entry>,
+    signers: Signers,
+    /// Latest cached revision per story, a key-sorted list of `(key, seq)`
+    /// — 16 bytes a story. The key is [`slug_key`], a 64-bit hash of
+    /// `(publisher, slug)`, so neither an entry nor a lookup owns a
+    /// `String`. Every hit is confirmed against the cached item's slug, and
+    /// every seq names an entry of this shelf.
+    stories: Vec<(u64, u64)>,
+}
+
+/// A cached article: four 8-byte fields, so a row has no padding.
+#[derive(Debug)]
+struct Entry {
+    seq: u64,
+    item: Arc<NewsItem>,
+    arrival: SimTime,
+    signature: Signature,
+}
+
+/// The signer column of a [`Shelf`].
+#[derive(Debug)]
+enum Signers {
+    /// A byte per entry indexing the shelf's keys: a publisher signs under
+    /// one key at a time and rotates rarely.
+    Indexed { keys: Vec<KeyId>, at: Vec<u8> },
+    /// A key per entry, once a shelf has met more keys than a byte indexes.
+    Direct(Vec<KeyId>),
+}
+
+impl Signers {
+    fn get(&self, i: usize) -> KeyId {
+        match self {
+            Signers::Indexed { keys, at } => keys[usize::from(at[i])],
+            Signers::Direct(column) => column[i],
+        }
+    }
+
+    fn insert(&mut self, i: usize, key: KeyId) {
+        if let Signers::Indexed { keys, at } = self {
+            let index = keys.iter().position(|&k| k == key).unwrap_or(keys.len());
+            if let Ok(index) = u8::try_from(index) {
+                if usize::from(index) == keys.len() {
+                    keys.reserve_exact(1);
+                    keys.push(key);
+                }
+                at.insert(i, index);
+                return;
+            }
+            *self = Signers::Direct(at.iter().map(|&k| keys[usize::from(k)]).collect());
+        }
+        if let Signers::Direct(column) = self {
+            column.insert(i, key);
+        }
+    }
+
+    fn remove(&mut self, i: usize) {
+        match self {
+            Signers::Indexed { at, .. } => {
+                at.remove(i);
+            }
+            Signers::Direct(column) => {
+                column.remove(i);
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        match self {
+            Signers::Indexed { keys, at } => keys.capacity() * size_of::<KeyId>() + at.capacity(),
+            Signers::Direct(column) => column.capacity() * size_of::<KeyId>(),
+        }
+    }
+}
+
+impl Shelf {
+    fn new(publisher: PublisherId) -> Self {
+        Shelf {
+            publisher,
+            entries: Vec::new(),
+            signers: Signers::Indexed { keys: Vec::new(), at: Vec::new() },
+            stories: Vec::new(),
+        }
+    }
+
+    /// Where `seq` is cached (`Ok`), or where it would be inserted.
+    fn find(&self, seq: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&seq, |e| e.seq)
+    }
+
+    fn proof(&self, at: usize) -> Proof {
+        (self.signers.get(at), self.entries[at].signature)
+    }
+
+    /// Where the story `key` sits in the slug index (`Ok`), or would.
+    fn story_slot(&self, key: u64) -> Result<usize, usize> {
+        self.stories.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    /// The latest cached revision of the story at `slot` of the slug
+    /// index, if it is the story `slug`.
+    fn latest_at(&self, slot: usize, slug: &str) -> Option<&NewsItem> {
+        let at = self.find(self.stories[slot].1).ok()?;
+        let item = &self.entries[at].item;
+        // A colliding key is a different story, not an earlier telling.
+        (item.slug == slug).then_some(&**item)
+    }
+
+    fn insert_at(&mut self, at: usize, item: Arc<NewsItem>, now: SimTime, proof: Proof) {
+        let (seq, signature) = (item.id.seq, proof.1);
+        self.entries.insert(at, Entry { seq, item, arrival: now, signature });
+        self.signers.insert(at, proof.0);
+    }
+
+    /// Removes the entry at `at`, leaving the slug index as it is;
+    /// returns its handle.
+    fn take_at(&mut self, at: usize) -> Arc<NewsItem> {
+        self.signers.remove(at);
+        self.entries.remove(at).item
+    }
+
+    /// Removes the entry at `at`, and the slug index's pointer to it.
+    fn remove_at(&mut self, at: usize) {
+        let item = self.take_at(at);
+        if let Ok(s) = self.story_slot(slug_key(self.publisher, &item.slug)) {
+            if self.stories[s].1 == item.id.seq {
+                self.stories.remove(s);
+            }
+        }
+    }
+
+    /// Removes every entry `doomed` picks by arrival and signer; returns
+    /// how many.
+    fn remove_where(&mut self, doomed: impl Fn(SimTime, KeyId) -> bool) -> usize {
+        let before = self.entries.len();
+        let mut at = 0;
+        while at < self.entries.len() {
+            if doomed(self.entries[at].arrival, self.signers.get(at)) {
+                self.remove_at(at);
+            } else {
+                at += 1;
+            }
+        }
+        before - self.entries.len()
+    }
+
+    fn heap_bytes(&self) -> (usize, usize) {
+        use std::mem::size_of;
+        let entries = self.entries.capacity() * size_of::<Entry>() + self.signers.heap_bytes();
+        (entries, self.stories.capacity() * size_of::<(u64, u64)>())
+    }
+}
+
 impl MessageCache {
     /// Creates an empty cache under `policy`.
     pub fn new(policy: CachePolicy) -> Self {
-        MessageCache {
-            policy,
-            keys: Vec::new(),
-            entries: Vec::new(),
-            latest_by_slug: Vec::new(),
-            oldest: SimTime::MAX,
-        }
+        MessageCache { policy, shelves: Vec::new(), len: 0, oldest: SimTime::MAX }
     }
 
     /// Number of cached items.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     /// True when the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
     }
 
-    /// Where `id` is cached (`Ok`), or where it would be inserted. Ids are
-    /// compared as one integer each: the derived field-by-field order
-    /// branches per probe and made a lookup slower than the map's.
-    fn find(&self, id: ItemId) -> Result<usize, usize> {
-        let order = |id: &ItemId| (u128::from(id.publisher.0) << 64) | u128::from(id.seq);
-        let want = order(&id);
-        self.keys.binary_search_by(|k| order(k).cmp(&want))
+    /// Where `publisher`'s shelf is (`Ok`), or would be inserted.
+    fn shelf_at(&self, publisher: PublisherId) -> Result<usize, usize> {
+        self.shelves.binary_search_by_key(&publisher, |s| s.publisher)
     }
 
-    /// `publisher`'s slug index; empty when none of its stories is cached.
-    fn stories(&self, publisher: PublisherId) -> &[(u64, u64)] {
-        match self.latest_by_slug.binary_search_by_key(&publisher, |&(p, _)| p) {
-            Ok(at) => &self.latest_by_slug[at].1,
-            Err(_) => &[],
-        }
+    /// `publisher`'s shelf, if it has an article cached.
+    fn shelf(&self, publisher: PublisherId) -> Option<&Shelf> {
+        self.shelf_at(publisher).ok().map(|s| &self.shelves[s])
     }
 
-    /// `publisher`'s slug index, made when it has none.
-    fn stories_mut(&mut self, publisher: PublisherId) -> &mut Vec<(u64, u64)> {
-        let at = match self.latest_by_slug.binary_search_by_key(&publisher, |&(p, _)| p) {
-            Ok(at) => at,
-            Err(at) => {
-                self.latest_by_slug.insert(at, (publisher, Vec::new()));
-                at
-            }
-        };
-        &mut self.latest_by_slug[at].1
-    }
-
-    /// Where the story `key` sits in `publisher`'s slug index (`Ok`), or
-    /// would.
-    fn slug_slot(&self, publisher: PublisherId, key: u64) -> Result<usize, usize> {
-        self.stories(publisher).binary_search_by_key(&key, |&(k, _)| k)
+    /// The shelf and the column position where `id` is cached.
+    fn find(&self, id: ItemId) -> Option<(&Shelf, usize)> {
+        let shelf = self.shelf(id.publisher)?;
+        shelf.find(id.seq).ok().map(|at| (shelf, at))
     }
 
     /// Whether `id` is currently cached.
     pub fn contains(&self, id: ItemId) -> bool {
-        self.find(id).is_ok()
+        self.find(id).is_some()
     }
 
     /// A cached item by id.
     pub fn get(&self, id: ItemId) -> Option<&Arc<NewsItem>> {
-        self.find(id).ok().map(|at| &self.entries[at].0)
+        self.find(id).map(|(shelf, at)| &shelf.entries[at].item)
     }
 
     /// A cached item by id, with its proof.
     pub(crate) fn get_signed(&self, id: ItemId) -> Option<(&Arc<NewsItem>, Proof)> {
-        self.find(id).ok().map(|at| (&self.entries[at].0, self.entries[at].2))
+        self.find(id).map(|(shelf, at)| (&shelf.entries[at].item, shelf.proof(at)))
     }
 
     /// The latest cached revision of `publisher`'s story `slug`, if any
     /// (the delta-encoding baseline lookup).
     pub fn latest_for_slug(&self, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
-        let slot = self.slug_slot(publisher, slug_key(publisher, slug)).ok()?;
-        self.latest_at(slot, publisher, slug)
-    }
-
-    /// [`Self::latest_for_slug`] with the story's slot in the publisher's
-    /// slug index already in hand.
-    fn latest_at(&self, slot: usize, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
-        let item = self.get(ItemId::new(publisher, self.stories(publisher)[slot].1))?;
-        // A colliding key is a different story, not an earlier telling.
-        (item.slug == slug).then_some(&**item)
+        let shelf = self.shelf(publisher)?;
+        let slot = shelf.story_slot(slug_key(publisher, slug)).ok()?;
+        shelf.latest_at(slot, slug)
     }
 
     /// Baseline hints for the revisions of `publisher`'s stories this cache
@@ -176,9 +300,13 @@ impl MessageCache {
     /// delta-encode its reply. Sorted by key (the slug index's own order)
     /// and capped at `cap` so the request stays small.
     pub fn baselines(&self, publisher: PublisherId, cap: usize) -> Vec<amcast::BaselineHint> {
-        self.stories(publisher)
+        let Some(shelf) = self.shelf(publisher) else {
+            return Vec::new();
+        };
+        shelf
+            .stories
             .iter()
-            .filter_map(|&(key, seq)| self.get(ItemId::new(publisher, seq)).map(|item| (key, item)))
+            .filter_map(|&(key, seq)| shelf.find(seq).ok().map(|at| (key, &shelf.entries[at].item)))
             .map(|(key, item)| amcast::BaselineHint {
                 key,
                 revision: item.revision,
@@ -204,76 +332,67 @@ impl MessageCache {
         proof: Proof,
         now: SimTime,
     ) -> CacheOutcome {
+        let (publisher, seq) = (item.id.publisher, item.id.seq);
+        let s = self.shelf_at(publisher).unwrap_or_else(|s| {
+            // A node hears from a few publishers: no slack for more.
+            self.shelves.reserve_exact(1);
+            self.shelves.insert(s, Shelf::new(publisher));
+            s
+        });
+        let shelf = &mut self.shelves[s];
         // Arrivals run in seq order: check the append before searching.
-        let mut at = match self.keys.last() {
-            Some(&last) if last >= item.id => match self.find(item.id) {
+        let mut at = match shelf.entries.last() {
+            Some(last) if last.seq >= seq => match shelf.find(seq) {
                 Ok(_) => return CacheOutcome::Duplicate,
                 Err(at) => at,
             },
-            _ => self.keys.len(),
+            _ => shelf.entries.len(),
         };
         let mut outcome = CacheOutcome::Stored;
-        let (publisher, key) = (item.id.publisher, slug_key(item.id.publisher, &item.slug));
-        let slot = self.slug_slot(publisher, key);
-        let prev = slot.ok().and_then(|s| self.latest_at(s, publisher, &item.slug));
-        if let Some((prev_id, prev_revision)) = prev.map(|p| (p.id, p.revision)) {
+        let key = slug_key(publisher, &item.slug);
+        let slot = shelf.story_slot(key);
+        let prev = slot.ok().and_then(|k| shelf.latest_at(k, &item.slug));
+        if let Some((prev_seq, prev_revision)) = prev.map(|p| (p.id.seq, p.revision)) {
             if prev_revision >= item.revision {
                 // We already hold a newer (or equal) telling of this
                 // story; keep it and drop the stale revision.
                 return CacheOutcome::Obsolete;
             }
             // Fuse: the new revision replaces the old one.
-            let gone = self.find(prev_id).expect("the slug index names a cached item");
-            self.keys.remove(gone);
-            self.entries.remove(gone);
+            let gone = shelf.find(prev_seq).expect("the slug index names a cached item");
+            shelf.take_at(gone);
+            self.len -= 1;
             at -= usize::from(gone < at);
             outcome = CacheOutcome::Fused;
         }
-        let stories = self.stories_mut(publisher);
         match slot {
-            Ok(s) => stories[s].1 = item.id.seq,
-            Err(s) => stories.insert(s, (key, item.id.seq)),
+            Ok(k) => shelf.stories[k].1 = seq,
+            Err(k) => shelf.stories.insert(k, (key, seq)),
         }
-        self.keys.insert(at, item.id);
-        self.entries.insert(at, (item, now, proof));
+        shelf.insert_at(at, item, now, proof);
+        self.len += 1;
         self.oldest = self.oldest.min(now);
-        if self.keys.len() > self.policy.max_items {
+        if self.len > self.policy.max_items {
             // Evict the oldest-received item, the first in id order among
             // equals (one insert grows the cache by at most one).
-            let victim =
-                (0..self.entries.len()).min_by_key(|&i| self.entries[i].1).expect("non-empty");
-            self.remove_at(victim);
+            let (_, s, at) = self
+                .shelves
+                .iter()
+                .enumerate()
+                .flat_map(|(s, shelf)| {
+                    shelf.entries.iter().enumerate().map(move |(at, e)| (e.arrival, s, at))
+                })
+                .min_by_key(|&(t, ..)| t)
+                .expect("non-empty");
+            self.shelves[s].remove_at(at);
+            self.len -= 1;
+            self.drop_empty_shelves();
         }
         outcome
     }
 
-    /// Removes the entry at `at`, and the slug index's pointer to it.
-    fn remove_at(&mut self, at: usize) {
-        let id = self.keys.remove(at);
-        let (item, ..) = self.entries.remove(at);
-        if let Ok(s) = self.slug_slot(id.publisher, slug_key(id.publisher, &item.slug)) {
-            let stories = self.stories_mut(id.publisher);
-            if stories[s].1 == id.seq {
-                stories.remove(s);
-            }
-        }
-    }
-
-    /// Removes every entry `doomed` picks; returns how many.
-    fn remove_where(
-        &mut self,
-        doomed: impl Fn(&ItemId, &(Arc<NewsItem>, SimTime, Proof)) -> bool,
-    ) -> usize {
-        let before = self.keys.len();
-        let mut at = 0;
-        while at < self.keys.len() {
-            if doomed(&self.keys[at], &self.entries[at]) {
-                self.remove_at(at);
-            } else {
-                at += 1;
-            }
-        }
-        before - self.keys.len()
+    fn drop_empty_shelves(&mut self) {
+        self.shelves.retain(|shelf| !shelf.entries.is_empty());
     }
 
     /// Evicts `id` unconditionally, bypassing policy. Used by the
@@ -282,17 +401,27 @@ impl MessageCache {
     /// must not be served to repair or reconcile peers. Returns whether the
     /// item was present.
     pub fn purge(&mut self, id: ItemId) -> bool {
-        let at = self.find(id);
-        if let Ok(at) = at {
-            self.remove_at(at);
-        }
-        at.is_ok()
+        let Ok(s) = self.shelf_at(id.publisher) else {
+            return false;
+        };
+        let Ok(at) = self.shelves[s].find(id.seq) else {
+            return false;
+        };
+        self.shelves[s].remove_at(at);
+        self.len -= 1;
+        self.drop_empty_shelves();
+        true
     }
 
     /// Purges every item `publisher` signed under `key`; returns how many.
     pub(crate) fn purge_signed_by(&mut self, publisher: PublisherId, key: KeyId) -> u64 {
-        self.remove_where(|id, (.., (signer, _))| id.publisher == publisher && *signer == key)
-            as u64
+        let Ok(s) = self.shelf_at(publisher) else {
+            return 0;
+        };
+        let n = self.shelves[s].remove_where(|_, signer| signer == key);
+        self.len -= n;
+        self.drop_empty_shelves();
+        n as u64
     }
 
     /// Garbage-collects items older than the policy's `max_age`.
@@ -302,43 +431,52 @@ impl MessageCache {
         if self.oldest.as_micros() >= cutoff {
             return 0;
         }
-        let n = self.remove_where(|_, (_, at, _)| at.as_micros() < cutoff);
-        self.oldest = self.entries.iter().map(|(_, at, _)| *at).min().unwrap_or(SimTime::MAX);
+        let n: usize = self
+            .shelves
+            .iter_mut()
+            .map(|shelf| shelf.remove_where(|at, _| at.as_micros() < cutoff))
+            .sum();
+        self.len -= n;
+        self.drop_empty_shelves();
+        let arrivals =
+            self.shelves.iter().flat_map(|shelf| shelf.entries.iter().map(|e| e.arrival));
+        self.oldest = arrivals.min().unwrap_or(SimTime::MAX);
         n
     }
 
     /// The most recent `limit` items across publishers (the XML-RPC
     /// `newswire.latest` feed).
     pub fn snapshot(&self, limit: usize) -> Vec<Arc<NewsItem>> {
-        let mut all: Vec<(&SimTime, &Arc<NewsItem>)> =
-            self.entries.iter().map(|(item, at, _)| (at, item)).collect();
-        all.sort_by_key(|(at, _)| std::cmp::Reverse(**at));
+        let mut all: Vec<(SimTime, &Arc<NewsItem>)> = self
+            .shelves
+            .iter()
+            .flat_map(|shelf| shelf.entries.iter().map(|e| (e.arrival, &e.item)))
+            .collect();
+        all.sort_by_key(|&(at, _)| std::cmp::Reverse(at));
         all.into_iter().take(limit).map(|(_, item)| Arc::clone(item)).collect()
     }
 
     /// Heap bytes the entries and the slug index have allocated, capacity
-    /// included: `(entries, slug index)`.
+    /// included: `(entries, slug index)`. The shelves' own records count as
+    /// entries.
     pub(crate) fn heap_bytes(&self) -> (usize, usize) {
-        use std::mem::size_of;
-        let entries = self.keys.capacity() * size_of::<ItemId>()
-            + self.entries.capacity() * size_of::<(Arc<NewsItem>, SimTime, Proof)>();
-        let slugs = self.latest_by_slug.capacity() * size_of::<(PublisherId, Vec<(u64, u64)>)>()
-            + self
-                .latest_by_slug
-                .iter()
-                .map(|(_, s)| s.capacity() * size_of::<(u64, u64)>())
-                .sum::<usize>();
-        (entries, slugs)
+        let records = self.shelves.capacity() * std::mem::size_of::<Shelf>();
+        self.shelves
+            .iter()
+            .map(Shelf::heap_bytes)
+            .fold((records, 0), |(e, s), (de, ds)| (e + de, s + ds))
     }
 
     /// Iterates over cached items, in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<NewsItem>> {
-        self.entries.iter().map(|(item, ..)| item)
+        self.shelves.iter().flat_map(|shelf| shelf.entries.iter().map(|e| &e.item))
     }
 
     /// Iterates over cached items with their proofs, in id order.
     pub(crate) fn iter_signed(&self) -> impl Iterator<Item = (&Arc<NewsItem>, Proof)> {
-        self.entries.iter().map(|(item, _, proof)| (item, *proof))
+        self.shelves.iter().flat_map(|shelf| {
+            shelf.entries.iter().enumerate().map(|(at, e)| (&e.item, shelf.proof(at)))
+        })
     }
 }
 
@@ -348,7 +486,7 @@ impl Default for MessageCache {
     }
 }
 
-/// The cache as it was kept in two maps before [`MessageCache`] went flat:
+/// The cache as it was kept in two maps before [`MessageCache`] took vectors:
 /// the reference the differential test drives in lockstep.
 #[cfg(test)]
 mod model {
@@ -639,12 +777,13 @@ mod tests {
             snap.iter().map(|i| i.id.seq).collect::<Vec<_>>()
         );
     }
-    /// Ids the differential test draws from: two publishers, 24 seqs each.
+    /// Ids the differential test draws from: three publishers, 24 seqs
+    /// each, so shelves open and empty before, between and after others.
     fn any_id(n: u64) -> ItemId {
-        ItemId::new(PublisherId((n / 24 % 2) as u16), n % 24)
+        ItemId::new(PublisherId((n / 24 % 3) as u16), n % 24)
     }
 
-    /// Drives the flat cache and the map model through `ops` in lockstep,
+    /// Drives the shelved cache and the map model through `ops` in lockstep,
     /// comparing every query after every operation. Returns the outcomes
     /// the inserts produced, one bit per [`CacheOutcome`].
     fn drive_against_model(max_items: usize, ops: &[(u8, u64, u64)]) -> u8 {
@@ -672,7 +811,7 @@ mod tests {
                 }
                 8 => assert_eq!(cache.purge(any_id(a)), model.purge(any_id(a))),
                 _ => {
-                    let (publisher, key) = (PublisherId((a % 2) as u16), KeyId(1 + b % 2));
+                    let (publisher, key) = (PublisherId((a % 3) as u16), KeyId(1 + b % 2));
                     let ours = cache.purge_signed_by(publisher, key);
                     assert_eq!(ours, model.purge_signed_by(publisher, key));
                 }
@@ -681,11 +820,11 @@ mod tests {
             let held = |it: (&Arc<NewsItem>, Proof)| (it.0.id, it.1);
             let ours: Vec<_> = cache.iter_signed().map(held).collect();
             assert_eq!(ours, model.iter_signed().map(held).collect::<Vec<_>>());
-            for n in 0..48 {
+            for n in 0..72 {
                 let id = any_id(n);
                 assert_eq!(cache.get_signed(id).map(held), model.get_signed(id).map(held));
             }
-            for publisher in [PublisherId(0), PublisherId(1)] {
+            for publisher in [PublisherId(0), PublisherId(1), PublisherId(2)] {
                 for slug in ["s0", "s1", "s2", "s3"] {
                     let id = |it: Option<&NewsItem>| it.map(|it| it.id);
                     assert_eq!(
@@ -712,8 +851,39 @@ mod tests {
         assert_eq!(drive_against_model(2, &ops), 0b1111);
     }
 
+    #[test]
+    fn an_entry_is_a_32_byte_row_and_a_signer_byte() {
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+        // A shelf's own record, paid once per publisher a node hears from.
+        assert!(std::mem::size_of::<Shelf>() <= 104, "{} B", std::mem::size_of::<Shelf>());
+    }
+
+    #[test]
+    fn a_shelf_that_meets_more_signers_than_a_byte_names_keeps_every_proof() {
+        // 300 keys on one shelf: past the 256th the signer column holds keys.
+        let policy = CachePolicy { max_items: 280, ..CachePolicy::default() };
+        let (mut cache, mut model) = (MessageCache::new(policy), model::MapCache::new(policy));
+        for seq in 0..300u64 {
+            let it = Arc::new(item(4, seq, &format!("s{seq}"), 0));
+            let proof = (KeyId(seq % 290), Signature(seq));
+            let outcome = cache.insert_signed(Arc::clone(&it), proof, t(seq));
+            assert_eq!(outcome, model.insert_signed(it, proof, t(seq)));
+        }
+        assert!(matches!(cache.shelves[0].signers, Signers::Direct(_)));
+        for key in [0, 5, 289, 300] {
+            let (ours, theirs) = (
+                cache.purge_signed_by(PublisherId(4), KeyId(key)),
+                model.purge_signed_by(PublisherId(4), KeyId(key)),
+            );
+            assert_eq!(ours, theirs, "key {key}");
+        }
+        let held = |it: (&Arc<NewsItem>, Proof)| (it.0.id, it.1);
+        let ours: Vec<_> = cache.iter_signed().map(held).collect();
+        assert_eq!(ours, model.iter_signed().map(held).collect::<Vec<_>>());
+    }
+
     proptest::proptest! {
-        /// The flat cache answers every query as the map-backed cache it
+        /// The shelved cache answers every query as the map-backed cache it
         /// replaced does, after every operation of a seeded sequence that
         /// stores, duplicates, fuses, obsoletes, evicts, ages out and
         /// purges.

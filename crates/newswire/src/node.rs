@@ -2235,7 +2235,7 @@ mod tests {
         let mut n = node_with(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
         n.handle_delivery(SimTime::from_secs(2), Admitted::unverified(tech_item(3)), true);
-        assert!(n.deliveries.get(0).is_some_and(|d| d.via_repair));
+        assert!(n.deliveries.iter().next().is_some_and(|d| d.via_repair));
     }
 
     #[test]

@@ -8,8 +8,8 @@ use super::NewsWireNode;
 /// structure counts its handles, not what they point to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Footprint {
-    /// The message cache's entries: each id beside its article handle,
-    /// arrival time and proof.
+    /// The message cache's entries: each seq beside its article handle,
+    /// arrival time, signature and signer, on one shelf per publisher.
     pub cache: usize,
     /// The cache's slug index.
     pub slug_index: usize,

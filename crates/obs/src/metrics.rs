@@ -498,9 +498,9 @@ impl MetricSet {
 /// columns: for each slot some node touched, one array indexed by node id
 /// (a histogram's holds each node's buckets back to back). A simulation
 /// touches a few dozen slots, most of them on every node, so a slot costs
-/// 8 bytes a node in one allocation, where a [`MetricSet`] per node cost
-/// five vectors and up to six allocations each, and a dense counter array
-/// as long as the highest slot that node touched.
+/// 8 bytes a node (a histogram bucket 4) in one allocation, where a
+/// [`MetricSet`] per node cost five vectors and up to six allocations each,
+/// and a dense counter array as long as the highest slot that node touched.
 ///
 /// A column is allocated at its slot's first touch, as long as the node
 /// count, and grows with it; untouched slots cost an empty `Vec` each, once
@@ -510,7 +510,9 @@ pub(crate) struct NodeColumns {
     nodes: usize,
     counters: Vec<Vec<u64>>,
     gauges: Vec<Vec<u64>>,
-    hists: Vec<Vec<u64>>,
+    /// Bucket counts, saturating at `u32::MAX`: a node records a handful of
+    /// values a gossip round.
+    hists: Vec<Vec<u32>>,
     series: Vec<Vec<Vec<u64>>>,
 }
 
@@ -544,13 +546,13 @@ impl NodeColumns {
 
     /// Slot `slot`'s column of `len` values, allocated on first touch.
     #[inline]
-    fn column(cols: &mut Vec<Vec<u64>>, slot: usize, len: usize) -> &mut [u64] {
+    fn column<T: Copy + Default>(cols: &mut Vec<Vec<T>>, slot: usize, len: usize) -> &mut [T] {
         if slot >= cols.len() {
             cols.resize_with(slot + 1, Vec::new);
         }
         let col = &mut cols[slot];
         if col.is_empty() {
-            *col = vec![0; len];
+            *col = vec![T::default(); len];
         }
         col
     }
@@ -625,12 +627,14 @@ impl NodeColumns {
         if node < self.nodes {
             let (slot, width) = (id.0 as usize, hist_width(id.0 as usize));
             let b = hist::EDGES[slot].partition_point(|&e| e <= v);
-            Self::column(&mut self.hists, slot, self.nodes * width)[node * width + b] += 1;
+            let count =
+                &mut Self::column(&mut self.hists, slot, self.nodes * width)[node * width + b];
+            *count = count.saturating_add(1);
         }
     }
 
     /// `node`'s buckets of a histogram slot (empty if no node recorded one).
-    fn hist_buckets(&self, node: usize, slot: usize) -> &[u64] {
+    fn hist_buckets(&self, node: usize, slot: usize) -> &[u32] {
         let width = hist_width(slot);
         self.hists.get(slot).and_then(|c| c.get(node * width..(node + 1) * width)).unwrap_or(&[])
     }
@@ -680,7 +684,7 @@ impl NodeColumns {
             hists: (0..self.hists.len())
                 .map(|s| (hist::NAMES[s], self.hist_buckets(node, s)))
                 .filter(|(_, h)| h.iter().any(|&b| b != 0))
-                .map(|(name, h)| (name, h.to_vec()))
+                .map(|(name, h)| (name, h.iter().map(|&b| u64::from(b)).collect()))
                 .collect(),
             series: (0..self.series.len())
                 .map(|s| (series::NAMES[s], self.series(node, SeriesId(s as u16))))
@@ -692,19 +696,20 @@ impl NodeColumns {
 
     /// Zeroes every slot of every node, keeping the columns.
     pub(crate) fn reset(&mut self) {
-        for col in self.counters.iter_mut().chain(&mut self.gauges).chain(&mut self.hists) {
+        for col in self.counters.iter_mut().chain(&mut self.gauges) {
             col.fill(0);
         }
+        self.hists.iter_mut().for_each(|col| col.fill(0));
         self.series.iter_mut().flatten().for_each(Vec::clear);
     }
 
     /// Heap bytes of the columns, from their capacities.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let cols = |cols: &Vec<Vec<u64>>| {
-            cols.capacity() * size_of::<Vec<u64>>()
-                + cols.iter().map(|c| c.capacity() * size_of::<u64>()).sum::<usize>()
-        };
+        fn cols<T>(cols: &Vec<Vec<T>>) -> usize {
+            cols.capacity() * size_of::<Vec<T>>()
+                + cols.iter().map(|c| c.capacity() * size_of::<T>()).sum::<usize>()
+        }
         cols(&self.counters)
             + cols(&self.gauges)
             + cols(&self.hists)
@@ -897,6 +902,20 @@ mod tests {
             let total: u64 = model.iter().map(|m| m.gauge(GaugeId(slot))).sum();
             assert_eq!(cols.gauge_total(GaugeId(slot)), total, "gauge {slot}");
         }
+    }
+
+    #[test]
+    fn a_nodes_bucket_count_saturates() {
+        let mut cols = NodeColumns::default();
+        cols.grow(2);
+        let h = hist::GOSSIP_DIFF_ROWS;
+        cols.hist_record(1, h, 3);
+        let at = hist_width(h.0 as usize) + hist::EDGES[h.0 as usize].partition_point(|&e| e <= 3);
+        cols.hists[h.0 as usize][at] = u32::MAX - 1;
+        cols.hist_record(1, h, 3);
+        cols.hist_record(1, h, 3);
+        let (_, buckets) = &cols.node_metrics(1).hists[0];
+        assert_eq!(buckets.iter().sum::<u64>(), u64::from(u32::MAX));
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn a_full_ring_of_long_records_costs_no_more_than_an_unpacked_one() {
 /// A hub's per-node metrics are one column per touched slot: 2,000 nodes
 /// that each bump the engine's five traffic counters and six gossip
 /// counters, set a gauge and record into both histograms hold 8 B a slot
-/// and 8 B a bucket per node, 272 B in all, plus each slot table's
+/// and 4 B a bucket per node, 184 B in all, plus each slot table's
 /// headers once. `node_metrics_heap_bytes` agrees with the allocator.
 #[test]
 fn per_node_metrics_cost_eight_bytes_a_touched_slot_per_node() {
@@ -92,5 +92,5 @@ fn per_node_metrics_cost_eight_bytes_a_touched_slot_per_node() {
     });
     assert_eq!(hub.node_metrics_heap_bytes() as i64, live, "heap bytes agree with the allocator");
     let per_node = live as f64 / NODES as f64;
-    assert!(per_node <= 272.0 + 2.0, "{per_node:.1} B a node");
+    assert!(per_node <= 184.0 + 2.0, "{per_node:.1} B a node");
 }

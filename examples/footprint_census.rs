@@ -1,18 +1,22 @@
-//! Footprint census: what each structure of an Astrolabe-only deployment
-//! holds once it has converged, in bytes, summed over nodes and per node.
+//! Footprint census: what each structure of three deployments holds, in
+//! bytes, summed over nodes and per node.
 //!
-//! The deployment is `gossip_cold_start`'s shape: 2,560 agents at
-//! branching 16, three random bootstrap contacts each, polled every 100 ms
-//! until every root table counts the whole membership, then 30 simulated
-//! seconds of steady state. Every figure is computed from lengths and
-//! capacities (`Agent::footprint()`, the telemetry hub's per-node columns,
-//! `TraceRing::heap_bytes()`), so the output is a pure function of the seed;
-//! `scripts/ledger.sh footprint check` compares seed 1 with
-//! `ledger/footprint.txt`.
+//! The first is `gossip_cold_start`'s shape, Astrolabe alone: 2,560 agents
+//! at branching 16, three random bootstrap contacts each, polled every
+//! 100 ms until every root table counts the whole membership, then 30
+//! simulated seconds of steady state. The other two are `publish_steady`'s
+//! and `lossy_revisions`' NewsWire deployments (302 nodes at branching 8,
+//! `newswire_repro::census`), read at the end of the drain, when a node's
+//! per-article bookkeeping is at its largest. Every figure is computed from
+//! lengths and capacities (`Agent::footprint()`, `NewsWireNode::footprint()`,
+//! the telemetry hub's per-node columns, `TraceRing::heap_bytes()`), so the
+//! output is a pure function of the seed; `scripts/ledger.sh footprint
+//! check` compares seed 1 with `ledger/footprint.txt`.
 //!
 //! Run with: `cargo run --release --example footprint_census [seed]`
 
 use astrolabe::{Agent, AstroNode, Config, Footprint, ZoneLayout};
+use newswire_repro::census::{self, Shape};
 use rand::Rng;
 use simnet::{fork, NetworkModel, NodeId, SimDuration, SimTime, Simulation};
 
@@ -91,4 +95,24 @@ fn main() {
     }
     let total: usize = rows.iter().map(|(_, b)| b).sum();
     println!("total {total} {:.1}", per_node(total));
+
+    for shape in [Shape::PublishSteady, Shape::LossyRevisions] {
+        let sim = census::run(shape, census::SUBSCRIBERS, seed);
+        let nodes = sim.iter().count();
+        println!(
+            "# {}: {nodes} NewsWire nodes at branching {}, seed {seed}, read at {:.0} sim-s, \
+             the end of the drain",
+            shape.name(),
+            census::BRANCHING,
+            sim.now().as_secs_f64()
+        );
+        println!("# <structure> <bytes over all nodes> <bytes per node>");
+        let rows = census::rows(shape, &sim);
+        let per_node = |bytes: usize| bytes as f64 / nodes as f64;
+        for (name, bytes) in &rows {
+            println!("{name} {bytes} {:.1}", per_node(*bytes));
+        }
+        let total: usize = rows.iter().map(|(_, b)| b).sum();
+        println!("{}.total {total} {:.1}", shape.name(), per_node(total));
+    }
 }

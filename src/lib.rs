@@ -28,6 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod census;
+
 pub use amcast;
 pub use astrolabe;
 pub use baselines;
