@@ -50,8 +50,7 @@ pub const SUBSCRIBERS: u32 = 300;
 pub const BRANCHING: u16 = 8;
 const SETTLE: SimDuration = SimDuration::from_secs(90);
 const PUBLISH_WINDOW: SimDuration = SimDuration::from_secs(60);
-/// How long the run goes on after the last publication.
-pub const DRAIN: SimDuration = SimDuration::from_secs(30);
+const DRAIN: SimDuration = SimDuration::from_secs(30);
 const ARTICLES: usize = 240;
 const STORIES: u32 = 40;
 const REVISIONS: u32 = 6;
