@@ -15,12 +15,15 @@
 //! one more row crashes one representative of every leaf zone but the
 //! publisher's once the shipped arm's final hops have been measured clean,
 //! so the members it sent payloads to hold the other representative's
-//! announce instead (DESIGN §6).
+//! announce instead (DESIGN §6), and a second one crashes, in each of those
+//! zones, the representative that holds the first new article's one
+//! payload once the hand-offs have been measured clean too, so its
+//! co-representative holds only an announce.
 
 use std::collections::{BTreeSet, HashSet};
 
 use astrolabe::AttrValue;
-use newswire::{Deployment, NewsWireConfig};
+use newswire::{msg_id_of, Deployment, NewsWireConfig};
 use obs::ctr;
 use rand::Rng;
 use simnet::{fork, NodeId, SimDuration};
@@ -102,23 +105,32 @@ fn crash_and_publish(d: &mut Deployment, n: u32, victims: &[u32], first: u64) ->
     Point { first, late, dups }
 }
 
-/// The shipped configuration, warmed: 160 articles at four a second, so
-/// that the representatives of most leaf zones have had the
-/// `SPLIT_STREAK` payloads acknowledged in a row that turn announces on.
-/// Then, in every leaf zone but the publisher's, one representative that
-/// represents no zone higher up crashes the instant five more are
-/// published: the final hop loses a payload sender, and no hand-off above
-/// it is lost. Returns the survivors' ratios and the caption's note on the
-/// run.
-fn run_warmed_rep_crash(n: u32, seed: u64) -> (Point, String) {
+/// Articles published before a warmed row's crash: at four a second, enough
+/// for the representatives of most leaf zones to have had the
+/// `SPLIT_STREAK` payloads acknowledged in a row that turn announces on, and
+/// the nodes handing leaf zones off the `HANDOFF_STREAK` hand-offs that
+/// turn one payload per zone on.
+const WARM_UP: u64 = 160;
+
+/// The shipped configuration after [`WARM_UP`] articles and a minute.
+fn warmed(n: u32, seed: u64) -> Deployment {
     let mut d = slashdot(n, NewsWireConfig::tech_news(), seed).build();
     d.settle(45);
-    let warm_up = 160;
-    for seq in 0..warm_up {
+    for seq in 0..WARM_UP {
         d.publish(d.sim.now() + SimDuration::from_millis(250 * seq), tech_item(seq));
     }
     d.settle(60);
-    let announced = d.counter(ctr::NW_ANNOUNCES);
+    d
+}
+
+/// In every leaf zone but the publisher's, the representative `pick` names
+/// given the zone's sorted representatives and those of the zones above it
+/// (a victim among them would cost a hand-off above the leaf zone).
+fn leaf_victims(
+    d: &Deployment,
+    n: u32,
+    pick: impl Fn(&[u64], &BTreeSet<u64>) -> Option<u64>,
+) -> Vec<u32> {
     let own = d.layout.leaf_zone(0);
     let mut victims = BTreeSet::new();
     let mut zones = HashSet::new();
@@ -137,25 +149,70 @@ fn run_warmed_rep_crash(n: u32, seed: u64) -> (Point, String) {
             None => BTreeSet::new(),
         };
         let higher: BTreeSet<u64> = (2..agent.levels()).flat_map(reps).collect();
-        let victim = reps(1).into_iter().find(|r| *r != 0 && !higher.contains(r));
+        let sorted: Vec<u64> = reps(1).into_iter().collect();
+        let victim = pick(&sorted, &higher);
         victims.extend(victim.and_then(|r| u32::try_from(r).ok()));
     }
-    let victims: Vec<u32> = victims.into_iter().collect();
+    victims.into_iter().collect()
+}
+
+/// Deliveries by reconcile of the articles published at the crash.
+fn repaired(d: &Deployment) -> usize {
+    let deliveries = d.sim.iter().flat_map(|(_, node)| &node.deliveries);
+    deliveries.filter(|r| r.via_repair && r.item.seq >= WARM_UP).count()
+}
+
+/// The shipped configuration, [`warmed`]. Then, in every leaf zone but the
+/// publisher's, one representative that represents no zone higher up
+/// crashes the instant five more are published: the final hop loses a
+/// payload sender, and no hand-off above it is lost. Returns the
+/// survivors' ratios and the caption's note on the run.
+fn run_warmed_rep_crash(n: u32, seed: u64) -> (Point, String) {
+    let mut d = warmed(n, seed);
+    let announced = d.counter(ctr::NW_ANNOUNCES);
+    let pick = |reps: &[u64], higher: &BTreeSet<u64>| {
+        reps.iter().copied().find(|r| *r != 0 && !higher.contains(r))
+    };
+    let victims = leaf_victims(&d, n, pick);
     let payloads = d.counter(ctr::NW_ANNOUNCE_PAYLOADS);
-    let point = crash_and_publish(&mut d, n, &victims, warm_up);
-    let repaired = d
-        .sim
-        .iter()
-        .flat_map(|(_, node)| &node.deliveries)
-        .filter(|r| r.via_repair && r.item.seq >= warm_up)
-        .count();
+    let point = crash_and_publish(&mut d, n, &victims, WARM_UP);
     let note = format!(
-        "; leaf rep, warmed = the shipped arm after {warm_up} articles, then in each other leaf \
+        "; leaf rep, warmed = the shipped arm after {WARM_UP} articles, then in each other leaf \
          zone one representative that represents no zone higher up crashed at publish ({} \
          nodes; {announced} announces sent before the crash, {} answered with the payload \
-         after it, {repaired} deliveries by reconcile)",
+         after it, {} deliveries by reconcile)",
         victims.len(),
         d.counter(ctr::NW_ANNOUNCE_PAYLOADS) - payloads,
+        repaired(&d),
+    );
+    (point, note)
+}
+
+/// The shipped configuration, [`warmed`]. Then, in every leaf zone but the
+/// publisher's, the representative that a stable hash of the first new
+/// article's id names as the holder of its one payload crashes the instant
+/// five more are published, when it represents no zone higher up: that
+/// article's co-representative holds only an announce, which runs out,
+/// and the payload sent it then covers the zone. Returns the survivors'
+/// ratios and the caption's note on the run.
+fn run_warmed_holder_crash(n: u32, seed: u64) -> (Point, String) {
+    let mut d = warmed(n, seed);
+    let announced = d.counter(ctr::NW_HANDOFF_ANNOUNCES);
+    let msg_id = msg_id_of(tech_item(WARM_UP).id);
+    let holder = |reps: &[u64], higher: &BTreeSet<u64>| {
+        let at = filters::mix(msg_id) % reps.len().max(1) as u64;
+        reps.get(at as usize).copied().filter(|r| *r != 0 && !higher.contains(r))
+    };
+    let victims = leaf_victims(&d, n, holder);
+    let payloads = d.counter(ctr::NW_HANDOFF_ANNOUNCE_PAYLOADS);
+    let point = crash_and_publish(&mut d, n, &victims, WARM_UP);
+    let note = format!(
+        "; leaf holder, warmed = the same, the crashed representative being the holder of the \
+         first new article's one payload ({} nodes; {announced} hand-off announces sent before \
+         the crash, {} answered with the payload after it, {} deliveries by reconcile)",
+        victims.len(),
+        d.counter(ctr::NW_HANDOFF_ANNOUNCE_PAYLOADS) - payloads,
+        repaired(&d),
     );
     (point, note)
 }
@@ -182,10 +239,15 @@ pub(crate) fn run(quick: bool) {
     }
     let mut warmed = String::new();
     if !quick {
-        let (point, note) = run_warmed_rep_crash(n, 0xE7);
-        let (first, late) = (format!("{:.1}", point.first), format!("{:.1}", point.late));
-        table.row(&["leaf rep, warmed", "–", "–", "–", "–", &first, &late]);
-        warmed = note;
+        for (row, run) in [
+            ("leaf rep, warmed", run_warmed_rep_crash as fn(u32, u64) -> (Point, String)),
+            ("leaf holder, warmed", run_warmed_holder_crash),
+        ] {
+            let (point, note) = run(n, 0xE7);
+            let (first, late) = (format!("{:.1}", point.first), format!("{:.1}", point.late));
+            table.row(&[row, "–", "–", "–", "–", &first, &late]);
+            warmed += &note;
+        }
     }
     table.caption(format!(
         "{n} subscribers + 1 publisher, branching 8, 5 items published the instant the \

@@ -77,7 +77,9 @@ pub use oracle::{
     Violation,
 };
 pub use subscription::{item_position_groups, ItemRow, Subscription};
-pub use wire::{msg_id_of, trace_key, Envelope, LogDigests, NewsWireMsg, SignedItem, Stub};
+pub use wire::{
+    msg_id_of, trace_key, Cover, Envelope, LogDigests, NewsWireMsg, RotationRider, SignedItem, Stub,
+};
 
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)] // drives the cache directly

@@ -37,7 +37,9 @@ use crate::deliveries::{DeliveryLog, DeliveryRecord};
 use crate::flow::TokenBucket;
 use crate::persist;
 use crate::subscription::{item_position_groups, Subscription};
-use crate::wire::{msg_id_of, trace_key, DeltaBasis, Envelope, NewsWireMsg, SignedItem, Stub};
+use crate::wire::{
+    msg_id_of, trace_key, Cover, DeltaBasis, Envelope, NewsWireMsg, SignedItem, Stub,
+};
 
 mod acks;
 mod admit;
@@ -171,12 +173,45 @@ const CLEAN_EXCHANGES: u32 = 256;
 /// variant, `PublishRequest`.
 #[derive(Debug)]
 enum Hop {
-    /// A hand-off to a representative of `zone`.
+    /// A hand-off to a representative of `zone`, covering it as the
+    /// [`Hand`] queued beside it says.
     Forward { env: Arc<Envelope>, zone: ZoneId },
     /// A delivery to a member. An announce names the node that handed the
     /// duty in; `None` sends the payload.
     Deliver { env: Arc<Envelope>, announce: Option<u32> },
 }
+
+/// A hand-off's [`Cover`], packed in four bytes to sit beside its
+/// destination in a queued copy, where the hop's alignment leaves them
+/// free: `u32::MAX` is `Shared`, `u32::MAX - 1` `Announce`, and any other
+/// value `Alone` naming that co-representative. A `Deliver` is queued with
+/// `Shared`.
+#[derive(Debug, Clone, Copy)]
+struct Hand(u32);
+
+impl Hand {
+    const SHARED: u32 = u32::MAX;
+    const ANNOUNCE: u32 = u32::MAX - 1;
+
+    fn new(cover: Cover) -> Self {
+        Hand(match cover {
+            Cover::Shared => Hand::SHARED,
+            Cover::Announce => Hand::ANNOUNCE,
+            Cover::Alone { co_rep } => co_rep.min(Hand::ANNOUNCE - 1),
+        })
+    }
+
+    fn cover(self) -> Cover {
+        match self.0 {
+            Hand::SHARED => Cover::Shared,
+            Hand::ANNOUNCE => Cover::Announce,
+            co_rep => Cover::Alone { co_rep },
+        }
+    }
+}
+
+/// What the forwarding queues hold: a copy, its destination and its cover.
+type QueuedCopy = (NodeId, Hand, Hop);
 
 /// A full NewsWire node.
 #[derive(Debug)]
@@ -191,8 +226,9 @@ pub struct NewsWireNode {
     /// The end-system message cache.
     pub cache: MessageCache,
     coverage: CoverageWindow,
-    /// Copies waiting for the wire, each with its destination.
-    queues: ForwardingQueues<(NodeId, Hop)>,
+    /// Copies waiting for the wire, each with its destination and, for a
+    /// hand-off, its cover.
+    queues: ForwardingQueues<QueuedCopy>,
     /// The one drain timer that sends the next queued copy, while any wait.
     /// A drain timer armed before a freeze may fire after the recovery armed
     /// its successor; it is not this one and does nothing.
@@ -706,14 +742,15 @@ impl NewsWireNode {
         }
     }
 
-    /// Queues `hop` for `dst`.
-    fn enqueue(&mut self, ctx: &mut Context<'_, NewsWireMsg>, dst: NodeId, hop: Hop) {
+    /// Queues `hop` for `dst`, a hand-off covering its zone as `cover`
+    /// says.
+    fn enqueue(&mut self, ctx: &mut Context<'_, NewsWireMsg>, dst: NodeId, cover: Cover, hop: Hop) {
         let (child, env) = match &hop {
             Hop::Forward { env, zone } => (zone.label().unwrap_or(0), env),
             Hop::Deliver { env, .. } => ((dst.0 % 64) as u16, env),
         };
         let priority = env.item.urgency.level();
-        self.queues.push(child, ctx.now().as_micros(), priority, (dst, hop));
+        self.queues.push(child, ctx.now().as_micros(), priority, (dst, Hand::new(cover), hop));
         obs::gauge_max!(self.agent.id(), gauge::NW_PEAK_QUEUE, self.queues.len());
         if self.drain_timer.is_none() {
             self.arm_drain(ctx);
@@ -725,8 +762,6 @@ impl NewsWireNode {
         self.drain_timer = Some(ctx.set_timer(SERVICE_INTERVAL, DRAIN_TIMER));
     }
 
-    /// The representatives of this node's leaf zone, as its parent table
-    /// lists them. `None` in a one-level tree, or before the row is known.
     /// True when this node sends `member` an announce in place of the
     /// payload (DESIGN §6): the final hop is measured clean, this node is
     /// one of at least two representatives of its leaf zone, and either
@@ -738,7 +773,7 @@ impl NewsWireNode {
         if !self.cfg.acks || !self.acks.split_on() {
             return false;
         }
-        let Some(reps) = leaf_reps(&self.agent) else { return false };
+        let Some(reps) = zone_reps_at(&self.agent, 1) else { return false };
         let me = u64::from(self.agent.id());
         if reps.len() < 2 || !reps.contains(&me) {
             return false;
@@ -750,8 +785,84 @@ impl NewsWireNode {
         reps.iter().nth(pick as usize) != Some(&me)
     }
 
+    /// The holder of a leaf zone's one payload, when this node hands `child`
+    /// one (DESIGN §6): its hand-off record is clean, and so are its gossip
+    /// exchanges — a lost copy of a shared hand-off goes unseen by the
+    /// record, its twin's ack settling both — `child` is a leaf zone below
+    /// the zone this node covers at `level` (a relay, off its path, has no
+    /// level), and none of `child`'s representatives also represents that
+    /// zone: one that does covers the leaf zone itself, beside whatever
+    /// this node hands it. A stable hash of the message id over the zone's
+    /// sorted representatives names the holder, so every sender names the
+    /// same one. Returns it with them.
+    fn single_holder(
+        &self,
+        msg_id: u64,
+        child: &ZoneId,
+        level: Option<usize>,
+    ) -> Option<(u32, Vec<u32>)> {
+        let level = level?;
+        if !self.cfg.acks
+            || !self.acks.handoff_clean()
+            || self.answered_probes < CLEAN_EXCHANGES
+            || child.depth() != self.agent.zone(0).depth()
+        {
+            return None;
+        }
+        let reps = zone_reps(&self.agent, child);
+        let duty = zone_reps_at(&self.agent, level + 1);
+        let me = u64::from(self.agent.id());
+        let covers =
+            |r: &u32| duty.is_some_and(|d| d.iter().any(|&c| c != me && c == u64::from(*r)));
+        if reps.is_empty() || reps.iter().any(covers) {
+            return None;
+        }
+        let holder = reps[(filters::mix(msg_id) % reps.len() as u64) as usize];
+        Some((holder, reps))
+    }
+
+    /// Queues the hand-off of `child` to the representatives route chose,
+    /// the `Forward` actions `chosen`: the payload to each, or — with a
+    /// single holder — the payload to the holder and an announce to each
+    /// other one.
+    fn hand_off(
+        &mut self,
+        ctx: &mut Context<'_, NewsWireMsg>,
+        env: &Arc<Envelope>,
+        child: ZoneId,
+        chosen: &[Action],
+        level: Option<usize>,
+    ) {
+        let mut chosen_reps = chosen.iter().filter_map(|a| match a {
+            Action::Forward { rep, .. } => Some(*rep),
+            _ => None,
+        });
+        let Some((holder, reps)) = self.single_holder(env.msg_id, &child, level) else {
+            for rep in chosen_reps {
+                let fwd = Hop::Forward { env: Arc::clone(env), zone: child.clone() };
+                self.enqueue(ctx, NodeId(rep), Cover::Shared, fwd);
+            }
+            return;
+        };
+        // The holder's copy names the co-representative announced to, so a
+        // holder that reads another set still sends it the article.
+        let mut announced: Vec<u32> = Vec::new();
+        for rep in chosen_reps.by_ref().chain(reps) {
+            if announced.len() + 1 < chosen.len() && rep != holder && !announced.contains(&rep) {
+                announced.push(rep);
+            }
+        }
+        let co_rep = announced.first().copied().unwrap_or(holder);
+        let fwd = Hop::Forward { env: Arc::clone(env), zone: child.clone() };
+        self.enqueue(ctx, NodeId(holder), Cover::Alone { co_rep }, fwd);
+        for rep in announced {
+            let fwd = Hop::Forward { env: Arc::clone(env), zone: child.clone() };
+            self.enqueue(ctx, NodeId(rep), Cover::Announce, fwd);
+        }
+    }
+
     /// Covers `zone` with `env`, a duty handed in by `upstream`'s `Forward`
-    /// or, with none, this publisher's own.
+    /// as `cover` says or, with none, this publisher's own.
     fn process_duty(
         &mut self,
         ctx: &mut Context<'_, NewsWireMsg>,
@@ -759,32 +870,68 @@ impl NewsWireNode {
         zone: ZoneId,
         admitted: Admitted,
         upstream: Option<u32>,
+        cover: Cover,
     ) {
         let actions = route(&self.agent, &env.filter, &zone, self.cfg.redundancy, ctx.rng());
         let now = ctx.now();
-        if actions.is_empty() && self.agent.level_of(&zone).is_none() {
+        let level = self.agent.level_of(&zone);
+        if actions.is_empty() && level.is_none() {
             // Not on our path and no relay representative known yet.
             obs::metric_add!(self.agent.id(), ctr::NW_ROUTE_FAILURES, 1);
             return;
         }
+        let alone = matches!(cover, Cover::Alone { .. });
         let mut handed_on = false;
-        for action in actions {
-            match action {
+        let mut delivered: Vec<u32> = Vec::new();
+        let mut at = 0;
+        while at < actions.len() {
+            match &actions[at] {
                 Action::DeliverLocal => {
                     self.delta_makeup(&env.item, env.basis.as_ref());
-                    self.handle_delivery(now, admitted.clone(), false)
+                    self.handle_delivery(now, admitted.clone(), false);
+                    at += 1;
                 }
-                Action::Deliver { member } => {
+                &Action::Deliver { member } => {
                     handed_on = true;
-                    let announce = upstream.filter(|_| self.announces_to(member));
+                    let announce = upstream.filter(|_| !alone && self.announces_to(member));
                     let deliver = Hop::Deliver { env: Arc::clone(&env), announce };
-                    self.enqueue(ctx, NodeId(member), deliver);
+                    self.enqueue(ctx, NodeId(member), Cover::Shared, deliver);
+                    if alone {
+                        delivered.push(member);
+                    }
+                    at += 1;
                 }
-                Action::Forward { rep, zone } => {
-                    let fwd = Hop::Forward { env: Arc::clone(&env), zone };
-                    self.enqueue(ctx, NodeId(rep), fwd);
+                Action::Forward { zone: child, .. } => {
+                    // Route lists a zone's chosen representatives back to back.
+                    let same =
+                        |a: &Action| matches!(a, Action::Forward { zone, .. } if zone == child);
+                    let run = actions[at..].iter().take_while(|a| same(a)).count();
+                    let child = child.clone();
+                    self.hand_off(ctx, &env, child, &actions[at..at + run], level);
+                    at += run;
                 }
             }
+        }
+        // The holder of a leaf zone's one payload sends it each
+        // co-representative too — those it reads and the one announced to —
+        // whatever its row says: an announce upstream waits for it to hold
+        // the article.
+        match cover {
+            Cover::Alone { co_rep } if zone == *self.agent.zone(0) => {
+                let me = self.agent.id();
+                let reps = zone_reps_at(&self.agent, 1).into_iter().flatten();
+                let mut co_reps: Vec<u32> = reps.filter_map(|&r| u32::try_from(r).ok()).collect();
+                if !co_reps.contains(&co_rep) {
+                    co_reps.push(co_rep);
+                }
+                co_reps.retain(|&r| r != me && !delivered.contains(&r));
+                for rep in co_reps {
+                    handed_on = true;
+                    let deliver = Hop::Deliver { env: Arc::clone(&env), announce: None };
+                    self.enqueue(ctx, NodeId(rep), Cover::Shared, deliver);
+                }
+            }
+            _ => {}
         }
         // Whoever handed the item to a member keeps it, so a reconcile that
         // asks this node for it is answered. Only after the loop: a copy kept
@@ -893,7 +1040,7 @@ impl NewsWireNode {
         self.absorb_attest(&attest);
         let admitted = Admitted::published(Arc::clone(&env.item), (key, signature));
         self.cache_insert(admitted.clone(), now);
-        self.process_duty(ctx, env, scope, admitted, None);
+        self.process_duty(ctx, env, scope, admitted, None, Cover::Shared);
     }
 
     /// The prelude every tree copy passes, `Forward` and `Deliver` alike:
@@ -922,17 +1069,25 @@ impl NewsWireNode {
         Some(admitted)
     }
 
-    /// An announce of `id` from `from`: the leaf zone's other representative
-    /// is sending this member the article. Nothing but the id is read —
-    /// nothing is admitted, cached, logged or delivered. An article already
-    /// held or logged is acknowledged now; otherwise the announce waits for
-    /// a tree copy (see [`NewsWireNode::hold_announce`]). One from outside
-    /// the membership has nobody to acknowledge and is dropped.
-    fn take_announce(&mut self, ctx: &mut Context<'_, NewsWireMsg>, from: NodeId, id: ItemId) {
+    /// An announce of `id` from `from`, naming `zone`: a `Deliver` one — the
+    /// leaf zone's other representative is sending this member the article
+    /// — or a hand-off one — the payload holder of this node's leaf zone is.
+    /// Nothing but the id is read — nothing is admitted, cached, logged,
+    /// delivered or covered. An article already held or logged is
+    /// acknowledged now; otherwise the announce waits for a tree copy (see
+    /// [`NewsWireNode::hold_announce`]), and the ack names this node's leaf
+    /// zone then. One from outside the membership has nobody to acknowledge
+    /// and is dropped.
+    fn take_announce(
+        &mut self,
+        ctx: &mut Context<'_, NewsWireMsg>,
+        from: NodeId,
+        id: ItemId,
+        zone: ZoneId,
+    ) {
         if !self.cfg.acks || from == NodeId::EXTERNAL || self.hold_announce(from.0, id) {
             return;
         }
-        let zone = self.agent.zone(0).clone();
         ctx.send(from, NewsWireMsg::ForwardAck { msg_id: msg_id_of(id), zone });
     }
 
@@ -1073,6 +1228,7 @@ impl NewsWireNode {
             obs::trace_event!(id, Layer::News, kind::HANDOFF_ARM, key, ack.peer);
         }
         let (msg, announce) = (ack.message(), ack.announce.is_some());
+        let handoff_announce = ack.cover == Cover::Announce;
         if !self.acks.arm(ctx.now(), ack) {
             return match msg {
                 NewsWireMsg::Deliver { env, .. } => NewsWireMsg::Deliver { env, announce: false },
@@ -1081,6 +1237,9 @@ impl NewsWireNode {
         }
         if announce {
             obs::metric_add!(id, ctr::NW_ANNOUNCES, 1);
+        }
+        if handoff_announce {
+            obs::metric_add!(id, ctr::NW_HANDOFF_ANNOUNCES, 1);
         }
         self.arm_sweep(ctx);
         msg
@@ -1105,16 +1264,30 @@ impl NewsWireNode {
         self.arm_sweep(ctx);
     }
 
-    /// `ack` went unacknowledged for its wait. The copy goes to the same
-    /// peer again, up to [`ACK_RETRIES`] times, unless a hand-off's
-    /// representative is already suspect — an announce's re-send is the
-    /// payload. Then a hand-off fails over to an untried
-    /// representative of its zone, up to [`MAX_FAILOVERS`] times, and is
-    /// abandoned after that; a `Deliver` is forgotten. Reconcile owns either
-    /// loss. What goes again is re-entered.
+    /// `ack` went unacknowledged for its wait. A hand-off announce's
+    /// co-representative never got the holder's copy: the payload goes to
+    /// it, to cover the zone alone, and its silence says nothing of it.
+    /// Otherwise the copy goes to the same peer again, up to [`ACK_RETRIES`]
+    /// times, unless a hand-off's representative is already suspect — a
+    /// `Deliver` announce's re-send is the payload. Then a hand-off fails
+    /// over to an untried representative of its zone, up to
+    /// [`MAX_FAILOVERS`] times, and is abandoned after that; a `Deliver` is
+    /// forgotten. Reconcile owns either loss. What goes again is re-entered.
     fn retry_ack(&mut self, ctx: &mut Context<'_, NewsWireMsg>, mut ack: Ack) {
         let id = self.agent.id();
         let key = trace_key(ack.env.item.id);
+        if ack.zone.is_some() {
+            self.acks.note_handoff_timeout();
+        }
+        if ack.cover == Cover::Announce {
+            (ack.cover, ack.attempt) = (Cover::Alone { co_rep: ack.peer }, ack.attempt + 1);
+            obs::metric_add!(id, ctr::NW_HANDOFF_ANNOUNCE_PAYLOADS, 1);
+            obs::trace_event!(id, Layer::News, kind::ANNOUNCE_PAYLOAD, key, ack.peer);
+            obs::metric_add!(id, ctr::NW_FORWARDS, 1);
+            ctx.send(NodeId(ack.peer), ack.message());
+            self.acks.arm(ctx.now(), ack);
+            return;
+        }
         let mut suspect = false;
         if ack.zone.is_some() {
             self.acks.note_timeout(ack.peer);
@@ -1177,9 +1350,11 @@ impl NewsWireNode {
     /// acknowledgement entry; a retry is one copy (DESIGN §6).
     fn source_copies(&self, msg: &NewsWireMsg) -> u64 {
         match (msg, &self.publisher) {
-            (NewsWireMsg::Forward { env, .. }, Some(p))
-                if p.credential.publisher() == env.item.id.publisher
-                    && self.answered_probes < CLEAN_EXCHANGES =>
+            (
+                NewsWireMsg::Forward { env, cover: Cover::Shared | Cover::Alone { .. }, .. },
+                Some(p),
+            ) if p.credential.publisher() == env.item.id.publisher
+                && self.answered_probes < CLEAN_EXCHANGES =>
             {
                 self.cfg.redundancy.max(1) as u64
             }
@@ -1623,8 +1798,8 @@ impl Node for NewsWireNode {
                 // Rider first, then row attributes: a revocation arriving
                 // with this very exchange fences its rows' attestations in
                 // the same round.
-                if let Some(rec) = rot {
-                    self.adopt_rotation(&rec);
+                if let Some(rider) = rot {
+                    self.adopt_rotation(&rider.record);
                 }
                 self.scan_rotations(&g);
                 let mut g = g;
@@ -1679,13 +1854,16 @@ impl Node for NewsWireNode {
             NewsWireMsg::PublishRequest { item, scope, predicate } => {
                 self.handle_publish(ctx, item, scope, predicate)
             }
-            NewsWireMsg::Forward { env, zone } => {
+            NewsWireMsg::Forward { env, zone, cover: Cover::Announce } => {
+                self.take_announce(ctx, from, env.item.id, zone)
+            }
+            NewsWireMsg::Forward { env, zone, cover } => {
                 let Some(admitted) = self.admit_envelope(ctx, from, &env, Some(&zone)) else {
                     return;
                 };
                 if self.coverage.admit(env.msg_id, zone.depth()) {
                     let upstream = (from != NodeId::EXTERNAL).then_some(from.0);
-                    self.process_duty(ctx, env, zone, admitted, upstream);
+                    self.process_duty(ctx, env, zone, admitted, upstream, cover);
                 } else {
                     obs::metric_add!(self.agent.id(), ctr::NW_DUPLICATES, 1);
                 }
@@ -1704,7 +1882,8 @@ impl Node for NewsWireNode {
                 }
             }
             NewsWireMsg::Deliver { env, announce: true } => {
-                self.take_announce(ctx, from, env.item.id)
+                let zone = self.agent.zone(0).clone();
+                self.take_announce(ctx, from, env.item.id, zone)
             }
             NewsWireMsg::Deliver { env, announce: false } => {
                 let Some(admitted) = self.admit_envelope(ctx, from, &env, None) else { return };
@@ -1774,8 +1953,8 @@ impl Node for NewsWireNode {
             DRAIN_TIMER => {
                 let Some(_) = self.drain_timer.take_if(|armed| *armed == t) else { return };
                 if let Some(q) = self.queues.pop() {
-                    let (dst, hop) = q.item;
-                    let ack = Ack::new(hop, dst.0, ctx.now());
+                    let (dst, hand, hop) = q.item;
+                    let ack = Ack::new(hop, hand.cover(), dst.0, ctx.now());
                     let msg = if self.cfg.acks { self.arm_ack(ctx, ack) } else { ack.message() };
                     let copies = self.source_copies(&msg);
                     for _ in 1..copies {
@@ -1948,13 +2127,14 @@ fn stub_group(model: SubscriptionModel) -> usize {
     }
 }
 
-/// The representatives of `agent`'s leaf zone, as its parent table lists
-/// them. `None` in a one-level tree, or before the row is known.
-fn leaf_reps(agent: &Agent) -> Option<&BTreeSet<u64>> {
-    if agent.levels() < 2 {
+/// The representatives of `agent`'s own zone whose row sits in its level
+/// `level` table: its leaf zone's at level 1. `None` past the root, or
+/// before the row is known.
+fn zone_reps_at(agent: &Agent, level: usize) -> Option<&BTreeSet<u64>> {
+    if level == 0 || level >= agent.levels() {
         return None;
     }
-    match agent.table(1).get(agent.own_label(1))?.get("reps") {
+    match agent.table(level).get(agent.own_label(level))?.get("reps") {
         Some(AttrValue::Set(reps)) => Some(reps),
         _ => None,
     }

@@ -1,6 +1,7 @@
 //! The acknowledgement table (DESIGN §6, §7) and every timing decision
 //! about a copy on the wire: its deadline, the sweeps, round-trip bounds,
-//! the per-peer back-off and suspicion, and the final hop's clean run.
+//! the per-peer back-off and suspicion, and the clean runs of the final hop
+//! and of the hand-offs.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::mem::size_of;
@@ -12,7 +13,7 @@ use simnet::heap::btree_map_bytes;
 use simnet::{SimDuration, SimTime};
 
 use super::{Hop, BACKOFF};
-use crate::wire::{Envelope, NewsWireMsg};
+use crate::wire::{Cover, Envelope, NewsWireMsg};
 
 /// Base timeout of an acknowledged tree hand-off, and the ceiling of every
 /// measured round-trip bound — also the answer before a peer's first round
@@ -35,6 +36,18 @@ pub(super) const MAX_PENDING_DELIVERS: usize = 256;
 /// with odds of 0.98^256 ≈ 0.6 %.
 pub(super) const SPLIT_STREAK: u32 = 256;
 
+/// First-transmission hand-offs acknowledged in a row, with none retried,
+/// failed over or announced in vain, before a node hands a leaf zone one
+/// payload (DESIGN §6). Counted apart from the final hop's run: a hand-off
+/// crosses more links, and its acks would turn the final-hop split on
+/// sooner than [`SPLIT_STREAK`]'s odds allow.
+pub(super) const HANDOFF_STREAK: u32 = 256;
+
+/// Most representatives a node remembers it still awaits the ack of, whose
+/// hand-off another representative's ack settled: each one that answers
+/// extends the hand-off record.
+pub(super) const MAX_AWAITED: usize = 16;
+
 /// Most announces a member remembers while it waits for their article; past
 /// that, the oldest is forgotten and its announcer sends the payload.
 pub(super) const MAX_HELD_ANNOUNCES: usize = 256;
@@ -54,25 +67,35 @@ pub(super) struct Ack {
     pub(super) peer: u32,
     /// The zone a hand-off covers. `None` for a `Deliver`.
     pub(super) zone: Option<ZoneId>,
+    /// How a hand-off asks its peer to cover the zone; `Shared` for a
+    /// `Deliver`.
+    pub(super) cover: Cover,
     /// Re-sends to `peer` so far.
     pub(super) attempt: u32,
     /// Representatives a hand-off failed over from.
     pub(super) tried: Vec<u32>,
     /// When the first transmission hit the wire.
     armed_at: SimTime,
-    /// For an announce, the node that handed this one the duty: the wait
-    /// covers its hand-off to the co-representative sending the payload.
+    /// For a `Deliver` announce, the node that handed this one the duty:
+    /// the wait covers its hand-off to the co-representative sending the
+    /// payload.
     pub(super) announce: Option<u32>,
 }
 
 impl Ack {
-    /// The first transmission of `hop` to `peer`, at `now`.
-    pub(super) fn new(hop: Hop, peer: u32, now: SimTime) -> Self {
-        let (env, zone, announce) = match hop {
-            Hop::Forward { env, zone } => (env, Some(zone), None),
-            Hop::Deliver { env, announce } => (env, None, announce),
+    /// The first transmission of `hop` to `peer`, at `now`; a hand-off
+    /// covering its zone as `cover` says.
+    pub(super) fn new(hop: Hop, cover: Cover, peer: u32, now: SimTime) -> Self {
+        let (env, zone, cover, announce) = match hop {
+            Hop::Forward { env, zone } => (env, Some(zone), cover, None),
+            Hop::Deliver { env, announce } => (env, None, Cover::Shared, announce),
         };
-        Ack { env, peer, zone, attempt: 0, tried: Vec::new(), armed_at: now, announce }
+        Ack { env, peer, zone, cover, attempt: 0, tried: Vec::new(), armed_at: now, announce }
+    }
+
+    /// True for an id-only copy, a `Deliver` or a hand-off announce.
+    pub(super) fn announces(&self) -> bool {
+        self.announce.is_some() || self.cover == Cover::Announce
     }
 
     /// Karn's rule: only the ack of a copy sent once, to the peer now
@@ -80,17 +103,14 @@ impl Ack {
     /// could belong to either transmission. An announce's ack times
     /// nothing: it waits on the other representative's copy.
     fn times_round_trip(&self, acked_by: u32) -> bool {
-        self.peer == acked_by
-            && self.attempt == 0
-            && self.tried.is_empty()
-            && self.announce.is_none()
+        self.peer == acked_by && self.attempt == 0 && self.tried.is_empty() && !self.announces()
     }
 
     /// The copy, to send again.
     pub(super) fn message(&self) -> NewsWireMsg {
         let env = Arc::clone(&self.env);
         match &self.zone {
-            Some(zone) => NewsWireMsg::Forward { env, zone: zone.clone() },
+            Some(zone) => NewsWireMsg::Forward { env, zone: zone.clone(), cover: self.cover },
             None => NewsWireMsg::Deliver { env, announce: self.announce.is_some() },
         }
     }
@@ -121,6 +141,14 @@ pub(super) struct Acks {
     /// First-transmission payload `Deliver`s acknowledged since this node
     /// last re-sent a `Deliver` or an announce.
     streak: u32,
+    /// The hand-off record: first-transmission hand-offs acknowledged since
+    /// this node last retried, failed over or abandoned one, or a hand-off
+    /// announce ran out.
+    handoff_run: u32,
+    /// First-transmission hand-offs settled by another representative's
+    /// ack, `(msg_id, peer)`, oldest first: the peer's own ack, when it
+    /// comes, extends the record too. At most [`MAX_AWAITED`].
+    awaited: VecDeque<(u64, u32)>,
     /// Announces of articles this node does not hold yet, `(msg_id,
     /// announcer)`, oldest first: each is acknowledged once a tree copy of
     /// its article is admitted. At most [`MAX_HELD_ANNOUNCES`].
@@ -142,6 +170,8 @@ impl Acks {
             timeouts: Vec::new(),
             delivers: 0,
             streak: 0,
+            handoff_run: 0,
+            awaited: VecDeque::new(),
             held_announces: VecDeque::new(),
         }
     }
@@ -175,14 +205,20 @@ impl Acks {
     /// Enters `ack`, sent or re-sent at `now`, due one round-trip bound to
     /// its peer later. A hand-off's timeouts back that bound off, once each
     /// (RFC 6298 §5.5); a `Deliver` feeds no per-peer count, so its re-send
-    /// waits [`BACKOFF`] bounds. An announce waits a bound to the node that
-    /// handed the duty in on top, as the co-representative's copy came by
-    /// way of it. A `Deliver` past [`MAX_PENDING_DELIVERS`] is not entered.
+    /// waits [`BACKOFF`] bounds. A `Deliver` announce waits a bound to the
+    /// node that handed the duty in on top, as the co-representative's copy
+    /// came by way of it; a hand-off announce a second bound into the
+    /// zone, which the holder's payload crossed before its copy left. A
+    /// `Deliver` past [`MAX_PENDING_DELIVERS`] is not entered.
     pub(super) fn arm(&mut self, now: SimTime, ack: Ack) -> bool {
         if ack.zone.is_none() && self.delivers >= MAX_PENDING_DELIVERS {
             return false;
         }
-        let lag = ack.announce.map_or(SimDuration::ZERO, |up| self.round_trip_bound(up));
+        let lag = match (ack.announce, ack.cover) {
+            (Some(up), _) => self.round_trip_bound(up),
+            (None, Cover::Announce) => self.round_trip_bound(ack.peer),
+            (None, Cover::Shared | Cover::Alone { .. }) => SimDuration::ZERO,
+        };
         let backoff = if ack.zone.is_some() { 1 } else { BACKOFF.pow(ack.attempt) };
         let due = now + self.round_trip_bound(ack.peer) * backoff + lag;
         self.insert(due, ack);
@@ -218,6 +254,19 @@ impl Acks {
         self.streak = 0;
     }
 
+    /// True while the hand-offs are measured clean: [`HANDOFF_STREAK`]
+    /// first-transmission hand-offs acknowledged in a row.
+    pub(super) fn handoff_clean(&self) -> bool {
+        self.handoff_run >= HANDOFF_STREAK
+    }
+
+    /// A hand-off or a hand-off announce went unacknowledged: whatever
+    /// follows — a retry, a failover, the payload, or nothing — the
+    /// hand-offs are no longer measured clean.
+    pub(super) fn note_handoff_timeout(&mut self) {
+        self.handoff_run = 0;
+    }
+
     /// The earliest deadline, when no sweep is set to go off by then: the
     /// caller sets a sweep timer for it, and the table counts it as set.
     pub(super) fn schedule_sweep(&mut self) -> Option<SimTime> {
@@ -248,9 +297,10 @@ impl Acks {
     /// first) and nothing else — a hand-off of the leaf zone to the same
     /// member awaits its own. Otherwise any ack naming a hand-off's zone
     /// settles it: to both representatives at once, and one that failed
-    /// over by a late ack from the one it left. Either kind times the round
-    /// trip where Karn's rule allows; a payload that does extends the clean
-    /// run.
+    /// over by a late ack from the one it left — but a hand-off announce
+    /// only by its own peer's, which holding the article is what it says.
+    /// Either kind times the round trip where Karn's rule allows; a copy
+    /// that does extends its hop's clean run.
     pub(super) fn settle(
         &mut self,
         id: u64,
@@ -274,18 +324,34 @@ impl Acks {
         }
         let mut settled = None;
         let mut timed = None;
+        let awaited = &mut self.awaited;
         self.entries.retain(|_, ack| {
             if ack.env.msg_id != id || ack.zone.as_ref() != Some(zone) {
+                return true;
+            }
+            if ack.cover == Cover::Announce && ack.peer != from {
                 return true;
             }
             settled = Some(ack.env.item.id);
             if ack.times_round_trip(from) {
                 timed = Some(t.saturating_since(ack.armed_at));
+            } else if ack.times_round_trip(ack.peer) {
+                if awaited.len() >= MAX_AWAITED {
+                    awaited.pop_front();
+                }
+                awaited.push_back((id, ack.peer));
             }
             false
         });
         if let Some(rtt) = timed {
+            self.handoff_run = self.handoff_run.saturating_add(1);
             self.note_rtt(from, rtt);
+        }
+        if settled.is_none() {
+            if let Some(at) = self.awaited.iter().position(|&w| w == (id, from)) {
+                self.awaited.remove(at);
+                self.handoff_run = self.handoff_run.saturating_add(1);
+            }
         }
         (settled, false)
     }
@@ -373,6 +439,8 @@ impl Acks {
         self.timeouts.clear();
         self.delivers = 0;
         self.streak = 0;
+        self.handoff_run = 0;
+        self.awaited.clear();
         self.held_announces.clear();
     }
 
@@ -385,6 +453,7 @@ impl Acks {
             + btree_map_bytes::<SimTime, ()>(self.sweeps.len(), rooted)
             + self.rtt.capacity() * size_of::<RttPeak>()
             + self.timeouts.capacity() * size_of::<(u32, u8)>()
+            + self.awaited.capacity() * size_of::<(u64, u32)>()
             + self.held_announces.capacity() * size_of::<(u64, u32)>()
     }
 }
@@ -443,6 +512,18 @@ impl Acks {
     /// Takes the final hop as measured clean.
     pub(super) fn force_split(&mut self) {
         self.streak = SPLIT_STREAK;
+    }
+
+    /// Takes the hand-offs as measured clean.
+    pub(super) fn force_handoff_clean(&mut self) {
+        self.handoff_run = HANDOFF_STREAK;
+    }
+
+    /// The hand-offs awaiting their ack: zone, peer and cover, in deadline
+    /// order.
+    pub(super) fn handoffs(&self) -> Vec<(ZoneId, u32, Cover)> {
+        let entries = self.entries.values();
+        entries.filter_map(|a| Some((a.zone.clone()?, a.peer, a.cover))).collect()
     }
 
     /// The peers backed off, with their timeout counts, by peer.
@@ -506,6 +587,7 @@ mod tests {
             env: Arc::clone(&env),
             peer: 1,
             zone: None,
+            cover: Cover::Shared,
             attempt: 0,
             tried: Vec::new(),
             armed_at,
@@ -528,6 +610,59 @@ mod tests {
         assert_eq!(acks.streak, SPLIT_STREAK, "an announce's ack leaves the run as it was");
         acks.note_resend();
         assert!(!acks.split_on(), "a re-send ends the run");
+    }
+
+    /// The hand-off record counts first-transmission hand-off acks — a
+    /// twin's too, whose hand-off the other representative's ack settled —
+    /// turns on at [`HANDOFF_STREAK`], ignores a hand-off announce's ack and
+    /// a retried copy's, and any hand-off timeout ends it. It is apart from
+    /// the final hop's run.
+    #[test]
+    fn the_hand_off_record_counts_first_transmission_acks_and_a_timeout_ends_it() {
+        let env = envelope(6);
+        let zone = ZoneId::root().child(1);
+        let now = SimTime::from_secs(1);
+        let hand_off = |peer, cover, attempt| Ack {
+            env: Arc::clone(&env),
+            peer,
+            zone: Some(zone.clone()),
+            cover,
+            attempt,
+            tried: Vec::new(),
+            armed_at: now,
+            announce: None,
+        };
+        let mut acks = table();
+        // Both representatives handed the payload; 4's ack settles both, and
+        // 5's, when it comes, counts too.
+        acks.insert(now + ACK_TIMEOUT, hand_off(4, Cover::Shared, 0));
+        acks.insert(now + ACK_TIMEOUT, hand_off(5, Cover::Shared, 0));
+        assert_eq!(acks.settle(env.msg_id, &zone, 4, now).0, Some(env.item.id));
+        assert_eq!((acks.handoff_run, acks.len()), (1, 0));
+        assert_eq!(acks.settle(env.msg_id, &zone, 5, now), (None, false));
+        assert_eq!(acks.handoff_run, 2, "the twin's ack");
+        assert_eq!(acks.settle(env.msg_id, &zone, 5, now).0, None);
+        assert_eq!(acks.handoff_run, 2, "once");
+        // The holder's ack leaves the announce to its co-representative
+        // waiting; the co-representative's settles it and counts nothing.
+        acks.insert(now + ACK_TIMEOUT, hand_off(4, Cover::Alone { co_rep: 5 }, 0));
+        acks.insert(now + ACK_TIMEOUT, hand_off(5, Cover::Announce, 0));
+        acks.settle(env.msg_id, &zone, 4, now);
+        assert_eq!((acks.handoff_run, acks.len()), (3, 1), "the announce waits for 5");
+        acks.settle(env.msg_id, &zone, 5, now);
+        assert_eq!((acks.handoff_run, acks.len()), (3, 0));
+        acks.insert(now + ACK_TIMEOUT, hand_off(4, Cover::Shared, 1));
+        acks.settle(env.msg_id, &zone, 4, now);
+        assert_eq!(acks.handoff_run, 3, "a retried copy's ack times nothing");
+        for n in 3..HANDOFF_STREAK {
+            assert!(!acks.handoff_clean(), "{n}");
+            acks.insert(now + ACK_TIMEOUT, hand_off(4, Cover::Shared, 0));
+            acks.settle(env.msg_id, &zone, 4, now);
+        }
+        assert!(acks.handoff_clean());
+        assert!(!acks.split_on(), "the final hop's run is its own");
+        acks.note_handoff_timeout();
+        assert!(!acks.handoff_clean(), "a timeout ends the record");
     }
 
     /// An acknowledgement table of node 0 in four leaf zones of four: leaf
@@ -602,6 +737,7 @@ mod tests {
             env: Arc::clone(&env),
             peer: 1,
             zone: None,
+            cover: Cover::Shared,
             attempt,
             tried: Vec::new(),
             armed_at,
@@ -652,6 +788,7 @@ mod tests {
                     env: Arc::clone(&env),
                     peer: stranger,
                     zone: hop.clone(),
+                    cover: Cover::Shared,
                     attempt: 0,
                     tried: Vec::new(),
                     armed_at: now,
@@ -678,7 +815,7 @@ mod tests {
         let bound = acks.round_trip_bound(5);
         assert_eq!(bound, SimDuration::from_millis(150), "settled: 1.25 × the peak");
         let hop = Hop::Forward { env: envelope(1), zone: ZoneId::root().child(1) };
-        assert!(acks.arm(ms(1_000), Ack::new(hop, 5, ms(1_000))));
+        assert!(acks.arm(ms(1_000), Ack::new(hop, Cover::Shared, 5, ms(1_000))));
         let resent = ms(1_000) + bound;
         let mut ack = acks.pop_due(resent).expect("due one bound after it was sent");
         acks.note_timeout(5);
@@ -703,7 +840,7 @@ mod tests {
                 for (attempt, tried) in [(0, vec![]), (1, vec![]), (0, vec![6]), (1, vec![6])] {
                     let now = ms(10_000);
                     let hop = Hop::Forward { env: envelope(1), zone: ZoneId::root().child(1) };
-                    let mut ack = Ack::new(hop, 5, ms(9_000));
+                    let mut ack = Ack::new(hop, Cover::Shared, 5, ms(9_000));
                     (ack.attempt, ack.tried) = (attempt, tried);
                     assert!(acks.arm(now, ack));
                     let ((due, _), _) = acks.entries.pop_first().expect("entered");
@@ -725,6 +862,7 @@ mod tests {
         msg: usize,
         peer: u32,
         zone: Option<usize>,
+        cover: Cover,
         attempt: u32,
         tried: Vec<u32>,
         armed_at: SimTime,
@@ -737,6 +875,7 @@ mod tests {
                 && self.attempt == 0
                 && self.tried.is_empty()
                 && self.announce.is_none()
+                && self.cover != Cover::Announce
         }
     }
 
@@ -752,13 +891,19 @@ mod tests {
         peaks: Vec<(usize, u32, u16)>,
         timeouts: Vec<(u32, u8)>,
         streak: u32,
+        /// The hand-off record, and the twins' acks it still counts:
+        /// `(article, peer)`.
+        run: u32,
+        awaited: Vec<(usize, u32)>,
         held: Vec<(u64, u32)>,
     }
 
     impl Model {
         fn new() -> Self {
             let (entries, sweeps, peaks, timeouts, held) = (vec![], vec![], vec![], vec![], vec![]);
-            Model { keys: table(), entries, armed: 0, sweeps, peaks, timeouts, streak: 0, held }
+            let (armed, streak, run, awaited) = (0, 0, 0, vec![]);
+            let keys = table();
+            Model { keys, entries, armed, sweeps, peaks, timeouts, streak, run, awaited, held }
         }
 
         fn timeouts(&self, peer: u32) -> u8 {
@@ -794,7 +939,13 @@ mod tests {
                 return false;
             }
             let resends = if e.zone.is_some() { 1 } else { 2u64.pow(e.attempt) };
-            let lag = e.announce.map_or(SimDuration::ZERO, |up| self.bound(up));
+            // A `Deliver` announce waits a bound to its upstream more, a
+            // hand-off announce a second bound into its zone.
+            let lag = match (e.announce, e.cover) {
+                (Some(up), _) => self.bound(up),
+                (None, Cover::Announce) => self.bound(e.peer),
+                _ => SimDuration::ZERO,
+            };
             self.armed += 1;
             (e.due, e.seq) = (now + self.bound(e.peer) * resends + lag, self.armed);
             self.entries.push(e);
@@ -835,19 +986,46 @@ mod tests {
                 }
                 return (false, true);
             }
-            let covered = |e: &Entry| e.msg == msg && e.zone == Some(zone);
+            // A hand-off announce is settled by its own peer's ack alone.
+            let covered = |e: &Entry| {
+                e.msg == msg
+                    && e.zone == Some(zone)
+                    && (e.cover != Cover::Announce || e.peer == from)
+            };
             let timed = order
                 .iter()
                 .rev()
                 .map(|&i| &self.entries[i])
                 .find(|e| covered(e) && e.times_round_trip(from))
                 .map(|e| now.saturating_since(e.armed_at));
+            // The other first transmissions settled along: their own acks
+            // are awaited, in table order.
+            let twins: Vec<u32> = order
+                .iter()
+                .map(|&i| &self.entries[i])
+                .filter(|e| covered(e) && !e.times_round_trip(from) && e.times_round_trip(e.peer))
+                .map(|e| e.peer)
+                .collect();
             let before = self.entries.len();
             self.entries.retain(|e| !covered(e));
             if let Some(rtt) = timed {
+                self.run = self.run.saturating_add(1);
                 self.note_rtt(from, rtt);
             }
-            (self.entries.len() < before, false)
+            let settled = self.entries.len() < before;
+            if !settled {
+                if let Some(at) = self.awaited.iter().position(|&w| w == (msg, from)) {
+                    self.awaited.remove(at);
+                    self.run = self.run.saturating_add(1);
+                }
+            }
+            for peer in twins {
+                if self.awaited.len() >= MAX_AWAITED {
+                    self.awaited.remove(0);
+                }
+                self.awaited.push((msg, peer));
+            }
+            (settled, false)
         }
 
         fn note_rtt(&mut self, peer: u32, rtt: SimDuration) {
@@ -899,6 +1077,9 @@ mod tests {
         sweep_took_two_due_at_one_instant: u32,
         deliver_cap_refused: u32,
         held_cap_dropped: u32,
+        announce_left_for_its_own_peer: u32,
+        twin_ack_extended_the_record: u32,
+        announce_ran_out_into_the_payload: u32,
     }
 
     /// Node 0's peers in the 16-node layout: leaf mates, members of the
@@ -917,6 +1098,7 @@ mod tests {
             env: Arc::clone(&envs[e.msg]),
             peer: e.peer,
             zone: e.zone.map(|z| zones[z].clone()),
+            cover: e.cover,
             attempt: e.attempt,
             tried: e.tried.clone(),
             armed_at: e.armed_at,
@@ -931,12 +1113,19 @@ mod tests {
             let peer = PEERS[usize::from(b) % PEERS.len()];
             let msg = usize::from(a) % 3;
             let zone = usize::from(a / 3) % 3;
+            // Kinds: 0 a shared hand-off, 1 a `Deliver`, 2 a `Deliver`
+            // announce, 3 a hand-off announce, 4 a holder's hand-off.
             let first = |peer, kind: u8| Entry {
                 due: now,
                 seq: 0,
                 msg,
                 peer,
-                zone: (kind == 0).then_some(zone),
+                zone: [0, 3, 4].contains(&kind).then_some(zone),
+                cover: match kind {
+                    3 => Cover::Announce,
+                    4 => Cover::Alone { co_rep: PEERS[usize::from(c) % PEERS.len()] },
+                    _ => Cover::Shared,
+                },
                 attempt: 0,
                 tried: vec![],
                 armed_at: now,
@@ -944,7 +1133,7 @@ mod tests {
             };
             match op {
                 0..=2 => {
-                    let e = first(peer, a % 3);
+                    let e = first(peer, a % 5);
                     let armed = acks.arm(now, ack_of(&e));
                     assert_eq!(armed, model.arm(now, e), "step {step}: arm");
                     assert_eq!(acks.schedule_sweep(), model.schedule_sweep(), "step {step}");
@@ -966,7 +1155,16 @@ mod tests {
                     let mates =
                         model.entries.iter().filter(|e| e.msg == msg && e.zone == Some(zone));
                     let mates = mates.map(|e| e.peer).collect::<BTreeSet<_>>().len();
+                    let others_announce = model.entries.iter().any(|e| {
+                        e.msg == msg && e.zone == Some(zone) && e.cover == Cover::Announce
+                    });
+                    let run = model.run;
                     let settled = model.settle(msg, zone, peer, now);
+                    let still = model.entries.iter().any(|e| {
+                        e.msg == msg && e.zone == Some(zone) && e.cover == Cover::Announce
+                    });
+                    seen.announce_left_for_its_own_peer += u32::from(others_announce && still);
+                    seen.twin_ack_extended_the_record += u32::from(!settled.0 && model.run > run);
                     let (handoffs, deliver) = acks.settle(msg_ids[msg], &zones[zone], peer, now);
                     assert_eq!((handoffs.is_some(), deliver), settled, "step {step}: settle");
                     seen.deliver_settled_with_a_second_copy_waiting +=
@@ -985,6 +1183,9 @@ mod tests {
                         let zone = e.zone.map(|z| zones[z].clone());
                         assert_eq!(same, (e.peer, zone, e.attempt, &e.tried), "step {step}");
                         assert_eq!((ack.armed_at, ack.announce), (e.armed_at, e.announce));
+                        assert_eq!(ack.cover, e.cover, "step {step}");
+                        seen.announce_ran_out_into_the_payload +=
+                            u32::from(e.cover == Cover::Announce);
                         taken += 1;
                         seen.sweep_took_two_due_at_one_instant += u32::from(taken == 2);
                         let Some(e) = retry(e, &mut acks, &mut model) else { continue };
@@ -1038,13 +1239,21 @@ mod tests {
                 }
                 _ => {}
             }
-            agree(&acks, &model, &ack_of, step);
+            agree(&acks, &model, &ack_of, &msg_ids, step);
         }
     }
 
     /// What `NewsWireNode::retry_ack` does with an entry whose wait ran
     /// out, applied to both tables: the entry to re-arm, if any.
     fn retry(mut e: Entry, acks: &mut Acks, model: &mut Model) -> Option<Entry> {
+        if e.zone.is_some() {
+            acks.note_handoff_timeout();
+            model.run = 0;
+        }
+        if e.cover == Cover::Announce {
+            (e.cover, e.attempt) = (Cover::Alone { co_rep: e.peer }, e.attempt + 1);
+            return Some(e);
+        }
         let mut suspect = false;
         if e.zone.is_some() {
             acks.note_timeout(e.peer);
@@ -1073,7 +1282,13 @@ mod tests {
 
     /// The table holds what the model holds, in the same order, and answers
     /// every question the node asks of it the same way.
-    fn agree(acks: &Acks, model: &Model, ack_of: &dyn Fn(&Entry) -> Ack, step: usize) {
+    fn agree(
+        acks: &Acks,
+        model: &Model,
+        ack_of: &dyn Fn(&Entry) -> Ack,
+        msg_ids: &[u64; 4],
+        step: usize,
+    ) {
         let table: Vec<_> = acks.entries.iter().collect();
         let order = model.order();
         assert_eq!(table.len(), order.len(), "step {step}: entries");
@@ -1081,12 +1296,19 @@ mod tests {
             let e = &model.entries[i];
             assert_eq!((due, seq), (e.due, e.seq), "step {step}: deadline of {e:?}");
             let want = ack_of(e);
-            let got = (ack.env.msg_id, ack.peer, &ack.zone, ack.attempt, &ack.tried);
-            assert_eq!(got, (want.env.msg_id, want.peer, &want.zone, want.attempt, &want.tried));
+            let got = (ack.env.msg_id, ack.peer, &ack.zone, ack.cover, ack.attempt, &ack.tried);
+            let want =
+                (want.env.msg_id, want.peer, &want.zone, want.cover, want.attempt, &want.tried);
+            assert_eq!(got, want, "step {step}");
             assert_eq!((ack.armed_at, ack.announce), (e.armed_at, e.announce), "step {step}");
         }
         assert_eq!((acks.len(), acks.delivers()), (order.len(), model.delivers()), "step {step}");
         assert_eq!((acks.streak, acks.split_on()), (model.streak, model.streak >= SPLIT_STREAK));
+        let clean = model.run >= HANDOFF_STREAK;
+        assert_eq!((acks.handoff_run, acks.handoff_clean()), (model.run, clean), "step {step}");
+        let awaited: Vec<(u64, u32)> =
+            model.awaited.iter().map(|&(m, p)| (msg_ids[m], p)).collect();
+        assert!(acks.awaited.iter().eq(&awaited), "step {step}: awaited twins");
         let mut sweeps = model.sweeps.clone();
         sweeps.sort();
         assert!(acks.sweeps.iter().eq(&sweeps), "step {step}: sweeps");
@@ -1130,6 +1352,9 @@ mod tests {
             seen.sweep_took_two_due_at_one_instant,
             seen.deliver_cap_refused,
             seen.held_cap_dropped,
+            seen.announce_left_for_its_own_peer,
+            seen.twin_ack_extended_the_record,
+            seen.announce_ran_out_into_the_payload,
         ];
         assert!(counts.iter().all(|&n| n > 0), "{seen:?}");
     }

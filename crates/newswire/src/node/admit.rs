@@ -20,7 +20,7 @@ use simnet::{NodeId, SimTime};
 use super::{NewsWireNode, MISBEHAVIOR_FORGED, ROT_ATTR_PREFIX};
 use crate::auth::{verify_bare_item, verify_epoch_attest, verify_item, EpochAttest};
 use crate::cache::{CacheOutcome, Proof};
-use crate::wire::Envelope;
+use crate::wire::{Envelope, RotationRider};
 
 /// Where an article offered for admission came from.
 pub(super) enum Source<'a> {
@@ -99,7 +99,7 @@ pub(super) struct Trust {
     /// Adopted rotation records, in publisher order for persistence.
     rotations: BTreeMap<PublisherId, Arc<RotationRecord>>,
     /// The record adopted last, a rider on every outgoing gossip message.
-    rotation_rider: Option<Arc<RotationRecord>>,
+    rotation_rider: Option<Arc<RotationRider>>,
     /// Newest verified epoch attestation per publisher: the authority the
     /// epoch fence trusts over neighbour consensus.
     authority: BTreeMap<PublisherId, EpochAttest>,
@@ -129,7 +129,7 @@ impl Trust {
         self.authority.get(&publisher).copied()
     }
 
-    pub(super) fn rider(&self) -> Option<Arc<RotationRecord>> {
+    pub(super) fn rider(&self) -> Option<Arc<RotationRider>> {
         self.rotation_rider.clone()
     }
 
@@ -308,9 +308,10 @@ impl NewsWireNode {
             trust.retired_certs.insert(publisher, primary);
         }
         trust.authority.retain(|&p, attest| p != publisher || attest.key != record.revoked);
+        let encoded = record.encode();
         let record = Arc::new(record.clone());
         trust.rotations.insert(publisher, Arc::clone(&record));
-        trust.rotation_rider = Some(Arc::clone(&record));
+        trust.rotation_rider = Some(Arc::new(RotationRider::new(Arc::clone(&record), &encoded)));
         // Retroactive purge: items signed by the key are unverifiable
         // history and must not be served onward. Deliveries already made
         // and the seen-log stay — the oracle accounts the exposure window.
@@ -323,7 +324,7 @@ impl NewsWireNode {
         obs::metric_add!(id, ctr::CERT_REVOCATIONS_SEEN, 1);
         let serial = u64::from(record.serial);
         obs::trace_event!(id, Layer::News, kind::CERT_REVOKED, u64::from(publisher.0), serial);
-        self.agent.set_local_attr(&format!("{ROT_ATTR_PREFIX}{}", publisher.0), record.encode());
+        self.agent.set_local_attr(&format!("{ROT_ATTR_PREFIX}{}", publisher.0), encoded);
         self.rotation_adopted_at = Some(self.clock);
         true
     }

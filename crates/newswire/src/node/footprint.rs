@@ -113,7 +113,7 @@ mod tests {
     /// slot 256 bytes.
     #[test]
     fn a_queued_copy_is_at_most_64_bytes() {
-        let slot = std::mem::size_of::<amcast::Queued<(NodeId, super::super::Hop)>>();
+        let slot = std::mem::size_of::<amcast::Queued<super::super::QueuedCopy>>();
         assert!(slot <= 64, "{slot} B a queued copy");
         assert!(std::mem::size_of::<crate::NewsWireMsg>() > 4 * slot);
     }

@@ -858,3 +858,132 @@ fn a_lossless_run_judges_no_peer_suspect() {
     }
     assert_eq!(d.counter(ctr::NW_SUSPECT_FAILOVERS), 0);
 }
+
+/// The payload holder and co-representative of /1 that the publisher of
+/// [`two_zones`], its hand-off record forced clean, names for `item`.
+fn holder_of(d: &mut Deployment, item: &NewsItem) -> (NodeId, NodeId) {
+    let publisher = d.sim.node_mut(PUBLISHER);
+    publisher.acks.force_handoff_clean();
+    let level = publisher.agent.level_of(&ZoneId::root());
+    let zone = ZoneId::root().child(1);
+    let (holder, reps) =
+        publisher.single_holder(msg_id_of(item.id), &zone, level).expect("one payload into /1");
+    let co_rep = reps.into_iter().find(|&r| r != holder).expect("two representatives");
+    (NodeId(holder), NodeId(co_rep))
+}
+
+/// With its hand-off record clean, the publisher hands leaf zone /1 one
+/// payload, for the holder, and the co-representative an announce. The
+/// holder's copy to the co-representative is lost: holding only the
+/// announce, the co-representative delivers, caches and logs nothing and
+/// leaves it unacknowledged. It acknowledges once the holder's re-send
+/// arrives, before the announce's wait runs out, so the publisher never
+/// sends it the payload.
+#[test]
+fn a_co_representative_acknowledges_a_hand_off_announce_once_it_holds_the_article() {
+    let mut d = two_zones(41);
+    let item = science_item(0);
+    let (holder, co_rep) = holder_of(&mut d, &item);
+    cut(&mut d, holder, co_rep, 60_999, 40);
+    d.publish(ms(61_000), item.clone());
+    d.sim.run_until(ms(61_035));
+    let node = d.sim.node(co_rep);
+    assert_eq!(node.held_announces(), 1, "the announce came, the holder's copy did not");
+    assert!(node.deliveries.is_empty() && !node.cache.contains(item.id));
+    let handoffs = d.sim.node(PUBLISHER).acks.handoffs();
+    assert_eq!(handoffs.len(), 1, "only the announce awaits its ack: {handoffs:?}");
+    assert_eq!((handoffs[0].1, handoffs[0].2), (co_rep.0, Cover::Announce));
+
+    d.settle(5);
+    for id in [co_rep, holder, NEIGHBOUR] {
+        assert_eq!(delivery_at(&d, id, &item).len(), 1, "{id} delivered once");
+    }
+    assert_eq!(d.sim.node(co_rep).held_announces(), 0);
+    assert_eq!(count(&d, holder, ctr::NW_DELIVER_RESENDS), 1, "the holder re-sent its copy");
+    assert_eq!(count(&d, PUBLISHER, ctr::NW_HANDOFF_ANNOUNCES), 1);
+    assert_eq!(count(&d, PUBLISHER, ctr::NW_HANDOFF_ANNOUNCE_PAYLOADS), 0, "acked in time");
+    assert_eq!(d.sim.node(PUBLISHER).unacknowledged(), 0);
+    assert!(d.sim.node(PUBLISHER).acks.handoff_clean(), "nothing timed out");
+}
+
+/// The holder crashes just before the hand-off, so nobody sends the
+/// co-representative the article: its announce runs out, the publisher
+/// sends it the payload, and it covers /1 alone — the neighbour gets its
+/// tree copy from it. The announce that ran out ends the publisher's clean
+/// record.
+#[test]
+fn an_announce_nobody_satisfies_runs_out_and_the_co_representative_covers_the_zone() {
+    let mut d = two_zones(42);
+    let item = science_item(0);
+    let (holder, co_rep) = holder_of(&mut d, &item);
+    d.sim.schedule_crash(ms(60_990), holder);
+    d.publish(ms(61_000), item.clone());
+    d.settle(5);
+    assert_eq!(count(&d, PUBLISHER, ctr::NW_HANDOFF_ANNOUNCE_PAYLOADS), 1, "the payload went");
+    assert!(!d.sim.node(PUBLISHER).acks.handoff_clean(), "the record ended");
+    for id in [co_rep, NEIGHBOUR] {
+        let got = delivery_at(&d, id, &item);
+        assert_eq!(got.len(), 1, "{id} delivered once");
+        assert!(!got[0].via_repair, "{id}: a tree copy");
+    }
+    assert!(count(&d, co_rep, ctr::NW_FORWARDS) >= 1, "the co-representative covered /1");
+    assert_eq!(count(&d, co_rep, ctr::NW_ANNOUNCES), 0, "alone: no announce");
+}
+
+/// A holder covers its zone alone: with the final-hop split forced on at
+/// both representatives of /1, it still sends the neighbour and its
+/// co-representative the payload and announces nothing, and the
+/// co-representative, handed only an announce, sends nothing. Each takes
+/// one copy.
+#[test]
+fn a_holder_sends_no_final_hop_announce() {
+    let mut d = two_zones(43);
+    for rep in [6, 7] {
+        d.sim.node_mut(NodeId(rep)).acks.force_split();
+    }
+    let item = science_item(0);
+    let (holder, co_rep) = holder_of(&mut d, &item);
+    d.publish(ms(61_000), item.clone());
+    d.settle(5);
+    assert_eq!(count(&d, holder, ctr::NW_ANNOUNCES), 0, "the holder announced nothing");
+    assert_eq!(count(&d, co_rep, ctr::NW_FORWARDS), 0, "the co-representative sent nothing");
+    assert_eq!(count(&d, PUBLISHER, ctr::NW_HANDOFF_ANNOUNCES), 1);
+    for id in [co_rep, NEIGHBOUR] {
+        assert_eq!(delivery_at(&d, id, &item).len(), 1, "{id} delivered");
+        assert_eq!(count(&d, id, ctr::NW_DUPLICATES), 0, "{id} took one copy");
+    }
+    assert_eq!(count(&d, holder, ctr::NW_DUPLICATES), 0, "one sender, one payload");
+}
+
+/// Only a leaf zone gets one payload: with its record clean, the publisher
+/// of a three-level tree hands each other top-level zone — a region — to
+/// two representatives, a payload each, and each other leaf zone of its
+/// own region to a holder, beside an announce.
+#[test]
+fn a_hand_off_into_a_zone_above_the_leaf_level_still_sends_k_payloads() {
+    let mut d = tech_tree(26);
+    d.sim.node_mut(PUBLISHER).acks.force_handoff_clean();
+    d.publish(ms(60_000), tech_item(0));
+    d.sim.run_until(ms(60_008));
+    let handoffs = d.sim.node(PUBLISHER).acks.handoffs();
+    let leaf_depth = d.sim.node(PUBLISHER).agent.zone(0).depth();
+    let (mut regions, mut leaves) = (BTreeMap::new(), BTreeMap::new());
+    for (zone, _, cover) in handoffs {
+        let of = if zone.depth() == leaf_depth { &mut leaves } else { &mut regions };
+        of.entry(zone.to_string()).or_insert_with(Vec::new).push(cover);
+    }
+    assert_eq!(regions.len(), 3, "every other region: {regions:?}");
+    for covers in regions.values() {
+        assert_eq!(covers, &[Cover::Shared, Cover::Shared], "k payloads");
+    }
+    assert_eq!(leaves.len(), 3, "every other leaf zone of the publisher's region: {leaves:?}");
+    for covers in leaves.values() {
+        assert_eq!(covers.len(), 2);
+        assert!(matches!(covers[0], Cover::Alone { .. }), "{covers:?}");
+        assert_eq!(covers[1], Cover::Announce);
+    }
+    d.settle(5);
+    for id in (1..64).map(NodeId) {
+        assert!(d.sim.node(id).has_item(tech_item(0).id), "{id} has the article");
+    }
+}

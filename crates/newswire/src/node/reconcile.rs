@@ -163,7 +163,7 @@ impl PendingReconcile {
         if asked.len() >= MAX_ASKED {
             return None;
         }
-        let mut reps: Vec<u32> = super::leaf_reps(agent)
+        let mut reps: Vec<u32> = super::zone_reps_at(agent, 1)
             .map(|reps| reps.iter().filter_map(|&r| u32::try_from(r).ok()).collect())
             .unwrap_or_default();
         reps.retain(|r| *r != agent.id() && !asked.contains(r));

@@ -7,6 +7,7 @@ use astrolabe::{Certificate, GossipMsg, KeyId, RotationRecord, Signature, ZoneId
 use filters::fnv1a;
 use newsml::cdc;
 use newsml::{ItemId, NewsItem, PublisherId};
+use obs::{ctr, CtrId};
 use simnet::Payload;
 
 use crate::auth::{EpochAttest, PublisherCredential};
@@ -188,6 +189,45 @@ pub fn msg_id_of(id: ItemId) -> u64 {
 /// that carries it.
 pub type LogDigests = Arc<[(PublisherId, RangeSummary)]>;
 
+/// A trust-root rotation record riding gossip (DESIGN §15), with the
+/// length of its encoding taken once, when the record was adopted: every
+/// gossip message carrying it is priced by that length.
+#[derive(Debug)]
+pub struct RotationRider {
+    /// The record, shared with the adopter's own list of rotations.
+    pub record: Arc<RotationRecord>,
+    /// Bytes of [`RotationRecord::encode`]'s output.
+    wire_len: usize,
+}
+
+impl RotationRider {
+    /// The rider of `record`, whose encoding is `encoded`.
+    pub fn new(record: Arc<RotationRecord>, encoded: &str) -> Self {
+        RotationRider { record, wire_len: encoded.len() }
+    }
+}
+
+/// What a hand-off asks of the representative it reaches (DESIGN §6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cover {
+    /// The payload, to cover the zone beside its other representatives,
+    /// each handed the payload too (paper §9).
+    Shared,
+    /// The payload, to cover a leaf zone alone: the receiver is the zone's
+    /// payload holder and sends every matching member and each
+    /// co-representative the payload, announcing nothing.
+    Alone {
+        /// The co-representative the sender announced the item to, which
+        /// the holder sends the payload whether or not it reads it as one
+        /// (the holder itself when there is none).
+        co_rep: u32,
+    },
+    /// Only the item's id: the zone's payload holder sends this
+    /// co-representative the article, and it acknowledges the announce once
+    /// it holds it. The sender sends the payload if no ack comes.
+    Announce,
+}
+
 /// Serialized size of one [`LogDigests`] entry: publisher id + the summary
 /// (priced as a reconcile reply prices its summary).
 const LOG_DIGEST_WIRE_SIZE: usize = 2 + 16;
@@ -207,7 +247,7 @@ pub enum NewsWireMsg {
         /// has adopted, re-announced on every gossip exchange so revocation
         /// reaches even nodes whose zone rows never carry the `sys$rot:`
         /// attribute.
-        rot: Option<Arc<RotationRecord>>,
+        rot: Option<Arc<RotationRider>>,
         /// Article-log rider: the sender's digests, on gossip to a member
         /// of its own leaf zone. `None` with anti-entropy off, before the
         /// sender has logged anything, and on gossip leaving the leaf zone.
@@ -243,6 +283,9 @@ pub enum NewsWireMsg {
         env: Arc<Envelope>,
         /// The zone the receiver must cover.
         zone: ZoneId,
+        /// How: beside the zone's other representatives, alone, or — an
+        /// announce — not at all, the item's id alone going on the wire.
+        cover: Cover,
     },
     /// Final hop to a leaf-zone member, which acknowledges it with a
     /// `ForwardAck` for its leaf zone (DESIGN §6).
@@ -335,14 +378,22 @@ impl Payload for NewsWireMsg {
         4 + match self {
             NewsWireMsg::Gossip { g, rot, digests } => {
                 g.wire_size()
-                    + rot.as_ref().map_or(0, |r| r.encode().len())
+                    + rot.as_ref().map_or(0, |r| r.wire_len)
                     + digests.as_ref().map_or(0, |d| 1 + d.len() * LOG_DIGEST_WIRE_SIZE)
             }
             NewsWireMsg::Rotate { record, credential } => {
                 record.encode().len() + credential.as_ref().map_or(0, |_| 96)
             }
             NewsWireMsg::PublishRequest { item, .. } => item.wire_size(),
-            NewsWireMsg::Forward { env, zone } => env.wire_size() + 2 * zone.depth(),
+            NewsWireMsg::Forward { zone, cover: Cover::Announce, .. } => {
+                ITEM_ID_WIRE_SIZE + 1 + 2 * zone.depth()
+            }
+            NewsWireMsg::Forward { env, zone, cover: Cover::Shared } => {
+                env.wire_size() + 2 * zone.depth()
+            }
+            NewsWireMsg::Forward { env, zone, cover: Cover::Alone { .. } } => {
+                env.wire_size() + 2 * zone.depth() + 4
+            }
             NewsWireMsg::Deliver { announce: true, .. } => ITEM_ID_WIRE_SIZE + 1,
             NewsWireMsg::Deliver { env, .. } => env.wire_size(),
             NewsWireMsg::ForwardAck { zone, .. } => 8 + 2 * zone.depth(),
@@ -373,7 +424,12 @@ impl Payload for NewsWireMsg {
         // `wire_size`, so `bytes_wire == bytes_sent` wherever no delta
         // applies.
         match self {
-            NewsWireMsg::Forward { env, zone } => 4 + env.compressed_wire_size() + 2 * zone.depth(),
+            NewsWireMsg::Forward { env, zone, cover: Cover::Shared } => {
+                4 + env.compressed_wire_size() + 2 * zone.depth()
+            }
+            NewsWireMsg::Forward { env, zone, cover: Cover::Alone { .. } } => {
+                4 + env.compressed_wire_size() + 2 * zone.depth() + 4
+            }
             NewsWireMsg::Deliver { env, announce: false } => 4 + env.compressed_wire_size(),
             NewsWireMsg::RepairReply { items } => {
                 4 + items.iter().map(|i| i.compressed_wire_size()).sum::<usize>()
@@ -387,6 +443,24 @@ impl Payload for NewsWireMsg {
             }
             other => other.wire_size(),
         }
+    }
+
+    fn byte_cause(&self) -> Option<CtrId> {
+        Some(match self {
+            NewsWireMsg::Forward { cover: Cover::Announce, .. } => ctr::BYTES_HANDOFF_ANNOUNCE,
+            NewsWireMsg::Forward { .. } => ctr::BYTES_HANDOFF,
+            NewsWireMsg::Deliver { announce: true, .. } => ctr::BYTES_DELIVER_ANNOUNCE,
+            NewsWireMsg::Deliver { .. } => ctr::BYTES_DELIVER,
+            NewsWireMsg::ForwardAck { .. } => ctr::BYTES_ACK,
+            NewsWireMsg::Gossip { .. } => ctr::BYTES_GOSSIP,
+            NewsWireMsg::ReconcileRequest { .. } | NewsWireMsg::ReconcileReply { .. } => {
+                ctr::BYTES_RECONCILE
+            }
+            NewsWireMsg::Rotate { .. }
+            | NewsWireMsg::PublishRequest { .. }
+            | NewsWireMsg::RepairRequest { .. }
+            | NewsWireMsg::RepairReply { .. } => ctr::BYTES_OTHER,
+        })
     }
 }
 
@@ -435,8 +509,8 @@ mod tests {
     #[test]
     fn article_bearing_variants_are_handle_sized() {
         use std::mem::size_of;
-        let gossip = size_of::<(GossipMsg, Option<Arc<RotationRecord>>, Option<LogDigests>)>();
-        assert!(size_of::<(Arc<Envelope>, ZoneId)>() <= gossip, "Forward");
+        let gossip = size_of::<(GossipMsg, Option<Arc<RotationRider>>, Option<LogDigests>)>();
+        assert!(size_of::<(Arc<Envelope>, ZoneId, Cover)>() <= gossip, "Forward");
         assert!(size_of::<Vec<SignedItem>>() <= gossip, "RepairReply");
         assert!(
             size_of::<(PublisherId, RangeSummary, Option<EpochAttest>, Vec<SignedItem>)>()
@@ -470,7 +544,7 @@ mod tests {
 
     /// An announce prices the header, the item id and its flag — whatever
     /// the article weighs — on both byte lanes; the payload `Deliver` keeps
-    /// the envelope's price.
+    /// the envelope's price. Each is split out of `bytes_sent` by its cause.
     #[test]
     fn an_announce_prices_the_id_and_its_flag() {
         let item = Arc::new(NewsItem::builder(PublisherId(0), 3).body_len(5000).build());
@@ -493,6 +567,20 @@ mod tests {
         assert_eq!(announce.compressed_wire_size(), announce.wire_size());
         let payload = NewsWireMsg::Deliver { env: Arc::clone(&env), announce: false };
         assert_eq!(payload.wire_size(), 4 + env.wire_size());
+        // A hand-off announce prices the same plus the zone it names; the
+        // holder's payload the co-representative it names on top.
+        let zone = ZoneId::root().child(3).child(1);
+        let hand_off =
+            |cover| NewsWireMsg::Forward { env: Arc::clone(&env), zone: zone.clone(), cover };
+        let announce = hand_off(Cover::Announce);
+        assert_eq!(announce.wire_size(), 4 + ITEM_ID_WIRE_SIZE + 1 + 2 * 2);
+        assert_eq!(announce.compressed_wire_size(), announce.wire_size());
+        let shared = hand_off(Cover::Shared);
+        assert_eq!(shared.wire_size(), 4 + env.wire_size() + 2 * 2);
+        assert_eq!(hand_off(Cover::Alone { co_rep: 9 }).wire_size(), shared.wire_size() + 4);
+        let causes = [announce, shared, payload].map(|m| m.byte_cause());
+        let want = [ctr::BYTES_HANDOFF_ANNOUNCE, ctr::BYTES_HANDOFF, ctr::BYTES_DELIVER];
+        assert_eq!(causes, want.map(Some));
     }
 
     #[test]

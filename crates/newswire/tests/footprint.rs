@@ -107,3 +107,25 @@ fn a_delivery_costs_at_most_8_bytes() {
     );
     assert!(bytes <= 8, "{bytes} B per delivery");
 }
+
+/// Pricing a gossip message that carries a rotation rider allocates
+/// nothing, on either byte lane: the rider's length was taken when the
+/// record was adopted, not formatted anew per send.
+#[test]
+fn pricing_a_rotation_rider_allocates_nothing() {
+    use astrolabe::{GossipMsg, KeyId, TrustRegistry};
+    use newswire::{NewsWireMsg, RotationRider};
+    use simnet::Payload;
+
+    let mut registry = TrustRegistry::new(7);
+    let claims = vec![("publisher".to_owned(), "0".to_owned())];
+    let (record, _) = registry.issue_rotation("p0", KeyId(1), 0, 1, claims);
+    let encoded = record.encode();
+    let rider = Arc::new(RotationRider::new(Arc::new(record), &encoded));
+    let msg = NewsWireMsg::Gossip { g: GossipMsg::empty_reply(), rot: Some(rider), digests: None };
+    let bare = NewsWireMsg::Gossip { g: GossipMsg::empty_reply(), rot: None, digests: None };
+    let (sizes, allocs) = heapcount::allocs_in(|| (msg.wire_size(), msg.compressed_wire_size()));
+    assert_eq!(allocs, 0, "pricing allocated");
+    assert_eq!(sizes.0, bare.wire_size() + encoded.len(), "the rider prices its encoding");
+    assert_eq!(sizes.1, sizes.0);
+}

@@ -295,6 +295,35 @@ pub mod ctr {
         /// Announces whose wait ran out, so the payload went (also counted
         /// in `nw_deliver_resends`).
         NW_ANNOUNCE_PAYLOADS = 103, "nw_announce_payloads";
+        // -- simnet: `bytes_sent` split by cause at the send site (a
+        //    message's `Payload::byte_cause`); a message with no cause, like
+        //    every message of a protocol that names none, is in no slot --
+        /// Hand-off payloads (`Forward` carrying the article).
+        BYTES_HANDOFF = 104, "bytes_handoff";
+        /// Hand-off announces (`Forward` naming the article by id).
+        BYTES_HANDOFF_ANNOUNCE = 105, "bytes_handoff_announce";
+        /// Final-hop payloads (`Deliver` carrying the article).
+        BYTES_DELIVER = 106, "bytes_deliver";
+        /// Final-hop announces (`Deliver` naming the article by id).
+        BYTES_DELIVER_ANNOUNCE = 107, "bytes_deliver_announce";
+        /// Acknowledgements (`ForwardAck`).
+        BYTES_ACK = 108, "bytes_ack";
+        /// Gossip as it leaves the node: the exchange, its riders and the
+        /// message header (`gossip_bytes_sent` is the exchange alone, as the
+        /// agent builds it).
+        BYTES_GOSSIP = 109, "bytes_gossip";
+        /// Reconcile requests and replies.
+        BYTES_RECONCILE = 110, "bytes_reconcile";
+        /// Everything else: rotations, publish requests, retired repair
+        /// messages.
+        BYTES_OTHER = 111, "bytes_other";
+        // -- newswire: one payload into a leaf zone on a clean record --
+        /// Id-only hand-offs to a leaf zone's co-representative, sent in
+        /// place of the payload its holder forwards.
+        NW_HANDOFF_ANNOUNCES = 112, "nw_handoff_announces";
+        /// Hand-off announces whose wait ran out, so the payload went (also
+        /// counted in `nw_forwards`).
+        NW_HANDOFF_ANNOUNCE_PAYLOADS = 113, "nw_handoff_announce_payloads";
     }
 }
 

@@ -214,6 +214,13 @@ pub trait Payload {
     fn compressed_wire_size(&self) -> usize {
         self.wire_size()
     }
+
+    /// The counter slot that splits this message's [`Payload::wire_size`]
+    /// out of `bytes_sent` by cause, tallied beside it at the send site.
+    /// `None`, the default, tallies it in no such slot.
+    fn byte_cause(&self) -> Option<obs::CtrId> {
+        None
+    }
 }
 
 impl Payload for () {

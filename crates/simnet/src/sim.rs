@@ -335,6 +335,9 @@ impl<N: Node> Simulation<N> {
                         let mut hub = hub.borrow_mut();
                         hub.node_ctr_add(id.index(), ctr::MSGS_SENT, 1);
                         hub.node_ctr_add(id.index(), ctr::BYTES_SENT, size as u64);
+                        if let Some(cause) = msg.byte_cause() {
+                            hub.node_ctr_add(id.index(), cause, size as u64);
+                        }
                         // `bytes_sent` always prices full payloads;
                         // `bytes_wire` is what the delta accounting model
                         // says actually crossed the wire. Only tallied with

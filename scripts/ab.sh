@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Interleaved A/B of one benchmark workload between two trees.
+# Interleaved A/B of one benchmark workload between two trees, or a panel
+# diff of their simulated metrics.
 #
 #   scripts/ab.sh [--from <seed>] <workload> <pairs> <A> [<dirB>]
+#   scripts/ab.sh --panel <A> [<dirB>]
 #
 # <A> is a checked-out tree or a git revision of this repository; a revision
 # is exported once (`git archive`) to target/ab/<commit> and built there.
@@ -35,9 +37,28 @@
 # (bash's `time`), with medians, quartiles and wins but no verdict: it is
 # informational, for telling host noise on `wall_s` from a cost the change
 # adds (a noisy host moves wall time more than CPU time).
+#
+# `--panel` compares the simulated metrics — every end-to-end metric whose
+# unit is simulated time, a count, bytes or a share — over seeds 101–190 of
+# both NewsWire workloads (`--child --trace 0`, the panel ledger's runs).
+# A simulated metric is a pure function of the tree and the seed, so each
+# seed is one exact comparison and no pairing is needed: per workload and
+# metric it prints on how many seeds B reads lower, equal and higher, both
+# medians, A's IQR and a verdict — `tie` (every seed equal), `worse` (B's
+# median worse by more than the metric's bound), `gain` (B better on at
+# least 81 of the 90 seeds and the medians apart by more than A's IQR: the
+# gain rule for a simulated metric) or `ok`. Host metrics are not read
+# there: they take the interleaved pairs above.
 set -euo pipefail
-usage="usage: $0 [--from <seed>] <workload> <pairs> <dirA|rev> [<dirB>]"
+usage="usage: $0 [--from <seed>] <workload> <pairs> <dirA|rev> [<dirB>] | $0 --panel <dirA|rev> [<dirB>]"
 first=101
+panel=
+if [ "${1:-}" = --panel ]; then
+  panel=1
+  shift
+  [ $# -eq 1 ] || [ $# -eq 2 ] || { echo "$usage" >&2; exit 2; }
+  set -- panel 90 "$@"
+fi
 if [ "${1:-}" = --from ]; then
   [[ ${2:-} =~ ^[0-9]+$ ]] || { echo "$usage" >&2; exit 2; }
   first=$2
@@ -67,6 +88,55 @@ bin() {
   echo "$exe"
 }
 bin_a=$(bin "$dir_a") bin_b=$(bin "$dir_b")
+
+if [ -n "$panel" ]; then
+  simulated="converged_sim_s deliver_p50_ms deliver_p99_ms deliver_p999_ms delivered_pct wire_bytes_per_delivery"
+  for w in publish_steady lossy_revisions; do
+    for seed in $(seq 101 190); do
+      "$bin_a" --child --workload "$w" --seed "$seed" --trace 0 > "$out/A.$w.$seed" &
+      "$bin_b" --child --workload "$w" --seed "$seed" --trace 0 > "$out/B.$w.$seed"
+      wait
+    done
+  done
+  python3 - "$out" "$root/BENCHMARK.json" $simulated <<'PY'
+import json, statistics, sys
+out, spec, metrics = sys.argv[1], sys.argv[2], sys.argv[3:]
+with open(spec) as f:
+    rules = {m["name"]: (m["better"] == "lower", m["bound"]) for m in json.load(f)["end_to_end"]}
+seeds = range(101, 191)
+def read(side, w, seed):
+    with open(f"{out}/{side}.{w}.{seed}") as f:
+        return {k: float(v) for k, v in (line.split() for line in f)}
+for w in ("publish_steady", "lossy_revisions"):
+    runs = {s: [read(s, w, seed) for seed in seeds] for s in "AB"}
+    print(f"\n{w}, seeds 101–190: B against A, seed by seed")
+    print(f"{'metric':<26}{'B lower':>9}{'equal':>7}{'B higher':>10}{'A median':>14}{'B median':>14}"
+          f"{'B/A':>8}{'A IQR':>12}  verdict")
+    for m in metrics:
+        a, b = ([r[m] for r in runs[s]] for s in "AB")
+        lower, bound = rules[m]
+        n = len(a)
+        below = sum(y < x for x, y in zip(a, b))
+        equal = sum(y == x for x, y in zip(a, b))
+        above = n - below - equal
+        ma, mb = statistics.median(a), statistics.median(b)
+        q = statistics.quantiles(a, n=4)
+        iqr = q[2] - q[0]
+        better = below if lower else above
+        if equal == n:
+            verdict = "tie"
+        elif (mb - ma if lower else ma - mb) > bound * abs(ma):
+            verdict = "worse"
+        elif better * 90 >= 81 * n and (mb < ma if lower else mb > ma) and abs(mb - ma) > iqr:
+            verdict = "gain"
+        else:
+            verdict = "ok"
+        ratio = mb / ma if ma else float("nan")
+        print(f"{m:<26}{f'{below}/{n}':>9}{f'{equal}/{n}':>7}{f'{above}/{n}':>10}"
+              f"{ma:>14.6g}{mb:>14.6g}{ratio:>8.4f}{iqr:>12.6g}  {verdict}")
+PY
+  exit 0
+fi
 
 run() { # side exe seed
   local TIMEFORMAT='%U %S'

@@ -212,9 +212,21 @@ fn revised_stories(profiles: &[PublisherProfile], seed: u64) -> Vec<(SimDuration
 /// Builds `shape` with `subscribers` subscribers under `seed` and runs it
 /// through the settle, the publication window and the drain.
 pub fn run(shape: Shape, subscribers: u32, seed: u64) -> Simulation<NewsWireNode> {
+    run_settled(shape, subscribers, seed, |_| {})
+}
+
+/// [`run`], handing the simulation to `settled` between the settle and the
+/// publication window: the benchmark measures from there.
+pub fn run_settled(
+    shape: Shape,
+    subscribers: u32,
+    seed: u64,
+    settled: impl FnOnce(&mut Simulation<NewsWireNode>),
+) -> Simulation<NewsWireNode> {
     let profiles = profiles(shape);
     let mut sim = build(shape, subscribers, &profiles, seed);
     sim.run_until(SimTime::ZERO + SETTLE);
+    settled(&mut sim);
     let schedule = match shape {
         Shape::PublishSteady => fresh_articles(&profiles, seed),
         Shape::LossyRevisions => revised_stories(&profiles, seed),

@@ -84,7 +84,7 @@ fn the_full_gossip_wire_moves_unchanged_rows_by_stamp() {
         (97, 98, 99),
         "what reconcile vouches for is appended after the gossip byte counter"
     );
-    assert_eq!(ctr::NAMES.len(), 104);
+    assert_eq!(ctr::NAMES.len(), 114);
     let d = sample_run(0x0B8);
     let hub = d.sim.telemetry();
     let hub = hub.borrow();
@@ -96,6 +96,57 @@ fn the_full_gossip_wire_moves_unchanged_rows_by_stamp() {
     assert!(saved > 30 * rows, "{saved} B saved over {rows} rows");
     let gossip = hub.counter_total(ctr::GOSSIP_BYTES_SENT);
     assert!(gossip > 0 && gossip < hub.counter_total(ctr::BYTES_SENT));
+}
+
+/// `bytes_sent` split by cause is appended after every other slot, and on
+/// a small lossy deployment — ack retries, re-sent `Deliver`s and reconcile
+/// pulls all on the wire, beside gossip — the causes sum to it exactly, on
+/// every node.
+#[test]
+fn the_byte_causes_sum_to_bytes_sent() {
+    use obs::ctr;
+    let causes = [
+        ctr::BYTES_HANDOFF,
+        ctr::BYTES_HANDOFF_ANNOUNCE,
+        ctr::BYTES_DELIVER,
+        ctr::BYTES_DELIVER_ANNOUNCE,
+        ctr::BYTES_ACK,
+        ctr::BYTES_GOSSIP,
+        ctr::BYTES_RECONCILE,
+        ctr::BYTES_OTHER,
+    ];
+    assert_eq!(causes.map(|c| c.0), [104, 105, 106, 107, 108, 109, 110, 111]);
+    let mut d = DeploymentBuilder::new(60, 0xB17)
+        .wan(0.05)
+        .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
+        .build();
+    d.settle(60);
+    for seq in 0..12u64 {
+        let item = NewsItem::builder(PublisherId(0), seq)
+            .headline(format!("byte split {seq}"))
+            .category(Category::Technology)
+            .build();
+        d.publish(SimTime::from_secs(60) + simnet::SimDuration::from_millis(500 * seq), item);
+    }
+    d.settle(30);
+    let hub = d.sim.telemetry();
+    let hub = hub.borrow();
+    for node in 0..hub.node_count() {
+        let split: u64 = causes.iter().map(|&c| hub.node_counter(node, c)).sum();
+        assert_eq!(split, hub.node_counter(node, ctr::BYTES_SENT), "node {node}");
+    }
+    let total = |c| hub.counter_total(c);
+    for (cause, name) in [
+        (ctr::BYTES_HANDOFF, "hand-offs"),
+        (ctr::BYTES_DELIVER, "deliveries"),
+        (ctr::BYTES_ACK, "acks"),
+        (ctr::BYTES_GOSSIP, "gossip"),
+        (ctr::BYTES_RECONCILE, "reconcile"),
+    ] {
+        assert!(total(cause) > 0, "workload sanity: no {name} on the wire");
+    }
+    assert!(total(ctr::NW_ACK_RETRIES) + total(ctr::NW_DELIVER_RESENDS) > 0, "nothing was lost");
+    assert!(total(ctr::BYTES_GOSSIP) > total(ctr::GOSSIP_BYTES_SENT), "riders and headers");
 }
 
 /// Two runs with the same seed drain byte-identical telemetry JSON and
